@@ -15,7 +15,7 @@ TOLERANCE ?= 0.30
 # wear, no noisy-neighbour IO), /tmp otherwise.
 FILEDEV_DIR ?= $(shell test -d /dev/shm && echo /dev/shm/logrec-filedev || echo /tmp/logrec-filedev)
 
-.PHONY: build test race fuzz-smoke examples doclint bench bench-smoke bench-gate bench-baseline workload-smoke staticcheck fmt fmt-check vet ci
+.PHONY: build test race fuzz-smoke examples doclint benchmark benchmark-test bench bench-smoke bench-gate bench-baseline workload-smoke staticcheck fmt fmt-check vet ci
 
 build:
 	$(GO) build ./...
@@ -44,6 +44,18 @@ examples:
 # Config/Options knob field needs a doc comment (see cmd/doclint).
 doclint:
 	$(GO) run ./cmd/doclint internal cmd examples
+
+# benchmark/ is a module of its own (BENCHMARK.json's contract), so
+# `go build ./... && go test ./...` at the root never compiles it:
+# benchmark-test is how an internal/ API change that breaks it fails CI
+# (vet, BENCHMARK.json == spec.go, all three workloads at -scale 100);
+# benchmark builds and runs the real thing (≈100 s, see
+# benchmark/README.md).
+benchmark-test:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+benchmark:
+	bash benchmark/run.sh
 
 $(BENCH_DIR):
 	mkdir -p $(BENCH_DIR)
@@ -157,4 +169,4 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: build vet fmt-check staticcheck doclint test race
+ci: build vet fmt-check staticcheck doclint test benchmark-test race

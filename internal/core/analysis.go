@@ -17,15 +17,12 @@ const analysisRecordCPU = 300 * sim.Nanosecond
 // SMO page image) and prunes it with its BW records. No data pages are
 // read; transaction-table reconstruction is global and handled by the
 // record source / demultiplexer.
-func (sr *shardRun) sqlAnalysis(src recordSource) error {
+func (sr *shardRun) sqlAnalysis(next nextFunc) error {
 	sr.table = dpt.New()
 	for {
-		rec, lsn, ok, err := src.next()
-		if err != nil {
+		rec, lsn, ok, err := next()
+		if err != nil || !ok {
 			return err
-		}
-		if !ok {
-			break
 		}
 		sr.r.clock.Advance(analysisRecordCPU)
 		switch t := rec.(type) {
@@ -51,6 +48,4 @@ func (sr *shardRun) sqlAnalysis(src recordSource) error {
 			sr.met.DeltaSeen++
 		}
 	}
-	sr.met.LogPagesRead += src.pagesRead()
-	return nil
 }

@@ -114,10 +114,11 @@ type Options struct {
 	// PF-list (paper's choice) or DPT-rLSN order (Appendix A.2's
 	// alternative).
 	PrefetchStrategy PrefetchStrategy
-	// RedoWorkers ≥ 1 replays each shard's redo pass with that many
-	// page-partitioned worker goroutines (see parallel.go); 1 runs the
-	// parallel machinery single-shard, the apples-to-apples baseline
-	// for worker sweeps. 0 keeps the paper's deterministic serial pass.
+	// RedoWorkers ≥ 1 routes each shard's redo pass to that many
+	// page-partitioned worker goroutines (the routed sink, parallel.go);
+	// 1 runs that machinery with one worker, the apples-to-apples
+	// baseline for worker sweeps. 0 applies inline on the scanning
+	// goroutine: the paper's deterministic serial pass.
 	//
 	// Recovered *state* is correct in any mode, but virtual-time
 	// durations are only meaningful serial: parallel workers interleave
@@ -126,17 +127,12 @@ type Options struct {
 	// metrics instead. Multi-shard recovery (engine.Config.Shards > 1)
 	// is wall-clock-measured for the same reason.
 	RedoWorkers int
-	// UndoWorkers ≥ 1 runs the undo pass with that many
-	// page-partitioned worker goroutines (see undo_parallel.go),
-	// sharing the redo pool's machinery; 1 is the single-shard
-	// baseline. 0 keeps the serial undo pass. The CLR log sequence is
-	// identical in every mode.
+	// UndoWorkers ≥ 1 routes undo's page applications to that many
+	// page-partitioned worker goroutines (see undo.go), sharing the
+	// redo pool's machinery; 1 is the one-worker baseline. 0
+	// compensates inline. The appended log sequence is identical at
+	// every width.
 	UndoWorkers int
-	// ScanAheadRecords bounds the parallel redo pipeline's decode ring
-	// and the multi-shard demultiplexer's per-shard channels: how many
-	// decoded, screened records the scan stage may run ahead of
-	// dispatch (default 512). Serial single-shard passes ignore it.
-	ScanAheadRecords int
 	// DecodeWorkers is the multi-shard demultiplexer's parallel decode
 	// width: the stable log is carved into offset-aligned segments,
 	// decoded concurrently by this many wal workers, and re-stitched
@@ -188,6 +184,35 @@ func DefaultOptions(cfg engine.Config) Options {
 		DCConfig:         cfg.DC,
 	}
 }
+
+// withDefaults fills every unset tunable from DefaultOptions — the one
+// source of the literals — and clamps negative widths to inline. Recover
+// and NewReplayer both resolve their options through it.
+func (opt Options) withDefaults(cfg engine.Config) Options {
+	d := DefaultOptions(cfg)
+	if opt.ScanCost.PageSize == 0 {
+		opt.ScanCost = d.ScanCost
+	}
+	if opt.PerRecordCPU == 0 {
+		opt.PerRecordCPU = d.PerRecordCPU
+	}
+	if opt.MaxOutstanding == 0 {
+		opt.MaxOutstanding = d.MaxOutstanding
+	}
+	if opt.LookaheadRecords == 0 {
+		opt.LookaheadRecords = d.LookaheadRecords
+	}
+	opt.RedoWorkers = max(opt.RedoWorkers, 0)
+	opt.UndoWorkers = max(opt.UndoWorkers, 0)
+	return opt
+}
+
+// scanAhead bounds, in decoded records, every queue between the log
+// scan and the page appliers: the routed redo ring and the
+// demultiplexer's per-shard queues (which also feed a standby). Deep
+// enough that the scan stage never starves dispatch, small enough that
+// decoded-record memory stays bounded.
+const scanAhead = 512
 
 // AutoSizeWorkers picks the parallelism that fits a redo window into a
 // recovery budget: the estimated serial replay time is windowBytes ÷
@@ -325,33 +350,10 @@ type Metrics struct {
 // log; the recovered routing table is rebuilt from the checkpoint's
 // route snapshot plus any committed in-window reassignments.
 func Recover(cs *engine.CrashState, m Method, opt Options) (*engine.Engine, *Metrics, error) {
-	if opt.ScanCost.PageSize == 0 {
-		opt.ScanCost = cs.Cfg.ScanCost
-	}
-	if opt.PerRecordCPU == 0 {
-		opt.PerRecordCPU = 2 * sim.Microsecond
-	}
-	if opt.MaxOutstanding == 0 {
-		opt.MaxOutstanding = 32
-	}
-	if opt.LookaheadRecords == 0 {
-		opt.LookaheadRecords = 256
-	}
-	if opt.ScanAheadRecords <= 0 {
-		opt.ScanAheadRecords = 512
-	}
+	opt = opt.withDefaults(cs.Cfg)
 	cache := opt.CachePages
 	if cache == 0 {
 		cache = cs.Cfg.CachePages
-	}
-
-	workers := opt.RedoWorkers
-	if workers < 0 {
-		workers = 0
-	}
-	undoWorkers := opt.UndoWorkers
-	if undoWorkers < 0 {
-		undoWorkers = 0
 	}
 
 	clock, disks, log, err := cs.Fork(cache)
@@ -380,27 +382,13 @@ func Recover(cs *engine.CrashState, m Method, opt Options) (*engine.Engine, *Met
 		dcs[i] = d
 	}
 
-	met := &Metrics{
-		Method:      m,
-		Shards:      nShards,
-		RedoWorkers: max(workers, 1),
-		UndoWorkers: max(undoWorkers, 1),
-	}
-	r := &run{
-		cs:      cs,
-		m:       m,
-		opt:     opt,
-		workers: workers,
-		clock:   clock,
-		log:     log,
-		met:     met,
-		txns:    newTxnTable(),
-		routes:  shard.DefaultRoutes(nShards, cs.Cfg.KeySpan),
-	}
-	r.shards = make([]*shardRun, nShards)
-	for i, d := range dcs {
-		r.shards[i] = &shardRun{r: r, id: wal.ShardID(i), d: d}
-	}
+	r := newRun(clock, log, opt, dcs)
+	r.cs, r.m, r.smoInRedo = cs, m, !m.IsLogical()
+	r.routes = shard.DefaultRoutes(nShards, cs.Cfg.KeySpan)
+	met := r.met
+	met.Method = m
+	met.RedoWorkers = max(opt.RedoWorkers, 1)
+	met.UndoWorkers = max(opt.UndoWorkers, 1)
 
 	if err := r.findScanStart(); err != nil {
 		return nil, nil, err
@@ -416,8 +404,6 @@ func Recover(cs *engine.CrashState, m Method, opt Options) (*engine.Engine, *Met
 	// default untouched.
 	if opt.RedoWorkers == 0 && cs.Cfg.RecoveryBudget > 0 && cs.ReplayRate > 0 {
 		if n := AutoSizeWorkers(met.RedoWindowBytes, cs.ReplayRate, cs.Cfg.RecoveryBudget, maxAutoWorkers()); n > 1 {
-			workers = n
-			r.workers = n
 			r.opt.RedoWorkers = n
 			met.RedoWorkers = n
 			if opt.DecodeWorkers == 0 && nShards > 1 {
@@ -430,13 +416,12 @@ func Recover(cs *engine.CrashState, m Method, opt Options) (*engine.Engine, *Met
 	// shard. Route changes replay from this full-window pass.
 	w0 := time.Now()
 	t0 := clock.Now()
+	prep := (*shardRun).sqlAnalysis
+	if m.IsLogical() {
+		prep = (*shardRun).dcPass
+	}
 	r.collectRoutes = true
-	err = r.runPhase(func(sr *shardRun, src recordSource) error {
-		if m.IsLogical() {
-			return sr.dcPass(src)
-		}
-		return sr.sqlAnalysis(src)
-	})
+	err = r.fanOut(r.scanStart, r.noteGlobal, shardOf, prep)
 	r.collectRoutes = false
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: %v prep: %w", m, err)
@@ -448,13 +433,12 @@ func Recover(cs *engine.CrashState, m Method, opt Options) (*engine.Engine, *Met
 		}
 	}
 
-	// Phase 2: redo — serial (the paper's virtual-time experiments) or
-	// page-partitioned parallel (parallel.go), per shard.
+	// Phase 2: redo — the one per-shard replay loop (redo.go), applying
+	// inline (the paper's virtual-time experiments) or routing to the
+	// page-partitioned pool (parallel.go).
 	w1 := time.Now()
 	t1 := clock.Now()
-	err = r.runPhase(func(sr *shardRun, src recordSource) error {
-		return sr.redo(src)
-	})
+	err = r.fanOut(r.scanStart, r.noteGlobal, shardOf, (*shardRun).redo)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: %v redo: %w", m, err)
 	}
@@ -466,18 +450,12 @@ func Recover(cs *engine.CrashState, m Method, opt Options) (*engine.Engine, *Met
 	// that seeds budget-mode checkpointing on the recovered engine.
 	replayWall := time.Since(w0)
 
-	// Phase 3: undo of losers (logical in every method, §2.1) — serial,
-	// or page-partitioned parallel (undo_parallel.go). One merged
-	// backward sweep over all shards; compensations route by each
-	// record's shard.
+	// Phase 3: undo of losers (logical in every method, §2.1). One
+	// merged backward sweep over all shards; compensations route by each
+	// record's shard, inline or to the page-partitioned pool (undo.go).
 	w2 := time.Now()
 	t2 := clock.Now()
-	if undoWorkers >= 1 {
-		err = r.parallelUndo(undoWorkers)
-	} else {
-		err = r.undo()
-	}
-	if err != nil {
+	if err = r.undo(opt.UndoWorkers); err != nil {
 		return nil, nil, fmt.Errorf("core: %v undo: %w", m, err)
 	}
 	met.UndoTime = clock.Now().Sub(t2)
@@ -485,7 +463,9 @@ func Recover(cs *engine.CrashState, m Method, opt Options) (*engine.Engine, *Met
 	met.WallUndoTime = time.Since(w2)
 	met.WallTotalTime = time.Since(w0)
 
-	r.mergeShardMetrics()
+	for _, sr := range r.shards {
+		met.add(&sr.met)
+	}
 	r.captureIOStats()
 
 	routes, err := r.finalRoutes()
@@ -527,17 +507,22 @@ func Recover(cs *engine.CrashState, m Method, opt Options) (*engine.Engine, *Met
 	return eng, met, nil
 }
 
-// run carries one recovery invocation's cross-shard state.
+// run carries one replay's cross-shard state: a crash recovery
+// (Recover) or a standby's continuous catch-up (Replayer).
 type run struct {
-	cs      *engine.CrashState
-	m       Method
-	opt     Options
-	workers int
-	clock   *sim.Clock
-	log     *wal.Log
-	met     *Metrics
-	txns    *txnTable
-	shards  []*shardRun
+	cs     *engine.CrashState
+	m      Method
+	opt    Options
+	clock  *sim.Clock
+	log    *wal.Log
+	met    *Metrics
+	txns   *txnTable
+	shards []*shardRun
+
+	// smoInRedo makes the redo loop install SMO images at their log
+	// position (the SQL family, and a standby); the logical family's DC
+	// pass has already replayed them (§4.2), so its redo skips them.
+	smoInRedo bool
 
 	// scanStart is the penultimate begin-checkpoint LSN — the redo
 	// scan start point (§3.2).
@@ -559,6 +544,22 @@ type run struct {
 	appliedRouteChanges int
 }
 
+// newRun wires a run over the reopened (or standby) data components.
+func newRun(clock *sim.Clock, log *wal.Log, opt Options, dcs []*dc.DC) *run {
+	r := &run{
+		opt:   opt,
+		clock: clock,
+		log:   log,
+		met:   &Metrics{Shards: len(dcs), RedoWorkers: 1, UndoWorkers: 1},
+		txns:  newTxnTable(),
+	}
+	r.shards = make([]*shardRun, len(dcs))
+	for i, d := range dcs {
+		r.shards[i] = &shardRun{r: r, id: wal.ShardID(i), d: d}
+	}
+	return r
+}
+
 // shardRun is one shard's recovery state: its reopened DC plus the
 // per-shard DPT, prefetch list and metrics the prep and redo passes
 // build. Each shard's passes run on their own goroutine when the
@@ -568,7 +569,7 @@ type shardRun struct {
 	id wal.ShardID
 	d  *dc.DC
 
-	// table is the shard's DPT (nil for Log0).
+	// table is the shard's DPT (nil for Log0 and on a standby).
 	table *dpt.Table
 	// pfList is Log2's prefetch list: DPT-candidate PIDs in
 	// first-update order (Appendix A.2).
@@ -583,42 +584,8 @@ type shardRun struct {
 	met Metrics
 }
 
-// redo runs the shard's redo pass in the configured mode.
-func (sr *shardRun) redo(src recordSource) error {
-	switch {
-	case sr.r.workers >= 1:
-		return sr.parallelRedo(sr.r.workers, src)
-	case sr.r.m.IsLogical():
-		return sr.logicalRedo(src)
-	default:
-		return sr.physiologicalRedo(src)
-	}
-}
-
-// recordSource feeds one shard's pass with its log records. The N=1
-// engine reads the log scanner directly; multi-shard recovery consumes
-// a per-shard channel fed by the demultiplexer.
-type recordSource interface {
-	next() (wal.Record, wal.LSN, bool, error)
-	pagesRead() int64
-}
-
-// scanSource is the direct single-shard source: the log scanner, with
-// global bookkeeping (transaction table, route changes) done inline.
-type scanSource struct {
-	r  *run
-	sc *wal.Scanner
-}
-
-func (s *scanSource) next() (wal.Record, wal.LSN, bool, error) {
-	rec, lsn, ok, err := s.sc.Next()
-	if ok {
-		s.r.noteGlobal(rec, lsn)
-	}
-	return rec, lsn, ok, err
-}
-
-func (s *scanSource) pagesRead() int64 { return s.sc.PagesRead() }
+// nextFunc yields one pass's records in log order; ok=false ends it.
+type nextFunc func() (wal.Record, wal.LSN, bool, error)
 
 // demuxItem is one routed record.
 type demuxItem struct {
@@ -626,119 +593,127 @@ type demuxItem struct {
 	lsn wal.LSN
 }
 
-// chanSource consumes a demultiplexer channel of record batches.
-// Log-page accounting is done once by the demultiplexer's stitcher,
-// not per shard.
-type chanSource struct {
-	ch    <-chan []demuxItem
-	batch []demuxItem
-	i     int
-}
-
-func (s *chanSource) next() (wal.Record, wal.LSN, bool, error) {
-	for s.i >= len(s.batch) {
-		b, ok := <-s.ch
-		if !ok {
-			return nil, wal.NilLSN, false, nil
-		}
-		s.batch, s.i = b, 0
-	}
-	it := s.batch[s.i]
-	s.i++
-	return it.rec, it.lsn, true, nil
-}
-
-func (s *chanSource) pagesRead() int64 { return 0 }
-
 // demuxBatch is the fan-out granularity: routed records travel to the
-// per-shard channels in slices of this size, so channel handoff costs
+// per-shard queues in slices of this size, so channel handoff costs
 // are paid per batch, not per record.
 const demuxBatch = 64
 
-// runPhase executes one recovery phase on every shard. A single-shard
-// engine runs the phase inline over the log scanner — execution is
-// byte-for-byte the serial path. With N shards the stable log is
-// decoded by the segmented parallel front-end (wal.SegScanner); the
-// stitcher goroutine performs the global bookkeeping (noteGlobal — so
-// txn-table semantics are unchanged from the serial demultiplexer) and
-// fans records out to the per-shard bounded channels in batched sends.
-// The shards consume concurrently: the demultiplexed per-shard
-// pipelines of the scale-out design, no longer bottlenecked on one
-// goroutine's decode.
-func (r *run) runPhase(phase func(sr *shardRun, src recordSource) error) error {
-	if len(r.shards) == 1 {
-		// Inline over the log scanner: execution is the serial path,
-		// byte for byte (the passes account src.pagesRead themselves).
-		sr := r.shards[0]
-		src := &scanSource{r: r, sc: r.log.NewScanner(r.scanStart, r.clock, r.opt.ScanCost)}
-		return phase(sr, src)
+// queueNext adapts one shard's demultiplexer queue to a nextFunc; the
+// pass ends when the demultiplexer closes the queue.
+func queueNext(ch <-chan []demuxItem) nextFunc {
+	var batch []demuxItem
+	return func() (wal.Record, wal.LSN, bool, error) {
+		for len(batch) == 0 {
+			var ok bool
+			if batch, ok = <-ch; !ok {
+				return nil, wal.NilLSN, false, nil
+			}
+		}
+		it := batch[0]
+		batch = batch[1:]
+		return it.rec, it.lsn, true, nil
+	}
+}
+
+// newQueues makes the demultiplexer's bounded per-shard feeds: scanAhead
+// records of run-ahead each, counted in batches.
+func (r *run) newQueues() []chan []demuxItem {
+	queues := make([]chan []demuxItem, len(r.shards))
+	for i := range queues {
+		queues[i] = make(chan []demuxItem, scanAhead/demuxBatch)
+	}
+	return queues
+}
+
+// fanOut is the one log demultiplexer, shared by both of Recover's
+// phases and by a standby's Replayer.CatchUp. It scans the stable log
+// from `from`, shows every record to note (stream-order bookkeeping —
+// transaction table, route changes — always on the calling goroutine)
+// and feeds each shard's pass the records route assigns it.
+//
+// One shard runs the pass inline over the serial log scanner, on the
+// caller's goroutine and with every record delivered, so virtual time
+// is deterministic to the nanosecond. With N shards the log is decoded
+// by the segmented parallel front-end (wal.SegScanner) and routed
+// records travel in batches down bounded per-shard queues to N
+// concurrently running passes; log pages are charged once, here, never
+// per shard.
+func (r *run) fanOut(from wal.LSN, note func(wal.Record, wal.LSN), route func(wal.Record) (wal.ShardID, bool), pass func(*shardRun, nextFunc) error) error {
+	// owner is the shard index route names, bounds-checked.
+	owner := func(rec wal.Record, lsn wal.LSN) (int, bool, error) {
+		sh, ok := route(rec)
+		if ok && int(sh) >= len(r.shards) {
+			return 0, false, fmt.Errorf("core: record at %v names shard %d, engine has %d", lsn, sh, len(r.shards))
+		}
+		return int(sh), ok, nil
 	}
 
-	batchCap := r.opt.ScanAheadRecords / demuxBatch
-	if batchCap < 1 {
-		batchCap = 1
+	if len(r.shards) == 1 {
+		sc := r.log.NewScanner(from, r.clock, r.opt.ScanCost)
+		err := pass(r.shards[0], func() (wal.Record, wal.LSN, bool, error) {
+			rec, lsn, ok, err := sc.Next()
+			if ok {
+				note(rec, lsn)
+				_, _, err = owner(rec, lsn)
+			}
+			return rec, lsn, ok && err == nil, err
+		})
+		r.met.LogPagesRead += sc.PagesRead()
+		return err
 	}
-	chans := make([]chan []demuxItem, len(r.shards))
+
+	queues := r.newQueues()
 	results := make(chan error, len(r.shards))
 	for i, sr := range r.shards {
-		ch := make(chan []demuxItem, batchCap)
-		chans[i] = ch
-		go func(sr *shardRun, ch chan []demuxItem) {
-			err := phase(sr, &chanSource{ch: ch})
-			// A shard that stops early (error) must keep draining so the
-			// demultiplexer never blocks on its channel.
+		go func(sr *shardRun, ch <-chan []demuxItem) {
+			err := pass(sr, queueNext(ch))
+			// A pass that stops early (error) must keep draining so the
+			// demultiplexer never blocks on its queue.
 			for range ch {
 			}
 			results <- err
-		}(sr, ch)
+		}(sr, queues[i])
 	}
 
 	w0 := time.Now()
-	sc := r.log.NewSegScanner(r.scanStart, r.clock, r.opt.ScanCost, wal.SegConfig{
+	sc := r.log.NewSegScanner(from, r.clock, r.opt.ScanCost, wal.SegConfig{
 		Workers:      r.opt.DecodeWorkers,
 		SegmentBytes: r.opt.DecodeSegmentBytes,
 	})
 	defer sc.Close()
 	pending := make([][]demuxItem, len(r.shards))
-	flush := func(sh int) {
-		if len(pending[sh]) == 0 {
-			return
-		}
-		chans[sh] <- pending[sh]
-		pending[sh] = nil
-	}
 	var scanErr error
 	for {
 		rec, lsn, ok, err := sc.Next()
+		if err != nil || !ok {
+			scanErr = err
+			break
+		}
+		note(rec, lsn)
+		sh, sharded, err := owner(rec, lsn)
 		if err != nil {
 			scanErr = err
 			break
 		}
-		if !ok {
-			break
-		}
-		r.noteGlobal(rec, lsn)
-		sh, sharded := shardOf(rec)
 		if !sharded {
 			continue
-		}
-		if int(sh) >= len(chans) {
-			scanErr = fmt.Errorf("core: record at %v names shard %d, engine has %d", lsn, sh, len(chans))
-			break
 		}
 		if pending[sh] == nil {
 			pending[sh] = make([]demuxItem, 0, demuxBatch)
 		}
 		pending[sh] = append(pending[sh], demuxItem{rec: rec, lsn: lsn})
-		if len(pending[sh]) >= demuxBatch {
-			flush(int(sh))
+		if len(pending[sh]) == demuxBatch {
+			queues[sh] <- pending[sh]
+			pending[sh] = nil
 		}
 	}
-	for i := range chans {
+	for i, q := range queues {
 		// Partial batches routed before a scan error still flush: the
-		// serial path would have delivered them before surfacing it.
-		flush(i)
-		close(chans[i])
+		// inline path would have delivered them before surfacing it.
+		if len(pending[i]) > 0 {
+			q <- pending[i]
+		}
+		close(q)
 	}
 	st := sc.Stats()
 	r.met.LogPagesRead += sc.PagesRead()
@@ -749,7 +724,7 @@ func (r *run) runPhase(phase func(sr *shardRun, src recordSource) error) error {
 	r.met.DecodeStall += st.Stall
 	r.met.DecodeWallTime += time.Since(w0)
 	var first error
-	for range chans {
+	for range r.shards {
 		if err := <-results; err != nil && first == nil {
 			first = err
 		}
@@ -819,48 +794,54 @@ func (r *run) finalRoutes() ([]wal.RouteEntry, error) {
 		if !r.txns.committed(sm.TxnID) {
 			continue
 		}
-		// A change already reflected in the checkpoint's route snapshot
-		// (migration committed before the end-checkpoint record) is a
-		// no-op here and is not counted as replayed.
-		start, _, owner := router.RangeOf(sm.SplitAt)
-		if start == sm.SplitAt && owner == sm.NewShard {
-			continue
+		if err := r.replayRoute(router, sm); err != nil {
+			return nil, err
 		}
-		// Reassign exactly [SplitAt, End] — the rows the migration moved.
-		// The live range's end boundary may have come from an unlogged
-		// boundary-only split, so it is cut here rather than inferred
-		// from the boundaries recovery happens to know about.
-		router.Split(sm.SplitAt)
-		if sm.End != ^uint64(0) {
-			router.Split(sm.End + 1)
-		}
-		if err := router.Reassign(sm.SplitAt, sm.NewShard); err != nil {
-			return nil, fmt.Errorf("core: replaying route change at %d: %w", sm.SplitAt, err)
-		}
-		r.appliedRouteChanges++
 	}
 	return router.Routes(), nil
 }
 
-// mergeShardMetrics folds the per-shard counters into the run metrics.
-func (r *run) mergeShardMetrics() {
-	for _, sr := range r.shards {
-		m := &sr.met
-		r.met.DeltaSeen += m.DeltaSeen
-		r.met.BWSeen += m.BWSeen
-		r.met.RedoRecords += m.RedoRecords
-		r.met.TailRecords += m.TailRecords
-		r.met.Applied += m.Applied
-		r.met.SkippedDPT += m.SkippedDPT
-		r.met.SkippedRLSN += m.SkippedRLSN
-		r.met.SkippedPLSN += m.SkippedPLSN
-		r.met.DataPageFetches += m.DataPageFetches
-		r.met.IndexPageFetches += m.IndexPageFetches
-		r.met.SMOPageFetches += m.SMOPageFetches
-		r.met.LogPagesRead += m.LogPagesRead
-		r.met.SMOBarriers += m.SMOBarriers
-		r.met.BarrierWorkersPaused += m.BarrierWorkersPaused
+// replayRoute applies one committed migration's routing change to
+// router — at the end of a crash recovery, or as the commit streams past
+// a standby.
+func (r *run) replayRoute(router *shard.Router, sm *wal.ShardMapRec) error {
+	// A change already reflected in the checkpoint's route snapshot
+	// (migration committed before the end-checkpoint record) is a
+	// no-op here and is not counted as replayed.
+	start, _, owner := router.RangeOf(sm.SplitAt)
+	if start == sm.SplitAt && owner == sm.NewShard {
+		return nil
 	}
+	// Reassign exactly [SplitAt, End] — the rows the migration moved.
+	// The live range's end boundary may have come from an unlogged
+	// boundary-only split, so it is cut here rather than inferred
+	// from the boundaries recovery happens to know about.
+	router.Split(sm.SplitAt)
+	if sm.End != ^uint64(0) {
+		router.Split(sm.End + 1)
+	}
+	if err := router.Reassign(sm.SplitAt, sm.NewShard); err != nil {
+		return fmt.Errorf("core: replaying route change at %d: %w", sm.SplitAt, err)
+	}
+	r.appliedRouteChanges++
+	return nil
+}
+
+// add folds o's per-shard and per-worker counters into m.
+func (m *Metrics) add(o *Metrics) {
+	m.DeltaSeen += o.DeltaSeen
+	m.BWSeen += o.BWSeen
+	m.RedoRecords += o.RedoRecords
+	m.TailRecords += o.TailRecords
+	m.Applied += o.Applied
+	m.SkippedDPT += o.SkippedDPT
+	m.SkippedRLSN += o.SkippedRLSN
+	m.SkippedPLSN += o.SkippedPLSN
+	m.DataPageFetches += o.DataPageFetches
+	m.IndexPageFetches += o.IndexPageFetches
+	m.SMOPageFetches += o.SMOPageFetches
+	m.SMOBarriers += o.SMOBarriers
+	m.BarrierWorkersPaused += o.BarrierWorkersPaused
 }
 
 // captureIOStats folds every shard device's counters into the metrics.

@@ -396,8 +396,8 @@ func TestDPTSafety(t *testing.T) {
 	r2.clock = clock3
 	sr2 := &shardRun{r: r2, id: 0, d: d3}
 	r2.shards = []*shardRun{sr2}
-	src := &scanSource{r: r2, sc: log3.NewScanner(scanStart, clock3, opt.ScanCost)}
-	if err := sr2.dcPass(src); err != nil {
+	sc := log3.NewScanner(scanStart, clock3, opt.ScanCost)
+	if err := sr2.dcPass(sc.Next); err != nil {
 		t.Fatal(err)
 	}
 	if sr2.table.Len() != met.DPTSize {

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"fmt"
-
-	"logrec/internal/btree"
 	"logrec/internal/dpt"
 	"logrec/internal/wal"
 )
@@ -17,7 +14,7 @@ import (
 // of the SQL analysis pass (§5.1). The source delivers exactly this
 // shard's SMO/∆/BW records (plus shard-blind traffic on the
 // single-shard path, which the type switch ignores).
-func (sr *shardRun) dcPass(src recordSource) error {
+func (sr *shardRun) dcPass(next nextFunc) error {
 	if sr.r.m.UsesDPT() {
 		sr.table = dpt.New()
 	}
@@ -25,17 +22,14 @@ func (sr *shardRun) dcPass(src recordSource) error {
 	sr.lastDeltaTCLSN = sr.r.scanStart
 
 	for {
-		rec, lsn, ok, err := src.next()
-		if err != nil {
+		rec, lsn, ok, err := next()
+		if err != nil || !ok {
 			return err
-		}
-		if !ok {
-			break
 		}
 		sr.r.clock.Advance(analysisRecordCPU)
 		switch t := rec.(type) {
 		case *wal.SMORec:
-			if err := sr.replaySMO(t, lsn); err != nil {
+			if err := sr.installSMO(t, lsn, nil, &sr.met); err != nil {
 				return err
 			}
 		case *wal.DeltaRec:
@@ -51,8 +45,6 @@ func (sr *shardRun) dcPass(src recordSource) error {
 			sr.met.BWSeen++
 		}
 	}
-	sr.met.LogPagesRead += src.pagesRead()
-	return nil
 }
 
 // applyDelta folds one ∆-log record into the DPT under construction
@@ -96,52 +88,4 @@ func (sr *shardRun) applyDelta(t *wal.DeltaRec, prevDelta wal.LSN) {
 	// comparison is sound; the standard/reduced sentinel lastLSNs need
 	// the strict comparison of Algorithm 4 line 19.
 	sr.table.PruneFlushed(t.WrittenSet, threshold, perfect)
-}
-
-// replaySMO re-applies one structure-modification record: install each
-// page after-image whose target is older than the SMO, and advance the
-// tree metadata. Idempotent via the pLSN test, like all redo (§2.2).
-func (sr *shardRun) replaySMO(t *wal.SMORec, lsn wal.LSN) error {
-	tree := sr.d.Tree()
-	// Tree metadata advances monotonically with the allocator cursor;
-	// SMOs replayed below a newer boot image must not regress it.
-	if t.Meta.NextPID >= tree.Meta().NextPID {
-		tree.SetMeta(walMetaToTree(t.Meta))
-	}
-	pool := sr.d.Pool()
-	for _, img := range t.Images {
-		missBefore := pool.Stats().Misses
-		if pool.Contains(img.PageID) || sr.d.Disk().Exists(img.PageID) {
-			f, err := pool.Get(img.PageID)
-			if err != nil {
-				return fmt.Errorf("SMO image for page %d: %w", img.PageID, err)
-			}
-			if f.Page.LSN() < uint64(lsn) {
-				copy(f.Page.Bytes(), img.Data)
-				pool.MarkDirty(f, lsn)
-			}
-			pool.Unpin(f)
-		} else {
-			// The page never reached stable storage: materialise it
-			// from the image alone.
-			f, err := pool.NewPage(img.PageID, 0)
-			if err != nil {
-				return fmt.Errorf("SMO image for page %d: %w", img.PageID, err)
-			}
-			copy(f.Page.Bytes(), img.Data)
-			pool.MarkDirty(f, lsn)
-			pool.Unpin(f)
-		}
-		sr.met.SMOPageFetches += pool.Stats().Misses - missBefore
-	}
-	return nil
-}
-
-func walMetaToTree(m wal.TreeMeta) btree.Meta {
-	return btree.Meta{
-		TableID: m.TableID,
-		Root:    m.Root,
-		Height:  m.Height,
-		NextPID: m.NextPID,
-	}
 }

@@ -1,19 +1,18 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 
 	"logrec/internal/storage"
 	"logrec/internal/wal"
 )
 
-// Parallel page-partitioned replay.
+// The routed sink: page-partitioned replay.
 //
-// The serial redo passes replay the log one record at a time; on a cold
-// cache nearly every record stalls on its page fetch, so redo time is
-// dominated by serialized IO (§1.3, Appendix B). This file shards that
-// work: a dispatcher routes each page operation to one of N workers
+// Applying inline, the redo loop replays one record at a time; on a
+// cold cache nearly every record stalls on its page fetch, so redo time
+// is dominated by serialized IO (§1.3, Appendix B). The routed sink
+// shards that work: the loop's survivors are routed to one of N workers
 // keyed by the operation's page, so
 //
 //   - all records for one page land on the same worker and are applied
@@ -21,19 +20,17 @@ import (
 //     requires — pages are independent between structure modifications);
 //   - different pages replay concurrently, overlapping their IO.
 //
-// The replay pipeline has three stages:
+// The scan loop (redo.go) runs on its own goroutine, feeding survivors
+// into a bounded ring (scanAhead), so at high worker counts dispatch is
+// a channel send, not a decode loop:
 //
-//	record source ──► bounded ring ──► dispatcher ──► shard workers
-//	(decode, DPT screen,              (route, SMO     (fetch, pLSN test,
-//	 off-thread)                       barriers)       apply)
+//	scan ──► bounded ring ──► dispatcher ──► shard workers
+//	(classify, screen)        (route, SMO     (redoOp: fetch, pLSN
+//	                           barriers)       test, apply)
 //
-// The scan stage decodes log records and runs the DPT/rLSN screen on
-// its own goroutine, feeding survivors into a bounded ring
-// (Options.ScanAheadRecords), so at high worker counts dispatch is a
-// channel send, not a decode loop. On a multi-shard engine each data
-// shard runs its own instance of this pipeline concurrently, fed by the
-// log demultiplexer; SMO barriers are then naturally local to the one
-// shard whose tree the SMO changed.
+// On a multi-shard engine each data shard runs its own instance of this
+// pipeline concurrently, fed by the log demultiplexer; SMO barriers are
+// then naturally local to the one shard whose tree the SMO changed.
 //
 // Structure modifications are the one cross-page dependency: an SMO
 // moves keys between pages, so records before and after it may name the
@@ -43,11 +40,14 @@ import (
 //   - Logical family: dcPass has already replayed every SMO in the
 //     window (§4.2 — the tree must be well-formed before logical redo),
 //     so the pages carry their end-of-window structure before redo
-//     begins and the scan stage skips SMO records, exactly like the
-//     serial logical pass. Routing by the record's physiological PID
-//     hint stays sound: an operation whose key later moved pages is
-//     subsumed by that SMO's after-image, and the pLSN test on the
-//     hinted page (stamped at or past the SMO's LSN) screens it out.
+//     begins and the scan skips SMO records. Routing resolves the page
+//     by the record's physiological PID hint rather than by the index
+//     traversal the inline width performs (a deviation from the paper,
+//     see ARCHITECTURE.md); it stays sound because an operation whose
+//     key later moved pages is subsumed by that SMO's after-image, and
+//     the pLSN test on the hinted page (stamped at or past the SMO's
+//     LSN) screens it out. Index preloading is skipped for the same
+//     reason: the index pages are not on the routed critical path.
 //   - SQL family: SMOs replay inline at their log position (SQL
 //     Server's system-transaction redo), under a barrier scoped to the
 //     workers owning the SMO's pages (SMORec.AffectedPIDs): those
@@ -57,9 +57,9 @@ import (
 //     channels are the fence; the pool's barrier-epoch counter tracks
 //     how many fences have been raised).
 //
-// Parallel undo (undo_parallel.go) reuses the same worker pool across
-// every data shard at once: CLRs are planned and appended serially, and
-// their page applications are sharded by (data shard, page), with
+// Routed undo (undo.go) reuses the same worker pool across every data
+// shard at once: CLRs are planned and appended serially, and their page
+// applications are sharded by (data shard, page), with
 // structure-changing undo operations latching only the affected leaf's
 // worker (the page-latch protocol described there).
 
@@ -106,44 +106,12 @@ func (w *shardWorker) loop(wg *sync.WaitGroup) {
 		if w.pf != nil {
 			w.pf.topUp()
 		}
-		if err := w.apply(t); err != nil {
-			w.err = err
-		}
+		w.err = t.sr.redoOp(&w.met, t.op.PID(), t.op, t.lsn)
 	}
 }
 
-// apply fetches the task's page from its data shard's pool and
-// re-executes the operation behind the pLSN idempotence test, exactly
-// like the serial passes.
-func (w *shardWorker) apply(t redoTask) error {
-	pool := t.sr.d.Pool()
-	pid := t.op.PID()
-	cached := pool.Contains(pid)
-	f, err := pool.Get(pid)
-	if err != nil {
-		return fmt.Errorf("fetching page %d: %w", pid, err)
-	}
-	if !cached {
-		// Only this worker fetches this page, so the miss attribution
-		// is exact even though the counter check is done in two steps.
-		w.met.DataPageFetches++
-	}
-	if uint64(t.lsn) <= f.Page.LSN() {
-		w.met.SkippedPLSN++
-		pool.Unpin(f)
-		return nil
-	}
-	err = applyOp(pool, f, t.op, t.lsn)
-	pool.Unpin(f)
-	if err != nil {
-		return err
-	}
-	w.met.Applied++
-	return nil
-}
-
-// shardedPool is the page-partitioned worker pool shared by parallel
-// redo and parallel undo: route sends a page operation to the worker
+// shardedPool is the page-partitioned worker pool shared by routed
+// redo and routed undo: route sends a page operation to the worker
 // owning its (data shard, page), pause drains a subset of workers for a
 // structure modification, finish joins the pool and merges worker
 // metrics.
@@ -227,12 +195,10 @@ func (p *shardedPool) finish() (Metrics, error) {
 	var met Metrics
 	var err error
 	for _, w := range p.workers {
-		if err == nil && w.err != nil {
+		if err == nil {
 			err = w.err
 		}
-		met.Applied += w.met.Applied
-		met.SkippedPLSN += w.met.SkippedPLSN
-		met.DataPageFetches += w.met.DataPageFetches
+		met.add(&w.met)
 	}
 	return met, err
 }
@@ -248,94 +214,37 @@ func shardPIDs(id wal.ShardID, src []storage.PageID, n int) [][]storage.PageID {
 	return out
 }
 
-// scanItem is one ring entry produced by the scan stage: a screened
-// data operation, or an SMO the dispatcher must barrier for.
-type scanItem struct {
-	op  wal.DataOp
-	lsn wal.LSN
-	smo *wal.SMORec
-}
-
-// parallelRedo is one shard's pipelined page-partitioned redo pass. It
-// serves both families: decode and the DPT screen (when present) run in
-// the scan stage, application and the pLSN test run in the workers.
-// Index preloading is skipped — parallel redo locates pages by PID
-// hint, not by index traversal, so the index pages are not on its
-// critical path.
-func (sr *shardRun) parallelRedo(workers int, src recordSource) error {
+// routedRedo is one shard's pipelined page-partitioned redo pass, for
+// both families: the scan loop classifies and screens on its own
+// goroutine, the dispatcher routes survivors and raises SMO barriers,
+// the workers fetch, test and apply. Each worker paces its own slice of
+// the prefetch list.
+func (sr *shardRun) routedRedo(next nextFunc) error {
 	r := sr.r
-	pool := newShardedPool(workers)
-	if r.m.UsesPrefetch() && sr.table != nil {
-		list := sr.pfList
-		if !r.m.IsLogical() || r.opt.PrefetchStrategy == PrefetchDPTOrder {
-			// SQL2's serial prefetch is log-driven lookahead; the
-			// parallel equivalent is the DPT in rLSN order, which
-			// approximates first-use order without a second log scan.
-			list = dptPrefetchList(sr.table)
-		}
-		lists := shardPIDs(sr.id, list, workers)
-		dpool := sr.d.Pool()
+	pool := newShardedPool(r.opt.RedoWorkers)
+	if r.m.UsesPrefetch() {
+		lists := shardPIDs(sr.id, sr.prefetchList(), len(pool.workers))
 		for i, w := range pool.workers {
-			w.pf = newPacer(dpool, sr.table, lists[i], r.opt.MaxOutstanding)
+			w.pf = newPacer(sr.d.Pool(), sr.table, lists[i], r.opt.MaxOutstanding)
 			w.pf.topUp()
 		}
 	}
 
-	// Scan stage: decode and the DPT/rLSN screen run off the dispatch
-	// goroutine, feeding the bounded ring. scanMet and scanErr are
-	// published by the ring close (happens-before the dispatcher's
-	// range loop ending).
-	ring := make(chan scanItem, r.opt.ScanAheadRecords)
+	// scanMet and scanErr are published by the ring close
+	// (happens-before the dispatcher's range loop ending).
+	ring := make(chan redoItem, scanAhead)
 	var scanMet Metrics
 	var scanErr error
 	go func() {
 		defer close(ring)
-		defer func() { scanMet.LogPagesRead = src.pagesRead() }()
-		for {
-			rec, lsn, ok, err := src.next()
-			if err != nil {
-				scanErr = err
-				return
-			}
-			if !ok {
-				return
-			}
-			switch t := rec.(type) {
-			case *wal.SMORec:
-				if r.m.IsLogical() {
-					// Already replayed by dcPass; redo ignores it, like
-					// the serial logical pass.
-					continue
-				}
-				ring <- scanItem{smo: t, lsn: lsn}
-			case wal.DataOp:
-				scanMet.RedoRecords++
-				r.clock.Advance(r.opt.PerRecordCPU)
-				if sr.table != nil {
-					if r.m.IsLogical() && lsn >= sr.lastDeltaTCLSN {
-						// Tail of the log: pages dirtied after the last ∆
-						// record are unknown to the DPT (§4.3); replay
-						// unscreened, as serial basic mode does.
-						scanMet.TailRecords++
-					} else {
-						e := sr.table.Find(t.PID())
-						if e == nil {
-							scanMet.SkippedDPT++
-							continue
-						}
-						if lsn < e.RLSN {
-							scanMet.SkippedRLSN++
-							continue
-						}
-					}
-				}
-				ring <- scanItem{op: t, lsn: lsn}
-			}
-		}
+		scanErr = sr.scan(next, nil, false, &scanMet, func(it redoItem) error {
+			ring <- it
+			return nil
+		})
 	}()
 
-	// Dispatch stage: route survivors to their partition workers;
-	// barrier only the workers an SMO touches.
+	// Route survivors to their partition workers; barrier only the
+	// workers an SMO touches.
 	var dispatchErr error
 	for it := range ring {
 		if it.smo == nil {
@@ -343,31 +252,20 @@ func (sr *shardRun) parallelRedo(workers int, src recordSource) error {
 			continue
 		}
 		release, paused := pool.pause(sr, it.smo.AffectedPIDs())
-		err := sr.redoSMOPhysiological(it.smo, it.lsn)
+		dispatchErr = sr.installSMO(it.smo, it.lsn, sr.table, &sr.met)
 		release()
 		sr.met.SMOBarriers++
 		sr.met.BarrierWorkersPaused += int64(paused)
-		if err != nil {
-			dispatchErr = err
-			break
-		}
-	}
-	if dispatchErr != nil {
-		// Unblock the scan stage (it may be parked on a full ring) and
-		// drain so the workers can be joined.
-		for range ring {
+		if dispatchErr != nil {
+			// Unblock the scan stage (it may be parked on a full ring)
+			// and drain so the workers can be joined.
+			for range ring {
+			}
 		}
 	}
 	wmet, werr := pool.finish()
-
-	sr.met.RedoRecords += scanMet.RedoRecords
-	sr.met.TailRecords += scanMet.TailRecords
-	sr.met.SkippedDPT += scanMet.SkippedDPT
-	sr.met.SkippedRLSN += scanMet.SkippedRLSN
-	sr.met.LogPagesRead += scanMet.LogPagesRead
-	sr.met.Applied += wmet.Applied
-	sr.met.SkippedPLSN += wmet.SkippedPLSN
-	sr.met.DataPageFetches += wmet.DataPageFetches
+	sr.met.add(&scanMet)
+	sr.met.add(&wmet)
 
 	switch {
 	case dispatchErr != nil:

@@ -91,7 +91,7 @@ func TestParallelRedoMatchesOracle(t *testing.T) {
 		}
 		verifyRecovered(t, m, eng, om)
 
-		for _, workers := range []int{2, 4} {
+		for _, workers := range []int{1, 2, 4} {
 			popt := opt
 			popt.RedoWorkers = workers
 			eng, met, err := Recover(cs, m, popt)

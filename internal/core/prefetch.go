@@ -62,10 +62,16 @@ func (p *pacer) topUp() {
 	}
 }
 
-// dptPrefetchList materialises the DPT in ascending-rLSN order for the
-// PrefetchDPTOrder ablation (Appendix A.2's alternative strategy).
-func dptPrefetchList(table *dpt.Table) []storage.PageID {
-	entries := table.EntriesByRLSN()
+// prefetchList is the page list a pacer walks: Log2's PF-list, or the
+// DPT in ascending-rLSN order — Appendix A.2's alternative strategy
+// (PrefetchDPTOrder), and what routed SQL2 uses in place of its
+// log-driven lookahead, approximating first-use order without a second
+// log scan.
+func (sr *shardRun) prefetchList() []storage.PageID {
+	if sr.r.m.IsLogical() && sr.r.opt.PrefetchStrategy == PrefetchPFList {
+		return sr.pfList
+	}
+	entries := sr.table.EntriesByRLSN()
 	out := make([]storage.PageID, len(entries))
 	for i, e := range entries {
 		out[i] = e.PID
@@ -80,7 +86,7 @@ func dptPrefetchList(table *dpt.Table) []storage.PageID {
 // read-ahead are charged when read, just as SQL Server's read-ahead
 // reads log pages early.
 type lookahead struct {
-	src    recordSource
+	src    nextFunc
 	pool   *buffer.Pool
 	table  *dpt.Table
 	window int
@@ -97,7 +103,7 @@ type laEntry struct {
 	lsn wal.LSN
 }
 
-func newLookahead(src recordSource, pool *buffer.Pool, table *dpt.Table, window, maxOut int) *lookahead {
+func newLookahead(src nextFunc, pool *buffer.Pool, table *dpt.Table, window, maxOut int) *lookahead {
 	return &lookahead{src: src, pool: pool, table: table, window: window, maxOut: maxOut}
 }
 
@@ -118,7 +124,7 @@ func (la *lookahead) next() (wal.Record, wal.LSN, bool, error) {
 
 func (la *lookahead) fill() error {
 	for !la.eof && len(la.buf) < la.window {
-		rec, lsn, ok, err := la.src.next()
+		rec, lsn, ok, err := la.src()
 		if err != nil {
 			return err
 		}

@@ -3,10 +3,30 @@ package core
 import (
 	"fmt"
 
+	"logrec/internal/btree"
 	"logrec/internal/buffer"
+	"logrec/internal/dpt"
 	"logrec/internal/page"
+	"logrec/internal/storage"
 	"logrec/internal/wal"
 )
+
+// The replay pipeline.
+//
+// Every recovery method, at every width, and a standby's continuous
+// catch-up are one computation over the one log (§2.1, §5.1):
+//
+//	log ─► note ─► demux ─► classify ─► resolve ─► screen ─► sink
+//	(fanOut, core.go)       (scan, below)                    │
+//	                                      inline: redoOp / installSMO here
+//	                                      routed: ring ─► dispatcher ─► pool
+//
+// The methods differ only in how a data operation's page is resolved
+// (an index traversal for the logical family, the record's PID for the
+// SQL family) and screened (no DPT for Log0, the ∆-built DPT with a
+// basic-mode tail for Log1/Log2, the analysis DPT for SQL1/SQL2), and in
+// which prefetcher wraps the loop. The width (Options.RedoWorkers) only
+// picks the sink; both sinks end in redoOp.
 
 // applyOp re-executes a data operation on its page (REDOOPERATION in
 // Algorithms 1, 2 and 5). The caller has already decided redo is needed
@@ -45,183 +65,175 @@ func applyOp(pool *buffer.Pool, f *buffer.Frame, op wal.DataOp, lsn wal.LSN) err
 	return nil
 }
 
-// logicalRedo is one shard's TC redo pass for Log0/Log1/Log2: the TC
-// re-submits its logical operations in log order; the DC locates each
-// record's page by key through its B-tree (no PIDs are consulted),
-// screens with the DPT when available (Algorithm 5), falls back to
-// basic logical redo (Algorithm 2) for the tail of the log, and applies
-// the pLSN idempotence test before re-executing.
-func (sr *shardRun) logicalRedo(src recordSource) error {
-	pool := sr.d.Pool()
-	tree := sr.d.Tree()
-	opt := &sr.r.opt
+// redoItem is one record that survived classification and screening,
+// on its way to a sink: a data operation with its resolved page, or an
+// SMO to install at this log position.
+type redoItem struct {
+	op  wal.DataOp
+	pid storage.PageID
+	lsn wal.LSN
+	smo *wal.SMORec
+}
 
+// redo is one shard's redo pass. With RedoWorkers ≥ 1 it routes to the
+// page-partitioned pool (routedRedo); otherwise it applies inline, on
+// the goroutine that scans, wrapped in the method's prefetcher: index
+// preload plus the paced PF-list for Log2 (§4.4, Appendix A), log-driven
+// read-ahead for SQL2 (Appendix A.2).
+func (sr *shardRun) redo(next nextFunc) error {
+	r := sr.r
+	if r.opt.RedoWorkers >= 1 {
+		return sr.routedRedo(next)
+	}
+	pool := sr.d.Pool()
 	var pf *pacer
-	if sr.r.m.UsesPrefetch() {
-		if opt.IndexPreload {
+	if r.m.UsesPrefetch() && r.m.IsLogical() {
+		if r.opt.IndexPreload {
 			if err := sr.preloadIndex(); err != nil {
 				return fmt.Errorf("index preload: %w", err)
 			}
 		}
-		list := sr.pfList
-		if opt.PrefetchStrategy == PrefetchDPTOrder {
-			list = dptPrefetchList(sr.table)
-		}
-		pf = newPacer(pool, sr.table, list, opt.MaxOutstanding)
+		pf = newPacer(pool, sr.table, sr.prefetchList(), r.opt.MaxOutstanding)
 		pf.topUp()
+	} else if r.m.UsesPrefetch() {
+		next = newLookahead(next, pool, sr.table, r.opt.LookaheadRecords, r.opt.MaxOutstanding).next
 	}
-
-	for {
-		rec, lsn, ok, err := src.next()
-		if err != nil {
-			return err
+	return sr.scan(next, pf, true, &sr.met, func(it redoItem) error {
+		if it.smo != nil {
+			return sr.installSMO(it.smo, it.lsn, sr.table, &sr.met)
 		}
-		if !ok {
-			break
-		}
-		op, isOp := rec.(wal.DataOp)
-		if !isOp {
-			continue
-		}
-		sr.met.RedoRecords++
-		sr.r.clock.Advance(opt.PerRecordCPU)
-		if pf != nil {
-			pf.topUp()
-		}
-
-		// Traverse the index to find the PID (Algorithm 2 line 8 /
-		// Algorithm 5 line 4). Index page misses are charged here.
-		missBefore := pool.Stats().Misses
-		pid, err := tree.FindLeaf(op.Key())
-		sr.met.IndexPageFetches += pool.Stats().Misses - missBefore
-		if err != nil {
-			return fmt.Errorf("index search for key %d: %w", op.Key(), err)
-		}
-
-		if sr.table != nil {
-			if lsn < sr.lastDeltaTCLSN {
-				// Algorithm 5 lines 5-8: the optimised redo test.
-				e := sr.table.Find(pid)
-				if e == nil {
-					sr.met.SkippedDPT++
-					continue
-				}
-				if lsn < e.RLSN {
-					sr.met.SkippedRLSN++
-					continue
-				}
-			} else {
-				// Tail of the log: pages dirtied after the last ∆
-				// record are unknown to the DPT; fall back to basic
-				// logical redo (§4.3).
-				sr.met.TailRecords++
-			}
-		}
-
-		missBefore = pool.Stats().Misses
-		f, err := pool.Get(pid)
-		sr.met.DataPageFetches += pool.Stats().Misses - missBefore
-		if err != nil {
-			return fmt.Errorf("fetching page %d: %w", pid, err)
-		}
-		if uint64(lsn) <= f.Page.LSN() {
-			sr.met.SkippedPLSN++
-			pool.Unpin(f)
-			continue
-		}
-		err = applyOp(pool, f, op, lsn)
-		pool.Unpin(f)
-		if err != nil {
-			return err
-		}
-		sr.met.Applied++
-	}
-	sr.met.LogPagesRead += src.pagesRead()
-	return nil
+		return sr.redoOp(&sr.met, it.pid, it.op, it.lsn)
+	})
 }
 
-// physiologicalRedo is one shard's ARIES/SQL-Server redo (Algorithm 1)
-// for SQL1/SQL2: log records name their page directly; the DPT and rLSN
-// screen avoids fetching pages that cannot need redo; SMO records are
-// replayed inline in LSN order (SQL Server's system-transaction redo).
-func (sr *shardRun) physiologicalRedo(src recordSource) error {
+// scan is the one redo loop. Each record is classified (SMO, data
+// operation, or not redo's business); a data operation is charged
+// PerRecordCPU, resolved to its page — by index traversal when the
+// logical family applies inline (Algorithm 2 line 8 / Algorithm 5 line
+// 4: no PIDs are consulted), by the record's PID otherwise — and
+// screened; survivors go to sink in log order. pf, when set, is topped
+// up once per data operation.
+func (sr *shardRun) scan(next nextFunc, pf *pacer, inline bool, met *Metrics, sink func(redoItem) error) error {
+	r := sr.r
 	pool := sr.d.Pool()
-	opt := &sr.r.opt
-
-	nextRec := src.next
-	if sr.r.m.UsesPrefetch() {
-		la := newLookahead(src, pool, sr.table, opt.LookaheadRecords, opt.MaxOutstanding)
-		nextRec = la.next
-	}
-
+	traverse := inline && r.m.IsLogical()
 	for {
-		rec, lsn, ok, err := nextRec()
-		if err != nil {
+		rec, lsn, ok, err := next()
+		if err != nil || !ok {
 			return err
-		}
-		if !ok {
-			break
 		}
 		switch t := rec.(type) {
 		case *wal.SMORec:
-			if err := sr.redoSMOPhysiological(t, lsn); err != nil {
-				return err
+			if r.smoInRedo {
+				err = sink(redoItem{smo: t, lsn: lsn})
 			}
 		case wal.DataOp:
-			sr.met.RedoRecords++
-			sr.r.clock.Advance(opt.PerRecordCPU)
-			// Algorithm 1 lines 4-8: DPT screen before any page fetch.
-			e := sr.table.Find(t.PID())
-			if e == nil {
-				sr.met.SkippedDPT++
-				continue
+			met.RedoRecords++
+			r.clock.Advance(r.opt.PerRecordCPU)
+			if pf != nil {
+				pf.topUp()
 			}
-			if lsn < e.RLSN {
-				sr.met.SkippedRLSN++
-				continue
+			pid := t.PID()
+			if traverse {
+				// Index page misses are charged here.
+				missBefore := pool.Stats().Misses
+				pid, err = sr.d.Tree().FindLeaf(t.Key())
+				met.IndexPageFetches += pool.Stats().Misses - missBefore
+				if err != nil {
+					return fmt.Errorf("index search for key %d: %w", t.Key(), err)
+				}
 			}
-			missBefore := pool.Stats().Misses
-			f, err := pool.Get(t.PID())
-			sr.met.DataPageFetches += pool.Stats().Misses - missBefore
-			if err != nil {
-				return fmt.Errorf("fetching page %d: %w", t.PID(), err)
+			if sr.screen(pid, lsn, met) {
+				err = sink(redoItem{op: t, pid: pid, lsn: lsn})
 			}
-			if uint64(lsn) <= f.Page.LSN() {
-				sr.met.SkippedPLSN++
-				pool.Unpin(f)
-				continue
-			}
-			err = applyOp(pool, f, t, lsn)
-			pool.Unpin(f)
-			if err != nil {
-				return err
-			}
-			sr.met.Applied++
-		case *wal.DeltaRec:
-			// Logical-family records; ignored by physiological redo.
+		}
+		if err != nil {
+			return err
 		}
 	}
-	sr.met.LogPagesRead += src.pagesRead()
+}
+
+// screen is the optimised redo test, before any data page is fetched
+// (Algorithm 1 lines 4-8, Algorithm 5 lines 5-8): a page absent from
+// the DPT, or a record below its entry's rLSN, cannot need redo. Without
+// a DPT (Log0, a standby) everything passes. For the logical family,
+// pages dirtied after the last ∆ record are unknown to the DPT, so the
+// tail of the log falls back to basic logical redo (§4.3).
+func (sr *shardRun) screen(pid storage.PageID, lsn wal.LSN, met *Metrics) bool {
+	if sr.table == nil {
+		return true
+	}
+	if sr.r.m.IsLogical() && lsn >= sr.lastDeltaTCLSN {
+		met.TailRecords++
+		return true
+	}
+	e := sr.table.Find(pid)
+	if e == nil {
+		met.SkippedDPT++
+		return false
+	}
+	if lsn < e.RLSN {
+		met.SkippedRLSN++
+		return false
+	}
+	return true
+}
+
+// redoOp is where both sinks — and undo's routed compensations — end:
+// fetch the page, apply the pLSN idempotence test, re-execute. The miss
+// is attributed by a residency check rather than a pool-counter diff so
+// it stays exact while other workers miss on their own pages; only one
+// goroutine ever fetches a given page.
+func (sr *shardRun) redoOp(met *Metrics, pid storage.PageID, op wal.DataOp, lsn wal.LSN) error {
+	pool := sr.d.Pool()
+	cached := pool.Contains(pid)
+	f, err := pool.Get(pid)
+	if err != nil {
+		return fmt.Errorf("fetching page %d: %w", pid, err)
+	}
+	if !cached {
+		met.DataPageFetches++
+	}
+	if uint64(lsn) <= f.Page.LSN() {
+		met.SkippedPLSN++
+		pool.Unpin(f)
+		return nil
+	}
+	err = applyOp(pool, f, op, lsn)
+	pool.Unpin(f)
+	if err != nil {
+		return err
+	}
+	met.Applied++
 	return nil
 }
 
-// redoSMOPhysiological replays an SMO record inside the integrated redo
-// pass, screening each page image with the DPT like any other update.
-func (sr *shardRun) redoSMOPhysiological(t *wal.SMORec, lsn wal.LSN) error {
+// installSMO re-applies one structure-modification record: advance the
+// tree metadata and install each page after-image whose target is older
+// than the SMO — idempotent via the pLSN test, like all redo (§2.2).
+// With a DPT (SQL redo, where SMOs replay as system-transaction page
+// updates) each image is screened like any other update; the DC pass
+// and a standby pass nil. A routed caller has paused the workers owning
+// the SMO's pages, so the residency check cannot race.
+func (sr *shardRun) installSMO(t *wal.SMORec, lsn wal.LSN, table *dpt.Table, met *Metrics) error {
 	tree := sr.d.Tree()
+	// Tree metadata advances monotonically with the allocator cursor;
+	// SMOs replayed below a newer boot image must not regress it.
 	if t.Meta.NextPID >= tree.Meta().NextPID {
-		tree.SetMeta(walMetaToTree(t.Meta))
+		tree.SetMeta(btree.Meta{
+			TableID: t.Meta.TableID,
+			Root:    t.Meta.Root,
+			Height:  t.Meta.Height,
+			NextPID: t.Meta.NextPID,
+		})
 	}
 	pool := sr.d.Pool()
 	for _, img := range t.Images {
-		if e := sr.table.Find(img.PageID); e == nil || lsn < e.RLSN {
-			continue
+		if table != nil {
+			if e := table.Find(img.PageID); e == nil || lsn < e.RLSN {
+				continue
+			}
 		}
-		// Miss attribution is per-image, not a pool-counter diff: under
-		// shard-scoped barriers, unaffected workers keep missing on
-		// their own pages while this replays. The SMO's own pages are
-		// quiesced (their shards are paused), so the cached check
-		// cannot race.
 		var f *buffer.Frame
 		var err error
 		switch {
@@ -229,8 +241,10 @@ func (sr *shardRun) redoSMOPhysiological(t *wal.SMORec, lsn wal.LSN) error {
 			f, err = pool.Get(img.PageID)
 		case sr.d.Disk().Exists(img.PageID):
 			f, err = pool.Get(img.PageID)
-			sr.met.SMOPageFetches++
+			met.SMOPageFetches++
 		default:
+			// The page never reached stable storage: materialise it
+			// from the image alone.
 			f, err = pool.NewPage(img.PageID, page.TypeInvalid)
 		}
 		if err != nil {

@@ -3,8 +3,8 @@ package core
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
+	"logrec/internal/dc"
 	"logrec/internal/engine"
 	"logrec/internal/shard"
 	"logrec/internal/storage"
@@ -61,24 +61,24 @@ type ReplayStats struct {
 // Replayer runs the recovery redo pipeline continuously against a
 // standby engine: the incremental counterpart of the one-shot Recover.
 // Shipped records land in the standby's log (wal.AppendStable); each
-// CatchUp call scans the newly stable suffix, demultiplexes it to
-// per-shard apply workers — the same routing Recover's multi-shard
-// phase uses — and barriers so that, on return, everything stable is
-// applied. Promote turns the standby into a primary: the merged
+// CatchUp call pushes the newly stable suffix through the same
+// demultiplexer (run.fanOut) and, in same-geometry mode, the same
+// per-shard redo loop Recover uses — at the inline width with Log0's
+// resolve and screen (traverse the index, no DPT) and SMO images
+// installed at their log position — and returns once everything stable
+// is applied. Promote turns the standby into a primary: the merged
 // backward undo sweep rolls back in-flight losers exactly as crash
 // recovery would, then the engine reopens for sessions.
 //
 // CatchUp, Checkpoint and Promote must be called from one applier
-// goroutine; the apply workers they coordinate are internal. Stats may
-// be read from anywhere.
+// goroutine; the per-shard passes they run are internal. Stats may be
+// read from anywhere.
 type Replayer struct {
 	eng  *engine.Engine
 	mode ReplayMode
 	r    *run
 
 	nextLSN wal.LSN
-	chans   []chan replayItem
-	workers sync.WaitGroup
 
 	// router mirrors the primary's routing table: committed migrations
 	// from the stream are applied as they commit, so Promote can
@@ -89,14 +89,13 @@ type Replayer struct {
 	pendingRoutes map[wal.TxnID][]*wal.ShardMapRec
 	lastEndCkpt   wal.LSN
 
-	records    atomic.Int64
-	ops        atomic.Int64
-	applied    atomic.Int64
-	smos       atomic.Int64
-	appliedLSN atomic.Uint64
+	// records and smos are counted by note, on the applier goroutine;
+	// stats is the snapshot each CatchUp publishes for other goroutines.
+	records, smos int64
+	mu            sync.Mutex
+	stats         ReplayStats
 
-	mu   sync.Mutex // guards err (set by workers, read by the applier)
-	err  error
+	err  error // sticky: a failed replay cannot be resumed
 	done bool
 }
 
@@ -107,20 +106,9 @@ type Replayer struct {
 // mirror the primary's shard layout — a record naming a shard the
 // standby does not have fails the replay.
 func NewReplayer(eng *engine.Engine, mode ReplayMode) (*Replayer, error) {
-	n := eng.Cfg.NumShards()
-	met := &Metrics{Shards: n, RedoWorkers: 1, UndoWorkers: 1}
-	r := &run{
-		opt:   DefaultOptions(eng.Cfg),
-		clock: eng.Clock,
-		log:   eng.Log,
-		met:   met,
-		txns:  newTxnTable(),
-	}
-	r.shards = make([]*shardRun, n)
-	for i, d := range eng.DCs {
-		r.shards[i] = &shardRun{r: r, id: wal.ShardID(i), d: d}
-	}
-	router, err := shard.NewRouter(shard.DefaultRoutes(n, eng.Cfg.KeySpan))
+	r := newRun(eng.Clock, eng.Log, Options{}.withDefaults(eng.Cfg), eng.DCs)
+	r.m, r.smoInRedo = Log0, true
+	router, err := shard.NewRouter(shard.DefaultRoutes(len(r.shards), eng.Cfg.KeySpan))
 	if err != nil {
 		return nil, fmt.Errorf("core: standby routing table: %w", err)
 	}
@@ -132,7 +120,7 @@ func NewReplayer(eng *engine.Engine, mode ReplayMode) (*Replayer, error) {
 		router:        router,
 		pendingRoutes: make(map[wal.TxnID][]*wal.ShardMapRec),
 	}
-	rp.appliedLSN.Store(uint64(rp.nextLSN))
+	rp.stats.AppliedLSN = rp.nextLSN
 	if mode == ReplayLogical {
 		// Undo compensations route by key through the standby's own
 		// table, not the primary's shard stamps.
@@ -140,110 +128,46 @@ func NewReplayer(eng *engine.Engine, mode ReplayMode) (*Replayer, error) {
 			return r.shards[eng.Set.Locate(key)], nil
 		}
 	}
-	rp.chans = make([]chan replayItem, n)
-	for i := range rp.chans {
-		ch := make(chan replayItem, r.opt.ScanAheadRecords)
-		rp.chans[i] = ch
-		rp.workers.Add(1)
-		go rp.applyLoop(r.shards[i], ch)
-	}
 	return rp, nil
 }
 
-// replayItem is one routed record, or a barrier the worker acknowledges
-// once every earlier item on its channel has been applied.
-type replayItem struct {
-	rec     wal.Record
-	lsn     wal.LSN
-	barrier *sync.WaitGroup
+// route is the demultiplexer's routing function: the record's shard
+// stamp on a mirror-image standby; off-geometry, data operations go by
+// key through the standby's own routing table and physical shard
+// records (SMO images, ∆/BW, RSSP) are dropped.
+func (rp *Replayer) route(rec wal.Record) (wal.ShardID, bool) {
+	if rp.mode == ReplaySameGeometry {
+		return shardOf(rec)
+	}
+	if op, ok := rec.(wal.DataOp); ok {
+		return rp.eng.Set.Locate(op.Key()), true
+	}
+	return 0, false
 }
 
-// applyLoop is one shard's apply worker. After an error it keeps
-// draining (and acknowledging barriers) so CatchUp never deadlocks; the
-// sticky error surfaces on the next CatchUp or Promote.
-func (rp *Replayer) applyLoop(sr *shardRun, ch <-chan replayItem) {
-	defer rp.workers.Done()
-	for it := range ch {
-		if it.barrier != nil {
-			it.barrier.Done()
-			continue
+// pass is one shard's apply pass over a CatchUp's records. Same
+// geometry is the recovery redo loop itself: the pLSN test keeps the
+// apply idempotent, so records re-delivered after a standby restart are
+// screened out, and ∆, BW and RSSP records — which serve crash recovery
+// of the primary — fall through its classification. Off-geometry each
+// data operation is re-executed logically.
+func (rp *Replayer) pass(sr *shardRun, next nextFunc) error {
+	if rp.mode == ReplaySameGeometry {
+		return sr.redo(next)
+	}
+	for {
+		rec, lsn, ok, err := next()
+		if err != nil || !ok {
+			return err
 		}
-		if rp.failed() {
-			continue
+		if op, isOp := rec.(wal.DataOp); isOp {
+			sr.met.RedoRecords++
+			if err := applyLogical(sr.d, op, lsn); err != nil {
+				return fmt.Errorf("core: replay at %v on shard %d: %w", lsn, sr.id, err)
+			}
+			sr.met.Applied++
 		}
-		if err := rp.applyOne(sr, it.rec, it.lsn); err != nil {
-			rp.fail(fmt.Errorf("core: replay at %v on shard %d: %w", it.lsn, sr.id, err))
-		}
 	}
-}
-
-func (rp *Replayer) fail(err error) {
-	rp.mu.Lock()
-	if rp.err == nil {
-		rp.err = err
-	}
-	rp.mu.Unlock()
-}
-
-func (rp *Replayer) failed() bool {
-	rp.mu.Lock()
-	defer rp.mu.Unlock()
-	return rp.err != nil
-}
-
-func (rp *Replayer) stickyErr() error {
-	rp.mu.Lock()
-	defer rp.mu.Unlock()
-	return rp.err
-}
-
-// applyOne replays a single shard-routed record in the configured mode.
-func (rp *Replayer) applyOne(sr *shardRun, rec wal.Record, lsn wal.LSN) error {
-	switch t := rec.(type) {
-	case *wal.SMORec:
-		if rp.mode != ReplaySameGeometry {
-			return nil // physical page images mean nothing off-geometry
-		}
-		rp.smos.Add(1)
-		return sr.replaySMO(t, lsn)
-	case wal.DataOp:
-		rp.ops.Add(1)
-		if rp.mode == ReplayLogical {
-			return rp.applyLogical(sr, t, lsn)
-		}
-		return rp.redoOne(sr, t, lsn)
-	default:
-		// ∆, BW and RSSP records serve crash recovery of the primary;
-		// a continuously-applying standby needs none of them.
-		return nil
-	}
-}
-
-// redoOne is basic logical redo (Algorithm 2) applied continuously: the
-// standby re-traverses its B-tree — identical to the primary's in this
-// mode — and the pLSN test keeps the apply idempotent, so records
-// re-delivered after a standby restart are screened out.
-func (rp *Replayer) redoOne(sr *shardRun, op wal.DataOp, lsn wal.LSN) error {
-	pool := sr.d.Pool()
-	pid, err := sr.d.Tree().FindLeaf(op.Key())
-	if err != nil {
-		return fmt.Errorf("index search for key %d: %w", op.Key(), err)
-	}
-	f, err := pool.Get(pid)
-	if err != nil {
-		return fmt.Errorf("fetching page %d: %w", pid, err)
-	}
-	if uint64(lsn) <= f.Page.LSN() {
-		pool.Unpin(f)
-		return nil
-	}
-	err = applyOp(pool, f, op, lsn)
-	pool.Unpin(f)
-	if err != nil {
-		return err
-	}
-	rp.applied.Add(1)
-	return nil
 }
 
 // applyLogical re-executes one logical operation through the standby's
@@ -251,8 +175,7 @@ func (rp *Replayer) redoOne(sr *shardRun, op wal.DataOp, lsn wal.LSN) error {
 // the apply idempotent without pLSN screening — off-geometry pages
 // carry their own LSNs, so a re-delivered operation is absorbed by the
 // row state it would recreate, not detected by a page stamp.
-func (rp *Replayer) applyLogical(sr *shardRun, op wal.DataOp, lsn wal.LSN) error {
-	d := sr.d
+func applyLogical(d *dc.DC, op wal.DataOp, lsn wal.LSN) error {
 	stamp := func(storage.PageID) wal.LSN { return lsn }
 	upsert := func(table wal.TableID, key uint64, val []byte) error {
 		_, ok, err := d.Read(table, key)
@@ -294,17 +217,16 @@ func (rp *Replayer) applyLogical(sr *shardRun, op wal.DataOp, lsn wal.LSN) error
 	if err != nil {
 		return fmt.Errorf("logical replay of %v: %w", op.Type(), err)
 	}
-	rp.applied.Add(1)
 	return nil
 }
 
-// CatchUp applies everything stable in the standby log and barriers: on
-// return the standby reflects every shipped, validated record. It first
-// broadcasts the stable boundary as the EOSL so standby page flushes
-// (cleaner pressure, checkpoints) never try to force the shipped log.
+// CatchUp applies everything stable in the standby log: on return the
+// standby reflects every shipped, validated record. It first broadcasts
+// the stable boundary as the EOSL so standby page flushes (cleaner
+// pressure, checkpoints) never try to force the shipped log.
 func (rp *Replayer) CatchUp() error {
-	if err := rp.stickyErr(); err != nil {
-		return err
+	if rp.err != nil {
+		return rp.err
 	}
 	if rp.done {
 		return fmt.Errorf("core: replayer already promoted")
@@ -315,47 +237,24 @@ func (rp *Replayer) CatchUp() error {
 	}
 	rp.eng.Set.EOSL(stable)
 
-	sc := rp.r.log.NewScanner(rp.nextLSN, rp.r.clock, rp.r.opt.ScanCost)
-	for {
-		rec, lsn, ok, err := sc.Next()
-		if err != nil {
-			return fmt.Errorf("core: scanning shipped log at %v: %w", lsn, err)
-		}
-		if !ok {
-			break
-		}
-		rp.records.Add(1)
-		rp.note(rec, lsn)
-		sh, sharded := shardOf(rec)
-		if !sharded {
-			continue
-		}
-		if rp.mode == ReplayLogical {
-			op, isOp := rec.(wal.DataOp)
-			if !isOp {
-				continue // physical shard records are skipped off-geometry
-			}
-			sh = rp.eng.Set.Locate(op.Key())
-		}
-		if int(sh) >= len(rp.chans) {
-			return fmt.Errorf("core: record at %v names shard %d, standby has %d", lsn, sh, len(rp.chans))
-		}
-		rp.chans[sh] <- replayItem{rec: rec, lsn: lsn}
+	err := rp.r.fanOut(rp.nextLSN, rp.note, rp.route, rp.pass)
+	if err != nil && rp.err == nil {
+		rp.err = fmt.Errorf("core: replaying shipped log from %v: %w", rp.nextLSN, err)
 	}
-	rp.barrier()
+	if rp.err != nil {
+		return rp.err
+	}
 	rp.nextLSN = stable
-	rp.appliedLSN.Store(uint64(stable))
-	return rp.stickyErr()
-}
 
-// barrier blocks until every worker has drained its channel.
-func (rp *Replayer) barrier() {
-	var wg sync.WaitGroup
-	wg.Add(len(rp.chans))
-	for _, ch := range rp.chans {
-		ch <- replayItem{barrier: &wg}
+	st := ReplayStats{Records: rp.records, SMOs: rp.smos, AppliedLSN: stable}
+	for _, sr := range rp.r.shards {
+		st.Ops += sr.met.RedoRecords
+		st.Applied += sr.met.Applied
 	}
-	wg.Wait()
+	rp.mu.Lock()
+	rp.stats = st
+	rp.mu.Unlock()
+	return nil
 }
 
 // note is the stream-order bookkeeping: the transaction table feeding
@@ -363,13 +262,20 @@ func (rp *Replayer) barrier() {
 // Terminated transactions are pruned so a long-lived standby's table
 // stays bounded by the in-flight set, not the stream length.
 func (rp *Replayer) note(rec wal.Record, lsn wal.LSN) {
+	rp.records++
 	rp.r.txns.note(rec, lsn)
 	switch t := rec.(type) {
+	case *wal.SMORec:
+		if rp.mode == ReplaySameGeometry {
+			rp.smos++
+		}
 	case *wal.ShardMapRec:
 		rp.pendingRoutes[t.TxnID] = append(rp.pendingRoutes[t.TxnID], t)
 	case *wal.CommitRec:
 		for _, sm := range rp.pendingRoutes[t.TxnID] {
-			rp.applyRoute(sm)
+			if err := rp.r.replayRoute(rp.router, sm); err != nil && rp.err == nil {
+				rp.err = err
+			}
 		}
 		delete(rp.pendingRoutes, t.TxnID)
 		rp.r.txns.prune(t.TxnID)
@@ -381,32 +287,14 @@ func (rp *Replayer) note(rec wal.Record, lsn wal.LSN) {
 	}
 }
 
-// applyRoute replays one committed migration's routing change — the
-// incremental form of finalRoutes.
-func (rp *Replayer) applyRoute(sm *wal.ShardMapRec) {
-	start, _, owner := rp.router.RangeOf(sm.SplitAt)
-	if start == sm.SplitAt && owner == sm.NewShard {
-		return
-	}
-	rp.router.Split(sm.SplitAt)
-	if sm.End != ^uint64(0) {
-		rp.router.Split(sm.End + 1)
-	}
-	if err := rp.router.Reassign(sm.SplitAt, sm.NewShard); err != nil {
-		rp.fail(fmt.Errorf("core: replaying route change at %d: %w", sm.SplitAt, err))
-		return
-	}
-	rp.r.appliedRouteChanges++
-}
-
 // Checkpoint takes a standby checkpoint: every applied page is flushed
 // and each shard's boot page records the applied LSN as its redo-scan
 // start point, bounding what a standby restart would have to re-ship.
 // Nothing is appended to the log — the standby log must remain a byte
-// prefix of the primary's. Call only between CatchUps (workers idle).
+// prefix of the primary's.
 func (rp *Replayer) Checkpoint() error {
-	if err := rp.stickyErr(); err != nil {
-		return err
+	if rp.err != nil {
+		return rp.err
 	}
 	for _, sr := range rp.r.shards {
 		if err := sr.d.StandbyCheckpoint(rp.nextLSN); err != nil {
@@ -431,18 +319,14 @@ func (rp *Replayer) Promote() (*Metrics, error) {
 		return nil, fmt.Errorf("core: replayer already promoted")
 	}
 	rp.done = true
-	for _, ch := range rp.chans {
-		close(ch)
-	}
-	rp.workers.Wait()
-	if err := rp.stickyErr(); err != nil {
-		return nil, err
+	if rp.err != nil {
+		return nil, rp.err
 	}
 	if stable := rp.r.log.FlushedLSN(); stable != rp.nextLSN {
 		return nil, fmt.Errorf("core: promote with unapplied stable log (%v applied, %v stable)", rp.nextLSN, stable)
 	}
 
-	if err := rp.r.undo(); err != nil {
+	if err := rp.r.undo(0); err != nil {
 		return nil, fmt.Errorf("core: promote undo: %w", err)
 	}
 
@@ -468,14 +352,10 @@ func (rp *Replayer) Promote() (*Metrics, error) {
 	return rp.r.met, nil
 }
 
-// Stats returns a snapshot of the replay counters. Safe to call from
-// any goroutine.
+// Stats returns the counters as of the last completed CatchUp. Safe to
+// call from any goroutine.
 func (rp *Replayer) Stats() ReplayStats {
-	return ReplayStats{
-		Records:    rp.records.Load(),
-		Ops:        rp.ops.Load(),
-		Applied:    rp.applied.Load(),
-		SMOs:       rp.smos.Load(),
-		AppliedLSN: wal.LSN(rp.appliedLSN.Load()),
-	}
+	rp.mu.Lock()
+	defer rp.mu.Unlock()
+	return rp.stats
 }

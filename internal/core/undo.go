@@ -7,6 +7,61 @@ import (
 	"logrec/internal/wal"
 )
 
+// Undo.
+//
+// Every method ends with the same logical undo pass (§2.1): losers'
+// update records are compensated in a single merged backward sweep over
+// the log, highest LSN first, exactly as ARIES does, each compensation
+// routed to the data shard the record ran on; CLRs already on the log
+// skip directly to their UndoNextLSN so undo work lost in a
+// crash-during-recovery is never repeated. The sweep, the record switch
+// and every CLR append run on the calling goroutine at every width, so
+// the appended sequence — CLRs and abort records — and every
+// per-transaction backchain are byte-identical whatever UndoWorkers is.
+//
+// The width only decides where a compensation's page application runs.
+// Inline (UndoWorkers 0, and a standby's promotion) it goes through the
+// DC's logical path right here. Routed, it is split into a serial
+// *plan* and a sharded *apply*, reusing the redo worker pool (one pool
+// spanning every data shard, tasks partitioned by (shard, page)). That
+// is sound because losers are key-disjoint — two-phase locking means an
+// uncommitted transaction still holds exclusive locks on every key it
+// touched at the crash — so their compensations commute logically and
+// only page-level coordination is needed:
+//
+//   - for each CLR the sweep resolves the key's current page through
+//     the owning shard's index (internal pages only; that tree's
+//     structure is frozen between latches) and routes the page
+//     application to the worker owning that (shard, page), exactly like
+//     a redo task — workers fetch their leaf pages concurrently, which
+//     is where undo's IO parallelism comes from. WAL ordering holds: the
+//     CLR is on the (volatile) log before any worker can dirty the
+//     page, and each pool's log-force hook covers eviction flushes;
+//
+//   - an undo operation that can change a tree's structure (restoring
+//     a deleted row, or restoring a value larger than the one it
+//     replaces, either of which can split a full leaf) runs inline
+//     under a page latch scoped to the affected page set — the one leaf
+//     the key lives on. Only the worker owning that (shard, leaf) drains
+//     and pauses; every other worker keeps streaming compensations, so
+//     delete-heavy loser workloads stay pipelined. The FIFO task
+//     channels double as the ordering fence: everything routed to the
+//     latched leaf before the latch is applied before keys move, and
+//     everything planned after it is resolved against the new
+//     structure.
+//
+//     Why latching one leaf suffices for an operation that can split:
+//     workers only ever apply to leaf pages by routed PID and never
+//     traverse the tree, while the sweep — which runs the structural
+//     operation itself — is the only goroutine that reads or writes
+//     internal pages. A split of leaf L therefore races only with tasks
+//     already queued for L (drained by the latch), moves keys only from
+//     L to a freshly allocated sibling (which can have no queued
+//     tasks), and rewires parents nobody else touches. A later
+//     compensation for a key that moved re-resolves through the
+//     post-split index on the sweep and routes to the sibling's worker
+//     with every prior task for that key already applied.
+
 // undoState tracks one loser transaction through the merged backward
 // sweep.
 type undoState struct {
@@ -14,70 +69,74 @@ type undoState struct {
 	last wal.LSN // txn's current backchain head (CLR PrevLSN)
 }
 
-// buildLosers seeds the undo sweep from the recovered transaction
-// table.
-func (r *run) buildLosers() map[wal.TxnID]*undoState {
-	losers := make(map[wal.TxnID]*undoState)
-	for id, lsn := range r.txns.losers() {
-		losers[id] = &undoState{next: lsn, last: lsn}
-	}
-	return losers
-}
-
-// nextLoser picks the loser with the highest next-undo LSN — the merged
-// backward sweep order both the serial and parallel passes follow.
+// nextLoser picks the loser with the highest next-undo LSN. Live
+// backchain positions are distinct log offsets; the only tie is between
+// fully undone losers (NilLSN), broken on the lowest TxnID so the abort
+// records are appended in one order on every run.
 func nextLoser(losers map[wal.TxnID]*undoState) wal.TxnID {
 	var pick wal.TxnID
-	var maxLSN wal.LSN
+	var pickLSN wal.LSN
 	for id, st := range losers {
-		if st.next >= maxLSN {
-			maxLSN = st.next
-			pick = id
+		if pick == 0 || st.next > pickLSN || (st.next == pickLSN && id < pick) {
+			pick, pickLSN = id, st.next
 		}
 	}
 	return pick
 }
 
-// shardFor resolves the data shard a record ran on. Undo routes by the
-// record, not the routing table: mid-migration the table may already
-// (or no longer) point elsewhere.
-func (r *run) shardFor(sh wal.ShardID) (*shardRun, error) {
+// resolveShard routes one undo compensation: by the record's shard
+// stamp for recovery — not the routing table, which mid-migration may
+// already (or no longer) point elsewhere — or by key when routeByKey is
+// set (a logical-mode standby whose partitioning differs from the
+// primary's stamps).
+func (r *run) resolveShard(sh wal.ShardID, key uint64) (*shardRun, error) {
+	if r.routeByKey != nil {
+		return r.routeByKey(key)
+	}
 	if int(sh) >= len(r.shards) {
 		return nil, fmt.Errorf("record names shard %d, engine has %d", sh, len(r.shards))
 	}
 	return r.shards[sh], nil
 }
 
-// resolveShard routes one undo compensation: by the record's shard
-// stamp for recovery, or by key when routeByKey is set (a logical-mode
-// standby whose partitioning differs from the primary's stamps).
-func (r *run) resolveShard(sh wal.ShardID, key uint64) (*shardRun, error) {
-	if r.routeByKey != nil {
-		return r.routeByKey(key)
+// undo rolls back every loser transaction with the one merged backward
+// sweep, compensating inline (workers 0) or routing page applications
+// to a pool of that many workers, then makes the undo work durable and
+// releases the WAL constraint for post-recovery flushing.
+func (r *run) undo(workers int) error {
+	losers := make(map[wal.TxnID]*undoState)
+	for id, lsn := range r.txns.losers() {
+		losers[id] = &undoState{next: lsn, last: lsn}
 	}
-	return r.shardFor(sh)
-}
+	r.met.LosersUndone = len(losers)
 
-// eoslAll forces the log and broadcasts the new end of stable log to
-// every shard, releasing the WAL constraint for post-recovery flushing.
-func (r *run) eoslAll() {
+	var pool *shardedPool
+	if workers >= 1 {
+		pool = newShardedPool(workers)
+	}
+	err := r.undoSweep(pool, losers)
+	if pool != nil {
+		wmet, werr := pool.finish()
+		r.met.UndoApplied += wmet.Applied
+		r.met.DataPageFetches += wmet.DataPageFetches
+		if err == nil {
+			err = werr
+		}
+	}
+	if err != nil {
+		return err
+	}
 	eLSN := r.log.Flush()
 	for _, sr := range r.shards {
 		sr.d.EOSL(eLSN)
 	}
+	return nil
 }
 
-// undo rolls back every loser transaction — logical undo, the final
-// pass in every recovery method (§2.1). Losers' update records are
-// compensated in a single merged backward sweep over the log, highest
-// LSN first, exactly as ARIES does, with each compensation routed to
-// the data shard the record ran on; CLRs already on the log skip
-// directly to their UndoNextLSN so undo work lost in a crash-during-
-// recovery is never repeated.
-func (r *run) undo() error {
-	losers := r.buildLosers()
-	r.met.LosersUndone = len(losers)
-
+// undoSweep is the merged backward sweep: repeatedly take the loser
+// whose next record is highest in the log, compensate that record, and
+// follow its backchain; a loser with nothing left gets its abort record.
+func (r *run) undoSweep(pool *shardedPool, losers map[wal.TxnID]*undoState) error {
 	for len(losers) > 0 {
 		pick := nextLoser(losers)
 		st := losers[pick]
@@ -87,64 +146,39 @@ func (r *run) undo() error {
 			delete(losers, pick)
 			continue
 		}
-		rec, err := r.log.Get(st.next)
-		if err != nil {
-			return fmt.Errorf("undo of txn %d at %v: %w", pick, st.next, err)
+		at := st.next
+		rec, err := r.log.Get(at)
+		if err == nil {
+			st.next, err = r.undoRecord(pool, pick, st, rec)
 		}
-		next, err := r.undoRecord(pick, st.last, rec, func(lsn wal.LSN) { st.last = lsn })
 		if err != nil {
-			return fmt.Errorf("undo of txn %d at %v: %w", pick, st.next, err)
+			return fmt.Errorf("undo of txn %d at %v: %w", pick, at, err)
 		}
-		st.next = next
 	}
-
-	// Make the undo work durable and release the WAL constraint for
-	// post-recovery flushing.
-	r.eoslAll()
 	return nil
 }
 
-// undoRecord compensates one record on its owning shard, returning the
-// next LSN in the transaction's backchain to undo. onCLR reports the
-// appended CLR's LSN so the caller can maintain the backchain head.
-func (r *run) undoRecord(txn wal.TxnID, prev wal.LSN, rec wal.Record, onCLR func(wal.LSN)) (wal.LSN, error) {
-	clrLog := func(sh wal.ShardID, kind wal.CLRKind, table wal.TableID, key uint64, restore []byte, undoNext wal.LSN) func(pid storage.PageID) wal.LSN {
-		return func(pid storage.PageID) wal.LSN {
-			lsn := r.log.MustAppend(&wal.CLRRec{
-				TxnID: txn, TableID: table, KeyVal: key,
-				Kind: kind, RestoreVal: restore, PageID: pid, ShardID: sh,
-				UndoNextLSN: undoNext, PrevLSN: prev,
-			})
-			r.met.CLRsWritten++
-			onCLR(lsn)
-			return lsn
-		}
+// undoRecord compensates one record of txn's backchain and returns the
+// next LSN to undo.
+func (r *run) undoRecord(pool *shardedPool, txn wal.TxnID, st *undoState, rec wal.Record) (wal.LSN, error) {
+	// plan drafts the CLR for one inverse; structural says whether that
+	// inverse can change the tree's structure.
+	plan := func(sh wal.ShardID, kind wal.CLRKind, table wal.TableID, key uint64, restore []byte, undoNext wal.LSN, structural bool) (wal.LSN, error) {
+		clr := &wal.CLRRec{TxnID: txn, TableID: table, KeyVal: key, Kind: kind, RestoreVal: restore, UndoNextLSN: undoNext}
+		return undoNext, r.compensate(pool, st, sh, clr, structural)
 	}
 	switch t := rec.(type) {
 	case *wal.UpdateRec:
-		sr, err := r.resolveShard(t.ShardID, t.KeyVal)
-		if err != nil {
-			return wal.NilLSN, err
-		}
-		err = sr.d.Update(t.TableID, t.KeyVal, t.OldVal,
-			clrLog(sr.id, wal.CLRUndoUpdate, t.TableID, t.KeyVal, t.OldVal, t.PrevLSN))
-		return t.PrevLSN, err
+		// Restoring a larger value can overflow the leaf and force a
+		// split.
+		return plan(t.ShardID, wal.CLRUndoUpdate, t.TableID, t.KeyVal, t.OldVal, t.PrevLSN, len(t.OldVal) > len(t.NewVal))
 	case *wal.InsertRec:
-		sr, err := r.resolveShard(t.ShardID, t.KeyVal)
-		if err != nil {
-			return wal.NilLSN, err
-		}
-		err = sr.d.Delete(t.TableID, t.KeyVal,
-			clrLog(sr.id, wal.CLRUndoInsert, t.TableID, t.KeyVal, nil, t.PrevLSN))
-		return t.PrevLSN, err
+		// The inverse is a page delete; leaves never merge, so this
+		// cannot change the tree's structure.
+		return plan(t.ShardID, wal.CLRUndoInsert, t.TableID, t.KeyVal, nil, t.PrevLSN, false)
 	case *wal.DeleteRec:
-		sr, err := r.resolveShard(t.ShardID, t.KeyVal)
-		if err != nil {
-			return wal.NilLSN, err
-		}
-		err = sr.d.Insert(t.TableID, t.KeyVal, t.OldVal,
-			clrLog(sr.id, wal.CLRUndoDelete, t.TableID, t.KeyVal, t.OldVal, t.PrevLSN))
-		return t.PrevLSN, err
+		// The inverse re-inserts the row, which can split a full leaf.
+		return plan(t.ShardID, wal.CLRUndoDelete, t.TableID, t.KeyVal, t.OldVal, t.PrevLSN, true)
 	case *wal.CLRRec:
 		// Redo-only: skip over already-compensated work.
 		return t.UndoNextLSN, nil
@@ -154,5 +188,50 @@ func (r *run) undoRecord(txn wal.TxnID, prev wal.LSN, rec wal.Record, onCLR func
 		return t.PrevLSN, nil
 	default:
 		return wal.NilLSN, fmt.Errorf("unexpected %v record in backchain", rec.Type())
+	}
+}
+
+// compensate performs one planned compensation on its owning shard. clr
+// arrives complete but for its shard, page and backchain link; it is
+// appended here, on the sweep's goroutine, once the page is known. A
+// routed, non-structural step resolves the key's leaf through the index
+// and hands the page application to the owning worker. Everything else
+// — the inline width, and a structural step, which first latches the
+// key's current leaf (safe to resolve off-latch: only the sweep ever
+// changes structure) — runs the DC's full logical operation, which logs
+// the CLR against the page the row finally lands on.
+func (r *run) compensate(pool *shardedPool, st *undoState, sh wal.ShardID, clr *wal.CLRRec, structural bool) error {
+	sr, err := r.resolveShard(sh, clr.KeyVal)
+	if err != nil {
+		return err
+	}
+	clr.ShardID, clr.PrevLSN = sr.id, st.last
+	logCLR := func(pid storage.PageID) wal.LSN {
+		clr.PageID = pid
+		st.last = r.log.MustAppend(clr)
+		r.met.CLRsWritten++
+		return st.last
+	}
+	if pool != nil {
+		pid, err := sr.d.Tree().FindLeaf(clr.KeyVal)
+		if err != nil {
+			return fmt.Errorf("index search for key %d: %w", clr.KeyVal, err)
+		}
+		if !structural {
+			pool.route(sr, clr, logCLR(pid))
+			return nil
+		}
+		release, paused := pool.pause(sr, []storage.PageID{pid})
+		defer release()
+		r.met.UndoBarriers++
+		r.met.BarrierWorkersPaused += int64(paused)
+	}
+	switch clr.Kind {
+	case wal.CLRUndoUpdate:
+		return sr.d.Update(clr.TableID, clr.KeyVal, clr.RestoreVal, logCLR)
+	case wal.CLRUndoInsert:
+		return sr.d.Delete(clr.TableID, clr.KeyVal, logCLR)
+	default: // wal.CLRUndoDelete
+		return sr.d.Insert(clr.TableID, clr.KeyVal, clr.RestoreVal, logCLR)
 	}
 }

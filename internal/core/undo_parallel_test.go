@@ -1,12 +1,47 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"logrec/internal/engine"
 	"logrec/internal/tc"
+	"logrec/internal/wal"
 )
+
+// appendedLog renders every record a recovery appended past the crash's
+// stable end — LSN, type and every field — one string per record.
+func appendedLog(t *testing.T, eng *engine.Engine, from wal.LSN) []string {
+	t.Helper()
+	var out []string
+	sc := eng.Log.NewScanner(from, nil, wal.ScanCost{})
+	for {
+		rec, lsn, ok, err := sc.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return out
+		}
+		out = append(out, fmt.Sprintf("%v %v %+v", lsn, rec.Type(), rec))
+	}
+}
+
+// diffLogs fails the test at the first record where got departs from
+// want.
+func diffLogs(t *testing.T, what string, got, want []string) {
+	t.Helper()
+	for i := range want {
+		if i >= len(got) || got[i] != want[i] {
+			t.Errorf("%s: appended record %d of %d differs:\n got  %v\n want %v", what, i, len(want), got[i:min(i+1, len(got))], want[i])
+			return
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("%s: appended %d records, want %d", what, len(got), len(want))
+	}
+}
 
 // loserSpec shapes each loser transaction's operations so undo
 // exercises every path: same-size updates (routed, non-structural),
@@ -154,8 +189,9 @@ func buildCrashWithLosers(t *testing.T, cfg engine.Config, nRows, txns, opsPerTx
 // crash under every method with serial undo, then with parallel undo at
 // several worker counts, and checks byte-identical outcomes: the
 // committed state, the loser count, the CLR count, and the exact same
-// log end (parallel undo plans CLRs in the serial sweep order, so the
-// log sequence must not change).
+// appended record sequence, abort records included (every width plans
+// and appends on the one sweep, so the log must not change — nor may it
+// differ between two identical runs).
 func TestParallelUndoMatchesSerialOracle(t *testing.T) {
 	cfg := testConfig(300)
 	spec := loserSpec{updates: 6, inserts: 3, deletes: 2, shrinks: 1}
@@ -171,7 +207,17 @@ func TestParallelUndoMatchesSerialOracle(t *testing.T) {
 		if sMet.LosersUndone != 4 {
 			t.Fatalf("%v serial: LosersUndone = %d, want 4", m, sMet.LosersUndone)
 		}
-		serialEnd := sEng.Log.EndLSN()
+		serialLog := appendedLog(t, sEng, cs.Log.FlushedLSN())
+		if n := int64(len(serialLog)); n != sMet.CLRsWritten+4 {
+			t.Fatalf("%v serial: appended %d records, want %d CLRs + 4 aborts", m, n, sMet.CLRsWritten)
+		}
+		// Two identical runs append the identical sequence: the abort
+		// order must not depend on map iteration.
+		again, _, err := Recover(cs, m, opt)
+		if err != nil {
+			t.Fatalf("%v serial rerun: %v", m, err)
+		}
+		diffLogs(t, fmt.Sprintf("%v serial rerun", m), appendedLog(t, again, cs.Log.FlushedLSN()), serialLog)
 
 		for _, uw := range []int{1, 2, 4} {
 			popt := opt
@@ -182,6 +228,7 @@ func TestParallelUndoMatchesSerialOracle(t *testing.T) {
 				t.Fatalf("%v undo workers=%d: %v", m, uw, err)
 			}
 			verifyRecovered(t, m, eng, om)
+			diffLogs(t, fmt.Sprintf("%v undo workers=%d", m, uw), appendedLog(t, eng, cs.Log.FlushedLSN()), serialLog)
 			if met.UndoWorkers != uw {
 				t.Errorf("%v: UndoWorkers = %d, want %d", m, met.UndoWorkers, uw)
 			}
@@ -202,10 +249,6 @@ func TestParallelUndoMatchesSerialOracle(t *testing.T) {
 			if met.UndoApplied+met.UndoBarriers != met.CLRsWritten {
 				t.Errorf("%v workers=%d: UndoApplied %d + UndoBarriers %d != CLRsWritten %d",
 					m, uw, met.UndoApplied, met.UndoBarriers, met.CLRsWritten)
-			}
-			if end := eng.Log.EndLSN(); end != serialEnd {
-				t.Errorf("%v workers=%d: log end %v, serial undo ended at %v",
-					m, uw, end, serialEnd)
 			}
 		}
 	}
@@ -231,10 +274,10 @@ func TestParallelUndoPageLatchStress(t *testing.T) {
 		t.Fatalf("serial: %v", err)
 	}
 	verifyRecovered(t, Log1, sEng, om)
-	serialEnd := sEng.Log.EndLSN()
+	serialLog := appendedLog(t, sEng, cs.Log.FlushedLSN())
 
 	structural := int64(nLosers * (spec.deletes + spec.shrinks))
-	for _, uw := range []int{2, 4, 8} {
+	for _, uw := range []int{1, 2, 4, 8} {
 		popt := opt
 		popt.RedoWorkers = 2
 		popt.UndoWorkers = uw
@@ -246,9 +289,7 @@ func TestParallelUndoPageLatchStress(t *testing.T) {
 		if met.CLRsWritten != sMet.CLRsWritten {
 			t.Errorf("workers=%d: CLRsWritten = %d, serial %d", uw, met.CLRsWritten, sMet.CLRsWritten)
 		}
-		if end := eng.Log.EndLSN(); end != serialEnd {
-			t.Errorf("workers=%d: log end %v, serial %v", uw, end, serialEnd)
-		}
+		diffLogs(t, fmt.Sprintf("workers=%d", uw), appendedLog(t, eng, cs.Log.FlushedLSN()), serialLog)
 		if met.UndoBarriers != structural {
 			t.Errorf("workers=%d: UndoBarriers = %d, want %d (every delete and shrink undo is structural)",
 				uw, met.UndoBarriers, structural)

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"logrec/internal/dc"
 	"logrec/internal/engine"
 	"logrec/internal/tracker"
 	"logrec/internal/wal"
@@ -99,7 +100,9 @@ func TestIndexPreloadToggle(t *testing.T) {
 }
 
 // TestRecoverOptionsDefaulting: zero-valued options are filled from the
-// crash config.
+// crash config — by the one withDefaults, whose literals are
+// DefaultOptions' — and a standby resolves its options the same way, so
+// its per-shard feed is scanAhead deep, not unbuffered.
 func TestRecoverOptionsDefaulting(t *testing.T) {
 	cfg := testConfig(300)
 	cs, om := buildCrash(t, cfg, 1000, 50, 10, 20, 19, false)
@@ -108,6 +111,35 @@ func TestRecoverOptionsDefaulting(t *testing.T) {
 		t.Fatal(err)
 	}
 	verifyRecovered(t, Log1, eng, om)
+
+	want := DefaultOptions(cfg)
+	want.IndexPreload, want.DCConfig = false, dc.Config{}
+	if got := (Options{RedoWorkers: -1, UndoWorkers: -3}).withDefaults(cfg); got != want {
+		t.Errorf("withDefaults(zero) = %+v, want DefaultOptions' tunables %+v", got, want)
+	}
+
+	scfg := testConfig(64)
+	scfg.Shards, scfg.Standby = 2, true
+	standby, err := engine.New(scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp, err := NewReplayer(standby, ReplaySameGeometry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rp.r.opt != want {
+		t.Errorf("standby options = %+v, want %+v", rp.r.opt, want)
+	}
+	queues := rp.r.newQueues()
+	if len(queues) != 2 {
+		t.Fatalf("standby has %d feeds, want one per shard", len(queues))
+	}
+	for i, q := range queues {
+		if got := cap(q) * demuxBatch; got != scanAhead {
+			t.Errorf("standby feed %d holds %d records, want scanAhead = %d", i, got, scanAhead)
+		}
+	}
 }
 
 // TestRecoverSmallerCacheThanCrash: recovery may run with a different

@@ -2,10 +2,12 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"logrec/internal/core"
 	"logrec/internal/engine"
+	"logrec/internal/wal"
 )
 
 // shardedConfig is a small experiment with n range-partitioned DCs.
@@ -88,6 +90,73 @@ func TestShardedVsSingleRecoveredStateEquality(t *testing.T) {
 					t.Fatalf("sharded recovered %d rows, single %d", count, len(rows))
 				}
 			})
+		}
+	}
+}
+
+// TestEveryWidthSameRecovery is the width oracle: on a 1-shard and a
+// 4-shard crash of the same workload, every method at every redo width
+// × undo width reproduces the committed state with well-formed trees,
+// sees the same redo window, writes the same CLRs, and appends the
+// byte-identical record sequence — abort records included — as the
+// inline width.
+func TestEveryWidthSameRecovery(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		cfg := shardedConfig(shards)
+		cfg.OpenTxns, cfg.OpenTxnUpdates = 3, 4
+		res, err := BuildCrash(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stableEnd := res.Crash.Log.FlushedLSN()
+		for _, m := range core.Methods() {
+			var inline *core.Metrics
+			var inlineLog []string
+			for _, rw := range []int{0, 1, 2, 4} {
+				for _, uw := range []int{0, 1, 2, 4} {
+					what := fmt.Sprintf("shards=%d %v redo=%d undo=%d", shards, m, rw, uw)
+					opt := core.DefaultOptions(cfg.Engine)
+					opt.RedoWorkers, opt.UndoWorkers = rw, uw
+					eng, met, err := core.Recover(res.Crash, m, opt)
+					if err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+					if err := Verify(eng, res.Oracle); err != nil {
+						t.Fatalf("%s: wrong state: %v", what, err)
+					}
+					for i, d := range eng.DCs {
+						if err := d.Tree().CheckInvariants(); err != nil {
+							t.Fatalf("%s: shard %d tree: %v", what, i, err)
+						}
+					}
+					var appended []string
+					sc := eng.Log.NewScanner(stableEnd, nil, wal.ScanCost{})
+					for {
+						rec, lsn, ok, err := sc.Next()
+						if err != nil {
+							t.Fatalf("%s: %v", what, err)
+						}
+						if !ok {
+							break
+						}
+						appended = append(appended, fmt.Sprintf("%v %v %+v", lsn, rec.Type(), rec))
+					}
+					if inline == nil {
+						inline, inlineLog = met, appended
+						if met.LosersUndone != 3 || len(appended) != int(met.CLRsWritten)+3 {
+							t.Fatalf("%s: %d losers, %d CLRs, %d appended records", what, met.LosersUndone, met.CLRsWritten, len(appended))
+						}
+						continue
+					}
+					if met.RedoRecords != inline.RedoRecords || met.CLRsWritten != inline.CLRsWritten {
+						t.Errorf("%s: RedoRecords %d CLRsWritten %d, inline %d and %d", what,
+							met.RedoRecords, met.CLRsWritten, inline.RedoRecords, inline.CLRsWritten)
+					}
+					if !slices.Equal(appended, inlineLog) {
+						t.Errorf("%s: appended log differs from the inline width's:\n got  %v\n want %v", what, appended, inlineLog)
+					}
+				}
+			}
 		}
 	}
 }

@@ -202,28 +202,29 @@ func (s *Standby) PumpOnce() (bool, error) {
 	if s.cfg.Mangle != nil {
 		delivered = s.cfg.Mangle(seg)
 	}
+	mark := seg.From
+	healed := false
 	for _, d := range delivered {
-		mark, err := s.eng.Log.AppendStable(d.From, d.Data)
+		var err error
+		mark, err = s.eng.Log.AppendStable(d.From, d.Data)
+		// Gaps, torn garbage, corrupt frames and short ingests (torn
+		// transfers) all heal the same way: trust the applier's
+		// watermark and re-ship from it.
+		healed = healed || err != nil || mark < d.End()
 		s.mu.Lock()
 		s.segments++
 		s.shippedBytes += int64(len(d.Data))
 		s.mu.Unlock()
-		if err != nil {
-			// Gaps, torn garbage and corrupt frames all heal the same
-			// way: trust the applier's watermark and re-ship from it.
-			s.mu.Lock()
-			s.healEvents++
-			s.mu.Unlock()
-			s.reader.Resume(mark)
-			continue
-		}
-		if mark < d.End() {
-			// Short ingest (torn transfer): resume where it stopped.
-			s.mu.Lock()
-			s.healEvents++
-			s.mu.Unlock()
-			s.reader.Resume(mark)
-		}
+	}
+	// A channel that drops a segment's tail on the floor delivers pieces
+	// that each ingest whole; only the segment's own end shows it. The
+	// next segment would gap and heal — but after the primary dies there
+	// is no next segment.
+	if healed || mark < seg.End() {
+		s.mu.Lock()
+		s.healEvents++
+		s.mu.Unlock()
+		s.reader.Resume(mark)
 	}
 	if err := s.rp.CatchUp(); err != nil {
 		return true, err

@@ -411,16 +411,48 @@ func (l *Log) stableView() []byte {
 // read costs to a clock (which may be nil for uncharged scans, e.g.
 // tests and statistics).
 type Scanner struct {
-	log   *Log
-	next  LSN
-	clock *sim.Clock
-	cost  ScanCost
+	log  *Log
+	next LSN
+	pageCharger
+}
 
-	// lastPage is the index of the log page most recently charged; -1
-	// before the first read.
+// pageCharger is the one log-read accountant both scanners embed: it
+// bills each log page once, in order, as the scan first touches it.
+type pageCharger struct {
+	clock *sim.Clock // nil scans without charging IO
+	cost  ScanCost
+	// lastPage is the index of the log page most recently charged.
 	lastPage  int64
 	pagesRead int64
 }
+
+// newPageCharger starts with no page charged; a non-positive page size
+// selects the default cost model.
+func newPageCharger(clock *sim.Clock, cost ScanCost) pageCharger {
+	if cost.PageSize <= 0 {
+		cost = DefaultScanCost()
+	}
+	return pageCharger{clock: clock, cost: cost, lastPage: -1}
+}
+
+// charge bills sequential log-page reads for the byte range [from,to).
+func (c *pageCharger) charge(from, to LSN) {
+	first := int64(from) / int64(c.cost.PageSize)
+	last := int64(to-1) / int64(c.cost.PageSize)
+	for p := first; p <= last; p++ {
+		if p <= c.lastPage {
+			continue
+		}
+		c.lastPage = p
+		c.pagesRead++
+		if c.clock != nil {
+			c.clock.Advance(c.cost.PerPage)
+		}
+	}
+}
+
+// PagesRead reports how many log pages the scan has charged.
+func (c *pageCharger) PagesRead() int64 { return c.pagesRead }
 
 // NewScanner returns a scanner positioned at from (use FirstLSN for the
 // whole log). clock may be nil to scan without charging IO.
@@ -428,10 +460,7 @@ func (l *Log) NewScanner(from LSN, clock *sim.Clock, cost ScanCost) *Scanner {
 	if from < LSN(logHeaderSize) {
 		from = LSN(logHeaderSize)
 	}
-	if cost.PageSize <= 0 {
-		cost = DefaultScanCost()
-	}
-	return &Scanner{log: l, next: from, clock: clock, cost: cost, lastPage: -1}
+	return &Scanner{log: l, next: from, pageCharger: newPageCharger(clock, cost)}
 }
 
 // FirstLSN is the LSN of the first record in any log.
@@ -452,22 +481,3 @@ func (s *Scanner) Next() (Record, LSN, bool, error) {
 	s.next = end
 	return rec, lsn, true, nil
 }
-
-// charge bills sequential log-page reads for the byte range [from,to).
-func (s *Scanner) charge(from, to LSN) {
-	first := int64(from) / int64(s.cost.PageSize)
-	last := int64(to-1) / int64(s.cost.PageSize)
-	for p := first; p <= last; p++ {
-		if p <= s.lastPage {
-			continue
-		}
-		s.lastPage = p
-		s.pagesRead++
-		if s.clock != nil {
-			s.clock.Advance(s.cost.PerPage)
-		}
-	}
-}
-
-// PagesRead reports how many log pages the scanner has charged.
-func (s *Scanner) PagesRead() int64 { return s.pagesRead }

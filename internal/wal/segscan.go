@@ -131,14 +131,13 @@ type segResult struct {
 // scan).
 //
 // SegScanner is not safe for concurrent use; one goroutine drives
-// Next. Page-read accounting and clock charging replicate Scanner's
-// exactly, so LogPagesRead and virtual scan time match the serial path
-// and are charged once, on the stitcher.
+// Next. Page-read accounting and clock charging are Scanner's own
+// (the embedded pageCharger), so LogPagesRead and virtual scan time
+// match the serial path and are charged once, on the stitcher.
 type SegScanner struct {
-	view  []byte
-	cfg   SegConfig
-	clock *sim.Clock
-	cost  ScanCost
+	view []byte
+	cfg  SegConfig
+	pageCharger
 
 	segs    []segBounds
 	results []chan *segResult
@@ -152,12 +151,10 @@ type SegScanner struct {
 	expected int // byte offset the stitched stream must produce next
 	err      error
 
-	lastPage  int64
-	pagesRead int64
-	stall     time.Duration
-	resyncs   int
-	records   int64
-	perSeg    []SegmentStat
+	stall   time.Duration
+	resyncs int
+	records int64
+	perSeg  []SegmentStat
 }
 
 // NewSegScanner returns a segmented parallel scanner positioned at
@@ -169,19 +166,14 @@ func (l *Log) NewSegScanner(from LSN, clock *sim.Clock, cost ScanCost, cfg SegCo
 	if from < LSN(logHeaderSize) {
 		from = LSN(logHeaderSize)
 	}
-	if cost.PageSize <= 0 {
-		cost = DefaultScanCost()
-	}
 	cfg = cfg.withDefaults()
 	view := l.stableView()
 	s := &SegScanner{
-		view:     view,
-		cfg:      cfg,
-		clock:    clock,
-		cost:     cost,
-		expected: int(from),
-		lastPage: -1,
-		stop:     make(chan struct{}),
+		view:        view,
+		cfg:         cfg,
+		pageCharger: newPageCharger(clock, cost),
+		expected:    int(from),
+		stop:        make(chan struct{}),
 	}
 	for b := int(from); b < len(view); {
 		end := (b/cfg.SegmentBytes + 1) * cfg.SegmentBytes
@@ -284,7 +276,7 @@ func (s *SegScanner) Next() (Record, LSN, bool, error) {
 			if s.curI < len(s.curRes.items) {
 				it := s.curRes.items[s.curI]
 				s.curI++
-				s.charge(int(it.lsn), it.end)
+				s.charge(it.lsn, LSN(it.end))
 				s.expected = it.end
 				s.records++
 				return it.rec, it.lsn, true, nil
@@ -361,27 +353,6 @@ func (s *SegScanner) take(i int) *segResult {
 	<-s.sem
 	return res
 }
-
-// charge bills sequential log-page reads for the byte range [from,to),
-// replicating Scanner.charge exactly.
-func (s *SegScanner) charge(from, to int) {
-	first := int64(from) / int64(s.cost.PageSize)
-	last := int64(to-1) / int64(s.cost.PageSize)
-	for p := first; p <= last; p++ {
-		if p <= s.lastPage {
-			continue
-		}
-		s.lastPage = p
-		s.pagesRead++
-		if s.clock != nil {
-			s.clock.Advance(s.cost.PerPage)
-		}
-	}
-}
-
-// PagesRead reports how many log pages the stitched stream has
-// charged; identical to the serial scanner's accounting.
-func (s *SegScanner) PagesRead() int64 { return s.pagesRead }
 
 // Stats returns the scan summary. Meaningful once the scan has
 // completed (Next returned ok=false or an error).
