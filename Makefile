@@ -1,5 +1,9 @@
 # CI and humans invoke the same targets (.github/workflows/ci.yml runs
-# exactly these).
+# exactly these). Two are too long for CI and are run by hand:
+# `make benchmark` (the repository benchmark, ≈100 s) and `make soak`
+# (ten minutes of checkpointed traffic asserting the retained log and
+# the post-GC heap stay flat — the tier-1 run of the same test lasts
+# two seconds).
 
 GO ?= go
 
@@ -15,7 +19,7 @@ TOLERANCE ?= 0.30
 # wear, no noisy-neighbour IO), /tmp otherwise.
 FILEDEV_DIR ?= $(shell test -d /dev/shm && echo /dev/shm/logrec-filedev || echo /tmp/logrec-filedev)
 
-.PHONY: build test race fuzz-smoke examples doclint benchmark benchmark-test bench bench-smoke bench-gate bench-baseline workload-smoke staticcheck fmt fmt-check vet ci
+.PHONY: build test race fuzz-smoke soak examples doclint benchmark benchmark-test bench bench-smoke bench-gate bench-baseline workload-smoke staticcheck fmt fmt-check vet ci
 
 build:
 	$(GO) build ./...
@@ -26,11 +30,21 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short fuzz pass over the WAL codec: adversarial bytes and torn tails
-# must never panic the decoder. CI runs this; `go test -fuzz` without
-# -fuzztime runs it open-ended for real fuzzing sessions.
+# Short fuzz pass over the WAL codec and the restart path: adversarial
+# bytes and torn tails must never panic the decoder, and a log directory
+# whose last segment file is arbitrary bytes must open trimmed or not at
+# all. CI runs this; `go test -fuzz` without -fuzztime runs a target
+# open-ended for real fuzzing sessions.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeAt -fuzztime 10s ./internal/wal
+	$(GO) test -run '^$$' -fuzz FuzzOpenLogDir -fuzztime 10s ./internal/wal
+
+# The bounded-log soak: sustained single-writer traffic with a
+# checkpoint every few thousand records for ten minutes; fails if the
+# retained log outgrows the redo window plus two segments at any
+# checkpoint or the post-GC heap grows over the second half.
+soak:
+	$(GO) test -run TestLogStaysBoundedUnderSustainedTraffic -soak -timeout 20m -v ./internal/harness
 
 # Build and run every example program, so the documented entry points
 # cannot rot silently.

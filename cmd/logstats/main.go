@@ -65,7 +65,8 @@ func main() {
 	byType := map[wal.Type]*slot{}
 	var total slot
 
-	sc := res.Crash.Log.NewScanner(wal.FirstLSN(), nil, wal.ScanCost{})
+	log := res.Crash.Log
+	sc := log.NewScanner(log.StartLSN(), nil, wal.ScanCost{})
 	var order []wal.Type
 	for {
 		rec, _, ok, err := sc.Next()
@@ -87,7 +88,7 @@ func main() {
 	}
 
 	// Second pass for sizes: pair each record with the next LSN.
-	sc = res.Crash.Log.NewScanner(wal.FirstLSN(), nil, wal.ScanCost{})
+	sc = log.NewScanner(log.StartLSN(), nil, wal.ScanCost{})
 	var prevType wal.Type
 	var prevLSN wal.LSN
 	first := true
@@ -104,7 +105,7 @@ func main() {
 		}
 		if !ok {
 			if !first {
-				account(prevType, prevLSN, res.Crash.Log.EndLSN())
+				account(prevType, prevLSN, log.EndLSN())
 			}
 			break
 		}
@@ -118,7 +119,9 @@ func main() {
 
 	fmt.Printf("workload: %d rows, %d committed txns, %d updates, %d checkpoints (∆ variant: %s)\n",
 		cfg.Workload.Rows, res.TxnsCommitted, res.UpdatesRun, res.CheckpointsRun, *variant)
-	fmt.Printf("stable log: %d bytes, %d records\n\n", res.LogBytes, total.count)
+	fmt.Printf("stable log: %d bytes written, %d records retained\n", res.LogBytes, total.count)
+	printRetention(log)
+	fmt.Println()
 
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "record type\tcount\tbytes\tshare")
@@ -137,10 +140,20 @@ func main() {
 	fmt.Println("(§5.1: the auxiliary information is a very small part of the log)")
 }
 
-// segmentReport drains a SegScanner over the whole stable log and
+// printRetention reports what the crashed log still holds: checkpoints
+// release the segments below their redo scan start, so the composition
+// tables describe the retained range, not everything ever written.
+func printRetention(log *wal.Log) {
+	start, end := log.StartLSN(), log.EndLSN()
+	fmt.Printf("retained: LSN %d–%d (%d bytes) in %d segments; %d bytes released\n",
+		start, end, int64(end-start), log.Segments(), int64(start-wal.FirstLSN()))
+}
+
+// segmentReport drains a SegScanner over the retained stable log and
 // prints the per-segment breakdown the decode front-end saw.
 func segmentReport(res *harness.CrashResult, workers, segBytes int) {
-	sc := res.Crash.Log.NewSegScanner(wal.FirstLSN(), nil, wal.ScanCost{},
+	log := res.Crash.Log
+	sc := log.NewSegScanner(log.StartLSN(), nil, wal.ScanCost{},
 		wal.SegConfig{Workers: workers, SegmentBytes: segBytes})
 	defer sc.Close()
 	for {
@@ -157,8 +170,8 @@ func segmentReport(res *harness.CrashResult, workers, segBytes int) {
 
 	fmt.Printf("workload: %d committed txns, %d updates, %d checkpoints\n",
 		res.TxnsCommitted, res.UpdatesRun, res.CheckpointsRun)
-	fmt.Printf("stable log: %d bytes in %d segments (%d decode workers)\n",
-		res.LogBytes, st.Segments, st.Workers)
+	printRetention(log)
+	fmt.Printf("decoded in %d units by %d decode workers\n", st.Segments, st.Workers)
 	fmt.Printf("records: %d, resyncs: %d, stitcher stall: %v, log pages read: %d\n\n",
 		st.Records, st.Resyncs, st.Stall, sc.PagesRead())
 

@@ -761,8 +761,9 @@ func (r *run) noteGlobal(rec wal.Record, lsn wal.LSN) {
 // end-checkpoint record.
 func (r *run) findScanStart() error {
 	if r.cs.LastEndCkpt == wal.NilLSN {
-		// Never checkpointed: scan the whole log.
-		r.scanStart = wal.FirstLSN()
+		// Never checkpointed: scan the whole log (nothing is released
+		// before the first checkpoint, so this is FirstLSN).
+		r.scanStart = r.log.StartLSN()
 		return nil
 	}
 	rec, err := r.log.Get(r.cs.LastEndCkpt)

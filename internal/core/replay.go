@@ -87,7 +87,12 @@ type Replayer struct {
 	// them. Same-geometry mode only.
 	router        *shard.Router
 	pendingRoutes map[wal.TxnID][]*wal.ShardMapRec
+	// lastEndCkpt shadows the primary's master record: the last
+	// end-checkpoint record in the stream, and lastCkptBegin the begin
+	// record it names — where a crash recovery of the promoted engine
+	// would start its redo scan.
 	lastEndCkpt   wal.LSN
+	lastCkptBegin wal.LSN
 
 	// records and smos are counted by note, on the applier goroutine;
 	// stats is the snapshot each CatchUp publishes for other goroutines.
@@ -116,7 +121,7 @@ func NewReplayer(eng *engine.Engine, mode ReplayMode) (*Replayer, error) {
 		eng:           eng,
 		mode:          mode,
 		r:             r,
-		nextLSN:       wal.FirstLSN(),
+		nextLSN:       eng.Log.StartLSN(),
 		router:        router,
 		pendingRoutes: make(map[wal.TxnID][]*wal.ShardMapRec),
 	}
@@ -283,15 +288,20 @@ func (rp *Replayer) note(rec wal.Record, lsn wal.LSN) {
 		delete(rp.pendingRoutes, t.TxnID)
 		rp.r.txns.prune(t.TxnID)
 	case *wal.EndCkptRec:
-		rp.lastEndCkpt = lsn
+		rp.lastEndCkpt, rp.lastCkptBegin = lsn, t.BeginLSN
 	}
 }
 
 // Checkpoint takes a standby checkpoint: every applied page is flushed
 // and each shard's boot page records the applied LSN as its redo-scan
 // start point, bounding what a standby restart would have to re-ship.
-// Nothing is appended to the log — the standby log must remain a byte
-// prefix of the primary's.
+// Nothing is appended to the log — every LSN of the standby log must
+// hold the primary's bytes — but its head is released:
+// below the applied LSN just persisted no page needs redo, below the
+// oldest in-flight transaction's first record Promote's undo never
+// reads, and below the begin record of the last checkpoint in the
+// stream a crash recovery of the promoted engine never scans. Until the
+// stream has shown a checkpoint, nothing is released.
 func (rp *Replayer) Checkpoint() error {
 	if rp.err != nil {
 		return rp.err
@@ -300,6 +310,16 @@ func (rp *Replayer) Checkpoint() error {
 		if err := sr.d.StandbyCheckpoint(rp.nextLSN); err != nil {
 			return fmt.Errorf("core: standby checkpoint shard %d: %w", sr.id, err)
 		}
+	}
+	if rp.lastEndCkpt == wal.NilLSN {
+		return nil
+	}
+	keep := min(rp.nextLSN, rp.lastCkptBegin)
+	if first := rp.r.txns.oldestFirst(); first != wal.NilLSN {
+		keep = min(keep, first)
+	}
+	if _, err := rp.r.log.Release(keep); err != nil {
+		return fmt.Errorf("core: standby checkpoint: %w", err)
 	}
 	return nil
 }

@@ -11,7 +11,12 @@ import (
 // seeded from the end-checkpoint record's active-transaction list so
 // losers whose records all precede the redo scan start are still found.
 type txnTable struct {
-	last  map[wal.TxnID]wal.LSN
+	last map[wal.TxnID]wal.LSN
+	// first is each transaction's earliest record the scan has seen —
+	// the bottom of its backchain when the scan started before the
+	// transaction did, which is how a standby's replayer (whose scan
+	// starts with the stream) bounds what undo could still read.
+	first map[wal.TxnID]wal.LSN
 	ended map[wal.TxnID]bool
 	// won marks transactions that ended with a commit record —
 	// route-change replay applies only committed migrations.
@@ -22,6 +27,7 @@ type txnTable struct {
 func newTxnTable() *txnTable {
 	return &txnTable{
 		last:  make(map[wal.TxnID]wal.LSN),
+		first: make(map[wal.TxnID]wal.LSN),
 		ended: make(map[wal.TxnID]bool),
 		won:   make(map[wal.TxnID]bool),
 	}
@@ -59,6 +65,9 @@ func (t *txnTable) note(rec wal.Record, lsn wal.LSN) {
 	if lsn > t.last[id] {
 		t.last[id] = lsn
 	}
+	if _, seen := t.first[id]; !seen {
+		t.first[id] = lsn
+	}
 	switch rec.Type() {
 	case wal.TypeCommit:
 		t.ended[id] = true
@@ -75,8 +84,22 @@ func (t *txnTable) note(rec wal.Record, lsn wal.LSN) {
 // One-shot recovery never prunes — finalRoutes needs the full won set.
 func (t *txnTable) prune(id wal.TxnID) {
 	delete(t.last, id)
+	delete(t.first, id)
 	delete(t.ended, id)
 	delete(t.won, id)
+}
+
+// oldestFirst returns the lowest first-seen LSN among the transactions
+// in the table (NilLSN when it is empty). On a pruning replayer those
+// are exactly the in-flight ones.
+func (t *txnTable) oldestFirst() wal.LSN {
+	oldest := wal.NilLSN
+	for _, lsn := range t.first {
+		if oldest == wal.NilLSN || lsn < oldest {
+			oldest = lsn
+		}
+	}
+	return oldest
 }
 
 // losers returns the transactions requiring undo: seen but not ended,

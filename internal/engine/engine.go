@@ -13,8 +13,9 @@
 // Two device modes exist (Config.Device): the default simulated disk,
 // where IO costs are modeled on a virtual clock and a crash snapshots
 // in-memory structures copy-on-write; and file mode, where pages live
-// in real files (storage.FileDisk), the WAL is a real file whose
-// forces fsync (wal.FileBackend), the master record is a boot file, and
+// in real files (storage.FileDisk), the WAL is a directory of segment
+// files whose forces fsync (wal.FileBackend), the master record is a
+// boot file, and
 // a crash is process-kill-shaped — handles close with no flush, and
 // recovery reopens whatever the files hold.
 package engine
@@ -48,10 +49,12 @@ const (
 	DeviceFile DeviceKind = "file"
 )
 
-// Well-known file names inside a file-mode engine directory.
+// Well-known names inside a file-mode engine directory: the page file
+// (one per shard directory), the WAL's segment directory and the master
+// record.
 const (
 	pagesFileName  = "pages.db"
-	walFileName    = "wal.log"
+	walDirName     = "wal"
 	masterFileName = "master"
 )
 
@@ -248,7 +251,7 @@ func New(cfg Config) (*Engine, error) {
 		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 			return nil, fmt.Errorf("engine: creating %s: %w", cfg.Dir, err)
 		}
-		be, err := wal.CreateFileBackend(filepath.Join(cfg.Dir, walFileName))
+		be, err := wal.CreateFileBackend(filepath.Join(cfg.Dir, walDirName))
 		if err != nil {
 			return nil, err
 		}
@@ -452,24 +455,25 @@ func (e *Engine) Crash() *CrashState {
 
 // TearTail corrupts the crashed WAL with a partial record frame past
 // the last complete one — the crash interrupted a log force mid-frame.
-// Recovery must trim it: wal.OpenLogFile's ErrTruncated path in file
+// Recovery must trim it: wal.OpenLogDir's ErrTruncated path in file
 // mode, Log.CloneTrimmed's identical trim for the simulated snapshot.
 // Must be called before any Fork.
 func (cs *CrashState) TearTail(nBytes int) error {
 	if cs.Dir == "" {
 		return cs.Log.TearTail(nBytes)
 	}
-	return wal.TearFile(filepath.Join(cs.Dir, walFileName), nBytes)
+	return wal.TearDir(filepath.Join(cs.Dir, walDirName), nBytes)
 }
 
 // Fork creates an independent replay environment over the crash state:
 // a fresh clock, independent per-shard devices holding the
 // crash-instant pages, and a writable continuation of the stable log.
 // Simulated mode forks each disk copy-on-write and clones the log
-// snapshot (trimming any injected torn tail); file mode copies the
-// shard page files and the WAL into a fork directory under the crash
-// directory and reopens them (trimming any torn WAL tail). cachePages
-// ≤ 0 uses the crashed engine's capacity.
+// snapshot (sealed segments shared, the tail copied and any injected
+// torn tail trimmed); file mode copies the shard page files into a fork
+// directory under the crash directory, forks the WAL directory
+// (forkLogDir) and reopens them (trimming any torn WAL tail).
+// cachePages ≤ 0 uses the crashed engine's capacity.
 func (cs *CrashState) Fork(cachePages int) (*sim.Clock, []storage.Device, *wal.Log, error) {
 	clock := &sim.Clock{}
 	_ = cachePages
@@ -488,7 +492,7 @@ func (cs *CrashState) Fork(cachePages int) (*sim.Clock, []storage.Device, *wal.L
 	if err := os.MkdirAll(forkDir, 0o755); err != nil {
 		return nil, nil, nil, fmt.Errorf("engine: creating fork dir: %w", err)
 	}
-	if err := copyFile(filepath.Join(cs.Dir, walFileName), filepath.Join(forkDir, walFileName)); err != nil {
+	if err := forkLogDir(filepath.Join(cs.Dir, walDirName), filepath.Join(forkDir, walDirName)); err != nil {
 		return nil, nil, nil, fmt.Errorf("engine: forking crash state: %w", err)
 	}
 	disks := make([]storage.Device, n)
@@ -508,11 +512,42 @@ func (cs *CrashState) Fork(cachePages int) (*sim.Clock, []storage.Device, *wal.L
 		}
 		disks[i] = disk
 	}
-	log, err := wal.OpenLogFile(filepath.Join(forkDir, walFileName))
+	log, err := wal.OpenLogDir(filepath.Join(forkDir, walDirName))
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	return clock, disks, log, nil
+}
+
+// forkLogDir populates dst with the segment files of the WAL directory
+// src. Only the last segment file is ever written again (trimmed on
+// reopen, then appended to), so it is copied; the sealed ones before it
+// are immutable and shared by hard link — the on-disk analogue of
+// sharing sealed segments between clones — or copied where the file
+// system has no links.
+func forkLogDir(src, dst string) error {
+	// Segment files left in dst by an earlier run would splice into the
+	// chain; the fork starts from nothing.
+	if err := os.RemoveAll(dst); err != nil {
+		return err
+	}
+	if err := os.MkdirAll(dst, 0o755); err != nil {
+		return err
+	}
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		return err
+	}
+	for i, e := range entries { // ReadDir sorts by name, which is LSN order
+		from, to := filepath.Join(src, e.Name()), filepath.Join(dst, e.Name())
+		if i < len(entries)-1 && os.Link(from, to) == nil {
+			continue
+		}
+		if err := copyFile(from, to); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func copyFile(src, dst string) error {

@@ -50,6 +50,15 @@ type Stats struct {
 	// made stable on the shared log.
 	LogRecords       int64
 	LogStableRecords int64
+	// LogStartLSN is the oldest LSN the log still retains: every
+	// checkpoint releases the segments below its redo scan start point
+	// and the oldest active transaction. LogRetainedBytes is what is
+	// left (log end minus LogStartLSN) in LogSegments segments;
+	// LogReleasedBytes is everything dropped so far.
+	LogStartLSN      wal.LSN
+	LogRetainedBytes int64
+	LogSegments      int
+	LogReleasedBytes int64
 	// Routes is the routing table at the time of the snapshot.
 	Routes []wal.RouteEntry
 	// Shards holds one entry per data component, indexed by shard ID.
@@ -97,9 +106,13 @@ func (e *Engine) Stats() Stats {
 		TC:               e.TC.Stats(),
 		LogRecords:       e.Log.Records(),
 		LogStableRecords: e.Log.StableRecords(),
+		LogStartLSN:      e.Log.StartLSN(),
+		LogSegments:      e.Log.Segments(),
 		Routes:           e.Set.Routes(),
 		Recovery:         e.LastRecovery,
 	}
+	st.LogRetainedBytes = int64(e.Log.EndLSN() - st.LogStartLSN)
+	st.LogReleasedBytes = int64(st.LogStartLSN - wal.FirstLSN())
 	var planes []tc.PlaneStats
 	if e.mgr != nil {
 		st.WAL = e.mgr.CommitStats()

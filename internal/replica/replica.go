@@ -226,6 +226,9 @@ func (s *Standby) PumpOnce() (bool, error) {
 		s.mu.Unlock()
 		s.reader.Resume(mark)
 	}
+	// What the standby log holds as complete, persisted frames the
+	// primary no longer has to keep for this standby.
+	s.reader.Ack(s.eng.Log.FlushedLSN())
 	if err := s.rp.CatchUp(); err != nil {
 		return true, err
 	}
@@ -319,8 +322,16 @@ func (s *Standby) waitLag(bytes int64, timeout time.Duration) error {
 	}
 }
 
-// Stop halts the pump without promoting. Idempotent.
+// Stop halts the pump without promoting and gives up the standby's
+// hold on the primary's log, which is then free to release what was
+// never shipped. Idempotent.
 func (s *Standby) Stop() {
+	s.halt()
+	s.reader.Close()
+}
+
+// halt stops the pump goroutine; the hold on the primary's log stays.
+func (s *Standby) halt() {
 	s.mu.Lock()
 	started := s.started
 	s.mu.Unlock()
@@ -337,7 +348,8 @@ func (s *Standby) Stop() {
 // and opens the engine for sessions. Returns the promoted engine and
 // the promotion metrics (LosersUndone, CLRsWritten).
 func (s *Standby) Promote() (*engine.Engine, *core.Metrics, error) {
-	s.Stop()
+	s.halt()
+	defer s.reader.Close()
 	if err := s.Err(); err != nil {
 		return nil, nil, fmt.Errorf("replica: promoting a dead standby: %w", err)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"logrec/internal/core"
 	"logrec/internal/engine"
+	"logrec/internal/tc"
 	"logrec/internal/wal"
 	"logrec/internal/workload"
 )
@@ -449,4 +450,133 @@ func TestReplayLagStaysBounded(t *testing.T) {
 	want := digest(t, primary)
 	promoted, _ := promote(t, s, want)
 	checkPromotedServes(t, promoted)
+}
+
+// commitBigTxns commits 4-update transactions with values of about
+// 600 bytes until the primary's log has grown by at least bytes, and
+// steers around the keys in locked.
+func commitBigTxns(t *testing.T, eng *engine.Engine, bytes int64, locked map[uint64]bool, salt *uint64) {
+	t.Helper()
+	table := eng.Cfg.TableID
+	for target := eng.Log.EndLSN() + wal.LSN(bytes); eng.Log.EndLSN() < target; {
+		txn := eng.TC.Begin()
+		for j := 0; j < 4; j++ {
+			*salt++
+			key := (*salt * 37) % testRows
+			for locked[key] {
+				key = (key + 1) % testRows
+			}
+			val := bytes600(key, *salt)
+			if err := eng.TC.Update(txn, table, key, val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := eng.TC.Commit(txn); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func bytes600(key, salt uint64) []byte {
+	v := bytes.Repeat([]byte{byte('a' + salt%26)}, 600)
+	copy(v, fmt.Sprintf("big-%d-%d-", key, salt))
+	return v
+}
+
+// TestPromoteAfterStandbyReleases ships enough log for the standby to
+// release its own copy several times, the last times with a loser in
+// flight that began before them: the standby's checkpoints may then
+// release only up to that transaction's first record, and the
+// promotion's undo sweep must still find its whole backchain. The
+// primary releases behind the shipper's hold all along.
+func TestPromoteAfterStandbyReleases(t *testing.T) {
+	const segment = 1 << 20 // the WAL's segment capacity
+	primary := newPrimary(t, 1)
+	standby := newStandby(t, primary, nil)
+	s := attach(t, primary, standby, Config{SegmentBytes: 32 << 10, CheckpointEveryRecords: 300})
+
+	var salt uint64
+	locked := map[uint64]bool{}
+	releases, releasesWithLoser := 0, 0
+	var loser *tc.Txn
+	// round commits, checkpoints the primary, and pumps the standby dry,
+	// counting the standby releases that moved its log's start.
+	round := func(logBytes int64) {
+		t.Helper()
+		commitBigTxns(t, primary, logBytes, locked, &salt)
+		if err := primary.TC.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			before := standby.Log.StartLSN()
+			progressed, err := s.PumpOnce()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if standby.Log.StartLSN() > before {
+				releases++
+				if loser != nil {
+					releasesWithLoser++
+				}
+			}
+			if !progressed {
+				return
+			}
+		}
+	}
+	// A standby checkpoint releases up to the last primary checkpoint
+	// it has seen, so its releases trail the rounds by one.
+	for i := 0; i < 4; i++ {
+		round(segment * 3 / 2)
+	}
+	if releases < 3 {
+		t.Fatalf("standby released %d times over four checkpointed rounds, want at least 3", releases)
+	}
+	if primary.Log.StartLSN() == wal.FirstLSN() {
+		t.Fatal("the primary never released behind the shipper")
+	}
+
+	// The loser starts a segment and a half into the fifth round.
+	commitBigTxns(t, primary, segment*3/2, locked, &salt)
+	loser = primary.TC.Begin()
+	for _, key := range []uint64{7, 707} {
+		locked[key] = true
+		if err := primary.TC.Update(loser, primary.Cfg.TableID, key, []byte("loser")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := loser.FirstLSN()
+	round(segment)
+	round(segment * 3 / 2)
+	if releasesWithLoser == 0 {
+		t.Fatal("no standby release happened while the loser was in flight")
+	}
+	if start := standby.Log.StartLSN(); start > first || start+segment <= first {
+		t.Fatalf("standby log starts at %v, the in-flight transaction's first record is at %v: want the segment holding it", start, first)
+	}
+
+	// The committed-only state is what the failover must converge to.
+	locked[1207] = true
+	if err := primary.TC.Update(loser, primary.Cfg.TableID, 1207, []byte("loser")); err != nil {
+		t.Fatal(err)
+	}
+	primary.TC.SendEOSL()
+	want := func() uint64 {
+		// Roll the loser back on a recovered copy of the primary, which
+		// is what the committed state is.
+		rec, _, err := core.Recover(primary.Crash(), core.Log2, core.DefaultOptions(primary.Cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return digest(t, rec)
+	}()
+	promoted, met := promote(t, s, want)
+	if met.LosersUndone != 1 || met.CLRsWritten != 3 {
+		t.Fatalf("promotion undid %d losers with %d CLRs, want 1 and 3", met.LosersUndone, met.CLRsWritten)
+	}
+	if start := promoted.Log.StartLSN(); start <= first {
+		t.Fatalf("promoted log still starts at %v: its first checkpoint should have released past the rolled-back loser (%v)", start, first)
+	}
+	checkPromotedServes(t, promoted)
+	t.Logf("%d standby releases (%d with the loser in flight)", releases, releasesWithLoser)
 }

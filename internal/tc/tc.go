@@ -46,6 +46,11 @@ type Txn struct {
 	// (the checkpoint holds every shard plane, but commit/abort records
 	// are appended without one).
 	last atomic.Uint64
+	// first is the transaction's first log record (NilLSN until it logs
+	// one): the bottom of the backchain rollback and crash undo walk, so
+	// the log must be retained from it while the transaction is active.
+	// Atomic for the same reason as last.
+	first atomic.Uint64
 	// updates counts data operations, for harness bookkeeping.
 	updates int
 }
@@ -56,9 +61,18 @@ func (t *Txn) Status() Status { return t.status }
 // LastLSN returns the transaction's most recent log record.
 func (t *Txn) LastLSN() wal.LSN { return wal.LSN(t.last.Load()) }
 
-// setLastLSN advances the backchain head. Only the goroutine driving
-// the transaction calls it.
-func (t *Txn) setLastLSN(lsn wal.LSN) { t.last.Store(uint64(lsn)) }
+// FirstLSN returns the transaction's first log record, NilLSN if it has
+// logged nothing yet.
+func (t *Txn) FirstLSN() wal.LSN { return wal.LSN(t.first.Load()) }
+
+// setLastLSN advances the backchain head, noting the first record on
+// the way. Only the goroutine driving the transaction calls it.
+func (t *Txn) setLastLSN(lsn wal.LSN) {
+	if t.first.Load() == 0 {
+		t.first.Store(uint64(lsn))
+	}
+	t.last.Store(uint64(lsn))
+}
 
 // Stats counts TC activity.
 type Stats struct {
@@ -483,7 +497,17 @@ func (tc *TC) undoOne(t *Txn, rec wal.Record) (wal.LSN, error) {
 //     begin record (checkpoint-bit discipline) and records the redo
 //     scan start point on its portion of the log;
 //  4. append the end-checkpoint record (with the active-transaction
-//     table), force it, and advance the master record.
+//     table), force it, and advance the master record;
+//  5. release the log below what a crash from here on can read: the
+//     redo scan now starts at this checkpoint's begin record, and undo
+//     walks no further down than the oldest active transaction's first
+//     record.
+//
+// The active table is snapshotted before the end record is forced, so a
+// transaction missing from it either ended earlier — its commit or
+// abort record is then covered by that force — or logged its first
+// record after the begin record; neither can need a byte below the
+// release point.
 func (tc *TC) Checkpoint() error {
 	bLSN := tc.app.MustAppend(&wal.BeginCkptRec{})
 	eLSN := tc.app.Flush()
@@ -494,8 +518,12 @@ func (tc *TC) Checkpoint() error {
 	}
 
 	end := &wal.EndCkptRec{BeginLSN: bLSN, Routes: tc.dc.Routes()}
+	keep := bLSN
 	for _, t := range tc.txns.snapshot() {
 		end.Active = append(end.Active, wal.ActiveTxn{TxnID: t.ID, LastLSN: t.LastLSN()})
+		if first := t.FirstLSN(); first != wal.NilLSN {
+			keep = min(keep, first)
+		}
 	}
 	endLSN := tc.app.MustAppend(end)
 	eLSN = tc.app.Flush()
@@ -507,6 +535,9 @@ func (tc *TC) Checkpoint() error {
 		}
 	}
 	tc.stats.checkpoints.Add(1)
+	if _, err := tc.log.Release(keep); err != nil {
+		return fmt.Errorf("tc: checkpoint: %w", err)
+	}
 	return nil
 }
 

@@ -13,15 +13,31 @@ import (
 )
 
 // fileLog creates a file-backed log in a test temp dir and returns it
-// with its backend and path.
-func fileLog(t *testing.T) (*Log, *FileBackend, string) {
+// with its backend and log directory.
+func fileLog(t testing.TB) (*Log, *FileBackend, string) {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "wal.log")
+	path := filepath.Join(t.TempDir(), "wal")
 	be, err := CreateFileBackend(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	log := NewLog()
+	if err := log.SetBackend(be); err != nil {
+		t.Fatal(err)
+	}
+	return log, be, path
+}
+
+// fileLogSized is fileLog with segments of segCap bytes, so a few
+// records span several files.
+func fileLogSized(t testing.TB, segCap int) (*Log, *FileBackend, string) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "wal")
+	be, err := CreateFileBackend(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := newLog(segCap)
 	if err := log.SetBackend(be); err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +116,7 @@ func TestOpenLogFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := OpenLogFile(path)
+	re, err := OpenLogDir(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +135,7 @@ func TestOpenLogFileRoundTrip(t *testing.T) {
 	lsn := re.MustAppend(&CommitRec{TxnID: 2})
 	re.Flush()
 	re.CloseBackend()
-	re2, err := OpenLogFile(path)
+	re2, err := OpenLogDir(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +150,7 @@ func TestOpenLogFileRoundTrip(t *testing.T) {
 }
 
 // TestOpenLogFileTornTail tears the file mid-frame — inside the frame
-// header and inside the body — and checks OpenLogFile trims back to the
+// header and inside the body — and checks OpenLogDir trims back to the
 // last complete record and truncates the file to match.
 func TestOpenLogFileTornTail(t *testing.T) {
 	for _, tear := range []int{1, 3, 12, 40} {
@@ -147,14 +163,16 @@ func TestOpenLogFileTornTail(t *testing.T) {
 			if err := log.CloseBackend(); err != nil {
 				t.Fatal(err)
 			}
-			if err := TearFile(path, tear); err != nil {
+			if err := TearDir(path, tear); err != nil {
 				t.Fatal(err)
 			}
-			if info, err := os.Stat(path); err != nil || info.Size() != int64(stableEnd)+int64(tear) {
+			segFile := filepath.Join(path, segFileName(FirstLSN()))
+			wantSize := segHeaderSize + int64(stableEnd-FirstLSN())
+			if info, err := os.Stat(segFile); err != nil || info.Size() != wantSize+int64(tear) {
 				t.Fatalf("tear not applied: size %d err %v", info.Size(), err)
 			}
 
-			re, err := OpenLogFile(path)
+			re, err := OpenLogDir(path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,21 +183,111 @@ func TestOpenLogFileTornTail(t *testing.T) {
 			if got := re.Records(); got != 5 {
 				t.Fatalf("trimmed log holds %d records, want 5", got)
 			}
-			if info, err := os.Stat(path); err != nil || info.Size() != int64(stableEnd) {
+			if info, err := os.Stat(segFile); err != nil || info.Size() != wantSize {
 				t.Fatalf("file not truncated back: size %d err %v", info.Size(), err)
 			}
 		})
 	}
 }
 
-// TestOpenLogFileRejectsGarbage checks that a non-log file is refused
+// TestOpenLogFileRejectsGarbage checks that a non-log segment file, an
+// empty directory and a directory with a hole in its chain are refused
 // rather than scanned.
 func TestOpenLogFileRejectsGarbage(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "not-a-log")
-	if err := os.WriteFile(path, []byte("definitely not a WAL header"), 0o644); err != nil {
+	dir := t.TempDir()
+	if _, err := OpenLogDir(dir); err == nil {
+		t.Fatal("OpenLogDir accepted an empty directory")
+	}
+	path := filepath.Join(dir, segFileName(FirstLSN()))
+	if err := os.WriteFile(path, []byte("definitely not a WAL segment header"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenLogFile(path); err == nil {
-		t.Fatal("OpenLogFile accepted garbage")
+	if _, err := OpenLogDir(dir); err == nil {
+		t.Fatal("OpenLogDir accepted garbage")
 	}
+
+	log, _, gapDir := fileLogSized(t, 256)
+	for i := 0; i < 40; i++ {
+		log.MustAppend(&UpdateRec{TxnID: 1, KeyVal: uint64(i), NewVal: make([]byte, 40)})
+	}
+	log.Flush()
+	if err := log.CloseBackend(); err != nil {
+		t.Fatal(err)
+	}
+	bases, err := listSegFiles(gapDir)
+	if err != nil || len(bases) < 3 {
+		t.Fatalf("want at least 3 segment files, got %d (%v)", len(bases), err)
+	}
+	if err := os.Remove(filepath.Join(gapDir, segFileName(bases[1]))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenLogDir(gapDir); err == nil {
+		t.Fatal("OpenLogDir accepted a chain with a missing segment")
+	}
+}
+
+// FuzzOpenLogDir is the restart path's fuzz target: a healthy sealed
+// segment followed by a last segment file made of arbitrary bytes —
+// header and contents both. OpenLogDir must trim it or refuse it, never
+// panic, and whatever it accepts must be a log that scans to its stable
+// end without a decode error and reopens to the same state.
+func FuzzOpenLogDir(f *testing.F) {
+	const sealedRecs = 3
+	good, _, goodDir := fileLog(f)
+	for i := 0; i < sealedRecs; i++ {
+		good.MustAppend(&UpdateRec{TxnID: 1, KeyVal: uint64(i), NewVal: make([]byte, 60)})
+	}
+	end := good.Flush()
+	if err := good.CloseBackend(); err != nil {
+		f.Fatal(err)
+	}
+	first, err := os.ReadFile(filepath.Join(goodDir, segFileName(FirstLSN())))
+	if err != nil {
+		f.Fatal(err)
+	}
+	frames := append(encodeFrame(&CommitRec{TxnID: 1, PrevLSN: 42}), encodeFrame(&UpdateRec{TxnID: 2, NewVal: []byte("v")})...)
+	torn, _ := tornFrame(9)
+	f.Add(segHeader(end), frames)
+	f.Add(segHeader(end), append(append([]byte(nil), frames...), torn...))
+	f.Add(segHeader(end), frames[:len(frames)-3])
+	f.Add(segHeader(end), []byte{})
+	f.Add(segHeader(end)[:10], []byte{})
+	f.Add(segHeader(end+1), frames)
+	f.Add([]byte("definitely not a WAL segment header"), frames)
+	f.Add(segHeader(end), []byte{0, 0, 0, 2, 0xFF, 1, 2})
+
+	f.Fuzz(func(t *testing.T, header, contents []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, segFileName(FirstLSN())), first, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		last := filepath.Join(dir, segFileName(end))
+		if err := os.WriteFile(last, append(append([]byte(nil), header...), contents...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, err := OpenLogDir(dir)
+		if err != nil {
+			return
+		}
+		stable, recs := l.FlushedLSN(), l.Records()
+		if stable < end || recs < sealedRecs {
+			t.Fatalf("opened log lost the sealed segment: stable %v (sealed end %v), %d records", stable, end, recs)
+		}
+		dump := drainScan(l.NewScanner(l.StartLSN(), nil, ScanCost{}).Next)
+		if dump.err != nil || int64(len(dump.lsns)) != recs {
+			t.Fatalf("opened log replays %d records (err %v), header says %d", len(dump.lsns), dump.err, recs)
+		}
+		if err := l.CloseBackend(); err != nil {
+			t.Fatal(err)
+		}
+		// The trim is on disk: a second open finds the same log.
+		re, err := OpenLogDir(dir)
+		if err != nil {
+			t.Fatalf("reopen after trim: %v", err)
+		}
+		defer re.CloseBackend()
+		if re.FlushedLSN() != stable || re.Records() != recs {
+			t.Fatalf("reopen: stable %v, %d records; first open had %v, %d", re.FlushedLSN(), re.Records(), stable, recs)
+		}
+	})
 }

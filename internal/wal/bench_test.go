@@ -20,9 +20,12 @@ func benchUpdateRec(i int) *UpdateRec {
 
 func BenchmarkAppendUpdate(b *testing.B) {
 	l := NewLog()
+	rec := benchUpdateRec(0)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := l.Append(benchUpdateRec(i)); err != nil {
+		rec.KeyVal = uint64(i * 17)
+		if _, err := l.Append(rec); err != nil {
 			b.Fatal(err)
 		}
 	}

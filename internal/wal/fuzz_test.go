@@ -37,44 +37,54 @@ func fullLog(t testing.TB) *Log {
 	return l
 }
 
+// rawLog wraps payload — log bytes from FirstLSN on, framed or not — as
+// a frozen single-segment log whose stable end is the payload's.
+func rawLog(payload []byte) *Log {
+	return &Log{
+		segs:       []*segment{{base: FirstLSN(), data: payload}},
+		segCap:     segmentBytes,
+		flushedLSN: FirstLSN() + LSN(len(payload)),
+		frozen:     true,
+	}
+}
+
 // FuzzDecodeAt hammers the WAL decoder with adversarial bytes: whatever
-// the buffer holds, decodeAt must never panic, must report torn or
+// the buffer holds, Get must never panic, must report torn or
 // malformed frames as errors, and on success must hand back a frame
 // that round-trips and makes forward progress.
 func FuzzDecodeAt(f *testing.F) {
 	l := fullLog(f)
 	// Seed corpus: the pristine log at several offsets, a torn tail,
 	// and bit-flipped copies.
-	f.Add(append([]byte(nil), l.buf...), uint64(FirstLSN()))
-	f.Add(append([]byte(nil), l.buf...), uint64(len(l.buf)/2))
-	f.Add(append([]byte(nil), l.buf[:len(l.buf)-3]...), uint64(FirstLSN()))
-	flipped := append([]byte(nil), l.buf...)
-	for i := logHeaderSize; i < len(flipped); i += 17 {
+	pristine := stableBytes(f, l)
+	f.Add(pristine, uint64(FirstLSN()))
+	f.Add(pristine, uint64(len(pristine)/2))
+	f.Add(pristine[:len(pristine)-3], uint64(FirstLSN()))
+	flipped := append([]byte(nil), pristine...)
+	for i := 0; i < len(flipped); i += 17 {
 		flipped[i] ^= 0x40
 	}
 	f.Add(flipped, uint64(FirstLSN()))
 	f.Add([]byte{}, uint64(0))
 
 	f.Fuzz(func(t *testing.T, buf []byte, off uint64) {
-		fz := &Log{
-			buf:         buf,
-			flushedLSN:  LSN(len(buf)),
-			frozen:      true,
-			appendCount: make(map[Type]int64),
+		fz := rawLog(buf)
+		rec, end, err := decodeFrame(buf, FirstLSN(), LSN(off))
+		if _, gerr := fz.Get(LSN(off)); (gerr == nil) != (err == nil) {
+			t.Fatalf("Get(%d) = %v, decodeFrame = %v", off, gerr, err)
 		}
-		rec, end, err := fz.decodeAt(LSN(off))
 		if err == nil {
 			if rec == nil {
-				t.Fatalf("decodeAt(%d): nil record without error", off)
+				t.Fatalf("decode(%d): nil record without error", off)
 			}
-			if end <= LSN(off) || int(end) > len(buf) {
-				t.Fatalf("decodeAt(%d): end %d out of bounds (len %d)", off, end, len(buf))
+			if end <= LSN(off) || end > fz.FlushedLSN() {
+				t.Fatalf("decode(%d): end %d out of bounds (log end %v)", off, end, fz.FlushedLSN())
 			}
 			// A successfully decoded record must re-encode; its frame
 			// cannot be larger than the bytes it came from.
 			body := rec.encodeBody(nil)
 			if frameHeaderSize+len(body) > int(end)-int(off) {
-				t.Fatalf("decodeAt(%d): re-encoded %v frame larger than source (%d > %d)",
+				t.Fatalf("decode(%d): re-encoded %v frame larger than source (%d > %d)",
 					off, rec.Type(), frameHeaderSize+len(body), int(end)-int(off))
 			}
 		}
@@ -119,13 +129,8 @@ func TestDecodeTornTail(t *testing.T) {
 	}
 
 	for cut := int(lastLSN) + 1; cut < int(endLSN); cut++ {
-		torn := &Log{
-			buf:         append([]byte(nil), l.buf[:cut]...),
-			flushedLSN:  LSN(cut),
-			frozen:      true,
-			appendCount: make(map[Type]int64),
-		}
-		_, _, err := torn.decodeAt(lastLSN)
+		torn := rawLog(stableBytes(t, l)[:LSN(cut)-FirstLSN()])
+		_, err := torn.Get(lastLSN)
 		if err == nil {
 			t.Fatalf("cut at %d: decode of torn record succeeded", cut)
 		}
@@ -170,10 +175,11 @@ func recordsBefore(l *Log, stop LSN) int {
 // bounds.
 func TestDecodeBitFlips(t *testing.T) {
 	l := fullLog(t)
-	for i := logHeaderSize; i < len(l.buf); i++ {
-		buf := append([]byte(nil), l.buf...)
+	pristine := stableBytes(t, l)
+	for i := range pristine {
+		buf := append([]byte(nil), pristine...)
 		buf[i] ^= 0xFF
-		fz := &Log{buf: buf, flushedLSN: LSN(len(buf)), frozen: true, appendCount: make(map[Type]int64)}
+		fz := rawLog(buf)
 		sc := fz.NewScanner(FirstLSN(), nil, DefaultScanCost())
 		for {
 			rec, _, ok, err := sc.Next()
@@ -183,8 +189,8 @@ func TestDecodeBitFlips(t *testing.T) {
 			_ = rec
 		}
 	}
-	// Sanity: the uncorrupted log still scans to the end.
-	if !bytes.Equal(l.buf[:8], logMagic[:]) {
-		t.Fatal("log magic clobbered")
+	// Sanity: the flips never reached the log they were copied from.
+	if !bytes.Equal(stableBytes(t, l), pristine) {
+		t.Fatal("pristine log clobbered")
 	}
 }

@@ -52,9 +52,10 @@ type GroupCommitter struct {
 
 	// onStable, when set, receives the new end of stable log after each
 	// batch flush (typically dc.EOSL). It is called from the leader's
-	// goroutine without any committer lock held beyond gc ordering, so
-	// it may take component locks but must not call back into the
-	// committer.
+	// goroutine while it is still the leader (so calls are ordered) but
+	// with no committer lock held, so it may take component locks; it
+	// must not call back into the committer, and nothing it waits for
+	// may be waiting on a flush.
 	onStable func(LSN)
 
 	// flushDelay is the emulated stable-write latency: how long the
@@ -163,14 +164,20 @@ func (gc *GroupCommitter) finishFlush() LSN {
 	if batch > gc.stats.MaxBatch {
 		gc.stats.MaxBatch = batch
 	}
-	gc.flushing = false
 	cb := gc.onStable
+	if cb != nil {
+		// Let the committers this flush covered go, but stay the leader
+		// across the callback: EOSL publications then reach the DC in
+		// flush order. (Left to race after the hand-over, an earlier
+		// leader's smaller eLSN could arrive after a later one's.)
+		gc.cond.Broadcast()
+		gc.mu.Unlock()
+		cb(eLSN)
+		gc.mu.Lock()
+	}
+	gc.flushing = false
 	gc.cond.Broadcast()
 	gc.mu.Unlock()
-
-	if cb != nil {
-		cb(eLSN)
-	}
 	return eLSN
 }
 

@@ -3,19 +3,24 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
+	"sort"
 	"sync"
 
 	"logrec/internal/sim"
 )
 
-// logHeaderSize is the size of the fixed log header. It exists so that
-// no record sits at offset 0 and LSN 0 can mean "none".
+// logHeaderSize is where LSN space begins: no record sits at offset 0,
+// so LSN 0 can mean "none". Nothing is stored below it — a segment
+// file's header lives outside LSN space.
 const logHeaderSize = 16
-
-var logMagic = [8]byte{'L', 'O', 'G', 'R', 'E', 'C', 'W', 'L'}
 
 // frameHeaderSize is the per-record frame: u32 body length + u8 type.
 const frameHeaderSize = 5
+
+// segmentBytes is the capacity of a log segment. A segment is sealed
+// when the next frame does not fit what is left of it; a frame larger
+// than this gets a segment of its own.
+const segmentBytes = 1 << 20
 
 // ScanCost parameterises the IO charge of reading the log during
 // recovery. The log is read sequentially; the scanner charges PerPage to
@@ -35,18 +40,59 @@ func DefaultScanCost() ScanCost {
 	return ScanCost{PageSize: 4096, PerPage: 500 * sim.Microsecond}
 }
 
-// Log is an append-only write-ahead log. Appends land in the volatile
-// tail; Flush moves the stable boundary (the "end of stable log" that
-// EOSL communicates to the DC). A crash snapshot discards the volatile
-// tail.
+// segment is one record-aligned run of the log: data[0] is the byte at
+// LSN base, and no frame straddles two segments. The last segment of a
+// log's chain is its tail, owned by that log alone and extended in
+// place within its fixed capacity — the backing array never moves, so
+// bytes once written stay where readers saw them. Every other segment
+// is sealed: immutable, and shared by reference between the live log,
+// its snapshots and their clones.
+type segment struct {
+	base LSN
+	data []byte
+}
+
+func (s *segment) end() LSN { return s.base + LSN(len(s.data)) }
+
+// chunk is a reader's view of part of one segment: bytes that will not
+// change, the first of them at LSN base, inside the segment based at
+// seg (which names its file on a backend).
+type chunk struct {
+	seg  LSN
+	base LSN
+	data []byte
+}
+
+func (c chunk) end() LSN { return c.base + LSN(len(c.data)) }
+
+// hold pins the log at an LSN: Release never drops a byte at or above
+// the lowest hold (see ShipReader).
+type hold struct{ at LSN }
+
+// Log is an append-only write-ahead log, kept as a chain of segments.
+// An LSN is a byte offset into one contiguous space that starts at
+// FirstLSN; segment boundaries occupy none of it. Appends land in the
+// volatile tail; Flush moves the stable boundary (the "end of stable
+// log" that EOSL communicates to the DC). A crash snapshot discards the
+// volatile tail. Release drops whole segments from the front once
+// nothing can need them, so a long-running log stays bounded; reading
+// below StartLSN fails with ErrReleased.
 //
-// Log is safe for concurrent use: a single mutex guards the tail and
-// the stable boundary. The recovery experiments remain single-threaded
-// over virtual time (the mutex is uncontended there); the concurrent
-// write path (GroupCommitter, tc.Session) appends from many goroutines.
+// Log is safe for concurrent use: a single mutex guards the chain, the
+// tail and the stable boundary. Readers copy a segment's slice header
+// under it and decode outside it. The recovery experiments remain
+// single-threaded over virtual time (the mutex is uncontended there);
+// the concurrent write path (GroupCommitter, tc.Session) appends from
+// many goroutines.
 type Log struct {
-	mu         sync.Mutex
-	buf        []byte
+	mu sync.Mutex
+	// segs is the retained chain in LSN order, each segment starting
+	// where the previous one ends; the last is the tail. It is never
+	// empty, and only the tail may be.
+	segs []*segment
+	// segCap is the capacity new segments get (segmentBytes; tests
+	// shrink it).
+	segCap     int
 	flushedLSN LSN
 	frozen     bool
 
@@ -58,59 +104,131 @@ type Log struct {
 	stableRecs int64
 
 	// appendCount tracks records appended, by type, for statistics.
-	appendCount map[Type]int64
+	appendCount [TypeShardMap + 1]int64
 
 	// torn marks a snapshot whose tail TearTail corrupted; CloneTrimmed
 	// only pays its frame walk when set.
 	torn bool
 
-	// heldShip counts shipped bytes held past flushedLSN awaiting the
-	// rest of their frame (AppendStable's receive buffer; 0 on any log
-	// that is not a shipping target). A standby log must drop them
-	// (DropPartialTail) before its first local Append or Flush.
-	heldShip int
+	// held is AppendStable's receive buffer: shipped bytes past the
+	// last complete frame, awaiting the rest of it. They are not part
+	// of the chain; DropPartialTail discards them.
+	held []byte
+
+	// holds are the registered retention pins.
+	holds []*hold
 
 	// backend, when non-nil, is the log's persistent device: Flush
 	// writes the unpersisted suffix and fsyncs before moving the stable
 	// boundary, so "stable" means on-disk, not just in-memory.
-	// persisted is how many bytes of buf the backend already holds;
-	// flushMu serializes flushers so concurrent forces (group-commit
-	// leader, WAL-protocol page-flush force) never interleave their
-	// backend writes. Appends stay concurrent with an in-flight force:
-	// Flush captures the tail boundary under mu, performs the IO
-	// without it, and only then advances the stable boundary.
+	// persisted is the LSN below which the backend holds every retained
+	// byte; flushMu serializes flushers so concurrent forces
+	// (group-commit leader, WAL-protocol page-flush force) never
+	// interleave their backend writes. Appends stay concurrent with an
+	// in-flight force: Flush captures the tail boundary under mu,
+	// performs the IO without it, and only then advances the stable
+	// boundary.
 	backend   Backend
-	persisted int64
+	persisted LSN
 	flushMu   sync.Mutex
 }
 
 // NewLog creates an empty log.
-func NewLog() *Log {
-	buf := make([]byte, logHeaderSize)
-	copy(buf, logMagic[:])
-	binary.BigEndian.PutUint32(buf[8:], 1) // version
+func NewLog() *Log { return newLog(segmentBytes) }
+
+// newLog is NewLog with a chosen segment capacity.
+func newLog(segCap int) *Log {
 	return &Log{
-		buf:         buf,
-		flushedLSN:  LSN(logHeaderSize),
-		appendCount: make(map[Type]int64),
+		segs:       []*segment{{base: FirstLSN(), data: make([]byte, 0, segCap)}},
+		segCap:     segCap,
+		flushedLSN: FirstLSN(),
 	}
 }
 
+// FirstLSN is the LSN of the first record ever appended to any log.
+func FirstLSN() LSN { return LSN(logHeaderSize) }
+
+func (l *Log) tail() *segment { return l.segs[len(l.segs)-1] }
+
+// segIndex returns the index of the retained segment holding lsn.
+// Callers must hold l.mu.
+func (l *Log) segIndex(lsn LSN) (int, error) {
+	switch {
+	case lsn < FirstLSN() || lsn >= l.tail().end():
+		return 0, fmt.Errorf("%w: %v (log end %d)", ErrOutOfRange, lsn, l.tail().end())
+	case lsn < l.segs[0].base:
+		return 0, fmt.Errorf("%w: %v (log starts at %v)", ErrReleased, lsn, l.segs[0].base)
+	case lsn >= l.tail().base:
+		return len(l.segs) - 1, nil
+	}
+	return sort.Search(len(l.segs), func(i int) bool { return l.segs[i].base > lsn }) - 1, nil
+}
+
+// chunks returns the retained bytes of [from, to), one chunk per
+// segment. Callers must hold l.mu.
+func (l *Log) chunks(from, to LSN) []chunk {
+	var out []chunk
+	for _, s := range l.segs {
+		lo, hi := max(from, s.base), min(to, s.end())
+		if lo < hi {
+			out = append(out, chunk{seg: s.base, base: lo, data: s.data[lo-s.base : hi-s.base]})
+		}
+	}
+	return out
+}
+
+// roll seals the tail and opens a new one with room for a frame of
+// need bytes. An empty tail is replaced instead, so no sealed segment
+// is ever empty.
+func (l *Log) roll(need int) *segment {
+	t := l.tail()
+	next := &segment{base: t.end(), data: make([]byte, 0, max(l.segCap, need))}
+	if len(t.data) == 0 {
+		l.segs[len(l.segs)-1] = next
+	} else {
+		l.segs = append(l.segs, next)
+	}
+	return next
+}
+
+// appendFrame copies one complete frame to the tail, rolling to a new
+// segment when it does not fit, and returns its LSN.
+func (l *Log) appendFrame(frame []byte) LSN {
+	t := l.tail()
+	if len(frame) > cap(t.data)-len(t.data) {
+		t = l.roll(len(frame))
+	}
+	lsn := t.end()
+	t.data = append(t.data, frame...)
+	return lsn
+}
+
 // Append encodes rec at the log tail and returns its LSN. The record is
-// volatile until the next Flush.
+// volatile until the next Flush. The frame is encoded straight into the
+// tail segment's spare capacity; only a frame that does not fit there
+// is encoded on the heap and copied into the segment opened for it.
 func (l *Log) Append(rec Record) (LSN, error) {
-	body := rec.encodeBody(nil)
+	typ := rec.Type()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.frozen {
 		return NilLSN, fmt.Errorf("wal: append to frozen log")
 	}
-	lsn := LSN(len(l.buf))
-	l.buf = binary.BigEndian.AppendUint32(l.buf, uint32(len(body)))
-	l.buf = append(l.buf, byte(rec.Type()))
-	l.buf = append(l.buf, body...)
+	t := l.tail()
+	n := len(t.data)
+	frame := append(t.data[n:n:cap(t.data)], 0, 0, 0, 0, byte(typ))
+	frame = rec.encodeBody(frame)
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-frameHeaderSize))
+	var lsn LSN
+	if len(frame) <= cap(t.data)-n {
+		// No append outgrew the spare capacity: frame is t.data[n:].
+		lsn = t.end()
+		t.data = t.data[:n+len(frame)]
+	} else {
+		lsn = l.appendFrame(frame)
+	}
 	l.recCount++
-	l.appendCount[rec.Type()]++
+	l.appendCount[typ]++
 	return lsn, nil
 }
 
@@ -124,6 +242,32 @@ func (l *Log) MustAppend(rec Record) LSN {
 	return lsn
 }
 
+// persist writes the retained bytes of [l.persisted, to) through the
+// backend, syncs, and advances l.persisted. Callers hold flushMu and
+// l.mu; persist drops l.mu around the IO (appends continue meanwhile —
+// segment bytes never move or change once written) and retakes it.
+func (l *Log) persist(to LSN) error {
+	be := l.backend
+	if be == nil || to <= l.persisted {
+		return nil
+	}
+	cs := l.chunks(l.persisted, to)
+	l.mu.Unlock()
+	err := func() error {
+		for _, c := range cs {
+			if err := be.WriteAt(c.seg, c.base, c.data); err != nil {
+				return err
+			}
+		}
+		return be.Sync()
+	}()
+	l.mu.Lock()
+	if err == nil {
+		l.persisted = to
+	}
+	return err
+}
+
 // Flush makes everything appended so far stable and returns the new end
 // of stable log (the eLSN of the EOSL protocol). With a backend
 // attached this is a real log force — the unpersisted tail is written
@@ -134,39 +278,23 @@ func (l *Log) Flush() LSN {
 	l.flushMu.Lock()
 	defer l.flushMu.Unlock()
 	l.mu.Lock()
-	end := len(l.buf)
-	recs := l.recCount
-	buf := l.buf
-	be := l.backend
-	from := l.persisted
-	l.mu.Unlock()
-
-	if be != nil && int64(end) > from {
-		// buf is append-only: [from:end) is immutable even while other
-		// goroutines extend the tail past end.
-		if err := be.WriteAt(buf[from:end], from); err != nil {
-			panic(fmt.Sprintf("wal: log force failed: %v", err))
-		}
-		if err := be.Sync(); err != nil {
-			panic(fmt.Sprintf("wal: log force failed: %v", err))
-		}
-	}
-
-	l.mu.Lock()
 	defer l.mu.Unlock()
-	if int64(end) > l.persisted {
-		l.persisted = int64(end)
+	end := l.tail().end()
+	recs := l.recCount
+	if err := l.persist(end); err != nil {
+		panic(fmt.Sprintf("wal: log force failed: %v", err))
 	}
-	if LSN(end) > l.flushedLSN {
-		l.flushedLSN = LSN(end)
+	if end > l.flushedLSN {
+		l.flushedLSN = end
 		l.stableRecs = recs
 	}
 	return l.flushedLSN
 }
 
 // SetBackend attaches the log's persistent device and persists the
-// current stable prefix through it (a fresh log persists its header).
-// Everything appended afterward becomes durable at the next Flush.
+// retained stable prefix through it (a fresh log persists an empty
+// first segment). Everything appended afterward becomes durable at the
+// next Flush.
 func (l *Log) SetBackend(b Backend) error {
 	l.flushMu.Lock()
 	defer l.flushMu.Unlock()
@@ -175,15 +303,22 @@ func (l *Log) SetBackend(b Backend) error {
 	if l.backend != nil {
 		return fmt.Errorf("wal: log already has a backend")
 	}
-	if err := b.WriteAt(l.buf[:l.flushedLSN], 0); err != nil {
-		return err
+	l.backend, l.persisted = b, l.segs[0].base
+	err := l.persist(l.flushedLSN)
+	// A segment that starts at the stable boundary holds no stable byte
+	// yet, but gets its file all the same: a reopen finds where the log
+	// ends from the last file alone.
+	for _, s := range l.segs {
+		if err == nil && s.base == l.flushedLSN {
+			if err = b.WriteAt(s.base, s.base, nil); err == nil {
+				err = b.Sync()
+			}
+		}
 	}
-	if err := b.Sync(); err != nil {
-		return err
+	if err != nil {
+		l.backend = nil
 	}
-	l.backend = b
-	l.persisted = int64(l.flushedLSN)
-	return nil
+	return err
 }
 
 // Backend returns the attached persistent device (nil for the in-memory
@@ -196,7 +331,7 @@ func (l *Log) Backend() Backend {
 
 // CloseBackend closes the persistent device without a final force and
 // freezes the log — the shape of a crash: the volatile tail is lost,
-// the file holds exactly the stable prefix.
+// the files hold exactly the stable prefix.
 func (l *Log) CloseBackend() error {
 	l.flushMu.Lock()
 	defer l.flushMu.Unlock()
@@ -238,173 +373,286 @@ func (l *Log) FlushedLSN() LSN {
 func (l *Log) EndLSN() LSN {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return LSN(len(l.buf))
+	return l.tail().end()
+}
+
+// StartLSN returns the LSN of the oldest retained byte: FirstLSN until
+// the first Release, the base of the oldest retained segment after.
+// Every LSN in [StartLSN, EndLSN) is readable; StartLSN - FirstLSN is
+// how many bytes have been released.
+func (l *Log) StartLSN() LSN {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.segs[0].base
+}
+
+// Segments returns how many segments the log retains, the tail
+// included.
+func (l *Log) Segments() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.segs)
 }
 
 // AppendCount reports how many records of type t have been appended.
 func (l *Log) AppendCount(t Type) int64 {
+	if int(t) >= len(l.appendCount) {
+		return 0
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.appendCount[t]
 }
 
-// Snapshot returns the crash-surviving view of the log: only the stable
-// prefix, frozen against appends. Recovery scans the snapshot.
-func (l *Log) Snapshot() *Log {
+// Release drops every sealed segment that lies wholly below before and
+// returns the new StartLSN. The bound is clamped to the stable (and,
+// with a backend, persisted) boundary and to every registered hold, and
+// the tail is never dropped, so a release can only take segments no
+// reader is still entitled to. With a backend the segments' files are
+// unlinked, oldest first: the files left behind are a gapless suffix
+// whenever the process dies. The caller is responsible for `before`
+// itself — the redo scan start point and the oldest active
+// transaction's first record must not lie below it, and whatever makes
+// that so (the master record) must already be durable.
+func (l *Log) Release(before LSN) (LSN, error) {
+	l.flushMu.Lock()
+	defer l.flushMu.Unlock()
+	l.mu.Lock()
+	before = min(before, l.flushedLSN)
+	if l.backend != nil {
+		before = min(before, l.persisted)
+	}
+	for _, h := range l.holds {
+		before = min(before, h.at)
+	}
+	n := 0
+	for n < len(l.segs)-1 && l.segs[n].end() <= before {
+		n++
+	}
+	var dropped []LSN // the files to unlink, when the log has files
+	if l.backend != nil {
+		for _, s := range l.segs[:n] {
+			dropped = append(dropped, s.base)
+		}
+	}
+	// Shift down rather than reslice: the slots left behind would keep
+	// the dropped segments reachable.
+	kept := copy(l.segs, l.segs[n:])
+	clear(l.segs[kept:])
+	l.segs = l.segs[:kept]
+	start, be := l.segs[0].base, l.backend
+	l.mu.Unlock()
+	for _, base := range dropped {
+		if err := be.Remove(base); err != nil {
+			return start, fmt.Errorf("wal: releasing segment %v: %w", base, err)
+		}
+	}
+	return start, nil
+}
+
+// addHold registers a retention pin at lsn.
+func (l *Log) addHold(lsn LSN) *hold {
+	h := &hold{at: lsn}
+	l.mu.Lock()
+	l.holds = append(l.holds, h)
+	l.mu.Unlock()
+	return h
+}
+
+// moveHold advances h to lsn; a hold never moves backwards.
+func (l *Log) moveHold(h *hold, lsn LSN) {
+	l.mu.Lock()
+	h.at = max(h.at, lsn)
+	l.mu.Unlock()
+}
+
+// dropHold unregisters h (a no-op if it already is).
+func (l *Log) dropHold(h *hold) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return &Log{
-		buf:         l.buf[:l.flushedLSN:l.flushedLSN],
-		flushedLSN:  l.flushedLSN,
-		frozen:      true,
-		recCount:    l.stableRecs,
-		stableRecs:  l.stableRecs,
-		appendCount: make(map[Type]int64),
+	for i, x := range l.holds {
+		if x == h {
+			l.holds = append(l.holds[:i], l.holds[i+1:]...)
+			return
+		}
 	}
 }
 
-// TearTail corrupts the log with the first nBytes of a synthetic record
-// frame past its stable end — the in-memory analogue of wal.TearFile: a
-// crash captured mid-log-force, the torn frame never completed. Meant
-// for crash snapshots (it ignores the frozen flag); CloneTrimmed must
-// discard the tear via the codec's ErrTruncated path, exactly as
-// OpenLogFile does for a real file.
-func (l *Log) TearTail(nBytes int) error {
-	if nBytes <= 0 {
-		return fmt.Errorf("wal: torn-tail size must be positive, got %d", nBytes)
+// fork returns a log over l's stable prefix: every segment wholly below
+// the stable boundary is shared, and the stable bytes of the one the
+// boundary falls in are copied into the fork's own tail — the copy is
+// the only cost, so snapshots and clones are O(tail) whatever the log's
+// length. The tail gets no spare capacity; a fork that is appended to
+// seals it and opens a fresh segment.
+func (l *Log) fork(frozen bool) *Log {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := 0
+	for n < len(l.segs)-1 && l.segs[n].end() <= l.flushedLSN {
+		n++
 	}
-	frame := make([]byte, frameHeaderSize+nBytes)
-	binary.BigEndian.PutUint32(frame, uint32(1<<24)) // body length far past any real frame
+	last := l.segs[n]
+	segs := make([]*segment, n+1)
+	copy(segs, l.segs[:n])
+	segs[n] = &segment{base: last.base, data: append([]byte(nil), last.data[:l.flushedLSN-last.base]...)}
+	return &Log{
+		segs:       segs,
+		segCap:     l.segCap,
+		flushedLSN: l.flushedLSN,
+		frozen:     frozen,
+		recCount:   l.stableRecs,
+		stableRecs: l.stableRecs,
+	}
+}
+
+// Snapshot returns the crash-surviving view of the log: only the stable
+// prefix, frozen against appends. Recovery scans the snapshot.
+func (l *Log) Snapshot() *Log { return l.fork(true) }
+
+// Clone returns a writable continuation of the log's stable prefix.
+// Recovery clones the crash snapshot so undo can append CLRs and the
+// recovered engine can continue logging, while other recovery methods
+// still see the pristine snapshot.
+func (l *Log) Clone() *Log { return l.fork(false) }
+
+// tornFrame returns the first n bytes of a synthetic record frame that
+// claims a body far past any real one: what a log force cut short by a
+// crash leaves behind.
+func tornFrame(n int) ([]byte, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("wal: torn-tail size must be positive, got %d", n)
+	}
+	frame := make([]byte, frameHeaderSize+n)
+	binary.BigEndian.PutUint32(frame, uint32(1<<24))
 	frame[4] = byte(TypeUpdate)
 	for i := frameHeaderSize; i < len(frame); i++ {
 		frame[i] = 0xA5
 	}
-	frame = frame[:nBytes]
+	return frame[:n], nil
+}
+
+// TearTail corrupts the log with the first nBytes of a synthetic record
+// frame past its stable end — the in-memory analogue of wal.TearDir: a
+// crash captured mid-log-force, the torn frame never completed. Meant
+// for crash snapshots (it ignores the frozen flag); CloneTrimmed must
+// discard the tear via the codec's ErrTruncated path, exactly as
+// OpenLogDir does for real files.
+func (l *Log) TearTail(nBytes int) error {
+	frame, err := tornFrame(nBytes)
+	if err != nil {
+		return err
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	// Snapshot returns a capacity-clipped slice, so this append cannot
-	// scribble over the parent log's tail.
-	l.buf = append(l.buf[:l.flushedLSN], frame...)
-	l.flushedLSN = LSN(len(l.buf))
+	t := l.tail()
+	if l.flushedLSN < t.base {
+		return fmt.Errorf("wal: tearing a log whose stable end %v is not in its tail segment", l.flushedLSN)
+	}
+	// A snapshot's tail is its own copy, so this cannot scribble over
+	// the parent log.
+	t.data = append(t.data[:l.flushedLSN-t.base], frame...)
+	l.flushedLSN = t.end()
 	l.torn = true
 	return nil
 }
 
-// CloneTrimmed is Clone with the restart-path trim: the copy's frames
-// are walked from the start and the log is cut back to the last
-// complete record, discarding a torn tail (ErrTruncated) the way
-// OpenLogFile trims a real log file. With no injected tear it is
-// exactly Clone — and skips the walk.
+// CloneTrimmed is Clone with the restart-path trim: the tail segment's
+// frames are walked (sealed segments hold only complete ones) and the
+// log is cut back to the last complete record, discarding a torn tail
+// (ErrTruncated) the way OpenLogDir trims the last segment file. With
+// no injected tear it is exactly Clone — and skips the walk.
 func (l *Log) CloneTrimmed() *Log {
+	c := l.Clone()
 	l.mu.Lock()
 	torn := l.torn
 	l.mu.Unlock()
 	if !torn {
-		return l.Clone()
+		return c
 	}
-	c := l.Clone()
-	end := FirstLSN()
-	var recs int64
-	for int(end) < len(c.buf) {
-		_, next, err := c.decodeAt(end)
+	t := c.tail()
+	good := t.base
+	for good < t.end() {
+		_, next, err := decodeFrame(t.data, t.base, good)
 		if err != nil {
 			break // torn or corrupt tail: trim back to the last good frame
 		}
-		recs++
-		end = next
+		good = next
 	}
-	if int(end) < len(c.buf) {
-		c.buf = c.buf[:end]
-		c.flushedLSN = end
-		c.recCount = recs
-		c.stableRecs = recs
-	}
+	t.data = t.data[:good-t.base]
+	c.flushedLSN = good
 	return c
-}
-
-// Clone returns a writable copy of the log's stable prefix. Recovery
-// clones the crash snapshot so undo can append CLRs and the recovered
-// engine can continue logging, while other recovery methods still see
-// the pristine snapshot.
-func (l *Log) Clone() *Log {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	buf := make([]byte, l.flushedLSN)
-	copy(buf, l.buf[:l.flushedLSN])
-	return &Log{
-		buf:         buf,
-		flushedLSN:  l.flushedLSN,
-		recCount:    l.stableRecs,
-		stableRecs:  l.stableRecs,
-		appendCount: make(map[Type]int64),
-	}
 }
 
 // Get decodes the record at lsn. It does not charge IO; use it for
 // normal-operation rollback (the tail is in memory) and for undo
 // backchain walks, whose cost the paper treats as constant across
-// methods (§2.1).
+// methods (§2.1). An LSN below StartLSN fails with ErrReleased.
 func (l *Log) Get(lsn LSN) (Record, error) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	rec, _, err := l.decodeAt(lsn)
+	i, err := l.segIndex(lsn)
+	if err != nil {
+		l.mu.Unlock()
+		return nil, err
+	}
+	base, data := l.segs[i].base, l.segs[i].data
+	l.mu.Unlock()
+	rec, _, err := decodeFrame(data, base, lsn)
 	return rec, err
 }
 
-// readAt is the locked decode used by scanners; like decodeAt it
-// returns the record and the LSN one past its frame.
-func (l *Log) readAt(lsn LSN) (Record, LSN, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.decodeAt(lsn)
-}
-
-// decodeAt parses the frame at lsn, returning the record and the LSN
-// one past its frame. Callers must hold l.mu.
-func (l *Log) decodeAt(lsn LSN) (Record, LSN, error) {
-	rec, end, err := decodeFrame(l.buf, int(lsn))
-	if err != nil {
-		return nil, NilLSN, err
+// decodeFrame parses the frame at lsn in data, one segment's bytes (or
+// a prefix of them) starting at LSN base. It returns the record and the
+// LSN one past its frame. It takes no lock: callers pass bytes that no
+// longer change.
+func decodeFrame(data []byte, base, lsn LSN) (Record, LSN, error) {
+	end := base + LSN(len(data))
+	if lsn < base || lsn >= end {
+		return nil, NilLSN, fmt.Errorf("%w: %v (log end %d)", ErrOutOfRange, lsn, end)
 	}
-	return rec, LSN(end), nil
-}
-
-// decodeFrame parses the frame at byte offset off in buf, where buf is
-// a whole-log byte view (fixed header included, offsets are LSNs). It
-// returns the record and the offset one past its frame. This is the
-// lock-free core shared by the locked decodeAt and the segment-scan
-// workers, which run over an immutable snapshot of the stable prefix.
-func decodeFrame(buf []byte, off int) (Record, int, error) {
-	if off < logHeaderSize || off >= len(buf) {
-		return nil, 0, fmt.Errorf("%w: %v (log end %d)", ErrOutOfRange, LSN(off), len(buf))
-	}
-	if off+frameHeaderSize > len(buf) {
+	off := int(lsn - base)
+	if off+frameHeaderSize > len(data) {
 		// A frame header cut short is a torn tail, not a bad LSN.
-		return nil, 0, fmt.Errorf("%w: frame header at %v crosses log end %d", ErrTruncated, LSN(off), len(buf))
+		return nil, NilLSN, fmt.Errorf("%w: frame header at %v crosses log end %d", ErrTruncated, lsn, end)
 	}
-	bodyLen := int(binary.BigEndian.Uint32(buf[off:]))
-	t := Type(buf[off+4])
+	bodyLen := int(binary.BigEndian.Uint32(data[off:]))
+	t := Type(data[off+4])
 	bodyStart := off + frameHeaderSize
-	if bodyStart+bodyLen > len(buf) {
-		return nil, 0, fmt.Errorf("%w: record at %v runs past log end", ErrTruncated, LSN(off))
+	if bodyLen > len(data)-bodyStart {
+		return nil, NilLSN, fmt.Errorf("%w: record at %v runs past log end", ErrTruncated, lsn)
 	}
 	rec, err := newRecord(t)
 	if err != nil {
-		return nil, 0, err
+		return nil, NilLSN, err
 	}
-	if err := rec.decodeBody(buf[bodyStart : bodyStart+bodyLen]); err != nil {
-		return nil, 0, fmt.Errorf("decoding %v at %v: %w", t, LSN(off), err)
+	if err := rec.decodeBody(data[bodyStart : bodyStart+bodyLen]); err != nil {
+		return nil, NilLSN, fmt.Errorf("decoding %v at %v: %w", t, lsn, err)
 	}
-	return rec, bodyStart + bodyLen, nil
+	return rec, base + LSN(bodyStart+bodyLen), nil
 }
 
-// stableView returns the stable prefix as an immutable byte view. The
-// log buffer is append-only and the stable prefix never mutates, so the
-// view stays valid while appends continue past it.
-func (l *Log) stableView() []byte {
+// stableChunk returns the stable bytes of the segment holding lsn, or
+// ok=false when lsn is at or past the stable boundary.
+func (l *Log) stableChunk(lsn LSN) (chunk, bool, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.buf[:l.flushedLSN:l.flushedLSN]
+	if lsn >= l.flushedLSN {
+		return chunk{}, false, nil
+	}
+	i, err := l.segIndex(lsn)
+	if err != nil {
+		return chunk{}, false, err
+	}
+	s := l.segs[i]
+	return chunk{seg: s.base, base: s.base, data: s.data[:min(s.end(), l.flushedLSN)-s.base]}, true, nil
+}
+
+// stableChunks returns the stable log from `from` (clamped to the
+// retained range) as one chunk per segment, each starting on a frame
+// boundary if from is one.
+func (l *Log) stableChunks(from LSN) []chunk {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.chunks(max(from, l.segs[0].base), l.flushedLSN)
 }
 
 // Scanner iterates the stable log in order, charging sequential log-page
@@ -413,6 +661,9 @@ func (l *Log) stableView() []byte {
 type Scanner struct {
 	log  *Log
 	next LSN
+	// cur is the stable part of the segment being read; the log's lock
+	// is taken once per segment, not per record.
+	cur chunk
 	pageCharger
 }
 
@@ -454,26 +705,26 @@ func (c *pageCharger) charge(from, to LSN) {
 // PagesRead reports how many log pages the scan has charged.
 func (c *pageCharger) PagesRead() int64 { return c.pagesRead }
 
-// NewScanner returns a scanner positioned at from (use FirstLSN for the
-// whole log). clock may be nil to scan without charging IO.
+// NewScanner returns a scanner positioned at from, clamped to the
+// retained log: use StartLSN for everything the log still holds
+// (FirstLSN, or anything else below StartLSN, means the same). clock
+// may be nil to scan without charging IO.
 func (l *Log) NewScanner(from LSN, clock *sim.Clock, cost ScanCost) *Scanner {
-	if from < LSN(logHeaderSize) {
-		from = LSN(logHeaderSize)
-	}
-	return &Scanner{log: l, next: from, pageCharger: newPageCharger(clock, cost)}
+	return &Scanner{log: l, next: max(from, l.StartLSN()), pageCharger: newPageCharger(clock, cost)}
 }
-
-// FirstLSN is the LSN of the first record in any log.
-func FirstLSN() LSN { return LSN(logHeaderSize) }
 
 // Next returns the next record and its LSN. It returns ok=false at the
 // end of the stable log.
 func (s *Scanner) Next() (Record, LSN, bool, error) {
-	if s.next >= s.log.FlushedLSN() {
-		return nil, NilLSN, false, nil
+	if s.next >= s.cur.end() {
+		c, ok, err := s.log.stableChunk(s.next)
+		if err != nil || !ok {
+			return nil, NilLSN, false, err
+		}
+		s.cur = c
 	}
 	lsn := s.next
-	rec, end, err := s.log.readAt(lsn)
+	rec, end, err := decodeFrame(s.cur.data, s.cur.base, lsn)
 	if err != nil {
 		return nil, NilLSN, false, err
 	}

@@ -27,8 +27,8 @@ type SegConfig struct {
 	// Workers is the number of concurrent decode goroutines. Zero picks
 	// min(GOMAXPROCS, 8).
 	Workers int
-	// SegmentBytes is the offset-aligned segment size the stable log is
-	// carved into. Zero picks 256 KiB. Smaller segments spread skewed
+	// SegmentBytes is the offset-aligned decode-unit size each log
+	// segment's stable bytes are carved into. Zero picks 256 KiB. Smaller segments spread skewed
 	// logs better; larger segments amortise boundary discovery.
 	SegmentBytes int
 	// MaxAhead bounds how many segments may be claimed by workers but
@@ -99,16 +99,23 @@ type SegStats struct {
 	Segment []SegmentStat
 }
 
-type segBounds struct{ start, end int }
+// segBounds is one decode unit: the LSN range [start, end) of the log
+// segment view[phys]. known marks a unit that starts where its log
+// segment does, which is a frame boundary by construction.
+type segBounds struct {
+	start, end LSN
+	phys       int
+	known      bool
+}
 
 type segItem struct {
 	rec Record
 	lsn LSN
-	end int
+	end LSN
 }
 
 type segResult struct {
-	first int // discovered first frame offset (== seg end if none)
+	first LSN // discovered first frame LSN (== unit end if none)
 	items []segItem
 	err   error // decode error; legitimate only at the log's true tail
 	took  time.Duration
@@ -117,9 +124,13 @@ type segResult struct {
 // SegScanner decodes the stable log with concurrent workers and
 // re-stitches the per-segment streams into exact LSN order.
 //
-// Segment 0 starts at the requested scan position; every later worker
-// finds its first frame by scanning forward to the first offset where
-// a complete frame decodes — the same full-frame validation
+// The decode units ("segments" in SegConfig and the stats) are carved
+// inside each physical log segment, so a unit's frames lie in one
+// contiguous slice. The first unit of every log segment starts on a
+// known frame boundary (the scan position, or the segment's base);
+// every other worker finds its first frame by scanning forward to the
+// first offset where a complete frame decodes — the same full-frame
+// validation
 // AppendStable applies to shipped bytes. The stitcher then verifies
 // continuity: a segment is accepted only if its discovered boundary
 // equals the byte the stitched stream expects next; otherwise the
@@ -135,7 +146,7 @@ type segResult struct {
 // (the embedded pageCharger), so LogPagesRead and virtual scan time
 // match the serial path and are charged once, on the stitcher.
 type SegScanner struct {
-	view []byte
+	view []chunk // the stable log from the scan start, one per log segment
 	cfg  SegConfig
 	pageCharger
 
@@ -148,7 +159,7 @@ type SegScanner struct {
 	cur      int // next segment index to consume
 	curRes   *segResult
 	curI     int
-	expected int // byte offset the stitched stream must produce next
+	expected LSN // the LSN the stitched stream must produce next
 	err      error
 
 	stall   time.Duration
@@ -158,30 +169,27 @@ type SegScanner struct {
 }
 
 // NewSegScanner returns a segmented parallel scanner positioned at
-// from (use FirstLSN for the whole log). clock may be nil to scan
-// without charging IO. The zero SegConfig picks sensible defaults.
-// Call Close when abandoning the scan early; a scan driven to
+// from, clamped to the retained log like NewScanner. clock may be nil
+// to scan without charging IO. The zero SegConfig picks sensible
+// defaults. Call Close when abandoning the scan early; a scan driven to
 // completion needs no Close but may call it.
 func (l *Log) NewSegScanner(from LSN, clock *sim.Clock, cost ScanCost, cfg SegConfig) *SegScanner {
-	if from < LSN(logHeaderSize) {
-		from = LSN(logHeaderSize)
-	}
 	cfg = cfg.withDefaults()
-	view := l.stableView()
 	s := &SegScanner{
-		view:        view,
+		view:        l.stableChunks(from),
 		cfg:         cfg,
 		pageCharger: newPageCharger(clock, cost),
-		expected:    int(from),
 		stop:        make(chan struct{}),
 	}
-	for b := int(from); b < len(view); {
-		end := (b/cfg.SegmentBytes + 1) * cfg.SegmentBytes
-		if end > len(view) {
-			end = len(view)
+	if len(s.view) > 0 {
+		s.expected = s.view[0].base
+	}
+	for i, c := range s.view {
+		for b := c.base; b < c.end(); {
+			end := min((b/LSN(cfg.SegmentBytes)+1)*LSN(cfg.SegmentBytes), c.end())
+			s.segs = append(s.segs, segBounds{start: b, end: end, phys: i, known: b == c.base})
+			b = end
 		}
-		s.segs = append(s.segs, segBounds{b, end})
-		b = end
 	}
 	s.results = make([]chan *segResult, len(s.segs))
 	for i := range s.results {
@@ -189,7 +197,7 @@ func (l *Log) NewSegScanner(from LSN, clock *sim.Clock, cost ScanCost, cfg SegCo
 	}
 	s.perSeg = make([]SegmentStat, len(s.segs))
 	for i, sb := range s.segs {
-		s.perSeg[i] = SegmentStat{Start: LSN(sb.start), End: LSN(sb.end), First: NilLSN}
+		s.perSeg[i] = SegmentStat{Start: sb.start, End: sb.end, First: NilLSN}
 	}
 	s.sem = make(chan struct{}, cfg.MaxAhead)
 	workers := cfg.Workers
@@ -228,40 +236,48 @@ func (s *SegScanner) worker() {
 
 func (s *SegScanner) decodeSegment(i int) *segResult {
 	t0 := time.Now()
-	segStart, segEnd := s.segs[i].start, s.segs[i].end
-	off := segStart
-	if i > 0 {
-		off = s.findFrame(segStart, segEnd)
+	u := s.segs[i]
+	off := u.start
+	if !u.known {
+		off = s.findFrame(u)
 	}
-	res := &segResult{first: off}
-	// Frames whose start is inside the segment belong to it, even when
-	// the body straddles the boundary; the next segment's worker skips
-	// forward past the straddle when it locks on.
-	for off < segEnd {
-		rec, next, err := decodeFrame(s.view, off)
-		if err != nil {
-			res.err = err
-			break
-		}
-		res.items = append(res.items, segItem{rec, LSN(off), next})
-		off = next
-	}
+	res := s.decodeFrom(u, off)
 	res.took = time.Since(t0)
 	return res
 }
 
-// findFrame scans forward from off for the first offset where a
+// decodeFrom decodes unit u's frames starting at off. Frames whose
+// start is inside the unit belong to it, even when the body straddles
+// its end; the next unit's worker skips forward past the straddle when
+// it locks on.
+func (s *SegScanner) decodeFrom(u segBounds, off LSN) *segResult {
+	c := s.view[u.phys]
+	res := &segResult{first: off}
+	for off < u.end {
+		rec, next, err := decodeFrame(c.data, c.base, off)
+		if err != nil {
+			res.err = err
+			break
+		}
+		res.items = append(res.items, segItem{rec, off, next})
+		off = next
+	}
+	return res
+}
+
+// findFrame scans forward from u's start for the first offset where a
 // complete frame decodes — the same validation screen AppendStable
 // applies to shipped bytes. A lock onto bytes that merely look like a
 // frame is caught by the stitcher's continuity check, so discovery
 // only has to be right often enough to be fast, never for correctness.
-func (s *SegScanner) findFrame(off, end int) int {
-	for ; off < end; off++ {
-		if _, _, err := decodeFrame(s.view, off); err == nil {
+func (s *SegScanner) findFrame(u segBounds) LSN {
+	c := s.view[u.phys]
+	for off := u.start; off < u.end; off++ {
+		if _, _, err := decodeFrame(c.data, c.base, off); err == nil {
 			return off
 		}
 	}
-	return end
+	return u.end
 }
 
 // Next returns the next record and its LSN, in exact log order. It
@@ -276,7 +292,7 @@ func (s *SegScanner) Next() (Record, LSN, bool, error) {
 			if s.curI < len(s.curRes.items) {
 				it := s.curRes.items[s.curI]
 				s.curI++
-				s.charge(it.lsn, LSN(it.end))
+				s.charge(it.lsn, it.end)
 				s.expected = it.end
 				s.records++
 				return it.rec, it.lsn, true, nil
@@ -302,7 +318,7 @@ func (s *SegScanner) loadSegment() {
 	segEnd := s.segs[i].end
 	res := s.take(i)
 	st := &s.perSeg[i]
-	st.First = LSN(res.first)
+	st.First = res.first
 	st.DecodeTime = res.took
 	if s.expected >= segEnd {
 		// A frame from an earlier segment swallowed this one whole;
@@ -320,17 +336,7 @@ func (s *SegScanner) loadSegment() {
 	// found none). Discard its output and re-decode serially from the
 	// byte the stream expects — correctness never depends on discovery.
 	t0 := time.Now()
-	fb := &segResult{first: s.expected}
-	off := s.expected
-	for off < segEnd {
-		rec, next, err := decodeFrame(s.view, off)
-		if err != nil {
-			fb.err = err
-			break
-		}
-		fb.items = append(fb.items, segItem{rec, LSN(off), next})
-		off = next
-	}
+	fb := s.decodeFrom(s.segs[i], s.expected)
 	s.resyncs++
 	st.Resynced = true
 	st.Records = len(fb.items)

@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -16,12 +15,7 @@ import (
 // frame — planted inside record bodies as a decoy so findFrame can
 // lock onto a false boundary and the stitcher's continuity check has
 // to catch it.
-func fakeFrameBytes() []byte {
-	body := (&CommitRec{TxnID: 3, PrevLSN: 123}).encodeBody(nil)
-	frame := binary.BigEndian.AppendUint32(nil, uint32(len(body)))
-	frame = append(frame, byte(TypeCommit))
-	return append(frame, body...)
-}
+func fakeFrameBytes() []byte { return encodeFrame(&CommitRec{TxnID: 3, PrevLSN: 123}) }
 
 func randVal(rng *rand.Rand, decoy []byte) []byte {
 	n := rng.Intn(200)

@@ -27,36 +27,42 @@ type Segment struct {
 // End returns the LSN one past the segment's last byte.
 func (s Segment) End() LSN { return s.From + LSN(len(s.Data)) }
 
-// ReadStable copies up to max bytes of the stable log starting at from
-// (max <= 0 means no bound). When a backend is attached the bytes come
+// ReadStable copies up to limit bytes of the stable log starting at from
+// (limit <= 0 means no bound). When a backend is attached the bytes come
 // from the log device — the shipper tails what is actually durable —
-// otherwise from the in-memory stable prefix. A nil slice means from is
-// at (or past) the stable boundary: the reader has caught up.
-func (l *Log) ReadStable(from LSN, max int) ([]byte, error) {
-	if from < FirstLSN() {
-		from = FirstLSN()
-	}
+// otherwise from the in-memory segments. A nil slice means from is at
+// (or past) the stable boundary: the reader has caught up. A from below
+// StartLSN fails with ErrReleased.
+func (l *Log) ReadStable(from LSN, limit int) ([]byte, error) {
+	from = max(from, FirstLSN())
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if from >= l.flushedLSN {
 		return nil, nil
 	}
-	n := int(l.flushedLSN - from)
-	if max > 0 && n > max {
-		n = max
+	if _, err := l.segIndex(from); err != nil {
+		return nil, err
 	}
-	out := make([]byte, n)
-	if l.backend != nil {
-		// Under mu so CloseBackend (a crash) cannot close the file out
+	to := l.flushedLSN
+	if limit > 0 {
+		to = min(to, from+LSN(limit))
+	}
+	out := make([]byte, 0, to-from)
+	for _, c := range l.chunks(from, to) {
+		if l.backend == nil {
+			out = append(out, c.data...)
+			continue
+		}
+		// Under mu so CloseBackend (a crash) cannot close the files out
 		// from underneath the read; the stable prefix is fully persisted
 		// (Flush syncs before advancing flushedLSN), so the device read
 		// cannot see a partial frame the memory path would not.
-		if _, err := l.backend.ReadAt(out, int64(from)); err != nil {
-			return nil, fmt.Errorf("wal: reading stable log at %v: %w", from, err)
+		n := len(out)
+		out = out[:n+len(c.data)]
+		if _, err := l.backend.ReadAt(c.seg, c.base, out[n:]); err != nil {
+			return nil, fmt.Errorf("wal: reading stable log at %v: %w", c.base, err)
 		}
-		return out, nil
 	}
-	copy(out, l.buf[from:int(from)+n])
 	return out, nil
 }
 
@@ -80,8 +86,8 @@ const maxShipFrameBody = 4 << 20
 //     the log untouched, so a delayed or lost segment cannot punch a
 //     hole — the shipper resumes from the returned watermark;
 //   - a trailing frame cut short by the segment boundary or a torn
-//     transfer (the codec's ErrTruncated, the same screen OpenLogFile
-//     applies to a torn file) is buffered but not counted stable:
+//     transfer (the codec's ErrTruncated, the same screen OpenLogDir
+//     applies to a torn segment file) is buffered but not counted stable:
 //     FlushedLSN stops at the last complete frame until the rest of
 //     the frame arrives;
 //   - a frame that fails to decode, or a partial frame claiming an
@@ -105,8 +111,8 @@ func (l *Log) AppendStable(from LSN, data []byte) (LSN, error) {
 		return l.flushedLSN, fmt.Errorf("wal: shipped segment into frozen log")
 	}
 	if from < FirstLSN() {
-		// The log header is written by NewLog on both sides and is not
-		// part of the record stream; clamp a from-zero ship to it.
+		// LSN space starts at FirstLSN on both sides; nothing below it
+		// is part of the record stream. Clamp a from-zero ship to it.
 		if len(data) >= int(FirstLSN()-from) {
 			data = data[FirstLSN()-from:]
 		} else {
@@ -114,10 +120,11 @@ func (l *Log) AppendStable(from LSN, data []byte) (LSN, error) {
 		}
 		from = FirstLSN()
 	}
-	ingest := LSN(len(l.buf))
-	if ingest != l.flushedLSN+LSN(l.heldShip) {
-		return l.flushedLSN, fmt.Errorf("wal: log has a volatile tail (%v past stable %v); cannot ingest shipped segments", ingest, l.flushedLSN)
+	base := l.tail().end()
+	if base != l.flushedLSN {
+		return l.flushedLSN, fmt.Errorf("wal: log has a volatile tail (%v past stable %v); cannot ingest shipped segments", base, l.flushedLSN)
 	}
+	ingest := base + LSN(len(l.held))
 	if from > ingest {
 		return ingest, fmt.Errorf("%w: segment at %v, log ends at %v", ErrShipGap, from, ingest)
 	}
@@ -125,85 +132,89 @@ func (l *Log) AppendStable(from LSN, data []byte) (LSN, error) {
 	if skip >= len(data) {
 		return ingest, nil // wholly duplicate: idempotent no-op
 	}
-	l.buf = append(l.buf, data[skip:]...)
+	// src is every byte past the last complete frame, its first at LSN
+	// base: the new bytes, behind whatever an earlier segment left held.
+	src := data[skip:]
+	if len(l.held) > 0 {
+		l.held = append(l.held, src...)
+		src = l.held
+	}
 
-	// Frame walk from the last complete frame (a previously buffered
-	// partial frame may now be complete): exactly OpenLogFile's restart
-	// screen, applied per segment instead of per file.
-	good := l.flushedLSN
+	// Frame walk: exactly OpenLogDir's restart screen, applied per
+	// shipped segment instead of per file. Each complete frame moves to
+	// the chain, so no frame ever straddles two log segments.
+	off := 0
 	var walkErr error
-	for int(good) < len(l.buf) {
-		rec, next, err := l.decodeAt(good)
+	for off < len(src) {
+		at := base + LSN(off)
+		rec, next, err := decodeFrame(src, base, at)
 		if err == nil {
+			l.appendFrame(src[off : next-base])
 			l.recCount++
 			l.stableRecs++
 			l.appendCount[rec.Type()]++
-			good = next
+			off = int(next - base)
 			continue
 		}
-		if errors.Is(err, ErrTruncated) && l.saneFrameClaim(good) {
-			break // incomplete trailing frame: buffer it, await the rest
+		if errors.Is(err, ErrTruncated) && saneFrameClaim(src[off:]) {
+			break // incomplete trailing frame: hold it, await the rest
 		}
-		l.buf = l.buf[:good]
-		walkErr = fmt.Errorf("wal: corrupt shipped frame at %v: %w", good, err)
+		src = src[:off]
+		walkErr = fmt.Errorf("wal: corrupt shipped frame at %v: %w", at, err)
 		break
 	}
-	l.flushedLSN = good
-	l.heldShip = len(l.buf) - int(good)
-	if l.backend != nil && int64(good) > l.persisted {
-		if err := l.backend.WriteAt(l.buf[l.persisted:good], l.persisted); err != nil {
-			return good, fmt.Errorf("wal: persisting shipped segment: %w", err)
-		}
-		if err := l.backend.Sync(); err != nil {
-			return good, fmt.Errorf("wal: syncing shipped segment: %w", err)
-		}
-		l.persisted = int64(good)
+	l.held = append(l.held[:0], src[off:]...)
+	l.flushedLSN = l.tail().end()
+	if err := l.persist(l.flushedLSN); err != nil {
+		return l.flushedLSN, fmt.Errorf("wal: persisting shipped segment: %w", err)
 	}
-	return LSN(len(l.buf)), walkErr
+	return l.flushedLSN + LSN(len(l.held)), walkErr
 }
 
-// saneFrameClaim reports whether the partial frame at lsn could be the
-// prefix of a real frame: either too short to read its body-length
-// claim yet, or claiming a body within maxShipFrameBody.
-func (l *Log) saneFrameClaim(lsn LSN) bool {
-	rest := l.buf[lsn:]
+// saneFrameClaim reports whether rest could be the prefix of a real
+// frame: either too short to read its body-length claim yet, or
+// claiming a body within maxShipFrameBody.
+func saneFrameClaim(rest []byte) bool {
 	if len(rest) < 4 {
 		return true
 	}
 	return int(binary.BigEndian.Uint32(rest)) <= maxShipFrameBody
 }
 
-// DropPartialTail discards buffered shipped bytes held past the last
-// complete frame — promotion's equivalent of recovery's torn-tail
-// trim. A promoted standby calls it before its first local append; the
-// partial frame's content is still on the dead primary's log, exactly
-// like any torn tail, and is lost with it.
+// DropPartialTail discards shipped bytes held past the last complete
+// frame — promotion's equivalent of recovery's torn-tail trim. A
+// promoted standby calls it before its first local append; the partial
+// frame's content is still on the dead primary's log, exactly like any
+// torn tail, and is lost with it.
 func (l *Log) DropPartialTail() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.heldShip > 0 {
-		l.buf = l.buf[:l.flushedLSN]
-		l.heldShip = 0
-	}
+	l.held = nil
 }
 
 // ShipReader tails a log's stable prefix in segment-sized batches — the
-// primary-side half of log shipping. It is a cursor, not a lock: the
-// log keeps appending while the reader trails it, and reading remains
-// valid after the primary freezes (a crash), which is how a standby
-// drains the final stable bytes before promotion.
+// primary-side half of log shipping. The log keeps appending while the
+// reader trails it, and reading remains valid after the primary freezes
+// (a crash), which is how a standby drains the final stable bytes
+// before promotion.
+//
+// The reader owns a retention hold on the log: Release never drops a
+// byte the applier has not acknowledged. The hold is not the read
+// cursor — Resume moves the cursor backwards when the channel lost
+// bytes already read — it advances only through Ack, and Close gives it
+// up.
 type ShipReader struct {
 	log  *Log
 	next LSN
+	hold *hold
 }
 
 // NewShipReader returns a reader positioned at from (clamped to
-// FirstLSN; use the applier's watermark to resume an interrupted ship).
+// FirstLSN; use the applier's watermark to resume an interrupted ship),
+// holding the log from there on.
 func (l *Log) NewShipReader(from LSN) *ShipReader {
-	if from < FirstLSN() {
-		from = FirstLSN()
-	}
-	return &ShipReader{log: l, next: from}
+	from = max(from, FirstLSN())
+	return &ShipReader{log: l, next: from, hold: l.addHold(from)}
 }
 
 // Next reads the next segment of at most maxBytes stable bytes
@@ -230,8 +241,14 @@ func (r *ShipReader) Watermark() LSN { return r.next }
 // tail or reported a gap, the shipper resumes from the applier's
 // watermark so the channel self-heals.
 func (r *ShipReader) Resume(from LSN) {
-	if from < FirstLSN() {
-		from = FirstLSN()
-	}
-	r.next = from
+	r.next = max(from, FirstLSN())
 }
+
+// Ack tells the log its applier has durably ingested everything below
+// lsn (the standby log's FlushedLSN): the hold advances to it, never
+// backwards.
+func (r *ShipReader) Ack(lsn LSN) { r.log.moveHold(r.hold, lsn) }
+
+// Close gives up the reader's hold; the log may release what the
+// applier never acknowledged. The reader must not be used afterwards.
+func (r *ShipReader) Close() { r.log.dropHold(r.hold) }

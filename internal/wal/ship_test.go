@@ -2,7 +2,6 @@ package wal
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -50,7 +49,8 @@ func shipAll(t *testing.T, src, dst *Log, segBytes int) {
 	}
 }
 
-func stableBytes(t *testing.T, l *Log) []byte {
+// stableBytes flattens l's stable log, FirstLSN on.
+func stableBytes(t testing.TB, l *Log) []byte {
 	t.Helper()
 	b, err := l.ReadStable(FirstLSN(), 0)
 	if err != nil {
@@ -149,16 +149,14 @@ func TestAppendStableGap(t *testing.T) {
 	}
 }
 
-// tornFrameBytes is the same partial frame TearTail/TearFile inject: a
+// tornFrameBytes is the same partial frame TearTail/TearDir inject: a
 // frame header promising a body far past any real frame, cut short.
 func tornFrameBytes(n int) []byte {
-	frame := make([]byte, frameHeaderSize+n)
-	binary.BigEndian.PutUint32(frame, uint32(1<<24))
-	frame[4] = byte(TypeUpdate)
-	for i := frameHeaderSize; i < len(frame); i++ {
-		frame[i] = 0xA5
+	frame, err := tornFrame(n)
+	if err != nil {
+		panic(err)
 	}
-	return frame[:n]
+	return frame
 }
 
 func TestAppendStableTornTailHeldBack(t *testing.T) {
@@ -243,7 +241,7 @@ func TestAppendStableCorruptFrameRejected(t *testing.T) {
 func TestShipReaderOverFileBackend(t *testing.T) {
 	dir := t.TempDir()
 	primary := NewLog()
-	be, err := CreateFileBackend(filepath.Join(dir, "wal.log"))
+	be, err := CreateFileBackend(filepath.Join(dir, "wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +256,7 @@ func TestShipReaderOverFileBackend(t *testing.T) {
 	// The standby also persists through a backend; its file must be
 	// byte-identical to the primary's after the ship.
 	standby := NewLog()
-	sbe, err := CreateFileBackend(filepath.Join(dir, "standby.log"))
+	sbe, err := CreateFileBackend(filepath.Join(dir, "standby-wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +270,7 @@ func TestShipReaderOverFileBackend(t *testing.T) {
 	if err := standby.CloseBackend(); err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := OpenLogFile(filepath.Join(dir, "standby.log"))
+	reopened, err := OpenLogDir(filepath.Join(dir, "standby-wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +287,7 @@ func TestReadStableSurvivesCrash(t *testing.T) {
 	// still drainable from memory — the promotion path's final drain.
 	dir := t.TempDir()
 	primary := NewLog()
-	be, err := CreateFileBackend(filepath.Join(dir, "wal.log"))
+	be, err := CreateFileBackend(filepath.Join(dir, "wal"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,9 +5,10 @@
 // bracketing records, the SQL-Server-style BW-log records (§3.3), the
 // DC's ∆-log records (§4.1), and the DC's physiological SMO records.
 //
-// An LSN is the byte offset of a record in the log; the log begins with
-// a fixed header so offset 0 never addresses a record and can serve as
-// the nil LSN.
+// An LSN is the byte offset of a record in the log; LSN space begins at
+// FirstLSN so offset 0 never addresses a record and can serve as the nil
+// LSN. The log is stored as a chain of record-aligned segments (log.go)
+// whose boundaries take up no LSN space.
 package wal
 
 import (
@@ -187,4 +188,7 @@ var (
 	ErrBadRecord = errors.New("wal: malformed record")
 	// ErrOutOfRange indicates an LSN outside the stable log.
 	ErrOutOfRange = errors.New("wal: LSN out of range")
+	// ErrReleased indicates an LSN below Log.StartLSN: the segment that
+	// held it has been released.
+	ErrReleased = errors.New("wal: LSN released")
 )
