@@ -2,8 +2,8 @@
 // tc.Sessions at 1/4/16 clients, with records-per-flush reported as a
 // custom metric. Unlike the recovery benchmarks in bench_test.go these
 // measure *wall-clock* throughput — the multi-client write path is real
-// concurrency, not virtual time. cmd/walbench prints the same sweep
-// with nicer formatting and emits BENCH_wal.json.
+// concurrency, not virtual time. cmd/walbench runs the same sweep as a
+// standalone diagnostic.
 package logrec_test
 
 import (

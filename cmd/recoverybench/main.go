@@ -16,20 +16,20 @@
 //  4. Cross-shard sweep (-shards, replaces the other sweeps) — one
 //     engine per shard count over the identical workload, recovered
 //     with serial per-shard passes, so the wall-clock comparison
-//     isolates the concurrency of the shards recovering in parallel;
-//     at the widest count the same crash is recovered twice and the
-//     record counts compared (the cross-shard determinism gate).
+//     isolates the concurrency of the shards recovering in parallel.
 //  5. Recovery-SLO mode (-budget, replaces the other sweeps) — for
 //     each budget and each device (sim and file): a probe crash
 //     measures the device's replay rate, a live sharded engine then
 //     runs committed session traffic under a budget-mode Checkpointer
 //     seeded with that rate, is crashed with losers in flight, and is
-//     recovered with production options. The report records whether
-//     the replay-rate-driven checkpoints actually held replay to the
-//     budget, plus a serial re-recovery of the same crash (CLR count
-//     and log end must match exactly) and a decode-worker sweep over
-//     the sim probe crash (the segmented front-end must emit identical
-//     record counts at every width).
+//     recovered with production options. The report sets the measured
+//     replay time beside the budget the checkpoints were meant to hold
+//     it to.
+//
+// Nothing here is a gate: the numbers that are gated come from
+// benchmark/ (make benchmark), the invariants from go test. These are
+// diagnostic sweeps over dimensions benchmark/ has no workload for yet
+// (redo/undo width, shard count, the file device, the recovery budget).
 //
 // The sweeps run against an NVMe-class device queue (-channels, default
 // 16): the modeled SATA-era depth of 4 caps any replay parallelism at
@@ -42,9 +42,8 @@
 // so the sweeps report end-to-end wall-clock recovery numbers
 // (-realscale is ignored; there is nothing to scale, the IO is real).
 //
-// It emits BENCH_recovery.json (sim), BENCH_recovery_file.json (file),
-// BENCH_recovery_shards.json (-shards) or BENCH_recovery_slo.json
-// (-budget) for the CI bench-regression gate and artifact upload.
+// It prints each sweep as a table and writes the same numbers to -out
+// as JSON (uploaded by CI as an artifact; nothing parses it).
 //
 // Usage:
 //
@@ -101,18 +100,6 @@ type shardResult struct {
 	Speedup     float64 `json:"speedup_vs_1"`
 }
 
-// shardDeterminism reports the double-recovery check at the widest
-// shard count: the same crash recovered twice must replay and apply
-// identical record counts (cross-shard concurrency must not change
-// what recovery does, only how fast).
-type shardDeterminism struct {
-	Shards           int  `json:"shards"`
-	Runs             int  `json:"runs"`
-	RedoRecordsEqual bool `json:"redo_records_equal"`
-	AppliedEqual     bool `json:"applied_equal"`
-	CLRsEqual        bool `json:"clrs_equal"`
-}
-
 type ckptResult struct {
 	ColdRedoRecords int64   `json:"cold_redo_records"`
 	CkptRedoRecords int64   `json:"ckpt_redo_records"`
@@ -123,8 +110,7 @@ type ckptResult struct {
 
 // sloResult is one budget × device run of the recovery-SLO mode: did
 // replay-rate-driven checkpointing hold a crash's replay under the
-// budget, and did the parallel recovery reproduce the serial one
-// byte for byte.
+// budget.
 type sloResult struct {
 	Device              string  `json:"device"`
 	BudgetMS            float64 `json:"budget_ms"`
@@ -136,39 +122,22 @@ type sloResult struct {
 	ReplayMS            float64 `json:"replay_ms"`
 	TotalMS             float64 `json:"total_ms"`
 	LosersUndone        int     `json:"losers_undone"`
-	CLRsParallel        int64   `json:"clrs_parallel"`
-	CLRsSerial          int64   `json:"clrs_serial"`
-	LogEndEqual         bool    `json:"log_end_equal"`
-}
-
-// decodeResult is one width of the decode-worker sweep over the sim
-// probe crash: the segmented front-end's telemetry plus the invariant
-// that widening decode never changes what recovery replays.
-type decodeResult struct {
-	Workers        int     `json:"workers"`
-	WallTotalMS    float64 `json:"wall_total_ms"`
-	DecodeRecords  int64   `json:"decode_records"`
-	DecodeSegments int     `json:"decode_segments"`
-	DecodeResyncs  int64   `json:"decode_resyncs"`
-	DecodeStallMS  float64 `json:"decode_stall_ms"`
-	CLRsWritten    int64   `json:"clrs_written"`
+	CLRsWritten         int64   `json:"clrs_written"`
 }
 
 type report struct {
-	Benchmark   string            `json:"benchmark"`
-	Device      string            `json:"device"`
-	Method      string            `json:"method"`
-	GoMaxProcs  int               `json:"go_max_procs"`
-	Scale       int               `json:"scale"`
-	RealIOScale int               `json:"real_io_scale"`
-	Channels    int               `json:"channels"`
-	Workers     []workerResult    `json:"workers"`
-	UndoWorkers []undoResult      `json:"undo_workers"`
-	Checkpoint  ckptResult        `json:"checkpoint"`
-	Shards      []shardResult     `json:"shards,omitempty"`
-	Determinism *shardDeterminism `json:"determinism,omitempty"`
-	SLO         []sloResult       `json:"slo,omitempty"`
-	Decode      []decodeResult    `json:"decode,omitempty"`
+	Benchmark   string         `json:"benchmark"`
+	Device      string         `json:"device"`
+	Method      string         `json:"method"`
+	GoMaxProcs  int            `json:"go_max_procs"`
+	Scale       int            `json:"scale"`
+	RealIOScale int            `json:"real_io_scale"`
+	Channels    int            `json:"channels"`
+	Workers     []workerResult `json:"workers"`
+	UndoWorkers []undoResult   `json:"undo_workers"`
+	Checkpoint  ckptResult     `json:"checkpoint"`
+	Shards      []shardResult  `json:"shards,omitempty"`
+	SLO         []sloResult    `json:"slo,omitempty"`
 }
 
 func main() {
@@ -482,29 +451,8 @@ func writeReport(rep *report, out string) {
 
 // runShardSweep builds one crash per shard count over the identical
 // workload and recovers each with serial per-shard passes, so the
-// wall-clock comparison isolates cross-shard recovery concurrency. At
-// the widest count the same crash is recovered twice and the record
-// counts compared — cross-shard scheduling must not change what
-// recovery replays (the determinism gate).
+// wall-clock comparison isolates cross-shard recovery concurrency.
 func runShardSweep(rep *report, counts []int, scale, channels, realScale int, fileMode bool, method core.Method, applyDevice func(*harness.Config, string)) {
-	recoverOnce := func(res *harness.CrashResult, cfg harness.Config) *core.Metrics {
-		opt := core.DefaultOptions(cfg.Engine)
-		if !fileMode {
-			opt.RealIOScale = realScale
-		}
-		met, err := harness.RunRecovery(res, method, opt)
-		if err != nil {
-			log.Fatalf("shards=%d: %v", cfg.Engine.Shards, err)
-		}
-		return met
-	}
-
-	widest := 1
-	for _, n := range counts {
-		if n > widest {
-			widest = n
-		}
-	}
 	fmt.Printf("recoverybench: cross-shard sweep %v (serial per-shard passes, %s device)\n", counts, rep.Device)
 	for _, n := range counts {
 		cfg := harness.DefaultConfig().Scaled(scale)
@@ -517,7 +465,14 @@ func runShardSweep(rep *report, counts []int, scale, channels, realScale int, fi
 		if err != nil {
 			log.Fatalf("building shards=%d crash: %v", n, err)
 		}
-		met := recoverOnce(res, cfg)
+		opt := core.DefaultOptions(cfg.Engine)
+		if !fileMode {
+			opt.RealIOScale = realScale
+		}
+		met, err := harness.RunRecovery(res, method, opt)
+		if err != nil {
+			log.Fatalf("shards=%d: %v", n, err)
+		}
 		rep.Shards = append(rep.Shards, shardResult{
 			Shards:      n,
 			WallRedoMS:  float64(met.WallRedoTime.Microseconds()) / 1000,
@@ -526,17 +481,6 @@ func runShardSweep(rep *report, counts []int, scale, channels, realScale int, fi
 			Applied:     met.Applied,
 			CLRsWritten: met.CLRsWritten,
 		})
-		if n == widest && widest > 1 {
-			// Determinism: recover the identical crash again.
-			met2 := recoverOnce(res, cfg)
-			rep.Determinism = &shardDeterminism{
-				Shards:           n,
-				Runs:             2,
-				RedoRecordsEqual: met.RedoRecords == met2.RedoRecords,
-				AppliedEqual:     met.Applied == met2.Applied,
-				CLRsEqual:        met.CLRsWritten == met2.CLRsWritten,
-			}
-		}
 	}
 	var base float64
 	for _, r := range rep.Shards {
@@ -553,10 +497,6 @@ func runShardSweep(rep *report, counts []int, scale, channels, realScale int, fi
 		}
 		fmt.Printf("%8d %14.2f %14.2f %12d %9.2fx\n",
 			r.Shards, r.WallRedoMS, r.WallTotalMS, r.RedoRecords, r.Speedup)
-	}
-	if d := rep.Determinism; d != nil {
-		fmt.Printf("determinism at %d shards over %d runs: redo=%v applied=%v clrs=%v\n",
-			d.Shards, d.Runs, d.RedoRecordsEqual, d.AppliedEqual, d.CLRsEqual)
 	}
 }
 
@@ -594,9 +534,8 @@ func sloOpts(cfg harness.Config, fileMode bool, realScale int) core.Options {
 
 // runSLO is the recovery-SLO mode: per device, measure the replay rate
 // with a probe recovery, then for each budget run a live engine under a
-// budget-mode Checkpointer, crash it, and check recovery actually came
-// in near the budget — plus the serial-equality and decode-width
-// invariants the parallel front-ends must preserve.
+// budget-mode Checkpointer, crash it, and report the measured replay
+// beside the budget.
 func runSLO(rep *report, budgets []time.Duration, scale, channels, realScale int, method core.Method, dir string) {
 	for _, dev := range []string{"sim", "file"} {
 		fileMode := dev == "file"
@@ -615,16 +554,12 @@ func runSLO(rep *report, budgets []time.Duration, scale, channels, realScale int
 		for _, b := range budgets {
 			rep.SLO = append(rep.SLO, runOneSLO(dev, b, seed, scale, channels, realScale, fileMode, method, dir))
 		}
-		if !fileMode {
-			runDecodeSweep(rep, probeRes, probeCfg, realScale, method)
-		}
 	}
 }
 
 // runOneSLO runs one live engine under a budget-mode Checkpointer,
-// crashes it with losers in flight, and recovers it twice (production
-// parallel options, then effectively-serial decode/redo/undo) to report
-// both the budget outcome and the byte-identical-recovery invariants.
+// crashes it with losers in flight, and recovers it with the production
+// parallel options to report the budget outcome.
 func runOneSLO(dev string, budget time.Duration, seed float64, scale, channels, realScale int, fileMode bool, method core.Method, dir string) sloResult {
 	cfg := sloConfig(scale, channels, fileMode, dir, fmt.Sprintf("slo-%dms", budget.Milliseconds()))
 	ecfg := cfg.Engine
@@ -707,8 +642,8 @@ func runOneSLO(dev string, budget time.Duration, seed float64, scale, channels, 
 	traffic := int64(eng.Log.EndLSN() - start)
 
 	// Two losers left in flight (key-disjoint from each other and from
-	// the committed traffic, which steered above key 2000), so the undo
-	// pass has CLRs to plan — the serial-equality check needs them.
+	// the committed traffic, which steered above key 2000), so the
+	// recovery being timed has an undo pass.
 	for l := 0; l < 2; l++ {
 		txn := eng.TC.Begin()
 		for u := 0; u < 6; u++ {
@@ -726,14 +661,10 @@ func runOneSLO(dev string, budget time.Duration, seed float64, scale, channels, 
 	}
 	cs := eng.Crash()
 
-	pMet, pEnd := sloRecover(cs, method, sloOpts(cfg, fileMode, realScale), dev, budget, "parallel")
-	sopt := core.DefaultOptions(ecfg)
-	sopt.DecodeWorkers = 1
-	sopt.DecodeSegmentBytes = 1 << 30
-	if !fileMode {
-		sopt.RealIOScale = realScale
+	_, met, err := core.Recover(cs, method, sloOpts(cfg, fileMode, realScale))
+	if err != nil {
+		log.Fatalf("[%s] budget=%v recovery: %v", dev, budget, err)
 	}
-	sMet, sEnd := sloRecover(cs, method, sopt, dev, budget, "serial")
 
 	res := sloResult{
 		Device:              dev,
@@ -742,63 +673,16 @@ func runOneSLO(dev string, budget time.Duration, seed float64, scale, channels, 
 		TrafficBytes:        traffic,
 		CheckpointsTaken:    st.Taken,
 		BudgetTriggers:      st.BudgetTriggers,
-		FinalWindowBytes:    pMet.RedoWindowBytes,
-		ReplayMS:            float64((pMet.WallTotalTime - pMet.WallUndoTime).Microseconds()) / 1000,
-		TotalMS:             float64(pMet.WallTotalTime.Microseconds()) / 1000,
-		LosersUndone:        pMet.LosersUndone,
-		CLRsParallel:        pMet.CLRsWritten,
-		CLRsSerial:          sMet.CLRsWritten,
-		LogEndEqual:         pEnd == sEnd,
+		FinalWindowBytes:    met.RedoWindowBytes,
+		ReplayMS:            float64((met.WallTotalTime - met.WallUndoTime).Microseconds()) / 1000,
+		TotalMS:             float64(met.WallTotalTime.Microseconds()) / 1000,
+		LosersUndone:        met.LosersUndone,
+		CLRsWritten:         met.CLRsWritten,
 	}
-	fmt.Printf("  [%s] budget %v: %d ckpts (%d budget-triggered), %s traffic, window %d bytes → replay %.2fms, CLRs %d/%d, log end equal %v\n",
+	fmt.Printf("  [%s] budget %v: %d ckpts (%d budget-triggered), %s traffic, window %d bytes → replay %.2fms vs budget %v, %d CLRs\n",
 		dev, budget, res.CheckpointsTaken, res.BudgetTriggers, fmtBytes(traffic),
-		res.FinalWindowBytes, res.ReplayMS, res.CLRsParallel, res.CLRsSerial, res.LogEndEqual)
+		res.FinalWindowBytes, res.ReplayMS, budget, res.CLRsWritten)
 	return res
-}
-
-// sloRecover recovers one crash fork and returns the metrics plus the
-// recovered log end (the serial-equality witness).
-func sloRecover(cs *engine.CrashState, method core.Method, opt core.Options, dev string, budget time.Duration, label string) (*core.Metrics, int64) {
-	eng, met, err := core.Recover(cs, method, opt)
-	if err != nil {
-		log.Fatalf("[%s] budget=%v %s recovery: %v", dev, budget, label, err)
-	}
-	return met, int64(eng.Log.EndLSN())
-}
-
-// runDecodeSweep recovers the sim probe crash at increasing decode
-// widths: the segmented front-end must emit identical record counts
-// (and identical CLRs) at every width — parallel decode changes how
-// fast the log is read, never what recovery replays.
-func runDecodeSweep(rep *report, res *harness.CrashResult, cfg harness.Config, realScale int, method core.Method) {
-	fmt.Printf("  decode-worker sweep over the sim probe crash\n")
-	fmt.Printf("  %8s %14s %12s %10s %10s %12s\n", "workers", "wall total ms", "decode recs", "segments", "resyncs", "stall ms")
-	for _, w := range []int{1, 2, 4, 8} {
-		opt := core.DefaultOptions(cfg.Engine)
-		opt.RedoWorkers = 2
-		opt.UndoWorkers = 2
-		opt.RealIOScale = realScale
-		opt.DecodeWorkers = w
-		// Small segments: the probe window is under the 256 KiB
-		// default, which would leave every width decoding one segment.
-		opt.DecodeSegmentBytes = 16 << 10
-		met, err := harness.RunRecovery(res, method, opt)
-		if err != nil {
-			log.Fatalf("decode workers=%d: %v", w, err)
-		}
-		d := decodeResult{
-			Workers:        w,
-			WallTotalMS:    float64(met.WallTotalTime.Microseconds()) / 1000,
-			DecodeRecords:  met.DecodeRecords,
-			DecodeSegments: met.DecodeSegments,
-			DecodeResyncs:  met.DecodeResyncs,
-			DecodeStallMS:  float64(met.DecodeStall.Microseconds()) / 1000,
-			CLRsWritten:    met.CLRsWritten,
-		}
-		rep.Decode = append(rep.Decode, d)
-		fmt.Printf("  %8d %14.2f %12d %10d %10d %12.2f\n",
-			d.Workers, d.WallTotalMS, d.DecodeRecords, d.DecodeSegments, d.DecodeResyncs, d.DecodeStallMS)
-	}
 }
 
 func fmtBytes(n int64) string {

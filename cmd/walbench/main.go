@@ -1,7 +1,11 @@
 // Command walbench measures the multi-client write path: commits/sec
 // through tc.Session at increasing client counts, and how many log
-// records each group-commit flush covers. It emits BENCH_wal.json for
-// CI artifact upload and trend tracking.
+// records each group-commit flush covers. It prints a table and writes
+// the same numbers to -out as JSON (uploaded by CI as an artifact;
+// nothing parses it). It is a diagnostic sweep, not a gate: gated
+// numbers come from benchmark/ (make benchmark), invariants from go
+// test; walbench covers the dimensions benchmark/ has no workload for
+// yet — client count, shard count, the file device.
 //
 // The group committer's flush delay emulates the stable-write latency
 // of a real log device (default 100µs ≈ a fast NVMe log force). With
@@ -92,73 +96,10 @@ func main() {
 		quick       = flag.Bool("quick", false, "CI smoke settings (fewer txns, fewer rows)")
 		shardsFlag  = flag.String("shards", "", "run the shard-plane sweep instead: comma-separated shard counts (e.g. 1,2,4,8)")
 		zipfS       = flag.Float64("zipf", 1.01, "zipfian skew of the shard-sweep workload")
-		wkld        = flag.String("workload", "", "run the YCSB-style typed-executor workload instead: preset a|b|c|d|e|f|mixed")
-		poolPolicy  = flag.String("poolpolicy", "", "buffer pool eviction policy for the -workload run: clock (default) or 2q")
-		poolShards  = flag.Int("poolshards", 8, "buffer pool latch shards per DC for the -workload run (clamped to capacity/8)")
-		wshards     = flag.Int("wshards", 4, "shard count for the -workload run")
-		scanMax     = flag.Int("scanmax", 100, "max range-scan length for the -workload run")
-		uniform     = flag.Bool("uniform", false, "use uniform keys in the -workload run instead of zipfian")
 	)
 	flag.Parse()
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if *wkld != "" {
-		if *deviceFlag == "file" {
-			log.Fatal("-workload runs the simulated device only (drop -device=file)")
-		}
-		// Workload defaults: a key space in the millions (the typed
-		// executor scans it whole for the pushdown probe and the
-		// recovery digest), moderate per-client transaction counts,
-		// commit pacing left to group commit alone.
-		p := workloadParams{
-			preset:     *wkld,
-			clients:    8,
-			txns:       500,
-			ops:        8,
-			keys:       1_500_000,
-			shards:     *wshards,
-			cache:      *cache,
-			uniform:    *uniform,
-			zipfS:      1.1,
-			maxScanLen: *scanMax,
-			flushDelay: 0,
-			policy:     *poolPolicy,
-			poolShards: *poolShards,
-			out:        "BENCH_workload.json",
-		}
-		if set["clients"] {
-			n, err := strconv.Atoi(strings.TrimSpace(*clientsFlag))
-			if err != nil || n < 1 {
-				log.Fatalf("-workload wants a single -clients count, got %q", *clientsFlag)
-			}
-			p.clients = n
-		}
-		if set["txns"] {
-			p.txns = *txns
-		}
-		if set["ops"] {
-			p.ops = *ops
-		}
-		if set["rows"] {
-			p.keys = *rows
-		}
-		if set["zipf"] {
-			p.zipfS = *zipfS
-		}
-		if set["flushdelay"] {
-			p.flushDelay = *flushDelay
-		}
-		if set["out"] {
-			p.out = *out
-		}
-		if *quick {
-			p.clients = 4
-			p.txns = 120
-			p.keys = 150_000
-		}
-		runWorkload(p)
-		return
-	}
 	if *shardsFlag != "" {
 		// Shard-sweep defaults differ: a key space large enough that
 		// range splits have room, and enough transactions that the

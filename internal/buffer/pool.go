@@ -30,7 +30,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"logrec/internal/page"
 	"logrec/internal/sim"
@@ -105,11 +104,6 @@ type Stats struct {
 	Flushes    int64
 	LogForces  int64 // WAL-protocol log forces triggered by flushes
 	NewPages   int64
-	// LatchWaitNS is the cumulative time callers spent blocked on
-	// sub-pool latches, in nanoseconds. Collected only while latch
-	// timing is enabled (SetLatchTiming; poolbench turns it on — the
-	// hot path pays nothing for it otherwise).
-	LatchWaitNS int64
 }
 
 // HitRatio returns Hits/(Hits+Misses), or 0 with no traffic.
@@ -177,9 +171,6 @@ type Pool struct {
 	// background flush there could let the flush tracker append its
 	// own record in between, invalidating the reservation.
 	cleanerSuspended atomic.Bool
-
-	// latchTiming enables LatchWaitNS collection (poolbench only).
-	latchTiming atomic.Bool
 }
 
 // atomicFloat64 stores a float64 via its bit pattern.
@@ -212,8 +203,7 @@ type subPool struct {
 	dirty       int
 	cleanerTick int
 
-	stats  Stats
-	waitNS atomic.Int64
+	stats Stats
 }
 
 // New creates a pool of capacity pages over disk with the default
@@ -268,21 +258,6 @@ func (p *Pool) sub(pid storage.PageID) *subPool {
 	return p.subs[int(uint32(pid))%len(p.subs)]
 }
 
-// lock acquires the sub-pool latch, timing the wait when latch timing
-// is on.
-func (sp *subPool) lock() {
-	if !sp.p.latchTiming.Load() {
-		sp.mu.Lock()
-		return
-	}
-	if sp.mu.TryLock() {
-		return
-	}
-	t0 := time.Now()
-	sp.mu.Lock()
-	sp.waitNS.Add(time.Since(t0).Nanoseconds())
-}
-
 // Disk returns the underlying storage device (for prefetch pacing and
 // IO statistics).
 func (p *Pool) Disk() storage.Device { return p.disk }
@@ -293,10 +268,6 @@ func (p *Pool) Policy() string { return p.subs[0].pol.name() }
 // LatchShards returns the number of latch shards the pool runs with
 // (after clamping against capacity).
 func (p *Pool) LatchShards() int { return len(p.subs) }
-
-// SetLatchTiming enables or disables latch-wait accounting
-// (Stats.LatchWaitNS). Off by default; poolbench turns it on.
-func (p *Pool) SetLatchTiming(on bool) { p.latchTiming.Store(on) }
 
 // SetFlushHook subscribes fn to flush completions.
 func (p *Pool) SetFlushHook(fn func(pid storage.PageID, done sim.Time)) {
@@ -347,7 +318,7 @@ func (p *Pool) Len() int { return int(p.resident.Load()) }
 func (p *Pool) Stats() Stats {
 	var out Stats
 	for _, sp := range p.subs {
-		sp.lock()
+		sp.mu.Lock()
 		s := sp.stats
 		sp.mu.Unlock()
 		out.Hits += s.Hits
@@ -357,7 +328,6 @@ func (p *Pool) Stats() Stats {
 		out.Flushes += s.Flushes
 		out.LogForces += s.LogForces
 		out.NewPages += s.NewPages
-		out.LatchWaitNS += sp.waitNS.Load()
 	}
 	return out
 }
@@ -365,9 +335,8 @@ func (p *Pool) Stats() Stats {
 // ResetStats zeroes the statistics.
 func (p *Pool) ResetStats() {
 	for _, sp := range p.subs {
-		sp.lock()
+		sp.mu.Lock()
 		sp.stats = Stats{}
-		sp.waitNS.Store(0)
 		sp.mu.Unlock()
 	}
 }
@@ -387,7 +356,7 @@ func (p *Pool) SuspendCleaner() { p.cleanerSuspended.Store(true) }
 func (p *Pool) ResumeCleaner() {
 	p.cleanerSuspended.Store(false)
 	for _, sp := range p.subs {
-		sp.lock()
+		sp.mu.Lock()
 		sp.maybeClean()
 		sp.mu.Unlock()
 	}
@@ -402,7 +371,7 @@ func (p *Pool) DirtyCount() int { return int(p.dirtyTotal.Load()) }
 func (p *Pool) DirtyPIDs() []storage.PageID {
 	out := make([]storage.PageID, 0, 16)
 	for _, sp := range p.subs {
-		sp.lock()
+		sp.mu.Lock()
 		for pid, f := range sp.frames {
 			if f.Dirty {
 				out = append(out, pid)
@@ -425,7 +394,7 @@ func (p *Pool) DirtyPIDs() []storage.PageID {
 // their page fetches in wall-clock time.
 func (p *Pool) Get(pid storage.PageID) (*Frame, error) {
 	sp := p.sub(pid)
-	sp.lock()
+	sp.mu.Lock()
 	for {
 		f, ok := sp.frames[pid]
 		if !ok {
@@ -435,7 +404,7 @@ func (p *Pool) Get(pid storage.PageID) (*Frame, error) {
 			ch := f.loading
 			sp.mu.Unlock()
 			<-ch
-			sp.lock()
+			sp.mu.Lock()
 			// Re-lookup: the load may have failed and removed the frame.
 			continue
 		}
@@ -457,7 +426,7 @@ func (p *Pool) Get(pid storage.PageID) (*Frame, error) {
 		p.resident.Add(1)
 		sp.mu.Unlock()
 		data, err := p.disk.Read(pid)
-		sp.lock()
+		sp.mu.Lock()
 		close(f.loading)
 		f.loading = nil
 		if err != nil {
@@ -497,7 +466,7 @@ func (sp *subPool) removeFrame(f *Frame) {
 // whose read is still in flight counts as absent.
 func (p *Pool) GetIfCached(pid storage.PageID) *Frame {
 	sp := p.sub(pid)
-	sp.lock()
+	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	f, ok := sp.frames[pid]
 	if !ok || f.loading != nil {
@@ -513,7 +482,7 @@ func (p *Pool) GetIfCached(pid storage.PageID) *Frame {
 // state.
 func (p *Pool) Contains(pid storage.PageID) bool {
 	sp := p.sub(pid)
-	sp.lock()
+	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	_, ok := sp.frames[pid]
 	return ok
@@ -523,7 +492,7 @@ func (p *Pool) Contains(pid storage.PageID) bool {
 // formatted as type t. Used by B-tree page allocation.
 func (p *Pool) NewPage(pid storage.PageID, t page.Type) (*Frame, error) {
 	sp := p.sub(pid)
-	sp.lock()
+	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	if _, ok := sp.frames[pid]; ok {
 		return nil, fmt.Errorf("buffer: NewPage of cached page %d", pid)
@@ -543,7 +512,7 @@ func (p *Pool) NewPage(pid storage.PageID, t page.Type) (*Frame, error) {
 // Unpin releases one pin on f.
 func (p *Pool) Unpin(f *Frame) {
 	sp := p.sub(f.PID)
-	sp.lock()
+	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	if f.pins <= 0 {
 		panic(fmt.Sprintf("buffer: unpin of unpinned page %d", f.PID))
@@ -557,7 +526,7 @@ func (p *Pool) Unpin(f *Frame) {
 // pages.
 func (p *Pool) MarkDirty(f *Frame, lsn wal.LSN) {
 	sp := p.sub(f.PID)
-	sp.lock()
+	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	if !f.Dirty {
 		f.Dirty = true
@@ -637,7 +606,7 @@ func (sp *subPool) ensureRoom() error {
 // hook fires with the write's completion time.
 func (p *Pool) FlushFrame(f *Frame) error {
 	sp := p.sub(f.PID)
-	sp.lock()
+	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	return sp.flushFrame(f)
 }
@@ -655,7 +624,7 @@ func (sp *subPool) flushFrame(f *Frame) error {
 		ch := f.flushing
 		sp.mu.Unlock()
 		<-ch
-		sp.lock()
+		sp.mu.Lock()
 	}
 	if !f.Dirty || sp.frames[f.PID] != f {
 		return nil
@@ -681,7 +650,7 @@ func (sp *subPool) flushFrame(f *Frame) error {
 		lsnAtCopy := f.LastLSN
 		sp.mu.Unlock()
 		done, err := p.disk.Write(f.PID, snap)
-		sp.lock()
+		sp.mu.Lock()
 		f.flushing = nil
 		close(ch)
 		if err != nil {
@@ -721,7 +690,7 @@ func (sp *subPool) flushFrame(f *Frame) error {
 // races the flip.
 func (p *Pool) BeginCheckpointFlip() {
 	for _, sp := range p.subs {
-		sp.lock()
+		sp.mu.Lock()
 		sp.ckptBit = !sp.ckptBit
 		sp.mu.Unlock()
 	}
@@ -747,7 +716,7 @@ func (p *Pool) FlushAll() error {
 // candidate may have been flushed or evicted by someone else meanwhile.
 func (p *Pool) flushWhere(keep func(sp *subPool, f *Frame) bool) error {
 	for _, sp := range p.subs {
-		sp.lock()
+		sp.mu.Lock()
 		cands := make([]*Frame, 0, sp.dirty)
 		for _, f := range sp.frames {
 			if f.Dirty && keep(sp, f) {
@@ -803,7 +772,7 @@ func (p *Pool) Prefetch(pids []storage.PageID) (consumed, issued int) {
 // tests only).
 func (p *Pool) Drop(pid storage.PageID) {
 	sp := p.sub(pid)
-	sp.lock()
+	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	if f, ok := sp.frames[pid]; ok {
 		sp.removeFrame(f)

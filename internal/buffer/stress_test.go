@@ -108,7 +108,6 @@ func runPoolStress(t *testing.T, policy string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool.SetLatchTiming(true)
 	pool.SetCleanerTarget(0.4)
 	pool.SetCleanerRate(4)
 	pool.SetLogForce(func() wal.LSN {

@@ -91,13 +91,6 @@ func NewSessionManager(t *TC, gc *wal.GroupCommitter) *SessionManager {
 // TC returns the underlying transactional component.
 func (m *SessionManager) TC() *TC { return m.tc }
 
-// GroupCommitter returns the committer batching this manager's flushes.
-//
-// Deprecated: tools should read engine.Stats().WAL instead of reaching
-// into the commit path; the accessor remains for the session layer's
-// own tests.
-func (m *SessionManager) GroupCommitter() *wal.GroupCommitter { return m.gc }
-
 // CommitStats returns the group committer's batching counters
 // (engine.Stats aggregation path).
 func (m *SessionManager) CommitStats() wal.GroupCommitStats { return m.gc.Stats() }

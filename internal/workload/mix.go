@@ -2,17 +2,15 @@
 // reproduces the paper's §5.2 update transactions; this file grows the
 // package into a benchmark-shaped driver: weighted mixes of reads,
 // updates, inserts, range scans and read-modify-writes over a large
-// key space, with the standard A–F presets plus a four-way "mixed"
-// preset for smoke runs. Insert keys stride per client so concurrent
-// generators never collide; every other op draws from the configured
-// uniform or zipfian distribution.
+// key space. Insert keys stride per client so concurrent generators
+// never collide; every other op draws from the configured uniform or
+// zipfian distribution.
 
 package workload
 
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 )
 
 // Additional operation kinds generated by mixes (extending OpUpdate
@@ -63,35 +61,6 @@ func (m Mix) String() string {
 
 func (m Mix) sum() float64 { return m.Read + m.Update + m.Insert + m.Scan + m.RMW }
 
-// presets maps mix names to their YCSB-standard weights. "mixed"
-// exercises all four op shapes at once (the CI smoke mix).
-var presets = map[string]Mix{
-	"a":     {Read: 0.50, Update: 0.50},
-	"b":     {Read: 0.95, Update: 0.05},
-	"c":     {Read: 1.00},
-	"d":     {Read: 0.95, Insert: 0.05},
-	"e":     {Scan: 0.95, Insert: 0.05},
-	"f":     {Read: 0.50, RMW: 0.50},
-	"mixed": {Read: 0.40, Update: 0.30, Insert: 0.10, Scan: 0.20},
-}
-
-// Preset returns the named mix: the YCSB presets "a" through "f" or
-// the four-way "mixed" smoke preset.
-func Preset(name string) (Mix, bool) {
-	m, ok := presets[name]
-	return m, ok
-}
-
-// PresetNames lists the available preset names, sorted.
-func PresetNames() []string {
-	names := make([]string, 0, len(presets))
-	for n := range presets {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // MixConfig parameterises a MixGenerator.
 type MixConfig struct {
 	// Keys is the loaded key-space size; reads, updates, scans and
@@ -117,12 +86,12 @@ type MixConfig struct {
 	Seed int64
 }
 
-// DefaultMixConfig returns the "mixed" preset over a modest key space
-// (callers scale Keys up; the workload bench uses millions).
+// DefaultMixConfig returns a four-way mix (all op shapes but RMW) over
+// a modest key space; callers scale Keys up.
 func DefaultMixConfig() MixConfig {
 	return MixConfig{
 		Keys:         100_000,
-		Mix:          presets["mixed"],
+		Mix:          Mix{Read: 0.40, Update: 0.30, Insert: 0.10, Scan: 0.20},
 		Dist:         Zipf,
 		ZipfS:        1.1,
 		MaxScanLen:   100,

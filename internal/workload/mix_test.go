@@ -5,21 +5,6 @@ import (
 	"testing"
 )
 
-func TestPresetWeightsSumToOne(t *testing.T) {
-	for _, name := range PresetNames() {
-		m, ok := Preset(name)
-		if !ok {
-			t.Fatalf("preset %q missing", name)
-		}
-		if s := m.sum(); math.Abs(s-1) > 1e-9 {
-			t.Errorf("preset %q sums to %g", name, s)
-		}
-	}
-	if _, ok := Preset("nope"); ok {
-		t.Error("unknown preset accepted")
-	}
-}
-
 func TestMixGeneratorFrequencies(t *testing.T) {
 	cfg := DefaultMixConfig()
 	cfg.Seed = 7
