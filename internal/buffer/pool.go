@@ -137,9 +137,10 @@ type Pool struct {
 	capacity int
 	subs     []*subPool
 
-	// eLSN is the TC's end of stable log (EOSL) as a wal.LSN. A dirty
-	// frame with LastLSN > eLSN cannot be flushed until the log is
-	// forced. Monotonic; advanced by CAS so no latch is needed.
+	// eLSN is the TC's end of stable log (EOSL) as a wal.LSN: one past
+	// the last stable byte, so a record is stable iff its LSN < eLSN. A
+	// dirty frame with LastLSN >= eLSN cannot be flushed until the log
+	// is forced. Monotonic; advanced by CAS so no latch is needed.
 	eLSN atomic.Uint64
 
 	// dirtyTotal and resident are the aggregate dirty-frame and
@@ -630,16 +631,19 @@ func (sp *subPool) flushFrame(f *Frame) error {
 		return nil
 	}
 	p := sp.p
-	if f.LastLSN > p.ELSN() {
+	// eLSN is an exclusive end: the record at LastLSN is stable only
+	// when LastLSN < eLSN. NilLSN marks the unlogged bulk load.
+	if f.LastLSN != wal.NilLSN && f.LastLSN >= p.ELSN() {
 		h := p.hooks.Load()
 		if h.forceLog == nil {
-			return fmt.Errorf("buffer: WAL violation flushing page %d: LastLSN %v > eLSN %v and no log force installed",
+			return fmt.Errorf("buffer: WAL violation flushing page %d: LastLSN %v >= eLSN %v and no log force installed",
 				f.PID, f.LastLSN, p.ELSN())
 		}
 		sp.stats.LogForces++
 		p.SetELSN(h.forceLog())
-		if f.LastLSN > p.ELSN() {
-			return fmt.Errorf("buffer: WAL violation persists for page %d after log force", f.PID)
+		if f.LastLSN >= p.ELSN() {
+			return fmt.Errorf("buffer: WAL violation persists for page %d after log force: LastLSN %v >= eLSN %v",
+				f.PID, f.LastLSN, p.ELSN())
 		}
 	}
 	onFlush := p.hooks.Load().onFlush

@@ -141,20 +141,23 @@ func TestWALProtocolForcesLog(t *testing.T) {
 	_, disk, pool := newPoolEnv(t, 4)
 	seed(t, disk, 1)
 	forced := false
+	// Like wal.Log.Flush, the force returns the exclusive end: the LSN
+	// the next record will get.
 	pool.SetLogForce(func() wal.LSN {
 		forced = true
-		return 500
+		return 401
 	})
+	pool.SetELSN(400)
 	f, _ := pool.Get(2)
-	pool.MarkDirty(f, 400) // beyond eLSN (0)
+	pool.MarkDirty(f, 400) // the record at eLSN is the first unstable one
 	if err := pool.FlushFrame(f); err != nil {
 		t.Fatal(err)
 	}
 	if !forced {
-		t.Fatal("flush ahead of stable log did not force the log")
+		t.Fatal("flush of the record at eLSN did not force the log")
 	}
-	if pool.ELSN() != 500 {
-		t.Fatalf("eLSN = %v, want 500", pool.ELSN())
+	if pool.ELSN() != 401 {
+		t.Fatalf("eLSN = %v, want 401", pool.ELSN())
 	}
 	if got := pool.Stats().LogForces; got != 1 {
 		t.Fatalf("LogForces = %d", got)
@@ -165,10 +168,17 @@ func TestWALProtocolForcesLog(t *testing.T) {
 func TestWALProtocolViolationWithoutForce(t *testing.T) {
 	_, disk, pool := newPoolEnv(t, 4)
 	seed(t, disk, 1)
+	pool.SetELSN(400)
 	f, _ := pool.Get(2)
 	pool.MarkDirty(f, 400)
 	if err := pool.FlushFrame(f); err == nil {
 		t.Fatal("WAL violation not detected")
+	}
+	// A force that still ends at the record's own LSN has not made it
+	// stable.
+	pool.SetLogForce(func() wal.LSN { return 400 })
+	if err := pool.FlushFrame(f); err == nil {
+		t.Fatal("WAL violation persisting after the force not detected")
 	}
 	pool.Unpin(f)
 }

@@ -1,0 +1,108 @@
+package core
+
+import (
+	"bytes"
+	"testing"
+
+	"logrec/internal/engine"
+	"logrec/internal/tracker"
+)
+
+// The end of stable log is exclusive: wal.Log.Flush returns one past the
+// last stable byte, so a record whose LSN equals eLSN (or an FW-LSN or
+// TC-LSN sampled from it) is the first record that is NOT stable. The
+// two tests below put a record at exactly that offset.
+
+var deltaVariants = []tracker.Variant{tracker.DeltaStandard, tracker.DeltaPerfect, tracker.DeltaReduced}
+
+// stableEndEngine loads 500 rows into a fully cached engine with the
+// lazywriter off, so the only page flushes are the ones a test issues.
+func stableEndEngine(t *testing.T, v tracker.Variant) *engine.Engine {
+	t.Helper()
+	cfg := testConfig(300)
+	cfg.DC.Tracker.Variant = v
+	cfg.DC.CleanerTarget = 0
+	eng, err := engine.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Load(500, func(k uint64) []byte { return val(k, 0) }); err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+func commitUpdate(t *testing.T, eng *engine.Engine, key uint64, v []byte) {
+	t.Helper()
+	txn := eng.TC.Begin()
+	if err := eng.TC.Update(txn, eng.Cfg.TableID, key, v); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.TC.Commit(txn); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// flushLeafOf writes the leaf owning key through the pool's WAL check.
+func flushLeafOf(t *testing.T, eng *engine.Engine, key uint64) {
+	t.Helper()
+	pid, err := eng.DC.Tree().FindLeaf(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := eng.DC.Pool().Get(pid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.DC.Pool().Unpin(f)
+	if err := eng.DC.Pool().FlushFrame(f); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// recoveredValue recovers cs with m and returns the value under key.
+func recoveredValue(t *testing.T, cs *engine.CrashState, m Method, key uint64) []byte {
+	t.Helper()
+	rec, _, err := Recover(cs, m, DefaultOptions(cs.Cfg))
+	if err != nil {
+		t.Fatalf("%v: %v", m, err)
+	}
+	got, found, err := rec.DC.Tree().Search(key)
+	if err != nil || !found {
+		t.Fatalf("%v: search %d: found=%v err=%v", m, key, found, err)
+	}
+	return got
+}
+
+// TestNoFlushAheadOfStableEnd: an uncommitted update whose record starts
+// exactly at eLSN is not stable, so flushing its page must force the
+// log first — otherwise the crash keeps the page and loses the record
+// that would undo it.
+func TestNoFlushAheadOfStableEnd(t *testing.T) {
+	for _, v := range deltaVariants {
+		eng := stableEndEngine(t, v)
+		commitUpdate(t, eng, 7, val(7, 1))
+		eng.TC.SendEOSL()
+		stable := eng.Log.FlushedLSN()
+		if stable != eng.Log.EndLSN() {
+			t.Fatalf("log not fully stable: flushed %v end %v", stable, eng.Log.EndLSN())
+		}
+		loser := eng.TC.Begin()
+		if err := eng.TC.Update(loser, eng.Cfg.TableID, 300, []byte("UNCOMMITTED-at-the-stable-end")); err != nil {
+			t.Fatal(err)
+		}
+		if loser.FirstLSN() != stable {
+			t.Fatalf("loser's record at %v, want it exactly at eLSN %v", loser.FirstLSN(), stable)
+		}
+		flushLeafOf(t, eng, 300)
+		if eng.Log.FlushedLSN() <= stable {
+			t.Errorf("%v: page carrying the record at eLSN %v was written with no log force", v, stable)
+		}
+		cs := eng.Crash()
+		for _, m := range Methods() {
+			if got := recoveredValue(t, cs, m, 300); !bytes.Equal(got, val(300, 0)) {
+				t.Errorf("%v/%v: key 300 = %q, want the loaded %q: an uncommitted update survived the crash", v, m, got, val(300, 0))
+			}
+		}
+	}
+}
