@@ -39,9 +39,8 @@ func (sr *shardRun) sqlAnalysis(next nextFunc) error {
 		case *wal.BWRec:
 			sr.met.BWSeen++
 			// Algorithm 3 lines 11-18: remove entries whose last
-			// update preceded the flush (lastLSN ≤ FW-LSN), raise the
-			// rLSN of survivors.
-			sr.table.PruneFlushed(t.WrittenSet, t.FWLSN, true)
+			// update preceded the flush, raise the rLSN of survivors.
+			sr.table.PruneFlushed(t.WrittenSet, t.FWLSN)
 		case *wal.DeltaRec:
 			// Present on the shared log for the logical family; the
 			// SQL analysis pass ignores them (counted for Figure 2c).

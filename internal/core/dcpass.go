@@ -84,8 +84,5 @@ func (sr *shardRun) applyDelta(t *wal.DeltaRec, prevDelta wal.LSN) {
 	if threshold == wal.NilLSN {
 		threshold = prevDelta
 	}
-	// Perfect mode has real lastLSNs, so the inclusive (Algorithm 3)
-	// comparison is sound; the standard/reduced sentinel lastLSNs need
-	// the strict comparison of Algorithm 4 line 19.
-	sr.table.PruneFlushed(t.WrittenSet, threshold, perfect)
+	sr.table.PruneFlushed(t.WrittenSet, threshold)
 }

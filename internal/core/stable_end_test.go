@@ -106,3 +106,44 @@ func TestNoFlushAheadOfStableEnd(t *testing.T) {
 		}
 	}
 }
+
+// TestUpdateAtFWLSNAfterFlush: a page is flushed as the first write of a
+// ∆/BW interval (FW-LSN = the stable end) and then updated by the record
+// that starts exactly at FW-LSN. The flush cannot have captured that
+// update, so DPT construction must keep the page (ROADMAP 5(d)).
+func TestUpdateAtFWLSNAfterFlush(t *testing.T) {
+	for _, v := range deltaVariants {
+		eng := stableEndEngine(t, v)
+		commitUpdate(t, eng, 300, val(300, 1))
+		commitUpdate(t, eng, 10, val(10, 1))
+		eng.DC.Recorder().ForceEmit()
+
+		commitUpdate(t, eng, 301, val(301, 2)) // same leaf as 300
+		fw := eng.TC.SendEOSL()
+		flushLeafOf(t, eng, 300)
+
+		txn := eng.TC.Begin()
+		want := val(300, 3)
+		if err := eng.TC.Update(txn, eng.Cfg.TableID, 300, want); err != nil {
+			t.Fatal(err)
+		}
+		if txn.FirstLSN() != fw {
+			t.Fatalf("update at %v, want it exactly at FW-LSN %v", txn.FirstLSN(), fw)
+		}
+		if err := eng.TC.Commit(txn); err != nil {
+			t.Fatal(err)
+		}
+		commitUpdate(t, eng, 11, val(11, 3))
+		eng.DC.Recorder().ForceEmit()
+
+		commitUpdate(t, eng, 12, val(12, 4))
+		eng.DC.Recorder().ForceEmit()
+
+		cs := eng.Crash()
+		for _, m := range Methods() {
+			if got := recoveredValue(t, cs, m, 300); !bytes.Equal(got, want) {
+				t.Errorf("%v/%v: key 300 = %q, want the committed %q", v, m, got, want)
+			}
+		}
+	}
+}

@@ -98,21 +98,18 @@ func (t *Table) EntriesByRLSN() []*Entry {
 // (the flush captured them all); otherwise the entry's rLSN is raised
 // to FW-LSN, since the flush made everything earlier stable.
 //
-// The removal comparison differs between the two construction
-// algorithms: SQL-style analysis over real update LSNs removes on
-// lastLSN ≤ FW-LSN (Algorithm 3 line 15, inclusive=true), while the
-// DC's ∆-record analysis uses lastLSN = FW-LSN as a sentinel for "page
-// dirtied after the first write", whose updates may postdate FW-LSN, so
-// it removes only on lastLSN < FW-LSN (Algorithm 4 line 19,
-// inclusive=false).
-func (t *Table) PruneFlushed(written []storage.PageID, fwLSN wal.LSN, inclusive bool) {
+// FW-LSN is an end of stable log and therefore exclusive: the record at
+// FW-LSN itself was appended after the force and may follow the flush.
+// The paper's lastLSN ≤ FW-LSN over an inclusive FW-LSN (Algorithm 3
+// line 15, Algorithm 4 line 19) is lastLSN < FW-LSN here, for both
+// construction algorithms.
+func (t *Table) PruneFlushed(written []storage.PageID, fwLSN wal.LSN) {
 	for _, pid := range written {
 		e, ok := t.entries[pid]
 		if !ok {
 			continue
 		}
-		remove := e.LastLSN < fwLSN || (inclusive && e.LastLSN == fwLSN)
-		if remove {
+		if e.LastLSN < fwLSN {
 			delete(t.entries, pid)
 		} else if e.RLSN < fwLSN {
 			e.RLSN = fwLSN

@@ -81,47 +81,30 @@ func TestEntriesByRLSN(t *testing.T) {
 	}
 }
 
-// TestPruneInclusiveVsStrict checks the Algorithm 3 / Algorithm 4
-// comparison difference: the inclusive prune (SQL, real LSNs) removes
-// lastLSN == FW-LSN entries; the strict prune (∆ analysis, sentinel
-// LSNs) keeps them.
-func TestPruneInclusiveVsStrict(t *testing.T) {
-	build := func() *Table {
-		tab := New()
-		tab.Add(1, 50)  // lastLSN 50  < FW → removed by both
-		tab.Add(2, 100) // lastLSN 100 = FW → removed only by inclusive
-		tab.Add(3, 50)  // rLSN 50 ...
-		tab.Add(3, 150) // ... lastLSN 150 > FW → kept; rLSN raised to FW
-		return tab
+// TestPruneKeepsEntryAtFWLSN: FW-LSN is an exclusive end of stable log,
+// so an entry whose lastLSN equals it names an update the flush may not
+// have captured. It stays, with its rLSN raised.
+func TestPruneKeepsEntryAtFWLSN(t *testing.T) {
+	tab := New()
+	tab.Add(1, 50)  // lastLSN 50  < FW → removed
+	tab.Add(2, 100) // lastLSN 100 = FW → kept
+	tab.Add(3, 50)  // rLSN 50 ...
+	tab.Add(3, 150) // ... lastLSN 150 > FW → kept; rLSN raised to FW
+	tab.PruneFlushed([]storage.PageID{1, 2, 3}, 100)
+	if tab.Find(1) != nil {
+		t.Fatal("prune kept an entry below FW-LSN")
 	}
-	written := []storage.PageID{1, 2, 3}
-
-	inc := build()
-	inc.PruneFlushed(written, 100, true)
-	if inc.Find(1) != nil || inc.Find(2) != nil {
-		t.Fatal("inclusive prune kept flushed entries")
-	}
-	if e := inc.Find(3); e == nil || e.RLSN != 100 {
-		t.Fatalf("survivor rLSN = %+v, want raised to 100", inc.Find(3))
-	}
-
-	strict := build()
-	strict.PruneFlushed(written, 100, false)
-	if strict.Find(1) != nil {
-		t.Fatal("strict prune kept entry below FW-LSN")
-	}
-	if strict.Find(2) == nil {
-		t.Fatal("strict prune removed the lastLSN == FW-LSN sentinel entry (would lose a dirty page)")
-	}
-	if e := strict.Find(2); e.RLSN != 100 {
-		t.Fatalf("sentinel entry rLSN = %v, want raised to 100", e.RLSN)
+	for _, pid := range []storage.PageID{2, 3} {
+		if e := tab.Find(pid); e == nil || e.RLSN != 100 {
+			t.Fatalf("page %d: entry %+v, want kept with rLSN raised to 100", pid, e)
+		}
 	}
 }
 
 func TestPruneIgnoresUnknownPIDs(t *testing.T) {
 	tab := New()
 	tab.Add(1, 10)
-	tab.PruneFlushed([]storage.PageID{99}, 1000, true)
+	tab.PruneFlushed([]storage.PageID{99}, 1000)
 	if tab.Len() != 1 {
 		t.Fatal("prune of unknown PID changed the table")
 	}
@@ -148,9 +131,10 @@ func TestQuickRLSNNeverExceedsFirstMention(t *testing.T) {
 					firstAfterClean[pid] = lsn
 				}
 			} else {
-				// A flush report covering everything up to now: pages
-				// flushed at this instant are clean.
-				tab.PruneFlushed([]storage.PageID{pid}, lsn, true)
+				// A flush report covering everything up to now (the
+				// exclusive end is one past lsn): pages flushed at this
+				// instant are clean.
+				tab.PruneFlushed([]storage.PageID{pid}, lsn+1)
 				if e := tab.Find(pid); e == nil {
 					delete(firstAfterClean, pid)
 				}
