@@ -13,12 +13,15 @@ package logrec_test
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
 
 	"logrec"
 	"logrec/internal/core"
+	"logrec/internal/engine"
+	"logrec/internal/exec"
 	"logrec/internal/harness"
 	"logrec/internal/tracker"
 )
@@ -286,4 +289,55 @@ func BenchmarkWorkloadLocality(b *testing.B) {
 			reportRecovery(b, res, core.Log1, opt)
 		})
 	}
+}
+
+// loadBenchSchema is the walbench row (benchmark/'s too): the key
+// mirrored into a column, a payload string, a version counter and a
+// flag. ≈68 B encoded.
+var loadBenchSchema = exec.MustSchema(
+	exec.Column{Name: "k", Type: exec.TUint64},
+	exec.Column{Name: "payload", Type: exec.TString},
+	exec.Column{Name: "ver", Type: exec.TUint64},
+	exec.Column{Name: "flag", Type: exec.TBool},
+)
+
+// BenchmarkEngineLoad measures Engine.Load — bulk build, flush, first
+// checkpoint — on a fully cached 200k-row table, the set-up every
+// experiment starts from. pool-reqs/row is the buffer pool's Get
+// traffic during the load: ≈3 per row when the load was row-at-a-time
+// inserts, ≈0 for the bulk build. Ungated; `setup_s` in benchmark/ is
+// the gate.
+func BenchmarkEngineLoad(b *testing.B) {
+	const rows = 200_000
+	payload := []byte("payload-00000000-0000000000000000")
+	valFn := func(k uint64) []byte {
+		for i, v := 15, k; i >= 8; i, v = i-1, v>>4 {
+			payload[i] = "0123456789abcdef"[v&15]
+		}
+		buf, err := loadBenchSchema.Encode(k, string(payload), uint64(0), k%16 == 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return buf
+	}
+	var poolReqs int64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < b.N; i++ {
+		cfg := engine.DefaultConfig()
+		cfg.CachePages = 8192
+		eng, err := engine.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := eng.Load(rows, valFn); err != nil {
+			b.Fatal(err)
+		}
+		st := eng.DC.Pool().Stats()
+		poolReqs += st.Hits + st.Misses
+	}
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N)/rows, "allocs/row")
+	b.ReportMetric(float64(poolReqs)/float64(b.N)/rows, "pool-reqs/row")
 }

@@ -383,6 +383,22 @@ func (p *Pool) DirtyPIDs() []storage.PageID {
 	return out
 }
 
+// PinnedCount returns the number of frames currently pinned (test
+// oracle for pin leaks and for the bulk loader's spine bound).
+func (p *Pool) PinnedCount() int {
+	n := 0
+	for _, sp := range p.subs {
+		sp.mu.Lock()
+		for _, f := range sp.frames {
+			if f.pins > 0 {
+				n++
+			}
+		}
+		sp.mu.Unlock()
+	}
+	return n
+}
+
 // Get returns the frame for pid, fetching from disk on a miss (which
 // advances the virtual clock per the disk model) and evicting as
 // needed. The frame is pinned; callers must Unpin.

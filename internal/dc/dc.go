@@ -68,6 +68,10 @@ type DC struct {
 	// rsspLSN is the last redo-scan-start-point received (persisted in
 	// the metadata page).
 	rsspLSN wal.LSN
+
+	// loader is the bulk load in progress: set by the first LoadRow,
+	// cleared by FinishLoad.
+	loader *btree.Loader
 }
 
 // smoLogger adapts the shared log for the tree's SMO records, stamping
@@ -305,9 +309,10 @@ func (d *DC) WriteBootPage() error {
 	return nil
 }
 
-// BulkLoad inserts n sequential rows (keys 0..n-1) with values produced
+// BulkLoad loads n sequential rows (keys 0..n-1) with values produced
 // by valFn, unlogged, then flushes everything and persists the boot
-// page. It must run before StartLogging.
+// page. It must run before StartLogging, on an empty table; valFn's
+// slice is copied before the next call, so it may reuse a buffer.
 func (d *DC) BulkLoad(n int, valFn func(key uint64) []byte) error {
 	for k := uint64(0); k < uint64(n); k++ {
 		if err := d.LoadRow(k, valFn(k)); err != nil {
@@ -317,11 +322,22 @@ func (d *DC) BulkLoad(n int, valFn func(key uint64) []byte) error {
 	return d.FinishLoad()
 }
 
-// LoadRow inserts one row unlogged (bulk-load mode). The sharded engine
-// routes rows here key by key; call FinishLoad when every row is in.
+// LoadRow appends one row to the unlogged bulk load (btree.Loader: the
+// table is built, not inserted into). The table must be empty when the
+// first row arrives, keys must ascend strictly from call to call, and
+// every row must be in before StartLogging; val is copied into its page
+// before LoadRow returns. The loader keeps the tree's right spine
+// pinned between calls; FinishLoad releases it.
 func (d *DC) LoadRow(key uint64, val []byte) error {
-	if err := d.tree.Insert(key, val, wal.NilLSN); err != nil {
-		return fmt.Errorf("dc: bulk load key %d: %w", key, err)
+	if d.loader == nil {
+		l, err := d.tree.NewLoader()
+		if err != nil {
+			return fmt.Errorf("dc: %w", err)
+		}
+		d.loader = l
+	}
+	if err := d.loader.Add(key, val); err != nil {
+		return fmt.Errorf("dc: %w", err)
 	}
 	return nil
 }
@@ -329,6 +345,10 @@ func (d *DC) LoadRow(key uint64, val []byte) error {
 // FinishLoad completes a bulk load: flush every page, persist the boot
 // page and sync the device.
 func (d *DC) FinishLoad() error {
+	if d.loader != nil {
+		d.loader.Finish()
+		d.loader = nil
+	}
 	if err := d.pool.FlushAll(); err != nil {
 		return err
 	}

@@ -335,9 +335,14 @@ func readMaster(dir string) (wal.LSN, error) {
 	return wal.LSN(binary.BigEndian.Uint64(buf)), nil
 }
 
-// Load bulk-loads n sequential rows (routed to their shards), flushes
-// them, enables logging and takes the initial checkpoint so the engine
-// is in steady operation. A standby engine (Config.Standby) stops
+// Load bulk-loads n sequential rows (keys 0..n-1, routed to their
+// shards), flushes them, enables logging and takes the initial
+// checkpoint so the engine is in steady operation. It runs once, on an
+// empty engine, before any logged operation: each shard's table is
+// built bottom-up from its ascending keys (btree.Loader), not inserted
+// into. valFn is called from the calling goroutine in key order, and
+// the slice it returns is copied into its page before the next call,
+// so it may reuse one buffer. A standby engine (Config.Standby) stops
 // after the flush: logging stays off and no checkpoint is taken, so
 // its log holds nothing but the header and shipped bytes land at
 // exactly the primary's offsets.

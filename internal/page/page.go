@@ -66,6 +66,9 @@ var (
 	ErrPageFull = errors.New("page: full")
 	// ErrKeyExists indicates an insert of a key already present.
 	ErrKeyExists = errors.New("page: key exists")
+	// ErrNotAscending indicates an Append of a key that does not exceed
+	// the page's last key.
+	ErrNotAscending = errors.New("page: appended key does not ascend")
 	// ErrNotFound indicates the key is not on the page.
 	ErrNotFound = errors.New("page: key not found")
 	// ErrCorrupt indicates the page failed a structural check.
@@ -191,6 +194,27 @@ func (p *Page) Insert(key uint64, val []byte) error {
 		return fmt.Errorf("%w: %d", ErrKeyExists, key)
 	}
 	return p.insertAt(idx, key, val)
+}
+
+// Append adds (key, val) as the page's last cell: key must exceed every
+// key already on the page (ErrNotAscending otherwise), so there is no
+// search and no slot to shift — the sorted bulk build's insert. The
+// page is left exactly as Insert would leave it; on any error it is
+// untouched.
+func (p *Page) Append(key uint64, val []byte) error {
+	n := p.NumSlots()
+	if n > 0 {
+		if last := p.KeyAt(n - 1); key <= last {
+			return fmt.Errorf("%w: %d after %d", ErrNotAscending, key, last)
+		}
+	}
+	return p.insertAt(n, key, val)
+}
+
+// MaxValueLen is the longest value a cell on an otherwise empty page of
+// pageSize bytes can hold.
+func MaxValueLen(pageSize int) int {
+	return pageSize - headerSize - slotSize - cellKeyLen
 }
 
 func (p *Page) insertAt(idx int, key uint64, val []byte) error {

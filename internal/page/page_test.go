@@ -402,3 +402,66 @@ func TestCellSize(t *testing.T) {
 		t.Fatalf("CellSize wrong: %d %d", CellSize(0), CellSize(100))
 	}
 }
+
+// TestAppendMatchesInsert: appending ascending keys leaves the page
+// byte for byte as inserting them does.
+func TestAppendMatchesInsert(t *testing.T) {
+	a, b := newLeaf(t), newLeaf(t)
+	for k := uint64(1); ; k++ {
+		v := bytes.Repeat([]byte{byte(k)}, int(k%7)+1)
+		errA, errB := a.Append(k*3, v), b.Insert(k*3, v)
+		if (errA == nil) != (errB == nil) {
+			t.Fatalf("key %d: Append err %v, Insert err %v", k*3, errA, errB)
+		}
+		if errA != nil {
+			if !errors.Is(errA, ErrPageFull) {
+				t.Fatalf("Append: %v, want ErrPageFull", errA)
+			}
+			break
+		}
+	}
+	if a.NumSlots() < 10 {
+		t.Fatalf("only %d cells fit", a.NumSlots())
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("appended page differs from inserted page")
+	}
+	if err := a.Check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestAppendRejectsNonAscendingKey(t *testing.T) {
+	p := newLeaf(t)
+	for _, k := range []uint64{10, 20} {
+		if err := p.Append(k, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := append([]byte(nil), p.Bytes()...)
+	for _, k := range []uint64{20, 15, 0} {
+		if err := p.Append(k, []byte("w")); !errors.Is(err, ErrNotAscending) {
+			t.Fatalf("Append(%d) after 20: %v, want ErrNotAscending", k, err)
+		}
+	}
+	if !bytes.Equal(before, p.Bytes()) {
+		t.Fatal("a rejected Append changed the page")
+	}
+}
+
+func TestAppendFullLeavesPageUntouched(t *testing.T) {
+	p := newLeaf(t)
+	if err := p.Append(1, make([]byte, MaxValueLen(testPageSize)+1)); !errors.Is(err, ErrPageFull) {
+		t.Fatalf("oversized value on an empty page: %v, want ErrPageFull", err)
+	}
+	if err := p.Append(1, make([]byte, MaxValueLen(testPageSize))); err != nil {
+		t.Fatalf("MaxValueLen value on an empty page: %v", err)
+	}
+	before := append([]byte(nil), p.Bytes()...)
+	if err := p.Append(2, nil); !errors.Is(err, ErrPageFull) {
+		t.Fatalf("Append to a full page: %v, want ErrPageFull", err)
+	}
+	if !bytes.Equal(before, p.Bytes()) {
+		t.Fatal("a failed Append changed the page")
+	}
+}

@@ -10,6 +10,7 @@ import (
 
 	"logrec/internal/core"
 	"logrec/internal/engine"
+	"logrec/internal/storage"
 	"logrec/internal/tc"
 	"logrec/internal/wal"
 	"logrec/internal/workload"
@@ -621,4 +622,34 @@ func TestPromoteAfterStandbyReleases(t *testing.T) {
 	}
 	checkPromotedServes(t, promoted)
 	t.Logf("%d standby releases (%d with the loser in flight)", releases, releasesWithLoser)
+}
+
+// TestStandbyLoadMatchesPrimaryPages: the same-geometry standby applies
+// the primary's physiological records by page ID, which is sound only if
+// the bulk load puts every row on the same page with the same image on
+// both sides. Every tree page of every shard must be byte-equal.
+func TestStandbyLoadMatchesPrimaryPages(t *testing.T) {
+	primary := newPrimary(t, 2)
+	standby := newStandby(t, primary, nil)
+	for i := range primary.DCs {
+		meta := primary.DCs[i].Tree().Meta()
+		if got := standby.DCs[i].Tree().Meta(); got != meta {
+			t.Fatalf("shard %d: standby Meta %+v, primary %+v", i, got, meta)
+		}
+		// Page 1 is the boot page: the primary's carries its first
+		// checkpoint's RSSP, the standby's none.
+		for pid := storage.MetaPageID + 1; pid < meta.NextPID; pid++ {
+			want, err := primary.Disks[i].Read(pid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := standby.Disks[i].Read(pid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("shard %d page %d: standby image differs from the primary's", i, pid)
+			}
+		}
+	}
 }

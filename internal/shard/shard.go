@@ -406,12 +406,15 @@ func (s *Set) RSSP(rsspLSN wal.LSN) error {
 	return nil
 }
 
-// LoadRow routes one unlogged bulk-load row to its shard.
+// LoadRow routes one unlogged bulk-load row to its shard. Keys must
+// ascend strictly within each shard (dc.DC.LoadRow); val is copied
+// before LoadRow returns.
 func (s *Set) LoadRow(key uint64, val []byte) error {
 	return s.dcs[s.router.Locate(key)].LoadRow(key, val)
 }
 
-// FinishLoad flushes and boots every shard after a bulk load.
+// FinishLoad completes every shard's bulk load: release the loader,
+// flush every page, persist the boot page.
 func (s *Set) FinishLoad() error {
 	for i, d := range s.dcs {
 		if err := d.FinishLoad(); err != nil {
