@@ -34,12 +34,11 @@ type Loader struct {
 	// spine[i] is the pinned rightmost page of level i (0 = leaf); the
 	// last element is the root. nil after Finish.
 	spine []*buffer.Frame
-	// done collects the pages one Add took off the spine.
-	done []*buffer.Frame
 
-	last   uint64
-	rows   int
-	maxVal int
+	// last is the previous row's key, once started.
+	last    uint64
+	started bool
+	maxVal  int
 }
 
 // NewLoader starts a bulk load. The tree must be empty and unlogged
@@ -72,7 +71,7 @@ func (l *Loader) Add(key uint64, val []byte) error {
 	if l.spine == nil {
 		return errors.New("btree: Add on a finished bulk load")
 	}
-	if l.rows > 0 && key <= l.last {
+	if l.started && key <= l.last {
 		return fmt.Errorf("btree: bulk load keys must ascend strictly: %d after %d", key, l.last)
 	}
 	if len(val) > l.maxVal {
@@ -88,18 +87,17 @@ func (l *Loader) Add(key uint64, val []byte) error {
 	if err != nil {
 		return fmt.Errorf("btree: bulk load key %d: %w", key, err)
 	}
-	l.last = key
-	l.rows++
+	l.last, l.started = key, true
 	return nil
 }
 
 // newPage allocates the next PID as a pinned, formatted page.
 func (l *Loader) newPage(typ page.Type) (*buffer.Frame, error) {
-	f, err := l.t.pool.NewPage(l.t.meta.NextPID, typ)
+	pid := l.t.allocPID()
+	f, err := l.t.pool.NewPage(pid, typ)
 	if err != nil {
-		return nil, fmt.Errorf("btree: bulk load allocating page %d: %w", l.t.meta.NextPID, err)
+		return nil, fmt.Errorf("btree: bulk load allocating page %d: %w", pid, err)
 	}
-	l.t.meta.NextPID++
 	return f, nil
 }
 
@@ -117,7 +115,8 @@ func (l *Loader) openRightLeaf(sep uint64) error {
 	right.Page.SetExtra(leaf.Page.Extra())
 	leaf.Page.SetExtra(uint32(right.PID))
 	l.spine[0] = right
-	l.done = append(l.done[:0], leaf)
+	// done collects the pages this split takes off the spine.
+	done := []*buffer.Frame{leaf}
 
 	// (left, opened) are the page that filled and its new right sibling
 	// one level down.
@@ -151,10 +150,10 @@ func (l *Loader) openRightLeaf(sep uint64) error {
 		}
 		right.Page.SetExtra(uint32(opened))
 		l.spine[level] = right
-		l.done = append(l.done, parent)
+		done = append(done, parent)
 		left, opened = parent.PID, right.PID
 	}
-	l.release(l.done)
+	l.release(done)
 	return nil
 }
 
@@ -170,5 +169,5 @@ func (l *Loader) release(frames []*buffer.Frame) {
 // is in the pool, dirty or already written behind; the caller flushes.
 func (l *Loader) Finish() {
 	l.release(l.spine)
-	l.spine, l.done = nil, nil
+	l.spine = nil
 }

@@ -42,6 +42,12 @@ func TestLoaderSpinePins(t *testing.T) {
 		if pins, h := e.pool.PinnedCount(), int(e.tree.Meta().Height); pins != h {
 			t.Fatalf("after key %d: %d frames pinned, tree height %d", k, pins, h)
 		}
+		if k%997 == 0 {
+			// The tree is well-formed between Adds, not only at the end.
+			if _, found, err := e.tree.Search(k / 2); err != nil || !found {
+				t.Fatalf("mid-load Search(%d) after key %d: found=%v err=%v", k/2, k, found, err)
+			}
+		}
 	}
 	if h := e.tree.Meta().Height; h != 3 {
 		t.Fatalf("height %d, want 3", h)
