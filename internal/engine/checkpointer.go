@@ -96,7 +96,9 @@ type Checkpointer struct {
 	stop     chan struct{}
 	done     chan struct{}
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// lastRecs is the idle guard's baseline: trafficRecords sampled with
+	// the last checkpoint's window start, before its begin record.
 	lastRecs int64
 	// windowStart approximates the redo-scan start a crash would use:
 	// the log end captured just before the last successful checkpoint's
@@ -132,15 +134,25 @@ func (e *Engine) StartCheckpointer(mgr *tc.SessionManager, cfg CheckpointerConfi
 		cfg.ReplayBytesPerSec = e.LastRecovery.ReplayBytesPerSec
 	}
 	c := &Checkpointer{
-		mgr:      mgr,
-		log:      e.Log,
-		cfg:      cfg,
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-		lastRecs: e.Log.Records(),
+		mgr:  mgr,
+		log:  e.Log,
+		cfg:  cfg,
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
 	}
+	c.lastRecs = c.trafficRecords()
 	go c.run()
 	return c
+}
+
+// trafficRecords counts the log records the checkpoint protocol did not
+// write itself: everything but begin-checkpoint, end-checkpoint and RSSP
+// records. It is what the "anything new since the last checkpoint?"
+// comparisons run on, so a checkpoint's own records never make an idle
+// engine look busy. ∆ and BW records are caused by traffic and count.
+func (c *Checkpointer) trafficRecords() int64 {
+	return c.log.Records() - c.log.AppendCount(wal.TypeBeginCkpt) -
+		c.log.AppendCount(wal.TypeEndCkpt) - c.log.AppendCount(wal.TypeRSSP)
 }
 
 func (c *Checkpointer) run() {
@@ -162,7 +174,7 @@ func (c *Checkpointer) run() {
 // the current redo window exceeds the recovery budget.
 func (c *Checkpointer) tick() {
 	now := time.Now()
-	recs := c.log.Records()
+	recs := c.trafficRecords()
 	end := c.log.EndLSN()
 
 	c.mu.Lock()
@@ -192,8 +204,9 @@ func (c *Checkpointer) tick() {
 		if rate > 0 {
 			est := time.Duration(float64(window) / rate * float64(time.Second))
 			c.stats.LastEstReplay = est
-			// recs > lastRecs guards the idle engine: a window that is
-			// not growing was already paid for by the last checkpoint.
+			// recs > lastRecs guards the idle engine: a window holding
+			// nothing but the last checkpoint's own records was already
+			// paid for by it.
 			budgetDue = est > c.cfg.RecoveryBudget && recs > c.lastRecs
 			due = budgetDue
 		} else {
@@ -237,9 +250,13 @@ func (c *Checkpointer) effectiveRateLocked() float64 {
 // estimate is the log end sampled just before the checkpoint begins —
 // the begin-ckpt record lands at or after it, and the RSSP the next
 // redo scan starts from is at or after that, so the estimate never
-// undercounts the window.
+// undercounts the window. The idle guard's baseline is sampled with it:
+// a record a session appends while the checkpoint runs is in the next
+// window and must count as new, or traffic that stops right there would
+// leave that window unchecked however far over budget it is.
 func (c *Checkpointer) checkpoint(budget bool) error {
 	start := c.log.EndLSN()
+	recs := c.trafficRecords()
 	err := c.mgr.Checkpoint()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -249,7 +266,7 @@ func (c *Checkpointer) checkpoint(budget bool) error {
 		if budget {
 			c.stats.BudgetTriggers++
 		}
-		c.lastRecs = c.log.Records()
+		c.lastRecs = recs
 		c.windowStart = start
 	}
 	return err

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"logrec/internal/tc"
 	"logrec/internal/wal"
 )
 
@@ -202,5 +203,80 @@ func TestBudgetCheckpointerInheritsEngineSeed(t *testing.T) {
 	// Stats() surfaces the recovery summary the seed came from.
 	if got := eng.Stats().Recovery; got == nil || got.Method != "Log1" {
 		t.Errorf("Stats().Recovery = %+v, want the engine's LastRecovery", got)
+	}
+}
+
+// TestBudgetCheckpointerCountsCommitsLandingMidCheckpoint pins the idle
+// guard's baseline to the window start. N sessions hold one applied
+// update each and all commit while a checkpoint is still running (from
+// the master hook: the end record is forced, every plane is still held,
+// commits need none), then traffic stops. Those N commit records sit in
+// the window the next crash replays, far over budget, and are the only
+// new log there is: a baseline sampled after the checkpoint has absorbed
+// them and every later tick skips. No daemon goroutine, no clock: the
+// rate is the seed (the first tick has no live sample yet) and the ticks
+// are driven by hand.
+func TestBudgetCheckpointerCountsCommitsLandingMidCheckpoint(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.CachePages = 256
+	eng, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sessions = 100
+	if err := eng.Load(sessions, func(k uint64) []byte { return []byte("v") }); err != nil {
+		t.Fatal(err)
+	}
+	mgr := eng.NewSessionManager(0)
+	// 64 KiB/s over 16ms tolerates a 1 KiB window; 100 commit records
+	// alone are 2 KiB.
+	const budget = 16 * time.Millisecond
+	ckpt := eng.StartCheckpointer(mgr, CheckpointerConfig{
+		Interval:          time.Hour,
+		MinRecords:        1,
+		RecoveryBudget:    budget,
+		ReplayBytesPerSec: 64 << 10,
+	})
+	ckpt.Stop()
+
+	open := make([]*tc.Session, sessions)
+	for i := range open {
+		open[i] = mgr.NewSession()
+		if err := open[i].Begin(); err != nil {
+			t.Fatal(err)
+		}
+		if err := open[i].Update(cfg.TableID, uint64(i), []byte("w")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.TC.SetMasterHook(func(wal.LSN) error {
+		for _, s := range open {
+			if err := s.Commit(); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err := ckpt.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	eng.TC.SetMasterHook(nil)
+	if n := eng.TC.ActiveCount(); n != 0 {
+		t.Fatalf("%d transactions still active: the hook did not commit them", n)
+	}
+
+	ckpt.tick()
+	st := ckpt.Stats()
+	if st.LastEstReplay <= budget {
+		t.Fatalf("window of %d bytes estimates %v, within the %v budget: the test needs it over", st.LastWindowBytes, st.LastEstReplay, budget)
+	}
+	if st.Taken != 2 || st.BudgetTriggers != 1 {
+		t.Fatalf("%d commits landed inside the last checkpoint and the next tick left them: Taken %d, BudgetTriggers %d, Skipped %d over a %d-byte window estimated at %v (budget %v)",
+			sessions, st.Taken, st.BudgetTriggers, st.Skipped, st.LastWindowBytes, st.LastEstReplay, budget)
+	}
+	// Nothing but that checkpoint's own records is new now.
+	ckpt.tick()
+	if st := ckpt.Stats(); st.Taken != 2 || st.Skipped != 1 {
+		t.Errorf("idle after the catch-up checkpoint: Taken %d, Skipped %d; want 2 and 1", st.Taken, st.Skipped)
 	}
 }
