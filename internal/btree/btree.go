@@ -48,12 +48,15 @@ type Meta struct {
 	NextPID storage.PageID
 }
 
-// SMOLogger appends SMO records to the shared log. NextLSN must return
-// the LSN the following append will be assigned, so page images can
-// embed their own record's LSN as pLSN before encoding.
+// SMOLogger appends SMO records to the shared log. NextLSN returns the
+// LSN the next append will be assigned, so page images can embed their
+// own record's LSN as pLSN before encoding; AppendSMO appends the record
+// only if it still lands there, and reports false when another appender
+// on the shared log (another shard's session, a commit record) took
+// that LSN first.
 type SMOLogger interface {
 	NextLSN() wal.LSN
-	AppendSMO(*wal.SMORec) wal.LSN
+	AppendSMO(rec *wal.SMORec, at wal.LSN) bool
 }
 
 // CPUCosts charges the virtual clock for tree computation. Both are

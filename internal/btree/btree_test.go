@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"logrec/internal/buffer"
+	"logrec/internal/page"
 	"logrec/internal/sim"
 	"logrec/internal/storage"
 	"logrec/internal/wal"
@@ -26,8 +27,14 @@ type testEnv struct {
 // walSMOLogger adapts a wal.Log to the SMOLogger interface.
 type walSMOLogger struct{ log *wal.Log }
 
-func (l walSMOLogger) NextLSN() wal.LSN                { return l.log.EndLSN() }
-func (l walSMOLogger) AppendSMO(r *wal.SMORec) wal.LSN { return l.log.MustAppend(r) }
+func (l walSMOLogger) NextLSN() wal.LSN { return l.log.EndLSN() }
+func (l walSMOLogger) AppendSMO(r *wal.SMORec, at wal.LSN) bool {
+	ok, err := l.log.AppendAt(r, at)
+	if err != nil {
+		panic(err)
+	}
+	return ok
+}
 
 func newEnv(t *testing.T, poolPages int) *testEnv {
 	t.Helper()
@@ -402,6 +409,69 @@ func TestSplitSMORecordImagesMatchCache(t *testing.T) {
 			}
 		}
 		_ = lsn
+	}
+	if smoSeen == 0 {
+		t.Fatal("no SMO records found")
+	}
+}
+
+// contendedSMOLogger shares its log with an appender the tree's plane
+// does not exclude: before each of the first few SMO append attempts —
+// retries included, so one split can lose several reservations in a
+// row — it lets a foreign record take the reserved LSN.
+type contendedSMOLogger struct {
+	walSMOLogger
+	steals *int
+}
+
+func (l contendedSMOLogger) AppendSMO(r *wal.SMORec, at wal.LSN) bool {
+	if *l.steals > 0 {
+		*l.steals--
+		l.log.MustAppend(&wal.CommitRec{TxnID: 99})
+	}
+	return l.walSMOLogger.AppendSMO(r, at)
+}
+
+// TestSMOReservationLostToConcurrentAppend: a record another goroutine
+// appends between an SMO's LSN reservation and its append must cost a
+// restamp, not the split — every SMO record's images carry the LSN the
+// record actually got.
+func TestSMOReservationLostToConcurrentAppend(t *testing.T) {
+	e := newEnv(t, 256)
+	steals := 5
+	e.tree.SetSMOLogger(contendedSMOLogger{walSMOLogger{e.log}, &steals})
+	for k := uint64(0); k < 600; k++ {
+		if err := e.tree.Insert(k, val(k), e.lsn()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if steals != 0 {
+		t.Fatalf("%d reservations never contended: too few splits", steals)
+	}
+	if err := e.tree.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	e.log.Flush()
+	sc := e.log.NewScanner(wal.FirstLSN(), nil, wal.ScanCost{})
+	smoSeen := 0
+	for {
+		rec, lsn, ok, err := sc.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		smo, isSMO := rec.(*wal.SMORec)
+		if !isSMO {
+			continue
+		}
+		smoSeen++
+		for _, img := range smo.Images {
+			if got := page.Wrap(img.Data).LSN(); got != uint64(lsn) {
+				t.Errorf("SMO record at %v carries an image of page %d stamped %d", lsn, img.PageID, got)
+			}
+		}
 	}
 	if smoSeen == 0 {
 		t.Fatal("no SMO records found")

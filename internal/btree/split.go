@@ -38,12 +38,16 @@ func (b *smoBuild) touch(f *buffer.Frame) {
 
 // finish stamps every touched page with the SMO record's LSN, marks
 // them dirty, logs the SMO record with after-images and the new tree
-// metadata, and releases the pins. Nothing may append to the log
-// between the LSN reservation and the SMO append: the lazywriter is
-// suspended for the duration (a background flush would let the flush
-// tracker log its own record), and the onDirty notifications are
-// deferred until after the append (the ∆ tracker emits a capacity
-// record synchronously when NoteUpdate fills its dirty set).
+// metadata, and releases the pins. Nothing this goroutine does may
+// append to the log between the LSN reservation and the SMO append: the
+// lazywriter is suspended for the duration (a background flush would let
+// the flush tracker log its own record), and the onDirty notifications
+// are deferred until after the append (the ∆ tracker emits a capacity
+// record synchronously when NoteUpdate fills its dirty set). Other
+// goroutines share the log — another shard's session, a commit record,
+// neither of which needs this shard's plane — so the append is
+// conditional on the reserved LSN, and when one of them got there first
+// the pages are stamped again under a fresh reservation.
 func (b *smoBuild) finish() error {
 	b.tree.pool.SuspendCleaner()
 	defer func() {
@@ -60,33 +64,41 @@ func (b *smoBuild) finish() error {
 		}
 		return nil
 	}
-	lsn := t.smo.NextLSN()
-	rec := &wal.SMORec{
-		Meta: wal.TreeMeta{
-			TableID: t.meta.TableID,
-			Root:    t.meta.Root,
-			Height:  t.meta.Height,
-			NextPID: t.meta.NextPID,
-		},
-	}
-	for _, pid := range b.order {
-		f := b.frames[pid]
-		f.Page.SetLSN(uint64(lsn))
-		t.pool.MarkDirty(f, lsn)
-		img := make([]byte, len(f.Page.Bytes()))
-		copy(img, f.Page.Bytes())
-		rec.Images = append(rec.Images, wal.PageImage{PageID: pid, Data: img})
-	}
-	got := t.smo.AppendSMO(rec)
-	if got != lsn {
-		return fmt.Errorf("btree: SMO logger returned LSN %v, reserved %v", got, lsn)
-	}
-	if t.onDirty != nil {
-		for _, pid := range b.order {
-			t.onDirty(pid, lsn)
+	// A lost reservation costs one restamp; losing this many in a row
+	// means the window is being broken from inside (see above), which
+	// no retry can fix.
+	const maxReservations = 1 << 16
+	for attempt := 0; ; attempt++ {
+		if attempt == maxReservations {
+			return fmt.Errorf("btree: SMO record lost its reserved LSN %d times in a row", attempt)
 		}
+		lsn := t.smo.NextLSN()
+		rec := &wal.SMORec{
+			Meta: wal.TreeMeta{
+				TableID: t.meta.TableID,
+				Root:    t.meta.Root,
+				Height:  t.meta.Height,
+				NextPID: t.meta.NextPID,
+			},
+		}
+		for _, pid := range b.order {
+			f := b.frames[pid]
+			f.Page.SetLSN(uint64(lsn))
+			t.pool.MarkDirty(f, lsn)
+			img := make([]byte, len(f.Page.Bytes()))
+			copy(img, f.Page.Bytes())
+			rec.Images = append(rec.Images, wal.PageImage{PageID: pid, Data: img})
+		}
+		if !t.smo.AppendSMO(rec, lsn) {
+			continue
+		}
+		if t.onDirty != nil {
+			for _, pid := range b.order {
+				t.onDirty(pid, lsn)
+			}
+		}
+		return nil
 	}
-	return nil
 }
 
 // allocPID hands out the next page ID.

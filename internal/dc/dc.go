@@ -82,9 +82,13 @@ type smoLogger struct {
 }
 
 func (l smoLogger) NextLSN() wal.LSN { return l.log.EndLSN() }
-func (l smoLogger) AppendSMO(r *wal.SMORec) wal.LSN {
+func (l smoLogger) AppendSMO(r *wal.SMORec, at wal.LSN) bool {
 	r.ShardID = l.shard
-	return l.log.MustAppend(r)
+	ok, err := l.log.AppendAt(r, at)
+	if err != nil {
+		panic(err)
+	}
+	return ok
 }
 
 // New creates a DC over an empty disk with a freshly created table,

@@ -208,13 +208,33 @@ func (l *Log) appendFrame(frame []byte) LSN {
 // tail segment's spare capacity; only a frame that does not fit there
 // is encoded on the heap and copied into the segment opened for it.
 func (l *Log) Append(rec Record) (LSN, error) {
+	lsn, _, err := l.appendIf(rec, NilLSN)
+	return lsn, err
+}
+
+// AppendAt appends rec only if it lands exactly at the LSN `at` — the
+// log end the caller sampled with EndLSN and built into the record (an
+// SMO record's page images carry the record's own LSN). It reports
+// false, having appended nothing, when another append got there first;
+// the caller samples again and rebuilds.
+func (l *Log) AppendAt(rec Record, at LSN) (bool, error) {
+	_, ok, err := l.appendIf(rec, at)
+	return ok, err
+}
+
+// appendIf is Append, conditional on the record landing at `at` unless
+// at is NilLSN.
+func (l *Log) appendIf(rec Record, at LSN) (LSN, bool, error) {
 	typ := rec.Type()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.frozen {
-		return NilLSN, fmt.Errorf("wal: append to frozen log")
+		return NilLSN, false, fmt.Errorf("wal: append to frozen log")
 	}
 	t := l.tail()
+	if at != NilLSN && t.end() != at {
+		return NilLSN, false, nil
+	}
 	n := len(t.data)
 	frame := append(t.data[n:n:cap(t.data)], 0, 0, 0, 0, byte(typ))
 	frame = rec.encodeBody(frame)
@@ -229,7 +249,7 @@ func (l *Log) Append(rec Record) (LSN, error) {
 	}
 	l.recCount++
 	l.appendCount[typ]++
-	return lsn, nil
+	return lsn, true, nil
 }
 
 // MustAppend is Append for call sites where the log cannot be frozen;
