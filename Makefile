@@ -91,6 +91,7 @@ bench: | $(BENCH_DIR)
 	$(GO) run ./cmd/recoverybench -budget 75ms,250ms \
 		-dir $(FILEDEV_DIR)-slo -out $(BENCH_DIR)/BENCH_recovery_slo.json
 	$(GO) test -run '^$$' -bench WALGroupCommit -benchtime 300x .
+	$(GO) test -run '^$$' -bench SessionCommit -benchtime 20000x .
 	$(GO) test -run '^$$' -bench EngineLoad -benchtime 1x .
 
 # The same sweeps at -quick: CI runs this so the drivers cannot rot.

@@ -8,12 +8,14 @@ package logrec_test
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"logrec/internal/engine"
+	"logrec/internal/tc"
 )
 
 const (
@@ -93,4 +95,96 @@ func benchGroupCommit(b *testing.B, clients int) {
 	if st.Flushes > 0 {
 		b.ReportMetric(float64(st.Commits)/float64(st.Flushes), "commits/flush")
 	}
+}
+
+// BenchmarkSessionCommit measures what one transaction costs end to end
+// at zero linger — the flush policy benchmark/ runs — in the three
+// shapes the commit path tells apart: a transaction that only reads
+// (appends and forces nothing), a lone writer (forces inline, never
+// yields) and two concurrent writers (a leader yields so the other can
+// join its force). Per transaction: wall time, heap allocations, log
+// bytes, log forces and leader yields. Ungated.
+func BenchmarkSessionCommit(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		clients int
+		reads   bool
+	}{
+		{"readonly", 1, true},
+		{"solo-writer", 1, false},
+		{"two-writers", 2, false},
+	} {
+		b.Run(c.name, func(b *testing.B) { benchSessionCommit(b, c.clients, c.reads) })
+	}
+}
+
+func benchSessionCommit(b *testing.B, clients int, reads bool) {
+	cfg := engine.DefaultConfig()
+	cfg.CachePages = 512
+	eng, err := engine.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := eng.Load(walBenchRows, func(k uint64) []byte {
+		return []byte(fmt.Sprintf("initial-value-%06d", k))
+	}); err != nil {
+		b.Fatal(err)
+	}
+	mgr := eng.NewSessionManager(0)
+	val := []byte("updated-value-000000")
+
+	// One transaction on a client's own key partition: 4 reads, or
+	// walBenchOps updates.
+	runTxn := func(sess *tc.Session, base uint64, i int64) error {
+		if err := sess.Begin(); err != nil {
+			return err
+		}
+		if reads {
+			for u := int64(0); u < 4; u++ {
+				if _, _, err := sess.Read(cfg.TableID, base+uint64(i*4+u)%walBenchJitter); err != nil {
+					return err
+				}
+			}
+		} else {
+			for u := int64(0); u < walBenchOps; u++ {
+				if err := sess.Update(cfg.TableID, base+uint64(i*walBenchOps+u)%walBenchJitter, val); err != nil {
+					return err
+				}
+			}
+		}
+		return sess.Commit()
+	}
+
+	// b.N transactions in all, drawn from a shared counter.
+	var next atomic.Int64
+	perClient := walBenchRows / clients
+	logStart, walStart := eng.Log.EndLSN(), eng.Stats().WAL
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			sess := mgr.NewSession()
+			for i := next.Add(1); i <= int64(b.N); i = next.Add(1) {
+				if err := runTxn(sess, uint64(c*perClient), i); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+
+	wal, n := eng.Stats().WAL, float64(b.N)
+	b.ReportMetric(0, "ns/op") // reported as ns/txn
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/txn")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/txn")
+	b.ReportMetric(float64(eng.Log.EndLSN()-logStart)/n, "logB/txn")
+	b.ReportMetric(float64(wal.Flushes-walStart.Flushes)/n, "flushes/commit")
+	b.ReportMetric(float64(wal.Yields-walStart.Yields)/n, "yields/commit")
 }

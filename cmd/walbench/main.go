@@ -69,6 +69,7 @@ type result struct {
 	RecordsPerFlus float64 `json:"records_per_flush"`
 	CommitsPerFlus float64 `json:"commits_per_flush"`
 	MaxBatch       int64   `json:"max_batch"`
+	Yields         int64   `json:"yields"`
 }
 
 type report struct {
@@ -185,8 +186,8 @@ func main() {
 
 	fmt.Printf("walbench: %d rows, %d txns/client × %d updates, flush delay %v\n",
 		*rows, *txns, *ops, *flushDelay)
-	fmt.Printf("%8s %12s %14s %10s %14s %14s\n",
-		"clients", "commits", "commits/sec", "flushes", "recs/flush", "commits/flush")
+	fmt.Printf("%8s %12s %14s %10s %14s %14s %10s\n",
+		"clients", "commits", "commits/sec", "flushes", "recs/flush", "commits/flush", "yields")
 
 	for _, n := range clients {
 		dir := ""
@@ -198,8 +199,8 @@ func main() {
 			log.Fatalf("clients=%d: %v", n, err)
 		}
 		rep.Results = append(rep.Results, r)
-		fmt.Printf("%8d %12d %14.0f %10d %14.2f %14.2f\n",
-			r.Clients, r.Commits, r.CommitsPerSec, r.Flushes, r.RecordsPerFlus, r.CommitsPerFlus)
+		fmt.Printf("%8d %12d %14.0f %10d %14.2f %14.2f %10d\n",
+			r.Clients, r.Commits, r.CommitsPerSec, r.Flushes, r.RecordsPerFlus, r.CommitsPerFlus, r.Yields)
 	}
 
 	buf, err := json.MarshalIndent(rep, "", "  ")
@@ -284,6 +285,7 @@ func runOne(clients, txns, ops, rows, cache int, flushDelay time.Duration, dir s
 		Flushes:        st.Flushes,
 		RecordsPerFlus: st.RecordsPerFlush(),
 		MaxBatch:       st.MaxBatch,
+		Yields:         st.Yields,
 	}
 	if st.Flushes > 0 {
 		r.CommitsPerFlus = float64(st.Commits) / float64(st.Flushes)

@@ -144,3 +144,116 @@ func TestRecoverFromLiveCheckpointedWAL(t *testing.T) {
 		}
 	}
 }
+
+// TestOpenReaderAcrossCheckpointIsNotALoser leaves a transaction that
+// only read open across a checkpoint and the crash, next to two real
+// losers (one older than the checkpoint, one younger). It logged
+// nothing, so the checkpoint's active table must not list it, no method
+// may count it among the losers, and recovery writes no CLR and no abort
+// record in its name. Its ID appears nowhere in the log, which is why
+// the recovered TC is free to issue it again.
+func TestOpenReaderAcrossCheckpointIsNotALoser(t *testing.T) {
+	cfg := testConfig(300)
+	eng, err := engine.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows = 500
+	om := make(oracle, rows)
+	if err := eng.Load(rows, func(k uint64) []byte {
+		v := val(k, 0)
+		om[k] = v
+		return v
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tcx := eng.TC
+	commit := func(ver int, keys ...uint64) {
+		t.Helper()
+		txn := tcx.Begin()
+		for _, k := range keys {
+			if err := tcx.Update(txn, cfg.TableID, k, val(k, ver)); err != nil {
+				t.Fatal(err)
+			}
+			om[k] = val(k, ver)
+		}
+		if err := tcx.Commit(txn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lose := func(keys ...uint64) wal.TxnID {
+		t.Helper()
+		txn := tcx.Begin()
+		for _, k := range keys {
+			if err := tcx.Update(txn, cfg.TableID, k, []byte("UNCOMMITTED")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return txn.ID
+	}
+
+	commit(1, 1, 2, 3)
+	reader := tcx.Begin()
+	for _, k := range []uint64{1, 400} {
+		if _, found, err := tcx.Read(reader, cfg.TableID, k); err != nil || !found {
+			t.Fatalf("read %d: found=%v err=%v", k, found, err)
+		}
+	}
+	older := lose(10, 11, 12)
+	if err := tcx.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := eng.Log.Get(tcx.LastEndCkptLSN())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if active := rec.(*wal.EndCkptRec).Active; len(active) != 1 || active[0].TxnID != older {
+		t.Fatalf("checkpointed active table = %+v, want txn %d alone (txn %d only read)", active, older, reader.ID)
+	}
+	commit(2, 3, 4)
+	younger := lose(20, 21)
+	tcx.SendEOSL()
+	stableEnd := eng.Log.FlushedLSN()
+	cs := eng.Crash()
+
+	for _, m := range Methods() {
+		rec, met, err := Recover(cs, m, DefaultOptions(cfg))
+		if err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		verifyRecovered(t, m, rec, om)
+		if met.LosersUndone != 2 {
+			t.Errorf("%v: LosersUndone = %d, want the 2 transactions that logged", m, met.LosersUndone)
+		}
+		if met.CLRsWritten != 5 {
+			t.Errorf("%v: CLRsWritten = %d, want one per loser update (5)", m, met.CLRsWritten)
+		}
+		aborted := map[wal.TxnID]bool{}
+		sc := rec.Log.NewScanner(rec.Log.StartLSN(), nil, wal.ScanCost{})
+		for {
+			r, lsn, ok, err := sc.Next()
+			if err != nil {
+				t.Fatalf("%v: %v", m, err)
+			}
+			if !ok {
+				break
+			}
+			tr, isTxn := r.(wal.Transactional)
+			if !isTxn {
+				continue
+			}
+			if tr.Txn() == reader.ID {
+				t.Errorf("%v: %v record at %v names the reader", m, r.Type(), lsn)
+			}
+			if r.Type() == wal.TypeAbort && lsn >= stableEnd {
+				aborted[tr.Txn()] = true
+			}
+		}
+		if len(aborted) != 2 || !aborted[older] || !aborted[younger] {
+			t.Errorf("%v: recovery aborted %v, want txns %d and %d", m, aborted, older, younger)
+		}
+		if next := rec.TC.Begin().ID; next <= younger {
+			t.Errorf("%v: recovered TC issued txn ID %d, at or below loser %d", m, next, younger)
+		}
+	}
+}

@@ -20,7 +20,11 @@ type txnTable struct {
 	ended map[wal.TxnID]bool
 	// won marks transactions that ended with a commit record —
 	// route-change replay applies only committed migrations.
-	won   map[wal.TxnID]bool
+	won map[wal.TxnID]bool
+	// maxID is the highest transaction ID any record or checkpointed
+	// active entry names; the recovered TC allocates above it. A
+	// transaction that never logged is named nowhere, so its ID may be
+	// issued again after recovery — harmless, as nothing refers to it.
 	maxID wal.TxnID
 }
 
@@ -37,9 +41,14 @@ func newTxnTable() *txnTable {
 func (t *txnTable) committed(id wal.TxnID) bool { return t.won[id] }
 
 // seed installs the active-transaction table from an end-checkpoint
-// record.
+// record. TC.Checkpoint lists only transactions that have logged; an
+// entry with no last record (older logs wrote them) has nothing to undo
+// and must not become a loser.
 func (t *txnTable) seed(active []wal.ActiveTxn) {
 	for _, a := range active {
+		if a.LastLSN == wal.NilLSN {
+			continue
+		}
 		if a.LastLSN > t.last[a.TxnID] {
 			t.last[a.TxnID] = a.LastLSN
 		}

@@ -653,3 +653,66 @@ func TestStandbyLoadMatchesPrimaryPages(t *testing.T) {
 		}
 	}
 }
+
+// TestReadOnlyPrimaryShipsNothing: transactions that only read append
+// nothing to the primary's log, so a caught-up standby stays caught up
+// through any number of them with no pump round in between — zero lag,
+// nothing to ship.
+func TestReadOnlyPrimaryShipsNothing(t *testing.T) {
+	primary := newPrimary(t, 2)
+	standby := newStandby(t, primary, nil)
+	s := attach(t, primary, standby, Config{SegmentBytes: 4 << 10})
+	mgr := primary.NewSessionManager(0)
+	sess := mgr.NewSession()
+	table := primary.Cfg.TableID
+
+	// One writer first, so the readers below read shipped, replayed rows.
+	if err := sess.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Update(table, 5, []byte("written")); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		progressed, err := s.PumpOnce()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !progressed {
+			break
+		}
+	}
+	if lag := s.Lag(); lag.Bytes != 0 || lag.Records != 0 {
+		t.Fatalf("lag after draining the pump: %+v", lag)
+	}
+	shipped := s.Stats()
+
+	for i := uint64(0); i < 500; i++ {
+		if err := sess.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := sess.Read(table, i%testRows); err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.ScanRange(table, i, i+20, nil, func(uint64, []byte) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if lag := s.Lag(); lag.Bytes != 0 || lag.Records != 0 {
+		t.Errorf("read-only transactions opened a lag of %+v", lag)
+	}
+	if progressed, err := s.PumpOnce(); err != nil || progressed {
+		t.Errorf("pump after read-only transactions: progressed=%v err=%v, want nothing to ship", progressed, err)
+	}
+	if st := s.Stats(); st.ShippedBytes != shipped.ShippedBytes || st.Segments != shipped.Segments {
+		t.Errorf("shipped %d bytes in %d segments for read-only transactions",
+			st.ShippedBytes-shipped.ShippedBytes, st.Segments-shipped.Segments)
+	}
+	promote(t, s, digest(t, primary))
+}

@@ -76,14 +76,20 @@ func (s *Session) ApplyBatch(ops []BatchOp) ([][]byte, error) {
 		return nil, nil
 	}
 	m := s.mgr
+	writes := false
 	for _, op := range ops {
 		mode := LockExclusive
 		if op.Kind == BatchRead {
 			mode = LockShared
+		} else {
+			writes = true
 		}
 		if err := m.tc.locks.Acquire(s.txn.ID, op.Table, op.Key, mode); err != nil {
 			return nil, err
 		}
+	}
+	if writes {
+		s.announce()
 	}
 	owners := make([]wal.ShardID, len(ops))
 retry:
@@ -126,10 +132,12 @@ retry:
 				err = m.tc.applyDeleteAt(owners[i], s.txn, op.Table, op.Key)
 			}
 			if err != nil {
+				s.settle()
 				release()
 				return nil, err
 			}
 		}
+		s.settle()
 		release()
 		return results, nil
 	}

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"logrec/internal/dc"
 	"logrec/internal/shard"
@@ -16,9 +17,17 @@ import (
 	"logrec/internal/wal"
 )
 
-// newShardedMgr builds a SessionManager over nShards real DCs with
-// rows bulk-loaded across them.
+// newShardedMgr builds a zero-linger SessionManager over nShards real
+// DCs with rows bulk-loaded across them.
 func newShardedMgr(t *testing.T, nShards, rows int) *SessionManager {
+	t.Helper()
+	return newShardedMgrDelay(t, nShards, rows, 0)
+}
+
+// newShardedMgrDelay is newShardedMgr with a group-commit linger. Its
+// cleanup checks the announced-writer count: a test that ended all its
+// transactions must leave it at 0, or every later leader would yield.
+func newShardedMgrDelay(t *testing.T, nShards, rows int, flushDelay time.Duration) *SessionManager {
 	t.Helper()
 	clock := &sim.Clock{}
 	log := wal.NewLog()
@@ -48,8 +57,14 @@ func newShardedMgr(t *testing.T, nShards, rows int) *SessionManager {
 	}
 	set.StartLogging()
 	tcx := New(log, set)
-	gc := wal.NewGroupCommitter(log, set.EOSL, 0)
-	return NewSessionManager(tcx, gc)
+	gc := wal.NewGroupCommitter(log, set.EOSL, flushDelay)
+	m := NewSessionManager(tcx, gc)
+	t.Cleanup(func() {
+		if n := gc.Stats().Writers; n != 0 && tcx.ActiveCount() == 0 {
+			t.Errorf("%d announced writers left with no transaction active", n)
+		}
+	})
+	return m
 }
 
 // requirePlanesFree fails unless every shard plane can be locked right

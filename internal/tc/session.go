@@ -24,7 +24,11 @@
 //     no-wait lock table is the whole deadlock-freedom argument;
 //   - commit durability waits happen outside every plane through the
 //     wal.GroupCommitter, which is what lets many sessions overlap
-//     their commit waits and share one log force (group commit).
+//     their commit waits and share one log force (group commit);
+//   - a transaction that logged nothing ends with no record, no force,
+//     no plane and no EOSL (TC.endUnlogged); its commit waits only when
+//     a writer it may have read released its locks before its commit
+//     record was stable (waitReleasedEarly).
 package tc
 
 import (
@@ -75,6 +79,12 @@ type SessionManager struct {
 
 	// planes holds one admission plane per shard, indexed by shard ID.
 	planes []*plane
+
+	// releasedEarly is the highest commit LSN whose transaction released
+	// its locks before that record was stable (Session.Commit stores it
+	// before ReleaseAll). Anything a reader saw under a lock was written
+	// by a commit at or below it.
+	releasedEarly atomic.Uint64
 }
 
 // NewSessionManager wraps t for concurrent use, routing every log
@@ -221,6 +231,11 @@ type Session struct {
 	// backchain even across migrations.
 	touched []bool
 	shards  []wal.ShardID
+
+	// announced is set while the group committer counts the current
+	// transaction among the writers in flight (announce, settle); the
+	// transaction's end retires it.
+	announced bool
 }
 
 // NewSession creates a session. Safe to call concurrently.
@@ -253,6 +268,37 @@ func (s *Session) note(sh wal.ShardID) {
 	if !s.touched[sh] {
 		s.touched[sh] = true
 		s.shards = append(s.shards, sh)
+	}
+}
+
+// announce tells the group committer, once per transaction, that a
+// writer is in flight. Write operations call it once their exclusive
+// locks are granted and before they queue for a plane — the earliest
+// point at which the transaction is sure to try to log, so a leader
+// deciding whether to yield also sees the writers waiting behind it for
+// the plane. settle follows the operation.
+func (s *Session) announce() {
+	if !s.announced {
+		s.announced = true
+		s.mgr.gc.AnnounceWriter()
+	}
+}
+
+// settle withdraws an announcement whose operation logged nothing (a
+// missing key): the transaction is still read-only, and will commit as
+// one. After the first logged record it is a no-op, and Commit or Abort
+// retires the announcement.
+func (s *Session) settle() {
+	if s.announced && s.txn.FirstLSN() == wal.NilLSN {
+		s.retire()
+	}
+}
+
+// retire ends the transaction's announcement, if it made one.
+func (s *Session) retire() {
+	if s.announced {
+		s.announced = false
+		s.mgr.gc.RetireWriter()
 	}
 }
 
@@ -341,10 +387,13 @@ func (s *Session) Update(table wal.TableID, key uint64, newVal []byte) error {
 	if err := s.mgr.tc.locks.Acquire(s.txn.ID, table, key, LockExclusive); err != nil {
 		return err
 	}
+	s.announce()
 	sh, p, start := s.mgr.lockPlane(key)
 	defer p.release(start)
 	s.note(sh)
-	return s.mgr.tc.applyUpdateAt(sh, s.txn, table, key, newVal)
+	err := s.mgr.tc.applyUpdateAt(sh, s.txn, table, key, newVal)
+	s.settle()
+	return err
 }
 
 // Insert adds a new row within the session's transaction.
@@ -355,10 +404,13 @@ func (s *Session) Insert(table wal.TableID, key uint64, val []byte) error {
 	if err := s.mgr.tc.locks.Acquire(s.txn.ID, table, key, LockExclusive); err != nil {
 		return err
 	}
+	s.announce()
 	sh, p, start := s.mgr.lockPlane(key)
 	defer p.release(start)
 	s.note(sh)
-	return s.mgr.tc.applyInsertAt(sh, s.txn, table, key, val)
+	err := s.mgr.tc.applyInsertAt(sh, s.txn, table, key, val)
+	s.settle()
+	return err
 }
 
 // Delete removes a row within the session's transaction.
@@ -369,10 +421,13 @@ func (s *Session) Delete(table wal.TableID, key uint64) error {
 	if err := s.mgr.tc.locks.Acquire(s.txn.ID, table, key, LockExclusive); err != nil {
 		return err
 	}
+	s.announce()
 	sh, p, start := s.mgr.lockPlane(key)
 	defer p.release(start)
 	s.note(sh)
-	return s.mgr.tc.applyDeleteAt(sh, s.txn, table, key)
+	err := s.mgr.tc.applyDeleteAt(sh, s.txn, table, key)
+	s.settle()
+	return err
 }
 
 // Commit ends the transaction. No plane is needed: the commit record
@@ -383,23 +438,54 @@ func (s *Session) Delete(table wal.TableID, key uint64) error {
 // committers share one log force and one EOSL push.
 //
 // Locks release before the durability wait (early lock release). That
-// is safe because the log flushes in prefix order: any transaction that
-// read this one's writes appends its own commit record later, so it
-// cannot become durable unless this commit is durable too.
+// is safe because the log flushes in prefix order: a writer that read
+// this one's writes appends its own commit record later, so it cannot
+// become durable unless this commit is durable too; a transaction that
+// logged nothing appends no record and waits for this one's instead
+// (waitReleasedEarly) — which is all its commit costs.
 func (s *Session) Commit() error {
 	if err := s.checkActive(); err != nil {
 		return err
 	}
 	t := s.txn
 	m := s.mgr
+	if m.tc.endUnlogged(t, StatusCommitted) {
+		m.waitReleasedEarly()
+		s.txn = nil
+		return nil
+	}
 	lsn := m.tc.app.MustAppend(&wal.CommitRec{TxnID: t.ID, PrevLSN: t.LastLSN()})
 	t.setLastLSN(lsn)
 	m.tc.finishTxn(t, StatusCommitted)
 
+	m.noteReleasedEarly(lsn)
 	m.tc.locks.ReleaseAll(t.ID)
 	m.gc.WaitStable(lsn)
+	s.retire()
 	s.txn = nil
 	return nil
+}
+
+// noteReleasedEarly raises releasedEarly to lsn. It must run before the
+// committing transaction's locks are released.
+func (m *SessionManager) noteReleasedEarly(lsn wal.LSN) {
+	for {
+		cur := m.releasedEarly.Load()
+		if uint64(lsn) <= cur || m.releasedEarly.CompareAndSwap(cur, uint64(lsn)) {
+			return
+		}
+	}
+}
+
+// waitReleasedEarly returns once every commit that released its locks
+// early — every writer a transaction ending now can have read — is
+// stable. Nearly always that is two atomic loads; otherwise the caller
+// waits on (or leads) the batch covering that commit record, appending
+// nothing of its own.
+func (m *SessionManager) waitReleasedEarly() {
+	if lsn := wal.LSN(m.releasedEarly.Load()); lsn >= m.gc.StableLSN() {
+		m.gc.WaitStable(lsn)
+	}
 }
 
 // Abort rolls the transaction back (logical undo with CLRs) holding
@@ -407,13 +493,18 @@ func (s *Session) Commit() error {
 // ascending shard-ID order. The release is deferred so every return —
 // including a failed rollback — frees all planes. The abort record
 // needs no force: it becomes stable with the next batch, and recovery
-// rolls back uncommitted transactions regardless.
+// rolls back uncommitted transactions regardless. A transaction that
+// logged nothing has nothing to undo and takes no plane.
 func (s *Session) Abort() error {
 	if err := s.checkActive(); err != nil {
 		return err
 	}
 	t := s.txn
 	m := s.mgr
+	if m.tc.endUnlogged(t, StatusAborted) {
+		s.txn = nil
+		return nil
+	}
 	release := m.lockPlanes(s.shards)
 	defer release()
 	if err := m.tc.rollback(t); err != nil {
@@ -425,6 +516,7 @@ func (s *Session) Abort() error {
 	release()
 
 	m.tc.locks.ReleaseAll(t.ID)
+	s.retire()
 	s.txn = nil
 	return nil
 }

@@ -369,12 +369,19 @@ func (tc *TC) applyDeleteAt(target wal.ShardID, t *Txn, table wal.TableID, key u
 	return nil
 }
 
-// Commit ends t successfully: the commit record is forced to the stable
-// log (group commit would batch this; we force per transaction) and the
-// new end of stable log is pushed to the DC via EOSL.
+// Commit ends t successfully on the single-threaded path: the commit
+// record is appended and forced inline — one force per transaction, and
+// locks are held across it — and the new end of stable log is pushed to
+// the DC via EOSL. Concurrent clients commit through Session.Commit,
+// which releases locks first and shares the force through the group
+// committer. A transaction that logged nothing has nothing to make
+// durable: it appends and forces nothing (endUnlogged).
 func (tc *TC) Commit(t *Txn) error {
 	if err := tc.checkActive(t); err != nil {
 		return err
+	}
+	if tc.endUnlogged(t, StatusCommitted) {
+		return nil
 	}
 	lsn := tc.app.MustAppend(&wal.CommitRec{TxnID: t.ID, PrevLSN: t.LastLSN()})
 	t.setLastLSN(lsn)
@@ -383,6 +390,22 @@ func (tc *TC) Commit(t *Txn) error {
 	tc.finishTxn(t, StatusCommitted)
 	tc.locks.ReleaseAll(t.ID)
 	return nil
+}
+
+// endUnlogged ends t with the given status if it never logged a record,
+// and reports whether it did so. Such a transaction changed nothing, so
+// there is nothing to undo, nothing to make durable and nothing recovery
+// needs to hear about: no commit or abort record, no force, no EOSL — it
+// leaves the transaction table and releases its locks. It is the one
+// place the elision lives; both Commit/Abort pairs (here and on Session)
+// call it first.
+func (tc *TC) endUnlogged(t *Txn, status Status) bool {
+	if t.FirstLSN() != wal.NilLSN {
+		return false
+	}
+	tc.finishTxn(t, status)
+	tc.locks.ReleaseAll(t.ID)
+	return true
 }
 
 // finishTxn records t's terminal state: status, removal from the
@@ -405,6 +428,9 @@ func (tc *TC) finishTxn(t *Txn, status Status) {
 func (tc *TC) Abort(t *Txn) error {
 	if err := tc.checkActive(t); err != nil {
 		return err
+	}
+	if tc.endUnlogged(t, StatusAborted) {
+		return nil
 	}
 	if err := tc.rollback(t); err != nil {
 		return fmt.Errorf("tc: rollback of txn %d: %w", t.ID, err)
@@ -496,8 +522,9 @@ func (tc *TC) undoOne(t *Txn, rec wal.Record) (wal.LSN, error) {
 //  3. RSSP(bCkptLSN): the DC flushes everything dirtied before the
 //     begin record (checkpoint-bit discipline) and records the redo
 //     scan start point on its portion of the log;
-//  4. append the end-checkpoint record (with the active-transaction
-//     table), force it, and advance the master record;
+//  4. append the end-checkpoint record (with the active transactions
+//     that have logged anything), force it, and advance the master
+//     record;
 //  5. release the log below what a crash from here on can read: the
 //     redo scan now starts at this checkpoint's begin record, and undo
 //     walks no further down than the oldest active transaction's first
@@ -506,8 +533,8 @@ func (tc *TC) undoOne(t *Txn, rec wal.Record) (wal.LSN, error) {
 // The active table is snapshotted before the end record is forced, so a
 // transaction missing from it either ended earlier — its commit or
 // abort record is then covered by that force — or logged its first
-// record after the begin record; neither can need a byte below the
-// release point.
+// record after the begin record, or never logged at all; none can need
+// a byte below the release point.
 func (tc *TC) Checkpoint() error {
 	bLSN := tc.app.MustAppend(&wal.BeginCkptRec{})
 	eLSN := tc.app.Flush()
@@ -520,10 +547,15 @@ func (tc *TC) Checkpoint() error {
 	end := &wal.EndCkptRec{BeginLSN: bLSN, Routes: tc.dc.Routes()}
 	keep := bLSN
 	for _, t := range tc.txns.snapshot() {
-		end.Active = append(end.Active, wal.ActiveTxn{TxnID: t.ID, LastLSN: t.LastLSN()})
-		if first := t.FirstLSN(); first != wal.NilLSN {
-			keep = min(keep, first)
+		first := t.FirstLSN()
+		if first == wal.NilLSN {
+			// Nothing logged: nothing to undo, and if it stays that way
+			// no end record will ever name it (endUnlogged). If it logs
+			// later, that record lies above bLSN and the scan finds it.
+			continue
 		}
+		end.Active = append(end.Active, wal.ActiveTxn{TxnID: t.ID, LastLSN: t.LastLSN()})
+		keep = min(keep, first)
 	}
 	endLSN := tc.app.MustAppend(end)
 	eLSN = tc.app.Flush()

@@ -3,6 +3,7 @@ package wal
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -25,6 +26,16 @@ type GroupCommitStats struct {
 	FlushedRecords int64
 	// MaxBatch is the largest number of records covered by one flush.
 	MaxBatch int64
+	// Yields is how many times a zero-linger leader gave up the
+	// processor before forcing because another announced writer was in
+	// flight. A lone writer never yields: Yields stays 0 and Flushes
+	// equals Commits.
+	Yields int64
+	// Writers is a gauge, not a counter: the announced writers in flight
+	// when the snapshot was taken (see AnnounceWriter). It is 0 whenever
+	// no transaction that has logged is still open; a leaked announcement
+	// would turn every later leader into a yielder.
+	Writers int
 }
 
 // RecordsPerFlush returns the mean batching factor (0 before the first
@@ -60,9 +71,20 @@ type GroupCommitter struct {
 
 	// flushDelay is the emulated stable-write latency: how long the
 	// batch leader lingers before forcing the log. Zero means the leader
-	// only yields the processor, which still batches whatever is already
-	// waiting (used by -race tests to keep them fast).
+	// forces at once unless another announced writer is in flight, in
+	// which case it yields the processor first so that writer can append
+	// and join the batch.
 	flushDelay time.Duration
+
+	// writers counts announced writers: transactions that have logged
+	// something and whose end is not yet stable (see AnnounceWriter).
+	writers atomic.Int32
+	// yields backs GroupCommitStats.Yields (the leader counts outside mu).
+	yields atomic.Int64
+	// stable is the highest end of stable log this committer has seen,
+	// a lower bound on Log.FlushedLSN readable without the log's mutex.
+	// Written under mu.
+	stable atomic.Uint64
 
 	// lastStable is the log's stable-record count at the committer's
 	// previous flush; the delta at each flush is that batch's size.
@@ -80,6 +102,7 @@ type GroupCommitter struct {
 func NewGroupCommitter(log *Log, onStable func(LSN), flushDelay time.Duration) *GroupCommitter {
 	gc := &GroupCommitter{log: log, onStable: onStable, flushDelay: flushDelay}
 	gc.lastStable = log.StableRecords()
+	gc.stable.Store(uint64(log.FlushedLSN()))
 	gc.cond = sync.NewCond(&gc.mu)
 	return gc
 }
@@ -103,6 +126,30 @@ func (gc *GroupCommitter) MustAppend(rec Record) LSN {
 	return lsn
 }
 
+// AnnounceWriter tells the committer that a transaction has logged its
+// first record and will come to WaitStable (or abort) soon: the signal a
+// zero-linger leader uses to decide whether yielding could let anybody
+// join its batch. Every announcement is paired with exactly one
+// RetireWriter, when the transaction's commit is stable or its abort
+// record is appended.
+func (gc *GroupCommitter) AnnounceWriter() { gc.writers.Add(1) }
+
+// RetireWriter ends an AnnounceWriter.
+func (gc *GroupCommitter) RetireWriter() { gc.writers.Add(-1) }
+
+// StableLSN returns the highest end of stable log the committer has
+// observed, without touching the log: every record below it is stable.
+// It can trail Log.FlushedLSN (a raw Log.Flush does not pass through
+// here); WaitStable is the authoritative check.
+func (gc *GroupCommitter) StableLSN() LSN { return LSN(gc.stable.Load()) }
+
+// noteStable advances the StableLSN high-water mark. Caller holds mu.
+func (gc *GroupCommitter) noteStable(eLSN LSN) {
+	if uint64(eLSN) > gc.stable.Load() {
+		gc.stable.Store(uint64(eLSN))
+	}
+}
+
 // WaitStable blocks until the record appended at lsn is on the stable
 // log, joining (or leading) a batch flush. It returns the end of stable
 // log it observed.
@@ -111,6 +158,7 @@ func (gc *GroupCommitter) WaitStable(lsn LSN) LSN {
 	gc.stats.Commits++
 	for {
 		if eLSN := gc.log.FlushedLSN(); eLSN > lsn {
+			gc.noteStable(eLSN)
 			gc.mu.Unlock()
 			return eLSN
 		}
@@ -139,12 +187,17 @@ func (gc *GroupCommitter) Flush() LSN {
 }
 
 // lead runs the leader's side of a batch: linger so followers can pile
-// in, then force once for everyone.
+// in, then force once for everyone. At zero linger the only followers
+// worth waiting for are announced writers other than the leader itself
+// (a leader that announced nothing, such as a read-only commit waiting
+// on a writer it read, is rare enough to be counted as one): with none
+// in flight the yield is a scheduler round-trip that nobody can use.
 func (gc *GroupCommitter) lead() LSN {
-	if gc.flushDelay > 0 {
+	switch {
+	case gc.flushDelay > 0:
 		time.Sleep(gc.flushDelay)
-	} else {
-		// Let already-runnable committers append and join the batch.
+	case gc.writers.Load() > 1:
+		gc.yields.Add(1)
 		runtime.Gosched()
 	}
 	return gc.finishFlush()
@@ -159,6 +212,7 @@ func (gc *GroupCommitter) finishFlush() LSN {
 	gc.lastStable = stable
 
 	gc.mu.Lock()
+	gc.noteStable(eLSN)
 	gc.stats.Flushes++
 	gc.stats.FlushedRecords += batch
 	if batch > gc.stats.MaxBatch {
@@ -188,5 +242,7 @@ func (gc *GroupCommitter) Stats() GroupCommitStats {
 	defer gc.mu.Unlock()
 	st := gc.stats
 	st.Appends = total
+	st.Yields = gc.yields.Load()
+	st.Writers = int(gc.writers.Load())
 	return st
 }

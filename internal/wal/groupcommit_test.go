@@ -171,3 +171,52 @@ func TestGroupCommitSingleFlushCoversBatch(t *testing.T) {
 		t.Fatalf("flush did not reach log end")
 	}
 }
+
+// TestGroupCommitLeaderYieldsOnlyForAnnouncedWriters drives the
+// zero-linger policy from one goroutine: a leader yields exactly when
+// an announced writer other than itself is in flight, and StableLSN
+// follows the forces the committer sees.
+func TestGroupCommitLeaderYieldsOnlyForAnnouncedWriters(t *testing.T) {
+	log := NewLog()
+	gc := NewGroupCommitter(log, nil, 0)
+	commit := func() {
+		t.Helper()
+		lsn := gc.MustAppend(&CommitRec{TxnID: 1})
+		if eLSN := gc.WaitStable(lsn); eLSN <= lsn || gc.StableLSN() != eLSN {
+			t.Fatalf("WaitStable(%v) = %v, StableLSN %v", lsn, eLSN, gc.StableLSN())
+		}
+	}
+
+	commit() // nobody announced
+	gc.AnnounceWriter()
+	commit() // the leader itself
+	if st := gc.Stats(); st.Yields != 0 || st.Writers != 1 {
+		t.Fatalf("alone: Yields %d, Writers %d; want 0 and 1", st.Yields, st.Writers)
+	}
+	gc.AnnounceWriter()
+	commit()
+	commit()
+	if st := gc.Stats(); st.Yields != 2 || st.Flushes != 4 {
+		t.Fatalf("with a second writer in flight: Yields %d over %d flushes; want 2 over 4", st.Yields, st.Flushes)
+	}
+	gc.RetireWriter()
+	commit()
+	gc.RetireWriter()
+	if st := gc.Stats(); st.Yields != 2 || st.Writers != 0 {
+		t.Fatalf("after retiring: Yields %d, Writers %d; want 2 and 0", st.Yields, st.Writers)
+	}
+
+	// A force that bypasses the committer leaves StableLSN behind — a
+	// lower bound — until the committer next looks.
+	lsn := gc.MustAppend(&CommitRec{TxnID: 2})
+	eLSN := log.Flush()
+	if got := gc.StableLSN(); got > eLSN || got > lsn {
+		t.Fatalf("StableLSN %v ran ahead of a force it did not see (record %v, stable end %v)", got, lsn, eLSN)
+	}
+	if got := gc.WaitStable(lsn); got != eLSN || gc.StableLSN() != eLSN {
+		t.Fatalf("WaitStable = %v, StableLSN = %v; want %v", got, gc.StableLSN(), eLSN)
+	}
+	if st := gc.Stats(); st.Flushes != 5 {
+		t.Fatalf("a record already stable cost a flush: %d, want 5", st.Flushes)
+	}
+}
