@@ -33,7 +33,10 @@ func BenchmarkWALGroupCommit(b *testing.B) {
 	}
 }
 
-func benchGroupCommit(b *testing.B, clients int) {
+// newWALBenchEngine loads walBenchRows rows into a fresh engine and puts
+// it in multi-client mode with the given group-commit linger.
+func newWALBenchEngine(b *testing.B, flushDelay time.Duration) (*engine.Engine, *tc.SessionManager) {
+	b.Helper()
 	cfg := engine.DefaultConfig()
 	cfg.CachePages = 512
 	eng, err := engine.New(cfg)
@@ -45,7 +48,12 @@ func benchGroupCommit(b *testing.B, clients int) {
 	}); err != nil {
 		b.Fatal(err)
 	}
-	mgr := eng.NewSessionManager(walFlushDelay)
+	return eng, eng.NewSessionManager(flushDelay)
+}
+
+func benchGroupCommit(b *testing.B, clients int) {
+	eng, mgr := newWALBenchEngine(b, walFlushDelay)
+	cfg := eng.Cfg
 
 	// b.N transactions total, drawn from a shared counter; each client
 	// updates its own key partition so the benchmark isolates the write
@@ -119,18 +127,8 @@ func BenchmarkSessionCommit(b *testing.B) {
 }
 
 func benchSessionCommit(b *testing.B, clients int, reads bool) {
-	cfg := engine.DefaultConfig()
-	cfg.CachePages = 512
-	eng, err := engine.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := eng.Load(walBenchRows, func(k uint64) []byte {
-		return []byte(fmt.Sprintf("initial-value-%06d", k))
-	}); err != nil {
-		b.Fatal(err)
-	}
-	mgr := eng.NewSessionManager(0)
+	eng, mgr := newWALBenchEngine(b, 0)
+	cfg := eng.Cfg
 	val := []byte("updated-value-000000")
 
 	// One transaction on a client's own key partition: 4 reads, or

@@ -29,11 +29,7 @@ type walSMOLogger struct{ log *wal.Log }
 
 func (l walSMOLogger) NextLSN() wal.LSN { return l.log.EndLSN() }
 func (l walSMOLogger) AppendSMO(r *wal.SMORec, at wal.LSN) bool {
-	ok, err := l.log.AppendAt(r, at)
-	if err != nil {
-		panic(err)
-	}
-	return ok
+	return l.log.MustAppendAt(r, at)
 }
 
 func newEnv(t *testing.T, poolPages int) *testEnv {

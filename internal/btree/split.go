@@ -68,19 +68,20 @@ func (b *smoBuild) finish() error {
 	// means the window is being broken from inside (see above), which
 	// no retry can fix.
 	const maxReservations = 1 << 16
+	rec := &wal.SMORec{
+		Meta: wal.TreeMeta{
+			TableID: t.meta.TableID,
+			Root:    t.meta.Root,
+			Height:  t.meta.Height,
+			NextPID: t.meta.NextPID,
+		},
+	}
 	for attempt := 0; ; attempt++ {
 		if attempt == maxReservations {
 			return fmt.Errorf("btree: SMO record lost its reserved LSN %d times in a row", attempt)
 		}
 		lsn := t.smo.NextLSN()
-		rec := &wal.SMORec{
-			Meta: wal.TreeMeta{
-				TableID: t.meta.TableID,
-				Root:    t.meta.Root,
-				Height:  t.meta.Height,
-				NextPID: t.meta.NextPID,
-			},
-		}
+		rec.Images = rec.Images[:0]
 		for _, pid := range b.order {
 			f := b.frames[pid]
 			f.Page.SetLSN(uint64(lsn))

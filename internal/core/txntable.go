@@ -42,8 +42,8 @@ func (t *txnTable) committed(id wal.TxnID) bool { return t.won[id] }
 
 // seed installs the active-transaction table from an end-checkpoint
 // record. TC.Checkpoint lists only transactions that have logged; an
-// entry with no last record (older logs wrote them) has nothing to undo
-// and must not become a loser.
+// entry with no last record has nothing to undo and must not become a
+// loser.
 func (t *txnTable) seed(active []wal.ActiveTxn) {
 	for _, a := range active {
 		if a.LastLSN == wal.NilLSN {

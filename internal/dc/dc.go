@@ -84,11 +84,7 @@ type smoLogger struct {
 func (l smoLogger) NextLSN() wal.LSN { return l.log.EndLSN() }
 func (l smoLogger) AppendSMO(r *wal.SMORec, at wal.LSN) bool {
 	r.ShardID = l.shard
-	ok, err := l.log.AppendAt(r, at)
-	if err != nil {
-		panic(err)
-	}
-	return ok
+	return l.log.MustAppendAt(r, at)
 }
 
 // New creates a DC over an empty disk with a freshly created table,

@@ -170,10 +170,18 @@ func TestScanRangeAtomicAcrossSplitRange(t *testing.T) {
 		}()
 	}
 
+	// At least duration, and on a machine slow enough that one side has
+	// not got a turn yet (-race next to six other packages), until each
+	// has: the writer no longer yields before its commit force, so
+	// nothing in the engine hands the scanners a turn.
+	exercised := func() bool { return scans.Load() > 0 && splits.Load() > 0 && rewrites.Load() > 0 }
 	time.Sleep(duration)
+	for deadline := time.Now().Add(10 * time.Second); !exercised() && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+	}
 	stop.Store(true)
 	wg.Wait()
-	if scans.Load() == 0 || splits.Load() == 0 || rewrites.Load() == 0 {
+	if !exercised() {
 		t.Fatalf("race unexercised: %d scans, %d splits, %d rewrites",
 			scans.Load(), splits.Load(), rewrites.Load())
 	}

@@ -33,8 +33,8 @@ type GroupCommitStats struct {
 	Yields int64
 	// Writers is a gauge, not a counter: the announced writers in flight
 	// when the snapshot was taken (see AnnounceWriter). It is 0 whenever
-	// no transaction that has logged is still open; a leaked announcement
-	// would turn every later leader into a yielder.
+	// no transaction that has written is still open; a leaked
+	// announcement would turn every later leader into a yielder.
 	Writers int
 }
 
@@ -76,8 +76,8 @@ type GroupCommitter struct {
 	// and join the batch.
 	flushDelay time.Duration
 
-	// writers counts announced writers: transactions that have logged
-	// something and whose end is not yet stable (see AnnounceWriter).
+	// writers counts announced writers: transactions at or past their
+	// first write whose end is not yet stable (see AnnounceWriter).
 	writers atomic.Int32
 	// yields backs GroupCommitStats.Yields (the leader counts outside mu).
 	yields atomic.Int64
@@ -126,12 +126,12 @@ func (gc *GroupCommitter) MustAppend(rec Record) LSN {
 	return lsn
 }
 
-// AnnounceWriter tells the committer that a transaction has logged its
-// first record and will come to WaitStable (or abort) soon: the signal a
-// zero-linger leader uses to decide whether yielding could let anybody
-// join its batch. Every announcement is paired with exactly one
-// RetireWriter, when the transaction's commit is stable or its abort
-// record is appended.
+// AnnounceWriter tells the committer that a transaction is writing and
+// will come to WaitStable (or abort) soon: the signal a zero-linger
+// leader uses to decide whether yielding could let anybody join its
+// batch. The caller announces at the transaction's first write and pairs
+// it with exactly one RetireWriter — when the commit is stable, when the
+// abort record is appended, or at once if that write logged nothing.
 func (gc *GroupCommitter) AnnounceWriter() { gc.writers.Add(1) }
 
 // RetireWriter ends an AnnounceWriter.

@@ -222,6 +222,16 @@ func (l *Log) AppendAt(rec Record, at LSN) (bool, error) {
 	return ok, err
 }
 
+// MustAppendAt is AppendAt for call sites where the log cannot be
+// frozen; it panics on error.
+func (l *Log) MustAppendAt(rec Record, at LSN) bool {
+	ok, err := l.AppendAt(rec, at)
+	if err != nil {
+		panic(err)
+	}
+	return ok
+}
+
 // appendIf is Append, conditional on the record landing at `at` unless
 // at is NilLSN.
 func (l *Log) appendIf(rec Record, at LSN) (LSN, bool, error) {
