@@ -20,6 +20,7 @@
 package storage
 
 import (
+	"container/heap"
 	"fmt"
 	"sort"
 	"sync"
@@ -152,11 +153,18 @@ type Disk struct {
 	// assigned to the earliest-free channel.
 	channels []sim.Time
 	inflight map[PageID]sim.Time
+	// due orders the prefetch IOs behind inflight by completion time, so
+	// InflightCount pops what the clock has passed instead of walking
+	// the map; duePages is the pages of the IOs still in it.
+	due      dueHeap
+	duePages int
 
-	// realInflight maps prefetched pages to their completion signal in
-	// real-IO mode; realSlots is a Channels-sized semaphore bounding
-	// concurrent real prefetch IOs (the device queue depth).
-	realInflight map[PageID]chan struct{}
+	// realInflight maps prefetched pages to their IO in real-IO mode;
+	// realPending is the unclaimed pages of the IOs not yet complete
+	// (InflightCount's answer); realSlots is a Channels-sized semaphore
+	// bounding concurrent real prefetch IOs (the device queue depth).
+	realInflight map[PageID]*asyncIO
+	realPending  int
 	realSlots    chan struct{}
 
 	// frozen marks a forked parent; writes to a frozen disk fail.
@@ -193,7 +201,7 @@ func New(clock *sim.Clock, cfg Config) (*Disk, error) {
 // wall-clock IO. Caller must ensure no IO is concurrently in flight.
 func (d *Disk) initRealMode() {
 	if d.cfg.RealIOScale > 0 {
-		d.realInflight = make(map[PageID]chan struct{})
+		d.realInflight = make(map[PageID]*asyncIO)
 		d.realSlots = make(chan struct{}, d.cfg.Channels)
 	}
 }
@@ -362,17 +370,16 @@ func (d *Disk) Read(pid PageID) ([]byte, error) {
 		return nil, fmt.Errorf("storage: read of unwritten page %d", pid)
 	}
 	if scale := d.cfg.RealIOScale; scale > 0 {
-		if ch, inflight := d.realInflight[pid]; inflight {
+		if io, inflight := d.realInflight[pid]; inflight {
 			delete(d.realInflight, pid)
-			select {
-			case <-ch: // prefetch already complete: free claim
+			if io.claim(&d.realPending) { // prefetch already complete: free claim
 				d.stats.PrefetchHits++
 				d.mu.Unlock()
-			default:
+			} else {
 				d.stats.Stalls++
 				d.mu.Unlock()
 				start := time.Now()
-				<-ch
+				<-io.done
 				d.addStallWall(time.Since(start), scale)
 			}
 			return cloneBytes(data), nil
@@ -475,26 +482,37 @@ func (d *Disk) Prefetch(pids []PageID) {
 			d.stats.BlockReads++
 		}
 		d.fire(OpPrefetch, n)
+		// A page requested twice in one call ends this run and opens the
+		// next; the later IO's entry replaces this one's, so the page is
+		// tracked (and counted in flight) once.
+		own := want[runStart:i]
+		if i < len(want) && want[i] == want[i-1] {
+			own = own[:n-1]
+		}
 		if real {
 			// The IO runs on its own goroutine: it takes a device
 			// channel slot (queue depth), sleeps the scaled latency and
 			// signals every covered page.
-			ch := make(chan struct{})
-			for _, pid := range want[runStart:i] {
-				d.realInflight[pid] = ch
+			io := newAsyncIO(len(own), &d.realPending)
+			for _, pid := range own {
+				d.realInflight[pid] = io
 			}
 			scale := d.cfg.RealIOScale
 			go func() {
 				d.realSlots <- struct{}{}
 				d.realSleep(cost, scale)
 				<-d.realSlots
-				close(ch)
+				d.mu.Lock()
+				io.complete(&d.realPending)
+				d.mu.Unlock()
 			}()
 		} else {
 			done := d.serviceIO(cost)
-			for _, pid := range want[runStart:i] {
+			for _, pid := range own {
 				d.inflight[pid] = done
 			}
+			heap.Push(&d.due, dueIO{at: done, pages: len(own)})
+			d.duePages += len(own)
 		}
 		runStart = i
 	}
@@ -527,28 +545,84 @@ func (d *Disk) QueueDepth() sim.Duration {
 // have not yet completed on the virtual clock. Completed-but-unclaimed
 // pages do not count: their data is available and costs nothing to
 // claim, so pacing against them would starve the prefetcher.
+//
+// Redo calls this once or twice per record, so it must not walk
+// inflight (every prefetched page not yet claimed): it pops the IOs the
+// clock has passed off the completion-time heap and answers with what
+// remains. Claims need no bookkeeping here — Read advances the clock to
+// the completion of a page it had to wait for, so that IO pops on the
+// next call.
 func (d *Disk) InflightCount() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	return d.inflightLocked()
+}
+
+func (d *Disk) inflightLocked() int {
 	if d.cfg.RealIOScale > 0 {
-		n := 0
-		for _, ch := range d.realInflight {
-			select {
-			case <-ch: // complete but unclaimed
-			default:
-				n++
-			}
-		}
-		return n
+		return d.realPending
 	}
 	now := d.clock.Now()
-	n := 0
-	for _, done := range d.inflight {
-		if done > now {
-			n++
-		}
+	for len(d.due) > 0 && d.due[0].at <= now {
+		d.duePages -= heap.Pop(&d.due).(dueIO).pages
 	}
-	return n
+	return d.duePages
+}
+
+// dueIO is one virtual-time prefetch IO: when it completes and how many
+// pages it covers.
+type dueIO struct {
+	at    sim.Time
+	pages int
+}
+
+// dueHeap is a min-heap of prefetch IOs by completion time.
+type dueHeap []dueIO
+
+func (h dueHeap) Len() int           { return len(h) }
+func (h dueHeap) Less(i, j int) bool { return h[i].at < h[j].at }
+func (h dueHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *dueHeap) Push(x any)        { *h = append(*h, x.(dueIO)) }
+func (h *dueHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
+}
+
+// asyncIO is the completion state of one wall-clock prefetch IO (the
+// simulated disk in real-IO mode, and FileDisk). done is closed when the
+// IO completes; unclaimed counts its pages no Read has taken yet. Both
+// change only under the owning device's mutex, together with the
+// device's pending count — the unclaimed pages of incomplete IOs — so
+// InflightCount reads that count instead of polling every channel.
+type asyncIO struct {
+	done      chan struct{}
+	unclaimed int
+}
+
+func newAsyncIO(pages int, pending *int) *asyncIO {
+	*pending += pages
+	return &asyncIO{done: make(chan struct{}), unclaimed: pages}
+}
+
+// claim takes one page of the IO and reports whether the IO had already
+// completed; if not, the caller waits on done.
+func (io *asyncIO) claim(pending *int) bool {
+	select {
+	case <-io.done:
+		return true
+	default:
+		io.unclaimed--
+		*pending--
+		return false
+	}
+}
+
+// complete marks the IO done.
+func (io *asyncIO) complete(pending *int) {
+	*pending -= io.unclaimed
+	close(io.done)
 }
 
 // Write stores data as the new stable content of pid. The IO is issued

@@ -48,6 +48,9 @@ type FileDisk struct {
 	mu       sync.Mutex
 	written  map[PageID]struct{}
 	inflight map[PageID]*fileIO
+	// pending is the unclaimed pages of the prefetch IOs not yet
+	// complete: InflightCount's answer.
+	pending int
 	// slots is a Channels-deep semaphore bounding concurrent prefetch
 	// IOs — the device queue depth, exactly like the simulated disk's
 	// channel array.
@@ -63,7 +66,7 @@ var _ Device = (*FileDisk)(nil)
 // fileIO is one in-flight prefetch IO covering one or more contiguous
 // pages; done is closed on completion, after data (or err) is set.
 type fileIO struct {
-	done chan struct{}
+	*asyncIO
 	data map[PageID][]byte
 	err  error
 }
@@ -254,19 +257,11 @@ func (d *FileDisk) RealTime() bool { return true }
 // QueueDepth reports 0; wall-clock prefetch pacing uses InflightCount.
 func (d *FileDisk) QueueDepth() sim.Duration { return 0 }
 
-// InflightCount reports prefetch IOs not yet complete.
+// InflightCount reports prefetched pages whose IOs are not yet complete.
 func (d *FileDisk) InflightCount() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	n := 0
-	for _, io := range d.inflight {
-		select {
-		case <-io.done:
-		default:
-			n++
-		}
-	}
-	return n
+	return d.pending
 }
 
 // Freeze marks the disk immutable; subsequent writes fail.
@@ -287,11 +282,10 @@ func (d *FileDisk) Read(pid PageID) ([]byte, error) {
 	}
 	if io, ok := d.inflight[pid]; ok {
 		delete(d.inflight, pid)
-		select {
-		case <-io.done:
+		if io.claim(&d.pending) {
 			d.stats.PrefetchHits++
 			d.mu.Unlock()
-		default:
+		} else {
 			d.stats.Stalls++
 			d.mu.Unlock()
 			start := time.Now()
@@ -365,15 +359,25 @@ func (d *FileDisk) Prefetch(pids []PageID) {
 			d.stats.BlockReads++
 		}
 		d.fire(OpPrefetch, n)
-		io := &fileIO{done: make(chan struct{})}
-		for _, pid := range run {
+		// A page requested twice in one call is tracked by the later IO
+		// (see Disk.Prefetch).
+		own := run
+		if i < len(want) && want[i] == want[i-1] {
+			own = own[:n-1]
+		}
+		io := &fileIO{asyncIO: newAsyncIO(len(own), &d.pending)}
+		for _, pid := range own {
 			d.inflight[pid] = io
 		}
 		first := run[0]
 		d.wg.Add(1)
 		go func(run []PageID) {
 			defer d.wg.Done()
-			defer close(io.done)
+			defer func() {
+				d.mu.Lock()
+				io.complete(&d.pending)
+				d.mu.Unlock()
+			}()
 			d.slots <- struct{}{}
 			defer func() { <-d.slots }()
 			buf := alignedBuf(len(run)*d.cfg.PageSize, d.direct)
