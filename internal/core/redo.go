@@ -33,12 +33,13 @@ import (
 // via the pLSN test; replay determinism guarantees the page has room
 // (the page is in the exact state it had when the operation first ran),
 // so structural errors here indicate recovery bugs, not recoverable
-// conditions.
+// conditions. An update (and the CLR of one) is a patch of the row the
+// page holds; a patch that does not fit that row is wal.ErrBadRecord.
 func applyOp(pool *buffer.Pool, f *buffer.Frame, op wal.DataOp, lsn wal.LSN) error {
 	var err error
 	switch t := op.(type) {
 	case *wal.UpdateRec:
-		err = f.Page.Update(t.KeyVal, t.NewVal)
+		err = patchRow(f.Page, t.KeyVal, t.After)
 	case *wal.InsertRec:
 		err = f.Page.Insert(t.KeyVal, t.Val)
 	case *wal.DeleteRec:
@@ -46,11 +47,14 @@ func applyOp(pool *buffer.Pool, f *buffer.Frame, op wal.DataOp, lsn wal.LSN) err
 	case *wal.CLRRec:
 		switch t.Kind {
 		case wal.CLRUndoUpdate:
-			err = f.Page.Update(t.KeyVal, t.RestoreVal)
+			err = patchRow(f.Page, t.KeyVal, t.After)
 		case wal.CLRUndoInsert:
 			err = f.Page.Delete(t.KeyVal)
 		case wal.CLRUndoDelete:
-			err = f.Page.Insert(t.KeyVal, t.RestoreVal)
+			var row []byte
+			if row, err = t.After(nil); err == nil {
+				err = f.Page.Insert(t.KeyVal, row)
+			}
 		default:
 			err = fmt.Errorf("unknown CLR kind %d", t.Kind)
 		}
@@ -58,11 +62,25 @@ func applyOp(pool *buffer.Pool, f *buffer.Frame, op wal.DataOp, lsn wal.LSN) err
 		err = fmt.Errorf("unexpected record type %v", op.Type())
 	}
 	if err != nil {
-		return fmt.Errorf("redo of %v at %v on page %d: %w", op.Type(), lsn, f.PID, err)
+		return fmt.Errorf("redo of %v at %v on page %d, key %d: %w", op.Type(), lsn, f.PID, op.Key(), err)
 	}
 	f.Page.SetLSN(uint64(lsn))
 	pool.MarkDirty(f, lsn)
 	return nil
+}
+
+// patchRow rewrites key's row on p with patch (an update's After, a
+// CLR's After) applied to the row the page holds.
+func patchRow(p *page.Page, key uint64, patch func(cur []byte) ([]byte, error)) error {
+	i, found := p.Search(key)
+	if !found {
+		return fmt.Errorf("%w: %d", page.ErrNotFound, key)
+	}
+	row, err := patch(p.ValueAt(i))
+	if err != nil {
+		return err
+	}
+	return p.Update(key, row)
 }
 
 // redoItem is one record that survived classification and screening,

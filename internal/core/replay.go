@@ -79,6 +79,11 @@ type Replayer struct {
 	r    *run
 
 	nextLSN wal.LSN
+	// resume is the engine's applied LSN when this replayer was built:
+	// the first CatchUp scans from the log start to rebuild the
+	// transaction table and routing bookkeeping, but applies nothing
+	// below resume — an earlier replayer of this engine already has.
+	resume wal.LSN
 
 	// router mirrors the primary's routing table: committed migrations
 	// from the stream are applied as they commit, so Promote can
@@ -109,7 +114,10 @@ type Replayer struct {
 // rows as the primary but never opened for sessions, its log fed only
 // by shipment. Same-geometry mode additionally requires the standby to
 // mirror the primary's shard layout — a record naming a shard the
-// standby does not have fails the replay.
+// standby does not have fails the replay. A replayer built over an
+// engine an earlier one has already fed resumes applying at that
+// engine's AppliedLSN; it rescans the retained log below it only for
+// the transaction table and routes Promote needs.
 func NewReplayer(eng *engine.Engine, mode ReplayMode) (*Replayer, error) {
 	r := newRun(eng.Clock, eng.Log, Options{}.withDefaults(eng.Cfg), eng.DCs)
 	r.m, r.smoInRedo = Log0, true
@@ -122,10 +130,11 @@ func NewReplayer(eng *engine.Engine, mode ReplayMode) (*Replayer, error) {
 		mode:          mode,
 		r:             r,
 		nextLSN:       eng.Log.StartLSN(),
+		resume:        eng.AppliedLSN,
 		router:        router,
 		pendingRoutes: make(map[wal.TxnID][]*wal.ShardMapRec),
 	}
-	rp.stats.AppliedLSN = rp.nextLSN
+	rp.stats.AppliedLSN = max(rp.nextLSN, rp.resume)
 	if mode == ReplayLogical {
 		// Undo compensations route by key through the standby's own
 		// table, not the primary's shard stamps.
@@ -150,13 +159,25 @@ func (rp *Replayer) route(rec wal.Record) (wal.ShardID, bool) {
 	return 0, false
 }
 
-// pass is one shard's apply pass over a CatchUp's records. Same
+// pass is one shard's apply pass over a CatchUp's records. Records
+// below the resume point were applied by an earlier replayer of this
+// engine and are dropped: exactly-once where the standby can know. Same
 // geometry is the recovery redo loop itself: the pLSN test keeps the
-// apply idempotent, so records re-delivered after a standby restart are
-// screened out, and ∆, BW and RSSP records — which serve crash recovery
-// of the primary — fall through its classification. Off-geometry each
-// data operation is re-executed logically.
+// apply idempotent besides, and ∆, BW and RSSP records — which serve
+// crash recovery of the primary — fall through its classification.
+// Off-geometry each data operation is re-executed logically, guarded by
+// row state (applyLogical).
 func (rp *Replayer) pass(sr *shardRun, next nextFunc) error {
+	if src := next; rp.resume > rp.nextLSN {
+		next = func() (wal.Record, wal.LSN, bool, error) {
+			for {
+				rec, lsn, ok, err := src()
+				if err != nil || !ok || lsn >= rp.resume {
+					return rec, lsn, ok, err
+				}
+			}
+		}
+	}
 	if rp.mode == ReplaySameGeometry {
 		return sr.redo(next)
 	}
@@ -167,52 +188,88 @@ func (rp *Replayer) pass(sr *shardRun, next nextFunc) error {
 		}
 		if op, isOp := rec.(wal.DataOp); isOp {
 			sr.met.RedoRecords++
-			if err := applyLogical(sr.d, op, lsn); err != nil {
+			applied, err := applyLogical(sr.d, op, lsn)
+			if err != nil {
 				return fmt.Errorf("core: replay at %v on shard %d: %w", lsn, sr.id, err)
 			}
-			sr.met.Applied++
+			if applied {
+				sr.met.Applied++
+			}
 		}
 	}
 }
 
 // applyLogical re-executes one logical operation through the standby's
-// own tree, stamping the shipped LSN. State-based upsert semantics make
-// the apply idempotent without pLSN screening — off-geometry pages
-// carry their own LSNs, so a re-delivered operation is absorbed by the
-// row state it would recreate, not detected by a page stamp.
-func applyLogical(d *dc.DC, op wal.DataOp, lsn wal.LSN) error {
+// own tree, stamping the shipped LSN, and reports whether it changed a
+// row. Off-geometry pages carry their own LSNs, so there is no page
+// stamp to screen a re-delivered operation by; exactly-once delivery
+// comes from the replayer's resume point (NewReplayer), and the apply
+// itself is guarded by row state. An insert, a delete and the CLR of
+// either are state-based and absorb re-delivery. An update is a patch:
+// it applies only to a row whose middle is its before-middle, is
+// absorbed by one that already shows its after-middle, and fails the
+// replay on anything else — including an absent key, which is an error,
+// not an insert. The CLR of an update carries only the middle it
+// restores, so it is checked for fit alone.
+func applyLogical(d *dc.DC, op wal.DataOp, lsn wal.LSN) (applied bool, err error) {
 	stamp := func(storage.PageID) wal.LSN { return lsn }
-	upsert := func(table wal.TableID, key uint64, val []byte) error {
-		_, ok, err := d.Read(table, key)
-		if err != nil {
-			return err
-		}
-		if ok {
+	table, key := op.Table(), op.Key()
+	cur, found, err := d.Read(table, key)
+	if err != nil {
+		return false, fmt.Errorf("logical replay of %v, key %d: %w", op.Type(), key, err)
+	}
+	upsert := func(val []byte) error {
+		if found {
 			return d.Update(table, key, val, stamp)
 		}
 		return d.Insert(table, key, val, stamp)
 	}
-	remove := func(table wal.TableID, key uint64) error {
-		_, ok, err := d.Read(table, key)
-		if err != nil || !ok {
-			return err
+	remove := func() error {
+		if !found {
+			return nil
 		}
 		return d.Delete(table, key, stamp)
 	}
-	var err error
+	// patch rewrites the row the key has with an update's or a CLR's
+	// After.
+	patch := func(after func([]byte) ([]byte, error)) error {
+		if !found {
+			return fmt.Errorf("row is absent")
+		}
+		row, err := after(cur)
+		if err != nil {
+			return err
+		}
+		return d.Update(table, key, row, stamp)
+	}
+	applied = true
 	switch t := op.(type) {
 	case *wal.UpdateRec:
-		err = upsert(t.TableID, t.KeyVal, t.NewVal)
+		done := false
+		if found {
+			done, err = t.Applied(cur)
+		}
+		if err == nil && !done {
+			err = patch(t.After)
+		}
+		applied = !done
 	case *wal.InsertRec:
-		err = upsert(t.TableID, t.KeyVal, t.Val)
+		err = upsert(t.Val)
 	case *wal.DeleteRec:
-		err = remove(t.TableID, t.KeyVal)
+		applied = found
+		err = remove()
 	case *wal.CLRRec:
 		switch t.Kind {
-		case wal.CLRUndoUpdate, wal.CLRUndoDelete:
-			err = upsert(t.TableID, t.KeyVal, t.RestoreVal)
+		case wal.CLRUndoUpdate:
+			err = patch(t.After)
+		case wal.CLRUndoDelete:
+			var row []byte
+			if row, err = t.After(nil); err == nil {
+				err = upsert(row)
+			}
 		case wal.CLRUndoInsert:
-			err = remove(t.TableID, t.KeyVal)
+			applied = found
+			err = remove()
 		default:
 			err = fmt.Errorf("unknown CLR kind %d", t.Kind)
 		}
@@ -220,9 +277,9 @@ func applyLogical(d *dc.DC, op wal.DataOp, lsn wal.LSN) error {
 		err = fmt.Errorf("unexpected record type %v", op.Type())
 	}
 	if err != nil {
-		return fmt.Errorf("logical replay of %v: %w", op.Type(), err)
+		return false, fmt.Errorf("logical replay of %v, key %d: %w", op.Type(), key, err)
 	}
-	return nil
+	return applied, nil
 }
 
 // CatchUp applies everything stable in the standby log: on return the
@@ -249,7 +306,7 @@ func (rp *Replayer) CatchUp() error {
 	if rp.err != nil {
 		return rp.err
 	}
-	rp.nextLSN = stable
+	rp.nextLSN, rp.eng.AppliedLSN = stable, stable
 
 	st := ReplayStats{Records: rp.records, SMOs: rp.smos, AppliedLSN: stable}
 	for _, sr := range rp.r.shards {

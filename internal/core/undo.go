@@ -161,24 +161,20 @@ func (r *run) undoSweep(pool *shardedPool, losers map[wal.TxnID]*undoState) erro
 // undoRecord compensates one record of txn's backchain and returns the
 // next LSN to undo.
 func (r *run) undoRecord(pool *shardedPool, txn wal.TxnID, st *undoState, rec wal.Record) (wal.LSN, error) {
-	// plan drafts the CLR for one inverse; structural says whether that
-	// inverse can change the tree's structure.
-	plan := func(sh wal.ShardID, kind wal.CLRKind, table wal.TableID, key uint64, restore []byte, undoNext wal.LSN, structural bool) (wal.LSN, error) {
-		clr := &wal.CLRRec{TxnID: txn, TableID: table, KeyVal: key, Kind: kind, RestoreVal: restore, UndoNextLSN: undoNext}
-		return undoNext, r.compensate(pool, st, sh, clr, structural)
-	}
 	switch t := rec.(type) {
 	case *wal.UpdateRec:
-		// Restoring a larger value can overflow the leaf and force a
-		// split.
-		return plan(t.ShardID, wal.CLRUndoUpdate, t.TableID, t.KeyVal, t.OldVal, t.PrevLSN, len(t.OldVal) > len(t.NewVal))
+		// The CLR is the update's patch turned round. Restoring a longer
+		// middle can overflow the leaf and force a split.
+		return t.PrevLSN, r.compensate(pool, st, t.ShardID, t.Compensation(), t.Shrinks())
 	case *wal.InsertRec:
 		// The inverse is a page delete; leaves never merge, so this
 		// cannot change the tree's structure.
-		return plan(t.ShardID, wal.CLRUndoInsert, t.TableID, t.KeyVal, nil, t.PrevLSN, false)
+		clr := &wal.CLRRec{TxnID: txn, TableID: t.TableID, KeyVal: t.KeyVal, Kind: wal.CLRUndoInsert, UndoNextLSN: t.PrevLSN}
+		return t.PrevLSN, r.compensate(pool, st, t.ShardID, clr, false)
 	case *wal.DeleteRec:
 		// The inverse re-inserts the row, which can split a full leaf.
-		return plan(t.ShardID, wal.CLRUndoDelete, t.TableID, t.KeyVal, t.OldVal, t.PrevLSN, true)
+		clr := &wal.CLRRec{TxnID: txn, TableID: t.TableID, KeyVal: t.KeyVal, Kind: wal.CLRUndoDelete, RestoreVal: t.OldVal, UndoNextLSN: t.PrevLSN}
+		return t.PrevLSN, r.compensate(pool, st, t.ShardID, clr, true)
 	case *wal.CLRRec:
 		// Redo-only: skip over already-compensated work.
 		return t.UndoNextLSN, nil
@@ -193,13 +189,17 @@ func (r *run) undoRecord(pool *shardedPool, txn wal.TxnID, st *undoState, rec wa
 
 // compensate performs one planned compensation on its owning shard. clr
 // arrives complete but for its shard, page and backchain link; it is
-// appended here, on the sweep's goroutine, once the page is known. A
-// routed, non-structural step resolves the key's leaf through the index
-// and hands the page application to the owning worker. Everything else
-// — the inline width, and a structural step, which first latches the
-// key's current leaf (safe to resolve off-latch: only the sweep ever
-// changes structure) — runs the DC's full logical operation, which logs
-// the CLR against the page the row finally lands on.
+// appended here, on the sweep's goroutine, once the page is known;
+// structural says whether the inverse can change the tree's structure.
+// A routed, non-structural step resolves the key's leaf through the
+// index and hands the page application to the owning worker — the CLR
+// of an update is a patch, so the sweep never reads the leaf that worker
+// may be writing. Everything else — the inline width, and a structural
+// step, which first latches the key's current leaf (safe to resolve
+// off-latch: only the sweep ever changes structure) — runs the DC's full
+// logical operation, which logs the CLR against the page the row
+// finally lands on; there the patch is applied to the row read back
+// from the quiesced leaf.
 func (r *run) compensate(pool *shardedPool, st *undoState, sh wal.ShardID, clr *wal.CLRRec, structural bool) error {
 	sr, err := r.resolveShard(sh, clr.KeyVal)
 	if err != nil {
@@ -227,11 +227,26 @@ func (r *run) compensate(pool *shardedPool, st *undoState, sh wal.ShardID, clr *
 		r.met.BarrierWorkersPaused += int64(paused)
 	}
 	switch clr.Kind {
-	case wal.CLRUndoUpdate:
-		return sr.d.Update(clr.TableID, clr.KeyVal, clr.RestoreVal, logCLR)
 	case wal.CLRUndoInsert:
 		return sr.d.Delete(clr.TableID, clr.KeyVal, logCLR)
-	default: // wal.CLRUndoDelete
-		return sr.d.Insert(clr.TableID, clr.KeyVal, clr.RestoreVal, logCLR)
+	case wal.CLRUndoDelete:
+		row, err := clr.After(nil)
+		if err != nil {
+			return err
+		}
+		return sr.d.Insert(clr.TableID, clr.KeyVal, row, logCLR)
+	default: // wal.CLRUndoUpdate
+		cur, found, err := sr.d.Read(clr.TableID, clr.KeyVal)
+		if err != nil {
+			return err
+		}
+		if !found {
+			return fmt.Errorf("key %d is absent", clr.KeyVal)
+		}
+		row, err := clr.After(cur)
+		if err != nil {
+			return fmt.Errorf("key %d: %w", clr.KeyVal, err)
+		}
+		return sr.d.Update(clr.TableID, clr.KeyVal, row, logCLR)
 	}
 }

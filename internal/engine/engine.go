@@ -231,6 +231,13 @@ type Engine struct {
 	// actually ran on this hardware.
 	LastRecovery *RecoveryStats
 
+	// AppliedLSN is, on a standby, the stable-log position a
+	// core.Replayer has applied through (NilLSN before the first
+	// catch-up). It belongs to the applier goroutine. A new Replayer over
+	// this engine applies only what lies at or above it: a logical
+	// update is a patch, so delivering it twice is not harmless.
+	AppliedLSN wal.LSN
+
 	// mgr is the live session manager (set by NewSessionManager) and
 	// balancer its auto-splitter (nil unless Cfg.AutoSplit); Stats
 	// aggregates from both.

@@ -23,17 +23,28 @@ type goldenRow struct {
 // SQL2 rows were re-pinned once, when analysis stopped pruning DPT
 // entries whose lastLSN equals the exclusive FW-LSN (invariant 9): the
 // pages it now keeps are fetched and fail the pLSN test.
+//
+// Re-pinned a second time, by rule, when update records became patches
+// with varint bodies (the crash's log 366,345 → 60,166 bytes at 0.08,
+// 365,008 → 58,834 at 0.32): every count is unchanged, LogPages fell
+// 22 → 6 and 24 → 6 (each of the two scans reads 8, respectively 9,
+// fewer 4 KB log pages), PrepNS fell by exactly that at 500 µs a page
+// (4.0 ms, 4.5 ms), and RedoTotalNS by both scans' worth (8.0 ms,
+// 9.0 ms) — except under Log2, whose redo waits on its paced prefetch:
+// of the 4.0 ms (4.5 ms) its redo scan no longer spends reading log,
+// 3.5 ms reappears as stall time on the same 30 (71) stalls, so its
+// RedoTotalNS fell 4.5 ms (5.5 ms).
 var goldenInline = map[string]goldenRow{
-	"0.08/Log0": {713180300, 5560300, 22, 170, 30, 0, 0, 140, 162, 9, 0},
-	"0.08/Log1": {340080300, 5560300, 22, 170, 30, 89, 6, 45, 74, 6, 65},
-	"0.08/SQL1": {364000300, 5560300, 22, 170, 30, 77, 6, 57, 86, 0, 86},
-	"0.08/Log2": {125014300, 5560300, 22, 170, 30, 89, 6, 45, 74, 7, 65},
-	"0.08/SQL2": {97294300, 5560300, 22, 170, 30, 77, 6, 57, 86, 0, 86},
-	"0.32/Log0": {697779700, 6059700, 24, 170, 119, 0, 0, 51, 161, 6, 0},
-	"0.32/Log1": {619879700, 6059700, 24, 170, 119, 19, 1, 31, 142, 6, 103},
-	"0.32/SQL1": {594599700, 6059700, 24, 170, 119, 19, 1, 31, 142, 0, 142},
-	"0.32/Log2": {303217700, 6059700, 24, 170, 119, 19, 1, 31, 142, 7, 103},
-	"0.32/SQL2": {168059700, 6059700, 24, 170, 119, 19, 1, 31, 142, 0, 142},
+	"0.08/Log0": {705180300, 1560300, 6, 170, 30, 0, 0, 140, 162, 9, 0},
+	"0.08/Log1": {332080300, 1560300, 6, 170, 30, 89, 6, 45, 74, 6, 65},
+	"0.08/SQL1": {356000300, 1560300, 6, 170, 30, 77, 6, 57, 86, 0, 86},
+	"0.08/Log2": {120514300, 1560300, 6, 170, 30, 89, 6, 45, 74, 7, 65},
+	"0.08/SQL2": {89294300, 1560300, 6, 170, 30, 77, 6, 57, 86, 0, 86},
+	"0.32/Log0": {688779700, 1559700, 6, 170, 119, 0, 0, 51, 161, 6, 0},
+	"0.32/Log1": {610879700, 1559700, 6, 170, 119, 19, 1, 31, 142, 6, 103},
+	"0.32/SQL1": {585599700, 1559700, 6, 170, 119, 19, 1, 31, 142, 0, 142},
+	"0.32/Log2": {297717700, 1559700, 6, 170, 119, 19, 1, 31, 142, 7, 103},
+	"0.32/SQL2": {159059700, 1559700, 6, 170, 119, 19, 1, 31, 142, 0, 142},
 }
 
 // TestInlineWidthGolden pins the inline width's virtual time and

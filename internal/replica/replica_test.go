@@ -716,3 +716,105 @@ func TestReadOnlyPrimaryShipsNothing(t *testing.T) {
 	}
 	promote(t, s, digest(t, primary))
 }
+
+// TestSecondReplayerAppliesNothingTwice: update records are patches, so
+// re-delivering one to a standby is not harmless the way re-delivering a
+// whole image was. A second Replayer built over a standby engine that an
+// earlier one has already fed — the shape of a replayer restart — must
+// resume applying at the engine's applied LSN, yet still know the
+// in-flight transactions below it. The window holds same-length,
+// multi-field, growing and shrinking updates of the same keys, a delete
+// with a re-insert, and a loser; afterwards the standby equals the
+// primary, the second replayer has applied nothing, and its Promote
+// rolls the loser back — in both replay modes.
+func TestSecondReplayerAppliesNothingTwice(t *testing.T) {
+	for _, mode := range []core.ReplayMode{core.ReplaySameGeometry, core.ReplayLogical} {
+		t.Run(mode.String(), func(t *testing.T) {
+			primary := newPrimary(t, 2)
+			standby := newStandby(t, primary, func(cfg *engine.Config) {
+				if mode == core.ReplayLogical {
+					cfg.Shards = 1
+					cfg.Disk.PageSize = 1024
+					cfg.CachePages = 2048
+				}
+			})
+			s := attach(t, primary, standby, Config{SegmentBytes: 4 << 10, Mode: mode, CheckpointEveryRecords: 64})
+			table := primary.Cfg.TableID
+
+			rows := []string{
+				"init-%06d",                   // (the loaded row)
+				"INIT-%06d",                   // same length
+				"iNiT-%06d-x",                 // several fields, one byte longer
+				"iNiT-%06d-x-and-a-long-tail", // growing
+				"i-%06d",                      // shrinking
+				"i-%06d",                      // nothing at all
+			}
+			for round := 1; round < len(rows); round++ {
+				txn := primary.TC.Begin()
+				for key := uint64(10); key < 400; key += 13 {
+					if err := primary.TC.Update(txn, table, key, []byte(fmt.Sprintf(rows[round], key))); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if round == 3 {
+					for key := uint64(500); key < 520; key++ {
+						if err := primary.TC.Delete(txn, table, key); err != nil {
+							t.Fatal(err)
+						}
+						if err := primary.TC.Insert(txn, table, key, []byte(fmt.Sprintf("back-%d", key))); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if err := primary.TC.Commit(txn); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := digest(t, primary) // the committed state
+			loser := primary.TC.Begin()
+			for _, key := range []uint64{10, 23, 700} {
+				if err := primary.TC.Update(loser, table, key, []byte("a loser's row, longer than what it replaces")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			primary.TC.SendEOSL()
+
+			for {
+				progressed, err := s.PumpOnce()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !progressed {
+					break
+				}
+			}
+			if got, live := digest(t, standby), digest(t, primary); got != live {
+				t.Fatalf("first replayer: standby %016x, primary %016x", got, live)
+			}
+
+			rp, err := core.NewReplayer(standby, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rp.CatchUp(); err != nil {
+				t.Fatalf("second replayer: %v", err)
+			}
+			if st := rp.Stats(); st.Ops != 0 || st.Applied != 0 || st.AppliedLSN != standby.Log.FlushedLSN() {
+				t.Fatalf("second replayer re-applied: %+v", st)
+			}
+			if got, live := digest(t, standby), digest(t, primary); got != live {
+				t.Fatalf("second replayer: standby %016x, primary %016x", got, live)
+			}
+			met, err := rp.Promote()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if met.LosersUndone != 1 || met.CLRsWritten != 3 {
+				t.Fatalf("promote undid %d losers with %d CLRs, want 1 and 3", met.LosersUndone, met.CLRsWritten)
+			}
+			if got := digest(t, standby); got != want {
+				t.Fatalf("promoted digest %016x, want the committed state %016x", got, want)
+			}
+		})
+	}
+}

@@ -56,7 +56,12 @@ func replayCommitted(t *testing.T, log *wal.Log, base map[uint64]string) map[uin
 		switch r := rec.(type) {
 		case *wal.UpdateRec:
 			if committed[r.TxnID] {
-				state[r.KeyVal] = string(r.NewVal)
+				// The record is a patch of the row the replay has so far.
+				row, err := r.After([]byte(state[r.KeyVal]))
+				if err != nil {
+					t.Fatalf("serial replay of key %d: %v", r.KeyVal, err)
+				}
+				state[r.KeyVal] = string(row)
 			}
 		case *wal.InsertRec:
 			if committed[r.TxnID] {

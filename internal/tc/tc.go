@@ -457,7 +457,7 @@ func (tc *TC) rollback(t *Txn) error {
 		}
 		next, err := tc.undoOne(t, rec)
 		if err != nil {
-			return err
+			return fmt.Errorf("undo at %v: %w", cur, err)
 		}
 		cur = next
 	}
@@ -471,12 +471,24 @@ func (tc *TC) rollback(t *Txn) error {
 func (tc *TC) undoOne(t *Txn, rec wal.Record) (wal.LSN, error) {
 	switch r := rec.(type) {
 	case *wal.UpdateRec:
-		err := tc.dc.UpdateAt(r.ShardID, r.TableID, r.KeyVal, r.OldVal, func(sh wal.ShardID, pid storage.PageID) wal.LSN {
-			lsn := tc.app.MustAppend(&wal.CLRRec{
-				TxnID: t.ID, TableID: r.TableID, KeyVal: r.KeyVal,
-				Kind: wal.CLRUndoUpdate, RestoreVal: r.OldVal, PageID: pid, ShardID: sh,
-				UndoNextLSN: r.PrevLSN, PrevLSN: t.LastLSN(),
-			})
+		// The record is a patch: rebuild the before-image from the row as
+		// it stands (t still holds its X lock, so it is the row the
+		// update left), and log the same patch turned round.
+		cur, found, err := tc.dc.At(r.ShardID).Read(r.TableID, r.KeyVal)
+		if err != nil {
+			return wal.NilLSN, err
+		}
+		if !found {
+			return wal.NilLSN, fmt.Errorf("%w: table %d key %d", ErrKeyNotFound, r.TableID, r.KeyVal)
+		}
+		before, err := r.Before(cur)
+		if err != nil {
+			return wal.NilLSN, fmt.Errorf("tc: undo of update at key %d: %w", r.KeyVal, err)
+		}
+		err = tc.dc.UpdateAt(r.ShardID, r.TableID, r.KeyVal, before, func(sh wal.ShardID, pid storage.PageID) wal.LSN {
+			clr := r.Compensation()
+			clr.PageID, clr.ShardID, clr.PrevLSN = pid, sh, t.LastLSN()
+			lsn := tc.app.MustAppend(clr)
 			t.setLastLSN(lsn)
 			return lsn
 		})

@@ -91,6 +91,79 @@ func TestAbortRollsBackAllOps(t *testing.T) {
 	}
 }
 
+// TestAbortRestoresEveryPatchShape: an update record holds only the
+// bytes that changed, so rollback rebuilds each before-image from the
+// row as it stands. One transaction updates one key through every shape
+// in turn — grow, shrink, first byte, last byte, nothing, the whole row
+// — and a second key once; abort must walk the patches back in order,
+// and the CLRs it logs must be patches too (the same Skip/Tail, the
+// before-middle), replayable on their own.
+func TestAbortRestoresEveryPatchShape(t *testing.T) {
+	tcx, d, log := newPair(t, 100)
+	rows := []string{
+		"init-000007+grown",
+		"init-0000",
+		"Xnit-0000",
+		"Xnit-000Y",
+		"Xnit-000Y",
+		"a different row altogether",
+	}
+	txn := tcx.Begin()
+	for _, row := range rows {
+		if err := tcx.Update(txn, 1, 7, []byte(row)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tcx.Update(txn, 1, 8, []byte("init-00000X")); err != nil {
+		t.Fatal(err)
+	}
+	end := log.EndLSN()
+	if err := tcx.Abort(txn); err != nil {
+		t.Fatal(err)
+	}
+	for key, want := range map[uint64]string{7: "init-000007", 8: "init-000008"} {
+		if v, found, _ := d.Read(1, key); !found || string(v) != want {
+			t.Fatalf("key %d = %q after abort, want %q", key, v, want)
+		}
+	}
+
+	// Replay the CLRs alone over the rows the transaction left: each
+	// must fit the row the one before it produced.
+	state := map[uint64][]byte{7: []byte(rows[len(rows)-1]), 8: []byte("init-00000X")}
+	clrs := 0
+	sc := log.NewScanner(end, nil, wal.ScanCost{})
+	for {
+		rec, lsn, ok, err := sc.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		clr, isCLR := rec.(*wal.CLRRec)
+		if !isCLR {
+			continue
+		}
+		clrs++
+		if clr.Kind != wal.CLRUndoUpdate {
+			t.Fatalf("CLR at %v has kind %d", lsn, clr.Kind)
+		}
+		// The one-byte change's CLR carries one byte, not the row.
+		if clr.KeyVal == 8 && (clr.Skip != 10 || clr.Tail != 0 || string(clr.RestoreVal) != "8") {
+			t.Fatalf("CLR of the one-byte update: skip %d tail %d restore %q", clr.Skip, clr.Tail, clr.RestoreVal)
+		}
+		if state[clr.KeyVal], err = clr.After(state[clr.KeyVal]); err != nil {
+			t.Fatalf("CLR at %v: %v", lsn, err)
+		}
+	}
+	if clrs != len(rows)+1 {
+		t.Fatalf("%d CLRs, want %d", clrs, len(rows)+1)
+	}
+	if string(state[7]) != "init-000007" || string(state[8]) != "init-000008" {
+		t.Fatalf("CLR replay leaves %q and %q", state[7], state[8])
+	}
+}
+
 func TestUpdateMissingKey(t *testing.T) {
 	tcx, _, _ := newPair(t, 10)
 	txn := tcx.Begin()

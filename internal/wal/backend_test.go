@@ -1,9 +1,11 @@
 package wal
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -223,6 +225,34 @@ func TestOpenLogFileRejectsGarbage(t *testing.T) {
 	}
 	if _, err := OpenLogDir(gapDir); err == nil {
 		t.Fatal("OpenLogDir accepted a chain with a missing segment")
+	}
+}
+
+// TestOpenLogDirRefusesOldFormat: a wal/ directory written before update
+// records became patches with varint bodies (segment version 2) holds
+// bytes this decoder would misread; it is refused by its header, not
+// decoded.
+func TestOpenLogDirRefusesOldFormat(t *testing.T) {
+	log, _, dir := fileLog(t)
+	log.MustAppend(&CommitRec{TxnID: 1})
+	log.Flush()
+	if err := log.CloseBackend(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenLogDir(dir); err != nil {
+		t.Fatalf("a current-format directory must open: %v", err)
+	}
+	path := filepath.Join(dir, segFileName(FirstLSN()))
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.BigEndian.PutUint32(buf[8:], 2)
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenLogDir(dir); err == nil || !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("OpenLogDir of a version-2 segment: %v, want a version refusal", err)
 	}
 }
 

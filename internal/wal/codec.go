@@ -3,21 +3,36 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"logrec/internal/storage"
 )
 
-// Encoding helpers. All integers are big-endian fixed-width; byte slices
-// and PID/LSN vectors are length-prefixed with a uint32 count. The
-// format is append-only and versionless within this repository; the
-// frame header carries the record type so the decoder can dispatch.
+// Encoding helpers. Two body encodings share the fixed-width frame
+// header (log.go). The transactional records written once or more per
+// operation — update, insert, delete, CLR, commit, abort — use unsigned
+// varints for every integer and byte-slice length, because their values
+// are small (a transaction ID, a key, a page, a patch of a byte or two)
+// and their count is what log volume is proportional to. The system
+// records — checkpoint, ∆, BW, SMO, RSSP, shard-map — keep big-endian
+// fixed-width integers with uint32 counts. A varint has exactly one
+// valid encoding: the decoder rejects an over-long one, so a record has
+// one byte string.
 
 func putU8(dst []byte, v uint8) []byte   { return append(dst, v) }
 func putU32(dst []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(dst, v) }
 func putU64(dst []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(dst, v) }
 
+func putUvarint(dst []byte, v uint64) []byte { return binary.AppendUvarint(dst, v) }
+
 func putBytes(dst []byte, b []byte) []byte {
 	dst = putU32(dst, uint32(len(b)))
+	return append(dst, b...)
+}
+
+// putVarBytes is putBytes with a varint length.
+func putVarBytes(dst []byte, b []byte) []byte {
+	dst = putUvarint(dst, uint64(len(b)))
 	return append(dst, b...)
 }
 
@@ -35,6 +50,35 @@ func putLSNs(dst []byte, lsns []LSN) []byte {
 		dst = putU64(dst, uint64(l))
 	}
 	return dst
+}
+
+// Splice rebuilds a row from a patch: cur's first skip and last tail
+// bytes with mid between them. It is the only way a consumer turns an
+// update's logged middle back into a row. A patch that keeps more bytes
+// than the row it meets has is ErrBadRecord: the record and the row are
+// not the pair that was logged.
+func Splice(cur []byte, skip, tail uint32, mid []byte) ([]byte, error) {
+	if uint64(skip)+uint64(tail) > uint64(len(cur)) {
+		return nil, fmt.Errorf("%w: patch keeps %d+%d bytes of a %d-byte row", ErrBadRecord, skip, tail, len(cur))
+	}
+	out := make([]byte, 0, int(skip)+len(mid)+int(tail))
+	out = append(out, cur[:skip]...)
+	out = append(out, mid...)
+	return append(out, cur[len(cur)-int(tail):]...), nil
+}
+
+// commonEnds returns the lengths of the longest common prefix of a and
+// b and of the longest common suffix of what follows it.
+func commonEnds(a, b []byte) (prefix, suffix int) {
+	n := min(len(a), len(b))
+	for prefix < n && a[prefix] == b[prefix] {
+		prefix++
+	}
+	a, b, n = a[prefix:], b[prefix:], n-prefix
+	for suffix < n && a[len(a)-1-suffix] == b[len(b)-1-suffix] {
+		suffix++
+	}
+	return prefix, suffix
 }
 
 // decoder walks a record body. Methods record the first error and
@@ -93,18 +137,56 @@ func (d *decoder) u64(what string) uint64 {
 	return v
 }
 
+// uvarint reads one minimally encoded unsigned varint.
+func (d *decoder) uvarint(what string) uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(d.src[d.off:])
+	if n <= 0 {
+		d.fail(what) // short buffer, or more than 64 bits
+		return 0
+	}
+	if n > 1 && d.src[d.off+n-1] == 0 {
+		d.err = fmt.Errorf("%w: over-long varint reading %s at offset %d", ErrBadRecord, what, d.off)
+		return 0
+	}
+	d.off += n
+	return v
+}
+
+// uvarint32 reads a varint that must fit 32 bits (table, page, shard,
+// patch offsets).
+func (d *decoder) uvarint32(what string) uint32 {
+	v := d.uvarint(what)
+	if v > math.MaxUint32 && d.err == nil {
+		d.err = fmt.Errorf("%w: %s %d exceeds 32 bits", ErrBadRecord, what, v)
+		return 0
+	}
+	return uint32(v)
+}
+
 func (d *decoder) bytes(what string) []byte {
-	n := int(d.u32(what))
+	return d.take(what, uint64(d.u32(what)))
+}
+
+// varBytes is bytes with a varint length.
+func (d *decoder) varBytes(what string) []byte {
+	return d.take(what, d.uvarint(what))
+}
+
+// take copies the next n body bytes out.
+func (d *decoder) take(what string, n uint64) []byte {
 	if d.err != nil {
 		return nil
 	}
-	if n < 0 || d.off+n > len(d.src) {
+	if n > uint64(len(d.src)-d.off) {
 		d.fail(what)
 		return nil
 	}
 	out := make([]byte, n)
-	copy(out, d.src[d.off:d.off+n])
-	d.off += n
+	copy(out, d.src[d.off:])
+	d.off += int(n)
 	return out
 }
 

@@ -13,9 +13,26 @@ import (
 // run seals, shares and releases dozens of them.
 const modelSegCap = 256
 
-// updateFrame is the frame size of an UpdateRec whose OldVal and NewVal
-// total valBytes.
-func updateFrame(valBytes int) int { return frameHeaderSize + 44 + valBytes }
+// frameLen is the size of the frame rec appends.
+func frameLen(rec Record) int { return frameHeaderSize + len(rec.encodeBody(nil)) }
+
+// updateOfFrame returns an update whose frame is exactly n bytes: an
+// empty before-middle and an after-middle sized to fit, so nothing is
+// trimmed. (A varint length prefix makes one frame size near 128 value
+// bytes unreachable; no caller asks for it.)
+func updateOfFrame(t testing.TB, rng *rand.Rand, n int) *UpdateRec {
+	for vals := n; vals >= 0; vals-- {
+		r := &UpdateRec{TxnID: 1, TableID: 1, KeyVal: 9, NewVal: make([]byte, vals)}
+		if frameLen(r) == n {
+			if rng != nil {
+				rng.Read(r.NewVal)
+			}
+			return r
+		}
+	}
+	t.Fatalf("no update record has a %d-byte frame", n)
+	return nil
+}
 
 // model is the flat reference a segmented Log is checked against: every
 // byte ever appended to its LSN space in one slice (ref[0] is the byte
@@ -184,20 +201,18 @@ func (m *model) checkPaths(t *testing.T, ctx string, segScanners bool) {
 
 // randomRec draws an update whose frame is usually much smaller than a
 // segment and sometimes exactly a segment, one byte more, or several.
-func randomRec(rng *rand.Rand, id int) Record {
-	var vals int
+func randomRec(t testing.TB, rng *rand.Rand, id int) Record {
 	switch rng.Intn(12) {
 	case 0:
-		vals = modelSegCap - updateFrame(0) // exactly fills an empty segment
+		return updateOfFrame(t, rng, modelSegCap) // exactly fills an empty segment
 	case 1:
-		vals = modelSegCap - updateFrame(0) + 1 // one byte too many
+		return updateOfFrame(t, rng, modelSegCap+1) // one byte too many
 	case 2:
-		vals = 2*modelSegCap + rng.Intn(modelSegCap) // larger than any segment
+		return updateOfFrame(t, rng, 2*modelSegCap+rng.Intn(modelSegCap)) // larger than any segment
 	case 3:
 		return &CommitRec{TxnID: TxnID(id), PrevLSN: LSN(rng.Uint32())}
-	default:
-		vals = rng.Intn(90)
 	}
+	vals := rng.Intn(90)
 	old := make([]byte, rng.Intn(vals+1))
 	rng.Read(old)
 	nw := make([]byte, vals-len(old))
@@ -225,7 +240,7 @@ func TestSegmentedLogMatchesFlatModel(t *testing.T) {
 		for step := 0; step < 400; step++ {
 			switch op := rng.Intn(20); {
 			case op < 9:
-				live.append(t, randomRec(rng, step))
+				live.append(t, randomRec(t, rng, step))
 			case op < 12:
 				live.stable = live.end()
 				if got := live.log.Flush(); got != live.stable {
@@ -239,7 +254,7 @@ func TestSegmentedLogMatchesFlatModel(t *testing.T) {
 				snap := live.fork(live.log.Snapshot())
 				c := live.fork(live.log.Clone())
 				for i := 0; i < 1+rng.Intn(6); i++ {
-					c.append(t, randomRec(rng, step))
+					c.append(t, randomRec(t, rng, step))
 				}
 				c.stable = c.end()
 				c.log.Flush()
@@ -331,26 +346,24 @@ func TestSegmentedLogMatchesFlatModel(t *testing.T) {
 // frame that exactly fills a segment, one a byte too long for what is
 // left, and one larger than any segment.
 func TestSegmentBoundaryFrames(t *testing.T) {
-	rec := func(vals int) *UpdateRec {
-		return &UpdateRec{TxnID: 1, TableID: 1, KeyVal: 9, NewVal: make([]byte, vals)}
-	}
+	rec := func(frame int) *UpdateRec { return updateOfFrame(t, nil, frame) }
+	smallest := frameLen(&UpdateRec{TxnID: 1, TableID: 1, KeyVal: 9})
 	m := newModel(newLog(modelSegCap))
-	fill := modelSegCap - updateFrame(0)
 
-	m.append(t, rec(fill)) // exactly one segment's worth
+	m.append(t, rec(modelSegCap)) // exactly one segment's worth
 	if got := m.log.Segments(); got != 1 {
 		t.Fatalf("a frame of exactly the segment capacity took %d segments", got)
 	}
-	m.append(t, rec(0)) // the tail is full: this one opens segment 2
+	m.append(t, rec(smallest)) // the tail is full: this one opens segment 2
 	if got := m.log.Segments(); got != 2 {
 		t.Fatalf("a frame after a full segment: %d segments, want 2", got)
 	}
-	m.append(t, rec(fill-updateFrame(0)+1)) // one byte more than segment 2 has left
+	m.append(t, rec(modelSegCap-smallest+1)) // one byte more than segment 2 has left
 	if got := m.log.Segments(); got != 3 {
 		t.Fatalf("a frame one byte over: %d segments, want 3", got)
 	}
 	m.append(t, rec(3*modelSegCap)) // oversized: a segment of its own
-	m.append(t, rec(0))
+	m.append(t, rec(smallest))
 	if got := m.log.Segments(); got != 5 {
 		t.Fatalf("an oversized frame and its successor: %d segments, want 5", got)
 	}

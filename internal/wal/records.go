@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"fmt"
 
 	"logrec/internal/storage"
@@ -10,13 +11,24 @@ import (
 // Transactional data operations
 // ---------------------------------------------------------------------
 
-// UpdateRec logs an update of an existing row. Redo applies NewVal;
-// undo restores OldVal. The row is identified logically by (TableID,
-// Key); PageID is the physiological hint captured when the update ran.
+// UpdateRec logs an update of an existing row as a patch: the row's
+// first Skip and last Tail bytes are unchanged, OldVal is what lay
+// between them before the update and NewVal what lies there after it.
+// Redo applies After; undo restores Before. The row is identified
+// logically by (TableID, Key); PageID is the physiological hint captured
+// when the update ran.
+//
+// A producer hands over whole row images (Skip = Tail = 0): encodeBody
+// trims the longest common prefix and then the longest common suffix,
+// so the log carries — and a decoded record holds — only the middles.
+// Both forms describe the same change; After, Before and Splice are the
+// only ways to turn either back into a row.
 type UpdateRec struct {
 	TxnID   TxnID
 	TableID TableID
 	KeyVal  uint64
+	Skip    uint32
+	Tail    uint32
 	OldVal  []byte
 	NewVal  []byte
 	PageID  storage.PageID
@@ -32,29 +44,85 @@ func (r *UpdateRec) Key() uint64         { return r.KeyVal }
 func (r *UpdateRec) PID() storage.PageID { return r.PageID }
 func (r *UpdateRec) Shard() ShardID      { return r.ShardID }
 
+// After returns the row the update leaves, given the row it met.
+func (r *UpdateRec) After(cur []byte) ([]byte, error) {
+	return Splice(cur, r.Skip, r.Tail, r.NewVal)
+}
+
+// Before returns the row the update met, given the row it left.
+func (r *UpdateRec) Before(cur []byte) ([]byte, error) {
+	return Splice(cur, r.Skip, r.Tail, r.OldVal)
+}
+
+// Applied reports whether cur already shows the update: false when the
+// bytes between Skip and Tail are the before-middle (the update is still
+// to apply), true when they are the after-middle (the record was
+// delivered before). A row that is neither is ErrBadRecord — the check a
+// consumer without page LSNs to screen by (an off-geometry standby)
+// makes before it patches.
+func (r *UpdateRec) Applied(cur []byte) (bool, error) {
+	if uint64(r.Skip)+uint64(r.Tail) > uint64(len(cur)) {
+		_, err := r.After(cur)
+		return false, err
+	}
+	switch mid := cur[r.Skip : len(cur)-int(r.Tail)]; {
+	case bytes.Equal(mid, r.OldVal):
+		return false, nil
+	case bytes.Equal(mid, r.NewVal):
+		return true, nil
+	}
+	return false, fmt.Errorf("%w: row is neither side of the update", ErrBadRecord)
+}
+
+// Shrinks reports whether the update made the row shorter, so that
+// undoing it grows the row and can overflow its leaf. The middles differ
+// in length exactly as the whole images do.
+func (r *UpdateRec) Shrinks() bool { return len(r.OldVal) > len(r.NewVal) }
+
+// Compensation drafts the CLR that undoes the update: the same patch
+// with the before-middle as its payload, next-to-undo the update's
+// predecessor. The caller fills the page, shard and backchain link.
+func (r *UpdateRec) Compensation() *CLRRec {
+	return &CLRRec{
+		TxnID: r.TxnID, TableID: r.TableID, KeyVal: r.KeyVal, Kind: CLRUndoUpdate,
+		Skip: r.Skip, Tail: r.Tail, RestoreVal: r.OldVal, UndoNextLSN: r.PrevLSN,
+	}
+}
+
 func (r *UpdateRec) encodeBody(dst []byte) []byte {
-	dst = putU64(dst, uint64(r.TxnID))
-	dst = putU32(dst, uint32(r.TableID))
-	dst = putU64(dst, r.KeyVal)
-	dst = putBytes(dst, r.OldVal)
-	dst = putBytes(dst, r.NewVal)
-	dst = putU32(dst, uint32(r.PageID))
-	dst = putU32(dst, uint32(r.ShardID))
-	dst = putU64(dst, uint64(r.PrevLSN))
+	p, t := commonEnds(r.OldVal, r.NewVal)
+	dst = putUvarint(dst, uint64(r.TxnID))
+	dst = putUvarint(dst, uint64(r.TableID))
+	dst = putUvarint(dst, r.KeyVal)
+	dst = putUvarint(dst, uint64(r.Skip)+uint64(p))
+	dst = putUvarint(dst, uint64(r.Tail)+uint64(t))
+	dst = putVarBytes(dst, r.OldVal[p:len(r.OldVal)-t])
+	dst = putVarBytes(dst, r.NewVal[p:len(r.NewVal)-t])
+	dst = putUvarint(dst, uint64(r.PageID))
+	dst = putUvarint(dst, uint64(r.ShardID))
+	dst = putUvarint(dst, uint64(r.PrevLSN))
 	return dst
 }
 
 func (r *UpdateRec) decodeBody(src []byte) error {
 	d := newDecoder(src)
-	r.TxnID = TxnID(d.u64("txn"))
-	r.TableID = TableID(d.u32("table"))
-	r.KeyVal = d.u64("key")
-	r.OldVal = d.bytes("old")
-	r.NewVal = d.bytes("new")
-	r.PageID = storage.PageID(d.u32("pid"))
-	r.ShardID = ShardID(d.u32("shard"))
-	r.PrevLSN = LSN(d.u64("prev"))
-	return d.finish(TypeUpdate)
+	r.TxnID = TxnID(d.uvarint("txn"))
+	r.TableID = TableID(d.uvarint32("table"))
+	r.KeyVal = d.uvarint("key")
+	r.Skip = d.uvarint32("skip")
+	r.Tail = d.uvarint32("tail")
+	r.OldVal = d.varBytes("old")
+	r.NewVal = d.varBytes("new")
+	r.PageID = storage.PageID(d.uvarint32("pid"))
+	r.ShardID = ShardID(d.uvarint32("shard"))
+	r.PrevLSN = LSN(d.uvarint("prev"))
+	if err := d.finish(TypeUpdate); err != nil {
+		return err
+	}
+	if p, t := commonEnds(r.OldVal, r.NewVal); p+t != 0 {
+		return fmt.Errorf("%w: update patch of key %d not trimmed (%d+%d shared bytes)", ErrBadRecord, r.KeyVal, p, t)
+	}
+	return nil
 }
 
 // InsertRec logs insertion of a new row. Redo inserts; undo deletes.
@@ -77,25 +145,25 @@ func (r *InsertRec) PID() storage.PageID { return r.PageID }
 func (r *InsertRec) Shard() ShardID      { return r.ShardID }
 
 func (r *InsertRec) encodeBody(dst []byte) []byte {
-	dst = putU64(dst, uint64(r.TxnID))
-	dst = putU32(dst, uint32(r.TableID))
-	dst = putU64(dst, r.KeyVal)
-	dst = putBytes(dst, r.Val)
-	dst = putU32(dst, uint32(r.PageID))
-	dst = putU32(dst, uint32(r.ShardID))
-	dst = putU64(dst, uint64(r.PrevLSN))
+	dst = putUvarint(dst, uint64(r.TxnID))
+	dst = putUvarint(dst, uint64(r.TableID))
+	dst = putUvarint(dst, r.KeyVal)
+	dst = putVarBytes(dst, r.Val)
+	dst = putUvarint(dst, uint64(r.PageID))
+	dst = putUvarint(dst, uint64(r.ShardID))
+	dst = putUvarint(dst, uint64(r.PrevLSN))
 	return dst
 }
 
 func (r *InsertRec) decodeBody(src []byte) error {
 	d := newDecoder(src)
-	r.TxnID = TxnID(d.u64("txn"))
-	r.TableID = TableID(d.u32("table"))
-	r.KeyVal = d.u64("key")
-	r.Val = d.bytes("val")
-	r.PageID = storage.PageID(d.u32("pid"))
-	r.ShardID = ShardID(d.u32("shard"))
-	r.PrevLSN = LSN(d.u64("prev"))
+	r.TxnID = TxnID(d.uvarint("txn"))
+	r.TableID = TableID(d.uvarint32("table"))
+	r.KeyVal = d.uvarint("key")
+	r.Val = d.varBytes("val")
+	r.PageID = storage.PageID(d.uvarint32("pid"))
+	r.ShardID = ShardID(d.uvarint32("shard"))
+	r.PrevLSN = LSN(d.uvarint("prev"))
 	return d.finish(TypeInsert)
 }
 
@@ -119,25 +187,25 @@ func (r *DeleteRec) PID() storage.PageID { return r.PageID }
 func (r *DeleteRec) Shard() ShardID      { return r.ShardID }
 
 func (r *DeleteRec) encodeBody(dst []byte) []byte {
-	dst = putU64(dst, uint64(r.TxnID))
-	dst = putU32(dst, uint32(r.TableID))
-	dst = putU64(dst, r.KeyVal)
-	dst = putBytes(dst, r.OldVal)
-	dst = putU32(dst, uint32(r.PageID))
-	dst = putU32(dst, uint32(r.ShardID))
-	dst = putU64(dst, uint64(r.PrevLSN))
+	dst = putUvarint(dst, uint64(r.TxnID))
+	dst = putUvarint(dst, uint64(r.TableID))
+	dst = putUvarint(dst, r.KeyVal)
+	dst = putVarBytes(dst, r.OldVal)
+	dst = putUvarint(dst, uint64(r.PageID))
+	dst = putUvarint(dst, uint64(r.ShardID))
+	dst = putUvarint(dst, uint64(r.PrevLSN))
 	return dst
 }
 
 func (r *DeleteRec) decodeBody(src []byte) error {
 	d := newDecoder(src)
-	r.TxnID = TxnID(d.u64("txn"))
-	r.TableID = TableID(d.u32("table"))
-	r.KeyVal = d.u64("key")
-	r.OldVal = d.bytes("old")
-	r.PageID = storage.PageID(d.u32("pid"))
-	r.ShardID = ShardID(d.u32("shard"))
-	r.PrevLSN = LSN(d.u64("prev"))
+	r.TxnID = TxnID(d.uvarint("txn"))
+	r.TableID = TableID(d.uvarint32("table"))
+	r.KeyVal = d.uvarint("key")
+	r.OldVal = d.varBytes("old")
+	r.PageID = storage.PageID(d.uvarint32("pid"))
+	r.ShardID = ShardID(d.uvarint32("shard"))
+	r.PrevLSN = LSN(d.uvarint("prev"))
 	return d.finish(TypeDelete)
 }
 
@@ -146,7 +214,7 @@ type CLRKind uint8
 
 // CLR kinds.
 const (
-	CLRUndoUpdate CLRKind = iota + 1 // restore OldVal
+	CLRUndoUpdate CLRKind = iota + 1 // patch the before-middle back in
 	CLRUndoInsert                    // delete the inserted key
 	CLRUndoDelete                    // re-insert the deleted row
 )
@@ -154,13 +222,20 @@ const (
 // CLRRec is a compensation log record written during undo. It is
 // redo-only: UndoNextLSN points at the next record of the transaction
 // still to be undone, so undo never repeats work after a crash during
-// recovery. RestoreVal carries the value the undo wrote (empty for
-// CLRUndoInsert, which removes the key).
+// recovery. For CLRUndoUpdate it is the compensated update's patch
+// turned round (UpdateRec.Compensation): Skip and Tail as there,
+// RestoreVal the before-middle, so undo — crash undo above all, whose
+// routed sweep may not read a page a worker is writing — never needs
+// the whole before-image. For CLRUndoDelete RestoreVal is the whole row
+// re-inserted (Skip = Tail = 0); for CLRUndoInsert, which removes the
+// key, it is empty. After rebuilds the row in both cases.
 type CLRRec struct {
 	TxnID       TxnID
 	TableID     TableID
 	KeyVal      uint64
 	Kind        CLRKind
+	Skip        uint32
+	Tail        uint32
 	RestoreVal  []byte
 	PageID      storage.PageID
 	ShardID     ShardID
@@ -176,30 +251,40 @@ func (r *CLRRec) Key() uint64         { return r.KeyVal }
 func (r *CLRRec) PID() storage.PageID { return r.PageID }
 func (r *CLRRec) Shard() ShardID      { return r.ShardID }
 
+// After returns the row the compensation leaves: the row it met (nil
+// when it re-inserts a deleted row) with RestoreVal patched in.
+func (r *CLRRec) After(cur []byte) ([]byte, error) {
+	return Splice(cur, r.Skip, r.Tail, r.RestoreVal)
+}
+
 func (r *CLRRec) encodeBody(dst []byte) []byte {
-	dst = putU64(dst, uint64(r.TxnID))
-	dst = putU32(dst, uint32(r.TableID))
-	dst = putU64(dst, r.KeyVal)
+	dst = putUvarint(dst, uint64(r.TxnID))
+	dst = putUvarint(dst, uint64(r.TableID))
+	dst = putUvarint(dst, r.KeyVal)
 	dst = putU8(dst, uint8(r.Kind))
-	dst = putBytes(dst, r.RestoreVal)
-	dst = putU32(dst, uint32(r.PageID))
-	dst = putU32(dst, uint32(r.ShardID))
-	dst = putU64(dst, uint64(r.UndoNextLSN))
-	dst = putU64(dst, uint64(r.PrevLSN))
+	dst = putUvarint(dst, uint64(r.Skip))
+	dst = putUvarint(dst, uint64(r.Tail))
+	dst = putVarBytes(dst, r.RestoreVal)
+	dst = putUvarint(dst, uint64(r.PageID))
+	dst = putUvarint(dst, uint64(r.ShardID))
+	dst = putUvarint(dst, uint64(r.UndoNextLSN))
+	dst = putUvarint(dst, uint64(r.PrevLSN))
 	return dst
 }
 
 func (r *CLRRec) decodeBody(src []byte) error {
 	d := newDecoder(src)
-	r.TxnID = TxnID(d.u64("txn"))
-	r.TableID = TableID(d.u32("table"))
-	r.KeyVal = d.u64("key")
+	r.TxnID = TxnID(d.uvarint("txn"))
+	r.TableID = TableID(d.uvarint32("table"))
+	r.KeyVal = d.uvarint("key")
 	r.Kind = CLRKind(d.u8("kind"))
-	r.RestoreVal = d.bytes("restore")
-	r.PageID = storage.PageID(d.u32("pid"))
-	r.ShardID = ShardID(d.u32("shard"))
-	r.UndoNextLSN = LSN(d.u64("undonext"))
-	r.PrevLSN = LSN(d.u64("prev"))
+	r.Skip = d.uvarint32("skip")
+	r.Tail = d.uvarint32("tail")
+	r.RestoreVal = d.varBytes("restore")
+	r.PageID = storage.PageID(d.uvarint32("pid"))
+	r.ShardID = ShardID(d.uvarint32("shard"))
+	r.UndoNextLSN = LSN(d.uvarint("undonext"))
+	r.PrevLSN = LSN(d.uvarint("prev"))
 	return d.finish(TypeCLR)
 }
 
@@ -218,15 +303,15 @@ func (r *CommitRec) Txn() TxnID { return r.TxnID }
 func (r *CommitRec) Prev() LSN  { return r.PrevLSN }
 
 func (r *CommitRec) encodeBody(dst []byte) []byte {
-	dst = putU64(dst, uint64(r.TxnID))
-	dst = putU64(dst, uint64(r.PrevLSN))
+	dst = putUvarint(dst, uint64(r.TxnID))
+	dst = putUvarint(dst, uint64(r.PrevLSN))
 	return dst
 }
 
 func (r *CommitRec) decodeBody(src []byte) error {
 	d := newDecoder(src)
-	r.TxnID = TxnID(d.u64("txn"))
-	r.PrevLSN = LSN(d.u64("prev"))
+	r.TxnID = TxnID(d.uvarint("txn"))
+	r.PrevLSN = LSN(d.uvarint("prev"))
 	return d.finish(TypeCommit)
 }
 
@@ -241,15 +326,15 @@ func (r *AbortRec) Txn() TxnID { return r.TxnID }
 func (r *AbortRec) Prev() LSN  { return r.PrevLSN }
 
 func (r *AbortRec) encodeBody(dst []byte) []byte {
-	dst = putU64(dst, uint64(r.TxnID))
-	dst = putU64(dst, uint64(r.PrevLSN))
+	dst = putUvarint(dst, uint64(r.TxnID))
+	dst = putUvarint(dst, uint64(r.PrevLSN))
 	return dst
 }
 
 func (r *AbortRec) decodeBody(src []byte) error {
 	d := newDecoder(src)
-	r.TxnID = TxnID(d.u64("txn"))
-	r.PrevLSN = LSN(d.u64("prev"))
+	r.TxnID = TxnID(d.uvarint("txn"))
+	r.PrevLSN = LSN(d.uvarint("prev"))
 	return d.finish(TypeAbort)
 }
 

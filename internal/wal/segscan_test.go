@@ -220,11 +220,13 @@ func TestSegScannerTruncationInLastSegmentOnly(t *testing.T) {
 func TestSegScannerFastPathEngages(t *testing.T) {
 	l := NewLog()
 	for i := 0; i < 6000; i++ {
-		l.MustAppend(&UpdateRec{TxnID: TxnID(i % 100), TableID: 1, KeyVal: uint64(i),
-			OldVal: make([]byte, 64), NewVal: make([]byte, 64)})
+		// One field of a 64-byte row changes: a ~20-byte frame.
+		old, nw := make([]byte, 64), make([]byte, 64)
+		old[40], nw[40] = byte(i), byte(i+1)
+		l.MustAppend(&UpdateRec{TxnID: TxnID(i % 100), TableID: 1, KeyVal: uint64(i), OldVal: old, NewVal: nw})
 	}
 	l.Flush()
-	seg := l.NewSegScanner(FirstLSN(), nil, ScanCost{}, SegConfig{Workers: 4, SegmentBytes: 16 << 10})
+	seg := l.NewSegScanner(FirstLSN(), nil, ScanCost{}, SegConfig{Workers: 4, SegmentBytes: 8 << 10})
 	got := drainScan(seg.Next)
 	if got.err != nil {
 		t.Fatal(got.err)

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -250,25 +251,141 @@ func TestAppendCount(t *testing.T) {
 	}
 }
 
-// TestQuickUpdateRoundTrip fuzzes update record encode/decode.
+// TestQuickUpdateRoundTrip fuzzes the patch encoding of update records
+// and of the CLRs that compensate them: whatever whole images a
+// producer hands over, the decoded record holds maximally trimmed
+// middles, rebuilds either image from the other (and patches any other
+// row that keeps the same ends), and re-encodes to the same bytes.
 func TestQuickUpdateRoundTrip(t *testing.T) {
-	f := func(txn uint64, table uint32, key uint64, oldV, newV []byte, pid uint32, prev uint64) bool {
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	f := func(txn uint64, table uint32, key uint64, prefix, oldMid, newMid, suffix, other []byte, pid, shard uint32, prev uint64) bool {
+		oldV, newV := cat(prefix, oldMid, suffix), cat(prefix, newMid, suffix)
 		in := &UpdateRec{
 			TxnID: TxnID(txn), TableID: TableID(table), KeyVal: key,
 			OldVal: oldV, NewVal: newV,
-			PageID: storage.PageID(pid), PrevLSN: LSN(prev),
+			PageID: storage.PageID(pid), ShardID: ShardID(shard), PrevLSN: LSN(prev),
 		}
 		body := in.encodeBody(nil)
 		var out UpdateRec
 		if err := out.decodeBody(body); err != nil {
+			t.Logf("decode: %v", err)
 			return false
 		}
-		normalize(in)
-		normalize(&out)
-		return reflect.DeepEqual(in, &out)
+		if out.TxnID != in.TxnID || out.TableID != in.TableID || out.KeyVal != key ||
+			out.PageID != in.PageID || out.ShardID != in.ShardID || out.PrevLSN != in.PrevLSN {
+			t.Logf("fields: %+v", out)
+			return false
+		}
+		// Maximal: at least the ends the images were built with, and
+		// nothing left to trim.
+		if int(out.Skip+out.Tail) < len(prefix)+len(suffix) || int(out.Skip)+len(out.OldVal)+int(out.Tail) != len(oldV) {
+			t.Logf("skip %d tail %d for ends %d+%d", out.Skip, out.Tail, len(prefix), len(suffix))
+			return false
+		}
+		if p, s := commonEnds(out.OldVal, out.NewVal); p+s != 0 {
+			return false
+		}
+		if !bytes.Equal(out.encodeBody(nil), body) {
+			t.Logf("re-encode differs")
+			return false
+		}
+		// Both forms — whole images and middles — rebuild both rows.
+		for _, r := range []*UpdateRec{in, &out} {
+			after, err1 := r.After(oldV)
+			before, err2 := r.Before(newV)
+			if err1 != nil || err2 != nil || !bytes.Equal(after, newV) || !bytes.Equal(before, oldV) {
+				t.Logf("after %q %v, before %q %v", after, err1, before, err2)
+				return false
+			}
+		}
+		// Any row with the same ends takes the patch.
+		row := cat(oldV[:out.Skip], other, oldV[len(oldV)-int(out.Tail):])
+		want := cat(oldV[:out.Skip], out.NewVal, oldV[len(oldV)-int(out.Tail):])
+		if got, err := out.After(row); err != nil || !bytes.Equal(got, want) {
+			return false
+		}
+		// The before-image is still to patch, the after-image is done
+		// (an update that changed nothing is never "done": re-applying
+		// it is as harmless as applying it).
+		if done, err := out.Applied(oldV); err != nil || done {
+			return false
+		}
+		if done, err := out.Applied(newV); err != nil || done == bytes.Equal(oldV, newV) {
+			return false
+		}
+
+		// The compensation is the same patch turned round.
+		clr := out.Compensation()
+		var back CLRRec
+		if err := back.decodeBody(clr.encodeBody(nil)); err != nil {
+			t.Logf("CLR decode: %v", err)
+			return false
+		}
+		normalize(clr)
+		normalize(&back)
+		if !reflect.DeepEqual(clr, &back) || back.UndoNextLSN != in.PrevLSN {
+			return false
+		}
+		restored, err := back.After(newV)
+		return err == nil && bytes.Equal(restored, oldV)
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSpliceBounds: a patch that keeps more bytes than the row has is
+// ErrBadRecord, never a panic, at any skip and tail.
+func TestSpliceBounds(t *testing.T) {
+	f := func(cur, mid []byte, skip, tail uint32, small bool) bool {
+		if small {
+			skip, tail = skip%uint32(len(cur)+2), tail%uint32(len(cur)+2)
+		}
+		out, err := Splice(cur, skip, tail, mid)
+		if uint64(skip)+uint64(tail) > uint64(len(cur)) {
+			return errors.Is(err, ErrBadRecord)
+		}
+		return err == nil && len(out) == int(skip)+len(mid)+int(tail) &&
+			bytes.HasPrefix(out, cur[:skip]) && bytes.HasSuffix(out, cur[len(cur)-int(tail):])
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []interface {
+		After([]byte) ([]byte, error)
+	}{&UpdateRec{Skip: 3, Tail: 2}, &CLRRec{Kind: CLRUndoUpdate, Skip: 5}} {
+		if _, err := r.After([]byte("abcd")); !errors.Is(err, ErrBadRecord) {
+			t.Fatalf("%T.After on a short row: %v, want ErrBadRecord", r, err)
+		}
+	}
+}
+
+// TestVarintBodiesAreCanonical: one record has one byte string. An
+// over-long varint, a value too wide for its field and an update whose
+// middles still share an end are all refused.
+func TestVarintBodiesAreCanonical(t *testing.T) {
+	good := (&CommitRec{TxnID: 5, PrevLSN: 300}).encodeBody(nil)
+	var c CommitRec
+	if err := c.decodeBody(good); err != nil || c.TxnID != 5 || c.PrevLSN != 300 {
+		t.Fatalf("canonical body: %+v, %v", c, err)
+	}
+	overlong := []byte{0x85, 0x00, 0xAC, 0x02} // txn 5 spelt in two bytes
+	if err := c.decodeBody(overlong); !errors.Is(err, ErrBadRecord) {
+		t.Fatalf("over-long varint decoded: %v", err)
+	}
+	wide := putUvarint(putUvarint(nil, 1), 1<<32) // table ID beyond 32 bits
+	var u UpdateRec
+	if err := u.decodeBody(wide); !errors.Is(err, ErrBadRecord) {
+		t.Fatalf("33-bit table ID decoded: %v", err)
+	}
+	// txn 1, table 1, key 1, skip 0, tail 0, old "ab", new "ac", pid, shard, prev.
+	untrimmed := []byte{1, 1, 1, 0, 0, 2, 'a', 'b', 2, 'a', 'c', 1, 0, 0}
+	if err := u.decodeBody(untrimmed); !errors.Is(err, ErrBadRecord) {
+		t.Fatalf("untrimmed patch decoded: %v", err)
+	}
+	trimmed := (&UpdateRec{TxnID: 1, TableID: 1, KeyVal: 1, OldVal: []byte("ab"), NewVal: []byte("ac"), PageID: 1}).encodeBody(nil)
+	if want := []byte{1, 1, 1, 1, 0, 1, 'b', 1, 'c', 1, 0, 0}; !bytes.Equal(trimmed, want) {
+		t.Fatalf("encoded %v, want %v", trimmed, want)
 	}
 }
 
