@@ -329,6 +329,25 @@ var loadBenchSchema = exec.MustSchema(
 	exec.Column{Name: "flag", Type: exec.TBool},
 )
 
+// BenchmarkSchemaEncode is one row of loadBenchSchema through
+// Schema.Encode — what every loaded row and every exec.Update pays. The
+// caller boxing its key is one of the allocations reported; the row is
+// the other.
+func BenchmarkSchemaEncode(b *testing.B) {
+	payload := "payload-0000abcd-0000000000000000"
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		k := uint64(i)
+		buf, err := loadBenchSchema.Encode(k, payload, uint64(0), k%16 == 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		encodeSink = buf
+	}
+}
+
+var encodeSink []byte
+
 // BenchmarkEngineLoad measures Engine.Load — bulk build, flush, first
 // checkpoint — on a fully cached 200k-row table, the set-up every
 // experiment starts from. pool-reqs/row is the buffer pool's Get

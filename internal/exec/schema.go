@@ -192,53 +192,110 @@ func normalize(v any, t ColType) (any, error) {
 // Encode packs vals (one per column, declaration order) into the
 // engine's opaque row bytes. Numeric columns accept int literals;
 // everything else requires the column's exact Go type.
+//
+// Every row loaded or updated passes through here, so it sizes the
+// buffer exactly before allocating it and writes each value straight
+// from its type switch: the one allocation is the row.
 func (s *Schema) Encode(vals ...any) ([]byte, error) {
 	if len(vals) != len(s.cols) {
 		return nil, fmt.Errorf("%w: got %d values for %d columns", ErrSchema, len(vals), len(s.cols))
 	}
-	buf := make([]byte, 1+s.fixedEnd, 1+s.fixedEnd+16*len(s.varOrder))
-	buf[0] = rowVersion
+	size := 1 + s.fixedEnd
+	var tooLong error // reported only once every column's type has been checked
 	for i, c := range s.cols {
-		v, err := normalize(vals[i], c.Type)
+		n, err := fits(vals[i], c.Type)
 		if err != nil {
 			return nil, fmt.Errorf("%w: column %q: %v", ErrSchema, c.Name, err)
 		}
-		if off := s.offset[i]; off >= 0 {
-			putFixed(buf[1+off:], c.Type, v)
+		if s.offset[i] < 0 {
+			size += 2 + n
+			if n > math.MaxUint16 && tooLong == nil {
+				tooLong = fmt.Errorf("%w: column %q: %d bytes exceeds max %d", ErrSchema, c.Name, n, math.MaxUint16)
+			}
 		}
-		vals[i] = v
+	}
+	if tooLong != nil {
+		return nil, tooLong
+	}
+	buf := make([]byte, 1+s.fixedEnd, size)
+	buf[0] = rowVersion
+	for i := range s.cols {
+		if off := s.offset[i]; off >= 0 {
+			putFixed(buf[1+off:], vals[i])
+		}
 	}
 	for _, i := range s.varOrder {
-		var b []byte
 		switch x := vals[i].(type) {
 		case string:
-			b = []byte(x)
+			buf = appendVar(buf, x)
 		case []byte:
-			b = x
+			buf = appendVar(buf, x)
 		}
-		if len(b) > math.MaxUint16 {
-			return nil, fmt.Errorf("%w: column %q: %d bytes exceeds max %d", ErrSchema, s.cols[i].Name, len(b), math.MaxUint16)
-		}
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(b)))
-		buf = append(buf, b...)
 	}
 	return buf, nil
 }
 
-// putFixed writes a normalized fixed-width value at dst[0:].
-func putFixed(dst []byte, t ColType, v any) {
-	switch t {
-	case TUint64:
-		binary.LittleEndian.PutUint64(dst, v.(uint64))
-	case TInt64:
-		binary.LittleEndian.PutUint64(dst, uint64(v.(int64)))
-	case TFloat64:
-		binary.LittleEndian.PutUint64(dst, math.Float64bits(v.(float64)))
-	case TBool:
-		if v.(bool) {
+// appendVar appends one variable-length value behind its length.
+func appendVar[T string | []byte](buf []byte, x T) []byte {
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(x)))
+	return append(buf, x...)
+}
+
+// fits checks v against column type t exactly as normalize does, without
+// boxing a converted value, and returns the byte length of a
+// variable-length one.
+func fits(v any, t ColType) (varLen int, err error) {
+	switch x := v.(type) {
+	case uint64:
+		if t == TUint64 {
+			return 0, nil
+		}
+	case int64:
+		if t == TInt64 {
+			return 0, nil
+		}
+	case int:
+		if t == TInt64 || (t == TUint64 && x >= 0) {
+			return 0, nil
+		}
+		if t == TUint64 {
+			return 0, fmt.Errorf("exec: negative value %d for uint64 column", x)
+		}
+	case float64:
+		if t == TFloat64 {
+			return 0, nil
+		}
+	case bool:
+		if t == TBool {
+			return 0, nil
+		}
+	case string:
+		if t == TString {
+			return len(x), nil
+		}
+	case []byte:
+		if t == TBytes {
+			return len(x), nil
+		}
+	}
+	return 0, fmt.Errorf("exec: value %T does not fit %v column", v, t)
+}
+
+// putFixed writes a fixed-width value fits has accepted at dst[0:].
+func putFixed(dst []byte, v any) {
+	switch x := v.(type) {
+	case uint64:
+		binary.LittleEndian.PutUint64(dst, x)
+	case int64:
+		binary.LittleEndian.PutUint64(dst, uint64(x))
+	case int: // an int literal for a TUint64 or TInt64 column
+		binary.LittleEndian.PutUint64(dst, uint64(x))
+	case float64:
+		binary.LittleEndian.PutUint64(dst, math.Float64bits(x))
+	case bool:
+		dst[0] = 0
+		if x {
 			dst[0] = 1
-		} else {
-			dst[0] = 0
 		}
 	}
 }

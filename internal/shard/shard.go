@@ -208,6 +208,13 @@ func (r *Router) Reassign(at uint64, to wal.ShardID) error {
 type Set struct {
 	router *Router
 	dcs    []*dc.DC
+
+	// loadInto is the shard the bulk load's current routing range
+	// [loadStart, loadEnd] belongs to: an ascending load crosses a range
+	// boundary once per range, not once per row. Owned by the loading
+	// goroutine, like the DCs' loaders; FinishLoad clears it.
+	loadInto           *dc.DC
+	loadStart, loadEnd uint64
 }
 
 // NewSet builds the plane over the routing table and the DCs it names.
@@ -410,12 +417,18 @@ func (s *Set) RSSP(rsspLSN wal.LSN) error {
 // ascend strictly within each shard (dc.DC.LoadRow); val is copied
 // before LoadRow returns.
 func (s *Set) LoadRow(key uint64, val []byte) error {
-	return s.dcs[s.router.Locate(key)].LoadRow(key, val)
+	if s.loadInto == nil || key < s.loadStart || key > s.loadEnd {
+		var owner wal.ShardID
+		s.loadStart, s.loadEnd, owner = s.router.RangeOf(key)
+		s.loadInto = s.dcs[owner]
+	}
+	return s.loadInto.LoadRow(key, val)
 }
 
 // FinishLoad completes every shard's bulk load: release the loader,
 // flush every page, persist the boot page.
 func (s *Set) FinishLoad() error {
+	s.loadInto = nil
 	for i, d := range s.dcs {
 		if err := d.FinishLoad(); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
