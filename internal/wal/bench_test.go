@@ -1,18 +1,29 @@
 package wal
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"logrec/internal/storage"
 )
 
+// benchUpdateRec is a representative update: a 92-byte row whose 8-byte
+// little-endian version counter (at offset 50) goes from i to i+1, as a
+// producer hands it over — two whole images.
 func benchUpdateRec(i int) *UpdateRec {
+	old, nw := make([]byte, 92), make([]byte, 92)
+	for j := range old {
+		old[j] = byte('a' + j%26)
+	}
+	copy(nw, old)
+	binary.LittleEndian.PutUint64(old[50:], uint64(i))
+	binary.LittleEndian.PutUint64(nw[50:], uint64(i)+1)
 	return &UpdateRec{
 		TxnID:   TxnID(i),
 		TableID: 1,
 		KeyVal:  uint64(i * 17),
-		OldVal:  make([]byte, 92),
-		NewVal:  make([]byte, 92),
+		OldVal:  old,
+		NewVal:  nw,
 		PageID:  storage.PageID(i),
 		PrevLSN: LSN(i),
 	}
@@ -20,16 +31,18 @@ func benchUpdateRec(i int) *UpdateRec {
 
 func BenchmarkAppendUpdate(b *testing.B) {
 	l := NewLog()
-	rec := benchUpdateRec(0)
+	recs := make([]*UpdateRec, 1024)
+	for i := range recs {
+		recs[i] = benchUpdateRec(i)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec.KeyVal = uint64(i * 17)
-		if _, err := l.Append(rec); err != nil {
+		if _, err := l.Append(recs[i%len(recs)]); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.SetBytes(int64(l.EndLSN()-FirstLSN()) / int64(b.N))
+	b.ReportMetric(float64(l.EndLSN()-FirstLSN())/float64(b.N), "B/record")
 }
 
 func BenchmarkAppendDelta(b *testing.B) {
@@ -53,6 +66,7 @@ func BenchmarkScanLog(b *testing.B) {
 		l.MustAppend(benchUpdateRec(i))
 	}
 	l.Flush()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sc := l.NewScanner(FirstLSN(), nil, ScanCost{})
@@ -71,6 +85,7 @@ func BenchmarkScanLog(b *testing.B) {
 			b.Fatalf("scanned %d", n)
 		}
 	}
+	b.ReportMetric(float64(l.EndLSN()-FirstLSN())/10_000, "B/record")
 }
 
 func BenchmarkGetRandomAccess(b *testing.B) {
