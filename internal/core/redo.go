@@ -51,10 +51,7 @@ func applyOp(pool *buffer.Pool, f *buffer.Frame, op wal.DataOp, lsn wal.LSN) err
 		case wal.CLRUndoInsert:
 			err = f.Page.Delete(t.KeyVal)
 		case wal.CLRUndoDelete:
-			var row []byte
-			if row, err = t.After(nil); err == nil {
-				err = f.Page.Insert(t.KeyVal, row)
-			}
+			err = f.Page.Insert(t.KeyVal, t.RestoreVal) // the whole row
 		default:
 			err = fmt.Errorf("unknown CLR kind %d", t.Kind)
 		}
@@ -69,8 +66,8 @@ func applyOp(pool *buffer.Pool, f *buffer.Frame, op wal.DataOp, lsn wal.LSN) err
 	return nil
 }
 
-// patchRow rewrites key's row on p with patch (an update's After, a
-// CLR's After) applied to the row the page holds.
+// patchRow rewrites key's row on p with patch (an update's or a CLR's
+// After) applied to the row the page holds.
 func patchRow(p *page.Page, key uint64, patch func(cur []byte) ([]byte, error)) error {
 	i, found := p.Search(key)
 	if !found {

@@ -80,9 +80,9 @@ type Replayer struct {
 
 	nextLSN wal.LSN
 	// resume is the engine's applied LSN when this replayer was built:
-	// the first CatchUp scans from the log start to rebuild the
-	// transaction table and routing bookkeeping, but applies nothing
-	// below resume — an earlier replayer of this engine already has.
+	// the first CatchUp scans from the log start for the transaction
+	// table and routes, but applies nothing below resume — an earlier
+	// replayer of this engine already has.
 	resume wal.LSN
 
 	// router mirrors the primary's routing table: committed migrations
@@ -159,9 +159,8 @@ func (rp *Replayer) route(rec wal.Record) (wal.ShardID, bool) {
 	return 0, false
 }
 
-// pass is one shard's apply pass over a CatchUp's records. Records
-// below the resume point were applied by an earlier replayer of this
-// engine and are dropped: exactly-once where the standby can know. Same
+// pass is one shard's apply pass over a CatchUp's records, less those
+// below the resume point (an earlier replayer applied them). Same
 // geometry is the recovery redo loop itself: the pLSN test keeps the
 // apply idempotent besides, and ∆, BW and RSSP records — which serve
 // crash recovery of the primary — fall through its classification.
@@ -201,16 +200,15 @@ func (rp *Replayer) pass(sr *shardRun, next nextFunc) error {
 
 // applyLogical re-executes one logical operation through the standby's
 // own tree, stamping the shipped LSN, and reports whether it changed a
-// row. Off-geometry pages carry their own LSNs, so there is no page
-// stamp to screen a re-delivered operation by; exactly-once delivery
-// comes from the replayer's resume point (NewReplayer), and the apply
-// itself is guarded by row state. An insert, a delete and the CLR of
-// either are state-based and absorb re-delivery. An update is a patch:
-// it applies only to a row whose middle is its before-middle, is
-// absorbed by one that already shows its after-middle, and fails the
-// replay on anything else — including an absent key, which is an error,
-// not an insert. The CLR of an update carries only the middle it
-// restores, so it is checked for fit alone.
+// row. Off-geometry pages carry their own LSNs, so no page stamp screens
+// a re-delivered operation: exactly-once delivery comes from the
+// replayer's resume point (NewReplayer) and the apply is guarded by row
+// state. Inserts, deletes and their CLRs are state-based and absorb
+// re-delivery. An update is a patch: it applies only to a row whose
+// middle is its before-middle, is absorbed by one showing its
+// after-middle, and fails the replay otherwise — an absent key included:
+// that is an error, not an insert. The CLR of an update carries only
+// the middle it restores, so it is checked for fit alone.
 func applyLogical(d *dc.DC, op wal.DataOp, lsn wal.LSN) (applied bool, err error) {
 	stamp := func(storage.PageID) wal.LSN { return lsn }
 	table, key := op.Table(), op.Key()
@@ -230,8 +228,7 @@ func applyLogical(d *dc.DC, op wal.DataOp, lsn wal.LSN) (applied bool, err error
 		}
 		return d.Delete(table, key, stamp)
 	}
-	// patch rewrites the row the key has with an update's or a CLR's
-	// After.
+	// patch rewrites the key's row with an update's or a CLR's After.
 	patch := func(after func([]byte) ([]byte, error)) error {
 		if !found {
 			return fmt.Errorf("row is absent")
@@ -263,10 +260,7 @@ func applyLogical(d *dc.DC, op wal.DataOp, lsn wal.LSN) (applied bool, err error
 		case wal.CLRUndoUpdate:
 			err = patch(t.After)
 		case wal.CLRUndoDelete:
-			var row []byte
-			if row, err = t.After(nil); err == nil {
-				err = upsert(row)
-			}
+			err = upsert(t.RestoreVal) // the whole row
 		case wal.CLRUndoInsert:
 			applied = found
 			err = remove()

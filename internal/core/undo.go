@@ -192,14 +192,13 @@ func (r *run) undoRecord(pool *shardedPool, txn wal.TxnID, st *undoState, rec wa
 // appended here, on the sweep's goroutine, once the page is known;
 // structural says whether the inverse can change the tree's structure.
 // A routed, non-structural step resolves the key's leaf through the
-// index and hands the page application to the owning worker — the CLR
-// of an update is a patch, so the sweep never reads the leaf that worker
+// index and hands the page application to the owning worker — an
+// update's CLR is a patch, so the sweep never reads the leaf that worker
 // may be writing. Everything else — the inline width, and a structural
 // step, which first latches the key's current leaf (safe to resolve
 // off-latch: only the sweep ever changes structure) — runs the DC's full
-// logical operation, which logs the CLR against the page the row
-// finally lands on; there the patch is applied to the row read back
-// from the quiesced leaf.
+// logical operation, patching the row read back from the quiesced leaf
+// and logging the CLR against the page the row finally lands on.
 func (r *run) compensate(pool *shardedPool, st *undoState, sh wal.ShardID, clr *wal.CLRRec, structural bool) error {
 	sr, err := r.resolveShard(sh, clr.KeyVal)
 	if err != nil {
@@ -230,11 +229,7 @@ func (r *run) compensate(pool *shardedPool, st *undoState, sh wal.ShardID, clr *
 	case wal.CLRUndoInsert:
 		return sr.d.Delete(clr.TableID, clr.KeyVal, logCLR)
 	case wal.CLRUndoDelete:
-		row, err := clr.After(nil)
-		if err != nil {
-			return err
-		}
-		return sr.d.Insert(clr.TableID, clr.KeyVal, row, logCLR)
+		return sr.d.Insert(clr.TableID, clr.KeyVal, clr.RestoreVal, logCLR) // the whole row
 	default: // wal.CLRUndoUpdate
 		cur, found, err := sr.d.Read(clr.TableID, clr.KeyVal)
 		if err != nil {

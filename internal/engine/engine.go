@@ -232,10 +232,9 @@ type Engine struct {
 	LastRecovery *RecoveryStats
 
 	// AppliedLSN is, on a standby, the stable-log position a
-	// core.Replayer has applied through (NilLSN before the first
-	// catch-up). It belongs to the applier goroutine. A new Replayer over
-	// this engine applies only what lies at or above it: a logical
-	// update is a patch, so delivering it twice is not harmless.
+	// core.Replayer has applied through; the applier goroutine owns it.
+	// A new Replayer over this engine applies only what lies above it:
+	// an update is a patch, so delivering it twice is not harmless.
 	AppliedLSN wal.LSN
 
 	// mgr is the live session manager (set by NewSessionManager) and

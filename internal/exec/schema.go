@@ -151,51 +151,63 @@ func (s *Schema) ColIndex(name string) (int, bool) {
 // normalize coerces v to the canonical Go type for t, accepting the
 // untyped-constant-friendly int for the numeric columns.
 func normalize(v any, t ColType) (any, error) {
-	switch t {
-	case TUint64:
-		switch x := v.(type) {
-		case uint64:
-			return x, nil
-		case int:
-			if x < 0 {
-				return nil, fmt.Errorf("exec: negative value %d for uint64 column", x)
-			}
+	if _, err := fits(v, t); err != nil {
+		return nil, err
+	}
+	if x, isInt := v.(int); isInt {
+		if t == TUint64 {
 			return uint64(x), nil
 		}
-	case TInt64:
-		switch x := v.(type) {
-		case int64:
-			return x, nil
-		case int:
-			return int64(x), nil
+		return int64(x), nil
+	}
+	return v, nil
+}
+
+// fits checks v against column type t — the exact Go type, or an int
+// for a numeric column — without boxing anything, and returns the byte
+// length of a variable-length value.
+func fits(v any, t ColType) (varLen int, err error) {
+	switch x := v.(type) {
+	case uint64:
+		if t == TUint64 {
+			return 0, nil
 		}
-	case TFloat64:
-		if x, ok := v.(float64); ok {
-			return x, nil
+	case int64:
+		if t == TInt64 {
+			return 0, nil
 		}
-	case TBool:
-		if x, ok := v.(bool); ok {
-			return x, nil
+	case int:
+		if t == TUint64 && x < 0 {
+			return 0, fmt.Errorf("exec: negative value %d for uint64 column", x)
 		}
-	case TString:
-		if x, ok := v.(string); ok {
-			return x, nil
+		if t == TUint64 || t == TInt64 {
+			return 0, nil
 		}
-	case TBytes:
-		if x, ok := v.([]byte); ok {
-			return x, nil
+	case float64:
+		if t == TFloat64 {
+			return 0, nil
+		}
+	case bool:
+		if t == TBool {
+			return 0, nil
+		}
+	case string:
+		if t == TString {
+			return len(x), nil
+		}
+	case []byte:
+		if t == TBytes {
+			return len(x), nil
 		}
 	}
-	return nil, fmt.Errorf("exec: value %T does not fit %v column", v, t)
+	return 0, fmt.Errorf("exec: value %T does not fit %v column", v, t)
 }
 
 // Encode packs vals (one per column, declaration order) into the
 // engine's opaque row bytes. Numeric columns accept int literals;
 // everything else requires the column's exact Go type.
-//
-// Every row loaded or updated passes through here, so it sizes the
-// buffer exactly before allocating it and writes each value straight
-// from its type switch: the one allocation is the row.
+// Every loaded or updated row passes through here: the buffer is sized
+// exactly and nothing is boxed, so the one allocation is the row.
 func (s *Schema) Encode(vals ...any) ([]byte, error) {
 	if len(vals) != len(s.cols) {
 		return nil, fmt.Errorf("%w: got %d values for %d columns", ErrSchema, len(vals), len(s.cols))
@@ -239,46 +251,6 @@ func (s *Schema) Encode(vals ...any) ([]byte, error) {
 func appendVar[T string | []byte](buf []byte, x T) []byte {
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(x)))
 	return append(buf, x...)
-}
-
-// fits checks v against column type t exactly as normalize does, without
-// boxing a converted value, and returns the byte length of a
-// variable-length one.
-func fits(v any, t ColType) (varLen int, err error) {
-	switch x := v.(type) {
-	case uint64:
-		if t == TUint64 {
-			return 0, nil
-		}
-	case int64:
-		if t == TInt64 {
-			return 0, nil
-		}
-	case int:
-		if t == TInt64 || (t == TUint64 && x >= 0) {
-			return 0, nil
-		}
-		if t == TUint64 {
-			return 0, fmt.Errorf("exec: negative value %d for uint64 column", x)
-		}
-	case float64:
-		if t == TFloat64 {
-			return 0, nil
-		}
-	case bool:
-		if t == TBool {
-			return 0, nil
-		}
-	case string:
-		if t == TString {
-			return len(x), nil
-		}
-	case []byte:
-		if t == TBytes {
-			return len(x), nil
-		}
-	}
-	return 0, fmt.Errorf("exec: value %T does not fit %v column", v, t)
 }
 
 // putFixed writes a fixed-width value fits has accepted at dst[0:].

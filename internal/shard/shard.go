@@ -209,10 +209,9 @@ type Set struct {
 	router *Router
 	dcs    []*dc.DC
 
-	// loadInto is the shard the bulk load's current routing range
-	// [loadStart, loadEnd] belongs to: an ascending load crosses a range
-	// boundary once per range, not once per row. Owned by the loading
-	// goroutine, like the DCs' loaders; FinishLoad clears it.
+	// loadInto owns the routing range [loadStart, loadEnd] the bulk load
+	// is in: an ascending load looks a range up once, not once per row.
+	// Owned by the loading goroutine; FinishLoad clears it.
 	loadInto           *dc.DC
 	loadStart, loadEnd uint64
 }

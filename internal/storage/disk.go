@@ -153,16 +153,15 @@ type Disk struct {
 	// assigned to the earliest-free channel.
 	channels []sim.Time
 	inflight map[PageID]sim.Time
-	// due orders the prefetch IOs behind inflight by completion time, so
-	// InflightCount pops what the clock has passed instead of walking
-	// the map; duePages is the pages of the IOs still in it.
+	// due orders inflight's IOs by completion time and duePages counts
+	// their pages: InflightCount pops, it does not walk the map.
 	due      dueHeap
 	duePages int
 
-	// realInflight maps prefetched pages to their IO in real-IO mode;
-	// realPending is the unclaimed pages of the IOs not yet complete
-	// (InflightCount's answer); realSlots is a Channels-sized semaphore
-	// bounding concurrent real prefetch IOs (the device queue depth).
+	// realInflight maps prefetched pages to their IO in real-IO mode and
+	// realPending is InflightCount's answer there; realSlots is a
+	// Channels-sized semaphore bounding concurrent real prefetch IOs
+	// (the device queue depth).
 	realInflight map[PageID]*asyncIO
 	realPending  int
 	realSlots    chan struct{}
@@ -482,9 +481,8 @@ func (d *Disk) Prefetch(pids []PageID) {
 			d.stats.BlockReads++
 		}
 		d.fire(OpPrefetch, n)
-		// A page requested twice in one call ends this run and opens the
-		// next; the later IO's entry replaces this one's, so the page is
-		// tracked (and counted in flight) once.
+		// A page requested twice ends this run and opens the next, whose
+		// IO takes the page over: it is tracked, and counted, once.
 		own := want[runStart:i]
 		if i < len(want) && want[i] == want[i-1] {
 			own = own[:n-1]
@@ -546,19 +544,13 @@ func (d *Disk) QueueDepth() sim.Duration {
 // pages do not count: their data is available and costs nothing to
 // claim, so pacing against them would starve the prefetcher.
 //
-// Redo calls this once or twice per record, so it must not walk
-// inflight (every prefetched page not yet claimed): it pops the IOs the
-// clock has passed off the completion-time heap and answers with what
-// remains. Claims need no bookkeeping here — Read advances the clock to
-// the completion of a page it had to wait for, so that IO pops on the
-// next call.
+// Redo calls this per record, so it pops the IOs the clock has passed
+// off a heap instead of walking every unclaimed page. A claim needs no
+// bookkeeping: Read advances the clock to the completion of a page it
+// waited for, so that IO pops on the next call.
 func (d *Disk) InflightCount() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.inflightLocked()
-}
-
-func (d *Disk) inflightLocked() int {
 	if d.cfg.RealIOScale > 0 {
 		return d.realPending
 	}
@@ -569,15 +561,14 @@ func (d *Disk) inflightLocked() int {
 	return d.duePages
 }
 
-// dueIO is one virtual-time prefetch IO: when it completes and how many
-// pages it covers.
+// dueHeap is a min-heap (container/heap) of virtual-time prefetch IOs:
+// when each completes and how many pages it covers.
+type dueHeap []dueIO
+
 type dueIO struct {
 	at    sim.Time
 	pages int
 }
-
-// dueHeap is a min-heap of prefetch IOs by completion time.
-type dueHeap []dueIO
 
 func (h dueHeap) Len() int           { return len(h) }
 func (h dueHeap) Less(i, j int) bool { return h[i].at < h[j].at }
@@ -590,12 +581,11 @@ func (h *dueHeap) Pop() any {
 	return x
 }
 
-// asyncIO is the completion state of one wall-clock prefetch IO (the
-// simulated disk in real-IO mode, and FileDisk). done is closed when the
-// IO completes; unclaimed counts its pages no Read has taken yet. Both
-// change only under the owning device's mutex, together with the
-// device's pending count — the unclaimed pages of incomplete IOs — so
-// InflightCount reads that count instead of polling every channel.
+// asyncIO is one wall-clock prefetch IO (real-IO mode, FileDisk): done
+// is closed on completion, unclaimed counts its pages no Read has taken.
+// Both change only under the device mutex, together with the device's
+// pending count — the unclaimed pages of incomplete IOs, which is what
+// InflightCount answers without polling every channel.
 type asyncIO struct {
 	done      chan struct{}
 	unclaimed int
@@ -606,8 +596,8 @@ func newAsyncIO(pages int, pending *int) *asyncIO {
 	return &asyncIO{done: make(chan struct{}), unclaimed: pages}
 }
 
-// claim takes one page of the IO and reports whether the IO had already
-// completed; if not, the caller waits on done.
+// claim takes one page and reports whether the IO had completed; if
+// not, the caller waits on done.
 func (io *asyncIO) claim(pending *int) bool {
 	select {
 	case <-io.done:
@@ -619,7 +609,6 @@ func (io *asyncIO) claim(pending *int) bool {
 	}
 }
 
-// complete marks the IO done.
 func (io *asyncIO) complete(pending *int) {
 	*pending -= io.unclaimed
 	close(io.done)

@@ -48,9 +48,7 @@ type FileDisk struct {
 	mu       sync.Mutex
 	written  map[PageID]struct{}
 	inflight map[PageID]*fileIO
-	// pending is the unclaimed pages of the prefetch IOs not yet
-	// complete: InflightCount's answer.
-	pending int
+	pending  int // unclaimed pages of incomplete prefetch IOs
 	// slots is a Channels-deep semaphore bounding concurrent prefetch
 	// IOs — the device queue depth, exactly like the simulated disk's
 	// channel array.
@@ -359,9 +357,7 @@ func (d *FileDisk) Prefetch(pids []PageID) {
 			d.stats.BlockReads++
 		}
 		d.fire(OpPrefetch, n)
-		// A page requested twice in one call is tracked by the later IO
-		// (see Disk.Prefetch).
-		own := run
+		own := run // less a page requested twice: see Disk.Prefetch
 		if i < len(want) && want[i] == want[i-1] {
 			own = own[:n-1]
 		}

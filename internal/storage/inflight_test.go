@@ -28,7 +28,13 @@ func (d *Disk) scanInflight() (scan, got int) {
 			scan++
 		}
 	}
-	return scan, d.inflightLocked()
+	if d.cfg.RealIOScale > 0 {
+		return scan, d.realPending
+	}
+	d.mu.Unlock()
+	got = d.InflightCount() // virtual time: nothing moves between the two
+	d.mu.Lock()
+	return scan, got
 }
 
 func (d *FileDisk) scanInflight() (scan, got int) {

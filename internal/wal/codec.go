@@ -4,20 +4,18 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"logrec/internal/storage"
 )
 
-// Encoding helpers. Two body encodings share the fixed-width frame
-// header (log.go). The transactional records written once or more per
-// operation — update, insert, delete, CLR, commit, abort — use unsigned
-// varints for every integer and byte-slice length, because their values
-// are small (a transaction ID, a key, a page, a patch of a byte or two)
-// and their count is what log volume is proportional to. The system
-// records — checkpoint, ∆, BW, SMO, RSSP, shard-map — keep big-endian
-// fixed-width integers with uint32 counts. A varint has exactly one
-// valid encoding: the decoder rejects an over-long one, so a record has
-// one byte string.
+// Encoding helpers. Behind the fixed-width frame header (log.go) the
+// records written per operation — update, insert, delete, CLR, commit,
+// abort — use unsigned varints for every integer and length: their
+// values are small and their count is what log volume is proportional
+// to. The system records — checkpoint, ∆, BW, SMO, RSSP, shard-map —
+// keep big-endian fixed-width integers and uint32 counts. The decoder
+// rejects an over-long varint, so a record has one byte string.
 
 func putU8(dst []byte, v uint8) []byte   { return append(dst, v) }
 func putU32(dst []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(dst, v) }
@@ -52,19 +50,15 @@ func putLSNs(dst []byte, lsns []LSN) []byte {
 	return dst
 }
 
-// Splice rebuilds a row from a patch: cur's first skip and last tail
-// bytes with mid between them. It is the only way a consumer turns an
-// update's logged middle back into a row. A patch that keeps more bytes
-// than the row it meets has is ErrBadRecord: the record and the row are
-// not the pair that was logged.
+// Splice rebuilds a row from a patch — cur's first skip and last tail
+// bytes with mid between them — and is the only way a logged middle
+// becomes a row again. A patch that keeps more bytes than the row it
+// meets has is ErrBadRecord: they are not the pair that was logged.
 func Splice(cur []byte, skip, tail uint32, mid []byte) ([]byte, error) {
 	if uint64(skip)+uint64(tail) > uint64(len(cur)) {
 		return nil, fmt.Errorf("%w: patch keeps %d+%d bytes of a %d-byte row", ErrBadRecord, skip, tail, len(cur))
 	}
-	out := make([]byte, 0, int(skip)+len(mid)+int(tail))
-	out = append(out, cur[:skip]...)
-	out = append(out, mid...)
-	return append(out, cur[len(cur)-int(tail):]...), nil
+	return slices.Concat(cur[:skip], mid, cur[len(cur)-int(tail):]), nil
 }
 
 // commonEnds returns the lengths of the longest common prefix of a and
@@ -143,20 +137,15 @@ func (d *decoder) uvarint(what string) uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(d.src[d.off:])
-	if n <= 0 {
-		d.fail(what) // short buffer, or more than 64 bits
-		return 0
-	}
-	if n > 1 && d.src[d.off+n-1] == 0 {
-		d.err = fmt.Errorf("%w: over-long varint reading %s at offset %d", ErrBadRecord, what, d.off)
+	if n <= 0 || (n > 1 && d.src[d.off+n-1] == 0) {
+		d.err = fmt.Errorf("%w: cut-off, over-wide or over-long varint reading %s at offset %d", ErrBadRecord, what, d.off)
 		return 0
 	}
 	d.off += n
 	return v
 }
 
-// uvarint32 reads a varint that must fit 32 bits (table, page, shard,
-// patch offsets).
+// uvarint32 reads a varint that must fit 32 bits.
 func (d *decoder) uvarint32(what string) uint32 {
 	v := d.uvarint(what)
 	if v > math.MaxUint32 && d.err == nil {

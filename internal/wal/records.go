@@ -12,17 +12,14 @@ import (
 // ---------------------------------------------------------------------
 
 // UpdateRec logs an update of an existing row as a patch: the row's
-// first Skip and last Tail bytes are unchanged, OldVal is what lay
-// between them before the update and NewVal what lies there after it.
-// Redo applies After; undo restores Before. The row is identified
-// logically by (TableID, Key); PageID is the physiological hint captured
-// when the update ran.
+// first Skip and last Tail bytes are unchanged, OldVal lay between them
+// before the update and NewVal lies there after it. Redo applies After;
+// undo restores Before. The row is identified logically by (TableID,
+// Key); PageID is the physiological hint captured when the update ran.
 //
-// A producer hands over whole row images (Skip = Tail = 0): encodeBody
-// trims the longest common prefix and then the longest common suffix,
-// so the log carries — and a decoded record holds — only the middles.
-// Both forms describe the same change; After, Before and Splice are the
-// only ways to turn either back into a row.
+// A producer hands over whole row images (Skip = Tail = 0); encodeBody
+// trims the longest common prefix, then the longest common suffix, so
+// the log carries — and a decoded record holds — only the middles.
 type UpdateRec struct {
 	TxnID   TxnID
 	TableID TableID
@@ -55,11 +52,10 @@ func (r *UpdateRec) Before(cur []byte) ([]byte, error) {
 }
 
 // Applied reports whether cur already shows the update: false when the
-// bytes between Skip and Tail are the before-middle (the update is still
-// to apply), true when they are the after-middle (the record was
-// delivered before). A row that is neither is ErrBadRecord — the check a
-// consumer without page LSNs to screen by (an off-geometry standby)
-// makes before it patches.
+// bytes between Skip and Tail are the before-middle, true when they are
+// the after-middle (a re-delivered record); a row that is neither is
+// ErrBadRecord. It is the screen of a consumer with no page LSN to
+// screen by (an off-geometry standby).
 func (r *UpdateRec) Applied(cur []byte) (bool, error) {
 	if uint64(r.Skip)+uint64(r.Tail) > uint64(len(cur)) {
 		_, err := r.After(cur)
@@ -75,13 +71,12 @@ func (r *UpdateRec) Applied(cur []byte) (bool, error) {
 }
 
 // Shrinks reports whether the update made the row shorter, so that
-// undoing it grows the row and can overflow its leaf. The middles differ
-// in length exactly as the whole images do.
+// undoing it can overflow the leaf (middles differ in length as the
+// whole images do).
 func (r *UpdateRec) Shrinks() bool { return len(r.OldVal) > len(r.NewVal) }
 
-// Compensation drafts the CLR that undoes the update: the same patch
-// with the before-middle as its payload, next-to-undo the update's
-// predecessor. The caller fills the page, shard and backchain link.
+// Compensation drafts the CLR that undoes the update — the same patch
+// carrying the before-middle; the caller fills page, shard and PrevLSN.
 func (r *UpdateRec) Compensation() *CLRRec {
 	return &CLRRec{
 		TxnID: r.TxnID, TableID: r.TableID, KeyVal: r.KeyVal, Kind: CLRUndoUpdate,
@@ -222,13 +217,12 @@ const (
 // CLRRec is a compensation log record written during undo. It is
 // redo-only: UndoNextLSN points at the next record of the transaction
 // still to be undone, so undo never repeats work after a crash during
-// recovery. For CLRUndoUpdate it is the compensated update's patch
-// turned round (UpdateRec.Compensation): Skip and Tail as there,
-// RestoreVal the before-middle, so undo — crash undo above all, whose
-// routed sweep may not read a page a worker is writing — never needs
-// the whole before-image. For CLRUndoDelete RestoreVal is the whole row
-// re-inserted (Skip = Tail = 0); for CLRUndoInsert, which removes the
-// key, it is empty. After rebuilds the row in both cases.
+// recovery. For CLRUndoUpdate it is the update's patch turned round
+// (UpdateRec.Compensation: same Skip and Tail, RestoreVal the
+// before-middle), so undo — above all crash undo, whose routed sweep may
+// not read a page a worker is writing — never needs the whole
+// before-image. For CLRUndoDelete RestoreVal is the whole row (Skip =
+// Tail = 0); for CLRUndoInsert it is empty.
 type CLRRec struct {
 	TxnID       TxnID
 	TableID     TableID
@@ -251,8 +245,7 @@ func (r *CLRRec) Key() uint64         { return r.KeyVal }
 func (r *CLRRec) PID() storage.PageID { return r.PageID }
 func (r *CLRRec) Shard() ShardID      { return r.ShardID }
 
-// After returns the row the compensation leaves: the row it met (nil
-// when it re-inserts a deleted row) with RestoreVal patched in.
+// After returns the row a CLRUndoUpdate leaves, given the row it met.
 func (r *CLRRec) After(cur []byte) ([]byte, error) {
 	return Splice(cur, r.Skip, r.Tail, r.RestoreVal)
 }
