@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"logrec/internal/storage"
@@ -60,32 +61,59 @@ func BenchmarkAppendDelta(b *testing.B) {
 	}
 }
 
+// scanAt returns the log's reader at a decode width: 0 scans inline,
+// n ≥ 1 decodes on n workers.
+func scanAt(l *Log, width int) (next func() (Record, LSN, bool, error), done func()) {
+	if width == 0 {
+		return l.NewScanner(FirstLSN(), nil, ScanCost{}).Next, func() {}
+	}
+	sc := l.NewSegScanner(FirstLSN(), nil, ScanCost{}, SegConfig{Workers: width})
+	return sc.Next, sc.Close
+}
+
+// BenchmarkScanLog reads a log of one-field updates end to end, inline
+// and on 1, 2 and 4 decode workers: a 1 MiB log is a single segment, an
+// 8 MiB log eight of them.
 func BenchmarkScanLog(b *testing.B) {
-	l := NewLog()
-	for i := 0; i < 10_000; i++ {
-		l.MustAppend(benchUpdateRec(i))
-	}
-	l.Flush()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sc := l.NewScanner(FirstLSN(), nil, ScanCost{})
-		n := 0
-		for {
-			_, _, ok, err := sc.Next()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-			n++
+	for _, mib := range []int{1, 8} {
+		l := NewLog()
+		recs := 0
+		for ; l.EndLSN() < LSN(mib<<20-1024); recs++ {
+			l.MustAppend(benchUpdateRec(recs))
 		}
-		if n != 10_000 {
-			b.Fatalf("scanned %d", n)
+		l.Flush()
+		if l.Segments() != mib {
+			b.Fatalf("%d MiB log has %d segments", mib, l.Segments())
+		}
+		for _, w := range []struct {
+			name  string
+			width int
+		}{{"inline", 0}, {"w1", 1}, {"w2", 2}, {"w4", 4}} {
+			b.Run(fmt.Sprintf("%dMiB/%s", mib, w.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					next, done := scanAt(l, w.width)
+					n := 0
+					for {
+						_, _, ok, err := next()
+						if err != nil {
+							b.Fatal(err)
+						}
+						if !ok {
+							break
+						}
+						n++
+					}
+					done()
+					if n != recs {
+						b.Fatalf("scanned %d of %d records", n, recs)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*recs), "ns/record")
+				b.ReportMetric(float64(l.EndLSN()-FirstLSN())/float64(recs), "B/record")
+			})
 		}
 	}
-	b.ReportMetric(float64(l.EndLSN()-FirstLSN())/10_000, "B/record")
 }
 
 func BenchmarkGetRandomAccess(b *testing.B) {
