@@ -4,12 +4,6 @@
 // It quantifies §5.1's claim that "this auxiliary information is a very
 // small part of the log", and Appendix D's logging-overhead comparison
 // across ∆-record variants.
-//
-// With -segments it instead reports the parallel decode front-end's
-// view of the same log: how the segmented scanner (wal.SegScanner)
-// carves it, per-segment record counts and decode cost, and whether
-// boundary discovery ever missed (resyncs) — the tool for judging
-// decode balance before reaching for more -decode-workers.
 package main
 
 import (
@@ -18,7 +12,6 @@ import (
 	"os"
 	"sort"
 	"text/tabwriter"
-	"time"
 
 	"logrec/internal/harness"
 	"logrec/internal/tracker"
@@ -29,9 +22,6 @@ func main() {
 	scale := flag.Int("scale", 4, "shrink the experiment by this factor")
 	variant := flag.String("variant", "standard", "∆-record variant: standard, perfect or reduced")
 	cacheFrac := flag.Float64("cache", 0.16, "cache fraction of the table")
-	segments := flag.Bool("segments", false, "report the segmented parallel decode breakdown instead of record composition")
-	decodeWorkers := flag.Int("decode-workers", 0, "decode workers for -segments (0 = min(GOMAXPROCS, 8))")
-	segBytes := flag.Int("seg-bytes", 0, "segment size in bytes for -segments (0 = 256 KiB)")
 	flag.Parse()
 
 	cfg := harness.DefaultConfig().Scaled(*scale).WithCacheFraction(*cacheFrac)
@@ -51,11 +41,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "logstats: %v\n", err)
 		os.Exit(1)
-	}
-
-	if *segments {
-		segmentReport(res, *decodeWorkers, *segBytes)
-		return
 	}
 
 	type slot struct {
@@ -147,47 +132,4 @@ func printRetention(log *wal.Log) {
 	start, end := log.StartLSN(), log.EndLSN()
 	fmt.Printf("retained: LSN %d–%d (%d bytes) in %d segments; %d bytes released\n",
 		start, end, int64(end-start), log.Segments(), int64(start-wal.FirstLSN()))
-}
-
-// segmentReport drains a SegScanner over the retained stable log and
-// prints the per-segment breakdown the decode front-end saw.
-func segmentReport(res *harness.CrashResult, workers, segBytes int) {
-	log := res.Crash.Log
-	sc := log.NewSegScanner(log.StartLSN(), nil, wal.ScanCost{},
-		wal.SegConfig{Workers: workers, SegmentBytes: segBytes})
-	defer sc.Close()
-	for {
-		_, _, ok, err := sc.Next()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "logstats: segment scan: %v\n", err)
-			os.Exit(1)
-		}
-		if !ok {
-			break
-		}
-	}
-	st := sc.Stats()
-
-	fmt.Printf("workload: %d committed txns, %d updates, %d checkpoints\n",
-		res.TxnsCommitted, res.UpdatesRun, res.CheckpointsRun)
-	printRetention(log)
-	fmt.Printf("decoded in %d units by %d decode workers\n", st.Segments, st.Workers)
-	fmt.Printf("records: %d, resyncs: %d, stitcher stall: %v, log pages read: %d\n\n",
-		st.Records, st.Resyncs, st.Stall, sc.PagesRead())
-
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "segment\tstart\tbytes\trecords\tdecode\tnote")
-	for i, s := range st.Segment {
-		note := ""
-		switch {
-		case s.Skipped:
-			note = "skipped (swallowed by straddling frame)"
-		case s.Resynced:
-			note = "resynced (serial re-decode)"
-		}
-		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%v\t%s\n",
-			i, s.Start, int64(s.End-s.Start), s.Records, s.DecodeTime.Round(time.Microsecond), note)
-	}
-	tw.Flush()
-	fmt.Println("\n(parallel decode stitches these back into exact log order; resyncs cost time, never correctness)")
 }

@@ -97,13 +97,10 @@ type shardResult struct {
 	RedoRecords int64   `json:"redo_records"`
 	Applied     int64   `json:"applied"`
 	CLRsWritten int64   `json:"clrs_written"`
-	// DecodeUnits and DecodeResyncs describe the segmented decode
-	// front-end (multi-shard runs only): how many units the two log
-	// passes were carved into, and how many of them a speculative
-	// boundary missed — a frame that decoded from the wrong offset.
-	DecodeUnits   int     `json:"decode_units"`
-	DecodeResyncs int64   `json:"decode_resyncs"`
-	Speedup       float64 `json:"speedup_vs_1"`
+	// DecodeUnits is how many log segments the two log passes' decode
+	// front-end read (multi-shard runs only).
+	DecodeUnits int     `json:"decode_units"`
+	Speedup     float64 `json:"speedup_vs_1"`
 }
 
 type ckptResult struct {
@@ -486,9 +483,7 @@ func runShardSweep(rep *report, counts []int, scale, channels, realScale int, fi
 			RedoRecords: met.RedoRecords,
 			Applied:     met.Applied,
 			CLRsWritten: met.CLRsWritten,
-
-			DecodeUnits:   met.DecodeSegments,
-			DecodeResyncs: met.DecodeResyncs,
+			DecodeUnits: met.DecodeSegments,
 		})
 	}
 	var base float64
@@ -498,19 +493,19 @@ func runShardSweep(rep *report, counts []int, scale, channels, realScale int, fi
 			break
 		}
 	}
-	fmt.Printf("%8s %14s %14s %12s %8s %8s %10s\n", "shards", "wall redo ms", "wall total ms", "redo recs", "units", "resyncs", "speedup")
+	fmt.Printf("%8s %14s %14s %12s %8s %10s\n", "shards", "wall redo ms", "wall total ms", "redo recs", "units", "speedup")
 	for i := range rep.Shards {
 		r := &rep.Shards[i]
 		if r.WallTotalMS > 0 {
 			r.Speedup = base / r.WallTotalMS
 		}
-		fmt.Printf("%8d %14.2f %14.2f %12d %8d %8d %9.2fx\n",
-			r.Shards, r.WallRedoMS, r.WallTotalMS, r.RedoRecords, r.DecodeUnits, r.DecodeResyncs, r.Speedup)
+		fmt.Printf("%8d %14.2f %14.2f %12d %8d %9.2fx\n",
+			r.Shards, r.WallRedoMS, r.WallTotalMS, r.RedoRecords, r.DecodeUnits, r.Speedup)
 	}
 }
 
 // sloConfig builds the probe/live configuration for one SLO device
-// leg: a 4-shard engine, so the segmented decode front-end and the
+// leg: a 4-shard engine, so the parallel decode front-end and the
 // concurrent per-shard replay are both on the recovery path being
 // budgeted.
 func sloConfig(scale, channels int, fileMode bool, dir, sub string) harness.Config {

@@ -134,18 +134,14 @@ type Options struct {
 	// every width.
 	UndoWorkers int
 	// DecodeWorkers is the multi-shard demultiplexer's parallel decode
-	// width: the stable log is carved into offset-aligned segments,
-	// decoded concurrently by this many wal workers, and re-stitched
-	// into exact LSN order before fan-out (see wal.SegScanner). 0 picks
-	// min(GOMAXPROCS, 8). The stitched stream — and therefore recovered
-	// state, CLR sequence and log end — is byte-identical to the serial
-	// scan at every width. Single-shard recovery keeps the inline serial
-	// scanner.
+	// width: the redo window's log segments are decoded whole by this
+	// many wal workers and stitched back into exact LSN order before
+	// fan-out (see wal.NewParallelScanner). 0 picks min(GOMAXPROCS, 8).
+	// The stitched stream — and therefore recovered state, CLR sequence
+	// and log end — is byte-identical to the inline scan at every
+	// width; a window inside one segment is scanned inline whatever the
+	// width. Single-shard recovery keeps the inline scan.
 	DecodeWorkers int
-	// DecodeSegmentBytes overrides the decode segment size (0 = 256
-	// KiB). Tests use small segments to force frame-boundary discovery;
-	// production logs want the default.
-	DecodeSegmentBytes int
 	// RealIOScale > 0 runs recovery against wall-clock IO: the forked
 	// disk sleeps its modelled latencies divided by this factor instead
 	// of advancing the virtual clock, so parallel redo workers overlap
@@ -237,8 +233,9 @@ func AutoSizeWorkers(windowBytes int64, bytesPerSec float64, budget time.Duratio
 	return n
 }
 
-// maxAutoWorkers bounds auto-sized parallelism the same way the decode
-// front-end bounds its default width.
+// maxAutoWorkers bounds auto-sized parallelism and is the decode
+// front-end's default width: one per core, capped — past 8 the stitcher,
+// not decode, is the limit.
 func maxAutoWorkers() int {
 	if n := runtime.GOMAXPROCS(0); n < 8 {
 		return n
@@ -299,17 +296,15 @@ type Metrics struct {
 	RedoWindowBytes int64
 
 	// Decode-stage telemetry for the multi-shard demultiplexer's
-	// segmented parallel front-end (zero on single-shard runs, which
-	// scan inline). DecodeRecords and DecodeWallTime accumulate across
-	// the prep and redo phases; DecodeStall is the stitcher's wait on
-	// segment workers (decode starvation, as opposed to back-pressure
-	// from slow shards); DecodeResyncs counts segments whose
-	// speculative decode was discarded by the continuity check.
+	// front-end (zero on single-shard runs). DecodeSegments, DecodeRecords
+	// and DecodeWallTime accumulate across the prep and redo phases;
+	// DecodeWorkers is the last pass's width (0: it scanned inline);
+	// DecodeStall is the stitcher's wait on segment workers (decode
+	// starvation, as opposed to back-pressure from slow shards).
 	// LogPagesRead stays attributed exactly once — the stitcher charges
 	// it; segment workers and per-shard sources never do.
 	DecodeWorkers  int
 	DecodeSegments int
-	DecodeResyncs  int64
 	DecodeRecords  int64
 	DecodeStall    time.Duration
 	DecodeWallTime time.Duration
@@ -631,10 +626,10 @@ func (r *run) newQueues() []chan []demuxItem {
 // transaction table, route changes — always on the calling goroutine)
 // and feeds each shard's pass the records route assigns it.
 //
-// One shard runs the pass inline over the serial log scanner, on the
+// One shard runs the pass over the inline log scan, on the
 // caller's goroutine and with every record delivered, so virtual time
-// is deterministic to the nanosecond. With N shards the log is decoded
-// by the segmented parallel front-end (wal.SegScanner) and routed
+// is deterministic to the nanosecond. With N shards the log's segments
+// are decoded by parallel workers (wal.NewParallelScanner) and routed
 // records travel in batches down bounded per-shard queues to N
 // concurrently running passes; log pages are charged once, here, never
 // per shard.
@@ -676,10 +671,11 @@ func (r *run) fanOut(from wal.LSN, note func(wal.Record, wal.LSN), route func(wa
 	}
 
 	w0 := time.Now()
-	sc := r.log.NewSegScanner(from, r.clock, r.opt.ScanCost, wal.SegConfig{
-		Workers:      r.opt.DecodeWorkers,
-		SegmentBytes: r.opt.DecodeSegmentBytes,
-	})
+	width := r.opt.DecodeWorkers
+	if width <= 0 {
+		width = maxAutoWorkers()
+	}
+	sc := r.log.NewParallelScanner(from, r.clock, r.opt.ScanCost, width)
 	defer sc.Close()
 	pending := make([][]demuxItem, len(r.shards))
 	var scanErr error
@@ -719,7 +715,6 @@ func (r *run) fanOut(from wal.LSN, note func(wal.Record, wal.LSN), route func(wa
 	r.met.LogPagesRead += sc.PagesRead()
 	r.met.DecodeWorkers = st.Workers
 	r.met.DecodeSegments += st.Segments
-	r.met.DecodeResyncs += int64(st.Resyncs)
 	r.met.DecodeRecords += st.Records
 	r.met.DecodeStall += st.Stall
 	r.met.DecodeWallTime += time.Since(w0)

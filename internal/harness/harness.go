@@ -57,7 +57,7 @@ type Config struct {
 	// TornTailBytes, when positive, tears the crashed WAL with that
 	// many bytes of a partial record frame — the crash interrupted a
 	// log force mid-frame. Recovery must trim the torn tail via the
-	// codec's ErrTruncated path (wal.OpenLogFile on the file device,
+	// codec's ErrTruncated path (wal.OpenLogDir on the file device,
 	// Log.CloneTrimmed on the simulated one). 0 leaves the WAL ending
 	// on a record boundary.
 	TornTailBytes int

@@ -234,40 +234,48 @@ func TestShardedFileCrashRecover(t *testing.T) {
 	}
 }
 
-// TestShardedDecodeWidthOracle pins the segmented decode front-end to
-// the serial contract: the same 4-shard crash recovered at every
-// decode-worker width and segment size — including segments small
-// enough to force boundary discovery and straddling frames — must
-// yield byte-identical recovered rows, the same CLR count, and the
-// same log end as the effectively-serial decode (one worker, one
-// segment).
+// TestShardedDecodeWidthOracle pins the parallel decode front-end to
+// the inline contract: the same 4-shard crash, its redo window spanning
+// several log segments, recovered at every decode width must yield
+// byte-identical recovered rows, the same CLR count and the same log
+// end as one worker decoding the segments in log order — and the decode
+// telemetry must say that is what ran.
 func TestShardedDecodeWidthOracle(t *testing.T) {
 	cfg := shardedConfig(4)
 	cfg.OpenTxns = 3
 	cfg.OpenTxnUpdates = 5
+	// Some 40 log bytes an update, the trackers' records included: a
+	// window of three 1 MiB segments.
+	cfg.CrashAfterCheckpoints = 1
+	cfg.UpdatesAfterLastCkpt = 65_000
 	res, err := BuildCrash(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	type recovered struct {
-		rows   map[uint64]string
-		clrs   int64
-		logEnd int64
+		rows    map[uint64]string
+		clrs    int64
+		logEnd  int64
+		decoded int64
 	}
-	recoverAt := func(decodeWorkers, segBytes int) recovered {
+	recoverAt := func(width int) recovered {
 		t.Helper()
 		opt := core.DefaultOptions(cfg.Engine)
 		opt.RedoWorkers = 2
 		opt.UndoWorkers = 2
-		opt.DecodeWorkers = decodeWorkers
-		opt.DecodeSegmentBytes = segBytes
+		opt.DecodeWorkers = width
 		eng, met, err := core.Recover(res.Crash, core.Log1, opt)
 		if err != nil {
-			t.Fatalf("decode=%d seg=%d: %v", decodeWorkers, segBytes, err)
+			t.Fatalf("decode=%d: %v", width, err)
 		}
 		if err := Verify(eng, res.Oracle); err != nil {
-			t.Fatalf("decode=%d seg=%d: wrong state: %v", decodeWorkers, segBytes, err)
+			t.Fatalf("decode=%d: wrong state: %v", width, err)
+		}
+		// Prep and redo each read the window once.
+		if met.DecodeSegments < 2*3 || met.DecodeWorkers != width {
+			t.Fatalf("decode=%d: two passes read %d segments on %d workers; want at least 3 a pass on %d",
+				width, met.DecodeSegments, met.DecodeWorkers, width)
 		}
 		rows := make(map[uint64]string)
 		if err := eng.Set.ScanAll(func(k uint64, v []byte) error {
@@ -276,30 +284,30 @@ func TestShardedDecodeWidthOracle(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		return recovered{rows: rows, clrs: met.CLRsWritten, logEnd: int64(eng.Log.EndLSN())}
+		return recovered{rows: rows, clrs: met.CLRsWritten, logEnd: int64(eng.Log.EndLSN()), decoded: met.DecodeRecords}
 	}
 
-	// One worker over one giant segment decodes serially in log order.
-	base := recoverAt(1, 1<<30)
+	base := recoverAt(1)
 	if base.clrs == 0 {
 		t.Fatal("baseline wrote no CLRs; the crash needs losers to make the oracle meaningful")
 	}
 	for _, w := range []int{1, 2, 8} {
-		for _, seg := range []int{257, 4 << 10, 0} {
-			got := recoverAt(w, seg)
-			if got.clrs != base.clrs {
-				t.Fatalf("decode=%d seg=%d: CLRs %d, serial %d", w, seg, got.clrs, base.clrs)
-			}
-			if got.logEnd != base.logEnd {
-				t.Fatalf("decode=%d seg=%d: log end %d, serial %d", w, seg, got.logEnd, base.logEnd)
-			}
-			if len(got.rows) != len(base.rows) {
-				t.Fatalf("decode=%d seg=%d: %d rows, serial %d", w, seg, len(got.rows), len(base.rows))
-			}
-			for k, v := range base.rows {
-				if got.rows[k] != v {
-					t.Fatalf("decode=%d seg=%d: key %d diverged", w, seg, k)
-				}
+		got := recoverAt(w)
+		if got.clrs != base.clrs {
+			t.Fatalf("decode=%d: CLRs %d, width 1 %d", w, got.clrs, base.clrs)
+		}
+		if got.logEnd != base.logEnd {
+			t.Fatalf("decode=%d: log end %d, width 1 %d", w, got.logEnd, base.logEnd)
+		}
+		if got.decoded != base.decoded {
+			t.Fatalf("decode=%d: %d records decoded, width 1 %d", w, got.decoded, base.decoded)
+		}
+		if len(got.rows) != len(base.rows) {
+			t.Fatalf("decode=%d: %d rows, width 1 %d", w, len(got.rows), len(base.rows))
+		}
+		for k, v := range base.rows {
+			if got.rows[k] != v {
+				t.Fatalf("decode=%d: key %d diverged", w, k)
 			}
 		}
 	}

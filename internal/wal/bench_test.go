@@ -61,16 +61,6 @@ func BenchmarkAppendDelta(b *testing.B) {
 	}
 }
 
-// scanAt returns the log's reader at a decode width: 0 scans inline,
-// n ≥ 1 decodes on n workers.
-func scanAt(l *Log, width int) (next func() (Record, LSN, bool, error), done func()) {
-	if width == 0 {
-		return l.NewScanner(FirstLSN(), nil, ScanCost{}).Next, func() {}
-	}
-	sc := l.NewSegScanner(FirstLSN(), nil, ScanCost{}, SegConfig{Workers: width})
-	return sc.Next, sc.Close
-}
-
 // BenchmarkScanLog reads a log of one-field updates end to end, inline
 // and on 1, 2 and 4 decode workers: a 1 MiB log is a single segment, an
 // 8 MiB log eight of them.
@@ -92,10 +82,10 @@ func BenchmarkScanLog(b *testing.B) {
 			b.Run(fmt.Sprintf("%dMiB/%s", mib, w.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					next, done := scanAt(l, w.width)
+					sc := l.NewParallelScanner(FirstLSN(), nil, ScanCost{}, w.width)
 					n := 0
 					for {
-						_, _, ok, err := next()
+						_, _, ok, err := sc.Next()
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -104,7 +94,7 @@ func BenchmarkScanLog(b *testing.B) {
 						}
 						n++
 					}
-					done()
+					sc.Close()
 					if n != recs {
 						b.Fatalf("scanned %d of %d records", n, recs)
 					}

@@ -660,22 +660,6 @@ func decodeFrame(data []byte, base, lsn LSN) (Record, LSN, error) {
 	return rec, base + LSN(bodyStart+bodyLen), nil
 }
 
-// stableChunk returns the stable bytes of the segment holding lsn, or
-// ok=false when lsn is at or past the stable boundary.
-func (l *Log) stableChunk(lsn LSN) (chunk, bool, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if lsn >= l.flushedLSN {
-		return chunk{}, false, nil
-	}
-	i, err := l.segIndex(lsn)
-	if err != nil {
-		return chunk{}, false, err
-	}
-	s := l.segs[i]
-	return chunk{seg: s.base, base: s.base, data: s.data[:min(s.end(), l.flushedLSN)-s.base]}, true, nil
-}
-
 // stableChunks returns the stable log from `from` (clamped to the
 // retained range) as one chunk per segment, each starting on a frame
 // boundary if from is one.
@@ -683,82 +667,4 @@ func (l *Log) stableChunks(from LSN) []chunk {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.chunks(max(from, l.segs[0].base), l.flushedLSN)
-}
-
-// Scanner iterates the stable log in order, charging sequential log-page
-// read costs to a clock (which may be nil for uncharged scans, e.g.
-// tests and statistics).
-type Scanner struct {
-	log  *Log
-	next LSN
-	// cur is the stable part of the segment being read; the log's lock
-	// is taken once per segment, not per record.
-	cur chunk
-	pageCharger
-}
-
-// pageCharger is the one log-read accountant both scanners embed: it
-// bills each log page once, in order, as the scan first touches it.
-type pageCharger struct {
-	clock *sim.Clock // nil scans without charging IO
-	cost  ScanCost
-	// lastPage is the index of the log page most recently charged.
-	lastPage  int64
-	pagesRead int64
-}
-
-// newPageCharger starts with no page charged; a non-positive page size
-// selects the default cost model.
-func newPageCharger(clock *sim.Clock, cost ScanCost) pageCharger {
-	if cost.PageSize <= 0 {
-		cost = DefaultScanCost()
-	}
-	return pageCharger{clock: clock, cost: cost, lastPage: -1}
-}
-
-// charge bills sequential log-page reads for the byte range [from,to).
-func (c *pageCharger) charge(from, to LSN) {
-	first := int64(from) / int64(c.cost.PageSize)
-	last := int64(to-1) / int64(c.cost.PageSize)
-	for p := first; p <= last; p++ {
-		if p <= c.lastPage {
-			continue
-		}
-		c.lastPage = p
-		c.pagesRead++
-		if c.clock != nil {
-			c.clock.Advance(c.cost.PerPage)
-		}
-	}
-}
-
-// PagesRead reports how many log pages the scan has charged.
-func (c *pageCharger) PagesRead() int64 { return c.pagesRead }
-
-// NewScanner returns a scanner positioned at from, clamped to the
-// retained log: use StartLSN for everything the log still holds
-// (FirstLSN, or anything else below StartLSN, means the same). clock
-// may be nil to scan without charging IO.
-func (l *Log) NewScanner(from LSN, clock *sim.Clock, cost ScanCost) *Scanner {
-	return &Scanner{log: l, next: max(from, l.StartLSN()), pageCharger: newPageCharger(clock, cost)}
-}
-
-// Next returns the next record and its LSN. It returns ok=false at the
-// end of the stable log.
-func (s *Scanner) Next() (Record, LSN, bool, error) {
-	if s.next >= s.cur.end() {
-		c, ok, err := s.log.stableChunk(s.next)
-		if err != nil || !ok {
-			return nil, NilLSN, false, err
-		}
-		s.cur = c
-	}
-	lsn := s.next
-	rec, end, err := decodeFrame(s.cur.data, s.cur.base, lsn)
-	if err != nil {
-		return nil, NilLSN, false, err
-	}
-	s.charge(lsn, end)
-	s.next = end
-	return rec, lsn, true, nil
 }

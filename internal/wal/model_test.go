@@ -96,10 +96,10 @@ func encodeFrame(rec Record) []byte {
 // check compares every read path of the log with the reference.
 func (m *model) check(t *testing.T, ctx string) { m.checkPaths(t, ctx, true) }
 
-// checkPaths is check with the SegScanner sweep (six parallel scans,
-// each discovering frame boundaries byte by byte) optional, so the model
-// test can afford the serial paths after every single step.
-func (m *model) checkPaths(t *testing.T, ctx string, segScanners bool) {
+// checkPaths is check with the parallel-width sweep (three scans, each
+// starting workers) optional, so the model test can afford the inline
+// paths after every single step.
+func (m *model) checkPaths(t *testing.T, ctx string, parallel bool) {
 	t.Helper()
 	l := m.log
 	start := l.StartLSN()
@@ -166,8 +166,8 @@ func (m *model) checkPaths(t *testing.T, ctx string, segScanners bool) {
 		}
 	}
 
-	// Scanner and SegScanner, from the retained start and (clamped) from
-	// FirstLSN.
+	// Scanner, inline and at every width, from the retained start and
+	// (clamped) from FirstLSN.
 	compare := func(what string, next func() (Record, LSN, bool, error)) {
 		for i := 0; ; i++ {
 			rec, lsn, ok, err := next()
@@ -187,15 +187,13 @@ func (m *model) checkPaths(t *testing.T, ctx string, segScanners bool) {
 	}
 	compare("Scanner", l.NewScanner(start, nil, ScanCost{}).Next)
 	compare("Scanner(FirstLSN)", l.NewScanner(FirstLSN(), nil, ScanCost{}).Next)
-	if !segScanners {
+	if !parallel {
 		return
 	}
-	for _, workers := range []int{1, 2, 4} {
-		for _, unit := range []int{64, 1 << 10} {
-			sc := l.NewSegScanner(FirstLSN(), nil, ScanCost{}, SegConfig{Workers: workers, SegmentBytes: unit})
-			compare(fmt.Sprintf("SegScanner(%d workers, %d B units)", workers, unit), sc.Next)
-			sc.Close()
-		}
+	for _, width := range []int{1, 2, 4} {
+		sc := l.NewParallelScanner(FirstLSN(), nil, ScanCost{}, width)
+		compare(fmt.Sprintf("Scanner(width %d)", width), sc.Next)
+		sc.Close()
 	}
 }
 
@@ -431,16 +429,16 @@ func TestConcurrentAppendFlushReleaseScan(t *testing.T) {
 	bg.Add(2)
 	go func() { // flush, then release everything but the last few hundred bytes
 		defer bg.Done()
-		for {
+		for last := false; !last; {
+			select {
+			case <-done:
+				last = true // one more pass, over everything the appenders wrote
+			default:
+			}
 			if stable := l.Flush(); stable > FirstLSN()+600 {
 				if _, err := l.Release(stable - 600); err != nil {
 					t.Error(err)
 				}
-			}
-			select {
-			case <-done:
-				return
-			default:
 			}
 		}
 	}()
