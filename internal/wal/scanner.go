@@ -113,6 +113,8 @@ func (l *Log) NewParallelScanner(from LSN, clock *sim.Clock, cost ScanCost, widt
 	return s
 }
 
+// worker decodes every len(out)-th chunk from the w-th on, until the
+// view ends or the scan is closed.
 func (s *Scanner) worker(w int) {
 	for i := w; i < len(s.view); i += len(s.out) {
 		select {
@@ -123,6 +125,8 @@ func (s *Scanner) worker(w int) {
 	}
 }
 
+// decodeChunk decodes c's frames from its first byte to its last, or to
+// the first that does not decode.
 func decodeChunk(c chunk) *decoded {
 	d := &decoded{items: make([]scanItem, 0, frameCount(c.data))}
 	for off := c.base; off < c.end(); {

@@ -242,7 +242,7 @@ func TestSegScannerFastPathEngages(t *testing.T) {
 		segments, width, workers int
 	}{{1, 4, 0}, {4, 2, 2}} {
 		l := newLog(8 << 10)
-		recs := smallUpdates(l, func(int) bool { return l.EndLSN() > LSN(c.segments-1)*(8<<10)+4<<10 })
+		recs := smallUpdates(l, func(n int) bool { return n >= 100 && l.Segments() == c.segments })
 		sc := l.NewParallelScanner(FirstLSN(), nil, ScanCost{}, c.width)
 		got := drainScan(sc.Next)
 		if got.err != nil {
