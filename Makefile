@@ -28,14 +28,17 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short fuzz pass over the WAL codec and the restart path: adversarial
-# bytes and torn tails must never panic the decoder, and a log directory
+# Short fuzz pass over the WAL codec, the restart path and the shipping
+# path: adversarial bytes and torn tails must never panic the decoder
+# and what decodes must re-encode to the same bytes, a log directory
 # whose last segment file is arbitrary bytes must open trimmed or not at
-# all. CI runs this; `go test -fuzz` without -fuzztime runs a target
-# open-ended for real fuzzing sessions.
+# all, and a standby fed arbitrary bytes in two pieces must ingest only
+# frames that decode. CI runs this; `go test -fuzz` without -fuzztime
+# runs a target open-ended for real fuzzing sessions.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeAt -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzOpenLogDir -fuzztime 10s ./internal/wal
+	$(GO) test -run '^$$' -fuzz FuzzAppendStableSplit -fuzztime 10s ./internal/wal
 
 # The bounded-log soak: sustained single-writer traffic with a
 # checkpoint every few thousand records for ten minutes; fails if the

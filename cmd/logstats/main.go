@@ -1,9 +1,10 @@
 // Command logstats runs the paper's workload and reports the log's
-// composition: record counts and bytes by type, and the share taken by
-// the recovery-preparation records (∆-log, BW-log, SMO, checkpoint).
-// It quantifies §5.1's claim that "this auxiliary information is a very
-// small part of the log", and Appendix D's logging-overhead comparison
-// across ∆-record variants.
+// composition: record counts, bytes and frame-header bytes by type, how
+// many pages a ∆ and a BW record list and what a listed page costs, and
+// the share taken by the recovery-preparation records (∆-log, BW-log,
+// SMO, checkpoint). It measures what §5.1 calls "a very small part of
+// the log", and Appendix D's logging-overhead comparison across
+// ∆-record variants.
 package main
 
 import (
@@ -44,8 +45,9 @@ func main() {
 	}
 
 	type slot struct {
-		count int64
-		bytes int64
+		count  int64
+		bytes  int64
+		header int64 // of bytes, the frame headers
 	}
 	byType := map[wal.Type]*slot{}
 	var total slot
@@ -53,6 +55,8 @@ func main() {
 	// its fixed fields: the row bytes it leaves alone and the two
 	// middles it carries.
 	var patch struct{ skip, tail, before, after int64 }
+	// lists sums the page lists of the ∆ and BW records.
+	var lists struct{ dirty, dirtyLSNs, deltaWritten, bwWritten int64 }
 
 	// One pass: a record's frame runs to the next record's LSN (the
 	// last one's to the end of the log).
@@ -63,8 +67,9 @@ func main() {
 	var prevLSN wal.LSN
 	account := func(to wal.LSN) {
 		if prev != nil {
-			prev.bytes += int64(to - prevLSN)
-			total.bytes += int64(to - prevLSN)
+			n, h := int64(to-prevLSN), int64(wal.FrameHeaderSize(int(to-prevLSN)))
+			prev.bytes, prev.header = prev.bytes+n, prev.header+h
+			total.bytes, total.header = total.bytes+n, total.header+h
 		}
 	}
 	for {
@@ -87,11 +92,18 @@ func main() {
 		s.count++
 		total.count++
 		prev, prevLSN = s, lsn
-		if u, isUpdate := rec.(*wal.UpdateRec); isUpdate {
-			patch.skip += int64(u.Skip)
-			patch.tail += int64(u.Tail)
-			patch.before += int64(len(u.OldVal))
-			patch.after += int64(len(u.NewVal))
+		switch r := rec.(type) {
+		case *wal.UpdateRec:
+			patch.skip += int64(r.Skip)
+			patch.tail += int64(r.Tail)
+			patch.before += int64(len(r.OldVal))
+			patch.after += int64(len(r.NewVal))
+		case *wal.DeltaRec:
+			lists.dirty += int64(len(r.DirtySet))
+			lists.dirtyLSNs += int64(len(r.DirtyLSNs))
+			lists.deltaWritten += int64(len(r.WrittenSet))
+		case *wal.BWRec:
+			lists.bwWritten += int64(len(r.WrittenSet))
 		}
 	}
 
@@ -104,25 +116,36 @@ func main() {
 	fmt.Println()
 
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "record type\tcount\tbytes\tB/record\tshare")
+	fmt.Fprintln(tw, "record type\tcount\tbytes\tB/record\theader B/record\tshare")
 	var auxBytes int64
 	for _, t := range order {
 		s := byType[t]
-		fmt.Fprintf(tw, "%v\t%d\t%d\t%.1f\t%.2f%%\n", t, s.count, s.bytes, float64(s.bytes)/float64(s.count), 100*float64(s.bytes)/float64(total.bytes))
+		fmt.Fprintf(tw, "%v\t%d\t%d\t%.1f\t%.2f\t%.2f%%\n", t, s.count, s.bytes, float64(s.bytes)/float64(s.count),
+			float64(s.header)/float64(s.count), 100*float64(s.bytes)/float64(total.bytes))
 		switch t {
 		case wal.TypeDelta, wal.TypeBW, wal.TypeSMO, wal.TypeBeginCkpt, wal.TypeEndCkpt, wal.TypeRSSP:
 			auxBytes += s.bytes
 		}
 	}
 	tw.Flush()
+	fmt.Printf("\nframe headers: %.2f bytes a record, %.2f%% of the log\n",
+		float64(total.header)/float64(total.count), 100*float64(total.header)/float64(total.bytes))
+	if d := byType[wal.TypeDelta]; d != nil && lists.dirty+lists.deltaWritten > 0 {
+		n := float64(d.count)
+		fmt.Printf("a ∆ record lists %.1f dirtied and %.1f written pages (and %.1f DirtyLSNs): %.2f bytes a listed page, fixed fields and header included\n",
+			float64(lists.dirty)/n, float64(lists.deltaWritten)/n, float64(lists.dirtyLSNs)/n, float64(d.bytes)/float64(lists.dirty+lists.deltaWritten))
+	}
+	if b := byType[wal.TypeBW]; b != nil && lists.bwWritten > 0 {
+		fmt.Printf("a BW record lists %.1f written pages: %.2f bytes a listed page, fixed fields and header included\n",
+			float64(lists.bwWritten)/float64(b.count), float64(b.bytes)/float64(lists.bwWritten))
+	}
 	if u := byType[wal.TypeUpdate]; u != nil {
 		n := float64(u.count)
 		fmt.Printf("\nan update is a patch: on average it skips %.1f row bytes, keeps a %.1f-byte tail,\nand carries a %.1f-byte before-middle and a %.1f-byte after-middle\n",
 			float64(patch.skip)/n, float64(patch.tail)/n, float64(patch.before)/n, float64(patch.after)/n)
 	}
-	fmt.Printf("\nrecovery-preparation records (∆+BW+SMO+ckpt+RSSP): %d bytes = %.2f%% of the log\n",
+	fmt.Printf("\nrecovery-preparation records (∆+BW+SMO+ckpt+RSSP): %d bytes = %.2f%% of the log\n(what §5.1 calls a very small part of it)\n",
 		auxBytes, 100*float64(auxBytes)/float64(total.bytes))
-	fmt.Println("(§5.1 calls the auxiliary information a very small part of the log; that was measured against\nwhole-row update records — against patches the same bytes are a larger share of a smaller log)")
 }
 
 // printRetention reports what the crashed log still holds: checkpoints

@@ -228,9 +228,9 @@ func TestBudgetCheckpointerCountsCommitsLandingMidCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr := eng.NewSessionManager(0)
-	// 64 KiB/s over 16ms tolerates a 1 KiB window; 100 commit records
-	// alone are 2 KiB.
-	const budget = 16 * time.Millisecond
+	// 64 KiB/s over 8ms tolerates a 512-byte window; 100 commit records
+	// and the checkpoint's own are some 800 bytes.
+	const budget = 8 * time.Millisecond
 	ckpt := eng.StartCheckpointer(mgr, CheckpointerConfig{
 		Interval:          time.Hour,
 		MinRecords:        1,

@@ -244,10 +244,10 @@ func TestShardedDecodeWidthOracle(t *testing.T) {
 	cfg := shardedConfig(4)
 	cfg.OpenTxns = 3
 	cfg.OpenTxnUpdates = 5
-	// Some 40 log bytes an update, the trackers' records included: a
+	// Some 30 log bytes an update, the trackers' records included: a
 	// window of three 1 MiB segments.
 	cfg.CrashAfterCheckpoints = 1
-	cfg.UpdatesAfterLastCkpt = 65_000
+	cfg.UpdatesAfterLastCkpt = 90_000
 	res, err := BuildCrash(cfg)
 	if err != nil {
 		t.Fatal(err)

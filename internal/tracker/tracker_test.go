@@ -202,13 +202,17 @@ func TestCapacityForcesDelta(t *testing.T) {
 
 func TestPerfectVariantLogsDirtyLSNs(t *testing.T) {
 	r, log := newRecorder(t, Config{Variant: DeltaPerfect, FlushBatch: 100, MaxDirty: 100})
-	r.NoteEOSL(10)
-	r.NoteUpdate(1, 11)
-	r.NoteUpdate(2, 22)
+	// The LSNs of two records the log holds: a ∆ record can only point
+	// back at what was appended before it.
+	a := log.MustAppend(&wal.UpdateRec{TxnID: 1, KeyVal: 1, NewVal: []byte("v"), PageID: 1})
+	b := log.MustAppend(&wal.UpdateRec{TxnID: 1, KeyVal: 2, NewVal: []byte("v"), PageID: 2, PrevLSN: a})
+	r.NoteEOSL(a)
+	r.NoteUpdate(1, a)
+	r.NoteUpdate(2, b)
 	r.ForceEmit()
 	d := lastDelta(t, log)
-	if len(d.DirtyLSNs) != 2 || d.DirtyLSNs[0] != 11 || d.DirtyLSNs[1] != 22 {
-		t.Fatalf("DirtyLSNs = %v", d.DirtyLSNs)
+	if len(d.DirtyLSNs) != 2 || d.DirtyLSNs[0] != a || d.DirtyLSNs[1] != b {
+		t.Fatalf("DirtyLSNs = %v, want [%v %v]", d.DirtyLSNs, a, b)
 	}
 }
 

@@ -69,14 +69,16 @@ type BackendStats struct {
 // of the segment based at b sits at file offset segHeaderSize + (x - b).
 //
 //	[0:8)   magic "LOGRECWL"
-//	[8:12)  format version (3: patch-encoded updates, varint bodies; 2 had
-//	        whole-image updates and fixed-width bodies; 1 was the single
-//	        wal.log file). Any other version is refused, never decoded.
+//	[8:12)  format version (4: varint frame header, back-pointers as
+//	        distances, every body in varints; 3 had a fixed 5-byte header,
+//	        absolute pointers and fixed-width system records; 2 had
+//	        whole-image updates; 1 was the single wal.log file). Any other
+//	        version is refused, never decoded.
 //	[12:16) frame checksum kind (0 = none; reserved for per-frame CRCs)
 //	[16:24) base LSN
 const (
 	segHeaderSize = 24
-	segVersion    = 3
+	segVersion    = 4
 	segSuffix     = ".seg"
 )
 

@@ -228,10 +228,11 @@ func TestOpenLogFileRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestOpenLogDirRefusesOldFormat: a wal/ directory written before update
-// records became patches with varint bodies (segment version 2) holds
-// bytes this decoder would misread; it is refused by its header, not
-// decoded.
+// TestOpenLogDirRefusesOldFormat: a wal/ directory written in an
+// earlier format — whole-image updates (segment version 2), or the
+// fixed-width frame header and absolute back-pointers of version 3 —
+// holds bytes this decoder would misread; it is refused by its header,
+// not decoded.
 func TestOpenLogDirRefusesOldFormat(t *testing.T) {
 	log, _, dir := fileLog(t)
 	log.MustAppend(&CommitRec{TxnID: 1})
@@ -247,12 +248,14 @@ func TestOpenLogDirRefusesOldFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.BigEndian.PutUint32(buf[8:], 2)
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenLogDir(dir); err == nil || !strings.Contains(err.Error(), "version 2") {
-		t.Fatalf("OpenLogDir of a version-2 segment: %v, want a version refusal", err)
+	for _, old := range []uint32{2, 3} {
+		binary.BigEndian.PutUint32(buf[8:], old)
+		if err := os.WriteFile(path, buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenLogDir(dir); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", old)) {
+			t.Fatalf("OpenLogDir of a version-%d segment: %v, want a version refusal", old, err)
+		}
 	}
 }
 
@@ -275,7 +278,8 @@ func FuzzOpenLogDir(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	frames := append(encodeFrame(&CommitRec{TxnID: 1, PrevLSN: 42}), encodeFrame(&UpdateRec{TxnID: 2, NewVal: []byte("v")})...)
+	frames := encodeFrame(&CommitRec{TxnID: 1, PrevLSN: 42}, end)
+	frames = append(frames, encodeFrame(&UpdateRec{TxnID: 2, NewVal: []byte("v"), PrevLSN: end}, end+LSN(len(frames)))...)
 	torn, _ := tornFrame(9)
 	f.Add(segHeader(end), frames)
 	f.Add(segHeader(end), append(append([]byte(nil), frames...), torn...))
@@ -284,7 +288,7 @@ func FuzzOpenLogDir(f *testing.F) {
 	f.Add(segHeader(end)[:10], []byte{})
 	f.Add(segHeader(end+1), frames)
 	f.Add([]byte("definitely not a WAL segment header"), frames)
-	f.Add(segHeader(end), []byte{0, 0, 0, 2, 0xFF, 1, 2})
+	f.Add(segHeader(end), []byte{0xFF, 2, 1, 2})
 
 	f.Fuzz(func(t *testing.T, header, contents []byte) {
 		dir := t.TempDir()

@@ -10,7 +10,9 @@ import (
 
 // benchUpdateRec is a representative update: a 92-byte row whose 8-byte
 // little-endian version counter (at offset 50) goes from i to i+1, as a
-// producer hands it over — two whole images.
+// producer hands it over — two whole images. Callers chain PrevLSN to
+// the record appended before, the distance a ten-update transaction
+// sees.
 func benchUpdateRec(i int) *UpdateRec {
 	old, nw := make([]byte, 92), make([]byte, 92)
 	for j := range old {
@@ -26,7 +28,6 @@ func benchUpdateRec(i int) *UpdateRec {
 		OldVal:  old,
 		NewVal:  nw,
 		PageID:  storage.PageID(i),
-		PrevLSN: LSN(i),
 	}
 }
 
@@ -38,24 +39,52 @@ func BenchmarkAppendUpdate(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := l.Append(recs[i%len(recs)]); err != nil {
+	var err error
+	for i, prev := 0, NilLSN; i < b.N; i++ {
+		rec := recs[i%len(recs)]
+		rec.PrevLSN = prev
+		if prev, err = l.Append(rec); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(l.EndLSN()-FirstLSN())/float64(b.N), "B/record")
 }
 
+// benchDeltaRec is a ∆ record over the page numbers of a table of a few
+// tens of thousands of pages, in no order.
+func benchDeltaRec(dirty, written int) *DeltaRec {
+	rec := &DeltaRec{FWLSN: 1000, FirstDirty: uint32(dirty / 2), TCLSN: 2000}
+	for i := 0; i < dirty; i++ {
+		rec.DirtySet = append(rec.DirtySet, storage.PageID(2+i*7919%30000))
+	}
+	for i := 0; i < written; i++ {
+		rec.WrittenSet = append(rec.WrittenSet, storage.PageID(2+i*104729%30000))
+	}
+	return rec
+}
+
 func BenchmarkAppendDelta(b *testing.B) {
 	l := NewLog()
-	rec := &DeltaRec{
-		DirtySet:   make([]storage.PageID, 256),
-		WrittenSet: make([]storage.PageID, 32),
-		FWLSN:      1000, FirstDirty: 100, TCLSN: 2000,
-	}
+	rec := benchDeltaRec(256, 32)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := l.Append(rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecodeDelta decodes a ∆ record the size update_spill writes:
+// the page lists are what BenchmarkScanLog's updates do not have.
+func BenchmarkDecodeDelta(b *testing.B) {
+	l := NewLog()
+	lsn := l.MustAppend(benchDeltaRec(65, 32))
+	l.Flush()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := l.Get(lsn); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -68,8 +97,10 @@ func BenchmarkScanLog(b *testing.B) {
 	for _, mib := range []int{1, 8} {
 		l := NewLog()
 		recs := 0
-		for ; l.EndLSN() < LSN(mib<<20-1024); recs++ {
-			l.MustAppend(benchUpdateRec(recs))
+		for prev := NilLSN; l.EndLSN() < LSN(mib<<20-1024); recs++ {
+			rec := benchUpdateRec(recs)
+			rec.PrevLSN = prev
+			prev = l.MustAppend(rec)
 		}
 		l.Flush()
 		if l.Segments() != mib {

@@ -9,45 +9,49 @@ import (
 	"logrec/internal/storage"
 )
 
-// Encoding helpers. Behind the fixed-width frame header (log.go) the
-// records written per operation — update, insert, delete, CLR, commit,
-// abort — use unsigned varints for every integer and length: their
-// values are small and their count is what log volume is proportional
-// to. The system records — checkpoint, ∆, BW, SMO, RSSP, shard-map —
-// keep big-endian fixed-width integers and uint32 counts. The decoder
-// rejects an over-long varint, so a record has one byte string.
-
-func putU8(dst []byte, v uint8) []byte   { return append(dst, v) }
-func putU32(dst []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(dst, v) }
-func putU64(dst []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(dst, v) }
+// Encoding helpers. Every integer and every length in the log — frame
+// header, per-operation records and system records alike — is an
+// unsigned varint, and the decoder refuses one that is over-long or too
+// wide for its field, so a record has one byte string. A back-pointer
+// (PrevLSN, UndoNextLSN, a ∆ record's DirtyLSNs) is written as its
+// distance below the record that carries it.
 
 func putUvarint(dst []byte, v uint64) []byte { return binary.AppendUvarint(dst, v) }
 
-func putBytes(dst []byte, b []byte) []byte {
-	dst = putU32(dst, uint32(len(b)))
-	return append(dst, b...)
-}
-
-// putVarBytes is putBytes with a varint length.
+// putVarBytes appends b behind its length.
 func putVarBytes(dst []byte, b []byte) []byte {
 	dst = putUvarint(dst, uint64(len(b)))
 	return append(dst, b...)
 }
 
-func putPIDs(dst []byte, pids []storage.PageID) []byte {
-	dst = putU32(dst, uint32(len(pids)))
+// putVarPIDs appends pids, in order, behind their count.
+func putVarPIDs(dst []byte, pids []storage.PageID) []byte {
+	dst = putUvarint(dst, uint64(len(pids)))
 	for _, p := range pids {
-		dst = putU32(dst, uint32(p))
+		dst = putUvarint(dst, uint64(p))
 	}
 	return dst
 }
 
-func putLSNs(dst []byte, lsns []LSN) []byte {
-	dst = putU32(dst, uint32(len(lsns)))
-	for _, l := range lsns {
-		dst = putU64(dst, uint64(l))
+// putBack appends the back-pointer p of the record at LSN at: how far
+// below at it points, 0 for NilLSN. A pointer that is neither nil nor
+// an LSN in [FirstLSN, at) has no encoding and is refused.
+func putBack(dst []byte, what string, p, at LSN) ([]byte, error) {
+	if p == NilLSN {
+		return append(dst, 0), nil
 	}
-	return dst
+	if p < FirstLSN() || p >= at {
+		return dst, fmt.Errorf("%w: %s %v of the record at %v does not point back into the log", ErrBadRecord, what, p, at)
+	}
+	return putUvarint(dst, uint64(at-p)), nil
+}
+
+// checkPIDs refuses a ∆ or BW page list naming storage.InvalidPageID.
+func checkPIDs(what string, pids []storage.PageID) error {
+	if slices.Contains(pids, storage.InvalidPageID) {
+		return fmt.Errorf("%w: %s names page %d", ErrBadRecord, what, storage.InvalidPageID)
+	}
+	return nil
 }
 
 // Splice rebuilds a row from a patch — cur's first skip and last tail
@@ -75,60 +79,22 @@ func commonEnds(a, b []byte) (prefix, suffix int) {
 	return prefix, suffix
 }
 
-// decoder walks a record body. Methods record the first error and
-// subsequently return zero values, so call sites stay linear and the
-// final Err check suffices.
+// decoder walks the body of the record at LSN at. Methods record the
+// first error and subsequently return zero values, so call sites stay
+// linear and the final Err check suffices.
 type decoder struct {
 	src []byte
 	off int
+	at  LSN
 	err error
 }
 
-func newDecoder(src []byte) *decoder { return &decoder{src: src} }
+func newDecoder(src []byte, at LSN) *decoder { return &decoder{src: src, at: at} }
 
 func (d *decoder) fail(what string) {
 	if d.err == nil {
 		d.err = fmt.Errorf("%w: short buffer reading %s at offset %d", ErrBadRecord, what, d.off)
 	}
-}
-
-func (d *decoder) u8(what string) uint8 {
-	if d.err != nil {
-		return 0
-	}
-	if d.off+1 > len(d.src) {
-		d.fail(what)
-		return 0
-	}
-	v := d.src[d.off]
-	d.off++
-	return v
-}
-
-func (d *decoder) u32(what string) uint32 {
-	if d.err != nil {
-		return 0
-	}
-	if d.off+4 > len(d.src) {
-		d.fail(what)
-		return 0
-	}
-	v := binary.BigEndian.Uint32(d.src[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *decoder) u64(what string) uint64 {
-	if d.err != nil {
-		return 0
-	}
-	if d.off+8 > len(d.src) {
-		d.fail(what)
-		return 0
-	}
-	v := binary.BigEndian.Uint64(d.src[d.off:])
-	d.off += 8
-	return v
 }
 
 // uvarint reads one minimally encoded unsigned varint.
@@ -145,32 +111,56 @@ func (d *decoder) uvarint(what string) uint64 {
 	return v
 }
 
+// refuse records a value the field it was read for cannot hold.
+func (d *decoder) refuse(what string, v uint64, why string) {
+	if d.err == nil {
+		d.err = fmt.Errorf("%w: %s %d of the record at %v %s", ErrBadRecord, what, v, d.at, why)
+	}
+}
+
 // uvarint32 reads a varint that must fit 32 bits.
 func (d *decoder) uvarint32(what string) uint32 {
 	v := d.uvarint(what)
-	if v > math.MaxUint32 && d.err == nil {
-		d.err = fmt.Errorf("%w: %s %d exceeds 32 bits", ErrBadRecord, what, v)
+	if v > math.MaxUint32 {
+		d.refuse(what, v, "exceeds 32 bits")
 		return 0
 	}
 	return uint32(v)
 }
 
-func (d *decoder) bytes(what string) []byte {
-	return d.take(what, uint64(d.u32(what)))
-}
-
-// varBytes is bytes with a varint length.
-func (d *decoder) varBytes(what string) []byte {
-	return d.take(what, d.uvarint(what))
-}
-
-// take copies the next n body bytes out.
-func (d *decoder) take(what string, n uint64) []byte {
-	if d.err != nil {
-		return nil
+// back reads a back-pointer (putBack): a distance that reaches below
+// FirstLSN points at nothing.
+func (d *decoder) back(what string) LSN {
+	dist := d.uvarint(what)
+	if dist > uint64(d.at-FirstLSN()) {
+		d.refuse(what, dist, "bytes back points below the log")
+		return NilLSN
 	}
-	if n > uint64(len(d.src)-d.off) {
+	if dist == 0 {
+		return NilLSN
+	}
+	return d.at - LSN(dist)
+}
+
+// count reads the length of a list whose entries take at least min
+// encoded bytes each, refusing one the rest of the body cannot hold
+// before anything is allocated for it.
+func (d *decoder) count(what string, min int) int {
+	n, rest := d.uvarint(what), uint64(len(d.src)-d.off)
+	if d.err == nil && (n > rest || n*uint64(min) > rest) {
 		d.fail(what)
+		return 0
+	}
+	return int(n)
+}
+
+// varBytes copies out the length-prefixed bytes that follow.
+func (d *decoder) varBytes(what string) []byte {
+	n := d.uvarint(what)
+	if d.err == nil && n > uint64(len(d.src)-d.off) {
+		d.fail(what)
+	}
+	if d.err != nil {
 		return nil
 	}
 	out := make([]byte, n)
@@ -179,36 +169,22 @@ func (d *decoder) take(what string, n uint64) []byte {
 	return out
 }
 
-func (d *decoder) pids(what string) []storage.PageID {
-	n := int(d.u32(what))
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || d.off+4*n > len(d.src) {
-		d.fail(what)
-		return nil
-	}
-	out := make([]storage.PageID, n)
-	for i := range out {
-		out[i] = storage.PageID(binary.BigEndian.Uint32(d.src[d.off:]))
-		d.off += 4
-	}
-	return out
-}
-
-func (d *decoder) lsns(what string) []LSN {
-	n := int(d.u32(what))
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || d.off+8*n > len(d.src) {
-		d.fail(what)
-		return nil
-	}
-	out := make([]LSN, n)
-	for i := range out {
-		out[i] = LSN(binary.BigEndian.Uint64(d.src[d.off:]))
-		d.off += 8
+// varPIDs reads a page list (putVarPIDs). The lists are most of what a
+// ∆ or BW record holds, so the loop reads the two- and three-byte page
+// numbers — pages 128 to two million — itself and leaves the rest, and
+// whatever is malformed, to uvarint32.
+func (d *decoder) varPIDs(what string) []storage.PageID {
+	out := make([]storage.PageID, d.count(what, 1))
+	for i := 0; i < len(out) && d.err == nil; i++ {
+		b := d.src[d.off:]
+		switch {
+		case len(b) > 1 && b[0] >= 0x80 && b[1] < 0x80 && b[1] != 0:
+			out[i], d.off = storage.PageID(b[0]&0x7f)|storage.PageID(b[1])<<7, d.off+2
+		case len(b) > 2 && b[0] >= 0x80 && b[1] >= 0x80 && b[2] < 0x80 && b[2] != 0:
+			out[i], d.off = storage.PageID(b[0]&0x7f)|storage.PageID(b[1]&0x7f)<<7|storage.PageID(b[2])<<14, d.off+3
+		default:
+			out[i] = storage.PageID(d.uvarint32(what))
+		}
 	}
 	return out
 }

@@ -8,43 +8,69 @@ import (
 	"logrec/internal/storage"
 )
 
-// fullLog builds a log holding at least one record of every type, the
-// fuzz seed corpus and the torn-tail test fixture.
+// fullLog builds a log holding at least one record of every type, with
+// bodies on both sides of the 128 bytes where the frame header grows a
+// byte: the fuzz seed corpus and the torn-tail and cut-point fixture.
+// Each transactional record points back at the one before it.
 func fullLog(t testing.TB) *Log {
 	l := NewLog()
-	recs := []Record{
-		&BeginCkptRec{},
-		&UpdateRec{TxnID: 1, TableID: 1, KeyVal: 7, OldVal: []byte("old"), NewVal: []byte("new"), PageID: 4, PrevLSN: NilLSN},
-		// Patch shapes: one byte in the middle, growing, shrinking, the
-		// first byte, the last byte, nothing at all, and a key, page and
-		// backchain wide enough for multi-byte varints.
-		&UpdateRec{TxnID: 1, TableID: 1, KeyVal: 7, OldVal: []byte("row-0007-v1-tail"), NewVal: []byte("row-0007-v2-tail"), PageID: 4, PrevLSN: 16},
-		&UpdateRec{TxnID: 1, TableID: 1, KeyVal: 7, OldVal: []byte("row-v2"), NewVal: []byte("row-v2-and-more"), PageID: 4, PrevLSN: 30},
-		&UpdateRec{TxnID: 1, TableID: 1, KeyVal: 7, OldVal: []byte("row-v2-and-more"), NewVal: []byte("row"), PageID: 4, PrevLSN: 31},
-		&UpdateRec{TxnID: 1, TableID: 1, KeyVal: 7, OldVal: []byte("Xow"), NewVal: []byte("row"), PageID: 4, PrevLSN: 32},
-		&UpdateRec{TxnID: 1, TableID: 1, KeyVal: 7, OldVal: []byte("row"), NewVal: []byte("roW"), PageID: 4, PrevLSN: 33},
-		&UpdateRec{TxnID: 1, TableID: 1, KeyVal: 7, OldVal: []byte("same"), NewVal: []byte("same"), PageID: 4, PrevLSN: 34},
-		&UpdateRec{TxnID: 1 << 40, TableID: 300, KeyVal: 1 << 50, OldVal: []byte("a"), NewVal: []byte("b"), PageID: 70000, ShardID: 200, PrevLSN: 1 << 33},
-		&CLRRec{TxnID: 1, TableID: 1, KeyVal: 7, Kind: CLRUndoUpdate, Skip: 9, Tail: 5, RestoreVal: []byte("v1"), PageID: 4, UndoNextLSN: 16, PrevLSN: 35},
-		&InsertRec{TxnID: 1, TableID: 1, KeyVal: 8, Val: []byte("row"), PageID: 4, PrevLSN: 42},
-		&DeleteRec{TxnID: 1, TableID: 1, KeyVal: 9, OldVal: []byte("gone"), PageID: 5, PrevLSN: 51},
-		&CLRRec{TxnID: 1, TableID: 1, KeyVal: 7, Kind: CLRUndoUpdate, RestoreVal: []byte("old"), PageID: 4, UndoNextLSN: 42, PrevLSN: 60},
-		&CommitRec{TxnID: 1, PrevLSN: 77},
-		&AbortRec{TxnID: 2, PrevLSN: 78},
-		&DeltaRec{TCLSN: 100, FWLSN: 90, FirstDirty: 1,
-			DirtySet: []storage.PageID{4, 5}, DirtyLSNs: []LSN{88, 89}, WrittenSet: []storage.PageID{3}},
-		&BWRec{WrittenSet: []storage.PageID{4, 5, 6}, FWLSN: 95},
-		&SMORec{Meta: TreeMeta{TableID: 1, Root: 2, Height: 2, NextPID: 11},
-			Images: []PageImage{{PageID: 10, Data: []byte("page-image-bytes")}}},
-		&RSSPRec{RsspLSN: 12},
-		&EndCkptRec{BeginLSN: 16, Active: []ActiveTxn{{TxnID: 2, LastLSN: 78}}},
-	}
-	for _, r := range recs {
-		if _, err := l.Append(r); err != nil {
+	prev := NilLSN
+	add := func(r Record) {
+		lsn, err := l.Append(r)
+		if err != nil {
 			t.Fatalf("append %v: %v", r.Type(), err)
 		}
+		prev = lsn
 	}
+	update := func(old, nw string) {
+		add(&UpdateRec{TxnID: 1, TableID: 1, KeyVal: 7, OldVal: []byte(old), NewVal: []byte(nw), PageID: 4, PrevLSN: prev})
+	}
+	add(&BeginCkptRec{})
+	begin := prev
+	prev = NilLSN // the transaction's first record points nowhere
+	update("old", "new")
+	first := prev
+	// Patch shapes: one byte in the middle, growing, shrinking, the
+	// first byte, the last byte, nothing at all, and a key, page and
+	// shard wide enough for multi-byte varints.
+	update("row-0007-v1-tail", "row-0007-v2-tail")
+	update("row-v2", "row-v2-and-more")
+	update("row-v2-and-more", "row")
+	update("Xow", "row")
+	update("row", "roW")
+	update("same", "same")
+	add(&UpdateRec{TxnID: 1 << 40, TableID: 300, KeyVal: 1 << 50, OldVal: []byte("a"), NewVal: []byte("b"), PageID: 70000, ShardID: 200, PrevLSN: prev})
+	add(&CLRRec{TxnID: 1, TableID: 1, KeyVal: 7, Kind: CLRUndoUpdate, Skip: 9, Tail: 5, RestoreVal: []byte("v1"), PageID: 4, UndoNextLSN: first, PrevLSN: prev})
+	add(&InsertRec{TxnID: 1, TableID: 1, KeyVal: 8, Val: []byte("row"), PageID: 4, PrevLSN: prev})
+	// A whole row of 150 bytes: a per-operation record with a 3-byte header.
+	add(&DeleteRec{TxnID: 1, TableID: 1, KeyVal: 9, OldVal: bytes.Repeat([]byte("gone "), 30), PageID: 5, PrevLSN: prev})
+	add(&CLRRec{TxnID: 1, TableID: 1, KeyVal: 7, Kind: CLRUndoUpdate, RestoreVal: []byte("old"), PageID: 4, UndoNextLSN: NilLSN, PrevLSN: prev})
+	add(&ShardMapRec{TxnID: 1, SplitAt: 1 << 20, End: 1<<21 - 1, NewShard: 3, PrevLSN: prev})
+	// The commit's pointer takes two bytes: it reaches back to the
+	// transaction's first record.
+	add(&CommitRec{TxnID: 1, PrevLSN: first})
+	add(&AbortRec{TxnID: 2, PrevLSN: begin})
+	add(&DeltaRec{TCLSN: 100, FWLSN: 90, FirstDirty: 1,
+		DirtySet: []storage.PageID{4, 5}, DirtyLSNs: []LSN{first, prev}, WrittenSet: []storage.PageID{3}})
+	big := &DeltaRec{TCLSN: 100, FirstDirty: 200}
+	for pid := storage.PageID(1); pid <= 200; pid++ {
+		big.DirtySet = append(big.DirtySet, pid*97)
+	}
+	add(big)
+	add(&BWRec{WrittenSet: []storage.PageID{4, 5, 6}, FWLSN: 95})
+	add(&SMORec{Meta: TreeMeta{TableID: 1, Root: 2, Height: 2, NextPID: 11},
+		Images: []PageImage{{PageID: 10, Data: []byte("page-image-bytes")}}})
+	add(&SMORec{Meta: TreeMeta{TableID: 1, Root: 2, Height: 2, NextPID: 12}, ShardID: 1,
+		Images: []PageImage{{PageID: 11, Data: bytes.Repeat([]byte{0xEE}, 300)}, {PageID: 2}}})
+	add(&RSSPRec{RsspLSN: 12})
+	add(&EndCkptRec{BeginLSN: begin, Active: []ActiveTxn{{TxnID: 2, LastLSN: 78}},
+		Routes: []RouteEntry{{Start: 0, Shard: 0}, {Start: 1 << 20, Shard: 3}}})
 	l.Flush()
+	for typ := TypeUpdate; typ <= TypeShardMap; typ++ {
+		if l.AppendCount(typ) == 0 {
+			t.Fatalf("fullLog holds no %v record", typ)
+		}
+	}
 	return l
 }
 
@@ -92,11 +118,12 @@ func FuzzDecodeAt(f *testing.F) {
 				t.Fatalf("decode(%d): end %d out of bounds (log end %v)", off, end, fz.FlushedLSN())
 			}
 			// A successfully decoded record must re-encode to the bytes
-			// it came from: varints are minimal and patches maximally
-			// trimmed, so one record has one byte string.
-			body := rec.encodeBody(nil)
-			if src := buf[LSN(off)-FirstLSN()+frameHeaderSize : end-FirstLSN()]; !bytes.Equal(body, src) {
-				t.Fatalf("decode(%d): %v record re-encodes to %x, source %x", off, rec.Type(), body, src)
+			// it came from, header and body: varints are minimal,
+			// patches maximally trimmed and pointers distances, so one
+			// record has one byte string — and the encoder refuses
+			// nothing the decoder let through.
+			if src := buf[LSN(off)-FirstLSN() : end-FirstLSN()]; !bytes.Equal(encodeFrame(rec, LSN(off)), src) {
+				t.Fatalf("decode(%d): %v record re-encodes to %x, source %x", off, rec.Type(), encodeFrame(rec, LSN(off)), src)
 			}
 		}
 		// A full forward scan must terminate: either cleanly at the end
@@ -115,10 +142,67 @@ func FuzzDecodeAt(f *testing.F) {
 	})
 }
 
+// FuzzAppendStableSplit ships arbitrary bytes to a standby in two pieces
+// cut anywhere — inside a frame header included. Whatever the bytes
+// hold, AppendStable must not panic, must count stable exactly the
+// frames decodeFrame accepts (and none behind the first it rejects),
+// and must end where shipping the same bytes in one piece ends.
+func FuzzAppendStableSplit(f *testing.F) {
+	pristine := stableBytes(f, fullLog(f))
+	for _, cut := range []int{0, 1, 17, 18, len(pristine) / 2, len(pristine) - 1, len(pristine)} {
+		f.Add(pristine, uint16(cut))
+	}
+	torn, _ := tornFrame(9)
+	f.Add(append(append([]byte(nil), pristine...), torn...), uint16(len(pristine)+2))
+	flipped := append([]byte(nil), pristine...)
+	for i := 0; i < len(flipped); i += 23 {
+		flipped[i] ^= 0x40
+	}
+	f.Add(flipped, uint16(len(flipped)/3))
+	f.Add([]byte{byte(TypeCommit), 0x80}, uint16(1))
+
+	f.Fuzz(func(t *testing.T, data []byte, cut uint16) {
+		whole := newLog(modelSegCap)
+		whole.AppendStable(FirstLSN(), data)
+
+		split := newLog(modelSegCap)
+		mark, _ := split.AppendStable(FirstLSN(), data[:min(int(cut), len(data))])
+		// A rejected frame moved the watermark back: resume from it.
+		split.AppendStable(mark, data[mark-FirstLSN():])
+		if split.FlushedLSN() != whole.FlushedLSN() || split.StableRecords() != whole.StableRecords() {
+			t.Fatalf("cut at %d: stable end %v with %d records, in one piece %v with %d",
+				cut, split.FlushedLSN(), split.StableRecords(), whole.FlushedLSN(), whole.StableRecords())
+		}
+
+		stable := stableBytes(t, split)
+		if !bytes.HasPrefix(data, stable) {
+			t.Fatalf("cut at %d: the standby's stable bytes are not the bytes shipped", cut)
+		}
+		var frames int64
+		at := FirstLSN()
+		for at < split.FlushedLSN() {
+			_, next, err := decodeFrame(stable, FirstLSN(), at)
+			if err != nil {
+				t.Fatalf("cut at %d: ingested a frame that does not decode: %v", cut, err)
+			}
+			at, frames = next, frames+1
+		}
+		if frames != split.StableRecords() {
+			t.Fatalf("cut at %d: %d stable records over %d frames", cut, split.StableRecords(), frames)
+		}
+		// It stopped only where the bytes stop being a log.
+		if rest := data[len(stable):]; len(rest) > 0 {
+			if _, _, err := decodeFrame(rest, at, at); err == nil {
+				t.Fatalf("cut at %d: a good frame at %v was left behind", cut, at)
+			}
+		}
+	})
+}
+
 // TestDecodeTornTail cuts a valid log at every byte position inside its
-// final record and checks the decoder reports the torn frame as an
-// error (ErrTruncated once the frame header is readable) instead of
-// panicking or returning garbage — the group committer crashes at
+// final record and checks the decoder reports the torn frame as
+// ErrTruncated — whether the cut fell in the header or in the body —
+// instead of panicking or returning garbage — the group committer crashes at
 // record boundaries, but a real disk can tear anywhere.
 func TestDecodeTornTail(t *testing.T) {
 	l := fullLog(t)
@@ -142,10 +226,7 @@ func TestDecodeTornTail(t *testing.T) {
 	for cut := int(lastLSN) + 1; cut < int(endLSN); cut++ {
 		torn := rawLog(stableBytes(t, l)[:LSN(cut)-FirstLSN()])
 		_, err := torn.Get(lastLSN)
-		if err == nil {
-			t.Fatalf("cut at %d: decode of torn record succeeded", cut)
-		}
-		if int(lastLSN)+frameHeaderSize <= cut && !errors.Is(err, ErrTruncated) {
+		if !errors.Is(err, ErrTruncated) {
 			t.Fatalf("cut at %d: got %v, want ErrTruncated", cut, err)
 		}
 		// Scanning the torn log must surface the same error, after

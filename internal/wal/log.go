@@ -14,8 +14,12 @@ import (
 // file's header lives outside LSN space.
 const logHeaderSize = 16
 
-// frameHeaderSize is the per-record frame: u32 body length + u8 type.
-const frameHeaderSize = 5
+// frameHeaderMin is the narrowest frame header: the record type in one
+// byte, then the body length as a varint — one byte for a body under
+// 128 bytes, which every per-operation record has. The header alone
+// says where the next frame starts, so the log is walked frame to frame
+// without decoding a body (frameSpan).
+const frameHeaderMin = 2
 
 // segmentBytes is the capacity of a log segment. A segment is sealed
 // when the next frame does not fit what is left of it; a frame larger
@@ -242,28 +246,48 @@ func (l *Log) appendIf(rec Record, at LSN) (LSN, bool, error) {
 		return NilLSN, false, fmt.Errorf("wal: append to frozen log")
 	}
 	t := l.tail()
-	if at != NilLSN && t.end() != at {
+	// A roll opens the next segment where this one ends, so the record's
+	// LSN is known before it is encoded.
+	lsn := t.end()
+	if at != NilLSN && lsn != at {
 		return NilLSN, false, nil
 	}
 	n := len(t.data)
-	frame := append(t.data[n:n:cap(t.data)], 0, 0, 0, 0, byte(typ))
-	frame = rec.encodeBody(frame)
-	binary.BigEndian.PutUint32(frame, uint32(len(frame)-frameHeaderSize))
-	var lsn LSN
+	frame, err := rec.encodeBody(append(t.data[n:n:cap(t.data)], byte(typ), 0), lsn)
+	if err != nil {
+		return NilLSN, false, fmt.Errorf("wal: appending %v record at %v: %w", typ, lsn, err)
+	}
+	frame = closeFrame(frame)
 	if len(frame) <= cap(t.data)-n {
 		// No append outgrew the spare capacity: frame is t.data[n:].
-		lsn = t.end()
 		t.data = t.data[:n+len(frame)]
 	} else {
-		lsn = l.appendFrame(frame)
+		l.appendFrame(frame)
 	}
 	l.recCount++
 	l.appendCount[typ]++
 	return lsn, true, nil
 }
 
-// MustAppend is Append for call sites where the log cannot be frozen;
-// it panics on error.
+// closeFrame writes the body length into a frame encoded behind the
+// narrowest header, moving the body up when its length takes more than
+// the one byte reserved.
+func closeFrame(frame []byte) []byte {
+	body := len(frame) - frameHeaderMin
+	if body < 0x80 {
+		frame[1] = byte(body)
+		return frame
+	}
+	var length [binary.MaxVarintLen64]byte
+	w := binary.PutUvarint(length[:], uint64(body))
+	frame = append(frame, length[1:w]...)
+	copy(frame[1+w:], frame[frameHeaderMin:frameHeaderMin+body])
+	copy(frame[1:], length[:w])
+	return frame
+}
+
+// MustAppend is Append for call sites where the log cannot be frozen
+// and the record is well-formed; it panics on error.
 func (l *Log) MustAppend(rec Record) LSN {
 	lsn, err := l.Append(rec)
 	if err != nil {
@@ -552,11 +576,9 @@ func tornFrame(n int) ([]byte, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("wal: torn-tail size must be positive, got %d", n)
 	}
-	frame := make([]byte, frameHeaderSize+n)
-	binary.BigEndian.PutUint32(frame, uint32(1<<24))
-	frame[4] = byte(TypeUpdate)
-	for i := frameHeaderSize; i < len(frame); i++ {
-		frame[i] = 0xA5
+	frame := binary.AppendUvarint([]byte{byte(TypeUpdate)}, 1<<24)
+	for len(frame) < n {
+		frame = append(frame, 0xA5)
 	}
 	return frame[:n], nil
 }
@@ -630,6 +652,33 @@ func (l *Log) Get(lsn LSN) (Record, error) {
 	return rec, err
 }
 
+// frameSpan reads the frame header at the front of data: its width and
+// the body length it claims. A header the end of data cuts short is
+// ErrTruncated — there is no telling yet; a length that is not a
+// minimal varint is ErrBadRecord.
+func frameSpan(data []byte) (hdr int, body uint64, err error) {
+	n := 0
+	if len(data) >= frameHeaderMin {
+		body, n = binary.Uvarint(data[1:])
+	}
+	switch {
+	case n == 0:
+		return 0, 0, fmt.Errorf("%w: frame header cut short", ErrTruncated)
+	case n < 0 || (n > 1 && data[n] == 0):
+		return 0, 0, fmt.Errorf("%w: frame length is not a minimal varint", ErrBadRecord)
+	}
+	return 1 + n, body, nil
+}
+
+// FrameHeaderSize returns how many of a frame's n bytes are its header.
+func FrameHeaderSize(n int) int {
+	hdr := frameHeaderMin
+	for n-hdr >= 1<<(7*(hdr-1)) {
+		hdr++
+	}
+	return hdr
+}
+
 // decodeFrame parses the frame at lsn in data, one segment's bytes (or
 // a prefix of them) starting at LSN base. It returns the record and the
 // LSN one past its frame. It takes no lock: callers pass bytes that no
@@ -640,24 +689,25 @@ func decodeFrame(data []byte, base, lsn LSN) (Record, LSN, error) {
 		return nil, NilLSN, fmt.Errorf("%w: %v (log end %d)", ErrOutOfRange, lsn, end)
 	}
 	off := int(lsn - base)
-	if off+frameHeaderSize > len(data) {
+	hdr, bodyLen, err := frameSpan(data[off:])
+	if err != nil {
 		// A frame header cut short is a torn tail, not a bad LSN.
-		return nil, NilLSN, fmt.Errorf("%w: frame header at %v crosses log end %d", ErrTruncated, lsn, end)
+		return nil, NilLSN, fmt.Errorf("frame at %v (log end %d): %w", lsn, end, err)
 	}
-	bodyLen := int(binary.BigEndian.Uint32(data[off:]))
-	t := Type(data[off+4])
-	bodyStart := off + frameHeaderSize
-	if bodyLen > len(data)-bodyStart {
+	bodyStart := off + hdr
+	if bodyLen > uint64(len(data)-bodyStart) {
 		return nil, NilLSN, fmt.Errorf("%w: record at %v runs past log end", ErrTruncated, lsn)
 	}
+	t := Type(data[off])
 	rec, err := newRecord(t)
 	if err != nil {
 		return nil, NilLSN, err
 	}
-	if err := rec.decodeBody(data[bodyStart : bodyStart+bodyLen]); err != nil {
+	bodyEnd := bodyStart + int(bodyLen)
+	if err := rec.decodeBody(data[bodyStart:bodyEnd], lsn); err != nil {
 		return nil, NilLSN, fmt.Errorf("decoding %v at %v: %w", t, lsn, err)
 	}
-	return rec, base + LSN(bodyStart+bodyLen), nil
+	return rec, base + LSN(bodyEnd), nil
 }
 
 // stableChunks returns the stable log from `from` (clamped to the

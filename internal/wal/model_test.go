@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -13,13 +14,15 @@ import (
 // run seals, shares and releases dozens of them.
 const modelSegCap = 256
 
-// frameLen is the size of the frame rec appends.
-func frameLen(rec Record) int { return frameHeaderSize + len(rec.encodeBody(nil)) }
+// frameLen is the size of the frame rec appends (rec carries no
+// back-pointer, so it is the same at every LSN).
+func frameLen(rec Record) int { return len(encodeFrame(rec, FirstLSN())) }
 
 // updateOfFrame returns an update whose frame is exactly n bytes: an
 // empty before-middle and an after-middle sized to fit, so nothing is
-// trimmed. (A varint length prefix makes one frame size near 128 value
-// bytes unreachable; no caller asks for it.)
+// trimmed. (A varint length prefix makes a frame size unreachable here
+// and there — a middle of 128 bytes, a body of 128; no caller asks for
+// one.)
 func updateOfFrame(t testing.TB, rng *rand.Rand, n int) *UpdateRec {
 	for vals := n; vals >= 0; vals-- {
 		r := &UpdateRec{TxnID: 1, TableID: 1, KeyVal: 9, NewVal: make([]byte, vals)}
@@ -74,7 +77,7 @@ func (m *model) append(t *testing.T, rec Record) {
 		t.Fatalf("Append returned %v, reference log ends at %v", lsn, m.end())
 	}
 	m.starts = append(m.starts, lsn)
-	m.ref = append(m.ref, encodeFrame(rec)...)
+	m.ref = append(m.ref, encodeFrame(rec, lsn)...)
 }
 
 // frame returns the reference bytes of the frame starting at starts[i].
@@ -86,11 +89,24 @@ func (m *model) frame(i int) []byte {
 	return m.ref[m.starts[i]-FirstLSN() : end-FirstLSN()]
 }
 
-// encodeFrame is the reference encoder: body first, then the header in
-// front of it.
-func encodeFrame(rec Record) []byte {
-	body := rec.encodeBody(nil)
-	return append([]byte{byte(len(body) >> 24), byte(len(body) >> 16), byte(len(body) >> 8), byte(len(body)), byte(rec.Type())}, body...)
+// encodeFrame is the reference encoder of the record at LSN at: body
+// first, then the header in front of it.
+func encodeFrame(rec Record, at LSN) []byte {
+	body, err := rec.encodeBody(nil, at)
+	if err != nil {
+		panic(err)
+	}
+	return append(binary.AppendUvarint([]byte{byte(rec.Type())}, uint64(len(body))), body...)
+}
+
+// back draws a back-pointer for the next record appended: none, or any
+// LSN of the log so far (released or not, a frame's start or not — the
+// codec only asks that it point back into the log).
+func (m *model) back(rng *rand.Rand) LSN {
+	if m.end() == FirstLSN() || rng.Intn(4) == 0 {
+		return NilLSN
+	}
+	return FirstLSN() + LSN(rng.Int63n(int64(m.end()-FirstLSN())))
 }
 
 // check compares every read path of the log with the reference.
@@ -129,7 +145,7 @@ func (m *model) checkPaths(t *testing.T, ctx string, parallel bool) {
 		if err != nil {
 			t.Fatalf("%s: Get(%v): %v", ctx, lsn, err)
 		}
-		if !bytes.Equal(encodeFrame(rec), m.frame(i)) {
+		if !bytes.Equal(encodeFrame(rec, lsn), m.frame(i)) {
 			t.Fatalf("%s: Get(%v) differs from the reference frame", ctx, lsn)
 		}
 		if lsn < m.stable {
@@ -180,7 +196,7 @@ func (m *model) checkPaths(t *testing.T, ctx string, parallel bool) {
 				}
 				return
 			}
-			if i >= len(wantScan) || lsn != wantLSNs[i] || !bytes.Equal(encodeFrame(rec), wantScan[i]) {
+			if i >= len(wantScan) || lsn != wantLSNs[i] || !bytes.Equal(encodeFrame(rec, lsn), wantScan[i]) {
 				t.Fatalf("%s: %s: record %d at %v differs from the reference", ctx, what, i, lsn)
 			}
 		}
@@ -199,7 +215,7 @@ func (m *model) checkPaths(t *testing.T, ctx string, parallel bool) {
 
 // randomRec draws an update whose frame is usually much smaller than a
 // segment and sometimes exactly a segment, one byte more, or several.
-func randomRec(t testing.TB, rng *rand.Rand, id int) Record {
+func (m *model) randomRec(t testing.TB, rng *rand.Rand, id int) Record {
 	switch rng.Intn(12) {
 	case 0:
 		return updateOfFrame(t, rng, modelSegCap) // exactly fills an empty segment
@@ -208,14 +224,14 @@ func randomRec(t testing.TB, rng *rand.Rand, id int) Record {
 	case 2:
 		return updateOfFrame(t, rng, 2*modelSegCap+rng.Intn(modelSegCap)) // larger than any segment
 	case 3:
-		return &CommitRec{TxnID: TxnID(id), PrevLSN: LSN(rng.Uint32())}
+		return &CommitRec{TxnID: TxnID(id), PrevLSN: m.back(rng)}
 	}
 	vals := rng.Intn(90)
 	old := make([]byte, rng.Intn(vals+1))
 	rng.Read(old)
 	nw := make([]byte, vals-len(old))
 	rng.Read(nw)
-	return &UpdateRec{TxnID: TxnID(id), TableID: 1, KeyVal: rng.Uint64(), OldVal: old, NewVal: nw, PrevLSN: LSN(rng.Uint32())}
+	return &UpdateRec{TxnID: TxnID(id), TableID: 1, KeyVal: rng.Uint64(), OldVal: old, NewVal: nw, PrevLSN: m.back(rng)}
 }
 
 // TestSegmentedLogMatchesFlatModel drives random Append / Flush /
@@ -238,7 +254,7 @@ func TestSegmentedLogMatchesFlatModel(t *testing.T) {
 		for step := 0; step < 400; step++ {
 			switch op := rng.Intn(20); {
 			case op < 9:
-				live.append(t, randomRec(t, rng, step))
+				live.append(t, live.randomRec(t, rng, step))
 			case op < 12:
 				live.stable = live.end()
 				if got := live.log.Flush(); got != live.stable {
@@ -252,7 +268,7 @@ func TestSegmentedLogMatchesFlatModel(t *testing.T) {
 				snap := live.fork(live.log.Snapshot())
 				c := live.fork(live.log.Clone())
 				for i := 0; i < 1+rng.Intn(6); i++ {
-					c.append(t, randomRec(t, rng, step))
+					c.append(t, c.randomRec(t, rng, step))
 				}
 				c.stable = c.end()
 				c.log.Flush()
@@ -391,17 +407,25 @@ func TestSegmentBoundaryFrames(t *testing.T) {
 
 // TestAppendDoesNotAllocate pins the append path at zero heap
 // allocations per record: the frame is encoded in the tail segment's
-// spare capacity.
+// spare capacity — an update behind the two header bytes reserved for
+// it, a 200-page ∆ record moved up a byte once its length is known.
 func TestAppendDoesNotAllocate(t *testing.T) {
 	l := NewLog()
-	rec := benchUpdateRec(1)
-	if n := testing.AllocsPerRun(2000, func() {
-		rec.KeyVal++
-		if _, err := l.Append(rec); err != nil {
-			t.Fatal(err)
+	update, delta := benchUpdateRec(1), benchDeltaRec(200, 30)
+	if got := frameLen(delta); FrameHeaderSize(got) != 3 {
+		t.Fatalf("the ∆ record's %d-byte frame has a %d-byte header; the test wants the shifted path", got, FrameHeaderSize(got))
+	}
+	for name, rec := range map[string]Record{"UpdateRec": update, "DeltaRec": delta} {
+		if n := testing.AllocsPerRun(2000, func() {
+			update.KeyVal++
+			lsn, err := l.Append(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			update.PrevLSN = lsn
+		}); n != 0 {
+			t.Fatalf("Append of a %s allocates %v times per record, want 0", name, n)
 		}
-	}); n != 0 {
-		t.Fatalf("Append of an UpdateRec allocates %v times per record, want 0", n)
 	}
 }
 

@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"fmt"
+	"math"
 
 	"logrec/internal/storage"
 )
@@ -84,7 +85,7 @@ func (r *UpdateRec) Compensation() *CLRRec {
 	}
 }
 
-func (r *UpdateRec) encodeBody(dst []byte) []byte {
+func (r *UpdateRec) encodeBody(dst []byte, at LSN) ([]byte, error) {
 	p, t := commonEnds(r.OldVal, r.NewVal)
 	dst = putUvarint(dst, uint64(r.TxnID))
 	dst = putUvarint(dst, uint64(r.TableID))
@@ -95,12 +96,11 @@ func (r *UpdateRec) encodeBody(dst []byte) []byte {
 	dst = putVarBytes(dst, r.NewVal[p:len(r.NewVal)-t])
 	dst = putUvarint(dst, uint64(r.PageID))
 	dst = putUvarint(dst, uint64(r.ShardID))
-	dst = putUvarint(dst, uint64(r.PrevLSN))
-	return dst
+	return putBack(dst, "prev", r.PrevLSN, at)
 }
 
-func (r *UpdateRec) decodeBody(src []byte) error {
-	d := newDecoder(src)
+func (r *UpdateRec) decodeBody(src []byte, at LSN) error {
+	d := newDecoder(src, at)
 	r.TxnID = TxnID(d.uvarint("txn"))
 	r.TableID = TableID(d.uvarint32("table"))
 	r.KeyVal = d.uvarint("key")
@@ -110,7 +110,7 @@ func (r *UpdateRec) decodeBody(src []byte) error {
 	r.NewVal = d.varBytes("new")
 	r.PageID = storage.PageID(d.uvarint32("pid"))
 	r.ShardID = ShardID(d.uvarint32("shard"))
-	r.PrevLSN = LSN(d.uvarint("prev"))
+	r.PrevLSN = d.back("prev")
 	if err := d.finish(TypeUpdate); err != nil {
 		return err
 	}
@@ -139,26 +139,25 @@ func (r *InsertRec) Key() uint64         { return r.KeyVal }
 func (r *InsertRec) PID() storage.PageID { return r.PageID }
 func (r *InsertRec) Shard() ShardID      { return r.ShardID }
 
-func (r *InsertRec) encodeBody(dst []byte) []byte {
+func (r *InsertRec) encodeBody(dst []byte, at LSN) ([]byte, error) {
 	dst = putUvarint(dst, uint64(r.TxnID))
 	dst = putUvarint(dst, uint64(r.TableID))
 	dst = putUvarint(dst, r.KeyVal)
 	dst = putVarBytes(dst, r.Val)
 	dst = putUvarint(dst, uint64(r.PageID))
 	dst = putUvarint(dst, uint64(r.ShardID))
-	dst = putUvarint(dst, uint64(r.PrevLSN))
-	return dst
+	return putBack(dst, "prev", r.PrevLSN, at)
 }
 
-func (r *InsertRec) decodeBody(src []byte) error {
-	d := newDecoder(src)
+func (r *InsertRec) decodeBody(src []byte, at LSN) error {
+	d := newDecoder(src, at)
 	r.TxnID = TxnID(d.uvarint("txn"))
 	r.TableID = TableID(d.uvarint32("table"))
 	r.KeyVal = d.uvarint("key")
 	r.Val = d.varBytes("val")
 	r.PageID = storage.PageID(d.uvarint32("pid"))
 	r.ShardID = ShardID(d.uvarint32("shard"))
-	r.PrevLSN = LSN(d.uvarint("prev"))
+	r.PrevLSN = d.back("prev")
 	return d.finish(TypeInsert)
 }
 
@@ -181,26 +180,25 @@ func (r *DeleteRec) Key() uint64         { return r.KeyVal }
 func (r *DeleteRec) PID() storage.PageID { return r.PageID }
 func (r *DeleteRec) Shard() ShardID      { return r.ShardID }
 
-func (r *DeleteRec) encodeBody(dst []byte) []byte {
+func (r *DeleteRec) encodeBody(dst []byte, at LSN) ([]byte, error) {
 	dst = putUvarint(dst, uint64(r.TxnID))
 	dst = putUvarint(dst, uint64(r.TableID))
 	dst = putUvarint(dst, r.KeyVal)
 	dst = putVarBytes(dst, r.OldVal)
 	dst = putUvarint(dst, uint64(r.PageID))
 	dst = putUvarint(dst, uint64(r.ShardID))
-	dst = putUvarint(dst, uint64(r.PrevLSN))
-	return dst
+	return putBack(dst, "prev", r.PrevLSN, at)
 }
 
-func (r *DeleteRec) decodeBody(src []byte) error {
-	d := newDecoder(src)
+func (r *DeleteRec) decodeBody(src []byte, at LSN) error {
+	d := newDecoder(src, at)
 	r.TxnID = TxnID(d.uvarint("txn"))
 	r.TableID = TableID(d.uvarint32("table"))
 	r.KeyVal = d.uvarint("key")
 	r.OldVal = d.varBytes("old")
 	r.PageID = storage.PageID(d.uvarint32("pid"))
 	r.ShardID = ShardID(d.uvarint32("shard"))
-	r.PrevLSN = LSN(d.uvarint("prev"))
+	r.PrevLSN = d.back("prev")
 	return d.finish(TypeDelete)
 }
 
@@ -250,34 +248,40 @@ func (r *CLRRec) After(cur []byte) ([]byte, error) {
 	return Splice(cur, r.Skip, r.Tail, r.RestoreVal)
 }
 
-func (r *CLRRec) encodeBody(dst []byte) []byte {
+func (r *CLRRec) encodeBody(dst []byte, at LSN) ([]byte, error) {
 	dst = putUvarint(dst, uint64(r.TxnID))
 	dst = putUvarint(dst, uint64(r.TableID))
 	dst = putUvarint(dst, r.KeyVal)
-	dst = putU8(dst, uint8(r.Kind))
+	dst = putUvarint(dst, uint64(r.Kind))
 	dst = putUvarint(dst, uint64(r.Skip))
 	dst = putUvarint(dst, uint64(r.Tail))
 	dst = putVarBytes(dst, r.RestoreVal)
 	dst = putUvarint(dst, uint64(r.PageID))
 	dst = putUvarint(dst, uint64(r.ShardID))
-	dst = putUvarint(dst, uint64(r.UndoNextLSN))
-	dst = putUvarint(dst, uint64(r.PrevLSN))
-	return dst
+	dst, err := putBack(dst, "undonext", r.UndoNextLSN, at)
+	if err != nil {
+		return dst, err
+	}
+	return putBack(dst, "prev", r.PrevLSN, at)
 }
 
-func (r *CLRRec) decodeBody(src []byte) error {
-	d := newDecoder(src)
+func (r *CLRRec) decodeBody(src []byte, at LSN) error {
+	d := newDecoder(src, at)
 	r.TxnID = TxnID(d.uvarint("txn"))
 	r.TableID = TableID(d.uvarint32("table"))
 	r.KeyVal = d.uvarint("key")
-	r.Kind = CLRKind(d.u8("kind"))
+	kind := d.uvarint32("kind")
+	if kind > math.MaxUint8 {
+		d.refuse("kind", uint64(kind), "exceeds 8 bits")
+	}
+	r.Kind = CLRKind(kind)
 	r.Skip = d.uvarint32("skip")
 	r.Tail = d.uvarint32("tail")
 	r.RestoreVal = d.varBytes("restore")
 	r.PageID = storage.PageID(d.uvarint32("pid"))
 	r.ShardID = ShardID(d.uvarint32("shard"))
-	r.UndoNextLSN = LSN(d.uvarint("undonext"))
-	r.PrevLSN = LSN(d.uvarint("prev"))
+	r.UndoNextLSN = d.back("undonext")
+	r.PrevLSN = d.back("prev")
 	return d.finish(TypeCLR)
 }
 
@@ -295,16 +299,15 @@ func (r *CommitRec) Type() Type { return TypeCommit }
 func (r *CommitRec) Txn() TxnID { return r.TxnID }
 func (r *CommitRec) Prev() LSN  { return r.PrevLSN }
 
-func (r *CommitRec) encodeBody(dst []byte) []byte {
+func (r *CommitRec) encodeBody(dst []byte, at LSN) ([]byte, error) {
 	dst = putUvarint(dst, uint64(r.TxnID))
-	dst = putUvarint(dst, uint64(r.PrevLSN))
-	return dst
+	return putBack(dst, "prev", r.PrevLSN, at)
 }
 
-func (r *CommitRec) decodeBody(src []byte) error {
-	d := newDecoder(src)
+func (r *CommitRec) decodeBody(src []byte, at LSN) error {
+	d := newDecoder(src, at)
 	r.TxnID = TxnID(d.uvarint("txn"))
-	r.PrevLSN = LSN(d.uvarint("prev"))
+	r.PrevLSN = d.back("prev")
 	return d.finish(TypeCommit)
 }
 
@@ -318,16 +321,15 @@ func (r *AbortRec) Type() Type { return TypeAbort }
 func (r *AbortRec) Txn() TxnID { return r.TxnID }
 func (r *AbortRec) Prev() LSN  { return r.PrevLSN }
 
-func (r *AbortRec) encodeBody(dst []byte) []byte {
+func (r *AbortRec) encodeBody(dst []byte, at LSN) ([]byte, error) {
 	dst = putUvarint(dst, uint64(r.TxnID))
-	dst = putUvarint(dst, uint64(r.PrevLSN))
-	return dst
+	return putBack(dst, "prev", r.PrevLSN, at)
 }
 
-func (r *AbortRec) decodeBody(src []byte) error {
-	d := newDecoder(src)
+func (r *AbortRec) decodeBody(src []byte, at LSN) error {
+	d := newDecoder(src, at)
 	r.TxnID = TxnID(d.uvarint("txn"))
-	r.PrevLSN = LSN(d.uvarint("prev"))
+	r.PrevLSN = d.back("prev")
 	return d.finish(TypeAbort)
 }
 
@@ -339,10 +341,10 @@ func (r *AbortRec) decodeBody(src []byte) error {
 // dirtied before this record happens between begin and end.
 type BeginCkptRec struct{}
 
-func (r *BeginCkptRec) Type() Type                   { return TypeBeginCkpt }
-func (r *BeginCkptRec) encodeBody(dst []byte) []byte { return dst }
-func (r *BeginCkptRec) decodeBody(src []byte) error {
-	return newDecoder(src).finish(TypeBeginCkpt)
+func (r *BeginCkptRec) Type() Type                                   { return TypeBeginCkpt }
+func (r *BeginCkptRec) encodeBody(dst []byte, _ LSN) ([]byte, error) { return dst, nil }
+func (r *BeginCkptRec) decodeBody(src []byte, at LSN) error {
+	return newDecoder(src, at).finish(TypeBeginCkpt)
 }
 
 // ActiveTxn is one entry of the active-transaction table captured in an
@@ -370,52 +372,33 @@ type EndCkptRec struct {
 
 func (r *EndCkptRec) Type() Type { return TypeEndCkpt }
 
-func (r *EndCkptRec) encodeBody(dst []byte) []byte {
-	dst = putU64(dst, uint64(r.BeginLSN))
-	dst = putU32(dst, uint32(len(r.Active)))
+func (r *EndCkptRec) encodeBody(dst []byte, _ LSN) ([]byte, error) {
+	dst = putUvarint(dst, uint64(r.BeginLSN))
+	dst = putUvarint(dst, uint64(len(r.Active)))
 	for _, a := range r.Active {
-		dst = putU64(dst, uint64(a.TxnID))
-		dst = putU64(dst, uint64(a.LastLSN))
+		dst = putUvarint(dst, uint64(a.TxnID))
+		dst = putUvarint(dst, uint64(a.LastLSN))
 	}
-	dst = putU32(dst, uint32(len(r.Routes)))
+	dst = putUvarint(dst, uint64(len(r.Routes)))
 	for _, rt := range r.Routes {
-		dst = putU64(dst, rt.Start)
-		dst = putU32(dst, uint32(rt.Shard))
+		dst = putUvarint(dst, rt.Start)
+		dst = putUvarint(dst, uint64(rt.Shard))
 	}
-	return dst
+	return dst, nil
 }
 
-func (r *EndCkptRec) decodeBody(src []byte) error {
-	d := newDecoder(src)
-	r.BeginLSN = LSN(d.u64("beginLSN"))
-	n := int(d.u32("nactive"))
-	if d.err == nil {
-		// Each entry is 16 encoded bytes; reject counts the remaining
-		// body cannot hold before allocating.
-		if n < 0 || d.off+16*n > len(d.src) {
-			d.fail("nactive")
-		} else {
-			r.Active = make([]ActiveTxn, 0, n)
-			for i := 0; i < n; i++ {
-				t := TxnID(d.u64("active.txn"))
-				l := LSN(d.u64("active.lastLSN"))
-				r.Active = append(r.Active, ActiveTxn{TxnID: t, LastLSN: l})
-			}
-		}
+func (r *EndCkptRec) decodeBody(src []byte, at LSN) error {
+	d := newDecoder(src, at)
+	r.BeginLSN = LSN(d.uvarint("beginLSN"))
+	r.Active = make([]ActiveTxn, d.count("nactive", 2))
+	for i := range r.Active {
+		r.Active[i].TxnID = TxnID(d.uvarint("active.txn"))
+		r.Active[i].LastLSN = LSN(d.uvarint("active.lastLSN"))
 	}
-	nr := int(d.u32("nroutes"))
-	if d.err == nil {
-		// Each route is 12 encoded bytes.
-		if nr < 0 || d.off+12*nr > len(d.src) {
-			d.fail("nroutes")
-		} else {
-			r.Routes = make([]RouteEntry, 0, nr)
-			for i := 0; i < nr; i++ {
-				start := d.u64("route.start")
-				sh := ShardID(d.u32("route.shard"))
-				r.Routes = append(r.Routes, RouteEntry{Start: start, Shard: sh})
-			}
-		}
+	r.Routes = make([]RouteEntry, d.count("nroutes", 2))
+	for i := range r.Routes {
+		r.Routes[i].Start = d.uvarint("route.start")
+		r.Routes[i].Shard = ShardID(d.uvarint32("route.shard"))
 	}
 	return d.finish(TypeEndCkpt)
 }
@@ -437,19 +420,25 @@ type BWRec struct {
 func (r *BWRec) Type() Type     { return TypeBW }
 func (r *BWRec) Shard() ShardID { return r.ShardID }
 
-func (r *BWRec) encodeBody(dst []byte) []byte {
-	dst = putPIDs(dst, r.WrittenSet)
-	dst = putU64(dst, uint64(r.FWLSN))
-	dst = putU32(dst, uint32(r.ShardID))
-	return dst
+func (r *BWRec) encodeBody(dst []byte, _ LSN) ([]byte, error) {
+	if err := checkPIDs("BW WrittenSet", r.WrittenSet); err != nil {
+		return dst, err
+	}
+	dst = putVarPIDs(dst, r.WrittenSet)
+	dst = putUvarint(dst, uint64(r.FWLSN))
+	dst = putUvarint(dst, uint64(r.ShardID))
+	return dst, nil
 }
 
-func (r *BWRec) decodeBody(src []byte) error {
-	d := newDecoder(src)
-	r.WrittenSet = d.pids("writtenSet")
-	r.FWLSN = LSN(d.u64("fwLSN"))
-	r.ShardID = ShardID(d.u32("shard"))
-	return d.finish(TypeBW)
+func (r *BWRec) decodeBody(src []byte, at LSN) error {
+	d := newDecoder(src, at)
+	r.WrittenSet = d.varPIDs("writtenSet")
+	r.FWLSN = LSN(d.uvarint("fwLSN"))
+	r.ShardID = ShardID(d.uvarint32("shard"))
+	if err := d.finish(TypeBW); err != nil {
+		return err
+	}
+	return checkPIDs("BW WrittenSet", r.WrittenSet)
 }
 
 // DeltaRec is the DC's ∆-log record (§4.1):
@@ -483,34 +472,58 @@ type DeltaRec struct {
 func (r *DeltaRec) Type() Type     { return TypeDelta }
 func (r *DeltaRec) Shard() ShardID { return r.ShardID }
 
-func (r *DeltaRec) encodeBody(dst []byte) []byte {
-	dst = putPIDs(dst, r.DirtySet)
-	dst = putPIDs(dst, r.WrittenSet)
-	dst = putU64(dst, uint64(r.FWLSN))
-	dst = putU32(dst, r.FirstDirty)
-	dst = putU64(dst, uint64(r.TCLSN))
-	dst = putLSNs(dst, r.DirtyLSNs)
-	dst = putU32(dst, uint32(r.ShardID))
-	return dst
-}
-
-func (r *DeltaRec) decodeBody(src []byte) error {
-	d := newDecoder(src)
-	r.DirtySet = d.pids("dirtySet")
-	r.WrittenSet = d.pids("writtenSet")
-	r.FWLSN = LSN(d.u64("fwLSN"))
-	r.FirstDirty = d.u32("firstDirty")
-	r.TCLSN = LSN(d.u64("tcLSN"))
-	r.DirtyLSNs = d.lsns("dirtyLSNs")
-	r.ShardID = ShardID(d.u32("shard"))
-	if err := d.finish(TypeDelta); err != nil {
-		return err
-	}
+// check refuses a ∆ record analysis cannot mean: DirtyLSNs not parallel
+// to DirtySet, FirstDirty past the end of DirtySet, or a list naming
+// the invalid page. Both directions of the codec apply it.
+func (r *DeltaRec) check() error {
 	if len(r.DirtyLSNs) != 0 && len(r.DirtyLSNs) != len(r.DirtySet) {
 		return fmt.Errorf("%w: delta DirtyLSNs length %d != DirtySet length %d",
 			ErrBadRecord, len(r.DirtyLSNs), len(r.DirtySet))
 	}
-	return nil
+	if uint64(r.FirstDirty) > uint64(len(r.DirtySet)) {
+		return fmt.Errorf("%w: delta FirstDirty %d past a DirtySet of %d", ErrBadRecord, r.FirstDirty, len(r.DirtySet))
+	}
+	if err := checkPIDs("delta DirtySet", r.DirtySet); err != nil {
+		return err
+	}
+	return checkPIDs("delta WrittenSet", r.WrittenSet)
+}
+
+func (r *DeltaRec) encodeBody(dst []byte, at LSN) ([]byte, error) {
+	err := r.check()
+	if err != nil {
+		return dst, err
+	}
+	dst = putVarPIDs(dst, r.DirtySet)
+	dst = putVarPIDs(dst, r.WrittenSet)
+	dst = putUvarint(dst, uint64(r.FWLSN))
+	dst = putUvarint(dst, uint64(r.FirstDirty))
+	dst = putUvarint(dst, uint64(r.TCLSN))
+	dst = putUvarint(dst, uint64(len(r.DirtyLSNs)))
+	for _, l := range r.DirtyLSNs {
+		if dst, err = putBack(dst, "dirtyLSN", l, at); err != nil {
+			return dst, err
+		}
+	}
+	return putUvarint(dst, uint64(r.ShardID)), nil
+}
+
+func (r *DeltaRec) decodeBody(src []byte, at LSN) error {
+	d := newDecoder(src, at)
+	r.DirtySet = d.varPIDs("dirtySet")
+	r.WrittenSet = d.varPIDs("writtenSet")
+	r.FWLSN = LSN(d.uvarint("fwLSN"))
+	r.FirstDirty = d.uvarint32("firstDirty")
+	r.TCLSN = LSN(d.uvarint("tcLSN"))
+	r.DirtyLSNs = make([]LSN, d.count("dirtyLSNs", 1))
+	for i := range r.DirtyLSNs {
+		r.DirtyLSNs[i] = d.back("dirtyLSN")
+	}
+	r.ShardID = ShardID(d.uvarint32("shard"))
+	if err := d.finish(TypeDelta); err != nil {
+		return err
+	}
+	return r.check()
 }
 
 // ---------------------------------------------------------------------
@@ -557,41 +570,31 @@ func (r *SMORec) AffectedPIDs() []storage.PageID {
 	return out
 }
 
-func (r *SMORec) encodeBody(dst []byte) []byte {
-	dst = putU32(dst, uint32(r.Meta.TableID))
-	dst = putU32(dst, uint32(r.Meta.Root))
-	dst = putU32(dst, r.Meta.Height)
-	dst = putU32(dst, uint32(r.Meta.NextPID))
-	dst = putU32(dst, uint32(r.ShardID))
-	dst = putU32(dst, uint32(len(r.Images)))
+func (r *SMORec) encodeBody(dst []byte, _ LSN) ([]byte, error) {
+	dst = putUvarint(dst, uint64(r.Meta.TableID))
+	dst = putUvarint(dst, uint64(r.Meta.Root))
+	dst = putUvarint(dst, uint64(r.Meta.Height))
+	dst = putUvarint(dst, uint64(r.Meta.NextPID))
+	dst = putUvarint(dst, uint64(r.ShardID))
+	dst = putUvarint(dst, uint64(len(r.Images)))
 	for _, img := range r.Images {
-		dst = putU32(dst, uint32(img.PageID))
-		dst = putBytes(dst, img.Data)
+		dst = putUvarint(dst, uint64(img.PageID))
+		dst = putVarBytes(dst, img.Data)
 	}
-	return dst
+	return dst, nil
 }
 
-func (r *SMORec) decodeBody(src []byte) error {
-	d := newDecoder(src)
-	r.Meta.TableID = TableID(d.u32("meta.table"))
-	r.Meta.Root = storage.PageID(d.u32("meta.root"))
-	r.Meta.Height = d.u32("meta.height")
-	r.Meta.NextPID = storage.PageID(d.u32("meta.nextPID"))
-	r.ShardID = ShardID(d.u32("shard"))
-	n := int(d.u32("nimages"))
-	if d.err == nil {
-		// Each image needs at least 8 encoded bytes (pid + empty data);
-		// reject impossible counts before allocating.
-		if n < 0 || d.off+8*n > len(d.src) {
-			d.fail("nimages")
-		} else {
-			r.Images = make([]PageImage, 0, n)
-			for i := 0; i < n; i++ {
-				pid := storage.PageID(d.u32("image.pid"))
-				data := d.bytes("image.data")
-				r.Images = append(r.Images, PageImage{PageID: pid, Data: data})
-			}
-		}
+func (r *SMORec) decodeBody(src []byte, at LSN) error {
+	d := newDecoder(src, at)
+	r.Meta.TableID = TableID(d.uvarint32("meta.table"))
+	r.Meta.Root = storage.PageID(d.uvarint32("meta.root"))
+	r.Meta.Height = d.uvarint32("meta.height")
+	r.Meta.NextPID = storage.PageID(d.uvarint32("meta.nextPID"))
+	r.ShardID = ShardID(d.uvarint32("shard"))
+	r.Images = make([]PageImage, d.count("nimages", 2))
+	for i := range r.Images {
+		r.Images[i].PageID = storage.PageID(d.uvarint32("image.pid"))
+		r.Images[i].Data = d.varBytes("image.data")
 	}
 	return d.finish(TypeSMO)
 }
@@ -608,15 +611,15 @@ type RSSPRec struct {
 func (r *RSSPRec) Type() Type     { return TypeRSSP }
 func (r *RSSPRec) Shard() ShardID { return r.ShardID }
 
-func (r *RSSPRec) encodeBody(dst []byte) []byte {
-	dst = putU64(dst, uint64(r.RsspLSN))
-	return putU32(dst, uint32(r.ShardID))
+func (r *RSSPRec) encodeBody(dst []byte, _ LSN) ([]byte, error) {
+	dst = putUvarint(dst, uint64(r.RsspLSN))
+	return putUvarint(dst, uint64(r.ShardID)), nil
 }
 
-func (r *RSSPRec) decodeBody(src []byte) error {
-	d := newDecoder(src)
-	r.RsspLSN = LSN(d.u64("rsspLSN"))
-	r.ShardID = ShardID(d.u32("shard"))
+func (r *RSSPRec) decodeBody(src []byte, at LSN) error {
+	d := newDecoder(src, at)
+	r.RsspLSN = LSN(d.uvarint("rsspLSN"))
+	r.ShardID = ShardID(d.uvarint32("shard"))
 	return d.finish(TypeRSSP)
 }
 
@@ -642,22 +645,21 @@ func (r *ShardMapRec) Type() Type { return TypeShardMap }
 func (r *ShardMapRec) Txn() TxnID { return r.TxnID }
 func (r *ShardMapRec) Prev() LSN  { return r.PrevLSN }
 
-func (r *ShardMapRec) encodeBody(dst []byte) []byte {
-	dst = putU64(dst, uint64(r.TxnID))
-	dst = putU64(dst, r.SplitAt)
-	dst = putU64(dst, r.End)
-	dst = putU32(dst, uint32(r.NewShard))
-	dst = putU64(dst, uint64(r.PrevLSN))
-	return dst
+func (r *ShardMapRec) encodeBody(dst []byte, at LSN) ([]byte, error) {
+	dst = putUvarint(dst, uint64(r.TxnID))
+	dst = putUvarint(dst, r.SplitAt)
+	dst = putUvarint(dst, r.End)
+	dst = putUvarint(dst, uint64(r.NewShard))
+	return putBack(dst, "prev", r.PrevLSN, at)
 }
 
-func (r *ShardMapRec) decodeBody(src []byte) error {
-	d := newDecoder(src)
-	r.TxnID = TxnID(d.u64("txn"))
-	r.SplitAt = d.u64("splitAt")
-	r.End = d.u64("end")
-	r.NewShard = ShardID(d.u32("newShard"))
-	r.PrevLSN = LSN(d.u64("prev"))
+func (r *ShardMapRec) decodeBody(src []byte, at LSN) error {
+	d := newDecoder(src, at)
+	r.TxnID = TxnID(d.uvarint("txn"))
+	r.SplitAt = d.uvarint("splitAt")
+	r.End = d.uvarint("end")
+	r.NewShard = ShardID(d.uvarint32("newShard"))
+	r.PrevLSN = d.back("prev")
 	return d.finish(TypeShardMap)
 }
 

@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"encoding/binary"
 	"sync"
 	"time"
 
@@ -146,12 +145,12 @@ func decodeChunk(c chunk) *decoded {
 // any body is parsed.
 func frameCount(data []byte) int {
 	n := 0
-	for off := 0; off+frameHeaderSize <= len(data); n++ {
-		body := int(binary.BigEndian.Uint32(data[off:]))
-		if body > len(data)-off-frameHeaderSize {
+	for off := 0; off < len(data); n++ {
+		hdr, body, err := frameSpan(data[off:])
+		if err != nil || body > uint64(len(data)-off-hdr) {
 			break
 		}
-		off += frameHeaderSize + body
+		off += hdr + int(body)
 	}
 	return n
 }

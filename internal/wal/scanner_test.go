@@ -28,20 +28,27 @@ func randVal(rng *rand.Rand) []byte {
 
 func buildRandomLog(rng *rand.Rand, n int) *Log {
 	l := newLog(scanSegCap)
+	// back draws a pointer into the log so far, nil when there is none.
+	back := func() LSN {
+		if l.EndLSN() == FirstLSN() {
+			return NilLSN
+		}
+		return FirstLSN() + LSN(rng.Int63n(int64(l.EndLSN()-FirstLSN())))
+	}
 	for i := 0; i < n; i++ {
 		switch rng.Intn(6) {
 		case 0:
-			l.MustAppend(&CommitRec{TxnID: TxnID(rng.Intn(100)), PrevLSN: LSN(rng.Uint32())})
+			l.MustAppend(&CommitRec{TxnID: TxnID(rng.Intn(100)), PrevLSN: back()})
 		case 1:
 			l.MustAppend(&InsertRec{TxnID: TxnID(rng.Intn(100)), TableID: 1, KeyVal: rng.Uint64(),
-				Val: randVal(rng), PageID: storage.PageID(rng.Uint32()), PrevLSN: LSN(rng.Uint32())})
+				Val: randVal(rng), PageID: storage.PageID(rng.Uint32()), PrevLSN: back()})
 		case 2:
 			l.MustAppend(&DeleteRec{TxnID: TxnID(rng.Intn(100)), TableID: 1, KeyVal: rng.Uint64(),
-				OldVal: randVal(rng), PageID: storage.PageID(rng.Uint32()), PrevLSN: LSN(rng.Uint32())})
+				OldVal: randVal(rng), PageID: storage.PageID(rng.Uint32()), PrevLSN: back()})
 		case 3:
 			l.MustAppend(&UpdateRec{TxnID: TxnID(rng.Intn(100)), TableID: 1, KeyVal: rng.Uint64(),
 				OldVal: randVal(rng), NewVal: randVal(rng),
-				PageID: storage.PageID(rng.Uint32()), PrevLSN: LSN(rng.Uint32())})
+				PageID: storage.PageID(rng.Uint32()), PrevLSN: back()})
 		case 4:
 			l.MustAppend(&SMORec{
 				Meta:   TreeMeta{TableID: 1, Root: 5, Height: 2, NextPID: 9},
@@ -76,7 +83,7 @@ func drainScan(next func() (Record, LSN, bool, error)) scanDump {
 		}
 		d.lsns = append(d.lsns, lsn)
 		d.types = append(d.types, rec.Type())
-		d.bodies = append(d.bodies, rec.encodeBody(nil))
+		d.bodies = append(d.bodies, encodeFrame(rec, lsn))
 	}
 }
 

@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -172,13 +171,14 @@ func (l *Log) AppendStable(from LSN, data []byte) (LSN, error) {
 }
 
 // saneFrameClaim reports whether rest could be the prefix of a real
-// frame: either too short to read its body-length claim yet, or
-// claiming a body within maxShipFrameBody.
+// frame: either cut off inside its header, so there is no body-length
+// claim to judge yet, or claiming a body within maxShipFrameBody.
 func saneFrameClaim(rest []byte) bool {
-	if len(rest) < 4 {
-		return true
+	_, body, err := frameSpan(rest)
+	if err != nil {
+		return errors.Is(err, ErrTruncated)
 	}
-	return int(binary.BigEndian.Uint32(rest)) <= maxShipFrameBody
+	return body <= maxShipFrameBody
 }
 
 // DropPartialTail discards shipped bytes held past the last complete

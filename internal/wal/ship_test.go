@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -124,11 +125,11 @@ func TestAppendStableGap(t *testing.T) {
 	primary := NewLog()
 	fillLog(t, primary, 10, 0)
 	r := primary.NewShipReader(FirstLSN())
-	seg1, _, err := r.Next(256)
+	seg1, _, err := r.Next(128)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg2, ok, err := r.Next(256)
+	seg2, ok, err := r.Next(128)
 	if err != nil || !ok {
 		t.Fatalf("second segment: ok=%v err=%v", ok, err)
 	}
@@ -216,6 +217,89 @@ func TestAppendStableTornTailHeldBack(t *testing.T) {
 	}
 }
 
+// TestAppendStableEveryCutPoint ships a log of every record type, with
+// frame headers of two and of three bytes, in two pieces cut at every
+// byte and then one byte at a time. A cut inside a header — before the
+// length, or inside a length varint — is one more way a frame arrives
+// incomplete: the standby's stable end is always the last frame boundary
+// the bytes so far cover, never a byte more, and the whole log arrives
+// byte for byte. The standby's segments are 256 bytes, so frames also
+// land on both sides of segment seams.
+func TestAppendStableEveryCutPoint(t *testing.T) {
+	primary := fullLog(t)
+	all, end := stableBytes(t, primary), primary.FlushedLSN()
+	// boundary[i] is the last frame boundary at or below FirstLSN+i.
+	boundary := make([]LSN, len(all)+1)
+	boundary[len(all)] = end
+	sc := primary.NewScanner(FirstLSN(), nil, ScanCost{})
+	for {
+		_, lsn, ok, err := sc.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		boundary[lsn-FirstLSN()] = lsn
+	}
+	for i := range boundary {
+		if boundary[i] == NilLSN {
+			boundary[i] = boundary[i-1]
+		}
+	}
+	ship := func(standby *Log, from, to int) {
+		t.Helper()
+		mark, err := standby.AppendStable(FirstLSN()+LSN(from), all[from:to])
+		if err != nil {
+			t.Fatalf("bytes [%d, %d): %v", from, to, err)
+		}
+		if want := FirstLSN() + LSN(to); mark != want {
+			t.Fatalf("bytes [%d, %d): ingest watermark %v, want %v", from, to, mark, want)
+		}
+		if got := standby.FlushedLSN(); got != boundary[to] {
+			t.Fatalf("bytes [%d, %d): stable end %v, want the frame boundary %v", from, to, got, boundary[to])
+		}
+	}
+	arrived := func(standby *Log, how string) {
+		t.Helper()
+		if !bytes.Equal(stableBytes(t, standby), all) || standby.StableRecords() != primary.StableRecords() {
+			t.Fatalf("%s: the standby's %d stable records differ from the primary's %d", how, standby.StableRecords(), primary.StableRecords())
+		}
+	}
+	for cut := 0; cut <= len(all); cut++ {
+		standby := newLog(modelSegCap)
+		ship(standby, 0, cut)
+		ship(standby, cut, len(all))
+		arrived(standby, fmt.Sprintf("cut at %d", cut))
+	}
+	standby := newLog(modelSegCap)
+	for i := range all {
+		ship(standby, i, i+1)
+	}
+	arrived(standby, "byte by byte")
+
+	// Garbage behind the good bytes: a torn frame is held only while its
+	// length varint is cut short — there is no claim to judge yet — and
+	// rejected the moment the claim (16 MiB) can be read.
+	claimAt := len(binary.AppendUvarint([]byte{0}, 1<<24))
+	for n := 1; n <= claimAt+3; n++ {
+		mark, err := standby.AppendStable(end, tornFrameBytes(n))
+		switch {
+		case n < claimAt && (err != nil || mark != end+LSN(n)):
+			t.Fatalf("torn frame of %d bytes: watermark %v, %v; want it held", n, mark, err)
+		case n >= claimAt && (err == nil || mark != end):
+			t.Fatalf("torn frame of %d bytes: watermark %v, %v; want it rejected at once", n, mark, err)
+		}
+		if standby.FlushedLSN() != end {
+			t.Fatalf("torn frame of %d bytes moved the stable end to %v", n, standby.FlushedLSN())
+		}
+		standby.DropPartialTail()
+	}
+	if max := binary.AppendUvarint([]byte{byte(TypeSMO)}, maxShipFrameBody); !saneFrameClaim(max) || saneFrameClaim(binary.AppendUvarint(max[:1], maxShipFrameBody+1)) {
+		t.Fatal("saneFrameClaim does not draw the line at maxShipFrameBody")
+	}
+}
+
 func TestAppendStableCorruptFrameRejected(t *testing.T) {
 	primary := NewLog()
 	fillLog(t, primary, 3, 0)
@@ -224,7 +308,7 @@ func TestAppendStableCorruptFrameRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A complete frame of an unknown record type after the good bytes.
-	bad := []byte{0, 0, 0, 2, 0xFF, 1, 2}
+	bad := []byte{0xFF, 2, 1, 2}
 	standby := NewLog()
 	mark, err := standby.AppendStable(seg.From, append(append([]byte(nil), seg.Data...), bad...))
 	if err == nil {

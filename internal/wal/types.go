@@ -139,11 +139,14 @@ func (t Type) String() string {
 type Record interface {
 	// Type returns the record's type tag.
 	Type() Type
-	// encodeBody appends the record body (everything after the frame
-	// header) to dst and returns the extended slice.
-	encodeBody(dst []byte) []byte
-	// decodeBody parses the record body.
-	decodeBody(src []byte) error
+	// encodeBody appends the body (everything after the frame header)
+	// of the record at LSN at to dst and returns the extended slice. It
+	// fails exactly when decodeBody would refuse the bytes: a
+	// back-pointer that does not point below at into the log, a ∆ or BW
+	// record analysis cannot mean.
+	encodeBody(dst []byte, at LSN) ([]byte, error)
+	// decodeBody parses the body of the record at LSN at.
+	decodeBody(src []byte, at LSN) error
 }
 
 // Transactional is implemented by records that belong to a transaction's

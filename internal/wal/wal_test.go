@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -13,16 +14,21 @@ import (
 	"logrec/internal/storage"
 )
 
+// sampleRecords is one record of each shape, to be appended in this
+// order to an empty log: every back-pointer is nil or FirstLSN, where
+// the first of them lands.
 func sampleRecords() []Record {
+	first := FirstLSN()
 	return []Record{
-		&UpdateRec{TxnID: 7, TableID: 1, KeyVal: 42, OldVal: []byte("old"), NewVal: []byte("new"), PageID: 99, PrevLSN: 16},
+		&UpdateRec{TxnID: 7, TableID: 1, KeyVal: 42, OldVal: []byte("old"), NewVal: []byte("new"), PageID: 99},
 		&InsertRec{TxnID: 8, TableID: 1, KeyVal: 43, Val: []byte("v"), PageID: 100, PrevLSN: 0},
-		&DeleteRec{TxnID: 9, TableID: 2, KeyVal: 44, OldVal: []byte("gone"), PageID: 101, PrevLSN: 24},
-		&CommitRec{TxnID: 7, PrevLSN: 55},
-		&AbortRec{TxnID: 8, PrevLSN: 66},
-		&CLRRec{TxnID: 9, TableID: 2, KeyVal: 44, Kind: CLRUndoDelete, RestoreVal: []byte("gone"), PageID: 101, UndoNextLSN: 24, PrevLSN: 80},
+		&DeleteRec{TxnID: 9, TableID: 2, KeyVal: 44, OldVal: []byte("gone"), PageID: 101, PrevLSN: first},
+		&CommitRec{TxnID: 7, PrevLSN: first},
+		&AbortRec{TxnID: 8, PrevLSN: first + 3},
+		&CLRRec{TxnID: 9, TableID: 2, KeyVal: 44, Kind: CLRUndoDelete, RestoreVal: []byte("gone"), PageID: 101, UndoNextLSN: first, PrevLSN: first + 20},
 		&BeginCkptRec{},
-		&EndCkptRec{BeginLSN: 16, Active: []ActiveTxn{{TxnID: 3, LastLSN: 90}, {TxnID: 4, LastLSN: 95}}},
+		&EndCkptRec{BeginLSN: 16, Active: []ActiveTxn{{TxnID: 3, LastLSN: 90}, {TxnID: 4, LastLSN: 95}},
+			Routes: []RouteEntry{{Start: 0, Shard: 0}, {Start: 1 << 40, Shard: 2}}},
 		&BWRec{WrittenSet: []storage.PageID{5, 6, 7}, FWLSN: 123},
 		&DeltaRec{
 			DirtySet:   []storage.PageID{10, 11, 12, 13},
@@ -32,13 +38,14 @@ func sampleRecords() []Record {
 		&DeltaRec{
 			DirtySet: []storage.PageID{20, 21},
 			FWLSN:    0, FirstDirty: 0, TCLSN: 400,
-			DirtyLSNs: []LSN{401, 402},
+			DirtyLSNs: []LSN{first, first + 40},
 		},
 		&SMORec{
 			Meta:   TreeMeta{TableID: 1, Root: 50, Height: 3, NextPID: 60},
 			Images: []PageImage{{PageID: 50, Data: []byte{1, 2, 3}}, {PageID: 51, Data: []byte{4}}},
 		},
 		&RSSPRec{RsspLSN: 500},
+		&ShardMapRec{TxnID: 9, SplitAt: 1000, End: 1999, NewShard: 1, PrevLSN: first},
 	}
 }
 
@@ -224,17 +231,186 @@ func TestGetOutOfRange(t *testing.T) {
 	}
 }
 
+// TestDeltaValidation: a ∆ or BW record that analysis could not mean —
+// DirtyLSNs not parallel to DirtySet, FirstDirty past the DirtySet, the
+// invalid page in any list, a DirtyLSNs entry at or above the record or
+// below the log — is refused by the encoder and, forged, by the decoder;
+// and a list count the body cannot hold is refused before it is
+// allocated.
 func TestDeltaValidation(t *testing.T) {
-	// A delta whose DirtyLSNs length mismatches DirtySet must fail to
-	// decode.
-	bad := &DeltaRec{
-		DirtySet:  []storage.PageID{1, 2, 3},
-		DirtyLSNs: []LSN{9},
+	const at = LSN(1000)
+	pids := func(p ...storage.PageID) []storage.PageID { return p }
+	for name, bad := range map[string]Record{
+		"short DirtyLSNs":    &DeltaRec{DirtySet: pids(1, 2, 3), DirtyLSNs: []LSN{16}},
+		"FirstDirty":         &DeltaRec{DirtySet: pids(1, 2), FirstDirty: 3},
+		"page 0 dirty":       &DeltaRec{DirtySet: pids(1, 0), FirstDirty: 2},
+		"page 0 written":     &DeltaRec{DirtySet: pids(1), WrittenSet: pids(0)},
+		"page 0 in BW":       &BWRec{WrittenSet: pids(7, 0)},
+		"DirtyLSN at record": &DeltaRec{DirtySet: pids(1), DirtyLSNs: []LSN{at}},
+		"DirtyLSN below log": &DeltaRec{DirtySet: pids(1), DirtyLSNs: []LSN{FirstLSN() - 1}},
+	} {
+		if body, err := bad.encodeBody(nil, at); !errors.Is(err, ErrBadRecord) {
+			t.Errorf("%s: encoded to %x (%v), want ErrBadRecord", name, body, err)
+		}
+		l := NewLog()
+		if _, err := l.Append(bad); !errors.Is(err, ErrBadRecord) || l.EndLSN() != FirstLSN() {
+			t.Errorf("%s: Append = %v with the log at %v, want ErrBadRecord and nothing appended", name, err, l.EndLSN())
+		}
 	}
-	body := bad.encodeBody(nil)
-	var out DeltaRec
-	if err := out.decodeBody(body); err == nil {
-		t.Fatal("mismatched DirtyLSNs decoded without error")
+
+	// The same records forged: dirty, written, fwLSN, firstDirty, tcLSN,
+	// dirtyLSNs, shard.
+	var d DeltaRec
+	var bw BWRec
+	for name, body := range map[string][]byte{
+		"short DirtyLSNs":    {3, 1, 2, 3, 0, 0, 0, 0, 1, 5, 0},
+		"FirstDirty":         {2, 1, 2, 0, 0, 3, 0, 0, 0},
+		"page 0 dirty":       {2, 1, 0, 0, 0, 2, 0, 0, 0},
+		"page 0 written":     {1, 1, 1, 0, 0, 0, 0, 0, 0},
+		"DirtyLSN below log": {1, 1, 0, 0, 0, 0, 1, 0xD9, 0x07, 0}, // 985 back from 1000: LSN 15
+		"dirty count":        {200, 1, 2, 0, 0, 0, 0, 0, 0},
+		"written count":      {1, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0, 0, 0, 0, 0},
+		"DirtyLSNs count":    {1, 1, 0, 0, 0, 0, 9, 1, 0},
+	} {
+		if err := d.decodeBody(body, at); !errors.Is(err, ErrBadRecord) {
+			t.Errorf("forged %s decoded: %+v, %v", name, d, err)
+		}
+	}
+	if err := bw.decodeBody([]byte{2, 7, 0, 0, 0}, at); !errors.Is(err, ErrBadRecord) {
+		t.Errorf("forged BW naming page 0 decoded: %+v, %v", bw, err)
+	}
+	// Page numbers on both sides of every width the list reader tells
+	// apart come back as they went in; one spelt a byte too wide does not.
+	edges := pids(1, 127, 128, 16383, 16384, 1<<21-1, 1<<21, 1<<28-1, 1<<28, 1<<32-1)
+	body, _ := (&BWRec{WrittenSet: edges, FWLSN: 9}).encodeBody(nil, at)
+	if err := bw.decodeBody(body, at); err != nil || !reflect.DeepEqual(bw.WrittenSet, edges) {
+		t.Errorf("page numbers at the width edges: %v, %v", bw.WrittenSet, err)
+	}
+	for _, body := range [][]byte{{1, 0x81, 0x00, 0, 0}, {1, 0x81, 0x80, 0x00, 0, 0}, {1, 0x81, 0x80, 0x80, 0x00, 0, 0}, {1, 0x80, 0x80, 0x80, 0x80, 0x10, 0, 0}} {
+		if err := bw.decodeBody(body, at); !errors.Is(err, ErrBadRecord) {
+			t.Errorf("BW body %x decoded: %+v, %v", body, bw, err)
+		}
+	}
+	// The well-formed neighbours of the forgeries decode.
+	if err := d.decodeBody([]byte{2, 1, 2, 0, 0, 2, 0, 2, 0xD8, 0x07, 0, 0}, at); err != nil ||
+		d.DirtyLSNs[0] != FirstLSN() || d.DirtyLSNs[1] != NilLSN {
+		t.Errorf("well-formed ∆: %+v, %v", d, err)
+	}
+}
+
+// TestBackPointerPointsBack: PrevLSN, UndoNextLSN and DirtyLSNs are
+// logged as distances below the record that carries them. Nil, a
+// one-byte distance, a multi-byte one, a pointer at the first record of
+// the log and one across a segment seam come back as the LSNs that went
+// in — from Get, from the scanner and from the files reopened — and a
+// pointer that does not point strictly backward into the log has no
+// encoding: Append refuses it and appends nothing.
+func TestBackPointerPointsBack(t *testing.T) {
+	l, _, dir := fileLogSized(t, modelSegCap)
+	want := map[LSN]Record{}
+	add := func(r Record) LSN {
+		t.Helper()
+		lsn, err := l.Append(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[lsn] = r
+		return lsn
+	}
+	first := add(&CommitRec{TxnID: 1}) // nil, in the first record of the log
+	if first != FirstLSN() {
+		t.Fatalf("first record at %v", first)
+	}
+	near := add(&CommitRec{TxnID: 2, PrevLSN: first}) // at the first record, one byte back-distance
+	prev := near
+	for l.Segments() < 3 {
+		prev = add(&UpdateRec{TxnID: 3, TableID: 1, KeyVal: uint64(prev), OldVal: []byte("a"), NewVal: []byte("b"), PageID: 9, PrevLSN: prev})
+	}
+	seam := l.tail().base
+	if prev < seam || near >= l.segs[1].base {
+		t.Fatalf("fixture: records at %v and %v, segments at %v and %v", near, prev, l.segs[1].base, seam)
+	}
+	// In the third segment: pointers into the second and the first, two
+	// bytes of distance and more, and both of a CLR's.
+	add(&CommitRec{TxnID: 3, PrevLSN: seam - 1})
+	add(&CLRRec{TxnID: 3, TableID: 1, KeyVal: 5, Kind: CLRUndoInsert, PageID: 9, UndoNextLSN: near, PrevLSN: prev})
+	add(&AbortRec{TxnID: 3, PrevLSN: first})
+	add(&ShardMapRec{TxnID: 4, SplitAt: 10, End: 19, NewShard: 1, PrevLSN: near})
+	add(&DeltaRec{DirtySet: []storage.PageID{9, 8, 7, 6}, FirstDirty: 4, TCLSN: seam,
+		DirtyLSNs: []LSN{first, NilLSN, seam - 1, prev}})
+	end := l.Flush()
+
+	check := func(how string, l *Log) {
+		t.Helper()
+		n := 0
+		sc := l.NewScanner(FirstLSN(), nil, ScanCost{})
+		for {
+			scanned, lsn, ok, err := sc.Next()
+			if err != nil {
+				t.Fatalf("%s: scan: %v", how, err)
+			}
+			if !ok {
+				break
+			}
+			got, err := l.Get(lsn)
+			if err != nil {
+				t.Fatalf("%s: Get(%v): %v", how, lsn, err)
+			}
+			w := want[lsn]
+			for _, r := range []Record{scanned, got, w} {
+				normalize(r)
+			}
+			// Updates went in as whole images and come back as middles;
+			// their pointer is what this test is about.
+			if u, ok := w.(*UpdateRec); ok {
+				if scanned.(*UpdateRec).PrevLSN != u.PrevLSN || got.(*UpdateRec).PrevLSN != u.PrevLSN {
+					t.Fatalf("%s: update at %v points at %v / %v, want %v", how, lsn, scanned.(*UpdateRec).PrevLSN, got.(*UpdateRec).PrevLSN, u.PrevLSN)
+				}
+			} else if !reflect.DeepEqual(scanned, w) || !reflect.DeepEqual(got, w) {
+				t.Fatalf("%s: record at %v:\n scan %+v\n get  %+v\n want %+v", how, lsn, scanned, got, w)
+			}
+			n++
+		}
+		if n != len(want) {
+			t.Fatalf("%s: %d records, want %d", how, n, len(want))
+		}
+	}
+	check("live", l)
+
+	for name, p := range map[string]LSN{"at itself": end, "ahead": end + 100, "below the log": FirstLSN() - 1} {
+		for _, r := range []Record{
+			&UpdateRec{TxnID: 9, PrevLSN: p}, &InsertRec{TxnID: 9, PrevLSN: p}, &DeleteRec{TxnID: 9, PrevLSN: p},
+			&CommitRec{TxnID: 9, PrevLSN: p}, &AbortRec{TxnID: 9, PrevLSN: p}, &ShardMapRec{TxnID: 9, PrevLSN: p},
+			&CLRRec{TxnID: 9, Kind: CLRUndoInsert, PrevLSN: p}, &CLRRec{TxnID: 9, Kind: CLRUndoInsert, UndoNextLSN: p},
+			&DeltaRec{DirtySet: []storage.PageID{1}, FirstDirty: 1, DirtyLSNs: []LSN{p}},
+		} {
+			if lsn, err := l.Append(r); !errors.Is(err, ErrBadRecord) || lsn != NilLSN {
+				t.Fatalf("%v record pointing %s: Append = %v, %v; want ErrBadRecord", r.Type(), name, lsn, err)
+			}
+		}
+	}
+	if l.EndLSN() != end || l.Records() != int64(len(want)) {
+		t.Fatalf("refused appends left the log at %v with %d records, want %v and %d", l.EndLSN(), l.Records(), end, len(want))
+	}
+
+	if err := l.CloseBackend(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenLogDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.CloseBackend()
+	check("reopened", re)
+
+	// A forged distance that reaches below FirstLSN: the commit of txn 1
+	// at LSN 40, pointing 25 bytes back.
+	_, _, err = decodeFrame([]byte{byte(TypeCommit), 2, 1, 25}, 40, 40)
+	if !errors.Is(err, ErrBadRecord) || !strings.Contains(err.Error(), LSN(40).String()) {
+		t.Fatalf("forged pointer below the log: %v, want ErrBadRecord naming %v", err, LSN(40))
+	}
+	if rec, _, err := decodeFrame([]byte{byte(TypeCommit), 2, 1, 24}, 40, 40); err != nil || rec.(*CommitRec).PrevLSN != FirstLSN() {
+		t.Fatalf("pointer at the first record: %+v, %v", rec, err)
 	}
 }
 
@@ -258,16 +434,26 @@ func TestAppendCount(t *testing.T) {
 // row that keeps the same ends), and re-encodes to the same bytes.
 func TestQuickUpdateRoundTrip(t *testing.T) {
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	const at = LSN(1 << 40)
 	f := func(txn uint64, table uint32, key uint64, prefix, oldMid, newMid, suffix, other []byte, pid, shard uint32, prev uint64) bool {
 		oldV, newV := cat(prefix, oldMid, suffix), cat(prefix, newMid, suffix)
+		if prev%4 == 0 {
+			prev = 0 // a transaction's first record
+		} else {
+			prev = uint64(FirstLSN()) + prev%uint64(at-FirstLSN())
+		}
 		in := &UpdateRec{
 			TxnID: TxnID(txn), TableID: TableID(table), KeyVal: key,
 			OldVal: oldV, NewVal: newV,
 			PageID: storage.PageID(pid), ShardID: ShardID(shard), PrevLSN: LSN(prev),
 		}
-		body := in.encodeBody(nil)
+		body, err := in.encodeBody(nil, at)
+		if err != nil {
+			t.Logf("encode: %v", err)
+			return false
+		}
 		var out UpdateRec
-		if err := out.decodeBody(body); err != nil {
+		if err := out.decodeBody(body, at); err != nil {
 			t.Logf("decode: %v", err)
 			return false
 		}
@@ -285,7 +471,7 @@ func TestQuickUpdateRoundTrip(t *testing.T) {
 		if p, s := commonEnds(out.OldVal, out.NewVal); p+s != 0 {
 			return false
 		}
-		if !bytes.Equal(out.encodeBody(nil), body) {
+		if again, err := out.encodeBody(nil, at); err != nil || !bytes.Equal(again, body) {
 			t.Logf("re-encode differs")
 			return false
 		}
@@ -317,7 +503,12 @@ func TestQuickUpdateRoundTrip(t *testing.T) {
 		// The compensation is the same patch turned round.
 		clr := out.Compensation()
 		var back CLRRec
-		if err := back.decodeBody(clr.encodeBody(nil)); err != nil {
+		clrBody, err := clr.encodeBody(nil, at)
+		if err != nil {
+			t.Logf("CLR encode: %v", err)
+			return false
+		}
+		if err := back.decodeBody(clrBody, at); err != nil {
 			t.Logf("CLR decode: %v", err)
 			return false
 		}
@@ -361,37 +552,64 @@ func TestSpliceBounds(t *testing.T) {
 }
 
 // TestVarintBodiesAreCanonical: one record has one byte string. An
-// over-long varint, a value too wide for its field and an update whose
-// middles still share an end are all refused.
+// over-long varint — in a per-operation body, a system record or the
+// frame header's length — a value too wide for its field and an update
+// whose middles still share an end are all refused.
 func TestVarintBodiesAreCanonical(t *testing.T) {
-	good := (&CommitRec{TxnID: 5, PrevLSN: 300}).encodeBody(nil)
+	const at = LSN(600)
+	good, err := (&CommitRec{TxnID: 5, PrevLSN: 300}).encodeBody(nil, at)
+	if want := []byte{5, 0xAC, 0x02}; err != nil || !bytes.Equal(good, want) { // 300 bytes back
+		t.Fatalf("commit encoded %x (%v), want %x", good, err, want)
+	}
 	var c CommitRec
-	if err := c.decodeBody(good); err != nil || c.TxnID != 5 || c.PrevLSN != 300 {
+	if err := c.decodeBody(good, at); err != nil || c.TxnID != 5 || c.PrevLSN != 300 {
 		t.Fatalf("canonical body: %+v, %v", c, err)
 	}
-	overlong := []byte{0x85, 0x00, 0xAC, 0x02} // txn 5 spelt in two bytes
-	if err := c.decodeBody(overlong); !errors.Is(err, ErrBadRecord) {
-		t.Fatalf("over-long varint decoded: %v", err)
-	}
-	wide := putUvarint(putUvarint(nil, 1), 1<<32) // table ID beyond 32 bits
 	var u UpdateRec
-	if err := u.decodeBody(wide); !errors.Is(err, ErrBadRecord) {
-		t.Fatalf("33-bit table ID decoded: %v", err)
+	for name, tc := range map[string]struct {
+		rec  Record
+		body []byte
+	}{
+		"txn 5 spelt in two bytes":       {&c, []byte{0x85, 0x00, 0xAC, 0x02}},
+		"nil pointer spelt in two bytes": {&c, []byte{5, 0x80, 0x00}},
+		"table ID beyond 32 bits":        {&u, putUvarint(putUvarint(nil, 1), 1<<32)},
+		// txn 1, table 1, key 1, skip 0, tail 0, old "ab", new "ac", pid, shard, prev.
+		"untrimmed patch":              {&u, []byte{1, 1, 1, 0, 0, 2, 'a', 'b', 2, 'a', 'c', 1, 0, 0}},
+		"CLR kind beyond a byte":       {&CLRRec{}, []byte{1, 1, 1, 0x80, 0x02, 0, 0, 0, 1, 0, 0, 0}},
+		"RSSP shard over-long":         {&RSSPRec{}, []byte{12, 0x80, 0x00}},
+		"BW count over-long":           {&BWRec{}, []byte{0x81, 0x00, 7, 0, 0}},
+		"end-ckpt route shard 33 bits": {&EndCkptRec{}, append([]byte{16, 0, 1, 0}, putUvarint(nil, 1<<32)...)},
+		"SMO image length over-long":   {&SMORec{}, []byte{1, 2, 2, 11, 0, 1, 10, 0x81, 0x00, 'x'}},
+		"shard-map split over-long":    {&ShardMapRec{}, []byte{1, 0x80, 0x00, 9, 1, 0}},
+	} {
+		if err := tc.rec.decodeBody(tc.body, at); !errors.Is(err, ErrBadRecord) {
+			t.Errorf("%s decoded: %+v, %v", name, tc.rec, err)
+		}
 	}
-	// txn 1, table 1, key 1, skip 0, tail 0, old "ab", new "ac", pid, shard, prev.
-	untrimmed := []byte{1, 1, 1, 0, 0, 2, 'a', 'b', 2, 'a', 'c', 1, 0, 0}
-	if err := u.decodeBody(untrimmed); !errors.Is(err, ErrBadRecord) {
-		t.Fatalf("untrimmed patch decoded: %v", err)
-	}
-	trimmed := (&UpdateRec{TxnID: 1, TableID: 1, KeyVal: 1, OldVal: []byte("ab"), NewVal: []byte("ac"), PageID: 1}).encodeBody(nil)
+	trimmed, _ := (&UpdateRec{TxnID: 1, TableID: 1, KeyVal: 1, OldVal: []byte("ab"), NewVal: []byte("ac"), PageID: 1}).encodeBody(nil, at)
 	if want := []byte{1, 1, 1, 1, 0, 1, 'b', 1, 'c', 1, 0, 0}; !bytes.Equal(trimmed, want) {
 		t.Fatalf("encoded %v, want %v", trimmed, want)
+	}
+
+	// The frame header: type, then the body length in as few bytes as
+	// hold it. A length spelt wider is not a second spelling of the frame.
+	frame := append([]byte{byte(TypeCommit), byte(len(good))}, good...)
+	if rec, end, err := decodeFrame(frame, at, at); err != nil || end != at+LSN(len(frame)) || rec.(*CommitRec).PrevLSN != 300 {
+		t.Fatalf("canonical frame: %+v, %v, %v", rec, end, err)
+	}
+	wideLen := append([]byte{byte(TypeCommit), 0x80 | byte(len(good)), 0x00}, good...)
+	if _, _, err := decodeFrame(wideLen, at, at); !errors.Is(err, ErrBadRecord) {
+		t.Fatalf("frame with an over-long length decoded: %v", err)
+	}
+	if saneFrameClaim(wideLen) {
+		t.Fatal("a shipped frame with an over-long length would be held back, not rejected")
 	}
 }
 
 // TestQuickDeltaRoundTrip fuzzes ∆-record encode/decode including the
 // perfect-DPT DirtyLSNs variant.
 func TestQuickDeltaRoundTrip(t *testing.T) {
+	const at = LSN(1 << 40)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(50)
@@ -399,21 +617,27 @@ func TestQuickDeltaRoundTrip(t *testing.T) {
 			FWLSN:      LSN(rng.Uint64()),
 			FirstDirty: uint32(rng.Intn(n + 1)),
 			TCLSN:      LSN(rng.Uint64()),
+			ShardID:    ShardID(rng.Intn(300)),
 		}
 		for i := 0; i < n; i++ {
-			in.DirtySet = append(in.DirtySet, storage.PageID(rng.Uint32()))
+			in.DirtySet = append(in.DirtySet, storage.PageID(rng.Uint32()|1))
 		}
 		for i := 0; i < rng.Intn(20); i++ {
-			in.WrittenSet = append(in.WrittenSet, storage.PageID(rng.Uint32()))
+			in.WrittenSet = append(in.WrittenSet, storage.PageID(rng.Uint32()|1))
 		}
 		if rng.Intn(2) == 0 {
 			for range in.DirtySet {
-				in.DirtyLSNs = append(in.DirtyLSNs, LSN(rng.Uint64()))
+				// Any distance a pointer can span, one byte to six.
+				in.DirtyLSNs = append(in.DirtyLSNs, at-1-LSN(rng.Int63n(int64(at-FirstLSN())))>>uint(rng.Intn(40)))
 			}
 		}
-		body := in.encodeBody(nil)
+		body, err := in.encodeBody(nil, at)
+		if err != nil {
+			t.Logf("encode: %v", err)
+			return false
+		}
 		var out DeltaRec
-		if err := out.decodeBody(body); err != nil {
+		if err := out.decodeBody(body, at); err != nil {
 			t.Logf("decode: %v", err)
 			return false
 		}
@@ -430,8 +654,8 @@ func TestQuickDeltaRoundTrip(t *testing.T) {
 // they must return errors, never panic.
 func TestQuickCorruptBodiesDontPanic(t *testing.T) {
 	types := []Type{TypeUpdate, TypeInsert, TypeDelete, TypeCommit, TypeAbort, TypeCLR,
-		TypeBeginCkpt, TypeEndCkpt, TypeBW, TypeDelta, TypeSMO, TypeRSSP}
-	f := func(raw []byte, pick uint8) (ok bool) {
+		TypeBeginCkpt, TypeEndCkpt, TypeBW, TypeDelta, TypeSMO, TypeRSSP, TypeShardMap}
+	f := func(raw []byte, pick uint8, at uint32) (ok bool) {
 		defer func() {
 			if r := recover(); r != nil {
 				t.Logf("panic: %v", r)
@@ -443,7 +667,7 @@ func TestQuickCorruptBodiesDontPanic(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		_ = rec.decodeBody(raw) // must not panic; error is fine
+		_ = rec.decodeBody(raw, FirstLSN()+LSN(at)) // must not panic; error is fine
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -453,7 +677,7 @@ func TestQuickCorruptBodiesDontPanic(t *testing.T) {
 
 func TestRecordTypeStrings(t *testing.T) {
 	for _, typ := range []Type{TypeUpdate, TypeInsert, TypeDelete, TypeCommit, TypeAbort,
-		TypeCLR, TypeBeginCkpt, TypeEndCkpt, TypeBW, TypeDelta, TypeSMO, TypeRSSP} {
+		TypeCLR, TypeBeginCkpt, TypeEndCkpt, TypeBW, TypeDelta, TypeSMO, TypeRSSP, TypeShardMap} {
 		if s := typ.String(); s == "" || s == fmt.Sprintf("type(%d)", uint8(typ)) {
 			t.Fatalf("missing String for type %d", typ)
 		}
