@@ -17,7 +17,7 @@ BENCH_DIR ?= $(if $(RUNNER_TEMP),$(RUNNER_TEMP),/tmp)/logrec-bench
 # wear, no noisy-neighbour IO), /tmp otherwise.
 FILEDEV_DIR ?= $(shell test -d /dev/shm && echo /dev/shm/logrec-filedev || echo /tmp/logrec-filedev)
 
-.PHONY: build test race fuzz-smoke soak examples doclint benchmark benchmark-test bench bench-smoke staticcheck fmt fmt-check vet ci
+.PHONY: build test race fuzz-smoke soak examples doclint figures figures-update benchmark benchmark-test bench bench-smoke staticcheck fmt fmt-check vet ci
 
 build:
 	$(GO) build ./...
@@ -59,6 +59,21 @@ examples:
 # Config/Options knob field needs a doc comment (see cmd/doclint).
 doclint:
 	$(GO) run ./cmd/doclint internal cmd examples
+
+# The paper's figures, pinned. redobench runs in virtual time, so its
+# output is byte-identical across runs and GOMAXPROCS: any difference
+# is a change to a reproduced figure. `figures` diffs a fresh run
+# against the committed copy (≈10 s); `figures-update` rewrites the copy
+# after a change that is meant to move a figure.
+FIGURES := cmd/redobench/testdata/fig_all.txt
+
+figures: | $(BENCH_DIR)
+	$(GO) run ./cmd/redobench -fig all -quiet > $(BENCH_DIR)/fig_all.txt
+	diff -u $(FIGURES) $(BENCH_DIR)/fig_all.txt
+
+figures-update: | $(BENCH_DIR)
+	$(GO) run ./cmd/redobench -fig all -quiet > $(BENCH_DIR)/fig_all.txt
+	cp $(BENCH_DIR)/fig_all.txt $(FIGURES)
 
 # benchmark/ is a module of its own (BENCHMARK.json's contract), so
 # `go build ./... && go test ./...` at the root never compiles it:
@@ -131,4 +146,4 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: build vet fmt-check staticcheck doclint test benchmark-test race
+ci: build vet fmt-check staticcheck doclint test figures benchmark-test race

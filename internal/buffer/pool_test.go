@@ -1,7 +1,9 @@
 package buffer
 
 import (
+	"sync"
 	"testing"
+	"time"
 
 	"logrec/internal/page"
 	"logrec/internal/sim"
@@ -333,6 +335,143 @@ func TestUnpinUnderflowPanics(t *testing.T) {
 		}
 	}()
 	pool.Unpin(f)
+}
+
+// TestFlushAllCleansEveryDirtyFrame: FlushAll writes exactly the dirty
+// frames, and the resident, dirty and flush counts agree with a walk of
+// the frames before and after.
+func TestFlushAllCleansEveryDirtyFrame(t *testing.T) {
+	_, disk, pool := newPoolEnv(t, 64)
+	seed(t, disk, 40)
+	pool.SetELSN(1 << 40)
+	for pid := storage.PageID(2); pid < 42; pid++ {
+		f, err := pool.Get(pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pid%2 == 0 {
+			pool.MarkDirty(f, 100)
+		}
+		pool.Unpin(f)
+	}
+	if pool.Len() != 40 {
+		t.Fatalf("Len = %d, want 40", pool.Len())
+	}
+	if got := pool.DirtyCount(); got != 20 {
+		t.Fatalf("DirtyCount = %d, want 20", got)
+	}
+	if got := len(pool.DirtyPIDs()); got != 20 {
+		t.Fatalf("DirtyPIDs = %d entries, want 20", got)
+	}
+	if err := pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if pool.DirtyCount() != 0 || len(pool.DirtyPIDs()) != 0 {
+		t.Fatalf("dirty after FlushAll: count %d, PIDs %v", pool.DirtyCount(), pool.DirtyPIDs())
+	}
+	if st := pool.Stats(); st.Misses != 40 || st.Flushes != 20 {
+		t.Fatalf("stats = %+v", st)
+	}
+	if pool.Len() != 40 {
+		t.Fatalf("FlushAll changed residency: Len = %d", pool.Len())
+	}
+}
+
+// gatedDevice holds the first page write open until release is closed,
+// after closing entered: a dirty eviction on a real-time device then
+// sits with the pool latch released for as long as the test needs.
+type gatedDevice struct {
+	*storage.Disk
+	once    sync.Once
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *gatedDevice) Write(pid storage.PageID, data []byte) (sim.Time, error) {
+	g.once.Do(func() {
+		close(g.entered)
+		<-g.release
+	})
+	return g.Disk.Write(pid, data)
+}
+
+// TestConcurrentMissDuringDirtyEvictionSharesFrame: two getters miss on
+// the same page while the first is flushing its dirty victim with the
+// latch released. Both must get the one frame; a second frame for the
+// page would be an orphan in the replacement order whose eviction later
+// unmaps the live frame — and a dirty frame missing from the map is
+// never flushed by a checkpoint.
+func TestConcurrentMissDuringDirtyEvictionSharesFrame(t *testing.T) {
+	_, raw, _ := newPoolEnv(t, 1)
+	seed(t, raw, 10)
+	raw.SetRealIOScale(1 << 30) // real-time: latch-releasing IO, ~0 sleeps
+	dev := &gatedDevice{Disk: raw, entered: make(chan struct{}), release: make(chan struct{})}
+	pool, err := New(dev, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.SetELSN(1 << 40)
+	f2, err := pool.Get(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.MarkDirty(f2, 10)
+	pool.Unpin(f2)
+	f3, err := pool.Get(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.Unpin(f3)
+
+	type got struct {
+		f   *Frame
+		err error
+	}
+	get := func() <-chan got {
+		ch := make(chan got, 1)
+		go func() {
+			f, err := pool.Get(10)
+			ch <- got{f, err}
+		}()
+		return ch
+	}
+	wait := func(ch <-chan got, who string) *Frame {
+		t.Helper()
+		select {
+		case g := <-ch:
+			if g.err != nil {
+				t.Fatalf("%s Get(10): %v", who, g.err)
+			}
+			return g.f
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s Get(10) hung", who)
+			return nil
+		}
+	}
+
+	// The first getter evicts dirty page 2 and blocks in its write.
+	first := get()
+	select {
+	case <-dev.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the first getter never flushed its dirty victim")
+	}
+	// The second evicts clean page 3 and loads page 10 meanwhile.
+	b := wait(get(), "second")
+	close(dev.release)
+	a := wait(first, "first")
+
+	if a != b {
+		t.Fatal("two concurrent misses on page 10 returned different frames")
+	}
+	if n := pool.Len(); n != 1 {
+		t.Fatalf("Len = %d, want 1 (page 10 only)", n)
+	}
+	if n := pool.PinnedCount(); n != 1 {
+		t.Fatalf("PinnedCount = %d, want 1", n)
+	}
+	pool.Unpin(a)
+	pool.Unpin(b)
 }
 
 func TestDropDiscardsWithoutFlush(t *testing.T) {

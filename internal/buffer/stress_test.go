@@ -1,9 +1,9 @@
 package buffer
 
-// Concurrency stress for the sharded pool, designed to run under
-// -race. Mutator, reader, prefetch and checkpoint goroutines hammer a
+// Concurrency stress for the pool, designed to run under -race.
+// Mutator, reader, prefetch and checkpoint goroutines hammer a
 // wall-clock-mode pool (so miss reads and flush writes release the
-// sub-pool latch) while a wrapper device enforces the WAL protocol as
+// latch) while a wrapper device enforces the WAL protocol as
 // an oracle: no page may ever reach the disk carrying an LSN at or
 // beyond the published end of stable log (exclusive, like the real
 // log's: forcing returns the LSN the next record will get).
@@ -59,16 +59,9 @@ func (o *oracleDevice) Write(pid storage.PageID, data []byte) (sim.Time, error) 
 }
 
 func TestPoolStressRace(t *testing.T) {
-	for _, policy := range []string{PolicyClock, Policy2Q} {
-		t.Run(policy, func(t *testing.T) { runPoolStress(t, policy) })
-	}
-}
-
-func runPoolStress(t *testing.T, policy string) {
 	const (
 		capacity = 128
 		keyspace = 512
-		shards   = 4
 		mutators = 4
 		readers  = 2
 		mutOps   = 1500
@@ -105,7 +98,7 @@ func runPoolStress(t *testing.T, policy string) {
 	nextLSN.Store(100)
 	disk := &oracleDevice{Disk: raw, stable: &stable}
 
-	pool, err := NewWithConfig(disk, capacity, Config{LatchShards: shards, Policy: policy})
+	pool, err := New(disk, capacity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,6 +226,16 @@ func runPoolStress(t *testing.T, policy string) {
 	}
 	if pool.Len() > capacity {
 		t.Fatalf("Len %d exceeds capacity %d", pool.Len(), capacity)
+	}
+	// One frame per cached page: the clock ring holds exactly the
+	// mapped frames, so no orphan can later unmap a live one.
+	if n, m := pool.ring.Len(), len(pool.frames); n != m {
+		t.Fatalf("clock ring holds %d frames, page map %d", n, m)
+	}
+	for e := pool.ring.Front(); e != nil; e = e.Next() {
+		if f := e.Value.(*Frame); pool.frames[f.PID] != f {
+			t.Fatalf("ring frame for page %d is not the mapped one", f.PID)
+		}
 	}
 	if n := disk.violations.Load(); n != 0 {
 		t.Fatalf("WAL protocol violated %d times; first: %s", n, *disk.firstErr.Load())

@@ -95,11 +95,6 @@ type Options struct {
 	// record during redo (dispatch, bookkeeping), on top of traversal
 	// and apply costs.
 	PerRecordCPU sim.Duration
-	// MaxOutstanding bounds pages with issued-but-unclaimed prefetch
-	// IOs, pacing the prefetchers against the device queue.
-	MaxOutstanding int
-	// LookaheadRecords is SQL2's log read-ahead window (records).
-	LookaheadRecords int
 	// IndexPreload loads all internal index pages at the start of DC
 	// recovery for Log2, per Appendix A.1.
 	IndexPreload bool
@@ -172,12 +167,10 @@ func (s PrefetchStrategy) String() string {
 // DefaultOptions derives recovery options from an engine config.
 func DefaultOptions(cfg engine.Config) Options {
 	return Options{
-		ScanCost:         cfg.ScanCost,
-		PerRecordCPU:     2 * sim.Microsecond,
-		MaxOutstanding:   32,
-		LookaheadRecords: 256,
-		IndexPreload:     true,
-		DCConfig:         cfg.DC,
+		ScanCost:     cfg.ScanCost,
+		PerRecordCPU: 2 * sim.Microsecond,
+		IndexPreload: true,
+		DCConfig:     cfg.DC,
 	}
 }
 
@@ -192,12 +185,6 @@ func (opt Options) withDefaults(cfg engine.Config) Options {
 	if opt.PerRecordCPU == 0 {
 		opt.PerRecordCPU = d.PerRecordCPU
 	}
-	if opt.MaxOutstanding == 0 {
-		opt.MaxOutstanding = d.MaxOutstanding
-	}
-	if opt.LookaheadRecords == 0 {
-		opt.LookaheadRecords = d.LookaheadRecords
-	}
 	opt.RedoWorkers = max(opt.RedoWorkers, 0)
 	opt.UndoWorkers = max(opt.UndoWorkers, 0)
 	return opt
@@ -209,6 +196,14 @@ func (opt Options) withDefaults(cfg engine.Config) Options {
 // enough that the scan stage never starves dispatch, small enough that
 // decoded-record memory stays bounded.
 const scanAhead = 512
+
+// maxOutstanding bounds pages with issued-but-unclaimed prefetch IOs,
+// pacing the prefetchers (Log2's pacer, SQL2's lookahead) against the
+// device queue.
+const maxOutstanding = 32
+
+// lookaheadRecords is SQL2's log read-ahead window, in records.
+const lookaheadRecords = 256
 
 // AutoSizeWorkers picks the parallelism that fits a redo window into a
 // recovery budget: the estimated serial replay time is windowBytes ÷

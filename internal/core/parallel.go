@@ -225,7 +225,7 @@ func (sr *shardRun) routedRedo(next nextFunc) error {
 	if r.m.UsesPrefetch() {
 		lists := shardPIDs(sr.id, sr.prefetchList(), len(pool.workers))
 		for i, w := range pool.workers {
-			w.pf = newPacer(sr.d.Pool(), sr.table, lists[i], r.opt.MaxOutstanding)
+			w.pf = newPacer(sr.d.Pool(), sr.table, lists[i])
 			w.pf.topUp()
 		}
 	}

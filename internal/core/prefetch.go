@@ -19,23 +19,21 @@ type pacer struct {
 	table  *dpt.Table
 	list   []storage.PageID
 	idx    int
-	maxOut int
 	issued map[storage.PageID]struct{}
 }
 
-func newPacer(pool *buffer.Pool, table *dpt.Table, list []storage.PageID, maxOut int) *pacer {
+func newPacer(pool *buffer.Pool, table *dpt.Table, list []storage.PageID) *pacer {
 	return &pacer{
 		pool:   pool,
 		table:  table,
-		maxOut: maxOut,
 		list:   list,
 		issued: make(map[storage.PageID]struct{}, len(list)),
 	}
 }
 
-// topUp issues prefetch until the device has maxOut pages in flight,
-// the pool is out of room, or the list is exhausted. Entries are
-// screened the way the redo test will screen their records: pages
+// topUp issues prefetch until the device has maxOutstanding pages in
+// flight, the pool is out of room, or the list is exhausted. Entries
+// are screened the way the redo test will screen their records: pages
 // pruned from the final DPT are never requested by redo, so issuing
 // them would be wasted IO. A page dirtied-flushed-redirtied appears in
 // several DirtySets and hence several times in the PF-list; the issued
@@ -48,7 +46,7 @@ func (p *pacer) topUp() {
 			p.idx++
 			continue
 		}
-		if p.pool.Disk().InflightCount() >= p.maxOut {
+		if p.pool.Disk().InflightCount() >= maxOutstanding {
 			return
 		}
 		// consumed == 0 is genuine back-pressure (no free frame);
@@ -84,13 +82,11 @@ func (sr *shardRun) prefetchList() []storage.PageID {
 // record whose PID passes the DPT screen (present, and the record's LSN
 // is not below the entry's rLSN) issues a prefetch. Log pages for the
 // read-ahead are charged when read, just as SQL Server's read-ahead
-// reads log pages early.
+// reads log pages early. The window is lookaheadRecords deep.
 type lookahead struct {
-	src    nextFunc
-	pool   *buffer.Pool
-	table  *dpt.Table
-	window int
-	maxOut int
+	src   nextFunc
+	pool  *buffer.Pool
+	table *dpt.Table
 
 	buf []laEntry
 	// pending holds DPT-screened candidate PIDs awaiting issue.
@@ -101,10 +97,6 @@ type lookahead struct {
 type laEntry struct {
 	rec wal.Record
 	lsn wal.LSN
-}
-
-func newLookahead(src nextFunc, pool *buffer.Pool, table *dpt.Table, window, maxOut int) *lookahead {
-	return &lookahead{src: src, pool: pool, table: table, window: window, maxOut: maxOut}
 }
 
 // next returns the next record, keeping the read-ahead window full and
@@ -123,7 +115,7 @@ func (la *lookahead) next() (wal.Record, wal.LSN, bool, error) {
 }
 
 func (la *lookahead) fill() error {
-	for !la.eof && len(la.buf) < la.window {
+	for !la.eof && len(la.buf) < lookaheadRecords {
 		rec, lsn, ok, err := la.src()
 		if err != nil {
 			return err
@@ -148,10 +140,10 @@ func (la *lookahead) fill() error {
 func (la *lookahead) issue() {
 	for len(la.pending) > 0 {
 		inFlight := la.pool.Disk().InflightCount()
-		if inFlight >= la.maxOut {
+		if inFlight >= maxOutstanding {
 			return
 		}
-		chunk := la.maxOut - inFlight
+		chunk := maxOutstanding - inFlight
 		if chunk > len(la.pending) {
 			chunk = len(la.pending)
 		}

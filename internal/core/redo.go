@@ -108,10 +108,10 @@ func (sr *shardRun) redo(next nextFunc) error {
 				return fmt.Errorf("index preload: %w", err)
 			}
 		}
-		pf = newPacer(pool, sr.table, sr.prefetchList(), r.opt.MaxOutstanding)
+		pf = newPacer(pool, sr.table, sr.prefetchList())
 		pf.topUp()
 	} else if r.m.UsesPrefetch() {
-		next = newLookahead(next, pool, sr.table, r.opt.LookaheadRecords, r.opt.MaxOutstanding).next
+		next = (&lookahead{src: next, pool: pool, table: sr.table}).next
 	}
 	return sr.scan(next, pf, true, &sr.met, func(it redoItem) error {
 		if it.smo != nil {

@@ -28,14 +28,6 @@ type Config struct {
 	// CleanerEvery is the lazywriter's rate term: one background flush
 	// per this many page dirtyings (0 disables the rate term).
 	CleanerEvery int
-	// PoolPolicy selects the buffer pool's eviction policy: "" or
-	// "clock" for the second-chance clock, "2q" for the scan-resistant
-	// two-segment policy.
-	PoolPolicy string
-	// PoolLatchShards splits the pool's latch into this many PID-hashed
-	// sub-pools (0 and 1 both mean the single-latch pool); the pool
-	// clamps it so every sub-pool keeps at least 8 frames.
-	PoolLatchShards int
 }
 
 // DefaultConfig matches the experiment defaults: lazywriter keeping the
@@ -91,10 +83,7 @@ func (l smoLogger) AppendSMO(r *wal.SMORec, at wal.LSN) bool {
 // logging as shard sh. The tree starts unlogged (bulk-load mode); call
 // StartLogging once the initial load is flushed.
 func New(clock *sim.Clock, disk storage.Device, log *wal.Log, cacheCapacity int, tableID wal.TableID, sh wal.ShardID, cfg Config) (*DC, error) {
-	pool, err := buffer.NewWithConfig(disk, cacheCapacity, buffer.Config{
-		LatchShards: cfg.PoolLatchShards,
-		Policy:      cfg.PoolPolicy,
-	})
+	pool, err := buffer.New(disk, cacheCapacity)
 	if err != nil {
 		return nil, err
 	}
@@ -117,10 +106,7 @@ func New(clock *sim.Clock, disk storage.Device, log *wal.Log, cacheCapacity int,
 // Open attaches a DC to an existing disk using the boot metadata page
 // (the restart path; recovery follows), logging as shard sh.
 func Open(clock *sim.Clock, disk storage.Device, log *wal.Log, cacheCapacity int, sh wal.ShardID, cfg Config) (*DC, error) {
-	pool, err := buffer.NewWithConfig(disk, cacheCapacity, buffer.Config{
-		LatchShards: cfg.PoolLatchShards,
-		Policy:      cfg.PoolPolicy,
-	})
+	pool, err := buffer.New(disk, cacheCapacity)
 	if err != nil {
 		return nil, err
 	}

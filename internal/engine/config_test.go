@@ -40,8 +40,6 @@ func TestValidateRejections(t *testing.T) {
 		{"keyspan below shards", func(c *Config) { c.Shards = 8; c.KeySpan = 5 }, "KeySpan"},
 		{"cache too small for shards", func(c *Config) { c.Shards = 8; c.CachePages = 32 }, "8 per shard"},
 		{"negative recovery budget", func(c *Config) { c.RecoveryBudget = -time.Second }, "RecoveryBudget"},
-		{"negative pool latch shards", func(c *Config) { c.PoolLatchShards = -1 }, "PoolLatchShards"},
-		{"unknown pool policy", func(c *Config) { c.PoolPolicy = "arc" }, "PoolPolicy"},
 	}
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {
@@ -78,33 +76,5 @@ func TestValidateAcceptsShardedConfig(t *testing.T) {
 	}
 	if got := len(eng.DCs); got != 4 {
 		t.Fatalf("engine has %d DCs, want 4", got)
-	}
-}
-
-// TestValidatePlumbsPoolTuning pins the copy-down: pool tuning set on
-// the engine config must reach every DC's buffer pool.
-func TestValidatePlumbsPoolTuning(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Shards = 2
-	cfg.CachePages = 256
-	cfg.PoolPolicy = "2q"
-	cfg.PoolLatchShards = 4
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("pool-tuned config rejected: %v", err)
-	}
-	if cfg.DC.PoolPolicy != "2q" || cfg.DC.PoolLatchShards != 4 {
-		t.Fatalf("tuning not copied into DC config: %+v", cfg.DC)
-	}
-	eng, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, ss := range eng.Stats().Shards {
-		if ss.PoolPolicy != "2q" {
-			t.Errorf("shard %d pool policy = %q, want 2q", i, ss.PoolPolicy)
-		}
-		if ss.PoolLatchShards != 4 {
-			t.Errorf("shard %d latch shards = %d, want 4", i, ss.PoolLatchShards)
-		}
 	}
 }

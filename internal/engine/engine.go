@@ -29,7 +29,6 @@ import (
 	"sync"
 	"time"
 
-	"logrec/internal/buffer"
 	"logrec/internal/dc"
 	"logrec/internal/shard"
 	"logrec/internal/sim"
@@ -105,18 +104,6 @@ type Config struct {
 	// checkpoints whenever the estimate would exceed the budget. Zero
 	// leaves checkpointing purely interval-driven.
 	RecoveryBudget time.Duration
-	// PoolPolicy selects every shard pool's eviction policy: "" or
-	// "clock" for the second-chance clock the paper's experiments
-	// assume, "2q" for the scan-resistant two-segment policy that keeps
-	// a re-referenced hot set resident under sequential-scan traffic.
-	// Validate copies it into the DC config.
-	PoolPolicy string
-	// PoolLatchShards splits each shard pool's latch into this many
-	// PID-hashed sub-pools so concurrent sessions contend only per
-	// sub-pool (0 and 1 both mean the single-latch pool; clamped so
-	// every sub-pool keeps at least 8 frames). Validate copies it into
-	// the DC config.
-	PoolLatchShards int
 	// Standby builds the engine as a warm standby (replica mode): Load
 	// bulk-loads rows but leaves logging off and takes no checkpoint,
 	// so the engine's log stays header-only and can ingest the
@@ -167,20 +154,6 @@ func (c *Config) Validate() error {
 	}
 	if c.CachePages < 8*c.Shards {
 		return fmt.Errorf("engine: CachePages must be at least 8 per shard, got %d for %d shards", c.CachePages, c.Shards)
-	}
-	if c.PoolLatchShards < 0 {
-		return fmt.Errorf("engine: PoolLatchShards must be >= 0, got %d", c.PoolLatchShards)
-	}
-	if !buffer.KnownPolicy(c.PoolPolicy) {
-		return fmt.Errorf("engine: unknown PoolPolicy %q (have %q, %q)", c.PoolPolicy, buffer.PolicyClock, buffer.Policy2Q)
-	}
-	// Thread the pool knobs into the DC config every component (and
-	// recovery's DefaultOptions) builds pools from.
-	if c.PoolPolicy != "" {
-		c.DC.PoolPolicy = c.PoolPolicy
-	}
-	if c.PoolLatchShards > 0 {
-		c.DC.PoolLatchShards = c.PoolLatchShards
 	}
 	return nil
 }

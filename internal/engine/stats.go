@@ -77,10 +77,6 @@ type ShardStats struct {
 	Shard wal.ShardID
 	// Pool is the shard's buffer-pool counters.
 	Pool buffer.Stats
-	// PoolPolicy names the pool's eviction policy ("clock" or "2q").
-	PoolPolicy string
-	// PoolLatchShards is the pool's latch-shard count after clamping.
-	PoolLatchShards int
 	// PoolHitRatio is Pool.Hits/(Hits+Misses), 0 with no traffic.
 	PoolHitRatio float64
 	// DirtyPages is the pool's current dirty-page count.
@@ -124,11 +120,9 @@ func (e *Engine) Stats() Stats {
 	for i, d := range e.DCs {
 		pool := d.Pool()
 		ss := ShardStats{
-			Shard:           wal.ShardID(i),
-			Pool:            pool.Stats(),
-			PoolPolicy:      pool.Policy(),
-			PoolLatchShards: pool.LatchShards(),
-			DirtyPages:      pool.DirtyCount(),
+			Shard:      wal.ShardID(i),
+			Pool:       pool.Stats(),
+			DirtyPages: pool.DirtyCount(),
 		}
 		ss.PoolHitRatio = ss.Pool.HitRatio()
 		if c := pool.Capacity(); c > 0 {

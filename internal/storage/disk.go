@@ -58,12 +58,6 @@ type Config struct {
 	// prefetch can, which is where read-ahead's benefit comes from
 	// (Appendix A).
 	Channels int
-	// RealIOScale switches the disk into wall-clock mode: every IO
-	// sleeps its modelled latency divided by this factor in real time
-	// instead of advancing the virtual clock. Parallel redo workers then
-	// genuinely overlap their IO waits, so wall-clock speedups are
-	// measurable. 0 keeps the pure virtual-time simulation.
-	RealIOScale int
 	// DirectIO asks FileDisk to open its backing file with O_DIRECT
 	// (bypassing the OS page cache) where the platform and filesystem
 	// support it; it falls back to buffered IO otherwise — tmpfs, for
@@ -98,9 +92,6 @@ func (c Config) validate() error {
 	}
 	if c.Channels <= 0 {
 		return fmt.Errorf("storage: Channels must be positive, got %d", c.Channels)
-	}
-	if c.RealIOScale < 0 {
-		return fmt.Errorf("storage: RealIOScale must be non-negative, got %d", c.RealIOScale)
 	}
 	return nil
 }
@@ -139,9 +130,13 @@ type Disk struct {
 	clock *sim.Clock
 	cfg   Config
 
-	// mu guards pages, channels, inflight, realInflight, frozen and
-	// stats. Real-mode sleeps happen outside the lock.
+	// mu guards realScale, pages, channels, inflight, realInflight,
+	// frozen and stats. Real-mode sleeps happen outside the lock.
 	mu sync.Mutex
+
+	// realScale > 0 is wall-clock mode (see SetRealIOScale); 0 is the
+	// pure virtual-time simulation.
+	realScale int
 
 	// base is the copy-on-write parent. Reads fall through to base when
 	// the page is absent locally; writes always land locally. base must
@@ -192,26 +187,29 @@ func New(clock *sim.Clock, cfg Config) (*Disk, error) {
 		channels: make([]sim.Time, cfg.Channels),
 		inflight: make(map[PageID]sim.Time),
 	}
-	d.initRealMode()
 	return d, nil
 }
 
-// initRealMode allocates the real-IO bookkeeping if the config asks for
-// wall-clock IO. Caller must ensure no IO is concurrently in flight.
+// initRealMode allocates the real-IO bookkeeping if the disk is in
+// wall-clock mode. Caller must ensure no IO is concurrently in flight.
 func (d *Disk) initRealMode() {
-	if d.cfg.RealIOScale > 0 {
+	if d.realScale > 0 {
 		d.realInflight = make(map[PageID]*asyncIO)
 		d.realSlots = make(chan struct{}, d.cfg.Channels)
 	}
 }
 
-// SetRealIOScale flips the disk into (or out of) wall-clock mode; see
-// Config.RealIOScale. Recovery runs call it on a freshly forked disk
-// before any IO is issued.
+// SetRealIOScale switches the disk into wall-clock mode: every IO
+// sleeps its modelled latency divided by scale in real time instead of
+// advancing the virtual clock, so parallel redo workers genuinely
+// overlap their IO waits and wall-clock speedups are measurable. 0
+// switches back to the pure virtual-time simulation. Recovery runs call
+// it on a freshly forked disk before any IO is issued; forks inherit
+// the scale.
 func (d *Disk) SetRealIOScale(scale int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.cfg.RealIOScale = scale
+	d.realScale = scale
 	d.initRealMode()
 }
 
@@ -219,11 +217,11 @@ func (d *Disk) SetRealIOScale(scale int) {
 func (d *Disk) RealTime() bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.cfg.RealIOScale > 0
+	return d.realScale > 0
 }
 
 // realSleep blocks the caller for the modelled cost scaled down by
-// RealIOScale, in wall-clock time.
+// scale, in wall-clock time.
 func (d *Disk) realSleep(cost sim.Duration, scale int) {
 	time.Sleep(time.Duration(int64(cost) / int64(scale)))
 }
@@ -235,12 +233,13 @@ func (d *Disk) Fork(clock *sim.Clock) *Disk {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	child := &Disk{
-		clock:    clock,
-		cfg:      d.cfg,
-		base:     d,
-		pages:    make(map[PageID][]byte),
-		channels: make([]sim.Time, d.cfg.Channels),
-		inflight: make(map[PageID]sim.Time),
+		clock:     clock,
+		cfg:       d.cfg,
+		realScale: d.realScale,
+		base:      d,
+		pages:     make(map[PageID][]byte),
+		channels:  make([]sim.Time, d.cfg.Channels),
+		inflight:  make(map[PageID]sim.Time),
 	}
 	child.initRealMode()
 	return child
@@ -368,7 +367,7 @@ func (d *Disk) Read(pid PageID) ([]byte, error) {
 		d.mu.Unlock()
 		return nil, fmt.Errorf("storage: read of unwritten page %d", pid)
 	}
-	if scale := d.cfg.RealIOScale; scale > 0 {
+	if scale := d.realScale; scale > 0 {
 		if io, inflight := d.realInflight[pid]; inflight {
 			delete(d.realInflight, pid)
 			if io.claim(&d.realPending) { // prefetch already complete: free claim
@@ -443,7 +442,7 @@ func (d *Disk) Prefetch(pids []PageID) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	real := d.cfg.RealIOScale > 0
+	real := d.realScale > 0
 	want := make([]PageID, 0, len(pids))
 	for _, pid := range pids {
 		if real {
@@ -495,7 +494,7 @@ func (d *Disk) Prefetch(pids []PageID) {
 			for _, pid := range own {
 				d.realInflight[pid] = io
 			}
-			scale := d.cfg.RealIOScale
+			scale := d.realScale
 			go func() {
 				d.realSlots <- struct{}{}
 				d.realSleep(cost, scale)
@@ -523,7 +522,7 @@ func (d *Disk) Prefetch(pids []PageID) {
 func (d *Disk) QueueDepth() sim.Duration {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.cfg.RealIOScale > 0 {
+	if d.realScale > 0 {
 		return 0
 	}
 	now := d.clock.Now()
@@ -551,7 +550,7 @@ func (d *Disk) QueueDepth() sim.Duration {
 func (d *Disk) InflightCount() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.cfg.RealIOScale > 0 {
+	if d.realScale > 0 {
 		return d.realPending
 	}
 	now := d.clock.Now()
@@ -639,7 +638,7 @@ func (d *Disk) Write(pid PageID, data []byte) (sim.Time, error) {
 	d.stats.PagesWritten++
 	d.fire(OpWrite, 1)
 	d.pages[pid] = cloneBytes(data)
-	if scale := d.cfg.RealIOScale; scale > 0 {
+	if scale := d.realScale; scale > 0 {
 		// Matching the virtual semantics, the write IO is asynchronous:
 		// the content is stable now, and a goroutine occupies a device
 		// channel slot for the scaled latency (backpressuring prefetch)

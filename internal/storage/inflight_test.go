@@ -28,7 +28,7 @@ func (d *Disk) scanInflight() (scan, got int) {
 			scan++
 		}
 	}
-	if d.cfg.RealIOScale > 0 {
+	if d.realScale > 0 {
 		return scan, d.realPending
 	}
 	d.mu.Unlock()
@@ -124,13 +124,12 @@ func TestInflightCountMatchesScan(t *testing.T) {
 				name = "real-io"
 			}
 			t.Run(name, func(t *testing.T) {
-				c := cfg
-				c.RealIOScale = scale
 				clock := &sim.Clock{}
-				d, err := New(clock, c)
+				d, err := New(clock, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
+				d.SetRealIOScale(scale)
 				load(t, d)
 				cur := d
 				run(t, seed, clock, d, func() device {
