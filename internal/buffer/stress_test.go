@@ -58,7 +58,12 @@ func (o *oracleDevice) Write(pid storage.PageID, data []byte) (sim.Time, error) 
 	return o.Disk.Write(pid, data)
 }
 
+// The subtest is named for the clock, the pool's eviction policy.
 func TestPoolStressRace(t *testing.T) {
+	t.Run("clock", runPoolStress)
+}
+
+func runPoolStress(t *testing.T) {
 	const (
 		capacity = 128
 		keyspace = 512
