@@ -91,14 +91,13 @@ $(BENCH_DIR):
 	mkdir -p $(BENCH_DIR)
 
 # The two diagnostic sweep drivers over the dimensions benchmark/ has no
-# workload for yet: client count, shard count and the file device on
-# the write path (walbench); redo/undo width, shard count, the file
-# device and the recovery budget on the recovery path (recoverybench).
-# Ungated — they print tables and leave JSON in BENCH_DIR. Then the Go
-# bench cases once each.
+# workload for yet: client count and the file device on the write path
+# (walbench); redo/undo width, shard count, the file device and the
+# recovery budget on the recovery path (recoverybench). Ungated — they
+# print tables and leave JSON in BENCH_DIR. Then the Go bench cases
+# once each.
 bench: | $(BENCH_DIR)
 	$(GO) run ./cmd/walbench -out $(BENCH_DIR)/BENCH_wal.json
-	$(GO) run ./cmd/walbench -shards 1,2,4,8 -out $(BENCH_DIR)/BENCH_wal_shards.json
 	$(GO) run ./cmd/walbench -device=file -dir $(FILEDEV_DIR)-wal -flushdelay 0 \
 		-out $(BENCH_DIR)/BENCH_wal_file.json
 	$(GO) run ./cmd/recoverybench -out $(BENCH_DIR)/BENCH_recovery.json
@@ -118,7 +117,6 @@ bench: | $(BENCH_DIR)
 # against real files (tmpfs-backed in CI, see FILEDEV_DIR).
 bench-smoke: | $(BENCH_DIR)
 	$(GO) run ./cmd/walbench -quick -out $(BENCH_DIR)/BENCH_wal.json
-	$(GO) run ./cmd/walbench -quick -shards 1,2,4,8 -out $(BENCH_DIR)/BENCH_wal_shards.json
 	$(GO) run ./cmd/walbench -quick -device=file -dir $(FILEDEV_DIR)-wal -flushdelay 0 \
 		-out $(BENCH_DIR)/BENCH_wal_file.json
 	$(GO) run ./cmd/recoverybench -quick -out $(BENCH_DIR)/BENCH_recovery.json

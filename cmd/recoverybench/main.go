@@ -1,10 +1,10 @@
 // Command recoverybench measures the production-shaped recovery path:
 //
 //  1. Redo worker sweep — the same crash is recovered at increasing
-//     RedoWorkers counts against wall-clock IO (storage's real-IO
-//     mode), so the pipelined page-partitioned redo's speedup is a real
-//     elapsed-time measurement, not a simulation artefact. Every run is
-//     verified against the committed-state oracle.
+//     RedoWorkers counts and timed in wall-clock time. On the sim device
+//     that time is replay CPU (its IO costs only virtual time); on the
+//     file device it includes the real reads. Every run is verified
+//     against the committed-state oracle.
 //  2. Undo worker sweep — a crash with many long-running loser
 //     transactions (whose pages the redo traffic has evicted) is
 //     recovered at increasing UndoWorkers counts, measuring parallel
@@ -31,16 +31,15 @@
 // diagnostic sweeps over dimensions benchmark/ has no workload for yet
 // (redo/undo width, shard count, the file device, the recovery budget).
 //
-// The sweeps run against an NVMe-class device queue (-channels, default
-// 16): the modeled SATA-era depth of 4 caps any replay parallelism at
-// 4x regardless of worker count, which is the plateau PR 2 measured.
+// The worker sweeps run against an NVMe-class device queue (-channels,
+// default 16): on the file device it bounds concurrent prefetch reads,
+// on the sim device it shapes only the virtual-time model.
 //
 // With -device=file the whole pipeline runs against real files instead
 // of the simulation: pages in a storage.FileDisk, the WAL a real file
 // whose every group-commit force is an fsync, the crash a closed set of
 // file handles, and each recovery run a copy of those files reopened —
-// so the sweeps report end-to-end wall-clock recovery numbers
-// (-realscale is ignored; there is nothing to scale, the IO is real).
+// so the sweeps report end-to-end wall-clock recovery numbers.
 //
 // It prints each sweep as a table and writes the same numbers to -out
 // as JSON (uploaded by CI as an artifact; nothing parses it).
@@ -134,7 +133,6 @@ type report struct {
 	Method      string         `json:"method"`
 	GoMaxProcs  int            `json:"go_max_procs"`
 	Scale       int            `json:"scale"`
-	RealIOScale int            `json:"real_io_scale"`
 	Channels    int            `json:"channels"`
 	Workers     []workerResult `json:"workers"`
 	UndoWorkers []undoResult   `json:"undo_workers"`
@@ -148,14 +146,13 @@ func main() {
 		workersFlag = flag.String("workers", "1,2,4,8", "comma-separated redo worker counts to sweep")
 		undoFlag    = flag.String("undoworkers", "1,2,4,8", "comma-separated undo worker counts to sweep")
 		scale       = flag.Int("scale", 10, "shrink the workload by this factor (see harness.Config.Scaled)")
-		realScale   = flag.Int("realscale", 50, "real-IO latency divisor (modelled latency / this = wall sleep)")
 		channels    = flag.Int("channels", 16, "modeled device queue depth for the worker sweeps (NVMe-class)")
 		losers      = flag.Int("losers", 8, "loser transactions left open for the undo sweep")
 		loserOps    = flag.Int("loserops", 25, "updates per loser transaction in the undo sweep")
 		methodFlag  = flag.String("method", "Log1", "recovery method for the worker sweeps (Log0..SQL2)")
 		shardsFlag  = flag.String("shards", "", "comma-separated shard counts: run the cross-shard recovery sweep instead of the worker sweeps (one engine per count, same workload)")
 		budgetFlag  = flag.String("budget", "", "comma-separated recovery budgets (e.g. 75ms,250ms): run the recovery-SLO mode instead of the sweeps, on both the sim and file devices")
-		deviceFlag  = flag.String("device", "sim", "storage backend: sim (modelled latencies scaled to wall-clock) or file (real files; end-to-end wall clock)")
+		deviceFlag  = flag.String("device", "sim", "storage backend: sim (virtual-time IO; wall clock is replay CPU) or file (real files; end-to-end wall clock)")
 		dirFlag     = flag.String("dir", "", "working directory for -device=file (default: a fresh temp dir, removed on exit)")
 		out         = flag.String("out", "BENCH_recovery.json", "output JSON path")
 		quick       = flag.Bool("quick", false, "CI smoke settings (smaller workload)")
@@ -198,9 +195,6 @@ func main() {
 		if !set["scale"] {
 			*scale = 20
 		}
-		if !set["realscale"] {
-			*realScale = 25
-		}
 	}
 
 	parseSweep := func(name, s string) []int {
@@ -230,18 +224,15 @@ func main() {
 	}
 
 	rep := report{
-		Benchmark:   "recovery",
-		Device:      *deviceFlag,
-		Method:      method.String(),
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		Scale:       *scale,
-		RealIOScale: *realScale,
-		Channels:    *channels,
+		Benchmark:  "recovery",
+		Device:     *deviceFlag,
+		Method:     method.String(),
+		GoMaxProcs: runtime.GOMAXPROCS(0),
+		Scale:      *scale,
+		Channels:   *channels,
 	}
 	if fileMode {
-		// File IO is real; nothing is scaled.
 		rep.Benchmark = "recovery-file"
-		rep.RealIOScale = 0
 	}
 
 	if *budgetFlag != "" {
@@ -273,8 +264,7 @@ func main() {
 		}
 		rep.Benchmark = "recovery-slo"
 		rep.Device = "sim+file"
-		rep.RealIOScale = *realScale
-		runSLO(&rep, budgets, *scale, *channels, *realScale, method, dir)
+		runSLO(&rep, budgets, *scale, *channels, method, dir)
 		writeReport(&rep, *out)
 		return
 	}
@@ -285,7 +275,7 @@ func main() {
 		// concurrent recovery of the shards themselves.
 		counts := parseSweep("shards", *shardsFlag)
 		rep.Benchmark = "recovery-shards"
-		runShardSweep(&rep, counts, *scale, *channels, *realScale, fileMode, method, applyDevice)
+		runShardSweep(&rep, counts, *scale, *channels, method, applyDevice)
 		writeReport(&rep, *out)
 		return
 	}
@@ -305,7 +295,7 @@ func main() {
 		log.Fatalf("building cold crash: %v", err)
 	}
 
-	// Redo worker sweep against wall-clock IO. Speedups are computed
+	// Redo worker sweep in wall-clock time. Speedups are computed
 	// against the 1-worker run (always present in the sweep).
 	maxRedoWorkers := 1
 	for _, w := range workers {
@@ -314,9 +304,6 @@ func main() {
 		}
 		opt := core.DefaultOptions(cold.Engine)
 		opt.RedoWorkers = w
-		if !fileMode {
-			opt.RealIOScale = *realScale
-		}
 		met, err := harness.RunRecovery(coldRes, method, opt)
 		if err != nil {
 			log.Fatalf("workers=%d: %v", w, err)
@@ -347,7 +334,7 @@ func main() {
 	}
 
 	// Undo worker sweep: long-running losers whose strided pages the
-	// redo traffic evicted, so undo's leaf fetches are real IO. Redo
+	// redo traffic evicted, so undo's leaf fetches miss the pool. Redo
 	// runs at the widest swept width to keep the measured phase hot.
 	undoCfg := harness.DefaultConfig().Scaled(*scale)
 	undoCfg.Engine.Disk.Channels = *channels
@@ -366,9 +353,6 @@ func main() {
 		opt := core.DefaultOptions(undoCfg.Engine)
 		opt.RedoWorkers = maxRedoWorkers
 		opt.UndoWorkers = w
-		if !fileMode {
-			opt.RealIOScale = *realScale
-		}
 		met, err := harness.RunRecovery(undoRes, method, opt)
 		if err != nil {
 			log.Fatalf("undo workers=%d: %v", w, err)
@@ -455,7 +439,7 @@ func writeReport(rep *report, out string) {
 // runShardSweep builds one crash per shard count over the identical
 // workload and recovers each with serial per-shard passes, so the
 // wall-clock comparison isolates cross-shard recovery concurrency.
-func runShardSweep(rep *report, counts []int, scale, channels, realScale int, fileMode bool, method core.Method, applyDevice func(*harness.Config, string)) {
+func runShardSweep(rep *report, counts []int, scale, channels int, method core.Method, applyDevice func(*harness.Config, string)) {
 	fmt.Printf("recoverybench: cross-shard sweep %v (serial per-shard passes, %s device)\n", counts, rep.Device)
 	for _, n := range counts {
 		cfg := harness.DefaultConfig().Scaled(scale)
@@ -468,11 +452,7 @@ func runShardSweep(rep *report, counts []int, scale, channels, realScale int, fi
 		if err != nil {
 			log.Fatalf("building shards=%d crash: %v", n, err)
 		}
-		opt := core.DefaultOptions(cfg.Engine)
-		if !fileMode {
-			opt.RealIOScale = realScale
-		}
-		met, err := harness.RunRecovery(res, method, opt)
+		met, err := harness.RunRecovery(res, method, core.DefaultOptions(cfg.Engine))
 		if err != nil {
 			log.Fatalf("shards=%d: %v", n, err)
 		}
@@ -524,15 +504,11 @@ func sloConfig(scale, channels int, fileMode bool, dir, sub string) harness.Conf
 }
 
 // sloOpts is the production-shaped recovery configuration the SLO mode
-// measures: parallel redo and undo, default decode width, real-IO
-// wall-clock on the sim device.
-func sloOpts(cfg harness.Config, fileMode bool, realScale int) core.Options {
+// measures: parallel redo and undo, default decode width.
+func sloOpts(cfg harness.Config) core.Options {
 	opt := core.DefaultOptions(cfg.Engine)
 	opt.RedoWorkers = 4
 	opt.UndoWorkers = 2
-	if !fileMode {
-		opt.RealIOScale = realScale
-	}
 	return opt
 }
 
@@ -540,7 +516,7 @@ func sloOpts(cfg harness.Config, fileMode bool, realScale int) core.Options {
 // with a probe recovery, then for each budget run a live engine under a
 // budget-mode Checkpointer, crash it, and report the measured replay
 // beside the budget.
-func runSLO(rep *report, budgets []time.Duration, scale, channels, realScale int, method core.Method, dir string) {
+func runSLO(rep *report, budgets []time.Duration, scale, channels int, method core.Method, dir string) {
 	for _, dev := range []string{"sim", "file"} {
 		fileMode := dev == "file"
 		probeCfg := sloConfig(scale, channels, fileMode, dir, "slo-probe")
@@ -549,14 +525,14 @@ func runSLO(rep *report, budgets []time.Duration, scale, channels, realScale int
 		if err != nil {
 			log.Fatalf("[%s] building SLO probe crash: %v", dev, err)
 		}
-		probeEng, probeMet, err := core.Recover(probeRes.Crash, method, sloOpts(probeCfg, fileMode, realScale))
+		probeEng, probeMet, err := core.Recover(probeRes.Crash, method, sloOpts(probeCfg))
 		if err != nil {
 			log.Fatalf("[%s] SLO probe recovery: %v", dev, err)
 		}
 		seed := probeEng.LastRecovery.ReplayBytesPerSec
 		fmt.Printf("  probe replay rate: %.2f MB/s (%d bytes replayed)\n", seed/1e6, probeMet.RedoWindowBytes)
 		for _, b := range budgets {
-			rep.SLO = append(rep.SLO, runOneSLO(dev, b, seed, scale, channels, realScale, fileMode, method, dir))
+			rep.SLO = append(rep.SLO, runOneSLO(dev, b, seed, scale, channels, fileMode, method, dir))
 		}
 	}
 }
@@ -564,7 +540,7 @@ func runSLO(rep *report, budgets []time.Duration, scale, channels, realScale int
 // runOneSLO runs one live engine under a budget-mode Checkpointer,
 // crashes it with losers in flight, and recovers it with the production
 // parallel options to report the budget outcome.
-func runOneSLO(dev string, budget time.Duration, seed float64, scale, channels, realScale int, fileMode bool, method core.Method, dir string) sloResult {
+func runOneSLO(dev string, budget time.Duration, seed float64, scale, channels int, fileMode bool, method core.Method, dir string) sloResult {
 	cfg := sloConfig(scale, channels, fileMode, dir, fmt.Sprintf("slo-%dms", budget.Milliseconds()))
 	ecfg := cfg.Engine
 	eng, err := engine.New(ecfg)
@@ -665,7 +641,7 @@ func runOneSLO(dev string, budget time.Duration, seed float64, scale, channels, 
 	}
 	cs := eng.Crash()
 
-	_, met, err := core.Recover(cs, method, sloOpts(cfg, fileMode, realScale))
+	_, met, err := core.Recover(cs, method, sloOpts(cfg))
 	if err != nil {
 		log.Fatalf("[%s] budget=%v recovery: %v", dev, budget, err)
 	}

@@ -5,7 +5,7 @@
 // nothing parses it). It is a diagnostic sweep, not a gate: gated
 // numbers come from benchmark/ (make benchmark), invariants from go
 // test; walbench covers the dimensions benchmark/ has no workload for
-// yet — client count, shard count, the file device.
+// yet — client count and the file device.
 //
 // The group committer's flush delay emulates the stable-write latency
 // of a real log device (default 100µs ≈ a fast NVMe log force). With
@@ -22,22 +22,11 @@
 // delay replaced by the device's own (set -flushdelay 0 to let the
 // fsync alone pace the batches).
 //
-// With -shards the tool switches to the shard-plane sweep: a fixed
-// client count drives a zipfian workload whose hot keys all land on one
-// shard's range, at increasing shard counts, with load-driven
-// auto-split enabled. Alongside the real commit rate it reports a
-// modeled rate — commits divided by the busiest plane's held time —
-// which is what the shard-parallel write path buys on hardware with
-// enough cores: the busiest plane is the serial bottleneck, so
-// spreading plane time is raising the ceiling even when a small CI box
-// cannot show it in wall-clock throughput.
-//
 // Usage:
 //
 //	go run ./cmd/walbench                         # default sweep 1,4,16
 //	go run ./cmd/walbench -clients 1,2,4,8,16,32 -txns 4000
 //	go run ./cmd/walbench -device=file -dir /dev/shm/walbench -flushdelay 0
-//	go run ./cmd/walbench -shards 1,2,4,8         # shard-plane sweep
 //	go run ./cmd/walbench -quick                  # CI smoke settings
 package main
 
@@ -52,12 +41,9 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"logrec/internal/engine"
-	"logrec/internal/tc"
-	"logrec/internal/workload"
 )
 
 type result struct {
@@ -95,36 +81,9 @@ func main() {
 		dirFlag     = flag.String("dir", "", "working directory for -device=file (default: a fresh temp dir, removed on exit)")
 		out         = flag.String("out", "BENCH_wal.json", "output JSON path")
 		quick       = flag.Bool("quick", false, "CI smoke settings (fewer txns, fewer rows)")
-		shardsFlag  = flag.String("shards", "", "run the shard-plane sweep instead: comma-separated shard counts (e.g. 1,2,4,8)")
-		zipfS       = flag.Float64("zipf", 1.01, "zipfian skew of the shard-sweep workload")
 	)
 	flag.Parse()
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if *shardsFlag != "" {
-		// Shard-sweep defaults differ: a key space large enough that
-		// range splits have room, and enough transactions that the
-		// balancer sees several load windows.
-		if !set["rows"] {
-			*rows = 2_000_000
-		}
-		if !set["txns"] {
-			*txns = 4000
-		}
-		if !set["clients"] {
-			*clientsFlag = "16"
-		}
-		if !set["flushdelay"] {
-			*flushDelay = 0
-		}
-		if !set["out"] {
-			*out = "BENCH_wal_shards.json"
-		}
-		if *quick {
-			*rows = 300_000
-			*txns = 1500
-		}
-	} else if *quick {
+	if *quick {
 		*txns = 300
 		*rows = 4000
 	}
@@ -156,22 +115,6 @@ func main() {
 			log.Fatalf("bad -clients entry %q", s)
 		}
 		clients = append(clients, n)
-	}
-
-	if *shardsFlag != "" {
-		if fileMode {
-			log.Fatal("-shards sweeps the simulated device only (drop -device=file)")
-		}
-		var counts []int
-		for _, s := range strings.Split(*shardsFlag, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || n < 1 {
-				log.Fatalf("bad -shards entry %q", s)
-			}
-			counts = append(counts, n)
-		}
-		runShardSweep(counts, clients[0], *txns, *ops, *rows, *cache, *zipfS, *flushDelay, *out)
-		return
 	}
 
 	rep := report{
@@ -290,242 +233,5 @@ func runOne(clients, txns, ops, rows, cache int, flushDelay time.Duration, dir s
 	if st.Flushes > 0 {
 		r.CommitsPerFlus = float64(st.Commits) / float64(st.Flushes)
 	}
-	return r, nil
-}
-
-// shardResult is one shard count's row of the shard-plane sweep.
-type shardResult struct {
-	Shards         int     `json:"shards"`
-	Commits        int64   `json:"commits"`
-	Conflicts      int64   `json:"conflicts"`
-	ElapsedMS      float64 `json:"elapsed_ms"`
-	CommitsPerSec  float64 `json:"commits_per_sec"`
-	MaxPlaneBusyMS float64 `json:"max_plane_busy_ms"`
-	// ModeledCommitsPerSec divides the commits by the busiest plane's
-	// held time: the rate a core per shard would sustain, since the
-	// busiest plane is the serial bottleneck of the data path.
-	ModeledCommitsPerSec float64 `json:"modeled_commits_per_sec"`
-	ModeledSpeedup       float64 `json:"modeled_speedup_vs_1"`
-	Routes               int     `json:"routes"`
-	BoundarySplits       int64   `json:"boundary_splits"`
-	Migrations           int64   `json:"migrations"`
-	FailedMigrations     int64   `json:"failed_migrations"`
-	FirstHotShare        float64 `json:"first_hot_share"`
-	LastHotShare         float64 `json:"last_hot_share"`
-	PerShardOps          []int64 `json:"per_shard_ops"`
-}
-
-type shardReport struct {
-	Benchmark     string        `json:"benchmark"`
-	GoMaxProcs    int           `json:"go_max_procs"`
-	Clients       int           `json:"clients"`
-	TxnsPerClient int           `json:"txns_per_client"`
-	UpdatesPerTxn int           `json:"updates_per_txn"`
-	Rows          int           `json:"rows"`
-	ZipfS         float64       `json:"zipf_s"`
-	Results       []shardResult `json:"results"`
-}
-
-func runShardSweep(counts []int, clients, txns, ops, rows, cache int, zipfS float64, flushDelay time.Duration, out string) {
-	rep := shardReport{
-		Benchmark:     "wal_shard_planes",
-		GoMaxProcs:    runtime.GOMAXPROCS(0),
-		Clients:       clients,
-		TxnsPerClient: txns,
-		UpdatesPerTxn: ops,
-		Rows:          rows,
-		ZipfS:         zipfS,
-	}
-	fmt.Printf("walbench shard sweep: %d rows, %d clients × %d txns × %d updates, zipf s=%g\n",
-		rows, clients, txns, ops, zipfS)
-	fmt.Printf("%8s %12s %14s %12s %16s %10s %8s %8s\n",
-		"shards", "commits", "commits/sec", "conflicts", "modeled c/s", "speedup", "splits", "moves")
-	for _, n := range counts {
-		r, err := runOneShards(n, clients, txns, ops, rows, cache, zipfS, flushDelay)
-		if err != nil {
-			log.Fatalf("shards=%d: %v", n, err)
-		}
-		if len(rep.Results) > 0 && rep.Results[0].Shards == 1 && r.MaxPlaneBusyMS > 0 {
-			r.ModeledSpeedup = rep.Results[0].MaxPlaneBusyMS / r.MaxPlaneBusyMS
-		}
-		rep.Results = append(rep.Results, r)
-		fmt.Printf("%8d %12d %14.0f %12d %16.0f %10.2f %8d %8d\n",
-			r.Shards, r.Commits, r.CommitsPerSec, r.Conflicts,
-			r.ModeledCommitsPerSec, r.ModeledSpeedup, r.BoundarySplits, r.Migrations)
-	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("wrote %s\n", out)
-}
-
-// runOneShards drives the skewed workload at one shard count. Every
-// client owns a workload generator whose zipf ranks are hashed into a
-// narrow low slice (1/64) of the key space: a contiguous hot range — initially
-// one shard's — with enough intra-range spread that boundary splits and
-// migrations can actually divide the load. Every third transaction adds
-// a uniformly drawn far key, so cross-shard commits exercise the
-// multi-plane path throughout.
-func runOneShards(shards, clients, txns, ops, rows, cache int, zipfS float64, flushDelay time.Duration) (shardResult, error) {
-	cfg := engine.DefaultConfig()
-	cfg.CachePages = cache
-	cfg.Shards = shards
-	cfg.KeySpan = uint64(rows)
-	cfg.AutoSplit = true
-	// Small windows and bounded moves: a migration physically rewrites
-	// every row it moves, so oversized moves would cost more than the
-	// workload being balanced.
-	cfg.AutoSplitCfg = tc.AutoSplitConfig{Interval: 2 * time.Millisecond, MaxMoveSpan: 2048}
-	eng, err := engine.New(cfg)
-	if err != nil {
-		return shardResult{}, err
-	}
-	if err := eng.Load(rows, func(k uint64) []byte {
-		return []byte(fmt.Sprintf("initial-value-%06d", k))
-	}); err != nil {
-		return shardResult{}, err
-	}
-	mgr := eng.NewSessionManager(flushDelay)
-
-	hotSpan := uint64(rows / 64)
-	if hotSpan == 0 {
-		hotSpan = uint64(rows)
-	}
-	// The first third of each client's transactions is warmup: it gives
-	// the balancer load windows to split and migrate the hot range.
-	// Measurement starts at the barrier after warmup, from a snapshot of
-	// the plane counters, so the modeled rate reflects the rebalanced
-	// steady state rather than the migrations that produced it.
-	warm := txns / 3
-	var (
-		wg        sync.WaitGroup
-		warmWG    sync.WaitGroup
-		gate      = make(chan struct{})
-		conflicts atomic.Int64
-		firstErr  error
-		errOnce   sync.Once
-	)
-	warmWG.Add(clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			warmed := false
-			defer func() {
-				if !warmed {
-					warmWG.Done()
-				}
-			}()
-			wcfg := workload.DefaultConfig()
-			wcfg.Rows = rows
-			wcfg.Dist = workload.Zipf
-			wcfg.ZipfS = zipfS
-			wcfg.Seed = int64(c + 1)
-			gen, err := workload.NewGenerator(wcfg)
-			if err != nil {
-				errOnce.Do(func() { firstErr = err })
-				return
-			}
-			sess := mgr.NewSession()
-			for i := 0; i < txns; i++ {
-				if i == warm {
-					warmed = true
-					warmWG.Done()
-					<-gate
-				}
-				keys := make([]uint64, 0, ops)
-				for u := 0; u < ops; u++ {
-					rank := gen.NextKey()
-					if i%3 == 0 && u == ops-1 {
-						// Far key: uniform over the whole domain.
-						keys = append(keys, (rank*0x9E3779B97F4A7C15)%uint64(rows))
-					} else {
-						keys = append(keys, (rank*2654435761)%hotSpan)
-					}
-				}
-				for attempt := 0; ; attempt++ {
-					if attempt == 1000 {
-						errOnce.Do(func() { firstErr = fmt.Errorf("client %d txn %d starved", c, i) })
-						return
-					}
-					if err := sess.Begin(); err != nil {
-						errOnce.Do(func() { firstErr = err })
-						return
-					}
-					failed := false
-					for u, k := range keys {
-						v := []byte(fmt.Sprintf("c%03d-t%06d-u%02d", c, i, u))
-						if err := sess.Update(cfg.TableID, k, v); err != nil {
-							failed = true
-							break
-						}
-					}
-					if failed {
-						conflicts.Add(1)
-						if err := sess.Abort(); err != nil {
-							errOnce.Do(func() { firstErr = err })
-							return
-						}
-						time.Sleep(time.Duration(attempt+1) * 10 * time.Microsecond)
-						continue
-					}
-					if err := sess.Commit(); err != nil {
-						errOnce.Do(func() { firstErr = err })
-						return
-					}
-					break
-				}
-			}
-		}(c)
-	}
-	warmWG.Wait()
-	snap := eng.Stats()
-	conflicts.Store(0)
-	start := time.Now()
-	close(gate)
-	wg.Wait()
-	elapsed := time.Since(start)
-	if b := eng.Balancer(); b != nil {
-		b.Stop()
-	}
-	if firstErr != nil {
-		return shardResult{}, firstErr
-	}
-
-	st := eng.Stats()
-	commits := int64(clients) * int64(txns-warm)
-	var maxBusy int64
-	var perShard []int64
-	for i, ss := range st.Shards {
-		ops := ss.SessionOps - snap.Shards[i].SessionOps
-		busy := ss.SessionBusyNS - snap.Shards[i].SessionBusyNS
-		perShard = append(perShard, ops)
-		if busy > maxBusy {
-			maxBusy = busy
-		}
-	}
-	r := shardResult{
-		Shards:           shards,
-		Commits:          commits,
-		Conflicts:        conflicts.Load(),
-		ElapsedMS:        float64(elapsed) / float64(time.Millisecond),
-		CommitsPerSec:    float64(commits) / elapsed.Seconds(),
-		MaxPlaneBusyMS:   float64(maxBusy) / float64(time.Millisecond),
-		Routes:           len(st.Routes),
-		BoundarySplits:   st.AutoSplit.BoundarySplits,
-		Migrations:       st.AutoSplit.Migrations,
-		FailedMigrations: st.AutoSplit.FailedMigrations,
-		FirstHotShare:    st.AutoSplit.FirstHotShare,
-		LastHotShare:     st.AutoSplit.LastHotShare,
-		PerShardOps:      perShard,
-	}
-	if maxBusy > 0 {
-		r.ModeledCommitsPerSec = float64(commits) / (float64(maxBusy) / float64(time.Second))
-	}
-	r.ModeledSpeedup = 1
 	return r, nil
 }

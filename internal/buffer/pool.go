@@ -6,13 +6,13 @@
 // flushed only when every update it carries is on the stable TC log,
 // enforced via the EOSL-provided eLSN), and asynchronous prefetch.
 //
-// One mutex guards the pool's bookkeeping. When the device is in
-// real-IO mode, miss reads and flush writes release it for the duration
-// of the IO — a miss inserts a pinned `loading` placeholder first, a
-// flush snapshots the page under the latch and marks the frame
-// `flushing` — so a read or write of one page does not stall traffic to
-// the others. Every path that retakes the latch revalidates what it
-// looked at before letting go.
+// One mutex guards the pool's bookkeeping. On a real-time device (the
+// file device: storage.Device.RealTime), miss reads and flush writes
+// release it for the duration of the IO — a miss inserts a pinned
+// `loading` placeholder first, a flush snapshots the page under the
+// latch and marks the frame `flushing` — so a read or write of one page
+// does not stall traffic to the others. Every path that retakes the
+// latch revalidates what it looked at before letting go.
 //
 // Rebuilding this cache after a crash is the dominant cost of redo
 // recovery (§1.3, Appendix B); the pool therefore exposes detailed fetch
@@ -55,13 +55,13 @@ type Frame struct {
 	elem *list.Element
 
 	// loading is non-nil while the frame's disk read is in flight with
-	// the latch released (real-IO mode); it is closed when the read
+	// the latch released (real-time device); it is closed when the read
 	// completes. Concurrent getters of the same page wait on it instead
 	// of issuing a duplicate read.
 	loading chan struct{}
 
 	// flushing is non-nil while the frame's flush write is in flight
-	// with the latch released (real-IO mode); it is closed when the
+	// with the latch released (real-time device); it is closed when the
 	// write completes. Concurrent flushers of the same frame wait on it
 	// instead of issuing a duplicate write.
 	flushing chan struct{}
@@ -109,7 +109,7 @@ type Pool struct {
 
 	// mu guards every field below. Internal helpers (ensureRoom,
 	// maybeClean, flushFrame, pinCached) assume it is held; flushFrame,
-	// pinCached and miss reads release it across real-mode IO waits.
+	// pinCached and miss reads release it across real-time IO waits.
 	mu sync.Mutex
 
 	frames map[storage.PageID]*Frame
@@ -305,8 +305,8 @@ func (p *Pool) PinnedCount() int {
 // advances the virtual clock per the disk model) and evicting as
 // needed. The frame is pinned; callers must Unpin.
 //
-// When the disk is in real-IO mode the latch is released for the
-// duration of the miss read: the frame is inserted first as a pinned
+// On a real-time device the latch is released for the duration of the
+// miss read: the frame is inserted first as a pinned
 // "loading" placeholder so concurrent getters of the same page wait for
 // the one IO instead of duplicating it, and getters of other pages
 // proceed — which is what lets parallel redo workers overlap their page
@@ -324,9 +324,9 @@ func (p *Pool) Get(pid storage.PageID) (*Frame, error) {
 			return nil, err
 		}
 		// ensureRoom releases the latch while it flushes a dirty victim
-		// in real-IO mode: another getter may have cached pid meanwhile
-		// (share its frame; a second one would orphan the first) or
-		// taken the room just made.
+		// on a real-time device: another getter may have cached pid
+		// meanwhile (share its frame; a second one would orphan the
+		// first) or taken the room just made.
 		if f := p.pinCached(pid); f != nil {
 			return f, nil
 		}
@@ -564,8 +564,8 @@ func (p *Pool) victim() *Frame {
 
 // ensureRoom evicts one unpinned, unreferenced frame if the pool is
 // full, flushing it first when dirty. Caller holds p.mu; a dirty
-// eviction in real-IO mode releases it across the write, so the loop
-// revalidates the victim after each flush.
+// eviction on a real-time device releases it across the write, so the
+// loop revalidates the victim after each flush.
 func (p *Pool) ensureRoom() error {
 	for attempt := 0; attempt < 2*p.capacity+2; attempt++ {
 		if len(p.frames) < p.capacity {
@@ -606,8 +606,9 @@ func (p *Pool) FlushFrame(f *Frame) error {
 // flushFrame is FlushFrame with p.mu held. The log-force and flush-hook
 // callbacks are invoked while the latch is held; they append to the
 // (internally locked) WAL and feed the tracker, neither of which calls
-// back into the pool. In real-IO mode the latch is released across the
-// page write itself — the page bytes are snapshotted under the latch
+// back into the pool. On a real-time device the latch is released
+// across the page write itself — the page bytes are snapshotted under
+// the latch
 // and the frame carries a `flushing` marker so concurrent flushers wait
 // and the eviction sweep skips it; a frame re-dirtied while its old
 // image is in flight simply stays dirty.
@@ -697,8 +698,9 @@ func (p *Pool) FlushAll() error {
 
 // flushWhere flushes every dirty frame matching keep (which runs under
 // the latch). Candidates are collected first, then flushed with
-// revalidation — flushFrame can release the latch in real-IO mode, so a
-// candidate may have been flushed or evicted by someone else meanwhile.
+// revalidation — flushFrame can release the latch on a real-time
+// device, so a candidate may have been flushed or evicted by someone
+// else meanwhile.
 func (p *Pool) flushWhere(keep func(f *Frame) bool) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()

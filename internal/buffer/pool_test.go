@@ -378,14 +378,17 @@ func TestFlushAllCleansEveryDirtyFrame(t *testing.T) {
 }
 
 // gatedDevice holds the first page write open until release is closed,
-// after closing entered: a dirty eviction on a real-time device then
-// sits with the pool latch released for as long as the test needs.
+// after closing entered. It reports itself real-time, so a dirty
+// eviction then sits with the pool latch released for as long as the
+// test needs.
 type gatedDevice struct {
 	*storage.Disk
 	once    sync.Once
 	entered chan struct{}
 	release chan struct{}
 }
+
+func (g *gatedDevice) RealTime() bool { return true }
 
 func (g *gatedDevice) Write(pid storage.PageID, data []byte) (sim.Time, error) {
 	g.once.Do(func() {
@@ -404,7 +407,6 @@ func (g *gatedDevice) Write(pid storage.PageID, data []byte) (sim.Time, error) {
 func TestConcurrentMissDuringDirtyEvictionSharesFrame(t *testing.T) {
 	_, raw, _ := newPoolEnv(t, 1)
 	seed(t, raw, 10)
-	raw.SetRealIOScale(1 << 30) // real-time: latch-releasing IO, ~0 sleeps
 	dev := &gatedDevice{Disk: raw, entered: make(chan struct{}), release: make(chan struct{})}
 	pool, err := New(dev, 2)
 	if err != nil {

@@ -1,8 +1,8 @@
 package buffer
 
 // Concurrency stress for the pool, designed to run under -race.
-// Mutator, reader, prefetch and checkpoint goroutines hammer a
-// wall-clock-mode pool (so miss reads and flush writes release the
+// Mutator, reader, prefetch and checkpoint goroutines hammer a pool
+// over a real-time device (so miss reads and flush writes release the
 // latch) while a wrapper device enforces the WAL protocol as
 // an oracle: no page may ever reach the disk carrying an LSN at or
 // beyond the published end of stable log (exclusive, like the real
@@ -40,13 +40,18 @@ func storeMax(a *atomic.Uint64, v uint64) {
 // oracleDevice wraps the simulated disk and checks every page write
 // against the stable LSN at the moment of the write. Sound because
 // stable only grows: a violation observed here is a real protocol
-// break, never a stale read.
+// break, never a stale read. It reports itself real-time, so the pool
+// takes its latch-released read and flush paths while every IO still
+// costs only virtual time: the race detector gets maximal interleaving
+// instead of a disk-latency-paced crawl.
 type oracleDevice struct {
 	*storage.Disk
 	stable     *atomic.Uint64
 	violations atomic.Int64
 	firstErr   atomic.Pointer[string]
 }
+
+func (o *oracleDevice) RealTime() bool { return true }
 
 func (o *oracleDevice) Write(pid storage.PageID, data []byte) (sim.Time, error) {
 	lsn := uint64(page.Wrap(data).LSN())
@@ -92,11 +97,6 @@ func runPoolStress(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Wall-clock mode with a huge scale: the latch-released read and
-	// flush paths run (RealTime() is true) but every modelled wait
-	// rounds down to a zero-length sleep, so the race detector gets
-	// maximal interleaving instead of a disk-latency-paced crawl.
-	raw.SetRealIOScale(1 << 30)
 
 	var stable atomic.Uint64
 	var nextLSN atomic.Uint64

@@ -118,9 +118,8 @@ type Options struct {
 	// Recovered *state* is correct in any mode, but virtual-time
 	// durations are only meaningful serial: parallel workers interleave
 	// their clock charges nondeterministically and model no IO overlap.
-	// For timing parallel runs, set RealIOScale and read the Wall*
-	// metrics instead. Multi-shard recovery (engine.Config.Shards > 1)
-	// is wall-clock-measured for the same reason.
+	// Time parallel runs with the Wall* metrics instead, as multi-shard
+	// (engine.Config.Shards > 1) and file-device runs are timed.
 	RedoWorkers int
 	// UndoWorkers ≥ 1 routes undo's page applications to that many
 	// page-partitioned worker goroutines (see undo.go), sharing the
@@ -137,12 +136,6 @@ type Options struct {
 	// width; a window inside one segment is scanned inline whatever the
 	// width. Single-shard recovery keeps the inline scan.
 	DecodeWorkers int
-	// RealIOScale > 0 runs recovery against wall-clock IO: the forked
-	// disk sleeps its modelled latencies divided by this factor instead
-	// of advancing the virtual clock, so parallel redo workers overlap
-	// real waits and Metrics.WallRedoTime reports genuine speedups. 0
-	// keeps the virtual-time simulation.
-	RealIOScale int
 }
 
 // PrefetchStrategy selects Log2's prefetch source (Appendix A.2).
@@ -209,10 +202,9 @@ const lookaheadRecords = 256
 // recovery budget: the estimated serial replay time is windowBytes ÷
 // bytesPerSec (the rate the previous recovery measured), and the
 // worker count is that estimate divided by the budget, rounded up —
-// assuming replay parallelizes roughly linearly at these widths, the
-// shape the recovery-shards and recovery-slo benches gate. The result
-// is clamped to [1, maxWorkers]; any non-positive input yields 1 (no
-// basis to parallelize).
+// assuming replay parallelizes roughly linearly at these widths. The
+// result is clamped to [1, maxWorkers]; any non-positive input yields 1
+// (no basis to parallelize).
 func AutoSizeWorkers(windowBytes int64, bytesPerSec float64, budget time.Duration, maxWorkers int) int {
 	if windowBytes <= 0 || bytesPerSec <= 0 || budget <= 0 || maxWorkers < 1 {
 		return 1
@@ -260,10 +252,9 @@ type Metrics struct {
 	TotalTime sim.Duration
 
 	// WallRedoTime, WallUndoTime and WallTotalTime are wall-clock
-	// measurements of the same phases — meaningful in real-IO mode
-	// (Options.RealIOScale) and in file mode, where virtual durations
-	// no longer accumulate, and the only meaningful timings for
-	// multi-shard runs.
+	// measurements of the same phases: the only meaningful timings for
+	// parallel (RedoWorkers, UndoWorkers) and multi-shard runs, and on
+	// the file device, where virtual durations do not accumulate IO.
 	WallRedoTime  time.Duration
 	WallUndoTime  time.Duration
 	WallTotalTime time.Duration
@@ -357,14 +348,6 @@ func Recover(cs *engine.CrashState, m Method, opt Options) (*engine.Engine, *Met
 	}
 	dcs := make([]*dc.DC, nShards)
 	for i, disk := range disks {
-		if opt.RealIOScale > 0 {
-			// Scaled wall-clock sleeps are a simulated-disk feature; a
-			// file device's IO is already wall-clock (RealTime reports
-			// so).
-			if sd, ok := disk.(*storage.Disk); ok {
-				sd.SetRealIOScale(opt.RealIOScale)
-			}
-		}
 		d, err := dc.Open(clock, disk, log, perShardCache, wal.ShardID(i), opt.DCConfig)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: reopening DC shard %d: %w", i, err)

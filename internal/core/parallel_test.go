@@ -172,14 +172,14 @@ func TestBarrierShardScope(t *testing.T) {
 	}
 }
 
-// TestParallelRedoRealIO exercises the wall-clock IO path: the forked
-// disk sleeps scaled latencies, workers overlap them, and the recovered
-// state must still match the oracle.
+// TestParallelRedoRealIO exercises the wall-clock IO path: on the file
+// device the pool releases its latch across miss reads, workers overlap
+// them, and the recovered state must still match the oracle.
 func TestParallelRedoRealIO(t *testing.T) {
 	cfg := testConfig(300)
+	cfg.Device, cfg.Dir = engine.DeviceFile, t.TempDir()
 	cs, om := buildCrashWithSplits(t, cfg, 1500, 80, 8, 30, 11)
 	opt := DefaultOptions(cfg)
-	opt.RealIOScale = 4000 // 4ms seek → 1µs sleep: fast but real
 	for _, m := range []Method{Log0, Log2, SQL1} {
 		for _, workers := range []int{1, 4} {
 			popt := opt

@@ -303,15 +303,15 @@ func TestParallelUndoPageLatchStress(t *testing.T) {
 	}
 }
 
-// TestParallelUndoRealIO exercises parallel undo against wall-clock IO:
-// the shard workers overlap their leaf fetches, and the recovered state
-// must still match the oracle.
+// TestParallelUndoRealIO exercises parallel undo against wall-clock IO
+// on the file device: the shard workers overlap their leaf fetches, and
+// the recovered state must still match the oracle.
 func TestParallelUndoRealIO(t *testing.T) {
 	cfg := testConfig(200)
+	cfg.Device, cfg.Dir = engine.DeviceFile, t.TempDir()
 	spec := loserSpec{updates: 12, inserts: 2, deletes: 1}
 	cs, om := buildCrashWithLosers(t, cfg, 1500, 60, 8, 4, spec, 23)
 	opt := DefaultOptions(cfg)
-	opt.RealIOScale = 4000 // 4ms seek → 1µs sleep: fast but real
 	for _, uw := range []int{1, 4} {
 		popt := opt
 		popt.RedoWorkers = 4

@@ -87,14 +87,13 @@ type Config struct {
 	// shards (0 = the full uint64 domain). Set it to the expected row
 	// count so the initial ranges balance the bulk-loaded table.
 	KeySpan uint64
-	// AutoSplit enables the load-driven auto-splitter: when the
-	// engine's session manager is created (NewSessionManager), a
-	// balancer goroutine watches per-range load and splits/migrates hot
-	// ranges (tc.Balancer). Only meaningful with Shards > 1.
-	AutoSplit bool
-	// AutoSplitCfg tunes the auto-splitter; zero fields take the
-	// tc.AutoSplitConfig defaults.
-	AutoSplitCfg tc.AutoSplitConfig
+	// AutoSplit, when non-nil, enables the load-driven auto-splitter:
+	// when the engine's session manager is created (NewSessionManager),
+	// a balancer goroutine watches per-range load and splits/migrates
+	// hot ranges (tc.Balancer). Zero fields take the tc.AutoSplitConfig
+	// defaults, so &tc.AutoSplitConfig{} is on with defaults. Only
+	// meaningful with Shards > 1.
+	AutoSplit *tc.AutoSplitConfig
 	// RecoveryBudget is the recovery SLO: the target upper bound on
 	// replay time after a crash. It does not change recovery itself —
 	// it switches the background Checkpointer into budget mode, where
@@ -211,7 +210,7 @@ type Engine struct {
 	AppliedLSN wal.LSN
 
 	// mgr is the live session manager (set by NewSessionManager) and
-	// balancer its auto-splitter (nil unless Cfg.AutoSplit); Stats
+	// balancer its auto-splitter (nil when Cfg.AutoSplit is nil); Stats
 	// aggregates from both.
 	mgr      *tc.SessionManager
 	balancer *tc.Balancer

@@ -22,19 +22,19 @@ import (
 // for the recovery experiments; once a session manager exists, drive
 // all transactions through it.
 //
-// With Config.AutoSplit set (and more than one shard), creating the
+// With Config.AutoSplit non-nil (and more than one shard), creating the
 // session manager also starts the tc.Balancer that auto-splits hot
 // ranges; Crash stops it, or call Balancer().Stop() directly.
 func (e *Engine) NewSessionManager(flushDelay time.Duration) *tc.SessionManager {
 	gc := wal.NewGroupCommitter(e.Log, func(eLSN wal.LSN) { e.Set.EOSL(eLSN) }, flushDelay)
 	e.mgr = tc.NewSessionManager(e.TC, gc)
-	if e.Cfg.AutoSplit && e.Cfg.NumShards() > 1 {
-		e.balancer = tc.StartBalancer(e.mgr, e.Cfg.TableID, e.Cfg.AutoSplitCfg)
+	if e.Cfg.AutoSplit != nil && e.Cfg.NumShards() > 1 {
+		e.balancer = tc.StartBalancer(e.mgr, e.Cfg.TableID, *e.Cfg.AutoSplit)
 	}
 	return e.mgr
 }
 
 // Balancer returns the running auto-split balancer, or nil if the
-// engine has none (AutoSplit off, single shard, or no session manager
+// engine has none (AutoSplit nil, single shard, or no session manager
 // yet).
 func (e *Engine) Balancer() *tc.Balancer { return e.balancer }

@@ -28,9 +28,10 @@ import "logrec/internal/sim"
 //     the simulated device it only counts (virtual writes are stable at
 //     their completion time by construction). Checkpoints call it after
 //     their page flushes and boot-page write.
-//   - RealTime reports whether IO waits happen in wall-clock time; the
-//     buffer pool releases its lock across miss reads when it does, so
-//     concurrent readers overlap their waits.
+//   - RealTime reports whether IO waits happen in wall-clock time: true
+//     for FileDisk, false for the simulated Disk, whose waits are
+//     virtual. The buffer pool releases its lock across miss reads and
+//     flush writes when it is true, so concurrent IOs overlap.
 type Device interface {
 	// Read synchronously fetches pid's stable content.
 	Read(pid PageID) ([]byte, error)

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"logrec/internal/sim"
 )
@@ -122,21 +121,17 @@ type Stats struct {
 	Syncs int64
 }
 
-// Disk is the simulated stable store. A mutex makes it safe for
-// concurrent use, which parallel redo workers rely on; single-threaded
-// virtual-time experiments see identical behaviour (the mutex is
-// uncontended there).
+// Disk is the simulated stable store. Every IO is charged to the
+// virtual clock; none waits in wall-clock time. A mutex makes it safe
+// for concurrent use, which parallel redo workers rely on;
+// single-threaded virtual-time experiments see identical behaviour (the
+// mutex is uncontended there).
 type Disk struct {
 	clock *sim.Clock
 	cfg   Config
 
-	// mu guards realScale, pages, channels, inflight, realInflight,
-	// frozen and stats. Real-mode sleeps happen outside the lock.
+	// mu guards pages, channels, inflight, due, frozen and stats.
 	mu sync.Mutex
-
-	// realScale > 0 is wall-clock mode (see SetRealIOScale); 0 is the
-	// pure virtual-time simulation.
-	realScale int
 
 	// base is the copy-on-write parent. Reads fall through to base when
 	// the page is absent locally; writes always land locally. base must
@@ -152,14 +147,6 @@ type Disk struct {
 	// their pages: InflightCount pops, it does not walk the map.
 	due      dueHeap
 	duePages int
-
-	// realInflight maps prefetched pages to their IO in real-IO mode and
-	// realPending is InflightCount's answer there; realSlots is a
-	// Channels-sized semaphore bounding concurrent real prefetch IOs
-	// (the device queue depth).
-	realInflight map[PageID]*asyncIO
-	realPending  int
-	realSlots    chan struct{}
 
 	// frozen marks a forked parent; writes to a frozen disk fail.
 	frozen bool
@@ -190,41 +177,8 @@ func New(clock *sim.Clock, cfg Config) (*Disk, error) {
 	return d, nil
 }
 
-// initRealMode allocates the real-IO bookkeeping if the disk is in
-// wall-clock mode. Caller must ensure no IO is concurrently in flight.
-func (d *Disk) initRealMode() {
-	if d.realScale > 0 {
-		d.realInflight = make(map[PageID]*asyncIO)
-		d.realSlots = make(chan struct{}, d.cfg.Channels)
-	}
-}
-
-// SetRealIOScale switches the disk into wall-clock mode: every IO
-// sleeps its modelled latency divided by scale in real time instead of
-// advancing the virtual clock, so parallel redo workers genuinely
-// overlap their IO waits and wall-clock speedups are measurable. 0
-// switches back to the pure virtual-time simulation. Recovery runs call
-// it on a freshly forked disk before any IO is issued; forks inherit
-// the scale.
-func (d *Disk) SetRealIOScale(scale int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.realScale = scale
-	d.initRealMode()
-}
-
-// RealTime reports whether the disk is in wall-clock IO mode.
-func (d *Disk) RealTime() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.realScale > 0
-}
-
-// realSleep blocks the caller for the modelled cost scaled down by
-// scale, in wall-clock time.
-func (d *Disk) realSleep(cost sim.Duration, scale int) {
-	time.Sleep(time.Duration(int64(cost) / int64(scale)))
-}
+// RealTime reports false: the simulated disk's IO waits are virtual.
+func (d *Disk) RealTime() bool { return false }
 
 // Fork returns a copy-on-write child of d sharing d's current contents.
 // The child gets its own clock so forks replay independently. The parent
@@ -232,17 +186,14 @@ func (d *Disk) realSleep(cost sim.Duration, scale int) {
 func (d *Disk) Fork(clock *sim.Clock) *Disk {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	child := &Disk{
-		clock:     clock,
-		cfg:       d.cfg,
-		realScale: d.realScale,
-		base:      d,
-		pages:     make(map[PageID][]byte),
-		channels:  make([]sim.Time, d.cfg.Channels),
-		inflight:  make(map[PageID]sim.Time),
+	return &Disk{
+		clock:    clock,
+		cfg:      d.cfg,
+		base:     d,
+		pages:    make(map[PageID][]byte),
+		channels: make([]sim.Time, d.cfg.Channels),
+		inflight: make(map[PageID]sim.Time),
 	}
-	child.initRealMode()
-	return child
 }
 
 // Config returns the disk's latency configuration.
@@ -356,51 +307,13 @@ func (d *Disk) readCost(pages int) sim.Duration {
 // Read synchronously fetches pid, advancing the clock to the IO's
 // completion. If the page was previously prefetched, the clock advances
 // only to the prefetch completion (possibly not at all).
-//
-// In real-IO mode the caller instead sleeps the scaled latency in wall
-// time (or waits on the covering prefetch IO), outside the disk lock, so
-// concurrent readers overlap their waits.
 func (d *Disk) Read(pid PageID) ([]byte, error) {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	data, ok := d.lookup(pid)
 	if !ok {
-		d.mu.Unlock()
 		return nil, fmt.Errorf("storage: read of unwritten page %d", pid)
 	}
-	if scale := d.realScale; scale > 0 {
-		if io, inflight := d.realInflight[pid]; inflight {
-			delete(d.realInflight, pid)
-			if io.claim(&d.realPending) { // prefetch already complete: free claim
-				d.stats.PrefetchHits++
-				d.mu.Unlock()
-			} else {
-				d.stats.Stalls++
-				d.mu.Unlock()
-				start := time.Now()
-				<-io.done
-				d.addStallWall(time.Since(start), scale)
-			}
-			return cloneBytes(data), nil
-		}
-		cost := d.readCost(1)
-		d.stats.Reads++
-		d.stats.PagesRead++
-		d.stats.Stalls++
-		d.fire(OpRead, 1)
-		slots := d.realSlots
-		d.mu.Unlock()
-		start := time.Now()
-		// Synchronous reads contend for the same device channel slots
-		// as prefetch and write IOs, so measured parallelism stays
-		// bounded by the modeled queue depth, exactly like serviceIO
-		// bounds it in virtual mode.
-		slots <- struct{}{}
-		d.realSleep(cost, scale)
-		<-slots
-		d.addStallWall(time.Since(start), scale)
-		return cloneBytes(data), nil
-	}
-	defer d.mu.Unlock()
 	now := d.clock.Now()
 	if done, ok := d.inflight[pid]; ok {
 		delete(d.inflight, pid)
@@ -423,14 +336,6 @@ func (d *Disk) Read(pid PageID) ([]byte, error) {
 	return cloneBytes(data), nil
 }
 
-// addStallWall accounts a real-mode wait, scaled back up to the modelled
-// latency domain so real and virtual stall times are comparable.
-func (d *Disk) addStallWall(elapsed time.Duration, scale int) {
-	d.mu.Lock()
-	d.stats.StallTime += sim.Duration(elapsed.Nanoseconds() * int64(scale))
-	d.mu.Unlock()
-}
-
 // Prefetch asynchronously issues reads for the given pages, grouping
 // contiguous PIDs into block IOs of at most MaxBlock pages. Pages
 // already in flight are skipped. The clock does not advance. The caller
@@ -442,14 +347,9 @@ func (d *Disk) Prefetch(pids []PageID) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	real := d.realScale > 0
 	want := make([]PageID, 0, len(pids))
 	for _, pid := range pids {
-		if real {
-			if _, inflight := d.realInflight[pid]; inflight {
-				continue
-			}
-		} else if _, inflight := d.inflight[pid]; inflight {
+		if _, inflight := d.inflight[pid]; inflight {
 			continue
 		}
 		if _, ok := d.lookup(pid); !ok {
@@ -471,7 +371,6 @@ func (d *Disk) Prefetch(pids []PageID) {
 			continue
 		}
 		n := i - runStart
-		cost := d.readCost(n)
 		d.stats.Reads++
 		d.stats.PagesRead += int64(n)
 		d.stats.PrefetchIOs++
@@ -486,45 +385,22 @@ func (d *Disk) Prefetch(pids []PageID) {
 		if i < len(want) && want[i] == want[i-1] {
 			own = own[:n-1]
 		}
-		if real {
-			// The IO runs on its own goroutine: it takes a device
-			// channel slot (queue depth), sleeps the scaled latency and
-			// signals every covered page.
-			io := newAsyncIO(len(own), &d.realPending)
-			for _, pid := range own {
-				d.realInflight[pid] = io
-			}
-			scale := d.realScale
-			go func() {
-				d.realSlots <- struct{}{}
-				d.realSleep(cost, scale)
-				<-d.realSlots
-				d.mu.Lock()
-				io.complete(&d.realPending)
-				d.mu.Unlock()
-			}()
-		} else {
-			done := d.serviceIO(cost)
-			for _, pid := range own {
-				d.inflight[pid] = done
-			}
-			heap.Push(&d.due, dueIO{at: done, pages: len(own)})
-			d.duePages += len(own)
+		done := d.serviceIO(d.readCost(n))
+		for _, pid := range own {
+			d.inflight[pid] = done
 		}
+		heap.Push(&d.due, dueIO{at: done, pages: len(own)})
+		d.duePages += len(own)
 		runStart = i
 	}
 }
 
 // QueueDepth reports how far in the future the device's most-loaded
 // channel is booked, in virtual time from now. Prefetchers use it to
-// pace issue rates. Real-IO mode reports 0 (pacing there uses
-// InflightCount).
+// pace issue rates.
 func (d *Disk) QueueDepth() sim.Duration {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.realScale > 0 {
-		return 0
-	}
 	now := d.clock.Now()
 	var worst sim.Time
 	for _, c := range d.channels {
@@ -550,9 +426,6 @@ func (d *Disk) QueueDepth() sim.Duration {
 func (d *Disk) InflightCount() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.realScale > 0 {
-		return d.realPending
-	}
 	now := d.clock.Now()
 	for len(d.due) > 0 && d.due[0].at <= now {
 		d.duePages -= heap.Pop(&d.due).(dueIO).pages
@@ -580,39 +453,6 @@ func (h *dueHeap) Pop() any {
 	return x
 }
 
-// asyncIO is one wall-clock prefetch IO (real-IO mode, FileDisk): done
-// is closed on completion, unclaimed counts its pages no Read has taken.
-// Both change only under the device mutex, together with the device's
-// pending count — the unclaimed pages of incomplete IOs, which is what
-// InflightCount answers without polling every channel.
-type asyncIO struct {
-	done      chan struct{}
-	unclaimed int
-}
-
-func newAsyncIO(pages int, pending *int) *asyncIO {
-	*pending += pages
-	return &asyncIO{done: make(chan struct{}), unclaimed: pages}
-}
-
-// claim takes one page and reports whether the IO had completed; if
-// not, the caller waits on done.
-func (io *asyncIO) claim(pending *int) bool {
-	select {
-	case <-io.done:
-		return true
-	default:
-		io.unclaimed--
-		*pending--
-		return false
-	}
-}
-
-func (io *asyncIO) complete(pending *int) {
-	*pending -= io.unclaimed
-	close(io.done)
-}
-
 // Write stores data as the new stable content of pid. The IO is issued
 // asynchronously (the device queue is charged; the clock does not
 // advance) and the returned time is when the write completes — callers
@@ -622,40 +462,21 @@ func (io *asyncIO) complete(pending *int) {
 // paper's controlled-crash methodology).
 func (d *Disk) Write(pid PageID, data []byte) (sim.Time, error) {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	if pid == InvalidPageID {
-		d.mu.Unlock()
 		return 0, fmt.Errorf("storage: write to invalid page 0")
 	}
 	if len(data) != d.cfg.PageSize {
-		d.mu.Unlock()
 		return 0, fmt.Errorf("storage: write of %d bytes to page %d, want page size %d", len(data), pid, d.cfg.PageSize)
 	}
 	if d.frozen {
-		d.mu.Unlock()
 		return 0, fmt.Errorf("storage: write to frozen disk (page %d)", pid)
 	}
 	d.stats.Writes++
 	d.stats.PagesWritten++
 	d.fire(OpWrite, 1)
 	d.pages[pid] = cloneBytes(data)
-	if scale := d.realScale; scale > 0 {
-		// Matching the virtual semantics, the write IO is asynchronous:
-		// the content is stable now, and a goroutine occupies a device
-		// channel slot for the scaled latency (backpressuring prefetch)
-		// without sleeping the caller — who may hold the buffer-pool
-		// lock on an eviction flush.
-		cost := d.cfg.WriteSeekTime + d.cfg.TransferPerPage
-		d.mu.Unlock()
-		go func() {
-			d.realSlots <- struct{}{}
-			d.realSleep(cost, scale)
-			<-d.realSlots
-		}()
-		return d.clock.Now(), nil
-	}
-	done := d.serviceIO(d.cfg.WriteSeekTime + d.cfg.TransferPerPage)
-	d.mu.Unlock()
-	return done, nil
+	return d.serviceIO(d.cfg.WriteSeekTime + d.cfg.TransferPerPage), nil
 }
 
 // Freeze marks the disk immutable; subsequent writes fail. Called after

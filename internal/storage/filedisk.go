@@ -69,6 +69,39 @@ type fileIO struct {
 	err  error
 }
 
+// asyncIO is one wall-clock prefetch IO: done is closed on completion,
+// unclaimed counts its pages no Read has taken. Both change only under
+// the device mutex, together with the device's pending count — the
+// unclaimed pages of incomplete IOs, which is what InflightCount
+// answers without polling every channel.
+type asyncIO struct {
+	done      chan struct{}
+	unclaimed int
+}
+
+func newAsyncIO(pages int, pending *int) *asyncIO {
+	*pending += pages
+	return &asyncIO{done: make(chan struct{}), unclaimed: pages}
+}
+
+// claim takes one page and reports whether the IO had completed; if
+// not, the caller waits on done.
+func (io *asyncIO) claim(pending *int) bool {
+	select {
+	case <-io.done:
+		return true
+	default:
+		io.unclaimed--
+		*pending--
+		return false
+	}
+}
+
+func (io *asyncIO) complete(pending *int) {
+	*pending -= io.unclaimed
+	close(io.done)
+}
+
 // NewFileDisk creates (or truncates) the page file at path. The clock
 // is carried only so Write can report a completion time to the flush
 // hooks; FileDisk never advances it.

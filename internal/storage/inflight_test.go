@@ -21,16 +21,6 @@ func (d *Disk) scanInflight() (scan, got int) {
 			scan++
 		}
 	}
-	for _, io := range d.realInflight {
-		select {
-		case <-io.done:
-		default:
-			scan++
-		}
-	}
-	if d.realScale > 0 {
-		return scan, d.realPending
-	}
 	d.mu.Unlock()
 	got = d.InflightCount() // virtual time: nothing moves between the two
 	d.mu.Lock()
@@ -118,26 +108,19 @@ func TestInflightCountMatchesScan(t *testing.T) {
 	}
 
 	for seed := int64(1); seed <= 4; seed++ {
-		for _, scale := range []int{0, 2000} { // virtual time, then real-IO mode (2 µs seeks)
-			name := "sim"
-			if scale > 0 {
-				name = "real-io"
+		t.Run("sim", func(t *testing.T) {
+			clock := &sim.Clock{}
+			d, err := New(clock, cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			t.Run(name, func(t *testing.T) {
-				clock := &sim.Clock{}
-				d, err := New(clock, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				d.SetRealIOScale(scale)
-				load(t, d)
-				cur := d
-				run(t, seed, clock, d, func() device {
-					cur = cur.Fork(clock)
-					return cur
-				})
+			load(t, d)
+			cur := d
+			run(t, seed, clock, d, func() device {
+				cur = cur.Fork(clock)
+				return cur
 			})
-		}
+		})
 		t.Run("file", func(t *testing.T) {
 			clock := &sim.Clock{}
 			d, err := NewFileDisk(clock, cfg, filepath.Join(t.TempDir(), "pages.db"))

@@ -201,14 +201,13 @@ func TestScanAllAtomicUnderAutoSplit(t *testing.T) {
 	cfg.Shards = 4
 	cfg.KeySpan = rows
 	cfg.CachePages = 512
-	cfg.AutoSplit = true
 	// Small windows with a low qualifying floor: the -race scheduler
 	// throttles writer throughput, and the balancer must still see
 	// enough qualifying windows to split and migrate mid-test.
 	// A full-table scan holds every plane, so writers only run in the
 	// gaps between scans; tiny windows with a one-op floor let the
 	// balancer qualify on that thin trickle under the -race scheduler.
-	cfg.AutoSplitCfg = tc.AutoSplitConfig{Interval: 2 * time.Millisecond, MinOps: 1, MaxMoveSpan: 1024}
+	cfg.AutoSplit = &tc.AutoSplitConfig{Interval: 2 * time.Millisecond, MinOps: 1, MaxMoveSpan: 1024}
 	eng, err := engine.New(cfg)
 	if err != nil {
 		t.Fatal(err)

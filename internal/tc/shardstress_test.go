@@ -86,8 +86,7 @@ func TestShardParallelStressCrashRecoverMatchesSerialReplay(t *testing.T) {
 	cfg.CachePages = 256
 	cfg.Shards = 4
 	cfg.KeySpan = rows
-	cfg.AutoSplit = true
-	cfg.AutoSplitCfg = tc.AutoSplitConfig{
+	cfg.AutoSplit = &tc.AutoSplitConfig{
 		// Wide windows with a tiny op floor: -race on a small host may
 		// push only a few thousand ops/sec, and the balancer must still
 		// qualify windows and act during the run.
