@@ -28,24 +28,27 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short fuzz pass over the WAL codec, the restart path and the shipping
-# path: adversarial bytes and torn tails must never panic the decoder
-# and what decodes must re-encode to the same bytes, a log directory
-# whose last segment file is arbitrary bytes must open trimmed or not at
-# all, and a standby fed arbitrary bytes in two pieces must ingest only
-# frames that decode. CI runs this; `go test -fuzz` without -fuzztime
-# runs a target open-ended for real fuzzing sessions.
+# Short fuzz pass over the WAL codec, the restart path, the shipping
+# path and the page format: adversarial bytes and torn tails must never
+# panic the decoder and what decodes must re-encode to the same bytes, a
+# log directory whose last segment file is arbitrary bytes must open
+# trimmed or not at all, a standby fed arbitrary bytes in two pieces
+# must ingest only frames that decode, and page operations on an
+# arbitrary valid image must keep it valid without writing the shared
+# bytes it started from. CI runs this; `go test -fuzz` without
+# -fuzztime runs a target open-ended for real fuzzing sessions.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeAt -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzOpenLogDir -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzAppendStableSplit -fuzztime 10s ./internal/wal
+	$(GO) test -run '^$$' -fuzz FuzzPageOps -fuzztime 10s ./internal/page
 
 # The bounded-log soak: sustained single-writer traffic with a
 # checkpoint every few thousand records for ten minutes; fails if the
 # retained log outgrows the redo window plus two segments at any
 # checkpoint or the post-GC heap grows over the second half.
 soak:
-	$(GO) test -run TestLogStaysBoundedUnderSustainedTraffic -soak -timeout 20m -v ./internal/harness
+	$(GO) test -run TestLogStaysBoundedUnderSustainedTraffic -timeout 20m -v ./internal/harness -args -soak
 
 # Build and run every example program, so the documented entry points
 # cannot rot silently.

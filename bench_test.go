@@ -352,7 +352,9 @@ var encodeSink []byte
 // checkpoint — on a fully cached 200k-row table, the set-up every
 // experiment starts from. pool-reqs/row is the buffer pool's Get
 // traffic during the load: ≈3 per row when the load was row-at-a-time
-// inserts, ≈0 for the bulk build. Ungated; `setup_s` in benchmark/ is
+// inserts, ≈0 for the bulk build. B/row is the bytes allocated per
+// row, page images included: the flush hands each built page to the
+// simulated disk without a copy. Ungated; `setup_s` in benchmark/ is
 // the gate.
 func BenchmarkEngineLoad(b *testing.B) {
 	const rows = 200_000
@@ -386,5 +388,6 @@ func BenchmarkEngineLoad(b *testing.B) {
 	runtime.ReadMemStats(&after)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N)/rows, "allocs/row")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/rows, "B/row")
 	b.ReportMetric(float64(poolReqs)/float64(b.N)/rows, "pool-reqs/row")
 }

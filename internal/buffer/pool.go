@@ -14,6 +14,13 @@
 // does not stall traffic to the others. Every path that retakes the
 // latch revalidates what it looked at before letting go.
 //
+// A clean frame holds no bytes of its own. Every device read is wrapped
+// as a shared page (page.WrapShared), and a flush on the simulated
+// device hands the frame's bytes to the device and marks the page
+// shared again, so the frame and the device hold one image until the
+// page's next mutation copies it. On the real-time path the flush
+// writes a snapshot instead, which the frame never shares.
+//
 // Rebuilding this cache after a crash is the dominant cost of redo
 // recovery (§1.3, Appendix B); the pool therefore exposes detailed fetch
 // and flush statistics for the experiment harness.
@@ -346,14 +353,14 @@ func (p *Pool) Get(pid storage.PageID) (*Frame, error) {
 			p.removeFrame(f)
 			return nil, err
 		}
-		f.Page = page.Wrap(data)
+		f.Page = page.WrapShared(data)
 		return f, nil
 	}
 	data, err := p.disk.Read(pid)
 	if err != nil {
 		return nil, err
 	}
-	f := &Frame{PID: pid, Page: page.Wrap(data), pins: 1}
+	f := &Frame{PID: pid, Page: page.WrapShared(data), pins: 1}
 	p.admit(f)
 	return f, nil
 }
@@ -611,7 +618,9 @@ func (p *Pool) FlushFrame(f *Frame) error {
 // the latch
 // and the frame carries a `flushing` marker so concurrent flushers wait
 // and the eviction sweep skips it; a frame re-dirtied while its old
-// image is in flight simply stays dirty.
+// image is in flight simply stays dirty. On the simulated device the
+// write keeps the frame's own bytes, and the page is marked shared so
+// its next mutation copies them.
 func (p *Pool) flushFrame(f *Frame) error {
 	for f.flushing != nil {
 		ch := f.flushing
@@ -665,6 +674,7 @@ func (p *Pool) flushFrame(f *Frame) error {
 	if err != nil {
 		return err
 	}
+	f.Page.MarkShared()
 	f.Dirty = false
 	f.RecLSN = wal.NilLSN
 	p.dirty--

@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 	"time"
@@ -474,6 +475,98 @@ func TestConcurrentMissDuringDirtyEvictionSharesFrame(t *testing.T) {
 	}
 	pool.Unpin(a)
 	pool.Unpin(b)
+}
+
+// TestCleanFramesShareTheDeviceImage: a frame shares its page image
+// with the simulated device until the page is first written. A
+// mutation never reaches the device image except through a flush; a
+// flush hands the frame's bytes over; the next mutation copies them.
+func TestCleanFramesShareTheDeviceImage(t *testing.T) {
+	_, disk, pool := newPoolEnv(t, 4)
+	seed(t, disk, 1)
+	pool.SetELSN(1 << 40)
+	stored, err := disk.Read(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded := bytes.Clone(stored)
+
+	f, err := pool.Get(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &f.Page.Bytes()[0] != &stored[0] {
+		t.Fatal("a clean frame holds its own copy of the device image")
+	}
+	if err := f.Page.Insert(7, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	f.Page.SetLSN(10)
+	pool.MarkDirty(f, 10)
+	if img, _ := disk.Read(2); !bytes.Equal(img, loaded) {
+		t.Fatal("modifying the frame changed the device image")
+	}
+
+	if err := pool.FlushFrame(f); err != nil {
+		t.Fatal(err)
+	}
+	flushed, _ := disk.Read(2)
+	if !bytes.Equal(flushed, f.Page.Bytes()) {
+		t.Fatal("the device image differs from the frame after a flush")
+	}
+	want := bytes.Clone(flushed)
+	if err := f.Page.Insert(8, []byte("y")); err != nil {
+		t.Fatal(err)
+	}
+	f.Page.SetLSN(11)
+	pool.MarkDirty(f, 11)
+	if img, _ := disk.Read(2); !bytes.Equal(img, want) {
+		t.Fatal("modifying a flushed frame changed the flushed image")
+	}
+	pool.Unpin(f)
+}
+
+// TestForkedPoolsMutateOneImageApart: two pools over two forks of one
+// frozen disk start from the same shared image of a page and each
+// change it on its own; neither change shows in the other fork or the
+// parent.
+func TestForkedPoolsMutateOneImageApart(t *testing.T) {
+	_, base, _ := newPoolEnv(t, 1)
+	seed(t, base, 1)
+	orig, _ := base.Read(2)
+	orig = bytes.Clone(orig)
+	forks := []*storage.Disk{base.Fork(&sim.Clock{}), base.Fork(&sim.Clock{})}
+	base.Freeze()
+	for i, d := range forks {
+		pool, err := New(d, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool.SetELSN(1 << 40)
+		f, err := pool.Get(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Page.Insert(100, []byte{byte('a' + i)}); err != nil {
+			t.Fatal(err)
+		}
+		pool.MarkDirty(f, 10)
+		pool.Unpin(f)
+		if err := pool.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, d := range forks {
+		img, _ := d.Read(2)
+		p := page.Wrap(img)
+		idx, found := p.Search(100)
+		if !found || p.ValueAt(idx)[0] != byte('a'+i) {
+			t.Fatalf("fork %d lost its own change to page 2", i)
+		}
+	}
+	if img, _ := base.Read(2); !bytes.Equal(img, orig) {
+		t.Fatal("a fork's change reached the frozen parent's image")
+	}
 }
 
 func TestDropDiscardsWithoutFlush(t *testing.T) {

@@ -16,6 +16,7 @@ package buffer
 
 import (
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -44,11 +45,25 @@ func storeMax(a *atomic.Uint64, v uint64) {
 // takes its latch-released read and flush paths while every IO still
 // costs only virtual time: the race detector gets maximal interleaving
 // instead of a disk-latency-paced crawl.
+//
+// It also checks that stored images are immutable: the disk keeps the
+// written slice and hands it to every reader, so a frame that mutated
+// a page without copying it first would write the image in place. Each
+// image is hashed at Write and re-hashed by changedImages.
 type oracleDevice struct {
 	*storage.Disk
 	stable     *atomic.Uint64
 	violations atomic.Int64
 	firstErr   atomic.Pointer[string]
+
+	mu     sync.Mutex
+	images []storedImage
+}
+
+type storedImage struct {
+	pid  storage.PageID
+	data []byte
+	sum  uint32
 }
 
 func (o *oracleDevice) RealTime() bool { return true }
@@ -60,7 +75,25 @@ func (o *oracleDevice) Write(pid storage.PageID, data []byte) (sim.Time, error) 
 		msg := fmt.Sprintf("page %d flushed with LSN %d >= stable end %d", pid, lsn, stable)
 		o.firstErr.CompareAndSwap(nil, &msg)
 	}
+	o.mu.Lock()
+	o.images = append(o.images, storedImage{pid, data, crc32.ChecksumIEEE(data)})
+	o.mu.Unlock()
 	return o.Disk.Write(pid, data)
+}
+
+// changedImages counts the stored images whose bytes changed after
+// they were written and returns the first few of their PIDs.
+func (o *oracleDevice) changedImages() (n int, first []storage.PageID) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for _, img := range o.images {
+		if crc32.ChecksumIEEE(img.data) != img.sum {
+			if n++; len(first) < 8 {
+				first = append(first, img.pid)
+			}
+		}
+	}
+	return n, first
 }
 
 // The subtest is named for the clock, the pool's eviction policy.
@@ -90,18 +123,17 @@ func runPoolStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for pid := storage.PageID(2); pid < 2+keyspace; pid++ {
-		data := make([]byte, cfg.PageSize)
-		page.Format(data, page.TypeLeaf)
-		if _, err := raw.Write(pid, data); err != nil {
-			t.Fatal(err)
-		}
-	}
-
 	var stable atomic.Uint64
 	var nextLSN atomic.Uint64
 	nextLSN.Store(100)
 	disk := &oracleDevice{Disk: raw, stable: &stable}
+	for pid := storage.PageID(2); pid < 2+keyspace; pid++ {
+		data := make([]byte, cfg.PageSize)
+		page.Format(data, page.TypeLeaf)
+		if _, err := disk.Write(pid, data); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	pool, err := New(disk, capacity)
 	if err != nil {
@@ -244,6 +276,9 @@ func runPoolStress(t *testing.T) {
 	}
 	if n := disk.violations.Load(); n != 0 {
 		t.Fatalf("WAL protocol violated %d times; first: %s", n, *disk.firstErr.Load())
+	}
+	if n, pids := disk.changedImages(); n != 0 {
+		t.Fatalf("%d stored images written in place; the first on pages %v", n, pids)
 	}
 	st := pool.Stats()
 	if st.Hits+st.Misses == 0 {

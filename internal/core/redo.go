@@ -266,7 +266,7 @@ func (sr *shardRun) installSMO(t *wal.SMORec, lsn wal.LSN, table *dpt.Table, met
 			return fmt.Errorf("SMO image for page %d: %w", img.PageID, err)
 		}
 		if f.Page.LSN() < uint64(lsn) {
-			copy(f.Page.Bytes(), img.Data)
+			f.Page.CopyFrom(img.Data)
 			pool.MarkDirty(f, lsn)
 		}
 		pool.Unpin(f)

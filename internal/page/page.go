@@ -75,10 +75,14 @@ var (
 	ErrCorrupt = errors.New("page: corrupt")
 )
 
-// Page is a view over a fixed-size byte slice. It never allocates page
-// memory itself; the buffer pool owns frame storage.
+// Page is a view over a fixed-size byte slice. The page's bytes change
+// only through its methods. A page may be shared: its bytes are an
+// image someone else also holds (the simulated device keeps the image
+// it was read from or flushed to), so the first mutation copies them
+// and the other holder never sees the change (copy-on-write).
 type Page struct {
-	data []byte
+	data   []byte
+	shared bool
 }
 
 // Format initialises data in place as an empty page of type t and
@@ -96,11 +100,39 @@ func Format(data []byte, t Type) *Page {
 }
 
 // Wrap views existing bytes as a page without validation. Use Check for
-// structural validation.
+// structural validation. The page owns data: its mutators write it in
+// place.
 func Wrap(data []byte) *Page { return &Page{data: data} }
 
-// Bytes returns the underlying storage of the page.
+// WrapShared is Wrap for bytes the caller does not own: the page's
+// first mutation copies data, which is never written.
+func WrapShared(data []byte) *Page { return &Page{data: data, shared: true} }
+
+// MarkShared records that the page's current bytes are now held
+// elsewhere too (a flush handed them to the device), so the next
+// mutation copies them first.
+func (p *Page) MarkShared() { p.shared = true }
+
+// own makes p's bytes its own before a mutation: a shared image is
+// copied once, and the copy is written from then on.
+func (p *Page) own() {
+	if p.shared {
+		p.data = append([]byte(nil), p.data...)
+		p.shared = false
+	}
+}
+
+// Bytes returns the underlying storage of the page. It is read-only:
+// it may be shared with the device, and the page changes only through
+// its methods.
 func (p *Page) Bytes() []byte { return p.data }
+
+// CopyFrom overwrites the page with img (an SMO's after-image), copying
+// a shared image first as any mutator does.
+func (p *Page) CopyFrom(img []byte) {
+	p.own()
+	copy(p.data, img)
+}
 
 // Size returns the page size in bytes.
 func (p *Page) Size() int { return len(p.data) }
@@ -110,7 +142,10 @@ func (p *Page) Size() int { return len(p.data) }
 func (p *Page) LSN() uint64 { return binary.BigEndian.Uint64(p.data[0:]) }
 
 // SetLSN records the LSN of an operation just applied.
-func (p *Page) SetLSN(lsn uint64) { binary.BigEndian.PutUint64(p.data[0:], lsn) }
+func (p *Page) SetLSN(lsn uint64) {
+	p.own()
+	binary.BigEndian.PutUint64(p.data[0:], lsn)
+}
 
 // Type returns the page type tag.
 func (p *Page) Type() Type { return Type(p.data[8]) }
@@ -131,7 +166,10 @@ func (p *Page) setFreeBytes(v uint16) { binary.BigEndian.PutUint16(p.data[14:], 
 func (p *Page) Extra() uint32 { return binary.BigEndian.Uint32(p.data[16:]) }
 
 // SetExtra stores the role-specific header word.
-func (p *Page) SetExtra(v uint32) { binary.BigEndian.PutUint32(p.data[16:], v) }
+func (p *Page) SetExtra(v uint32) {
+	p.own()
+	binary.BigEndian.PutUint32(p.data[16:], v)
+}
 
 func (p *Page) slot(i int) (off, length int) {
 	base := headerSize + i*slotSize
@@ -153,7 +191,7 @@ func (p *Page) KeyAt(i int) uint64 {
 }
 
 // ValueAt returns the value bytes of slot i. The returned slice aliases
-// page memory; callers must copy before retaining.
+// page memory: it is read-only, and callers must copy before retaining.
 func (p *Page) ValueAt(i int) []byte {
 	off, length := p.slot(i)
 	return p.data[off+cellKeyLen : off+length]
@@ -189,6 +227,7 @@ func CellSize(n int) int { return cellKeyLen + n }
 // Insert adds (key, val). It returns ErrKeyExists if key is present and
 // ErrPageFull if the cell cannot fit even after compaction.
 func (p *Page) Insert(key uint64, val []byte) error {
+	p.own()
 	idx, found := p.Search(key)
 	if found {
 		return fmt.Errorf("%w: %d", ErrKeyExists, key)
@@ -202,6 +241,7 @@ func (p *Page) Insert(key uint64, val []byte) error {
 // page is left exactly as Insert would leave it; on any error it is
 // untouched.
 func (p *Page) Append(key uint64, val []byte) error {
+	p.own()
 	n := p.NumSlots()
 	if n > 0 {
 		if last := p.KeyAt(n - 1); key <= last {
@@ -247,6 +287,7 @@ func (p *Page) insertAt(idx int, key uint64, val []byte) error {
 // It returns ErrNotFound if key is absent, ErrPageFull if a larger
 // value cannot fit.
 func (p *Page) Update(key uint64, val []byte) error {
+	p.own()
 	idx, found := p.Search(key)
 	if !found {
 		return fmt.Errorf("%w: %d", ErrNotFound, key)
@@ -274,6 +315,7 @@ func (p *Page) Update(key uint64, val []byte) error {
 
 // Delete removes key. It returns ErrNotFound if absent.
 func (p *Page) Delete(key uint64) error {
+	p.own()
 	idx, found := p.Search(key)
 	if !found {
 		return fmt.Errorf("%w: %d", ErrNotFound, key)
@@ -300,6 +342,7 @@ func (p *Page) deleteAt(idx int) {
 // Compact rewrites the heap to be contiguous, reclaiming fragmented
 // bytes. Slot order and page contents are unchanged.
 func (p *Page) Compact() {
+	p.own()
 	n := p.NumSlots()
 	type cell struct {
 		idx, off, length int
@@ -327,6 +370,7 @@ func (p *Page) Compact() {
 // the separator to install in the parent. The paper's SMO logging wraps
 // this operation (§4).
 func (p *Page) SplitInto(dst *Page) (uint64, error) {
+	p.own()
 	n := p.NumSlots()
 	if n < 2 {
 		return 0, fmt.Errorf("%w: split of page with %d cells", ErrCorrupt, n)
@@ -346,9 +390,9 @@ func (p *Page) SplitInto(dst *Page) (uint64, error) {
 	return sep, nil
 }
 
-// Check validates structural invariants: sorted unique keys, cells
-// within the heap, and a consistent free-byte account. It returns nil
-// for a healthy page.
+// Check validates structural invariants: sorted unique keys, disjoint
+// cells within the heap, and a consistent free-byte account. It returns
+// nil for a healthy page and never panics on a corrupt one.
 func (p *Page) Check() error {
 	if len(p.data) < headerSize {
 		return fmt.Errorf("%w: page smaller than header", ErrCorrupt)
@@ -357,19 +401,32 @@ func (p *Page) Check() error {
 	if headerSize+n*slotSize > int(p.heapOff()) {
 		return fmt.Errorf("%w: slot array overlaps heap", ErrCorrupt)
 	}
+	if int(p.heapOff()) > len(p.data) {
+		return fmt.Errorf("%w: heap starts at %d, past the page end %d", ErrCorrupt, p.heapOff(), len(p.data))
+	}
 	used := 0
 	var prev uint64
+	cells := make([][2]int, 0, n)
 	for i := 0; i < n; i++ {
 		off, length := p.slot(i)
 		if off < int(p.heapOff()) || off+length > len(p.data) || length < cellKeyLen {
 			return fmt.Errorf("%w: slot %d cell out of bounds", ErrCorrupt, i)
 		}
 		used += length
+		cells = append(cells, [2]int{off, length})
 		k := p.KeyAt(i)
 		if i > 0 && k <= prev {
 			return fmt.Errorf("%w: keys out of order at slot %d (%d after %d)", ErrCorrupt, i, k, prev)
 		}
 		prev = k
+	}
+	// Overlapping cells would let one cell's write change another's key
+	// or value, and Compact would then corrupt both.
+	sort.Slice(cells, func(i, j int) bool { return cells[i][0] < cells[j][0] })
+	for i := 1; i < len(cells); i++ {
+		if cells[i][0] < cells[i-1][0]+cells[i-1][1] {
+			return fmt.Errorf("%w: cells at %d and %d overlap", ErrCorrupt, cells[i-1][0], cells[i][0])
+		}
 	}
 	heapBytes := len(p.data) - int(p.heapOff())
 	if used+int(p.freeBytes()) != heapBytes {

@@ -15,13 +15,19 @@ import "logrec/internal/sim"
 //
 //   - Read is synchronous: it returns the page's current stable
 //     content, waiting for any covering in-flight prefetch instead of
-//     issuing a duplicate IO. The returned slice is owned by the
-//     caller.
+//     issuing a duplicate IO. The caller must not modify the returned
+//     bytes: the simulated device returns its stored image itself.
 //   - Write makes data the page's stable content immediately from the
 //     caller's perspective (the engine never crashes with data writes
 //     in flight — the paper's controlled-crash methodology); the
 //     returned time is the modelled completion, used to order
-//     flush-completion callbacks.
+//     flush-completion callbacks. The device may keep data itself (the
+//     simulated one does), so the caller must not modify it afterward.
+//
+// Together these let a page image be shared, never copied, between the
+// simulated device and the buffer pool until someone writes it: the
+// pool wraps what it reads as a shared page.Page, which copies its
+// bytes at their first mutation.
 //   - Prefetch issues asynchronous reads, grouping contiguous pages
 //     into block IOs; it never blocks on the IO itself.
 //   - Sync is the durability barrier: on a real device it is fsync, on
@@ -33,10 +39,12 @@ import "logrec/internal/sim"
 //     virtual. The buffer pool releases its lock across miss reads and
 //     flush writes when it is true, so concurrent IOs overlap.
 type Device interface {
-	// Read synchronously fetches pid's stable content.
+	// Read synchronously fetches pid's stable content, which the caller
+	// must not modify.
 	Read(pid PageID) ([]byte, error)
 	// Write stores data as the new stable content of pid and returns
-	// the IO's completion time.
+	// the IO's completion time. The device may keep data: the caller
+	// must not modify it afterward.
 	Write(pid PageID, data []byte) (sim.Time, error)
 	// Prefetch asynchronously issues reads for the given pages.
 	Prefetch(pids []PageID)

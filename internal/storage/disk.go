@@ -306,7 +306,8 @@ func (d *Disk) readCost(pages int) sim.Duration {
 
 // Read synchronously fetches pid, advancing the clock to the IO's
 // completion. If the page was previously prefetched, the clock advances
-// only to the prefetch completion (possibly not at all).
+// only to the prefetch completion (possibly not at all). It returns the
+// stored image itself, which the caller must not modify.
 func (d *Disk) Read(pid PageID) ([]byte, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -324,7 +325,7 @@ func (d *Disk) Read(pid PageID) ([]byte, error) {
 		} else {
 			d.stats.PrefetchHits++
 		}
-		return cloneBytes(data), nil
+		return data, nil
 	}
 	done := d.serviceIO(d.readCost(1))
 	d.stats.Reads++
@@ -333,7 +334,7 @@ func (d *Disk) Read(pid PageID) ([]byte, error) {
 	d.fire(OpRead, 1)
 	d.stats.StallTime += done.Sub(now)
 	d.clock.AdvanceTo(done)
-	return cloneBytes(data), nil
+	return data, nil
 }
 
 // Prefetch asynchronously issues reads for the given pages, grouping
@@ -459,7 +460,8 @@ func (h *dueHeap) Pop() any {
 // use it to order flush-completion callbacks. The content is considered
 // stable at the completion time; the engine never crashes with writes
 // in flight (a crash is taken at a quiescent instant, which is the
-// paper's controlled-crash methodology).
+// paper's controlled-crash methodology). The disk keeps data itself as
+// the stored image: the caller must not modify it afterward.
 func (d *Disk) Write(pid PageID, data []byte) (sim.Time, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -475,7 +477,7 @@ func (d *Disk) Write(pid PageID, data []byte) (sim.Time, error) {
 	d.stats.Writes++
 	d.stats.PagesWritten++
 	d.fire(OpWrite, 1)
-	d.pages[pid] = cloneBytes(data)
+	d.pages[pid] = data
 	return d.serviceIO(d.cfg.WriteSeekTime + d.cfg.TransferPerPage), nil
 }
 
@@ -485,10 +487,4 @@ func (d *Disk) Freeze() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.frozen = true
-}
-
-func cloneBytes(b []byte) []byte {
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
 }

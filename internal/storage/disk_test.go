@@ -47,11 +47,19 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("content mismatch")
 	}
-	// Read returns a copy: mutating it must not affect the disk.
-	got[0] = 99
+	// Write keeps the caller's slice and Read returns the stored image:
+	// neither copies, which is what lets the pool share clean pages.
+	if &got[0] != &want[0] {
+		t.Fatal("Read returned a copy, not the stored image")
+	}
+	// A write replaces the image; it never writes into the old one, so
+	// a slice read earlier keeps the content it was read with.
+	if _, err := d.Write(5, pageData(8, 128)); err != nil {
+		t.Fatal(err)
+	}
 	again, _ := d.Read(5)
-	if again[0] != 7 {
-		t.Fatal("Read aliases disk memory")
+	if again[0] != 8 || got[0] != 7 {
+		t.Fatalf("after rewrite: read %d, earlier read %d; want 8, 7", again[0], got[0])
 	}
 }
 
