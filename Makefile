@@ -29,19 +29,21 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzz pass over the WAL codec, the restart path, the shipping
-# path and the page format: adversarial bytes and torn tails must never
-# panic the decoder and what decodes must re-encode to the same bytes, a
-# log directory whose last segment file is arbitrary bytes must open
-# trimmed or not at all, a standby fed arbitrary bytes in two pieces
-# must ingest only frames that decode, and page operations on an
-# arbitrary valid image must keep it valid without writing the shared
-# bytes it started from. CI runs this; `go test -fuzz` without
+# path, the page format and the row codec: adversarial bytes and torn
+# tails must never panic the decoder and what decodes must re-encode to
+# the same bytes, a log directory whose last segment file is arbitrary
+# bytes must open trimmed or not at all, a standby fed arbitrary bytes
+# in two pieces must ingest only frames that decode, page operations on
+# an arbitrary valid image must keep it valid without writing the
+# shared bytes it started from, and a row the schema decodes must
+# encode back to its bytes. CI runs this; `go test -fuzz` without
 # -fuzztime runs a target open-ended for real fuzzing sessions.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeAt -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzOpenLogDir -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzAppendStableSplit -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzPageOps -fuzztime 10s ./internal/page
+	$(GO) test -run '^$$' -fuzz FuzzSchemaDecode -fuzztime 10s ./internal/exec
 
 # The bounded-log soak: sustained single-writer traffic with a
 # checkpoint every few thousand records for ten minutes; fails if the

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"os"
@@ -55,6 +56,15 @@ func main() {
 	// its fixed fields: the row bytes it leaves alone and the two
 	// middles it carries.
 	var patch struct{ skip, tail, before, after int64 }
+	// fields sums, over the update records, the body bytes each field
+	// takes; trail is what is left of the body, the trailing prev and
+	// shard. oneLength counts the patches that log one length, leftOut
+	// the updates that leave a trailing field out, noTrail those that
+	// leave out both.
+	var fields struct {
+		txn, table, key, ends, lengths, middles, pid, trail int64
+		oneLength, leftOut, noTrail                         int64
+	}
 	// lists sums the page lists of the ∆ and BW records.
 	var lists struct{ dirty, dirtyLSNs, deltaWritten, bwWritten int64 }
 
@@ -64,12 +74,45 @@ func main() {
 	sc := log.NewScanner(log.StartLSN(), nil, wal.ScanCost{})
 	var order []wal.Type
 	var prev *slot
+	var prevRec wal.Record
 	var prevLSN wal.LSN
 	account := func(to wal.LSN) {
-		if prev != nil {
-			n, h := int64(to-prevLSN), int64(wal.FrameHeaderSize(int(to-prevLSN)))
-			prev.bytes, prev.header = prev.bytes+n, prev.header+h
-			total.bytes, total.header = total.bytes+n, total.header+h
+		if prev == nil {
+			return
+		}
+		n, h := int64(to-prevLSN), int64(wal.FrameHeaderSize(int(to-prevLSN)))
+		prev.bytes, prev.header = prev.bytes+n, prev.header+h
+		total.bytes, total.header = total.bytes+n, total.header+h
+		u, ok := prevRec.(*wal.UpdateRec)
+		if !ok {
+			return
+		}
+		txn, table, key := varintLen(uint64(u.TxnID)), varintLen(uint64(u.TableID)), varintLen(u.KeyVal)
+		ends, pid := varintLen(uint64(u.Skip))+varintLen(uint64(u.Tail)), varintLen(uint64(u.PageID))
+		middles, lengths := int64(len(u.OldVal)+len(u.NewVal)), varintLen(uint64(len(u.OldVal))<<1)
+		if len(u.OldVal) == len(u.NewVal) {
+			fields.oneLength++
+		} else {
+			lengths += varintLen(uint64(len(u.NewVal)))
+		}
+		trail := n - h - (txn + table + key + ends + lengths + middles + pid)
+		fields.txn += txn
+		fields.table += table
+		fields.key += key
+		fields.ends += ends
+		fields.lengths += lengths
+		fields.middles += middles
+		fields.pid += pid
+		fields.trail += trail
+		var dist uint64
+		if u.PrevLSN != wal.NilLSN {
+			dist = uint64(prevLSN - u.PrevLSN)
+		}
+		if trail < varintLen(dist)+varintLen(uint64(u.ShardID)) {
+			fields.leftOut++
+		}
+		if trail == 0 {
+			fields.noTrail++
 		}
 	}
 	for {
@@ -91,7 +134,7 @@ func main() {
 		}
 		s.count++
 		total.count++
-		prev, prevLSN = s, lsn
+		prev, prevRec, prevLSN = s, rec, lsn
 		switch r := rec.(type) {
 		case *wal.UpdateRec:
 			patch.skip += int64(r.Skip)
@@ -143,9 +186,21 @@ func main() {
 		n := float64(u.count)
 		fmt.Printf("\nan update is a patch: on average it skips %.1f row bytes, keeps a %.1f-byte tail,\nand carries a %.1f-byte before-middle and a %.1f-byte after-middle\n",
 			float64(patch.skip)/n, float64(patch.tail)/n, float64(patch.before)/n, float64(patch.after)/n)
+		per := func(v int64) float64 { return float64(v) / n }
+		fmt.Printf("bytes an update spends on each field: txn %.2f, table %.2f, key %.2f, skip+tail %.2f, lengths %.2f,\nmiddles %.2f, pid %.2f, trailing prev/shard %.2f, frame header %.2f (%.2f in all)\n",
+			per(fields.txn), per(fields.table), per(fields.key), per(fields.ends), per(fields.lengths),
+			per(fields.middles), per(fields.pid), per(fields.trail), per(u.header), per(u.bytes))
+		fmt.Printf("%d of %d updates log one patch length; %d leave a trailing field out, %d both prev and shard\n",
+			fields.oneLength, u.count, fields.leftOut, fields.noTrail)
 	}
 	fmt.Printf("\nrecovery-preparation records (∆+BW+SMO+ckpt+RSSP): %d bytes = %.2f%% of the log\n(what §5.1 calls a very small part of it)\n",
 		auxBytes, 100*float64(auxBytes)/float64(total.bytes))
+}
+
+// varintLen is how many bytes the log spends on v.
+func varintLen(v uint64) int64 {
+	var b [binary.MaxVarintLen64]byte
+	return int64(binary.PutUvarint(b[:], v))
 }
 
 // printRetention reports what the crashed log still holds: checkpoints

@@ -272,19 +272,24 @@ func putFixed(dst []byte, v any) {
 	}
 }
 
-// getFixed reads a fixed-width value from src[0:].
-func getFixed(src []byte, t ColType) any {
-	switch t {
+// getFixed reads fixed column c's value from src[0:]. A bool byte other
+// than the 0 or 1 putFixed writes is refused, so a decoded row encodes
+// back to the bytes it came from.
+func getFixed(src []byte, c Column) (any, error) {
+	switch c.Type {
 	case TUint64:
-		return binary.LittleEndian.Uint64(src)
+		return binary.LittleEndian.Uint64(src), nil
 	case TInt64:
-		return int64(binary.LittleEndian.Uint64(src))
+		return int64(binary.LittleEndian.Uint64(src)), nil
 	case TFloat64:
-		return math.Float64frombits(binary.LittleEndian.Uint64(src))
+		return math.Float64frombits(binary.LittleEndian.Uint64(src)), nil
 	case TBool:
-		return src[0] != 0
+		if src[0] > 1 {
+			return nil, fmt.Errorf("%w: column %q: bool byte %#x", ErrSchema, c.Name, src[0])
+		}
+		return src[0] == 1, nil
 	}
-	return nil
+	return nil, nil
 }
 
 // check validates the header and fixed region of an encoded row.
@@ -300,7 +305,9 @@ func (s *Schema) check(buf []byte) error {
 
 // Decode unpacks an encoded row into one value per column, in
 // declaration order. String and Bytes values are copied out of buf, so
-// the result outlives the page the row was read from.
+// the result outlives the page the row was read from. A row Decode
+// accepts is exactly what Encode makes of the values it returns: bytes
+// after the last column are refused.
 func (s *Schema) Decode(buf []byte) ([]any, error) {
 	if err := s.check(buf); err != nil {
 		return nil, err
@@ -308,7 +315,11 @@ func (s *Schema) Decode(buf []byte) ([]any, error) {
 	out := make([]any, len(s.cols))
 	for i, c := range s.cols {
 		if off := s.offset[i]; off >= 0 {
-			out[i] = getFixed(buf[1+off:], c.Type)
+			v, err := getFixed(buf[1+off:], c)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = v
 		}
 	}
 	pos := 1 + s.fixedEnd
@@ -323,6 +334,9 @@ func (s *Schema) Decode(buf []byte) ([]any, error) {
 			out[i] = append([]byte(nil), b...)
 		}
 		pos = next
+	}
+	if pos != len(buf) {
+		return nil, fmt.Errorf("%w: %d bytes after the last column", ErrSchema, len(buf)-pos)
 	}
 	return out, nil
 }
@@ -346,7 +360,8 @@ func (s *Schema) varAt(buf []byte, pos, i int) ([]byte, int, error) {
 // offset, variable-length ones walk only the preceding length
 // prefixes. This is the partial decode predicate pushdown runs against
 // page-resident bytes inside the B-tree iterator. String and Bytes
-// results are copies.
+// results are copies; a bool byte other than 0 or 1 is refused, as by
+// Decode.
 func (s *Schema) DecodeCol(buf []byte, i int) (any, error) {
 	if i < 0 || i >= len(s.cols) {
 		return nil, fmt.Errorf("%w: column index %d out of range", ErrSchema, i)
@@ -355,7 +370,7 @@ func (s *Schema) DecodeCol(buf []byte, i int) (any, error) {
 		return nil, err
 	}
 	if off := s.offset[i]; off >= 0 {
-		return getFixed(buf[1+off:], s.cols[i].Type), nil
+		return getFixed(buf[1+off:], s.cols[i])
 	}
 	pos := 1 + s.fixedEnd
 	for _, vi := range s.varOrder {

@@ -3,6 +3,7 @@ package exec
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -108,12 +109,90 @@ func TestSchemaErrors(t *testing.T) {
 	if _, err := s.Decode(good[:len(good)-1]); !errors.Is(err, ErrSchema) {
 		t.Fatalf("truncated: err = %v", err)
 	}
+	if _, err := s.Decode(append(good[:len(good):len(good)], 0)); !errors.Is(err, ErrSchema) {
+		t.Fatalf("a byte after the last column: err = %v", err)
+	}
+	// The bool "active" is the fourth fixed column: header, then 3×8 bytes.
+	notBool := append([]byte(nil), good...)
+	notBool[1+3*8] = 2
+	if _, err := s.Decode(notBool); !errors.Is(err, ErrSchema) {
+		t.Fatalf("bool byte 2: Decode err = %v", err)
+	}
+	if _, err := s.DecodeCol(notBool, 4); !errors.Is(err, ErrSchema) {
+		t.Fatalf("bool byte 2: DecodeCol err = %v", err)
+	}
 	if _, err := NewSchema(); err == nil {
 		t.Fatal("empty schema accepted")
 	}
 	if _, err := NewSchema(Column{Name: "a", Type: TUint64}, Column{Name: "a", Type: TBool}); err == nil {
 		t.Fatal("duplicate column accepted")
 	}
+}
+
+// FuzzSchemaDecode hands the row codec arbitrary bytes under three
+// schemas — mixed columns, a variable-length column declared first, and
+// fixed columns only. Decode must never panic; a row it accepts must
+// encode back to the very same bytes, and DecodeCol must agree with it
+// on every column.
+func FuzzSchemaDecode(f *testing.F) {
+	schemas := []*Schema{
+		MustSchema(Column{Name: "id", Type: TUint64}, Column{Name: "name", Type: TString},
+			Column{Name: "balance", Type: TInt64}, Column{Name: "score", Type: TFloat64},
+			Column{Name: "active", Type: TBool}, Column{Name: "blob", Type: TBytes}),
+		MustSchema(Column{Name: "tag", Type: TString}, Column{Name: "n", Type: TUint64}, Column{Name: "body", Type: TBytes}),
+		MustSchema(Column{Name: "k", Type: TUint64}, Column{Name: "on", Type: TBool}, Column{Name: "x", Type: TFloat64}),
+	}
+	rows := [][]any{
+		{uint64(42), "alice", int64(-7), 3.5, true, []byte{0xDE, 0xAD}},
+		{"hello", uint64(5), []byte("world")},
+		{uint64(1), false, -0.0},
+	}
+	for i, s := range schemas {
+		good, err := s.Encode(rows[i]...)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(i), good)
+		f.Add(uint8(i), good[:len(good)-1])
+		f.Add(uint8(i), append(good[:len(good):len(good)], 0))
+	}
+	f.Add(uint8(2), []byte{rowVersion, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0}) // bool byte 2
+	f.Add(uint8(0), []byte{})
+
+	f.Fuzz(func(t *testing.T, pick uint8, buf []byte) {
+		s := schemas[int(pick)%len(schemas)]
+		vals, err := s.Decode(buf)
+		if err != nil {
+			if !errors.Is(err, ErrSchema) {
+				t.Fatalf("Decode refused with %v, not ErrSchema", err)
+			}
+			return
+		}
+		again, err := s.Encode(vals...)
+		if err != nil || !bytes.Equal(again, buf) {
+			t.Fatalf("decoded %v re-encodes to %x (%v), source %x", vals, again, err, buf)
+		}
+		for i, want := range vals {
+			got, err := s.DecodeCol(buf, i)
+			if err != nil || !sameValue(got, want) {
+				t.Fatalf("column %d: DecodeCol %v (%v), Decode %v", i, got, err, want)
+			}
+		}
+	})
+}
+
+// sameValue compares two decoded column values; floats by their bits,
+// so a NaN equals itself.
+func sameValue(a, b any) bool {
+	switch x := a.(type) {
+	case []byte:
+		y, ok := b.([]byte)
+		return ok && bytes.Equal(x, y)
+	case float64:
+		y, ok := b.(float64)
+		return ok && math.Float64bits(x) == math.Float64bits(y)
+	}
+	return a == b
 }
 
 func TestSchemaVarLenOrdering(t *testing.T) {

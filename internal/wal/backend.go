@@ -69,16 +69,17 @@ type BackendStats struct {
 // of the segment based at b sits at file offset segHeaderSize + (x - b).
 //
 //	[0:8)   magic "LOGRECWL"
-//	[8:12)  format version (4: varint frame header, back-pointers as
-//	        distances, every body in varints; 3 had a fixed 5-byte header,
-//	        absolute pointers and fixed-width system records; 2 had
-//	        whole-image updates; 1 was the single wal.log file). Any other
-//	        version is refused, never decoded.
+//	[8:12)  format version (5: a same-length patch logs its length once
+//	        and trailing zero fields are not written; 4 had both lengths
+//	        and every field; 3 had a fixed 5-byte header, absolute
+//	        pointers and fixed-width system records; 2 had whole-image
+//	        updates; 1 was the single wal.log file). Any other version is
+//	        refused, never decoded.
 //	[12:16) frame checksum kind (0 = none; reserved for per-frame CRCs)
 //	[16:24) base LSN
 const (
 	segHeaderSize = 24
-	segVersion    = 4
+	segVersion    = 5
 	segSuffix     = ".seg"
 )
 
@@ -97,19 +98,19 @@ func segHeader(base LSN) []byte {
 }
 
 // parseSegHeader validates a segment file's header and returns its base
-// LSN.
+// LSN. A header this decoder cannot read the segment by is ErrBadRecord.
 func parseSegHeader(h []byte) (LSN, error) {
 	if len(h) < segHeaderSize {
 		return 0, fmt.Errorf("%w: %d bytes, too short for a segment header", ErrTruncated, len(h))
 	}
 	if string(h[:8]) != string(segMagic[:]) {
-		return 0, fmt.Errorf("not a log segment (bad magic)")
+		return 0, fmt.Errorf("%w: not a log segment (bad magic)", ErrBadRecord)
 	}
 	if v := binary.BigEndian.Uint32(h[8:]); v != segVersion {
-		return 0, fmt.Errorf("segment format version %d not supported", v)
+		return 0, fmt.Errorf("%w: segment format version %d not supported", ErrBadRecord, v)
 	}
 	if k := binary.BigEndian.Uint32(h[12:]); k != 0 {
-		return 0, fmt.Errorf("frame checksum kind %d not supported", k)
+		return 0, fmt.Errorf("%w: frame checksum kind %d not supported", ErrBadRecord, k)
 	}
 	base := LSN(binary.BigEndian.Uint64(h[16:]))
 	if base < FirstLSN() {

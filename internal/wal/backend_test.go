@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -229,10 +230,11 @@ func TestOpenLogFileRejectsGarbage(t *testing.T) {
 }
 
 // TestOpenLogDirRefusesOldFormat: a wal/ directory written in an
-// earlier format — whole-image updates (segment version 2), or the
-// fixed-width frame header and absolute back-pointers of version 3 —
-// holds bytes this decoder would misread; it is refused by its header,
-// not decoded.
+// earlier format — whole-image updates (segment version 2), the
+// fixed-width frame header and absolute back-pointers of version 3, or
+// version 4's two patch lengths and written trailing zeros — holds bytes
+// this decoder would misread; it is refused by its header with
+// ErrBadRecord, not decoded.
 func TestOpenLogDirRefusesOldFormat(t *testing.T) {
 	log, _, dir := fileLog(t)
 	log.MustAppend(&CommitRec{TxnID: 1})
@@ -248,12 +250,12 @@ func TestOpenLogDirRefusesOldFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, old := range []uint32{2, 3} {
+	for _, old := range []uint32{2, 3, 4} {
 		binary.BigEndian.PutUint32(buf[8:], old)
 		if err := os.WriteFile(path, buf, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := OpenLogDir(dir); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", old)) {
+		if _, err := OpenLogDir(dir); !errors.Is(err, ErrBadRecord) || !strings.Contains(err.Error(), fmt.Sprintf("version %d", old)) {
 			t.Fatalf("OpenLogDir of a version-%d segment: %v, want a version refusal", old, err)
 		}
 	}

@@ -14,7 +14,9 @@ import (
 // unsigned varint, and the decoder refuses one that is over-long or too
 // wide for its field, so a record has one byte string. A back-pointer
 // (PrevLSN, UndoNextLSN, a ∆ record's DirtyLSNs) is written as its
-// distance below the record that carries it.
+// distance below the record that carries it. A record that carries a
+// shard ends with its back-pointers and then the shard, less the run of
+// zero fields that would end the body (putTrail).
 
 func putUvarint(dst []byte, v uint64) []byte { return binary.AppendUvarint(dst, v) }
 
@@ -22,6 +24,35 @@ func putUvarint(dst []byte, v uint64) []byte { return binary.AppendUvarint(dst, 
 func putVarBytes(dst []byte, b []byte) []byte {
 	dst = putUvarint(dst, uint64(len(b)))
 	return append(dst, b...)
+}
+
+// putPatch appends a patch's two middles. Their length is logged once
+// when they are equally long — the common case, fixed-width columns —
+// as len(before)<<1 | differ, and the after-middle's own length follows
+// the before-middle only when differ is 1.
+func putPatch(dst, before, after []byte) []byte {
+	if len(before) == len(after) {
+		dst = putUvarint(dst, uint64(len(before))<<1)
+		dst = append(dst, before...)
+		return append(dst, after...)
+	}
+	dst = putUvarint(dst, uint64(len(before))<<1|1)
+	dst = append(dst, before...)
+	return putVarBytes(dst, after)
+}
+
+// putTrail appends a record's trailing fields — back-pointer distances,
+// then the shard — less the run of zeros that ends them: the decoder
+// reads a field past the body's end as 0 (decoder.trail).
+func putTrail(dst []byte, fields ...uint64) []byte {
+	n := len(fields)
+	for n > 0 && fields[n-1] == 0 {
+		n--
+	}
+	for _, v := range fields[:n] {
+		dst = putUvarint(dst, v)
+	}
+	return dst
 }
 
 // putVarPIDs appends pids, in order, behind their count.
@@ -33,17 +64,26 @@ func putVarPIDs(dst []byte, pids []storage.PageID) []byte {
 	return dst
 }
 
-// putBack appends the back-pointer p of the record at LSN at: how far
-// below at it points, 0 for NilLSN. A pointer that is neither nil nor
-// an LSN in [FirstLSN, at) has no encoding and is refused.
+// putBack appends the back-pointer p of the record at LSN at (backDist).
 func putBack(dst []byte, what string, p, at LSN) ([]byte, error) {
+	d, err := backDist(what, p, at)
+	if err != nil {
+		return dst, err
+	}
+	return putUvarint(dst, d), nil
+}
+
+// backDist is how far below at the back-pointer p of the record at LSN
+// at points, 0 for NilLSN. A pointer that is neither nil nor an LSN in
+// [FirstLSN, at) has no encoding and is refused.
+func backDist(what string, p, at LSN) (uint64, error) {
 	if p == NilLSN {
-		return append(dst, 0), nil
+		return 0, nil
 	}
 	if p < FirstLSN() || p >= at {
-		return dst, fmt.Errorf("%w: %s %v of the record at %v does not point back into the log", ErrBadRecord, what, p, at)
+		return 0, fmt.Errorf("%w: %s %v of the record at %v does not point back into the log", ErrBadRecord, what, p, at)
 	}
-	return putUvarint(dst, uint64(at-p)), nil
+	return uint64(at - p), nil
 }
 
 // checkPIDs refuses a ∆ or BW page list naming storage.InvalidPageID.
@@ -119,8 +159,13 @@ func (d *decoder) refuse(what string, v uint64, why string) {
 }
 
 // uvarint32 reads a varint that must fit 32 bits.
-func (d *decoder) uvarint32(what string) uint32 {
-	v := d.uvarint(what)
+func (d *decoder) uvarint32(what string) uint32 { return d.fit32(what, d.uvarint(what)) }
+
+// trail32 reads a trailing field that must fit 32 bits.
+func (d *decoder) trail32(what string) uint32 { return d.fit32(what, d.trail(what)) }
+
+// fit32 refuses a value read for a 32-bit field that does not fit it.
+func (d *decoder) fit32(what string, v uint64) uint32 {
 	if v > math.MaxUint32 {
 		d.refuse(what, v, "exceeds 32 bits")
 		return 0
@@ -128,10 +173,29 @@ func (d *decoder) uvarint32(what string) uint32 {
 	return uint32(v)
 }
 
-// back reads a back-pointer (putBack): a distance that reaches below
-// FirstLSN points at nothing.
-func (d *decoder) back(what string) LSN {
-	dist := d.uvarint(what)
+// trail reads a trailing field (putTrail). One past the body's end is 0;
+// one that is present, 0 and last in the body is refused, because the
+// encoder would have left it out.
+func (d *decoder) trail(what string) uint64 {
+	if d.err != nil || d.off == len(d.src) {
+		return 0
+	}
+	v := d.uvarint(what)
+	if v == 0 && d.off == len(d.src) {
+		d.refuse(what, v, "ends the body: a trailing zero field is not written")
+	}
+	return v
+}
+
+// back reads a back-pointer (putBack).
+func (d *decoder) back(what string) LSN { return d.pointer(what, d.uvarint(what)) }
+
+// trailBack reads a back-pointer among the trailing fields.
+func (d *decoder) trailBack(what string) LSN { return d.pointer(what, d.trail(what)) }
+
+// pointer turns a back-pointer's distance into the LSN it points at: a
+// distance that reaches below FirstLSN points at nothing.
+func (d *decoder) pointer(what string, dist uint64) LSN {
 	if dist > uint64(d.at-FirstLSN()) {
 		d.refuse(what, dist, "bytes back points below the log")
 		return NilLSN
@@ -145,8 +209,12 @@ func (d *decoder) back(what string) LSN {
 // count reads the length of a list whose entries take at least min
 // encoded bytes each, refusing one the rest of the body cannot hold
 // before anything is allocated for it.
-func (d *decoder) count(what string, min int) int {
-	n, rest := d.uvarint(what), uint64(len(d.src)-d.off)
+func (d *decoder) count(what string, min int) int { return d.room(what, d.uvarint(what), min) }
+
+// room checks that n list entries of at least min bytes each fit the
+// rest of the body.
+func (d *decoder) room(what string, n uint64, min int) int {
+	rest := uint64(len(d.src) - d.off)
 	if d.err == nil && (n > rest || n*uint64(min) > rest) {
 		d.fail(what)
 		return 0
@@ -155,8 +223,25 @@ func (d *decoder) count(what string, min int) int {
 }
 
 // varBytes copies out the length-prefixed bytes that follow.
-func (d *decoder) varBytes(what string) []byte {
-	n := d.uvarint(what)
+func (d *decoder) varBytes(what string) []byte { return d.bytes(what, d.uvarint(what)) }
+
+// patch reads a patch's two middles (putPatch). A second length equal
+// to the first is refused: that patch logs its length once.
+func (d *decoder) patch() (before, after []byte) {
+	h := d.uvarint("before")
+	before = d.bytes("before", h>>1)
+	if h&1 == 0 {
+		return before, d.bytes("after", h>>1)
+	}
+	n := d.uvarint("after")
+	if n == h>>1 {
+		d.refuse("after length", n, "equals the before-middle's, which is then logged once")
+	}
+	return before, d.bytes("after", n)
+}
+
+// bytes copies out the n bytes that follow.
+func (d *decoder) bytes(what string, n uint64) []byte {
 	if d.err == nil && n > uint64(len(d.src)-d.off) {
 		d.fail(what)
 	}

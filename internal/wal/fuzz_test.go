@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"logrec/internal/storage"
@@ -10,8 +11,10 @@ import (
 
 // fullLog builds a log holding at least one record of every type, with
 // bodies on both sides of the 128 bytes where the frame header grows a
-// byte: the fuzz seed corpus and the torn-tail and cut-point fixture.
-// Each transactional record points back at the one before it.
+// byte, patches logging their length once and twice, and trailing
+// fields left out and written: the fuzz seed corpus and the torn-tail
+// and cut-point fixture. Each transactional record but a transaction's
+// first points back at the one before it.
 func fullLog(t testing.TB) *Log {
 	l := NewLog()
 	prev := NilLSN
@@ -39,7 +42,18 @@ func fullLog(t testing.TB) *Log {
 	update("Xow", "row")
 	update("row", "roW")
 	update("same", "same")
+	update("row-ab", "row-x") // one byte from logging two equal lengths
+	// Middles of 64 bytes and more, whose length takes two bytes: logged
+	// once when the two are equally long, twice when they are not.
+	m62 := strings.Repeat("m", 62)
+	update("<"+m62+">", "{"+m62+"}")
+	update(strings.Repeat("p", 70), "q")
 	add(&UpdateRec{TxnID: 1 << 40, TableID: 300, KeyVal: 1 << 50, OldVal: []byte("a"), NewVal: []byte("b"), PageID: 70000, ShardID: 200, PrevLSN: prev})
+	// Another transaction's first update on shard 2: a nil prev written
+	// because the shard after it is not 0.
+	chain := prev
+	add(&UpdateRec{TxnID: 3, TableID: 1, KeyVal: 11, OldVal: []byte("a"), NewVal: []byte("b"), PageID: 6, ShardID: 2})
+	prev = chain
 	add(&CLRRec{TxnID: 1, TableID: 1, KeyVal: 7, Kind: CLRUndoUpdate, Skip: 9, Tail: 5, RestoreVal: []byte("v1"), PageID: 4, UndoNextLSN: first, PrevLSN: prev})
 	add(&InsertRec{TxnID: 1, TableID: 1, KeyVal: 8, Val: []byte("row"), PageID: 4, PrevLSN: prev})
 	// A whole row of 150 bytes: a per-operation record with a 3-byte header.
@@ -57,7 +71,10 @@ func fullLog(t testing.TB) *Log {
 		big.DirtySet = append(big.DirtySet, pid*97)
 	}
 	add(big)
+	// Off shard 0, the ∆'s empty DirtyLSNs and the BW's shard are written.
+	add(&DeltaRec{TCLSN: 101, DirtySet: []storage.PageID{6}, FirstDirty: 1, ShardID: 2})
 	add(&BWRec{WrittenSet: []storage.PageID{4, 5, 6}, FWLSN: 95})
+	add(&BWRec{WrittenSet: []storage.PageID{6}, FWLSN: 96, ShardID: 2})
 	add(&SMORec{Meta: TreeMeta{TableID: 1, Root: 2, Height: 2, NextPID: 11},
 		Images: []PageImage{{PageID: 10, Data: []byte("page-image-bytes")}}})
 	add(&SMORec{Meta: TreeMeta{TableID: 1, Root: 2, Height: 2, NextPID: 12}, ShardID: 1,
@@ -91,10 +108,12 @@ func rawLog(payload []byte) *Log {
 // that round-trips and makes forward progress.
 func FuzzDecodeAt(f *testing.F) {
 	l := fullLog(f)
-	// Seed corpus: the pristine log at several offsets, a torn tail,
-	// and bit-flipped copies.
+	// Seed corpus: the pristine log at every record and mid-frame, a torn
+	// tail, and bit-flipped copies.
 	pristine := stableBytes(f, l)
-	f.Add(pristine, uint64(FirstLSN()))
+	for _, lsn := range drainScan(l.NewScanner(FirstLSN(), nil, ScanCost{}).Next).lsns {
+		f.Add(pristine, uint64(lsn))
+	}
 	f.Add(pristine, uint64(len(pristine)/2))
 	f.Add(pristine[:len(pristine)-3], uint64(FirstLSN()))
 	flipped := append([]byte(nil), pristine...)
@@ -103,6 +122,14 @@ func FuzzDecodeAt(f *testing.F) {
 	}
 	f.Add(flipped, uint64(FirstLSN()))
 	f.Add([]byte{}, uint64(0))
+	// Two spellings of an update that are not its byte string: two equal
+	// patch lengths, and a nil prev and shard 0 written out.
+	for _, body := range [][]byte{
+		{1, 1, 7, 4, 0, 2<<1 | 1, 'a', 'b', 2, 'x', 'y', 4},
+		{1, 1, 7, 4, 0, 2 << 1, 'a', 'b', 'x', 'y', 4, 0, 0},
+	} {
+		f.Add(append([]byte{byte(TypeUpdate), byte(len(body))}, body...), uint64(FirstLSN()))
+	}
 
 	f.Fuzz(func(t *testing.T, buf []byte, off uint64) {
 		fz := rawLog(buf)

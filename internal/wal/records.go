@@ -86,17 +86,19 @@ func (r *UpdateRec) Compensation() *CLRRec {
 }
 
 func (r *UpdateRec) encodeBody(dst []byte, at LSN) ([]byte, error) {
+	prev, err := backDist("prev", r.PrevLSN, at)
+	if err != nil {
+		return dst, err
+	}
 	p, t := commonEnds(r.OldVal, r.NewVal)
 	dst = putUvarint(dst, uint64(r.TxnID))
 	dst = putUvarint(dst, uint64(r.TableID))
 	dst = putUvarint(dst, r.KeyVal)
 	dst = putUvarint(dst, uint64(r.Skip)+uint64(p))
 	dst = putUvarint(dst, uint64(r.Tail)+uint64(t))
-	dst = putVarBytes(dst, r.OldVal[p:len(r.OldVal)-t])
-	dst = putVarBytes(dst, r.NewVal[p:len(r.NewVal)-t])
+	dst = putPatch(dst, r.OldVal[p:len(r.OldVal)-t], r.NewVal[p:len(r.NewVal)-t])
 	dst = putUvarint(dst, uint64(r.PageID))
-	dst = putUvarint(dst, uint64(r.ShardID))
-	return putBack(dst, "prev", r.PrevLSN, at)
+	return putTrail(dst, prev, uint64(r.ShardID)), nil
 }
 
 func (r *UpdateRec) decodeBody(src []byte, at LSN) error {
@@ -106,11 +108,10 @@ func (r *UpdateRec) decodeBody(src []byte, at LSN) error {
 	r.KeyVal = d.uvarint("key")
 	r.Skip = d.uvarint32("skip")
 	r.Tail = d.uvarint32("tail")
-	r.OldVal = d.varBytes("old")
-	r.NewVal = d.varBytes("new")
+	r.OldVal, r.NewVal = d.patch()
 	r.PageID = storage.PageID(d.uvarint32("pid"))
-	r.ShardID = ShardID(d.uvarint32("shard"))
-	r.PrevLSN = d.back("prev")
+	r.PrevLSN = d.trailBack("prev")
+	r.ShardID = ShardID(d.trail32("shard"))
 	if err := d.finish(TypeUpdate); err != nil {
 		return err
 	}
@@ -140,13 +141,16 @@ func (r *InsertRec) PID() storage.PageID { return r.PageID }
 func (r *InsertRec) Shard() ShardID      { return r.ShardID }
 
 func (r *InsertRec) encodeBody(dst []byte, at LSN) ([]byte, error) {
+	prev, err := backDist("prev", r.PrevLSN, at)
+	if err != nil {
+		return dst, err
+	}
 	dst = putUvarint(dst, uint64(r.TxnID))
 	dst = putUvarint(dst, uint64(r.TableID))
 	dst = putUvarint(dst, r.KeyVal)
 	dst = putVarBytes(dst, r.Val)
 	dst = putUvarint(dst, uint64(r.PageID))
-	dst = putUvarint(dst, uint64(r.ShardID))
-	return putBack(dst, "prev", r.PrevLSN, at)
+	return putTrail(dst, prev, uint64(r.ShardID)), nil
 }
 
 func (r *InsertRec) decodeBody(src []byte, at LSN) error {
@@ -156,8 +160,8 @@ func (r *InsertRec) decodeBody(src []byte, at LSN) error {
 	r.KeyVal = d.uvarint("key")
 	r.Val = d.varBytes("val")
 	r.PageID = storage.PageID(d.uvarint32("pid"))
-	r.ShardID = ShardID(d.uvarint32("shard"))
-	r.PrevLSN = d.back("prev")
+	r.PrevLSN = d.trailBack("prev")
+	r.ShardID = ShardID(d.trail32("shard"))
 	return d.finish(TypeInsert)
 }
 
@@ -181,13 +185,16 @@ func (r *DeleteRec) PID() storage.PageID { return r.PageID }
 func (r *DeleteRec) Shard() ShardID      { return r.ShardID }
 
 func (r *DeleteRec) encodeBody(dst []byte, at LSN) ([]byte, error) {
+	prev, err := backDist("prev", r.PrevLSN, at)
+	if err != nil {
+		return dst, err
+	}
 	dst = putUvarint(dst, uint64(r.TxnID))
 	dst = putUvarint(dst, uint64(r.TableID))
 	dst = putUvarint(dst, r.KeyVal)
 	dst = putVarBytes(dst, r.OldVal)
 	dst = putUvarint(dst, uint64(r.PageID))
-	dst = putUvarint(dst, uint64(r.ShardID))
-	return putBack(dst, "prev", r.PrevLSN, at)
+	return putTrail(dst, prev, uint64(r.ShardID)), nil
 }
 
 func (r *DeleteRec) decodeBody(src []byte, at LSN) error {
@@ -197,8 +204,8 @@ func (r *DeleteRec) decodeBody(src []byte, at LSN) error {
 	r.KeyVal = d.uvarint("key")
 	r.OldVal = d.varBytes("old")
 	r.PageID = storage.PageID(d.uvarint32("pid"))
-	r.ShardID = ShardID(d.uvarint32("shard"))
-	r.PrevLSN = d.back("prev")
+	r.PrevLSN = d.trailBack("prev")
+	r.ShardID = ShardID(d.trail32("shard"))
 	return d.finish(TypeDelete)
 }
 
@@ -249,6 +256,14 @@ func (r *CLRRec) After(cur []byte) ([]byte, error) {
 }
 
 func (r *CLRRec) encodeBody(dst []byte, at LSN) ([]byte, error) {
+	prev, err := backDist("prev", r.PrevLSN, at)
+	if err != nil {
+		return dst, err
+	}
+	undoNext, err := backDist("undonext", r.UndoNextLSN, at)
+	if err != nil {
+		return dst, err
+	}
 	dst = putUvarint(dst, uint64(r.TxnID))
 	dst = putUvarint(dst, uint64(r.TableID))
 	dst = putUvarint(dst, r.KeyVal)
@@ -257,12 +272,9 @@ func (r *CLRRec) encodeBody(dst []byte, at LSN) ([]byte, error) {
 	dst = putUvarint(dst, uint64(r.Tail))
 	dst = putVarBytes(dst, r.RestoreVal)
 	dst = putUvarint(dst, uint64(r.PageID))
-	dst = putUvarint(dst, uint64(r.ShardID))
-	dst, err := putBack(dst, "undonext", r.UndoNextLSN, at)
-	if err != nil {
-		return dst, err
-	}
-	return putBack(dst, "prev", r.PrevLSN, at)
+	// A transaction's last CLR undoes its first record: UndoNextLSN is
+	// the pointer most often nil, so it goes next to the shard.
+	return putTrail(dst, prev, undoNext, uint64(r.ShardID)), nil
 }
 
 func (r *CLRRec) decodeBody(src []byte, at LSN) error {
@@ -279,9 +291,9 @@ func (r *CLRRec) decodeBody(src []byte, at LSN) error {
 	r.Tail = d.uvarint32("tail")
 	r.RestoreVal = d.varBytes("restore")
 	r.PageID = storage.PageID(d.uvarint32("pid"))
-	r.ShardID = ShardID(d.uvarint32("shard"))
-	r.UndoNextLSN = d.back("undonext")
-	r.PrevLSN = d.back("prev")
+	r.PrevLSN = d.trailBack("prev")
+	r.UndoNextLSN = d.trailBack("undonext")
+	r.ShardID = ShardID(d.trail32("shard"))
 	return d.finish(TypeCLR)
 }
 
@@ -426,15 +438,14 @@ func (r *BWRec) encodeBody(dst []byte, _ LSN) ([]byte, error) {
 	}
 	dst = putVarPIDs(dst, r.WrittenSet)
 	dst = putUvarint(dst, uint64(r.FWLSN))
-	dst = putUvarint(dst, uint64(r.ShardID))
-	return dst, nil
+	return putTrail(dst, uint64(r.ShardID)), nil
 }
 
 func (r *BWRec) decodeBody(src []byte, at LSN) error {
 	d := newDecoder(src, at)
 	r.WrittenSet = d.varPIDs("writtenSet")
 	r.FWLSN = LSN(d.uvarint("fwLSN"))
-	r.ShardID = ShardID(d.uvarint32("shard"))
+	r.ShardID = ShardID(d.trail32("shard"))
 	if err := d.finish(TypeBW); err != nil {
 		return err
 	}
@@ -499,13 +510,18 @@ func (r *DeltaRec) encodeBody(dst []byte, at LSN) ([]byte, error) {
 	dst = putUvarint(dst, uint64(r.FWLSN))
 	dst = putUvarint(dst, uint64(r.FirstDirty))
 	dst = putUvarint(dst, uint64(r.TCLSN))
+	// The trailing fields are n,DirtyLSNs (empty but in the perfect
+	// variant) and the shard.
+	if len(r.DirtyLSNs) == 0 {
+		return putTrail(dst, 0, uint64(r.ShardID)), nil
+	}
 	dst = putUvarint(dst, uint64(len(r.DirtyLSNs)))
 	for _, l := range r.DirtyLSNs {
 		if dst, err = putBack(dst, "dirtyLSN", l, at); err != nil {
 			return dst, err
 		}
 	}
-	return putUvarint(dst, uint64(r.ShardID)), nil
+	return putTrail(dst, uint64(r.ShardID)), nil
 }
 
 func (r *DeltaRec) decodeBody(src []byte, at LSN) error {
@@ -515,11 +531,11 @@ func (r *DeltaRec) decodeBody(src []byte, at LSN) error {
 	r.FWLSN = LSN(d.uvarint("fwLSN"))
 	r.FirstDirty = d.uvarint32("firstDirty")
 	r.TCLSN = LSN(d.uvarint("tcLSN"))
-	r.DirtyLSNs = make([]LSN, d.count("dirtyLSNs", 1))
+	r.DirtyLSNs = make([]LSN, d.room("dirtyLSNs", d.trail("dirtyLSNs"), 1))
 	for i := range r.DirtyLSNs {
 		r.DirtyLSNs[i] = d.back("dirtyLSN")
 	}
-	r.ShardID = ShardID(d.uvarint32("shard"))
+	r.ShardID = ShardID(d.trail32("shard"))
 	if err := d.finish(TypeDelta); err != nil {
 		return err
 	}
@@ -575,13 +591,12 @@ func (r *SMORec) encodeBody(dst []byte, _ LSN) ([]byte, error) {
 	dst = putUvarint(dst, uint64(r.Meta.Root))
 	dst = putUvarint(dst, uint64(r.Meta.Height))
 	dst = putUvarint(dst, uint64(r.Meta.NextPID))
-	dst = putUvarint(dst, uint64(r.ShardID))
 	dst = putUvarint(dst, uint64(len(r.Images)))
 	for _, img := range r.Images {
 		dst = putUvarint(dst, uint64(img.PageID))
 		dst = putVarBytes(dst, img.Data)
 	}
-	return dst, nil
+	return putTrail(dst, uint64(r.ShardID)), nil
 }
 
 func (r *SMORec) decodeBody(src []byte, at LSN) error {
@@ -590,12 +605,12 @@ func (r *SMORec) decodeBody(src []byte, at LSN) error {
 	r.Meta.Root = storage.PageID(d.uvarint32("meta.root"))
 	r.Meta.Height = d.uvarint32("meta.height")
 	r.Meta.NextPID = storage.PageID(d.uvarint32("meta.nextPID"))
-	r.ShardID = ShardID(d.uvarint32("shard"))
 	r.Images = make([]PageImage, d.count("nimages", 2))
 	for i := range r.Images {
 		r.Images[i].PageID = storage.PageID(d.uvarint32("image.pid"))
 		r.Images[i].Data = d.varBytes("image.data")
 	}
+	r.ShardID = ShardID(d.trail32("shard"))
 	return d.finish(TypeSMO)
 }
 

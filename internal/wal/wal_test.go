@@ -259,24 +259,24 @@ func TestDeltaValidation(t *testing.T) {
 	}
 
 	// The same records forged: dirty, written, fwLSN, firstDirty, tcLSN,
-	// dirtyLSNs, shard.
+	// then the trailing dirtyLSNs and shard, left out where 0.
 	var d DeltaRec
 	var bw BWRec
 	for name, body := range map[string][]byte{
-		"short DirtyLSNs":    {3, 1, 2, 3, 0, 0, 0, 0, 1, 5, 0},
-		"FirstDirty":         {2, 1, 2, 0, 0, 3, 0, 0, 0},
-		"page 0 dirty":       {2, 1, 0, 0, 0, 2, 0, 0, 0},
-		"page 0 written":     {1, 1, 1, 0, 0, 0, 0, 0, 0},
-		"DirtyLSN below log": {1, 1, 0, 0, 0, 0, 1, 0xD9, 0x07, 0}, // 985 back from 1000: LSN 15
-		"dirty count":        {200, 1, 2, 0, 0, 0, 0, 0, 0},
-		"written count":      {1, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0, 0, 0, 0, 0},
-		"DirtyLSNs count":    {1, 1, 0, 0, 0, 0, 9, 1, 0},
+		"short DirtyLSNs":    {3, 1, 2, 3, 0, 0, 0, 0, 1, 5},
+		"FirstDirty":         {2, 1, 2, 0, 0, 3, 0},
+		"page 0 dirty":       {2, 1, 0, 0, 0, 2, 0},
+		"page 0 written":     {1, 1, 1, 0, 0, 0, 0},
+		"DirtyLSN below log": {1, 1, 0, 0, 0, 0, 1, 0xD9, 0x07}, // 985 back from 1000: LSN 15
+		"dirty count":        {200, 1, 2, 0, 0, 0, 0},
+		"written count":      {1, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0, 0, 0},
+		"DirtyLSNs count":    {1, 1, 0, 0, 0, 0, 9, 1},
 	} {
 		if err := d.decodeBody(body, at); !errors.Is(err, ErrBadRecord) {
 			t.Errorf("forged %s decoded: %+v, %v", name, d, err)
 		}
 	}
-	if err := bw.decodeBody([]byte{2, 7, 0, 0, 0}, at); !errors.Is(err, ErrBadRecord) {
+	if err := bw.decodeBody([]byte{2, 7, 0, 0}, at); !errors.Is(err, ErrBadRecord) {
 		t.Errorf("forged BW naming page 0 decoded: %+v, %v", bw, err)
 	}
 	// Page numbers on both sides of every width the list reader tells
@@ -286,13 +286,14 @@ func TestDeltaValidation(t *testing.T) {
 	if err := bw.decodeBody(body, at); err != nil || !reflect.DeepEqual(bw.WrittenSet, edges) {
 		t.Errorf("page numbers at the width edges: %v, %v", bw.WrittenSet, err)
 	}
-	for _, body := range [][]byte{{1, 0x81, 0x00, 0, 0}, {1, 0x81, 0x80, 0x00, 0, 0}, {1, 0x81, 0x80, 0x80, 0x00, 0, 0}, {1, 0x80, 0x80, 0x80, 0x80, 0x10, 0, 0}} {
+	for _, body := range [][]byte{{1, 0x81, 0x00, 0}, {1, 0x81, 0x80, 0x00, 0}, {1, 0x81, 0x80, 0x80, 0x00, 0}, {1, 0x80, 0x80, 0x80, 0x80, 0x10, 0}} {
 		if err := bw.decodeBody(body, at); !errors.Is(err, ErrBadRecord) {
 			t.Errorf("BW body %x decoded: %+v, %v", body, bw, err)
 		}
 	}
-	// The well-formed neighbours of the forgeries decode.
-	if err := d.decodeBody([]byte{2, 1, 2, 0, 0, 2, 0, 2, 0xD8, 0x07, 0, 0}, at); err != nil ||
+	// The well-formed neighbours of the forgeries decode. This one ends
+	// with a nil DirtyLSN: a 0 inside the list, not a trailing field.
+	if err := d.decodeBody([]byte{2, 1, 2, 0, 0, 2, 0, 2, 0xD8, 0x07, 0}, at); err != nil ||
 		d.DirtyLSNs[0] != FirstLSN() || d.DirtyLSNs[1] != NilLSN {
 		t.Errorf("well-formed ∆: %+v, %v", d, err)
 	}
@@ -553,8 +554,10 @@ func TestSpliceBounds(t *testing.T) {
 
 // TestVarintBodiesAreCanonical: one record has one byte string. An
 // over-long varint — in a per-operation body, a system record or the
-// frame header's length — a value too wide for its field and an update
-// whose middles still share an end are all refused.
+// frame header's length — a value too wide for its field, an update
+// whose middles still share an end, a second patch length equal to the
+// first and a trailing field written as 0 at the body's end are all
+// refused.
 func TestVarintBodiesAreCanonical(t *testing.T) {
 	const at = LSN(600)
 	good, err := (&CommitRec{TxnID: 5, PrevLSN: 300}).encodeBody(nil, at)
@@ -573,21 +576,46 @@ func TestVarintBodiesAreCanonical(t *testing.T) {
 		"txn 5 spelt in two bytes":       {&c, []byte{0x85, 0x00, 0xAC, 0x02}},
 		"nil pointer spelt in two bytes": {&c, []byte{5, 0x80, 0x00}},
 		"table ID beyond 32 bits":        {&u, putUvarint(putUvarint(nil, 1), 1<<32)},
-		// txn 1, table 1, key 1, skip 0, tail 0, old "ab", new "ac", pid, shard, prev.
-		"untrimmed patch":              {&u, []byte{1, 1, 1, 0, 0, 2, 'a', 'b', 2, 'a', 'c', 1, 0, 0}},
-		"CLR kind beyond a byte":       {&CLRRec{}, []byte{1, 1, 1, 0x80, 0x02, 0, 0, 0, 1, 0, 0, 0}},
+		// txn 1, table 1, key 1, skip 0, tail 0, 2<<1 (two equal
+		// lengths), old "ab", new "ac", pid; prev and shard left out.
+		"untrimmed patch":              {&u, []byte{1, 1, 1, 0, 0, 4, 'a', 'b', 'a', 'c', 1}},
+		"equal lengths logged twice":   {&u, []byte{1, 1, 1, 0, 0, 1<<1 | 1, 'b', 1, 'c', 1}},
+		"CLR kind beyond a byte":       {&CLRRec{}, []byte{1, 1, 1, 0x80, 0x02, 0, 0, 0, 1}},
 		"RSSP shard over-long":         {&RSSPRec{}, []byte{12, 0x80, 0x00}},
-		"BW count over-long":           {&BWRec{}, []byte{0x81, 0x00, 7, 0, 0}},
+		"BW count over-long":           {&BWRec{}, []byte{0x81, 0x00, 7, 0}},
 		"end-ckpt route shard 33 bits": {&EndCkptRec{}, append([]byte{16, 0, 1, 0}, putUvarint(nil, 1<<32)...)},
-		"SMO image length over-long":   {&SMORec{}, []byte{1, 2, 2, 11, 0, 1, 10, 0x81, 0x00, 'x'}},
+		"SMO image length over-long":   {&SMORec{}, []byte{1, 2, 2, 11, 1, 10, 0x81, 0x00, 'x'}},
 		"shard-map split over-long":    {&ShardMapRec{}, []byte{1, 0x80, 0x00, 9, 1, 0}},
 	} {
 		if err := tc.rec.decodeBody(tc.body, at); !errors.Is(err, ErrBadRecord) {
 			t.Errorf("%s decoded: %+v, %v", name, tc.rec, err)
 		}
 	}
+	// A trailing field present, 0 and last is refused — the encoder
+	// leaves it out — and the same body without it decodes.
+	for name, tc := range map[string]struct {
+		rec  Record
+		body []byte
+	}{
+		"update nil prev":           {&u, []byte{1, 1, 1, 0, 0, 2, 'b', 'c', 1, 0}},
+		"update shard 0":            {&u, []byte{1, 1, 1, 0, 0, 2, 'b', 'c', 1, 5, 0}},
+		"insert shard 0":            {&InsertRec{}, []byte{1, 1, 1, 1, 'v', 1, 5, 0}},
+		"delete nil prev":           {&DeleteRec{}, []byte{1, 1, 1, 1, 'v', 1, 0}},
+		"CLR nil undoNext":          {&CLRRec{}, []byte{1, 1, 1, byte(CLRUndoInsert), 0, 0, 0, 1, 5, 0}},
+		"∆ without DirtyLSNs":       {&DeltaRec{}, []byte{0, 0, 0, 0, 0, 0}},
+		"∆ shard 0 after DirtyLSNs": {&DeltaRec{}, []byte{1, 4, 0, 0, 0, 0, 1, 5, 0}},
+		"BW shard 0":                {&BWRec{}, []byte{1, 4, 0, 0}},
+		"SMO shard 0":               {&SMORec{}, []byte{1, 2, 2, 11, 0, 0}},
+	} {
+		if err := tc.rec.decodeBody(tc.body, at); !errors.Is(err, ErrBadRecord) || !strings.Contains(err.Error(), "trailing zero") {
+			t.Errorf("%s written out decoded: %+v, %v", name, tc.rec, err)
+		}
+		if err := tc.rec.decodeBody(tc.body[:len(tc.body)-1], at); err != nil {
+			t.Errorf("%s left out: %v", name, err)
+		}
+	}
 	trimmed, _ := (&UpdateRec{TxnID: 1, TableID: 1, KeyVal: 1, OldVal: []byte("ab"), NewVal: []byte("ac"), PageID: 1}).encodeBody(nil, at)
-	if want := []byte{1, 1, 1, 1, 0, 1, 'b', 1, 'c', 1, 0, 0}; !bytes.Equal(trimmed, want) {
+	if want := []byte{1, 1, 1, 1, 0, 2, 'b', 'c', 1}; !bytes.Equal(trimmed, want) {
 		t.Fatalf("encoded %v, want %v", trimmed, want)
 	}
 
@@ -603,6 +631,55 @@ func TestVarintBodiesAreCanonical(t *testing.T) {
 	}
 	if saneFrameClaim(wideLen) {
 		t.Fatal("a shipped frame with an over-long length would be held back, not rejected")
+	}
+}
+
+// TestRecordSizes pins the framed size of representative records at an
+// LSN a megabyte into the log, so a format change is sized by a failing
+// line here rather than discovered in the benchmark. An update of one
+// 3-byte field in a 69-byte row: 2 header bytes, 3 txn, 1 table, 3 key,
+// 1 skip, 1 tail, 1 length for both middles, 3+3 middles, 2 pid, then
+// the trailing prev and shard, each left out when it is the last field
+// and 0.
+func TestRecordSizes(t *testing.T) {
+	const at = LSN(1 << 20)
+	const txn, key, pid = TxnID(100_000), 500_000, storage.PageID(3000)
+	prev := at - 40
+	update := func(prev LSN, shard ShardID) *UpdateRec {
+		return &UpdateRec{TxnID: txn, TableID: 1, KeyVal: key, Skip: 20, Tail: 46,
+			OldVal: []byte("abc"), NewVal: []byte("xyz"), PageID: pid, ShardID: shard, PrevLSN: prev}
+	}
+	delta := func(shard ShardID) *DeltaRec {
+		return &DeltaRec{DirtySet: []storage.PageID{3000, 3001, 3002}, WrittenSet: []storage.PageID{2999},
+			FWLSN: at - 500, FirstDirty: 1, TCLSN: at - 100, ShardID: shard}
+	}
+	bw := func(shard ShardID) *BWRec {
+		return &BWRec{WrittenSet: []storage.PageID{2999, 3000}, FWLSN: at - 500, ShardID: shard}
+	}
+	for _, tc := range []struct {
+		name string
+		rec  Record
+		size int
+	}{
+		{"update, first of its txn, shard 0", update(NilLSN, 0), 20},
+		{"update, chained, shard 0", update(prev, 0), 21},
+		{"update, first of its txn, shard 3", update(NilLSN, 3), 22},
+		{"update, chained, shard 3", update(prev, 3), 22},
+		// 70<<1|1 takes two bytes, the after-middle's length one more.
+		{"update, 70-byte before-middle, 10-byte after", &UpdateRec{TxnID: txn, TableID: 1, KeyVal: key,
+			OldVal: bytes.Repeat([]byte("a"), 70), NewVal: bytes.Repeat([]byte("b"), 10), PageID: pid, PrevLSN: prev}, 97},
+		{"final CLR of an update (undoNext nil)", &CLRRec{TxnID: txn, TableID: 1, KeyVal: key, Kind: CLRUndoUpdate,
+			Skip: 20, Tail: 46, RestoreVal: []byte("abc"), PageID: pid, PrevLSN: prev}, 19},
+		// 2 header, 1+3×2 dirty, 1+2 written, 3 fwLSN, 1 firstDirty, 3
+		// tcLSN; on shard 2 also the empty DirtyLSNs' count and the shard.
+		{"∆, shard 0", delta(0), 19},
+		{"∆, shard 2", delta(2), 21},
+		{"BW, shard 0", bw(0), 10},
+		{"BW, shard 2", bw(2), 11},
+	} {
+		if got := len(encodeFrame(tc.rec, at)); got != tc.size {
+			t.Errorf("%s: %d bytes framed, want %d", tc.name, got, tc.size)
+		}
 	}
 }
 
