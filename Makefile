@@ -29,14 +29,15 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzz pass over the WAL codec, the restart path, the shipping
-# path, the page format and the row codec: adversarial bytes and torn
-# tails must never panic the decoder and what decodes must re-encode to
-# the same bytes, a log directory whose last segment file is arbitrary
-# bytes must open trimmed or not at all, a standby fed arbitrary bytes
-# in two pieces must ingest only frames that decode, page operations on
-# an arbitrary valid image must keep it valid without writing the
-# shared bytes it started from, and a row the schema decodes must
-# encode back to its bytes. CI runs this; `go test -fuzz` without
+# path, the page format, the row codec and the boot records: adversarial
+# bytes and torn tails must never panic the decoder and what decodes
+# must re-encode to the same bytes, a log directory whose last segment
+# file is arbitrary bytes must open trimmed or not at all, a standby fed
+# arbitrary bytes in two pieces must ingest only frames that decode, page
+# operations on an arbitrary valid image must keep it valid without
+# writing the shared bytes it started from, a row the schema decodes
+# must encode back to its bytes, and so must a master record or boot
+# page a restart accepts. CI runs this; `go test -fuzz` without
 # -fuzztime runs a target open-ended for real fuzzing sessions.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeAt -fuzztime 10s ./internal/wal
@@ -44,6 +45,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzAppendStableSplit -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzPageOps -fuzztime 10s ./internal/page
 	$(GO) test -run '^$$' -fuzz FuzzSchemaDecode -fuzztime 10s ./internal/exec
+	$(GO) test -run '^$$' -fuzz FuzzBootRecords -fuzztime 10s ./internal/engine
 
 # The bounded-log soak: sustained single-writer traffic with a
 # checkpoint every few thousand records for ten minutes; fails if the

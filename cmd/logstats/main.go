@@ -65,8 +65,9 @@ func main() {
 		txn, table, key, ends, lengths, middles, pid, trail int64
 		oneLength, leftOut, noTrail                         int64
 	}
-	// lists sums the page lists of the ∆ and BW records.
-	var lists struct{ dirty, dirtyLSNs, deltaWritten, bwWritten int64 }
+	// lists sums the page lists of the ∆ and BW records; deltaBWs counts
+	// the ∆ records that stand in for their batch's BW record.
+	var lists struct{ dirty, dirtyLSNs, deltaWritten, bwWritten, deltaBWs int64 }
 
 	// One pass: a record's frame runs to the next record's LSN (the
 	// last one's to the end of the log).
@@ -145,6 +146,9 @@ func main() {
 			lists.dirty += int64(len(r.DirtySet))
 			lists.dirtyLSNs += int64(len(r.DirtyLSNs))
 			lists.deltaWritten += int64(len(r.WrittenSet))
+			if r.BW {
+				lists.deltaBWs++
+			}
 		case *wal.BWRec:
 			lists.bwWritten += int64(len(r.WrittenSet))
 		}
@@ -182,6 +186,12 @@ func main() {
 		fmt.Printf("a BW record lists %.1f written pages: %.2f bytes a listed page, fixed fields and header included\n",
 			float64(lists.bwWritten)/float64(b.count), float64(b.bytes)/float64(lists.bwWritten))
 	}
+	var bws int64
+	if b := byType[wal.TypeBW]; b != nil {
+		bws = b.count
+	}
+	fmt.Printf("flush batches: %d closed by a ∆ record standing in for the BW record, %d by a standalone BW record\n",
+		lists.deltaBWs, bws)
 	if u := byType[wal.TypeUpdate]; u != nil {
 		n := float64(u.count)
 		fmt.Printf("\nan update is a patch: on average it skips %.1f row bytes, keeps a %.1f-byte tail,\nand carries a %.1f-byte before-middle and a %.1f-byte after-middle\n",

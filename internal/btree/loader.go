@@ -77,14 +77,14 @@ func (l *Loader) Add(key uint64, val []byte) error {
 	if len(val) > l.maxVal {
 		return fmt.Errorf("%w: key %d has %d bytes, an empty page holds %d", ErrValueTooLarge, key, len(val), l.maxVal)
 	}
-	err := l.spine[0].Page.Append(key, val)
-	if errors.Is(err, page.ErrPageFull) {
-		if err = l.openRightLeaf(key); err != nil {
+	// FreeSpace ≥ CellSize is exactly Append's room test: asking first
+	// spares formatting an ErrPageFull for every leaf that fills.
+	if l.spine[0].Page.FreeSpace() < page.CellSize(len(val)) {
+		if err := l.openRightLeaf(key); err != nil {
 			return err
 		}
-		err = l.spine[0].Page.Append(key, val)
 	}
-	if err != nil {
+	if err := l.spine[0].Page.Append(key, val); err != nil {
 		return fmt.Errorf("btree: bulk load key %d: %w", key, err)
 	}
 	l.last, l.started = key, true

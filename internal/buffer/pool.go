@@ -428,6 +428,20 @@ func (p *Pool) GetIfCached(pid storage.PageID) *Frame {
 	return f
 }
 
+// ResidentLSN reports the pLSN of pid's cached frame without pinning
+// it, counting a hit or touching replacement state (a test oracle); ok
+// is false when pid is not cached or its read is still in flight. The
+// caller must know no one is writing the page.
+func (p *Pool) ResidentLSN(pid storage.PageID) (lsn uint64, ok bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	f, ok := p.frames[pid]
+	if !ok || f.loading != nil {
+		return 0, false
+	}
+	return f.Page.LSN(), true
+}
+
 // Contains reports whether pid is cached, without touching replacement
 // state.
 func (p *Pool) Contains(pid storage.PageID) bool {

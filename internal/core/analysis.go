@@ -14,9 +14,10 @@ const analysisRecordCPU = 300 * sim.Nanosecond
 // sqlAnalysis is one shard's SQL Server analysis pass (Algorithm 3):
 // starting at the penultimate begin-checkpoint, it builds the shard's
 // DPT from the PIDs in its update log records (every data operation and
-// SMO page image) and prunes it with its BW records. No data pages are
-// read; transaction-table reconstruction is global and handled by the
-// record source / demultiplexer.
+// SMO page image) and prunes it with its BW records — a standalone
+// BWRec, or a ∆ record marked as its batch's BW (wal.DeltaRec.BW). No
+// data pages are read; transaction-table reconstruction is global and
+// handled by the record source / demultiplexer.
 func (sr *shardRun) sqlAnalysis(next nextFunc) error {
 	sr.table = dpt.New()
 	for {
@@ -43,8 +44,13 @@ func (sr *shardRun) sqlAnalysis(next nextFunc) error {
 			sr.table.PruneFlushed(t.WrittenSet, t.FWLSN)
 		case *wal.DeltaRec:
 			// Present on the shared log for the logical family; the
-			// SQL analysis pass ignores them (counted for Figure 2c).
+			// SQL analysis pass reads only a marked one's BW half
+			// (counted for Figure 2c).
 			sr.met.DeltaSeen++
+			if t.BW {
+				sr.met.BWSeen++
+				sr.table.PruneFlushed(t.WrittenSet, t.FWLSN)
+			}
 		}
 	}
 }

@@ -261,7 +261,7 @@ type Metrics struct {
 
 	DPTSize   int
 	DeltaSeen int64 // ∆ records seen by the prep pass (Figure 2c)
-	BWSeen    int64 // BW records seen by the prep pass (Figure 2c)
+	BWSeen    int64 // BW records, and ∆ records marked as one, seen by the prep pass (Figure 2c)
 
 	RedoRecords int64 // data-op records in the redo window
 	TailRecords int64 // records past the last ∆ record (basic-mode fallback)

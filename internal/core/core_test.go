@@ -113,25 +113,39 @@ func verifyRecovered(t *testing.T, m Method, eng *engine.Engine, om oracle) {
 	}
 }
 
+// TestRecoverAllMethodsMatchOracle recovers one crash under every
+// method with the skip audit on, once with the table cached and once
+// with a cache too small for it, whose flushes let the DPT screens skip.
 func TestRecoverAllMethodsMatchOracle(t *testing.T) {
-	cfg := testConfig(300)
-	cs, om := buildCrash(t, cfg, 2000, 120, 10, 30, 42, true)
-	opt := DefaultOptions(cfg)
-	for _, m := range Methods() {
-		eng, met, err := Recover(cs, m, opt)
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
+	audited := auditSkips(t)
+	for _, c := range []struct{ cache, txns int }{{300, 120}, {12, 140}} {
+		cache := c.cache
+		cfg := testConfig(cache)
+		cs, om := buildCrash(t, cfg, 2000, c.txns, 10, 30, 42, true)
+		opt := DefaultOptions(cfg)
+		for _, m := range Methods() {
+			before := audited.Load()
+			eng, met, err := Recover(cs, m, opt)
+			if err != nil {
+				t.Fatalf("cache %d %v: %v", cache, m, err)
+			}
+			verifyRecovered(t, m, eng, om)
+			if got, want := audited.Load()-before, met.SkippedDPT+met.SkippedRLSN; got != want {
+				t.Fatalf("cache %d %v: audited %d skips, the screen made %d", cache, m, got, want)
+			}
+			if met.RedoRecords == 0 {
+				t.Fatalf("cache %d %v: redo saw no records", cache, m)
+			}
+			if met.LosersUndone != 1 {
+				t.Fatalf("cache %d %v: LosersUndone = %d, want 1", cache, m, met.LosersUndone)
+			}
+			if met.CLRsWritten == 0 {
+				t.Fatalf("cache %d %v: no CLRs written for the loser", cache, m)
+			}
 		}
-		verifyRecovered(t, m, eng, om)
-		if met.RedoRecords == 0 {
-			t.Fatalf("%v: redo saw no records", m)
-		}
-		if met.LosersUndone != 1 {
-			t.Fatalf("%v: LosersUndone = %d, want 1", m, met.LosersUndone)
-		}
-		if met.CLRsWritten == 0 {
-			t.Fatalf("%v: no CLRs written for the loser", m)
-		}
+	}
+	if audited.Load() == 0 {
+		t.Fatal("no method skipped a record: the skip audit checked nothing")
 	}
 }
 

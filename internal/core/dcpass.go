@@ -34,6 +34,11 @@ func (sr *shardRun) dcPass(next nextFunc) error {
 			}
 		case *wal.DeltaRec:
 			sr.met.DeltaSeen++
+			if t.BW {
+				// The batch's BW record, folded into its ∆ (Figure 2c
+				// counts it as both).
+				sr.met.BWSeen++
+			}
 			if sr.table != nil && t.TCLSN > sr.r.scanStart {
 				sr.applyDelta(t, prevDelta)
 				prevDelta = t.TCLSN

@@ -82,6 +82,7 @@ func TestParallelRedoMatchesOracle(t *testing.T) {
 	cfg := testConfig(300)
 	cs, om := buildCrashWithSplits(t, cfg, 2000, 150, 8, 40, 7)
 	opt := DefaultOptions(cfg)
+	auditSkips(t) // the serial runs; routed passes are not audited
 
 	for _, m := range Methods() {
 		serialOpt := opt

@@ -130,16 +130,18 @@ func buildPatchCrash(t *testing.T, cfg engine.Config, nRows, txns, nLosers int, 
 }
 
 // TestPatchShapesCrashMatrix recovers one crash made of every patch
-// shape under the five methods at the inline width and at width 2, and
-// checks the committed-state oracle, the tree invariants, the loser
-// count and that both widths append the identical CLR and abort
-// sequence: a routed sweep compensates a key's three updates through
-// the CLRs' own patches, never by reading the leaf its worker may be
-// writing.
+// shape under the five methods at the inline width and at width 2 — with
+// a cache smaller than the table, so the screens skip and the skip
+// audit checks each skip — and checks the committed-state oracle, the
+// tree invariants, the loser count and that both widths append the
+// identical CLR and abort sequence: a routed sweep compensates a key's
+// three updates through the CLRs' own patches, never by reading the leaf
+// its worker may be writing.
 func TestPatchShapesCrashMatrix(t *testing.T) {
 	const nLosers = 3
-	cfg := testConfig(200)
-	cs, om := buildPatchCrash(t, cfg, 2000, 120, nLosers, 29)
+	cfg := testConfig(12)
+	cs, om := buildPatchCrash(t, cfg, 2000, 150, nLosers, 29)
+	auditSkips(t)
 	for _, m := range Methods() {
 		var inline []string
 		for _, width := range []int{0, 2} {

@@ -160,6 +160,8 @@ func (sr *shardRun) scan(next nextFunc, pf *pacer, inline bool, met *Metrics, si
 			}
 			if sr.screen(pid, lsn, met) {
 				err = sink(redoItem{op: t, pid: pid, lsn: lsn})
+			} else if auditSkip != nil && inline {
+				err = auditSkip(sr, pid, lsn)
 			}
 		}
 		if err != nil {
@@ -167,6 +169,14 @@ func (sr *shardRun) scan(next nextFunc, pf *pacer, inline bool, met *Metrics, si
 		}
 	}
 }
+
+// auditSkip, when set, is shown every record the inline width's screen
+// skips, with the page it resolved to, before the next record is
+// scanned: redo runs in log order, so the page must already hold the
+// record. It is nil in production; tests set it through auditSkips. A
+// routed pass is not audited: its scan runs beside the workers that
+// write the pages it would read.
+var auditSkip func(sr *shardRun, pid storage.PageID, lsn wal.LSN) error
 
 // screen is the optimised redo test, before any data page is fetched
 // (Algorithm 1 lines 4-8, Algorithm 5 lines 5-8): a page absent from

@@ -2,6 +2,7 @@ package dc
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -194,8 +195,8 @@ func TestTrackersFeedFromUpdatesAndFlushes(t *testing.T) {
 	if log.AppendCount(wal.TypeDelta) == 0 {
 		t.Fatal("no ∆ records despite flush pressure")
 	}
-	if log.AppendCount(wal.TypeBW) == 0 {
-		t.Fatal("no BW records despite flush pressure")
+	if d.Recorder().Stats().BWIntervals() == 0 {
+		t.Fatal("no BW intervals despite flush pressure")
 	}
 }
 
@@ -224,6 +225,25 @@ func TestMetaRoundTrip(t *testing.T) {
 	}
 	if _, err := decodeMeta(buf[:4]); err == nil {
 		t.Fatal("decoded truncated meta")
+	}
+	buf[0] ^= 0xFF
+	// A page that describes no tree, or holds bytes encodeMeta would not
+	// have written, is refused.
+	for name, bad := range map[string]func(*metaState){
+		"height 0":           func(st *metaState) { st.tree.Height = 0 },
+		"invalid root":       func(st *metaState) { st.tree.Root = storage.InvalidPageID },
+		"next page at root":  func(st *metaState) { st.tree.NextPID = st.tree.Root },
+		"next page below it": func(st *metaState) { st.tree.NextPID = st.tree.Root - 1 },
+	} {
+		st := got
+		bad(&st)
+		if _, err := decodeMeta(encodeMeta(st, 4096)); !errors.Is(err, ErrBadMeta) {
+			t.Errorf("%s: decoded (%v), want ErrBadMeta", name, err)
+		}
+	}
+	buf[4095] = 1
+	if _, err := decodeMeta(buf); !errors.Is(err, ErrBadMeta) {
+		t.Errorf("non-zero padding decoded (%v), want ErrBadMeta", err)
 	}
 }
 

@@ -1,9 +1,11 @@
 package dc
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"logrec/internal/btree"
 	"logrec/internal/storage"
@@ -43,20 +45,33 @@ func encodeMeta(st metaState, pageSize int) []byte {
 	return buf
 }
 
+// decodeMeta reads a boot page, refusing one that describes no tree:
+// height 0, the invalid page as root, or an allocator cursor at or below
+// the root it has already handed out. The padding must be zero, so a
+// page that decodes is the page encodeMeta writes for what it holds.
 func decodeMeta(buf []byte) (metaState, error) {
 	var st metaState
 	if len(buf) < metaEncodedLen {
 		return st, fmt.Errorf("%w: %d bytes", ErrBadMeta, len(buf))
 	}
-	for i, b := range metaMagic {
-		if buf[i] != b {
-			return st, fmt.Errorf("%w: magic mismatch", ErrBadMeta)
-		}
+	if !bytes.Equal(buf[:len(metaMagic)], metaMagic[:]) {
+		return st, fmt.Errorf("%w: magic mismatch", ErrBadMeta)
 	}
 	st.tree.TableID = wal.TableID(binary.BigEndian.Uint32(buf[8:]))
 	st.tree.Root = storage.PageID(binary.BigEndian.Uint32(buf[12:]))
 	st.tree.Height = binary.BigEndian.Uint32(buf[16:])
 	st.tree.NextPID = storage.PageID(binary.BigEndian.Uint32(buf[20:]))
 	st.rsspLSN = wal.LSN(binary.BigEndian.Uint64(buf[24:]))
+	switch {
+	case st.tree.Height == 0:
+		return st, fmt.Errorf("%w: tree height 0", ErrBadMeta)
+	case st.tree.Root == storage.InvalidPageID:
+		return st, fmt.Errorf("%w: root is the invalid page", ErrBadMeta)
+	case st.tree.NextPID <= st.tree.Root:
+		return st, fmt.Errorf("%w: next page %d not past root %d", ErrBadMeta, st.tree.NextPID, st.tree.Root)
+	}
+	if i := slices.IndexFunc(buf[metaEncodedLen:], func(b byte) bool { return b != 0 }); i >= 0 {
+		return st, fmt.Errorf("%w: padding byte %d is not zero", ErrBadMeta, metaEncodedLen+i)
+	}
 	return st, nil
 }

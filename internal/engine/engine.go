@@ -288,8 +288,7 @@ func New(cfg Config) (*Engine, error) {
 // writeMaster persists the master record — the boot-block pointer to
 // the latest end-checkpoint record — and fsyncs it.
 func writeMaster(dir string, lsn wal.LSN) error {
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], uint64(lsn))
+	buf := encodeMaster(lsn)
 	f, err := os.OpenFile(filepath.Join(dir, masterFileName), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return fmt.Errorf("engine: opening master record: %w", err)
@@ -307,7 +306,20 @@ func readMaster(dir string) (wal.LSN, error) {
 	if err != nil {
 		return wal.NilLSN, fmt.Errorf("engine: reading master record: %w", err)
 	}
-	if len(buf) < 8 {
+	return decodeMaster(buf)
+}
+
+// encodeMaster is the master record's 8 bytes: the LSN, big-endian.
+func encodeMaster(lsn wal.LSN) [8]byte {
+	var buf [8]byte
+	binary.BigEndian.PutUint64(buf[:], uint64(lsn))
+	return buf
+}
+
+// decodeMaster reads a master record, which is exactly 8 bytes: writeMaster
+// rewrites those 8 in place, so a file of any other length is not one.
+func decodeMaster(buf []byte) (wal.LSN, error) {
+	if len(buf) != 8 {
 		return wal.NilLSN, fmt.Errorf("engine: master record is %d bytes, want 8", len(buf))
 	}
 	return wal.LSN(binary.BigEndian.Uint64(buf)), nil

@@ -60,17 +60,35 @@ type goldenRow struct {
 // in page 9 — so each scan reads one log page more: LogPages 4 → 6,
 // PrepNS +0.5 ms, RedoTotalNS +1.0 ms under every method, Log2 included
 // (its 71 stalls and their time are what they were).
+//
+// Re-pinned a fifth time, by the same rule, when a ∆ record that says
+// what its flush batch's BW record says began to stand in for it (the
+// crash's log 38,107 → 35,155 bytes at 0.08, 37,494 → 34,785 at 0.32;
+// the redo window 6,236 → 5,888 and 6,274 → 5,948 bytes, holding 6 and
+// 5 BW records fewer): every count is unchanged, the BW intervals the
+// prep passes see included. Records left the window, so besides the
+// log-page term PrepNS loses the analysis pass's 300 ns a record for
+// each. Each scan reads one log page fewer at both fractions: LogPages
+// 6 → 4, PrepNS −0.5 ms − 6 × 300 ns (−501.8 µs) at 0.08 and −0.5 ms − 5
+// × 300 ns (−501.5 µs) at 0.32, and RedoTotalNS −1.0 ms and the same
+// record term (−1,001.8 µs, −1,001.5 µs) under every method — except
+// Log2 at 0.32, whose redo waits on its paced prefetch: the 0.5 ms its
+// redo scan no longer spends reading log reappears as stall time on the
+// same 71 stalls (297.738 → 298.238 ms), so its RedoTotalNS fell by the
+// prep term alone (−501.5 µs). With ScanCost.PerPage = 0 every count
+// and every stall time is equal on both formats, and PrepNS and
+// RedoTotalNS differ by the record term alone.
 var goldenInline = map[string]goldenRow{
-	"0.08/Log0": {705180300, 1560300, 6, 170, 30, 0, 0, 140, 162, 9, 0},
-	"0.08/Log1": {332080300, 1560300, 6, 170, 30, 89, 6, 45, 74, 6, 65},
-	"0.08/SQL1": {356000300, 1560300, 6, 170, 30, 77, 6, 57, 86, 0, 86},
-	"0.08/Log2": {121014300, 1560300, 6, 170, 30, 89, 6, 45, 74, 7, 65},
-	"0.08/SQL2": {89294300, 1560300, 6, 170, 30, 77, 6, 57, 86, 0, 86},
-	"0.32/Log0": {688779700, 1559700, 6, 170, 119, 0, 0, 51, 161, 6, 0},
-	"0.32/Log1": {610879700, 1559700, 6, 170, 119, 19, 1, 31, 142, 6, 103},
-	"0.32/SQL1": {585599700, 1559700, 6, 170, 119, 19, 1, 31, 142, 0, 142},
-	"0.32/Log2": {297717700, 1559700, 6, 170, 119, 19, 1, 31, 142, 7, 103},
-	"0.32/SQL2": {159059700, 1559700, 6, 170, 119, 19, 1, 31, 142, 0, 142},
+	"0.08/Log0": {704178500, 1058500, 4, 170, 30, 0, 0, 140, 162, 9, 0},
+	"0.08/Log1": {331078500, 1058500, 4, 170, 30, 89, 6, 45, 74, 6, 65},
+	"0.08/SQL1": {354998500, 1058500, 4, 170, 30, 77, 6, 57, 86, 0, 86},
+	"0.08/Log2": {120012500, 1058500, 4, 170, 30, 89, 6, 45, 74, 7, 65},
+	"0.08/SQL2": {88292500, 1058500, 4, 170, 30, 77, 6, 57, 86, 0, 86},
+	"0.32/Log0": {687778200, 1058200, 4, 170, 119, 0, 0, 51, 161, 6, 0},
+	"0.32/Log1": {609878200, 1058200, 4, 170, 119, 19, 1, 31, 142, 6, 103},
+	"0.32/SQL1": {584598200, 1058200, 4, 170, 119, 19, 1, 31, 142, 0, 142},
+	"0.32/Log2": {297216200, 1058200, 4, 170, 119, 19, 1, 31, 142, 7, 103},
+	"0.32/SQL2": {158058200, 1058200, 4, 170, 119, 19, 1, 31, 142, 0, 142},
 }
 
 // TestInlineWidthGolden pins the inline width's virtual time and

@@ -141,7 +141,7 @@ type CrashResult struct {
 	UpdatesRun     int64
 	TxnsCommitted  int64
 	DeltasWritten  int64
-	BWsWritten     int64
+	BWsWritten     int64 // BW intervals: BW records and ∆ records marked as one
 	CheckpointsRun int64
 	LogBytes       int64
 	LosersAtCrash  int
@@ -314,7 +314,7 @@ func BuildCrash(cfg Config) (*CrashResult, error) {
 		UpdatesRun:     updates,
 		TxnsCommitted:  eng.Stats().TC.Committed,
 		DeltasWritten:  eng.Log.AppendCount(wal.TypeDelta),
-		BWsWritten:     eng.Log.AppendCount(wal.TypeBW),
+		BWsWritten:     bwIntervals(eng),
 		CheckpointsRun: int64(ckpts),
 		LogBytes:       int64(eng.Log.EndLSN()),
 		LosersAtCrash:  openTxns,
@@ -326,6 +326,16 @@ func BuildCrash(cfg Config) (*CrashResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// bwIntervals counts the BW intervals every shard's tracker closed:
+// standalone BW records and the ∆ records that stand in for one.
+func bwIntervals(eng *engine.Engine) int64 {
+	var n int64
+	for _, d := range eng.DCs {
+		n += d.Recorder().Stats().BWIntervals()
+	}
+	return n
 }
 
 func makeGarbage(size int) string {

@@ -244,10 +244,10 @@ func TestShardedDecodeWidthOracle(t *testing.T) {
 	cfg := shardedConfig(4)
 	cfg.OpenTxns = 3
 	cfg.OpenTxnUpdates = 5
-	// Some 30 log bytes an update, the trackers' records included: a
-	// window of three 1 MiB segments.
+	// Some 23 log bytes an update, the trackers' records included: a
+	// 2.75 MB window over three 1 MiB segments.
 	cfg.CrashAfterCheckpoints = 1
-	cfg.UpdatesAfterLastCkpt = 90_000
+	cfg.UpdatesAfterLastCkpt = 120_000
 	res, err := BuildCrash(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -268,6 +268,15 @@ func (d *Disk) Exists(pid PageID) bool {
 	return ok
 }
 
+// Image returns pid's stored image without an IO: no clock charge, no
+// statistic, no prefetch claimed (a test oracle). The caller must not
+// modify it.
+func (d *Disk) Image(pid PageID) ([]byte, bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.lookup(pid)
+}
+
 // NumPages reports the number of distinct pages stored (CoW-merged).
 func (d *Disk) NumPages() int {
 	d.mu.Lock()

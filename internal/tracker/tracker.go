@@ -10,11 +10,15 @@
 // paper's prototype (§5.1), so one log can drive both recovery
 // families. ∆ records are written exactly before BW records (§5.2),
 // plus extra ∆ records whenever DirtySet reaches capacity — correctness
-// requires every dirtied page to be captured (§4.1).
+// requires every dirtied page to be captured (§4.1). When the ∆ that
+// closes a flush batch lists the BW's WrittenSet under the BW's FW-LSN,
+// it is written marked as the batch's BW record (wal.DeltaRec.BW) and
+// no BW record follows: one log, one record per batch.
 package tracker
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"logrec/internal/storage"
@@ -54,7 +58,8 @@ type Config struct {
 	// Variant selects ∆-record fidelity.
 	Variant Variant
 	// FlushBatch is how many flush completions accumulate before a
-	// BW record (and the ∆ record preceding it) is written.
+	// BW record (and the ∆ record preceding it, or that ∆ alone marked
+	// as the BW) is written.
 	FlushBatch int
 	// MaxDirty caps DirtySet; reaching it forces an extra ∆ record.
 	MaxDirty int
@@ -70,11 +75,16 @@ func DefaultConfig() Config {
 // Stats counts tracker activity.
 type Stats struct {
 	DeltaRecords   int64
-	BWRecords      int64
+	BWRecords      int64 // standalone BW records
+	DeltaBWs       int64 // ∆ records marked as their batch's BW, written in place of one
 	DirtyCaptured  int64
 	FlushCaptured  int64
 	CapacityDeltas int64 // ∆ records forced by a full DirtySet
 }
+
+// BWIntervals is how many BW intervals were closed: standalone BW
+// records plus ∆ records standing in for one.
+func (s Stats) BWIntervals() int64 { return s.BWRecords + s.DeltaBWs }
 
 // Recorder owns both trackers and their shared cadence. It is wired to
 // the DC: NoteUpdate on every page dirtying, NoteFlush from the buffer
@@ -188,7 +198,7 @@ func (r *Recorder) NoteUpdate(pid storage.PageID, lsn wal.LSN) {
 	r.stats.DirtyCaptured++
 	if len(r.dirtySet) >= r.cfg.MaxDirty {
 		r.stats.CapacityDeltas++
-		r.emitDelta()
+		r.emitDelta(r.delta())
 	}
 }
 
@@ -214,10 +224,7 @@ func (r *Recorder) NoteFlush(pid storage.PageID) {
 	r.bwWritten = append(r.bwWritten, pid)
 	r.stats.FlushCaptured++
 	if len(r.bwWritten) >= r.cfg.FlushBatch {
-		// ∆ exactly before BW (§5.2) so both recovery families see
-		// equivalent information at the same log position.
-		r.emitDelta()
-		r.emitBW()
+		r.closeBatch()
 	}
 }
 
@@ -226,13 +233,33 @@ func (r *Recorder) NoteFlush(pid storage.PageID) {
 func (r *Recorder) ForceEmit() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.emitDelta()
+	r.closeBatch()
+}
+
+// closeBatch writes the ∆ record exactly before the BW record (§5.2), so
+// both recovery families see equivalent information at the same log
+// position. A ∆ that lists exactly the BW's WrittenSet under the BW's
+// FW-LSN already says everything the BW would: it is marked as the BW
+// and written alone. The two differ when a capacity ∆ fired inside the
+// batch (it took the batch's first flushes) or when the reduced variant
+// logs a nil FW-LSN; the BW record is then written after the ∆.
+func (r *Recorder) closeBatch() {
+	d := r.delta()
+	if d != nil && len(r.bwWritten) > 0 && slices.Equal(d.WrittenSet, r.bwWritten) && d.FWLSN == r.bwFW {
+		d.BW = true
+		r.stats.DeltaBWs++
+		r.bwWritten = nil
+		r.bwFW = wal.NilLSN
+	}
+	r.emitDelta(d)
 	r.emitBW()
 }
 
-func (r *Recorder) emitDelta() {
+// delta builds the ∆ record of the current interval, nil if the interval
+// captured nothing.
+func (r *Recorder) delta() *wal.DeltaRec {
 	if len(r.dirtySet) == 0 && len(r.deltaWritten) == 0 {
-		return
+		return nil
 	}
 	rec := &wal.DeltaRec{
 		DirtySet:   r.dirtySet,
@@ -261,6 +288,14 @@ func (r *Recorder) emitDelta() {
 		// write"; FW-LSN stays nil.
 		rec.FWLSN = wal.NilLSN
 		rec.FirstDirty = uint32(len(r.dirtySet))
+	}
+	return rec
+}
+
+// emitDelta appends rec, if any, and starts the next ∆ interval.
+func (r *Recorder) emitDelta(rec *wal.DeltaRec) {
+	if rec == nil {
+		return
 	}
 	r.log.MustAppend(rec)
 	r.stats.DeltaRecords++

@@ -1,6 +1,8 @@
 package tracker
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"logrec/internal/storage"
@@ -20,21 +22,13 @@ func newRecorder(t *testing.T, cfg Config) (*Recorder, *wal.Log) {
 // lastDelta scans the log and returns the most recent ∆ record.
 func lastDelta(t *testing.T, log *wal.Log) *wal.DeltaRec {
 	t.Helper()
-	log.Flush()
-	sc := log.NewScanner(wal.FirstLSN(), nil, wal.ScanCost{})
 	var out *wal.DeltaRec
-	for {
-		rec, _, ok, err := sc.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			return out
-		}
+	for _, rec := range records(t, log) {
 		if d, isD := rec.(*wal.DeltaRec); isD {
 			out = d
 		}
 	}
+	return out
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -47,29 +41,168 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestDeltaBeforeBWAtFlushBatch(t *testing.T) {
-	r, log := newRecorder(t, Config{FlushBatch: 2, MaxDirty: 100})
-	r.NoteEOSL(500)
-	r.NoteUpdate(10, 600)
-	r.NoteUpdate(11, 610)
-	r.NoteFlush(10)
-	r.NoteFlush(11) // batch hit: ∆ then BW
+// records scans the log and returns its records in log order.
+func records(t *testing.T, log *wal.Log) []wal.Record {
+	t.Helper()
 	log.Flush()
-
 	sc := log.NewScanner(wal.FirstLSN(), nil, wal.ScanCost{})
-	var types []wal.Type
+	var out []wal.Record
 	for {
 		rec, _, ok, err := sc.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
-			break
+			return out
 		}
+		out = append(out, rec)
+	}
+}
+
+// TestBatchDeltaStandsInForBW: the ∆ that closes a flush batch lists the
+// batch's flushes under the FW-LSN the BW would carry, so it is written
+// marked as the batch's BW and no BW record follows.
+func TestBatchDeltaStandsInForBW(t *testing.T) {
+	r, log := newRecorder(t, Config{FlushBatch: 2, MaxDirty: 100})
+	r.NoteEOSL(500)
+	r.NoteUpdate(10, 600)
+	r.NoteUpdate(11, 610)
+	r.NoteFlush(10)
+	r.NoteEOSL(700)
+	r.NoteFlush(11) // batch hit: one ∆, marked
+	recs := records(t, log)
+	if len(recs) != 1 {
+		t.Fatalf("records = %v, want one ∆ standing in for the BW", recs)
+	}
+	d, ok := recs[0].(*wal.DeltaRec)
+	if !ok || !d.BW || d.FWLSN != 500 || !slices.Equal(d.WrittenSet, []storage.PageID{10, 11}) {
+		t.Fatalf("record = %+v, want a ∆ marked BW listing [10 11] under FW-LSN 500", recs[0])
+	}
+	if st := r.Stats(); st.DeltaRecords != 1 || st.BWRecords != 0 || st.DeltaBWs != 1 || st.BWIntervals() != 1 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestCapacityDeltaInBatchKeepsBW: a capacity ∆ inside the batch takes
+// the batch's first flush, so the ∆ that closes the batch lists less than
+// the BW; it is written unmarked, exactly before a standalone BW (§5.2).
+func TestCapacityDeltaInBatchKeepsBW(t *testing.T) {
+	r, log := newRecorder(t, Config{FlushBatch: 2, MaxDirty: 2})
+	r.NoteEOSL(500)
+	r.NoteUpdate(10, 600)
+	r.NoteFlush(10)       // opens both intervals at FW-LSN 500
+	r.NoteUpdate(11, 610) // DirtySet full: a capacity ∆ lists the flush of 10
+	r.NoteEOSL(700)
+	r.NoteFlush(11) // batch hit: the ∆ lists [11] under 700, the BW [10 11] under 500
+	recs := records(t, log)
+	var types []wal.Type
+	for _, rec := range recs {
 		types = append(types, rec.Type())
 	}
-	if len(types) != 2 || types[0] != wal.TypeDelta || types[1] != wal.TypeBW {
-		t.Fatalf("record order = %v, want [delta bw] (∆ written exactly before BW, §5.2)", types)
+	if !slices.Equal(types, []wal.Type{wal.TypeDelta, wal.TypeDelta, wal.TypeBW}) {
+		t.Fatalf("record order = %v, want [delta delta bw]", types)
+	}
+	for _, rec := range recs[:2] {
+		if rec.(*wal.DeltaRec).BW {
+			t.Fatalf("∆ %+v marked as a BW it does not match", rec)
+		}
+	}
+	if bw := recs[2].(*wal.BWRec); bw.FWLSN != 500 || !slices.Equal(bw.WrittenSet, []storage.PageID{10, 11}) {
+		t.Fatalf("BW = %+v, want [10 11] under FW-LSN 500", bw)
+	}
+}
+
+// bwPair is what SQL analysis prunes with: a WrittenSet and its FW-LSN.
+type bwPair struct {
+	written []storage.PageID
+	fw      wal.LSN
+}
+
+// TestBWStreamUnchangedByFolding drives seeded random update, flush,
+// EOSL and force sequences under every variant, with batches and
+// DirtySets small enough that capacity ∆s land inside batches. A
+// reference model of the BW tracker alone gives the (WrittenSet,
+// FW-LSN) pairs a BW record per batch would carry; the standalone BW
+// records and the marked ∆s, in log order, must be exactly those.
+func TestBWStreamUnchangedByFolding(t *testing.T) {
+	for _, v := range []Variant{DeltaStandard, DeltaPerfect, DeltaReduced} {
+		var total Stats
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			cfg := Config{Variant: v, FlushBatch: 1 + rng.Intn(4), MaxDirty: 1 + rng.Intn(5)}
+			r, log := newRecorder(t, cfg)
+
+			var want []bwPair
+			var model bwPair
+			emit := func() {
+				if len(model.written) > 0 {
+					want = append(want, model)
+				}
+				model = bwPair{}
+			}
+			var eLSN wal.LSN
+			for op := 0; op < 300; op++ {
+				switch k := rng.Intn(10); {
+				case k < 4:
+					// A logged update the perfect variant's DirtyLSNs can
+					// point back at.
+					lsn := log.MustAppend(&wal.CommitRec{TxnID: 1})
+					r.NoteUpdate(storage.PageID(1+rng.Intn(8)), lsn)
+				case k < 7:
+					pid := storage.PageID(1 + rng.Intn(8))
+					r.NoteFlush(pid)
+					if len(model.written) == 0 {
+						model.fw = eLSN
+					}
+					model.written = append(model.written, pid)
+					if len(model.written) >= cfg.FlushBatch {
+						emit()
+					}
+				case k < 9:
+					if rng.Intn(4) > 0 {
+						eLSN += wal.LSN(1 + rng.Intn(50))
+					}
+					r.NoteEOSL(eLSN)
+				default:
+					r.ForceEmit()
+					emit()
+				}
+			}
+			r.ForceEmit()
+			emit()
+
+			var got []bwPair
+			for _, rec := range records(t, log) {
+				switch x := rec.(type) {
+				case *wal.BWRec:
+					got = append(got, bwPair{x.WrittenSet, x.FWLSN})
+				case *wal.DeltaRec:
+					if x.BW {
+						got = append(got, bwPair{x.WrittenSet, x.FWLSN})
+					}
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%v seed %d: %d BW intervals logged, model has %d", v, seed, len(got), len(want))
+			}
+			for i := range want {
+				if !slices.Equal(got[i].written, want[i].written) || got[i].fw != want[i].fw {
+					t.Fatalf("%v seed %d: BW interval %d = %+v, model %+v", v, seed, i, got[i], want[i])
+				}
+			}
+			st := r.Stats()
+			if st.BWIntervals() != int64(len(want)) || st.BWRecords != log.AppendCount(wal.TypeBW) {
+				t.Fatalf("%v seed %d: stats %+v against %d intervals, %d BW records", v, seed, st, len(want), log.AppendCount(wal.TypeBW))
+			}
+			total.BWRecords += st.BWRecords
+			total.DeltaBWs += st.DeltaBWs
+		}
+		// Both paths ran: batches a ∆ closed alone, and batches that kept
+		// their BW record (every one, but for a nil FW-LSN, under reduced).
+		if total.BWRecords == 0 || (v != DeltaReduced && total.DeltaBWs == 0) {
+			t.Errorf("%v: %d standalone BWs and %d marked ∆s over all seeds", v, total.BWRecords, total.DeltaBWs)
+		}
+		t.Logf("%v: %d standalone BWs, %d marked ∆s", v, total.BWRecords, total.DeltaBWs)
 	}
 }
 
@@ -256,21 +389,12 @@ func TestEOSLMonotone(t *testing.T) {
 }
 
 func TestBWFWLSNIsELSNAtFirstFlush(t *testing.T) {
-	r, log := newRecorder(t, Config{FlushBatch: 2, MaxDirty: 100})
+	r, log := newRecorder(t, Config{Variant: DeltaReduced, FlushBatch: 2, MaxDirty: 100})
 	r.NoteEOSL(100)
 	r.NoteFlush(1) // first flush of BW interval: FW = 100
 	r.NoteEOSL(200)
-	r.NoteFlush(2) // batch complete
-	log.Flush()
-	sc := log.NewScanner(wal.FirstLSN(), nil, wal.ScanCost{})
-	for {
-		rec, _, ok, err := sc.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
+	r.NoteFlush(2) // batch complete; the reduced ∆'s nil FW-LSN keeps the BW
+	for _, rec := range records(t, log) {
 		if bw, isBW := rec.(*wal.BWRec); isBW {
 			if bw.FWLSN != 100 {
 				t.Fatalf("BW FW-LSN = %v, want 100", bw.FWLSN)

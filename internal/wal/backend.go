@@ -69,17 +69,17 @@ type BackendStats struct {
 // of the segment based at b sits at file offset segHeaderSize + (x - b).
 //
 //	[0:8)   magic "LOGRECWL"
-//	[8:12)  format version (5: a same-length patch logs its length once
-//	        and trailing zero fields are not written; 4 had both lengths
-//	        and every field; 3 had a fixed 5-byte header, absolute
-//	        pointers and fixed-width system records; 2 had whole-image
-//	        updates; 1 was the single wal.log file). Any other version is
-//	        refused, never decoded.
+//	[8:12)  format version (6: a ∆ record's WrittenSet count carries a
+//	        BW mark in its low bit; 5 had no mark; 4 logged a same-length
+//	        patch's length twice and wrote trailing zero fields; 3 had a
+//	        fixed 5-byte header, absolute pointers and fixed-width system
+//	        records; 2 had whole-image updates; 1 was the single wal.log
+//	        file). Any other version is refused, never decoded.
 //	[12:16) frame checksum kind (0 = none; reserved for per-frame CRCs)
 //	[16:24) base LSN
 const (
 	segHeaderSize = 24
-	segVersion    = 5
+	segVersion    = 6
 	segSuffix     = ".seg"
 )
 

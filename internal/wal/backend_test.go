@@ -231,10 +231,10 @@ func TestOpenLogFileRejectsGarbage(t *testing.T) {
 
 // TestOpenLogDirRefusesOldFormat: a wal/ directory written in an
 // earlier format — whole-image updates (segment version 2), the
-// fixed-width frame header and absolute back-pointers of version 3, or
-// version 4's two patch lengths and written trailing zeros — holds bytes
-// this decoder would misread; it is refused by its header with
-// ErrBadRecord, not decoded.
+// fixed-width frame header and absolute back-pointers of version 3,
+// version 4's two patch lengths and written trailing zeros, or version
+// 5's unmarked ∆ written-page count — holds bytes this decoder would
+// misread; it is refused by its header with ErrBadRecord, not decoded.
 func TestOpenLogDirRefusesOldFormat(t *testing.T) {
 	log, _, dir := fileLog(t)
 	log.MustAppend(&CommitRec{TxnID: 1})
@@ -250,7 +250,7 @@ func TestOpenLogDirRefusesOldFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, old := range []uint32{2, 3, 4} {
+	for _, old := range []uint32{2, 3, 4, 5} {
 		binary.BigEndian.PutUint32(buf[8:], old)
 		if err := os.WriteFile(path, buf, 0o644); err != nil {
 			t.Fatal(err)

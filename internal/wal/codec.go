@@ -57,7 +57,11 @@ func putTrail(dst []byte, fields ...uint64) []byte {
 
 // putVarPIDs appends pids, in order, behind their count.
 func putVarPIDs(dst []byte, pids []storage.PageID) []byte {
-	dst = putUvarint(dst, uint64(len(pids)))
+	return putPIDs(putUvarint(dst, uint64(len(pids))), pids)
+}
+
+// putPIDs appends pids, in order.
+func putPIDs(dst []byte, pids []storage.PageID) []byte {
 	for _, p := range pids {
 		dst = putUvarint(dst, uint64(p))
 	}
@@ -254,12 +258,15 @@ func (d *decoder) bytes(what string, n uint64) []byte {
 	return out
 }
 
-// varPIDs reads a page list (putVarPIDs). The lists are most of what a
-// ∆ or BW record holds, so the loop reads the two- and three-byte page
+// varPIDs reads a page list (putVarPIDs).
+func (d *decoder) varPIDs(what string) []storage.PageID { return d.pids(what, d.uvarint(what)) }
+
+// pids reads n page numbers (putPIDs). The lists are most of what a ∆
+// or BW record holds, so the loop reads the two- and three-byte page
 // numbers — pages 128 to two million — itself and leaves the rest, and
 // whatever is malformed, to uvarint32.
-func (d *decoder) varPIDs(what string) []storage.PageID {
-	out := make([]storage.PageID, d.count(what, 1))
+func (d *decoder) pids(what string, n uint64) []storage.PageID {
+	out := make([]storage.PageID, d.room(what, n, 1))
 	for i := 0; i < len(out) && d.err == nil; i++ {
 		b := d.src[d.off:]
 		switch {

@@ -75,6 +75,14 @@ func fullLog(t testing.TB) *Log {
 	add(&DeltaRec{TCLSN: 101, DirtySet: []storage.PageID{6}, FirstDirty: 1, ShardID: 2})
 	add(&BWRec{WrittenSet: []storage.PageID{4, 5, 6}, FWLSN: 95})
 	add(&BWRec{WrittenSet: []storage.PageID{6}, FWLSN: 96, ShardID: 2})
+	// ∆ records that stand in for their batch's BW record, with and
+	// without DirtyLSNs, on shard 0 and on shard 2.
+	for _, sh := range []ShardID{0, 2} {
+		add(&DeltaRec{TCLSN: 102, FWLSN: 97, FirstDirty: 1, DirtySet: []storage.PageID{4, 5},
+			DirtyLSNs: []LSN{first, prev}, WrittenSet: []storage.PageID{5, 6}, ShardID: sh, BW: true})
+		add(&DeltaRec{TCLSN: 103, FWLSN: 98, FirstDirty: 0, DirtySet: []storage.PageID{6},
+			WrittenSet: []storage.PageID{6}, ShardID: sh, BW: true})
+	}
 	add(&SMORec{Meta: TreeMeta{TableID: 1, Root: 2, Height: 2, NextPID: 11},
 		Images: []PageImage{{PageID: 10, Data: []byte("page-image-bytes")}}})
 	add(&SMORec{Meta: TreeMeta{TableID: 1, Root: 2, Height: 2, NextPID: 12}, ShardID: 1,
@@ -123,12 +131,14 @@ func FuzzDecodeAt(f *testing.F) {
 	f.Add(flipped, uint64(FirstLSN()))
 	f.Add([]byte{}, uint64(0))
 	// Two spellings of an update that are not its byte string: two equal
-	// patch lengths, and a nil prev and shard 0 written out.
-	for _, body := range [][]byte{
-		{1, 1, 7, 4, 0, 2<<1 | 1, 'a', 'b', 2, 'x', 'y', 4},
-		{1, 1, 7, 4, 0, 2 << 1, 'a', 'b', 'x', 'y', 4, 0, 0},
+	// patch lengths, and a nil prev and shard 0 written out. A ∆ marked as
+	// its batch's BW record over no written page, which means nothing.
+	for _, frame := range [][]byte{
+		{byte(TypeUpdate), 12, 1, 1, 7, 4, 0, 2<<1 | 1, 'a', 'b', 2, 'x', 'y', 4},
+		{byte(TypeUpdate), 13, 1, 1, 7, 4, 0, 2 << 1, 'a', 'b', 'x', 'y', 4, 0, 0},
+		{byte(TypeDelta), 5, 0, 0<<1 | 1, 0, 0, 0},
 	} {
-		f.Add(append([]byte{byte(TypeUpdate), byte(len(body))}, body...), uint64(FirstLSN()))
+		f.Add(frame, uint64(FirstLSN()))
 	}
 
 	f.Fuzz(func(t *testing.T, buf []byte, off uint64) {

@@ -470,6 +470,13 @@ func (r *BWRec) decodeBody(src []byte, at LSN) error {
 // DirtyLSNs is the Appendix D.1 "perfect DPT" extension: when non-empty
 // it is parallel to DirtySet and carries the LSN of each dirtying
 // update, letting DC analysis build exactly the DPT SQL Server builds.
+//
+// BW marks a ∆ record that is also its flush batch's BW record: the
+// tracker writes the ∆ exactly before the BW (§5.2), and when the two
+// would list the same WrittenSet under the same FW-LSN it writes the ∆
+// alone, so SQL analysis prunes with it as with a BWRec. It is logged as
+// the low bit of the WrittenSet's count, so a marked ∆ is exactly as
+// long as an unmarked one (the count takes one byte up to 63 pages).
 type DeltaRec struct {
 	DirtySet   []storage.PageID
 	WrittenSet []storage.PageID
@@ -478,15 +485,21 @@ type DeltaRec struct {
 	TCLSN      LSN
 	DirtyLSNs  []LSN
 	ShardID    ShardID
+	BW         bool
 }
 
 func (r *DeltaRec) Type() Type     { return TypeDelta }
 func (r *DeltaRec) Shard() ShardID { return r.ShardID }
 
 // check refuses a ∆ record analysis cannot mean: DirtyLSNs not parallel
-// to DirtySet, FirstDirty past the end of DirtySet, or a list naming
-// the invalid page. Both directions of the codec apply it.
+// to DirtySet, FirstDirty past the end of DirtySet, a list naming the
+// invalid page, or a BW mark on a record that lists no written page (no
+// BW record is written for an empty batch). Both directions of the codec
+// apply it.
 func (r *DeltaRec) check() error {
+	if r.BW && len(r.WrittenSet) == 0 {
+		return fmt.Errorf("%w: delta marked as a BW record lists no written page", ErrBadRecord)
+	}
 	if len(r.DirtyLSNs) != 0 && len(r.DirtyLSNs) != len(r.DirtySet) {
 		return fmt.Errorf("%w: delta DirtyLSNs length %d != DirtySet length %d",
 			ErrBadRecord, len(r.DirtyLSNs), len(r.DirtySet))
@@ -506,7 +519,11 @@ func (r *DeltaRec) encodeBody(dst []byte, at LSN) ([]byte, error) {
 		return dst, err
 	}
 	dst = putVarPIDs(dst, r.DirtySet)
-	dst = putVarPIDs(dst, r.WrittenSet)
+	written := uint64(len(r.WrittenSet)) << 1
+	if r.BW {
+		written |= 1
+	}
+	dst = putPIDs(putUvarint(dst, written), r.WrittenSet)
 	dst = putUvarint(dst, uint64(r.FWLSN))
 	dst = putUvarint(dst, uint64(r.FirstDirty))
 	dst = putUvarint(dst, uint64(r.TCLSN))
@@ -527,7 +544,9 @@ func (r *DeltaRec) encodeBody(dst []byte, at LSN) ([]byte, error) {
 func (r *DeltaRec) decodeBody(src []byte, at LSN) error {
 	d := newDecoder(src, at)
 	r.DirtySet = d.varPIDs("dirtySet")
-	r.WrittenSet = d.varPIDs("writtenSet")
+	written := d.uvarint("writtenSet")
+	r.BW = written&1 == 1
+	r.WrittenSet = d.pids("writtenSet", written>>1)
 	r.FWLSN = LSN(d.uvarint("fwLSN"))
 	r.FirstDirty = d.uvarint32("firstDirty")
 	r.TCLSN = LSN(d.uvarint("tcLSN"))

@@ -234,7 +234,8 @@ func TestGetOutOfRange(t *testing.T) {
 // TestDeltaValidation: a ∆ or BW record that analysis could not mean —
 // DirtyLSNs not parallel to DirtySet, FirstDirty past the DirtySet, the
 // invalid page in any list, a DirtyLSNs entry at or above the record or
-// below the log — is refused by the encoder and, forged, by the decoder;
+// below the log, a BW mark on a ∆ that lists no written page — is
+// refused by the encoder and, forged, by the decoder;
 // and a list count the body cannot hold is refused before it is
 // allocated.
 func TestDeltaValidation(t *testing.T) {
@@ -246,6 +247,7 @@ func TestDeltaValidation(t *testing.T) {
 		"page 0 dirty":       &DeltaRec{DirtySet: pids(1, 0), FirstDirty: 2},
 		"page 0 written":     &DeltaRec{DirtySet: pids(1), WrittenSet: pids(0)},
 		"page 0 in BW":       &BWRec{WrittenSet: pids(7, 0)},
+		"BW mark, no write":  &DeltaRec{DirtySet: pids(1), FirstDirty: 1, BW: true},
 		"DirtyLSN at record": &DeltaRec{DirtySet: pids(1), DirtyLSNs: []LSN{at}},
 		"DirtyLSN below log": &DeltaRec{DirtySet: pids(1), DirtyLSNs: []LSN{FirstLSN() - 1}},
 	} {
@@ -266,7 +268,8 @@ func TestDeltaValidation(t *testing.T) {
 		"short DirtyLSNs":    {3, 1, 2, 3, 0, 0, 0, 0, 1, 5},
 		"FirstDirty":         {2, 1, 2, 0, 0, 3, 0},
 		"page 0 dirty":       {2, 1, 0, 0, 0, 2, 0},
-		"page 0 written":     {1, 1, 1, 0, 0, 0, 0},
+		"page 0 written":     {1, 1, 1 << 1, 0, 0, 0, 0},
+		"BW mark, no write":  {1, 1, 0<<1 | 1, 0, 1, 0},
 		"DirtyLSN below log": {1, 1, 0, 0, 0, 0, 1, 0xD9, 0x07}, // 985 back from 1000: LSN 15
 		"dirty count":        {200, 1, 2, 0, 0, 0, 0},
 		"written count":      {1, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0, 0, 0},
@@ -556,8 +559,8 @@ func TestSpliceBounds(t *testing.T) {
 // over-long varint — in a per-operation body, a system record or the
 // frame header's length — a value too wide for its field, an update
 // whose middles still share an end, a second patch length equal to the
-// first and a trailing field written as 0 at the body's end are all
-// refused.
+// first, a ∆ marked as a BW record over an empty WrittenSet and a
+// trailing field written as 0 at the body's end are all refused.
 func TestVarintBodiesAreCanonical(t *testing.T) {
 	const at = LSN(600)
 	good, err := (&CommitRec{TxnID: 5, PrevLSN: 300}).encodeBody(nil, at)
@@ -578,11 +581,13 @@ func TestVarintBodiesAreCanonical(t *testing.T) {
 		"table ID beyond 32 bits":        {&u, putUvarint(putUvarint(nil, 1), 1<<32)},
 		// txn 1, table 1, key 1, skip 0, tail 0, 2<<1 (two equal
 		// lengths), old "ab", new "ac", pid; prev and shard left out.
-		"untrimmed patch":              {&u, []byte{1, 1, 1, 0, 0, 4, 'a', 'b', 'a', 'c', 1}},
-		"equal lengths logged twice":   {&u, []byte{1, 1, 1, 0, 0, 1<<1 | 1, 'b', 1, 'c', 1}},
-		"CLR kind beyond a byte":       {&CLRRec{}, []byte{1, 1, 1, 0x80, 0x02, 0, 0, 0, 1}},
-		"RSSP shard over-long":         {&RSSPRec{}, []byte{12, 0x80, 0x00}},
-		"BW count over-long":           {&BWRec{}, []byte{0x81, 0x00, 7, 0}},
+		"untrimmed patch":            {&u, []byte{1, 1, 1, 0, 0, 4, 'a', 'b', 'a', 'c', 1}},
+		"equal lengths logged twice": {&u, []byte{1, 1, 1, 0, 0, 1<<1 | 1, 'b', 1, 'c', 1}},
+		"CLR kind beyond a byte":     {&CLRRec{}, []byte{1, 1, 1, 0x80, 0x02, 0, 0, 0, 1}},
+		"RSSP shard over-long":       {&RSSPRec{}, []byte{12, 0x80, 0x00}},
+		"BW count over-long":         {&BWRec{}, []byte{0x81, 0x00, 7, 0}},
+		// dirty 0, written 0<<1 | 1: a BW mark on an empty batch.
+		"∆ marked BW, no written page": {&DeltaRec{}, []byte{0, 1, 0, 0, 0}},
 		"end-ckpt route shard 33 bits": {&EndCkptRec{}, append([]byte{16, 0, 1, 0}, putUvarint(nil, 1<<32)...)},
 		"SMO image length over-long":   {&SMORec{}, []byte{1, 2, 2, 11, 1, 10, 0x81, 0x00, 'x'}},
 		"shard-map split over-long":    {&ShardMapRec{}, []byte{1, 0x80, 0x00, 9, 1, 0}},
@@ -604,6 +609,7 @@ func TestVarintBodiesAreCanonical(t *testing.T) {
 		"CLR nil undoNext":          {&CLRRec{}, []byte{1, 1, 1, byte(CLRUndoInsert), 0, 0, 0, 1, 5, 0}},
 		"∆ without DirtyLSNs":       {&DeltaRec{}, []byte{0, 0, 0, 0, 0, 0}},
 		"∆ shard 0 after DirtyLSNs": {&DeltaRec{}, []byte{1, 4, 0, 0, 0, 0, 1, 5, 0}},
+		"marked ∆ shard 0":          {&DeltaRec{}, []byte{0, 1<<1 | 1, 4, 0, 0, 0, 0}},
 		"BW shard 0":                {&BWRec{}, []byte{1, 4, 0, 0}},
 		"SMO shard 0":               {&SMORec{}, []byte{1, 2, 2, 11, 0, 0}},
 	} {
@@ -649,9 +655,9 @@ func TestRecordSizes(t *testing.T) {
 		return &UpdateRec{TxnID: txn, TableID: 1, KeyVal: key, Skip: 20, Tail: 46,
 			OldVal: []byte("abc"), NewVal: []byte("xyz"), PageID: pid, ShardID: shard, PrevLSN: prev}
 	}
-	delta := func(shard ShardID) *DeltaRec {
+	delta := func(shard ShardID, bw bool) *DeltaRec {
 		return &DeltaRec{DirtySet: []storage.PageID{3000, 3001, 3002}, WrittenSet: []storage.PageID{2999},
-			FWLSN: at - 500, FirstDirty: 1, TCLSN: at - 100, ShardID: shard}
+			FWLSN: at - 500, FirstDirty: 1, TCLSN: at - 100, ShardID: shard, BW: bw}
 	}
 	bw := func(shard ShardID) *BWRec {
 		return &BWRec{WrittenSet: []storage.PageID{2999, 3000}, FWLSN: at - 500, ShardID: shard}
@@ -672,8 +678,11 @@ func TestRecordSizes(t *testing.T) {
 			Skip: 20, Tail: 46, RestoreVal: []byte("abc"), PageID: pid, PrevLSN: prev}, 19},
 		// 2 header, 1+3×2 dirty, 1+2 written, 3 fwLSN, 1 firstDirty, 3
 		// tcLSN; on shard 2 also the empty DirtyLSNs' count and the shard.
-		{"∆, shard 0", delta(0), 19},
-		{"∆, shard 2", delta(2), 21},
+		// The BW mark is the low bit of the written count: no byte more.
+		{"∆, shard 0", delta(0, false), 19},
+		{"∆, shard 2", delta(2, false), 21},
+		{"∆ marked as its batch's BW, shard 0", delta(0, true), 19},
+		{"∆ marked as its batch's BW, shard 2", delta(2, true), 21},
 		{"BW, shard 0", bw(0), 10},
 		{"BW, shard 2", bw(2), 11},
 	} {
@@ -684,7 +693,7 @@ func TestRecordSizes(t *testing.T) {
 }
 
 // TestQuickDeltaRoundTrip fuzzes ∆-record encode/decode including the
-// perfect-DPT DirtyLSNs variant.
+// perfect-DPT DirtyLSNs variant and the BW mark.
 func TestQuickDeltaRoundTrip(t *testing.T) {
 	const at = LSN(1 << 40)
 	f := func(seed int64) bool {
@@ -702,6 +711,7 @@ func TestQuickDeltaRoundTrip(t *testing.T) {
 		for i := 0; i < rng.Intn(20); i++ {
 			in.WrittenSet = append(in.WrittenSet, storage.PageID(rng.Uint32()|1))
 		}
+		in.BW = len(in.WrittenSet) > 0 && rng.Intn(2) == 0
 		if rng.Intn(2) == 0 {
 			for range in.DirtySet {
 				// Any distance a pointer can span, one byte to six.
