@@ -118,6 +118,7 @@ bench: | $(BENCH_DIR)
 	$(GO) test -run '^$$' -bench SessionCommit -benchtime 20000x .
 	$(GO) test -run '^$$' -bench EngineLoad -benchtime 1x .
 	$(GO) test -run '^$$' -bench ScanLog ./internal/wal
+	$(GO) test -run '^$$' -bench Replay ./internal/replica
 
 # The same sweeps at -quick: CI runs this so the drivers cannot rot.
 # Passing means every command exited 0. The file-device legs run

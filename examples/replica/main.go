@@ -10,10 +10,9 @@
 // replica.
 //
 // This example runs the production subsystem (internal/replica): a warm
-// standby continuously ships the primary's stable log, replays it in
-// logical mode (core.ReplayLogical — by table and key, never by PID),
-// reports its replay lag, and is finally crash-promoted into a serving
-// primary.
+// standby continuously ships the primary's stable log, replays it by
+// table and key, never by PID (core.Replayer), reports its replay lag,
+// and is finally crash-promoted into a serving primary.
 package main
 
 import (
@@ -22,7 +21,6 @@ import (
 	"time"
 
 	"logrec"
-	"logrec/internal/core"
 	"logrec/internal/replica"
 )
 
@@ -61,10 +59,7 @@ func main() {
 		standbyEng.Disk.NumPages(), replCfg.Disk.PageSize)
 
 	// Attach the standby to the primary's log and start shipping.
-	standby, err := replica.New(primary.Log, standbyEng, replica.Config{
-		Mode:         core.ReplayLogical,
-		SegmentBytes: 8 << 10,
-	})
+	standby, err := replica.New(primary.Log, standbyEng, replica.Config{SegmentBytes: 8 << 10})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -280,6 +280,18 @@ func (t *Tree) UpdateLogged(key uint64, val []byte, logFn LogFunc) error {
 	})
 }
 
+// PatchLogged rewrites the value under key with patch applied to it
+// (page.Page.Patch) in one descent, calling logFn with the owning leaf's
+// PID to obtain the operation's LSN. patch must be pure: a row that
+// outgrows its leaf is patched again on its new leaf after the split. An
+// error from patch is returned as is, and nothing is then logged,
+// stamped or dirtied.
+func (t *Tree) PatchLogged(key uint64, patch func(cur []byte) ([]byte, error), logFn LogFunc) error {
+	return t.modify(key, logFn, func(p *page.Page) error {
+		return p.Patch(key, patch)
+	})
+}
+
 // Delete removes key at lsn. Leaves are never merged; like many
 // production engines, space from deletes is reused by later inserts.
 func (t *Tree) Delete(key uint64, lsn wal.LSN) error {

@@ -356,7 +356,7 @@ func Recover(cs *engine.CrashState, m Method, opt Options) (*engine.Engine, *Met
 	}
 
 	r := newRun(clock, log, opt, dcs)
-	r.cs, r.m, r.smoInRedo = cs, m, !m.IsLogical()
+	r.cs, r.m = cs, m
 	r.routes = shard.DefaultRoutes(nShards, cs.Cfg.KeySpan)
 	met := r.met
 	met.Method = m
@@ -492,19 +492,14 @@ type run struct {
 	txns   *txnTable
 	shards []*shardRun
 
-	// smoInRedo makes the redo loop install SMO images at their log
-	// position (the SQL family, and a standby); the logical family's DC
-	// pass has already replayed them (§4.2), so its redo skips them.
-	smoInRedo bool
-
 	// scanStart is the penultimate begin-checkpoint LSN — the redo
 	// scan start point (§3.2).
 	scanStart wal.LSN
 
 	// routeByKey, when set, overrides undo's shard routing: instead of
-	// the record's shard stamp, compensations route by key. A
-	// logical-mode standby (core.Replayer) sets it — its shard layout
-	// need not match the primary's stamps.
+	// the record's shard stamp, compensations route by key. A standby
+	// (core.Replayer) sets it — its shard layout need not match the
+	// primary's stamps.
 	routeByKey func(key uint64) (*shardRun, error)
 
 	// routes is the routing table at the penultimate checkpoint;
@@ -776,8 +771,7 @@ func (r *run) finalRoutes() ([]wal.RouteEntry, error) {
 }
 
 // replayRoute applies one committed migration's routing change to
-// router — at the end of a crash recovery, or as the commit streams past
-// a standby.
+// router at the end of a crash recovery.
 func (r *run) replayRoute(router *shard.Router, sm *wal.ShardMapRec) error {
 	// A change already reflected in the checkpoint's route snapshot
 	// (migration committed before the end-checkpoint record) is a

@@ -208,3 +208,42 @@ func TestPatchThatDoesNotFitFailsRecovery(t *testing.T) {
 		}
 	}
 }
+
+// TestSMOImageOfAnotherGeometryFailsRecovery: an SMO image that is not
+// one page long was logged under another page size (a promoted standby's
+// log holds the primary's). Every method refuses it, naming the LSN and
+// the page, instead of copying a truncated or under-filled page.
+func TestSMOImageOfAnotherGeometryFailsRecovery(t *testing.T) {
+	cfg := testConfig(200)
+	for _, size := range []int{cfg.Disk.PageSize * 4, cfg.Disk.PageSize / 4} {
+		eng, err := engine.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Load(500, func(k uint64) []byte { return val(k, 0) }); err != nil {
+			t.Fatal(err)
+		}
+		pid, err := eng.DC.Tree().FindLeaf(123)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := eng.DC.Tree().Meta()
+		bad := eng.Log.MustAppend(&wal.SMORec{
+			Meta:   wal.TreeMeta{TableID: m.TableID, Root: m.Root, Height: m.Height, NextPID: m.NextPID},
+			Images: []wal.PageImage{{PageID: pid, Data: make([]byte, size)}},
+		})
+		eng.TC.SendEOSL()
+		cs := eng.Crash()
+		for _, m := range Methods() {
+			_, _, err := Recover(cs, m, DefaultOptions(cfg))
+			if err == nil {
+				t.Fatalf("%v: recovered over a %d-byte SMO image", m, size)
+			}
+			for _, want := range []string{bad.String(), fmt.Sprintf("page %d is %d bytes", pid, size)} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("%v: error %q does not name %s", m, err, want)
+				}
+			}
+		}
+	}
+}

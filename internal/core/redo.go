@@ -13,8 +13,8 @@ import (
 
 // The replay pipeline.
 //
-// Every recovery method, at every width, and a standby's continuous
-// catch-up are one computation over the one log (§2.1, §5.1):
+// Every recovery method, at every width, is one computation over the
+// one log (§2.1, §5.1):
 //
 //	log ─► note ─► demux ─► classify ─► resolve ─► screen ─► sink
 //	(fanOut, core.go)       (scan, below)                    │
@@ -26,7 +26,8 @@ import (
 // SQL family) and screened (no DPT for Log0, the ∆-built DPT with a
 // basic-mode tail for Log1/Log2, the analysis DPT for SQL1/SQL2), and in
 // which prefetcher wraps the loop. The width (Options.RedoWorkers) only
-// picks the sink; both sinks end in redoOp.
+// picks the sink; both sinks end in redoOp. A standby's continuous
+// catch-up (replay.go) shares note and demux and applies by key.
 
 // applyOp re-executes a data operation on its page (REDOOPERATION in
 // Algorithms 1, 2 and 5). The caller has already decided redo is needed
@@ -39,7 +40,7 @@ func applyOp(pool *buffer.Pool, f *buffer.Frame, op wal.DataOp, lsn wal.LSN) err
 	var err error
 	switch t := op.(type) {
 	case *wal.UpdateRec:
-		err = patchRow(f.Page, t.KeyVal, t.After)
+		err = f.Page.Patch(t.KeyVal, t.After)
 	case *wal.InsertRec:
 		err = f.Page.Insert(t.KeyVal, t.Val)
 	case *wal.DeleteRec:
@@ -47,7 +48,7 @@ func applyOp(pool *buffer.Pool, f *buffer.Frame, op wal.DataOp, lsn wal.LSN) err
 	case *wal.CLRRec:
 		switch t.Kind {
 		case wal.CLRUndoUpdate:
-			err = patchRow(f.Page, t.KeyVal, t.After)
+			err = f.Page.Patch(t.KeyVal, t.After)
 		case wal.CLRUndoInsert:
 			err = f.Page.Delete(t.KeyVal)
 		case wal.CLRUndoDelete:
@@ -64,20 +65,6 @@ func applyOp(pool *buffer.Pool, f *buffer.Frame, op wal.DataOp, lsn wal.LSN) err
 	f.Page.SetLSN(uint64(lsn))
 	pool.MarkDirty(f, lsn)
 	return nil
-}
-
-// patchRow rewrites key's row on p with patch (an update's or a CLR's
-// After) applied to the row the page holds.
-func patchRow(p *page.Page, key uint64, patch func(cur []byte) ([]byte, error)) error {
-	i, found := p.Search(key)
-	if !found {
-		return fmt.Errorf("%w: %d", page.ErrNotFound, key)
-	}
-	row, err := patch(p.ValueAt(i))
-	if err != nil {
-		return err
-	}
-	return p.Update(key, row)
 }
 
 // redoItem is one record that survived classification and screening,
@@ -139,7 +126,9 @@ func (sr *shardRun) scan(next nextFunc, pf *pacer, inline bool, met *Metrics, si
 		}
 		switch t := rec.(type) {
 		case *wal.SMORec:
-			if r.smoInRedo {
+			// The logical family's DC pass has already replayed SMOs
+			// (§4.2); the SQL family installs them at their log position.
+			if !r.m.IsLogical() {
 				err = sink(redoItem{smo: t, lsn: lsn})
 			}
 		case wal.DataOp:
@@ -181,7 +170,7 @@ var auditSkip func(sr *shardRun, pid storage.PageID, lsn wal.LSN) error
 // screen is the optimised redo test, before any data page is fetched
 // (Algorithm 1 lines 4-8, Algorithm 5 lines 5-8): a page absent from
 // the DPT, or a record below its entry's rLSN, cannot need redo. Without
-// a DPT (Log0, a standby) everything passes. For the logical family,
+// a DPT (Log0) everything passes. For the logical family,
 // pages dirtied after the last ∆ record are unknown to the DPT, so the
 // tail of the log falls back to basic logical redo (§4.3).
 func (sr *shardRun) screen(pid storage.PageID, lsn wal.LSN, met *Metrics) bool {
@@ -238,8 +227,9 @@ func (sr *shardRun) redoOp(met *Metrics, pid storage.PageID, op wal.DataOp, lsn 
 // than the SMO — idempotent via the pLSN test, like all redo (§2.2).
 // With a DPT (SQL redo, where SMOs replay as system-transaction page
 // updates) each image is screened like any other update; the DC pass
-// and a standby pass nil. A routed caller has paused the workers owning
-// the SMO's pages, so the residency check cannot race.
+// passes nil. A routed caller has paused the workers owning the SMO's
+// pages, so the residency check cannot race. An image that is not one
+// page long fails the replay, naming the LSN and the page.
 func (sr *shardRun) installSMO(t *wal.SMORec, lsn wal.LSN, table *dpt.Table, met *Metrics) error {
 	tree := sr.d.Tree()
 	// Tree metadata advances monotonically with the allocator cursor;
@@ -253,7 +243,13 @@ func (sr *shardRun) installSMO(t *wal.SMORec, lsn wal.LSN, table *dpt.Table, met
 		})
 	}
 	pool := sr.d.Pool()
+	size := sr.d.Disk().Config().PageSize
 	for _, img := range t.Images {
+		if len(img.Data) != size {
+			// An image from another page geometry: copying it would
+			// truncate or under-fill the page.
+			return fmt.Errorf("SMO at %v: image of page %d is %d bytes, the page size is %d", lsn, img.PageID, len(img.Data), size)
+		}
 		if table != nil {
 			if e := table.Find(img.PageID); e == nil || lsn < e.RLSN {
 				continue

@@ -1,44 +1,16 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
 	"logrec/internal/dc"
 	"logrec/internal/engine"
-	"logrec/internal/shard"
 	"logrec/internal/storage"
 	"logrec/internal/tc"
 	"logrec/internal/wal"
 )
-
-// ReplayMode selects how a standby applies the shipped record stream.
-type ReplayMode int
-
-// Replay modes.
-const (
-	// ReplaySameGeometry runs the recovery redo machinery continuously:
-	// SMO records install the primary's page images, data operations are
-	// screened with the pLSN test, and the standby converges to a
-	// page-identical copy. It requires the standby to mirror the
-	// primary's shard count and page geometry.
-	ReplaySameGeometry ReplayMode = iota
-	// ReplayLogical re-executes only the logical operations through the
-	// standby's own B-trees, routed by key through the standby's own
-	// routing table. Physical records (SMO images, ∆/BW, RSSP) are
-	// skipped, so the standby may use a different page size or shard
-	// count and still converge to the same rows — the paper's §1.1
-	// point that the logical log, carrying no PIDs, is the replication
-	// contract.
-	ReplayLogical
-)
-
-func (m ReplayMode) String() string {
-	if m == ReplayLogical {
-		return "logical"
-	}
-	return "same-geometry"
-}
 
 // ReplayStats is a point-in-time snapshot of a Replayer's progress.
 type ReplayStats struct {
@@ -46,52 +18,44 @@ type ReplayStats struct {
 	Records int64
 	// Ops is how many of them were data operations.
 	Ops int64
-	// Applied counts operations that actually modified a page; the
-	// remainder were screened out by the pLSN idempotence test.
+	// Applied counts operations that actually modified a row; the
+	// remainder were absorbed (an update its row already shows, a delete
+	// of an absent key).
 	Applied int64
-	// SMOs counts structure-modification records replayed
-	// (same-geometry mode only).
-	SMOs int64
 	// AppliedLSN is the stable-log position the replayer has fully
 	// applied through — the standby's redo-scan start point if it had
 	// to restart.
 	AppliedLSN wal.LSN
 }
 
-// Replayer runs the recovery redo pipeline continuously against a
-// standby engine: the incremental counterpart of the one-shot Recover.
-// Shipped records land in the standby's log (wal.AppendStable); each
-// CatchUp call pushes the newly stable suffix through the same
-// demultiplexer (run.fanOut) and, in same-geometry mode, the same
-// per-shard redo loop Recover uses — at the inline width with Log0's
-// resolve and screen (traverse the index, no DPT) and SMO images
-// installed at their log position — and returns once everything stable
-// is applied. Promote turns the standby into a primary: the merged
-// backward undo sweep rolls back in-flight losers exactly as crash
-// recovery would, then the engine reopens for sessions.
+// Replayer is a standby engine's applier: the incremental counterpart
+// of the one-shot Recover, run over the shipped log. Shipped records
+// land in the standby's log (wal.AppendStable); each CatchUp call pushes
+// the newly stable suffix through the demultiplexer Recover uses
+// (run.fanOut), which routes every data operation by key through the
+// standby's own routing table, and re-executes it by table and key
+// through the standby's own trees (applyLogical). The primary's
+// physical records (SMO images, ∆/BW, RSSP) are only noted: the log
+// names no page the standby must share, so the standby may use its own
+// page size and shard count — the paper's §1.1 point that the logical
+// log is the replication contract. Promote turns the standby into a
+// primary: the merged backward undo sweep rolls back in-flight losers
+// exactly as crash recovery would, then the engine reopens for sessions.
 //
 // CatchUp, Checkpoint and Promote must be called from one applier
 // goroutine; the per-shard passes they run are internal. Stats may be
 // read from anywhere.
 type Replayer struct {
-	eng  *engine.Engine
-	mode ReplayMode
-	r    *run
+	eng *engine.Engine
+	r   *run
 
 	nextLSN wal.LSN
 	// resume is the engine's applied LSN when this replayer was built:
 	// the first CatchUp scans from the log start for the transaction
-	// table and routes, but applies nothing below resume — an earlier
-	// replayer of this engine already has.
+	// table, but applies nothing below resume — an earlier replayer of
+	// this engine already has.
 	resume wal.LSN
 
-	// router mirrors the primary's routing table: committed migrations
-	// from the stream are applied as they commit, so Promote can
-	// install the routes the primary died with. pendingRoutes holds
-	// each in-flight migration's ShardMapRecs until its commit decides
-	// them. Same-geometry mode only.
-	router        *shard.Router
-	pendingRoutes map[wal.TxnID][]*wal.ShardMapRec
 	// lastEndCkpt shadows the primary's master record: the last
 	// end-checkpoint record in the stream, and lastCkptBegin the begin
 	// record it names — where a crash recovery of the promoted engine
@@ -99,11 +63,11 @@ type Replayer struct {
 	lastEndCkpt   wal.LSN
 	lastCkptBegin wal.LSN
 
-	// records and smos are counted by note, on the applier goroutine;
-	// stats is the snapshot each CatchUp publishes for other goroutines.
-	records, smos int64
-	mu            sync.Mutex
-	stats         ReplayStats
+	// records is counted by note, on the applier goroutine; stats is the
+	// snapshot each CatchUp publishes for other goroutines.
+	records int64
+	mu      sync.Mutex
+	stats   ReplayStats
 
 	err  error // sticky: a failed replay cannot be resumed
 	done bool
@@ -112,158 +76,119 @@ type Replayer struct {
 // NewReplayer wires a replayer to a standby engine. The engine must be
 // in standby mode (engine.Config.Standby): bulk-loaded with the same
 // rows as the primary but never opened for sessions, its log fed only
-// by shipment. Same-geometry mode additionally requires the standby to
-// mirror the primary's shard layout — a record naming a shard the
-// standby does not have fails the replay. A replayer built over an
-// engine an earlier one has already fed resumes applying at that
-// engine's AppliedLSN; it rescans the retained log below it only for
-// the transaction table and routes Promote needs.
-func NewReplayer(eng *engine.Engine, mode ReplayMode) (*Replayer, error) {
+// by shipment. A replayer built over an engine an earlier one has
+// already fed resumes applying at that engine's AppliedLSN; it rescans
+// the retained log below it only for the transaction table Promote
+// needs.
+func NewReplayer(eng *engine.Engine) *Replayer {
 	r := newRun(eng.Clock, eng.Log, Options{}.withDefaults(eng.Cfg), eng.DCs)
-	r.m, r.smoInRedo = Log0, true
-	router, err := shard.NewRouter(shard.DefaultRoutes(len(r.shards), eng.Cfg.KeySpan))
-	if err != nil {
-		return nil, fmt.Errorf("core: standby routing table: %w", err)
+	// Undo compensations route by key through the standby's own table,
+	// not the primary's shard stamps.
+	r.routeByKey = func(key uint64) (*shardRun, error) {
+		return r.shards[eng.Set.Locate(key)], nil
 	}
-	rp := &Replayer{
-		eng:           eng,
-		mode:          mode,
-		r:             r,
-		nextLSN:       eng.Log.StartLSN(),
-		resume:        eng.AppliedLSN,
-		router:        router,
-		pendingRoutes: make(map[wal.TxnID][]*wal.ShardMapRec),
-	}
+	rp := &Replayer{eng: eng, r: r, nextLSN: eng.Log.StartLSN(), resume: eng.AppliedLSN}
 	rp.stats.AppliedLSN = max(rp.nextLSN, rp.resume)
-	if mode == ReplayLogical {
-		// Undo compensations route by key through the standby's own
-		// table, not the primary's shard stamps.
-		r.routeByKey = func(key uint64) (*shardRun, error) {
-			return r.shards[eng.Set.Locate(key)], nil
-		}
-	}
-	return rp, nil
+	return rp
 }
 
-// route is the demultiplexer's routing function: the record's shard
-// stamp on a mirror-image standby; off-geometry, data operations go by
-// key through the standby's own routing table and physical shard
-// records (SMO images, ∆/BW, RSSP) are dropped.
+// route is the demultiplexer's routing function: a data operation goes
+// by key through the standby's own routing table; every other record is
+// only noted.
 func (rp *Replayer) route(rec wal.Record) (wal.ShardID, bool) {
-	if rp.mode == ReplaySameGeometry {
-		return shardOf(rec)
-	}
 	if op, ok := rec.(wal.DataOp); ok {
 		return rp.eng.Set.Locate(op.Key()), true
 	}
 	return 0, false
 }
 
-// pass is one shard's apply pass over a CatchUp's records, less those
-// below the resume point (an earlier replayer applied them). Same
-// geometry is the recovery redo loop itself: the pLSN test keeps the
-// apply idempotent besides, and ∆, BW and RSSP records — which serve
-// crash recovery of the primary — fall through its classification.
-// Off-geometry each data operation is re-executed logically, guarded by
-// row state (applyLogical).
+// pass is one shard's apply pass over a CatchUp's data operations, less
+// those below the resume point (an earlier replayer applied them).
 func (rp *Replayer) pass(sr *shardRun, next nextFunc) error {
-	if src := next; rp.resume > rp.nextLSN {
-		next = func() (wal.Record, wal.LSN, bool, error) {
-			for {
-				rec, lsn, ok, err := src()
-				if err != nil || !ok || lsn >= rp.resume {
-					return rec, lsn, ok, err
-				}
-			}
-		}
-	}
-	if rp.mode == ReplaySameGeometry {
-		return sr.redo(next)
-	}
 	for {
 		rec, lsn, ok, err := next()
 		if err != nil || !ok {
 			return err
 		}
-		if op, isOp := rec.(wal.DataOp); isOp {
-			sr.met.RedoRecords++
-			applied, err := applyLogical(sr.d, op, lsn)
-			if err != nil {
-				return fmt.Errorf("core: replay at %v on shard %d: %w", lsn, sr.id, err)
-			}
-			if applied {
-				sr.met.Applied++
-			}
+		op, isOp := rec.(wal.DataOp)
+		if !isOp || lsn < rp.resume {
+			continue
+		}
+		sr.met.RedoRecords++
+		applied, err := applyLogical(sr.d, op, lsn)
+		if err != nil {
+			return fmt.Errorf("core: replay at %v on shard %d: %w", lsn, sr.id, err)
+		}
+		if applied {
+			sr.met.Applied++
 		}
 	}
 }
 
+// errAbsorbed is an update's patch reporting that the row already shows
+// the update: the tree then writes nothing.
+var errAbsorbed = errors.New("update already applied")
+
 // applyLogical re-executes one logical operation through the standby's
 // own tree, stamping the shipped LSN, and reports whether it changed a
-// row. Off-geometry pages carry their own LSNs, so no page stamp screens
-// a re-delivered operation: exactly-once delivery comes from the
+// row. The standby's pages carry their own LSNs, so no page stamp
+// screens a re-delivered operation: exactly-once delivery comes from the
 // replayer's resume point (NewReplayer) and the apply is guarded by row
 // state. Inserts, deletes and their CLRs are state-based and absorb
-// re-delivery. An update is a patch: it applies only to a row whose
-// middle is its before-middle, is absorbed by one showing its
-// after-middle, and fails the replay otherwise — an absent key included:
-// that is an error, not an insert. The CLR of an update carries only
-// the middle it restores, so it is checked for fit alone.
+// re-delivery. An update is a patch, applied in one descent (dc.Patch):
+// it applies only to a row whose middle is its before-middle, is
+// absorbed by one showing its after-middle — nothing is then written,
+// stamped or dirtied — and fails the replay otherwise, an absent key
+// included: that is an error, not an insert. The CLR of an update
+// carries only the middle it restores, so it is checked for fit alone.
 func applyLogical(d *dc.DC, op wal.DataOp, lsn wal.LSN) (applied bool, err error) {
 	stamp := func(storage.PageID) wal.LSN { return lsn }
 	table, key := op.Table(), op.Key()
-	cur, found, err := d.Read(table, key)
-	if err != nil {
-		return false, fmt.Errorf("logical replay of %v, key %d: %w", op.Type(), key, err)
-	}
 	upsert := func(val []byte) error {
+		_, found, err := d.Read(table, key)
+		if err != nil {
+			return err
+		}
 		if found {
 			return d.Update(table, key, val, stamp)
 		}
 		return d.Insert(table, key, val, stamp)
 	}
-	remove := func() error {
-		if !found {
-			return nil
+	remove := func() (bool, error) {
+		_, found, err := d.Read(table, key)
+		if err != nil || !found {
+			return false, err
 		}
-		return d.Delete(table, key, stamp)
-	}
-	// patch rewrites the key's row with an update's or a CLR's After.
-	patch := func(after func([]byte) ([]byte, error)) error {
-		if !found {
-			return fmt.Errorf("row is absent")
-		}
-		row, err := after(cur)
-		if err != nil {
-			return err
-		}
-		return d.Update(table, key, row, stamp)
+		return true, d.Delete(table, key, stamp)
 	}
 	applied = true
 	switch t := op.(type) {
 	case *wal.UpdateRec:
-		done := false
-		if found {
-			done, err = t.Applied(cur)
+		err = d.Patch(table, key, func(cur []byte) ([]byte, error) {
+			done, err := t.Applied(cur)
+			if err == nil && done {
+				err = errAbsorbed
+			}
+			if err != nil {
+				return nil, err
+			}
+			return t.After(cur)
+		}, stamp)
+		if errors.Is(err, errAbsorbed) {
+			applied, err = false, nil
 		}
-		if err == nil && !done {
-			err = patch(t.After)
-		}
-		applied = !done
 	case *wal.InsertRec:
 		err = upsert(t.Val)
 	case *wal.DeleteRec:
-		applied = found
-		err = remove()
+		applied, err = remove()
 	case *wal.CLRRec:
 		switch t.Kind {
 		case wal.CLRUndoUpdate:
-			err = patch(t.After)
+			err = d.Patch(table, key, t.After, stamp)
 		case wal.CLRUndoDelete:
 			err = upsert(t.RestoreVal) // the whole row
 		case wal.CLRUndoInsert:
-			applied = found
-			err = remove()
+			applied, err = remove()
 		default:
 			err = fmt.Errorf("unknown CLR kind %d", t.Kind)
 		}
@@ -293,16 +218,13 @@ func (rp *Replayer) CatchUp() error {
 	}
 	rp.eng.Set.EOSL(stable)
 
-	err := rp.r.fanOut(rp.nextLSN, rp.note, rp.route, rp.pass)
-	if err != nil && rp.err == nil {
+	if err := rp.r.fanOut(rp.nextLSN, rp.note, rp.route, rp.pass); err != nil {
 		rp.err = fmt.Errorf("core: replaying shipped log from %v: %w", rp.nextLSN, err)
-	}
-	if rp.err != nil {
 		return rp.err
 	}
 	rp.nextLSN, rp.eng.AppliedLSN = stable, stable
 
-	st := ReplayStats{Records: rp.records, SMOs: rp.smos, AppliedLSN: stable}
+	st := ReplayStats{Records: rp.records, AppliedLSN: stable}
 	for _, sr := range rp.r.shards {
 		st.Ops += sr.met.RedoRecords
 		st.Applied += sr.met.Applied
@@ -314,29 +236,16 @@ func (rp *Replayer) CatchUp() error {
 }
 
 // note is the stream-order bookkeeping: the transaction table feeding
-// Promote's undo, route-change tracking, and the master-record shadow.
-// Terminated transactions are pruned so a long-lived standby's table
-// stays bounded by the in-flight set, not the stream length.
+// Promote's undo and the master-record shadow. Terminated transactions
+// are pruned so a long-lived standby's table stays bounded by the
+// in-flight set, not the stream length.
 func (rp *Replayer) note(rec wal.Record, lsn wal.LSN) {
 	rp.records++
 	rp.r.txns.note(rec, lsn)
 	switch t := rec.(type) {
-	case *wal.SMORec:
-		if rp.mode == ReplaySameGeometry {
-			rp.smos++
-		}
-	case *wal.ShardMapRec:
-		rp.pendingRoutes[t.TxnID] = append(rp.pendingRoutes[t.TxnID], t)
 	case *wal.CommitRec:
-		for _, sm := range rp.pendingRoutes[t.TxnID] {
-			if err := rp.r.replayRoute(rp.router, sm); err != nil && rp.err == nil {
-				rp.err = err
-			}
-		}
-		delete(rp.pendingRoutes, t.TxnID)
 		rp.r.txns.prune(t.TxnID)
 	case *wal.AbortRec:
-		delete(rp.pendingRoutes, t.TxnID)
 		rp.r.txns.prune(t.TxnID)
 	case *wal.EndCkptRec:
 		rp.lastEndCkpt, rp.lastCkptBegin = lsn, t.BeginLSN
@@ -381,8 +290,8 @@ func (rp *Replayer) Checkpoint() error {
 // with no commit in the stream) are rolled back by the same merged
 // backward undo sweep crash recovery uses, appending their CLRs and
 // aborts to the standby's log, which from here on is the new primary's.
-// The engine then reopens for sessions: routing table as the primary
-// last committed it, SMO logging and ∆/BW tracking on, a fresh TC
+// The engine then reopens for sessions: the standby's own routing
+// table, SMO logging and ∆/BW tracking on, a fresh TC
 // continuing the transaction-ID space, and an initial checkpoint.
 // Returns the run metrics (LosersUndone, CLRsWritten).
 func (rp *Replayer) Promote() (*Metrics, error) {
@@ -401,16 +310,9 @@ func (rp *Replayer) Promote() (*Metrics, error) {
 		return nil, fmt.Errorf("core: promote undo: %w", err)
 	}
 
-	routes := rp.router.Routes()
-	if rp.mode == ReplayLogical {
-		// Off-geometry standbys keep their own partitioning; the
-		// primary's routing history does not apply to them.
-		routes = rp.eng.Set.Routes()
-	}
-	set, err := shard.NewSet(routes, rp.eng.DCs)
-	if err != nil {
-		return nil, fmt.Errorf("core: promote routing table: %w", err)
-	}
+	// The standby keeps its own partitioning: the primary's routing
+	// history names shards of another layout.
+	set := rp.eng.Set
 	set.StartLogging()
 	newTC := tc.New(rp.r.log, set)
 	newTC.RestoreMaster(rp.lastEndCkpt)

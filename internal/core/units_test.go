@@ -124,10 +124,7 @@ func TestRecoverOptionsDefaulting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp, err := NewReplayer(standby, ReplaySameGeometry)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rp := NewReplayer(standby)
 	if rp.r.opt != want {
 		t.Errorf("standby options = %+v, want %+v", rp.r.opt, want)
 	}

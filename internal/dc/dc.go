@@ -201,6 +201,15 @@ func (d *DC) Update(table wal.TableID, key uint64, val []byte, logFn func(pid st
 	return d.tree.UpdateLogged(key, val, logFn)
 }
 
+// Patch rewrites the row under (table, key) with patch applied to it, in
+// one descent of the tree (btree.Tree.PatchLogged).
+func (d *DC) Patch(table wal.TableID, key uint64, patch func(cur []byte) ([]byte, error), logFn func(pid storage.PageID) wal.LSN) error {
+	if err := d.checkTable(table); err != nil {
+		return err
+	}
+	return d.tree.PatchLogged(key, patch, logFn)
+}
+
 // Insert applies a logical insert; see tc.DataComponent.
 func (d *DC) Insert(table wal.TableID, key uint64, val []byte, logFn func(pid storage.PageID) wal.LSN) error {
 	if err := d.checkTable(table); err != nil {

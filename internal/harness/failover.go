@@ -80,7 +80,7 @@ func StateDigest(eng *engine.Engine) (uint64, error) {
 }
 
 // RunFailover executes the kill-primary experiment: attach a warm
-// standby to a freshly loaded primary, drive the crash-harness workload
+// standby of another geometry to a freshly loaded primary, drive the crash-harness workload
 // (traffic, checkpoints, in-flight losers, optional torn tail) until
 // the primary dies process-kill-shaped, promote the standby, and verify
 // the promoted engine's rows against the oracle. As the control, the
@@ -96,8 +96,14 @@ func RunFailover(cfg FailoverConfig) (*FailoverResult, error) {
 	var standby *replica.Standby
 	hcfg := cfg.Harness
 	hcfg.OnLoaded = func(primary *engine.Engine) error {
+		// The standby's geometry is not the primary's (§1.1: the log
+		// names keys, never pages): one more shard, half the page size
+		// and twice the pool.
 		scfg := primary.Cfg
 		scfg.Standby = true
+		scfg.Shards = primary.Cfg.NumShards() + 1
+		scfg.Disk.PageSize /= 2
+		scfg.CachePages *= 2
 		if scfg.Device == engine.DeviceFile {
 			if cfg.StandbyDir == "" {
 				return fmt.Errorf("file-device failover needs FailoverConfig.StandbyDir")

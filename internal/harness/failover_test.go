@@ -24,16 +24,30 @@ func failoverConfig() FailoverConfig {
 	}
 }
 
+// checkOffGeometry fails the test if the promoted standby shares the
+// crashed primary's shard count or page size: the failover oracle is
+// only the §1.1 claim when the two consumers of the log lay out their
+// pages differently.
+func checkOffGeometry(t *testing.T, res *FailoverResult) {
+	t.Helper()
+	p, s := res.Crash.Crash.Cfg, res.Promoted.Cfg
+	if s.NumShards() == p.NumShards() || s.Disk.PageSize == p.Disk.PageSize {
+		t.Fatalf("test lost its point: standby has %d shards of %d B pages, primary %d of %d B",
+			s.NumShards(), s.Disk.PageSize, p.NumShards(), p.Disk.PageSize)
+	}
+}
+
 // TestKillPrimaryFailover is the failover oracle: kill the primary
 // mid-traffic with transactions in flight, promote the warm standby,
 // and require its row state to be byte-equal (same digest) to the
 // crashed primary recovered independently — two consumers of one
-// logical log converging on one state.
+// logical log, on different page layouts, converging on one state.
 func TestKillPrimaryFailover(t *testing.T) {
 	res, err := RunFailover(failoverConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkOffGeometry(t, res)
 	if res.PromotedDigest != res.RecoveredDigest {
 		t.Fatalf("digest mismatch: promoted %016x, recovered %016x",
 			res.PromotedDigest, res.RecoveredDigest)
@@ -84,6 +98,7 @@ func TestKillPrimaryFailoverHostileChannel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkOffGeometry(t, res)
 	if res.Ship.HealEvents == 0 {
 		t.Fatal("hostile channel produced no heal events")
 	}
@@ -107,6 +122,7 @@ func TestKillPrimaryFailoverFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkOffGeometry(t, res)
 	if res.PromotedDigest != res.RecoveredDigest {
 		t.Fatalf("file-device digest mismatch: promoted %016x, recovered %016x",
 			res.PromotedDigest, res.RecoveredDigest)

@@ -292,6 +292,28 @@ func (p *Page) Update(key uint64, val []byte) error {
 	if !found {
 		return fmt.Errorf("%w: %d", ErrNotFound, key)
 	}
+	return p.updateAt(idx, key, val)
+}
+
+// Patch rewrites key's row with patch (an update's or a CLR's After)
+// applied to the row the page holds. cur aliases page memory: patch must
+// neither write it nor return it. An error from patch is returned as is
+// and leaves the page untouched; otherwise Patch fails as Update does.
+func (p *Page) Patch(key uint64, patch func(cur []byte) ([]byte, error)) error {
+	idx, found := p.Search(key)
+	if !found {
+		return fmt.Errorf("%w: %d", ErrNotFound, key)
+	}
+	row, err := patch(p.ValueAt(idx))
+	if err != nil {
+		return err
+	}
+	p.own()
+	return p.updateAt(idx, key, row)
+}
+
+// updateAt replaces the value in slot idx, which holds key.
+func (p *Page) updateAt(idx int, key uint64, val []byte) error {
 	off, length := p.slot(idx)
 	if CellSize(len(val)) == length {
 		copy(p.data[off+cellKeyLen:off+length], val)

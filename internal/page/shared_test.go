@@ -31,6 +31,14 @@ func sharedAndOwned(img []byte) (shared, owned *Page, src []byte) {
 	return WrapShared(src), Wrap(append([]byte(nil), img...)), src
 }
 
+// grow is a patch that appends 100 bytes to the row; refuse is one that
+// fails.
+func grow(cur []byte) ([]byte, error) { return append(bytes.Clone(cur), make([]byte, 100)...), nil }
+
+var errRefused = errors.New("patch refused")
+
+func refuse([]byte) ([]byte, error) { return nil, errRefused }
+
 // TestSharedPageCopiesOnFirstWrite: every mutator on a shared page —
 // failures included — leaves the shared bytes untouched and leaves the
 // page exactly as the same call on an owned copy does.
@@ -59,6 +67,10 @@ func TestSharedPageCopiesOnFirstWrite(t *testing.T) {
 		{"Update/resize", roomy, func(p *Page) error { return p.Update(20, []byte("short")) }, nil},
 		{"Update/too-large", full, func(p *Page) error { return p.Update(20, make([]byte, testPageSize)) }, ErrPageFull},
 		{"Update/missing", roomy, func(p *Page) error { return p.Update(15, []byte("x")) }, ErrNotFound},
+		{"Patch", roomy, func(p *Page) error { return p.Patch(20, grow) }, nil},
+		{"Patch/too-large", full, func(p *Page) error { return p.Patch(20, grow) }, ErrPageFull},
+		{"Patch/missing", roomy, func(p *Page) error { return p.Patch(15, grow) }, ErrNotFound},
+		{"Patch/refused", roomy, func(p *Page) error { return p.Patch(20, refuse) }, errRefused},
 		{"Delete", roomy, func(p *Page) error { return p.Delete(20) }, nil},
 		{"Delete/missing", roomy, func(p *Page) error { return p.Delete(15) }, ErrNotFound},
 		{"Compact", roomy, func(p *Page) error { p.Compact(); return nil }, nil},

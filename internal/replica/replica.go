@@ -8,9 +8,10 @@
 // batches (wal.ShipReader, reading through the log device when one is
 // attached); a Standby pumps those segments into a standby engine's
 // log (wal.AppendStable validates every frame on ingest) and drives a
-// core.Replayer — the recovery redo pipeline running continuously —
-// over the newly stable records, checkpointing the standby on a record
-// cadence so its own restart is bounded. Lag (bytes and records behind
+// core.Replayer, which re-executes every newly stable data operation by
+// table and key through the standby's own trees, checkpointing the
+// standby on a record cadence so its own restart is bounded. The
+// standby may use its own page size, pool and shard count. Lag (bytes and records behind
 // the primary's stable log) is observable at any time, and Promote
 // performs the crash-promoted failover: drain shipment, roll back
 // in-flight losers with recovery's undo sweep, and open the standby
@@ -48,10 +49,6 @@ type Config struct {
 	// many records have been applied since the last one (default 4096;
 	// < 0 disables standby checkpoints).
 	CheckpointEveryRecords int64
-	// Mode selects the replay strategy: core.ReplaySameGeometry
-	// (default) for a mirror-image standby, core.ReplayLogical for a
-	// standby with its own page size or shard layout.
-	Mode core.ReplayMode
 	// Mangle, when set, transforms each shipped segment into the slice
 	// of segments actually delivered — the fault-injection hook.
 	// Returning the segment unchanged ships cleanly; tests return
@@ -128,21 +125,18 @@ type Standby struct {
 // New wires a standby engine to a primary's log. The standby engine
 // must have been built with engine.Config.Standby and bulk-loaded with
 // the same initial rows as the primary (the shipped stream replays
-// everything after the load).
+// everything after the load); its page size, pool and shard count are
+// its own.
 func New(primary *wal.Log, standby *engine.Engine, cfg Config) (*Standby, error) {
 	cfg = cfg.withDefaults()
 	if !standby.Cfg.Standby {
 		return nil, fmt.Errorf("replica: standby engine must be built with engine.Config.Standby")
 	}
-	rp, err := core.NewReplayer(standby, cfg.Mode)
-	if err != nil {
-		return nil, err
-	}
 	return &Standby{
 		cfg:     cfg,
 		primary: primary,
 		eng:     standby,
-		rp:      rp,
+		rp:      core.NewReplayer(standby),
 		reader:  primary.NewShipReader(standby.Log.FlushedLSN()),
 		stop:    make(chan struct{}),
 		stopped: make(chan struct{}),

@@ -5,12 +5,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"strings"
 	"testing"
 	"time"
 
 	"logrec/internal/core"
 	"logrec/internal/engine"
-	"logrec/internal/storage"
 	"logrec/internal/tc"
 	"logrec/internal/wal"
 	"logrec/internal/workload"
@@ -24,7 +24,7 @@ const testRows = 1500
 func initVal(k uint64) []byte { return []byte(fmt.Sprintf("init-%06d", k)) }
 
 // newPrimary builds and loads a simulated primary.
-func newPrimary(t *testing.T, shards int) *engine.Engine {
+func newPrimary(t testing.TB, shards int) *engine.Engine {
 	t.Helper()
 	cfg := engine.DefaultConfig()
 	cfg.Shards = shards
@@ -42,7 +42,7 @@ func newPrimary(t *testing.T, shards int) *engine.Engine {
 
 // newStandby builds and loads a simulated standby mirroring cfg's
 // geometry unless mutate changes it.
-func newStandby(t *testing.T, primary *engine.Engine, mutate func(*engine.Config)) *engine.Engine {
+func newStandby(t testing.TB, primary *engine.Engine, mutate func(*engine.Config)) *engine.Engine {
 	t.Helper()
 	cfg := primary.Cfg
 	cfg.Standby = true
@@ -91,7 +91,7 @@ func commitTxns(t *testing.T, eng *engine.Engine, n int, base uint64) {
 
 // digest hashes every row of the engine's table: FNV-1a over
 // big-endian key then value, in key order.
-func digest(t *testing.T, eng *engine.Engine) uint64 {
+func digest(t testing.TB, eng *engine.Engine) uint64 {
 	t.Helper()
 	h := fnv.New64a()
 	err := eng.Set.ScanAll(func(key uint64, val []byte) error {
@@ -143,7 +143,7 @@ func checkPromotedServes(t *testing.T, promoted *engine.Engine) {
 // seededTxns commits n transactions of 4 operations drawn from a
 // workload generator: about a third are reads, so the seed decides how
 // many update records the stream carries as well as which keys.
-func seededTxns(t *testing.T, eng *engine.Engine, n int, seed int64) {
+func seededTxns(t testing.TB, eng *engine.Engine, n int, seed int64) {
 	t.Helper()
 	wcfg := workload.DefaultConfig()
 	wcfg.Rows = testRows
@@ -406,7 +406,7 @@ func TestReplayLogicalDifferentGeometry(t *testing.T) {
 		cfg.Disk.PageSize = 1024
 		cfg.CachePages = 2048
 	})
-	s := attach(t, primary, standby, Config{SegmentBytes: 4 << 10, Mode: core.ReplayLogical})
+	s := attach(t, primary, standby, Config{SegmentBytes: 4 << 10})
 	s.Start()
 
 	commitTxns(t, primary, 80, 4)
@@ -624,36 +624,6 @@ func TestPromoteAfterStandbyReleases(t *testing.T) {
 	t.Logf("%d standby releases (%d with the loser in flight)", releases, releasesWithLoser)
 }
 
-// TestStandbyLoadMatchesPrimaryPages: the same-geometry standby applies
-// the primary's physiological records by page ID, which is sound only if
-// the bulk load puts every row on the same page with the same image on
-// both sides. Every tree page of every shard must be byte-equal.
-func TestStandbyLoadMatchesPrimaryPages(t *testing.T) {
-	primary := newPrimary(t, 2)
-	standby := newStandby(t, primary, nil)
-	for i := range primary.DCs {
-		meta := primary.DCs[i].Tree().Meta()
-		if got := standby.DCs[i].Tree().Meta(); got != meta {
-			t.Fatalf("shard %d: standby Meta %+v, primary %+v", i, got, meta)
-		}
-		// Page 1 is the boot page: the primary's carries its first
-		// checkpoint's RSSP, the standby's none.
-		for pid := storage.MetaPageID + 1; pid < meta.NextPID; pid++ {
-			want, err := primary.Disks[i].Read(pid)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := standby.Disks[i].Read(pid)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("shard %d page %d: standby image differs from the primary's", i, pid)
-			}
-		}
-	}
-}
-
 // TestReadOnlyPrimaryShipsNothing: transactions that only read append
 // nothing to the primary's log, so a caught-up standby stays caught up
 // through any number of them with no pump round in between — zero lag,
@@ -726,19 +696,24 @@ func TestReadOnlyPrimaryShipsNothing(t *testing.T) {
 // multi-field, growing and shrinking updates of the same keys, a delete
 // with a re-insert, and a loser; afterwards the standby equals the
 // primary, the second replayer has applied nothing, and its Promote
-// rolls the loser back — in both replay modes.
+// rolls the loser back — on the primary's geometry and on another.
 func TestSecondReplayerAppliesNothingTwice(t *testing.T) {
-	for _, mode := range []core.ReplayMode{core.ReplaySameGeometry, core.ReplayLogical} {
-		t.Run(mode.String(), func(t *testing.T) {
+	geometries := []struct {
+		name   string
+		mutate func(*engine.Config)
+	}{
+		{"equal-geometry", nil},
+		{"unequal-geometry", func(cfg *engine.Config) {
+			cfg.Shards = 1
+			cfg.Disk.PageSize = 1024
+			cfg.CachePages = 2048
+		}},
+	}
+	for _, g := range geometries {
+		t.Run(g.name, func(t *testing.T) {
 			primary := newPrimary(t, 2)
-			standby := newStandby(t, primary, func(cfg *engine.Config) {
-				if mode == core.ReplayLogical {
-					cfg.Shards = 1
-					cfg.Disk.PageSize = 1024
-					cfg.CachePages = 2048
-				}
-			})
-			s := attach(t, primary, standby, Config{SegmentBytes: 4 << 10, Mode: mode, CheckpointEveryRecords: 64})
+			standby := newStandby(t, primary, g.mutate)
+			s := attach(t, primary, standby, Config{SegmentBytes: 4 << 10, CheckpointEveryRecords: 64})
 			table := primary.Cfg.TableID
 
 			rows := []string{
@@ -792,10 +767,7 @@ func TestSecondReplayerAppliesNothingTwice(t *testing.T) {
 				t.Fatalf("first replayer: standby %016x, primary %016x", got, live)
 			}
 
-			rp, err := core.NewReplayer(standby, mode)
-			if err != nil {
-				t.Fatal(err)
-			}
+			rp := core.NewReplayer(standby)
 			if err := rp.CatchUp(); err != nil {
 				t.Fatalf("second replayer: %v", err)
 			}
@@ -816,5 +788,37 @@ func TestSecondReplayerAppliesNothingTwice(t *testing.T) {
 				t.Fatalf("promoted digest %016x, want the committed state %016x", got, want)
 			}
 		})
+	}
+}
+
+// TestCrashInPromoteWindowFailsLoudly: from Promote's undo until its
+// first checkpoint, the promoted engine's master record is the primary's
+// last checkpoint, so a crash there recovers from that checkpoint and
+// meets the primary's SMO images. On a standby with another page size
+// they cannot be installed, and every method must say so with an error
+// rather than a panic. (Recovering from that window is open work.)
+func TestCrashInPromoteWindowFailsLoudly(t *testing.T) {
+	primary := newPrimary(t, 1)
+	standby := newStandby(t, primary, func(cfg *engine.Config) {
+		cfg.Shards = 2
+		cfg.Disk.PageSize = 1024
+		cfg.CachePages = 1024
+	})
+	s := attach(t, primary, standby, Config{SegmentBytes: 32 << 10})
+	var salt uint64
+	commitBigTxns(t, primary, 64<<10, nil, &salt) // 600-byte rows split leaves
+	if primary.Log.AppendCount(wal.TypeSMO) == 0 {
+		t.Fatal("test lost its point: the primary logged no SMO")
+	}
+	master := primary.TC.LastEndCkptLSN()
+	promoted, _ := promote(t, s, digest(t, primary))
+
+	cs := promoted.Crash()
+	cs.LastEndCkpt = master // the crash lands before Promote's checkpoint
+	for _, m := range core.Methods() {
+		_, _, err := core.Recover(cs, m, core.DefaultOptions(cs.Cfg))
+		if err == nil || !strings.Contains(err.Error(), "SMO") {
+			t.Errorf("%v: recovery across the promote window: %v, want the SMO image refused", m, err)
+		}
 	}
 }
