@@ -1,8 +1,9 @@
 // Command logstats runs the paper's workload and reports the log's
 // composition: record counts, bytes and frame-header bytes by type, how
-// many pages a ∆ and a BW record list and what a listed page costs, and
-// the share taken by the recovery-preparation records (∆-log, BW-log,
-// SMO, checkpoint). It measures what §5.1 calls "a very small part of
+// many pages a ∆ and a BW record list and what a listed page costs, how
+// wide the transaction names are (the distance back to a transaction's
+// first record), and the share taken by the recovery-preparation records
+// (∆-log, BW-log, SMO, checkpoint). It measures what §5.1 calls "a very small part of
 // the log", and Appendix D's logging-overhead comparison across
 // ∆-record variants.
 package main
@@ -68,6 +69,16 @@ func main() {
 	// lists sums the page lists of the ∆ and BW records; deltaBWs counts
 	// the ∆ records that stand in for their batch's BW record.
 	var lists struct{ dirty, dirtyLSNs, deltaWritten, bwWritten, deltaBWs int64 }
+	// names sums the transaction names of the records that carry one:
+	// how many take 1, 2 and 3 or more bytes, how many open their
+	// transaction (distance 0), and the longest distance and its record.
+	var names struct {
+		width        [3]int64
+		bytes, opens int64
+		longest      uint64
+		longestType  wal.Type
+		longestAt    wal.LSN
+	}
 
 	// One pass: a record's frame runs to the next record's LSN (the
 	// last one's to the end of the log).
@@ -88,7 +99,7 @@ func main() {
 		if !ok {
 			return
 		}
-		txn, table, key := varintLen(uint64(u.TxnID)), varintLen(uint64(u.TableID)), varintLen(u.KeyVal)
+		txn, table, key := varintLen(uint64(prevLSN)-uint64(u.TxnID)), varintLen(uint64(u.TableID)), varintLen(u.KeyVal)
 		ends, pid := varintLen(uint64(u.Skip))+varintLen(uint64(u.Tail)), varintLen(uint64(u.PageID))
 		middles, lengths := int64(len(u.OldVal)+len(u.NewVal)), varintLen(uint64(len(u.OldVal))<<1)
 		if len(u.OldVal) == len(u.NewVal) {
@@ -136,6 +147,18 @@ func main() {
 		s.count++
 		total.count++
 		prev, prevRec, prevLSN = s, rec, lsn
+		if tr, ok := rec.(wal.Transactional); ok {
+			dist := uint64(lsn) - uint64(tr.Txn())
+			w := varintLen(dist)
+			names.width[min(w, 3)-1]++
+			names.bytes += w
+			if dist == 0 {
+				names.opens++
+			}
+			if dist > names.longest {
+				names.longest, names.longestType, names.longestAt = dist, rec.Type(), lsn
+			}
+		}
 		switch r := rec.(type) {
 		case *wal.UpdateRec:
 			patch.skip += int64(r.Skip)
@@ -202,6 +225,13 @@ func main() {
 			per(fields.middles), per(fields.pid), per(fields.trail), per(u.header), per(u.bytes))
 		fmt.Printf("%d of %d updates log one patch length; %d leave a trailing field out, %d both prev and shard\n",
 			fields.oneLength, u.count, fields.leftOut, fields.noTrail)
+	}
+	if n := names.width[0] + names.width[1] + names.width[2]; n > 0 {
+		pct := func(v int64) float64 { return 100 * float64(v) / float64(n) }
+		fmt.Printf("\ntxn field (distance back to the txn's first record) in %d records: 1 B %d (%.1f%%), 2 B %d (%.1f%%), ≥3 B %d (%.1f%%); %.2f B a record\n",
+			n, names.width[0], pct(names.width[0]), names.width[1], pct(names.width[1]), names.width[2], pct(names.width[2]), float64(names.bytes)/float64(n))
+		fmt.Printf("records that open their transaction (distance 0): %d (%.1f%%)\n", names.opens, pct(names.opens))
+		fmt.Printf("longest name distance: %d bytes, by the %v record at %d\n", names.longest, names.longestType, names.longestAt)
 	}
 	fmt.Printf("\nrecovery-preparation records (∆+BW+SMO+ckpt+RSSP): %d bytes = %.2f%% of the log\n(what §5.1 calls a very small part of it)\n",
 		auxBytes, 100*float64(auxBytes)/float64(total.bytes))

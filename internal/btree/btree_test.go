@@ -58,7 +58,7 @@ func newEnv(t *testing.T, poolPages int) *testEnv {
 func (e *testEnv) lsn() wal.LSN {
 	// Fabricate monotonically increasing LSNs by appending commit
 	// markers; unit tests don't need real update records.
-	return e.log.MustAppend(&wal.CommitRec{TxnID: 1})
+	return e.log.MustAppend(&wal.CommitRec{TxnID: wal.OpensTxn})
 }
 
 func val(k uint64) []byte { return []byte(fmt.Sprintf("value-%06d", k)) }
@@ -423,7 +423,7 @@ type contendedSMOLogger struct {
 func (l contendedSMOLogger) AppendSMO(r *wal.SMORec, at wal.LSN) bool {
 	if *l.steals > 0 {
 		*l.steals--
-		l.log.MustAppend(&wal.CommitRec{TxnID: 99})
+		l.log.MustAppend(&wal.CommitRec{TxnID: wal.OpensTxn})
 	}
 	return l.walSMOLogger.AppendSMO(r, at)
 }

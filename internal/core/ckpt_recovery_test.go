@@ -150,8 +150,8 @@ func TestRecoverFromLiveCheckpointedWAL(t *testing.T) {
 // losers (one older than the checkpoint, one younger). It logged
 // nothing, so the checkpoint's active table must not list it, no method
 // may count it among the losers, and recovery writes no CLR and no abort
-// record in its name. Its ID appears nowhere in the log, which is why
-// the recovered TC is free to issue it again.
+// record for it. The log names a transaction by its first record, so
+// one that logged nothing has no name there at all.
 func TestOpenReaderAcrossCheckpointIsNotALoser(t *testing.T) {
 	cfg := testConfig(300)
 	eng, err := engine.New(cfg)
@@ -189,7 +189,7 @@ func TestOpenReaderAcrossCheckpointIsNotALoser(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return txn.ID
+		return wal.TxnID(txn.FirstLSN())
 	}
 
 	commit(1, 1, 2, 3)
@@ -208,7 +208,7 @@ func TestOpenReaderAcrossCheckpointIsNotALoser(t *testing.T) {
 		t.Fatal(err)
 	}
 	if active := rec.(*wal.EndCkptRec).Active; len(active) != 1 || active[0].TxnID != older {
-		t.Fatalf("checkpointed active table = %+v, want txn %d alone (txn %d only read)", active, older, reader.ID)
+		t.Fatalf("checkpointed active table = %+v, want txn %d alone (the reader logged nothing)", active, older)
 	}
 	commit(2, 3, 4)
 	younger := lose(20, 21)
@@ -242,8 +242,8 @@ func TestOpenReaderAcrossCheckpointIsNotALoser(t *testing.T) {
 			if !isTxn {
 				continue
 			}
-			if tr.Txn() == reader.ID {
-				t.Errorf("%v: %v record at %v names the reader", m, r.Type(), lsn)
+			if lsn >= stableEnd && tr.Txn() != older && tr.Txn() != younger {
+				t.Errorf("%v: recovery's %v record at %v names txn %d, not a loser", m, r.Type(), lsn, tr.Txn())
 			}
 			if r.Type() == wal.TypeAbort && lsn >= stableEnd {
 				aborted[tr.Txn()] = true
@@ -252,8 +252,90 @@ func TestOpenReaderAcrossCheckpointIsNotALoser(t *testing.T) {
 		if len(aborted) != 2 || !aborted[older] || !aborted[younger] {
 			t.Errorf("%v: recovery aborted %v, want txns %d and %d", m, aborted, older, younger)
 		}
-		if next := rec.TC.Begin().ID; next <= younger {
-			t.Errorf("%v: recovered TC issued txn ID %d, at or below loser %d", m, next, younger)
+	}
+}
+
+// TestCheckpointedLoserFoundByFirstLSN: a loser whose every record lies
+// below the redo scan start is known to recovery only through the
+// checkpoint's active table, which names it by its first record's LSN.
+// Every method finds it there and undoes it, and every CLR and the abort
+// record name it by that LSN too.
+func TestCheckpointedLoserFoundByFirstLSN(t *testing.T) {
+	cfg := testConfig(300)
+	eng, err := engine.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows = 500
+	om := make(oracle, rows)
+	if err := eng.Load(rows, func(k uint64) []byte {
+		v := val(k, 0)
+		om[k] = v
+		return v
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tcx := eng.TC
+	loser := tcx.Begin()
+	for _, k := range []uint64{7, 8, 9} {
+		if err := tcx.Update(loser, cfg.TableID, k, []byte("UNCOMMITTED")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, last := loser.FirstLSN(), loser.LastLSN()
+	if err := tcx.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := eng.Log.Get(tcx.LastEndCkptLSN())
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := rec.(*wal.EndCkptRec)
+	if end.BeginLSN <= last {
+		t.Fatalf("the loser's last record %v is not below the redo scan start %v", last, end.BeginLSN)
+	}
+	if want := (wal.ActiveTxn{TxnID: wal.TxnID(first), LastLSN: last}); len(end.Active) != 1 || end.Active[0] != want {
+		t.Fatalf("checkpointed active table = %+v, want %+v", end.Active, want)
+	}
+	winner := tcx.Begin()
+	if err := tcx.Update(winner, cfg.TableID, 20, val(20, 1)); err != nil {
+		t.Fatal(err)
+	}
+	om[20] = val(20, 1)
+	if err := tcx.Commit(winner); err != nil {
+		t.Fatal(err)
+	}
+	stableEnd := eng.Log.FlushedLSN()
+	cs := eng.Crash()
+
+	for _, m := range Methods() {
+		rec, met, err := Recover(cs, m, DefaultOptions(cfg))
+		if err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		verifyRecovered(t, m, rec, om)
+		if met.LosersUndone != 1 || met.CLRsWritten != 3 {
+			t.Errorf("%v: %d losers undone with %d CLRs, want 1 with 3", m, met.LosersUndone, met.CLRsWritten)
+		}
+		written := map[wal.Type]int{}
+		sc := rec.Log.NewScanner(stableEnd, nil, wal.ScanCost{})
+		for {
+			r, lsn, ok, err := sc.Next()
+			if err != nil {
+				t.Fatalf("%v: %v", m, err)
+			}
+			if !ok {
+				break
+			}
+			if tr, isTxn := r.(wal.Transactional); isTxn {
+				written[r.Type()]++
+				if tr.Txn() != wal.TxnID(first) {
+					t.Errorf("%v: recovery's %v record at %v names txn %d, want the loser's first LSN %v", m, r.Type(), lsn, tr.Txn(), first)
+				}
+			}
+		}
+		if written[wal.TypeCLR] != 3 || written[wal.TypeAbort] != 1 {
+			t.Errorf("%v: recovery wrote %v, want 3 CLRs and an abort", m, written)
 		}
 	}
 }

@@ -455,7 +455,6 @@ func Recover(cs *engine.CrashState, m Method, opt Options) (*engine.Engine, *Met
 	set.StartLogging()
 	newTC := tc.New(log, set)
 	newTC.RestoreMaster(cs.LastEndCkpt)
-	newTC.RestoreNextTxnID(r.txns.maxID)
 	newTC.SendEOSL()
 
 	eng := &engine.Engine{

@@ -190,10 +190,10 @@ func TestPatchThatDoesNotFitFailsRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := eng.Log.MustAppend(&wal.UpdateRec{
-		TxnID: 77, TableID: cfg.TableID, KeyVal: key, PageID: pid,
+		TxnID: wal.OpensTxn, TableID: cfg.TableID, KeyVal: key, PageID: pid,
 		Skip: uint32(len(val(key, 0))), Tail: 1, OldVal: []byte("a"), NewVal: []byte("b"),
 	})
-	eng.Log.MustAppend(&wal.CommitRec{TxnID: 77, PrevLSN: bad})
+	eng.Log.MustAppend(&wal.CommitRec{TxnID: wal.TxnID(bad), PrevLSN: bad})
 	eng.TC.SendEOSL()
 	cs := eng.Crash()
 	for _, m := range []Method{Log0, SQL1} {

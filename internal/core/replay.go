@@ -316,7 +316,6 @@ func (rp *Replayer) Promote() (*Metrics, error) {
 	set.StartLogging()
 	newTC := tc.New(rp.r.log, set)
 	newTC.RestoreMaster(rp.lastEndCkpt)
-	newTC.RestoreNextTxnID(rp.r.txns.maxID)
 	newTC.SendEOSL()
 	rp.eng.BecomePrimary(set, newTC)
 	if err := newTC.Checkpoint(); err != nil {

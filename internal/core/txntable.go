@@ -21,11 +21,6 @@ type txnTable struct {
 	// won marks transactions that ended with a commit record —
 	// route-change replay applies only committed migrations.
 	won map[wal.TxnID]bool
-	// maxID is the highest transaction ID any record or checkpointed
-	// active entry names; the recovered TC allocates above it. A
-	// transaction that never logged is named nowhere, so its ID may be
-	// issued again after recovery — harmless, as nothing refers to it.
-	maxID wal.TxnID
 }
 
 func newTxnTable() *txnTable {
@@ -52,9 +47,6 @@ func (t *txnTable) seed(active []wal.ActiveTxn) {
 		if a.LastLSN > t.last[a.TxnID] {
 			t.last[a.TxnID] = a.LastLSN
 		}
-		if a.TxnID > t.maxID {
-			t.maxID = a.TxnID
-		}
 	}
 }
 
@@ -67,9 +59,6 @@ func (t *txnTable) note(rec wal.Record, lsn wal.LSN) {
 	id := tr.Txn()
 	if id == 0 {
 		return // system records
-	}
-	if id > t.maxID {
-		t.maxID = id
 	}
 	if lsn > t.last[id] {
 		t.last[id] = lsn
@@ -88,9 +77,7 @@ func (t *txnTable) note(rec wal.Record, lsn wal.LSN) {
 
 // prune drops a terminated transaction's entries. A continuous
 // replayer calls it as commits and aborts stream past so the table
-// stays bounded by the in-flight transaction set; maxID is kept, so
-// RestoreNextTxnID after a promotion still continues the ID space.
-// One-shot recovery never prunes — finalRoutes needs the full won set.
+// stays bounded by the in-flight transaction set. One-shot recovery never prunes — finalRoutes needs the full won set.
 func (t *txnTable) prune(id wal.TxnID) {
 	delete(t.last, id)
 	delete(t.first, id)

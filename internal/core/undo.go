@@ -71,8 +71,9 @@ type undoState struct {
 
 // nextLoser picks the loser with the highest next-undo LSN. Live
 // backchain positions are distinct log offsets; the only tie is between
-// fully undone losers (NilLSN), broken on the lowest TxnID so the abort
-// records are appended in one order on every run.
+// fully undone losers (NilLSN), broken on the lowest TxnID — the oldest
+// first record — so the abort records are appended in one order on
+// every run and at every width.
 func nextLoser(losers map[wal.TxnID]*undoState) wal.TxnID {
 	var pick wal.TxnID
 	var pickLSN wal.LSN

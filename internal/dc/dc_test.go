@@ -36,7 +36,7 @@ func newDC(t *testing.T, rows, cache int) (*DC, *wal.Log, *storage.Disk, *sim.Cl
 
 func fixedLSN(log *wal.Log) func(storage.PageID) wal.LSN {
 	return func(storage.PageID) wal.LSN {
-		return log.MustAppend(&wal.CommitRec{TxnID: 999})
+		return log.MustAppend(&wal.CommitRec{TxnID: wal.OpensTxn})
 	}
 }
 
@@ -98,7 +98,7 @@ func TestUpdateStampsPageWithLogFnLSN(t *testing.T) {
 	var lsn wal.LSN
 	err := d.Update(1, 50, []byte("new-value-xx"), func(pid storage.PageID) wal.LSN {
 		gotPID = pid
-		lsn = log.MustAppend(&wal.CommitRec{TxnID: 1})
+		lsn = log.MustAppend(&wal.CommitRec{TxnID: wal.OpensTxn})
 		return lsn
 	})
 	if err != nil {

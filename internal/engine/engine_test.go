@@ -60,7 +60,7 @@ func TestCrashFreezesState(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Volatile tail: appended but not flushed, must not survive.
-	eng.Log.MustAppend(&wal.CommitRec{TxnID: 424242})
+	eng.Log.MustAppend(&wal.CommitRec{TxnID: wal.OpensTxn})
 
 	cs := eng.Crash()
 	if cs.Log.EndLSN() != cs.Log.FlushedLSN() {
@@ -108,7 +108,7 @@ func TestForkIndependence(t *testing.T) {
 		t.Fatal("fork write leaked to sibling")
 	}
 	// Logs are independently appendable.
-	l1 := log1.MustAppend(&wal.CommitRec{TxnID: 1})
+	l1 := log1.MustAppend(&wal.CommitRec{TxnID: wal.OpensTxn})
 	if log2.EndLSN() == log1.EndLSN() {
 		t.Fatalf("log append in fork 1 (%v) affected fork 2", l1)
 	}

@@ -78,6 +78,14 @@ type goldenRow struct {
 // prep term alone (−501.5 µs). With ScanCost.PerPage = 0 every count
 // and every stall time is equal on both formats, and PrepNS and
 // RedoTotalNS differ by the record term alone.
+//
+// Log format v7, which names a transaction by the distance back to its
+// first record, moved nothing here: the crash's log 35,155 → 35,511
+// bytes at 0.08 and 34,786 → 35,119 at 0.32 (the scaled run's counter
+// stays in one or two bytes, while a 10-update transaction's later
+// records name it from up to 200 bytes back), the redo window 5,888 →
+// 5,774 and 5,948 → 5,837 bytes, still inside log pages 7 and 8 at both
+// fractions, so LogPages, PrepNS and RedoTotalNS stand with every count.
 var goldenInline = map[string]goldenRow{
 	"0.08/Log0": {704178500, 1058500, 4, 170, 30, 0, 0, 140, 162, 9, 0},
 	"0.08/Log1": {331078500, 1058500, 4, 170, 30, 89, 6, 45, 74, 6, 65},

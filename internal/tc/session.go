@@ -454,7 +454,7 @@ func (s *Session) Commit() error {
 		s.txn = nil
 		return nil
 	}
-	lsn := m.tc.app.MustAppend(&wal.CommitRec{TxnID: t.ID, PrevLSN: t.LastLSN()})
+	lsn := m.tc.app.MustAppend(&wal.CommitRec{TxnID: t.logName(), PrevLSN: t.LastLSN()})
 	t.setLastLSN(lsn)
 	m.tc.finishTxn(t, StatusCommitted)
 
@@ -510,7 +510,7 @@ func (s *Session) Abort() error {
 	if err := m.tc.rollback(t); err != nil {
 		return err
 	}
-	lsn := m.tc.app.MustAppend(&wal.AbortRec{TxnID: t.ID, PrevLSN: t.LastLSN()})
+	lsn := m.tc.app.MustAppend(&wal.AbortRec{TxnID: t.logName(), PrevLSN: t.LastLSN()})
 	t.setLastLSN(lsn)
 	m.tc.finishTxn(t, StatusAborted)
 	release()

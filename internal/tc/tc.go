@@ -39,6 +39,9 @@ const (
 
 // Txn is a transaction handle.
 type Txn struct {
+	// ID is the in-memory handle the lock table and the active-transaction
+	// registry key the transaction by. It is never logged: a record names
+	// its transaction by the transaction's first record (logName).
 	ID     wal.TxnID
 	status Status
 	// last is the transaction's most recent log record. Atomic because
@@ -64,6 +67,16 @@ func (t *Txn) LastLSN() wal.LSN { return wal.LSN(t.last.Load()) }
 // FirstLSN returns the transaction's first log record, NilLSN if it has
 // logged nothing yet.
 func (t *Txn) FirstLSN() wal.LSN { return wal.LSN(t.first.Load()) }
+
+// logName is what t's next record names it by in the log: the LSN of
+// its first record, or wal.OpensTxn while it has logged nothing, because
+// the next record is that first one.
+func (t *Txn) logName() wal.TxnID {
+	if first := t.FirstLSN(); first != wal.NilLSN {
+		return wal.TxnID(first)
+	}
+	return wal.OpensTxn
+}
 
 // setLastLSN advances the backchain head, noting the first record on
 // the way. Only the goroutine driving the transaction calls it.
@@ -262,7 +275,7 @@ func (tc *TC) applyUpdateAt(target wal.ShardID, t *Txn, table wal.TableID, key u
 	}
 	err = tc.dc.UpdateAt(target, table, key, newVal, func(sh wal.ShardID, pid storage.PageID) wal.LSN {
 		lsn := tc.app.MustAppend(&wal.UpdateRec{
-			TxnID:   t.ID,
+			TxnID:   t.logName(),
 			TableID: table,
 			KeyVal:  key,
 			OldVal:  oldVal,
@@ -303,7 +316,7 @@ func (tc *TC) applyInsert(t *Txn, table wal.TableID, key uint64, val []byte) err
 func (tc *TC) applyInsertAt(target wal.ShardID, t *Txn, table wal.TableID, key uint64, val []byte) error {
 	err := tc.dc.InsertAt(target, table, key, val, func(sh wal.ShardID, pid storage.PageID) wal.LSN {
 		lsn := tc.app.MustAppend(&wal.InsertRec{
-			TxnID:   t.ID,
+			TxnID:   t.logName(),
 			TableID: table,
 			KeyVal:  key,
 			Val:     val,
@@ -350,7 +363,7 @@ func (tc *TC) applyDeleteAt(target wal.ShardID, t *Txn, table wal.TableID, key u
 	}
 	err = tc.dc.DeleteAt(target, table, key, func(sh wal.ShardID, pid storage.PageID) wal.LSN {
 		lsn := tc.app.MustAppend(&wal.DeleteRec{
-			TxnID:   t.ID,
+			TxnID:   t.logName(),
 			TableID: table,
 			KeyVal:  key,
 			OldVal:  oldVal,
@@ -383,7 +396,7 @@ func (tc *TC) Commit(t *Txn) error {
 	if tc.endUnlogged(t, StatusCommitted) {
 		return nil
 	}
-	lsn := tc.app.MustAppend(&wal.CommitRec{TxnID: t.ID, PrevLSN: t.LastLSN()})
+	lsn := tc.app.MustAppend(&wal.CommitRec{TxnID: t.logName(), PrevLSN: t.LastLSN()})
 	t.setLastLSN(lsn)
 	eLSN := tc.app.Flush()
 	tc.dc.EOSL(eLSN)
@@ -435,7 +448,7 @@ func (tc *TC) Abort(t *Txn) error {
 	if err := tc.rollback(t); err != nil {
 		return fmt.Errorf("tc: rollback of txn %d: %w", t.ID, err)
 	}
-	lsn := tc.app.MustAppend(&wal.AbortRec{TxnID: t.ID, PrevLSN: t.LastLSN()})
+	lsn := tc.app.MustAppend(&wal.AbortRec{TxnID: t.logName(), PrevLSN: t.LastLSN()})
 	t.setLastLSN(lsn)
 	eLSN := tc.app.Flush()
 	tc.dc.EOSL(eLSN)
@@ -496,7 +509,7 @@ func (tc *TC) undoOne(t *Txn, rec wal.Record) (wal.LSN, error) {
 	case *wal.InsertRec:
 		err := tc.dc.DeleteAt(r.ShardID, r.TableID, r.KeyVal, func(sh wal.ShardID, pid storage.PageID) wal.LSN {
 			lsn := tc.app.MustAppend(&wal.CLRRec{
-				TxnID: t.ID, TableID: r.TableID, KeyVal: r.KeyVal,
+				TxnID: t.logName(), TableID: r.TableID, KeyVal: r.KeyVal,
 				Kind: wal.CLRUndoInsert, PageID: pid, ShardID: sh,
 				UndoNextLSN: r.PrevLSN, PrevLSN: t.LastLSN(),
 			})
@@ -507,7 +520,7 @@ func (tc *TC) undoOne(t *Txn, rec wal.Record) (wal.LSN, error) {
 	case *wal.DeleteRec:
 		err := tc.dc.InsertAt(r.ShardID, r.TableID, r.KeyVal, r.OldVal, func(sh wal.ShardID, pid storage.PageID) wal.LSN {
 			lsn := tc.app.MustAppend(&wal.CLRRec{
-				TxnID: t.ID, TableID: r.TableID, KeyVal: r.KeyVal,
+				TxnID: t.logName(), TableID: r.TableID, KeyVal: r.KeyVal,
 				Kind: wal.CLRUndoDelete, RestoreVal: r.OldVal, PageID: pid, ShardID: sh,
 				UndoNextLSN: r.PrevLSN, PrevLSN: t.LastLSN(),
 			})
@@ -566,7 +579,7 @@ func (tc *TC) Checkpoint() error {
 			// later, that record lies above bLSN and the scan finds it.
 			continue
 		}
-		end.Active = append(end.Active, wal.ActiveTxn{TxnID: t.ID, LastLSN: t.LastLSN()})
+		end.Active = append(end.Active, wal.ActiveTxn{TxnID: wal.TxnID(first), LastLSN: t.LastLSN()})
 		keep = min(keep, first)
 	}
 	endLSN := tc.app.MustAppend(end)
@@ -655,7 +668,7 @@ func (tc *TC) SplitRange(table wal.TableID, at uint64, to wal.ShardID) error {
 	for _, r := range rows {
 		err := tc.dc.DeleteAt(from, table, r.k, func(sh wal.ShardID, pid storage.PageID) wal.LSN {
 			lsn := tc.app.MustAppend(&wal.DeleteRec{
-				TxnID: t.ID, TableID: table, KeyVal: r.k, OldVal: r.v,
+				TxnID: t.logName(), TableID: table, KeyVal: r.k, OldVal: r.v,
 				PageID: pid, ShardID: sh, PrevLSN: t.LastLSN(),
 			})
 			t.setLastLSN(lsn)
@@ -666,7 +679,7 @@ func (tc *TC) SplitRange(table wal.TableID, at uint64, to wal.ShardID) error {
 		}
 		err = tc.dc.InsertAt(to, table, r.k, r.v, func(sh wal.ShardID, pid storage.PageID) wal.LSN {
 			lsn := tc.app.MustAppend(&wal.InsertRec{
-				TxnID: t.ID, TableID: table, KeyVal: r.k, Val: r.v,
+				TxnID: t.logName(), TableID: table, KeyVal: r.k, Val: r.v,
 				PageID: pid, ShardID: sh, PrevLSN: t.LastLSN(),
 			})
 			t.setLastLSN(lsn)
@@ -677,7 +690,7 @@ func (tc *TC) SplitRange(table wal.TableID, at uint64, to wal.ShardID) error {
 		}
 	}
 	t.setLastLSN(tc.app.MustAppend(&wal.ShardMapRec{
-		TxnID: t.ID, SplitAt: at, End: end, NewShard: to, PrevLSN: t.LastLSN(),
+		TxnID: t.logName(), SplitAt: at, End: end, NewShard: to, PrevLSN: t.LastLSN(),
 	}))
 	if err := tc.Commit(t); err != nil {
 		return fmt.Errorf("tc: committing range split at %d: %w", at, err)
@@ -687,12 +700,6 @@ func (tc *TC) SplitRange(table wal.TableID, at uint64, to wal.ShardID) error {
 	}
 	tc.stats.rangeSplits.Add(1)
 	return nil
-}
-
-// RestoreNextTxnID moves the transaction-ID allocator past IDs observed
-// in the log (called after recovery so new transactions do not collide).
-func (tc *TC) RestoreNextTxnID(maxSeen wal.TxnID) {
-	tc.txns.bump(maxSeen)
 }
 
 // RestoreMaster installs the master-record pointer after recovery.

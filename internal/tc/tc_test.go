@@ -329,12 +329,12 @@ func TestCheckpointProtocol(t *testing.T) {
 	}
 	foundOpen := false
 	for _, a := range end.Active {
-		if a.TxnID == open.ID {
+		if a.TxnID == wal.TxnID(open.FirstLSN()) && a.LastLSN == open.LastLSN() {
 			foundOpen = true
 		}
 	}
 	if !foundOpen {
-		t.Fatal("active txn missing from end-ckpt record")
+		t.Fatalf("active txn missing from end-ckpt record %+v: want it under its first LSN %v", end.Active, open.FirstLSN())
 	}
 	// RSSP flushed everything dirtied before the checkpoint: only the
 	// open transaction's page (dirtied before bCkpt, but update 150 was
@@ -398,19 +398,6 @@ func TestUpdateRecordCarriesActualPID(t *testing.T) {
 		}
 	}
 	t.Fatal("update record not found")
-}
-
-func TestRestoreNextTxnID(t *testing.T) {
-	tcx, _, _ := newPair(t, 10)
-	tcx.RestoreNextTxnID(500)
-	txn := tcx.Begin()
-	if txn.ID != 501 {
-		t.Fatalf("next txn = %d, want 501", txn.ID)
-	}
-	tcx.RestoreNextTxnID(100) // stale: no regression
-	if tcx.Begin().ID != 502 {
-		t.Fatal("txn allocator regressed")
-	}
 }
 
 func TestReadRangeLocksMembers(t *testing.T) {

@@ -25,7 +25,9 @@ type txnTableShard struct {
 	active map[wal.TxnID]*Txn
 }
 
-// txnTable allocates transaction IDs and tracks active transactions.
+// txnTable allocates transaction IDs — in-memory handles, never logged,
+// so a recovered TC may start again from 1 — and tracks active
+// transactions.
 type txnTable struct {
 	// next is the last allocated transaction ID (monotonic).
 	next   atomic.Uint64
@@ -98,19 +100,6 @@ func (tt *txnTable) snapshot() []*Txn {
 		sh.mu.Unlock()
 	}
 	return out
-}
-
-// bump moves the ID allocator past maxSeen (post-recovery restore).
-func (tt *txnTable) bump(maxSeen wal.TxnID) {
-	for {
-		cur := tt.next.Load()
-		if uint64(maxSeen) <= cur {
-			return
-		}
-		if tt.next.CompareAndSwap(cur, uint64(maxSeen)) {
-			return
-		}
-	}
 }
 
 // counters is the TC's statistics, kept atomic because per-shard

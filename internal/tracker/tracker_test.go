@@ -146,7 +146,7 @@ func TestBWStreamUnchangedByFolding(t *testing.T) {
 				case k < 4:
 					// A logged update the perfect variant's DirtyLSNs can
 					// point back at.
-					lsn := log.MustAppend(&wal.CommitRec{TxnID: 1})
+					lsn := log.MustAppend(&wal.CommitRec{TxnID: wal.OpensTxn})
 					r.NoteUpdate(storage.PageID(1+rng.Intn(8)), lsn)
 				case k < 7:
 					pid := storage.PageID(1 + rng.Intn(8))
@@ -337,8 +337,8 @@ func TestPerfectVariantLogsDirtyLSNs(t *testing.T) {
 	r, log := newRecorder(t, Config{Variant: DeltaPerfect, FlushBatch: 100, MaxDirty: 100})
 	// The LSNs of two records the log holds: a ∆ record can only point
 	// back at what was appended before it.
-	a := log.MustAppend(&wal.UpdateRec{TxnID: 1, KeyVal: 1, NewVal: []byte("v"), PageID: 1})
-	b := log.MustAppend(&wal.UpdateRec{TxnID: 1, KeyVal: 2, NewVal: []byte("v"), PageID: 2, PrevLSN: a})
+	a := log.MustAppend(&wal.UpdateRec{TxnID: wal.OpensTxn, KeyVal: 1, NewVal: []byte("v"), PageID: 1})
+	b := log.MustAppend(&wal.UpdateRec{TxnID: wal.TxnID(a), KeyVal: 2, NewVal: []byte("v"), PageID: 2, PrevLSN: a})
 	r.NoteEOSL(a)
 	r.NoteUpdate(1, a)
 	r.NoteUpdate(2, b)

@@ -69,8 +69,10 @@ type BackendStats struct {
 // of the segment based at b sits at file offset segHeaderSize + (x - b).
 //
 //	[0:8)   magic "LOGRECWL"
-//	[8:12)  format version (6: a ∆ record's WrittenSet count carries a
-//	        BW mark in its low bit; 5 had no mark; 4 logged a same-length
+//	[8:12)  format version (7: a record names its transaction by the
+//	        distance back to the transaction's first record; 6 logged
+//	        the TC's counter there; 5 had no BW mark in a ∆ record's
+//	        WrittenSet count; 4 logged a same-length
 //	        patch's length twice and wrote trailing zero fields; 3 had a
 //	        fixed 5-byte header, absolute pointers and fixed-width system
 //	        records; 2 had whole-image updates; 1 was the single wal.log
@@ -79,7 +81,7 @@ type BackendStats struct {
 //	[16:24) base LSN
 const (
 	segHeaderSize = 24
-	segVersion    = 6
+	segVersion    = 7
 	segSuffix     = ".seg"
 )
 

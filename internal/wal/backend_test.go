@@ -79,7 +79,7 @@ func TestGroupCommitOneSyncPerBatch(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for i := 0; i < perClient; i++ {
-				lsn := gc.MustAppend(&CommitRec{TxnID: TxnID(c*perClient + i + 1)})
+				lsn := gc.MustAppend(&CommitRec{TxnID: OpensTxn})
 				gc.WaitStable(lsn)
 			}
 		}(c)
@@ -250,7 +250,7 @@ func TestOpenLogDirRefusesOldFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, old := range []uint32{2, 3, 4, 5} {
+	for _, old := range []uint32{2, 3, 4, 5, 6} {
 		binary.BigEndian.PutUint32(buf[8:], old)
 		if err := os.WriteFile(path, buf, 0o644); err != nil {
 			t.Fatal(err)

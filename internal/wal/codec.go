@@ -14,7 +14,8 @@ import (
 // unsigned varint, and the decoder refuses one that is over-long or too
 // wide for its field, so a record has one byte string. A back-pointer
 // (PrevLSN, UndoNextLSN, a ∆ record's DirtyLSNs) is written as its
-// distance below the record that carries it. A record that carries a
+// distance below the record that carries it, and so is a transaction's
+// name, the LSN of its first record (txnDist). A record that carries a
 // shard ends with its back-pointers and then the shard, less the run of
 // zero fields that would end the body (putTrail).
 
@@ -88,6 +89,37 @@ func backDist(what string, p, at LSN) (uint64, error) {
 		return 0, fmt.Errorf("%w: %s %v of the record at %v does not point back into the log", ErrBadRecord, what, p, at)
 	}
 	return uint64(at - p), nil
+}
+
+// txnDist is how far below the record at LSN at the first record of its
+// transaction id lies: 0 for a record that opens its transaction
+// (OpensTxn, or id == at once decoded), at itself for TxnID 0. A name
+// above at is refused, and so is a record that opens its transaction yet
+// points back to an earlier record prev.
+func txnDist(id TxnID, prev, at LSN) (uint64, error) {
+	if id == OpensTxn || id == TxnID(at) {
+		if prev != NilLSN {
+			return 0, errOpens(at, prev)
+		}
+		return 0, nil
+	}
+	if uint64(id) > uint64(at) {
+		return 0, fmt.Errorf("%w: txn %d of the record at %v is not the LSN of a record below it", ErrBadRecord, id, at)
+	}
+	return uint64(at - LSN(id)), nil
+}
+
+// chainDists returns the distances that place the record at LSN at in
+// its transaction's chain: its name (txnDist) and its PrevLSN (backDist).
+func chainDists(id TxnID, prev, at LSN) (txn, back uint64, err error) {
+	if back, err = backDist("prev", prev, at); err == nil {
+		txn, err = txnDist(id, prev, at)
+	}
+	return txn, back, err
+}
+
+func errOpens(at, prev LSN) error {
+	return fmt.Errorf("%w: the record at %v opens its transaction but points back to %v", ErrBadRecord, at, prev)
 }
 
 // checkPIDs refuses a ∆ or BW page list naming storage.InvalidPageID.
@@ -208,6 +240,25 @@ func (d *decoder) pointer(what string, dist uint64) LSN {
 		return NilLSN
 	}
 	return d.at - LSN(dist)
+}
+
+// txn reads a transaction's name (txnDist): a distance that reaches
+// below LSN 0 names nothing.
+func (d *decoder) txn() TxnID {
+	dist := d.uvarint("txn")
+	if dist > uint64(d.at) {
+		d.refuse("txn", dist, "bytes back reaches below LSN 0")
+		return 0
+	}
+	return TxnID(d.at - LSN(dist))
+}
+
+// chain refuses a record that opens its transaction — it is named by its
+// own LSN — yet points back to an earlier record prev.
+func (d *decoder) chain(txn TxnID, prev LSN) {
+	if d.err == nil && txn == TxnID(d.at) && prev != NilLSN {
+		d.err = errOpens(d.at, prev)
+	}
 }
 
 // count reads the length of a list whose entries take at least min

@@ -14,7 +14,8 @@ import (
 // byte, patches logging their length once and twice, and trailing
 // fields left out and written: the fuzz seed corpus and the torn-tail
 // and cut-point fixture. Each transactional record but a transaction's
-// first points back at the one before it.
+// first points back at the one before it, and names its transaction by
+// that first record, which opens it (OpensTxn).
 func fullLog(t testing.TB) *Log {
 	l := NewLog()
 	prev := NilLSN
@@ -25,14 +26,16 @@ func fullLog(t testing.TB) *Log {
 		}
 		prev = lsn
 	}
+	txn := OpensTxn
 	update := func(old, nw string) {
-		add(&UpdateRec{TxnID: 1, TableID: 1, KeyVal: 7, OldVal: []byte(old), NewVal: []byte(nw), PageID: 4, PrevLSN: prev})
+		add(&UpdateRec{TxnID: txn, TableID: 1, KeyVal: 7, OldVal: []byte(old), NewVal: []byte(nw), PageID: 4, PrevLSN: prev})
 	}
 	add(&BeginCkptRec{})
 	begin := prev
 	prev = NilLSN // the transaction's first record points nowhere
 	update("old", "new")
 	first := prev
+	txn = TxnID(first)
 	// Patch shapes: one byte in the middle, growing, shrinking, the
 	// first byte, the last byte, nothing at all, and a key, page and
 	// shard wide enough for multi-byte varints.
@@ -48,22 +51,26 @@ func fullLog(t testing.TB) *Log {
 	m62 := strings.Repeat("m", 62)
 	update("<"+m62+">", "{"+m62+"}")
 	update(strings.Repeat("p", 70), "q")
-	add(&UpdateRec{TxnID: 1 << 40, TableID: 300, KeyVal: 1 << 50, OldVal: []byte("a"), NewVal: []byte("b"), PageID: 70000, ShardID: 200, PrevLSN: prev})
+	add(&UpdateRec{TxnID: txn, TableID: 300, KeyVal: 1 << 50, OldVal: []byte("a"), NewVal: []byte("b"), PageID: 70000, ShardID: 200, PrevLSN: prev})
 	// Another transaction's first update on shard 2: a nil prev written
 	// because the shard after it is not 0.
 	chain := prev
-	add(&UpdateRec{TxnID: 3, TableID: 1, KeyVal: 11, OldVal: []byte("a"), NewVal: []byte("b"), PageID: 6, ShardID: 2})
+	add(&UpdateRec{TxnID: OpensTxn, TableID: 1, KeyVal: 11, OldVal: []byte("a"), NewVal: []byte("b"), PageID: 6, ShardID: 2})
+	other := prev
 	prev = chain
-	add(&CLRRec{TxnID: 1, TableID: 1, KeyVal: 7, Kind: CLRUndoUpdate, Skip: 9, Tail: 5, RestoreVal: []byte("v1"), PageID: 4, UndoNextLSN: first, PrevLSN: prev})
-	add(&InsertRec{TxnID: 1, TableID: 1, KeyVal: 8, Val: []byte("row"), PageID: 4, PrevLSN: prev})
+	add(&CLRRec{TxnID: txn, TableID: 1, KeyVal: 7, Kind: CLRUndoUpdate, Skip: 9, Tail: 5, RestoreVal: []byte("v1"), PageID: 4, UndoNextLSN: first, PrevLSN: prev})
+	add(&InsertRec{TxnID: txn, TableID: 1, KeyVal: 8, Val: []byte("row"), PageID: 4, PrevLSN: prev})
 	// A whole row of 150 bytes: a per-operation record with a 3-byte header.
-	add(&DeleteRec{TxnID: 1, TableID: 1, KeyVal: 9, OldVal: bytes.Repeat([]byte("gone "), 30), PageID: 5, PrevLSN: prev})
-	add(&CLRRec{TxnID: 1, TableID: 1, KeyVal: 7, Kind: CLRUndoUpdate, RestoreVal: []byte("old"), PageID: 4, UndoNextLSN: NilLSN, PrevLSN: prev})
-	add(&ShardMapRec{TxnID: 1, SplitAt: 1 << 20, End: 1<<21 - 1, NewShard: 3, PrevLSN: prev})
+	add(&DeleteRec{TxnID: txn, TableID: 1, KeyVal: 9, OldVal: bytes.Repeat([]byte("gone "), 30), PageID: 5, PrevLSN: prev})
+	add(&CLRRec{TxnID: txn, TableID: 1, KeyVal: 7, Kind: CLRUndoUpdate, RestoreVal: []byte("old"), PageID: 4, UndoNextLSN: NilLSN, PrevLSN: prev})
+	add(&ShardMapRec{TxnID: txn, SplitAt: 1 << 20, End: 1<<21 - 1, NewShard: 3, PrevLSN: prev})
 	// The commit's pointer takes two bytes: it reaches back to the
 	// transaction's first record.
-	add(&CommitRec{TxnID: 1, PrevLSN: first})
-	add(&AbortRec{TxnID: 2, PrevLSN: begin})
+	add(&CommitRec{TxnID: txn, PrevLSN: first})
+	// A transaction whose only record is its abort, and the shard-2
+	// transaction's abort.
+	add(&AbortRec{TxnID: OpensTxn})
+	add(&AbortRec{TxnID: TxnID(other), PrevLSN: other})
 	add(&DeltaRec{TCLSN: 100, FWLSN: 90, FirstDirty: 1,
 		DirtySet: []storage.PageID{4, 5}, DirtyLSNs: []LSN{first, prev}, WrittenSet: []storage.PageID{3}})
 	big := &DeltaRec{TCLSN: 100, FirstDirty: 200}
@@ -88,7 +95,13 @@ func fullLog(t testing.TB) *Log {
 	add(&SMORec{Meta: TreeMeta{TableID: 1, Root: 2, Height: 2, NextPID: 12}, ShardID: 1,
 		Images: []PageImage{{PageID: 11, Data: bytes.Repeat([]byte{0xEE}, 300)}, {PageID: 2}}})
 	add(&RSSPRec{RsspLSN: 12})
-	add(&EndCkptRec{BeginLSN: begin, Active: []ActiveTxn{{TxnID: 2, LastLSN: 78}},
+	// A long loser's CLR, named from far back: its first record is more
+	// than a kilobyte below it.
+	add(&CLRRec{TxnID: txn, TableID: 1, KeyVal: 9, Kind: CLRUndoDelete, RestoreVal: []byte("gone"), PageID: 5, UndoNextLSN: first, PrevLSN: prev})
+	if prev-first < 1<<10 {
+		t.Fatalf("the loser's CLR at %v names its transaction only %d bytes back", prev, prev-first)
+	}
+	add(&EndCkptRec{BeginLSN: begin, Active: []ActiveTxn{{TxnID: txn, LastLSN: prev}, {TxnID: TxnID(other), LastLSN: other}},
 		Routes: []RouteEntry{{Start: 0, Shard: 0}, {Start: 1 << 20, Shard: 3}}})
 	l.Flush()
 	for typ := TypeUpdate; typ <= TypeShardMap; typ++ {
@@ -140,6 +153,9 @@ func FuzzDecodeAt(f *testing.F) {
 	} {
 		f.Add(frame, uint64(FirstLSN()))
 	}
+	// A commit that opens its transaction, then one that claims to open
+	// its own but points back at the first: a forged name.
+	f.Add([]byte{byte(TypeCommit), 2, 0, 0, byte(TypeCommit), 2, 0, 4}, uint64(FirstLSN()+4))
 
 	f.Fuzz(func(t *testing.T, buf []byte, off uint64) {
 		fz := rawLog(buf)

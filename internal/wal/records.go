@@ -86,12 +86,12 @@ func (r *UpdateRec) Compensation() *CLRRec {
 }
 
 func (r *UpdateRec) encodeBody(dst []byte, at LSN) ([]byte, error) {
-	prev, err := backDist("prev", r.PrevLSN, at)
+	txn, prev, err := chainDists(r.TxnID, r.PrevLSN, at)
 	if err != nil {
 		return dst, err
 	}
 	p, t := commonEnds(r.OldVal, r.NewVal)
-	dst = putUvarint(dst, uint64(r.TxnID))
+	dst = putUvarint(dst, txn)
 	dst = putUvarint(dst, uint64(r.TableID))
 	dst = putUvarint(dst, r.KeyVal)
 	dst = putUvarint(dst, uint64(r.Skip)+uint64(p))
@@ -103,7 +103,7 @@ func (r *UpdateRec) encodeBody(dst []byte, at LSN) ([]byte, error) {
 
 func (r *UpdateRec) decodeBody(src []byte, at LSN) error {
 	d := newDecoder(src, at)
-	r.TxnID = TxnID(d.uvarint("txn"))
+	r.TxnID = d.txn()
 	r.TableID = TableID(d.uvarint32("table"))
 	r.KeyVal = d.uvarint("key")
 	r.Skip = d.uvarint32("skip")
@@ -112,6 +112,7 @@ func (r *UpdateRec) decodeBody(src []byte, at LSN) error {
 	r.PageID = storage.PageID(d.uvarint32("pid"))
 	r.PrevLSN = d.trailBack("prev")
 	r.ShardID = ShardID(d.trail32("shard"))
+	d.chain(r.TxnID, r.PrevLSN)
 	if err := d.finish(TypeUpdate); err != nil {
 		return err
 	}
@@ -141,11 +142,11 @@ func (r *InsertRec) PID() storage.PageID { return r.PageID }
 func (r *InsertRec) Shard() ShardID      { return r.ShardID }
 
 func (r *InsertRec) encodeBody(dst []byte, at LSN) ([]byte, error) {
-	prev, err := backDist("prev", r.PrevLSN, at)
+	txn, prev, err := chainDists(r.TxnID, r.PrevLSN, at)
 	if err != nil {
 		return dst, err
 	}
-	dst = putUvarint(dst, uint64(r.TxnID))
+	dst = putUvarint(dst, txn)
 	dst = putUvarint(dst, uint64(r.TableID))
 	dst = putUvarint(dst, r.KeyVal)
 	dst = putVarBytes(dst, r.Val)
@@ -155,13 +156,14 @@ func (r *InsertRec) encodeBody(dst []byte, at LSN) ([]byte, error) {
 
 func (r *InsertRec) decodeBody(src []byte, at LSN) error {
 	d := newDecoder(src, at)
-	r.TxnID = TxnID(d.uvarint("txn"))
+	r.TxnID = d.txn()
 	r.TableID = TableID(d.uvarint32("table"))
 	r.KeyVal = d.uvarint("key")
 	r.Val = d.varBytes("val")
 	r.PageID = storage.PageID(d.uvarint32("pid"))
 	r.PrevLSN = d.trailBack("prev")
 	r.ShardID = ShardID(d.trail32("shard"))
+	d.chain(r.TxnID, r.PrevLSN)
 	return d.finish(TypeInsert)
 }
 
@@ -185,11 +187,11 @@ func (r *DeleteRec) PID() storage.PageID { return r.PageID }
 func (r *DeleteRec) Shard() ShardID      { return r.ShardID }
 
 func (r *DeleteRec) encodeBody(dst []byte, at LSN) ([]byte, error) {
-	prev, err := backDist("prev", r.PrevLSN, at)
+	txn, prev, err := chainDists(r.TxnID, r.PrevLSN, at)
 	if err != nil {
 		return dst, err
 	}
-	dst = putUvarint(dst, uint64(r.TxnID))
+	dst = putUvarint(dst, txn)
 	dst = putUvarint(dst, uint64(r.TableID))
 	dst = putUvarint(dst, r.KeyVal)
 	dst = putVarBytes(dst, r.OldVal)
@@ -199,13 +201,14 @@ func (r *DeleteRec) encodeBody(dst []byte, at LSN) ([]byte, error) {
 
 func (r *DeleteRec) decodeBody(src []byte, at LSN) error {
 	d := newDecoder(src, at)
-	r.TxnID = TxnID(d.uvarint("txn"))
+	r.TxnID = d.txn()
 	r.TableID = TableID(d.uvarint32("table"))
 	r.KeyVal = d.uvarint("key")
 	r.OldVal = d.varBytes("old")
 	r.PageID = storage.PageID(d.uvarint32("pid"))
 	r.PrevLSN = d.trailBack("prev")
 	r.ShardID = ShardID(d.trail32("shard"))
+	d.chain(r.TxnID, r.PrevLSN)
 	return d.finish(TypeDelete)
 }
 
@@ -256,7 +259,7 @@ func (r *CLRRec) After(cur []byte) ([]byte, error) {
 }
 
 func (r *CLRRec) encodeBody(dst []byte, at LSN) ([]byte, error) {
-	prev, err := backDist("prev", r.PrevLSN, at)
+	txn, prev, err := chainDists(r.TxnID, r.PrevLSN, at)
 	if err != nil {
 		return dst, err
 	}
@@ -264,7 +267,7 @@ func (r *CLRRec) encodeBody(dst []byte, at LSN) ([]byte, error) {
 	if err != nil {
 		return dst, err
 	}
-	dst = putUvarint(dst, uint64(r.TxnID))
+	dst = putUvarint(dst, txn)
 	dst = putUvarint(dst, uint64(r.TableID))
 	dst = putUvarint(dst, r.KeyVal)
 	dst = putUvarint(dst, uint64(r.Kind))
@@ -279,7 +282,7 @@ func (r *CLRRec) encodeBody(dst []byte, at LSN) ([]byte, error) {
 
 func (r *CLRRec) decodeBody(src []byte, at LSN) error {
 	d := newDecoder(src, at)
-	r.TxnID = TxnID(d.uvarint("txn"))
+	r.TxnID = d.txn()
 	r.TableID = TableID(d.uvarint32("table"))
 	r.KeyVal = d.uvarint("key")
 	kind := d.uvarint32("kind")
@@ -294,6 +297,7 @@ func (r *CLRRec) decodeBody(src []byte, at LSN) error {
 	r.PrevLSN = d.trailBack("prev")
 	r.UndoNextLSN = d.trailBack("undonext")
 	r.ShardID = ShardID(d.trail32("shard"))
+	d.chain(r.TxnID, r.PrevLSN)
 	return d.finish(TypeCLR)
 }
 
@@ -312,14 +316,18 @@ func (r *CommitRec) Txn() TxnID { return r.TxnID }
 func (r *CommitRec) Prev() LSN  { return r.PrevLSN }
 
 func (r *CommitRec) encodeBody(dst []byte, at LSN) ([]byte, error) {
-	dst = putUvarint(dst, uint64(r.TxnID))
-	return putBack(dst, "prev", r.PrevLSN, at)
+	txn, prev, err := chainDists(r.TxnID, r.PrevLSN, at)
+	if err != nil {
+		return dst, err
+	}
+	return putUvarint(putUvarint(dst, txn), prev), nil
 }
 
 func (r *CommitRec) decodeBody(src []byte, at LSN) error {
 	d := newDecoder(src, at)
-	r.TxnID = TxnID(d.uvarint("txn"))
+	r.TxnID = d.txn()
 	r.PrevLSN = d.back("prev")
+	d.chain(r.TxnID, r.PrevLSN)
 	return d.finish(TypeCommit)
 }
 
@@ -334,14 +342,18 @@ func (r *AbortRec) Txn() TxnID { return r.TxnID }
 func (r *AbortRec) Prev() LSN  { return r.PrevLSN }
 
 func (r *AbortRec) encodeBody(dst []byte, at LSN) ([]byte, error) {
-	dst = putUvarint(dst, uint64(r.TxnID))
-	return putBack(dst, "prev", r.PrevLSN, at)
+	txn, prev, err := chainDists(r.TxnID, r.PrevLSN, at)
+	if err != nil {
+		return dst, err
+	}
+	return putUvarint(putUvarint(dst, txn), prev), nil
 }
 
 func (r *AbortRec) decodeBody(src []byte, at LSN) error {
 	d := newDecoder(src, at)
-	r.TxnID = TxnID(d.uvarint("txn"))
+	r.TxnID = d.txn()
 	r.PrevLSN = d.back("prev")
+	d.chain(r.TxnID, r.PrevLSN)
 	return d.finish(TypeAbort)
 }
 
@@ -360,8 +372,9 @@ func (r *BeginCkptRec) decodeBody(src []byte, at LSN) error {
 }
 
 // ActiveTxn is one entry of the active-transaction table captured in an
-// end-checkpoint record: the transaction and its most recent LSN, so
-// undo can find losers whose records all precede the redo scan start.
+// end-checkpoint record: the transaction, named by its first record's
+// LSN like every record of it, and its most recent LSN, so undo can find
+// losers whose records all precede the redo scan start.
 type ActiveTxn struct {
 	TxnID   TxnID
 	LastLSN LSN
@@ -384,11 +397,15 @@ type EndCkptRec struct {
 
 func (r *EndCkptRec) Type() Type { return TypeEndCkpt }
 
-func (r *EndCkptRec) encodeBody(dst []byte, _ LSN) ([]byte, error) {
+func (r *EndCkptRec) encodeBody(dst []byte, at LSN) ([]byte, error) {
 	dst = putUvarint(dst, uint64(r.BeginLSN))
 	dst = putUvarint(dst, uint64(len(r.Active)))
 	for _, a := range r.Active {
-		dst = putUvarint(dst, uint64(a.TxnID))
+		txn, err := txnDist(a.TxnID, NilLSN, at)
+		if err != nil {
+			return dst, err
+		}
+		dst = putUvarint(dst, txn)
 		dst = putUvarint(dst, uint64(a.LastLSN))
 	}
 	dst = putUvarint(dst, uint64(len(r.Routes)))
@@ -404,7 +421,7 @@ func (r *EndCkptRec) decodeBody(src []byte, at LSN) error {
 	r.BeginLSN = LSN(d.uvarint("beginLSN"))
 	r.Active = make([]ActiveTxn, d.count("nactive", 2))
 	for i := range r.Active {
-		r.Active[i].TxnID = TxnID(d.uvarint("active.txn"))
+		r.Active[i].TxnID = d.txn()
 		r.Active[i].LastLSN = LSN(d.uvarint("active.lastLSN"))
 	}
 	r.Routes = make([]RouteEntry, d.count("nroutes", 2))
@@ -680,20 +697,25 @@ func (r *ShardMapRec) Txn() TxnID { return r.TxnID }
 func (r *ShardMapRec) Prev() LSN  { return r.PrevLSN }
 
 func (r *ShardMapRec) encodeBody(dst []byte, at LSN) ([]byte, error) {
-	dst = putUvarint(dst, uint64(r.TxnID))
+	txn, prev, err := chainDists(r.TxnID, r.PrevLSN, at)
+	if err != nil {
+		return dst, err
+	}
+	dst = putUvarint(dst, txn)
 	dst = putUvarint(dst, r.SplitAt)
 	dst = putUvarint(dst, r.End)
 	dst = putUvarint(dst, uint64(r.NewShard))
-	return putBack(dst, "prev", r.PrevLSN, at)
+	return putUvarint(dst, prev), nil
 }
 
 func (r *ShardMapRec) decodeBody(src []byte, at LSN) error {
 	d := newDecoder(src, at)
-	r.TxnID = TxnID(d.uvarint("txn"))
+	r.TxnID = d.txn()
 	r.SplitAt = d.uvarint("splitAt")
 	r.End = d.uvarint("end")
 	r.NewShard = ShardID(d.uvarint32("newShard"))
 	r.PrevLSN = d.back("prev")
+	d.chain(r.TxnID, r.PrevLSN)
 	return d.finish(TypeShardMap)
 }
 

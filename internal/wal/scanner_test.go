@@ -35,18 +35,20 @@ func buildRandomLog(rng *rand.Rand, n int) *Log {
 		}
 		return FirstLSN() + LSN(rng.Int63n(int64(l.EndLSN()-FirstLSN())))
 	}
+	// txn draws a transaction name: the LSN of a record below, or none.
+	txn := func() TxnID { return TxnID(back()) }
 	for i := 0; i < n; i++ {
 		switch rng.Intn(6) {
 		case 0:
-			l.MustAppend(&CommitRec{TxnID: TxnID(rng.Intn(100)), PrevLSN: back()})
+			l.MustAppend(&CommitRec{TxnID: txn(), PrevLSN: back()})
 		case 1:
-			l.MustAppend(&InsertRec{TxnID: TxnID(rng.Intn(100)), TableID: 1, KeyVal: rng.Uint64(),
+			l.MustAppend(&InsertRec{TxnID: txn(), TableID: 1, KeyVal: rng.Uint64(),
 				Val: randVal(rng), PageID: storage.PageID(rng.Uint32()), PrevLSN: back()})
 		case 2:
-			l.MustAppend(&DeleteRec{TxnID: TxnID(rng.Intn(100)), TableID: 1, KeyVal: rng.Uint64(),
+			l.MustAppend(&DeleteRec{TxnID: txn(), TableID: 1, KeyVal: rng.Uint64(),
 				OldVal: randVal(rng), PageID: storage.PageID(rng.Uint32()), PrevLSN: back()})
 		case 3:
-			l.MustAppend(&UpdateRec{TxnID: TxnID(rng.Intn(100)), TableID: 1, KeyVal: rng.Uint64(),
+			l.MustAppend(&UpdateRec{TxnID: txn(), TableID: 1, KeyVal: rng.Uint64(),
 				OldVal: randVal(rng), NewVal: randVal(rng),
 				PageID: storage.PageID(rng.Uint32()), PrevLSN: back()})
 		case 4:
@@ -56,7 +58,7 @@ func buildRandomLog(rng *rand.Rand, n int) *Log {
 			})
 		case 5:
 			l.MustAppend(&EndCkptRec{BeginLSN: LSN(rng.Uint32()),
-				Active: []ActiveTxn{{TxnID: TxnID(rng.Intn(50)), LastLSN: LSN(rng.Uint32())}}})
+				Active: []ActiveTxn{{TxnID: txn(), LastLSN: LSN(rng.Uint32())}}})
 		}
 	}
 	l.Flush()

@@ -10,16 +10,15 @@ import (
 )
 
 // fillLog appends n committed single-update transactions and flushes.
-func fillLog(t *testing.T, l *Log, n int, txnBase uint64) {
+func fillLog(t *testing.T, l *Log, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		id := TxnID(txnBase + uint64(i) + 1)
 		lsn := l.MustAppend(&UpdateRec{
-			TxnID: id, TableID: 1, KeyVal: uint64(i),
+			TxnID: OpensTxn, TableID: 1, KeyVal: uint64(i),
 			OldVal: []byte("old"), NewVal: []byte(fmt.Sprintf("new-%d", i)),
 			PageID: 7, ShardID: 0,
 		})
-		l.MustAppend(&CommitRec{TxnID: id, PrevLSN: lsn})
+		l.MustAppend(&CommitRec{TxnID: TxnID(lsn), PrevLSN: lsn})
 	}
 	l.Flush()
 }
@@ -62,7 +61,7 @@ func stableBytes(t testing.TB, l *Log) []byte {
 
 func TestShipRoundTrip(t *testing.T) {
 	primary := NewLog()
-	fillLog(t, primary, 200, 0)
+	fillLog(t, primary, 200)
 	for _, segBytes := range []int{16, 64, 4096, 1 << 20} {
 		standby := NewLog()
 		shipAll(t, primary, standby, segBytes)
@@ -78,11 +77,11 @@ func TestShipRoundTrip(t *testing.T) {
 func TestShipResumesAcrossFlushes(t *testing.T) {
 	primary := NewLog()
 	standby := NewLog()
-	fillLog(t, primary, 20, 0)
+	fillLog(t, primary, 20)
 	shipAll(t, primary, standby, 128)
 	// More primary traffic after the standby caught up; shipping resumes
 	// from the standby's watermark.
-	fillLog(t, primary, 20, 100)
+	fillLog(t, primary, 20)
 	shipAll(t, primary, standby, 128)
 	if !bytes.Equal(stableBytes(t, primary), stableBytes(t, standby)) {
 		t.Fatal("resumed ship diverged from primary")
@@ -91,7 +90,7 @@ func TestShipResumesAcrossFlushes(t *testing.T) {
 
 func TestAppendStableDuplicateIsNoop(t *testing.T) {
 	primary := NewLog()
-	fillLog(t, primary, 5, 0)
+	fillLog(t, primary, 5)
 	standby := NewLog()
 	seg, ok, err := primary.NewShipReader(FirstLSN()).Next(0)
 	if err != nil || !ok {
@@ -123,7 +122,7 @@ func TestAppendStableDuplicateIsNoop(t *testing.T) {
 
 func TestAppendStableGap(t *testing.T) {
 	primary := NewLog()
-	fillLog(t, primary, 10, 0)
+	fillLog(t, primary, 10)
 	r := primary.NewShipReader(FirstLSN())
 	seg1, _, err := r.Next(128)
 	if err != nil {
@@ -162,7 +161,7 @@ func tornFrameBytes(n int) []byte {
 
 func TestAppendStableTornTailHeldBack(t *testing.T) {
 	primary := NewLog()
-	fillLog(t, primary, 10, 0)
+	fillLog(t, primary, 10)
 	seg, _, err := primary.NewShipReader(FirstLSN()).Next(0)
 	if err != nil {
 		t.Fatal(err)
@@ -302,7 +301,7 @@ func TestAppendStableEveryCutPoint(t *testing.T) {
 
 func TestAppendStableCorruptFrameRejected(t *testing.T) {
 	primary := NewLog()
-	fillLog(t, primary, 3, 0)
+	fillLog(t, primary, 3)
 	seg, _, err := primary.NewShipReader(FirstLSN()).Next(0)
 	if err != nil {
 		t.Fatal(err)
@@ -318,7 +317,7 @@ func TestAppendStableCorruptFrameRejected(t *testing.T) {
 		t.Fatalf("valid prefix not kept: watermark %v, want %v", mark, seg.End())
 	}
 	// The log remains usable from the watermark.
-	fillLog(t, primary, 3, 50)
+	fillLog(t, primary, 3)
 	shipAll(t, primary, standby, 0)
 }
 
@@ -332,7 +331,7 @@ func TestShipReaderOverFileBackend(t *testing.T) {
 	if err := primary.SetBackend(be); err != nil {
 		t.Fatal(err)
 	}
-	fillLog(t, primary, 50, 0)
+	fillLog(t, primary, 50)
 	if primary.Backend().Stats().Reads != 0 {
 		t.Fatal("unexpected backend reads before shipping")
 	}
@@ -378,7 +377,7 @@ func TestReadStableSurvivesCrash(t *testing.T) {
 	if err := primary.SetBackend(be); err != nil {
 		t.Fatal(err)
 	}
-	fillLog(t, primary, 10, 0)
+	fillLog(t, primary, 10)
 	want := stableBytes(t, primary)
 	if err := primary.CloseBackend(); err != nil {
 		t.Fatal(err)

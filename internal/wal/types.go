@@ -28,9 +28,19 @@ const NilLSN LSN = 0
 
 func (l LSN) String() string { return fmt.Sprintf("lsn:%d", uint64(l)) }
 
-// TxnID identifies a transaction. TxnID 0 is reserved for non-
-// transactional (system) records.
+// TxnID names a transaction in the log: the LSN of its first record. A
+// record logs it as its distance back to that record (format v7), so a
+// transaction costs its records a byte or two however many came before
+// it. TxnID 0 is reserved for non-transactional (system) records. The
+// TC's in-memory handle (tc.Txn.ID) is another number and is never
+// logged.
 type TxnID uint64
+
+// OpensTxn names the transaction a record opens. The record is its
+// transaction's first, so its name is its own LSN, which Append has not
+// chosen yet when the record is built. It is logged as distance 0, and
+// the decoded record carries its LSN instead.
+const OpensTxn = ^TxnID(0)
 
 // TableID identifies a table (and its clustered B-tree) in the DC.
 type TableID uint32

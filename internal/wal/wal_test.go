@@ -441,13 +441,19 @@ func TestQuickUpdateRoundTrip(t *testing.T) {
 	const at = LSN(1 << 40)
 	f := func(txn uint64, table uint32, key uint64, prefix, oldMid, newMid, suffix, other []byte, pid, shard uint32, prev uint64) bool {
 		oldV, newV := cat(prefix, oldMid, suffix), cat(prefix, newMid, suffix)
+		// Any name up to the record's own LSN; a record that opens its
+		// transaction (OpensTxn, decoded as its LSN) has no prev.
+		name, wantTxn := TxnID(txn%uint64(at)), TxnID(txn%uint64(at))
 		if prev%4 == 0 {
 			prev = 0 // a transaction's first record
+			if txn%2 == 0 {
+				name, wantTxn = OpensTxn, TxnID(at)
+			}
 		} else {
 			prev = uint64(FirstLSN()) + prev%uint64(at-FirstLSN())
 		}
 		in := &UpdateRec{
-			TxnID: TxnID(txn), TableID: TableID(table), KeyVal: key,
+			TxnID: name, TableID: TableID(table), KeyVal: key,
 			OldVal: oldV, NewVal: newV,
 			PageID: storage.PageID(pid), ShardID: ShardID(shard), PrevLSN: LSN(prev),
 		}
@@ -461,7 +467,7 @@ func TestQuickUpdateRoundTrip(t *testing.T) {
 			t.Logf("decode: %v", err)
 			return false
 		}
-		if out.TxnID != in.TxnID || out.TableID != in.TableID || out.KeyVal != key ||
+		if out.TxnID != wantTxn || out.TableID != in.TableID || out.KeyVal != key ||
 			out.PageID != in.PageID || out.ShardID != in.ShardID || out.PrevLSN != in.PrevLSN {
 			t.Logf("fields: %+v", out)
 			return false
@@ -560,25 +566,58 @@ func TestSpliceBounds(t *testing.T) {
 // frame header's length — a value too wide for its field, an update
 // whose middles still share an end, a second patch length equal to the
 // first, a ∆ marked as a BW record over an empty WrittenSet and a
-// trailing field written as 0 at the body's end are all refused.
+// trailing field written as 0 at the body's end are all refused, and so
+// are a transaction named from below the log and a record that opens its
+// transaction yet points back into it.
 func TestVarintBodiesAreCanonical(t *testing.T) {
 	const at = LSN(600)
-	good, err := (&CommitRec{TxnID: 5, PrevLSN: 300}).encodeBody(nil, at)
-	if want := []byte{5, 0xAC, 0x02}; err != nil || !bytes.Equal(good, want) { // 300 bytes back
+	good, err := (&CommitRec{TxnID: TxnID(at - 5), PrevLSN: 300}).encodeBody(nil, at)
+	if want := []byte{5, 0xAC, 0x02}; err != nil || !bytes.Equal(good, want) { // 5 and 300 bytes back
 		t.Fatalf("commit encoded %x (%v), want %x", good, err, want)
 	}
 	var c CommitRec
-	if err := c.decodeBody(good, at); err != nil || c.TxnID != 5 || c.PrevLSN != 300 {
+	if err := c.decodeBody(good, at); err != nil || c.TxnID != TxnID(at-5) || c.PrevLSN != 300 {
 		t.Fatalf("canonical body: %+v, %v", c, err)
+	}
+	// A transaction's name is the distance back to its first record: 0
+	// for the record that opens it, the record's own LSN for TxnID 0.
+	for _, tc := range []struct {
+		in, out TxnID
+		body    []byte
+	}{
+		{OpensTxn, TxnID(at), []byte{0, 0}},
+		{TxnID(at), TxnID(at), []byte{0, 0}},
+		{0, 0, []byte{0xD8, 0x04, 0}},
+		{TxnID(FirstLSN()), TxnID(FirstLSN()), []byte{0xC8, 0x04, 0}},
+	} {
+		body, err := (&AbortRec{TxnID: tc.in}).encodeBody(nil, at)
+		var a AbortRec
+		if err != nil || !bytes.Equal(body, tc.body) || a.decodeBody(body, at) != nil || a.TxnID != tc.out {
+			t.Errorf("txn %d: encoded %x (%v), want %x; decoded %d, want %d", tc.in, body, err, tc.body, a.TxnID, tc.out)
+		}
+	}
+	for name, rec := range map[string]Record{
+		"txn above the record":                   &CommitRec{TxnID: TxnID(at) + 1},
+		"opener that points back":                &CommitRec{TxnID: OpensTxn, PrevLSN: 300},
+		"update named by its LSN, pointing back": &UpdateRec{TxnID: TxnID(at), PrevLSN: 300},
+		"end-ckpt entry above the record":        &EndCkptRec{Active: []ActiveTxn{{TxnID: TxnID(at) + 1}}},
+	} {
+		if _, err := rec.encodeBody(nil, at); !errors.Is(err, ErrBadRecord) {
+			t.Errorf("%s encoded: %v", name, err)
+		}
+	}
+	if err := c.decodeBody([]byte{0, 0xAC, 0x02}, at); !errors.Is(err, ErrBadRecord) || !strings.Contains(err.Error(), "opens its transaction but points back to lsn:300") {
+		t.Errorf("an opener pointing back decoded: %+v, %v", c, err)
 	}
 	var u UpdateRec
 	for name, tc := range map[string]struct {
 		rec  Record
 		body []byte
 	}{
-		"txn 5 spelt in two bytes":       {&c, []byte{0x85, 0x00, 0xAC, 0x02}},
-		"nil pointer spelt in two bytes": {&c, []byte{5, 0x80, 0x00}},
-		"table ID beyond 32 bits":        {&u, putUvarint(putUvarint(nil, 1), 1<<32)},
+		"txn distance 5 spelt in two bytes": {&c, []byte{0x85, 0x00, 0xAC, 0x02}},
+		"txn 601 bytes back from 600":       {&c, []byte{0xD9, 0x04, 0}},
+		"nil pointer spelt in two bytes":    {&c, []byte{5, 0x80, 0x00}},
+		"table ID beyond 32 bits":           {&u, putUvarint(putUvarint(nil, 1), 1<<32)},
 		// txn 1, table 1, key 1, skip 0, tail 0, 2<<1 (two equal
 		// lengths), old "ab", new "ac", pid; prev and shard left out.
 		"untrimmed patch":            {&u, []byte{1, 1, 1, 0, 0, 4, 'a', 'b', 'a', 'c', 1}},
@@ -620,7 +659,7 @@ func TestVarintBodiesAreCanonical(t *testing.T) {
 			t.Errorf("%s left out: %v", name, err)
 		}
 	}
-	trimmed, _ := (&UpdateRec{TxnID: 1, TableID: 1, KeyVal: 1, OldVal: []byte("ab"), NewVal: []byte("ac"), PageID: 1}).encodeBody(nil, at)
+	trimmed, _ := (&UpdateRec{TxnID: TxnID(at - 1), TableID: 1, KeyVal: 1, OldVal: []byte("ab"), NewVal: []byte("ac"), PageID: 1}).encodeBody(nil, at)
 	if want := []byte{1, 1, 1, 1, 0, 2, 'b', 'c', 1}; !bytes.Equal(trimmed, want) {
 		t.Fatalf("encoded %v, want %v", trimmed, want)
 	}
@@ -643,18 +682,26 @@ func TestVarintBodiesAreCanonical(t *testing.T) {
 // TestRecordSizes pins the framed size of representative records at an
 // LSN a megabyte into the log, so a format change is sized by a failing
 // line here rather than discovered in the benchmark. An update of one
-// 3-byte field in a 69-byte row: 2 header bytes, 3 txn, 1 table, 3 key,
-// 1 skip, 1 tail, 1 length for both middles, 3+3 middles, 2 pid, then
-// the trailing prev and shard, each left out when it is the last field
-// and 0.
+// 3-byte field in a 69-byte row: 2 header bytes, 1 txn (the distance
+// back to the transaction's first record, 40 bytes), 1 table, 3 key, 1
+// skip, 1 tail, 1 length for both middles, 3+3 middles, 2 pid, then the
+// trailing prev and shard, each left out when it is the last field and
+// 0.
 func TestRecordSizes(t *testing.T) {
 	const at = LSN(1 << 20)
-	const txn, key, pid = TxnID(100_000), 500_000, storage.PageID(3000)
+	const key, pid = 500_000, storage.PageID(3000)
 	prev := at - 40
+	txn := TxnID(prev) // the transaction's first record is its last
 	update := func(prev LSN, shard ShardID) *UpdateRec {
-		return &UpdateRec{TxnID: txn, TableID: 1, KeyVal: key, Skip: 20, Tail: 46,
+		name := txn
+		if prev == NilLSN {
+			name = OpensTxn
+		}
+		return &UpdateRec{TxnID: name, TableID: 1, KeyVal: key, Skip: 20, Tail: 46,
 			OldVal: []byte("abc"), NewVal: []byte("xyz"), PageID: pid, ShardID: shard, PrevLSN: prev}
 	}
+	long := update(prev, 0)
+	long.TxnID = TxnID(at - 100_000) // a long transaction's name takes three bytes
 	delta := func(shard ShardID, bw bool) *DeltaRec {
 		return &DeltaRec{DirtySet: []storage.PageID{3000, 3001, 3002}, WrittenSet: []storage.PageID{2999},
 			FWLSN: at - 500, FirstDirty: 1, TCLSN: at - 100, ShardID: shard, BW: bw}
@@ -667,15 +714,18 @@ func TestRecordSizes(t *testing.T) {
 		rec  Record
 		size int
 	}{
-		{"update, first of its txn, shard 0", update(NilLSN, 0), 20},
-		{"update, chained, shard 0", update(prev, 0), 21},
-		{"update, first of its txn, shard 3", update(NilLSN, 3), 22},
-		{"update, chained, shard 3", update(prev, 3), 22},
+		{"update, first of its txn, shard 0", update(NilLSN, 0), 18},
+		{"update, chained, shard 0", update(prev, 0), 19},
+		{"update, first of its txn, shard 3", update(NilLSN, 3), 20},
+		{"update, chained, shard 3", update(prev, 3), 20},
+		{"update, chained, named 100,000 bytes back", long, 21},
 		// 70<<1|1 takes two bytes, the after-middle's length one more.
 		{"update, 70-byte before-middle, 10-byte after", &UpdateRec{TxnID: txn, TableID: 1, KeyVal: key,
-			OldVal: bytes.Repeat([]byte("a"), 70), NewVal: bytes.Repeat([]byte("b"), 10), PageID: pid, PrevLSN: prev}, 97},
+			OldVal: bytes.Repeat([]byte("a"), 70), NewVal: bytes.Repeat([]byte("b"), 10), PageID: pid, PrevLSN: prev}, 95},
 		{"final CLR of an update (undoNext nil)", &CLRRec{TxnID: txn, TableID: 1, KeyVal: key, Kind: CLRUndoUpdate,
-			Skip: 20, Tail: 46, RestoreVal: []byte("abc"), PageID: pid, PrevLSN: prev}, 19},
+			Skip: 20, Tail: 46, RestoreVal: []byte("abc"), PageID: pid, PrevLSN: prev}, 17},
+		{"commit of a one-update txn", &CommitRec{TxnID: txn, PrevLSN: prev}, 4},
+		{"abort that opens its txn", &AbortRec{TxnID: OpensTxn}, 4},
 		// 2 header, 1+3×2 dirty, 1+2 written, 3 fwLSN, 1 firstDirty, 3
 		// tcLSN; on shard 2 also the empty DirtyLSNs' count and the shard.
 		// The BW mark is the low bit of the written count: no byte more.
