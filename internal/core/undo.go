@@ -198,8 +198,9 @@ func (r *run) undoRecord(pool *shardedPool, txn wal.TxnID, st *undoState, rec wa
 // may be writing. Everything else — the inline width, and a structural
 // step, which first latches the key's current leaf (safe to resolve
 // off-latch: only the sweep ever changes structure) — runs the DC's full
-// logical operation, patching the row read back from the quiesced leaf
-// and logging the CLR against the page the row finally lands on.
+// logical operation: an update's CLR patches the row in place in one
+// descent of the quiesced tree (dc.Patch), and every CLR is logged
+// against the page the row finally lands on.
 func (r *run) compensate(pool *shardedPool, st *undoState, sh wal.ShardID, clr *wal.CLRRec, structural bool) error {
 	sr, err := r.resolveShard(sh, clr.KeyVal)
 	if err != nil {
@@ -231,18 +232,10 @@ func (r *run) compensate(pool *shardedPool, st *undoState, sh wal.ShardID, clr *
 		return sr.d.Delete(clr.TableID, clr.KeyVal, logCLR)
 	case wal.CLRUndoDelete:
 		return sr.d.Insert(clr.TableID, clr.KeyVal, clr.RestoreVal, logCLR) // the whole row
-	default: // wal.CLRUndoUpdate
-		cur, found, err := sr.d.Read(clr.TableID, clr.KeyVal)
-		if err != nil {
-			return err
-		}
-		if !found {
-			return fmt.Errorf("key %d is absent", clr.KeyVal)
-		}
-		row, err := clr.After(cur)
-		if err != nil {
+	default: // wal.CLRUndoUpdate: patch the row in the descent that logs the CLR
+		if err := sr.d.Patch(clr.TableID, clr.KeyVal, clr.After, logCLR); err != nil {
 			return fmt.Errorf("key %d: %w", clr.KeyVal, err)
 		}
-		return sr.d.Update(clr.TableID, clr.KeyVal, row, logCLR)
+		return nil
 	}
 }

@@ -484,28 +484,21 @@ func (tc *TC) rollback(t *Txn) error {
 func (tc *TC) undoOne(t *Txn, rec wal.Record) (wal.LSN, error) {
 	switch r := rec.(type) {
 	case *wal.UpdateRec:
-		// The record is a patch: rebuild the before-image from the row as
-		// it stands (t still holds its X lock, so it is the row the
-		// update left), and log the same patch turned round.
-		cur, found, err := tc.dc.At(r.ShardID).Read(r.TableID, r.KeyVal)
-		if err != nil {
-			return wal.NilLSN, err
-		}
-		if !found {
-			return wal.NilLSN, fmt.Errorf("%w: table %d key %d", ErrKeyNotFound, r.TableID, r.KeyVal)
-		}
-		before, err := r.Before(cur)
-		if err != nil {
-			return wal.NilLSN, fmt.Errorf("tc: undo of update at key %d: %w", r.KeyVal, err)
-		}
-		err = tc.dc.UpdateAt(r.ShardID, r.TableID, r.KeyVal, before, func(sh wal.ShardID, pid storage.PageID) wal.LSN {
+		// The record is a patch: put the before-middle back into the row
+		// as it stands (t still holds its X lock, so it is the row the
+		// update left) in the one descent that logs the same patch turned
+		// round.
+		err := tc.dc.At(r.ShardID).Patch(r.TableID, r.KeyVal, r.Before, func(pid storage.PageID) wal.LSN {
 			clr := r.Compensation()
-			clr.PageID, clr.ShardID, clr.PrevLSN = pid, sh, t.LastLSN()
+			clr.PageID, clr.ShardID, clr.PrevLSN = pid, r.ShardID, t.LastLSN()
 			lsn := tc.app.MustAppend(clr)
 			t.setLastLSN(lsn)
 			return lsn
 		})
-		return r.PrevLSN, err
+		if err != nil {
+			return wal.NilLSN, fmt.Errorf("tc: undo of update at key %d: %w", r.KeyVal, err)
+		}
+		return r.PrevLSN, nil
 	case *wal.InsertRec:
 		err := tc.dc.DeleteAt(r.ShardID, r.TableID, r.KeyVal, func(sh wal.ShardID, pid storage.PageID) wal.LSN {
 			lsn := tc.app.MustAppend(&wal.CLRRec{
