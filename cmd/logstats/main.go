@@ -2,10 +2,10 @@
 // composition: record counts, bytes and frame-header bytes by type, how
 // many pages a ∆ and a BW record list and what a listed page costs, how
 // wide the transaction names are (the distance back to a transaction's
-// first record), and the share taken by the recovery-preparation records
-// (∆-log, BW-log, SMO, checkpoint). It measures what §5.1 calls "a very small part of
-// the log", and Appendix D's logging-overhead comparison across
-// ∆-record variants.
+// first record), and the share taken by the recovery-preparation
+// records (∆-log, BW-log, SMO, checkpoint). It measures what §5.1 calls
+// "a very small part of the log", and Appendix D's logging-overhead
+// comparison across ∆-record variants.
 package main
 
 import (

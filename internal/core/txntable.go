@@ -77,7 +77,8 @@ func (t *txnTable) note(rec wal.Record, lsn wal.LSN) {
 
 // prune drops a terminated transaction's entries. A continuous
 // replayer calls it as commits and aborts stream past so the table
-// stays bounded by the in-flight transaction set. One-shot recovery never prunes — finalRoutes needs the full won set.
+// stays bounded by the in-flight transaction set. One-shot recovery
+// never prunes — finalRoutes needs the full won set.
 func (t *txnTable) prune(id wal.TxnID) {
 	delete(t.last, id)
 	delete(t.first, id)
