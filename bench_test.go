@@ -229,9 +229,9 @@ func BenchmarkAppendixDVariants(b *testing.B) {
 	}
 }
 
-// BenchmarkPrefetchStrategies is the DESIGN.md ablation of Log2's
-// prefetch source: the paper's PF-list vs DPT-rLSN order (Appendix A.2
-// discusses both).
+// BenchmarkPrefetchStrategies ablates Log2's prefetch source: the
+// paper's PF-list vs DPT-rLSN order (Appendix A.2 discusses both;
+// ARCHITECTURE "The recovery pipeline" describes the prefetchers).
 func BenchmarkPrefetchStrategies(b *testing.B) {
 	res, cfg := getCrash(b, "fig2-0.16", func() (harness.Config, error) {
 		return baseConfig().WithCacheFraction(0.16), nil
@@ -246,8 +246,9 @@ func BenchmarkPrefetchStrategies(b *testing.B) {
 	}
 }
 
-// BenchmarkIndexPreload is the DESIGN.md ablation of Appendix A.1:
-// loading all index pages up front vs demand-loading them during redo.
+// BenchmarkIndexPreload ablates Appendix A.1: loading all index pages up
+// front vs demand-loading them during redo (ARCHITECTURE "The recovery
+// pipeline").
 func BenchmarkIndexPreload(b *testing.B) {
 	res, cfg := getCrash(b, "fig2-0.16", func() (harness.Config, error) {
 		return baseConfig().WithCacheFraction(0.16), nil

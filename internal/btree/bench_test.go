@@ -76,9 +76,12 @@ func BenchmarkUpdateHot(b *testing.B) {
 	tree := benchTree(b, 100_000)
 	rng := rand.New(rand.NewSource(3))
 	v := make([]byte, 92)
+	patch := func([]byte) ([]byte, error) { return v, nil }
+	lsn := wal.LSN(1 << 30)
+	logFn := func(storage.PageID) wal.LSN { lsn++; return lsn }
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := tree.Update(uint64(rng.Intn(100_000)), v, wal.LSN(i+1<<30)); err != nil {
+		if err := tree.PatchLogged(uint64(rng.Intn(100_000)), patch, logFn); err != nil {
 			b.Fatal(err)
 		}
 	}

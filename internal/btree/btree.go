@@ -247,16 +247,11 @@ func (t *Tree) findLeafPath(key uint64) (storage.PageID, []pathEntry, error) {
 // redo passes a function returning the replayed record's LSN.
 type LogFunc func(pid storage.PageID) wal.LSN
 
-// fixedLSN adapts a pre-assigned LSN to a LogFunc.
-func fixedLSN(lsn wal.LSN) LogFunc {
-	return func(storage.PageID) wal.LSN { return lsn }
-}
-
 // Insert adds (key, val) at lsn. The leaf's pLSN becomes lsn and the
 // leaf is marked dirty. Splits triggered by the insert are logged as
 // SMO records before the insert itself is applied.
 func (t *Tree) Insert(key uint64, val []byte, lsn wal.LSN) error {
-	return t.InsertLogged(key, val, fixedLSN(lsn))
+	return t.InsertLogged(key, val, func(storage.PageID) wal.LSN { return lsn })
 }
 
 // InsertLogged adds (key, val), calling logFn with the owning leaf's
@@ -264,19 +259,6 @@ func (t *Tree) Insert(key uint64, val []byte, lsn wal.LSN) error {
 func (t *Tree) InsertLogged(key uint64, val []byte, logFn LogFunc) error {
 	return t.modify(key, logFn, func(p *page.Page) error {
 		return p.Insert(key, val)
-	})
-}
-
-// Update replaces the value under key at lsn.
-func (t *Tree) Update(key uint64, val []byte, lsn wal.LSN) error {
-	return t.UpdateLogged(key, val, fixedLSN(lsn))
-}
-
-// UpdateLogged replaces the value under key, calling logFn with the
-// owning leaf's PID to obtain the operation's LSN.
-func (t *Tree) UpdateLogged(key uint64, val []byte, logFn LogFunc) error {
-	return t.modify(key, logFn, func(p *page.Page) error {
-		return p.Update(key, val)
 	})
 }
 
@@ -295,13 +277,18 @@ func (t *Tree) PatchLogged(key uint64, patch func(cur []byte) ([]byte, error), l
 // Delete removes key at lsn. Leaves are never merged; like many
 // production engines, space from deletes is reused by later inserts.
 func (t *Tree) Delete(key uint64, lsn wal.LSN) error {
-	return t.DeleteLogged(key, fixedLSN(lsn))
+	return t.DeleteLogged(key, func(storage.PageID, []byte) wal.LSN { return lsn })
 }
 
-// DeleteLogged removes key, calling logFn with the owning leaf's PID to
-// obtain the operation's LSN.
-func (t *Tree) DeleteLogged(key uint64, logFn LogFunc) error {
-	return t.modify(key, logFn, func(p *page.Page) error {
+// DeleteLogged removes key in one descent, calling logFn with the owning
+// leaf's PID and the row it removed to obtain the operation's LSN. old
+// aliases page memory and is valid only during the call.
+func (t *Tree) DeleteLogged(key uint64, logFn func(pid storage.PageID, old []byte) wal.LSN) error {
+	var old []byte
+	return t.modify(key, func(pid storage.PageID) wal.LSN { return logFn(pid, old) }, func(p *page.Page) error {
+		if idx, found := p.Search(key); found {
+			old = p.ValueAt(idx)
+		}
 		return p.Delete(key)
 	})
 }

@@ -63,6 +63,13 @@ func (e *testEnv) lsn() wal.LSN {
 
 func val(k uint64) []byte { return []byte(fmt.Sprintf("value-%06d", k)) }
 
+// update rewrites key's row to v under a fresh LSN: the whole-row patch
+// of a forward update.
+func (e *testEnv) update(key uint64, v []byte) error {
+	return e.tree.PatchLogged(key, func([]byte) ([]byte, error) { return v, nil },
+		func(storage.PageID) wal.LSN { return e.lsn() })
+}
+
 func TestInsertSearchSingle(t *testing.T) {
 	e := newEnv(t, 64)
 	if err := e.tree.Insert(42, val(42), e.lsn()); err != nil {
@@ -93,7 +100,7 @@ func TestInsertDuplicateKey(t *testing.T) {
 
 func TestUpdateMissingKey(t *testing.T) {
 	e := newEnv(t, 64)
-	if err := e.tree.Update(9, val(9), e.lsn()); !errors.Is(err, ErrKeyNotFound) {
+	if err := e.update(9, val(9)); !errors.Is(err, ErrKeyNotFound) {
 		t.Fatalf("err = %v, want ErrKeyNotFound", err)
 	}
 }
@@ -170,7 +177,7 @@ func TestUpdateAfterSplits(t *testing.T) {
 	}
 	for k := uint64(0); k < n; k += 3 {
 		nv := []byte(fmt.Sprintf("updated-%05d", k))
-		if err := e.tree.Update(k, nv, e.lsn()); err != nil {
+		if err := e.update(k, nv); err != nil {
 			t.Fatalf("Update(%d): %v", k, err)
 		}
 	}
@@ -319,7 +326,7 @@ func TestQuickTreeMatchesModel(t *testing.T) {
 			case 2: // update
 				v := make([]byte, rng.Intn(40)+1)
 				rng.Read(v)
-				err := e.tree.Update(k, v, e.lsn())
+				err := e.update(k, v)
 				if _, exists := model[k]; exists {
 					if err != nil {
 						t.Logf("seed %d: update %d: %v", seed, k, err)

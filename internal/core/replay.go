@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
 
+	"logrec/internal/btree"
 	"logrec/internal/dc"
 	"logrec/internal/engine"
 	"logrec/internal/storage"
@@ -19,8 +21,8 @@ type ReplayStats struct {
 	// Ops is how many of them were data operations.
 	Ops int64
 	// Applied counts operations that actually modified a row; the
-	// remainder were absorbed (an update its row already shows, a delete
-	// of an absent key).
+	// remainder were absorbed (an update or insert its row already shows,
+	// a delete of an absent key).
 	Applied int64
 	// AppliedLSN is the stable-log position the replayer has fully
 	// applied through — the standby's redo-scan start point if it had
@@ -125,43 +127,48 @@ func (rp *Replayer) pass(sr *shardRun, next nextFunc) error {
 	}
 }
 
-// errAbsorbed is an update's patch reporting that the row already shows
-// the update: the tree then writes nothing.
-var errAbsorbed = errors.New("update already applied")
+// errAbsorbed reports that the row already shows what a record would
+// write, so nothing is written: a patch returns it to stop the tree, and
+// a delete of an absent key is mapped to it.
+var errAbsorbed = errors.New("already applied")
 
 // applyLogical re-executes one logical operation through the standby's
-// own tree, stamping the shipped LSN, and reports whether it changed a
-// row. The standby's pages carry their own LSNs, so no page stamp
-// screens a re-delivered operation: exactly-once delivery comes from the
-// replayer's resume point (NewReplayer) and the apply is guarded by row
-// state. Inserts, deletes and their CLRs are state-based and absorb
-// re-delivery. An update is a patch, applied in one descent (dc.Patch):
-// it applies only to a row whose middle is its before-middle, is
-// absorbed by one showing its after-middle — nothing is then written,
-// stamped or dirtied — and fails the replay otherwise, an absent key
-// included: that is an error, not an insert. The CLR of an update
-// carries only the middle it restores, so it is checked for fit alone.
+// own tree in one descent, stamping the shipped LSN, and reports whether
+// it changed a row. The standby's pages carry their own LSNs, so no page
+// stamp screens a re-delivered operation: exactly-once delivery comes
+// from the replayer's resume point (NewReplayer) and the apply is
+// guarded by row state. An update is a patch (dc.Patch): it applies only
+// to a row whose middle is its before-middle, is absorbed by one showing
+// its after-middle — nothing is then written, stamped or dirtied — and
+// fails the replay otherwise, an absent key included: that is an error,
+// not an insert. The CLR of an update carries only the middle it
+// restores, so it is checked for fit alone. An insert, and the CLR that
+// puts a deleted row back, is a dc.Insert that falls back to a whole-row
+// patch when the key is there already, absorbed if the row is the one it
+// would write; a delete, and the CLR that takes an insert back, counts a
+// missing key as absorbed.
 func applyLogical(d *dc.DC, op wal.DataOp, lsn wal.LSN) (applied bool, err error) {
 	stamp := func(storage.PageID) wal.LSN { return lsn }
 	table, key := op.Table(), op.Key()
 	upsert := func(val []byte) error {
-		_, found, err := d.Read(table, key)
-		if err != nil {
+		err := d.Insert(table, key, val, stamp)
+		if !errors.Is(err, btree.ErrKeyExists) {
 			return err
 		}
-		if found {
-			return d.Update(table, key, val, stamp)
-		}
-		return d.Insert(table, key, val, stamp)
+		return d.Patch(table, key, func(cur []byte) ([]byte, error) {
+			if bytes.Equal(cur, val) {
+				return nil, errAbsorbed
+			}
+			return val, nil
+		}, stamp)
 	}
-	remove := func() (bool, error) {
-		_, found, err := d.Read(table, key)
-		if err != nil || !found {
-			return false, err
+	remove := func() error {
+		err := d.Delete(table, key, func(storage.PageID, []byte) wal.LSN { return lsn })
+		if errors.Is(err, btree.ErrKeyNotFound) {
+			return errAbsorbed
 		}
-		return true, d.Delete(table, key, stamp)
+		return err
 	}
-	applied = true
 	switch t := op.(type) {
 	case *wal.UpdateRec:
 		err = d.Patch(table, key, func(cur []byte) ([]byte, error) {
@@ -174,13 +181,10 @@ func applyLogical(d *dc.DC, op wal.DataOp, lsn wal.LSN) (applied bool, err error
 			}
 			return t.After(cur)
 		}, stamp)
-		if errors.Is(err, errAbsorbed) {
-			applied, err = false, nil
-		}
 	case *wal.InsertRec:
 		err = upsert(t.Val)
 	case *wal.DeleteRec:
-		applied, err = remove()
+		err = remove()
 	case *wal.CLRRec:
 		switch t.Kind {
 		case wal.CLRUndoUpdate:
@@ -188,17 +192,20 @@ func applyLogical(d *dc.DC, op wal.DataOp, lsn wal.LSN) (applied bool, err error
 		case wal.CLRUndoDelete:
 			err = upsert(t.RestoreVal) // the whole row
 		case wal.CLRUndoInsert:
-			applied, err = remove()
+			err = remove()
 		default:
 			err = fmt.Errorf("unknown CLR kind %d", t.Kind)
 		}
 	default:
 		err = fmt.Errorf("unexpected record type %v", op.Type())
 	}
+	if errors.Is(err, errAbsorbed) {
+		return false, nil
+	}
 	if err != nil {
 		return false, fmt.Errorf("logical replay of %v, key %d: %w", op.Type(), key, err)
 	}
-	return applied, nil
+	return true, nil
 }
 
 // CatchUp applies everything stable in the standby log: on return the

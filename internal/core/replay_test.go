@@ -1,62 +1,105 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"logrec/internal/engine"
 	"logrec/internal/wal"
 )
 
-// TestReplayAbsorbsAnAppliedUpdate: an update whose row already shows
-// its after-middle — the same record delivered twice — counts in Ops but
-// not in Applied, and writes nothing: the page keeps the first
-// delivery's pLSN and stays clean.
+// TestReplayAbsorbsAnAppliedUpdate: a standby applies each data record
+// in one descent guarded by row state, so a record delivered again —
+// or a CLR whose row already shows its effect — is absorbed: it counts
+// in Ops but not in Applied and writes nothing, so the leaf keeps the
+// pLSN it had and stays clean. A CLR that puts a deleted row back over
+// a present one still restores the row.
 func TestReplayAbsorbsAnAppliedUpdate(t *testing.T) {
-	cfg := testConfig(64)
-	cfg.Standby = true
-	standby, err := engine.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := standby.Load(300, func(k uint64) []byte { return val(k, 0) }); err != nil {
-		t.Fatal(err)
-	}
-	const key = 123
-	upd := &wal.UpdateRec{TxnID: 5, TableID: cfg.TableID, KeyVal: key, OldVal: val(key, 0), NewVal: val(key, 1)}
-	rp := NewReplayer(standby)
-	deliver := func() wal.LSN {
-		lsn := standby.Log.MustAppend(upd)
-		standby.Log.Flush()
-		if err := rp.CatchUp(); err != nil {
-			t.Fatal(err)
-		}
-		return lsn
-	}
-	leaf := func() (lsn uint64, dirty bool) {
-		pid, err := standby.DC.Tree().FindLeaf(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := standby.DC.Pool().Get(pid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer standby.DC.Pool().Unpin(f)
-		return f.Page.LSN(), f.Dirty
-	}
+	const (
+		present = 123 // loaded
+		absent  = 500 // past the loaded keys
+	)
+	table := testConfig(64).TableID
+	upd := &wal.UpdateRec{TxnID: 5, TableID: table, KeyVal: present, OldVal: val(present, 0), NewVal: val(present, 1)}
+	ins := &wal.InsertRec{TxnID: 5, TableID: table, KeyVal: absent, Val: val(absent, 1)}
+	del := &wal.DeleteRec{TxnID: 5, TableID: table, KeyVal: present, OldVal: val(present, 0)}
+	undoInsert := &wal.CLRRec{TxnID: 5, TableID: table, KeyVal: absent, Kind: wal.CLRUndoInsert}
+	undoDelete := &wal.CLRRec{TxnID: 5, TableID: table, KeyVal: present, Kind: wal.CLRUndoDelete, RestoreVal: val(present, 7)}
 
-	first := deliver()
-	if err := rp.Checkpoint(); err != nil { // every page clean
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		// first is delivered before the standby checkpoints, which leaves
+		// every page clean; last is delivered after.
+		first    []wal.DataOp
+		last     wal.DataOp
+		absorbed bool
+		want     []byte // the row under last's key at the end; nil if absent
+	}{
+		{"update delivered twice", []wal.DataOp{upd}, upd, true, val(present, 1)},
+		{"insert delivered twice", []wal.DataOp{ins}, ins, true, val(absent, 1)},
+		{"delete delivered twice", []wal.DataOp{del}, del, true, nil},
+		{"CLR undo-insert of an absent key", nil, undoInsert, true, nil},
+		{"CLR undo-delete over a present row", nil, undoDelete, false, val(present, 7)},
 	}
-	deliver()
-	if st := rp.Stats(); st.Ops != 2 || st.Applied != 1 {
-		t.Fatalf("two deliveries of one update: Ops %d, Applied %d; want 2 and 1", st.Ops, st.Applied)
-	}
-	if lsn, dirty := leaf(); lsn != uint64(first) || dirty {
-		t.Fatalf("leaf after the absorbed delivery: pLSN %d, dirty %v; want %d, clean", lsn, dirty, first)
-	}
-	if got, _, _ := standby.DC.Read(cfg.TableID, key); string(got) != string(val(key, 1)) {
-		t.Fatalf("row %q, want %q", got, val(key, 1))
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig(64)
+			cfg.Standby = true
+			standby, err := engine.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := standby.Load(300, func(k uint64) []byte { return val(k, 0) }); err != nil {
+				t.Fatal(err)
+			}
+			rp := NewReplayer(standby)
+			deliver := func(rec wal.DataOp) wal.LSN {
+				lsn := standby.Log.MustAppend(rec)
+				standby.Log.Flush()
+				if err := rp.CatchUp(); err != nil {
+					t.Fatal(err)
+				}
+				return lsn
+			}
+			key := tc.last.Key()
+			leaf := func() (lsn uint64, dirty bool) {
+				pid, err := standby.DC.Tree().FindLeaf(key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f, err := standby.DC.Pool().Get(pid)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer standby.DC.Pool().Unpin(f)
+				return f.Page.LSN(), f.Dirty
+			}
+
+			for _, rec := range tc.first {
+				deliver(rec)
+			}
+			if err := rp.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			before, _ := leaf()
+			lastLSN := deliver(tc.last)
+
+			wantApplied := int64(len(tc.first))
+			wantLSN, wantDirty := before, false
+			if !tc.absorbed {
+				wantApplied++
+				wantLSN, wantDirty = uint64(lastLSN), true
+			}
+			if st := rp.Stats(); st.Ops != int64(len(tc.first))+1 || st.Applied != wantApplied {
+				t.Fatalf("Ops %d, Applied %d; want %d and %d", st.Ops, st.Applied, len(tc.first)+1, wantApplied)
+			}
+			if lsn, dirty := leaf(); lsn != wantLSN || dirty != wantDirty {
+				t.Fatalf("leaf after the last delivery: pLSN %d, dirty %v; want %d, dirty %v", lsn, dirty, wantLSN, wantDirty)
+			}
+			got, found, err := standby.DC.Read(table, key)
+			if err != nil || found != (tc.want != nil) || !bytes.Equal(got, tc.want) {
+				t.Fatalf("row %q (found %v, err %v), want %q", got, found, err, tc.want)
+			}
+		})
 	}
 }

@@ -229,7 +229,7 @@ func (r *run) compensate(pool *shardedPool, st *undoState, sh wal.ShardID, clr *
 	}
 	switch clr.Kind {
 	case wal.CLRUndoInsert:
-		return sr.d.Delete(clr.TableID, clr.KeyVal, logCLR)
+		return sr.d.Delete(clr.TableID, clr.KeyVal, func(pid storage.PageID, _ []byte) wal.LSN { return logCLR(pid) })
 	case wal.CLRUndoDelete:
 		return sr.d.Insert(clr.TableID, clr.KeyVal, clr.RestoreVal, logCLR) // the whole row
 	default: // wal.CLRUndoUpdate: patch the row in the descent that logs the CLR

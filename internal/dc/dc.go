@@ -193,16 +193,19 @@ func (d *DC) ReadRangeFiltered(table wal.TableID, lo, hi uint64, pred func(key u
 	return d.tree.ScanRangeFiltered(lo, hi, pred, fn)
 }
 
-// Update applies a logical update; see tc.DataComponent.
-func (d *DC) Update(table wal.TableID, key uint64, val []byte, logFn func(pid storage.PageID) wal.LSN) error {
-	if err := d.checkTable(table); err != nil {
-		return err
-	}
-	return d.tree.UpdateLogged(key, val, logFn)
-}
+// The three logged writes below are the DC's whole write interface. Each
+// takes one descent of the tree: the leaf it reaches is changed, then
+// logFn is called with that leaf's PID (after any split the write
+// needed) and must append the operation's log record and return its LSN,
+// which stamps the leaf. A write that fails logs nothing and leaves the
+// leaf as it was; a missing key fails with btree.ErrKeyNotFound, an
+// existing one on Insert with btree.ErrKeyExists.
 
-// Patch rewrites the row under (table, key) with patch applied to it, in
-// one descent of the tree (btree.Tree.PatchLogged).
+// Patch rewrites the row under (table, key) to what patch returns for
+// it (btree.Tree.PatchLogged): an update's or a CLR's After, or a
+// function returning a whole new row. cur aliases page memory. A row
+// that outgrows its leaf is patched again after the split, so patch must
+// be pure; an error it returns is returned as is.
 func (d *DC) Patch(table wal.TableID, key uint64, patch func(cur []byte) ([]byte, error), logFn func(pid storage.PageID) wal.LSN) error {
 	if err := d.checkTable(table); err != nil {
 		return err
@@ -210,7 +213,7 @@ func (d *DC) Patch(table wal.TableID, key uint64, patch func(cur []byte) ([]byte
 	return d.tree.PatchLogged(key, patch, logFn)
 }
 
-// Insert applies a logical insert; see tc.DataComponent.
+// Insert adds the row (key, val) to table.
 func (d *DC) Insert(table wal.TableID, key uint64, val []byte, logFn func(pid storage.PageID) wal.LSN) error {
 	if err := d.checkTable(table); err != nil {
 		return err
@@ -218,8 +221,10 @@ func (d *DC) Insert(table wal.TableID, key uint64, val []byte, logFn func(pid st
 	return d.tree.InsertLogged(key, val, logFn)
 }
 
-// Delete applies a logical delete; see tc.DataComponent.
-func (d *DC) Delete(table wal.TableID, key uint64, logFn func(pid storage.PageID) wal.LSN) error {
+// Delete removes the row under (table, key), handing logFn the row it
+// removed as well; old aliases page memory and is valid only during the
+// call.
+func (d *DC) Delete(table wal.TableID, key uint64, logFn func(pid storage.PageID, old []byte) wal.LSN) error {
 	if err := d.checkTable(table); err != nil {
 		return err
 	}

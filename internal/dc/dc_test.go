@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"logrec/internal/btree"
 	"logrec/internal/sim"
 	"logrec/internal/storage"
 	"logrec/internal/wal"
@@ -38,6 +39,11 @@ func fixedLSN(log *wal.Log) func(storage.PageID) wal.LSN {
 	return func(storage.PageID) wal.LSN {
 		return log.MustAppend(&wal.BeginCkptRec{})
 	}
+}
+
+// replaceWith is the patch of a whole-row update.
+func replaceWith(val []byte) func([]byte) ([]byte, error) {
+	return func([]byte) ([]byte, error) { return val, nil }
 }
 
 func TestBulkLoadPersistsEverything(t *testing.T) {
@@ -96,7 +102,7 @@ func TestUpdateStampsPageWithLogFnLSN(t *testing.T) {
 	d, log, _, _ := newDC(t, 100, 64)
 	var gotPID storage.PageID
 	var lsn wal.LSN
-	err := d.Update(1, 50, []byte("new-value-xx"), func(pid storage.PageID) wal.LSN {
+	err := d.Patch(1, 50, replaceWith([]byte("new-value-xx")), func(pid storage.PageID) wal.LSN {
 		gotPID = pid
 		lsn = log.MustAppend(&wal.BeginCkptRec{})
 		return lsn
@@ -120,19 +126,44 @@ func TestUpdateStampsPageWithLogFnLSN(t *testing.T) {
 	}
 }
 
+// TestDeleteHandsLogFnTheRow: a delete's logFn sees the row it removed,
+// and a delete of a missing key fails without calling it.
+func TestDeleteHandsLogFnTheRow(t *testing.T) {
+	d, log, _, _ := newDC(t, 100, 64)
+	var got []byte
+	calls := 0
+	logFn := func(pid storage.PageID, old []byte) wal.LSN {
+		calls++
+		got = bytes.Clone(old)
+		return log.MustAppend(&wal.BeginCkptRec{})
+	}
+	if err := d.Delete(1, 50, logFn); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 || string(got) != "row-00000050" {
+		t.Fatalf("logFn called %d times with %q, want once with row-00000050", calls, got)
+	}
+	if err := d.Delete(1, 50, logFn); !errors.Is(err, btree.ErrKeyNotFound) {
+		t.Fatalf("second delete: err %v, want btree.ErrKeyNotFound", err)
+	}
+	if calls != 1 {
+		t.Fatal("a failed delete called logFn")
+	}
+}
+
 func TestUnknownTableRejected(t *testing.T) {
 	d, log, _, _ := newDC(t, 10, 64)
 	if _, _, err := d.Read(99, 1); err == nil {
 		t.Fatal("read of unknown table succeeded")
 	}
-	if err := d.Update(99, 1, []byte("x"), fixedLSN(log)); err == nil {
+	if err := d.Patch(99, 1, replaceWith([]byte("x")), fixedLSN(log)); err == nil {
 		t.Fatal("update of unknown table succeeded")
 	}
 }
 
 func TestEOSLUnlocksFlushes(t *testing.T) {
 	d, log, _, _ := newDC(t, 100, 64)
-	if err := d.Update(1, 1, []byte("val-after-eosl"), fixedLSN(log)); err != nil {
+	if err := d.Patch(1, 1, replaceWith([]byte("val-after-eosl")), fixedLSN(log)); err != nil {
 		t.Fatal(err)
 	}
 	d.EOSL(log.Flush())
@@ -144,7 +175,7 @@ func TestEOSLUnlocksFlushes(t *testing.T) {
 func TestRSSPFlushesAndPersistsBootPage(t *testing.T) {
 	d, log, disk, _ := newDC(t, 200, 128)
 	for k := uint64(0); k < 50; k++ {
-		if err := d.Update(1, k, []byte(fmt.Sprintf("upd-%07d", k)), fixedLSN(log)); err != nil {
+		if err := d.Patch(1, k, replaceWith([]byte(fmt.Sprintf("upd-%07d", k))), fixedLSN(log)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -185,7 +216,7 @@ func TestTrackersFeedFromUpdatesAndFlushes(t *testing.T) {
 	// cache: updates must evict and flush, driving ∆/BW records.
 	d, log, _, _ := newDC(t, 5000, 64)
 	for k := uint64(0); k < 4000; k += 7 {
-		if err := d.Update(1, k, []byte(fmt.Sprintf("upd-%07d", k)), fixedLSN(log)); err != nil {
+		if err := d.Patch(1, k, replaceWith([]byte(fmt.Sprintf("upd-%07d", k))), fixedLSN(log)); err != nil {
 			t.Fatal(err)
 		}
 		d.EOSL(log.Flush())

@@ -170,8 +170,9 @@ func shardDir(dir string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%d", i))
 }
 
-// DefaultConfig returns the experiment defaults (see DESIGN.md for the
-// scaling relative to the paper's 3.5 GB table).
+// DefaultConfig returns the experiment defaults (see ARCHITECTURE
+// "Deviations from the paper" for the scaling relative to the paper's
+// 3.5 GB table).
 func DefaultConfig() Config {
 	return Config{
 		Disk:       storage.DefaultConfig(),

@@ -69,7 +69,8 @@ type Config struct {
 }
 
 // DefaultConfig returns the paper-proportional experiment at the
-// repository's default scale (see DESIGN.md §1 for the scaling table):
+// repository's default scale (ARCHITECTURE "Deviations from the paper",
+// Scale):
 // a ~10,000-page table (400k rows on 4 KB pages, index ≈0.4% of data as
 // in the paper), checkpoint every 1,000 updates, crash after 10
 // checkpoints + 1,000 updates with a ~25-record tail. Every ratio the

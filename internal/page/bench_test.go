@@ -48,9 +48,10 @@ func BenchmarkUpdateInPlace(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	patch := replaceWith(val)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := p.Update(uint64(i%30), val); err != nil {
+		if err := p.Patch(uint64(i%30), patch); err != nil {
 			b.Fatal(err)
 		}
 	}

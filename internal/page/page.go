@@ -291,23 +291,13 @@ func (p *Page) insertAt(idx int, key uint64, val []byte) error {
 	return nil
 }
 
-// Update replaces the value of key. If the new value has the same
-// length, it overwrites in place; otherwise the cell is reallocated.
-// It returns ErrNotFound if key is absent, ErrPageFull if a larger
-// value cannot fit.
-func (p *Page) Update(key uint64, val []byte) error {
-	p.own()
-	idx, found := p.Search(key)
-	if !found {
-		return fmt.Errorf("%w: %d", ErrNotFound, key)
-	}
-	return p.updateAt(idx, key, val)
-}
-
-// Patch rewrites key's row with patch (an update's or a CLR's After)
-// applied to the row the page holds. cur aliases page memory: patch must
-// neither write it nor return it. An error from patch is returned as is
-// and leaves the page untouched; otherwise Patch fails as Update does.
+// Patch rewrites key's row with patch (an update's or a CLR's After, or
+// a function returning a whole new row) applied to the row the page
+// holds. A row of the same length is overwritten in place; otherwise the
+// cell is reallocated. cur aliases page memory: patch must neither write
+// it nor return it. Patch returns ErrNotFound if key is absent and
+// ErrPageFull if a longer row cannot fit; an error from patch is
+// returned as is. On any error the page is left untouched.
 func (p *Page) Patch(key uint64, patch func(cur []byte) ([]byte, error)) error {
 	idx, found := p.Search(key)
 	if !found {

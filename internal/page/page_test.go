@@ -109,13 +109,16 @@ func TestSearchMissing(t *testing.T) {
 	}
 }
 
+// The Update tests drive Patch with a whole-row patch (replaceWith), the
+// shape of a forward update.
+
 func TestUpdateSameSize(t *testing.T) {
 	p := newLeaf(t)
 	if err := p.Insert(1, []byte("aaaa")); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Update(1, []byte("bbbb")); err != nil {
-		t.Fatalf("Update: %v", err)
+	if err := p.Patch(1, replaceWith([]byte("bbbb"))); err != nil {
+		t.Fatalf("Patch: %v", err)
 	}
 	if got := string(p.ValueAt(0)); got != "bbbb" {
 		t.Fatalf("value = %q, want bbbb", got)
@@ -134,13 +137,13 @@ func TestUpdateResize(t *testing.T) {
 		t.Fatal(err)
 	}
 	long := bytes.Repeat([]byte("x"), 100)
-	if err := p.Update(1, long); err != nil {
+	if err := p.Patch(1, replaceWith(long)); err != nil {
 		t.Fatalf("grow update: %v", err)
 	}
 	if !bytes.Equal(p.ValueAt(0), long) {
 		t.Fatal("grown value mismatch")
 	}
-	if err := p.Update(1, []byte("y")); err != nil {
+	if err := p.Patch(1, replaceWith([]byte("y"))); err != nil {
 		t.Fatalf("shrink update: %v", err)
 	}
 	if got := string(p.ValueAt(0)); got != "y" {
@@ -156,7 +159,7 @@ func TestUpdateResize(t *testing.T) {
 
 func TestUpdateMissing(t *testing.T) {
 	p := newLeaf(t)
-	if err := p.Update(42, []byte("v")); !errors.Is(err, ErrNotFound) {
+	if err := p.Patch(42, replaceWith([]byte("v"))); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
 	}
 }
@@ -258,7 +261,7 @@ func TestUpdateGrowTooLargeLeavesPageIntact(t *testing.T) {
 		n++
 	}
 	huge := bytes.Repeat([]byte("h"), testPageSize)
-	if err := p.Update(0, huge); !errors.Is(err, ErrPageFull) {
+	if err := p.Patch(0, replaceWith(huge)); !errors.Is(err, ErrPageFull) {
 		t.Fatalf("err = %v, want ErrPageFull", err)
 	}
 	// Original value restored.
@@ -361,7 +364,7 @@ func TestQuickRandomOps(t *testing.T) {
 			case 1: // update
 				v := make([]byte, rng.Intn(30)+1)
 				rng.Read(v)
-				err := p.Update(k, v)
+				err := p.Patch(k, replaceWith(v))
 				_, exists := model[k]
 				switch {
 				case !exists && !errors.Is(err, ErrNotFound):

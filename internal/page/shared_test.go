@@ -31,6 +31,12 @@ func sharedAndOwned(img []byte) (shared, owned *Page, src []byte) {
 	return WrapShared(src), Wrap(append([]byte(nil), img...)), src
 }
 
+// replaceWith is the patch of a whole-row update: it returns val
+// whatever the row was.
+func replaceWith(val []byte) func([]byte) ([]byte, error) {
+	return func([]byte) ([]byte, error) { return val, nil }
+}
+
 // grow is a patch that appends 100 bytes to the row; refuse is one that
 // fails.
 func grow(cur []byte) ([]byte, error) { return append(bytes.Clone(cur), make([]byte, 100)...), nil }
@@ -63,10 +69,10 @@ func TestSharedPageCopiesOnFirstWrite(t *testing.T) {
 		{"Append", roomy, func(p *Page) error { return p.Append(last+1, []byte("tail")) }, nil},
 		{"Append/not-ascending", roomy, func(p *Page) error { return p.Append(last, []byte("x")) }, ErrNotAscending},
 		{"Append/full", full, func(p *Page) error { return p.Append(1<<40, make([]byte, 50)) }, ErrPageFull},
-		{"Update/same-size", roomy, func(p *Page) error { return p.Update(20, bytes.Repeat([]byte("u"), 20)) }, nil},
-		{"Update/resize", roomy, func(p *Page) error { return p.Update(20, []byte("short")) }, nil},
-		{"Update/too-large", full, func(p *Page) error { return p.Update(20, make([]byte, testPageSize)) }, ErrPageFull},
-		{"Update/missing", roomy, func(p *Page) error { return p.Update(15, []byte("x")) }, ErrNotFound},
+		{"Update/same-size", roomy, func(p *Page) error { return p.Patch(20, replaceWith(bytes.Repeat([]byte("u"), 20))) }, nil},
+		{"Update/resize", roomy, func(p *Page) error { return p.Patch(20, replaceWith([]byte("short"))) }, nil},
+		{"Update/too-large", full, func(p *Page) error { return p.Patch(20, replaceWith(make([]byte, testPageSize))) }, ErrPageFull},
+		{"Update/missing", roomy, func(p *Page) error { return p.Patch(15, replaceWith([]byte("x"))) }, ErrNotFound},
 		{"Patch", roomy, func(p *Page) error { return p.Patch(20, grow) }, nil},
 		{"Patch/too-large", full, func(p *Page) error { return p.Patch(20, grow) }, ErrPageFull},
 		{"Patch/missing", roomy, func(p *Page) error { return p.Patch(15, grow) }, ErrNotFound},
@@ -170,7 +176,7 @@ func FuzzPageOps(f *testing.F) {
 				}
 				errS, errO = shared.Append(key, val), owned.Append(key, val)
 			case 2:
-				errS, errO = shared.Update(key, val), owned.Update(key, val)
+				errS, errO = shared.Patch(key, replaceWith(val)), owned.Patch(key, replaceWith(val))
 			case 3:
 				errS, errO = shared.Delete(key), owned.Delete(key)
 			case 4:

@@ -21,7 +21,6 @@ import (
 	"sync/atomic"
 
 	"logrec/internal/dc"
-	"logrec/internal/storage"
 	"logrec/internal/wal"
 )
 
@@ -202,9 +201,10 @@ func (r *Router) Reassign(at uint64, to wal.ShardID) error {
 }
 
 // Set is the routing plane the TC drives: a router plus the DCs it
-// routes to, indexed by shard ID. It implements the TC's data-component
-// contract — key-routed data operations, shard-targeted operations for
-// undo and range migration, and broadcast EOSL/RSSP control operations.
+// routes to, indexed by shard ID. It routes reads and scans by key and
+// broadcasts the EOSL/RSSP control operations; a write always knows its
+// shard already (the session's plane, the record's stamp, the migration's
+// source and target) and goes to that shard's DC through At.
 type Set struct {
 	router *Router
 	dcs    []*dc.DC
@@ -357,39 +357,6 @@ func (s *Set) rangesIn(lo, hi uint64) []partRange {
 func (s *Set) ScanAll(fn func(key uint64, val []byte) error) error {
 	tid := s.dcs[0].Tree().Meta().TableID
 	return s.ReadRange(tid, 0, ^uint64(0), fn)
-}
-
-// Update routes a logical update by key; logFn receives the shard it
-// landed on plus the owning page, and must append the log record.
-func (s *Set) Update(table wal.TableID, key uint64, val []byte, logFn func(sh wal.ShardID, pid storage.PageID) wal.LSN) error {
-	return s.UpdateAt(s.router.Locate(key), table, key, val, logFn)
-}
-
-// Insert routes a logical insert by key; see Update.
-func (s *Set) Insert(table wal.TableID, key uint64, val []byte, logFn func(sh wal.ShardID, pid storage.PageID) wal.LSN) error {
-	return s.InsertAt(s.router.Locate(key), table, key, val, logFn)
-}
-
-// Delete routes a logical delete by key; see Update.
-func (s *Set) Delete(table wal.TableID, key uint64, logFn func(sh wal.ShardID, pid storage.PageID) wal.LSN) error {
-	return s.DeleteAt(s.router.Locate(key), table, key, logFn)
-}
-
-// UpdateAt applies an update on an explicit shard — undo and range
-// migration, where the record's shard, not the routing table, is
-// authoritative.
-func (s *Set) UpdateAt(sh wal.ShardID, table wal.TableID, key uint64, val []byte, logFn func(sh wal.ShardID, pid storage.PageID) wal.LSN) error {
-	return s.dcs[sh].Update(table, key, val, func(pid storage.PageID) wal.LSN { return logFn(sh, pid) })
-}
-
-// InsertAt applies an insert on an explicit shard; see UpdateAt.
-func (s *Set) InsertAt(sh wal.ShardID, table wal.TableID, key uint64, val []byte, logFn func(sh wal.ShardID, pid storage.PageID) wal.LSN) error {
-	return s.dcs[sh].Insert(table, key, val, func(pid storage.PageID) wal.LSN { return logFn(sh, pid) })
-}
-
-// DeleteAt applies a delete on an explicit shard; see UpdateAt.
-func (s *Set) DeleteAt(sh wal.ShardID, table wal.TableID, key uint64, logFn func(sh wal.ShardID, pid storage.PageID) wal.LSN) error {
-	return s.dcs[sh].Delete(table, key, func(pid storage.PageID) wal.LSN { return logFn(sh, pid) })
 }
 
 // EOSL broadcasts a new end-of-stable-log to every shard (§4.1): one

@@ -198,21 +198,21 @@ func TestSetCrossShardScan(t *testing.T) {
 	}
 }
 
-// TestSetShardTargetedOps drives the shard-explicit operations undo and
-// migration use: an insert on a named shard is visible there (and via
-// routed reads only if the router agrees).
+// TestSetShardTargetedOps drives writes on a named shard's DC, as undo
+// and migration make them: an insert on a shard is visible there (and
+// via routed reads only if the router agrees).
 func TestSetShardTargetedOps(t *testing.T) {
 	set := newTestSet(t, 100)
 	logged := 0
-	logFn := func(sh wal.ShardID, pid storage.PageID) wal.LSN {
+	logFn := func(pid storage.PageID) wal.LSN {
 		logged++
 		return wal.NilLSN
 	}
 	// Key 10 routes to shard 0; move it to shard 1 by hand.
-	if err := set.DeleteAt(0, 1, 10, logFn); err != nil {
+	if err := set.At(0).Delete(1, 10, func(pid storage.PageID, _ []byte) wal.LSN { return logFn(pid) }); err != nil {
 		t.Fatal(err)
 	}
-	if err := set.InsertAt(1, 1, 10, []byte("moved"), logFn); err != nil {
+	if err := set.At(1).Insert(1, 10, []byte("moved"), logFn); err != nil {
 		t.Fatal(err)
 	}
 	if logged != 2 {

@@ -19,9 +19,11 @@
 package tc
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 
+	"logrec/internal/btree"
 	"logrec/internal/shard"
 	"logrec/internal/storage"
 	"logrec/internal/wal"
@@ -252,28 +254,22 @@ func (tc *TC) Update(t *Txn, table wal.TableID, key uint64, newVal []byte) error
 	if err := tc.locks.Acquire(t.ID, table, key, LockExclusive); err != nil {
 		return err
 	}
-	return tc.applyUpdate(t, table, key, newVal)
-}
-
-// applyUpdate performs the locked portion of Update: the caller has
-// already acquired the X lock (sessions acquire it outside the shard
-// planes so lock-table sharding pays off).
-func (tc *TC) applyUpdate(t *Txn, table wal.TableID, key uint64, newVal []byte) error {
 	return tc.applyUpdateAt(tc.dc.Locate(key), t, table, key, newVal)
 }
 
-// applyUpdateAt is applyUpdate pinned to a shard: the session path
-// resolves the owner while locking its plane and the operation must run
-// on that shard even if the routing table moves meanwhile.
+// applyUpdateAt performs the locked portion of Update on shard target:
+// the caller holds the X lock (sessions acquire it outside the shard
+// planes so lock-table sharding pays off), and a session resolves the
+// owner while locking its plane, so the operation runs on that shard
+// even if the routing table moves meanwhile. The update is one descent
+// (dc.Patch): the patch copies the row it meets as the record's OldVal
+// and returns newVal.
 func (tc *TC) applyUpdateAt(target wal.ShardID, t *Txn, table wal.TableID, key uint64, newVal []byte) error {
-	oldVal, found, err := tc.dc.At(target).Read(table, key)
-	if err != nil {
-		return err
-	}
-	if !found {
-		return fmt.Errorf("%w: table %d key %d", ErrKeyNotFound, table, key)
-	}
-	err = tc.dc.UpdateAt(target, table, key, newVal, func(sh wal.ShardID, pid storage.PageID) wal.LSN {
+	var oldVal []byte
+	err := tc.dc.At(target).Patch(table, key, func(cur []byte) ([]byte, error) {
+		oldVal = append(oldVal[:0], cur...)
+		return newVal, nil
+	}, func(pid storage.PageID) wal.LSN {
 		lsn := tc.app.MustAppend(&wal.UpdateRec{
 			TxnID:   t.logName(),
 			TableID: table,
@@ -281,14 +277,14 @@ func (tc *TC) applyUpdateAt(target wal.ShardID, t *Txn, table wal.TableID, key u
 			OldVal:  oldVal,
 			NewVal:  newVal,
 			PageID:  pid,
-			ShardID: sh,
+			ShardID: target,
 			PrevLSN: t.LastLSN(),
 		})
 		t.setLastLSN(lsn)
 		return lsn
 	})
 	if err != nil {
-		return err
+		return keyNotFound(err, table, key)
 	}
 	t.updates++
 	tc.stats.updates.Add(1)
@@ -303,25 +299,20 @@ func (tc *TC) Insert(t *Txn, table wal.TableID, key uint64, val []byte) error {
 	if err := tc.locks.Acquire(t.ID, table, key, LockExclusive); err != nil {
 		return err
 	}
-	return tc.applyInsert(t, table, key, val)
-}
-
-// applyInsert performs the locked portion of Insert (X lock already
-// held by the caller).
-func (tc *TC) applyInsert(t *Txn, table wal.TableID, key uint64, val []byte) error {
 	return tc.applyInsertAt(tc.dc.Locate(key), t, table, key, val)
 }
 
-// applyInsertAt is applyInsert pinned to a shard; see applyUpdateAt.
+// applyInsertAt performs the locked portion of Insert on shard target;
+// see applyUpdateAt.
 func (tc *TC) applyInsertAt(target wal.ShardID, t *Txn, table wal.TableID, key uint64, val []byte) error {
-	err := tc.dc.InsertAt(target, table, key, val, func(sh wal.ShardID, pid storage.PageID) wal.LSN {
+	err := tc.dc.At(target).Insert(table, key, val, func(pid storage.PageID) wal.LSN {
 		lsn := tc.app.MustAppend(&wal.InsertRec{
 			TxnID:   t.logName(),
 			TableID: table,
 			KeyVal:  key,
 			Val:     val,
 			PageID:  pid,
-			ShardID: sh,
+			ShardID: target,
 			PrevLSN: t.LastLSN(),
 		})
 		t.setLastLSN(lsn)
@@ -343,43 +334,41 @@ func (tc *TC) Delete(t *Txn, table wal.TableID, key uint64) error {
 	if err := tc.locks.Acquire(t.ID, table, key, LockExclusive); err != nil {
 		return err
 	}
-	return tc.applyDelete(t, table, key)
-}
-
-// applyDelete performs the locked portion of Delete (X lock already
-// held by the caller).
-func (tc *TC) applyDelete(t *Txn, table wal.TableID, key uint64) error {
 	return tc.applyDeleteAt(tc.dc.Locate(key), t, table, key)
 }
 
-// applyDeleteAt is applyDelete pinned to a shard; see applyUpdateAt.
+// applyDeleteAt performs the locked portion of Delete on shard target;
+// see applyUpdateAt. The DC hands the log function the row it removes,
+// which the record carries as OldVal.
 func (tc *TC) applyDeleteAt(target wal.ShardID, t *Txn, table wal.TableID, key uint64) error {
-	oldVal, found, err := tc.dc.At(target).Read(table, key)
-	if err != nil {
-		return err
-	}
-	if !found {
-		return fmt.Errorf("%w: table %d key %d", ErrKeyNotFound, table, key)
-	}
-	err = tc.dc.DeleteAt(target, table, key, func(sh wal.ShardID, pid storage.PageID) wal.LSN {
+	err := tc.dc.At(target).Delete(table, key, func(pid storage.PageID, old []byte) wal.LSN {
 		lsn := tc.app.MustAppend(&wal.DeleteRec{
 			TxnID:   t.logName(),
 			TableID: table,
 			KeyVal:  key,
-			OldVal:  oldVal,
+			OldVal:  old,
 			PageID:  pid,
-			ShardID: sh,
+			ShardID: target,
 			PrevLSN: t.LastLSN(),
 		})
 		t.setLastLSN(lsn)
 		return lsn
 	})
 	if err != nil {
-		return err
+		return keyNotFound(err, table, key)
 	}
 	t.updates++
 	tc.stats.deletes.Add(1)
 	return nil
+}
+
+// keyNotFound maps the DC's missing-key error to ErrKeyNotFound and
+// returns any other error as is.
+func keyNotFound(err error, table wal.TableID, key uint64) error {
+	if errors.Is(err, btree.ErrKeyNotFound) {
+		return fmt.Errorf("%w: table %d key %d", ErrKeyNotFound, table, key)
+	}
+	return err
 }
 
 // Commit ends t successfully on the single-threaded path: the commit
@@ -500,10 +489,10 @@ func (tc *TC) undoOne(t *Txn, rec wal.Record) (wal.LSN, error) {
 		}
 		return r.PrevLSN, nil
 	case *wal.InsertRec:
-		err := tc.dc.DeleteAt(r.ShardID, r.TableID, r.KeyVal, func(sh wal.ShardID, pid storage.PageID) wal.LSN {
+		err := tc.dc.At(r.ShardID).Delete(r.TableID, r.KeyVal, func(pid storage.PageID, _ []byte) wal.LSN {
 			lsn := tc.app.MustAppend(&wal.CLRRec{
 				TxnID: t.logName(), TableID: r.TableID, KeyVal: r.KeyVal,
-				Kind: wal.CLRUndoInsert, PageID: pid, ShardID: sh,
+				Kind: wal.CLRUndoInsert, PageID: pid, ShardID: r.ShardID,
 				UndoNextLSN: r.PrevLSN, PrevLSN: t.LastLSN(),
 			})
 			t.setLastLSN(lsn)
@@ -511,10 +500,10 @@ func (tc *TC) undoOne(t *Txn, rec wal.Record) (wal.LSN, error) {
 		})
 		return r.PrevLSN, err
 	case *wal.DeleteRec:
-		err := tc.dc.InsertAt(r.ShardID, r.TableID, r.KeyVal, r.OldVal, func(sh wal.ShardID, pid storage.PageID) wal.LSN {
+		err := tc.dc.At(r.ShardID).Insert(r.TableID, r.KeyVal, r.OldVal, func(pid storage.PageID) wal.LSN {
 			lsn := tc.app.MustAppend(&wal.CLRRec{
 				TxnID: t.logName(), TableID: r.TableID, KeyVal: r.KeyVal,
-				Kind: wal.CLRUndoDelete, RestoreVal: r.OldVal, PageID: pid, ShardID: sh,
+				Kind: wal.CLRUndoDelete, RestoreVal: r.OldVal, PageID: pid, ShardID: r.ShardID,
 				UndoNextLSN: r.PrevLSN, PrevLSN: t.LastLSN(),
 			})
 			t.setLastLSN(lsn)
@@ -659,10 +648,10 @@ func (tc *TC) SplitRange(table wal.TableID, at uint64, to wal.ShardID) error {
 		}
 	}
 	for _, r := range rows {
-		err := tc.dc.DeleteAt(from, table, r.k, func(sh wal.ShardID, pid storage.PageID) wal.LSN {
+		err := tc.dc.At(from).Delete(table, r.k, func(pid storage.PageID, _ []byte) wal.LSN {
 			lsn := tc.app.MustAppend(&wal.DeleteRec{
 				TxnID: t.logName(), TableID: table, KeyVal: r.k, OldVal: r.v,
-				PageID: pid, ShardID: sh, PrevLSN: t.LastLSN(),
+				PageID: pid, ShardID: from, PrevLSN: t.LastLSN(),
 			})
 			t.setLastLSN(lsn)
 			return lsn
@@ -670,10 +659,10 @@ func (tc *TC) SplitRange(table wal.TableID, at uint64, to wal.ShardID) error {
 		if err != nil {
 			return fail(err)
 		}
-		err = tc.dc.InsertAt(to, table, r.k, r.v, func(sh wal.ShardID, pid storage.PageID) wal.LSN {
+		err = tc.dc.At(to).Insert(table, r.k, r.v, func(pid storage.PageID) wal.LSN {
 			lsn := tc.app.MustAppend(&wal.InsertRec{
 				TxnID: t.logName(), TableID: table, KeyVal: r.k, Val: r.v,
-				PageID: pid, ShardID: sh, PrevLSN: t.LastLSN(),
+				PageID: pid, ShardID: to, PrevLSN: t.LastLSN(),
 			})
 			t.setLastLSN(lsn)
 			return lsn

@@ -164,11 +164,112 @@ func TestAbortRestoresEveryPatchShape(t *testing.T) {
 	}
 }
 
+// writeAPI drives one transaction at a time through one of the TC's two
+// transaction APIs: the direct calls or a Session.
+type writeAPI struct {
+	name   string
+	begin  func() (*Txn, error)
+	update func(key uint64, val []byte) error
+	delete func(key uint64) error
+	commit func() error
+}
+
+func writeAPIs(m *SessionManager) []writeAPI {
+	var txn *Txn
+	s := m.NewSession()
+	return []writeAPI{
+		{
+			name:   "TC",
+			begin:  func() (*Txn, error) { txn = m.tc.Begin(); return txn, nil },
+			update: func(key uint64, val []byte) error { return m.tc.Update(txn, 1, key, val) },
+			delete: func(key uint64) error { return m.tc.Delete(txn, 1, key) },
+			commit: func() error { return m.tc.Commit(txn) },
+		},
+		{
+			name:   "Session",
+			begin:  func() (*Txn, error) { err := s.Begin(); return s.Txn(), err },
+			update: func(key uint64, val []byte) error { return s.Update(1, key, val) },
+			delete: func(key uint64) error { return s.Delete(1, key) },
+			commit: s.Commit,
+		},
+	}
+}
+
+// rowChanges are the forward row changes that meet an existing row.
+var rowChanges = []struct {
+	name string
+	run  func(a writeAPI, key uint64) error
+}{
+	{"Update", func(a writeAPI, key uint64) error { return a.update(key, []byte("changed")) }},
+	{"Delete", func(a writeAPI, key uint64) error { return a.delete(key) }},
+}
+
+// TestUpdateMissingKey: an update or a delete of a key the table does
+// not hold fails with ErrKeyNotFound, through either API, and logs
+// nothing — so the transaction commits without a record.
 func TestUpdateMissingKey(t *testing.T) {
-	tcx, _, _ := newPair(t, 10)
-	txn := tcx.Begin()
-	if err := tcx.Update(txn, 1, 9999, []byte("x")); !errors.Is(err, ErrKeyNotFound) {
-		t.Fatalf("err = %v, want ErrKeyNotFound", err)
+	m := newShardedMgr(t, 1, 10)
+	missing := uint64(9000)
+	for _, a := range writeAPIs(m) {
+		for _, op := range rowChanges {
+			t.Run(a.name+"/"+op.name, func(t *testing.T) {
+				missing++ // a case that fails keeps its lock
+				txn, err := a.begin()
+				if err != nil {
+					t.Fatal(err)
+				}
+				records := m.tc.log.Records()
+				if err := op.run(a, missing); !errors.Is(err, ErrKeyNotFound) {
+					t.Fatalf("err = %v, want ErrKeyNotFound", err)
+				}
+				if got := m.tc.log.Records(); got != records {
+					t.Fatalf("%d records logged by a miss", got-records)
+				}
+				if txn.FirstLSN() != wal.NilLSN {
+					t.Fatalf("the transaction names a first record %v after a miss", txn.FirstLSN())
+				}
+				if err := a.commit(); err != nil {
+					t.Fatal(err)
+				}
+				if got := m.tc.log.Records(); got != records {
+					t.Fatalf("the commit after a miss appended %d records, want 0", got-records)
+				}
+			})
+		}
+	}
+}
+
+// TestRowChangeTakesOneDescent: a forward update or delete finds its row
+// and changes it in one root-to-leaf pass — as many pool lookups as the
+// tree is high — through either API.
+func TestRowChangeTakesOneDescent(t *testing.T) {
+	m := newShardedMgr(t, 1, 2000)
+	d := m.tc.dc.At(0)
+	height := int64(d.Tree().Meta().Height)
+	if height < 2 {
+		t.Fatalf("tree height %d: the test needs an internal level to tell one pass from two", height)
+	}
+	lookups := func() int64 { st := d.Pool().Stats(); return st.Hits + st.Misses }
+	key := uint64(0)
+	for _, a := range writeAPIs(m) {
+		for _, op := range rowChanges {
+			t.Run(a.name+"/"+op.name, func(t *testing.T) {
+				key += 100
+				if _, err := a.begin(); err != nil {
+					t.Fatal(err)
+				}
+				before := lookups()
+				if err := op.run(a, key); err != nil {
+					t.Fatal(err)
+				}
+				if got := lookups() - before; got != height {
+					t.Fatalf("%d pool lookups, want %d: one pass down a tree of height %d", got, height, height)
+				}
+				if err := a.commit(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
 	}
 }
 

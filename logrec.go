@@ -34,9 +34,10 @@
 //	SQL2 — SQL1 + log-driven read-ahead
 //
 // By default engines run over a deterministic virtual clock and a
-// simulated disk, so recovery times are reproducible; see DESIGN.md for
-// the substitution rationale and EXPERIMENTS.md for paper-vs-measured
-// results. Set Config.Device = DeviceFile (plus Config.Dir) to back the
+// simulated disk, so recovery times are reproducible; see ARCHITECTURE
+// "Deviations from the paper" for the substitution rationale and README
+// "Reproducing the paper's experiments" for how to rerun the paper's
+// figures. Set Config.Device = DeviceFile (plus Config.Dir) to back the
 // engine with real files instead — real page IO, fsync-backed log
 // forces and process-kill-shaped crashes (see README "Running on a
 // real disk"). Set Config.Shards = N to range-partition the data
