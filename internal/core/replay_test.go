@@ -12,7 +12,7 @@ import (
 // in one descent guarded by row state, so a record delivered again —
 // or a CLR whose row already shows its effect — is absorbed: it counts
 // in Ops but not in Applied and writes nothing, so the leaf keeps the
-// pLSN it had and stays clean. A CLR that puts a deleted row back over
+// pLSN the first delivery stamped and stays clean. A CLR that puts a deleted row back over
 // a present one still restores the row.
 func TestReplayAbsorbsAnAppliedUpdate(t *testing.T) {
 	const (
@@ -75,13 +75,18 @@ func TestReplayAbsorbsAnAppliedUpdate(t *testing.T) {
 				return f.Page.LSN(), f.Dirty
 			}
 
+			var firstLSN wal.LSN
 			for _, rec := range tc.first {
-				deliver(rec)
+				firstLSN = deliver(rec)
 			}
 			if err := rp.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
 			before, _ := leaf()
+			// The first delivery stamps the leaf with its own LSN.
+			if len(tc.first) > 0 && before != uint64(firstLSN) {
+				t.Fatalf("leaf after the first delivery: pLSN %d, want %d", before, firstLSN)
+			}
 			lastLSN := deliver(tc.last)
 
 			wantApplied := int64(len(tc.first))
