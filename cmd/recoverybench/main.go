@@ -625,10 +625,13 @@ func runOneSLO(dev string, budget time.Duration, seed float64, scale, channels i
 	// the committed traffic, which steered above key 2000), so the
 	// recovery being timed has an undo pass.
 	for l := 0; l < 2; l++ {
-		txn := eng.TC.Begin()
+		loser := mgr.NewSession()
+		if err := loser.Begin(); err != nil {
+			log.Fatalf("[%s] budget=%v loser begin: %v", dev, budget, err)
+		}
 		for u := 0; u < 6; u++ {
 			k := uint64(l*997 + u*83)
-			if err := eng.TC.Update(txn, ecfg.TableID, k, []byte("slo-loser")); err != nil {
+			if err := loser.Update(ecfg.TableID, k, []byte("slo-loser")); err != nil {
 				log.Fatalf("[%s] budget=%v loser update: %v", dev, budget, err)
 			}
 		}

@@ -1,7 +1,7 @@
 // Banking: multi-key transfer transactions with invariant checking
 // across aborts and a crash, written against the typed executor — a
-// schema with named columns, transactional closures, a batched read
-// round trip and typed scans — instead of raw byte-slice point ops.
+// schema with named columns, transactional closures, typed point reads,
+// column updates and typed scans — instead of raw byte-slice point ops.
 // The invariant — total balance is conserved — must hold (a) during
 // normal operation, (b) after explicit aborts roll transfers back, and
 // (c) after crash recovery rolls back the transfer in flight at the
@@ -45,19 +45,22 @@ func totalBalance(ex *logrec.Executor) int64 {
 }
 
 // transfer moves amount between two accounts in one transaction: both
-// balances arrive in a single batched read round trip, then the debit
-// and credit land as column updates. Returning an error from the
-// closure aborts the whole transfer.
+// balances are read, then the debit and credit land as column updates.
+// Returning an error from the closure aborts the whole transfer.
 func transfer(ex *logrec.Executor, from, to uint64, amount int64) error {
 	return ex.Txn(func() error {
-		res, err := ex.NewBatch().Read(from).Read(to).Run()
+		fromRow, okFrom, err := ex.Get(from)
 		if err != nil {
 			return err
 		}
-		if !res[0].Found || !res[1].Found {
+		toRow, okTo, err := ex.Get(to)
+		if err != nil {
+			return err
+		}
+		if !okFrom || !okTo {
 			return logrec.ErrKeyNotFound
 		}
-		fromBal := res[0].Cols[1].(int64)
+		fromBal := fromRow[1].(int64)
 		// Debit first — then discover insufficient funds and bail,
 		// exercising transactional rollback through the DC.
 		if err := ex.UpdateCol(from, "balance", fromBal-amount); err != nil {
@@ -66,7 +69,7 @@ func transfer(ex *logrec.Executor, from, to uint64, amount int64) error {
 		if amount > fromBal {
 			return errInsufficient
 		}
-		return ex.UpdateCol(to, "balance", res[1].Cols[1].(int64)+amount)
+		return ex.UpdateCol(to, "balance", toRow[1].(int64)+amount)
 	})
 }
 

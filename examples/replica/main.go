@@ -66,16 +66,19 @@ func main() {
 	standby.Start()
 
 	// Run committed transactions on the primary while shipping is live.
+	sess := primary.NewSessionManager(0).NewSession()
 	for i := 0; i < 300; i++ {
-		txn := primary.TC.Begin()
+		if err := sess.Begin(); err != nil {
+			log.Fatal(err)
+		}
 		for u := 0; u < 10; u++ {
 			k := uint64((i*37 + u*13) % rows)
 			v := []byte(fmt.Sprintf("row-%06d-v%03d", k, i+1))
-			if err := primary.TC.Update(txn, primCfg.TableID, k, v); err != nil {
+			if err := sess.Update(primCfg.TableID, k, v); err != nil {
 				log.Fatal(err)
 			}
 		}
-		if err := primary.TC.Commit(txn); err != nil {
+		if err := sess.Commit(); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -123,11 +126,14 @@ func main() {
 		rows, primCfg.Disk.PageSize, replCfg.Disk.PageSize)
 
 	// And the promoted engine serves: one more committed transaction.
-	txn := promoted.TC.Begin()
-	if err := promoted.TC.Update(txn, replCfg.TableID, 0, []byte("served-after-failover")); err != nil {
+	served := promoted.NewSessionManager(0).NewSession()
+	if err := served.Begin(); err != nil {
 		log.Fatal(err)
 	}
-	if err := promoted.TC.Commit(txn); err != nil {
+	if err := served.Update(replCfg.TableID, 0, []byte("served-after-failover")); err != nil {
+		log.Fatal(err)
+	}
+	if err := served.Commit(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("promoted standby is serving transactions")

@@ -168,34 +168,35 @@ func TestOpenReaderAcrossCheckpointIsNotALoser(t *testing.T) {
 		t.Fatal(err)
 	}
 	tcx := eng.TC
+	mgr := eng.NewSessionManager(0)
 	commit := func(ver int, keys ...uint64) {
 		t.Helper()
-		txn := tcx.Begin()
+		txn := begin(t, mgr)
 		for _, k := range keys {
-			if err := tcx.Update(txn, cfg.TableID, k, val(k, ver)); err != nil {
+			if err := txn.Update(cfg.TableID, k, val(k, ver)); err != nil {
 				t.Fatal(err)
 			}
 			om[k] = val(k, ver)
 		}
-		if err := tcx.Commit(txn); err != nil {
+		if err := txn.Commit(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	lose := func(keys ...uint64) wal.TxnID {
 		t.Helper()
-		txn := tcx.Begin()
+		txn := begin(t, mgr)
 		for _, k := range keys {
-			if err := tcx.Update(txn, cfg.TableID, k, []byte("UNCOMMITTED")); err != nil {
+			if err := txn.Update(cfg.TableID, k, []byte("UNCOMMITTED")); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return wal.TxnID(txn.FirstLSN())
+		return wal.TxnID(txn.Txn().FirstLSN())
 	}
 
 	commit(1, 1, 2, 3)
-	reader := tcx.Begin()
+	reader := begin(t, mgr)
 	for _, k := range []uint64{1, 400} {
-		if _, found, err := tcx.Read(reader, cfg.TableID, k); err != nil || !found {
+		if _, found, err := reader.Read(cfg.TableID, k); err != nil || !found {
 			t.Fatalf("read %d: found=%v err=%v", k, found, err)
 		}
 	}
@@ -276,13 +277,14 @@ func TestCheckpointedLoserFoundByFirstLSN(t *testing.T) {
 		t.Fatal(err)
 	}
 	tcx := eng.TC
-	loser := tcx.Begin()
+	mgr := eng.NewSessionManager(0)
+	loser := begin(t, mgr)
 	for _, k := range []uint64{7, 8, 9} {
-		if err := tcx.Update(loser, cfg.TableID, k, []byte("UNCOMMITTED")); err != nil {
+		if err := loser.Update(cfg.TableID, k, []byte("UNCOMMITTED")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	first, last := loser.FirstLSN(), loser.LastLSN()
+	first, last := loser.Txn().FirstLSN(), loser.Txn().LastLSN()
 	if err := tcx.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -297,12 +299,12 @@ func TestCheckpointedLoserFoundByFirstLSN(t *testing.T) {
 	if want := (wal.ActiveTxn{TxnID: wal.TxnID(first), LastLSN: last}); len(end.Active) != 1 || end.Active[0] != want {
 		t.Fatalf("checkpointed active table = %+v, want %+v", end.Active, want)
 	}
-	winner := tcx.Begin()
-	if err := tcx.Update(winner, cfg.TableID, 20, val(20, 1)); err != nil {
+	winner := begin(t, mgr)
+	if err := winner.Update(cfg.TableID, 20, val(20, 1)); err != nil {
 		t.Fatal(err)
 	}
 	om[20] = val(20, 1)
-	if err := tcx.Commit(winner); err != nil {
+	if err := winner.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	stableEnd := eng.Log.FlushedLSN()

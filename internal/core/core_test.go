@@ -10,9 +10,20 @@ import (
 	"logrec/internal/engine"
 	"logrec/internal/sim"
 	"logrec/internal/storage"
+	"logrec/internal/tc"
 	"logrec/internal/tracker"
 	"logrec/internal/wal"
 )
+
+// begin opens a transaction on a new session of mgr.
+func begin(t testing.TB, mgr *tc.SessionManager) *tc.Session {
+	t.Helper()
+	s := mgr.NewSession()
+	if err := s.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
 
 // testConfig builds a small, fast engine configuration.
 func testConfig(cachePages int) engine.Config {
@@ -49,18 +60,19 @@ func buildCrash(t *testing.T, cfg engine.Config, nRows, txns, updatesPerTxn, ckp
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(seed))
+	mgr := eng.NewSessionManager(0)
 	for i := 0; i < txns; i++ {
-		txn := eng.TC.Begin()
+		txn := begin(t, mgr)
 		staged := make(map[uint64][]byte)
 		for u := 0; u < updatesPerTxn; u++ {
 			k := uint64(rng.Intn(nRows))
 			v := val(k, i+1)
-			if err := eng.TC.Update(txn, cfg.TableID, k, v); err != nil {
+			if err := txn.Update(cfg.TableID, k, v); err != nil {
 				t.Fatalf("txn %d update: %v", i, err)
 			}
 			staged[k] = v
 		}
-		if err := eng.TC.Commit(txn); err != nil {
+		if err := txn.Commit(); err != nil {
 			t.Fatal(err)
 		}
 		for k, v := range staged {
@@ -75,10 +87,10 @@ func buildCrash(t *testing.T, cfg engine.Config, nRows, txns, updatesPerTxn, ckp
 	if leaveOpen {
 		// An in-flight transaction at the crash: its updates must be
 		// undone by recovery and must NOT appear in the oracle.
-		txn := eng.TC.Begin()
+		txn := begin(t, mgr)
 		for u := 0; u < updatesPerTxn; u++ {
 			k := uint64(rng.Intn(nRows))
-			if err := eng.TC.Update(txn, cfg.TableID, k, []byte("UNCOMMITTED-GARBAGE-value")); err != nil {
+			if err := txn.Update(cfg.TableID, k, []byte("UNCOMMITTED-GARBAGE-value")); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -216,8 +228,9 @@ func TestRecoverWithInsertsAndDeletes(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(99))
 	nextKey := uint64(1000)
+	mgr := eng.NewSessionManager(0)
 	for i := 0; i < 150; i++ {
-		txn := eng.TC.Begin()
+		txn := begin(t, mgr)
 		staged := make(map[uint64][]byte)
 		var deleted []uint64
 		for u := 0; u < 8; u++ {
@@ -226,7 +239,7 @@ func TestRecoverWithInsertsAndDeletes(t *testing.T) {
 				k := nextKey
 				nextKey++
 				v := val(k, i+1)
-				if err := eng.TC.Insert(txn, cfg.TableID, k, v); err != nil {
+				if err := txn.Insert(cfg.TableID, k, v); err != nil {
 					t.Fatal(err)
 				}
 				staged[k] = v
@@ -236,7 +249,7 @@ func TestRecoverWithInsertsAndDeletes(t *testing.T) {
 					continue
 				}
 				v := val(k, i+1)
-				if err := eng.TC.Update(txn, cfg.TableID, k, v); err != nil {
+				if err := txn.Update(cfg.TableID, k, v); err != nil {
 					t.Fatal(err)
 				}
 				staged[k] = v
@@ -257,13 +270,13 @@ func TestRecoverWithInsertsAndDeletes(t *testing.T) {
 				if already {
 					continue
 				}
-				if err := eng.TC.Delete(txn, cfg.TableID, k); err != nil {
+				if err := txn.Delete(cfg.TableID, k); err != nil {
 					t.Fatal(err)
 				}
 				deleted = append(deleted, k)
 			}
 		}
-		if err := eng.TC.Commit(txn); err != nil {
+		if err := txn.Commit(); err != nil {
 			t.Fatal(err)
 		}
 		for k, v := range staged {
@@ -298,15 +311,16 @@ func TestRecoveredEngineUsable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	mgr := eng.NewSessionManager(0)
 	// New transactions on the recovered engine.
 	for i := 0; i < 40; i++ {
-		txn := eng.TC.Begin()
+		txn := begin(t, mgr)
 		k := uint64(i * 7 % 1000)
 		v := []byte(fmt.Sprintf("post-recovery-%d-padding", i))
-		if err := eng.TC.Update(txn, cfg.TableID, k, v); err != nil {
+		if err := txn.Update(cfg.TableID, k, v); err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.TC.Commit(txn); err != nil {
+		if err := txn.Commit(); err != nil {
 			t.Fatal(err)
 		}
 		om[k] = v
@@ -356,15 +370,16 @@ func TestDPTSafety(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(21))
+	mgr := eng.NewSessionManager(0)
 	for i := 0; i < 100; i++ {
-		txn := eng.TC.Begin()
+		txn := begin(t, mgr)
 		for u := 0; u < 10; u++ {
 			k := uint64(rng.Intn(1500))
-			if err := eng.TC.Update(txn, cfg.TableID, k, val(k, i+1)); err != nil {
+			if err := txn.Update(cfg.TableID, k, val(k, i+1)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := eng.TC.Commit(txn); err != nil {
+		if err := txn.Commit(); err != nil {
 			t.Fatal(err)
 		}
 		if (i+1)%30 == 0 {
@@ -466,15 +481,16 @@ func TestLog1MatchesSQL1DataFetchesWithPerfectDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(3))
+	mgr := eng.NewSessionManager(0)
 	for i := 0; i < 100; i++ {
-		txn := eng.TC.Begin()
+		txn := begin(t, mgr)
 		for u := 0; u < 10; u++ {
 			k := uint64(rng.Intn(1500))
-			if err := eng.TC.Update(txn, cfg.TableID, k, val(k, i+1)); err != nil {
+			if err := txn.Update(cfg.TableID, k, val(k, i+1)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := eng.TC.Commit(txn); err != nil {
+		if err := txn.Commit(); err != nil {
 			t.Fatal(err)
 		}
 		if (i+1)%25 == 0 {

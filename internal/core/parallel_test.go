@@ -27,8 +27,9 @@ func buildCrashWithSplits(t *testing.T, cfg engine.Config, nRows, txns, opsPerTx
 	}
 	rng := rand.New(rand.NewSource(seed))
 	nextKey := uint64(nRows)
+	mgr := eng.NewSessionManager(0)
 	for i := 0; i < txns; i++ {
-		txn := eng.TC.Begin()
+		txn := begin(t, mgr)
 		staged := make(map[uint64][]byte)
 		for u := 0; u < opsPerTxn; u++ {
 			if rng.Intn(3) == 0 {
@@ -37,7 +38,7 @@ func buildCrashWithSplits(t *testing.T, cfg engine.Config, nRows, txns, opsPerTx
 				k := nextKey
 				nextKey++
 				v := val(k, i+1)
-				if err := eng.TC.Insert(txn, cfg.TableID, k, v); err != nil {
+				if err := txn.Insert(cfg.TableID, k, v); err != nil {
 					t.Fatalf("txn %d insert: %v", i, err)
 				}
 				staged[k] = v
@@ -45,12 +46,12 @@ func buildCrashWithSplits(t *testing.T, cfg engine.Config, nRows, txns, opsPerTx
 			}
 			k := uint64(rng.Intn(nRows))
 			v := val(k, i+1)
-			if err := eng.TC.Update(txn, cfg.TableID, k, v); err != nil {
+			if err := txn.Update(cfg.TableID, k, v); err != nil {
 				t.Fatalf("txn %d update: %v", i, err)
 			}
 			staged[k] = v
 		}
-		if err := eng.TC.Commit(txn); err != nil {
+		if err := txn.Commit(); err != nil {
 			t.Fatal(err)
 		}
 		for k, v := range staged {
@@ -63,10 +64,10 @@ func buildCrashWithSplits(t *testing.T, cfg engine.Config, nRows, txns, opsPerTx
 		}
 	}
 	// A loser transaction so parallel runs also feed the undo pass.
-	txn := eng.TC.Begin()
+	txn := begin(t, mgr)
 	for u := 0; u < opsPerTxn; u++ {
 		k := uint64(rng.Intn(nRows))
-		if err := eng.TC.Update(txn, cfg.TableID, k, []byte("UNCOMMITTED-GARBAGE-value")); err != nil {
+		if err := txn.Update(cfg.TableID, k, []byte("UNCOMMITTED-GARBAGE-value")); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -59,21 +59,22 @@ func buildPatchCrash(t *testing.T, cfg engine.Config, nRows, txns, nLosers int, 
 	shape := 0
 
 	reserved := make(map[uint64]bool)
-	losers := make([]*tc.Txn, nLosers)
+	losers := make([]*tc.Session, nLosers)
 	loserRow := make(map[uint64][]byte)
-	loserUpdate := func(txn *tc.Txn, k uint64, s int) {
+	loserUpdate := func(txn *tc.Session, k uint64, s int) {
 		cur, ok := loserRow[k]
 		if !ok {
 			cur = om[k]
 		}
 		v := patchShapes[s](cur, int(k))
-		if err := eng.TC.Update(txn, cfg.TableID, k, v); err != nil {
+		if err := txn.Update(cfg.TableID, k, v); err != nil {
 			t.Fatalf("loser update key %d shape %d: %v", k, s, err)
 		}
 		loserRow[k] = v
 	}
+	mgr := eng.NewSessionManager(0)
 	for i := range losers {
-		losers[i] = eng.TC.Begin()
+		losers[i] = begin(t, mgr)
 		k := uint64(i*nRows/nLosers + 7)
 		reserved[k], reserved[k+1] = true, true
 		loserUpdate(losers[i], k, 0)   // grow
@@ -81,7 +82,7 @@ func buildPatchCrash(t *testing.T, cfg engine.Config, nRows, txns, nLosers int, 
 	}
 	committed := func(n int) {
 		for i := 0; i < n; i++ {
-			txn := eng.TC.Begin()
+			txn := begin(t, mgr)
 			staged := make(map[uint64][]byte)
 			for u := 0; u < 8; u++ {
 				k := uint64(rng.Intn(nRows))
@@ -97,12 +98,12 @@ func buildPatchCrash(t *testing.T, cfg engine.Config, nRows, txns, nLosers int, 
 				}
 				v := patchShapes[shape%len(patchShapes)](cur, i*8+u)
 				shape++
-				if err := eng.TC.Update(txn, cfg.TableID, k, v); err != nil {
+				if err := txn.Update(cfg.TableID, k, v); err != nil {
 					t.Fatalf("committed update key %d: %v", k, err)
 				}
 				staged[k] = v
 			}
-			if err := eng.TC.Commit(txn); err != nil {
+			if err := txn.Commit(); err != nil {
 				t.Fatal(err)
 			}
 			for k, v := range staged {

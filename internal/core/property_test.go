@@ -55,11 +55,12 @@ func quickRecoveryOne(t *testing.T, seed int64) bool {
 			t.Log(err)
 			return false
 		}
+		mgr := eng.NewSessionManager(0)
 
 		nextKey := uint64(nRows)
 		txns := 30 + rng.Intn(120)
 		for i := 0; i < txns; i++ {
-			txn := eng.TC.Begin()
+			txn := begin(t, mgr)
 			type change struct {
 				key uint64
 				val []byte // nil means deleted
@@ -73,7 +74,7 @@ func quickRecoveryOne(t *testing.T, seed int64) bool {
 					k := nextKey
 					nextKey++
 					v := val(k, i+1)
-					if err := eng.TC.Insert(txn, cfg.TableID, k, v); err != nil {
+					if err := txn.Insert(cfg.TableID, k, v); err != nil {
 						t.Logf("seed %d insert: %v", seed, err)
 						return false
 					}
@@ -87,7 +88,7 @@ func quickRecoveryOne(t *testing.T, seed int64) bool {
 					if _, exists := om[k]; !exists {
 						continue
 					}
-					if err := eng.TC.Delete(txn, cfg.TableID, k); err != nil {
+					if err := txn.Delete(cfg.TableID, k); err != nil {
 						t.Logf("seed %d delete %d: %v", seed, k, err)
 						return false
 					}
@@ -102,7 +103,7 @@ func quickRecoveryOne(t *testing.T, seed int64) bool {
 						continue
 					}
 					v := val(k, i+1)
-					if err := eng.TC.Update(txn, cfg.TableID, k, v); err != nil {
+					if err := txn.Update(cfg.TableID, k, v); err != nil {
 						t.Logf("seed %d update %d: %v", seed, k, err)
 						return false
 					}
@@ -112,12 +113,12 @@ func quickRecoveryOne(t *testing.T, seed int64) bool {
 			}
 			if rng.Intn(8) == 0 {
 				// Explicit abort: nothing lands in the oracle.
-				if err := eng.TC.Abort(txn); err != nil {
+				if err := txn.Abort(); err != nil {
 					t.Logf("seed %d abort: %v", seed, err)
 					return false
 				}
 			} else {
-				if err := eng.TC.Commit(txn); err != nil {
+				if err := txn.Commit(); err != nil {
 					t.Logf("seed %d commit: %v", seed, err)
 					return false
 				}
@@ -139,14 +140,14 @@ func quickRecoveryOne(t *testing.T, seed int64) bool {
 
 		// Possibly leave 0-2 open transactions at the crash.
 		for j := 0; j < rng.Intn(3); j++ {
-			open := eng.TC.Begin()
+			open := begin(t, mgr)
 			for u := 0; u < rng.Intn(5)+1; u++ {
 				k := uint64(rng.Intn(nRows))
 				if _, exists := om[k]; !exists {
 					continue
 				}
 				// May conflict with the other open txn: acceptable.
-				_ = eng.TC.Update(open, cfg.TableID, k, []byte("OPEN-TXN-GARBAGE-xxxx"))
+				_ = open.Update(cfg.TableID, k, []byte("OPEN-TXN-GARBAGE-xxxx"))
 			}
 			eng.TC.SendEOSL()
 		}

@@ -94,9 +94,10 @@ func buildCrashWithLosers(t *testing.T, cfg engine.Config, nRows, txns, opsPerTx
 		return k
 	}
 
-	losers := make([]*tc.Txn, nLosers)
+	losers := make([]*tc.Session, nLosers)
+	mgr := eng.NewSessionManager(0)
 	for i := range losers {
-		losers[i] = eng.TC.Begin()
+		losers[i] = begin(t, mgr)
 	}
 	// nextLoserInsert stays far above the committed inserts' key range.
 	nextLoserInsert := uint64(1) << 32
@@ -104,26 +105,26 @@ func buildCrashWithLosers(t *testing.T, cfg engine.Config, nRows, txns, opsPerTx
 		for _, txn := range losers {
 			for u := 0; u < updates; u++ {
 				k := takeReserved()
-				if err := eng.TC.Update(txn, cfg.TableID, k, val(k, 999)); err != nil {
+				if err := txn.Update(cfg.TableID, k, val(k, 999)); err != nil {
 					t.Fatalf("loser update key %d: %v", k, err)
 				}
 			}
 			for u := 0; u < inserts; u++ {
 				k := nextLoserInsert
 				nextLoserInsert++
-				if err := eng.TC.Insert(txn, cfg.TableID, k, val(k, 999)); err != nil {
+				if err := txn.Insert(cfg.TableID, k, val(k, 999)); err != nil {
 					t.Fatalf("loser insert key %d: %v", k, err)
 				}
 			}
 			for u := 0; u < deletes; u++ {
 				k := takeReserved()
-				if err := eng.TC.Delete(txn, cfg.TableID, k); err != nil {
+				if err := txn.Delete(cfg.TableID, k); err != nil {
 					t.Fatalf("loser delete key %d: %v", k, err)
 				}
 			}
 			for u := 0; u < shrinks; u++ {
 				k := takeReserved()
-				if err := eng.TC.Update(txn, cfg.TableID, k, []byte("tiny")); err != nil {
+				if err := txn.Update(cfg.TableID, k, []byte("tiny")); err != nil {
 					t.Fatalf("loser shrink key %d: %v", k, err)
 				}
 			}
@@ -132,7 +133,7 @@ func buildCrashWithLosers(t *testing.T, cfg engine.Config, nRows, txns, opsPerTx
 	committedRound := func(n int) {
 		nextKey := uint64(nRows) + uint64(eng.TC.Stats().Inserts)
 		for i := 0; i < n; i++ {
-			txn := eng.TC.Begin()
+			txn := begin(t, mgr)
 			staged := make(map[uint64][]byte)
 			for u := 0; u < opsPerTxn; u++ {
 				if rng.Intn(3) == 0 {
@@ -141,7 +142,7 @@ func buildCrashWithLosers(t *testing.T, cfg engine.Config, nRows, txns, opsPerTx
 					k := nextKey
 					nextKey++
 					v := val(k, i+1)
-					if err := eng.TC.Insert(txn, cfg.TableID, k, v); err != nil {
+					if err := txn.Insert(cfg.TableID, k, v); err != nil {
 						t.Fatalf("committed insert %d: %v", k, err)
 					}
 					staged[k] = v
@@ -152,12 +153,12 @@ func buildCrashWithLosers(t *testing.T, cfg engine.Config, nRows, txns, opsPerTx
 					k = (k + 1) % uint64(nRows)
 				}
 				v := val(k, i+1)
-				if err := eng.TC.Update(txn, cfg.TableID, k, v); err != nil {
+				if err := txn.Update(cfg.TableID, k, v); err != nil {
 					t.Fatalf("committed update %d: %v", k, err)
 				}
 				staged[k] = v
 			}
-			if err := eng.TC.Commit(txn); err != nil {
+			if err := txn.Commit(); err != nil {
 				t.Fatal(err)
 			}
 			for k, v := range staged {

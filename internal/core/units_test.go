@@ -169,18 +169,19 @@ func TestTailFallback(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	mgr := eng.NewSessionManager(0)
 	for i := 0; i < 60; i++ {
-		txn := eng.TC.Begin()
+		txn := begin(t, mgr)
 		staged := map[uint64][]byte{}
 		for u := 0; u < 10; u++ {
 			k := uint64((i*31 + u*7) % 1500)
 			v := val(k, i+1)
-			if err := eng.TC.Update(txn, cfg.TableID, k, v); err != nil {
+			if err := txn.Update(cfg.TableID, k, v); err != nil {
 				t.Fatal(err)
 			}
 			staged[k] = v
 		}
-		if err := eng.TC.Commit(txn); err != nil {
+		if err := txn.Commit(); err != nil {
 			t.Fatal(err)
 		}
 		for k, v := range staged {
@@ -210,15 +211,16 @@ func TestTailFallback(t *testing.T) {
 	if err := eng2.Load(1500, func(k uint64) []byte { return val(k, 0) }); err != nil {
 		t.Fatal(err)
 	}
+	mgr2 := eng2.NewSessionManager(0)
 	for i := 0; i < 60; i++ {
-		txn := eng2.TC.Begin()
+		txn := begin(t, mgr2)
 		for u := 0; u < 10; u++ {
 			k := uint64((i*31 + u*7) % 1500)
-			if err := eng2.TC.Update(txn, cfg.TableID, k, val(k, i+1)); err != nil {
+			if err := txn.Update(cfg.TableID, k, val(k, i+1)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := eng2.TC.Commit(txn); err != nil {
+		if err := txn.Commit(); err != nil {
 			t.Fatal(err)
 		}
 		if i == 20 {
@@ -280,11 +282,12 @@ func TestRecoverUncheckpointedEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.DC.StartLogging()
-	txn := eng.TC.Begin()
-	if err := eng.TC.Update(txn, cfg.TableID, 5, []byte("no-ckpt-update-value")); err != nil {
+	mgr := eng.NewSessionManager(0)
+	txn := begin(t, mgr)
+	if err := txn.Update(cfg.TableID, 5, []byte("no-ckpt-update-value")); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.TC.Commit(txn); err != nil {
+	if err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	om[5] = []byte("no-ckpt-update-value")

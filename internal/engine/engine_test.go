@@ -52,11 +52,14 @@ func TestCrashFreezesState(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	txn := eng.TC.Begin()
-	if err := eng.TC.Update(txn, cfg.TableID, 1, []byte("updated-val")); err != nil {
+	txn := eng.NewSessionManager(0).NewSession()
+	if err := txn.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.TC.Commit(txn); err != nil {
+	if err := txn.Update(cfg.TableID, 1, []byte("updated-val")); err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	// Volatile tail: appended but not flushed, must not survive.

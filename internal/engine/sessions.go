@@ -7,20 +7,18 @@ import (
 	"logrec/internal/wal"
 )
 
-// NewSessionManager puts the engine into multi-client mode: it wraps
-// the shared log in a wal.GroupCommitter (batched log forces, EOSL
+// NewSessionManager opens the engine for transactions: it wraps the
+// shared log in a wal.GroupCommitter (batched log forces, EOSL
 // published to the DC once per batch) and returns a tc.SessionManager
-// from which each client goroutine obtains its own Session.
+// from which each client obtains its own Session — the only way to run
+// a transaction. Call it once per engine.
 //
 // flushDelay is the emulated stable-write latency of the log device in
 // *real* time — the window the batch leader lingers so concurrent
-// commits coalesce. Zero batches only what is already waiting (fastest
-// for tests); ~100µs models a fast NVMe log force and is what the
-// walbench driver uses.
-//
-// The single-threaded TC methods (Begin/Commit via e.TC) remain usable
-// for the recovery experiments; once a session manager exists, drive
-// all transactions through it.
+// commits coalesce. Zero batches only what is already waiting, and a
+// lone writer forces inline at once: the single-threaded recovery
+// experiments run this way. ~100µs models a fast NVMe log force and is
+// what the walbench driver uses.
 //
 // With Config.AutoSplit non-nil (and more than one shard), creating the
 // session manager also starts the tc.Balancer that auto-splits hot

@@ -1,6 +1,6 @@
 // Package exec is the typed executor: an algebra layer over the
 // session plane that replaces raw point ops on opaque byte slices with
-// schemas, typed rows, query operators and batched transactions.
+// schemas, typed rows, query operators and transactions.
 //
 // The layering is strict — exec never touches pages or the log; it
 // compiles typed operations down to the same session-plane calls the
@@ -9,7 +9,7 @@
 //	Query operator tree (Scan · Where · Filter · Project · Limit)
 //	        │ pushdown: key range + compiled predicate
 //	        ▼
-//	Session.ScanRange / ApplyBatch   (per-shard planes, logical locks)
+//	Session.ScanRange / Read / Patch   (per-shard planes, logical locks)
 //	        │
 //	        ▼
 //	B-tree iterator (pred runs on page-resident bytes, pre-copy)
@@ -187,31 +187,24 @@ func (ex *Executor) Update(key uint64, vals ...any) error {
 }
 
 // UpdateCol rewrites one named column of the row at key, leaving the
-// other columns as they are (read-modify-write under the row's
-// exclusive lock).
+// other columns as they are. The row is decoded, changed and re-encoded
+// inside the one descent that finds it (Session.Patch); a value the
+// schema rejects changes and logs nothing.
 func (ex *Executor) UpdateCol(key uint64, col string, val any) error {
 	i, found := ex.schema.ColIndex(col)
 	if !found {
 		return fmt.Errorf("%w: %q", ErrNoColumn, col)
 	}
 	return ex.autoTxn(func() error {
-		raw, have, err := ex.sess.Read(ex.table, key)
+		err := ex.sess.Patch(ex.table, key, func(cur []byte) ([]byte, error) {
+			vals, err := ex.decode(cur)
+			if err != nil {
+				return nil, err
+			}
+			vals[i] = val
+			return ex.schema.Encode(vals...)
+		})
 		if err != nil {
-			return fmt.Errorf("exec: update %d: %w", key, err)
-		}
-		if !have {
-			return fmt.Errorf("exec: update %d: %w", key, tc.ErrKeyNotFound)
-		}
-		vals, err := ex.decode(raw)
-		if err != nil {
-			return err
-		}
-		vals[i] = val
-		buf, err := ex.schema.Encode(vals...)
-		if err != nil {
-			return err
-		}
-		if err := ex.sess.Update(ex.table, key, buf); err != nil {
 			return fmt.Errorf("exec: update %d: %w", key, err)
 		}
 		return nil

@@ -1,6 +1,7 @@
 // End-to-end tests for the typed executor: operators against a
-// sharded engine, pushdown decode accounting, batches, error
-// passthrough, and a crash/recover typed round trip.
+// sharded engine, pushdown decode accounting, multi-op transactions,
+// one-descent column updates, error passthrough, and a crash/recover
+// typed round trip.
 package exec_test
 
 import (
@@ -164,27 +165,38 @@ func TestQueryOperatorsAndPushdown(t *testing.T) {
 	}
 }
 
+// TestBatchRun: a batch of mixed typed ops — reads, an update, an
+// insert, a delete — runs as one Executor.Txn, and a batch whose last op
+// fails commits none of its writes.
 func TestBatchRun(t *testing.T) {
 	_, ex := newExecEngine(t, 64)
 
-	res, err := ex.NewBatch().
-		Read(5).
-		Update(6, uint64(6), "batched", true).
-		Insert(500, uint64(500), "new", false).
-		Delete(7).
-		Read(63).
-		Run()
+	var first, last []any
+	err := ex.Txn(func() error {
+		var err error
+		if first, _, err = ex.Get(5); err != nil {
+			return err
+		}
+		if err := ex.Update(6, uint64(6), "batched", true); err != nil {
+			return err
+		}
+		if err := ex.Insert(500, uint64(500), "new", false); err != nil {
+			return err
+		}
+		if err := ex.Delete(7); err != nil {
+			return err
+		}
+		last, _, err = ex.Get(63)
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 2 {
-		t.Fatalf("got %d read results, want 2", len(res))
+	if first == nil || first[1] != "row-0005" {
+		t.Fatalf("first read = %v", first)
 	}
-	if !res[0].Found || res[0].Key != 5 || res[0].Cols[1] != "row-0005" {
-		t.Fatalf("read slot 0 = %+v", res[0])
-	}
-	if !res[1].Found || res[1].Key != 63 {
-		t.Fatalf("read slot 1 = %+v", res[1])
+	if last == nil || last[0] != uint64(63) {
+		t.Fatalf("last read = %v", last)
 	}
 	if v, _, _ := ex.GetCol(6, "name"); v != "batched" {
 		t.Fatalf("batched update lost: %v", v)
@@ -196,17 +208,68 @@ func TestBatchRun(t *testing.T) {
 		t.Fatal("batched delete lost")
 	}
 
-	// A failing op aborts the enclosing auto-transaction: nothing
-	// commits.
-	_, err = ex.NewBatch().
-		Update(8, uint64(8), "doomed", false).
-		Update(9999, uint64(0), "missing", false).
-		Run()
+	// A failing op aborts the enclosing transaction: nothing commits.
+	err = ex.Txn(func() error {
+		if err := ex.Update(8, uint64(8), "doomed", false); err != nil {
+			return err
+		}
+		return ex.UpdateCol(9999, "name", "missing")
+	})
 	if !errors.Is(err, tc.ErrKeyNotFound) {
 		t.Fatalf("batch with missing key: err = %v", err)
 	}
 	if v, _, _ := ex.GetCol(8, "name"); v != "row-0008" {
 		t.Fatalf("failed batch leaked a write: %v", v)
+	}
+}
+
+// TestUpdateColTakesOneDescent: UpdateCol reads, changes and rewrites
+// its row in one root-to-leaf pass — as many pool lookups as the tree
+// is high — and a value the schema rejects fails with ErrSchema leaving
+// the row and the log as they were, so a transaction whose only write
+// it was commits without a record.
+func TestUpdateColTakesOneDescent(t *testing.T) {
+	eng, ex := newExecEngine(t, 4000)
+	const key = 1234
+	d := eng.DCs[eng.Set.Locate(key)]
+	height := int64(d.Tree().Meta().Height)
+	if height < 2 {
+		t.Fatalf("tree height %d: the test needs an internal level to tell one pass from two", height)
+	}
+	lookups := func() int64 { st := d.Pool().Stats(); return st.Hits + st.Misses }
+
+	err := ex.Txn(func() error {
+		before := lookups()
+		if err := ex.UpdateCol(key, "name", "one-pass"); err != nil {
+			return err
+		}
+		if got := lookups() - before; got != height {
+			t.Errorf("UpdateCol: %d pool lookups, want %d: one pass down a tree of height %d", got, height, height)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _, _ := ex.GetCol(key, "name"); v != "one-pass" {
+		t.Fatalf("name = %v after UpdateCol", v)
+	}
+
+	records := eng.Log.Records()
+	err = ex.Txn(func() error {
+		if err := ex.UpdateCol(key, "n", "not a number"); !errors.Is(err, exec.ErrSchema) {
+			t.Errorf("UpdateCol with a rejected value: err = %v, want ErrSchema", err)
+		}
+		return nil // commit what the transaction did: nothing
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.Log.Records(); got != records {
+		t.Fatalf("a rejected column value and its commit appended %d records, want 0", got-records)
+	}
+	if vals, _, _ := ex.Get(key); vals[0] != uint64(key) || vals[1] != "one-pass" {
+		t.Fatalf("row = %v after a rejected UpdateCol", vals)
 	}
 }
 

@@ -64,11 +64,14 @@ func TestKillPrimaryFailover(t *testing.T) {
 
 	// The promoted engine serves: commit a transaction against it.
 	eng := res.Promoted
-	txn := eng.TC.Begin()
-	if err := eng.TC.Update(txn, eng.Cfg.TableID, 1, []byte("after-failover")); err != nil {
+	txn := eng.NewSessionManager(0).NewSession()
+	if err := txn.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.TC.Commit(txn); err != nil {
+	if err := txn.Update(eng.Cfg.TableID, 1, []byte("after-failover")); err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
 }

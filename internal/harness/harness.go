@@ -186,6 +186,11 @@ func BuildCrash(cfg Config) (*CrashResult, error) {
 		}
 	}
 
+	// All traffic runs through sessions. With one writer at a time the
+	// group committer leads each commit's batch inline: one log force,
+	// then EOSL, per committed transaction.
+	mgr := eng.NewSessionManager(0)
+
 	openTxns := cfg.OpenTxns
 	if openTxns == 0 && cfg.LeaveOpenTxn {
 		openTxns = 1
@@ -200,7 +205,11 @@ func BuildCrash(cfg Config) (*CrashResult, error) {
 	nextLoserKey := uint64(0)
 	reserved := make(map[uint64]bool, openTxns*perLoser)
 	runLoser := func() error {
-		txn := eng.TC.Begin()
+		// Each loser gets a session of its own, left open at the crash.
+		loser := mgr.NewSession()
+		if err := loser.Begin(); err != nil {
+			return err
+		}
 		for u := 0; u < perLoser; u++ {
 			if nextLoserKey >= uint64(cfg.Workload.Rows) {
 				return fmt.Errorf("harness: %d losers × %d updates do not fit %d rows",
@@ -209,7 +218,7 @@ func BuildCrash(cfg Config) (*CrashResult, error) {
 			k := nextLoserKey
 			nextLoserKey += stride
 			reserved[k] = true
-			if err := eng.TC.Update(txn, cfg.Engine.TableID, k, []byte(makeGarbage(cfg.Workload.ValueSize))); err != nil {
+			if err := loser.Update(cfg.Engine.TableID, k, []byte(makeGarbage(cfg.Workload.ValueSize))); err != nil {
 				return fmt.Errorf("harness: loser update key %d: %w", k, err)
 			}
 		}
@@ -240,8 +249,11 @@ func BuildCrash(cfg Config) (*CrashResult, error) {
 	// Run committed transactions until the crash condition is met:
 	// enough checkpoints, enough updates since the last one, and a
 	// fresh-enough ∆ record that the tail is near the target length.
+	sess := mgr.NewSession()
 	for {
-		txn := eng.TC.Begin()
+		if err := sess.Begin(); err != nil {
+			return nil, fmt.Errorf("harness: begin: %w", err)
+		}
 		staged := make(map[uint64][]byte, cfg.Workload.UpdatesPerTxn)
 		for u := 0; u < cfg.Workload.UpdatesPerTxn; u++ {
 			op := gen.NextOp()
@@ -251,13 +263,13 @@ func BuildCrash(cfg Config) (*CrashResult, error) {
 				key = (key + 1) % uint64(cfg.Workload.Rows)
 			}
 			if op.Kind == workload.OpRead {
-				if _, _, err := eng.TC.Read(txn, cfg.Engine.TableID, key); err != nil {
+				if _, _, err := sess.Read(cfg.Engine.TableID, key); err != nil {
 					return nil, fmt.Errorf("harness: read: %w", err)
 				}
 				continue
 			}
 			v := gen.UpdateValue(key)
-			if err := eng.TC.Update(txn, cfg.Engine.TableID, key, v); err != nil {
+			if err := sess.Update(cfg.Engine.TableID, key, v); err != nil {
 				return nil, fmt.Errorf("harness: update key %d: %w", key, err)
 			}
 			staged[key] = v
@@ -265,7 +277,7 @@ func BuildCrash(cfg Config) (*CrashResult, error) {
 			updatesSinceCkpt++
 			updatesSinceTail++
 		}
-		if err := eng.TC.Commit(txn); err != nil {
+		if err := sess.Commit(); err != nil {
 			return nil, fmt.Errorf("harness: commit: %w", err)
 		}
 		for k, v := range staged {
@@ -279,7 +291,7 @@ func BuildCrash(cfg Config) (*CrashResult, error) {
 		}
 
 		if updatesSinceCkpt >= cfg.CheckpointEveryUpdates && ckpts < cfg.CrashAfterCheckpoints {
-			if err := eng.TC.Checkpoint(); err != nil {
+			if err := mgr.Checkpoint(); err != nil {
 				return nil, fmt.Errorf("harness: checkpoint: %w", err)
 			}
 			ckpts++

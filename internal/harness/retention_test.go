@@ -42,6 +42,7 @@ func retentionVal(k uint64, ver int) []byte {
 type retentionDriver struct {
 	t      *testing.T
 	eng    *engine.Engine
+	mgr    *tc.SessionManager
 	oracle map[uint64][]byte
 	locked map[uint64]bool
 	next   uint64
@@ -63,6 +64,7 @@ func newRetentionDriver(t *testing.T, cfg engine.Config) *retentionDriver {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	d.mgr = eng.NewSessionManager(0)
 	return d
 }
 
@@ -72,7 +74,7 @@ func (d *retentionDriver) commit(bytes int64) {
 	d.t.Helper()
 	table := d.eng.Cfg.TableID
 	for target := d.eng.Log.EndLSN() + wal.LSN(bytes); d.eng.Log.EndLSN() < target; {
-		txn := d.eng.TC.Begin()
+		txn := d.begin()
 		d.ver++
 		staged := make(map[uint64][]byte, 8)
 		for u := 0; u < 8; u++ {
@@ -81,11 +83,11 @@ func (d *retentionDriver) commit(bytes int64) {
 				d.next = (d.next + 1) % retentionRows
 			}
 			staged[d.next] = retentionVal(d.next, d.ver)
-			if err := d.eng.TC.Update(txn, table, d.next, staged[d.next]); err != nil {
+			if err := txn.Update(table, d.next, staged[d.next]); err != nil {
 				d.t.Fatal(err)
 			}
 		}
-		if err := d.eng.TC.Commit(txn); err != nil {
+		if err := txn.Commit(); err != nil {
 			d.t.Fatal(err)
 		}
 		for k, v := range staged {
@@ -94,12 +96,22 @@ func (d *retentionDriver) commit(bytes int64) {
 	}
 }
 
+// begin opens a transaction on a new session.
+func (d *retentionDriver) begin() *tc.Session {
+	d.t.Helper()
+	s := d.mgr.NewSession()
+	if err := s.Begin(); err != nil {
+		d.t.Fatal(err)
+	}
+	return s
+}
+
 // lose has txn update keys without committing; they stay locked.
-func (d *retentionDriver) lose(txn *tc.Txn, keys ...uint64) {
+func (d *retentionDriver) lose(txn *tc.Session, keys ...uint64) {
 	d.t.Helper()
 	for _, k := range keys {
 		d.locked[k] = true
-		if err := d.eng.TC.Update(txn, d.eng.Cfg.TableID, k, retentionVal(k, -1)); err != nil {
+		if err := txn.Update(d.eng.Cfg.TableID, k, retentionVal(k, -1)); err != nil {
 			d.t.Fatal(err)
 		}
 	}
@@ -151,9 +163,9 @@ func TestRecoveryOverReleasedLog(t *testing.T) {
 			// The long-running loser starts here, mid-interval, and keeps
 			// working across two more checkpoints.
 			d.commit(interval / 2)
-			long := d.eng.TC.Begin()
+			long := d.begin()
 			d.lose(long, 11, 511)
-			first := long.FirstLSN()
+			first := long.Txn().FirstLSN()
 			d.commit(interval)
 			if d.checkpoint() {
 				releases++
@@ -170,7 +182,7 @@ func TestRecoveryOverReleasedLog(t *testing.T) {
 
 			// A short loser and a little more traffic past the checkpoint.
 			d.commit(interval / 4)
-			short := d.eng.TC.Begin()
+			short := d.begin()
 			d.lose(short, 1511, 1911)
 			d.lose(long, 1711)
 			d.eng.TC.SendEOSL()

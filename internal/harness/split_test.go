@@ -8,7 +8,7 @@ import (
 	"logrec/internal/engine"
 )
 
-// TestRangeSplitMigrationSurvivesCrash drives the TC's range-split
+// TestRangeSplitMigrationSurvivesCrash drives the range-split
 // migration on a live 2-shard engine, keeps updating across the moved
 // boundary, crashes, and checks that recovery rebuilds both the rows
 // and the routing table — with the split inside the redo window (its
@@ -38,17 +38,21 @@ func TestRangeSplitMigrationSurvivesCrash(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
+			mgr := eng.NewSessionManager(0)
+			sess := mgr.NewSession()
 
 			update := func(keys ...uint64) {
 				t.Helper()
-				txn := eng.TC.Begin()
+				if err := sess.Begin(); err != nil {
+					t.Fatal(err)
+				}
 				for _, k := range keys {
-					if err := eng.TC.Update(txn, cfg.TableID, k, val(k, 1)); err != nil {
+					if err := sess.Update(cfg.TableID, k, val(k, 1)); err != nil {
 						t.Fatal(err)
 					}
 					oracle[k] = val(k, 1)
 				}
-				if err := eng.TC.Commit(txn); err != nil {
+				if err := sess.Commit(); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -60,7 +64,7 @@ func TestRangeSplitMigrationSurvivesCrash(t *testing.T) {
 			if got := eng.Set.Locate(at); got != 0 {
 				t.Fatalf("pre-split owner of %d = %d, want 0", at, got)
 			}
-			if err := eng.TC.SplitRange(cfg.TableID, at, 1); err != nil {
+			if err := mgr.SplitRange(cfg.TableID, at, 1); err != nil {
 				t.Fatal(err)
 			}
 			if got := eng.Set.Locate(at); got != 1 {
@@ -74,12 +78,18 @@ func TestRangeSplitMigrationSurvivesCrash(t *testing.T) {
 			}
 			// Reads and updates keep working across the moved boundary.
 			update(119, 120, 121, 180)
-			if v, found, err := eng.TC.Read(eng.TC.Begin(), cfg.TableID, 150); err != nil || !found || string(v) != string(oracle[150]) {
+			if err := sess.Begin(); err != nil {
+				t.Fatal(err)
+			}
+			if v, found, err := sess.Read(cfg.TableID, 150); err != nil || !found || string(v) != string(oracle[150]) {
 				t.Fatalf("post-split read of 150: found=%v v=%q err=%v", found, v, err)
+			}
+			if err := sess.Commit(); err != nil {
+				t.Fatal(err)
 			}
 
 			if ckptAfterSplit {
-				if err := eng.TC.Checkpoint(); err != nil {
+				if err := mgr.Checkpoint(); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,6 +16,33 @@ import (
 	"logrec/internal/wal"
 	"logrec/internal/workload"
 )
+
+// managers holds the one session manager of each engine a test drives.
+var managers struct {
+	sync.Mutex
+	of map[*engine.Engine]*tc.SessionManager
+}
+
+// begin opens a transaction on a new session of eng, opening eng's
+// session manager on first use.
+func begin(t testing.TB, eng *engine.Engine) *tc.Session {
+	t.Helper()
+	managers.Lock()
+	mgr, ok := managers.of[eng]
+	if !ok {
+		if managers.of == nil {
+			managers.of = map[*engine.Engine]*tc.SessionManager{}
+		}
+		mgr = eng.NewSessionManager(0)
+		managers.of[eng] = mgr
+	}
+	managers.Unlock()
+	s := mgr.NewSession()
+	if err := s.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
 
 // NOTE: this package is imported by internal/harness, so these tests
 // build their own traffic and digest helpers instead of importing it.
@@ -75,15 +103,15 @@ func commitTxns(t *testing.T, eng *engine.Engine, n int, base uint64) {
 	t.Helper()
 	table := eng.Cfg.TableID
 	for i := uint64(0); i < uint64(n); i++ {
-		txn := eng.TC.Begin()
+		txn := begin(t, eng)
 		for j := uint64(0); j < 4; j++ {
 			key := (base*7 + i*13 + j*31) % testRows
 			val := []byte(fmt.Sprintf("upd-%d-%d-%d", base, i, j))
-			if err := eng.TC.Update(txn, table, key, val); err != nil {
+			if err := txn.Update(table, key, val); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := eng.TC.Commit(txn); err != nil {
+		if err := txn.Commit(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -124,11 +152,11 @@ func promote(t *testing.T, s *Standby, want uint64) (*engine.Engine, *core.Metri
 // a fresh transaction commits and reads back.
 func checkPromotedServes(t *testing.T, promoted *engine.Engine) {
 	t.Helper()
-	txn := promoted.TC.Begin()
-	if err := promoted.TC.Update(txn, promoted.Cfg.TableID, 1, []byte("post-promote")); err != nil {
+	txn := begin(t, promoted)
+	if err := txn.Update(promoted.Cfg.TableID, 1, []byte("post-promote")); err != nil {
 		t.Fatal(err)
 	}
-	if err := promoted.TC.Commit(txn); err != nil {
+	if err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	got, found, err := promoted.Set.Read(promoted.Cfg.TableID, 1)
@@ -154,17 +182,17 @@ func seededTxns(t testing.TB, eng *engine.Engine, n int, seed int64) {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		txn := eng.TC.Begin()
+		txn := begin(t, eng)
 		for j := 0; j < 4; j++ {
 			op := gen.NextOp()
 			if op.Kind == workload.OpRead {
 				continue
 			}
-			if err := eng.TC.Update(txn, eng.Cfg.TableID, op.Key, gen.UpdateValue(op.Key)); err != nil {
+			if err := txn.Update(eng.Cfg.TableID, op.Key, gen.UpdateValue(op.Key)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := eng.TC.Commit(txn); err != nil {
+		if err := txn.Commit(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -366,9 +394,9 @@ func TestPromoteUndoesInFlightLosers(t *testing.T) {
 	// An in-flight transaction whose updates reach the stable log (the
 	// EOSL force ships them) but never commits: the promoted standby
 	// must roll it back.
-	loser := primary.TC.Begin()
+	loser := begin(t, primary)
 	for _, key := range []uint64{5, 105, 1105} {
-		if err := primary.TC.Update(loser, primary.Cfg.TableID, key, []byte("loser")); err != nil {
+		if err := loser.Update(primary.Cfg.TableID, key, []byte("loser")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -411,18 +439,18 @@ func TestReplayLogicalDifferentGeometry(t *testing.T) {
 
 	commitTxns(t, primary, 80, 4)
 	// Inserts and deletes too: logical replay must handle all three ops.
-	txn := primary.TC.Begin()
+	txn := begin(t, primary)
 	for k := uint64(testRows); k < testRows+20; k++ {
-		if err := primary.TC.Insert(txn, primary.Cfg.TableID, k, []byte(fmt.Sprintf("ins-%d", k))); err != nil {
+		if err := txn.Insert(primary.Cfg.TableID, k, []byte(fmt.Sprintf("ins-%d", k))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for k := uint64(0); k < 10; k++ {
-		if err := primary.TC.Delete(txn, primary.Cfg.TableID, k*3); err != nil {
+		if err := txn.Delete(primary.Cfg.TableID, k*3); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := primary.TC.Commit(txn); err != nil {
+	if err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -465,14 +493,14 @@ func TestReplayLagStaysBounded(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		txn := primary.TC.Begin()
+		txn := begin(t, primary)
 		for j := 0; j < 8; j++ {
 			key := gen.NextKey()
-			if err := primary.TC.Update(txn, primary.Cfg.TableID, key, gen.UpdateValue(key)); err != nil {
+			if err := txn.Update(primary.Cfg.TableID, key, gen.UpdateValue(key)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := primary.TC.Commit(txn); err != nil {
+		if err := txn.Commit(); err != nil {
 			t.Fatal(err)
 		}
 		if lag := s.Lag().Bytes; lag > maxLag {
@@ -502,7 +530,7 @@ func commitBigTxns(t *testing.T, eng *engine.Engine, bytes int64, locked map[uin
 	t.Helper()
 	table := eng.Cfg.TableID
 	for target := eng.Log.EndLSN() + wal.LSN(bytes); eng.Log.EndLSN() < target; {
-		txn := eng.TC.Begin()
+		txn := begin(t, eng)
 		for j := 0; j < 4; j++ {
 			*salt++
 			key := (*salt * 37) % testRows
@@ -510,11 +538,11 @@ func commitBigTxns(t *testing.T, eng *engine.Engine, bytes int64, locked map[uin
 				key = (key + 1) % testRows
 			}
 			val := bytes600(key, *salt)
-			if err := eng.TC.Update(txn, table, key, val); err != nil {
+			if err := txn.Update(table, key, val); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := eng.TC.Commit(txn); err != nil {
+		if err := txn.Commit(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -541,7 +569,7 @@ func TestPromoteAfterStandbyReleases(t *testing.T) {
 	var salt uint64
 	locked := map[uint64]bool{}
 	releases, releasesWithLoser := 0, 0
-	var loser *tc.Txn
+	var loser *tc.Session
 	// round commits, checkpoints the primary, and pumps the standby dry,
 	// counting the standby releases that moved its log's start.
 	round := func(logBytes int64) {
@@ -581,14 +609,14 @@ func TestPromoteAfterStandbyReleases(t *testing.T) {
 
 	// The loser starts a segment and a half into the fifth round.
 	commitBigTxns(t, primary, segment*3/2, locked, &salt)
-	loser = primary.TC.Begin()
+	loser = begin(t, primary)
 	for _, key := range []uint64{7, 707} {
 		locked[key] = true
-		if err := primary.TC.Update(loser, primary.Cfg.TableID, key, []byte("loser")); err != nil {
+		if err := loser.Update(primary.Cfg.TableID, key, []byte("loser")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	first := loser.FirstLSN()
+	first := loser.Txn().FirstLSN()
 	round(segment)
 	round(segment * 3 / 2)
 	if releasesWithLoser == 0 {
@@ -600,7 +628,7 @@ func TestPromoteAfterStandbyReleases(t *testing.T) {
 
 	// The committed-only state is what the failover must converge to.
 	locked[1207] = true
-	if err := primary.TC.Update(loser, primary.Cfg.TableID, 1207, []byte("loser")); err != nil {
+	if err := loser.Update(primary.Cfg.TableID, 1207, []byte("loser")); err != nil {
 		t.Fatal(err)
 	}
 	primary.TC.SendEOSL()
@@ -725,30 +753,30 @@ func TestSecondReplayerAppliesNothingTwice(t *testing.T) {
 				"i-%06d",                      // nothing at all
 			}
 			for round := 1; round < len(rows); round++ {
-				txn := primary.TC.Begin()
+				txn := begin(t, primary)
 				for key := uint64(10); key < 400; key += 13 {
-					if err := primary.TC.Update(txn, table, key, []byte(fmt.Sprintf(rows[round], key))); err != nil {
+					if err := txn.Update(table, key, []byte(fmt.Sprintf(rows[round], key))); err != nil {
 						t.Fatal(err)
 					}
 				}
 				if round == 3 {
 					for key := uint64(500); key < 520; key++ {
-						if err := primary.TC.Delete(txn, table, key); err != nil {
+						if err := txn.Delete(table, key); err != nil {
 							t.Fatal(err)
 						}
-						if err := primary.TC.Insert(txn, table, key, []byte(fmt.Sprintf("back-%d", key))); err != nil {
+						if err := txn.Insert(table, key, []byte(fmt.Sprintf("back-%d", key))); err != nil {
 							t.Fatal(err)
 						}
 					}
 				}
-				if err := primary.TC.Commit(txn); err != nil {
+				if err := txn.Commit(); err != nil {
 					t.Fatal(err)
 				}
 			}
 			want := digest(t, primary) // the committed state
-			loser := primary.TC.Begin()
+			loser := begin(t, primary)
 			for _, key := range []uint64{10, 23, 700} {
-				if err := primary.TC.Update(loser, table, key, []byte("a loser's row, longer than what it replaces")); err != nil {
+				if err := loser.Update(table, key, []byte("a loser's row, longer than what it replaces")); err != nil {
 					t.Fatal(err)
 				}
 			}

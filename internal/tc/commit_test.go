@@ -70,19 +70,14 @@ func TestReadOnlyCommitAppendsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Reads on both shards and of an absent key, in one transaction.
 	if err := s.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.ApplyBatch([]BatchOp{
-		{Kind: BatchRead, Table: 1, Key: 5},
-		{Kind: BatchRead, Table: 1, Key: rows - 1},
-		{Kind: BatchRead, Table: 1, Key: rows + 7}, // absent
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0] == nil || res[1] == nil || res[2] != nil {
-		t.Fatalf("batch reads = %q", res)
+	for _, k := range []uint64{5, rows - 1, rows + 7} {
+		if _, found, err := s.Read(1, k); err != nil || found != (k < rows) {
+			t.Fatalf("read %d: found=%v err=%v", k, found, err)
+		}
 	}
 	if err := s.Commit(); err != nil {
 		t.Fatal(err)
@@ -283,27 +278,32 @@ func TestLoneLeaderDoesNotYield(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	failedBatch := func(s *Session) {
+	readThenMissing := func(s *Session) {
 		t.Helper()
-		_, err := s.ApplyBatch([]BatchOp{
-			{Kind: BatchRead, Table: 1, Key: 2},
-			{Kind: BatchDelete, Table: 1, Key: rows + 9},
-		})
-		if !errors.Is(err, ErrKeyNotFound) {
-			t.Fatalf("batch deleting a missing key = %v, want ErrKeyNotFound", err)
+		if _, _, err := s.Read(1, 2); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Delete(1, rows+9); !errors.Is(err, ErrKeyNotFound) {
+			t.Fatalf("delete of a missing key = %v, want ErrKeyNotFound", err)
 		}
 	}
-	halfBatch := func(s *Session) {
+	refusedPatch := func(s *Session) {
 		t.Helper()
-		_, err := s.ApplyBatch([]BatchOp{
-			{Kind: BatchUpdate, Table: 1, Key: 2, Val: []byte("y")},
-			{Kind: BatchUpdate, Table: 1, Key: rows + 9, Val: []byte("y")},
-		})
-		if !errors.Is(err, ErrKeyNotFound) {
-			t.Fatalf("batch updating a missing key = %v, want ErrKeyNotFound", err)
+		refused := errors.New("refused")
+		if err := s.Patch(1, 2, func([]byte) ([]byte, error) { return nil, refused }); !errors.Is(err, refused) {
+			t.Fatalf("refused patch = %v, want its own error", err)
+		}
+	}
+	wroteThenMissing := func(s *Session) {
+		t.Helper()
+		if err := s.Update(1, 2, []byte("y")); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Update(1, rows+9, []byte("y")); !errors.Is(err, ErrKeyNotFound) {
+			t.Fatalf("update of a missing key = %v, want ErrKeyNotFound", err)
 		}
 		if n := m.CommitStats().Writers; n != 1 {
-			t.Fatalf("%d announced writers after a batch that logged one update, want 1", n)
+			t.Fatalf("%d announced writers after a transaction that logged one update, want 1", n)
 		}
 	}
 	wrote := func(s *Session) {
@@ -319,8 +319,9 @@ func TestLoneLeaderDoesNotYield(t *testing.T) {
 	}{
 		{"missing key", missing, false},
 		{"lock conflict", conflict, false},
-		{"batch failing before it logs", failedBatch, false},
-		{"batch failing after it logged", halfBatch, true},
+		{"read then missing key", readThenMissing, false},
+		{"refused patch", refusedPatch, false},
+		{"missing key after a logged update", wroteThenMissing, true},
 		{"update", wrote, true},
 	} {
 		for _, end := range []string{"commit", "abort"} {

@@ -71,14 +71,18 @@ func countTypes(chain []wal.Transactional) map[wal.Type]int {
 // record, so it has no name in the log and appends nothing, whether it
 // commits or aborts.
 func TestReadOnlyTxnLogsNothing(t *testing.T) {
-	tcx, _, log := newPair(t, 50)
+	m, _, log := newPair(t, 50)
 	end := log.EndLSN()
-	for _, finish := range []func(*Txn) error{tcx.Commit, tcx.Abort} {
-		txn := tcx.Begin()
-		if _, _, err := tcx.Read(txn, 1, 7); err != nil {
+	s := m.NewSession()
+	for _, finish := range []func() error{s.Commit, s.Abort} {
+		if err := s.Begin(); err != nil {
 			t.Fatal(err)
 		}
-		if err := finish(txn); err != nil {
+		txn := s.Txn()
+		if _, _, err := s.Read(1, 7); err != nil {
+			t.Fatal(err)
+		}
+		if err := finish(); err != nil {
 			t.Fatal(err)
 		}
 		if txn.FirstLSN() != wal.NilLSN || log.EndLSN() != end {
@@ -89,29 +93,30 @@ func TestReadOnlyTxnLogsNothing(t *testing.T) {
 
 // TestRolledBackTxnNamedByFirstRecord: the record that opens a
 // transaction is named by its own LSN, and every later record — its
-// CLRs and abort record included — by that LSN, on the single-threaded
-// path and through a session alike.
+// CLRs and abort record included — by that LSN, on one shard and
+// across two alike.
 func TestRolledBackTxnNamedByFirstRecord(t *testing.T) {
-	tcx, _, log := newPair(t, 50)
+	m, _, log := newPair(t, 50)
 	// Another transaction logs first, so names and handles differ.
-	other := tcx.Begin()
-	if err := tcx.Update(other, 1, 40, []byte("other")); err != nil {
+	other := begin(t, m)
+	if err := other.Update(1, 40, []byte("other")); err != nil {
 		t.Fatal(err)
 	}
-	txn := tcx.Begin()
+	s := begin(t, m)
+	txn := s.Txn()
 	for _, k := range []uint64{3, 4, 5} {
-		if err := tcx.Update(txn, 1, k, []byte("rolled-back")); err != nil {
+		if err := s.Update(1, k, []byte("rolled-back")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := tcx.Insert(txn, 1, 1000, []byte("new")); err != nil {
+	if err := s.Insert(1, 1000, []byte("new")); err != nil {
 		t.Fatal(err)
 	}
-	if err := tcx.Delete(txn, 1, 6); err != nil {
+	if err := s.Delete(1, 6); err != nil {
 		t.Fatal(err)
 	}
 	first := txn.FirstLSN()
-	if err := tcx.Abort(txn); err != nil {
+	if err := s.Abort(); err != nil {
 		t.Fatal(err)
 	}
 	chain := requireChain(t, log, txn.LastLSN())
@@ -121,13 +126,14 @@ func TestRolledBackTxnNamedByFirstRecord(t *testing.T) {
 	if bottom := chain[len(chain)-1]; bottom.Txn() != wal.TxnID(first) {
 		t.Fatalf("first record names txn %d, want its own LSN %v", bottom.Txn(), first)
 	}
-	if err := tcx.Commit(other); err != nil {
+	otherTxn := other.Txn()
+	if err := other.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	requireChain(t, log, other.LastLSN())
+	requireChain(t, log, otherTxn.LastLSN())
 
-	m := newShardedMgr(t, 2, 64)
-	s := m.NewSession()
+	m = newShardedMgr(t, 2, 64)
+	s = m.NewSession()
 	for _, end := range []func() error{s.Commit, s.Abort} {
 		if err := s.Begin(); err != nil {
 			t.Fatal(err)

@@ -1,7 +1,7 @@
-// Concurrent TC sessions. The recovery experiments drive the TC
-// single-threaded over virtual time; this file adds the multi-client
-// write path of a served system: N goroutines each own a Session and
-// run Begin/Update/Commit loops concurrently.
+// TC sessions: the one way to run a transaction. N goroutines each own
+// a Session and run Begin/Update/Commit loops concurrently; the
+// single-threaded, virtual-time experiment harness is the N=1 case of
+// the same path.
 //
 // The write path is shard-parallel: there is no engine-wide mutex.
 // Each shard has its own admission plane — a mutex serializing only
@@ -38,6 +38,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"logrec/internal/storage"
 	"logrec/internal/wal"
 )
 
@@ -193,14 +194,19 @@ func (m *SessionManager) Checkpoint() error {
 	return m.tc.Checkpoint()
 }
 
-// SplitRange runs the TC's range migration holding the planes of the
-// shard being split and the target shard, so no session operation can
-// slip between the migration's range scan and its per-row locks (a row
-// inserted in that window would be stranded on the old shard after the
-// re-route). Only those two shards stall; the rest of the engine keeps
-// running. Concurrent SplitRange calls may move the range between the
-// owner lookup and the plane locks, so the owner is revalidated under
-// the planes, like lockPlane does for a single key.
+// SplitRange splits the routing range containing key `at` at that key
+// and migrates the rows of the upper half to shard `to` — the scale-out
+// operation behind range re-balancing. If `to` already owns the range
+// the call only adds the routing boundary.
+//
+// The migration runs holding the planes of the shard being split and
+// the target shard, so no session operation can slip between its range
+// scan and its per-row locks (a row inserted in that window would be
+// stranded on the old shard after the re-route). Only those two shards
+// stall; the rest of the engine keeps running. Concurrent SplitRange
+// calls may move the range between the owner lookup and the plane
+// locks, so the owner is revalidated under the planes, like lockPlane
+// does for a single key.
 func (m *SessionManager) SplitRange(table wal.TableID, at uint64, to wal.ShardID) error {
 	if int(to) >= len(m.planes) {
 		return fmt.Errorf("tc: split target shard %d out of range (have %d)", to, len(m.planes))
@@ -209,12 +215,90 @@ func (m *SessionManager) SplitRange(table wal.TableID, at uint64, to wal.ShardID
 		_, _, from := m.tc.dc.RangeOf(at)
 		release := m.lockPlanes([]wal.ShardID{from, to})
 		if _, _, cur := m.tc.dc.RangeOf(at); cur == from {
-			err := m.tc.SplitRange(table, at, to)
+			err := m.migrate(table, at, to)
 			release()
 			return err
 		}
 		release()
 	}
+}
+
+// migrate is SplitRange under the planes of the range's owner and `to`.
+// The migration is one system transaction: every moved row is deleted
+// from the old shard and inserted on the new one through ordinary logged
+// operations, then a ShardMapRec records the routing change. It ends
+// through commit or abort like any session's transaction, and the
+// in-memory routing table flips only once the commit record is stable,
+// so a crash at any point leaves a consistent engine: an incomplete
+// migration is a loser whose undo puts every row back, and recovery
+// applies the ShardMapRec exactly when the migration committed.
+func (m *SessionManager) migrate(table wal.TableID, at uint64, to wal.ShardID) error {
+	tc := m.tc
+	_, end, from := tc.dc.RangeOf(at)
+	tc.dc.Split(at)
+	if from == to {
+		return nil
+	}
+
+	type row struct {
+		k uint64
+		v []byte
+	}
+	var rows []row
+	err := tc.dc.ReadRange(table, at, end, func(k uint64, v []byte) error {
+		rows = append(rows, row{k: k, v: append([]byte(nil), v...)})
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("tc: split scan [%d, %d]: %w", at, end, err)
+	}
+
+	t := tc.begin()
+	fail := func(cause error) error {
+		// The caller holds both planes already.
+		if err := m.abort(t, nil); err != nil {
+			return fmt.Errorf("tc: aborting failed range split: %v (split failed: %w)", err, cause)
+		}
+		return fmt.Errorf("tc: range split at %d: %w", at, cause)
+	}
+	for _, r := range rows {
+		if err := tc.locks.Acquire(t.ID, table, r.k, LockExclusive); err != nil {
+			return fail(err)
+		}
+	}
+	for _, r := range rows {
+		err := tc.dc.At(from).Delete(table, r.k, func(pid storage.PageID, _ []byte) wal.LSN {
+			lsn := tc.app.MustAppend(&wal.DeleteRec{
+				TxnID: t.logName(), TableID: table, KeyVal: r.k, OldVal: r.v,
+				PageID: pid, ShardID: from, PrevLSN: t.LastLSN(),
+			})
+			t.setLastLSN(lsn)
+			return lsn
+		})
+		if err != nil {
+			return fail(err)
+		}
+		err = tc.dc.At(to).Insert(table, r.k, r.v, func(pid storage.PageID) wal.LSN {
+			lsn := tc.app.MustAppend(&wal.InsertRec{
+				TxnID: t.logName(), TableID: table, KeyVal: r.k, Val: r.v,
+				PageID: pid, ShardID: to, PrevLSN: t.LastLSN(),
+			})
+			t.setLastLSN(lsn)
+			return lsn
+		})
+		if err != nil {
+			return fail(err)
+		}
+	}
+	t.setLastLSN(tc.app.MustAppend(&wal.ShardMapRec{
+		TxnID: t.logName(), SplitAt: at, End: end, NewShard: to, PrevLSN: t.LastLSN(),
+	}))
+	m.gc.WaitStable(m.commit(t))
+	if err := tc.dc.Reassign(at, to); err != nil {
+		return fmt.Errorf("tc: re-routing after split at %d: %w", at, err)
+	}
+	tc.stats.rangeSplits.Add(1)
+	return nil
 }
 
 // Session is one client's handle: a single goroutine drives a session,
@@ -254,7 +338,7 @@ func (s *Session) Begin() error {
 	if s.txn != nil && s.txn.status == StatusActive {
 		return ErrSessionBusy
 	}
-	s.txn = s.mgr.tc.Begin()
+	s.txn = s.mgr.tc.begin()
 	for i := range s.touched {
 		s.touched[i] = false
 	}
@@ -341,8 +425,12 @@ func (s *Session) Read(table wal.TableID, key uint64) ([]byte, bool, error) {
 // converges for the same reason lockPlane does — migrations only flip
 // routes while holding the affected planes.
 //
-// Rows fn sees are member-locked shared via the transaction; the value
-// slice is only valid during the call.
+// Every row fn sees is member-locked shared (phantom protection via
+// key-range lock modes is the subject of the companion Deuteronomy
+// paper [13] and out of scope here). Rows pred rejects are dropped
+// before they are copied or locked: the predicate reads the committed
+// row version the scan meets. The value slice passed to pred and fn is
+// only valid during the call; fn must copy what it keeps.
 func (s *Session) ScanRange(table wal.TableID, lo, hi uint64, pred func(key uint64, val []byte) bool, fn func(key uint64, val []byte) error) error {
 	if err := s.checkActive(); err != nil {
 		return err
@@ -355,7 +443,12 @@ func (s *Session) ScanRange(table wal.TableID, lo, hi uint64, pred func(key uint
 			release()
 			continue
 		}
-		err := m.tc.ScanRange(s.txn, table, lo, hi, pred, fn)
+		err := m.tc.dc.ReadRangeFiltered(table, lo, hi, pred, func(key uint64, val []byte) error {
+			if err := m.tc.locks.Acquire(s.txn.ID, table, key, LockShared); err != nil {
+				return err
+			}
+			return fn(key, val)
+		})
 		release()
 		return err
 	}
@@ -375,12 +468,12 @@ func sameShardIDs(a, b []wal.ShardID) bool {
 	return true
 }
 
-// Update replaces the value under (table, key) within the session's
-// transaction. Lock conflicts return ErrLockConflict immediately
-// (no-wait); callers abort and retry. The logical lock is taken before
-// the shard plane, so a conflict costs no plane time — and a failed
-// acquisition leaves nothing to release.
-func (s *Session) Update(table wal.TableID, key uint64, newVal []byte) error {
+// write runs one row change, op on the key's owning shard, within the
+// session's transaction. Lock conflicts return ErrLockConflict
+// immediately (no-wait); callers abort and retry. The logical lock is
+// taken before the shard plane, so a conflict costs no plane time — and
+// a failed acquisition leaves nothing to release.
+func (s *Session) write(table wal.TableID, key uint64, op func(sh wal.ShardID) error) error {
 	if err := s.checkActive(); err != nil {
 		return err
 	}
@@ -391,43 +484,41 @@ func (s *Session) Update(table wal.TableID, key uint64, newVal []byte) error {
 	sh, p, start := s.mgr.lockPlane(key)
 	defer p.release(start)
 	s.note(sh)
-	err := s.mgr.tc.applyUpdateAt(sh, s.txn, table, key, newVal)
+	err := op(sh)
 	s.settle()
 	return err
+}
+
+// Patch rewrites the row under (table, key) to what patch returns for
+// it, in the one descent that finds the row: patch is handed the row as
+// it stands (valid only during the call) and must be pure, because a
+// row that outgrows its leaf is patched again after the split. An error
+// from patch is returned as is, and the row and the log are left as
+// they were. A missing key fails with ErrKeyNotFound.
+func (s *Session) Patch(table wal.TableID, key uint64, patch func(cur []byte) ([]byte, error)) error {
+	return s.write(table, key, func(sh wal.ShardID) error {
+		return s.mgr.tc.applyPatchAt(sh, s.txn, table, key, patch)
+	})
+}
+
+// Update replaces the value under (table, key): Patch with the whole
+// row.
+func (s *Session) Update(table wal.TableID, key uint64, newVal []byte) error {
+	return s.Patch(table, key, func([]byte) ([]byte, error) { return newVal, nil })
 }
 
 // Insert adds a new row within the session's transaction.
 func (s *Session) Insert(table wal.TableID, key uint64, val []byte) error {
-	if err := s.checkActive(); err != nil {
-		return err
-	}
-	if err := s.mgr.tc.locks.Acquire(s.txn.ID, table, key, LockExclusive); err != nil {
-		return err
-	}
-	s.announce()
-	sh, p, start := s.mgr.lockPlane(key)
-	defer p.release(start)
-	s.note(sh)
-	err := s.mgr.tc.applyInsertAt(sh, s.txn, table, key, val)
-	s.settle()
-	return err
+	return s.write(table, key, func(sh wal.ShardID) error {
+		return s.mgr.tc.applyInsertAt(sh, s.txn, table, key, val)
+	})
 }
 
 // Delete removes a row within the session's transaction.
 func (s *Session) Delete(table wal.TableID, key uint64) error {
-	if err := s.checkActive(); err != nil {
-		return err
-	}
-	if err := s.mgr.tc.locks.Acquire(s.txn.ID, table, key, LockExclusive); err != nil {
-		return err
-	}
-	s.announce()
-	sh, p, start := s.mgr.lockPlane(key)
-	defer p.release(start)
-	s.note(sh)
-	err := s.mgr.tc.applyDeleteAt(sh, s.txn, table, key)
-	s.settle()
-	return err
+	return s.write(table, key, func(sh wal.ShardID) error {
+		return s.mgr.tc.applyDeleteAt(sh, s.txn, table, key)
+	})
 }
 
 // Commit ends the transaction. No plane is needed: the commit record
@@ -447,23 +538,30 @@ func (s *Session) Commit() error {
 	if err := s.checkActive(); err != nil {
 		return err
 	}
-	t := s.txn
-	m := s.mgr
+	if lsn := s.mgr.commit(s.txn); lsn != wal.NilLSN {
+		s.mgr.gc.WaitStable(lsn)
+	} else {
+		s.mgr.waitReleasedEarly()
+	}
+	s.retire()
+	s.txn = nil
+	return nil
+}
+
+// commit ends t with its commit record and releases its locks, before
+// the record is stable; the caller waits for that (see Session.Commit).
+// It returns the record's LSN, or NilLSN when t logged nothing and so
+// ends with no record at all (TC.endUnlogged).
+func (m *SessionManager) commit(t *Txn) wal.LSN {
 	if m.tc.endUnlogged(t, StatusCommitted) {
-		m.waitReleasedEarly()
-		s.txn = nil
-		return nil
+		return wal.NilLSN
 	}
 	lsn := m.tc.app.MustAppend(&wal.CommitRec{TxnID: t.logName()})
 	t.setLastLSN(lsn)
 	m.tc.finishTxn(t, StatusCommitted)
-
 	m.noteReleasedEarly(lsn)
 	m.tc.locks.ReleaseAll(t.ID)
-	m.gc.WaitStable(lsn)
-	s.retire()
-	s.txn = nil
-	return nil
+	return lsn
 }
 
 // noteReleasedEarly raises releasedEarly to lsn. It must run before the
@@ -489,34 +587,39 @@ func (m *SessionManager) waitReleasedEarly() {
 }
 
 // Abort rolls the transaction back (logical undo with CLRs) holding
-// the planes of every shard the transaction touched, acquired in
-// ascending shard-ID order. The release is deferred so every return —
-// including a failed rollback — frees all planes. The abort record
-// needs no force: it becomes stable with the next batch, and recovery
-// rolls back uncommitted transactions regardless. A transaction that
-// logged nothing has nothing to undo and takes no plane.
+// the planes of every shard the transaction touched.
 func (s *Session) Abort() error {
 	if err := s.checkActive(); err != nil {
 		return err
 	}
-	t := s.txn
-	m := s.mgr
+	if err := s.mgr.abort(s.txn, s.shards); err != nil {
+		return err
+	}
+	s.retire()
+	s.txn = nil
+	return nil
+}
+
+// abort rolls t back, taking the planes of shards first in ascending
+// shard-ID order (nil when the caller holds them already), and ends it
+// with an abort record. The release is deferred so every return —
+// including a failed rollback — frees all planes. The abort record
+// needs no force: it becomes stable with the next batch, and recovery
+// rolls back an unfinished transaction regardless. A transaction that
+// logged nothing has nothing to undo and takes no plane.
+func (m *SessionManager) abort(t *Txn, shards []wal.ShardID) error {
 	if m.tc.endUnlogged(t, StatusAborted) {
-		s.txn = nil
 		return nil
 	}
-	release := m.lockPlanes(s.shards)
+	release := m.lockPlanes(shards)
 	defer release()
 	if err := m.tc.rollback(t); err != nil {
-		return err
+		return fmt.Errorf("tc: rollback of txn %d: %w", t.ID, err)
 	}
 	lsn := m.tc.app.MustAppend(&wal.AbortRec{TxnID: t.logName()})
 	t.setLastLSN(lsn)
 	m.tc.finishTxn(t, StatusAborted)
 	release()
-
 	m.tc.locks.ReleaseAll(t.ID)
-	s.retire()
-	s.txn = nil
 	return nil
 }

@@ -177,11 +177,14 @@ func TestSessionConcurrentCommitAtomicityAfterCrash(t *testing.T) {
 	}
 
 	// The recovered engine serves new transactions.
-	txn := recovered.TC.Begin()
-	if err := recovered.TC.Update(txn, cfg.TableID, 500, []byte("post-recovery")); err != nil {
+	post := recovered.NewSessionManager(0).NewSession()
+	if err := post.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	if err := recovered.TC.Commit(txn); err != nil {
+	if err := post.Update(cfg.TableID, 500, []byte("post-recovery")); err != nil {
+		t.Fatal(err)
+	}
+	if err := post.Commit(); err != nil {
 		t.Fatal(err)
 	}
 }

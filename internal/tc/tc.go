@@ -56,8 +56,6 @@ type Txn struct {
 	// the log must be retained from it while the transaction is active.
 	// Atomic for the same reason as last.
 	first atomic.Uint64
-	// updates counts data operations, for harness bookkeeping.
-	updates int
 }
 
 // Status returns the transaction's lifecycle state.
@@ -172,103 +170,30 @@ func (tc *TC) LastEndCkptLSN() wal.LSN { return wal.LSN(tc.lastEndCkpt.Load()) }
 // ActiveCount returns the number of in-flight transactions.
 func (tc *TC) ActiveCount() int { return tc.txns.count() }
 
-// Begin starts a transaction.
-func (tc *TC) Begin() *Txn {
+// begin starts a transaction (Session.Begin).
+func (tc *TC) begin() *Txn {
 	t := &Txn{ID: tc.txns.allocate(), status: StatusActive}
 	tc.txns.add(t)
 	tc.stats.begun.Add(1)
 	return t
 }
 
-func (tc *TC) checkActive(t *Txn) error {
-	if t == nil || t.status != StatusActive {
-		return ErrTxnNotActive
-	}
-	if !tc.txns.has(t.ID) {
-		return ErrTxnNotActive
-	}
-	return nil
-}
-
-// Read returns the value under (table, key) with a shared lock.
-func (tc *TC) Read(t *Txn, table wal.TableID, key uint64) ([]byte, bool, error) {
-	if err := tc.checkActive(t); err != nil {
-		return nil, false, err
-	}
-	if err := tc.locks.Acquire(t.ID, table, key, LockShared); err != nil {
-		return nil, false, err
-	}
-	return tc.dc.Read(table, key)
-}
-
-// Row is one result of a range read.
-type Row struct {
-	Key uint64
-	Val []byte
-}
-
-// ReadRange returns the rows with lo ≤ key ≤ hi, acquiring a shared
-// lock on every row returned (member locking; phantom protection via
-// full key-range lock modes is the subject of the companion
-// Deuteronomy paper [13] and out of scope here).
-func (tc *TC) ReadRange(t *Txn, table wal.TableID, lo, hi uint64) ([]Row, error) {
-	var out []Row
-	err := tc.ScanRange(t, table, lo, hi, nil, func(key uint64, val []byte) error {
-		out = append(out, Row{Key: key, Val: append([]byte(nil), val...)})
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ScanRange streams the rows with lo ≤ key ≤ hi through fn in key
-// order, pushing pred down into each shard's B-tree iterator: rows
-// failing pred are dropped before they are copied, locked, or cross the
-// shard boundary (a nil pred accepts every row). Every row fn sees is
-// member-locked shared, like ReadRange; pred-rejected rows are not
-// locked, which is the documented pushdown semantics — the predicate
-// reads the committed row version the scan encounters. The value slice
-// passed to pred and fn is only valid during the call; fn must copy
-// what it keeps. This is the single-threaded path: under concurrent
-// sessions use Session.ScanRange, which holds the overlapping shard
-// planes so the range cannot be torn by a concurrent migration.
-func (tc *TC) ScanRange(t *Txn, table wal.TableID, lo, hi uint64, pred func(key uint64, val []byte) bool, fn func(key uint64, val []byte) error) error {
-	if err := tc.checkActive(t); err != nil {
-		return err
-	}
-	return tc.dc.ReadRangeFiltered(table, lo, hi, pred, func(key uint64, val []byte) error {
-		if err := tc.locks.Acquire(t.ID, table, key, LockShared); err != nil {
-			return err
-		}
-		return fn(key, val)
-	})
-}
-
-// Update replaces the value under (table, key) within t.
-func (tc *TC) Update(t *Txn, table wal.TableID, key uint64, newVal []byte) error {
-	if err := tc.checkActive(t); err != nil {
-		return err
-	}
-	if err := tc.locks.Acquire(t.ID, table, key, LockExclusive); err != nil {
-		return err
-	}
-	return tc.applyUpdateAt(tc.dc.Locate(key), t, table, key, newVal)
-}
-
-// applyUpdateAt performs the locked portion of Update on shard target:
-// the caller holds the X lock (sessions acquire it outside the shard
-// planes so lock-table sharding pays off), and a session resolves the
-// owner while locking its plane, so the operation runs on that shard
-// even if the routing table moves meanwhile. The update is one descent
-// (dc.Patch): the patch copies the row it meets as the record's OldVal
-// and returns newVal.
-func (tc *TC) applyUpdateAt(target wal.ShardID, t *Txn, table wal.TableID, key uint64, newVal []byte) error {
-	var oldVal []byte
+// applyPatchAt rewrites the row under (table, key) on shard target to
+// what patch returns for it, logging the change as an update record. The
+// caller holds the X lock (sessions acquire it outside the shard planes
+// so lock-table sharding pays off), and a session resolves the owner
+// while locking its plane, so the operation runs on that shard even if
+// the routing table moves meanwhile. It is one descent (dc.Patch): the
+// patch meets the row, which is copied as the record's OldVal, and what
+// patch returns is its NewVal. An error from patch is returned as is and
+// logs nothing.
+func (tc *TC) applyPatchAt(target wal.ShardID, t *Txn, table wal.TableID, key uint64, patch func(cur []byte) ([]byte, error)) error {
+	var oldVal, newVal []byte
 	err := tc.dc.At(target).Patch(table, key, func(cur []byte) ([]byte, error) {
 		oldVal = append(oldVal[:0], cur...)
-		return newVal, nil
+		var err error
+		newVal, err = patch(cur)
+		return newVal, err
 	}, func(pid storage.PageID) wal.LSN {
 		lsn := tc.app.MustAppend(&wal.UpdateRec{
 			TxnID:   t.logName(),
@@ -286,24 +211,12 @@ func (tc *TC) applyUpdateAt(target wal.ShardID, t *Txn, table wal.TableID, key u
 	if err != nil {
 		return keyNotFound(err, table, key)
 	}
-	t.updates++
 	tc.stats.updates.Add(1)
 	return nil
 }
 
-// Insert adds a new row within t.
-func (tc *TC) Insert(t *Txn, table wal.TableID, key uint64, val []byte) error {
-	if err := tc.checkActive(t); err != nil {
-		return err
-	}
-	if err := tc.locks.Acquire(t.ID, table, key, LockExclusive); err != nil {
-		return err
-	}
-	return tc.applyInsertAt(tc.dc.Locate(key), t, table, key, val)
-}
-
-// applyInsertAt performs the locked portion of Insert on shard target;
-// see applyUpdateAt.
+// applyInsertAt adds the row (table, key) → val on shard target, logging
+// an insert record; see applyPatchAt.
 func (tc *TC) applyInsertAt(target wal.ShardID, t *Txn, table wal.TableID, key uint64, val []byte) error {
 	err := tc.dc.At(target).Insert(table, key, val, func(pid storage.PageID) wal.LSN {
 		lsn := tc.app.MustAppend(&wal.InsertRec{
@@ -321,25 +234,13 @@ func (tc *TC) applyInsertAt(target wal.ShardID, t *Txn, table wal.TableID, key u
 	if err != nil {
 		return err
 	}
-	t.updates++
 	tc.stats.inserts.Add(1)
 	return nil
 }
 
-// Delete removes a row within t.
-func (tc *TC) Delete(t *Txn, table wal.TableID, key uint64) error {
-	if err := tc.checkActive(t); err != nil {
-		return err
-	}
-	if err := tc.locks.Acquire(t.ID, table, key, LockExclusive); err != nil {
-		return err
-	}
-	return tc.applyDeleteAt(tc.dc.Locate(key), t, table, key)
-}
-
-// applyDeleteAt performs the locked portion of Delete on shard target;
-// see applyUpdateAt. The DC hands the log function the row it removes,
-// which the record carries as OldVal.
+// applyDeleteAt removes the row under (table, key) on shard target,
+// logging a delete record; see applyPatchAt. The DC hands the log
+// function the row it removes, which the record carries as OldVal.
 func (tc *TC) applyDeleteAt(target wal.ShardID, t *Txn, table wal.TableID, key uint64) error {
 	err := tc.dc.At(target).Delete(table, key, func(pid storage.PageID, old []byte) wal.LSN {
 		lsn := tc.app.MustAppend(&wal.DeleteRec{
@@ -357,7 +258,6 @@ func (tc *TC) applyDeleteAt(target wal.ShardID, t *Txn, table wal.TableID, key u
 	if err != nil {
 		return keyNotFound(err, table, key)
 	}
-	t.updates++
 	tc.stats.deletes.Add(1)
 	return nil
 }
@@ -371,36 +271,13 @@ func keyNotFound(err error, table wal.TableID, key uint64) error {
 	return err
 }
 
-// Commit ends t successfully on the single-threaded path: the commit
-// record is appended and forced inline — one force per transaction, and
-// locks are held across it — and the new end of stable log is pushed to
-// the DC via EOSL. Concurrent clients commit through Session.Commit,
-// which releases locks first and shares the force through the group
-// committer. A transaction that logged nothing has nothing to make
-// durable: it appends and forces nothing (endUnlogged).
-func (tc *TC) Commit(t *Txn) error {
-	if err := tc.checkActive(t); err != nil {
-		return err
-	}
-	if tc.endUnlogged(t, StatusCommitted) {
-		return nil
-	}
-	lsn := tc.app.MustAppend(&wal.CommitRec{TxnID: t.logName()})
-	t.setLastLSN(lsn)
-	eLSN := tc.app.Flush()
-	tc.dc.EOSL(eLSN)
-	tc.finishTxn(t, StatusCommitted)
-	tc.locks.ReleaseAll(t.ID)
-	return nil
-}
-
 // endUnlogged ends t with the given status if it never logged a record,
 // and reports whether it did so. Such a transaction changed nothing, so
 // there is nothing to undo, nothing to make durable and nothing recovery
 // needs to hear about: no commit or abort record, no force, no EOSL — it
 // leaves the transaction table and releases its locks. It is the one
-// place the elision lives; both Commit/Abort pairs (here and on Session)
-// call it first.
+// place the elision lives; SessionManager.commit and abort call it
+// first.
 func (tc *TC) endUnlogged(t *Txn, status Status) bool {
 	if t.FirstLSN() != wal.NilLSN {
 		return false
@@ -412,8 +289,7 @@ func (tc *TC) endUnlogged(t *Txn, status Status) bool {
 
 // finishTxn records t's terminal state: status, removal from the
 // active table, and the commit/abort counter. Lock release and
-// durability stay with the caller (the single-threaded path forces the
-// log inline; sessions wait on the group committer instead).
+// durability stay with the caller.
 func (tc *TC) finishTxn(t *Txn, status Status) {
 	t.status = status
 	tc.txns.remove(t.ID)
@@ -422,28 +298,6 @@ func (tc *TC) finishTxn(t *Txn, status Status) {
 	} else {
 		tc.stats.aborted.Add(1)
 	}
-}
-
-// Abort rolls t back: its operations are undone logically in reverse
-// order through the DC, each compensated by a CLR, then an abort record
-// is forced.
-func (tc *TC) Abort(t *Txn) error {
-	if err := tc.checkActive(t); err != nil {
-		return err
-	}
-	if tc.endUnlogged(t, StatusAborted) {
-		return nil
-	}
-	if err := tc.rollback(t); err != nil {
-		return fmt.Errorf("tc: rollback of txn %d: %w", t.ID, err)
-	}
-	lsn := tc.app.MustAppend(&wal.AbortRec{TxnID: t.logName()})
-	t.setLastLSN(lsn)
-	eLSN := tc.app.Flush()
-	tc.dc.EOSL(eLSN)
-	tc.finishTxn(t, StatusAborted)
-	tc.locks.ReleaseAll(t.ID)
-	return nil
 }
 
 // rollback undoes t's operations from its last record back to the
@@ -586,102 +440,12 @@ func (tc *TC) Checkpoint() error {
 func (tc *TC) SetMasterHook(fn func(wal.LSN) error) { tc.masterHook = fn }
 
 // SendEOSL forces the log and pushes the new end of stable log to the
-// DC. The harness calls it on the paper's EOSL cadence; Commit also
-// does it implicitly.
+// DC. The harness calls it on the paper's EOSL cadence; a commit's
+// group flush does the same.
 func (tc *TC) SendEOSL() wal.LSN {
 	eLSN := tc.app.Flush()
 	tc.dc.EOSL(eLSN)
 	return eLSN
-}
-
-// SplitRange splits the routing range containing key `at` at that key
-// and migrates the rows of the upper half to shard `to` — the TC-level
-// scale-out operation behind range re-balancing. The migration is one
-// system transaction: every moved row is deleted from the old shard and
-// inserted on the new one through ordinary logged operations, then a
-// ShardMapRec records the routing change, and the commit force makes
-// the whole move durable. Only after that does the in-memory routing
-// table flip, so a crash at any point leaves a consistent engine: an
-// incomplete migration is a loser transaction whose undo puts every row
-// back, and recovery applies the ShardMapRec exactly when the migration
-// committed. If `to` already owns the range the call only adds the
-// routing boundary.
-//
-// Like every direct TC method, SplitRange belongs to the
-// single-threaded path: the scan, the per-row locks and the row moves
-// assume no other goroutine mutates the range meanwhile. Under
-// concurrent sessions call SessionManager.SplitRange instead, which
-// holds both shards' planes across the whole migration.
-func (tc *TC) SplitRange(table wal.TableID, at uint64, to wal.ShardID) error {
-	if int(to) >= tc.dc.NumShards() {
-		return fmt.Errorf("tc: split target shard %d out of range (have %d)", to, tc.dc.NumShards())
-	}
-	_, end, from := tc.dc.RangeOf(at)
-	tc.dc.Split(at)
-	if from == to {
-		return nil
-	}
-
-	type row struct {
-		k uint64
-		v []byte
-	}
-	var rows []row
-	err := tc.dc.ReadRange(table, at, end, func(k uint64, v []byte) error {
-		rows = append(rows, row{k: k, v: append([]byte(nil), v...)})
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("tc: split scan [%d, %d]: %w", at, end, err)
-	}
-
-	t := tc.Begin()
-	fail := func(cause error) error {
-		if err := tc.Abort(t); err != nil {
-			return fmt.Errorf("tc: aborting failed range split: %v (split failed: %w)", err, cause)
-		}
-		return fmt.Errorf("tc: range split at %d: %w", at, cause)
-	}
-	for _, r := range rows {
-		if err := tc.locks.Acquire(t.ID, table, r.k, LockExclusive); err != nil {
-			return fail(err)
-		}
-	}
-	for _, r := range rows {
-		err := tc.dc.At(from).Delete(table, r.k, func(pid storage.PageID, _ []byte) wal.LSN {
-			lsn := tc.app.MustAppend(&wal.DeleteRec{
-				TxnID: t.logName(), TableID: table, KeyVal: r.k, OldVal: r.v,
-				PageID: pid, ShardID: from, PrevLSN: t.LastLSN(),
-			})
-			t.setLastLSN(lsn)
-			return lsn
-		})
-		if err != nil {
-			return fail(err)
-		}
-		err = tc.dc.At(to).Insert(table, r.k, r.v, func(pid storage.PageID) wal.LSN {
-			lsn := tc.app.MustAppend(&wal.InsertRec{
-				TxnID: t.logName(), TableID: table, KeyVal: r.k, Val: r.v,
-				PageID: pid, ShardID: to, PrevLSN: t.LastLSN(),
-			})
-			t.setLastLSN(lsn)
-			return lsn
-		})
-		if err != nil {
-			return fail(err)
-		}
-	}
-	t.setLastLSN(tc.app.MustAppend(&wal.ShardMapRec{
-		TxnID: t.logName(), SplitAt: at, End: end, NewShard: to, PrevLSN: t.LastLSN(),
-	}))
-	if err := tc.Commit(t); err != nil {
-		return fmt.Errorf("tc: committing range split at %d: %w", at, err)
-	}
-	if err := tc.dc.Reassign(at, to); err != nil {
-		return fmt.Errorf("tc: re-routing after split at %d: %w", at, err)
-	}
-	tc.stats.rangeSplits.Add(1)
-	return nil
 }
 
 // RestoreMaster installs the master-record pointer after recovery.

@@ -13,8 +13,9 @@ import (
 	"logrec/internal/wal"
 )
 
-// newPair builds a TC over a real DC with a small loaded table.
-func newPair(t *testing.T, rows int) (*TC, *dc.DC, *wal.Log) {
+// newPair builds a session manager over a TC over a real DC with a
+// small loaded table.
+func newPair(t *testing.T, rows int) (*SessionManager, *dc.DC, *wal.Log) {
 	t.Helper()
 	clock := &sim.Clock{}
 	disk, err := storage.New(clock, storage.DefaultConfig())
@@ -32,16 +33,28 @@ func newPair(t *testing.T, rows int) (*TC, *dc.DC, *wal.Log) {
 		t.Fatal(err)
 	}
 	d.StartLogging()
-	return New(log, shard.Single(d)), d, log
+	set := shard.Single(d)
+	return NewSessionManager(New(log, set), wal.NewGroupCommitter(log, set.EOSL, 0)), d, log
+}
+
+// begin opens a transaction on a new session of m.
+func begin(t *testing.T, m *SessionManager) *Session {
+	t.Helper()
+	s := m.NewSession()
+	if err := s.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func TestUpdateCommitVisible(t *testing.T) {
-	tcx, d, _ := newPair(t, 100)
-	txn := tcx.Begin()
-	if err := tcx.Update(txn, 1, 5, []byte("new-value")); err != nil {
+	m, d, _ := newPair(t, 100)
+	s := begin(t, m)
+	txn := s.Txn()
+	if err := s.Update(1, 5, []byte("new-value")); err != nil {
 		t.Fatal(err)
 	}
-	if err := tcx.Commit(txn); err != nil {
+	if err := s.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	v, found, err := d.Read(1, 5)
@@ -54,18 +67,18 @@ func TestUpdateCommitVisible(t *testing.T) {
 }
 
 func TestAbortRollsBackAllOps(t *testing.T) {
-	tcx, d, log := newPair(t, 100)
-	txn := tcx.Begin()
-	if err := tcx.Update(txn, 1, 7, []byte("garbage-1")); err != nil {
+	m, d, log := newPair(t, 100)
+	s := begin(t, m)
+	if err := s.Update(1, 7, []byte("garbage-1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := tcx.Insert(txn, 1, 1000, []byte("inserted")); err != nil {
+	if err := s.Insert(1, 1000, []byte("inserted")); err != nil {
 		t.Fatal(err)
 	}
-	if err := tcx.Delete(txn, 1, 8); err != nil {
+	if err := s.Delete(1, 8); err != nil {
 		t.Fatal(err)
 	}
-	if err := tcx.Abort(txn); err != nil {
+	if err := s.Abort(); err != nil {
 		t.Fatal(err)
 	}
 	// Update restored.
@@ -99,7 +112,7 @@ func TestAbortRollsBackAllOps(t *testing.T) {
 // and the CLRs it logs must be patches too (the same Skip/Tail, the
 // before-middle), replayable on their own.
 func TestAbortRestoresEveryPatchShape(t *testing.T) {
-	tcx, d, log := newPair(t, 100)
+	m, d, log := newPair(t, 100)
 	rows := []string{
 		"init-000007+grown",
 		"init-0000",
@@ -108,17 +121,17 @@ func TestAbortRestoresEveryPatchShape(t *testing.T) {
 		"Xnit-000Y",
 		"a different row altogether",
 	}
-	txn := tcx.Begin()
+	s := begin(t, m)
 	for _, row := range rows {
-		if err := tcx.Update(txn, 1, 7, []byte(row)); err != nil {
+		if err := s.Update(1, 7, []byte(row)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := tcx.Update(txn, 1, 8, []byte("init-00000X")); err != nil {
+	if err := s.Update(1, 8, []byte("init-00000X")); err != nil {
 		t.Fatal(err)
 	}
 	end := log.EndLSN()
-	if err := tcx.Abort(txn); err != nil {
+	if err := s.Abort(); err != nil {
 		t.Fatal(err)
 	}
 	for key, want := range map[uint64]string{7: "init-000007", 8: "init-000008"} {
@@ -131,6 +144,7 @@ func TestAbortRestoresEveryPatchShape(t *testing.T) {
 	// must fit the row the one before it produced.
 	state := map[uint64][]byte{7: []byte(rows[len(rows)-1]), 8: []byte("init-00000X")}
 	clrs := 0
+	log.Flush() // a rollback does not force its CLRs
 	sc := log.NewScanner(end, nil, wal.ScanCost{})
 	for {
 		rec, lsn, ok, err := sc.Next()
@@ -164,84 +178,59 @@ func TestAbortRestoresEveryPatchShape(t *testing.T) {
 	}
 }
 
-// writeAPI drives one transaction at a time through one of the TC's two
-// transaction APIs: the direct calls or a Session.
-type writeAPI struct {
-	name   string
-	begin  func() (*Txn, error)
-	update func(key uint64, val []byte) error
-	delete func(key uint64) error
-	commit func() error
-}
-
-func writeAPIs(m *SessionManager) []writeAPI {
-	var txn *Txn
-	s := m.NewSession()
-	return []writeAPI{
-		{
-			name:   "TC",
-			begin:  func() (*Txn, error) { txn = m.tc.Begin(); return txn, nil },
-			update: func(key uint64, val []byte) error { return m.tc.Update(txn, 1, key, val) },
-			delete: func(key uint64) error { return m.tc.Delete(txn, 1, key) },
-			commit: func() error { return m.tc.Commit(txn) },
-		},
-		{
-			name:   "Session",
-			begin:  func() (*Txn, error) { err := s.Begin(); return s.Txn(), err },
-			update: func(key uint64, val []byte) error { return s.Update(1, key, val) },
-			delete: func(key uint64) error { return s.Delete(1, key) },
-			commit: s.Commit,
-		},
-	}
-}
-
 // rowChanges are the forward row changes that meet an existing row.
 var rowChanges = []struct {
 	name string
-	run  func(a writeAPI, key uint64) error
+	run  func(s *Session, key uint64) error
 }{
-	{"Update", func(a writeAPI, key uint64) error { return a.update(key, []byte("changed")) }},
-	{"Delete", func(a writeAPI, key uint64) error { return a.delete(key) }},
+	{"Update", func(s *Session, key uint64) error { return s.Update(1, key, []byte("changed")) }},
+	{"Patch", func(s *Session, key uint64) error {
+		return s.Patch(1, key, func(cur []byte) ([]byte, error) {
+			row := append([]byte(nil), cur...)
+			row[0] = 'P'
+			return row, nil
+		})
+	}},
+	{"Delete", func(s *Session, key uint64) error { return s.Delete(1, key) }},
 }
 
-// TestUpdateMissingKey: an update or a delete of a key the table does
-// not hold fails with ErrKeyNotFound, through either API, and logs
-// nothing — so the transaction commits without a record.
+// TestUpdateMissingKey: an update, patch or delete of a key the table
+// does not hold fails with ErrKeyNotFound and logs nothing — so the
+// transaction commits without a record.
 func TestUpdateMissingKey(t *testing.T) {
 	m := newShardedMgr(t, 1, 10)
+	s := m.NewSession()
 	missing := uint64(9000)
-	for _, a := range writeAPIs(m) {
-		for _, op := range rowChanges {
-			t.Run(a.name+"/"+op.name, func(t *testing.T) {
-				missing++ // a case that fails keeps its lock
-				txn, err := a.begin()
-				if err != nil {
-					t.Fatal(err)
-				}
-				records := m.tc.log.Records()
-				if err := op.run(a, missing); !errors.Is(err, ErrKeyNotFound) {
-					t.Fatalf("err = %v, want ErrKeyNotFound", err)
-				}
-				if got := m.tc.log.Records(); got != records {
-					t.Fatalf("%d records logged by a miss", got-records)
-				}
-				if txn.FirstLSN() != wal.NilLSN {
-					t.Fatalf("the transaction names a first record %v after a miss", txn.FirstLSN())
-				}
-				if err := a.commit(); err != nil {
-					t.Fatal(err)
-				}
-				if got := m.tc.log.Records(); got != records {
-					t.Fatalf("the commit after a miss appended %d records, want 0", got-records)
-				}
-			})
-		}
+	for _, op := range rowChanges {
+		t.Run("Session/"+op.name, func(t *testing.T) {
+			missing++ // a case that fails keeps its lock
+			if err := s.Begin(); err != nil {
+				t.Fatal(err)
+			}
+			txn := s.Txn()
+			records := m.tc.log.Records()
+			if err := op.run(s, missing); !errors.Is(err, ErrKeyNotFound) {
+				t.Fatalf("err = %v, want ErrKeyNotFound", err)
+			}
+			if got := m.tc.log.Records(); got != records {
+				t.Fatalf("%d records logged by a miss", got-records)
+			}
+			if txn.FirstLSN() != wal.NilLSN {
+				t.Fatalf("the transaction names a first record %v after a miss", txn.FirstLSN())
+			}
+			if err := s.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if got := m.tc.log.Records(); got != records {
+				t.Fatalf("the commit after a miss appended %d records, want 0", got-records)
+			}
+		})
 	}
 }
 
-// TestRowChangeTakesOneDescent: a forward update or delete finds its row
-// and changes it in one root-to-leaf pass — as many pool lookups as the
-// tree is high — through either API.
+// TestRowChangeTakesOneDescent: a forward update, patch or delete finds
+// its row and changes it in one root-to-leaf pass — as many pool lookups
+// as the tree is high.
 func TestRowChangeTakesOneDescent(t *testing.T) {
 	m := newShardedMgr(t, 1, 2000)
 	d := m.tc.dc.At(0)
@@ -250,133 +239,135 @@ func TestRowChangeTakesOneDescent(t *testing.T) {
 		t.Fatalf("tree height %d: the test needs an internal level to tell one pass from two", height)
 	}
 	lookups := func() int64 { st := d.Pool().Stats(); return st.Hits + st.Misses }
+	s := m.NewSession()
 	key := uint64(0)
-	for _, a := range writeAPIs(m) {
-		for _, op := range rowChanges {
-			t.Run(a.name+"/"+op.name, func(t *testing.T) {
-				key += 100
-				if _, err := a.begin(); err != nil {
-					t.Fatal(err)
-				}
-				before := lookups()
-				if err := op.run(a, key); err != nil {
-					t.Fatal(err)
-				}
-				if got := lookups() - before; got != height {
-					t.Fatalf("%d pool lookups, want %d: one pass down a tree of height %d", got, height, height)
-				}
-				if err := a.commit(); err != nil {
-					t.Fatal(err)
-				}
-			})
-		}
+	for _, op := range rowChanges {
+		t.Run("Session/"+op.name, func(t *testing.T) {
+			key += 100
+			if err := s.Begin(); err != nil {
+				t.Fatal(err)
+			}
+			before := lookups()
+			if err := op.run(s, key); err != nil {
+				t.Fatal(err)
+			}
+			if got := lookups() - before; got != height {
+				t.Fatalf("%d pool lookups, want %d: one pass down a tree of height %d", got, height, height)
+			}
+			if err := s.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
 func TestOpsOnEndedTxnFail(t *testing.T) {
-	tcx, _, _ := newPair(t, 10)
-	txn := tcx.Begin()
-	if err := tcx.Commit(txn); err != nil {
+	m, _, _ := newPair(t, 10)
+	s := begin(t, m)
+	if err := s.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tcx.Update(txn, 1, 1, []byte("x")); !errors.Is(err, ErrTxnNotActive) {
+	if err := s.Update(1, 1, []byte("x")); !errors.Is(err, ErrTxnNotActive) {
 		t.Fatalf("update after commit: %v", err)
 	}
-	if err := tcx.Commit(txn); !errors.Is(err, ErrTxnNotActive) {
+	if _, _, err := s.Read(1, 1); !errors.Is(err, ErrTxnNotActive) {
+		t.Fatalf("read after commit: %v", err)
+	}
+	if err := s.Commit(); !errors.Is(err, ErrTxnNotActive) {
 		t.Fatalf("double commit: %v", err)
 	}
-	if err := tcx.Abort(txn); !errors.Is(err, ErrTxnNotActive) {
+	if err := s.Abort(); !errors.Is(err, ErrTxnNotActive) {
 		t.Fatalf("abort after commit: %v", err)
 	}
 }
 
 func TestWriteConflictBetweenTxns(t *testing.T) {
-	tcx, _, _ := newPair(t, 10)
-	t1 := tcx.Begin()
-	t2 := tcx.Begin()
-	if err := tcx.Update(t1, 1, 3, []byte("t1")); err != nil {
+	m, _, _ := newPair(t, 10)
+	t1, t2 := begin(t, m), begin(t, m)
+	if err := t1.Update(1, 3, []byte("t1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := tcx.Update(t2, 1, 3, []byte("t2")); !errors.Is(err, ErrLockConflict) {
+	if err := t2.Update(1, 3, []byte("t2")); !errors.Is(err, ErrLockConflict) {
 		t.Fatalf("conflicting update: %v, want ErrLockConflict", err)
 	}
 	// Readers also blocked by the X lock.
-	if _, _, err := tcx.Read(t2, 1, 3); !errors.Is(err, ErrLockConflict) {
+	if _, _, err := t2.Read(1, 3); !errors.Is(err, ErrLockConflict) {
 		t.Fatalf("conflicting read: %v", err)
 	}
 	// After t1 commits, t2 proceeds.
-	if err := tcx.Commit(t1); err != nil {
+	if err := t1.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tcx.Update(t2, 1, 3, []byte("t2")); err != nil {
+	if err := t2.Update(1, 3, []byte("t2")); err != nil {
 		t.Fatal(err)
 	}
-	if err := tcx.Commit(t2); err != nil {
+	if err := t2.Commit(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestSharedReadersThenUpgrade(t *testing.T) {
-	tcx, _, _ := newPair(t, 10)
-	t1 := tcx.Begin()
-	t2 := tcx.Begin()
-	if _, _, err := tcx.Read(t1, 1, 4); err != nil {
+	m, _, _ := newPair(t, 10)
+	t1, t2 := begin(t, m), begin(t, m)
+	if _, _, err := t1.Read(1, 4); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := tcx.Read(t2, 1, 4); err != nil {
+	if _, _, err := t2.Read(1, 4); err != nil {
 		t.Fatal(err)
 	}
 	// Upgrade blocked while another reader holds S.
-	if err := tcx.Update(t1, 1, 4, []byte("x")); !errors.Is(err, ErrLockConflict) {
+	if err := t1.Update(1, 4, []byte("x")); !errors.Is(err, ErrLockConflict) {
 		t.Fatalf("upgrade with 2 readers: %v", err)
 	}
-	if err := tcx.Commit(t2); err != nil {
+	if err := t2.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	// Sole holder upgrades.
-	if err := tcx.Update(t1, 1, 4, []byte("x")); err != nil {
+	if err := t1.Update(1, 4, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if err := tcx.Commit(t1); err != nil {
+	if err := t1.Commit(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestLocksReleasedOnCommitAndAbort(t *testing.T) {
-	tcx, _, _ := newPair(t, 10)
-	t1 := tcx.Begin()
-	if err := tcx.Update(t1, 1, 1, []byte("a")); err != nil {
+	m, _, _ := newPair(t, 10)
+	s := begin(t, m)
+	if err := s.Update(1, 1, []byte("a")); err != nil {
 		t.Fatal(err)
 	}
-	if got := tcx.Locks().HeldBy(t1.ID); got != 1 {
+	if got := m.tc.Locks().HeldBy(s.Txn().ID); got != 1 {
 		t.Fatalf("held = %d", got)
 	}
-	if err := tcx.Commit(t1); err != nil {
+	if err := s.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if got := tcx.Locks().Count(); got != 0 {
+	if got := m.tc.Locks().Count(); got != 0 {
 		t.Fatalf("locks remain after commit: %d", got)
 	}
-	t2 := tcx.Begin()
-	if err := tcx.Update(t2, 1, 2, []byte("b")); err != nil {
+	if err := s.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tcx.Abort(t2); err != nil {
+	if err := s.Update(1, 2, []byte("b")); err != nil {
 		t.Fatal(err)
 	}
-	if got := tcx.Locks().Count(); got != 0 {
+	if err := s.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.tc.Locks().Count(); got != 0 {
 		t.Fatalf("locks remain after abort: %d", got)
 	}
 }
 
 func TestCommitForcesLogAndSendsEOSL(t *testing.T) {
-	tcx, d, log := newPair(t, 10)
-	txn := tcx.Begin()
-	if err := tcx.Update(txn, 1, 1, []byte("v")); err != nil {
+	m, d, log := newPair(t, 10)
+	s := begin(t, m)
+	if err := s.Update(1, 1, []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	before := log.FlushedLSN()
-	if err := tcx.Commit(txn); err != nil {
+	if err := s.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	if log.FlushedLSN() <= before {
@@ -388,29 +379,34 @@ func TestCommitForcesLogAndSendsEOSL(t *testing.T) {
 }
 
 func TestCheckpointProtocol(t *testing.T) {
-	tcx, d, log := newPair(t, 200)
+	m, d, log := newPair(t, 200)
 	// Dirty some pages.
+	s := m.NewSession()
 	for i := 0; i < 5; i++ {
-		txn := tcx.Begin()
+		if err := s.Begin(); err != nil {
+			t.Fatal(err)
+		}
 		for u := 0; u < 10; u++ {
-			if err := tcx.Update(txn, 1, uint64(i*10+u), []byte(fmt.Sprintf("v-%d-%d", i, u))); err != nil {
+			if err := s.Update(1, uint64(i*10+u), []byte(fmt.Sprintf("v-%d-%d", i, u))); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := tcx.Commit(txn); err != nil {
+		if err := s.Commit(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if d.Pool().DirtyCount() == 0 {
 		t.Fatal("no dirty pages to checkpoint")
 	}
-	open := tcx.Begin()
-	if err := tcx.Update(open, 1, 150, []byte("open-txn")); err != nil {
+	openS := begin(t, m)
+	open := openS.Txn()
+	if err := openS.Update(1, 150, []byte("open-txn")); err != nil {
 		t.Fatal(err)
 	}
-	if err := tcx.Checkpoint(); err != nil {
+	if err := m.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+	tcx := m.tc
 	if tcx.LastEndCkptLSN() == wal.NilLSN {
 		t.Fatal("master record not advanced")
 	}
@@ -445,22 +441,22 @@ func TestCheckpointProtocol(t *testing.T) {
 	if got := d.Pool().DirtyCount(); got != 0 {
 		t.Fatalf("%d pages still dirty after checkpoint", got)
 	}
-	if err := tcx.Abort(open); err != nil {
+	if err := openS.Abort(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestStatsCounting(t *testing.T) {
-	tcx, _, _ := newPair(t, 50)
-	txn := tcx.Begin()
-	_ = tcx.Update(txn, 1, 1, []byte("a"))
-	_ = tcx.Insert(txn, 1, 500, []byte("b"))
-	_ = tcx.Delete(txn, 1, 2)
-	_ = tcx.Commit(txn)
-	txn2 := tcx.Begin()
-	_ = tcx.Update(txn2, 1, 3, []byte("c"))
-	_ = tcx.Abort(txn2)
-	st := tcx.Stats()
+	m, _, _ := newPair(t, 50)
+	s := begin(t, m)
+	_ = s.Update(1, 1, []byte("a"))
+	_ = s.Insert(1, 500, []byte("b"))
+	_ = s.Delete(1, 2)
+	_ = s.Commit()
+	_ = s.Begin()
+	_ = s.Update(1, 3, []byte("c"))
+	_ = s.Abort()
+	st := m.tc.Stats()
 	if st.Begun != 2 || st.Committed != 1 || st.Aborted != 1 {
 		t.Fatalf("txn stats = %+v", st)
 	}
@@ -470,12 +466,12 @@ func TestStatsCounting(t *testing.T) {
 }
 
 func TestUpdateRecordCarriesActualPID(t *testing.T) {
-	tcx, d, log := newPair(t, 100)
-	txn := tcx.Begin()
-	if err := tcx.Update(txn, 1, 42, []byte("pid-check")); err != nil {
+	m, d, log := newPair(t, 100)
+	s := begin(t, m)
+	if err := s.Update(1, 42, []byte("pid-check")); err != nil {
 		t.Fatal(err)
 	}
-	if err := tcx.Commit(txn); err != nil {
+	if err := s.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	wantPID, err := d.Tree().FindLeaf(42)
@@ -501,58 +497,66 @@ func TestUpdateRecordCarriesActualPID(t *testing.T) {
 	t.Fatal("update record not found")
 }
 
+// TestReadRangeLocksMembers: Session.ScanRange S-locks every row it
+// hands fn, and only those — a row its predicate rejects stays unlocked.
 func TestReadRangeLocksMembers(t *testing.T) {
-	tcx, _, _ := newPair(t, 100)
-	t1 := tcx.Begin()
-	rows, err := tcx.ReadRange(t1, 1, 10, 19)
+	m, _, _ := newPair(t, 100)
+	t1 := begin(t, m)
+	var keys []uint64
+	odd := func(key uint64, _ []byte) bool { return key%2 == 1 }
+	err := t1.ScanRange(1, 10, 19, odd, func(key uint64, val []byte) error {
+		if string(val) != fmt.Sprintf("init-%06d", key) {
+			t.Fatalf("key %d value %q", key, val)
+		}
+		keys = append(keys, key)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 10 {
-		t.Fatalf("range returned %d rows", len(rows))
+	if fmt.Sprint(keys) != "[11 13 15 17 19]" {
+		t.Fatalf("scan emitted %v", keys)
 	}
-	for i, r := range rows {
-		if r.Key != uint64(10+i) {
-			t.Fatalf("row %d key %d", i, r.Key)
-		}
-		if string(r.Val) != fmt.Sprintf("init-%06d", r.Key) {
-			t.Fatalf("row %d value %q", i, r.Val)
-		}
+	if got := m.tc.Locks().HeldBy(t1.Txn().ID); got != 5 {
+		t.Fatalf("held %d locks, want 5", got)
 	}
-	if got := tcx.Locks().HeldBy(t1.ID); got != 10 {
-		t.Fatalf("held %d locks, want 10", got)
-	}
-	// Another transaction cannot write a member of the range.
-	t2 := tcx.Begin()
-	if err := tcx.Update(t2, 1, 15, []byte("x")); !errors.Is(err, ErrLockConflict) {
+	t2 := begin(t, m)
+	// Another transaction cannot write an emitted row...
+	if err := t2.Update(1, 15, []byte("x")); !errors.Is(err, ErrLockConflict) {
 		t.Fatalf("update of S-locked member: %v", err)
 	}
-	// But can write outside it.
-	if err := tcx.Update(t2, 1, 50, []byte("outside-range")); err != nil {
+	// ...but can write a row the predicate rejected, and one outside
+	// the range.
+	for _, k := range []uint64{14, 50} {
+		if err := t2.Update(1, k, []byte("unlocked")); err != nil {
+			t.Fatalf("update of key %d: %v", k, err)
+		}
+	}
+	if err := t1.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tcx.Commit(t1); err != nil {
-		t.Fatal(err)
-	}
-	if err := tcx.Commit(t2); err != nil {
+	if err := t2.Commit(); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestReadRangeConflictAborts: a scan that meets a row another
+// transaction holds exclusively fails with ErrLockConflict.
 func TestReadRangeConflictAborts(t *testing.T) {
-	tcx, _, _ := newPair(t, 100)
-	t1 := tcx.Begin()
-	if err := tcx.Update(t1, 1, 15, []byte("held-exclusively")); err != nil {
+	m, _, _ := newPair(t, 100)
+	t1 := begin(t, m)
+	if err := t1.Update(1, 15, []byte("held-exclusively")); err != nil {
 		t.Fatal(err)
 	}
-	t2 := tcx.Begin()
-	if _, err := tcx.ReadRange(t2, 1, 10, 19); !errors.Is(err, ErrLockConflict) {
+	t2 := begin(t, m)
+	err := t2.ScanRange(1, 10, 19, nil, func(uint64, []byte) error { return nil })
+	if !errors.Is(err, ErrLockConflict) {
 		t.Fatalf("range over X-locked member: %v", err)
 	}
-	if err := tcx.Commit(t1); err != nil {
+	if err := t1.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tcx.Abort(t2); err != nil {
+	if err := t2.Abort(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -57,7 +57,8 @@ func (s GroupCommitStats) RecordsPerFlush() float64 {
 // control operation — once per batch, not once per record).
 //
 // GroupCommitter is a wrapper around Log, not a replacement: the
-// single-threaded virtual-time experiments keep using Log directly.
+// bulk load and recovery, which run before an engine opens for
+// sessions, append to Log directly.
 type GroupCommitter struct {
 	log *Log
 

@@ -13,17 +13,10 @@
 //
 // # Quick start
 //
-//	cfg := logrec.DefaultConfig()
-//	eng, err := logrec.New(cfg)           // empty database
-//	err = eng.Load(100_000, valueFn)      // bulk load + first checkpoint
-//
-//	txn := eng.TC.Begin()
-//	err = eng.TC.Update(txn, cfg.TableID, key, newValue)
-//	err = eng.TC.Commit(txn)
-//	err = eng.TC.Checkpoint()
-//
-//	crash := eng.Crash()                  // freeze stable state
-//	recovered, metrics, err := logrec.Recover(crash, logrec.Log2, logrec.DefaultOptions(cfg))
+// The package's Example loads a table, commits a transaction through a
+// Session (Engine.NewSessionManager, then NewSession per client),
+// checkpoints, crashes with a transaction in flight, and recovers the
+// crash by every method; go test runs it and checks its output.
 //
 // # Recovery methods (§5.2 of the paper)
 //
@@ -164,7 +157,7 @@ type Session = tc.Session
 // records-per-flush).
 type GroupCommitStats = wal.GroupCommitStats
 
-// Typed executor layer (the client API; the raw Session/TC point ops
+// Typed executor layer (the client API; the raw Session point ops
 // above remain the documented low-level plane):
 //
 //	schema := logrec.MustSchema(
@@ -176,7 +169,7 @@ type GroupCommitStats = wal.GroupCommitStats
 //	rows, err := ex.Scan(0, 99).Where("balance", logrec.Ge, int64(50)).Rows()
 
 // Executor runs typed operations — point ops, operator-tree queries
-// and batched transactions — against one table through a session.
+// and multi-op transactions — against one table through a session.
 type Executor = exec.Executor
 
 // Schema is an ordered list of typed columns plus the row codec.
@@ -204,10 +197,6 @@ type ExecRow = exec.Row
 // ExecQuery is a lazily built operator tree (Scan · Where · Filter ·
 // Project · Limit) over an executor's table.
 type ExecQuery = exec.Query
-
-// ExecBatch groups typed ops into one transaction with a single
-// grouped lock-and-plane round trip.
-type ExecBatch = exec.Batch
 
 // CmpOp is a Where comparison operator.
 type CmpOp = exec.CmpOp

@@ -3,6 +3,7 @@ package logrec_test
 import (
 	"bytes"
 	"fmt"
+	"log"
 	"testing"
 
 	"logrec"
@@ -24,15 +25,18 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	txn := eng.NewSessionManager(0).NewSession()
 	for i := 0; i < 50; i++ {
-		txn := eng.TC.Begin()
+		if err := txn.Begin(); err != nil {
+			t.Fatal(err)
+		}
 		for u := 0; u < 10; u++ {
 			k := uint64((i*10 + u) % 5000)
-			if err := eng.TC.Update(txn, cfg.TableID, k, []byte(fmt.Sprintf("upd-%03d-%05d", i, k))); err != nil {
+			if err := txn.Update(cfg.TableID, k, []byte(fmt.Sprintf("upd-%03d-%05d", i, k))); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := eng.TC.Commit(txn); err != nil {
+		if err := txn.Commit(); err != nil {
 			t.Fatal(err)
 		}
 		if i%20 == 19 {
@@ -101,4 +105,62 @@ func TestDeltaVariantsExported(t *testing.T) {
 			t.Fatalf("%v: %v", v, err)
 		}
 	}
+}
+
+// Example runs the engine end to end: load a table, update a row in a
+// committed session transaction, checkpoint, leave a second transaction
+// in flight, crash, and recover the crash by every method. Each method
+// keeps the committed row and rolls the in-flight one back.
+func Example() {
+	cfg := logrec.DefaultConfig()
+	cfg.CachePages = 256
+	eng, err := logrec.New(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	// Bulk load, then the initial checkpoint.
+	if err := eng.Load(1_000, func(k uint64) []byte { return []byte(fmt.Sprintf("row-%04d", k)) }); err != nil {
+		log.Fatal(err)
+	}
+
+	mgr := eng.NewSessionManager(0)
+	sess := mgr.NewSession()
+	if err := sess.Begin(); err != nil {
+		log.Fatal(err)
+	}
+	if err := sess.Update(cfg.TableID, 7, []byte("committed")); err != nil {
+		log.Fatal(err)
+	}
+	if err := sess.Commit(); err != nil { // durable once Commit returns
+		log.Fatal(err)
+	}
+	if err := mgr.Checkpoint(); err != nil {
+		log.Fatal(err)
+	}
+
+	// A transaction still open at the crash: recovery rolls it back.
+	if err := sess.Begin(); err != nil {
+		log.Fatal(err)
+	}
+	if err := sess.Update(cfg.TableID, 8, []byte("in flight")); err != nil {
+		log.Fatal(err)
+	}
+	eng.TC.SendEOSL() // its record reaches the stable log anyway
+
+	crash := eng.Crash()
+	for _, m := range logrec.Methods() {
+		rec, met, err := logrec.Recover(crash, m, logrec.DefaultOptions(cfg))
+		if err != nil {
+			log.Fatal(err)
+		}
+		row7, _, _ := rec.DC.Read(cfg.TableID, 7)
+		row8, _, _ := rec.DC.Read(cfg.TableID, 8)
+		fmt.Printf("%v: key 7 = %s, key 8 = %s, losers undone %d\n", m, row7, row8, met.LosersUndone)
+	}
+	// Output:
+	// Log0: key 7 = committed, key 8 = row-0008, losers undone 1
+	// Log1: key 7 = committed, key 8 = row-0008, losers undone 1
+	// SQL1: key 7 = committed, key 8 = row-0008, losers undone 1
+	// Log2: key 7 = committed, key 8 = row-0008, losers undone 1
+	// SQL2: key 7 = committed, key 8 = row-0008, losers undone 1
 }
