@@ -189,7 +189,7 @@ func (t *Tree) FindLeaf(key uint64) (storage.PageID, error) {
 			t.pool.Unpin(f)
 			return storage.InvalidPageID, fmt.Errorf("btree: page %d has type %v, want internal", pid, got)
 		}
-		next := route(f.Page, key)
+		next := route(&f.Page, key)
 		t.pool.Unpin(f)
 		pid = next
 	}
@@ -234,7 +234,7 @@ func (t *Tree) findLeafPath(key uint64) (storage.PageID, []pathEntry, error) {
 		}
 		t.visit()
 		path = append(path, pathEntry{pid: pid})
-		next := route(f.Page, key)
+		next := route(&f.Page, key)
 		t.pool.Unpin(f)
 		pid = next
 	}
@@ -310,7 +310,7 @@ func (t *Tree) modify(key uint64, logFn LogFunc, op func(*page.Page) error) erro
 			return err
 		}
 		t.visit()
-		err = op(f.Page)
+		err = op(&f.Page)
 		switch {
 		case err == nil:
 			t.applyCost()

@@ -53,7 +53,7 @@ func (t *Tree) scanFrom(pid storage.PageID, lo, hi uint64, pred func(uint64, []b
 			return err
 		}
 		t.visit()
-		p := f.Page
+		p := &f.Page
 		if got := p.Type(); got != page.TypeLeaf {
 			t.pool.Unpin(f)
 			return fmt.Errorf("btree: scan reached %v page %d", got, pid)
@@ -121,7 +121,7 @@ func (t *Tree) IndexPIDs() ([]storage.PageID, error) {
 			if err != nil {
 				return nil, err
 			}
-			p := f.Page
+			p := &f.Page
 			if level > 2 {
 				next = append(next, storage.PageID(p.Extra()))
 				for i := 0; i < p.NumSlots(); i++ {
@@ -160,7 +160,7 @@ func (t *Tree) checkNode(pid storage.PageID, level int, lo, hi uint64, hiOpen bo
 		return 0, err
 	}
 	defer t.pool.Unpin(f)
-	p := f.Page
+	p := &f.Page
 	if err := p.Check(); err != nil {
 		return 0, fmt.Errorf("page %d: %w", pid, err)
 	}

@@ -145,7 +145,7 @@ func (t *Tree) splitLeaf(leafPID storage.PageID, path []pathEntry, key uint64) e
 		// key becomes the separator and will land there on retry.
 		sep = key
 	} else {
-		sep, err = leaf.Page.SplitInto(right.Page)
+		sep, err = leaf.Page.SplitInto(&right.Page)
 		if err != nil {
 			return err
 		}
@@ -233,7 +233,7 @@ func (t *Tree) insertIntoParent(b *smoBuild, path []pathEntry, level int, leftPI
 // is removed from both halves, and its child becomes the right half's
 // leftmost child.
 func (t *Tree) splitInternal(b *smoBuild, f *buffer.Frame) (uint64, storage.PageID, error) {
-	p := f.Page
+	p := &f.Page
 	n := p.NumSlots()
 	if n < 3 {
 		return 0, storage.InvalidPageID, fmt.Errorf("btree: internal split with only %d separators", n)

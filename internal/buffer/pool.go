@@ -27,10 +27,7 @@
 package buffer
 
 import (
-	"cmp"
-	"container/list"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -40,28 +37,24 @@ import (
 	"logrec/internal/wal"
 )
 
-// Frame is a cached page.
+// Frame is a cached page. The page view lives inside the frame, and
+// the frame is its own clock-ring element, so a resident page costs one
+// 96-byte allocation besides its image; the fields are ordered so the
+// small ones pack into the last word.
 type Frame struct {
-	PID  storage.PageID
-	Page *page.Page
+	// Page is the cached page. Callers take its address (&f.Page): a
+	// copy of the view would not see the frame's later mutations.
+	Page page.Page
 
-	// Dirty reports whether the frame holds updates not yet on disk.
-	Dirty bool
 	// RecLSN is the LSN of the first operation that dirtied the frame
 	// since it was last clean (the recovery LSN of §2.2).
 	RecLSN wal.LSN
 	// LastLSN is the LSN of the latest operation applied to the frame.
 	LastLSN wal.LSN
-	// CkptBit is the value of the pool's checkpoint bit when the frame
-	// was last dirtied; the penultimate scheme flushes only frames
-	// dirtied before begin-checkpoint (§3.2).
-	CkptBit bool
 
-	// ref is the second-chance reference bit: set on every touch,
-	// cleared by the eviction sweep.
-	ref  bool
-	pins int
-	elem *list.Element
+	// prev and next link the frame into the pool's clock ring, in
+	// admission order; the ring's ends hold nil.
+	prev, next *Frame
 
 	// loading is non-nil while the frame's disk read is in flight with
 	// the latch released (real-time device); it is closed when the read
@@ -74,6 +67,20 @@ type Frame struct {
 	// write completes. Concurrent flushers of the same frame wait on it
 	// instead of issuing a duplicate write.
 	flushing chan struct{}
+
+	// PID is the cached page's ID; pins counts its holders.
+	PID  storage.PageID
+	pins int32
+
+	// Dirty reports whether the frame holds updates not yet on disk.
+	Dirty bool
+	// CkptBit is the value of the pool's checkpoint bit when the frame
+	// was last dirtied; the penultimate scheme flushes only frames
+	// dirtied before begin-checkpoint (§3.2).
+	CkptBit bool
+	// ref is the second-chance reference bit: set on every touch,
+	// cleared by the eviction sweep.
+	ref bool
 }
 
 // evictable reports whether f may be evicted or cold-flushed right now:
@@ -121,15 +128,16 @@ type Pool struct {
 	// pinCached and miss reads release it across real-time IO waits.
 	mu sync.Mutex
 
-	frames map[storage.PageID]*Frame
+	// frames maps a PID to its cached frame.
+	frames storage.Table[*Frame]
 
-	// ring is the second-chance clock: every frame in insertion order.
+	// head and tail are the ends of the second-chance clock ring, which
+	// links every frame in insertion order through Frame.prev/next.
 	// hand is the eviction sweep's position; lazyHand is the
 	// lazywriter's, so background cleaning round-robins independently
-	// of eviction.
-	ring     *list.List
-	hand     *list.Element
-	lazyHand *list.Element
+	// of eviction. A nil hand starts over at head.
+	head, tail     *Frame
+	hand, lazyHand *Frame
 
 	// ckptBit is flipped when a begin-checkpoint record is written;
 	// frames dirtied afterward carry the new value and are not flushed
@@ -178,12 +186,7 @@ func New(disk storage.Device, capacity int) (*Pool, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("buffer: capacity must be at least 1, got %d", capacity)
 	}
-	return &Pool{
-		disk:     disk,
-		capacity: capacity,
-		frames:   make(map[storage.PageID]*Frame, capacity),
-		ring:     list.New(),
-	}, nil
+	return &Pool{disk: disk, capacity: capacity}, nil
 }
 
 // Disk returns the underlying storage device (for prefetch pacing and
@@ -226,7 +229,7 @@ func (p *Pool) Capacity() int { return p.capacity }
 func (p *Pool) Len() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.frames)
+	return p.frames.Len()
 }
 
 // Stats returns the pool statistics.
@@ -282,17 +285,18 @@ func (p *Pool) DirtyCount() int {
 	return p.dirty
 }
 
-// DirtyPIDs returns the PIDs of all dirty frames (test oracle for DPT
-// safety).
+// DirtyPIDs returns the PIDs of all dirty frames in ascending order
+// (test oracle for DPT safety).
 func (p *Pool) DirtyPIDs() []storage.PageID {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	out := make([]storage.PageID, 0, p.dirty)
-	for pid, f := range p.frames {
+	p.frames.Range(func(pid storage.PageID, f *Frame) bool {
 		if f.Dirty {
 			out = append(out, pid)
 		}
-	}
+		return true
+	})
 	return out
 }
 
@@ -302,7 +306,7 @@ func (p *Pool) PinnedCount() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	n := 0
-	for _, f := range p.frames {
+	for f := p.head; f != nil; f = f.next {
 		if f.pins > 0 {
 			n++
 		}
@@ -339,7 +343,7 @@ func (p *Pool) Get(pid storage.PageID) (*Frame, error) {
 		if f := p.pinCached(pid); f != nil {
 			return f, nil
 		}
-		if len(p.frames) < p.capacity {
+		if p.frames.Len() < p.capacity {
 			break
 		}
 	}
@@ -355,14 +359,14 @@ func (p *Pool) Get(pid storage.PageID) (*Frame, error) {
 			p.removeFrame(f)
 			return nil, err
 		}
-		f.Page = page.WrapShared(data)
+		f.Page = *page.WrapShared(data)
 		return f, nil
 	}
 	data, err := p.disk.Read(pid)
 	if err != nil {
 		return nil, err
 	}
-	f := &Frame{PID: pid, Page: page.WrapShared(data), pins: 1}
+	f := &Frame{PID: pid, Page: *page.WrapShared(data), pins: 1}
 	p.admit(f)
 	return f, nil
 }
@@ -372,7 +376,7 @@ func (p *Pool) Get(pid storage.PageID) (*Frame, error) {
 // wait releases it.
 func (p *Pool) pinCached(pid storage.PageID) *Frame {
 	for {
-		f, ok := p.frames[pid]
+		f, ok := p.frames.Get(pid)
 		if !ok {
 			return nil
 		}
@@ -390,29 +394,51 @@ func (p *Pool) pinCached(pid storage.PageID) *Frame {
 	}
 }
 
-// admit inserts f into the page map and at the back of the clock ring,
-// referenced. Caller holds p.mu.
+// admit inserts f into the page table and at the back of the clock
+// ring, referenced. Caller holds p.mu.
 func (p *Pool) admit(f *Frame) {
 	f.ref = true
-	f.elem = p.ring.PushBack(f)
-	p.frames[f.PID] = f
+	f.prev, f.next = p.tail, nil
+	if p.tail != nil {
+		p.tail.next = f
+	} else {
+		p.head = f
+	}
+	p.tail = f
+	p.frames.Set(f.PID, f)
 }
 
-// removeFrame unlinks f from the page map and the clock ring, moving
+// removeFrame unlinks f from the page table and the clock ring, moving
 // either hand off it. Caller holds p.mu.
 func (p *Pool) removeFrame(f *Frame) {
 	if f.Dirty {
 		p.dirty--
 	}
-	if p.hand == f.elem {
-		p.hand = f.elem.Next()
+	if p.hand == f {
+		p.hand = f.next
 	}
-	if p.lazyHand == f.elem {
-		p.lazyHand = f.elem.Next()
+	if p.lazyHand == f {
+		p.lazyHand = f.next
 	}
-	p.ring.Remove(f.elem)
-	f.elem = nil
-	delete(p.frames, f.PID)
+	if f.prev != nil {
+		f.prev.next = f.next
+	} else {
+		p.head = f.next
+	}
+	if f.next != nil {
+		f.next.prev = f.prev
+	} else {
+		p.tail = f.prev
+	}
+	f.prev, f.next = nil, nil
+	p.frames.Delete(f.PID)
+}
+
+// mapped reports whether f is the frame the page table holds for its
+// page — false once it has been evicted or dropped. Caller holds p.mu.
+func (p *Pool) mapped(f *Frame) bool {
+	g, _ := p.frames.Get(f.PID)
+	return g == f
 }
 
 // GetIfCached returns the pinned frame if present, else nil. A frame
@@ -420,7 +446,7 @@ func (p *Pool) removeFrame(f *Frame) {
 func (p *Pool) GetIfCached(pid storage.PageID) *Frame {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	f, ok := p.frames[pid]
+	f, ok := p.frames.Get(pid)
 	if !ok || f.loading != nil {
 		return nil
 	}
@@ -437,7 +463,7 @@ func (p *Pool) GetIfCached(pid storage.PageID) *Frame {
 func (p *Pool) ResidentLSN(pid storage.PageID) (lsn uint64, ok bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	f, ok := p.frames[pid]
+	f, ok := p.frames.Get(pid)
 	if !ok || f.loading != nil {
 		return 0, false
 	}
@@ -449,7 +475,7 @@ func (p *Pool) ResidentLSN(pid storage.PageID) (lsn uint64, ok bool) {
 func (p *Pool) Contains(pid storage.PageID) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	_, ok := p.frames[pid]
+	_, ok := p.frames.Get(pid)
 	return ok
 }
 
@@ -458,18 +484,18 @@ func (p *Pool) Contains(pid storage.PageID) bool {
 func (p *Pool) NewPage(pid storage.PageID, t page.Type) (*Frame, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, ok := p.frames[pid]; ok {
+	if _, ok := p.frames.Get(pid); ok {
 		return nil, fmt.Errorf("buffer: NewPage of cached page %d", pid)
 	}
 	if err := p.ensureRoom(); err != nil {
 		return nil, err
 	}
 	// Re-lookup: ensureRoom may have released the latch (see Get).
-	if _, ok := p.frames[pid]; ok {
+	if _, ok := p.frames.Get(pid); ok {
 		return nil, fmt.Errorf("buffer: NewPage of cached page %d", pid)
 	}
 	p.stats.NewPages++
-	f := &Frame{PID: pid, Page: page.New(p.disk.Config().PageSize, t), pins: 1}
+	f := &Frame{PID: pid, Page: *page.New(p.disk.Config().PageSize, t), pins: 1}
 	p.admit(f)
 	return f, nil
 }
@@ -535,17 +561,16 @@ func (p *Pool) maybeClean() {
 // flushFrame may release the latch; removeFrame keeps the hand valid.
 func (p *Pool) sweepCold(want int) {
 	scanned := 0
-	for want > 0 && scanned < p.ring.Len() {
-		e := p.lazyHand
-		if e == nil {
-			e = p.ring.Front()
+	for want > 0 && scanned < p.frames.Len() {
+		f := p.lazyHand
+		if f == nil {
+			f = p.head
 		}
-		if e == nil {
+		if f == nil {
 			return
 		}
-		p.lazyHand = e.Next()
+		p.lazyHand = f.next
 		scanned++
-		f := e.Value.(*Frame)
 		if !f.Dirty || !evictable(f) {
 			continue
 		}
@@ -561,17 +586,16 @@ func (p *Pool) sweepCold(want int) {
 // pinned or in flight. It returns nil then. The caller flushes and
 // removes the victim.
 func (p *Pool) victim() *Frame {
-	limit := 2*p.ring.Len() + 1
+	limit := 2*p.frames.Len() + 1
 	for i := 0; i < limit; i++ {
-		e := p.hand
-		if e == nil {
-			e = p.ring.Front()
+		f := p.hand
+		if f == nil {
+			f = p.head
 		}
-		if e == nil {
+		if f == nil {
 			return nil
 		}
-		p.hand = e.Next()
-		f := e.Value.(*Frame)
+		p.hand = f.next
 		if !evictable(f) {
 			continue
 		}
@@ -590,7 +614,7 @@ func (p *Pool) victim() *Frame {
 // loop revalidates the victim after each flush.
 func (p *Pool) ensureRoom() error {
 	for attempt := 0; attempt < 2*p.capacity+2; attempt++ {
-		if len(p.frames) < p.capacity {
+		if p.frames.Len() < p.capacity {
 			return nil
 		}
 		f := p.victim()
@@ -605,7 +629,7 @@ func (p *Pool) ensureRoom() error {
 			// The latch may have been released mid-flush: the frame can
 			// have been re-pinned, re-dirtied or evicted by someone
 			// else. Revalidate before removal.
-			if p.frames[f.PID] != f || f.Dirty || !evictable(f) {
+			if !p.mapped(f) || f.Dirty || !evictable(f) {
 				continue
 			}
 		}
@@ -643,7 +667,7 @@ func (p *Pool) flushFrame(f *Frame) error {
 		<-ch
 		p.mu.Lock()
 	}
-	if !f.Dirty || p.frames[f.PID] != f {
+	if !f.Dirty || !p.mapped(f) {
 		return nil
 	}
 	// eLSN is an exclusive end: the record at LastLSN is stable only
@@ -725,21 +749,21 @@ func (p *Pool) FlushAll() error {
 // the latch). Candidates are collected first, then flushed with
 // revalidation — flushFrame can release the latch on a real-time
 // device, so a candidate may have been flushed or evicted by someone
-// else meanwhile. They are flushed in page order, not the map's: the
-// flush batches the tracker logs, and so the log's bytes (a batch's
-// written pages are gaps), are then the same on every run.
+// else meanwhile. They are flushed in page order (the table's walk
+// order): the flush batches the tracker logs, and so the log's bytes (a
+// batch's written pages are gaps), are then the same on every run.
 func (p *Pool) flushWhere(keep func(f *Frame) bool) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	cands := make([]*Frame, 0, p.dirty)
-	for _, f := range p.frames {
+	p.frames.Range(func(_ storage.PageID, f *Frame) bool {
 		if f.Dirty && keep(f) {
 			cands = append(cands, f)
 		}
-	}
-	slices.SortFunc(cands, func(a, b *Frame) int { return cmp.Compare(a.PID, b.PID) })
+		return true
+	})
 	for _, f := range cands {
-		if p.frames[f.PID] != f || !f.Dirty || !keep(f) {
+		if !p.mapped(f) || !f.Dirty || !keep(f) {
 			continue
 		}
 		if err := p.flushFrame(f); err != nil {
@@ -761,10 +785,10 @@ func (p *Pool) flushWhere(keep func(f *Frame) bool) error {
 // back-pressure.
 func (p *Pool) Prefetch(pids []storage.PageID) (consumed, issued int) {
 	p.mu.Lock()
-	free := max(p.capacity-len(p.frames)-p.disk.InflightCount(), 0)
+	free := max(p.capacity-p.frames.Len()-p.disk.InflightCount(), 0)
 	want := make([]storage.PageID, 0, len(pids))
 	for _, pid := range pids {
-		if _, ok := p.frames[pid]; ok {
+		if _, ok := p.frames.Get(pid); ok {
 			consumed++
 			continue
 		}
@@ -784,7 +808,7 @@ func (p *Pool) Prefetch(pids []storage.PageID) (consumed, issued int) {
 func (p *Pool) Drop(pid storage.PageID) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if f, ok := p.frames[pid]; ok {
+	if f, ok := p.frames.Get(pid); ok {
 		p.removeFrame(f)
 	}
 }

@@ -334,21 +334,13 @@ func TestPrefetchBoundedByFreeFrames(t *testing.T) {
 func TestDirtyPIDs(t *testing.T) {
 	_, disk, pool := newPoolEnv(t, 4)
 	seed(t, disk, 3)
-	for _, pid := range []storage.PageID{2, 4} {
+	for _, pid := range []storage.PageID{4, 2} {
 		f, _ := pool.Get(pid)
 		pool.MarkDirty(f, 9)
 		pool.Unpin(f)
 	}
-	got := pool.DirtyPIDs()
-	if len(got) != 2 {
-		t.Fatalf("DirtyPIDs = %v", got)
-	}
-	seen := map[storage.PageID]bool{}
-	for _, pid := range got {
-		seen[pid] = true
-	}
-	if !seen[2] || !seen[4] {
-		t.Fatalf("DirtyPIDs = %v, want {2,4}", got)
+	if got := pool.DirtyPIDs(); !slices.Equal(got, []storage.PageID{2, 4}) {
+		t.Fatalf("DirtyPIDs = %v, want [2 4] in ascending order", got)
 	}
 }
 

@@ -266,13 +266,8 @@ func runPoolStress(t *testing.T) {
 	}
 	// One frame per cached page: the clock ring holds exactly the
 	// mapped frames, so no orphan can later unmap a live one.
-	if n, m := pool.ring.Len(), len(pool.frames); n != m {
-		t.Fatalf("clock ring holds %d frames, page map %d", n, m)
-	}
-	for e := pool.ring.Front(); e != nil; e = e.Next() {
-		if f := e.Value.(*Frame); pool.frames[f.PID] != f {
-			t.Fatalf("ring frame for page %d is not the mapped one", f.PID)
-		}
+	if err := ringMismatch(pool); err != nil {
+		t.Fatal(err)
 	}
 	if n := disk.violations.Load(); n != 0 {
 		t.Fatalf("WAL protocol violated %d times; first: %s", n, *disk.firstErr.Load())
@@ -287,4 +282,37 @@ func runPoolStress(t *testing.T) {
 	if st.Flushes == 0 {
 		t.Fatal("stress never flushed a page")
 	}
+}
+
+// ringMismatch reports how the clock ring and the page table disagree,
+// or nil when the ring links exactly the mapped frames, each once, with
+// consistent back links and ends.
+func ringMismatch(p *Pool) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	inRing := make(map[*Frame]bool)
+	var prev *Frame
+	for f := p.head; f != nil; prev, f = f, f.next {
+		if inRing[f] {
+			return fmt.Errorf("clock ring loops back at page %d", f.PID)
+		}
+		inRing[f] = true
+		if f.prev != prev {
+			return fmt.Errorf("ring frame for page %d has a stale back link", f.PID)
+		}
+		if !p.mapped(f) {
+			return fmt.Errorf("ring frame for page %d is not the mapped one", f.PID)
+		}
+	}
+	if p.tail != prev {
+		return fmt.Errorf("ring tail is not its last frame")
+	}
+	var err error
+	p.frames.Range(func(pid storage.PageID, f *Frame) bool {
+		if !inRing[f] {
+			err = fmt.Errorf("mapped frame for page %d is not in the clock ring", pid)
+		}
+		return err == nil
+	})
+	return err
 }

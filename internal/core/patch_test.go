@@ -4,10 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
 	"logrec/internal/engine"
+	"logrec/internal/page"
+	"logrec/internal/storage"
 	"logrec/internal/tc"
 	"logrec/internal/wal"
 )
@@ -251,6 +254,71 @@ func TestSMOImageOfAnotherGeometryFailsRecovery(t *testing.T) {
 					t.Errorf("%v: error %q does not name %s", m, err, want)
 				}
 			}
+		}
+	}
+}
+
+// TestSMOImageAtAFarPIDReplays: an SMO image may name any PID the log
+// holds, however far past the tree's allocator — a corrupt one too.
+// Every method installs it as it would a near one: the page is
+// materialised from the image, and the replay allocates no more than
+// for an image at the allocator's next PID, not memory in proportion
+// to the PID.
+func TestSMOImageAtAFarPIDReplays(t *testing.T) {
+	cfg := testConfig(200)
+	crash := func(pid storage.PageID) (*engine.CrashState, wal.LSN) {
+		eng, err := engine.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Load(500, func(k uint64) []byte { return val(k, 0) }); err != nil {
+			t.Fatal(err)
+		}
+		m := eng.DC.Tree().Meta()
+		at := eng.Log.EndLSN()
+		img := page.New(cfg.Disk.PageSize, page.TypeLeaf)
+		img.SetLSN(uint64(at))
+		if !eng.Log.MustAppendAt(&wal.SMORec{
+			Meta:   wal.TreeMeta{TableID: m.TableID, Root: m.Root, Height: m.Height, NextPID: m.NextPID},
+			Images: []wal.PageImage{{PageID: pid, Data: img.Bytes()}},
+		}, at) {
+			t.Fatal("SMO did not land at the sampled log end")
+		}
+		eng.TC.SendEOSL()
+		return eng.Crash(), at
+	}
+	allocated := func(cs *engine.CrashState, m Method, pid storage.PageID, at wal.LSN) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		rec, _, err := Recover(cs, m, DefaultOptions(cfg))
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%v: recovery over an SMO image of page %d: %v", m, pid, err)
+		}
+		if lsn, ok := rec.DC.Pool().ResidentLSN(pid); !ok || lsn != uint64(at) {
+			t.Fatalf("%v: page %d after recovery: resident %v at pLSN %d, want the SMO's %v", m, pid, ok, lsn, at)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	far := storage.PageID(1 << 31)
+	csFar, atFar := crash(far)
+	var near storage.PageID
+	{
+		eng, err := engine.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Load(500, func(k uint64) []byte { return val(k, 0) }); err != nil {
+			t.Fatal(err)
+		}
+		near = storage.PageID(eng.DC.Tree().Meta().NextPID)
+	}
+	csNear, atNear := crash(near)
+	for _, m := range Methods() {
+		nb, fb := allocated(csNear, m, near, atNear), allocated(csFar, m, far, atFar)
+		if fb > nb+1<<20 {
+			t.Errorf("%v: replaying the image of page %d allocated %d B, %d B more than at page %d", m, far, fb, fb-nb, near)
 		}
 	}
 }

@@ -89,23 +89,29 @@ type Page struct {
 // returns the view.
 func Format(data []byte, t Type) *Page {
 	clear(data)
-	return formatZeroed(data, t)
+	p := &Page{data: data}
+	p.format(t)
+	return p
 }
 
 // New returns an empty page of type t over size fresh bytes. They are
 // zero already, so it writes only the header, where Format clears every
-// byte first.
-func New(size int, t Type) *Page { return formatZeroed(make([]byte, size), t) }
+// byte first. New is small enough to inline, so a caller that copies
+// the view into a struct of its own (*page.New(...)) allocates only the
+// bytes.
+func New(size int, t Type) *Page {
+	p := &Page{data: make([]byte, size)}
+	p.format(t)
+	return p
+}
 
-// formatZeroed writes the header of an empty page of type t into data,
+// format writes the header of an empty page of type t into p's bytes,
 // which must be all zero.
-func formatZeroed(data []byte, t Type) *Page {
-	p := &Page{data: data}
+func (p *Page) format(t Type) {
 	p.data[8] = byte(t)
 	p.setNSlots(0)
-	p.setHeapOff(uint16(len(data)))
+	p.setHeapOff(uint16(len(p.data)))
 	p.setFreeBytes(0)
-	return p
 }
 
 // Wrap views existing bytes as a page without validation. Use Check for

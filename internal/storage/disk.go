@@ -135,9 +135,10 @@ type Disk struct {
 
 	// base is the copy-on-write parent. Reads fall through to base when
 	// the page is absent locally; writes always land locally. base must
-	// be frozen (never written) after forking.
+	// be frozen (never written) after forking. pages holds the images
+	// written here, by PID; a fork's starts empty.
 	base  *Disk
-	pages map[PageID][]byte
+	pages Table[[]byte]
 
 	// channels holds the time each device channel frees up; an IO is
 	// assigned to the earliest-free channel.
@@ -170,7 +171,6 @@ func New(clock *sim.Clock, cfg Config) (*Disk, error) {
 	d := &Disk{
 		clock:    clock,
 		cfg:      cfg,
-		pages:    make(map[PageID][]byte),
 		channels: make([]sim.Time, cfg.Channels),
 		inflight: make(map[PageID]sim.Time),
 	}
@@ -190,7 +190,6 @@ func (d *Disk) Fork(clock *sim.Clock) *Disk {
 		clock:    clock,
 		cfg:      d.cfg,
 		base:     d,
-		pages:    make(map[PageID][]byte),
 		channels: make([]sim.Time, d.cfg.Channels),
 		inflight: make(map[PageID]sim.Time),
 	}
@@ -253,7 +252,7 @@ func (d *Disk) Sync() error {
 // without their locks is safe.
 func (d *Disk) lookup(pid PageID) ([]byte, bool) {
 	for cur := d; cur != nil; cur = cur.base {
-		if p, ok := cur.pages[pid]; ok {
+		if p, ok := cur.pages.Get(pid); ok {
 			return p, true
 		}
 	}
@@ -277,17 +276,25 @@ func (d *Disk) Image(pid PageID) ([]byte, bool) {
 	return d.lookup(pid)
 }
 
-// NumPages reports the number of distinct pages stored (CoW-merged).
+// NumPages reports the number of distinct pages stored (CoW-merged): a
+// page an ancestor holds counts unless a nearer disk holds it too.
 func (d *Disk) NumPages() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	seen := make(map[PageID]struct{})
+	n := 0
 	for cur := d; cur != nil; cur = cur.base {
-		for pid := range cur.pages {
-			seen[pid] = struct{}{}
-		}
+		cur.pages.Range(func(pid PageID, _ []byte) bool {
+			n++
+			for near := d; near != cur; near = near.base {
+				if _, ok := near.pages.Get(pid); ok {
+					n--
+					break
+				}
+			}
+			return true
+		})
 	}
-	return len(seen)
+	return n
 }
 
 // serviceIO assigns an IO of duration dur to the earliest-free device
@@ -486,7 +493,7 @@ func (d *Disk) Write(pid PageID, data []byte) (sim.Time, error) {
 	d.stats.Writes++
 	d.stats.PagesWritten++
 	d.fire(OpWrite, 1)
-	d.pages[pid] = data
+	d.pages.Set(pid, data)
 	return d.serviceIO(d.cfg.WriteSeekTime + d.cfg.TransferPerPage), nil
 }
 

@@ -407,17 +407,13 @@ func OpenLogDir(dir string) (*Log, error) {
 			}
 			data = data[:n]
 		}
-		if last {
-			// The tail keeps filling its file where the crash left it.
-			data = append(make([]byte, 0, max(segmentBytes, len(data))), data...)
-		} else {
-			// A sealed segment has no spare capacity: should it end up as
-			// the tail (its successor's torn file was just removed), the
-			// first append opens a new segment instead of writing to a
-			// file other directories may share by hard link.
-			data = data[:len(data):len(data)]
-		}
-		l.segs = append(l.segs, &segment{base: base, data: data})
+		// The tail keeps filling its file where the crash left it, its
+		// array growing on the first append. A sealed segment stays
+		// sealed: should it end up as the tail (its successor's torn
+		// file was just removed), the first append opens a new segment
+		// instead of writing to a file other directories may share by
+		// hard link.
+		l.segs = append(l.segs, &segment{base: base, data: data[:len(data):len(data)], sealed: !last})
 	}
 	if len(l.segs) == 0 {
 		return nil, fmt.Errorf("wal: %s holds no log segments", dir)

@@ -22,9 +22,14 @@ const logHeaderSize = 16
 const frameHeaderMin = 2
 
 // segmentBytes is the capacity of a log segment. A segment is sealed
-// when the next frame does not fit what is left of it; a frame larger
-// than this gets a segment of its own.
+// when the next frame would take it past this; a frame larger than this
+// gets a segment of its own.
 const segmentBytes = 1 << 20
+
+// tailStartBytes is the backing array a new tail starts with (or the
+// segment capacity, if smaller). It doubles as the tail fills, so a log
+// holds about as many bytes as it has written, not a whole segment.
+const tailStartBytes = 4 << 10
 
 // ScanCost parameterises the IO charge of reading the log during
 // recovery. The log is read sequentially; the scanner charges PerPage to
@@ -46,14 +51,20 @@ func DefaultScanCost() ScanCost {
 
 // segment is one record-aligned run of the log: data[0] is the byte at
 // LSN base, and no frame straddles two segments. The last segment of a
-// log's chain is its tail, owned by that log alone and extended in
-// place within its fixed capacity — the backing array never moves, so
-// bytes once written stay where readers saw them. Every other segment
-// is sealed: immutable, and shared by reference between the live log,
-// its snapshots and their clones.
+// log's chain is its tail, owned by that log alone. It is extended in
+// place while its backing array has room and grows by copying into a
+// new array twice the size when it has not, up to the segment capacity.
+// Bytes once written are never rewritten: a slice a reader took of the
+// old array keeps reading them. Every other segment is sealed:
+// immutable, and shared by reference between the live log, its
+// snapshots and their clones.
 type segment struct {
 	base LSN
 	data []byte
+	// sealed marks a tail that must not be extended even where it has
+	// room: a segment reopened from a file that was not the last one
+	// (OpenLogDir), whose file other directories may share.
+	sealed bool
 }
 
 func (s *segment) end() LSN { return s.base + LSN(len(s.data)) }
@@ -143,7 +154,7 @@ func NewLog() *Log { return newLog(segmentBytes) }
 // newLog is NewLog with a chosen segment capacity.
 func newLog(segCap int) *Log {
 	return &Log{
-		segs:       []*segment{{base: FirstLSN(), data: make([]byte, 0, segCap)}},
+		segs:       []*segment{{base: FirstLSN()}},
 		segCap:     segCap,
 		flushedLSN: FirstLSN(),
 	}
@@ -181,27 +192,46 @@ func (l *Log) chunks(from, to LSN) []chunk {
 	return out
 }
 
-// roll seals the tail and opens a new one with room for a frame of
-// need bytes. An empty tail is replaced instead, so no sealed segment
-// is ever empty.
-func (l *Log) roll(need int) *segment {
+// room returns how many bytes the tail takes in place: what is left
+// of its backing array, short of the segment capacity. A frame that
+// fits needs neither a seal nor a growth.
+func (l *Log) room() int {
 	t := l.tail()
-	next := &segment{base: t.end(), data: make([]byte, 0, max(l.segCap, need))}
-	if len(t.data) == 0 {
-		l.segs[len(l.segs)-1] = next
-	} else {
-		l.segs = append(l.segs, next)
+	if t.sealed {
+		return 0
 	}
-	return next
+	return max(min(cap(t.data), l.segCap)-len(t.data), 0)
 }
 
-// appendFrame copies one complete frame to the tail, rolling to a new
-// segment when it does not fit, and returns its LSN.
-func (l *Log) appendFrame(frame []byte) LSN {
+// reserve makes the tail able to take n more bytes in place and
+// returns it. The tail is sealed, and a new one opened, when n bytes
+// would take it past the segment capacity (an empty tail takes any
+// frame: a larger one gets a segment of its own). A tail short of room
+// grows into a new array, doubling from tailStartBytes but never past
+// the segment capacity.
+func (l *Log) reserve(n int) *segment {
 	t := l.tail()
-	if len(frame) > cap(t.data)-len(t.data) {
-		t = l.roll(len(frame))
+	if len(t.data) > 0 && (t.sealed || len(t.data)+n > l.segCap) {
+		t = &segment{base: t.end()}
+		l.segs = append(l.segs, t)
 	}
+	need := len(t.data) + n
+	if need > cap(t.data) {
+		c := max(2*cap(t.data), tailStartBytes)
+		for c < need {
+			c *= 2
+		}
+		grown := make([]byte, len(t.data), min(c, max(l.segCap, need)))
+		copy(grown, t.data)
+		t.data = grown
+	}
+	return t
+}
+
+// appendFrame copies one complete frame to the tail, sealing it or
+// growing it first as reserve decides, and returns the frame's LSN.
+func (l *Log) appendFrame(frame []byte) LSN {
+	t := l.reserve(len(frame))
 	lsn := t.end()
 	t.data = append(t.data, frame...)
 	return lsn
@@ -209,8 +239,9 @@ func (l *Log) appendFrame(frame []byte) LSN {
 
 // Append encodes rec at the log tail and returns its LSN. The record is
 // volatile until the next Flush. The frame is encoded straight into the
-// tail segment's spare capacity; only a frame that does not fit there
-// is encoded on the heap and copied into the segment opened for it.
+// tail segment's room; only a frame that does not fit there is encoded
+// on the heap and copied into the tail once it has grown, or into the
+// segment opened for it.
 func (l *Log) Append(rec Record) (LSN, error) {
 	lsn, _, err := l.appendIf(rec, NilLSN)
 	return lsn, err
@@ -246,20 +277,20 @@ func (l *Log) appendIf(rec Record, at LSN) (LSN, bool, error) {
 		return NilLSN, false, fmt.Errorf("wal: append to frozen log")
 	}
 	t := l.tail()
-	// A roll opens the next segment where this one ends, so the record's
+	// A seal opens the next segment where this one ends, so the record's
 	// LSN is known before it is encoded.
 	lsn := t.end()
 	if at != NilLSN && lsn != at {
 		return NilLSN, false, nil
 	}
-	n := len(t.data)
-	frame, err := rec.encodeBody(append(t.data[n:n:cap(t.data)], byte(typ), 0), lsn)
+	n, room := len(t.data), l.room()
+	frame, err := rec.encodeBody(append(t.data[n:n:n+room], byte(typ), 0), lsn)
 	if err != nil {
 		return NilLSN, false, fmt.Errorf("wal: appending %v record at %v: %w", typ, lsn, err)
 	}
 	frame = closeFrame(frame)
-	if len(frame) <= cap(t.data)-n {
-		// No append outgrew the spare capacity: frame is t.data[n:].
+	if len(frame) <= room {
+		// No append outgrew the room: frame is t.data[n:].
 		t.data = t.data[:n+len(frame)]
 	} else {
 		l.appendFrame(frame)
@@ -299,7 +330,9 @@ func (l *Log) MustAppend(rec Record) LSN {
 // persist writes the retained bytes of [l.persisted, to) through the
 // backend, syncs, and advances l.persisted. Callers hold flushMu and
 // l.mu; persist drops l.mu around the IO (appends continue meanwhile —
-// segment bytes never move or change once written) and retakes it.
+// segment bytes never change once written, and a tail that grows
+// copies them to a new array, leaving the old one as it was) and
+// retakes it.
 func (l *Log) persist(to LSN) error {
 	be := l.backend
 	if be == nil || to <= l.persisted {
@@ -534,21 +567,22 @@ func (l *Log) dropHold(h *hold) {
 
 // fork returns a log over l's stable prefix: every segment wholly below
 // the stable boundary is shared, and the stable bytes of the one the
-// boundary falls in are copied into the fork's own tail — the copy is
-// the only cost, so snapshots and clones are O(tail) whatever the log's
-// length. The tail gets no spare capacity; a fork that is appended to
-// seals it and opens a fresh segment.
+// boundary falls in (or ends at) are copied into the fork's own tail —
+// the copy is the only cost, so snapshots and clones are O(tail)
+// whatever the log's length. A fork that is appended to extends that
+// tail until the next frame would take it past the segment capacity,
+// exactly where the log it was forked from would have sealed it.
 func (l *Log) fork(frozen bool) *Log {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	n := 0
-	for n < len(l.segs)-1 && l.segs[n].end() <= l.flushedLSN {
+	for n < len(l.segs)-1 && l.segs[n].end() < l.flushedLSN {
 		n++
 	}
 	last := l.segs[n]
 	segs := make([]*segment, n+1)
 	copy(segs, l.segs[:n])
-	segs[n] = &segment{base: last.base, data: append([]byte(nil), last.data[:l.flushedLSN-last.base]...)}
+	segs[n] = &segment{base: last.base, data: append([]byte(nil), last.data[:l.flushedLSN-last.base]...), sealed: last.sealed}
 	return &Log{
 		segs:       segs,
 		segCap:     l.segCap,
