@@ -87,13 +87,6 @@ type Config struct {
 	// shards (0 = the full uint64 domain). Set it to the expected row
 	// count so the initial ranges balance the bulk-loaded table.
 	KeySpan uint64
-	// AutoSplit, when non-nil, enables the load-driven auto-splitter:
-	// when the engine's session manager is created (NewSessionManager),
-	// a balancer goroutine watches per-range load and splits/migrates
-	// hot ranges (tc.Balancer). Zero fields take the tc.AutoSplitConfig
-	// defaults, so &tc.AutoSplitConfig{} is on with defaults. Only
-	// meaningful with Shards > 1.
-	AutoSplit *tc.AutoSplitConfig
 	// RecoveryBudget is the recovery SLO: the target upper bound on
 	// replay time after a crash. It does not change recovery itself —
 	// it switches the background Checkpointer into budget mode, where
@@ -210,11 +203,9 @@ type Engine struct {
 	// an update is a patch, so delivering it twice is not harmless.
 	AppliedLSN wal.LSN
 
-	// mgr is the live session manager (set by NewSessionManager) and
-	// balancer its auto-splitter (nil when Cfg.AutoSplit is nil); Stats
-	// aggregates from both.
-	mgr      *tc.SessionManager
-	balancer *tc.Balancer
+	// mgr is the live session manager (set by NewSessionManager); Stats
+	// aggregates its commit and plane counters.
+	mgr *tc.SessionManager
 }
 
 // New creates an engine over an empty database. The config is
@@ -406,13 +397,6 @@ type CrashState struct {
 // as-is, with no flush, no final log force and no checkpoint; a failure
 // to close is a harness-environment error and panics.
 func (e *Engine) Crash() *CrashState {
-	// The balancer is part of the volatile engine: stop it before the
-	// crash point so no migration is mutating the "dead" engine while
-	// we freeze it.
-	if e.balancer != nil {
-		e.balancer.Stop()
-		e.balancer = nil
-	}
 	var replayRate float64
 	if e.LastRecovery != nil {
 		replayRate = e.LastRecovery.ReplayBytesPerSec

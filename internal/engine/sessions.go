@@ -19,20 +19,8 @@ import (
 // lone writer forces inline at once: the single-threaded recovery
 // experiments run this way. ~100µs models a fast NVMe log force and is
 // what the walbench driver uses.
-//
-// With Config.AutoSplit non-nil (and more than one shard), creating the
-// session manager also starts the tc.Balancer that auto-splits hot
-// ranges; Crash stops it, or call Balancer().Stop() directly.
 func (e *Engine) NewSessionManager(flushDelay time.Duration) *tc.SessionManager {
 	gc := wal.NewGroupCommitter(e.Log, func(eLSN wal.LSN) { e.Set.EOSL(eLSN) }, flushDelay)
 	e.mgr = tc.NewSessionManager(e.TC, gc)
-	if e.Cfg.AutoSplit != nil && e.Cfg.NumShards() > 1 {
-		e.balancer = tc.StartBalancer(e.mgr, e.Cfg.TableID, *e.Cfg.AutoSplit)
-	}
 	return e.mgr
 }
-
-// Balancer returns the running auto-split balancer, or nil if the
-// engine has none (AutoSplit nil, single shard, or no session manager
-// yet).
-func (e *Engine) Balancer() *tc.Balancer { return e.balancer }

@@ -63,8 +63,6 @@ type Stats struct {
 	Routes []wal.RouteEntry
 	// Shards holds one entry per data component, indexed by shard ID.
 	Shards []ShardStats
-	// AutoSplit is the balancer's activity; zero when no balancer runs.
-	AutoSplit tc.AutoSplitStats
 	// Recovery is the summary of the recovery run that produced this
 	// engine; nil for an engine that was created fresh rather than
 	// recovered.
@@ -113,9 +111,6 @@ func (e *Engine) Stats() Stats {
 	if e.mgr != nil {
 		st.WAL = e.mgr.CommitStats()
 		planes = e.mgr.PlaneStats()
-	}
-	if e.balancer != nil {
-		st.AutoSplit = e.balancer.Stats()
 	}
 	for i, d := range e.DCs {
 		pool := d.Pool()

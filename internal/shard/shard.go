@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"logrec/internal/dc"
 	"logrec/internal/wal"
@@ -57,16 +56,10 @@ func DefaultRoutes(n int, keySpan uint64) []wal.RouteEntry {
 
 // Router is the key→shard routing table: a sorted list of range starts.
 // It is safe for concurrent use (readers on the session fast path,
-// writers only during range splits). Alongside each range it keeps an
-// operation counter — the load signal the auto-split balancer consumes
-// through TakeRangeLoads.
+// writers only during range splits).
 type Router struct {
 	mu     sync.RWMutex
 	routes []wal.RouteEntry
-	// hits counts LocateHit calls per range, parallel to routes. The
-	// counters are pointers so they survive the slice surgery Split
-	// performs and can be bumped under the read lock.
-	hits []*atomic.Int64
 }
 
 // NewRouter builds a router over the given routing table. Entries are
@@ -85,11 +78,7 @@ func NewRouter(routes []wal.RouteEntry) (*Router, error) {
 			return nil, fmt.Errorf("shard: duplicate range start %d", rs[i].Start)
 		}
 	}
-	hits := make([]*atomic.Int64, len(rs))
-	for i := range hits {
-		hits[i] = &atomic.Int64{}
-	}
-	return &Router{routes: rs, hits: hits}, nil
+	return &Router{routes: rs}, nil
 }
 
 // Locate returns the shard owning key.
@@ -97,45 +86,6 @@ func (r *Router) Locate(key uint64) wal.ShardID {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.routes[r.find(key)].Shard
-}
-
-// LocateHit is Locate plus a hit against the key's range counter: the
-// session write path uses it so the balancer sees per-range load.
-func (r *Router) LocateHit(key uint64) wal.ShardID {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	i := r.find(key)
-	r.hits[i].Add(1)
-	return r.routes[i].Shard
-}
-
-// RangeLoad is one routing range's traffic since the previous
-// TakeRangeLoads call.
-type RangeLoad struct {
-	// Start and End bound the range (End inclusive; MaxUint64 for the
-	// last range).
-	Start, End uint64
-	// Shard is the range's owner.
-	Shard wal.ShardID
-	// Ops is the number of LocateHit calls that landed in the range.
-	Ops int64
-}
-
-// TakeRangeLoads snapshots and resets the per-range hit counters,
-// returning one entry per routing range in key order. The reset makes
-// each call an independent load window.
-func (r *Router) TakeRangeLoads() []RangeLoad {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]RangeLoad, len(r.routes))
-	for i, rt := range r.routes {
-		end := ^uint64(0)
-		if i+1 < len(r.routes) {
-			end = r.routes[i+1].Start - 1
-		}
-		out[i] = RangeLoad{Start: rt.Start, End: end, Shard: rt.Shard, Ops: r.hits[i].Swap(0)}
-	}
-	return out
 }
 
 // find returns the index of the range containing key. Callers hold mu.
@@ -181,11 +131,6 @@ func (r *Router) Split(at uint64) {
 	r.routes = append(r.routes, wal.RouteEntry{})
 	copy(r.routes[i+2:], r.routes[i+1:])
 	r.routes[i+1] = entry
-	// The lower half keeps the accumulated counter; the new upper half
-	// starts cold.
-	r.hits = append(r.hits, nil)
-	copy(r.hits[i+2:], r.hits[i+1:])
-	r.hits[i+1] = &atomic.Int64{}
 }
 
 // Reassign hands the range starting exactly at `at` to a new owner.
@@ -257,13 +202,6 @@ func (s *Set) DCs() []*dc.DC { return s.dcs }
 
 // Locate returns the shard owning key.
 func (s *Set) Locate(key uint64) wal.ShardID { return s.router.Locate(key) }
-
-// LocateHit returns the shard owning key, counting the hit against the
-// key's range (the balancer's load signal).
-func (s *Set) LocateHit(key uint64) wal.ShardID { return s.router.LocateHit(key) }
-
-// TakeRangeLoads drains the per-range load window; see Router.
-func (s *Set) TakeRangeLoads() []RangeLoad { return s.router.TakeRangeLoads() }
 
 // Routes returns a copy of the routing table (checkpointing).
 func (s *Set) Routes() []wal.RouteEntry { return s.router.Routes() }

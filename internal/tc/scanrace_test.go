@@ -3,10 +3,10 @@
 // shard boundary must observe either the committed pre-image or the
 // committed post-image of any concurrent migration or transaction —
 // never a torn mixture: no missing keys, no duplicates, no mix of two
-// writers' transactions. These tests hammer exactly that under -race:
-// one with explicit SplitRange calls flipping a boundary inside the
-// scanned range, one with the load-driven auto-split balancer
-// migrating a hot range under full-table scans.
+// writers' transactions. These tests hammer exactly that under -race
+// with explicit SplitRange calls: one flipping a boundary inside the
+// scanned range, one moving a hot slice back and forth under
+// full-table scans.
 package tc_test
 
 import (
@@ -189,25 +189,71 @@ func TestScanRangeAtomicAcrossSplitRange(t *testing.T) {
 		scans.Load(), splits.Load(), rewrites.Load())
 }
 
-// TestScanAllAtomicUnderAutoSplit runs full-table scans while the
-// load-driven balancer migrates a hot range under zipf-like writer
-// pressure. Scans must always see every key exactly once.
-func TestScanAllAtomicUnderAutoSplit(t *testing.T) {
+// migrator moves the key slice [lo, hi] back and forth between two
+// shards with explicit SplitRange calls while the test's sessions run.
+// A migration refused on a lock conflict (a session holds a row in the
+// slice) is retried; any other error fails the test.
+type migrator struct {
+	stop    atomic.Bool
+	done    chan struct{}
+	moved   atomic.Int64
+	refused atomic.Int64
+}
+
+// startMigrator cuts a routing boundary after hi, so each move relocates
+// exactly [lo, hi], and starts moving the slice between its owner and
+// shard to. Stop it with halt before the engine crashes or the test ends.
+func startMigrator(t *testing.T, mgr *tc.SessionManager, table wal.TableID, lo, hi uint64, to wal.ShardID) *migrator {
+	t.Helper()
+	set := mgr.TC().Shards()
+	_, _, home := set.RangeOf(lo)
+	_, _, above := set.RangeOf(hi + 1)
+	if err := mgr.SplitRange(table, hi+1, above); err != nil { // a boundary, no rows moved
+		t.Fatal(err)
+	}
+	m := &migrator{done: make(chan struct{})}
+	go func() {
+		defer close(m.done)
+		for !m.stop.Load() {
+			err := mgr.SplitRange(table, lo, to)
+			switch {
+			case err == nil:
+				m.moved.Add(1)
+				to, home = home, to
+			case errors.Is(err, tc.ErrLockConflict):
+				m.refused.Add(1)
+			default:
+				t.Errorf("migrating [%d, %d] to shard %d: %v", lo, hi, to, err)
+				return
+			}
+			time.Sleep(200 * time.Microsecond)
+		}
+	}()
+	return m
+}
+
+// halt stops the migrator and waits for its last move to finish.
+func (m *migrator) halt() {
+	m.stop.Store(true)
+	<-m.done
+}
+
+// TestScanAllAtomicAcrossSplitRange runs full-table scans while writers
+// hammer a hot slice of the first shard and a migrator moves part of
+// that slice back and forth between shards 0 and 3. Every scan must see
+// every key exactly once, and the run must complete minScans scans and
+// commit minMoves migrations, or it tested nothing.
+func TestScanAllAtomicAcrossSplitRange(t *testing.T) {
 	const (
 		rows     = 8192
 		duration = 800 * time.Millisecond
+		minScans = 2
+		minMoves = 4
 	)
 	cfg := engine.DefaultConfig()
 	cfg.Shards = 4
 	cfg.KeySpan = rows
 	cfg.CachePages = 512
-	// Small windows with a low qualifying floor: the -race scheduler
-	// throttles writer throughput, and the balancer must still see
-	// enough qualifying windows to split and migrate mid-test.
-	// A full-table scan holds every plane, so writers only run in the
-	// gaps between scans; tiny windows with a one-op floor let the
-	// balancer qualify on that thin trickle under the -race scheduler.
-	cfg.AutoSplit = &tc.AutoSplitConfig{Interval: 2 * time.Millisecond, MinOps: 1, MaxMoveSpan: 1024}
 	eng, err := engine.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -218,14 +264,14 @@ func TestScanAllAtomicUnderAutoSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr := eng.NewSessionManager(0)
-	defer eng.Balancer().Stop()
 
 	var (
 		stop  atomic.Bool
 		wg    sync.WaitGroup
 		scans atomic.Int64
 	)
-	// Writers: hammer a narrow hot slice so the balancer migrates it.
+	// Writers: hammer a narrow hot slice, part of which the migrator
+	// keeps moving.
 	for c := 0; c < 4; c++ {
 		wg.Add(1)
 		go func(c int) {
@@ -294,20 +340,26 @@ func TestScanAllAtomicUnderAutoSplit(t *testing.T) {
 			}
 			scans.Add(1)
 			// Breathe between scans: a full-table scan holds every
-			// plane, and back-to-back scans would lock writers (and the
-			// balancer's migrations) out of the run entirely.
+			// plane, and back-to-back scans would lock writers and the
+			// migrator out of the run entirely.
 			time.Sleep(5 * time.Millisecond)
 		}
 	}()
 
+	mig := startMigrator(t, mgr, cfg.TableID, 256, 319, 3)
+	// At least duration, and on a slow machine until both sides have
+	// done their share, so the scans really raced migrations.
+	exercised := func() bool { return scans.Load() >= minScans && mig.moved.Load() >= minMoves }
 	time.Sleep(duration)
+	for deadline := time.Now().Add(10 * time.Second); !exercised() && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+	}
+	mig.halt()
 	stop.Store(true)
 	wg.Wait()
-	if scans.Load() == 0 {
-		t.Fatal("no full scan completed")
+	if !exercised() {
+		t.Fatalf("race unexercised: %d scans (want %d), %d migrations committed (want %d, %d refused)",
+			scans.Load(), minScans, mig.moved.Load(), minMoves, mig.refused.Load())
 	}
-	st := eng.Stats()
-	t.Logf("%d complete scans; %d windows, %d migrations (%d failed), %d boundary splits, hot share %.2f→%.2f",
-		scans.Load(), st.AutoSplit.Windows, st.AutoSplit.Migrations, st.AutoSplit.FailedMigrations,
-		st.AutoSplit.BoundarySplits, st.AutoSplit.FirstHotShare, st.AutoSplit.LastHotShare)
+	t.Logf("%d complete scans raced %d migrations (%d refused)", scans.Load(), mig.moved.Load(), mig.refused.Load())
 }

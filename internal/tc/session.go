@@ -38,7 +38,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"logrec/internal/storage"
 	"logrec/internal/wal"
 )
 
@@ -127,7 +126,7 @@ func (m *SessionManager) PlaneStats() []PlaneStats {
 // on another shard (we retry against the new owner).
 func (m *SessionManager) lockPlane(key uint64) (wal.ShardID, *plane, time.Time) {
 	for {
-		sh := m.tc.dc.LocateHit(key)
+		sh := m.tc.dc.Locate(key)
 		p := m.planes[sh]
 		p.mu.Lock()
 		if m.tc.dc.Locate(key) == sh {
@@ -225,8 +224,9 @@ func (m *SessionManager) SplitRange(table wal.TableID, at uint64, to wal.ShardID
 
 // migrate is SplitRange under the planes of the range's owner and `to`.
 // The migration is one system transaction: every moved row is deleted
-// from the old shard and inserted on the new one through ordinary logged
-// operations, then a ShardMapRec records the routing change. It ends
+// from the old shard and inserted on the new one through the same
+// applyDeleteAt and applyInsertAt a session writes with, then a
+// ShardMapRec records the routing change. It ends
 // through commit or abort like any session's transaction, and the
 // in-memory routing table flips only once the commit record is stable,
 // so a crash at any point leaves a consistent engine: an incomplete
@@ -267,26 +267,10 @@ func (m *SessionManager) migrate(table wal.TableID, at uint64, to wal.ShardID) e
 		}
 	}
 	for _, r := range rows {
-		err := tc.dc.At(from).Delete(table, r.k, func(pid storage.PageID, _ []byte) wal.LSN {
-			lsn := tc.app.MustAppend(&wal.DeleteRec{
-				TxnID: t.logName(), TableID: table, KeyVal: r.k, OldVal: r.v,
-				PageID: pid, ShardID: from, PrevLSN: t.LastLSN(),
-			})
-			t.setLastLSN(lsn)
-			return lsn
-		})
-		if err != nil {
+		if err := tc.applyDeleteAt(from, t, table, r.k); err != nil {
 			return fail(err)
 		}
-		err = tc.dc.At(to).Insert(table, r.k, r.v, func(pid storage.PageID) wal.LSN {
-			lsn := tc.app.MustAppend(&wal.InsertRec{
-				TxnID: t.logName(), TableID: table, KeyVal: r.k, Val: r.v,
-				PageID: pid, ShardID: to, PrevLSN: t.LastLSN(),
-			})
-			t.setLastLSN(lsn)
-			return lsn
-		})
-		if err != nil {
+		if err := tc.applyInsertAt(to, t, table, r.k, r.v); err != nil {
 			return fail(err)
 		}
 	}
@@ -419,11 +403,10 @@ func (s *Session) Read(table wal.TableID, key uint64) ([]byte, bool, error) {
 // or the whole post-migration range — never a torn mixture.
 //
 // The owner set is computed before the planes are taken and
-// revalidated under them: if a concurrent SplitRange (or the
-// auto-split balancer) re-routed part of the range in the window, the
-// planes are dropped and the scan retries against the new owners. This
-// converges for the same reason lockPlane does — migrations only flip
-// routes while holding the affected planes.
+// revalidated under them: if a concurrent SplitRange re-routed part of
+// the range in the window, the planes are dropped and the scan retries
+// against the new owners. This converges for the same reason lockPlane
+// does — migrations only flip routes while holding the affected planes.
 //
 // Every row fn sees is member-locked shared (phantom protection via
 // key-range lock modes is the subject of the companion Deuteronomy
@@ -469,11 +452,12 @@ func sameShardIDs(a, b []wal.ShardID) bool {
 }
 
 // write runs one row change, op on the key's owning shard, within the
-// session's transaction. Lock conflicts return ErrLockConflict
-// immediately (no-wait); callers abort and retry. The logical lock is
-// taken before the shard plane, so a conflict costs no plane time — and
-// a failed acquisition leaves nothing to release.
-func (s *Session) write(table wal.TableID, key uint64, op func(sh wal.ShardID) error) error {
+// session's transaction, and counts it in n once it succeeds. Lock
+// conflicts return ErrLockConflict immediately (no-wait); callers abort
+// and retry. The logical lock is taken before the shard plane, so a
+// conflict costs no plane time — and a failed acquisition leaves
+// nothing to release.
+func (s *Session) write(table wal.TableID, key uint64, n *atomic.Int64, op func(sh wal.ShardID) error) error {
 	if err := s.checkActive(); err != nil {
 		return err
 	}
@@ -486,6 +470,9 @@ func (s *Session) write(table wal.TableID, key uint64, op func(sh wal.ShardID) e
 	s.note(sh)
 	err := op(sh)
 	s.settle()
+	if err == nil {
+		n.Add(1)
+	}
 	return err
 }
 
@@ -496,7 +483,7 @@ func (s *Session) write(table wal.TableID, key uint64, op func(sh wal.ShardID) e
 // from patch is returned as is, and the row and the log are left as
 // they were. A missing key fails with ErrKeyNotFound.
 func (s *Session) Patch(table wal.TableID, key uint64, patch func(cur []byte) ([]byte, error)) error {
-	return s.write(table, key, func(sh wal.ShardID) error {
+	return s.write(table, key, &s.mgr.tc.stats.updates, func(sh wal.ShardID) error {
 		return s.mgr.tc.applyPatchAt(sh, s.txn, table, key, patch)
 	})
 }
@@ -509,14 +496,14 @@ func (s *Session) Update(table wal.TableID, key uint64, newVal []byte) error {
 
 // Insert adds a new row within the session's transaction.
 func (s *Session) Insert(table wal.TableID, key uint64, val []byte) error {
-	return s.write(table, key, func(sh wal.ShardID) error {
+	return s.write(table, key, &s.mgr.tc.stats.inserts, func(sh wal.ShardID) error {
 		return s.mgr.tc.applyInsertAt(sh, s.txn, table, key, val)
 	})
 }
 
 // Delete removes a row within the session's transaction.
 func (s *Session) Delete(table wal.TableID, key uint64) error {
-	return s.write(table, key, func(sh wal.ShardID) error {
+	return s.write(table, key, &s.mgr.tc.stats.deletes, func(sh wal.ShardID) error {
 		return s.mgr.tc.applyDeleteAt(sh, s.txn, table, key)
 	})
 }

@@ -1,9 +1,9 @@
 // Shard-parallel stress: mixed single- and cross-shard transactions
-// race the auto-split balancer and an explicit migration on a 4-shard
-// engine under -race, then the engine crashes. The recovered state must
-// equal a serial replay of the stable log's committed transactions — an
-// oracle that is independent of the recovery implementation and of
-// every interleaving the planes allowed.
+// race a migrator moving their hot slice between shards and a one-off
+// migration on a 4-shard engine under -race, then the engine crashes.
+// The recovered state must equal a serial replay of the stable log's
+// committed transactions — an oracle that is independent of the
+// recovery implementation and of every interleaving the planes allowed.
 package tc_test
 
 import (
@@ -86,16 +86,6 @@ func TestShardParallelStressCrashRecoverMatchesSerialReplay(t *testing.T) {
 	cfg.CachePages = 256
 	cfg.Shards = 4
 	cfg.KeySpan = rows
-	cfg.AutoSplit = &tc.AutoSplitConfig{
-		// Wide windows with a tiny op floor: -race on a small host may
-		// push only a few thousand ops/sec, and the balancer must still
-		// qualify windows and act during the run.
-		Interval:     5 * time.Millisecond,
-		MinShare:     0.3,
-		MinOps:       16,
-		MinRangeSpan: 8,
-		MaxMoveSpan:  1024,
-	}
 	eng, err := engine.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -111,8 +101,7 @@ func TestShardParallelStressCrashRecoverMatchesSerialReplay(t *testing.T) {
 	mgr := eng.NewSessionManager(0)
 
 	// runTxn drives one transaction's ops, retrying conflicts (with the
-	// balancer's migrations and other clients) until commit or a
-	// deliberate abort.
+	// migrations and other clients) until commit or a deliberate abort.
 	runTxn := func(sess *tc.Session, keys []uint64, tag string, abort bool) error {
 		for attempt := 0; ; attempt++ {
 			if attempt == 100 {
@@ -155,8 +144,8 @@ func TestShardParallelStressCrashRecoverMatchesSerialReplay(t *testing.T) {
 			sess := mgr.NewSession()
 			for i := 0; i < txns; i++ {
 				tag := fmt.Sprintf("c%02d-t%03d", c, i)
-				// Skewed base key on shard 0's initial range, so the
-				// balancer sees a hot shard.
+				// Skewed base key on shard 0's initial range, part of
+				// which the migrator keeps moving.
 				hot := uint64((c*7 + i*13) % 256)
 				var keys []uint64
 				if i%3 == 0 {
@@ -174,7 +163,9 @@ func TestShardParallelStressCrashRecoverMatchesSerialReplay(t *testing.T) {
 		}(c)
 	}
 
-	// An explicit migration races the balancer's own actions.
+	// The hot slice moves back and forth between shards 0 and 1, and a
+	// one-off migration of shard 3's tail races it.
+	mig := startMigrator(t, mgr, cfg.TableID, 64, 127, 1)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -195,26 +186,22 @@ func TestShardParallelStressCrashRecoverMatchesSerialReplay(t *testing.T) {
 		t.Fatal(firstErr)
 	}
 
-	// Keep the hot traffic flowing until the balancer has demonstrably
-	// acted (bounded; the correctness oracle below does not depend on
-	// it, so a slow machine only logs).
+	// Keep hot traffic on the moving slice flowing until a migration has
+	// committed (bounded), then stop the migrator: the crash must find
+	// at least one committed route change to recover.
 	sess := mgr.NewSession()
-	deadline := time.Now().Add(3 * time.Second)
-	acted := func() bool {
-		st := eng.Balancer().Stats()
-		return st.BoundarySplits+st.Migrations > 0
-	}
-	for i := 0; !acted() && time.Now().Before(deadline); i++ {
-		k := uint64(i % 64)
-		if err := runTxn(sess, []uint64{k}, fmt.Sprintf("bal-%06d", i), false); err != nil {
+	deadline := time.Now().Add(10 * time.Second)
+	for i := 0; mig.moved.Load() == 0 && time.Now().Before(deadline); i++ {
+		k := uint64(64 + i%64)
+		if err := runTxn(sess, []uint64{k}, fmt.Sprintf("mig-%06d", i), false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if st := eng.Balancer().Stats(); st.BoundarySplits+st.Migrations == 0 {
-		t.Log("balancer never acted within the deadline (slow host?); oracle still checked")
-	} else {
-		t.Logf("balancer: %+v", st)
+	mig.halt()
+	if mig.moved.Load() == 0 {
+		t.Fatalf("no migration committed before the crash (%d refused)", mig.refused.Load())
 	}
+	t.Logf("%d migrations committed, %d refused", mig.moved.Load(), mig.refused.Load())
 
 	// A transaction left in flight at the crash: a loser the replay
 	// must exclude and recovery must undo.
@@ -226,6 +213,7 @@ func TestShardParallelStressCrashRecoverMatchesSerialReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.TC.SendEOSL()
+	_, _, sliceOwner := eng.Set.RangeOf(64)
 
 	crash := eng.Crash()
 	want := replayCommitted(t, crash.Log, base)
@@ -233,6 +221,9 @@ func TestShardParallelStressCrashRecoverMatchesSerialReplay(t *testing.T) {
 	rec, _, err := core.Recover(crash, core.Log2, core.DefaultOptions(cfg))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, _, owner := rec.Set.RangeOf(64); owner != sliceOwner {
+		t.Errorf("the migrated slice recovered on shard %d, the crash had it on %d", owner, sliceOwner)
 	}
 	got := map[uint64]string{}
 	if err := rec.Set.ScanAll(func(k uint64, v []byte) error {
@@ -262,7 +253,7 @@ func TestShardParallelStressCrashRecoverMatchesSerialReplay(t *testing.T) {
 
 	// Point reads through the recovered routing agree with the scan
 	// (each key is owned by exactly one shard after all the splits).
-	for _, k := range []uint64{0, 255, 1500, 2048, 3500, rows - 1} {
+	for _, k := range []uint64{0, 64, 127, 255, 1500, 2048, 3500, rows - 1} {
 		v, found, err := rec.Set.Read(cfg.TableID, k)
 		if err != nil || !found {
 			t.Fatalf("recovered read of %d: found=%v err=%v", k, found, err)

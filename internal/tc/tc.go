@@ -87,7 +87,9 @@ func (t *Txn) setLastLSN(lsn wal.LSN) {
 	t.last.Store(uint64(lsn))
 }
 
-// Stats counts TC activity.
+// Stats counts TC activity. Updates, Inserts and Deletes count the rows
+// sessions changed; a range migration's moved rows count only in its
+// RangeSplits.
 type Stats struct {
 	Begun       int64
 	Committed   int64
@@ -208,17 +210,13 @@ func (tc *TC) applyPatchAt(target wal.ShardID, t *Txn, table wal.TableID, key ui
 		t.setLastLSN(lsn)
 		return lsn
 	})
-	if err != nil {
-		return keyNotFound(err, table, key)
-	}
-	tc.stats.updates.Add(1)
-	return nil
+	return keyNotFound(err, table, key)
 }
 
 // applyInsertAt adds the row (table, key) → val on shard target, logging
 // an insert record; see applyPatchAt.
 func (tc *TC) applyInsertAt(target wal.ShardID, t *Txn, table wal.TableID, key uint64, val []byte) error {
-	err := tc.dc.At(target).Insert(table, key, val, func(pid storage.PageID) wal.LSN {
+	return tc.dc.At(target).Insert(table, key, val, func(pid storage.PageID) wal.LSN {
 		lsn := tc.app.MustAppend(&wal.InsertRec{
 			TxnID:   t.logName(),
 			TableID: table,
@@ -231,11 +229,6 @@ func (tc *TC) applyInsertAt(target wal.ShardID, t *Txn, table wal.TableID, key u
 		t.setLastLSN(lsn)
 		return lsn
 	})
-	if err != nil {
-		return err
-	}
-	tc.stats.inserts.Add(1)
-	return nil
 }
 
 // applyDeleteAt removes the row under (table, key) on shard target,
@@ -255,11 +248,7 @@ func (tc *TC) applyDeleteAt(target wal.ShardID, t *Txn, table wal.TableID, key u
 		t.setLastLSN(lsn)
 		return lsn
 	})
-	if err != nil {
-		return keyNotFound(err, table, key)
-	}
-	tc.stats.deletes.Add(1)
-	return nil
+	return keyNotFound(err, table, key)
 }
 
 // keyNotFound maps the DC's missing-key error to ErrKeyNotFound and
