@@ -20,8 +20,9 @@
 //  5. Recovery-SLO mode (-budget, replaces the other sweeps) — for
 //     each budget and each device (sim and file): a probe crash
 //     measures the device's replay rate, a live sharded engine then
-//     runs committed session traffic under a budget-mode Checkpointer
-//     seeded with that rate, is crashed with losers in flight, and is
+//     with that budget in its Config runs committed session traffic
+//     under the Checkpointer, seeded with that rate through its
+//     LastRecovery, is crashed with losers in flight, and is
 //     recovered with production options. The report sets the measured
 //     replay time beside the budget the checkpoints were meant to hold
 //     it to.
@@ -119,7 +120,6 @@ type sloResult struct {
 	SeedRateBytesPerSec float64 `json:"seed_rate_bytes_per_sec"`
 	TrafficBytes        int64   `json:"traffic_bytes"`
 	CheckpointsTaken    int64   `json:"checkpoints_taken"`
-	BudgetTriggers      int64   `json:"budget_triggers"`
 	FinalWindowBytes    int64   `json:"final_window_bytes"`
 	ReplayMS            float64 `json:"replay_ms"`
 	TotalMS             float64 `json:"total_ms"`
@@ -513,9 +513,9 @@ func sloOpts(cfg harness.Config) core.Options {
 }
 
 // runSLO is the recovery-SLO mode: per device, measure the replay rate
-// with a probe recovery, then for each budget run a live engine under a
-// budget-mode Checkpointer, crash it, and report the measured replay
-// beside the budget.
+// with a probe recovery, then for each budget run a live engine under
+// the Checkpointer, crash it, and report the measured replay beside the
+// budget.
 func runSLO(rep *report, budgets []time.Duration, scale, channels int, method core.Method, dir string) {
 	for _, dev := range []string{"sim", "file"} {
 		fileMode := dev == "file"
@@ -529,20 +529,22 @@ func runSLO(rep *report, budgets []time.Duration, scale, channels int, method co
 		if err != nil {
 			log.Fatalf("[%s] SLO probe recovery: %v", dev, err)
 		}
-		seed := probeEng.LastRecovery.ReplayBytesPerSec
-		fmt.Printf("  probe replay rate: %.2f MB/s (%d bytes replayed)\n", seed/1e6, probeMet.RedoWindowBytes)
+		probe := probeEng.LastRecovery
+		fmt.Printf("  probe replay rate: %.2f MB/s (%d bytes replayed)\n", probe.ReplayBytesPerSec/1e6, probeMet.RedoWindowBytes)
 		for _, b := range budgets {
-			rep.SLO = append(rep.SLO, runOneSLO(dev, b, seed, scale, channels, fileMode, method, dir))
+			rep.SLO = append(rep.SLO, runOneSLO(dev, b, probe, scale, channels, fileMode, method, dir))
 		}
 	}
 }
 
-// runOneSLO runs one live engine under a budget-mode Checkpointer,
+// runOneSLO runs one live engine with the budget under the
+// Checkpointer, its replay rate seeded from the probe's recovery,
 // crashes it with losers in flight, and recovers it with the production
 // parallel options to report the budget outcome.
-func runOneSLO(dev string, budget time.Duration, seed float64, scale, channels int, fileMode bool, method core.Method, dir string) sloResult {
+func runOneSLO(dev string, budget time.Duration, probe *engine.RecoveryStats, scale, channels int, fileMode bool, method core.Method, dir string) sloResult {
 	cfg := sloConfig(scale, channels, fileMode, dir, fmt.Sprintf("slo-%dms", budget.Milliseconds()))
 	ecfg := cfg.Engine
+	ecfg.RecoveryBudget = budget
 	eng, err := engine.New(ecfg)
 	if err != nil {
 		log.Fatalf("[%s] budget=%v: %v", dev, budget, err)
@@ -554,26 +556,17 @@ func runOneSLO(dev string, budget time.Duration, seed float64, scale, channels i
 	}); err != nil {
 		log.Fatalf("[%s] budget=%v load: %v", dev, budget, err)
 	}
+	eng.LastRecovery = probe
 	mgr := eng.NewSessionManager(0)
-	// Poll well inside the budget so the estimate is evaluated many
-	// times per window; clamped so tiny budgets don't spin.
-	interval := budget / 25
-	if interval < 500*time.Microsecond {
-		interval = 500 * time.Microsecond
+	ckpt, err := eng.StartCheckpointer(mgr)
+	if err != nil {
+		log.Fatalf("[%s] budget=%v: %v", dev, budget, err)
 	}
-	if interval > 5*time.Millisecond {
-		interval = 5 * time.Millisecond
-	}
-	ckpt := eng.StartCheckpointer(mgr, engine.CheckpointerConfig{
-		Interval:          interval,
-		MinRecords:        1,
-		RecoveryBudget:    budget,
-		ReplayBytesPerSec: seed,
-	})
 
 	// Traffic target: several budget-widths of log, so holding the SLO
 	// forces multiple budget-triggered checkpoints; capped to bound the
 	// bench's runtime when the device's replay rate is huge.
+	seed := probe.ReplayBytesPerSec
 	target := int64(seed * budget.Seconds() * 6)
 	if target < 1<<20 {
 		target = 1 << 20
@@ -655,15 +648,14 @@ func runOneSLO(dev string, budget time.Duration, seed float64, scale, channels i
 		SeedRateBytesPerSec: seed,
 		TrafficBytes:        traffic,
 		CheckpointsTaken:    st.Taken,
-		BudgetTriggers:      st.BudgetTriggers,
 		FinalWindowBytes:    met.RedoWindowBytes,
 		ReplayMS:            float64((met.WallTotalTime - met.WallUndoTime).Microseconds()) / 1000,
 		TotalMS:             float64(met.WallTotalTime.Microseconds()) / 1000,
 		LosersUndone:        met.LosersUndone,
 		CLRsWritten:         met.CLRsWritten,
 	}
-	fmt.Printf("  [%s] budget %v: %d ckpts (%d budget-triggered), %s traffic, window %d bytes → replay %.2fms vs budget %v, %d CLRs\n",
-		dev, budget, res.CheckpointsTaken, res.BudgetTriggers, fmtBytes(traffic),
+	fmt.Printf("  [%s] budget %v: %d ckpts, %s traffic, window %d bytes → replay %.2fms vs budget %v, %d CLRs\n",
+		dev, budget, res.CheckpointsTaken, fmtBytes(traffic),
 		res.FinalWindowBytes, res.ReplayMS, budget, res.CLRsWritten)
 	return res
 }

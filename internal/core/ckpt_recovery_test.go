@@ -22,6 +22,7 @@ func TestRecoverFromLiveCheckpointedWAL(t *testing.T) {
 	cfg.CachePages = 400
 	cfg.DC.Tracker.FlushBatch = 16
 	cfg.DC.Tracker.MaxDirty = 64
+	cfg.RecoveryBudget = time.Nanosecond
 	eng, err := engine.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -36,10 +37,10 @@ func TestRecoverFromLiveCheckpointedWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr := eng.NewSessionManager(0)
-	ckpt := eng.StartCheckpointer(mgr, engine.CheckpointerConfig{
-		Interval:   time.Millisecond,
-		MinRecords: 32,
-	})
+	ckpt, err := eng.StartCheckpointer(mgr)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Concurrent committed traffic on disjoint key ranges, so the
 	// combined per-client write sets form an exact oracle.

@@ -127,15 +127,6 @@ type Options struct {
 	// compensates inline. The appended log sequence is identical at
 	// every width.
 	UndoWorkers int
-	// DecodeWorkers is the multi-shard demultiplexer's parallel decode
-	// width: the redo window's log segments are decoded whole by this
-	// many wal workers and stitched back into exact LSN order before
-	// fan-out (see wal.NewParallelScanner). 0 picks min(GOMAXPROCS, 8).
-	// The stitched stream — and therefore recovered state, CLR sequence
-	// and log end — is byte-identical to the inline scan at every
-	// width; a window inside one segment is scanned inline whatever the
-	// width. Single-shard recovery keeps the inline scan.
-	DecodeWorkers int
 }
 
 // PrefetchStrategy selects Log2's prefetch source (Appendix A.2).
@@ -220,9 +211,10 @@ func AutoSizeWorkers(windowBytes int64, bytesPerSec float64, budget time.Duratio
 	return n
 }
 
-// maxAutoWorkers bounds auto-sized parallelism and is the decode
-// front-end's default width: one per core, capped — past 8 the stitcher,
-// not decode, is the limit.
+// maxAutoWorkers bounds auto-sized redo parallelism and is the
+// multi-shard decode width: one per core, capped — past 8 the stitcher,
+// not decode, is the limit. The stitched stream, and so the recovered
+// state, the CLR sequence and the log end, is the same at every width.
 func maxAutoWorkers() int {
 	if n := runtime.GOMAXPROCS(0); n < 8 {
 		return n
@@ -368,20 +360,17 @@ func Recover(cs *engine.CrashState, m Method, opt Options) (*engine.Engine, *Met
 	}
 	met.RedoWindowBytes = int64(log.FlushedLSN() - r.scanStart)
 
-	// Worker auto-sizing (the recovery-budget tail of budget-mode
-	// checkpointing): when the caller left the parallelism unset and the
+	// Worker auto-sizing (the recovery-budget tail of the budgeted
+	// checkpointer): when the caller left the redo width unset and the
 	// crashed engine carries both a recovery budget and a replay rate
-	// measured by its previous recovery, widen redo and decode just
-	// enough that the estimated serial replay of this window fits the
-	// budget. Engines without a budget keep the deterministic serial
-	// default untouched.
+	// measured by its previous recovery, widen redo just enough that
+	// the estimated serial replay of this window fits the budget.
+	// Engines without a budget keep the deterministic serial default
+	// untouched. Decode keeps its own width (fanOut) either way.
 	if opt.RedoWorkers == 0 && cs.Cfg.RecoveryBudget > 0 && cs.ReplayRate > 0 {
 		if n := AutoSizeWorkers(met.RedoWindowBytes, cs.ReplayRate, cs.Cfg.RecoveryBudget, maxAutoWorkers()); n > 1 {
 			r.opt.RedoWorkers = n
 			met.RedoWorkers = n
-			if opt.DecodeWorkers == 0 && nShards > 1 {
-				r.opt.DecodeWorkers = n
-			}
 		}
 	}
 
@@ -420,7 +409,7 @@ func Recover(cs *engine.CrashState, m Method, opt Options) (*engine.Engine, *Met
 	met.WallRedoTime = time.Since(w1)
 	// Replay wall time — prep plus redo, the phases that rescan the
 	// window a checkpoint would have trimmed — fixes the replay rate
-	// that seeds budget-mode checkpointing on the recovered engine.
+	// that seeds the Checkpointer on the recovered engine.
 	replayWall := time.Since(w0)
 
 	// Phase 3: undo of losers (logical in every method, §2.1). One
@@ -601,10 +590,10 @@ func (r *run) newQueues() []chan []demuxItem {
 // One shard runs the pass over the inline log scan, on the
 // caller's goroutine and with every record delivered, so virtual time
 // is deterministic to the nanosecond. With N shards the log's segments
-// are decoded by parallel workers (wal.NewParallelScanner) and routed
-// records travel in batches down bounded per-shard queues to N
-// concurrently running passes; log pages are charged once, here, never
-// per shard.
+// are decoded by maxAutoWorkers() parallel workers
+// (wal.NewParallelScanner) and routed records travel in batches down
+// bounded per-shard queues to N concurrently running passes; log pages
+// are charged once, here, never per shard.
 func (r *run) fanOut(from wal.LSN, note func(wal.Record, wal.LSN), route func(wal.Record) (wal.ShardID, bool), pass func(*shardRun, nextFunc) error) error {
 	// owner is the shard index route names, bounds-checked.
 	owner := func(rec wal.Record, lsn wal.LSN) (int, bool, error) {
@@ -643,11 +632,7 @@ func (r *run) fanOut(from wal.LSN, note func(wal.Record, wal.LSN), route func(wa
 	}
 
 	w0 := time.Now()
-	width := r.opt.DecodeWorkers
-	if width <= 0 {
-		width = maxAutoWorkers()
-	}
-	sc := r.log.NewParallelScanner(from, r.clock, r.opt.ScanCost, width)
+	sc := r.log.NewParallelScanner(from, r.clock, r.opt.ScanCost, maxAutoWorkers())
 	defer sc.Close()
 	pending := make([][]demuxItem, len(r.shards))
 	var scanErr error

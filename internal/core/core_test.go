@@ -162,7 +162,7 @@ func TestRecoverAllMethodsMatchOracle(t *testing.T) {
 }
 
 // TestRecoverFillsLastRecovery pins the recovery→engine handoff the
-// budget-mode checkpointer depends on: Recover must leave a recovery
+// budgeted checkpointer depends on: Recover must leave a recovery
 // summary on the engine with the replayed window and a measured replay
 // rate, so StartCheckpointer can seed its estimates without any manual
 // plumbing.

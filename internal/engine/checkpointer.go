@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"time"
@@ -9,56 +10,15 @@ import (
 	"logrec/internal/wal"
 )
 
-// CheckpointerConfig tunes the background checkpoint daemon.
-type CheckpointerConfig struct {
-	// Interval is the wall-clock cadence between checkpoint attempts.
-	// In budget mode it is the polling cadence at which the replay
-	// estimate is re-evaluated, not the checkpoint rate.
-	Interval time.Duration
-	// MinRecords skips a tick when fewer than this many log records
-	// were appended since the last checkpoint — an idle engine should
-	// not grind out empty checkpoints. Budget mode falls back to this
-	// threshold only until a replay rate has been measured.
-	MinRecords int64
-	// RecoveryBudget switches the daemon into budget mode: instead of
-	// checkpointing on every due interval, it estimates how long
-	// replaying the current redo window would take (window bytes ÷ the
-	// effective replay rate) and checkpoints when the estimate exceeds
-	// the budget — "recover in under X" as a config knob. Zero keeps
-	// the interval-driven behavior. StartCheckpointer defaults it from
-	// engine Config.RecoveryBudget.
-	RecoveryBudget time.Duration
-	// ReplayBytesPerSec seeds the replay-rate estimate (bytes of log
-	// replayed per wall-clock second). StartCheckpointer defaults it
-	// from the engine's LastRecovery, so a recovered engine budgets
-	// with the rate its own recovery actually achieved. The daemon
-	// refines the estimate with a live append-rate EWMA and uses the
-	// slower of the two — conservative: a pessimistic rate means
-	// earlier checkpoints, never a blown budget.
-	ReplayBytesPerSec float64
-}
-
-// DefaultCheckpointerConfig checkpoints every 100ms provided at least
-// 256 records of new log exist — frequent enough that the redo scan
-// stays short under a steady session workload, cheap enough to be
-// invisible when idle.
-func DefaultCheckpointerConfig() CheckpointerConfig {
-	return CheckpointerConfig{Interval: 100 * time.Millisecond, MinRecords: 256}
-}
-
 // CheckpointerStats counts daemon activity.
 type CheckpointerStats struct {
 	// Taken is the number of completed checkpoints.
 	Taken int64
-	// Skipped is the number of ticks below the MinRecords threshold
-	// (interval mode) or under the replay budget (budget mode).
+	// Skipped is the number of ticks that found the redo window within
+	// the recovery budget, or no new traffic.
 	Skipped int64
-	// BudgetTriggers is the number of checkpoints taken because the
-	// estimated replay time of the redo window exceeded RecoveryBudget
-	// (a subset of Taken; zero outside budget mode).
-	BudgetTriggers int64
 	// LastEstReplay is the most recent replay-time estimate for the
-	// current redo window (budget mode only).
+	// current redo window.
 	LastEstReplay time.Duration
 	// LastWindowBytes is the redo-window size behind that estimate:
 	// log end minus the start of the window the next crash would replay.
@@ -72,25 +32,29 @@ type CheckpointerStats struct {
 	LastErr error
 }
 
-// Checkpointer is the background checkpoint daemon: on a timer it runs
+// Checkpointer is the background checkpoint daemon that holds an
+// engine to its Config.RecoveryBudget. When a checkpoint is due it runs
 // the TC's penultimate checkpoint protocol (§3.2/§4.2) against the live
 // engine — BeginCkpt into the WAL via the group committer, RSSP (the DC
 // flushes every page dirtied before the begin record and logs the
 // redo-scan-start-point), then EndCkpt and the master-record advance —
-// so the redo scan a crash would need stays bounded while concurrent
-// tc.Session traffic continues.
+// while concurrent tc.Session traffic continues.
 //
-// With RecoveryBudget set the daemon is replay-rate-driven: each tick
-// it measures the redo window a crash right now would replay (log end
-// minus the window start captured at the last checkpoint), divides by
-// the effective replay rate, and checkpoints only when the estimated
-// replay time would exceed the budget. A fast device or an idle engine
-// therefore checkpoints rarely; a slow device or a hot append stream
-// checkpoints exactly as often as the SLO demands.
+// Each tick measures the redo window a crash right now would replay
+// (log end minus the window start captured at the last checkpoint),
+// divides it by the effective replay rate, and checkpoints only when
+// the estimated replay time exceeds the budget. A fast device or an
+// idle engine therefore checkpoints rarely; a slow device or a hot
+// append stream checkpoints exactly as often as the SLO demands.
 type Checkpointer struct {
 	mgr *tc.SessionManager
 	log *wal.Log
-	cfg CheckpointerConfig
+	// budget is the engine's RecoveryBudget; every is the tick
+	// (pollInterval); seed is the replay rate the engine's last
+	// recovery measured (0 when it was never recovered).
+	budget time.Duration
+	every  time.Duration
+	seed   float64
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -113,36 +77,46 @@ type Checkpointer struct {
 }
 
 // StartCheckpointer launches the daemon over the engine's session
-// manager. Call Stop before crashing or discarding the engine.
-// Non-positive config fields take their defaults; pass MinRecords 1 to
-// checkpoint on every tick that saw any new log at all. A zero
-// RecoveryBudget inherits the engine Config's, and a zero
-// ReplayBytesPerSec seeds from the engine's LastRecovery — so a
-// recovered engine with Config.RecoveryBudget set gets SLO-driven
-// checkpointing with measured rates by default.
-func (e *Engine) StartCheckpointer(mgr *tc.SessionManager, cfg CheckpointerConfig) *Checkpointer {
-	if cfg.Interval <= 0 {
-		cfg.Interval = DefaultCheckpointerConfig().Interval
+// manager; it fails when Config.RecoveryBudget is not set, the one
+// value the daemon works to. Its replay-rate seed is the engine's
+// LastRecovery, so a recovered engine budgets with the rate its own
+// recovery achieved. Call Stop before crashing or discarding the
+// engine.
+func (e *Engine) StartCheckpointer(mgr *tc.SessionManager) (*Checkpointer, error) {
+	c, err := e.newCheckpointer(mgr)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.MinRecords <= 0 {
-		cfg.MinRecords = DefaultCheckpointerConfig().MinRecords
-	}
-	if cfg.RecoveryBudget <= 0 {
-		cfg.RecoveryBudget = e.Cfg.RecoveryBudget
-	}
-	if cfg.ReplayBytesPerSec <= 0 && e.LastRecovery != nil {
-		cfg.ReplayBytesPerSec = e.LastRecovery.ReplayBytesPerSec
+	go c.run()
+	return c, nil
+}
+
+// newCheckpointer builds the daemon without starting its goroutine.
+func (e *Engine) newCheckpointer(mgr *tc.SessionManager) (*Checkpointer, error) {
+	if e.Cfg.RecoveryBudget <= 0 {
+		return nil, fmt.Errorf("engine: the checkpointer needs Config.RecoveryBudget > 0")
 	}
 	c := &Checkpointer{
-		mgr:  mgr,
-		log:  e.Log,
-		cfg:  cfg,
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+		mgr:    mgr,
+		log:    e.Log,
+		budget: e.Cfg.RecoveryBudget,
+		every:  pollInterval(e.Cfg.RecoveryBudget),
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
+	}
+	if e.LastRecovery != nil {
+		c.seed = e.LastRecovery.ReplayBytesPerSec
 	}
 	c.lastRecs = c.trafficRecords()
-	go c.run()
-	return c
+	return c, nil
+}
+
+// pollInterval is the daemon's tick for a recovery budget: a 25th of
+// it, so the estimate is re-evaluated many times while a window grows
+// through one budget, clamped so a tiny budget does not spin and a
+// large one still notices a burst within 5 ms.
+func pollInterval(budget time.Duration) time.Duration {
+	return min(max(budget/25, 500*time.Microsecond), 5*time.Millisecond)
 }
 
 // trafficRecords counts the log records the checkpoint protocol did not
@@ -157,7 +131,7 @@ func (c *Checkpointer) trafficRecords() int64 {
 
 func (c *Checkpointer) run() {
 	defer close(c.done)
-	ticker := time.NewTicker(c.cfg.Interval)
+	ticker := time.NewTicker(c.every)
 	defer ticker.Stop()
 	for {
 		select {
@@ -169,9 +143,9 @@ func (c *Checkpointer) run() {
 	}
 }
 
-// tick takes one checkpoint if it is due: in interval mode when enough
-// log has accumulated, in budget mode when the estimated replay time of
-// the current redo window exceeds the recovery budget.
+// tick takes one checkpoint if it is due: when the estimated replay
+// time of the current redo window exceeds the recovery budget, or, until
+// a replay rate exists, when any traffic was logged since the last one.
 func (c *Checkpointer) tick() {
 	now := time.Now()
 	recs := c.trafficRecords()
@@ -195,28 +169,20 @@ func (c *Checkpointer) tick() {
 	c.lastSample = now
 	c.lastEnd = end
 
-	var due, budgetDue bool
-	if c.cfg.RecoveryBudget > 0 {
-		rate := c.effectiveRateLocked()
-		window := int64(end - c.windowStart)
-		c.stats.LastWindowBytes = window
-		c.stats.ReplayRate = rate
-		if rate > 0 {
-			est := time.Duration(float64(window) / rate * float64(time.Second))
-			c.stats.LastEstReplay = est
-			// recs > lastRecs guards the idle engine: a window holding
-			// nothing but the last checkpoint's own records was already
-			// paid for by it.
-			budgetDue = est > c.cfg.RecoveryBudget && recs > c.lastRecs
-			due = budgetDue
-		} else {
-			// No rate measured yet (fresh engine, first appends still
-			// in flight): fall back to the record-count threshold so
-			// the window cannot grow unbounded before the EWMA warms.
-			due = recs-c.lastRecs >= c.cfg.MinRecords
-		}
-	} else {
-		due = recs-c.lastRecs >= c.cfg.MinRecords
+	// recs > lastRecs guards the idle engine: a window holding nothing
+	// but the last checkpoint's own records was already paid for by it.
+	// With no rate measured yet (fresh engine, first appends still in
+	// flight) that is the whole test, so the window cannot grow
+	// unbounded before the EWMA warms.
+	due := recs > c.lastRecs
+	rate := c.effectiveRateLocked()
+	window := int64(end - c.windowStart)
+	c.stats.LastWindowBytes = window
+	c.stats.ReplayRate = rate
+	if rate > 0 {
+		est := time.Duration(float64(window) / rate * float64(time.Second))
+		c.stats.LastEstReplay = est
+		due = due && est > c.budget
 	}
 	if !due {
 		c.stats.Skipped++
@@ -225,7 +191,7 @@ func (c *Checkpointer) tick() {
 	if !due {
 		return
 	}
-	c.checkpoint(budgetDue)
+	c.checkpoint()
 }
 
 // effectiveRateLocked picks the replay rate the budget estimate uses:
@@ -234,7 +200,7 @@ func (c *Checkpointer) tick() {
 // overestimates replay time and checkpoints early; the SLO is an upper
 // bound, not a target to ride.
 func (c *Checkpointer) effectiveRateLocked() float64 {
-	seed := c.cfg.ReplayBytesPerSec
+	seed := c.seed
 	switch {
 	case seed > 0 && c.liveRate > 0:
 		return math.Min(seed, c.liveRate)
@@ -245,16 +211,16 @@ func (c *Checkpointer) effectiveRateLocked() float64 {
 	}
 }
 
-// checkpoint runs one checkpoint and updates the counters; budget marks
-// it as triggered by the replay estimate. The window start for the next
-// estimate is the log end sampled just before the checkpoint begins —
-// the begin-ckpt record lands at or after it, and the RSSP the next
-// redo scan starts from is at or after that, so the estimate never
-// undercounts the window. The idle guard's baseline is sampled with it:
-// a record a session appends while the checkpoint runs is in the next
-// window and must count as new, or traffic that stops right there would
-// leave that window unchecked however far over budget it is.
-func (c *Checkpointer) checkpoint(budget bool) error {
+// checkpoint runs one checkpoint and updates the counters. The window
+// start for the next estimate is the log end sampled just before the
+// checkpoint begins — the begin-ckpt record lands at or after it, and
+// the RSSP the next redo scan starts from is at or after that, so the
+// estimate never undercounts the window. The idle guard's baseline is
+// sampled with it: a record a session appends while the checkpoint runs
+// is in the next window and must count as new, or traffic that stops
+// right there would leave that window unchecked however far over budget
+// it is.
+func (c *Checkpointer) checkpoint() error {
 	start := c.log.EndLSN()
 	recs := c.trafficRecords()
 	err := c.mgr.Checkpoint()
@@ -263,19 +229,16 @@ func (c *Checkpointer) checkpoint(budget bool) error {
 	c.stats.LastErr = err
 	if err == nil {
 		c.stats.Taken++
-		if budget {
-			c.stats.BudgetTriggers++
-		}
 		c.lastRecs = recs
 		c.windowStart = start
 	}
 	return err
 }
 
-// CheckpointNow takes a checkpoint synchronously, regardless of the
-// MinRecords threshold or the replay budget (tests; graceful shutdown).
+// CheckpointNow takes a checkpoint synchronously, whatever the replay
+// estimate (tests; graceful shutdown).
 func (c *Checkpointer) CheckpointNow() error {
-	return c.checkpoint(false)
+	return c.checkpoint()
 }
 
 // Stop halts the daemon and waits for any in-flight checkpoint to

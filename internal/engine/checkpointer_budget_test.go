@@ -10,15 +10,24 @@ import (
 	"logrec/internal/wal"
 )
 
-// TestBudgetCheckpointerTriggersOnWindowGrowth runs the daemon in
-// budget mode with a deliberately slow seeded replay rate, so the
-// estimated replay time of the growing redo window blows the budget
-// over and over: the daemon must checkpoint on the replay estimate
-// (BudgetTriggers), land real checkpoint records in the WAL, and report
-// the conservative rate it used.
+// TestBudgetCheckpointerTriggersOnWindowGrowth runs the daemon with a
+// deliberately slow seeded replay rate, so the estimated replay time of
+// the growing redo window blows the budget over and over: the daemon
+// must checkpoint on the replay estimate, land real checkpoint records
+// in the WAL, and report the conservative rate it used.
 func TestBudgetCheckpointerTriggersOnWindowGrowth(t *testing.T) {
+	// 64 KiB/s replay against a multi-MiB/s append stream: a 16ms budget
+	// tolerates a 1 KiB window — a few transactions, so nearly every
+	// polled tick is over budget once traffic starts, yet several times
+	// the ~170 bytes one checkpoint appends itself, which is the least
+	// window any checkpoint can leave behind.
+	const (
+		seedRate = 64 << 10
+		budget   = 16 * time.Millisecond
+	)
 	cfg := DefaultConfig()
 	cfg.CachePages = 512
+	cfg.RecoveryBudget = budget
 	eng, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -29,22 +38,13 @@ func TestBudgetCheckpointerTriggersOnWindowGrowth(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	// Stand in for core.Recover: the replay rate the seed comes from.
+	eng.LastRecovery = &RecoveryStats{Method: "Log1", ReplayBytesPerSec: seedRate}
 	mgr := eng.NewSessionManager(0)
-	// 64 KiB/s replay against a multi-MiB/s append stream: a 16ms budget
-	// tolerates a 1 KiB window — a few transactions, so nearly every
-	// polled tick is over budget once traffic starts, yet several times
-	// the ~170 bytes one checkpoint appends itself, which is the least
-	// window any checkpoint can leave behind.
-	const (
-		seedRate = 64 << 10
-		budget   = 16 * time.Millisecond
-	)
-	ckpt := eng.StartCheckpointer(mgr, CheckpointerConfig{
-		Interval:          time.Millisecond,
-		MinRecords:        1,
-		RecoveryBudget:    budget,
-		ReplayBytesPerSec: seedRate,
-	})
+	ckpt, err := eng.StartCheckpointer(mgr)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	const clients, txns, ops = 4, 120, 3
 	perClient := rows / clients
@@ -91,11 +91,8 @@ func TestBudgetCheckpointerTriggersOnWindowGrowth(t *testing.T) {
 	if st.LastErr != nil {
 		t.Fatalf("checkpointer error: %v", st.LastErr)
 	}
-	if st.BudgetTriggers == 0 {
-		t.Fatal("budget mode never triggered on a window far past its replay budget")
-	}
-	if st.Taken < st.BudgetTriggers {
-		t.Errorf("Taken %d < BudgetTriggers %d", st.Taken, st.BudgetTriggers)
+	if st.Taken == 0 {
+		t.Fatal("the daemon never checkpointed a window far past its replay budget")
 	}
 	if st.ReplayRate <= 0 || st.ReplayRate > seedRate {
 		t.Errorf("ReplayRate = %v, want in (0, %d]: the effective rate is the slower of seed and live append EWMA", st.ReplayRate, seedRate)
@@ -107,9 +104,9 @@ func TestBudgetCheckpointerTriggersOnWindowGrowth(t *testing.T) {
 			st.LastWindowBytes, st.ReplayRate, est*1e3, budget)
 	}
 	// The triggers produced real checkpoints: Load takes the initial
-	// one; budget mode must have appended more protocol records.
-	if n := eng.Log.AppendCount(wal.TypeRSSP); int64(n) < st.BudgetTriggers {
-		t.Errorf("RSSP records = %d, want >= %d budget-triggered checkpoints", n, st.BudgetTriggers)
+	// one; the daemon must have appended more protocol records.
+	if n := eng.Log.AppendCount(wal.TypeRSSP); int64(n) < st.Taken {
+		t.Errorf("RSSP records = %d, want >= %d checkpoints taken", n, st.Taken)
 	}
 	if eng.TC.LastEndCkptLSN() == wal.NilLSN {
 		t.Error("master record never advanced")
@@ -118,11 +115,12 @@ func TestBudgetCheckpointerTriggersOnWindowGrowth(t *testing.T) {
 
 // TestBudgetCheckpointerIdleEngineQuiesces pins the idle guard: with a
 // budget configured but no new log, estimated replay of the already
-// checkpointed window never forces another checkpoint — budget mode
+// checkpointed window never forces another checkpoint — the daemon
 // must not grind an idle engine.
 func TestBudgetCheckpointerIdleEngineQuiesces(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CachePages = 256
+	cfg.RecoveryBudget = time.Nanosecond // absurdly tight: any growth would trigger
 	eng, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -130,13 +128,13 @@ func TestBudgetCheckpointerIdleEngineQuiesces(t *testing.T) {
 	if err := eng.Load(500, func(k uint64) []byte { return []byte("v") }); err != nil {
 		t.Fatal(err)
 	}
+	// Absurdly slow: any window estimates huge.
+	eng.LastRecovery = &RecoveryStats{Method: "Log1", ReplayBytesPerSec: 1}
 	mgr := eng.NewSessionManager(0)
-	ckpt := eng.StartCheckpointer(mgr, CheckpointerConfig{
-		Interval:          time.Millisecond,
-		MinRecords:        1,
-		RecoveryBudget:    time.Nanosecond, // absurdly tight: any growth would trigger
-		ReplayBytesPerSec: 1,               // absurdly slow: any window estimates huge
-	})
+	ckpt, err := eng.StartCheckpointer(mgr)
+	if err != nil {
+		t.Fatal(err)
+	}
 	time.Sleep(25 * time.Millisecond)
 	ckpt.Stop()
 	st := ckpt.Stats()
@@ -148,10 +146,10 @@ func TestBudgetCheckpointerIdleEngineQuiesces(t *testing.T) {
 	}
 }
 
-// TestBudgetCheckpointerInheritsEngineSeed checks the StartCheckpointer
-// defaulting chain: a zero-valued CheckpointerConfig picks up the
-// engine Config's RecoveryBudget and the LastRecovery replay rate, so a
-// recovered engine gets SLO-driven checkpointing without any per-daemon
+// TestBudgetCheckpointerInheritsEngineSeed checks where the daemon's
+// two inputs come from: the budget from the engine Config's
+// RecoveryBudget and the replay rate from LastRecovery, so a recovered
+// engine gets SLO-driven checkpointing without any per-daemon
 // configuration.
 func TestBudgetCheckpointerInheritsEngineSeed(t *testing.T) {
 	cfg := DefaultConfig()
@@ -172,13 +170,16 @@ func TestBudgetCheckpointerInheritsEngineSeed(t *testing.T) {
 	eng.LastRecovery = &RecoveryStats{Method: "Log1", ReplayBytesPerSec: 64 << 10}
 
 	mgr := eng.NewSessionManager(0)
-	ckpt := eng.StartCheckpointer(mgr, CheckpointerConfig{Interval: time.Millisecond, MinRecords: 1})
+	ckpt, err := eng.StartCheckpointer(mgr)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sess := mgr.NewSession()
 	// At least 300 transactions, and then for as long as it takes the
-	// daemon's millisecond tick to see a window over budget: how many
+	// daemon's 500 µs tick to see a window over budget: how many
 	// transactions fit between two ticks is the machine's business.
 	deadline := time.Now().Add(5 * time.Second)
-	for i := 0; i < 300 || (ckpt.Stats().BudgetTriggers == 0 && time.Now().Before(deadline)); i++ {
+	for i := 0; i < 300 || (ckpt.Stats().Taken == 0 && time.Now().Before(deadline)); i++ {
 		if err := sess.Begin(); err != nil {
 			t.Fatal(err)
 		}
@@ -197,8 +198,11 @@ func TestBudgetCheckpointerInheritsEngineSeed(t *testing.T) {
 	if st.LastErr != nil {
 		t.Fatalf("checkpointer error: %v", st.LastErr)
 	}
-	if st.BudgetTriggers == 0 {
+	if st.Taken == 0 {
 		t.Fatal("daemon ignored the engine-level RecoveryBudget/LastRecovery seed")
+	}
+	if st.ReplayRate <= 0 || st.ReplayRate > 64<<10 {
+		t.Errorf("ReplayRate = %v, want in (0, %d]: the LastRecovery seed caps it", st.ReplayRate, 64<<10)
 	}
 	// Stats() surfaces the recovery summary the seed came from.
 	if got := eng.Stats().Recovery; got == nil || got.Method != "Log1" {
@@ -217,8 +221,12 @@ func TestBudgetCheckpointerInheritsEngineSeed(t *testing.T) {
 // rate is the seed (the first tick has no live sample yet) and the ticks
 // are driven by hand.
 func TestBudgetCheckpointerCountsCommitsLandingMidCheckpoint(t *testing.T) {
+	// 64 KiB/s over 8ms tolerates a 512-byte window; 100 commit records
+	// and the checkpoint's own are some 800 bytes.
+	const budget = 8 * time.Millisecond
 	cfg := DefaultConfig()
 	cfg.CachePages = 256
+	cfg.RecoveryBudget = budget
 	eng, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -227,17 +235,12 @@ func TestBudgetCheckpointerCountsCommitsLandingMidCheckpoint(t *testing.T) {
 	if err := eng.Load(sessions, func(k uint64) []byte { return []byte("v") }); err != nil {
 		t.Fatal(err)
 	}
+	eng.LastRecovery = &RecoveryStats{Method: "Log1", ReplayBytesPerSec: 64 << 10}
 	mgr := eng.NewSessionManager(0)
-	// 64 KiB/s over 8ms tolerates a 512-byte window; 100 commit records
-	// and the checkpoint's own are some 800 bytes.
-	const budget = 8 * time.Millisecond
-	ckpt := eng.StartCheckpointer(mgr, CheckpointerConfig{
-		Interval:          time.Hour,
-		MinRecords:        1,
-		RecoveryBudget:    budget,
-		ReplayBytesPerSec: 64 << 10,
-	})
-	ckpt.Stop()
+	ckpt, err := eng.newCheckpointer(mgr)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	open := make([]*tc.Session, sessions)
 	for i := range open {
@@ -270,9 +273,9 @@ func TestBudgetCheckpointerCountsCommitsLandingMidCheckpoint(t *testing.T) {
 	if st.LastEstReplay <= budget {
 		t.Fatalf("window of %d bytes estimates %v, within the %v budget: the test needs it over", st.LastWindowBytes, st.LastEstReplay, budget)
 	}
-	if st.Taken != 2 || st.BudgetTriggers != 1 {
-		t.Fatalf("%d commits landed inside the last checkpoint and the next tick left them: Taken %d, BudgetTriggers %d, Skipped %d over a %d-byte window estimated at %v (budget %v)",
-			sessions, st.Taken, st.BudgetTriggers, st.Skipped, st.LastWindowBytes, st.LastEstReplay, budget)
+	if st.Taken != 2 {
+		t.Fatalf("%d commits landed inside the last checkpoint and the next tick left them: Taken %d, Skipped %d over a %d-byte window estimated at %v (budget %v)",
+			sessions, st.Taken, st.Skipped, st.LastWindowBytes, st.LastEstReplay, budget)
 	}
 	// Nothing but that checkpoint's own records is new now.
 	ckpt.tick()

@@ -11,12 +11,14 @@ import (
 
 // TestCheckpointDaemonUnderConcurrentSessions runs the checkpoint
 // daemon at an aggressive cadence while session goroutines commit
-// concurrently (the PR-1 workload), then checks checkpoints actually
-// landed in the live WAL and advanced the master record. Run under
-// -race this doubles as the daemon's data-race oracle.
+// concurrently, then checks checkpoints actually landed in the live
+// WAL and advanced the master record. A 1 ns budget makes every tick
+// that saw new traffic checkpoint, every 500 µs. Run under -race this
+// doubles as the daemon's data-race oracle.
 func TestCheckpointDaemonUnderConcurrentSessions(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CachePages = 512
+	cfg.RecoveryBudget = time.Nanosecond
 	eng, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -28,10 +30,10 @@ func TestCheckpointDaemonUnderConcurrentSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr := eng.NewSessionManager(0)
-	ckpt := eng.StartCheckpointer(mgr, CheckpointerConfig{
-		Interval:   time.Millisecond,
-		MinRecords: 1,
-	})
+	ckpt, err := eng.StartCheckpointer(mgr)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	const clients, txns, ops = 8, 150, 3
 	perClient := rows / clients
@@ -93,5 +95,35 @@ func TestCheckpointDaemonUnderConcurrentSessions(t *testing.T) {
 	}
 	if got := eng.TC.Stats().Checkpoints; got != st.Taken+1 {
 		t.Errorf("TC counted %d checkpoints, daemon took %d (+1 initial)", got, st.Taken)
+	}
+}
+
+// TestCheckpointerCadenceFromBudget pins the one rule the daemon takes
+// from its budget besides the budget itself: it polls at a 25th of the
+// budget, clamped to [500 µs, 5 ms]. An engine without a budget has
+// nothing for the daemon to hold, and StartCheckpointer says so.
+func TestCheckpointerCadenceFromBudget(t *testing.T) {
+	eng, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr := eng.NewSessionManager(0)
+	if ckpt, err := eng.StartCheckpointer(mgr); err == nil {
+		ckpt.Stop()
+		t.Fatal("StartCheckpointer started a daemon on an engine with no RecoveryBudget")
+	}
+	for _, c := range []struct{ budget, every time.Duration }{
+		{time.Nanosecond, 500 * time.Microsecond},
+		{75 * time.Millisecond, 3 * time.Millisecond},
+		{time.Second, 5 * time.Millisecond},
+	} {
+		eng.Cfg.RecoveryBudget = c.budget
+		ckpt, err := eng.newCheckpointer(mgr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ckpt.every != c.every {
+			t.Errorf("budget %v polls every %v, want %v", c.budget, ckpt.every, c.every)
+		}
 	}
 }

@@ -60,7 +60,8 @@ const (
 // Config parameterises an engine instance.
 type Config struct {
 	// Disk is the storage device configuration (page size; latency
-	// model for the simulated device; DirectIO for the file device).
+	// model for the simulated device; queue depth and block size for
+	// both).
 	Disk storage.Config
 	// DC configures the data component (CPU costs, ∆/BW tracking).
 	DC dc.Config
@@ -88,13 +89,15 @@ type Config struct {
 	// count so the initial ranges balance the bulk-loaded table.
 	KeySpan uint64
 	// RecoveryBudget is the recovery SLO: the target upper bound on
-	// replay time after a crash. It does not change recovery itself —
-	// it switches the background Checkpointer into budget mode, where
-	// the daemon estimates how long replaying the current redo window
-	// would take (window bytes ÷ measured replay rate, seeded from the
-	// last recovery and refined from the live append rate) and
-	// checkpoints whenever the estimate would exceed the budget. Zero
-	// leaves checkpointing purely interval-driven.
+	// replay time after a crash, and the one setting behind it. The
+	// background Checkpointer (StartCheckpointer, which refuses an
+	// engine without one) estimates how long replaying the current redo
+	// window would take (window bytes ÷ measured replay rate, seeded
+	// from LastRecovery and refined from the live append rate) and
+	// checkpoints whenever the estimate exceeds the budget; it derives
+	// its polling cadence from the budget too. A recovery of a crashed
+	// engine with a budget and a measured replay rate sizes its redo
+	// width to fit it (core.AutoSizeWorkers). Zero: no SLO.
 	RecoveryBudget time.Duration
 	// Standby builds the engine as a warm standby (replica mode): Load
 	// bulk-loads rows but leaves logging off and takes no checkpoint,
@@ -192,7 +195,7 @@ type Engine struct {
 
 	// LastRecovery summarises the recovery run that produced this
 	// engine (set by core.Recover; nil for a freshly created one). Its
-	// measured replay rate seeds the Checkpointer's budget mode, so a
+	// measured replay rate seeds the Checkpointer's estimate, so a
 	// recovered engine sizes its redo windows from how fast replay
 	// actually ran on this hardware.
 	LastRecovery *RecoveryStats

@@ -10,7 +10,7 @@ import (
 
 // RecoveryStats summarises the recovery run that produced an engine.
 // core.Recover fills it (the engine package cannot import core, so the
-// struct lives here); the Checkpointer's budget mode consumes
+// struct lives here); the Checkpointer consumes
 // ReplayBytesPerSec as its seed rate.
 type RecoveryStats struct {
 	// Method names the recovery method that ran (e.g. "Log1").

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -264,7 +265,9 @@ func TestShardedDecodeWidthOracle(t *testing.T) {
 		opt := core.DefaultOptions(cfg.Engine)
 		opt.RedoWorkers = 2
 		opt.UndoWorkers = 2
-		opt.DecodeWorkers = width
+		// Multi-shard decode runs one worker a core: GOMAXPROCS is the
+		// width.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(width))
 		eng, met, err := core.Recover(res.Crash, core.Log1, opt)
 		if err != nil {
 			t.Fatalf("decode=%d: %v", width, err)

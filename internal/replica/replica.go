@@ -38,9 +38,6 @@ import (
 type Config struct {
 	// SegmentBytes is the shipping batch size (default 64 KiB).
 	SegmentBytes int
-	// PollEvery is how long the pump sleeps when it has caught up with
-	// the primary's stable log (default 200µs).
-	PollEvery time.Duration
 	// MaxLagBytes is the replay-lag bound (default 1 MiB): WaitLagBelow
 	// and the harness backpressure loop hold traffic to it, and Lag
 	// reports it for gating.
@@ -57,13 +54,14 @@ type Config struct {
 	Mangle func(seg wal.Segment) []wal.Segment
 }
 
+// pollEvery is how long the pump sleeps when it has caught up with the
+// primary's stable log.
+const pollEvery = 200 * time.Microsecond
+
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
 	if c.SegmentBytes <= 0 {
 		c.SegmentBytes = 64 << 10
-	}
-	if c.PollEvery <= 0 {
-		c.PollEvery = 200 * time.Microsecond
 	}
 	if c.MaxLagBytes <= 0 {
 		c.MaxLagBytes = 1 << 20
@@ -166,14 +164,17 @@ func (s *Standby) pumpLoop() {
 		}
 		progressed, err := s.PumpOnce()
 		if err != nil {
+			// A dead pump ships nothing more: give up its hold at once,
+			// or it pins every primary segment from its watermark on.
 			s.fail(err)
+			s.reader.Close()
 			return
 		}
 		if !progressed {
 			select {
 			case <-s.stop:
 				return
-			case <-time.After(s.cfg.PollEvery):
+			case <-time.After(pollEvery):
 			}
 		}
 	}
@@ -251,7 +252,8 @@ func (s *Standby) fail(err error) {
 	s.mu.Unlock()
 }
 
-// Err returns the pump's sticky error, if it died.
+// Err returns the pump's sticky error, if it died. A pump that dies
+// gives up its hold on the primary's log as it stops.
 func (s *Standby) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

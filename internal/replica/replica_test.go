@@ -652,6 +652,59 @@ func TestPromoteAfterStandbyReleases(t *testing.T) {
 	t.Logf("%d standby releases (%d with the loser in flight)", releases, releasesWithLoser)
 }
 
+// TestFailedPumpReleasesItsHold: a pump that dies gives up its hold on
+// the primary's log at once, not at Stop or Promote. The standby here
+// lacks half the rows, so replaying the primary's update of one of them
+// fails the pump; the primary keeps committing and checkpointing, and
+// its log must release past the dead standby's watermark.
+func TestFailedPumpReleasesItsHold(t *testing.T) {
+	const segment = 1 << 20 // the WAL's segment capacity
+	primary := newPrimary(t, 1)
+	cfg := primary.Cfg
+	cfg.Standby = true
+	standby, err := engine.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := standby.Load(testRows/2, initVal); err != nil {
+		t.Fatal(err)
+	}
+	s := attach(t, primary, standby, Config{SegmentBytes: 32 << 10})
+	s.Start()
+	defer s.Stop()
+
+	txn := begin(t, primary)
+	if err := txn.Update(primary.Cfg.TableID, testRows-1, []byte("not on the standby")); err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-s.stopped:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the pump replayed an update of a row the standby lacks")
+	}
+	if s.Err() == nil {
+		t.Fatal("the pump stopped without an error")
+	}
+	watermark := standby.Log.FlushedLSN()
+
+	var salt uint64
+	for i := 0; i < 3; i++ {
+		commitBigTxns(t, primary, segment*3/2, nil, &salt)
+		if err := primary.TC.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if start := primary.Log.StartLSN(); start <= watermark {
+		t.Fatalf("primary log still starts at %v, at or below the dead standby's watermark %v: the failed pump kept its hold", start, watermark)
+	}
+	if _, _, err := s.Promote(); err == nil {
+		t.Fatal("promoted a dead standby")
+	}
+}
+
 // TestReadOnlyPrimaryShipsNothing: transactions that only read append
 // nothing to the primary's log, so a caught-up standby stays caught up
 // through any number of them with no pump round in between — zero lag,

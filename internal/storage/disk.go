@@ -57,12 +57,6 @@ type Config struct {
 	// prefetch can, which is where read-ahead's benefit comes from
 	// (Appendix A).
 	Channels int
-	// DirectIO asks FileDisk to open its backing file with O_DIRECT
-	// (bypassing the OS page cache) where the platform and filesystem
-	// support it; it falls back to buffered IO otherwise — tmpfs, for
-	// one, rejects O_DIRECT. Only meaningful when PageSize is a multiple
-	// of 4096. The simulated Disk ignores it.
-	DirectIO bool
 }
 
 // DefaultConfig returns the latency model used by the experiment

@@ -5,26 +5,15 @@ import (
 	"os"
 	"sync"
 	"time"
-	"unsafe"
 
 	"logrec/internal/sim"
 )
-
-// directAlign is the memory/offset alignment O_DIRECT requires. Page
-// offsets are naturally aligned when PageSize is a multiple of it; read
-// and write buffers are realigned via alignedBuf.
-const directAlign = 4096
 
 // FileDisk is the real-device implementation of Device: pages live in a
 // single file, reads are pread(2)s, writes are pwrite(2)s, Prefetch
 // issues reads on background goroutines bounded by the configured
 // channel count (queue depth), and Sync is a genuine fsync — the
 // durability barrier the simulated disk only models.
-//
-// The file is opened with O_DIRECT when Config.DirectIO is set, the
-// platform has the flag (see direct_linux.go) and the page size is
-// compatible; if the filesystem rejects it (tmpfs does) FileDisk falls
-// back to buffered IO and records that in DirectIO().
 //
 // Layout: page pid lives at byte offset (pid-1)*PageSize; PageID 0 is
 // invalid, so the boot page (MetaPageID = 1) is the first page of the
@@ -37,10 +26,9 @@ const directAlign = 4096
 // so the buffer pool releases its lock across miss reads and parallel
 // recovery workers genuinely overlap their IO.
 type FileDisk struct {
-	clock  *sim.Clock
-	cfg    Config
-	f      *os.File
-	direct bool
+	clock *sim.Clock
+	cfg   Config
+	f     *os.File
 
 	// mu guards written, inflight, frozen, stats and hook. File IO
 	// happens outside the lock; *os.File ReadAt/WriteAt are
@@ -126,20 +114,7 @@ func openFileDisk(clock *sim.Clock, cfg Config, path string, create bool) (*File
 	if create {
 		flags |= os.O_CREATE | os.O_TRUNC
 	}
-	var f *os.File
-	var err error
-	direct := cfg.DirectIO && directIOFlag != 0 && cfg.PageSize%directAlign == 0
-	if direct {
-		f, err = os.OpenFile(path, flags|directIOFlag, 0o644)
-		if err != nil {
-			// Filesystem without O_DIRECT support (tmpfs, some network
-			// mounts): fall back to buffered IO.
-			direct = false
-		}
-	}
-	if f == nil {
-		f, err = os.OpenFile(path, flags, 0o644)
-	}
+	f, err := os.OpenFile(path, flags, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("storage: opening page file: %w", err)
 	}
@@ -147,7 +122,6 @@ func openFileDisk(clock *sim.Clock, cfg Config, path string, create bool) (*File
 		clock:    clock,
 		cfg:      cfg,
 		f:        f,
-		direct:   direct,
 		written:  make(map[PageID]struct{}),
 		inflight: make(map[PageID]*fileIO),
 		slots:    make(chan struct{}, cfg.Channels),
@@ -169,7 +143,7 @@ func (d *FileDisk) rebuildWritten() error {
 		return err
 	}
 	const chunkPages = 64
-	buf := alignedBuf(chunkPages*d.cfg.PageSize, d.direct)
+	buf := make([]byte, chunkPages*d.cfg.PageSize)
 	pageSize := int64(d.cfg.PageSize)
 	npages := (info.Size() + pageSize - 1) / pageSize
 	for first := int64(0); first < npages; first += chunkPages {
@@ -193,24 +167,6 @@ func (d *FileDisk) rebuildWritten() error {
 	}
 	return nil
 }
-
-// alignedBuf returns an n-byte slice aligned for O_DIRECT when direct
-// is set (a plain allocation otherwise).
-func alignedBuf(n int, direct bool) []byte {
-	if !direct {
-		return make([]byte, n)
-	}
-	raw := make([]byte, n+directAlign)
-	off := 0
-	if rem := int(uintptr(unsafe.Pointer(&raw[0])) % directAlign); rem != 0 {
-		off = directAlign - rem
-	}
-	return raw[off : off+n : off+n]
-}
-
-// DirectIO reports whether the file is actually open with O_DIRECT
-// (requested, supported, and not rejected by the filesystem).
-func (d *FileDisk) DirectIO() bool { return d.direct }
 
 // Path returns the backing file's name.
 func (d *FileDisk) Path() string { return d.f.Name() }
@@ -334,7 +290,7 @@ func (d *FileDisk) Read(pid PageID) ([]byte, error) {
 	d.fire(OpRead, 1)
 	d.mu.Unlock()
 
-	buf := alignedBuf(d.cfg.PageSize, d.direct)
+	buf := make([]byte, d.cfg.PageSize)
 	start := time.Now()
 	if _, err := d.f.ReadAt(buf, d.off(pid)); err != nil {
 		return nil, fmt.Errorf("storage: reading page %d: %w", pid, err)
@@ -409,7 +365,7 @@ func (d *FileDisk) Prefetch(pids []PageID) {
 			}()
 			d.slots <- struct{}{}
 			defer func() { <-d.slots }()
-			buf := alignedBuf(len(run)*d.cfg.PageSize, d.direct)
+			buf := make([]byte, len(run)*d.cfg.PageSize)
 			if _, err := d.f.ReadAt(buf, d.off(first)); err != nil {
 				io.err = fmt.Errorf("storage: prefetch read at page %d: %w", first, err)
 				return
@@ -424,7 +380,7 @@ func (d *FileDisk) Prefetch(pids []PageID) {
 }
 
 // Write stores data as the new stable content of pid via pwrite. The
-// write is buffered (or direct); durability comes from the next Sync.
+// write is buffered; durability comes from the next Sync.
 func (d *FileDisk) Write(pid PageID, data []byte) (sim.Time, error) {
 	d.mu.Lock()
 	if pid == InvalidPageID {
@@ -445,12 +401,7 @@ func (d *FileDisk) Write(pid PageID, data []byte) (sim.Time, error) {
 	d.written[pid] = struct{}{}
 	d.mu.Unlock()
 
-	buf := data
-	if d.direct {
-		buf = alignedBuf(d.cfg.PageSize, true)
-		copy(buf, data)
-	}
-	if _, err := d.f.WriteAt(buf, d.off(pid)); err != nil {
+	if _, err := d.f.WriteAt(data, d.off(pid)); err != nil {
 		return 0, fmt.Errorf("storage: writing page %d: %w", pid, err)
 	}
 	return d.clock.Now(), nil

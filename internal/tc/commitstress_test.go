@@ -1,7 +1,7 @@
 // Writers, readers and the checkpoint daemon together under -race: two
 // writers commit pairs of updates (one in five aborts on purpose), two
 // read-only sessions read and scan the same keys and never log, and the
-// daemon checkpoints every millisecond. Then the engine crashes with a
+// daemon checkpoints every 500 µs. Then the engine crashes with a
 // writer and a reader left open, and every recovery method must rebuild
 // exactly what the writers were told was committed.
 package tc_test
@@ -30,6 +30,8 @@ func TestReadersWritersAndCheckpointsCrashRecover(t *testing.T) {
 	)
 	cfg := engine.DefaultConfig()
 	cfg.CachePages = 256
+	// A 1 ns budget checkpoints on every tick that saw new traffic.
+	cfg.RecoveryBudget = time.Nanosecond
 	eng, err := engine.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +42,10 @@ func TestReadersWritersAndCheckpointsCrashRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr := eng.NewSessionManager(0)
-	ckpt := eng.StartCheckpointer(mgr, engine.CheckpointerConfig{Interval: time.Millisecond, MinRecords: 1})
+	ckpt, err := eng.StartCheckpointer(mgr)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var (
 		wg                      sync.WaitGroup

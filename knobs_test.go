@@ -1,0 +1,38 @@
+package logrec_test
+
+import (
+	"reflect"
+	"testing"
+
+	"logrec/internal/core"
+	"logrec/internal/dc"
+	"logrec/internal/engine"
+	"logrec/internal/replica"
+	"logrec/internal/storage"
+	"logrec/internal/tracker"
+)
+
+// TestKnobCount pins how many settable values each config struct
+// carries. A field added or removed here is a knob added or removed:
+// ROADMAP item 10(c) asks that each one be justified by a measured
+// number or derived from values the engine already has, so the count is
+// changed on purpose, in the same diff that changes the struct.
+func TestKnobCount(t *testing.T) {
+	for _, c := range []struct {
+		config any
+		fields int
+	}{
+		{engine.Config{}, 11},
+		{core.Options{}, 8},
+		{storage.Config{}, 6},
+		{replica.Config{}, 4},
+		{dc.Config{}, 4},
+		{tracker.Config{}, 3},
+	} {
+		typ := reflect.TypeOf(c.config)
+		if n := typ.NumField(); n != c.fields {
+			t.Errorf("%v has %d fields, pinned at %d: justify the knob by a measured number or derive it "+
+				"(ROADMAP item 10(c)), then re-pin the count here", typ, n, c.fields)
+		}
+	}
+}
