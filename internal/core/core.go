@@ -375,17 +375,15 @@ func Recover(cs *engine.CrashState, m Method, opt Options) (*engine.Engine, *Met
 	}
 
 	// Phase 1: prep — DC recovery (logical) or analysis (SQL), per
-	// shard. Route changes replay from this full-window pass.
+	// shard. The transaction table and the route changes are built here,
+	// once; redo notes nothing.
 	w0 := time.Now()
 	t0 := clock.Now()
 	prep := (*shardRun).sqlAnalysis
 	if m.IsLogical() {
 		prep = (*shardRun).dcPass
 	}
-	r.collectRoutes = true
-	err = r.fanOut(r.scanStart, r.noteGlobal, shardOf, prep)
-	r.collectRoutes = false
-	if err != nil {
+	if err = r.fanOut(r.scanStart, r.noteGlobal, shardOf, prep); err != nil {
 		return nil, nil, fmt.Errorf("core: %v prep: %w", m, err)
 	}
 	met.PrepTime = clock.Now().Sub(t0)
@@ -400,8 +398,7 @@ func Recover(cs *engine.CrashState, m Method, opt Options) (*engine.Engine, *Met
 	// page-partitioned pool (parallel.go).
 	w1 := time.Now()
 	t1 := clock.Now()
-	err = r.fanOut(r.scanStart, r.noteGlobal, shardOf, (*shardRun).redo)
-	if err != nil {
+	if err = r.fanOut(r.scanStart, nil, shardOf, (*shardRun).redo); err != nil {
 		return nil, nil, fmt.Errorf("core: %v redo: %w", m, err)
 	}
 	met.RedoTime = clock.Now().Sub(t1)
@@ -491,12 +488,11 @@ type run struct {
 	routeByKey func(key uint64) (*shardRun, error)
 
 	// routes is the routing table at the penultimate checkpoint;
-	// routeChanges are the in-window ShardMapRecs (applied at the end
-	// for committed migrations only). collectRoutes gates collection to
-	// the prep pass so the redo pass does not double-collect.
+	// routeChanges are the in-window ShardMapRecs, collected by
+	// noteGlobal in crash recovery's pass 1 and applied at the end for
+	// committed migrations only.
 	routes              []wal.RouteEntry
 	routeChanges        []*wal.ShardMapRec
-	collectRoutes       bool
 	appliedRouteChanges int
 }
 
@@ -583,9 +579,10 @@ func (r *run) newQueues() []chan []demuxItem {
 
 // fanOut is the one log demultiplexer, shared by both of Recover's
 // phases and by a standby's Replayer.CatchUp. It scans the stable log
-// from `from`, shows every record to note (stream-order bookkeeping —
-// transaction table, route changes — always on the calling goroutine)
-// and feeds each shard's pass the records route assigns it.
+// from `from`, shows every record to note, if not nil (stream-order
+// bookkeeping — transaction table, route changes — always on the
+// calling goroutine, before any shard's pass sees the record), and
+// feeds each shard's pass the records route assigns it.
 //
 // One shard runs the pass over the inline log scan, on the
 // caller's goroutine and with every record delivered, so virtual time
@@ -609,7 +606,9 @@ func (r *run) fanOut(from wal.LSN, note func(wal.Record, wal.LSN), route func(wa
 		err := pass(r.shards[0], func() (wal.Record, wal.LSN, bool, error) {
 			rec, lsn, ok, err := sc.Next()
 			if ok {
-				note(rec, lsn)
+				if note != nil {
+					note(rec, lsn)
+				}
 				_, _, err = owner(rec, lsn)
 			}
 			return rec, lsn, ok && err == nil, err
@@ -642,7 +641,9 @@ func (r *run) fanOut(from wal.LSN, note func(wal.Record, wal.LSN), route func(wa
 			scanErr = err
 			break
 		}
-		note(rec, lsn)
+		if note != nil {
+			note(rec, lsn)
+		}
 		sh, sharded, err := owner(rec, lsn)
 		if err != nil {
 			scanErr = err
@@ -697,14 +698,12 @@ func shardOf(rec wal.Record) (wal.ShardID, bool) {
 
 // noteGlobal performs the per-record bookkeeping that belongs to the
 // whole recovery, not one shard: transaction-table maintenance and
-// route-change collection. Called from exactly one goroutine per phase
-// (the single-shard consumer, or the demultiplexer).
+// route-change collection. Only pass 1 calls it, from exactly one
+// goroutine (the single-shard consumer, or the demultiplexer).
 func (r *run) noteGlobal(rec wal.Record, lsn wal.LSN) {
 	r.txns.note(rec, lsn)
-	if r.collectRoutes {
-		if sm, ok := rec.(*wal.ShardMapRec); ok {
-			r.routeChanges = append(r.routeChanges, sm)
-		}
+	if sm, ok := rec.(*wal.ShardMapRec); ok {
+		r.routeChanges = append(r.routeChanges, sm)
 	}
 }
 
@@ -744,7 +743,7 @@ func (r *run) finalRoutes() ([]wal.RouteEntry, error) {
 		return nil, fmt.Errorf("core: checkpointed routing table: %w", err)
 	}
 	for _, sm := range r.routeChanges {
-		if !r.txns.committed(sm.TxnID) {
+		if !r.txns.won[sm.TxnID] {
 			continue
 		}
 		if err := r.replayRoute(router, sm); err != nil {

@@ -45,7 +45,7 @@ type oracle map[uint64][]byte
 // periodic checkpoints, optionally leaves an uncommitted transaction at
 // the crash, and returns the crash state plus the committed-state
 // oracle.
-func buildCrash(t *testing.T, cfg engine.Config, nRows, txns, updatesPerTxn, ckptEvery int, seed int64, leaveOpen bool) (*engine.CrashState, oracle) {
+func buildCrash(t testing.TB, cfg engine.Config, nRows, txns, updatesPerTxn, ckptEvery int, seed int64, leaveOpen bool) (*engine.CrashState, oracle) {
 	t.Helper()
 	eng, err := engine.New(cfg)
 	if err != nil {

@@ -26,8 +26,10 @@ import (
 // SQL family) and screened (no DPT for Log0, the ∆-built DPT with a
 // basic-mode tail for Log1/Log2, the analysis DPT for SQL1/SQL2), and in
 // which prefetcher wraps the loop. The width (Options.RedoWorkers) only
-// picks the sink; both sinks end in redoOp. A standby's continuous
-// catch-up (replay.go) shares note and demux and applies by key.
+// picks the sink; both sinks end in redoOp. Note builds the transaction
+// table and runs in crash recovery's pass 1 only; the redo pass reuses
+// what it built. A standby's continuous catch-up (replay.go) shares note
+// and demux and applies by key.
 
 // applyOp re-executes a data operation on its page (REDOOPERATION in
 // Algorithms 1, 2 and 5). The caller has already decided redo is needed

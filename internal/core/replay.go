@@ -243,18 +243,14 @@ func (rp *Replayer) CatchUp() error {
 }
 
 // note is the stream-order bookkeeping: the transaction table feeding
-// Promote's undo and the master-record shadow. Terminated transactions
-// are pruned so a long-lived standby's table stays bounded by the
-// in-flight set, not the stream length.
+// Promote's undo and Checkpoint's release floor — the same table, under
+// the same rule, as crash recovery's pass 1, so it holds only the
+// in-flight transactions however long the stream — and the
+// master-record shadow.
 func (rp *Replayer) note(rec wal.Record, lsn wal.LSN) {
 	rp.records++
 	rp.r.txns.note(rec, lsn)
-	switch t := rec.(type) {
-	case *wal.CommitRec:
-		rp.r.txns.prune(t.TxnID)
-	case *wal.AbortRec:
-		rp.r.txns.prune(t.TxnID)
-	case *wal.EndCkptRec:
+	if t, ok := rec.(*wal.EndCkptRec); ok {
 		rp.lastEndCkpt, rp.lastCkptBegin = lsn, t.BeginLSN
 	}
 }

@@ -4,36 +4,37 @@ import (
 	"logrec/internal/wal"
 )
 
-// txnTable reconstructs the transaction table during recovery scans:
-// which transactions have records in the redo window, their most recent
-// LSN, and whether they terminated. Transactions still open at the end
-// of the scan are the losers the undo pass rolls back. The table is
-// seeded from the end-checkpoint record's active-transaction list so
-// losers whose records all precede the redo scan start are still found.
+// txnTable is the transaction table one forward scan rebuilds — crash
+// recovery's pass 1 and a standby's continuous catch-up alike: the
+// transactions in flight at the scan's position, each with the first and
+// last record the scan has seen of it. A commit or abort record removes
+// its transaction, so the table is bounded by the in-flight set, not the
+// window's length, and whatever is left when the scan ends is the losers
+// the undo pass rolls back. Recovery seeds it from the end-checkpoint
+// record's active list, so a loser whose records all precede the scan
+// start is still found.
 type txnTable struct {
-	last map[wal.TxnID]wal.LSN
-	// first is each transaction's earliest record the scan has seen —
-	// the bottom of its backchain when the scan started before the
-	// transaction did, which is how a standby's replayer (whose scan
-	// starts with the stream) bounds what undo could still read.
-	first map[wal.TxnID]wal.LSN
-	ended map[wal.TxnID]bool
-	// won marks transactions that ended with a commit record —
-	// route-change replay applies only committed migrations.
+	live map[wal.TxnID]txnSpan
+	// won holds the committed transactions that logged a ShardMapRec:
+	// route-change replay (finalRoutes) applies only committed
+	// migrations, and it is the set's one reader.
 	won map[wal.TxnID]bool
+}
+
+// txnSpan is one in-flight transaction's scanned records. first is
+// NilLSN for an entry seeded from a checkpoint: its first record lies
+// below the scan.
+type txnSpan struct {
+	first, last wal.LSN
+	migrates    bool // logged a ShardMapRec
 }
 
 func newTxnTable() *txnTable {
 	return &txnTable{
-		last:  make(map[wal.TxnID]wal.LSN),
-		first: make(map[wal.TxnID]wal.LSN),
-		ended: make(map[wal.TxnID]bool),
-		won:   make(map[wal.TxnID]bool),
+		live: make(map[wal.TxnID]txnSpan),
+		won:  make(map[wal.TxnID]bool),
 	}
 }
-
-// committed reports whether id's commit record is in the scanned log.
-func (t *txnTable) committed(id wal.TxnID) bool { return t.won[id] }
 
 // seed installs the active-transaction table from an end-checkpoint
 // record. TC.Checkpoint lists only transactions that have logged; an
@@ -44,8 +45,9 @@ func (t *txnTable) seed(active []wal.ActiveTxn) {
 		if a.LastLSN == wal.NilLSN {
 			continue
 		}
-		if a.LastLSN > t.last[a.TxnID] {
-			t.last[a.TxnID] = a.LastLSN
+		if e := t.live[a.TxnID]; a.LastLSN > e.last {
+			e.last = a.LastLSN
+			t.live[a.TxnID] = e
 		}
 	}
 }
@@ -60,53 +62,45 @@ func (t *txnTable) note(rec wal.Record, lsn wal.LSN) {
 	if id == 0 {
 		return // system records
 	}
-	if lsn > t.last[id] {
-		t.last[id] = lsn
-	}
-	if _, seen := t.first[id]; !seen {
-		t.first[id] = lsn
-	}
+	e, seen := t.live[id]
 	switch rec.Type() {
 	case wal.TypeCommit:
-		t.ended[id] = true
-		t.won[id] = true
+		if e.migrates {
+			t.won[id] = true
+		}
+		delete(t.live, id)
+		return
 	case wal.TypeAbort:
-		t.ended[id] = true
+		delete(t.live, id)
+		return
+	case wal.TypeShardMap:
+		e.migrates = true
 	}
+	if !seen {
+		e.first = lsn
+	}
+	e.last = max(e.last, lsn)
+	t.live[id] = e
 }
 
-// prune drops a terminated transaction's entries. A continuous
-// replayer calls it as commits and aborts stream past so the table
-// stays bounded by the in-flight transaction set. One-shot recovery
-// never prunes — finalRoutes needs the full won set.
-func (t *txnTable) prune(id wal.TxnID) {
-	delete(t.last, id)
-	delete(t.first, id)
-	delete(t.ended, id)
-	delete(t.won, id)
-}
-
-// oldestFirst returns the lowest first-seen LSN among the transactions
-// in the table (NilLSN when it is empty). On a pruning replayer those
-// are exactly the in-flight ones.
+// oldestFirst returns the lowest first LSN among the in-flight
+// transactions (NilLSN when there is none), skipping seeded entries.
 func (t *txnTable) oldestFirst() wal.LSN {
 	oldest := wal.NilLSN
-	for _, lsn := range t.first {
-		if oldest == wal.NilLSN || lsn < oldest {
-			oldest = lsn
+	for _, e := range t.live {
+		if e.first != wal.NilLSN && (oldest == wal.NilLSN || e.first < oldest) {
+			oldest = e.first
 		}
 	}
 	return oldest
 }
 
-// losers returns the transactions requiring undo: seen but not ended,
+// losers returns the transactions requiring undo — the in-flight ones —
 // keyed to their most recent LSN.
 func (t *txnTable) losers() map[wal.TxnID]wal.LSN {
-	out := make(map[wal.TxnID]wal.LSN)
-	for id, lsn := range t.last {
-		if !t.ended[id] {
-			out[id] = lsn
-		}
+	out := make(map[wal.TxnID]wal.LSN, len(t.live))
+	for id, e := range t.live {
+		out[id] = e.last
 	}
 	return out
 }

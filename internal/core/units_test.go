@@ -36,13 +36,16 @@ func TestMethodPredicates(t *testing.T) {
 func TestTxnTableLosers(t *testing.T) {
 	tt := newTxnTable()
 	tt.seed([]wal.ActiveTxn{{TxnID: 1, LastLSN: 100}, {TxnID: 2, LastLSN: 110}})
+	if first := tt.oldestFirst(); first != wal.NilLSN {
+		t.Fatalf("oldestFirst = %v over seeded entries only, want NilLSN", first)
+	}
 	// Txn 1 commits during the scan; txn 3 appears and stays open.
 	tt.note(&wal.UpdateRec{TxnID: 3, PrevLSN: 0}, 200)
 	tt.note(&wal.CommitRec{TxnID: 1}, 210)
 	tt.note(&wal.UpdateRec{TxnID: 3, PrevLSN: 200}, 220)
 	losers := tt.losers()
-	if len(losers) != 2 {
-		t.Fatalf("losers = %v", losers)
+	if _, ok := losers[1]; ok || len(losers) != 2 {
+		t.Fatalf("losers = %v, want txns 2 and 3: a seeded loser that commits leaves", losers)
 	}
 	if losers[2] != 110 {
 		t.Fatalf("seeded loser lastLSN = %v, want 110", losers[2])
@@ -50,10 +53,109 @@ func TestTxnTableLosers(t *testing.T) {
 	if losers[3] != 220 {
 		t.Fatalf("scanned loser lastLSN = %v, want 220", losers[3])
 	}
+	// A later record of seeded txn 2 moves its last LSN but gives it no
+	// first LSN.
+	tt.note(&wal.UpdateRec{TxnID: 2, PrevLSN: 110}, 230)
+	if last := tt.losers()[2]; last != 230 {
+		t.Fatalf("seeded loser lastLSN = %v after its record at 230", last)
+	}
+	if first := tt.oldestFirst(); first != 200 {
+		t.Fatalf("oldestFirst = %v, want 200: a seeded entry must not lower it", first)
+	}
 	// System records (txn 0) are ignored.
 	tt.note(&wal.UpdateRec{TxnID: 0}, 300)
 	if _, ok := tt.losers()[0]; ok {
 		t.Fatal("system txn tracked as loser")
+	}
+
+	// A stream of committed, aborted and migrating transactions: only
+	// the in-flight one stays, and won holds only committed migrations.
+	tt = newTxnTable()
+	lsn := wal.LSN(1000)
+	for i := 0; i < 1000; i++ {
+		id := wal.TxnID(lsn)
+		tt.note(&wal.UpdateRec{TxnID: id}, lsn)
+		tt.note(&wal.UpdateRec{TxnID: id}, lsn+1)
+		if i%50 == 0 {
+			tt.note(&wal.ShardMapRec{TxnID: id}, lsn+2)
+		}
+		switch {
+		case i == 999:
+			// the last one stays in flight
+		case i%3 == 0:
+			tt.note(&wal.AbortRec{TxnID: id}, lsn+3)
+		default:
+			tt.note(&wal.CommitRec{TxnID: id}, lsn+3)
+		}
+		if n := len(tt.live); n > 1 {
+			t.Fatalf("after txn %d the table holds %d transactions, want at most the one in flight", i, n)
+		}
+		lsn += 10
+	}
+	losers = tt.losers()
+	last := wal.TxnID(lsn - 10)
+	if len(losers) != 1 || losers[last] != wal.LSN(last)+1 {
+		t.Fatalf("losers = %v, want txn %v at %v", losers, last, wal.LSN(last)+1)
+	}
+	if first := tt.oldestFirst(); first != wal.LSN(last) {
+		t.Fatalf("oldestFirst = %v, want %v", first, last)
+	}
+	// Migrations are every 50th transaction; those with i%3 == 0 abort.
+	want := 0
+	for i := 0; i < 999; i += 50 {
+		if i%3 != 0 {
+			want++
+			if !tt.won[wal.TxnID(1000+10*i)] {
+				t.Errorf("committed migration %d missing from won", i)
+			}
+		}
+	}
+	if len(tt.won) != want {
+		t.Fatalf("won holds %d transactions, want the %d committed migrations", len(tt.won), want)
+	}
+}
+
+// TestPassOneTableHoldsOnlyLosers runs crash recovery's pass 1 alone
+// over buildCrash's window: the table it leaves must be exactly the
+// losers a full recovery undoes.
+func TestPassOneTableHoldsOnlyLosers(t *testing.T) {
+	cfg := testConfig(300)
+	for _, leaveOpen := range []bool{false, true} {
+		cs, _ := buildCrash(t, cfg, 2000, 120, 10, 30, 42, leaveOpen)
+		opt := DefaultOptions(cfg)
+		_, met, err := Recover(cs, Log1, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clock, disks, log, err := cs.Fork(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := dc.Open(clock, disks[0], log, cfg.CachePages, 0, cfg.DC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := newRun(clock, log, opt, []*dc.DC{d})
+		r.cs, r.m = cs, Log1
+		if err := r.findScanStart(); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.fanOut(r.scanStart, r.noteGlobal, shardOf, (*shardRun).dcPass); err != nil {
+			t.Fatal(err)
+		}
+		if len(r.txns.live) != met.LosersUndone {
+			t.Errorf("leaveOpen=%v: pass 1 leaves %d transactions, recovery undoes %d", leaveOpen, len(r.txns.live), met.LosersUndone)
+		}
+		want := 0
+		if leaveOpen {
+			want = 1
+		}
+		if met.LosersUndone != want {
+			t.Errorf("leaveOpen=%v: LosersUndone = %d, want %d", leaveOpen, met.LosersUndone, want)
+		}
+		if len(r.txns.won) != 0 {
+			t.Errorf("leaveOpen=%v: won holds %d transactions in a window without migrations", leaveOpen, len(r.txns.won))
+		}
 	}
 }
 

@@ -184,9 +184,9 @@ func (m *SessionManager) allShards() []wal.ShardID {
 // Checkpoint runs the TC checkpoint protocol holding every shard plane,
 // so no data operation is in flight anywhere while the begin record,
 // the RSSP broadcast and the end record are written. Commits need no
-// plane and keep flowing; a commit record racing the active-table
-// snapshot lands after the begin-checkpoint LSN, where the redo scan
-// finds it regardless.
+// plane and keep flowing; TC.logEnd keeps a commit the active-table
+// snapshot races from being listed with its record below the
+// begin-checkpoint LSN.
 func (m *SessionManager) Checkpoint() error {
 	release := m.lockPlanes(m.allShards())
 	defer release()
@@ -543,9 +543,7 @@ func (m *SessionManager) commit(t *Txn) wal.LSN {
 	if m.tc.endUnlogged(t, StatusCommitted) {
 		return wal.NilLSN
 	}
-	lsn := m.tc.app.MustAppend(&wal.CommitRec{TxnID: t.logName()})
-	t.setLastLSN(lsn)
-	m.tc.finishTxn(t, StatusCommitted)
+	lsn := m.tc.logEnd(t, &wal.CommitRec{TxnID: t.logName()}, StatusCommitted)
 	m.noteReleasedEarly(lsn)
 	m.tc.locks.ReleaseAll(t.ID)
 	return lsn
@@ -603,9 +601,7 @@ func (m *SessionManager) abort(t *Txn, shards []wal.ShardID) error {
 	if err := m.tc.rollback(t); err != nil {
 		return fmt.Errorf("tc: rollback of txn %d: %w", t.ID, err)
 	}
-	lsn := m.tc.app.MustAppend(&wal.AbortRec{TxnID: t.logName()})
-	t.setLastLSN(lsn)
-	m.tc.finishTxn(t, StatusAborted)
+	m.tc.logEnd(t, &wal.AbortRec{TxnID: t.logName()}, StatusAborted)
 	release()
 	m.tc.locks.ReleaseAll(t.ID)
 	return nil

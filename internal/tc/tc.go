@@ -134,6 +134,10 @@ type TC struct {
 	// system's boot-block sector). The simulated engine leaves it nil:
 	// there the master record survives in CrashState directly.
 	masterHook func(wal.LSN) error
+	// endAppended, when set, runs in logEnd between the end record's
+	// append and the transaction's removal; tests park a committer
+	// there. Nil in production.
+	endAppended func()
 
 	stats counters
 }
@@ -271,17 +275,38 @@ func (tc *TC) endUnlogged(t *Txn, status Status) bool {
 	if t.FirstLSN() != wal.NilLSN {
 		return false
 	}
-	tc.finishTxn(t, status)
+	tc.finishTxn(t, status, nil)
 	tc.locks.ReleaseAll(t.ID)
 	return true
 }
 
+// logEnd appends t's end record — its commit or abort — and ends t with
+// the given status, and returns the record's LSN. The append and the
+// removal from the active table are one critical section under t's
+// transaction-table shard mutex, which the checkpoint's snapshot takes
+// after appending its begin record: the snapshot sees t only while its
+// end record is not yet in the log, so a listed transaction's end record
+// lands above the begin-checkpoint LSN and recovery never rolls back a
+// transaction whose commit it did not scan.
+func (tc *TC) logEnd(t *Txn, rec wal.Record, status Status) wal.LSN {
+	var lsn wal.LSN
+	tc.finishTxn(t, status, func() {
+		lsn = tc.app.MustAppend(rec)
+		t.setLastLSN(lsn)
+		if tc.endAppended != nil {
+			tc.endAppended()
+		}
+	})
+	return lsn
+}
+
 // finishTxn records t's terminal state: status, removal from the
-// active table, and the commit/abort counter. Lock release and
-// durability stay with the caller.
-func (tc *TC) finishTxn(t *Txn, status Status) {
+// active table (after end, if not nil, in the same critical section),
+// and the commit/abort counter. Lock release and durability stay with
+// the caller.
+func (tc *TC) finishTxn(t *Txn, status Status, end func()) {
 	t.status = status
-	tc.txns.remove(t.ID)
+	tc.txns.remove(t.ID, end)
 	if status == StatusCommitted {
 		tc.stats.committed.Add(1)
 	} else {
@@ -384,7 +409,9 @@ func (tc *TC) undoOne(t *Txn, rec wal.Record) (wal.LSN, error) {
 // transaction missing from it either ended earlier — its commit or
 // abort record is then covered by that force — or logged its first
 // record after the begin record, or never logged at all; none can need
-// a byte below the release point.
+// a byte below the release point. A transaction it lists has not
+// appended its commit or abort record yet (logEnd), so the redo scan
+// finds that record above the begin record.
 func (tc *TC) Checkpoint() error {
 	bLSN := tc.app.MustAppend(&wal.BeginCkptRec{})
 	eLSN := tc.app.Flush()

@@ -57,11 +57,16 @@ func (tt *txnTable) add(t *Txn) {
 	sh.mu.Unlock()
 }
 
-func (tt *txnTable) remove(id wal.TxnID) {
+// remove takes id out of the active table, running end first, when it
+// is not nil, in the same critical section (see TC.logEnd).
+func (tt *txnTable) remove(id wal.TxnID, end func()) {
 	sh := tt.shardOf(id)
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if end != nil {
+		end()
+	}
 	delete(sh.active, id)
-	sh.mu.Unlock()
 }
 
 func (tt *txnTable) has(id wal.TxnID) bool {
@@ -86,9 +91,10 @@ func (tt *txnTable) count() int {
 // snapshot returns the active transactions at some point during the
 // call. The checkpoint holds every shard plane while calling it, so no
 // data record can land in the window where a shard has been visited but
-// the EndCkptRec not yet written; commits racing the snapshot are safe
-// because a commit record appended after the begin-checkpoint LSN is
-// found by the redo scan regardless of the Active list.
+// the EndCkptRec not yet written. Commits take no plane: TC.logEnd
+// appends a transaction's end record and removes it under its shard's
+// mutex, so a listed transaction's end record lies above the
+// begin-checkpoint LSN, where the redo scan finds it.
 func (tt *txnTable) snapshot() []*Txn {
 	var out []*Txn
 	for i := range tt.shards {
