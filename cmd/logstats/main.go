@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"text/tabwriter"
@@ -41,59 +42,89 @@ func main() {
 		fmt.Fprintf(os.Stderr, "logstats: unknown -variant %q\n", *variant)
 		os.Exit(2)
 	}
-
-	res, err := harness.BuildCrash(cfg)
+	st, err := measure(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "logstats: %v\n", err)
 		os.Exit(1)
 	}
+	st.report(os.Stdout, *variant)
+}
 
-	type slot struct {
-		count  int64
-		bytes  int64
-		header int64 // of bytes, the frame headers
-	}
-	byType := map[wal.Type]*slot{}
-	var total slot
+// slot sums the frames of one record type.
+type slot struct {
+	count  int64
+	bytes  int64
+	header int64 // of bytes, the frame headers
+}
+
+// The parts an update record's frame is made of, in the order the
+// body logs them; updateFields names them. Together they are the
+// whole frame, which the test of this command checks.
+const (
+	fieldTxn = iota
+	fieldKey
+	fieldSkip
+	fieldLengths
+	fieldMiddles
+	fieldTail
+	fieldPID
+	fieldTrail
+	fieldHeader
+	numFields
+)
+
+var updateFields = [numFields]string{"txn", "key", "skip", "lengths", "middles", "tail", "pid", "trailing prev/shard", "frame header"}
+
+// stats is what one pass over a crashed log measures.
+type stats struct {
+	cfg    harness.Config
+	res    *harness.CrashResult
+	byType map[wal.Type]*slot
+	order  []wal.Type // by bytes, largest first
+	total  slot
 	// patch sums, over the update records, what an update costs beyond
 	// its fixed fields: the row bytes it leaves alone before the middles
 	// (and after them, for the updates that change the row's length and
 	// so log a tail) and the two middles it carries.
-	var patch struct{ skip, tail, before, after int64 }
-	// fields sums, over the update records, the body bytes each field
-	// takes; trail is what is left of the body, the trailing prev and
-	// shard. oneLength counts the patches that log one length (and no
-	// tail), tails the bytes the others spend on their tail, leftOut the
-	// updates that leave a trailing field out, noTrail those that leave
-	// out both.
-	var fields struct {
-		txn, table, key, skip, lengths, middles, tails, pid, trail int64
-		oneLength, leftOut, noTrail                                int64
-	}
+	patch struct{ skip, tail, before, after int64 }
+	// fields sums, over the update records, the bytes each of
+	// updateFields takes. oneLength counts the patches that log one
+	// length (and no tail), leftOut the updates that leave a trailing
+	// field out, noTrail those that leave out both.
+	fields                      [numFields]int64
+	oneLength, leftOut, noTrail int64
 	// lists sums the page lists of the ∆ and BW records; deltaBWs counts
 	// the ∆ records that stand in for their batch's BW record.
-	var lists struct{ dirty, dirtyLSNs, deltaWritten, bwWritten, deltaBWs int64 }
+	lists struct{ dirty, dirtyLSNs, deltaWritten, bwWritten, deltaBWs int64 }
 	// deltaBytes splits the ∆ records' frames: the DirtySet and the
 	// WrittenSet with their counts, the DirtyLSNs (perfect variant) with
 	// theirs, and what is left — FW-LSN, FirstDirty, TC-LSN, the shard and
 	// the frame header.
-	var deltaBytes struct{ dirty, written, dirtyLSNs, rest int64 }
+	deltaBytes struct{ dirty, written, dirtyLSNs, rest int64 }
 	// names sums the transaction names of the records that carry one:
 	// how many take 1, 2 and 3 or more bytes, how many open their
 	// transaction (distance 0), and the longest distance and its record.
-	var names struct {
+	names struct {
 		width        [3]int64
 		bytes, opens int64
 		longest      uint64
 		longestType  wal.Type
 		longestAt    wal.LSN
 	}
+}
 
-	// One pass: a record's frame runs to the next record's LSN (the
-	// last one's to the end of the log).
+// measure runs the workload cfg describes to a crash and takes the
+// crashed log apart in one pass: a record's frame runs to the next
+// record's LSN (the last one's to the end of the log).
+func measure(cfg harness.Config) (*stats, error) {
+	res, err := harness.BuildCrash(cfg)
+	if err != nil {
+		return nil, err
+	}
+	st := &stats{cfg: cfg, res: res, byType: map[wal.Type]*slot{}}
 	log := res.Crash.Log
 	sc := log.NewScanner(log.StartLSN(), nil, wal.ScanCost{})
-	var order []wal.Type
+	defer sc.Close()
 	var prev *slot
 	var prevRec wal.Record
 	var prevLSN wal.LSN
@@ -103,130 +134,146 @@ func main() {
 		}
 		n, h := int64(to-prevLSN), int64(wal.FrameHeaderSize(int(to-prevLSN)))
 		prev.bytes, prev.header = prev.bytes+n, prev.header+h
-		total.bytes, total.header = total.bytes+n, total.header+h
-		if d, ok := prevRec.(*wal.DeltaRec); ok {
-			dirty, written := varintLen(uint64(len(d.DirtySet))), varintLen(uint64(len(d.WrittenSet))<<1)
-			for _, p := range d.DirtySet {
-				dirty += varintLen(uint64(p))
-			}
-			var last uint64
-			for _, p := range d.WrittenSet {
-				written += varintLen(uint64(p) - last)
-				last = uint64(p)
-			}
-			var dirtyLSNs int64
-			if len(d.DirtyLSNs) > 0 {
-				dirtyLSNs = varintLen(uint64(len(d.DirtyLSNs)))
-				for _, l := range d.DirtyLSNs {
-					var dist uint64
-					if l != wal.NilLSN {
-						dist = uint64(prevLSN - l)
-					}
-					dirtyLSNs += varintLen(dist)
-				}
-			}
-			deltaBytes.dirty += dirty
-			deltaBytes.written += written
-			deltaBytes.dirtyLSNs += dirtyLSNs
-			deltaBytes.rest += n - dirty - written - dirtyLSNs
-		}
-		u, ok := prevRec.(*wal.UpdateRec)
-		if !ok {
-			return
-		}
-		txn, table, key := varintLen(uint64(prevLSN)-uint64(u.TxnID)), varintLen(uint64(u.TableID)), varintLen(u.KeyVal)
-		skip, pid := varintLen(uint64(u.Skip)), varintLen(uint64(u.PageID))
-		middles, lengths := int64(len(u.OldVal)+len(u.NewVal)), varintLen(uint64(len(u.OldVal))<<1)
-		var tail int64
-		if len(u.OldVal) == len(u.NewVal) {
-			fields.oneLength++
-		} else {
-			lengths += varintLen(uint64(len(u.NewVal)))
-			tail = varintLen(uint64(u.Tail))
-		}
-		trail := n - h - (txn + table + key + skip + lengths + middles + tail + pid)
-		fields.txn += txn
-		fields.table += table
-		fields.key += key
-		fields.skip += skip
-		fields.tails += tail
-		fields.lengths += lengths
-		fields.middles += middles
-		fields.pid += pid
-		fields.trail += trail
-		var dist uint64
-		if u.PrevLSN != wal.NilLSN {
-			dist = uint64(prevLSN - u.PrevLSN)
-		}
-		if trail < varintLen(dist)+varintLen(uint64(u.ShardID)) {
-			fields.leftOut++
-		}
-		if trail == 0 {
-			fields.noTrail++
+		st.total.bytes, st.total.header = st.total.bytes+n, st.total.header+h
+		switch r := prevRec.(type) {
+		case *wal.DeltaRec:
+			st.accountDelta(r, prevLSN, n)
+		case *wal.UpdateRec:
+			st.accountUpdate(r, prevLSN, h)
 		}
 	}
 	for {
 		rec, lsn, ok, err := sc.Next()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "logstats: scan: %v\n", err)
-			os.Exit(1)
+			return nil, fmt.Errorf("scan: %w", err)
 		}
 		if !ok {
 			account(log.EndLSN())
 			break
 		}
 		account(lsn)
-		s, seen := byType[rec.Type()]
+		s, seen := st.byType[rec.Type()]
 		if !seen {
 			s = &slot{}
-			byType[rec.Type()] = s
-			order = append(order, rec.Type())
+			st.byType[rec.Type()] = s
+			st.order = append(st.order, rec.Type())
 		}
 		s.count++
-		total.count++
+		st.total.count++
 		prev, prevRec, prevLSN = s, rec, lsn
 		if tr, ok := rec.(wal.Transactional); ok {
 			dist := uint64(lsn) - uint64(tr.Txn())
 			w := varintLen(dist)
-			names.width[min(w, 3)-1]++
-			names.bytes += w
+			st.names.width[min(w, 3)-1]++
+			st.names.bytes += w
 			if dist == 0 {
-				names.opens++
+				st.names.opens++
 			}
-			if dist > names.longest {
-				names.longest, names.longestType, names.longestAt = dist, rec.Type(), lsn
+			if dist > st.names.longest {
+				st.names.longest, st.names.longestType, st.names.longestAt = dist, rec.Type(), lsn
 			}
 		}
 		switch r := rec.(type) {
 		case *wal.UpdateRec:
-			patch.skip += int64(r.Skip)
-			patch.tail += int64(r.Tail)
-			patch.before += int64(len(r.OldVal))
-			patch.after += int64(len(r.NewVal))
+			st.patch.skip += int64(r.Skip)
+			st.patch.tail += int64(r.Tail)
+			st.patch.before += int64(len(r.OldVal))
+			st.patch.after += int64(len(r.NewVal))
 		case *wal.DeltaRec:
-			lists.dirty += int64(len(r.DirtySet))
-			lists.dirtyLSNs += int64(len(r.DirtyLSNs))
-			lists.deltaWritten += int64(len(r.WrittenSet))
+			st.lists.dirty += int64(len(r.DirtySet))
+			st.lists.dirtyLSNs += int64(len(r.DirtyLSNs))
+			st.lists.deltaWritten += int64(len(r.WrittenSet))
 			if r.BW {
-				lists.deltaBWs++
+				st.lists.deltaBWs++
 			}
 		case *wal.BWRec:
-			lists.bwWritten += int64(len(r.WrittenSet))
+			st.lists.bwWritten += int64(len(r.WrittenSet))
 		}
 	}
+	sort.Slice(st.order, func(i, j int) bool { return st.byType[st.order[i]].bytes > st.byType[st.order[j]].bytes })
+	return st, nil
+}
 
-	sort.Slice(order, func(i, j int) bool { return byType[order[i]].bytes > byType[order[j]].bytes })
+// accountDelta splits the n-byte frame of the ∆ record d at lsn.
+func (st *stats) accountDelta(d *wal.DeltaRec, lsn wal.LSN, n int64) {
+	dirty, written := varintLen(uint64(len(d.DirtySet))), varintLen(uint64(len(d.WrittenSet))<<1)
+	for _, p := range d.DirtySet {
+		dirty += varintLen(uint64(p))
+	}
+	var last uint64
+	for _, p := range d.WrittenSet {
+		written += varintLen(uint64(p) - last)
+		last = uint64(p)
+	}
+	var dirtyLSNs int64
+	if len(d.DirtyLSNs) > 0 {
+		dirtyLSNs = varintLen(uint64(len(d.DirtyLSNs)))
+		for _, l := range d.DirtyLSNs {
+			var dist uint64
+			if l != wal.NilLSN {
+				dist = uint64(lsn - l)
+			}
+			dirtyLSNs += varintLen(dist)
+		}
+	}
+	st.deltaBytes.dirty += dirty
+	st.deltaBytes.written += written
+	st.deltaBytes.dirtyLSNs += dirtyLSNs
+	st.deltaBytes.rest += n - dirty - written - dirtyLSNs
+}
 
-	fmt.Printf("workload: %d rows, %d committed txns, %d updates, %d checkpoints (∆ variant: %s)\n",
-		cfg.Workload.Rows, res.TxnsCommitted, res.UpdatesRun, res.CheckpointsRun, *variant)
-	fmt.Printf("stable log: %d bytes written, %d records retained\n", res.LogBytes, total.count)
-	printRetention(log)
-	fmt.Println()
+// accountUpdate adds what each field of the update u at lsn takes, its
+// frame header h included. Every field is sized from the decoded
+// record as the encoder writes it, so a field the format gains or loses
+// makes the sum differ from the frame.
+func (st *stats) accountUpdate(u *wal.UpdateRec, lsn wal.LSN, h int64) {
+	f := &st.fields
+	f[fieldTxn] += varintLen(uint64(lsn) - uint64(u.TxnID))
+	f[fieldKey] += varintLen(u.KeyVal)
+	f[fieldSkip] += varintLen(uint64(u.Skip))
+	f[fieldMiddles] += int64(len(u.OldVal) + len(u.NewVal))
+	f[fieldLengths] += varintLen(uint64(len(u.OldVal)) << 1)
+	if len(u.OldVal) == len(u.NewVal) {
+		st.oneLength++
+	} else {
+		f[fieldLengths] += varintLen(uint64(len(u.NewVal)))
+		f[fieldTail] += varintLen(uint64(u.Tail))
+	}
+	f[fieldPID] += varintLen(uint64(u.PageID))
+	f[fieldHeader] += h
+	// The trailing prev and shard, less the zeros that end them.
+	var prev uint64
+	if u.PrevLSN != wal.NilLSN {
+		prev = uint64(lsn - u.PrevLSN)
+	}
+	var trail int64
+	switch {
+	case u.ShardID != 0:
+		trail = varintLen(prev) + varintLen(uint64(u.ShardID))
+	case prev != 0:
+		trail = varintLen(prev)
+	default:
+		st.noTrail++
+	}
+	if u.ShardID == 0 {
+		st.leftOut++
+	}
+	f[fieldTrail] += trail
+}
 
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+// report prints the measurement.
+func (st *stats) report(w io.Writer, variant string) {
+	cfg, res, byType, total := st.cfg, st.res, st.byType, st.total
+	fmt.Fprintf(w, "workload: %d rows, %d committed txns, %d updates, %d checkpoints (∆ variant: %s)\n",
+		cfg.Workload.Rows, res.TxnsCommitted, res.UpdatesRun, res.CheckpointsRun, variant)
+	fmt.Fprintf(w, "stable log: %d bytes written, %d records retained\n", res.LogBytes, total.count)
+	printRetention(w, res.Crash.Log)
+	fmt.Fprintln(w)
+
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "record type\tcount\tbytes\tB/record\theader B/record\tshare")
 	var auxBytes int64
-	for _, t := range order {
+	for _, t := range st.order {
 		s := byType[t]
 		fmt.Fprintf(tw, "%v\t%d\t%d\t%.1f\t%.2f\t%.2f%%\n", t, s.count, s.bytes, float64(s.bytes)/float64(s.count),
 			float64(s.header)/float64(s.count), 100*float64(s.bytes)/float64(total.bytes))
@@ -236,43 +283,49 @@ func main() {
 		}
 	}
 	tw.Flush()
-	fmt.Printf("\nframe headers: %.2f bytes a record, %.2f%% of the log\n",
+	fmt.Fprintf(w, "\nframe headers: %.2f bytes a record, %.2f%% of the log\n",
 		float64(total.header)/float64(total.count), 100*float64(total.header)/float64(total.bytes))
+	lists, deltaBytes := st.lists, st.deltaBytes
 	if d := byType[wal.TypeDelta]; d != nil && lists.dirty+lists.deltaWritten > 0 {
 		n := float64(d.count)
-		fmt.Printf("a ∆ record lists %.1f dirtied and %.1f written pages (and %.1f DirtyLSNs): %.2f bytes a listed page, fixed fields and header included\n",
+		fmt.Fprintf(w, "a ∆ record lists %.1f dirtied and %.1f written pages (and %.1f DirtyLSNs): %.2f bytes a listed page, fixed fields and header included\n",
 			float64(lists.dirty)/n, float64(lists.deltaWritten)/n, float64(lists.dirtyLSNs)/n, float64(d.bytes)/float64(lists.dirty+lists.deltaWritten))
 		pct := func(v int64) float64 { return 100 * float64(v) / float64(d.bytes) }
-		fmt.Printf("∆ bytes: DirtySet %d (%.1f%%, %.2f B a page), WrittenSet as gaps %d (%.1f%%, %.2f B a page), DirtyLSNs %d (%.1f%%),\nfixed fields, shard and header %d (%.1f%%, %.2f B a record)\n",
+		fmt.Fprintf(w, "∆ bytes: DirtySet %d (%.1f%%, %.2f B a page), WrittenSet as gaps %d (%.1f%%, %.2f B a page), DirtyLSNs %d (%.1f%%),\nfixed fields, shard and header %d (%.1f%%, %.2f B a record)\n",
 			deltaBytes.dirty, pct(deltaBytes.dirty), float64(deltaBytes.dirty)/float64(max(lists.dirty, 1)),
 			deltaBytes.written, pct(deltaBytes.written), float64(deltaBytes.written)/float64(max(lists.deltaWritten, 1)),
 			deltaBytes.dirtyLSNs, pct(deltaBytes.dirtyLSNs), deltaBytes.rest, pct(deltaBytes.rest), float64(deltaBytes.rest)/n)
 	}
 	if b := byType[wal.TypeBW]; b != nil && lists.bwWritten > 0 {
-		fmt.Printf("a BW record lists %.1f written pages: %.2f bytes a listed page, fixed fields and header included\n",
+		fmt.Fprintf(w, "a BW record lists %.1f written pages: %.2f bytes a listed page, fixed fields and header included\n",
 			float64(lists.bwWritten)/float64(b.count), float64(b.bytes)/float64(lists.bwWritten))
 	}
 	var bws int64
 	if b := byType[wal.TypeBW]; b != nil {
 		bws = b.count
 	}
-	fmt.Printf("flush batches: %d closed by a ∆ record standing in for the BW record, %d by a standalone BW record\n",
+	fmt.Fprintf(w, "flush batches: %d closed by a ∆ record standing in for the BW record, %d by a standalone BW record\n",
 		lists.deltaBWs, bws)
 	if u := byType[wal.TypeUpdate]; u != nil {
 		n := float64(u.count)
-		fmt.Printf("\nan update is a patch: on average it skips %.1f row bytes and carries a %.1f-byte before-middle\nand a %.1f-byte after-middle\n",
-			float64(patch.skip)/n, float64(patch.before)/n, float64(patch.after)/n)
-		per := func(v int64) float64 { return float64(v) / n }
-		fmt.Printf("bytes an update spends on each field: txn %.2f, table %.2f, key %.2f, skip %.2f, lengths %.2f,\nmiddles %.2f, pid %.2f, trailing prev/shard %.2f, frame header %.2f (%.2f in all)\n",
-			per(fields.txn), per(fields.table), per(fields.key), per(fields.skip), per(fields.lengths),
-			per(fields.middles), per(fields.pid), per(fields.trail), per(u.header), per(u.bytes))
-		fmt.Printf("%d of %d updates log one patch length; %d leave a trailing field out, %d both prev and shard\n",
-			fields.oneLength, u.count, fields.leftOut, fields.noTrail)
-		if tails := u.count - fields.oneLength; tails > 0 {
-			fmt.Printf("%d updates change the row's length and log a tail: %.2f bytes each, keeping %.1f row bytes on average\n",
-				tails, float64(fields.tails)/float64(tails), float64(patch.tail)/float64(tails))
+		fmt.Fprintf(w, "\nan update is a patch: on average it skips %.1f row bytes and carries a %.1f-byte before-middle\nand a %.1f-byte after-middle\n",
+			float64(st.patch.skip)/n, float64(st.patch.before)/n, float64(st.patch.after)/n)
+		fmt.Fprint(w, "bytes an update spends on each field:")
+		for i, name := range updateFields {
+			sep := ","
+			if i == 0 {
+				sep = ""
+			}
+			fmt.Fprintf(w, "%s %s %.2f", sep, name, float64(st.fields[i])/n)
+		}
+		fmt.Fprintf(w, " (%.2f in all)\n", float64(u.bytes)/n)
+		fmt.Fprintf(w, "%d of %d updates log one patch length; %d leave a trailing field out, %d both prev and shard\n",
+			st.oneLength, u.count, st.leftOut, st.noTrail)
+		if tails := u.count - st.oneLength; tails > 0 {
+			fmt.Fprintf(w, "%d updates change the row's length and log a tail: %.2f bytes each, keeping %.1f row bytes on average\n",
+				tails, float64(st.fields[fieldTail])/float64(tails), float64(st.patch.tail)/float64(tails))
 		} else {
-			fmt.Println("no update logs a tail: every patch is in place")
+			fmt.Fprintln(w, "no update logs a tail: every patch is in place")
 		}
 	}
 	var ends slot
@@ -282,17 +335,18 @@ func main() {
 		}
 	}
 	if ends.count > 0 {
-		fmt.Printf("commit and abort records: %d, %.2f bytes a record (%.2f of it frame header, the rest the txn field)\n",
+		fmt.Fprintf(w, "commit and abort records: %d, %.2f bytes a record (%.2f of it frame header, the rest the txn field)\n",
 			ends.count, float64(ends.bytes)/float64(ends.count), float64(ends.header)/float64(ends.count))
 	}
+	names := st.names
 	if n := names.width[0] + names.width[1] + names.width[2]; n > 0 {
 		pct := func(v int64) float64 { return 100 * float64(v) / float64(n) }
-		fmt.Printf("\ntxn field (distance back to the txn's first record) in %d records: 1 B %d (%.1f%%), 2 B %d (%.1f%%), ≥3 B %d (%.1f%%); %.2f B a record\n",
+		fmt.Fprintf(w, "\ntxn field (distance back to the txn's first record) in %d records: 1 B %d (%.1f%%), 2 B %d (%.1f%%), ≥3 B %d (%.1f%%); %.2f B a record\n",
 			n, names.width[0], pct(names.width[0]), names.width[1], pct(names.width[1]), names.width[2], pct(names.width[2]), float64(names.bytes)/float64(n))
-		fmt.Printf("records that open their transaction (distance 0): %d (%.1f%%)\n", names.opens, pct(names.opens))
-		fmt.Printf("longest name distance: %d bytes, by the %v record at %d\n", names.longest, names.longestType, names.longestAt)
+		fmt.Fprintf(w, "records that open their transaction (distance 0): %d (%.1f%%)\n", names.opens, pct(names.opens))
+		fmt.Fprintf(w, "longest name distance: %d bytes, by the %v record at %d\n", names.longest, names.longestType, names.longestAt)
 	}
-	fmt.Printf("\nrecovery-preparation records (∆+BW+SMO+ckpt+RSSP): %d bytes = %.2f%% of the log\n(what §5.1 calls a very small part of it)\n",
+	fmt.Fprintf(w, "\nrecovery-preparation records (∆+BW+SMO+ckpt+RSSP): %d bytes = %.2f%% of the log\n(what §5.1 calls a very small part of it)\n",
 		auxBytes, 100*float64(auxBytes)/float64(total.bytes))
 }
 
@@ -305,8 +359,8 @@ func varintLen(v uint64) int64 {
 // printRetention reports what the crashed log still holds: checkpoints
 // release the segments below their redo scan start, so the composition
 // tables describe the retained range, not everything ever written.
-func printRetention(log *wal.Log) {
+func printRetention(w io.Writer, log *wal.Log) {
 	start, end := log.StartLSN(), log.EndLSN()
-	fmt.Printf("retained: LSN %d–%d (%d bytes) in %d segments; %d bytes released\n",
+	fmt.Fprintf(w, "retained: LSN %d–%d (%d bytes) in %d segments; %d bytes released\n",
 		start, end, int64(end-start), log.Segments(), int64(start-wal.FirstLSN()))
 }

@@ -36,7 +36,7 @@ var (
 )
 
 // Meta is the recoverable tree metadata, persisted in the DB metadata
-// page at checkpoints and carried by every SMO record.
+// page at checkpoints and carried, all but TableID, by every SMO record.
 type Meta struct {
 	TableID wal.TableID
 	Root    storage.PageID

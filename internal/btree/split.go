@@ -70,7 +70,6 @@ func (b *smoBuild) finish() error {
 	const maxReservations = 1 << 16
 	rec := &wal.SMORec{
 		Meta: wal.TreeMeta{
-			TableID: t.meta.TableID,
 			Root:    t.meta.Root,
 			Height:  t.meta.Height,
 			NextPID: t.meta.NextPID,

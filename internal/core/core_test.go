@@ -302,6 +302,102 @@ func TestRecoverWithInsertsAndDeletes(t *testing.T) {
 	}
 }
 
+// TestOtherTableSurvivesRecovery: no record names a table, so a
+// recovered tree keeps the table of its boot page, however many SMOs
+// redo installs over it. An engine whose table is 7 grows its tree past
+// its last checkpoint with inserts, leaves a loser open and crashes;
+// every method recovers table 7 with the committed rows, and a session
+// on table 7 reads and writes afterwards while table 1 is refused.
+func TestOtherTableSurvivesRecovery(t *testing.T) {
+	const table = 7
+	cfg := testConfig(400)
+	cfg.TableID = table
+	eng, err := engine.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	om := make(oracle)
+	if err := eng.Load(1000, func(k uint64) []byte {
+		v := val(k, 0)
+		om[k] = v
+		return v
+	}); err != nil {
+		t.Fatal(err)
+	}
+	mgr := eng.NewSessionManager(0)
+	next := uint64(1000)
+	for i := 0; i < 80; i++ {
+		txn := begin(t, mgr)
+		for u := 0; u < 8; u++ {
+			v := val(next, i+1)
+			if err := txn.Insert(table, next, v); err != nil {
+				t.Fatal(err)
+			}
+			om[next] = v
+			next++
+		}
+		if err := txn.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if i == 20 {
+			if err := eng.TC.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	loser := begin(t, mgr)
+	for k := uint64(0); k < 8; k++ {
+		if err := loser.Insert(table, next+k, []byte("UNCOMMITTED-GARBAGE-value")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.TC.SendEOSL()
+	cs := eng.Crash()
+
+	smos := 0
+	sc := cs.Log.NewScanner(cs.LastEndCkpt, &sim.Clock{}, wal.DefaultScanCost())
+	for {
+		rec, _, ok, err := sc.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		if _, isSMO := rec.(*wal.SMORec); isSMO {
+			smos++
+		}
+	}
+	sc.Close()
+	if smos == 0 {
+		t.Fatal("no SMO past the last checkpoint: the test lost its point")
+	}
+
+	for _, m := range Methods() {
+		rec, _, err := Recover(cs, m, DefaultOptions(cfg))
+		if err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		if got := rec.DC.Tree().Meta().TableID; got != table {
+			t.Fatalf("%v: recovered tree's table is %d, want %d", m, got, table)
+		}
+		verifyRecovered(t, m, rec, om)
+		s := begin(t, rec.NewSessionManager(0))
+		if v, found, err := s.Read(table, 1001); err != nil || !found || !bytes.Equal(v, om[1001]) {
+			t.Fatalf("%v: read of table %d after recovery: %q %v %v", m, table, v, found, err)
+		}
+		if err := s.Update(table, 1001, []byte("after-recovery")); err != nil {
+			t.Fatalf("%v: write to table %d after recovery: %v", m, table, err)
+		}
+		if err := s.Update(1, 1002, []byte("x")); err == nil {
+			t.Fatalf("%v: a write to table 1 succeeded on an engine holding table %d", m, table)
+		}
+		if err := s.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestRecoveredEngineUsable continues running transactions and another
 // crash/recovery cycle on a recovered engine.
 func TestRecoveredEngineUsable(t *testing.T) {

@@ -239,7 +239,7 @@ func TestSMOImageOfAnotherGeometryFailsRecovery(t *testing.T) {
 		}
 		m := eng.DC.Tree().Meta()
 		bad := eng.Log.MustAppend(&wal.SMORec{
-			Meta:   wal.TreeMeta{TableID: m.TableID, Root: m.Root, Height: m.Height, NextPID: m.NextPID},
+			Meta:   wal.TreeMeta{Root: m.Root, Height: m.Height, NextPID: m.NextPID},
 			Images: []wal.PageImage{{PageID: pid, Data: make([]byte, size)}},
 		})
 		eng.TC.SendEOSL()
@@ -279,7 +279,7 @@ func TestSMOImageAtAFarPIDReplays(t *testing.T) {
 		img := page.New(cfg.Disk.PageSize, page.TypeLeaf)
 		img.SetLSN(uint64(at))
 		if !eng.Log.MustAppendAt(&wal.SMORec{
-			Meta:   wal.TreeMeta{TableID: m.TableID, Root: m.Root, Height: m.Height, NextPID: m.NextPID},
+			Meta:   wal.TreeMeta{Root: m.Root, Height: m.Height, NextPID: m.NextPID},
 			Images: []wal.PageImage{{PageID: pid, Data: img.Bytes()}},
 		}, at) {
 			t.Fatal("SMO did not land at the sampled log end")

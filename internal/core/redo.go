@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"logrec/internal/btree"
 	"logrec/internal/buffer"
 	"logrec/internal/dpt"
 	"logrec/internal/page"
@@ -235,14 +234,11 @@ func (sr *shardRun) redoOp(met *Metrics, pid storage.PageID, op wal.DataOp, lsn 
 func (sr *shardRun) installSMO(t *wal.SMORec, lsn wal.LSN, table *dpt.Table, met *Metrics) error {
 	tree := sr.d.Tree()
 	// Tree metadata advances monotonically with the allocator cursor;
-	// SMOs replayed below a newer boot image must not regress it.
-	if t.Meta.NextPID >= tree.Meta().NextPID {
-		tree.SetMeta(btree.Meta{
-			TableID: t.Meta.TableID,
-			Root:    t.Meta.Root,
-			Height:  t.Meta.Height,
-			NextPID: t.Meta.NextPID,
-		})
+	// SMOs replayed below a newer boot image must not regress it. The
+	// tree keeps its own table: no record names one.
+	if m := tree.Meta(); t.Meta.NextPID >= m.NextPID {
+		m.Root, m.Height, m.NextPID = t.Meta.Root, t.Meta.Height, t.Meta.NextPID
+		tree.SetMeta(m)
 	}
 	pool := sr.d.Pool()
 	size := sr.d.Disk().Config().PageSize

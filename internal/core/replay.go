@@ -35,7 +35,7 @@ type ReplayStats struct {
 // land in the standby's log (wal.AppendStable); each CatchUp call pushes
 // the newly stable suffix through the demultiplexer Recover uses
 // (run.fanOut), which routes every data operation by key through the
-// standby's own routing table, and re-executes it by table and key
+// standby's own routing table, and re-executes it by key
 // through the standby's own trees (applyLogical). The primary's
 // physical records (SMO images, ∆/BW, RSSP) are only noted: the log
 // names no page the standby must share, so the standby may use its own
@@ -149,13 +149,13 @@ var errAbsorbed = errors.New("already applied")
 // missing key as absorbed.
 func applyLogical(d *dc.DC, op wal.DataOp, lsn wal.LSN) (applied bool, err error) {
 	stamp := func(storage.PageID) wal.LSN { return lsn }
-	table, key := op.Table(), op.Key()
+	key := op.Key()
 	upsert := func(val []byte) error {
-		err := d.Insert(table, key, val, stamp)
+		err := d.Insert(key, val, stamp)
 		if !errors.Is(err, btree.ErrKeyExists) {
 			return err
 		}
-		return d.Patch(table, key, func(cur []byte) ([]byte, error) {
+		return d.Patch(key, func(cur []byte) ([]byte, error) {
 			if bytes.Equal(cur, val) {
 				return nil, errAbsorbed
 			}
@@ -163,7 +163,7 @@ func applyLogical(d *dc.DC, op wal.DataOp, lsn wal.LSN) (applied bool, err error
 		}, stamp)
 	}
 	remove := func() error {
-		err := d.Delete(table, key, func(storage.PageID, []byte) wal.LSN { return lsn })
+		err := d.Delete(key, func(storage.PageID, []byte) wal.LSN { return lsn })
 		if errors.Is(err, btree.ErrKeyNotFound) {
 			return errAbsorbed
 		}
@@ -171,7 +171,7 @@ func applyLogical(d *dc.DC, op wal.DataOp, lsn wal.LSN) (applied bool, err error
 	}
 	switch t := op.(type) {
 	case *wal.UpdateRec:
-		err = d.Patch(table, key, func(cur []byte) ([]byte, error) {
+		err = d.Patch(key, func(cur []byte) ([]byte, error) {
 			done, err := t.Applied(cur)
 			if err == nil && done {
 				err = errAbsorbed
@@ -188,7 +188,7 @@ func applyLogical(d *dc.DC, op wal.DataOp, lsn wal.LSN) (applied bool, err error
 	case *wal.CLRRec:
 		switch t.Kind {
 		case wal.CLRUndoUpdate:
-			err = d.Patch(table, key, t.After, stamp)
+			err = d.Patch(key, t.After, stamp)
 		case wal.CLRUndoDelete:
 			err = upsert(t.RestoreVal) // the whole row
 		case wal.CLRUndoInsert:

@@ -20,11 +20,11 @@ func TestReplayAbsorbsAnAppliedUpdate(t *testing.T) {
 		absent  = 500 // past the loaded keys
 	)
 	table := testConfig(64).TableID
-	upd := &wal.UpdateRec{TxnID: 5, TableID: table, KeyVal: present, OldVal: val(present, 0), NewVal: val(present, 1)}
-	ins := &wal.InsertRec{TxnID: 5, TableID: table, KeyVal: absent, Val: val(absent, 1)}
-	del := &wal.DeleteRec{TxnID: 5, TableID: table, KeyVal: present, OldVal: val(present, 0)}
-	undoInsert := &wal.CLRRec{TxnID: 5, TableID: table, KeyVal: absent, Kind: wal.CLRUndoInsert}
-	undoDelete := &wal.CLRRec{TxnID: 5, TableID: table, KeyVal: present, Kind: wal.CLRUndoDelete, RestoreVal: val(present, 7)}
+	upd := &wal.UpdateRec{TxnID: 5, KeyVal: present, OldVal: val(present, 0), NewVal: val(present, 1)}
+	ins := &wal.InsertRec{TxnID: 5, KeyVal: absent, Val: val(absent, 1)}
+	del := &wal.DeleteRec{TxnID: 5, KeyVal: present, OldVal: val(present, 0)}
+	undoInsert := &wal.CLRRec{TxnID: 5, KeyVal: absent, Kind: wal.CLRUndoInsert}
+	undoDelete := &wal.CLRRec{TxnID: 5, KeyVal: present, Kind: wal.CLRUndoDelete, RestoreVal: val(present, 7)}
 
 	cases := []struct {
 		name string

@@ -170,11 +170,11 @@ func (r *run) undoRecord(pool *shardedPool, txn wal.TxnID, st *undoState, rec wa
 	case *wal.InsertRec:
 		// The inverse is a page delete; leaves never merge, so this
 		// cannot change the tree's structure.
-		clr := &wal.CLRRec{TxnID: txn, TableID: t.TableID, KeyVal: t.KeyVal, Kind: wal.CLRUndoInsert, UndoNextLSN: t.PrevLSN}
+		clr := &wal.CLRRec{TxnID: txn, KeyVal: t.KeyVal, Kind: wal.CLRUndoInsert, UndoNextLSN: t.PrevLSN}
 		return t.PrevLSN, r.compensate(pool, st, t.ShardID, clr, false)
 	case *wal.DeleteRec:
 		// The inverse re-inserts the row, which can split a full leaf.
-		clr := &wal.CLRRec{TxnID: txn, TableID: t.TableID, KeyVal: t.KeyVal, Kind: wal.CLRUndoDelete, RestoreVal: t.OldVal, UndoNextLSN: t.PrevLSN}
+		clr := &wal.CLRRec{TxnID: txn, KeyVal: t.KeyVal, Kind: wal.CLRUndoDelete, RestoreVal: t.OldVal, UndoNextLSN: t.PrevLSN}
 		return t.PrevLSN, r.compensate(pool, st, t.ShardID, clr, true)
 	case *wal.CLRRec:
 		// Redo-only: skip over already-compensated work.
@@ -229,11 +229,11 @@ func (r *run) compensate(pool *shardedPool, st *undoState, sh wal.ShardID, clr *
 	}
 	switch clr.Kind {
 	case wal.CLRUndoInsert:
-		return sr.d.Delete(clr.TableID, clr.KeyVal, func(pid storage.PageID, _ []byte) wal.LSN { return logCLR(pid) })
+		return sr.d.Delete(clr.KeyVal, func(pid storage.PageID, _ []byte) wal.LSN { return logCLR(pid) })
 	case wal.CLRUndoDelete:
-		return sr.d.Insert(clr.TableID, clr.KeyVal, clr.RestoreVal, logCLR) // the whole row
+		return sr.d.Insert(clr.KeyVal, clr.RestoreVal, logCLR) // the whole row
 	default: // wal.CLRUndoUpdate: patch the row in the descent that logs the CLR
-		if err := sr.d.Patch(clr.TableID, clr.KeyVal, clr.After, logCLR); err != nil {
+		if err := sr.d.Patch(clr.KeyVal, clr.After, logCLR); err != nil {
 			return fmt.Errorf("key %d: %w", clr.KeyVal, err)
 		}
 		return nil

@@ -169,27 +169,23 @@ func (d *DC) Recorder() *tracker.Recorder { return d.rec }
 // RsspLSN returns the last redo-scan-start-point persisted by RSSP.
 func (d *DC) RsspLSN() wal.LSN { return d.rsspLSN }
 
-// Read returns a copy of the value under (table, key).
-func (d *DC) Read(table wal.TableID, key uint64) ([]byte, bool, error) {
-	if err := d.checkTable(table); err != nil {
-		return nil, false, err
-	}
+// Read returns a copy of the value under key. A DC holds one table,
+// which the session checks; the table argument is ignored and goes
+// once benchmark/ stops passing it (ROADMAP 9(c)).
+func (d *DC) Read(_ wal.TableID, key uint64) ([]byte, bool, error) {
 	return d.tree.Search(key)
 }
 
 // ReadRange invokes fn for every row with lo ≤ key ≤ hi, in key order.
 // The value slice is only valid during the call.
-func (d *DC) ReadRange(table wal.TableID, lo, hi uint64, fn func(key uint64, val []byte) error) error {
-	return d.ReadRangeFiltered(table, lo, hi, nil, fn)
+func (d *DC) ReadRange(lo, hi uint64, fn func(key uint64, val []byte) error) error {
+	return d.ReadRangeFiltered(lo, hi, nil, fn)
 }
 
 // ReadRangeFiltered is ReadRange with a predicate pushed down into the
 // B-tree iterator: rows failing pred never leave the data component.
 // A nil pred accepts every row.
-func (d *DC) ReadRangeFiltered(table wal.TableID, lo, hi uint64, pred func(key uint64, val []byte) bool, fn func(key uint64, val []byte) error) error {
-	if err := d.checkTable(table); err != nil {
-		return err
-	}
+func (d *DC) ReadRangeFiltered(lo, hi uint64, pred func(key uint64, val []byte) bool, fn func(key uint64, val []byte) error) error {
 	return d.tree.ScanRangeFiltered(lo, hi, pred, fn)
 }
 
@@ -201,41 +197,25 @@ func (d *DC) ReadRangeFiltered(table wal.TableID, lo, hi uint64, pred func(key u
 // leaf as it was; a missing key fails with btree.ErrKeyNotFound, an
 // existing one on Insert with btree.ErrKeyExists.
 
-// Patch rewrites the row under (table, key) to what patch returns for
+// Patch rewrites the row under key to what patch returns for
 // it (btree.Tree.PatchLogged): an update's or a CLR's After, or a
 // function returning a whole new row. cur aliases page memory. A row
 // that outgrows its leaf is patched again after the split, so patch must
 // be pure; an error it returns is returned as is.
-func (d *DC) Patch(table wal.TableID, key uint64, patch func(cur []byte) ([]byte, error), logFn func(pid storage.PageID) wal.LSN) error {
-	if err := d.checkTable(table); err != nil {
-		return err
-	}
+func (d *DC) Patch(key uint64, patch func(cur []byte) ([]byte, error), logFn func(pid storage.PageID) wal.LSN) error {
 	return d.tree.PatchLogged(key, patch, logFn)
 }
 
-// Insert adds the row (key, val) to table.
-func (d *DC) Insert(table wal.TableID, key uint64, val []byte, logFn func(pid storage.PageID) wal.LSN) error {
-	if err := d.checkTable(table); err != nil {
-		return err
-	}
+// Insert adds the row (key, val).
+func (d *DC) Insert(key uint64, val []byte, logFn func(pid storage.PageID) wal.LSN) error {
 	return d.tree.InsertLogged(key, val, logFn)
 }
 
-// Delete removes the row under (table, key), handing logFn the row it
+// Delete removes the row under key, handing logFn the row it
 // removed as well; old aliases page memory and is valid only during the
 // call.
-func (d *DC) Delete(table wal.TableID, key uint64, logFn func(pid storage.PageID, old []byte) wal.LSN) error {
-	if err := d.checkTable(table); err != nil {
-		return err
-	}
+func (d *DC) Delete(key uint64, logFn func(pid storage.PageID, old []byte) wal.LSN) error {
 	return d.tree.DeleteLogged(key, logFn)
-}
-
-func (d *DC) checkTable(table wal.TableID) error {
-	if table != d.tree.Meta().TableID {
-		return fmt.Errorf("dc: unknown table %d (have %d)", table, d.tree.Meta().TableID)
-	}
-	return nil
 }
 
 // EOSL receives the TC's end of stable log: it unlocks page flushes up

@@ -102,7 +102,7 @@ func TestUpdateStampsPageWithLogFnLSN(t *testing.T) {
 	d, log, _, _ := newDC(t, 100, 64)
 	var gotPID storage.PageID
 	var lsn wal.LSN
-	err := d.Patch(1, 50, replaceWith([]byte("new-value-xx")), func(pid storage.PageID) wal.LSN {
+	err := d.Patch(50, replaceWith([]byte("new-value-xx")), func(pid storage.PageID) wal.LSN {
 		gotPID = pid
 		lsn = log.MustAppend(&wal.BeginCkptRec{})
 		return lsn
@@ -137,13 +137,13 @@ func TestDeleteHandsLogFnTheRow(t *testing.T) {
 		got = bytes.Clone(old)
 		return log.MustAppend(&wal.BeginCkptRec{})
 	}
-	if err := d.Delete(1, 50, logFn); err != nil {
+	if err := d.Delete(50, logFn); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 1 || string(got) != "row-00000050" {
 		t.Fatalf("logFn called %d times with %q, want once with row-00000050", calls, got)
 	}
-	if err := d.Delete(1, 50, logFn); !errors.Is(err, btree.ErrKeyNotFound) {
+	if err := d.Delete(50, logFn); !errors.Is(err, btree.ErrKeyNotFound) {
 		t.Fatalf("second delete: err %v, want btree.ErrKeyNotFound", err)
 	}
 	if calls != 1 {
@@ -151,19 +151,9 @@ func TestDeleteHandsLogFnTheRow(t *testing.T) {
 	}
 }
 
-func TestUnknownTableRejected(t *testing.T) {
-	d, log, _, _ := newDC(t, 10, 64)
-	if _, _, err := d.Read(99, 1); err == nil {
-		t.Fatal("read of unknown table succeeded")
-	}
-	if err := d.Patch(99, 1, replaceWith([]byte("x")), fixedLSN(log)); err == nil {
-		t.Fatal("update of unknown table succeeded")
-	}
-}
-
 func TestEOSLUnlocksFlushes(t *testing.T) {
 	d, log, _, _ := newDC(t, 100, 64)
-	if err := d.Patch(1, 1, replaceWith([]byte("val-after-eosl")), fixedLSN(log)); err != nil {
+	if err := d.Patch(1, replaceWith([]byte("val-after-eosl")), fixedLSN(log)); err != nil {
 		t.Fatal(err)
 	}
 	d.EOSL(log.Flush())
@@ -175,7 +165,7 @@ func TestEOSLUnlocksFlushes(t *testing.T) {
 func TestRSSPFlushesAndPersistsBootPage(t *testing.T) {
 	d, log, disk, _ := newDC(t, 200, 128)
 	for k := uint64(0); k < 50; k++ {
-		if err := d.Patch(1, k, replaceWith([]byte(fmt.Sprintf("upd-%07d", k))), fixedLSN(log)); err != nil {
+		if err := d.Patch(k, replaceWith([]byte(fmt.Sprintf("upd-%07d", k))), fixedLSN(log)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -216,7 +206,7 @@ func TestTrackersFeedFromUpdatesAndFlushes(t *testing.T) {
 	// cache: updates must evict and flush, driving ∆/BW records.
 	d, log, _, _ := newDC(t, 5000, 64)
 	for k := uint64(0); k < 4000; k += 7 {
-		if err := d.Patch(1, k, replaceWith([]byte(fmt.Sprintf("upd-%07d", k))), fixedLSN(log)); err != nil {
+		if err := d.Patch(k, replaceWith([]byte(fmt.Sprintf("upd-%07d", k))), fixedLSN(log)); err != nil {
 			t.Fatal(err)
 		}
 		d.EOSL(log.Flush())

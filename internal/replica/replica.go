@@ -1,6 +1,6 @@
 // Package replica implements log shipping to a warm standby: the
 // production form of the paper's §1.1 observation that the TC's
-// logical log, carrying table and key but no PIDs, is a replication
+// logical log, carrying keys but no PIDs, is a replication
 // contract — any data component that consumes the same record stream
 // converges to the same rows, even on physically different pages.
 //
@@ -9,7 +9,7 @@
 // attached); a Standby pumps those segments into a standby engine's
 // log (wal.AppendStable validates every frame on ingest) and drives a
 // core.Replayer, which re-executes every newly stable data operation by
-// table and key through the standby's own trees, checkpointing the
+// key through the standby's own trees, checkpointing the
 // standby on a record cadence so its own restart is bounded. The
 // standby may use its own page size, pool and shard count. Lag (bytes and records behind
 // the primary's stable log) is observable at any time, and Promote

@@ -159,7 +159,7 @@ func checkPromotedServes(t *testing.T, promoted *engine.Engine) {
 	if err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	got, found, err := promoted.Set.Read(promoted.Cfg.TableID, 1)
+	got, found, err := promoted.Set.Read(1)
 	if err != nil || !found {
 		t.Fatalf("reading post-promote row: found=%v err=%v", found, err)
 	}
@@ -413,7 +413,7 @@ func TestPromoteUndoesInFlightLosers(t *testing.T) {
 		t.Fatal("promotion rolled back a loser without CLRs")
 	}
 	for _, key := range []uint64{5, 105, 1105} {
-		got, found, err := promoted.Set.Read(promoted.Cfg.TableID, key)
+		got, found, err := promoted.Set.Read(key)
 		if err != nil || !found {
 			t.Fatalf("key %d after promote: found=%v err=%v", key, found, err)
 		}

@@ -223,23 +223,23 @@ func (s *Set) Reassign(at uint64, to wal.ShardID) error {
 	return s.router.Reassign(at, to)
 }
 
-// Read returns the value stored under (table, key).
-func (s *Set) Read(table wal.TableID, key uint64) ([]byte, bool, error) {
-	return s.dcs[s.router.Locate(key)].Read(table, key)
+// Read returns the value stored under key.
+func (s *Set) Read(key uint64) ([]byte, bool, error) {
+	return s.dcs[s.router.Locate(key)].Tree().Search(key)
 }
 
 // ReadRange invokes fn for every row with lo ≤ key ≤ hi in key order,
 // crossing shard boundaries as the scan range does.
-func (s *Set) ReadRange(table wal.TableID, lo, hi uint64, fn func(key uint64, val []byte) error) error {
-	return s.ReadRangeFiltered(table, lo, hi, nil, fn)
+func (s *Set) ReadRange(lo, hi uint64, fn func(key uint64, val []byte) error) error {
+	return s.ReadRangeFiltered(lo, hi, nil, fn)
 }
 
 // ReadRangeFiltered is ReadRange with a predicate pushed down into each
 // shard's B-tree iterator: rows failing pred are dropped before they
 // cross the shard boundary. A nil pred accepts every row.
-func (s *Set) ReadRangeFiltered(table wal.TableID, lo, hi uint64, pred func(key uint64, val []byte) bool, fn func(key uint64, val []byte) error) error {
+func (s *Set) ReadRangeFiltered(lo, hi uint64, pred func(key uint64, val []byte) bool, fn func(key uint64, val []byte) error) error {
 	for _, pr := range s.rangesIn(lo, hi) {
-		if err := s.dcs[pr.owner].ReadRangeFiltered(table, pr.lo, pr.hi, pred, fn); err != nil {
+		if err := s.dcs[pr.owner].ReadRangeFiltered(pr.lo, pr.hi, pred, fn); err != nil {
 			return err
 		}
 	}
@@ -293,8 +293,7 @@ func (s *Set) rangesIn(lo, hi uint64) []partRange {
 
 // ScanAll invokes fn for every row in global key order.
 func (s *Set) ScanAll(fn func(key uint64, val []byte) error) error {
-	tid := s.dcs[0].Tree().Meta().TableID
-	return s.ReadRange(tid, 0, ^uint64(0), fn)
+	return s.ReadRange(0, ^uint64(0), fn)
 }
 
 // EOSL broadcasts a new end-of-stable-log to every shard (§4.1): one

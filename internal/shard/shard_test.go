@@ -167,7 +167,7 @@ func TestSetCrossShardScan(t *testing.T) {
 
 	// A scan spanning the boundary returns every key once, in order.
 	var got []uint64
-	if err := set.ReadRange(1, 90, 110, func(k uint64, v []byte) error {
+	if err := set.ReadRange(90, 110, func(k uint64, v []byte) error {
 		got = append(got, k)
 		return nil
 	}); err != nil {
@@ -209,10 +209,10 @@ func TestSetShardTargetedOps(t *testing.T) {
 		return wal.NilLSN
 	}
 	// Key 10 routes to shard 0; move it to shard 1 by hand.
-	if err := set.At(0).Delete(1, 10, func(pid storage.PageID, _ []byte) wal.LSN { return logFn(pid) }); err != nil {
+	if err := set.At(0).Delete(10, func(pid storage.PageID, _ []byte) wal.LSN { return logFn(pid) }); err != nil {
 		t.Fatal(err)
 	}
-	if err := set.At(1).Insert(1, 10, []byte("moved"), logFn); err != nil {
+	if err := set.At(1).Insert(10, []byte("moved"), logFn); err != nil {
 		t.Fatal(err)
 	}
 	if logged != 2 {
@@ -227,14 +227,14 @@ func TestSetShardTargetedOps(t *testing.T) {
 	}
 	// The routed read misses (router still points at shard 0) until the
 	// route is reassigned — records, not the router, own placement.
-	if _, found, _ := set.Read(1, 10); found {
+	if _, found, _ := set.Read(10); found {
 		t.Fatal("routed read found key 10 before reassign")
 	}
 	set.Split(10)
 	if err := set.Reassign(10, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, found, _ := set.Read(1, 10); !found {
+	if _, found, _ := set.Read(10); !found {
 		t.Fatal("routed read missed key 10 after reassign")
 	}
 }

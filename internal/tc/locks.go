@@ -24,14 +24,6 @@ func (m LockMode) String() string {
 	return "X"
 }
 
-// lockKey identifies a lockable resource: a logical record named by
-// table and key. Deuteronomy's TC locks without location information
-// (§1.1); no page IDs appear here.
-type lockKey struct {
-	table wal.TableID
-	key   uint64
-}
-
 type lockState struct {
 	mode    LockMode
 	holders map[wal.TxnID]struct{}
@@ -49,13 +41,16 @@ const lockShards = 64
 // skip (without locking) shards where no transaction holds anything.
 type lockShard struct {
 	mu       sync.Mutex
-	locks    map[lockKey]*lockState
-	held     map[wal.TxnID][]lockKey
+	locks    map[uint64]*lockState
+	held     map[wal.TxnID][]uint64
 	heldTxns atomic.Int64
 }
 
 // LockTable is a strict two-phase-locking lock manager over logical
-// record identities, sharded by hash of (table, key). Locks are held
+// record identities, sharded by hash of the key. A row's key is its
+// whole identity: the engine has one table, which the session checks
+// before it locks, and Deuteronomy's TC locks without location
+// information (§1.1), so no page IDs appear here either. Locks are held
 // until commit or abort. Safe for concurrent use.
 type LockTable struct {
 	shards [lockShards]lockShard
@@ -65,24 +60,28 @@ type LockTable struct {
 func NewLockTable() *LockTable {
 	lt := &LockTable{}
 	for i := range lt.shards {
-		lt.shards[i].locks = make(map[lockKey]*lockState)
-		lt.shards[i].held = make(map[wal.TxnID][]lockKey)
+		lt.shards[i].locks = make(map[uint64]*lockState)
+		lt.shards[i].held = make(map[wal.TxnID][]uint64)
 	}
 	return lt
 }
 
-// shardOf hashes (table, key) onto a shard (Fibonacci hashing on the
-// key mixed with the table).
-func (lt *LockTable) shardOf(k lockKey) *lockShard {
-	h := (k.key ^ (uint64(k.table) << 32)) * 0x9E3779B97F4A7C15
-	return &lt.shards[h>>(64-6)] // top 6 bits → 64 shards
+// shardOf hashes a key onto a shard (Fibonacci hashing).
+func (lt *LockTable) shardOf(key uint64) *lockShard {
+	return &lt.shards[(key*0x9E3779B97F4A7C15)>>(64-6)] // top 6 bits → 64 shards
 }
 
-// Acquire grants txn a lock on (table, key) in the requested mode,
-// upgrading S→X when txn is the sole holder. It returns
-// ErrLockConflict when another transaction holds an incompatible lock.
-func (lt *LockTable) Acquire(txn wal.TxnID, table wal.TableID, key uint64, mode LockMode) error {
-	k := lockKey{table: table, key: key}
+// Acquire is lock for callers that still name the table; the table is
+// not part of the lock key. It goes once benchmark/ stops calling it
+// (ROADMAP 9(c)).
+func (lt *LockTable) Acquire(txn wal.TxnID, _ wal.TableID, key uint64, mode LockMode) error {
+	return lt.lock(txn, key, mode)
+}
+
+// lock grants txn a lock on key in the requested mode, upgrading S→X
+// when txn is the sole holder. It returns ErrLockConflict when another
+// transaction holds an incompatible lock.
+func (lt *LockTable) lock(txn wal.TxnID, k uint64, mode LockMode) error {
 	sh := lt.shardOf(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -95,8 +94,8 @@ func (lt *LockTable) Acquire(txn wal.TxnID, table wal.TableID, key uint64, mode 
 	if _, holds := st.holders[txn]; holds {
 		if mode == LockExclusive && st.mode == LockShared {
 			if len(st.holders) > 1 {
-				return fmt.Errorf("%w: txn %d upgrade on table %d key %d blocked by %d other readers",
-					ErrLockConflict, txn, table, key, len(st.holders)-1)
+				return fmt.Errorf("%w: txn %d upgrade on key %d blocked by %d other readers",
+					ErrLockConflict, txn, k, len(st.holders)-1)
 			}
 			st.mode = LockExclusive
 		}
@@ -107,12 +106,12 @@ func (lt *LockTable) Acquire(txn wal.TxnID, table wal.TableID, key uint64, mode 
 		sh.noteHeld(txn, k)
 		return nil
 	}
-	return fmt.Errorf("%w: txn %d wants %v on table %d key %d held %v by %d txn(s)",
-		ErrLockConflict, txn, mode, table, key, st.mode, len(st.holders))
+	return fmt.Errorf("%w: txn %d wants %v on key %d held %v by %d txn(s)",
+		ErrLockConflict, txn, mode, k, st.mode, len(st.holders))
 }
 
 // noteHeld appends k to txn's held list; caller holds sh.mu.
-func (sh *lockShard) noteHeld(txn wal.TxnID, k lockKey) {
+func (sh *lockShard) noteHeld(txn wal.TxnID, k uint64) {
 	if _, ok := sh.held[txn]; !ok {
 		sh.heldTxns.Add(1)
 	}

@@ -205,8 +205,12 @@ func (m *SessionManager) Checkpoint() error {
 // stall; the rest of the engine keeps running. Concurrent SplitRange
 // calls may move the range between the owner lookup and the plane
 // locks, so the owner is revalidated under the planes, like lockPlane
-// does for a single key.
+// does for a single key. A table other than the engine's is refused
+// before anything is locked.
 func (m *SessionManager) SplitRange(table wal.TableID, at uint64, to wal.ShardID) error {
+	if err := m.tc.checkTable(table); err != nil {
+		return err
+	}
 	if int(to) >= len(m.planes) {
 		return fmt.Errorf("tc: split target shard %d out of range (have %d)", to, len(m.planes))
 	}
@@ -214,7 +218,7 @@ func (m *SessionManager) SplitRange(table wal.TableID, at uint64, to wal.ShardID
 		_, _, from := m.tc.dc.RangeOf(at)
 		release := m.lockPlanes([]wal.ShardID{from, to})
 		if _, _, cur := m.tc.dc.RangeOf(at); cur == from {
-			err := m.migrate(table, at, to)
+			err := m.migrate(at, to)
 			release()
 			return err
 		}
@@ -232,7 +236,7 @@ func (m *SessionManager) SplitRange(table wal.TableID, at uint64, to wal.ShardID
 // so a crash at any point leaves a consistent engine: an incomplete
 // migration is a loser whose undo puts every row back, and recovery
 // applies the ShardMapRec exactly when the migration committed.
-func (m *SessionManager) migrate(table wal.TableID, at uint64, to wal.ShardID) error {
+func (m *SessionManager) migrate(at uint64, to wal.ShardID) error {
 	tc := m.tc
 	_, end, from := tc.dc.RangeOf(at)
 	tc.dc.Split(at)
@@ -245,7 +249,7 @@ func (m *SessionManager) migrate(table wal.TableID, at uint64, to wal.ShardID) e
 		v []byte
 	}
 	var rows []row
-	err := tc.dc.ReadRange(table, at, end, func(k uint64, v []byte) error {
+	err := tc.dc.ReadRange(at, end, func(k uint64, v []byte) error {
 		rows = append(rows, row{k: k, v: append([]byte(nil), v...)})
 		return nil
 	})
@@ -262,15 +266,15 @@ func (m *SessionManager) migrate(table wal.TableID, at uint64, to wal.ShardID) e
 		return fmt.Errorf("tc: range split at %d: %w", at, cause)
 	}
 	for _, r := range rows {
-		if err := tc.locks.Acquire(t.ID, table, r.k, LockExclusive); err != nil {
+		if err := tc.locks.lock(t.ID, r.k, LockExclusive); err != nil {
 			return fail(err)
 		}
 	}
 	for _, r := range rows {
-		if err := tc.applyDeleteAt(from, t, table, r.k); err != nil {
+		if err := tc.applyDeleteAt(from, t, r.k); err != nil {
 			return fail(err)
 		}
-		if err := tc.applyInsertAt(to, t, table, r.k, r.v); err != nil {
+		if err := tc.applyInsertAt(to, t, r.k, r.v); err != nil {
 			return fail(err)
 		}
 	}
@@ -380,17 +384,28 @@ func (s *Session) checkActive() error {
 	return nil
 }
 
+// enter admits a data operation on table: the transaction must be
+// active and the table the engine's. It runs before the operation takes
+// a lock, an announcement or a plane, so a refused one leaves nothing
+// behind and the transaction can go on.
+func (s *Session) enter(table wal.TableID) error {
+	if err := s.checkActive(); err != nil {
+		return err
+	}
+	return s.mgr.tc.checkTable(table)
+}
+
 // Read returns the value under (table, key) with a shared lock.
 func (s *Session) Read(table wal.TableID, key uint64) ([]byte, bool, error) {
-	if err := s.checkActive(); err != nil {
+	if err := s.enter(table); err != nil {
 		return nil, false, err
 	}
-	if err := s.mgr.tc.locks.Acquire(s.txn.ID, table, key, LockShared); err != nil {
+	if err := s.mgr.tc.locks.lock(s.txn.ID, key, LockShared); err != nil {
 		return nil, false, err
 	}
 	sh, p, start := s.mgr.lockPlane(key)
 	defer p.release(start)
-	return s.mgr.tc.dc.At(sh).Read(table, key)
+	return s.mgr.tc.dc.At(sh).Tree().Search(key)
 }
 
 // ScanRange streams the rows with lo ≤ key ≤ hi through fn in key
@@ -415,7 +430,7 @@ func (s *Session) Read(table wal.TableID, key uint64) ([]byte, bool, error) {
 // row version the scan meets. The value slice passed to pred and fn is
 // only valid during the call; fn must copy what it keeps.
 func (s *Session) ScanRange(table wal.TableID, lo, hi uint64, pred func(key uint64, val []byte) bool, fn func(key uint64, val []byte) error) error {
-	if err := s.checkActive(); err != nil {
+	if err := s.enter(table); err != nil {
 		return err
 	}
 	m := s.mgr
@@ -426,8 +441,8 @@ func (s *Session) ScanRange(table wal.TableID, lo, hi uint64, pred func(key uint
 			release()
 			continue
 		}
-		err := m.tc.dc.ReadRangeFiltered(table, lo, hi, pred, func(key uint64, val []byte) error {
-			if err := m.tc.locks.Acquire(s.txn.ID, table, key, LockShared); err != nil {
+		err := m.tc.dc.ReadRangeFiltered(lo, hi, pred, func(key uint64, val []byte) error {
+			if err := m.tc.locks.lock(s.txn.ID, key, LockShared); err != nil {
 				return err
 			}
 			return fn(key, val)
@@ -458,10 +473,10 @@ func sameShardIDs(a, b []wal.ShardID) bool {
 // conflict costs no plane time — and a failed acquisition leaves
 // nothing to release.
 func (s *Session) write(table wal.TableID, key uint64, n *atomic.Int64, op func(sh wal.ShardID) error) error {
-	if err := s.checkActive(); err != nil {
+	if err := s.enter(table); err != nil {
 		return err
 	}
-	if err := s.mgr.tc.locks.Acquire(s.txn.ID, table, key, LockExclusive); err != nil {
+	if err := s.mgr.tc.locks.lock(s.txn.ID, key, LockExclusive); err != nil {
 		return err
 	}
 	s.announce()
@@ -484,7 +499,7 @@ func (s *Session) write(table wal.TableID, key uint64, n *atomic.Int64, op func(
 // they were. A missing key fails with ErrKeyNotFound.
 func (s *Session) Patch(table wal.TableID, key uint64, patch func(cur []byte) ([]byte, error)) error {
 	return s.write(table, key, &s.mgr.tc.stats.updates, func(sh wal.ShardID) error {
-		return s.mgr.tc.applyPatchAt(sh, s.txn, table, key, patch)
+		return s.mgr.tc.applyPatchAt(sh, s.txn, key, patch)
 	})
 }
 
@@ -497,14 +512,14 @@ func (s *Session) Update(table wal.TableID, key uint64, newVal []byte) error {
 // Insert adds a new row within the session's transaction.
 func (s *Session) Insert(table wal.TableID, key uint64, val []byte) error {
 	return s.write(table, key, &s.mgr.tc.stats.inserts, func(sh wal.ShardID) error {
-		return s.mgr.tc.applyInsertAt(sh, s.txn, table, key, val)
+		return s.mgr.tc.applyInsertAt(sh, s.txn, key, val)
 	})
 }
 
 // Delete removes a row within the session's transaction.
 func (s *Session) Delete(table wal.TableID, key uint64) error {
 	return s.write(table, key, &s.mgr.tc.stats.deletes, func(sh wal.ShardID) error {
-		return s.mgr.tc.applyDeleteAt(sh, s.txn, table, key)
+		return s.mgr.tc.applyDeleteAt(sh, s.txn, key)
 	})
 }
 

@@ -346,7 +346,7 @@ func TestSessionSplitRangeUnderTraffic(t *testing.T) {
 		t.Fatalf("recovered owner of %d = %d, want 1", splitAt, got)
 	}
 	for k, want := range oracle {
-		v, found, err := rec.Set.Read(cfg.TableID, k)
+		v, found, err := rec.Set.Read(k)
 		if err != nil || !found {
 			t.Fatalf("committed key %d lost (found=%v err=%v)", k, found, err)
 		}

@@ -254,7 +254,7 @@ func TestShardParallelStressCrashRecoverMatchesSerialReplay(t *testing.T) {
 	// Point reads through the recovered routing agree with the scan
 	// (each key is owned by exactly one shard after all the splits).
 	for _, k := range []uint64{0, 64, 127, 255, 1500, 2048, 3500, rows - 1} {
-		v, found, err := rec.Set.Read(cfg.TableID, k)
+		v, found, err := rec.Set.Read(k)
 		if err != nil || !found {
 			t.Fatalf("recovered read of %d: found=%v err=%v", k, found, err)
 		}

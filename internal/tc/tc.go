@@ -1,7 +1,8 @@
 // Package tc implements Deuteronomy's transactional component: it owns
 // transactions, logical locking and logical logging, and drives the
 // data components through the narrow interface of [10,12] — data
-// operations identified by table and key (never page IDs), plus the two
+// operations identified by key (never page IDs; the engine has one
+// table, which a session checks at its entry), plus the two
 // recovery-preparation control operations of §4.1:
 //
 //	EOSL: the TC regularly tells each DC its end of stable log (eLSN);
@@ -117,6 +118,10 @@ type TC struct {
 	dc    *shard.Set
 	locks *LockTable
 
+	// table is the one table the engine holds, the shards' trees' own;
+	// a session refuses any other before it locks anything.
+	table wal.TableID
+
 	// txns is the transaction table: ID allocation plus the active set,
 	// hash-sharded so sessions' Begin/Commit never serialize behind one
 	// another or behind data operations.
@@ -149,6 +154,7 @@ func New(log *wal.Log, set *shard.Set) *TC {
 		app:   log,
 		dc:    set,
 		locks: NewLockTable(),
+		table: set.At(0).Tree().Meta().TableID,
 		txns:  newTxnTable(),
 	}
 }
@@ -173,6 +179,14 @@ func (tc *TC) Stats() Stats { return tc.stats.snapshot() }
 // completed checkpoint's end record.
 func (tc *TC) LastEndCkptLSN() wal.LSN { return wal.LSN(tc.lastEndCkpt.Load()) }
 
+// checkTable refuses every table but the engine's.
+func (tc *TC) checkTable(table wal.TableID) error {
+	if table != tc.table {
+		return fmt.Errorf("tc: unknown table %d (the engine holds table %d)", table, tc.table)
+	}
+	return nil
+}
+
 // ActiveCount returns the number of in-flight transactions.
 func (tc *TC) ActiveCount() int { return tc.txns.count() }
 
@@ -184,7 +198,7 @@ func (tc *TC) begin() *Txn {
 	return t
 }
 
-// applyPatchAt rewrites the row under (table, key) on shard target to
+// applyPatchAt rewrites the row under key on shard target to
 // what patch returns for it, logging the change as an update record. The
 // caller holds the X lock (sessions acquire it outside the shard planes
 // so lock-table sharding pays off), and a session resolves the owner
@@ -193,9 +207,9 @@ func (tc *TC) begin() *Txn {
 // patch meets the row, which is copied as the record's OldVal, and what
 // patch returns is its NewVal. An error from patch is returned as is and
 // logs nothing.
-func (tc *TC) applyPatchAt(target wal.ShardID, t *Txn, table wal.TableID, key uint64, patch func(cur []byte) ([]byte, error)) error {
+func (tc *TC) applyPatchAt(target wal.ShardID, t *Txn, key uint64, patch func(cur []byte) ([]byte, error)) error {
 	var oldVal, newVal []byte
-	err := tc.dc.At(target).Patch(table, key, func(cur []byte) ([]byte, error) {
+	err := tc.dc.At(target).Patch(key, func(cur []byte) ([]byte, error) {
 		oldVal = append(oldVal[:0], cur...)
 		var err error
 		newVal, err = patch(cur)
@@ -203,7 +217,6 @@ func (tc *TC) applyPatchAt(target wal.ShardID, t *Txn, table wal.TableID, key ui
 	}, func(pid storage.PageID) wal.LSN {
 		lsn := tc.app.MustAppend(&wal.UpdateRec{
 			TxnID:   t.logName(),
-			TableID: table,
 			KeyVal:  key,
 			OldVal:  oldVal,
 			NewVal:  newVal,
@@ -214,16 +227,15 @@ func (tc *TC) applyPatchAt(target wal.ShardID, t *Txn, table wal.TableID, key ui
 		t.setLastLSN(lsn)
 		return lsn
 	})
-	return keyNotFound(err, table, key)
+	return keyNotFound(err, key)
 }
 
-// applyInsertAt adds the row (table, key) → val on shard target, logging
-// an insert record; see applyPatchAt.
-func (tc *TC) applyInsertAt(target wal.ShardID, t *Txn, table wal.TableID, key uint64, val []byte) error {
-	return tc.dc.At(target).Insert(table, key, val, func(pid storage.PageID) wal.LSN {
+// applyInsertAt adds the row key → val on shard target, logging an
+// insert record; see applyPatchAt.
+func (tc *TC) applyInsertAt(target wal.ShardID, t *Txn, key uint64, val []byte) error {
+	return tc.dc.At(target).Insert(key, val, func(pid storage.PageID) wal.LSN {
 		lsn := tc.app.MustAppend(&wal.InsertRec{
 			TxnID:   t.logName(),
-			TableID: table,
 			KeyVal:  key,
 			Val:     val,
 			PageID:  pid,
@@ -235,14 +247,13 @@ func (tc *TC) applyInsertAt(target wal.ShardID, t *Txn, table wal.TableID, key u
 	})
 }
 
-// applyDeleteAt removes the row under (table, key) on shard target,
-// logging a delete record; see applyPatchAt. The DC hands the log
-// function the row it removes, which the record carries as OldVal.
-func (tc *TC) applyDeleteAt(target wal.ShardID, t *Txn, table wal.TableID, key uint64) error {
-	err := tc.dc.At(target).Delete(table, key, func(pid storage.PageID, old []byte) wal.LSN {
+// applyDeleteAt removes the row under key on shard target, logging a
+// delete record; see applyPatchAt. The DC hands the log function the
+// row it removes, which the record carries as OldVal.
+func (tc *TC) applyDeleteAt(target wal.ShardID, t *Txn, key uint64) error {
+	err := tc.dc.At(target).Delete(key, func(pid storage.PageID, old []byte) wal.LSN {
 		lsn := tc.app.MustAppend(&wal.DeleteRec{
 			TxnID:   t.logName(),
-			TableID: table,
 			KeyVal:  key,
 			OldVal:  old,
 			PageID:  pid,
@@ -252,14 +263,14 @@ func (tc *TC) applyDeleteAt(target wal.ShardID, t *Txn, table wal.TableID, key u
 		t.setLastLSN(lsn)
 		return lsn
 	})
-	return keyNotFound(err, table, key)
+	return keyNotFound(err, key)
 }
 
 // keyNotFound maps the DC's missing-key error to ErrKeyNotFound and
 // returns any other error as is.
-func keyNotFound(err error, table wal.TableID, key uint64) error {
+func keyNotFound(err error, key uint64) error {
 	if errors.Is(err, btree.ErrKeyNotFound) {
-		return fmt.Errorf("%w: table %d key %d", ErrKeyNotFound, table, key)
+		return fmt.Errorf("%w: key %d", ErrKeyNotFound, key)
 	}
 	return err
 }
@@ -345,7 +356,7 @@ func (tc *TC) undoOne(t *Txn, rec wal.Record) (wal.LSN, error) {
 		// as it stands (t still holds its X lock, so it is the row the
 		// update left) in the one descent that logs the same patch turned
 		// round.
-		err := tc.dc.At(r.ShardID).Patch(r.TableID, r.KeyVal, r.Before, func(pid storage.PageID) wal.LSN {
+		err := tc.dc.At(r.ShardID).Patch(r.KeyVal, r.Before, func(pid storage.PageID) wal.LSN {
 			clr := r.Compensation()
 			clr.PageID, clr.ShardID, clr.PrevLSN = pid, r.ShardID, t.LastLSN()
 			lsn := tc.app.MustAppend(clr)
@@ -357,9 +368,9 @@ func (tc *TC) undoOne(t *Txn, rec wal.Record) (wal.LSN, error) {
 		}
 		return r.PrevLSN, nil
 	case *wal.InsertRec:
-		err := tc.dc.At(r.ShardID).Delete(r.TableID, r.KeyVal, func(pid storage.PageID, _ []byte) wal.LSN {
+		err := tc.dc.At(r.ShardID).Delete(r.KeyVal, func(pid storage.PageID, _ []byte) wal.LSN {
 			lsn := tc.app.MustAppend(&wal.CLRRec{
-				TxnID: t.logName(), TableID: r.TableID, KeyVal: r.KeyVal,
+				TxnID: t.logName(), KeyVal: r.KeyVal,
 				Kind: wal.CLRUndoInsert, PageID: pid, ShardID: r.ShardID,
 				UndoNextLSN: r.PrevLSN, PrevLSN: t.LastLSN(),
 			})
@@ -368,9 +379,9 @@ func (tc *TC) undoOne(t *Txn, rec wal.Record) (wal.LSN, error) {
 		})
 		return r.PrevLSN, err
 	case *wal.DeleteRec:
-		err := tc.dc.At(r.ShardID).Insert(r.TableID, r.KeyVal, r.OldVal, func(pid storage.PageID) wal.LSN {
+		err := tc.dc.At(r.ShardID).Insert(r.KeyVal, r.OldVal, func(pid storage.PageID) wal.LSN {
 			lsn := tc.app.MustAppend(&wal.CLRRec{
-				TxnID: t.logName(), TableID: r.TableID, KeyVal: r.KeyVal,
+				TxnID: t.logName(), KeyVal: r.KeyVal,
 				Kind: wal.CLRUndoDelete, RestoreVal: r.OldVal, PageID: pid, ShardID: r.ShardID,
 				UndoNextLSN: r.PrevLSN, PrevLSN: t.LastLSN(),
 			})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"logrec/internal/dc"
@@ -278,6 +279,52 @@ func TestOpsOnEndedTxnFail(t *testing.T) {
 	}
 	if err := s.Abort(); !errors.Is(err, ErrTxnNotActive) {
 		t.Fatalf("abort after commit: %v", err)
+	}
+}
+
+// TestUnknownTableRefusedBeforeLock: the session is where a table is
+// checked, so an operation on a table the engine does not hold fails
+// naming both tables before it takes a lock, an announcement or a
+// plane, logs nothing, and leaves its transaction able to go on.
+func TestUnknownTableRefusedBeforeLock(t *testing.T) {
+	m, d, log := newPair(t, 10)
+	s := begin(t, m)
+	end := log.EndLSN()
+	ops := map[string]func() error{
+		"read":   func() error { _, _, err := s.Read(7, 1); return err },
+		"scan":   func() error { return s.ScanRange(7, 0, 9, nil, func(uint64, []byte) error { return nil }) },
+		"update": func() error { return s.Update(7, 1, []byte("x")) },
+		"patch":  func() error { return s.Patch(7, 1, func(cur []byte) ([]byte, error) { return cur, nil }) },
+		"insert": func() error { return s.Insert(7, 100, []byte("x")) },
+		"delete": func() error { return s.Delete(7, 1) },
+		"split":  func() error { return m.SplitRange(7, 5, 0) },
+	}
+	for name, op := range ops {
+		err := op()
+		if err == nil || !strings.Contains(err.Error(), "table 7") || !strings.Contains(err.Error(), "table 1") {
+			t.Fatalf("%s on table 7: %v, want an error naming tables 7 and 1", name, err)
+		}
+	}
+	if got := m.tc.Locks().HeldBy(s.Txn().ID); got != 0 {
+		t.Fatalf("refused operations hold %d locks", got)
+	}
+	if s.announced {
+		t.Fatal("a refused write announced a writer")
+	}
+	if ps := m.PlaneStats(); ps[0].Ops != 0 {
+		t.Fatalf("refused operations took the plane %d times", ps[0].Ops)
+	}
+	if log.EndLSN() != end {
+		t.Fatalf("refused operations logged %d bytes", log.EndLSN()-end)
+	}
+	if err := s.Update(1, 1, []byte("after")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if v, _, err := d.Read(1, 1); err != nil || string(v) != "after" {
+		t.Fatalf("row after commit: %q, %v", v, err)
 	}
 }
 

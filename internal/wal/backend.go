@@ -69,9 +69,11 @@ type BackendStats struct {
 // of the segment based at b sits at file offset segHeaderSize + (x - b).
 //
 //	[0:8)   magic "LOGRECWL"
-//	[8:12)  format version (8: an in-place patch logs no tail, a commit
-//	        or abort no prev, and written pages are ascending gaps; 7
-//	        logged all three; 6 logged the TC's counter where 7 names a
+//	[8:12)  format version (9: no record names a table, where 8 logged
+//	        one in every data record and SMO; 8: an in-place patch logs
+//	        no tail, a commit or abort no prev, and written pages are
+//	        ascending gaps; 7 logged all three; 6 logged the TC's
+//	        counter where 7 names a
 //	        transaction by the distance back to its first record; 5 had
 //	        no BW mark in a ∆ record's
 //	        WrittenSet count; 4 logged a same-length
@@ -83,7 +85,7 @@ type BackendStats struct {
 //	[16:24) base LSN
 const (
 	segHeaderSize = 24
-	segVersion    = 8
+	segVersion    = 9
 	segSuffix     = ".seg"
 )
 

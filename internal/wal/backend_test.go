@@ -234,9 +234,9 @@ func TestOpenLogFileRejectsGarbage(t *testing.T) {
 // fixed-width frame header and absolute back-pointers of version 3,
 // version 4's two patch lengths and written trailing zeros, or version
 // 5's unmarked ∆ written-page count, version 6's counter for a
-// transaction's name, or version 7's tail on an in-place patch, prev on a
-// commit and written pages in flush order — holds bytes this decoder
-// would misread; it is refused by its header with ErrBadRecord, not
+// transaction's name, version 7's tail on an in-place patch, prev on a
+// commit and written pages in flush order, or version 8's table in every
+// data record and SMO — holds bytes this decoder would misread; it is refused by its header with ErrBadRecord, not
 // decoded.
 func TestOpenLogDirRefusesOldFormat(t *testing.T) {
 	log, _, dir := fileLog(t)
@@ -253,7 +253,7 @@ func TestOpenLogDirRefusesOldFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, old := range []uint32{2, 3, 4, 5, 6, 7} {
+	for _, old := range []uint32{2, 3, 4, 5, 6, 7, 8} {
 		binary.BigEndian.PutUint32(buf[8:], old)
 		if err := os.WriteFile(path, buf, 0o644); err != nil {
 			t.Fatal(err)

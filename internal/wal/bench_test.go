@@ -23,12 +23,11 @@ func benchUpdateRec(i int) *UpdateRec {
 	binary.LittleEndian.PutUint64(old[50:], uint64(i))
 	binary.LittleEndian.PutUint64(nw[50:], uint64(i)+1)
 	return &UpdateRec{
-		TxnID:   TxnID(i),
-		TableID: 1,
-		KeyVal:  uint64(i * 17),
-		OldVal:  old,
-		NewVal:  nw,
-		PageID:  storage.PageID(i),
+		TxnID:  TxnID(i),
+		KeyVal: uint64(i * 17),
+		OldVal: old,
+		NewVal: nw,
+		PageID: storage.PageID(i),
 	}
 }
 

@@ -30,7 +30,7 @@ func fullLog(t testing.TB) *Log {
 	}
 	txn := OpensTxn
 	update := func(old, nw string) {
-		add(&UpdateRec{TxnID: txn, TableID: 1, KeyVal: 7, OldVal: []byte(old), NewVal: []byte(nw), PageID: 4, PrevLSN: prev})
+		add(&UpdateRec{TxnID: txn, KeyVal: 7, OldVal: []byte(old), NewVal: []byte(nw), PageID: 4, PrevLSN: prev})
 	}
 	add(&BeginCkptRec{})
 	begin := prev
@@ -53,19 +53,19 @@ func fullLog(t testing.TB) *Log {
 	m62 := strings.Repeat("m", 62)
 	update("<"+m62+">", "{"+m62+"}")
 	update(strings.Repeat("p", 70), "q")
-	add(&UpdateRec{TxnID: txn, TableID: 300, KeyVal: 1 << 50, OldVal: []byte("a"), NewVal: []byte("b"), PageID: 70000, ShardID: 200, PrevLSN: prev})
+	add(&UpdateRec{TxnID: txn, KeyVal: 1 << 50, OldVal: []byte("a"), NewVal: []byte("b"), PageID: 70000, ShardID: 200, PrevLSN: prev})
 	// Another transaction's first update on shard 2: a nil prev written
 	// because the shard after it is not 0.
 	chain := prev
-	add(&UpdateRec{TxnID: OpensTxn, TableID: 1, KeyVal: 11, OldVal: []byte("a"), NewVal: []byte("b"), PageID: 6, ShardID: 2})
+	add(&UpdateRec{TxnID: OpensTxn, KeyVal: 11, OldVal: []byte("a"), NewVal: []byte("b"), PageID: 6, ShardID: 2})
 	other := prev
 	prev = chain
-	add(&CLRRec{TxnID: txn, TableID: 1, KeyVal: 7, Kind: CLRUndoUpdate, Skip: 9, Tail: 5, RestoreVal: []byte("v1"), PageID: 4, UndoNextLSN: first, PrevLSN: prev})
-	add(&CLRRec{TxnID: txn, TableID: 1, KeyVal: 7, Kind: CLRUndoUpdate, Skip: 9, InPlace: true, RestoreVal: []byte("v2"), PageID: 4, UndoNextLSN: first, PrevLSN: prev})
-	add(&InsertRec{TxnID: txn, TableID: 1, KeyVal: 8, Val: []byte("row"), PageID: 4, PrevLSN: prev})
+	add(&CLRRec{TxnID: txn, KeyVal: 7, Kind: CLRUndoUpdate, Skip: 9, Tail: 5, RestoreVal: []byte("v1"), PageID: 4, UndoNextLSN: first, PrevLSN: prev})
+	add(&CLRRec{TxnID: txn, KeyVal: 7, Kind: CLRUndoUpdate, Skip: 9, InPlace: true, RestoreVal: []byte("v2"), PageID: 4, UndoNextLSN: first, PrevLSN: prev})
+	add(&InsertRec{TxnID: txn, KeyVal: 8, Val: []byte("row"), PageID: 4, PrevLSN: prev})
 	// A whole row of 150 bytes: a per-operation record with a 3-byte header.
-	add(&DeleteRec{TxnID: txn, TableID: 1, KeyVal: 9, OldVal: bytes.Repeat([]byte("gone "), 30), PageID: 5, PrevLSN: prev})
-	add(&CLRRec{TxnID: txn, TableID: 1, KeyVal: 7, Kind: CLRUndoUpdate, RestoreVal: []byte("old"), PageID: 4, UndoNextLSN: NilLSN, PrevLSN: prev})
+	add(&DeleteRec{TxnID: txn, KeyVal: 9, OldVal: bytes.Repeat([]byte("gone "), 30), PageID: 5, PrevLSN: prev})
+	add(&CLRRec{TxnID: txn, KeyVal: 7, Kind: CLRUndoUpdate, RestoreVal: []byte("old"), PageID: 4, UndoNextLSN: NilLSN, PrevLSN: prev})
 	add(&ShardMapRec{TxnID: txn, SplitAt: 1 << 20, End: 1<<21 - 1, NewShard: 3, PrevLSN: prev})
 	// The commit names its transaction from two bytes back, and the
 	// shard-2 transaction's abort names it from one.
@@ -93,14 +93,14 @@ func fullLog(t testing.TB) *Log {
 		add(&DeltaRec{TCLSN: 104, FWLSN: 99, FirstDirty: 1, DirtySet: []storage.PageID{4},
 			WrittenSet: []storage.PageID{5, 5, 6}, ShardID: sh, BW: true})
 	}
-	add(&SMORec{Meta: TreeMeta{TableID: 1, Root: 2, Height: 2, NextPID: 11},
+	add(&SMORec{Meta: TreeMeta{Root: 2, Height: 2, NextPID: 11},
 		Images: []PageImage{{PageID: 10, Data: []byte("page-image-bytes")}}})
-	add(&SMORec{Meta: TreeMeta{TableID: 1, Root: 2, Height: 2, NextPID: 12}, ShardID: 1,
+	add(&SMORec{Meta: TreeMeta{Root: 2, Height: 2, NextPID: 12}, ShardID: 1,
 		Images: []PageImage{{PageID: 11, Data: bytes.Repeat([]byte{0xEE}, 300)}, {PageID: 2}}})
 	add(&RSSPRec{RsspLSN: 12})
 	// A long loser's CLR, named from far back: its first record is more
 	// than a kilobyte below it.
-	add(&CLRRec{TxnID: txn, TableID: 1, KeyVal: 9, Kind: CLRUndoDelete, RestoreVal: []byte("gone"), PageID: 5, UndoNextLSN: first, PrevLSN: prev})
+	add(&CLRRec{TxnID: txn, KeyVal: 9, Kind: CLRUndoDelete, RestoreVal: []byte("gone"), PageID: 5, UndoNextLSN: first, PrevLSN: prev})
 	if prev-first < 1<<10 {
 		t.Fatalf("the loser's CLR at %v names its transaction only %d bytes back", prev, prev-first)
 	}

@@ -25,7 +25,7 @@ func frameLen(rec Record) int { return len(encodeFrame(rec, FirstLSN())) }
 // one.)
 func updateOfFrame(t testing.TB, rng *rand.Rand, n int) *UpdateRec {
 	for vals := n; vals >= 0; vals-- {
-		r := &UpdateRec{TxnID: 1, TableID: 1, KeyVal: 9, NewVal: make([]byte, vals)}
+		r := &UpdateRec{TxnID: 1, KeyVal: 9, NewVal: make([]byte, vals)}
 		if frameLen(r) == n {
 			if rng != nil {
 				rng.Read(r.NewVal)
@@ -231,7 +231,7 @@ func (m *model) randomRec(t testing.TB, rng *rand.Rand, id int) Record {
 	rng.Read(old)
 	nw := make([]byte, vals-len(old))
 	rng.Read(nw)
-	return &UpdateRec{TxnID: TxnID(id), TableID: 1, KeyVal: rng.Uint64(), OldVal: old, NewVal: nw, PrevLSN: m.back(rng)}
+	return &UpdateRec{TxnID: TxnID(id), KeyVal: rng.Uint64(), OldVal: old, NewVal: nw, PrevLSN: m.back(rng)}
 }
 
 // TestSegmentedLogMatchesFlatModel drives random Append / Flush /
@@ -361,7 +361,7 @@ func TestSegmentedLogMatchesFlatModel(t *testing.T) {
 // left, and one larger than any segment.
 func TestSegmentBoundaryFrames(t *testing.T) {
 	rec := func(frame int) *UpdateRec { return updateOfFrame(t, nil, frame) }
-	smallest := frameLen(&UpdateRec{TxnID: 1, TableID: 1, KeyVal: 9})
+	smallest := frameLen(&UpdateRec{TxnID: 1, KeyVal: 9})
 	m := newModel(newLog(modelSegCap))
 
 	m.append(t, rec(modelSegCap)) // exactly one segment's worth

@@ -15,8 +15,9 @@ import (
 // UpdateRec logs an update of an existing row as a patch: the row's
 // first Skip and last Tail bytes are unchanged, OldVal lay between them
 // before the update and NewVal lies there after it. Redo applies After;
-// undo restores Before. The row is identified logically by (TableID,
-// Key); PageID is the physiological hint captured when the update ran.
+// undo restores Before. The row is identified logically by its Key (the
+// engine has one table, so no record names it); PageID is the
+// physiological hint captured when the update ran.
 //
 // A producer hands over whole row images (Skip = Tail = 0); encodeBody
 // trims the longest common prefix, then the longest common suffix, so
@@ -28,7 +29,6 @@ import (
 // 0 there. A patch that changes the row's length logs its Tail.
 type UpdateRec struct {
 	TxnID   TxnID
-	TableID TableID
 	KeyVal  uint64
 	Skip    uint32
 	Tail    uint32
@@ -37,12 +37,14 @@ type UpdateRec struct {
 	PageID  storage.PageID
 	ShardID ShardID
 	PrevLSN LSN
+	// TableID is not logged, and a decoded record holds 0. It stays
+	// only while benchmark/ still sets it (ROADMAP 9(c)).
+	TableID TableID
 }
 
 func (r *UpdateRec) Type() Type          { return TypeUpdate }
 func (r *UpdateRec) Txn() TxnID          { return r.TxnID }
 func (r *UpdateRec) Prev() LSN           { return r.PrevLSN }
-func (r *UpdateRec) Table() TableID      { return r.TableID }
 func (r *UpdateRec) Key() uint64         { return r.KeyVal }
 func (r *UpdateRec) PID() storage.PageID { return r.PageID }
 func (r *UpdateRec) Shard() ShardID      { return r.ShardID }
@@ -93,7 +95,7 @@ func (r *UpdateRec) Shrinks() bool { return len(r.OldVal) > len(r.NewVal) }
 // fills page, shard and PrevLSN.
 func (r *UpdateRec) Compensation() *CLRRec {
 	return &CLRRec{
-		TxnID: r.TxnID, TableID: r.TableID, KeyVal: r.KeyVal, Kind: CLRUndoUpdate,
+		TxnID: r.TxnID, KeyVal: r.KeyVal, Kind: CLRUndoUpdate,
 		Skip: r.Skip, Tail: r.Tail, InPlace: r.inPlace(), RestoreVal: r.OldVal, UndoNextLSN: r.PrevLSN,
 	}
 }
@@ -105,7 +107,6 @@ func (r *UpdateRec) encodeBody(dst []byte, at LSN) ([]byte, error) {
 	}
 	p, t := commonEnds(r.OldVal, r.NewVal)
 	dst = putUvarint(dst, txn)
-	dst = putUvarint(dst, uint64(r.TableID))
 	dst = putUvarint(dst, r.KeyVal)
 	dst = putUvarint(dst, uint64(r.Skip)+uint64(p))
 	dst = putPatch(dst, r.OldVal[p:len(r.OldVal)-t], r.NewVal[p:len(r.NewVal)-t])
@@ -119,7 +120,6 @@ func (r *UpdateRec) encodeBody(dst []byte, at LSN) ([]byte, error) {
 func (r *UpdateRec) decodeBody(src []byte, at LSN) error {
 	d := newDecoder(src, at)
 	r.TxnID = d.txn()
-	r.TableID = TableID(d.uvarint32("table"))
 	r.KeyVal = d.uvarint("key")
 	r.Skip = d.uvarint32("skip")
 	r.OldVal, r.NewVal = d.patch()
@@ -143,7 +143,6 @@ func (r *UpdateRec) decodeBody(src []byte, at LSN) error {
 // InsertRec logs insertion of a new row. Redo inserts; undo deletes.
 type InsertRec struct {
 	TxnID   TxnID
-	TableID TableID
 	KeyVal  uint64
 	Val     []byte
 	PageID  storage.PageID
@@ -154,7 +153,6 @@ type InsertRec struct {
 func (r *InsertRec) Type() Type          { return TypeInsert }
 func (r *InsertRec) Txn() TxnID          { return r.TxnID }
 func (r *InsertRec) Prev() LSN           { return r.PrevLSN }
-func (r *InsertRec) Table() TableID      { return r.TableID }
 func (r *InsertRec) Key() uint64         { return r.KeyVal }
 func (r *InsertRec) PID() storage.PageID { return r.PageID }
 func (r *InsertRec) Shard() ShardID      { return r.ShardID }
@@ -165,7 +163,6 @@ func (r *InsertRec) encodeBody(dst []byte, at LSN) ([]byte, error) {
 		return dst, err
 	}
 	dst = putUvarint(dst, txn)
-	dst = putUvarint(dst, uint64(r.TableID))
 	dst = putUvarint(dst, r.KeyVal)
 	dst = putVarBytes(dst, r.Val)
 	dst = putUvarint(dst, uint64(r.PageID))
@@ -175,7 +172,6 @@ func (r *InsertRec) encodeBody(dst []byte, at LSN) ([]byte, error) {
 func (r *InsertRec) decodeBody(src []byte, at LSN) error {
 	d := newDecoder(src, at)
 	r.TxnID = d.txn()
-	r.TableID = TableID(d.uvarint32("table"))
 	r.KeyVal = d.uvarint("key")
 	r.Val = d.varBytes("val")
 	r.PageID = storage.PageID(d.uvarint32("pid"))
@@ -188,7 +184,6 @@ func (r *InsertRec) decodeBody(src []byte, at LSN) error {
 // DeleteRec logs deletion of a row. Redo deletes; undo re-inserts OldVal.
 type DeleteRec struct {
 	TxnID   TxnID
-	TableID TableID
 	KeyVal  uint64
 	OldVal  []byte
 	PageID  storage.PageID
@@ -199,7 +194,6 @@ type DeleteRec struct {
 func (r *DeleteRec) Type() Type          { return TypeDelete }
 func (r *DeleteRec) Txn() TxnID          { return r.TxnID }
 func (r *DeleteRec) Prev() LSN           { return r.PrevLSN }
-func (r *DeleteRec) Table() TableID      { return r.TableID }
 func (r *DeleteRec) Key() uint64         { return r.KeyVal }
 func (r *DeleteRec) PID() storage.PageID { return r.PageID }
 func (r *DeleteRec) Shard() ShardID      { return r.ShardID }
@@ -210,7 +204,6 @@ func (r *DeleteRec) encodeBody(dst []byte, at LSN) ([]byte, error) {
 		return dst, err
 	}
 	dst = putUvarint(dst, txn)
-	dst = putUvarint(dst, uint64(r.TableID))
 	dst = putUvarint(dst, r.KeyVal)
 	dst = putVarBytes(dst, r.OldVal)
 	dst = putUvarint(dst, uint64(r.PageID))
@@ -220,7 +213,6 @@ func (r *DeleteRec) encodeBody(dst []byte, at LSN) ([]byte, error) {
 func (r *DeleteRec) decodeBody(src []byte, at LSN) error {
 	d := newDecoder(src, at)
 	r.TxnID = d.txn()
-	r.TableID = TableID(d.uvarint32("table"))
 	r.KeyVal = d.uvarint("key")
 	r.OldVal = d.varBytes("old")
 	r.PageID = storage.PageID(d.uvarint32("pid"))
@@ -250,12 +242,11 @@ const (
 // before-image. For CLRUndoDelete RestoreVal is the whole row (Skip =
 // Tail = 0); for CLRUndoInsert it is empty.
 type CLRRec struct {
-	TxnID   TxnID
-	TableID TableID
-	KeyVal  uint64
-	Kind    CLRKind
-	Skip    uint32
-	Tail    uint32
+	TxnID  TxnID
+	KeyVal uint64
+	Kind   CLRKind
+	Skip   uint32
+	Tail   uint32
 	// InPlace marks a CLRUndoUpdate that compensates an in-place update:
 	// RestoreVal overwrites as many bytes at Skip, and Tail, which the
 	// row's length gives, is ignored and not logged. It is the low bit of
@@ -271,7 +262,6 @@ type CLRRec struct {
 func (r *CLRRec) Type() Type          { return TypeCLR }
 func (r *CLRRec) Txn() TxnID          { return r.TxnID }
 func (r *CLRRec) Prev() LSN           { return r.PrevLSN }
-func (r *CLRRec) Table() TableID      { return r.TableID }
 func (r *CLRRec) Key() uint64         { return r.KeyVal }
 func (r *CLRRec) PID() storage.PageID { return r.PageID }
 func (r *CLRRec) Shard() ShardID      { return r.ShardID }
@@ -298,7 +288,6 @@ func (r *CLRRec) encodeBody(dst []byte, at LSN) ([]byte, error) {
 		kind |= 1
 	}
 	dst = putUvarint(dst, txn)
-	dst = putUvarint(dst, uint64(r.TableID))
 	dst = putUvarint(dst, r.KeyVal)
 	dst = putUvarint(dst, kind)
 	dst = putUvarint(dst, uint64(r.Skip))
@@ -315,7 +304,6 @@ func (r *CLRRec) encodeBody(dst []byte, at LSN) ([]byte, error) {
 func (r *CLRRec) decodeBody(src []byte, at LSN) error {
 	d := newDecoder(src, at)
 	r.TxnID = d.txn()
-	r.TableID = TableID(d.uvarint32("table"))
 	r.KeyVal = d.uvarint("key")
 	kind := d.uvarint("kind")
 	r.InPlace = kind&1 == 1
@@ -620,9 +608,9 @@ type PageImage struct {
 
 // TreeMeta is the B-tree metadata resulting from an SMO: the root page,
 // tree height and the page allocator's next PID. Replaying SMO records
-// in order leaves the allocator and root exactly as they were.
+// in order leaves the allocator and root exactly as they were. The
+// tree's table is not logged: it is the tree's own, from its boot page.
 type TreeMeta struct {
-	TableID TableID
 	Root    storage.PageID
 	Height  uint32
 	NextPID storage.PageID
@@ -653,7 +641,6 @@ func (r *SMORec) AffectedPIDs() []storage.PageID {
 }
 
 func (r *SMORec) encodeBody(dst []byte, _ LSN) ([]byte, error) {
-	dst = putUvarint(dst, uint64(r.Meta.TableID))
 	dst = putUvarint(dst, uint64(r.Meta.Root))
 	dst = putUvarint(dst, uint64(r.Meta.Height))
 	dst = putUvarint(dst, uint64(r.Meta.NextPID))
@@ -667,7 +654,6 @@ func (r *SMORec) encodeBody(dst []byte, _ LSN) ([]byte, error) {
 
 func (r *SMORec) decodeBody(src []byte, at LSN) error {
 	d := newDecoder(src, at)
-	r.Meta.TableID = TableID(d.uvarint32("meta.table"))
 	r.Meta.Root = storage.PageID(d.uvarint32("meta.root"))
 	r.Meta.Height = d.uvarint32("meta.height")
 	r.Meta.NextPID = storage.PageID(d.uvarint32("meta.nextPID"))

@@ -42,18 +42,18 @@ func buildRandomLog(rng *rand.Rand, n int) *Log {
 		case 0:
 			l.MustAppend(&CommitRec{TxnID: txn()})
 		case 1:
-			l.MustAppend(&InsertRec{TxnID: txn(), TableID: 1, KeyVal: rng.Uint64(),
+			l.MustAppend(&InsertRec{TxnID: txn(), KeyVal: rng.Uint64(),
 				Val: randVal(rng), PageID: storage.PageID(rng.Uint32()), PrevLSN: back()})
 		case 2:
-			l.MustAppend(&DeleteRec{TxnID: txn(), TableID: 1, KeyVal: rng.Uint64(),
+			l.MustAppend(&DeleteRec{TxnID: txn(), KeyVal: rng.Uint64(),
 				OldVal: randVal(rng), PageID: storage.PageID(rng.Uint32()), PrevLSN: back()})
 		case 3:
-			l.MustAppend(&UpdateRec{TxnID: txn(), TableID: 1, KeyVal: rng.Uint64(),
+			l.MustAppend(&UpdateRec{TxnID: txn(), KeyVal: rng.Uint64(),
 				OldVal: randVal(rng), NewVal: randVal(rng),
 				PageID: storage.PageID(rng.Uint32()), PrevLSN: back()})
 		case 4:
 			l.MustAppend(&SMORec{
-				Meta:   TreeMeta{TableID: 1, Root: 5, Height: 2, NextPID: 9},
+				Meta:   TreeMeta{Root: 5, Height: 2, NextPID: 9},
 				Images: []PageImage{{PageID: storage.PageID(rng.Uint32()), Data: randVal(rng)}},
 			})
 		case 5:
@@ -213,7 +213,7 @@ func smallUpdates(l *Log, stop func(appended int) bool) int {
 	for ; !stop(n); n++ {
 		old, nw := make([]byte, 64), make([]byte, 64)
 		old[40], nw[40] = byte(n), byte(n+1)
-		l.MustAppend(&UpdateRec{TxnID: TxnID(n % 100), TableID: 1, KeyVal: uint64(n), OldVal: old, NewVal: nw})
+		l.MustAppend(&UpdateRec{TxnID: TxnID(n % 100), KeyVal: uint64(n), OldVal: old, NewVal: nw})
 	}
 	l.Flush()
 	return n

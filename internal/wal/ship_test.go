@@ -14,7 +14,7 @@ func fillLog(t *testing.T, l *Log, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		lsn := l.MustAppend(&UpdateRec{
-			TxnID: OpensTxn, TableID: 1, KeyVal: uint64(i),
+			TxnID: OpensTxn, KeyVal: uint64(i),
 			OldVal: []byte("old"), NewVal: []byte(fmt.Sprintf("new-%d", i)),
 			PageID: 7, ShardID: 0,
 		})

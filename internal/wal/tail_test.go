@@ -15,7 +15,7 @@ import (
 // below the smallest update.
 func recordNear(rng *rand.Rand, n int) Record {
 	for vals := n; vals >= 0; vals-- {
-		r := &UpdateRec{TxnID: 1, TableID: 1, KeyVal: 9, NewVal: make([]byte, vals)}
+		r := &UpdateRec{TxnID: 1, KeyVal: 9, NewVal: make([]byte, vals)}
 		if frameLen(r) <= n {
 			rng.Read(r.NewVal)
 			return r
@@ -149,7 +149,7 @@ func TestTailSealsWhereFixedSegmentsWould(t *testing.T) {
 // if no update's is (see updateOfFrame).
 func exactRecord(n int) Record {
 	for vals := max(n-64, 0); vals <= n; vals++ {
-		r := &UpdateRec{TxnID: 1, TableID: 1, KeyVal: 9, NewVal: make([]byte, vals)}
+		r := &UpdateRec{TxnID: 1, KeyVal: 9, NewVal: make([]byte, vals)}
 		if frameLen(r) == n {
 			return r
 		}

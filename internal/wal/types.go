@@ -173,8 +173,7 @@ type Transactional interface {
 type DataOp interface {
 	Transactional
 	Sharded
-	// Table and Key identify the record logically.
-	Table() TableID
+	// Key identifies the record logically: the engine has one table.
 	Key() uint64
 	// PID is the physiological page hint captured at normal-operation
 	// time. Logical recovery ignores it.

@@ -21,12 +21,12 @@ import (
 func sampleRecords() []Record {
 	first := FirstLSN()
 	return []Record{
-		&UpdateRec{TxnID: 7, TableID: 1, KeyVal: 42, OldVal: []byte("old"), NewVal: []byte("new"), PageID: 99},
-		&InsertRec{TxnID: 8, TableID: 1, KeyVal: 43, Val: []byte("v"), PageID: 100, PrevLSN: 0},
-		&DeleteRec{TxnID: 9, TableID: 2, KeyVal: 44, OldVal: []byte("gone"), PageID: 101, PrevLSN: first},
+		&UpdateRec{TxnID: 7, KeyVal: 42, OldVal: []byte("old"), NewVal: []byte("new"), PageID: 99},
+		&InsertRec{TxnID: 8, KeyVal: 43, Val: []byte("v"), PageID: 100, PrevLSN: 0},
+		&DeleteRec{TxnID: 9, KeyVal: 44, OldVal: []byte("gone"), PageID: 101, PrevLSN: first},
 		&CommitRec{TxnID: 7},
 		&AbortRec{TxnID: 8},
-		&CLRRec{TxnID: 9, TableID: 2, KeyVal: 44, Kind: CLRUndoDelete, RestoreVal: []byte("gone"), PageID: 101, UndoNextLSN: first, PrevLSN: first + 20},
+		&CLRRec{TxnID: 9, KeyVal: 44, Kind: CLRUndoDelete, RestoreVal: []byte("gone"), PageID: 101, UndoNextLSN: first, PrevLSN: first + 20},
 		&BeginCkptRec{},
 		&EndCkptRec{BeginLSN: 16, Active: []ActiveTxn{{TxnID: 3, LastLSN: 90}, {TxnID: 4, LastLSN: 95}},
 			Routes: []RouteEntry{{Start: 0, Shard: 0}, {Start: 1 << 40, Shard: 2}}},
@@ -42,7 +42,7 @@ func sampleRecords() []Record {
 			DirtyLSNs: []LSN{first, first + 40},
 		},
 		&SMORec{
-			Meta:   TreeMeta{TableID: 1, Root: 50, Height: 3, NextPID: 60},
+			Meta:   TreeMeta{Root: 50, Height: 3, NextPID: 60},
 			Images: []PageImage{{PageID: 50, Data: []byte{1, 2, 3}}, {PageID: 51, Data: []byte{4}}},
 		},
 		&RSSPRec{RsspLSN: 500},
@@ -353,10 +353,10 @@ func TestBackPointerPointsBack(t *testing.T) {
 	if first != FirstLSN() {
 		t.Fatalf("first record at %v", first)
 	}
-	near := add(&InsertRec{TxnID: 2, TableID: 1, KeyVal: 1, PageID: 9, PrevLSN: first}) // at the first record, one byte back-distance
+	near := add(&InsertRec{TxnID: 2, KeyVal: 1, PageID: 9, PrevLSN: first}) // at the first record, one byte back-distance
 	prev := near
 	for l.Segments() < 3 {
-		prev = add(&UpdateRec{TxnID: 3, TableID: 1, KeyVal: uint64(prev), OldVal: []byte("a"), NewVal: []byte("b"), PageID: 9, PrevLSN: prev})
+		prev = add(&UpdateRec{TxnID: 3, KeyVal: uint64(prev), OldVal: []byte("a"), NewVal: []byte("b"), PageID: 9, PrevLSN: prev})
 	}
 	seam := l.tail().base
 	if prev < seam || near >= l.segs[1].base {
@@ -364,9 +364,9 @@ func TestBackPointerPointsBack(t *testing.T) {
 	}
 	// In the third segment: pointers into the second and the first, two
 	// bytes of distance and more, and both of a CLR's.
-	add(&DeleteRec{TxnID: 3, TableID: 1, KeyVal: 4, PageID: 9, PrevLSN: seam - 1})
-	add(&CLRRec{TxnID: 3, TableID: 1, KeyVal: 5, Kind: CLRUndoInsert, PageID: 9, UndoNextLSN: near, PrevLSN: prev})
-	add(&InsertRec{TxnID: 3, TableID: 1, KeyVal: 6, PageID: 9, PrevLSN: first})
+	add(&DeleteRec{TxnID: 3, KeyVal: 4, PageID: 9, PrevLSN: seam - 1})
+	add(&CLRRec{TxnID: 3, KeyVal: 5, Kind: CLRUndoInsert, PageID: 9, UndoNextLSN: near, PrevLSN: prev})
+	add(&InsertRec{TxnID: 3, KeyVal: 6, PageID: 9, PrevLSN: first})
 	add(&ShardMapRec{TxnID: 4, SplitAt: 10, End: 19, NewShard: 1, PrevLSN: near})
 	add(&DeltaRec{DirtySet: []storage.PageID{9, 8, 7, 6}, FirstDirty: 4, TCLSN: seam,
 		DirtyLSNs: []LSN{first, NilLSN, seam - 1, prev}})
@@ -468,7 +468,7 @@ func TestAppendCount(t *testing.T) {
 func TestQuickUpdateRoundTrip(t *testing.T) {
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 	const at = LSN(1 << 40)
-	f := func(txn uint64, table uint32, key uint64, prefix, oldMid, newMid, suffix, other []byte, pid, shard uint32, prev uint64) bool {
+	f := func(txn uint64, key uint64, prefix, oldMid, newMid, suffix, other []byte, pid, shard uint32, prev uint64) bool {
 		oldV, newV := cat(prefix, oldMid, suffix), cat(prefix, newMid, suffix)
 		// Any name up to the record's own LSN; a record that opens its
 		// transaction (OpensTxn, decoded as its LSN) has no prev.
@@ -482,7 +482,7 @@ func TestQuickUpdateRoundTrip(t *testing.T) {
 			prev = uint64(FirstLSN()) + prev%uint64(at-FirstLSN())
 		}
 		in := &UpdateRec{
-			TxnID: name, TableID: TableID(table), KeyVal: key,
+			TxnID: name, KeyVal: key,
 			OldVal: oldV, NewVal: newV,
 			PageID: storage.PageID(pid), ShardID: ShardID(shard), PrevLSN: LSN(prev),
 		}
@@ -496,7 +496,7 @@ func TestQuickUpdateRoundTrip(t *testing.T) {
 			t.Logf("decode: %v", err)
 			return false
 		}
-		if out.TxnID != wantTxn || out.TableID != in.TableID || out.KeyVal != key ||
+		if out.TxnID != wantTxn || out.KeyVal != key ||
 			out.PageID != in.PageID || out.ShardID != in.ShardID || out.PrevLSN != in.PrevLSN {
 			t.Logf("fields: %+v", out)
 			return false
@@ -635,7 +635,7 @@ func TestPatchShapesMatchRowModel(t *testing.T) {
 				oldV := row
 				newV := slices.Concat(row[:start], bytes.Repeat([]byte("x"), n), row[start+span:])
 				name := fmt.Sprintf("%d bytes at %d replaced by %d", span, start, n)
-				in := &UpdateRec{TxnID: OpensTxn, TableID: 1, KeyVal: 7, OldVal: oldV, NewVal: newV, PageID: 3}
+				in := &UpdateRec{TxnID: OpensTxn, KeyVal: 7, OldVal: oldV, NewVal: newV, PageID: 3}
 				body, err := in.encodeBody(nil, at)
 				if err != nil {
 					t.Fatalf("%s: encode: %v", name, err)
@@ -775,16 +775,16 @@ func TestVarintBodiesAreCanonical(t *testing.T) {
 		"txn 601 bytes back from 600":       {&c, []byte{0xD9, 0x04}},
 		"commit with a prev":                {&c, []byte{5, 1}},
 		"nil pointer spelt in two bytes":    {&sm, []byte{5, 0, 0, 0, 0x80, 0x00}},
-		"table ID beyond 32 bits":           {&u, putUvarint(putUvarint(nil, 1), 1<<32)},
-		// txn 1, table 1, key 1, skip 0, 2<<1 (two equal lengths), old
-		// "ab", new "ac", pid; prev and shard left out.
-		"untrimmed patch":            {&u, []byte{1, 1, 1, 0, 4, 'a', 'b', 'a', 'c', 1}},
-		"equal lengths logged twice": {&u, []byte{1, 1, 1, 0, 1<<1 | 1, 'b', 1, 'c', 0, 1}},
+		"skip beyond 32 bits":               {&u, putUvarint(putUvarint(putUvarint(nil, 1), 1), 1<<32)},
+		// txn 1, key 1, skip 0, 2<<1 (two equal lengths), old "ab", new
+		// "ac", pid; prev and shard left out.
+		"untrimmed patch":            {&u, []byte{1, 1, 0, 4, 'a', 'b', 'a', 'c', 1}},
+		"equal lengths logged twice": {&u, []byte{1, 1, 0, 1<<1 | 1, 'b', 1, 'c', 0, 1}},
 		// An in-place patch, then tail 5, pid 1, prev 3 and shard 2: one
 		// field more than the record has.
-		"in-place patch with a tail": {&u, []byte{1, 1, 1, 0, 2, 'b', 'c', 5, 1, 3, 2}},
-		"CLR kind beyond a byte":     {&CLRRec{}, []byte{1, 1, 1, 0x80, 0x04, 0, 0, 0, 1}},
-		"in-place CLR of a delete":   {&CLRRec{}, []byte{1, 1, 1, byte(CLRUndoDelete)<<1 | 1, 0, 1, 'v', 1}},
+		"in-place patch with a tail": {&u, []byte{1, 1, 0, 2, 'b', 'c', 5, 1, 3, 2}},
+		"CLR kind beyond a byte":     {&CLRRec{}, []byte{1, 1, 0x80, 0x04, 0, 0, 0, 1}},
+		"in-place CLR of a delete":   {&CLRRec{}, []byte{1, 1, byte(CLRUndoDelete)<<1 | 1, 0, 1, 'v', 1}},
 		"RSSP shard over-long":       {&RSSPRec{}, []byte{12, 0x80, 0x00}},
 		"BW count over-long":         {&BWRec{}, []byte{0x81, 0x00, 7, 0}},
 		// dirty 0, written 0<<1 | 1: a BW mark on an empty batch.
@@ -792,7 +792,7 @@ func TestVarintBodiesAreCanonical(t *testing.T) {
 		// Page 2^32-1, then a gap of 1: no ascending list wraps round.
 		"∆ written gap past 32 bits":   {&DeltaRec{}, []byte{0, 2 << 1, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 1, 0, 0, 0}},
 		"end-ckpt route shard 33 bits": {&EndCkptRec{}, append([]byte{16, 0, 1, 0}, putUvarint(nil, 1<<32)...)},
-		"SMO image length over-long":   {&SMORec{}, []byte{1, 2, 2, 11, 1, 10, 0x81, 0x00, 'x'}},
+		"SMO image length over-long":   {&SMORec{}, []byte{2, 2, 11, 1, 10, 0x81, 0x00, 'x'}},
 		"shard-map split over-long":    {&ShardMapRec{}, []byte{1, 0x80, 0x00, 9, 1, 0}},
 	} {
 		if err := tc.rec.decodeBody(tc.body, at); !errors.Is(err, ErrBadRecord) {
@@ -805,16 +805,16 @@ func TestVarintBodiesAreCanonical(t *testing.T) {
 		rec  Record
 		body []byte
 	}{
-		"update nil prev":           {&u, []byte{1, 1, 1, 0, 2, 'b', 'c', 1, 0}},
-		"update shard 0":            {&u, []byte{1, 1, 1, 0, 2, 'b', 'c', 1, 5, 0}},
-		"insert shard 0":            {&InsertRec{}, []byte{1, 1, 1, 1, 'v', 1, 5, 0}},
-		"delete nil prev":           {&DeleteRec{}, []byte{1, 1, 1, 1, 'v', 1, 0}},
-		"CLR nil undoNext":          {&CLRRec{}, []byte{1, 1, 1, byte(CLRUndoInsert) << 1, 0, 0, 0, 1, 5, 0}},
+		"update nil prev":           {&u, []byte{1, 1, 0, 2, 'b', 'c', 1, 0}},
+		"update shard 0":            {&u, []byte{1, 1, 0, 2, 'b', 'c', 1, 5, 0}},
+		"insert shard 0":            {&InsertRec{}, []byte{1, 1, 1, 'v', 1, 5, 0}},
+		"delete nil prev":           {&DeleteRec{}, []byte{1, 1, 1, 'v', 1, 0}},
+		"CLR nil undoNext":          {&CLRRec{}, []byte{1, 1, byte(CLRUndoInsert) << 1, 0, 0, 0, 1, 5, 0}},
 		"∆ without DirtyLSNs":       {&DeltaRec{}, []byte{0, 0, 0, 0, 0, 0}},
 		"∆ shard 0 after DirtyLSNs": {&DeltaRec{}, []byte{1, 4, 0, 0, 0, 0, 1, 5, 0}},
 		"marked ∆ shard 0":          {&DeltaRec{}, []byte{0, 1<<1 | 1, 4, 0, 0, 0, 0}},
 		"BW shard 0":                {&BWRec{}, []byte{1, 4, 0, 0}},
-		"SMO shard 0":               {&SMORec{}, []byte{1, 2, 2, 11, 0, 0}},
+		"SMO shard 0":               {&SMORec{}, []byte{2, 2, 11, 0, 0}},
 	} {
 		if err := tc.rec.decodeBody(tc.body, at); !errors.Is(err, ErrBadRecord) || !strings.Contains(err.Error(), "trailing zero") {
 			t.Errorf("%s written out decoded: %+v, %v", name, tc.rec, err)
@@ -828,12 +828,12 @@ func TestVarintBodiesAreCanonical(t *testing.T) {
 		want []byte
 	}{
 		// Trimmed to one byte each side at skip 1, in place: no tail.
-		{&UpdateRec{TxnID: TxnID(at - 1), TableID: 1, KeyVal: 1, OldVal: []byte("ab"), NewVal: []byte("ac"), PageID: 1},
-			[]byte{1, 1, 1, 1, 2, 'b', 'c', 1}},
+		{&UpdateRec{TxnID: TxnID(at - 1), KeyVal: 1, OldVal: []byte("ab"), NewVal: []byte("ac"), PageID: 1},
+			[]byte{1, 1, 1, 2, 'b', 'c', 1}},
 		// Growing by a byte at the row's start: the tail, 2, follows
 		// the after-middle.
-		{&UpdateRec{TxnID: TxnID(at - 1), TableID: 1, KeyVal: 1, OldVal: []byte("ab"), NewVal: []byte("xab"), PageID: 1},
-			[]byte{1, 1, 1, 0, 1, 1, 'x', 2, 1}},
+		{&UpdateRec{TxnID: TxnID(at - 1), KeyVal: 1, OldVal: []byte("ab"), NewVal: []byte("xab"), PageID: 1},
+			[]byte{1, 1, 0, 1, 1, 'x', 2, 1}},
 	} {
 		if got, _ := tc.rec.encodeBody(nil, at); !bytes.Equal(got, tc.want) {
 			t.Fatalf("%q → %q encoded %v, want %v", tc.rec.OldVal, tc.rec.NewVal, got, tc.want)
@@ -859,8 +859,8 @@ func TestVarintBodiesAreCanonical(t *testing.T) {
 // LSN a megabyte into the log, so a format change is sized by a failing
 // line here rather than discovered in the benchmark. An update of one
 // 3-byte field in a 69-byte row: 2 header bytes, 1 txn (the distance
-// back to the transaction's first record, 40 bytes), 1 table, 3 key, 1
-// skip, 1 length for both middles, 3+3 middles — in place, so no tail —
+// back to the transaction's first record, 40 bytes), 3 key, 1 skip,
+// 1 length for both middles, 3+3 middles — in place, so no tail —
 // 2 pid, then the trailing prev and shard, each left out when it is the
 // last field and 0.
 func TestRecordSizes(t *testing.T) {
@@ -873,7 +873,7 @@ func TestRecordSizes(t *testing.T) {
 		if prev == NilLSN {
 			name = OpensTxn
 		}
-		return &UpdateRec{TxnID: name, TableID: 1, KeyVal: key, Skip: 20, Tail: 46,
+		return &UpdateRec{TxnID: name, KeyVal: key, Skip: 20, Tail: 46,
 			OldVal: []byte("abc"), NewVal: []byte("xyz"), PageID: pid, ShardID: shard, PrevLSN: prev}
 	}
 	long := update(prev, 0)
@@ -890,19 +890,19 @@ func TestRecordSizes(t *testing.T) {
 		rec  Record
 		size int
 	}{
-		{"update, first of its txn, shard 0", update(NilLSN, 0), 17},
-		{"update, chained, shard 0", update(prev, 0), 18},
-		{"update, first of its txn, shard 3", update(NilLSN, 3), 19},
-		{"update, chained, shard 3", update(prev, 3), 19},
-		{"update, chained, named 100,000 bytes back", long, 20},
+		{"update, first of its txn, shard 0", update(NilLSN, 0), 16},
+		{"update, chained, shard 0", update(prev, 0), 17},
+		{"update, first of its txn, shard 3", update(NilLSN, 3), 18},
+		{"update, chained, shard 3", update(prev, 3), 18},
+		{"update, chained, named 100,000 bytes back", long, 19},
 		// 70<<1|1 takes two bytes, the after-middle's length one more, and
 		// the tail one.
-		{"update, 70-byte before-middle, 10-byte after", &UpdateRec{TxnID: txn, TableID: 1, KeyVal: key,
-			OldVal: bytes.Repeat([]byte("a"), 70), NewVal: bytes.Repeat([]byte("b"), 10), PageID: pid, PrevLSN: prev}, 95},
-		{"final CLR of a length-changing update (undoNext nil)", &CLRRec{TxnID: txn, TableID: 1, KeyVal: key, Kind: CLRUndoUpdate,
-			Skip: 20, Tail: 46, RestoreVal: []byte("abc"), PageID: pid, PrevLSN: prev}, 17},
-		{"final CLR of an in-place update (undoNext nil)", &CLRRec{TxnID: txn, TableID: 1, KeyVal: key, Kind: CLRUndoUpdate,
-			Skip: 20, InPlace: true, RestoreVal: []byte("abc"), PageID: pid, PrevLSN: prev}, 16},
+		{"update, 70-byte before-middle, 10-byte after", &UpdateRec{TxnID: txn, KeyVal: key,
+			OldVal: bytes.Repeat([]byte("a"), 70), NewVal: bytes.Repeat([]byte("b"), 10), PageID: pid, PrevLSN: prev}, 94},
+		{"final CLR of a length-changing update (undoNext nil)", &CLRRec{TxnID: txn, KeyVal: key, Kind: CLRUndoUpdate,
+			Skip: 20, Tail: 46, RestoreVal: []byte("abc"), PageID: pid, PrevLSN: prev}, 16},
+		{"final CLR of an in-place update (undoNext nil)", &CLRRec{TxnID: txn, KeyVal: key, Kind: CLRUndoUpdate,
+			Skip: 20, InPlace: true, RestoreVal: []byte("abc"), PageID: pid, PrevLSN: prev}, 15},
 		// The txn field alone: the transaction's first record is 40 bytes
 		// back, or 100,000.
 		{"commit of a one-update txn", &CommitRec{TxnID: txn}, 3},
@@ -920,6 +920,80 @@ func TestRecordSizes(t *testing.T) {
 	} {
 		if got := len(encodeFrame(tc.rec, at)); got != tc.size {
 			t.Errorf("%s: %d bytes framed, want %d", tc.name, got, tc.size)
+		}
+	}
+}
+
+// TestFrameBytes pins the exact frame of one record of every kind at LSN
+// 1000, field by field, where TestRecordSizes pins lengths alone: a
+// reordered or re-spelt field of the same width fails here. Every
+// record sits on shard 2, names its transaction 40 bytes back and
+// points back 10 (its prev) and 20 (a CLR's undoNext); key 300 is the
+// varint 172 2. Each frame must also decode and re-encode to itself.
+func TestFrameBytes(t *testing.T) {
+	const at = LSN(1000)
+	txn, prev, undoNext := TxnID(at-40), at-10, at-20
+	for _, tc := range []struct {
+		name string
+		rec  Record
+		want []byte
+	}{
+		// type, body length, txn, key, skip 1, one byte each side
+		// (1<<1), before and after middles, pid, prev, shard.
+		{"update in place", &UpdateRec{TxnID: txn, KeyVal: 300, OldVal: []byte("abc"), NewVal: []byte("axc"), PageID: 9, ShardID: 2, PrevLSN: prev},
+			[]byte{1, 10, 40, 172, 2, 1, 2, 'b', 'x', 9, 10, 2}},
+		// skip 2, an empty before-middle (0<<1|1), the after-middle
+		// behind its length, tail 1, pid, prev, shard.
+		{"update changing the row's length", &UpdateRec{TxnID: txn, KeyVal: 300, OldVal: []byte("abc"), NewVal: []byte("abxyc"), PageID: 9, ShardID: 2, PrevLSN: prev},
+			[]byte{1, 12, 40, 172, 2, 2, 1, 2, 'x', 'y', 1, 9, 10, 2}},
+		{"insert", &InsertRec{TxnID: txn, KeyVal: 300, Val: []byte("row"), PageID: 9, ShardID: 2, PrevLSN: prev},
+			[]byte{2, 10, 40, 172, 2, 3, 'r', 'o', 'w', 9, 10, 2}},
+		{"delete", &DeleteRec{TxnID: txn, KeyVal: 300, OldVal: []byte("row"), PageID: 9, ShardID: 2, PrevLSN: prev},
+			[]byte{3, 10, 40, 172, 2, 3, 'r', 'o', 'w', 9, 10, 2}},
+		// kind 1<<1|1 (an update's, in place), skip 1, no tail, the
+		// restored middle, pid, prev, undoNext, shard.
+		{"CLR of an update", &CLRRec{TxnID: txn, KeyVal: 300, Kind: CLRUndoUpdate, Skip: 1, InPlace: true, RestoreVal: []byte("b"), PageID: 9, ShardID: 2, UndoNextLSN: undoNext, PrevLSN: prev},
+			[]byte{6, 11, 40, 172, 2, 3, 1, 1, 'b', 9, 10, 20, 2}},
+		// kind 2<<1, skip 0, tail 0, nothing to restore.
+		{"CLR of an insert", &CLRRec{TxnID: txn, KeyVal: 300, Kind: CLRUndoInsert, PageID: 9, ShardID: 2, UndoNextLSN: undoNext, PrevLSN: prev},
+			[]byte{6, 11, 40, 172, 2, 4, 0, 0, 0, 9, 10, 20, 2}},
+		// kind 3<<1, skip 0, tail 0, the whole row.
+		{"CLR of a delete", &CLRRec{TxnID: txn, KeyVal: 300, Kind: CLRUndoDelete, RestoreVal: []byte("row"), PageID: 9, ShardID: 2, UndoNextLSN: undoNext, PrevLSN: prev},
+			[]byte{6, 14, 40, 172, 2, 6, 0, 0, 3, 'r', 'o', 'w', 9, 10, 20, 2}},
+		{"commit", &CommitRec{TxnID: txn}, []byte{4, 1, 40}},
+		{"abort", &AbortRec{TxnID: txn}, []byte{5, 1, 40}},
+		// DirtySet (count, pages), written count 2<<1 and gaps 5 2,
+		// FW-LSN 970, FirstDirty 1, TC-LSN 995, no DirtyLSNs, shard.
+		{"∆", &DeltaRec{DirtySet: []storage.PageID{9, 12}, WrittenSet: []storage.PageID{5, 7}, FWLSN: at - 30, FirstDirty: 1, TCLSN: at - 5, ShardID: 2},
+			[]byte{10, 13, 2, 9, 12, 4, 5, 2, 202, 7, 1, 227, 7, 0, 2}},
+		// The same with the BW mark in the written count: 2<<1|1.
+		{"∆ marked as its batch's BW", &DeltaRec{DirtySet: []storage.PageID{9, 12}, WrittenSet: []storage.PageID{5, 7}, FWLSN: at - 30, FirstDirty: 1, TCLSN: at - 5, ShardID: 2, BW: true},
+			[]byte{10, 13, 2, 9, 12, 5, 5, 2, 202, 7, 1, 227, 7, 0, 2}},
+		{"BW", &BWRec{WrittenSet: []storage.PageID{5, 7}, FWLSN: at - 30, ShardID: 2},
+			[]byte{9, 6, 2, 5, 2, 202, 7, 2}},
+		// root, height, next PID, two images (pid, length, bytes), shard.
+		{"SMO", &SMORec{Meta: TreeMeta{Root: 3, Height: 2, NextPID: 12}, Images: []PageImage{{3, []byte("ab")}, {11, []byte("cd")}}, ShardID: 2},
+			[]byte{11, 13, 3, 2, 12, 2, 3, 2, 'a', 'b', 11, 2, 'c', 'd', 2}},
+		{"begin checkpoint", &BeginCkptRec{}, []byte{7, 0}},
+		// begin LSN 950, one active transaction (txn, last LSN 990), two
+		// routes (start, shard).
+		{"end checkpoint", &EndCkptRec{BeginLSN: at - 50, Active: []ActiveTxn{{TxnID: txn, LastLSN: at - 10}}, Routes: []RouteEntry{{Start: 0, Shard: 0}, {Start: 500, Shard: 1}}},
+			[]byte{8, 12, 182, 7, 1, 40, 222, 7, 2, 0, 0, 244, 3, 1}},
+		{"RSSP", &RSSPRec{RsspLSN: at - 50, ShardID: 2}, []byte{12, 3, 182, 7, 2}},
+		// txn, split at 500, end 999, new shard, prev.
+		{"shard map", &ShardMapRec{TxnID: txn, SplitAt: 500, End: 999, NewShard: 1, PrevLSN: prev},
+			[]byte{13, 7, 40, 244, 3, 231, 7, 1, 10}},
+	} {
+		got := encodeFrame(tc.rec, at)
+		if !bytes.Equal(got, tc.want) {
+			t.Errorf("%s: framed as %v, pinned %v. A changed frame is a new log format: "+
+				"bump segVersion (now %d), add %d to TestOpenLogDirRefusesOldFormat's list, and re-pin here",
+				tc.name, got, tc.want, segVersion, segVersion)
+			continue
+		}
+		rec, end, err := decodeFrame(got, at, at)
+		if err != nil || end != at+LSN(len(got)) || !bytes.Equal(encodeFrame(rec, at), got) {
+			t.Errorf("%s: decoded to %+v (end %v, %v), which does not re-encode to its frame", tc.name, rec, end, err)
 		}
 	}
 }
