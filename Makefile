@@ -159,6 +159,6 @@ vet:
 	$(GO) vet ./...
 
 # Everything CI gates, in one target. bench-smoke stays out: it is
-# ungated (it passes on exit 0 and nothing reads its JSON), and ROADMAP
-# item 10(b) deletes it with the sweep drivers it runs.
+# ungated (it passes on exit 0 and nothing reads its JSON), and ROADMAP's
+# "One bench binary" item deletes it with the sweep drivers it runs.
 ci: build vet fmt-check staticcheck doclint test bench-check figures benchmark-test race examples fuzz-smoke

@@ -229,44 +229,6 @@ func BenchmarkAppendixDVariants(b *testing.B) {
 	}
 }
 
-// BenchmarkPrefetchStrategies ablates Log2's prefetch source: the
-// paper's PF-list vs DPT-rLSN order (Appendix A.2 discusses both;
-// ARCHITECTURE "The recovery pipeline" describes the prefetchers).
-func BenchmarkPrefetchStrategies(b *testing.B) {
-	res, cfg := getCrash(b, "fig2-0.16", func() (harness.Config, error) {
-		return baseConfig().WithCacheFraction(0.16), nil
-	})
-	for _, s := range []core.PrefetchStrategy{core.PrefetchPFList, core.PrefetchDPTOrder} {
-		s := s
-		b.Run(s.String(), func(b *testing.B) {
-			opt := core.DefaultOptions(cfg.Engine)
-			opt.PrefetchStrategy = s
-			reportRecovery(b, res, core.Log2, opt)
-		})
-	}
-}
-
-// BenchmarkIndexPreload ablates Appendix A.1: loading all index pages up
-// front vs demand-loading them during redo (ARCHITECTURE "The recovery
-// pipeline").
-func BenchmarkIndexPreload(b *testing.B) {
-	res, cfg := getCrash(b, "fig2-0.16", func() (harness.Config, error) {
-		return baseConfig().WithCacheFraction(0.16), nil
-	})
-	for _, preload := range []bool{true, false} {
-		preload := preload
-		name := "preload"
-		if !preload {
-			name = "on-demand"
-		}
-		b.Run(name, func(b *testing.B) {
-			opt := core.DefaultOptions(cfg.Engine)
-			opt.IndexPreload = preload
-			reportRecovery(b, res, core.Log2, opt)
-		})
-	}
-}
-
 // BenchmarkPacedRedo is Log2's inline redo over a cached window: a
 // 200k-row table whose pool holds every page, 40k updates between the
 // last checkpoint and the crash. Nearly every page the pacer prefetches

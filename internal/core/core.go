@@ -87,28 +87,12 @@ func (m Method) UsesDPT() bool { return m != Log0 }
 // UsesPrefetch reports whether m prefetches data pages.
 func (m Method) UsesPrefetch() bool { return m == Log2 || m == SQL2 }
 
-// Options tunes a recovery run.
+// Options sets a recovery run's widths. Everything else a run needs —
+// the log-read model, the DC config and the buffer budget — comes from
+// the crashed (or standby) engine's Config, and Log2 always preloads the
+// index and walks the PF-list, the paper's choices (Appendix A.1/A.2).
+// The zero value is the paper's deterministic inline run.
 type Options struct {
-	// ScanCost is the log-read IO model.
-	ScanCost wal.ScanCost
-	// PerRecordCPU is the fixed record-handling cost charged per log
-	// record during redo (dispatch, bookkeeping), on top of traversal
-	// and apply costs.
-	PerRecordCPU sim.Duration
-	// IndexPreload loads all internal index pages at the start of DC
-	// recovery for Log2, per Appendix A.1.
-	IndexPreload bool
-	// DCConfig configures the reopened DCs (CPU costs; tracker settings
-	// for post-recovery operation).
-	DCConfig dc.Config
-	// CachePages overrides the recovery buffer budget, divided evenly
-	// across shards (0 = same as the crashed engine, the paper's
-	// setting).
-	CachePages int
-	// PrefetchStrategy selects Log2's data-page prefetch source:
-	// PF-list (paper's choice) or DPT-rLSN order (Appendix A.2's
-	// alternative).
-	PrefetchStrategy PrefetchStrategy
 	// RedoWorkers ≥ 1 routes each shard's redo pass to that many
 	// page-partitioned worker goroutines (the routed sink, parallel.go);
 	// 1 runs that machinery with one worker, the apples-to-apples
@@ -129,50 +113,21 @@ type Options struct {
 	UndoWorkers int
 }
 
-// PrefetchStrategy selects Log2's prefetch source (Appendix A.2).
-type PrefetchStrategy int
+// DefaultOptions returns the inline widths, the zero Options; it takes
+// the engine config for callers that derive their options from it.
+func DefaultOptions(engine.Config) Options { return Options{} }
 
-// Prefetch strategies.
-const (
-	// PrefetchPFList prefetches the PF-list (DirtySet concatenation in
-	// first-update order) — the paper's choice.
-	PrefetchPFList PrefetchStrategy = iota
-	// PrefetchDPTOrder prefetches DPT entries in ascending rLSN order.
-	PrefetchDPTOrder
-)
-
-func (s PrefetchStrategy) String() string {
-	if s == PrefetchDPTOrder {
-		return "dpt-rlsn"
-	}
-	return "pf-list"
-}
-
-// DefaultOptions derives recovery options from an engine config.
-func DefaultOptions(cfg engine.Config) Options {
-	return Options{
-		ScanCost:     cfg.ScanCost,
-		PerRecordCPU: 2 * sim.Microsecond,
-		IndexPreload: true,
-		DCConfig:     cfg.DC,
-	}
-}
-
-// withDefaults fills every unset tunable from DefaultOptions — the one
-// source of the literals — and clamps negative widths to inline. Recover
-// and NewReplayer both resolve their options through it.
-func (opt Options) withDefaults(cfg engine.Config) Options {
-	d := DefaultOptions(cfg)
-	if opt.ScanCost.PageSize == 0 {
-		opt.ScanCost = d.ScanCost
-	}
-	if opt.PerRecordCPU == 0 {
-		opt.PerRecordCPU = d.PerRecordCPU
-	}
+// clamped maps negative widths to inline.
+func (opt Options) clamped() Options {
 	opt.RedoWorkers = max(opt.RedoWorkers, 0)
 	opt.UndoWorkers = max(opt.UndoWorkers, 0)
 	return opt
 }
+
+// perRecordCPU is the fixed record-handling cost charged per log record
+// during redo (dispatch, bookkeeping), on top of traversal and apply
+// costs.
+const perRecordCPU = 2 * sim.Microsecond
 
 // scanAhead bounds, in decoded records, every queue between the log
 // scan and the page appliers: the routed redo ring and the
@@ -241,7 +196,6 @@ type Metrics struct {
 	RedoTime  sim.Duration
 	UndoTime  sim.Duration
 	RedoTotal sim.Duration // PrepTime + RedoTime ("redo time" in figures)
-	TotalTime sim.Duration
 
 	// WallRedoTime, WallUndoTime and WallTotalTime are wall-clock
 	// measurements of the same phases: the only meaningful timings for
@@ -264,7 +218,6 @@ type Metrics struct {
 
 	DataPageFetches  int64
 	IndexPageFetches int64
-	SMOPageFetches   int64
 	LogPagesRead     int64
 
 	// RedoWindowBytes is the stable-log span replayed: log end minus
@@ -274,18 +227,17 @@ type Metrics struct {
 	RedoWindowBytes int64
 
 	// Decode-stage telemetry for the multi-shard demultiplexer's
-	// front-end (zero on single-shard runs). DecodeSegments, DecodeRecords
-	// and DecodeWallTime accumulate across the prep and redo phases;
-	// DecodeWorkers is the last pass's width (0: it scanned inline);
-	// DecodeStall is the stitcher's wait on segment workers (decode
-	// starvation, as opposed to back-pressure from slow shards).
+	// front-end (zero on single-shard runs). DecodeSegments,
+	// DecodeRecords and DecodeStall accumulate across the prep and redo
+	// phases; DecodeWorkers is the last pass's width (0: it scanned
+	// inline); DecodeStall is the stitcher's wait on segment workers
+	// (decode starvation, as opposed to back-pressure from slow shards).
 	// LogPagesRead stays attributed exactly once — the stitcher charges
 	// it; segment workers and per-shard sources never do.
 	DecodeWorkers  int
 	DecodeSegments int
 	DecodeRecords  int64
 	DecodeStall    time.Duration
-	DecodeWallTime time.Duration
 
 	Stalls        int64
 	StallTime     sim.Duration
@@ -321,33 +273,27 @@ type Metrics struct {
 // crash independently — the paper's controlled side-by-side comparison.
 // All of the crashed engine's shards recover concurrently from the one
 // log; the recovered routing table is rebuilt from the checkpoint's
-// route snapshot plus any committed in-window reassignments.
+// route snapshot plus any committed in-window reassignments. The run
+// takes its log-read model, DC config and buffer budget from the
+// crashed engine's Config; opt sets only the widths.
 func Recover(cs *engine.CrashState, m Method, opt Options) (*engine.Engine, *Metrics, error) {
-	opt = opt.withDefaults(cs.Cfg)
-	cache := opt.CachePages
-	if cache == 0 {
-		cache = cs.Cfg.CachePages
-	}
-
-	clock, disks, log, err := cs.Fork(cache)
+	opt = opt.clamped()
+	clock, disks, log, err := cs.Fork(0)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: forking crash state: %w", err)
 	}
 	nShards := len(disks)
-	perShardCache := cache / nShards
-	if perShardCache < 8 {
-		perShardCache = 8
-	}
 	dcs := make([]*dc.DC, nShards)
 	for i, disk := range disks {
-		d, err := dc.Open(clock, disk, log, perShardCache, wal.ShardID(i), opt.DCConfig)
+		// The crash's buffer budget, split as the engine split it.
+		d, err := dc.Open(clock, disk, log, cs.Cfg.CachePages/nShards, wal.ShardID(i), cs.Cfg.DC)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: reopening DC shard %d: %w", i, err)
 		}
 		dcs[i] = d
 	}
 
-	r := newRun(clock, log, opt, dcs)
+	r := newRun(clock, log, cs.Cfg.ScanCost, opt, dcs)
 	r.cs, r.m = cs, m
 	r.routes = shard.DefaultRoutes(nShards, cs.Cfg.KeySpan)
 	met := r.met
@@ -418,7 +364,6 @@ func Recover(cs *engine.CrashState, m Method, opt Options) (*engine.Engine, *Met
 		return nil, nil, fmt.Errorf("core: %v undo: %w", m, err)
 	}
 	met.UndoTime = clock.Now().Sub(t2)
-	met.TotalTime = clock.Now().Sub(t0)
 	met.WallUndoTime = time.Since(w2)
 	met.WallTotalTime = time.Since(w0)
 
@@ -471,6 +416,7 @@ type run struct {
 	cs     *engine.CrashState
 	m      Method
 	opt    Options
+	cost   wal.ScanCost // the engine's log-read model
 	clock  *sim.Clock
 	log    *wal.Log
 	met    *Metrics
@@ -497,9 +443,10 @@ type run struct {
 }
 
 // newRun wires a run over the reopened (or standby) data components.
-func newRun(clock *sim.Clock, log *wal.Log, opt Options, dcs []*dc.DC) *run {
+func newRun(clock *sim.Clock, log *wal.Log, cost wal.ScanCost, opt Options, dcs []*dc.DC) *run {
 	r := &run{
 		opt:   opt,
+		cost:  cost,
 		clock: clock,
 		log:   log,
 		met:   &Metrics{Shards: len(dcs), RedoWorkers: 1, UndoWorkers: 1},
@@ -602,7 +549,7 @@ func (r *run) fanOut(from wal.LSN, note func(wal.Record, wal.LSN), route func(wa
 	}
 
 	if len(r.shards) == 1 {
-		sc := r.log.NewScanner(from, r.clock, r.opt.ScanCost)
+		sc := r.log.NewScanner(from, r.clock, r.cost)
 		err := pass(r.shards[0], func() (wal.Record, wal.LSN, bool, error) {
 			rec, lsn, ok, err := sc.Next()
 			if ok {
@@ -630,8 +577,7 @@ func (r *run) fanOut(from wal.LSN, note func(wal.Record, wal.LSN), route func(wa
 		}(sr, queues[i])
 	}
 
-	w0 := time.Now()
-	sc := r.log.NewParallelScanner(from, r.clock, r.opt.ScanCost, maxAutoWorkers())
+	sc := r.log.NewParallelScanner(from, r.clock, r.cost, maxAutoWorkers())
 	defer sc.Close()
 	pending := make([][]demuxItem, len(r.shards))
 	var scanErr error
@@ -675,7 +621,6 @@ func (r *run) fanOut(from wal.LSN, note func(wal.Record, wal.LSN), route func(wa
 	r.met.DecodeSegments += st.Segments
 	r.met.DecodeRecords += st.Records
 	r.met.DecodeStall += st.Stall
-	r.met.DecodeWallTime += time.Since(w0)
 	var first error
 	for range r.shards {
 		if err := <-results; err != nil && first == nil {
@@ -790,7 +735,6 @@ func (m *Metrics) add(o *Metrics) {
 	m.SkippedPLSN += o.SkippedPLSN
 	m.DataPageFetches += o.DataPageFetches
 	m.IndexPageFetches += o.IndexPageFetches
-	m.SMOPageFetches += o.SMOPageFetches
 	m.SMOBarriers += o.SMOBarriers
 	m.BarrierWorkersPaused += o.BarrierWorkersPaused
 }

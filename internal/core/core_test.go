@@ -521,7 +521,7 @@ func TestDPTSafety(t *testing.T) {
 	r2.clock = clock3
 	sr2 := &shardRun{r: r2, id: 0, d: d3}
 	r2.shards = []*shardRun{sr2}
-	sc := log3.NewScanner(scanStart, clock3, opt.ScanCost)
+	sc := log3.NewScanner(scanStart, clock3, cfg.ScanCost)
 	if err := sr2.dcPass(sc.Next); err != nil {
 		t.Fatal(err)
 	}

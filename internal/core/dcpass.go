@@ -29,7 +29,7 @@ func (sr *shardRun) dcPass(next nextFunc) error {
 		sr.r.clock.Advance(analysisRecordCPU)
 		switch t := rec.(type) {
 		case *wal.SMORec:
-			if err := sr.installSMO(t, lsn, nil, &sr.met); err != nil {
+			if err := sr.installSMO(t, lsn, nil); err != nil {
 				return err
 			}
 		case *wal.DeltaRec:

@@ -252,7 +252,7 @@ func (sr *shardRun) routedRedo(next nextFunc) error {
 			continue
 		}
 		release, paused := pool.pause(sr, it.smo.AffectedPIDs())
-		dispatchErr = sr.installSMO(it.smo, it.lsn, sr.table, &sr.met)
+		dispatchErr = sr.installSMO(it.smo, it.lsn, sr.table)
 		release()
 		sr.met.SMOBarriers++
 		sr.met.BarrierWorkersPaused += int64(paused)

@@ -8,8 +8,8 @@ import (
 )
 
 // pacer drives Log2's data-page prefetch (§4.4, Appendix A.2): it walks
-// a precomputed PID list (the PF-list, or the DPT in rLSN order for the
-// ablation) and keeps a bounded number of read IOs outstanding, issuing
+// a precomputed PID list (the PF-list, or the DPT in rLSN order for
+// routed SQL2) and keeps a bounded number of read IOs outstanding, issuing
 // more as redo consumes pages. Pacing against both the pool's free
 // frames (inside Pool.Prefetch) and the device's in-flight count avoids
 // the paper's two failure modes: prefetching too fast flushes pages
@@ -60,13 +60,13 @@ func (p *pacer) topUp() {
 	}
 }
 
-// prefetchList is the page list a pacer walks: Log2's PF-list, or the
-// DPT in ascending-rLSN order — Appendix A.2's alternative strategy
-// (PrefetchDPTOrder), and what routed SQL2 uses in place of its
+// prefetchList is the page list a routed pass's pacers walk: Log2's
+// PF-list, or for SQL2 the DPT in ascending-rLSN order — Appendix A.2's
+// alternative strategy, which routed SQL2 uses in place of its
 // log-driven lookahead, approximating first-use order without a second
 // log scan.
 func (sr *shardRun) prefetchList() []storage.PageID {
-	if sr.r.m.IsLogical() && sr.r.opt.PrefetchStrategy == PrefetchPFList {
+	if sr.r.m.IsLogical() {
 		return sr.pfList
 	}
 	entries := sr.table.EntriesByRLSN()

@@ -91,19 +91,17 @@ func (sr *shardRun) redo(next nextFunc) error {
 	pool := sr.d.Pool()
 	var pf *pacer
 	if r.m.UsesPrefetch() && r.m.IsLogical() {
-		if r.opt.IndexPreload {
-			if err := sr.preloadIndex(); err != nil {
-				return fmt.Errorf("index preload: %w", err)
-			}
+		if err := sr.preloadIndex(); err != nil {
+			return fmt.Errorf("index preload: %w", err)
 		}
-		pf = newPacer(pool, sr.table, sr.prefetchList())
+		pf = newPacer(pool, sr.table, sr.pfList)
 		pf.topUp()
 	} else if r.m.UsesPrefetch() {
 		next = (&lookahead{src: next, pool: pool, table: sr.table}).next
 	}
 	return sr.scan(next, pf, true, &sr.met, func(it redoItem) error {
 		if it.smo != nil {
-			return sr.installSMO(it.smo, it.lsn, sr.table, &sr.met)
+			return sr.installSMO(it.smo, it.lsn, sr.table)
 		}
 		return sr.redoOp(&sr.met, it.pid, it.op, it.lsn)
 	})
@@ -111,7 +109,7 @@ func (sr *shardRun) redo(next nextFunc) error {
 
 // scan is the one redo loop. Each record is classified (SMO, data
 // operation, or not redo's business); a data operation is charged
-// PerRecordCPU, resolved to its page — by index traversal when the
+// perRecordCPU, resolved to its page — by index traversal when the
 // logical family applies inline (Algorithm 2 line 8 / Algorithm 5 line
 // 4: no PIDs are consulted), by the record's PID otherwise — and
 // screened; survivors go to sink in log order. pf, when set, is topped
@@ -134,7 +132,7 @@ func (sr *shardRun) scan(next nextFunc, pf *pacer, inline bool, met *Metrics, si
 			}
 		case wal.DataOp:
 			met.RedoRecords++
-			r.clock.Advance(r.opt.PerRecordCPU)
+			r.clock.Advance(perRecordCPU)
 			if pf != nil {
 				pf.topUp()
 			}
@@ -231,7 +229,7 @@ func (sr *shardRun) redoOp(met *Metrics, pid storage.PageID, op wal.DataOp, lsn 
 // passes nil. A routed caller has paused the workers owning the SMO's
 // pages, so the residency check cannot race. An image that is not one
 // page long fails the replay, naming the LSN and the page.
-func (sr *shardRun) installSMO(t *wal.SMORec, lsn wal.LSN, table *dpt.Table, met *Metrics) error {
+func (sr *shardRun) installSMO(t *wal.SMORec, lsn wal.LSN, table *dpt.Table) error {
 	tree := sr.d.Tree()
 	// Tree metadata advances monotonically with the allocator cursor;
 	// SMOs replayed below a newer boot image must not regress it. The
@@ -255,13 +253,9 @@ func (sr *shardRun) installSMO(t *wal.SMORec, lsn wal.LSN, table *dpt.Table, met
 		}
 		var f *buffer.Frame
 		var err error
-		switch {
-		case pool.Contains(img.PageID):
+		if pool.Contains(img.PageID) || sr.d.Disk().Exists(img.PageID) {
 			f, err = pool.Get(img.PageID)
-		case sr.d.Disk().Exists(img.PageID):
-			f, err = pool.Get(img.PageID)
-			met.SMOPageFetches++
-		default:
+		} else {
 			// The page never reached stable storage: materialise it
 			// from the image alone.
 			f, err = pool.NewPage(img.PageID, page.TypeInvalid)

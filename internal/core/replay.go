@@ -83,7 +83,7 @@ type Replayer struct {
 // the retained log below it only for the transaction table Promote
 // needs.
 func NewReplayer(eng *engine.Engine) *Replayer {
-	r := newRun(eng.Clock, eng.Log, Options{}.withDefaults(eng.Cfg), eng.DCs)
+	r := newRun(eng.Clock, eng.Log, eng.Cfg.ScanCost, Options{}, eng.DCs)
 	// Undo compensations route by key through the standby's own table,
 	// not the primary's shard stamps.
 	r.routeByKey = func(key uint64) (*shardRun, error) {

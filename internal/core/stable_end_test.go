@@ -112,7 +112,8 @@ func TestNoFlushAheadOfStableEnd(t *testing.T) {
 // TestUpdateAtFWLSNAfterFlush: a page is flushed as the first write of a
 // ∆/BW interval (FW-LSN = the stable end) and then updated by the record
 // that starts exactly at FW-LSN. The flush cannot have captured that
-// update, so DPT construction must keep the page (ROADMAP 5(d)).
+// update, so DPT construction must keep the page, or Log1 recovers a
+// stale row.
 func TestUpdateAtFWLSNAfterFlush(t *testing.T) {
 	for _, v := range deltaVariants {
 		eng, mgr := stableEndEngine(t, v)

@@ -135,7 +135,7 @@ func TestPassOneTableHoldsOnlyLosers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := newRun(clock, log, opt, []*dc.DC{d})
+		r := newRun(clock, log, cfg.ScanCost, opt, []*dc.DC{d})
 		r.cs, r.m = cs, Log1
 		if err := r.findScanStart(); err != nil {
 			t.Fatal(err)
@@ -159,73 +159,76 @@ func TestPassOneTableHoldsOnlyLosers(t *testing.T) {
 	}
 }
 
-// TestPrefetchStrategiesEquivalentResults: both Log2 prefetch sources
-// must recover identical state; only timing differs.
-func TestPrefetchStrategiesEquivalentResults(t *testing.T) {
+// TestEveryPrefetcherPrefetches: each way recovery prefetches issues
+// reads and recovers the committed state — inline Log2's paced PF-list
+// after the index preload, inline SQL2's log-driven lookahead, and a
+// routed pass's per-worker lists (Log2's PF-list, SQL2's DPT in rLSN
+// order).
+func TestEveryPrefetcherPrefetches(t *testing.T) {
 	cfg := testConfig(300)
 	cs, om := buildCrash(t, cfg, 2000, 100, 10, 30, 13, false)
-	for _, s := range []PrefetchStrategy{PrefetchPFList, PrefetchDPTOrder} {
-		opt := DefaultOptions(cfg)
-		opt.PrefetchStrategy = s
-		eng, met, err := Recover(cs, Log2, opt)
+	for _, c := range []struct {
+		name string
+		m    Method
+		redo int
+	}{
+		{"inline PF-list", Log2, 0},
+		{"inline lookahead", SQL2, 0},
+		{"routed PF-list", Log2, 2},
+		{"routed DPT-rLSN", SQL2, 2},
+	} {
+		eng, met, err := Recover(cs, c.m, Options{RedoWorkers: c.redo})
 		if err != nil {
-			t.Fatalf("%v: %v", s, err)
+			t.Fatalf("%s: %v", c.name, err)
 		}
-		verifyRecovered(t, Log2, eng, om)
+		verifyRecovered(t, c.m, eng, om)
 		if met.PrefetchPages == 0 {
-			t.Fatalf("%v issued no prefetch", s)
+			t.Errorf("%s issued no prefetch", c.name)
+		}
+		if c.m == Log2 && c.redo == 0 && met.IndexPageFetches == 0 {
+			t.Errorf("%s: the index preload fetched no page", c.name)
 		}
 	}
-	if PrefetchPFList.String() == PrefetchDPTOrder.String() {
-		t.Fatal("strategy names collide")
-	}
 }
 
-// TestIndexPreloadToggle: disabling preload must still recover
-// correctly, loading index pages on demand instead.
-func TestIndexPreloadToggle(t *testing.T) {
-	cfg := testConfig(300)
-	cs, om := buildCrash(t, cfg, 2000, 100, 10, 30, 17, false)
-	opt := DefaultOptions(cfg)
-	opt.IndexPreload = false
-	eng, met, err := Recover(cs, Log2, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	verifyRecovered(t, Log2, eng, om)
-	if met.IndexPageFetches == 0 {
-		t.Fatal("no index fetches recorded")
-	}
-}
-
-// TestRecoverOptionsDefaulting: zero-valued options are filled from the
-// crash config — by the one withDefaults, whose literals are
-// DefaultOptions' — and a standby resolves its options the same way, so
-// its per-shard feed is scanAhead deep, not unbuffered.
+// TestRecoverOptionsDefaulting: the zero Options is DefaultOptions —
+// every method recovers from it to the oracle's state with the same
+// virtual redo time, log pages and index fetches, because the run takes
+// every other setting from the crash's Config — negative widths clamp
+// to inline, and a standby reads its log with its own config's model
+// through per-shard feeds scanAhead deep, not unbuffered.
 func TestRecoverOptionsDefaulting(t *testing.T) {
 	cfg := testConfig(300)
 	cs, om := buildCrash(t, cfg, 1000, 50, 10, 20, 19, false)
-	eng, _, err := Recover(cs, Log1, Options{DCConfig: cfg.DC})
-	if err != nil {
-		t.Fatal(err)
+	for _, m := range Methods() {
+		eng, got, err := Recover(cs, m, Options{})
+		if err != nil {
+			t.Fatalf("%v from the zero Options: %v", m, err)
+		}
+		verifyRecovered(t, m, eng, om)
+		_, want, err := Recover(cs, m, DefaultOptions(cs.Cfg))
+		if err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		if got.RedoTotal != want.RedoTotal || got.LogPagesRead != want.LogPagesRead || got.IndexPageFetches != want.IndexPageFetches {
+			t.Errorf("%v: zero Options gave redo %v, %d log pages, %d index fetches; DefaultOptions %v, %d, %d",
+				m, got.RedoTotal, got.LogPagesRead, got.IndexPageFetches, want.RedoTotal, want.LogPagesRead, want.IndexPageFetches)
+		}
 	}
-	verifyRecovered(t, Log1, eng, om)
-
-	want := DefaultOptions(cfg)
-	want.IndexPreload, want.DCConfig = false, dc.Config{}
-	if got := (Options{RedoWorkers: -1, UndoWorkers: -3}).withDefaults(cfg); got != want {
-		t.Errorf("withDefaults(zero) = %+v, want DefaultOptions' tunables %+v", got, want)
+	if got := (Options{RedoWorkers: -1, UndoWorkers: -3}).clamped(); got != (Options{}) {
+		t.Errorf("negative widths clamp to %+v, want inline", got)
 	}
 
 	scfg := testConfig(64)
 	scfg.Shards, scfg.Standby = 2, true
+	scfg.ScanCost.PerPage *= 3
 	standby, err := engine.New(scfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rp := NewReplayer(standby)
-	if rp.r.opt != want {
-		t.Errorf("standby options = %+v, want %+v", rp.r.opt, want)
+	if rp.r.cost != scfg.ScanCost {
+		t.Errorf("standby reads its log at %+v, its config says %+v", rp.r.cost, scfg.ScanCost)
 	}
 	queues := rp.r.newQueues()
 	if len(queues) != 2 {
@@ -235,22 +238,6 @@ func TestRecoverOptionsDefaulting(t *testing.T) {
 		if got := cap(q) * demuxBatch; got != scanAhead {
 			t.Errorf("standby feed %d holds %d records, want scanAhead = %d", i, got, scanAhead)
 		}
-	}
-}
-
-// TestRecoverSmallerCacheThanCrash: recovery may run with a different
-// buffer pool size (a replica box with less memory).
-func TestRecoverSmallerCacheThanCrash(t *testing.T) {
-	cfg := testConfig(400)
-	cs, om := buildCrash(t, cfg, 2000, 100, 10, 30, 23, false)
-	opt := DefaultOptions(cfg)
-	opt.CachePages = 64
-	for _, m := range Methods() {
-		eng, _, err := Recover(cs, m, opt)
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
-		verifyRecovered(t, m, eng, om)
 	}
 }
 

@@ -93,13 +93,15 @@ const (
 // Methods returns all five methods in the paper's presentation order.
 func Methods() []Method { return core.Methods() }
 
-// Options tunes a recovery run.
+// Options sets a recovery run's redo and undo widths; the zero value is
+// the paper's inline run. Everything else comes from the crashed
+// engine's Config.
 type Options = core.Options
 
 // Metrics reports a recovery run's phase times and IO behaviour.
 type Metrics = core.Metrics
 
-// DefaultOptions derives recovery options from an engine config.
+// DefaultOptions returns the inline widths, the zero Options.
 func DefaultOptions(cfg Config) Options { return core.DefaultOptions(cfg) }
 
 // Recover replays a crash under the chosen method and returns a fully
