@@ -227,17 +227,14 @@ type Metrics struct {
 	RedoWindowBytes int64
 
 	// Decode-stage telemetry for the multi-shard demultiplexer's
-	// front-end (zero on single-shard runs). DecodeSegments,
-	// DecodeRecords and DecodeStall accumulate across the prep and redo
-	// phases; DecodeWorkers is the last pass's width (0: it scanned
-	// inline); DecodeStall is the stitcher's wait on segment workers
-	// (decode starvation, as opposed to back-pressure from slow shards).
+	// front-end (zero on single-shard runs). DecodeSegments and
+	// DecodeRecords accumulate across the prep and redo phases;
+	// DecodeWorkers is the last pass's width (0: it scanned inline).
 	// LogPagesRead stays attributed exactly once — the stitcher charges
 	// it; segment workers and per-shard sources never do.
 	DecodeWorkers  int
 	DecodeSegments int
 	DecodeRecords  int64
-	DecodeStall    time.Duration
 
 	Stalls        int64
 	StallTime     sim.Duration
@@ -388,20 +385,11 @@ func Recover(cs *engine.CrashState, m Method, opt Options) (*engine.Engine, *Met
 	newTC.RestoreMaster(cs.LastEndCkpt)
 	newTC.SendEOSL()
 
-	eng := &engine.Engine{
-		Clock: clock,
-		Disk:  disks[0], Disks: disks,
-		Log: log,
-		DC:  dcs[0], DCs: dcs, Set: set,
-		TC: newTC, Cfg: cs.Cfg,
-	}
+	eng := cs.Recovered(clock, disks, log, set, newTC)
 	lr := &engine.RecoveryStats{
-		Method:        m.String(),
-		WallTotal:     met.WallTotalTime,
-		ReplayBytes:   met.RedoWindowBytes,
-		DecodeRecords: met.DecodeRecords,
-		DecodeStall:   met.DecodeStall,
-		DecodeWorkers: met.DecodeWorkers,
+		Method:      m.String(),
+		WallTotal:   met.WallTotalTime,
+		ReplayBytes: met.RedoWindowBytes,
 	}
 	if s := replayWall.Seconds(); s > 0 {
 		lr.ReplayBytesPerSec = float64(met.RedoWindowBytes) / s
@@ -620,7 +608,6 @@ func (r *run) fanOut(from wal.LSN, note func(wal.Record, wal.LSN), route func(wa
 	r.met.DecodeWorkers = st.Workers
 	r.met.DecodeSegments += st.Segments
 	r.met.DecodeRecords += st.Records
-	r.met.DecodeStall += st.Stall
 	var first error
 	for range r.shards {
 		if err := <-results; err != nil && first == nil {

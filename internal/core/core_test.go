@@ -193,6 +193,47 @@ func TestRecoverFillsLastRecovery(t *testing.T) {
 	}
 }
 
+// TestFileRecoveredEngineKeepsItsCommits crashes a file-device engine
+// that recovery produced: what it committed after the first crash, with
+// and without a checkpoint between the two crashes, must survive the
+// second under every method. The recovered engine lives in its fork's
+// directory and checkpoints into that directory's master record; one
+// left pointing at the first crash's directory re-recovers the first
+// crash and loses the commit.
+func TestFileRecoveredEngineKeepsItsCommits(t *testing.T) {
+	for _, ckpt := range []bool{false, true} {
+		cfg := testConfig(300)
+		cfg.Device, cfg.Dir = engine.DeviceFile, t.TempDir()
+		cs, om := buildCrash(t, cfg, 1500, 40, 10, 25, 3, true)
+		eng, _, err := Recover(cs, Log2, DefaultOptions(cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := begin(t, eng.NewSessionManager(0))
+		v := []byte("after-first-recovery-padpad")
+		if err := s.Update(cfg.TableID, 7, v); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		om[7] = v
+		if ckpt {
+			if err := eng.TC.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cs2 := eng.Crash()
+		for _, m := range Methods() {
+			again, _, err := Recover(cs2, m, DefaultOptions(cfg))
+			if err != nil {
+				t.Fatalf("checkpoint %v, %v: %v", ckpt, m, err)
+			}
+			verifyRecovered(t, m, again, om)
+		}
+	}
+}
+
 func TestRecoverNoLoser(t *testing.T) {
 	cfg := testConfig(300)
 	cs, om := buildCrash(t, cfg, 1500, 80, 10, 25, 7, false)

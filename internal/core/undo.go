@@ -14,10 +14,12 @@ import (
 // the log, highest LSN first, exactly as ARIES does, each compensation
 // routed to the data shard the record ran on; CLRs already on the log
 // skip directly to their UndoNextLSN so undo work lost in a
-// crash-during-recovery is never repeated. The sweep, the record switch
-// and every CLR append run on the calling goroutine at every width, so
-// the appended sequence — CLRs and abort records — and every
-// per-transaction backchain are byte-identical whatever UndoWorkers is.
+// crash-during-recovery is never repeated. Each step is the one live
+// abort takes too: wal.Undo drafts the CLR and dc.Compensate applies
+// it. The sweep, wal.Undo and every CLR append run on the calling
+// goroutine at every width, so the appended sequence — CLRs and abort
+// records — and every per-transaction backchain are byte-identical
+// whatever UndoWorkers is.
 //
 // The width only decides where a compensation's page application runs.
 // Inline (UndoWorkers 0, and a standby's promotion) it goes through the
@@ -135,8 +137,9 @@ func (r *run) undo(workers int) error {
 }
 
 // undoSweep is the merged backward sweep: repeatedly take the loser
-// whose next record is highest in the log, compensate that record, and
-// follow its backchain; a loser with nothing left gets its abort record.
+// whose next record is highest in the log, compensate that record
+// (wal.Undo drafts its CLR), and follow its backchain; a loser with
+// nothing left gets its abort record.
 func (r *run) undoSweep(pool *shardedPool, losers map[wal.TxnID]*undoState) error {
 	for len(losers) > 0 {
 		pick := nextLoser(losers)
@@ -149,8 +152,13 @@ func (r *run) undoSweep(pool *shardedPool, losers map[wal.TxnID]*undoState) erro
 		}
 		at := st.next
 		rec, err := r.log.Get(at)
+		var clr *wal.CLRRec
+		var structural bool
 		if err == nil {
-			st.next, err = r.undoRecord(pool, pick, st, rec)
+			clr, st.next, structural, err = wal.Undo(rec)
+		}
+		if err == nil && clr != nil {
+			err = r.compensate(pool, st, clr, structural)
 		}
 		if err != nil {
 			return fmt.Errorf("undo of txn %d at %v: %w", pick, at, err)
@@ -159,50 +167,22 @@ func (r *run) undoSweep(pool *shardedPool, losers map[wal.TxnID]*undoState) erro
 	return nil
 }
 
-// undoRecord compensates one record of txn's backchain and returns the
-// next LSN to undo.
-func (r *run) undoRecord(pool *shardedPool, txn wal.TxnID, st *undoState, rec wal.Record) (wal.LSN, error) {
-	switch t := rec.(type) {
-	case *wal.UpdateRec:
-		// The CLR is the update's patch turned round. Restoring a longer
-		// middle can overflow the leaf and force a split.
-		return t.PrevLSN, r.compensate(pool, st, t.ShardID, t.Compensation(), t.Shrinks())
-	case *wal.InsertRec:
-		// The inverse is a page delete; leaves never merge, so this
-		// cannot change the tree's structure.
-		clr := &wal.CLRRec{TxnID: txn, KeyVal: t.KeyVal, Kind: wal.CLRUndoInsert, UndoNextLSN: t.PrevLSN}
-		return t.PrevLSN, r.compensate(pool, st, t.ShardID, clr, false)
-	case *wal.DeleteRec:
-		// The inverse re-inserts the row, which can split a full leaf.
-		clr := &wal.CLRRec{TxnID: txn, KeyVal: t.KeyVal, Kind: wal.CLRUndoDelete, RestoreVal: t.OldVal, UndoNextLSN: t.PrevLSN}
-		return t.PrevLSN, r.compensate(pool, st, t.ShardID, clr, true)
-	case *wal.CLRRec:
-		// Redo-only: skip over already-compensated work.
-		return t.UndoNextLSN, nil
-	case *wal.ShardMapRec:
-		// The routing change of a loser migration never takes effect;
-		// nothing to compensate.
-		return t.PrevLSN, nil
-	default:
-		return wal.NilLSN, fmt.Errorf("unexpected %v record in backchain", rec.Type())
-	}
-}
-
 // compensate performs one planned compensation on its owning shard. clr
-// arrives complete but for its shard, page and backchain link; it is
-// appended here, on the sweep's goroutine, once the page is known;
-// structural says whether the inverse can change the tree's structure.
+// arrives from wal.Undo complete but for its page and backchain link
+// (and its shard, when a standby routes by key); it is appended here, on
+// the sweep's goroutine, once the page is known; structural says whether
+// the inverse can change the tree's structure.
 // A routed, non-structural step resolves the key's leaf through the
 // index and hands the page application to the owning worker — an
 // update's CLR is a patch, so the sweep never reads the leaf that worker
 // may be writing. Everything else — the inline width, and a structural
 // step, which first latches the key's current leaf (safe to resolve
 // off-latch: only the sweep ever changes structure) — runs the DC's full
-// logical operation: an update's CLR patches the row in place in one
-// descent of the quiesced tree (dc.Patch), and every CLR is logged
+// logical operation (dc.Compensate): an update's CLR patches the row in
+// place in one descent of the quiesced tree, and every CLR is logged
 // against the page the row finally lands on.
-func (r *run) compensate(pool *shardedPool, st *undoState, sh wal.ShardID, clr *wal.CLRRec, structural bool) error {
-	sr, err := r.resolveShard(sh, clr.KeyVal)
+func (r *run) compensate(pool *shardedPool, st *undoState, clr *wal.CLRRec, structural bool) error {
+	sr, err := r.resolveShard(clr.ShardID, clr.KeyVal)
 	if err != nil {
 		return err
 	}
@@ -227,15 +207,8 @@ func (r *run) compensate(pool *shardedPool, st *undoState, sh wal.ShardID, clr *
 		r.met.UndoBarriers++
 		r.met.BarrierWorkersPaused += int64(paused)
 	}
-	switch clr.Kind {
-	case wal.CLRUndoInsert:
-		return sr.d.Delete(clr.KeyVal, func(pid storage.PageID, _ []byte) wal.LSN { return logCLR(pid) })
-	case wal.CLRUndoDelete:
-		return sr.d.Insert(clr.KeyVal, clr.RestoreVal, logCLR) // the whole row
-	default: // wal.CLRUndoUpdate: patch the row in the descent that logs the CLR
-		if err := sr.d.Patch(clr.KeyVal, clr.After, logCLR); err != nil {
-			return fmt.Errorf("key %d: %w", clr.KeyVal, err)
-		}
-		return nil
+	if err := sr.d.Compensate(clr, logCLR); err != nil {
+		return fmt.Errorf("key %d: %w", clr.KeyVal, err)
 	}
+	return nil
 }

@@ -189,11 +189,11 @@ func (d *DC) ReadRangeFiltered(lo, hi uint64, pred func(key uint64, val []byte) 
 	return d.tree.ScanRangeFiltered(lo, hi, pred, fn)
 }
 
-// The three logged writes below are the DC's whole write interface. Each
-// takes one descent of the tree: the leaf it reaches is changed, then
-// logFn is called with that leaf's PID (after any split the write
-// needed) and must append the operation's log record and return its LSN,
-// which stamps the leaf. A write that fails logs nothing and leaves the
+// The three logged writes below, and Compensate built on them, are the
+// DC's whole write interface. Each takes one descent of the tree: the
+// leaf it reaches is changed, then logFn is called with that leaf's PID
+// (after any split the write needed) and must append the operation's
+// log record and return its LSN, which stamps the leaf. A write that fails logs nothing and leaves the
 // leaf as it was; a missing key fails with btree.ErrKeyNotFound, an
 // existing one on Insert with btree.ErrKeyExists.
 
@@ -216,6 +216,22 @@ func (d *DC) Insert(key uint64, val []byte, logFn func(pid storage.PageID) wal.L
 // call.
 func (d *DC) Delete(key uint64, logFn func(pid storage.PageID, old []byte) wal.LSN) error {
 	return d.tree.DeleteLogged(key, logFn)
+}
+
+// Compensate applies a CLR (wal.Undo) logically, relocating its row by
+// key in the one descent that logs it: an undone insert deletes the
+// row, an undone delete re-inserts the whole row, and an undone update
+// patches the before-middle back in (CLRRec.After).
+func (d *DC) Compensate(clr *wal.CLRRec, logFn func(pid storage.PageID) wal.LSN) error {
+	switch clr.Kind {
+	case wal.CLRUndoInsert:
+		return d.Delete(clr.KeyVal, func(pid storage.PageID, _ []byte) wal.LSN { return logFn(pid) })
+	case wal.CLRUndoDelete:
+		return d.Insert(clr.KeyVal, clr.RestoreVal, logFn)
+	case wal.CLRUndoUpdate:
+		return d.Patch(clr.KeyVal, clr.After, logFn)
+	}
+	return fmt.Errorf("dc: CLR of unknown kind %d", clr.Kind)
 }
 
 // EOSL receives the TC's end of stable log: it unlocks page flushes up

@@ -266,18 +266,19 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := tc.New(log, set)
-	if cfg.Device == DeviceFile {
-		dir := cfg.Dir
+	e := &Engine{Clock: clock, Disk: disks[0], Disks: disks, Log: log, Set: set, DC: dcs[0], DCs: dcs, Cfg: cfg}
+	e.wireTC(tc.New(log, set))
+	return e, nil
+}
+
+// wireTC installs t as the engine's TC. In file mode its checkpoints
+// advance the master record in the engine's own directory.
+func (e *Engine) wireTC(t *tc.TC) {
+	e.TC = t
+	if e.Cfg.Device == DeviceFile {
+		dir := e.Cfg.Dir
 		t.SetMasterHook(func(lsn wal.LSN) error { return writeMaster(dir, lsn) })
 	}
-	return &Engine{
-		Clock: clock,
-		Disk:  disks[0], Disks: disks,
-		Log: log,
-		DC:  dcs[0], DCs: dcs, Set: set,
-		TC: t, Cfg: cfg,
-	}, nil
 }
 
 // writeMaster persists the master record — the boot-block pointer to
@@ -353,13 +354,25 @@ func (e *Engine) Load(n int, valFn func(key uint64) []byte) error {
 // flag is cleared: the engine is now an ordinary primary.
 func (e *Engine) BecomePrimary(set *shard.Set, t *tc.TC) {
 	e.Set = set
-	e.TC = t
 	e.DC = e.DCs[0]
 	e.Cfg.Standby = false
-	if e.Cfg.Device == DeviceFile {
-		dir := e.Cfg.Dir
-		t.SetMasterHook(func(lsn wal.LSN) error { return writeMaster(dir, lsn) })
+	e.wireTC(t)
+}
+
+// Recovered assembles the engine a recovery rebuilt from cs over one of
+// its Forks: the fork's clock, devices and log, the shards in set and
+// the TC over them. In file mode the engine lives in the fork's
+// directory — the one its log writes to, whose master record Fork
+// seeded with the crash's — so its checkpoints advance that record and
+// its own crash recovers what it committed.
+func (cs *CrashState) Recovered(clock *sim.Clock, disks []storage.Device, log *wal.Log, set *shard.Set, t *tc.TC) *Engine {
+	cfg := cs.Cfg
+	if fb, ok := log.Backend().(*wal.FileBackend); ok {
+		cfg.Dir = filepath.Dir(fb.Dir())
 	}
+	e := &Engine{Clock: clock, Disk: disks[0], Disks: disks, Log: log, Set: set, DC: set.DCs()[0], DCs: set.DCs(), Cfg: cfg}
+	e.wireTC(t)
+	return e
 }
 
 // CrashState is everything that survives a crash. In simulated mode
@@ -455,11 +468,12 @@ func (cs *CrashState) TearTail(nBytes int) error {
 // snapshot (sealed segments shared, the tail copied and any injected
 // torn tail trimmed); file mode copies the shard page files into a fork
 // directory under the crash directory, forks the WAL directory
-// (forkLogDir) and reopens them (trimming any torn WAL tail).
-// cachePages ≤ 0 uses the crashed engine's capacity.
+// (forkLogDir), seeds the fork's master record with the crash's and
+// reopens them (trimming any torn WAL tail). cachePages is ignored —
+// recovery takes the pool size from the crash's Config — and stays
+// only because benchmark/ passes it (ROADMAP 9(c)).
 func (cs *CrashState) Fork(cachePages int) (*sim.Clock, []storage.Device, *wal.Log, error) {
 	clock := &sim.Clock{}
-	_ = cachePages
 	n := cs.Cfg.NumShards()
 	if cs.Dir == "" {
 		disks := make([]storage.Device, n)
@@ -477,6 +491,9 @@ func (cs *CrashState) Fork(cachePages int) (*sim.Clock, []storage.Device, *wal.L
 	}
 	if err := forkLogDir(filepath.Join(cs.Dir, walDirName), filepath.Join(forkDir, walDirName)); err != nil {
 		return nil, nil, nil, fmt.Errorf("engine: forking crash state: %w", err)
+	}
+	if err := writeMaster(forkDir, cs.LastEndCkpt); err != nil {
+		return nil, nil, nil, err
 	}
 	disks := make([]storage.Device, n)
 	for i := 0; i < n; i++ {

@@ -24,14 +24,6 @@ type RecoveryStats struct {
 	// the wall-clock prep+redo time. Zero when the run was too fast to
 	// time (pure-sim recoveries replay in virtual time).
 	ReplayBytesPerSec float64
-	// DecodeRecords, DecodeStall and DecodeWorkers mirror the decode
-	// front-end telemetry from core.Metrics (zero on single-shard runs,
-	// which scan inline).
-	DecodeRecords int64
-	// DecodeStall is the stitcher's cumulative wait on segment workers.
-	DecodeStall time.Duration
-	// DecodeWorkers is the decode parallelism the run used.
-	DecodeWorkers int
 }
 
 // Stats is the engine-wide counter snapshot: one call collects the

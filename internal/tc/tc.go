@@ -348,57 +348,23 @@ func (tc *TC) rollback(t *Txn) error {
 // undoOne compensates a single record, returning the next LSN to undo.
 // Compensations target the record's shard directly — the record, not
 // the routing table, says where the operation ran, which keeps undo
-// correct even mid-range-migration.
+// correct even mid-range-migration. t still holds its X locks, so the
+// row is the one the record left.
 func (tc *TC) undoOne(t *Txn, rec wal.Record) (wal.LSN, error) {
-	switch r := rec.(type) {
-	case *wal.UpdateRec:
-		// The record is a patch: put the before-middle back into the row
-		// as it stands (t still holds its X lock, so it is the row the
-		// update left) in the one descent that logs the same patch turned
-		// round.
-		err := tc.dc.At(r.ShardID).Patch(r.KeyVal, r.Before, func(pid storage.PageID) wal.LSN {
-			clr := r.Compensation()
-			clr.PageID, clr.ShardID, clr.PrevLSN = pid, r.ShardID, t.LastLSN()
-			lsn := tc.app.MustAppend(clr)
-			t.setLastLSN(lsn)
-			return lsn
-		})
-		if err != nil {
-			return wal.NilLSN, fmt.Errorf("tc: undo of update at key %d: %w", r.KeyVal, err)
-		}
-		return r.PrevLSN, nil
-	case *wal.InsertRec:
-		err := tc.dc.At(r.ShardID).Delete(r.KeyVal, func(pid storage.PageID, _ []byte) wal.LSN {
-			lsn := tc.app.MustAppend(&wal.CLRRec{
-				TxnID: t.logName(), KeyVal: r.KeyVal,
-				Kind: wal.CLRUndoInsert, PageID: pid, ShardID: r.ShardID,
-				UndoNextLSN: r.PrevLSN, PrevLSN: t.LastLSN(),
-			})
-			t.setLastLSN(lsn)
-			return lsn
-		})
-		return r.PrevLSN, err
-	case *wal.DeleteRec:
-		err := tc.dc.At(r.ShardID).Insert(r.KeyVal, r.OldVal, func(pid storage.PageID) wal.LSN {
-			lsn := tc.app.MustAppend(&wal.CLRRec{
-				TxnID: t.logName(), KeyVal: r.KeyVal,
-				Kind: wal.CLRUndoDelete, RestoreVal: r.OldVal, PageID: pid, ShardID: r.ShardID,
-				UndoNextLSN: r.PrevLSN, PrevLSN: t.LastLSN(),
-			})
-			t.setLastLSN(lsn)
-			return lsn
-		})
-		return r.PrevLSN, err
-	case *wal.CLRRec:
-		// CLRs are redo-only: skip to what the CLR says is next.
-		return r.UndoNextLSN, nil
-	case *wal.ShardMapRec:
-		// The routing change never took effect (the migration is being
-		// rolled back); nothing to compensate.
-		return r.PrevLSN, nil
-	default:
-		return wal.NilLSN, fmt.Errorf("tc: unexpected %v record in txn %d backchain", rec.Type(), t.ID)
+	clr, next, _, err := wal.Undo(rec)
+	if err != nil || clr == nil {
+		return next, err
 	}
+	err = tc.dc.At(clr.ShardID).Compensate(clr, func(pid storage.PageID) wal.LSN {
+		clr.PageID, clr.PrevLSN = pid, t.LastLSN()
+		lsn := tc.app.MustAppend(clr)
+		t.setLastLSN(lsn)
+		return lsn
+	})
+	if err != nil {
+		return wal.NilLSN, fmt.Errorf("tc: undo at key %d: %w", clr.KeyVal, err)
+	}
+	return next, nil
 }
 
 // Checkpoint runs the penultimate checkpointing protocol (§3.2, §4.2):

@@ -186,6 +186,9 @@ func CreateFileBackend(dir string) (*FileBackend, error) {
 	return &FileBackend{dir: dir}, nil
 }
 
+// Dir returns the log directory.
+func (b *FileBackend) Dir() string { return b.dir }
+
 func (b *FileBackend) path(base LSN) string { return filepath.Join(b.dir, segFileName(base)) }
 
 // syncLocked fsyncs the write file and, when an entry changed, the

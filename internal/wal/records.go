@@ -15,9 +15,10 @@ import (
 // UpdateRec logs an update of an existing row as a patch: the row's
 // first Skip and last Tail bytes are unchanged, OldVal lay between them
 // before the update and NewVal lies there after it. Redo applies After;
-// undo restores Before. The row is identified logically by its Key (the
-// engine has one table, so no record names it); PageID is the
-// physiological hint captured when the update ran.
+// undo logs and applies the patch turned round (Undo). The row is
+// identified logically by its Key (the engine has one table, so no
+// record names it); PageID is the physiological hint captured when the
+// update ran.
 //
 // A producer hands over whole row images (Skip = Tail = 0); encodeBody
 // trims the longest common prefix, then the longest common suffix, so
@@ -57,11 +58,6 @@ func (r *UpdateRec) After(cur []byte) ([]byte, error) {
 	return patchRow(cur, r.Skip, r.Tail, r.inPlace(), r.NewVal)
 }
 
-// Before returns the row the update met, given the row it left.
-func (r *UpdateRec) Before(cur []byte) ([]byte, error) {
-	return patchRow(cur, r.Skip, r.Tail, r.inPlace(), r.OldVal)
-}
-
 // Applied reports whether cur already shows the update: false when the
 // bytes between Skip and the tail are the before-middle, true when they
 // are the after-middle (a re-delivered record); a row that is neither is
@@ -83,21 +79,6 @@ func (r *UpdateRec) Applied(cur []byte) (bool, error) {
 		return true, nil
 	}
 	return false, fmt.Errorf("%w: row is neither side of the update", ErrBadRecord)
-}
-
-// Shrinks reports whether the update made the row shorter, so that
-// undoing it can overflow the leaf (middles differ in length as the
-// whole images do).
-func (r *UpdateRec) Shrinks() bool { return len(r.OldVal) > len(r.NewVal) }
-
-// Compensation drafts the CLR that undoes the update — the same patch
-// carrying the before-middle, in place when the update was; the caller
-// fills page, shard and PrevLSN.
-func (r *UpdateRec) Compensation() *CLRRec {
-	return &CLRRec{
-		TxnID: r.TxnID, KeyVal: r.KeyVal, Kind: CLRUndoUpdate,
-		Skip: r.Skip, Tail: r.Tail, InPlace: r.inPlace(), RestoreVal: r.OldVal, UndoNextLSN: r.PrevLSN,
-	}
 }
 
 func (r *UpdateRec) encodeBody(dst []byte, at LSN) ([]byte, error) {
@@ -232,15 +213,15 @@ const (
 	CLRUndoDelete                    // re-insert the deleted row
 )
 
-// CLRRec is a compensation log record written during undo. It is
-// redo-only: UndoNextLSN points at the next record of the transaction
-// still to be undone, so undo never repeats work after a crash during
-// recovery. For CLRUndoUpdate it is the update's patch turned round
-// (UpdateRec.Compensation: same Skip and Tail, RestoreVal the
-// before-middle), so undo — above all crash undo, whose routed sweep may
-// not read a page a worker is writing — never needs the whole
-// before-image. For CLRUndoDelete RestoreVal is the whole row (Skip =
-// Tail = 0); for CLRUndoInsert it is empty.
+// CLRRec is a compensation log record written during undo; Undo drafts
+// every one. It is redo-only: UndoNextLSN points at the next record of
+// the transaction still to be undone, so undo never repeats work after
+// a crash during recovery. For CLRUndoUpdate it is the update's patch
+// turned round (same Skip and Tail, RestoreVal the before-middle), so
+// undo — above all crash undo, whose routed sweep may not read a page a
+// worker is writing — never needs the whole before-image. For
+// CLRUndoDelete RestoreVal is the whole row (Skip = Tail = 0); for
+// CLRUndoInsert it is empty.
 type CLRRec struct {
 	TxnID  TxnID
 	KeyVal uint64
@@ -269,6 +250,39 @@ func (r *CLRRec) Shard() ShardID      { return r.ShardID }
 // After returns the row a CLRUndoUpdate leaves, given the row it met.
 func (r *CLRRec) After(cur []byte) ([]byte, error) {
 	return patchRow(cur, r.Skip, r.Tail, r.InPlace, r.RestoreVal)
+}
+
+// Undo is the one rollback step of live abort, crash undo and a
+// standby's promotion. It maps a record of a transaction's backchain to
+// the CLR that compensates it — transaction, key, kind, patch or row,
+// shard and UndoNextLSN filled; the caller fills page and PrevLSN as it
+// logs it — to the next LSN of the chain to undo, and to whether
+// applying the CLR can split a leaf: restoring a deleted row or a
+// longer middle can, deleting an inserted row cannot (leaves never
+// merge). A CLR is redo-only and a shard-map record's routing change
+// never took effect: both return a nil CLR and skip on. Any other
+// record has no place in a backchain.
+func Undo(rec Record) (clr *CLRRec, next LSN, structural bool, err error) {
+	switch r := rec.(type) {
+	case *UpdateRec:
+		return &CLRRec{
+			TxnID: r.TxnID, KeyVal: r.KeyVal, Kind: CLRUndoUpdate, Skip: r.Skip, Tail: r.Tail,
+			InPlace: r.inPlace(), RestoreVal: r.OldVal, ShardID: r.ShardID, UndoNextLSN: r.PrevLSN,
+		}, r.PrevLSN, len(r.OldVal) > len(r.NewVal), nil
+	case *InsertRec:
+		return &CLRRec{
+			TxnID: r.TxnID, KeyVal: r.KeyVal, Kind: CLRUndoInsert, ShardID: r.ShardID, UndoNextLSN: r.PrevLSN,
+		}, r.PrevLSN, false, nil
+	case *DeleteRec:
+		return &CLRRec{
+			TxnID: r.TxnID, KeyVal: r.KeyVal, Kind: CLRUndoDelete, RestoreVal: r.OldVal, ShardID: r.ShardID, UndoNextLSN: r.PrevLSN,
+		}, r.PrevLSN, true, nil
+	case *CLRRec:
+		return nil, r.UndoNextLSN, false, nil
+	case *ShardMapRec:
+		return nil, r.PrevLSN, false, nil
+	}
+	return nil, NilLSN, false, fmt.Errorf("%w: %v record in a backchain", ErrBadRecord, rec.Type())
 }
 
 func (r *CLRRec) encodeBody(dst []byte, at LSN) ([]byte, error) {

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"sync"
-	"time"
 
 	"logrec/internal/sim"
 )
@@ -50,7 +49,6 @@ type Scanner struct {
 	closed sync.Once
 	unit   *decoded // the chunk being handed out
 	item   int
-	stall  time.Duration
 }
 
 // decoded is one chunk's frames in order and, if decoding stopped
@@ -74,9 +72,6 @@ type ScanStats struct {
 	Segments int
 	// Records is the total records emitted.
 	Records int64
-	// Stall is the wall time Next spent blocked on a segment's decode
-	// (decode-stage starvation).
-	Stall time.Duration
 }
 
 // NewScanner returns a scanner positioned at from, clamped to the
@@ -189,7 +184,7 @@ func (s *Scanner) nextDecoded() (Record, LSN, bool, error) {
 		if s.cur == len(s.view) {
 			return nil, NilLSN, false, nil
 		}
-		s.unit, s.item = s.take(s.cur), 0
+		s.unit, s.item = <-s.out[s.cur%len(s.out)], 0
 		s.cur++
 	}
 	it := s.unit.items[s.item]
@@ -197,14 +192,6 @@ func (s *Scanner) nextDecoded() (Record, LSN, bool, error) {
 	s.charge(it.lsn, it.end)
 	s.records++
 	return it.rec, it.lsn, true, nil
-}
-
-// take blocks for chunk i's decode, accounting the wait as stall.
-func (s *Scanner) take(i int) *decoded {
-	t0 := time.Now()
-	d := <-s.out[i%len(s.out)]
-	s.stall += time.Since(t0)
-	return d
 }
 
 // charge bills sequential log-page reads for the byte range [from,to):
@@ -230,7 +217,7 @@ func (s *Scanner) PagesRead() int64 { return s.pagesRead }
 // Stats returns the scan summary. Meaningful once the scan has
 // completed (Next returned ok=false or an error).
 func (s *Scanner) Stats() ScanStats {
-	return ScanStats{Workers: s.width, Segments: len(s.view), Records: s.records, Stall: s.stall}
+	return ScanStats{Workers: s.width, Segments: len(s.view), Records: s.records}
 }
 
 // Close releases the decode workers. It is required when a parallel

@@ -459,6 +459,50 @@ func TestAppendCount(t *testing.T) {
 	}
 }
 
+// undoRow rebuilds the row an update met from the row it left, through
+// the CLR that undoes it.
+func undoRow(u *UpdateRec, cur []byte) ([]byte, error) {
+	clr, _, _, err := Undo(u)
+	if err != nil {
+		return nil, err
+	}
+	return clr.After(cur)
+}
+
+// TestUndoDraftsEveryCLR checks the one rollback step on each record a
+// backchain can hold: an insert is undone by a delete that cannot split
+// a leaf, a delete by re-inserting the whole row, which can; a CLR skips
+// to its UndoNextLSN and a shard-map record to its PrevLSN with no CLR;
+// any other record is ErrBadRecord.
+func TestUndoDraftsEveryCLR(t *testing.T) {
+	const prev, undoNext = LSN(40), LSN(30)
+	for _, c := range []struct {
+		rec        Record
+		want       *CLRRec
+		next       LSN
+		structural bool
+	}{
+		{&InsertRec{TxnID: 9, KeyVal: 5, Val: []byte("row"), PageID: 7, ShardID: 2, PrevLSN: prev},
+			&CLRRec{TxnID: 9, KeyVal: 5, Kind: CLRUndoInsert, ShardID: 2, UndoNextLSN: prev}, prev, false},
+		{&DeleteRec{TxnID: 9, KeyVal: 5, OldVal: []byte("row"), PageID: 7, ShardID: 2, PrevLSN: prev},
+			&CLRRec{TxnID: 9, KeyVal: 5, Kind: CLRUndoDelete, RestoreVal: []byte("row"), ShardID: 2, UndoNextLSN: prev}, prev, true},
+		{&UpdateRec{TxnID: 9, KeyVal: 5, Skip: 1, Tail: 2, OldVal: []byte("abc"), NewVal: []byte("x"), ShardID: 2, PrevLSN: prev},
+			&CLRRec{TxnID: 9, KeyVal: 5, Kind: CLRUndoUpdate, Skip: 1, Tail: 2, RestoreVal: []byte("abc"), ShardID: 2, UndoNextLSN: prev}, prev, true},
+		{&UpdateRec{TxnID: 9, KeyVal: 5, Skip: 1, OldVal: []byte("a"), NewVal: []byte("b"), PrevLSN: prev},
+			&CLRRec{TxnID: 9, KeyVal: 5, Kind: CLRUndoUpdate, Skip: 1, InPlace: true, RestoreVal: []byte("a"), UndoNextLSN: prev}, prev, false},
+		{&CLRRec{TxnID: 9, KeyVal: 5, Kind: CLRUndoInsert, UndoNextLSN: undoNext, PrevLSN: prev}, nil, undoNext, false},
+		{&ShardMapRec{TxnID: 9, SplitAt: 5, End: 9, NewShard: 1, PrevLSN: prev}, nil, prev, false},
+	} {
+		clr, next, structural, err := Undo(c.rec)
+		if err != nil || !reflect.DeepEqual(clr, c.want) || next != c.next || structural != c.structural {
+			t.Fatalf("Undo(%+v) = %+v, %v, %v, %v; want %+v, %v, %v", c.rec, clr, next, structural, err, c.want, c.next, c.structural)
+		}
+	}
+	if _, _, _, err := Undo(&CommitRec{TxnID: 9}); !errors.Is(err, ErrBadRecord) {
+		t.Fatalf("Undo of a commit record: %v, want ErrBadRecord", err)
+	}
+}
+
 // TestQuickUpdateRoundTrip fuzzes the patch encoding of update records
 // and of the CLRs that compensate them: whatever whole images a
 // producer hands over, the decoded record holds maximally trimmed
@@ -525,7 +569,7 @@ func TestQuickUpdateRoundTrip(t *testing.T) {
 		// Both forms — whole images and middles — rebuild both rows.
 		for _, r := range []*UpdateRec{in, &out} {
 			after, err1 := r.After(oldV)
-			before, err2 := r.Before(newV)
+			before, err2 := undoRow(r, newV)
 			if err1 != nil || err2 != nil || !bytes.Equal(after, newV) || !bytes.Equal(before, oldV) {
 				t.Logf("after %q %v, before %q %v", after, err1, before, err2)
 				return false
@@ -551,8 +595,13 @@ func TestQuickUpdateRoundTrip(t *testing.T) {
 			return false
 		}
 
-		// The compensation is the same patch turned round.
-		clr := out.Compensation()
+		// The compensation is the same patch turned round; undoing it
+		// can split a leaf exactly when it restores a longer middle.
+		clr, next, structural, err := Undo(&out)
+		if err != nil || next != in.PrevLSN || structural != (len(out.OldVal) > len(out.NewVal)) {
+			t.Logf("Undo: next %v structural %v, %v", next, structural, err)
+			return false
+		}
 		var back CLRRec
 		clrBody, err := clr.encodeBody(nil, at)
 		if err != nil {
@@ -654,12 +703,12 @@ func TestPatchShapesMatchRowModel(t *testing.T) {
 					t.Fatalf("%s: patch %+v does not span the row", name, u)
 				}
 				after, err1 := u.After(oldV)
-				before, err2 := u.Before(newV)
+				before, err2 := undoRow(&u, newV)
 				if err1 != nil || err2 != nil || !bytes.Equal(after, newV) || !bytes.Equal(before, oldV) {
 					t.Fatalf("%s: After %q (%v), Before %q (%v)", name, after, err1, before, err2)
 				}
 				again, err1 := u.After(before)
-				back, err2 := u.Before(after)
+				back, err2 := undoRow(&u, after)
 				if err1 != nil || err2 != nil || !bytes.Equal(again, newV) || !bytes.Equal(back, oldV) {
 					t.Fatalf("%s: After(Before) %q (%v), Before(After) %q (%v)", name, again, err1, back, err2)
 				}
@@ -673,7 +722,10 @@ func TestPatchShapesMatchRowModel(t *testing.T) {
 				// whole images: both restore the row, and the decoded
 				// one's bytes are its own.
 				for _, from := range []*UpdateRec{&u, in} {
-					clr := from.Compensation()
+					clr, _, _, err := Undo(from)
+					if err != nil {
+						t.Fatalf("%s: Undo: %v", name, err)
+					}
 					clr.TxnID, clr.PageID, clr.PrevLSN = TxnID(at), 3, at
 					if clr.InPlace != same {
 						t.Fatalf("%s: CLR in place %v, update in place %v", name, clr.InPlace, same)
