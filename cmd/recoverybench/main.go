@@ -98,7 +98,7 @@ type shardResult struct {
 	Applied     int64   `json:"applied"`
 	CLRsWritten int64   `json:"clrs_written"`
 	// DecodeUnits is how many log segments the two log passes' decode
-	// front-end read (multi-shard runs only).
+	// front-end read.
 	DecodeUnits int     `json:"decode_units"`
 	Speedup     float64 `json:"speedup_vs_1"`
 }

@@ -20,20 +20,21 @@
 // SMO recovery, and the same log — only redo differs, per §2.1.
 //
 // The engine may shard its data across N range-partitioned DCs behind
-// the one TC (engine.Config.Shards). Recovery then demultiplexes the
-// single log by each record's shard ID into per-shard pipelines that
-// run concurrently — each shard an independent instance of the same
+// the one TC (engine.Config.Shards). Recovery demultiplexes the single
+// log by each record's shard ID into per-shard pipelines that run
+// concurrently — each shard an independent instance of the same
 // prep/redo machinery over its own device, pool and B-tree, with SMO
 // barriers naturally shard-local — while undo stays a single merged
 // backward sweep whose compensations route to the owning shard. The
-// single-DC engine is the N=1 case of this code: one shard, fed
-// directly by the log scanner.
+// single-DC engine is the N=1 case of the same code: one pipeline, fed
+// by the same demultiplexer.
 package core
 
 import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 	"time"
 
 	"logrec/internal/dc"
@@ -96,8 +97,8 @@ type Options struct {
 	// RedoWorkers ≥ 1 routes each shard's redo pass to that many
 	// page-partitioned worker goroutines (the routed sink, parallel.go);
 	// 1 runs that machinery with one worker, the apples-to-apples
-	// baseline for worker sweeps. 0 applies inline on the scanning
-	// goroutine: the paper's deterministic serial pass.
+	// baseline for worker sweeps. 0 applies inline, in log order, on
+	// the shard's pass goroutine: the paper's deterministic serial pass.
 	//
 	// Recovered *state* is correct in any mode, but virtual-time
 	// durations are only meaningful serial: parallel workers interleave
@@ -129,11 +130,10 @@ func (opt Options) clamped() Options {
 // costs.
 const perRecordCPU = 2 * sim.Microsecond
 
-// scanAhead bounds, in decoded records, every queue between the log
-// scan and the page appliers: the routed redo ring and the
-// demultiplexer's per-shard queues (which also feed a standby). Deep
-// enough that the scan stage never starves dispatch, small enough that
-// decoded-record memory stays bounded.
+// scanAhead bounds, in decoded records, each of the demultiplexer's
+// per-shard queues (which also feed a standby). Deep enough that the
+// decode never starves a pass, small enough that decoded-record memory
+// stays bounded.
 const scanAhead = 512
 
 // maxOutstanding bounds pages with issued-but-unclaimed prefetch IOs,
@@ -166,10 +166,11 @@ func AutoSizeWorkers(windowBytes int64, bytesPerSec float64, budget time.Duratio
 	return n
 }
 
-// maxAutoWorkers bounds auto-sized redo parallelism and is the
-// multi-shard decode width: one per core, capped — past 8 the stitcher,
-// not decode, is the limit. The stitched stream, and so the recovered
-// state, the CLR sequence and the log end, is the same at every width.
+// maxAutoWorkers bounds auto-sized redo parallelism and is the decode
+// width at every shard count: one per core, capped — past 8 the
+// stitcher, not decode, is the limit. The stitched stream, and so the
+// recovered state, the CLR sequence and the log end, is the same at
+// every width.
 func maxAutoWorkers() int {
 	if n := runtime.GOMAXPROCS(0); n < 8 {
 		return n
@@ -226,12 +227,12 @@ type Metrics struct {
 	// checkpointing (engine.Checkpointer).
 	RedoWindowBytes int64
 
-	// Decode-stage telemetry for the multi-shard demultiplexer's
-	// front-end (zero on single-shard runs). DecodeSegments and
-	// DecodeRecords accumulate across the prep and redo phases;
-	// DecodeWorkers is the last pass's width (0: it scanned inline).
-	// LogPagesRead stays attributed exactly once — the stitcher charges
-	// it; segment workers and per-shard sources never do.
+	// Decode-stage telemetry for the demultiplexer's front-end.
+	// DecodeSegments and DecodeRecords accumulate across the prep and
+	// redo phases; DecodeWorkers is the last pass's width (0: its window
+	// lay inside one segment and was scanned inline). LogPagesRead stays
+	// attributed exactly once — the stitcher counts it and the passes
+	// charge its virtual time; segment workers never do.
 	DecodeWorkers  int
 	DecodeSegments int
 	DecodeRecords  int64
@@ -432,6 +433,9 @@ type run struct {
 
 // newRun wires a run over the reopened (or standby) data components.
 func newRun(clock *sim.Clock, log *wal.Log, cost wal.ScanCost, opt Options, dcs []*dc.DC) *run {
+	if cost.PageSize <= 0 {
+		cost = wal.DefaultScanCost() // the model the log scanner falls back to
+	}
 	r := &run{
 		opt:   opt,
 		cost:  cost,
@@ -449,8 +453,7 @@ func newRun(clock *sim.Clock, log *wal.Log, cost wal.ScanCost, opt Options, dcs 
 
 // shardRun is one shard's recovery state: its reopened DC plus the
 // per-shard DPT, prefetch list and metrics the prep and redo passes
-// build. Each shard's passes run on their own goroutine when the
-// engine has more than one shard.
+// build. Each of the shard's passes runs on its own goroutine.
 type shardRun struct {
 	r  *run
 	id wal.ShardID
@@ -474,10 +477,12 @@ type shardRun struct {
 // nextFunc yields one pass's records in log order; ok=false ends it.
 type nextFunc func() (wal.Record, wal.LSN, bool, error)
 
-// demuxItem is one routed record.
+// demuxItem is one routed record and the log pages the scan first
+// touched to reach it, which the pass that takes the item pays for.
 type demuxItem struct {
-	rec wal.Record
-	lsn wal.LSN
+	rec   wal.Record
+	lsn   wal.LSN
+	pages int64
 }
 
 // demuxBatch is the fan-out granularity: routed records travel to the
@@ -486,8 +491,11 @@ type demuxItem struct {
 const demuxBatch = 64
 
 // queueNext adapts one shard's demultiplexer queue to a nextFunc; the
-// pass ends when the demultiplexer closes the queue.
-func queueNext(ch <-chan []demuxItem) nextFunc {
+// pass ends when the demultiplexer closes the queue. Each record's log
+// pages are charged as the pass takes it — where an inline scan would
+// have read them — so a pass's virtual time does not depend on how far
+// ahead the demultiplexer runs.
+func (r *run) queueNext(ch <-chan []demuxItem) nextFunc {
 	var batch []demuxItem
 	return func() (wal.Record, wal.LSN, bool, error) {
 		for len(batch) == 0 {
@@ -498,6 +506,7 @@ func queueNext(ch <-chan []demuxItem) nextFunc {
 		}
 		it := batch[0]
 		batch = batch[1:]
+		r.clock.Advance(sim.Duration(it.pages) * r.cost.PerPage)
 		return it.rec, it.lsn, true, nil
 	}
 }
@@ -513,125 +522,99 @@ func (r *run) newQueues() []chan []demuxItem {
 }
 
 // fanOut is the one log demultiplexer, shared by both of Recover's
-// phases and by a standby's Replayer.CatchUp. It scans the stable log
-// from `from`, shows every record to note, if not nil (stream-order
-// bookkeeping — transaction table, route changes — always on the
-// calling goroutine, before any shard's pass sees the record), and
-// feeds each shard's pass the records route assigns it.
-//
-// One shard runs the pass over the inline log scan, on the
-// caller's goroutine and with every record delivered, so virtual time
-// is deterministic to the nanosecond. With N shards the log's segments
-// are decoded by maxAutoWorkers() parallel workers
-// (wal.NewParallelScanner) and routed records travel in batches down
-// bounded per-shard queues to N concurrently running passes; log pages
-// are charged once, here, never per shard.
-func (r *run) fanOut(from wal.LSN, note func(wal.Record, wal.LSN), route func(wal.Record) (wal.ShardID, bool), pass func(*shardRun, nextFunc) error) error {
-	// owner is the shard index route names, bounds-checked.
-	owner := func(rec wal.Record, lsn wal.LSN) (int, bool, error) {
-		sh, ok := route(rec)
-		if ok && int(sh) >= len(r.shards) {
-			return 0, false, fmt.Errorf("core: record at %v names shard %d, engine has %d", lsn, sh, len(r.shards))
-		}
-		return int(sh), ok, nil
-	}
-
-	if len(r.shards) == 1 {
-		sc := r.log.NewScanner(from, r.clock, r.cost)
-		err := pass(r.shards[0], func() (wal.Record, wal.LSN, bool, error) {
-			rec, lsn, ok, err := sc.Next()
-			if ok {
-				if note != nil {
-					note(rec, lsn)
-				}
-				_, _, err = owner(rec, lsn)
-			}
-			return rec, lsn, ok && err == nil, err
-		})
-		r.met.LogPagesRead += sc.PagesRead()
-		return err
-	}
-
+// phases and by a standby's Replayer.CatchUp, at every shard count. It
+// scans the stable log from `from`, its segments decoded by
+// maxAutoWorkers() workers (wal.NewParallelScanner); shows every record
+// to note, if not nil (stream-order bookkeeping — transaction table,
+// route changes — on the calling goroutine, before any pass sees the
+// record); and sends it, batched, down a bounded queue to the pass of
+// the shard route names, each pass on its own goroutine. Route names
+// shard 0 for a record no shard owns — on one shard, every record goes
+// there — and every pass ignores such records. The scan charges no
+// clock: each pass pays for its records' log pages as it takes them
+// (queueNext). The first pass to fail stops the scan; its error is
+// returned.
+func (r *run) fanOut(from wal.LSN, note func(wal.Record, wal.LSN), route func(wal.Record) wal.ShardID, pass func(*shardRun, nextFunc) error) error {
 	queues := r.newQueues()
-	results := make(chan error, len(r.shards))
+	stop := make(chan struct{})
+	var stopOnce sync.Once
+	var passErr error
+	var wg sync.WaitGroup
 	for i, sr := range r.shards {
-		go func(sr *shardRun, ch <-chan []demuxItem) {
-			err := pass(sr, queueNext(ch))
-			// A pass that stops early (error) must keep draining so the
-			// demultiplexer never blocks on its queue.
-			for range ch {
+		wg.Add(1)
+		go func(sr *shardRun, next nextFunc) {
+			defer wg.Done()
+			if err := pass(sr, next); err != nil {
+				stopOnce.Do(func() { passErr = err; close(stop) })
 			}
-			results <- err
-		}(sr, queues[i])
+		}(sr, r.queueNext(queues[i]))
 	}
 
-	sc := r.log.NewParallelScanner(from, r.clock, r.cost, maxAutoWorkers())
-	defer sc.Close()
+	// send hands shard i its pending batch; false means a pass failed.
 	pending := make([][]demuxItem, len(r.shards))
-	var scanErr error
-	for {
-		rec, lsn, ok, err := sc.Next()
-		if err != nil || !ok {
-			scanErr = err
-			break
-		}
-		if note != nil {
-			note(rec, lsn)
-		}
-		sh, sharded, err := owner(rec, lsn)
-		if err != nil {
-			scanErr = err
-			break
-		}
-		if !sharded {
-			continue
-		}
-		if pending[sh] == nil {
-			pending[sh] = make([]demuxItem, 0, demuxBatch)
-		}
-		pending[sh] = append(pending[sh], demuxItem{rec: rec, lsn: lsn})
-		if len(pending[sh]) == demuxBatch {
-			queues[sh] <- pending[sh]
-			pending[sh] = nil
+	send := func(i int) bool {
+		select {
+		case queues[i] <- pending[i]:
+			pending[i] = make([]demuxItem, 0, demuxBatch)
+			return true
+		case <-stop:
+			return false
 		}
 	}
+	sc := r.log.NewParallelScanner(from, nil, r.cost, maxAutoWorkers())
+	scanErr := func() error {
+		defer sc.Close()
+		for {
+			pages := sc.PagesRead()
+			rec, lsn, ok, err := sc.Next()
+			if err != nil || !ok {
+				return err
+			}
+			if note != nil {
+				note(rec, lsn)
+			}
+			sh := route(rec)
+			if int(sh) >= len(r.shards) {
+				return fmt.Errorf("core: record at %v names shard %d, engine has %d", lsn, sh, len(r.shards))
+			}
+			pending[sh] = append(pending[sh], demuxItem{rec, lsn, sc.PagesRead() - pages})
+			if len(pending[sh]) == demuxBatch && !send(int(sh)) {
+				return nil
+			}
+		}
+	}()
+	// Records routed before a scan error still reach their passes: an
+	// inline scan would have delivered them before surfacing it.
 	for i, q := range queues {
-		// Partial batches routed before a scan error still flush: the
-		// inline path would have delivered them before surfacing it.
 		if len(pending[i]) > 0 {
-			q <- pending[i]
+			send(i)
 		}
 		close(q)
 	}
+	wg.Wait()
 	st := sc.Stats()
 	r.met.LogPagesRead += sc.PagesRead()
 	r.met.DecodeWorkers = st.Workers
 	r.met.DecodeSegments += st.Segments
 	r.met.DecodeRecords += st.Records
-	var first error
-	for range r.shards {
-		if err := <-results; err != nil && first == nil {
-			first = err
-		}
+	if passErr != nil {
+		return passErr
 	}
-	if first == nil {
-		first = scanErr
-	}
-	return first
+	return scanErr
 }
 
-// shardOf extracts a record's owning shard, if it has one.
-func shardOf(rec wal.Record) (wal.ShardID, bool) {
+// shardOf is a record's owning shard, or 0 if no shard owns it.
+func shardOf(rec wal.Record) wal.ShardID {
 	if s, ok := rec.(wal.Sharded); ok {
-		return s.Shard(), true
+		return s.Shard()
 	}
-	return 0, false
+	return 0
 }
 
 // noteGlobal performs the per-record bookkeeping that belongs to the
 // whole recovery, not one shard: transaction-table maintenance and
 // route-change collection. Only pass 1 calls it, from exactly one
-// goroutine (the single-shard consumer, or the demultiplexer).
+// goroutine: the demultiplexer's.
 func (r *run) noteGlobal(rec wal.Record, lsn wal.LSN) {
 	r.txns.note(rec, lsn)
 	if sm, ok := rec.(*wal.ShardMapRec); ok {

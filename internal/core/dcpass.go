@@ -11,9 +11,9 @@ import (
 // re-traverses it (§1.2), and — for the DPT-optimised methods —
 // constructs the logical DPT from ∆-log records per Algorithm 4, plus
 // the PF-list for Log2's prefetch (Appendix A.2). It takes the place
-// of the SQL analysis pass (§5.1). The source delivers exactly this
-// shard's SMO/∆/BW records (plus shard-blind traffic on the
-// single-shard path, which the type switch ignores).
+// of the SQL analysis pass (§5.1). The demultiplexer delivers exactly
+// this shard's SMO/∆/BW records, plus — on shard 0 — the records no
+// shard owns, which the type switch ignores.
 func (sr *shardRun) dcPass(next nextFunc) error {
 	if sr.r.m.UsesDPT() {
 		sr.table = dpt.New()

@@ -20,17 +20,17 @@ import (
 //     requires — pages are independent between structure modifications);
 //   - different pages replay concurrently, overlapping their IO.
 //
-// The scan loop (redo.go) runs on its own goroutine, feeding survivors
-// into a bounded ring (scanAhead), so at high worker counts dispatch is
-// a channel send, not a decode loop:
+// The log is decoded upstream, by the demultiplexer's workers (fanOut),
+// so the scan loop (redo.go) is the dispatcher: it routes as it
+// screens, on the shard's pass goroutine:
 //
-//	scan ──► bounded ring ──► dispatcher ──► shard workers
-//	(classify, screen)        (route, SMO     (redoOp: fetch, pLSN
-//	                           barriers)       test, apply)
+//	demux ──► scan ──────────────► sink ───────────► shard workers
+//	          (classify, screen)   (route, SMO       (redoOp: fetch, pLSN
+//	                                barriers)         test, apply)
 //
-// On a multi-shard engine each data shard runs its own instance of this
-// pipeline concurrently, fed by the log demultiplexer; SMO barriers are
-// then naturally local to the one shard whose tree the SMO changed.
+// Each data shard runs its own instance of this pipeline concurrently,
+// fed by the demultiplexer; SMO barriers are then naturally local to
+// the one shard whose tree the SMO changed.
 //
 // Structure modifications are the one cross-page dependency: an SMO
 // moves keys between pages, so records before and after it may name the
@@ -214,11 +214,10 @@ func shardPIDs(id wal.ShardID, src []storage.PageID, n int) [][]storage.PageID {
 	return out
 }
 
-// routedRedo is one shard's pipelined page-partitioned redo pass, for
-// both families: the scan loop classifies and screens on its own
-// goroutine, the dispatcher routes survivors and raises SMO barriers,
-// the workers fetch, test and apply. Each worker paces its own slice of
-// the prefetch list.
+// routedRedo is one shard's page-partitioned redo pass, for both
+// families: the scan loop classifies and screens, its sink routes
+// survivors and raises SMO barriers, the workers fetch, test and apply.
+// Each worker paces its own slice of the prefetch list.
 func (sr *shardRun) routedRedo(next nextFunc) error {
 	r := sr.r
 	pool := newShardedPool(r.opt.RedoWorkers)
@@ -230,49 +229,24 @@ func (sr *shardRun) routedRedo(next nextFunc) error {
 		}
 	}
 
-	// scanMet and scanErr are published by the ring close
-	// (happens-before the dispatcher's range loop ending).
-	ring := make(chan redoItem, scanAhead)
-	var scanMet Metrics
-	var scanErr error
-	go func() {
-		defer close(ring)
-		scanErr = sr.scan(next, nil, false, &scanMet, func(it redoItem) error {
-			ring <- it
-			return nil
-		})
-	}()
-
 	// Route survivors to their partition workers; barrier only the
 	// workers an SMO touches.
-	var dispatchErr error
-	for it := range ring {
+	err := sr.scan(next, nil, false, func(it redoItem) error {
 		if it.smo == nil {
 			pool.route(sr, it.op, it.lsn)
-			continue
+			return nil
 		}
 		release, paused := pool.pause(sr, it.smo.AffectedPIDs())
-		dispatchErr = sr.installSMO(it.smo, it.lsn, sr.table)
+		err := sr.installSMO(it.smo, it.lsn, sr.table)
 		release()
 		sr.met.SMOBarriers++
 		sr.met.BarrierWorkersPaused += int64(paused)
-		if dispatchErr != nil {
-			// Unblock the scan stage (it may be parked on a full ring)
-			// and drain so the workers can be joined.
-			for range ring {
-			}
-		}
-	}
+		return err
+	})
 	wmet, werr := pool.finish()
-	sr.met.add(&scanMet)
 	sr.met.add(&wmet)
-
-	switch {
-	case dispatchErr != nil:
-		return dispatchErr
-	case scanErr != nil:
-		return scanErr
-	default:
-		return werr
+	if err != nil {
+		return err
 	}
+	return werr
 }

@@ -18,7 +18,7 @@ import (
 //	log ─► note ─► demux ─► classify ─► resolve ─► screen ─► sink
 //	(fanOut, core.go)       (scan, below)                    │
 //	                                      inline: redoOp / installSMO here
-//	                                      routed: ring ─► dispatcher ─► pool
+//	                                      routed: route / SMO barrier ─► pool
 //
 // The methods differ only in how a data operation's page is resolved
 // (an index traversal for the logical family, the record's PID for the
@@ -80,7 +80,7 @@ type redoItem struct {
 
 // redo is one shard's redo pass. With RedoWorkers ≥ 1 it routes to the
 // page-partitioned pool (routedRedo); otherwise it applies inline, on
-// the goroutine that scans, wrapped in the method's prefetcher: index
+// the pass's goroutine, wrapped in the method's prefetcher: index
 // preload plus the paced PF-list for Log2 (§4.4, Appendix A), log-driven
 // read-ahead for SQL2 (Appendix A.2).
 func (sr *shardRun) redo(next nextFunc) error {
@@ -99,7 +99,7 @@ func (sr *shardRun) redo(next nextFunc) error {
 	} else if r.m.UsesPrefetch() {
 		next = (&lookahead{src: next, pool: pool, table: sr.table}).next
 	}
-	return sr.scan(next, pf, true, &sr.met, func(it redoItem) error {
+	return sr.scan(next, pf, true, func(it redoItem) error {
 		if it.smo != nil {
 			return sr.installSMO(it.smo, it.lsn, sr.table)
 		}
@@ -114,7 +114,7 @@ func (sr *shardRun) redo(next nextFunc) error {
 // 4: no PIDs are consulted), by the record's PID otherwise — and
 // screened; survivors go to sink in log order. pf, when set, is topped
 // up once per data operation.
-func (sr *shardRun) scan(next nextFunc, pf *pacer, inline bool, met *Metrics, sink func(redoItem) error) error {
+func (sr *shardRun) scan(next nextFunc, pf *pacer, inline bool, sink func(redoItem) error) error {
 	r := sr.r
 	pool := sr.d.Pool()
 	traverse := inline && r.m.IsLogical()
@@ -131,7 +131,7 @@ func (sr *shardRun) scan(next nextFunc, pf *pacer, inline bool, met *Metrics, si
 				err = sink(redoItem{smo: t, lsn: lsn})
 			}
 		case wal.DataOp:
-			met.RedoRecords++
+			sr.met.RedoRecords++
 			r.clock.Advance(perRecordCPU)
 			if pf != nil {
 				pf.topUp()
@@ -141,12 +141,12 @@ func (sr *shardRun) scan(next nextFunc, pf *pacer, inline bool, met *Metrics, si
 				// Index page misses are charged here.
 				missBefore := pool.Stats().Misses
 				pid, err = sr.d.Tree().FindLeaf(t.Key())
-				met.IndexPageFetches += pool.Stats().Misses - missBefore
+				sr.met.IndexPageFetches += pool.Stats().Misses - missBefore
 				if err != nil {
 					return fmt.Errorf("index search for key %d: %w", t.Key(), err)
 				}
 			}
-			if sr.screen(pid, lsn, met) {
+			if sr.screen(pid, lsn) {
 				err = sink(redoItem{op: t, pid: pid, lsn: lsn})
 			} else if auditSkip != nil && inline {
 				err = auditSkip(sr, pid, lsn)
@@ -172,21 +172,21 @@ var auditSkip func(sr *shardRun, pid storage.PageID, lsn wal.LSN) error
 // a DPT (Log0) everything passes. For the logical family,
 // pages dirtied after the last ∆ record are unknown to the DPT, so the
 // tail of the log falls back to basic logical redo (§4.3).
-func (sr *shardRun) screen(pid storage.PageID, lsn wal.LSN, met *Metrics) bool {
+func (sr *shardRun) screen(pid storage.PageID, lsn wal.LSN) bool {
 	if sr.table == nil {
 		return true
 	}
 	if sr.r.m.IsLogical() && lsn >= sr.lastDeltaTCLSN {
-		met.TailRecords++
+		sr.met.TailRecords++
 		return true
 	}
 	e := sr.table.Find(pid)
 	if e == nil {
-		met.SkippedDPT++
+		sr.met.SkippedDPT++
 		return false
 	}
 	if lsn < e.RLSN {
-		met.SkippedRLSN++
+		sr.met.SkippedRLSN++
 		return false
 	}
 	return true

@@ -95,13 +95,13 @@ func NewReplayer(eng *engine.Engine) *Replayer {
 }
 
 // route is the demultiplexer's routing function: a data operation goes
-// by key through the standby's own routing table; every other record is
-// only noted.
-func (rp *Replayer) route(rec wal.Record) (wal.ShardID, bool) {
+// by key through the standby's own routing table; every other record
+// goes to shard 0, whose pass skips it.
+func (rp *Replayer) route(rec wal.Record) wal.ShardID {
 	if op, ok := rec.(wal.DataOp); ok {
-		return rp.eng.Set.Locate(op.Key()), true
+		return rp.eng.Set.Locate(op.Key())
 	}
-	return 0, false
+	return 0
 }
 
 // pass is one shard's apply pass over a CatchUp's data operations, less

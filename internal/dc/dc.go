@@ -171,7 +171,7 @@ func (d *DC) RsspLSN() wal.LSN { return d.rsspLSN }
 
 // Read returns a copy of the value under key. A DC holds one table,
 // which the session checks; the table argument is ignored and goes
-// once benchmark/ stops passing it (ROADMAP 9(c)).
+// once benchmark/ stops passing it (ROADMAP's knob audit).
 func (d *DC) Read(_ wal.TableID, key uint64) ([]byte, bool, error) {
 	return d.tree.Search(key)
 }

@@ -471,7 +471,7 @@ func (cs *CrashState) TearTail(nBytes int) error {
 // (forkLogDir), seeds the fork's master record with the crash's and
 // reopens them (trimming any torn WAL tail). cachePages is ignored —
 // recovery takes the pool size from the crash's Config — and stays
-// only because benchmark/ passes it (ROADMAP 9(c)).
+// only because benchmark/ passes it (ROADMAP's knob audit).
 func (cs *CrashState) Fork(cachePages int) (*sim.Clock, []storage.Device, *wal.Log, error) {
 	clock := &sim.Clock{}
 	n := cs.Cfg.NumShards()

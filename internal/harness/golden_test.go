@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"logrec/internal/core"
@@ -148,6 +149,49 @@ func TestInlineWidthGolden(t *testing.T) {
 			key := fmt.Sprintf("%.2f/%v", frac, m)
 			if want := goldenInline[key]; got != want {
 				t.Errorf("%s:\n got  %+v\n want %+v", key, got, want)
+			}
+		}
+	}
+}
+
+// TestDecodeWidthSameVirtualTime: the decode workers run beside the
+// passes, so only where a pass pays for its log pages keeps virtual
+// time exact. A one-shard crash whose redo window spans several log
+// segments, recovered inline by every method at decode widths 1, 2 and
+// 8 (GOMAXPROCS), must give the same metrics to the nanosecond — prep
+// and redo time, log pages, every screening, fetch and prefetch count —
+// wall-clock times and the decode width aside.
+func TestDecodeWidthSameVirtualTime(t *testing.T) {
+	cfg := shardedConfig(1)
+	cfg.OpenTxns, cfg.OpenTxnUpdates = 3, 5
+	// A 2.75 MB window over three 1 MiB segments.
+	cfg.CrashAfterCheckpoints = 1
+	cfg.UpdatesAfterLastCkpt = 120_000
+	res, err := BuildCrash(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	virtual := func(width int, m core.Method) core.Metrics {
+		t.Helper()
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(width))
+		_, met, err := core.Recover(res.Crash, m, core.Options{})
+		if err != nil {
+			t.Fatalf("%v at decode width %d: %v", m, width, err)
+		}
+		if met.DecodeSegments < 2*3 || met.DecodeWorkers != width {
+			t.Fatalf("%v: two passes read %d segments on %d workers; want at least 3 a pass on %d",
+				m, met.DecodeSegments, met.DecodeWorkers, width)
+		}
+		v := *met
+		v.WallRedoTime, v.WallUndoTime, v.WallTotalTime = 0, 0, 0
+		v.DecodeWorkers = 0
+		return v
+	}
+	for _, m := range core.Methods() {
+		want := virtual(1, m)
+		for _, w := range []int{2, 8} {
+			if got := virtual(w, m); got != want {
+				t.Errorf("%v: decode width %d:\n got  %+v\n want %+v (width 1)", m, w, got, want)
 			}
 		}
 	}

@@ -236,83 +236,86 @@ func TestShardedFileCrashRecover(t *testing.T) {
 }
 
 // TestShardedDecodeWidthOracle pins the parallel decode front-end to
-// the inline contract: the same 4-shard crash, its redo window spanning
-// several log segments, recovered at every decode width must yield
-// byte-identical recovered rows, the same CLR count and the same log
-// end as one worker decoding the segments in log order — and the decode
-// telemetry must say that is what ran.
+// the inline contract: the same crash, on one shard and on four, its
+// redo window spanning several log segments, recovered at every decode
+// width must yield byte-identical recovered rows, the same CLR count
+// and the same log end as one worker decoding the segments in log
+// order — and the decode telemetry must say that is what ran.
 func TestShardedDecodeWidthOracle(t *testing.T) {
-	cfg := shardedConfig(4)
-	cfg.OpenTxns = 3
-	cfg.OpenTxnUpdates = 5
-	// Some 23 log bytes an update, the trackers' records included: a
-	// 2.75 MB window over three 1 MiB segments.
-	cfg.CrashAfterCheckpoints = 1
-	cfg.UpdatesAfterLastCkpt = 120_000
-	res, err := BuildCrash(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	type recovered struct {
-		rows    map[uint64]string
-		clrs    int64
-		logEnd  int64
-		decoded int64
-	}
-	recoverAt := func(width int) recovered {
-		t.Helper()
-		opt := core.DefaultOptions(cfg.Engine)
-		opt.RedoWorkers = 2
-		opt.UndoWorkers = 2
-		// Multi-shard decode runs one worker a core: GOMAXPROCS is the
-		// width.
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(width))
-		eng, met, err := core.Recover(res.Crash, core.Log1, opt)
-		if err != nil {
-			t.Fatalf("decode=%d: %v", width, err)
-		}
-		if err := Verify(eng, res.Oracle); err != nil {
-			t.Fatalf("decode=%d: wrong state: %v", width, err)
-		}
-		// Prep and redo each read the window once.
-		if met.DecodeSegments < 2*3 || met.DecodeWorkers != width {
-			t.Fatalf("decode=%d: two passes read %d segments on %d workers; want at least 3 a pass on %d",
-				width, met.DecodeSegments, met.DecodeWorkers, width)
-		}
-		rows := make(map[uint64]string)
-		if err := eng.Set.ScanAll(func(k uint64, v []byte) error {
-			rows[k] = string(v)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return recovered{rows: rows, clrs: met.CLRsWritten, logEnd: int64(eng.Log.EndLSN()), decoded: met.DecodeRecords}
-	}
-
-	base := recoverAt(1)
-	if base.clrs == 0 {
-		t.Fatal("baseline wrote no CLRs; the crash needs losers to make the oracle meaningful")
-	}
-	for _, w := range []int{1, 2, 8} {
-		got := recoverAt(w)
-		if got.clrs != base.clrs {
-			t.Fatalf("decode=%d: CLRs %d, width 1 %d", w, got.clrs, base.clrs)
-		}
-		if got.logEnd != base.logEnd {
-			t.Fatalf("decode=%d: log end %d, width 1 %d", w, got.logEnd, base.logEnd)
-		}
-		if got.decoded != base.decoded {
-			t.Fatalf("decode=%d: %d records decoded, width 1 %d", w, got.decoded, base.decoded)
-		}
-		if len(got.rows) != len(base.rows) {
-			t.Fatalf("decode=%d: %d rows, width 1 %d", w, len(got.rows), len(base.rows))
-		}
-		for k, v := range base.rows {
-			if got.rows[k] != v {
-				t.Fatalf("decode=%d: key %d diverged", w, k)
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cfg := shardedConfig(shards)
+			cfg.OpenTxns = 3
+			cfg.OpenTxnUpdates = 5
+			// Some 23 log bytes an update, the trackers' records
+			// included: a 2.75 MB window over three 1 MiB segments.
+			cfg.CrashAfterCheckpoints = 1
+			cfg.UpdatesAfterLastCkpt = 120_000
+			res, err := BuildCrash(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+
+			type recovered struct {
+				rows    map[uint64]string
+				clrs    int64
+				logEnd  int64
+				decoded int64
+			}
+			recoverAt := func(width int) recovered {
+				t.Helper()
+				opt := core.DefaultOptions(cfg.Engine)
+				opt.RedoWorkers = 2
+				opt.UndoWorkers = 2
+				// Decode runs one worker a core: GOMAXPROCS is the width.
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(width))
+				eng, met, err := core.Recover(res.Crash, core.Log1, opt)
+				if err != nil {
+					t.Fatalf("decode=%d: %v", width, err)
+				}
+				if err := Verify(eng, res.Oracle); err != nil {
+					t.Fatalf("decode=%d: wrong state: %v", width, err)
+				}
+				// Prep and redo each read the window once.
+				if met.DecodeSegments < 2*3 || met.DecodeWorkers != width {
+					t.Fatalf("decode=%d: two passes read %d segments on %d workers; want at least 3 a pass on %d",
+						width, met.DecodeSegments, met.DecodeWorkers, width)
+				}
+				rows := make(map[uint64]string)
+				if err := eng.Set.ScanAll(func(k uint64, v []byte) error {
+					rows[k] = string(v)
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				return recovered{rows: rows, clrs: met.CLRsWritten, logEnd: int64(eng.Log.EndLSN()), decoded: met.DecodeRecords}
+			}
+
+			base := recoverAt(1)
+			if base.clrs == 0 {
+				t.Fatal("baseline wrote no CLRs; the crash needs losers to make the oracle meaningful")
+			}
+			for _, w := range []int{1, 2, 8} {
+				got := recoverAt(w)
+				if got.clrs != base.clrs {
+					t.Fatalf("decode=%d: CLRs %d, width 1 %d", w, got.clrs, base.clrs)
+				}
+				if got.logEnd != base.logEnd {
+					t.Fatalf("decode=%d: log end %d, width 1 %d", w, got.logEnd, base.logEnd)
+				}
+				if got.decoded != base.decoded {
+					t.Fatalf("decode=%d: %d records decoded, width 1 %d", w, got.decoded, base.decoded)
+				}
+				if len(got.rows) != len(base.rows) {
+					t.Fatalf("decode=%d: %d rows, width 1 %d", w, len(got.rows), len(base.rows))
+				}
+				for k, v := range base.rows {
+					if got.rows[k] != v {
+						t.Fatalf("decode=%d: key %d diverged", w, k)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -73,7 +73,7 @@ func (lt *LockTable) shardOf(key uint64) *lockShard {
 
 // Acquire is lock for callers that still name the table; the table is
 // not part of the lock key. It goes once benchmark/ stops calling it
-// (ROADMAP 9(c)).
+// (ROADMAP's knob audit).
 func (lt *LockTable) Acquire(txn wal.TxnID, _ wal.TableID, key uint64, mode LockMode) error {
 	return lt.lock(txn, key, mode)
 }

@@ -39,7 +39,7 @@ type UpdateRec struct {
 	ShardID ShardID
 	PrevLSN LSN
 	// TableID is not logged, and a decoded record holds 0. It stays
-	// only while benchmark/ still sets it (ROADMAP 9(c)).
+	// only while benchmark/ still sets it (ROADMAP's knob audit).
 	TableID TableID
 }
 
