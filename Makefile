@@ -7,17 +7,10 @@
 
 GO ?= go
 
-# The diagnostic sweeps' JSON stays out of the checkout; CI uploads
-# this directory as an artifact. Nothing reads it back: numbers are
-# gated by `make benchmark` (-compare), invariants by `go test`.
+# Scratch output of `make figures`, outside the checkout.
 BENCH_DIR ?= $(if $(RUNNER_TEMP),$(RUNNER_TEMP),/tmp)/logrec-bench
 
-# The file-device benchmark needs a real directory to put its page file
-# and WAL in; tmpfs when the host has one (CI smoke: small log, no disk
-# wear, no noisy-neighbour IO), /tmp otherwise.
-FILEDEV_DIR ?= $(shell test -d /dev/shm && echo /dev/shm/logrec-filedev || echo /tmp/logrec-filedev)
-
-.PHONY: build test race fuzz-smoke soak examples doclint figures figures-update benchmark benchmark-test bench bench-check bench-smoke staticcheck fmt fmt-check vet ci
+.PHONY: build test race fuzz-smoke soak examples doclint figures figures-update benchmark benchmark-test bench bench-check staticcheck fmt fmt-check vet ci
 
 build:
 	$(GO) build ./...
@@ -97,49 +90,26 @@ benchmark:
 $(BENCH_DIR):
 	mkdir -p $(BENCH_DIR)
 
-# The two diagnostic sweep drivers over the dimensions benchmark/ has no
-# workload for yet: client count and the file device on the write path
-# (walbench); redo/undo width, shard count, the file device and the
-# recovery budget on the recovery path (recoverybench). Ungated — they
-# print tables and leave JSON in BENCH_DIR. Then the Go bench cases
-# once each.
-bench: | $(BENCH_DIR)
-	$(GO) run ./cmd/walbench -out $(BENCH_DIR)/BENCH_wal.json
-	$(GO) run ./cmd/walbench -device=file -dir $(FILEDEV_DIR)-wal -flushdelay 0 \
-		-out $(BENCH_DIR)/BENCH_wal_file.json
-	$(GO) run ./cmd/recoverybench -out $(BENCH_DIR)/BENCH_recovery.json
-	$(GO) run ./cmd/recoverybench -device=file -dir $(FILEDEV_DIR) \
-		-out $(BENCH_DIR)/BENCH_recovery_file.json
-	$(GO) run ./cmd/recoverybench -shards 1,2,4,8 \
-		-out $(BENCH_DIR)/BENCH_recovery_shards.json
-	$(GO) run ./cmd/recoverybench -budget 75ms,250ms \
-		-dir $(FILEDEV_DIR)-slo -out $(BENCH_DIR)/BENCH_recovery_slo.json
+# The diagnostic sweeps, ungated: each prints its table through
+# `go test -bench`. Client count × device on the write path
+# (WALGroupCommit; file/ runs on real files under the test's temp
+# directory); redo width, undo width, shard count, device and the
+# recovery budget on the recovery path (internal/core's Recover).
+# Numbers are gated by `make benchmark` (-compare), invariants by go test.
+bench:
 	$(GO) test -run '^$$' -bench WALGroupCommit -benchtime 300x .
 	$(GO) test -run '^$$' -bench SessionCommit -benchtime 20000x .
 	$(GO) test -run '^$$' -bench EngineLoad -benchtime 1x .
+	$(GO) test -run '^$$' -bench Recover -benchtime 20x ./internal/core
 	$(GO) test -run '^$$' -bench ScanLog ./internal/wal
 	$(GO) test -run '^$$' -bench Replay ./internal/replica
 
 # Every Go benchmark function once (≈15 s on two cores), timings
 # ignored: CI runs this so a benchmark whose fixture the code now
-# refuses fails here, not only in a manual `make bench`.
+# refuses, or whose recovery misses the oracle, fails here, not only in
+# a manual `make bench`.
 bench-check:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-
-# The same sweeps at -quick: CI runs this so the drivers cannot rot.
-# Passing means every command exited 0. The file-device legs run
-# against real files (tmpfs-backed in CI, see FILEDEV_DIR).
-bench-smoke: | $(BENCH_DIR)
-	$(GO) run ./cmd/walbench -quick -out $(BENCH_DIR)/BENCH_wal.json
-	$(GO) run ./cmd/walbench -quick -device=file -dir $(FILEDEV_DIR)-wal -flushdelay 0 \
-		-out $(BENCH_DIR)/BENCH_wal_file.json
-	$(GO) run ./cmd/recoverybench -quick -out $(BENCH_DIR)/BENCH_recovery.json
-	$(GO) run ./cmd/recoverybench -quick -device=file -dir $(FILEDEV_DIR) \
-		-out $(BENCH_DIR)/BENCH_recovery_file.json
-	$(GO) run ./cmd/recoverybench -quick -shards 1,2,4,8 \
-		-out $(BENCH_DIR)/BENCH_recovery_shards.json
-	$(GO) run ./cmd/recoverybench -quick -budget 75ms \
-		-dir $(FILEDEV_DIR)-slo -out $(BENCH_DIR)/BENCH_recovery_slo.json
 
 staticcheck:
 	@if command -v staticcheck >/dev/null 2>&1; then \
@@ -158,7 +128,5 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-# Everything CI gates, in one target. bench-smoke stays out: it is
-# ungated (it passes on exit 0 and nothing reads its JSON), and ROADMAP's
-# "One bench binary" item deletes it with the sweep drivers it runs.
+# Everything CI gates, in one target.
 ci: build vet fmt-check staticcheck doclint test bench-check figures benchmark-test race examples fuzz-smoke

@@ -282,7 +282,7 @@ func BenchmarkWorkloadLocality(b *testing.B) {
 	}
 }
 
-// loadBenchSchema is the walbench row (benchmark/'s too): the key
+// loadBenchSchema is the row benchmark/ loads: the key
 // mirrored into a column, a payload string, a version counter and a
 // flag. ≈68 B encoded.
 var loadBenchSchema = exec.MustSchema(

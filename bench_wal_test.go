@@ -1,9 +1,11 @@
 // Group-commit write-path benchmarks: commits/sec through concurrent
 // tc.Sessions at 1/4/16 clients, with records-per-flush reported as a
-// custom metric. Unlike the recovery benchmarks in bench_test.go these
-// measure *wall-clock* throughput — the multi-client write path is real
-// concurrency, not virtual time. cmd/walbench runs the same sweep as a
-// standalone diagnostic.
+// custom metric, on the simulated device and on real files. Unlike the
+// recovery benchmarks in bench_test.go these measure *wall-clock*
+// throughput — the multi-client write path is real concurrency, not
+// virtual time. Run the sweep with
+//
+//	go test -run '^$' -bench WALGroupCommit -benchtime 300x .
 package logrec_test
 
 import (
@@ -25,20 +27,38 @@ const (
 	walBenchJitter = 8 // keys touched per client partition
 )
 
+// BenchmarkWALGroupCommit sweeps the client count. On the simulated
+// device the group committer's linger emulates a fast log device's
+// write latency (walFlushDelay), so one client pays it on every commit
+// and more clients share it. The file/ cases run on real files at zero
+// linger: every flush is an fsync of the log, and commits/flush is how
+// many commits one fsync carries.
 func BenchmarkWALGroupCommit(b *testing.B) {
-	for _, clients := range []int{1, 4, 16} {
+	clientCounts := []int{1, 4, 16}
+	for _, clients := range clientCounts {
 		b.Run(fmt.Sprintf("clients-%d", clients), func(b *testing.B) {
-			benchGroupCommit(b, clients)
+			benchGroupCommit(b, clients, "", walFlushDelay)
 		})
 	}
+	b.Run("file", func(b *testing.B) {
+		for _, clients := range clientCounts {
+			b.Run(fmt.Sprintf("clients-%d", clients), func(b *testing.B) {
+				benchGroupCommit(b, clients, b.TempDir(), 0)
+			})
+		}
+	})
 }
 
-// newWALBenchEngine loads walBenchRows rows into a fresh engine and puts
-// it in multi-client mode with the given group-commit linger.
-func newWALBenchEngine(b *testing.B, flushDelay time.Duration) (*engine.Engine, *tc.SessionManager) {
+// newWALBenchEngine loads walBenchRows rows into a fresh engine — on
+// real files in dir, or simulated if dir is empty — and puts it in
+// multi-client mode with the given group-commit linger.
+func newWALBenchEngine(b *testing.B, dir string, flushDelay time.Duration) (*engine.Engine, *tc.SessionManager) {
 	b.Helper()
 	cfg := engine.DefaultConfig()
 	cfg.CachePages = 512
+	if dir != "" {
+		cfg.Device, cfg.Dir = engine.DeviceFile, dir
+	}
 	eng, err := engine.New(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -51,8 +71,8 @@ func newWALBenchEngine(b *testing.B, flushDelay time.Duration) (*engine.Engine, 
 	return eng, eng.NewSessionManager(flushDelay)
 }
 
-func benchGroupCommit(b *testing.B, clients int) {
-	eng, mgr := newWALBenchEngine(b, walFlushDelay)
+func benchGroupCommit(b *testing.B, clients int, dir string, flushDelay time.Duration) {
+	eng, mgr := newWALBenchEngine(b, dir, flushDelay)
 	cfg := eng.Cfg
 
 	// b.N transactions total, drawn from a shared counter; each client
@@ -127,7 +147,7 @@ func BenchmarkSessionCommit(b *testing.B) {
 }
 
 func benchSessionCommit(b *testing.B, clients int, reads bool) {
-	eng, mgr := newWALBenchEngine(b, 0)
+	eng, mgr := newWALBenchEngine(b, "", 0)
 	cfg := eng.Cfg
 	val := []byte("updated-value-000000")
 

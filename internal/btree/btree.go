@@ -152,6 +152,17 @@ func childPID(val []byte) storage.PageID {
 	return storage.PageID(binary.BigEndian.Uint32(val))
 }
 
+// AppendChildren appends the children of internal page p to dst in key
+// order — the leftmost child, kept in the page's Extra field, then the
+// child of each separator — and returns the extended slice.
+func AppendChildren(dst []storage.PageID, p *page.Page) []storage.PageID {
+	dst = append(dst, storage.PageID(p.Extra()))
+	for i := 0; i < p.NumSlots(); i++ {
+		dst = append(dst, childPID(p.ValueAt(i)))
+	}
+	return dst
+}
+
 func encodePID(pid storage.PageID) []byte {
 	var b [4]byte
 	binary.BigEndian.PutUint32(b[:], uint32(pid))

@@ -121,12 +121,8 @@ func (t *Tree) IndexPIDs() ([]storage.PageID, error) {
 			if err != nil {
 				return nil, err
 			}
-			p := &f.Page
 			if level > 2 {
-				next = append(next, storage.PageID(p.Extra()))
-				for i := 0; i < p.NumSlots(); i++ {
-					next = append(next, childPID(p.ValueAt(i)))
-				}
+				next = AppendChildren(next, &f.Page)
 			}
 			t.pool.Unpin(f)
 		}

@@ -490,19 +490,37 @@ type demuxItem struct {
 // are paid per batch, not per record.
 const demuxBatch = 64
 
+// demuxQueue is one shard's feed from the demultiplexer: batches travel
+// down full, and the pass hands each drained batch back on free for the
+// demultiplexer to refill. free holds every batch that can be in flight
+// at once — full's, the pass's and the one the demultiplexer fills — so
+// a hand-back never finds it full.
+type demuxQueue struct {
+	full chan []demuxItem
+	free chan []demuxItem
+}
+
 // queueNext adapts one shard's demultiplexer queue to a nextFunc; the
 // pass ends when the demultiplexer closes the queue. Each record's log
 // pages are charged as the pass takes it — where an inline scan would
 // have read them — so a pass's virtual time does not depend on how far
 // ahead the demultiplexer runs.
-func (r *run) queueNext(ch <-chan []demuxItem) nextFunc {
-	var batch []demuxItem
+func (r *run) queueNext(q demuxQueue) nextFunc {
+	var batch, drained []demuxItem
 	return func() (wal.Record, wal.LSN, bool, error) {
 		for len(batch) == 0 {
+			if drained != nil {
+				select {
+				case q.free <- drained[:0]:
+				default:
+				}
+				drained = nil
+			}
 			var ok bool
-			if batch, ok = <-ch; !ok {
+			if batch, ok = <-q.full; !ok {
 				return nil, wal.NilLSN, false, nil
 			}
+			drained = batch
 		}
 		it := batch[0]
 		batch = batch[1:]
@@ -513,10 +531,13 @@ func (r *run) queueNext(ch <-chan []demuxItem) nextFunc {
 
 // newQueues makes the demultiplexer's bounded per-shard feeds: scanAhead
 // records of run-ahead each, counted in batches.
-func (r *run) newQueues() []chan []demuxItem {
-	queues := make([]chan []demuxItem, len(r.shards))
+func (r *run) newQueues() []demuxQueue {
+	queues := make([]demuxQueue, len(r.shards))
 	for i := range queues {
-		queues[i] = make(chan []demuxItem, scanAhead/demuxBatch)
+		queues[i] = demuxQueue{
+			full: make(chan []demuxItem, scanAhead/demuxBatch),
+			free: make(chan []demuxItem, scanAhead/demuxBatch+2),
+		}
 	}
 	return queues
 }
@@ -550,16 +571,21 @@ func (r *run) fanOut(from wal.LSN, note func(wal.Record, wal.LSN), route func(wa
 		}(sr, r.queueNext(queues[i]))
 	}
 
-	// send hands shard i its pending batch; false means a pass failed.
+	// send hands shard i its pending batch and takes a drained one
+	// back, or a new one; false means a pass failed.
 	pending := make([][]demuxItem, len(r.shards))
 	send := func(i int) bool {
 		select {
-		case queues[i] <- pending[i]:
-			pending[i] = make([]demuxItem, 0, demuxBatch)
-			return true
+		case queues[i].full <- pending[i]:
 		case <-stop:
 			return false
 		}
+		select {
+		case pending[i] = <-queues[i].free:
+		default:
+			pending[i] = make([]demuxItem, 0, demuxBatch)
+		}
+		return true
 	}
 	sc := r.log.NewParallelScanner(from, nil, r.cost, maxAutoWorkers())
 	scanErr := func() error {
@@ -589,7 +615,7 @@ func (r *run) fanOut(from wal.LSN, note func(wal.Record, wal.LSN), route func(wa
 		if len(pending[i]) > 0 {
 			send(i)
 		}
-		close(q)
+		close(q.full)
 	}
 	wg.Wait()
 	st := sc.Stats()

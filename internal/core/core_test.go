@@ -101,16 +101,22 @@ func buildCrash(t testing.TB, cfg engine.Config, nRows, txns, updatesPerTxn, ckp
 	return eng.Crash(), om
 }
 
-// verifyRecovered checks the recovered engine's table equals the oracle.
-func verifyRecovered(t *testing.T, m Method, eng *engine.Engine, om oracle) {
+// verifyRecovered checks the recovered engine's table, over all of its
+// shards, equals the oracle.
+func verifyRecovered(t testing.TB, m Method, eng *engine.Engine, om oracle) {
 	t.Helper()
 	got := make(map[uint64][]byte)
-	err := eng.DC.Tree().Scan(func(k uint64, v []byte) error {
-		got[k] = append([]byte(nil), v...)
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("%v: scan: %v", m, err)
+	for i, d := range eng.DCs {
+		err := d.Tree().Scan(func(k uint64, v []byte) error {
+			got[k] = append([]byte(nil), v...)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%v: shard %d scan: %v", m, i, err)
+		}
+		if err := d.Tree().CheckInvariants(); err != nil {
+			t.Fatalf("%v: shard %d tree invariants after recovery: %v", m, i, err)
+		}
 	}
 	if len(got) != len(om) {
 		t.Fatalf("%v: recovered %d rows, oracle has %d", m, len(got), len(om))
@@ -119,9 +125,6 @@ func verifyRecovered(t *testing.T, m Method, eng *engine.Engine, om oracle) {
 		if !bytes.Equal(got[k], want) {
 			t.Fatalf("%v: key %d: got %q want %q", m, k, got[k], want)
 		}
-	}
-	if err := eng.DC.Tree().CheckInvariants(); err != nil {
-		t.Fatalf("%v: tree invariants after recovery: %v", m, err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"logrec/internal/btree"
 	"logrec/internal/buffer"
 	"logrec/internal/dpt"
 	"logrec/internal/storage"
@@ -177,10 +178,7 @@ func (sr *shardRun) preloadIndex() error {
 				return err
 			}
 			if level > 2 {
-				next = append(next, storage.PageID(f.Page.Extra()))
-				for i := 0; i < f.Page.NumSlots(); i++ {
-					next = append(next, pidFromCell(f.Page.ValueAt(i)))
-				}
+				next = btree.AppendChildren(next, &f.Page)
 			}
 			pool.Unpin(f)
 		}
@@ -188,8 +186,4 @@ func (sr *shardRun) preloadIndex() error {
 	}
 	sr.met.IndexPageFetches += pool.Stats().Misses - missBefore
 	return nil
-}
-
-func pidFromCell(val []byte) storage.PageID {
-	return storage.PageID(uint32(val[0])<<24 | uint32(val[1])<<16 | uint32(val[2])<<8 | uint32(val[3]))
 }

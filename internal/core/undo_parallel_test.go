@@ -62,7 +62,7 @@ type loserSpec struct {
 // (splits inside the undo window). Losers touch strided reserved keys
 // the committed traffic avoids, mirroring the key-disjointness 2PL
 // guarantees.
-func buildCrashWithLosers(t *testing.T, cfg engine.Config, nRows, txns, opsPerTxn, nLosers int, spec loserSpec, seed int64) (*engine.CrashState, oracle) {
+func buildCrashWithLosers(t testing.TB, cfg engine.Config, nRows, txns, opsPerTxn, nLosers int, spec loserSpec, seed int64) (*engine.CrashState, oracle) {
 	t.Helper()
 	eng, err := engine.New(cfg)
 	if err != nil {

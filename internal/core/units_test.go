@@ -235,7 +235,7 @@ func TestRecoverOptionsDefaulting(t *testing.T) {
 		t.Fatalf("standby has %d feeds, want one per shard", len(queues))
 	}
 	for i, q := range queues {
-		if got := cap(q) * demuxBatch; got != scanAhead {
+		if got := cap(q.full) * demuxBatch; got != scanAhead {
 			t.Errorf("standby feed %d holds %d records, want scanAhead = %d", i, got, scanAhead)
 		}
 	}

@@ -25,10 +25,11 @@ type Config struct {
 	// CleanerTarget is the lazywriter's dirty-fraction ceiling for the
 	// buffer pool (0 disables background cleaning).
 	CleanerTarget float64
-	// CleanerEvery is the lazywriter's rate term: one background flush
-	// per this many page dirtyings (0 disables the rate term).
-	CleanerEvery int
 }
+
+// cleanerEvery is the lazywriter's rate term: one background flush per
+// this many page dirtyings.
+const cleanerEvery = 3
 
 // DefaultConfig matches the experiment defaults: lazywriter keeping the
 // cache at most ~30% dirty, the small-cache equilibrium of the paper's
@@ -38,7 +39,6 @@ func DefaultConfig() Config {
 		CPUCosts:      btree.DefaultCPUCosts(),
 		Tracker:       tracker.DefaultConfig(),
 		CleanerTarget: 0.30,
-		CleanerEvery:  3,
 	}
 }
 
@@ -88,7 +88,7 @@ func New(clock *sim.Clock, disk storage.Device, log *wal.Log, cacheCapacity int,
 		return nil, err
 	}
 	pool.SetCleanerTarget(cfg.CleanerTarget)
-	pool.SetCleanerRate(cfg.CleanerEvery)
+	pool.SetCleanerRate(cleanerEvery)
 	rec, err := tracker.New(log, sh, cfg.Tracker)
 	if err != nil {
 		return nil, err
@@ -111,7 +111,7 @@ func Open(clock *sim.Clock, disk storage.Device, log *wal.Log, cacheCapacity int
 		return nil, err
 	}
 	pool.SetCleanerTarget(cfg.CleanerTarget)
-	pool.SetCleanerRate(cfg.CleanerEvery)
+	pool.SetCleanerRate(cleanerEvery)
 	rec, err := tracker.New(log, sh, cfg.Tracker)
 	if err != nil {
 		return nil, err

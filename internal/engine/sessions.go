@@ -17,8 +17,8 @@ import (
 // *real* time — the window the batch leader lingers so concurrent
 // commits coalesce. Zero batches only what is already waiting, and a
 // lone writer forces inline at once: the single-threaded recovery
-// experiments run this way. ~100µs models a fast NVMe log force and is
-// what the walbench driver uses.
+// experiments run this way. ~100µs models a fast NVMe log force;
+// `go test -run '^$' -bench WALGroupCommit .` sweeps clients at 50µs.
 func (e *Engine) NewSessionManager(flushDelay time.Duration) *tc.SessionManager {
 	gc := wal.NewGroupCommitter(e.Log, func(eLSN wal.LSN) { e.Set.EOSL(eLSN) }, flushDelay)
 	e.mgr = tc.NewSessionManager(e.TC, gc)

@@ -37,6 +37,29 @@ func TestRunFigure3Shapes(t *testing.T) {
 	if !strings.Contains(sb.String(), "×5") {
 		t.Fatal("PrintFigure3 output missing interval row")
 	}
+
+	// Checkpointing bounds the redo scan: after eight checkpoints, a
+	// crash replays fewer records, in less virtual redo time, than a
+	// cold crash (no checkpoint since the load) of the same volume.
+	cold := cfg
+	cold.CrashAfterCheckpoints = 0
+	cold.UpdatesAfterLastCkpt = 8 * cfg.CheckpointEveryUpdates
+	warm := cfg
+	warm.CrashAfterCheckpoints = 8
+	var met [2]*core.Metrics
+	for i, c := range []Config{cold, warm} {
+		res, err := BuildCrash(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if met[i], err = RunRecovery(res, core.Log1, core.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if met[1].RedoRecords >= met[0].RedoRecords || met[1].RedoTotal >= met[0].RedoTotal {
+		t.Fatalf("checkpointed crash redid %d records in %v, cold crash %d in %v",
+			met[1].RedoRecords, met[1].RedoTotal, met[0].RedoRecords, met[0].RedoTotal)
+	}
 }
 
 func TestRunAppendixBModelHolds(t *testing.T) {
