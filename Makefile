@@ -10,13 +10,20 @@ GO ?= go
 # Scratch output of `make figures`, outside the checkout.
 BENCH_DIR ?= $(if $(RUNNER_TEMP),$(RUNNER_TEMP),/tmp)/logrec-bench
 
-.PHONY: build test race fuzz-smoke soak examples doclint figures figures-update benchmark benchmark-test bench bench-check staticcheck fmt fmt-check vet ci
+.PHONY: build test test-1proc race fuzz-smoke soak examples doclint figures figures-update benchmark benchmark-test bench bench-check staticcheck fmt fmt-check vet ci
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# The log's decode width follows GOMAXPROCS for every scan of two or
+# more segments (one worker per core); this runs the packages that scan
+# at one worker, which a multi-core runner never does otherwise.
+# -count=1: the test cache does not key on GOMAXPROCS.
+test-1proc:
+	GOMAXPROCS=1 $(GO) test -count=1 ./internal/wal ./internal/core ./internal/harness
 
 race:
 	$(GO) test -race ./...
@@ -129,4 +136,4 @@ vet:
 	$(GO) vet ./...
 
 # Everything CI gates, in one target.
-ci: build vet fmt-check staticcheck doclint test bench-check figures benchmark-test race examples fuzz-smoke
+ci: build vet fmt-check staticcheck doclint test test-1proc bench-check figures benchmark-test race examples fuzz-smoke

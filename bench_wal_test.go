@@ -30,9 +30,10 @@ const (
 // BenchmarkWALGroupCommit sweeps the client count. On the simulated
 // device the group committer's linger emulates a fast log device's
 // write latency (walFlushDelay), so one client pays it on every commit
-// and more clients share it. The file/ cases run on real files at zero
-// linger: every flush is an fsync of the log, and commits/flush is how
-// many commits one fsync carries.
+// and more clients share it; linger-us/flush is the linger measured.
+// The file/ cases run on real files at zero linger: every flush is an
+// fsync of the log, and commits/flush is how many commits one fsync
+// carries.
 func BenchmarkWALGroupCommit(b *testing.B) {
 	clientCounts := []int{1, 4, 16}
 	for _, clients := range clientCounts {
@@ -122,6 +123,7 @@ func benchGroupCommit(b *testing.B, clients int, dir string, flushDelay time.Dur
 	b.ReportMetric(st.RecordsPerFlush(), "recs/flush")
 	if st.Flushes > 0 {
 		b.ReportMetric(float64(st.Commits)/float64(st.Flushes), "commits/flush")
+		b.ReportMetric(st.Lingered.Seconds()*1e6/float64(st.Flushes), "linger-us/flush")
 	}
 }
 

@@ -166,17 +166,9 @@ func AutoSizeWorkers(windowBytes int64, bytesPerSec float64, budget time.Duratio
 	return n
 }
 
-// maxAutoWorkers bounds auto-sized redo parallelism and is the decode
-// width at every shard count: one per core, capped — past 8 the
-// stitcher, not decode, is the limit. The stitched stream, and so the
-// recovered state, the CLR sequence and the log end, is the same at
-// every width.
-func maxAutoWorkers() int {
-	if n := runtime.GOMAXPROCS(0); n < 8 {
-		return n
-	}
-	return 8
-}
+// maxAutoWorkers bounds auto-sized redo parallelism: one per core,
+// capped at 8.
+func maxAutoWorkers() int { return min(runtime.GOMAXPROCS(0), 8) }
 
 // Metrics reports what a recovery run did and how long (in virtual
 // time) each phase took. RedoTotal (prep + redo) is the quantity the
@@ -229,10 +221,10 @@ type Metrics struct {
 
 	// Decode-stage telemetry for the demultiplexer's front-end.
 	// DecodeSegments and DecodeRecords accumulate across the prep and
-	// redo phases; DecodeWorkers is the last pass's width (0: its window
-	// lay inside one segment and was scanned inline). LogPagesRead stays
-	// attributed exactly once — the stitcher counts it and the passes
-	// charge its virtual time; segment workers never do.
+	// redo phases; DecodeWorkers is the last pass's wal.ScanStats.Workers
+	// (0: its window lay inside one segment and was decoded inline).
+	// LogPagesRead stays attributed exactly once — the scanner counts it
+	// and the passes charge its virtual time; decode workers never do.
 	DecodeWorkers  int
 	DecodeSegments int
 	DecodeRecords  int64
@@ -310,7 +302,7 @@ func Recover(cs *engine.CrashState, m Method, opt Options) (*engine.Engine, *Met
 	// measured by its previous recovery, widen redo just enough that
 	// the estimated serial replay of this window fits the budget.
 	// Engines without a budget keep the deterministic serial default
-	// untouched. Decode keeps its own width (fanOut) either way.
+	// untouched. Decode keeps its own width (wal.NewScanner) either way.
 	if opt.RedoWorkers == 0 && cs.Cfg.RecoveryBudget > 0 && cs.ReplayRate > 0 {
 		if n := AutoSizeWorkers(met.RedoWindowBytes, cs.ReplayRate, cs.Cfg.RecoveryBudget, maxAutoWorkers()); n > 1 {
 			r.opt.RedoWorkers = n
@@ -544,8 +536,8 @@ func (r *run) newQueues() []demuxQueue {
 
 // fanOut is the one log demultiplexer, shared by both of Recover's
 // phases and by a standby's Replayer.CatchUp, at every shard count. It
-// scans the stable log from `from`, its segments decoded by
-// maxAutoWorkers() workers (wal.NewParallelScanner); shows every record
+// scans the stable log from `from` (wal.NewScanner: a window of two or
+// more segments is decoded ahead, one worker per core); shows every record
 // to note, if not nil (stream-order bookkeeping — transaction table,
 // route changes — on the calling goroutine, before any pass sees the
 // record); and sends it, batched, down a bounded queue to the pass of
@@ -587,7 +579,7 @@ func (r *run) fanOut(from wal.LSN, note func(wal.Record, wal.LSN), route func(wa
 		}
 		return true
 	}
-	sc := r.log.NewParallelScanner(from, nil, r.cost, maxAutoWorkers())
+	sc := r.log.NewScanner(from, nil, r.cost)
 	scanErr := func() error {
 		defer sc.Close()
 		for {

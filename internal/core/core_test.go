@@ -589,6 +589,7 @@ func TestDPTSafety(t *testing.T) {
 func coveredByTail(t *testing.T, log *wal.Log, lastDelta wal.LSN, pid storage.PageID) bool {
 	t.Helper()
 	sc := log.NewScanner(lastDelta, nil, wal.ScanCost{})
+	defer sc.Close()
 	for {
 		rec, lsn, ok, err := sc.Next()
 		if err != nil {

@@ -20,6 +20,10 @@ import (
 // only virtual time):
 //
 //   - redo/w{0,1,2,4}: Options.RedoWorkers over the same crash;
+//   - window/3seg/{Log2,SQL2}/w{0,2}: a crash of 80,000 transactions
+//     (≈31 B of log each), whose window spans three log segments, so
+//     the passes are fed by decode workers (every other crash here
+//     fits one segment and decodes inline);
 //   - undo/w{1,2,4}: Options.UndoWorkers over a crash with eight
 //     long-running losers whose pages the committed traffic evicted;
 //   - shards/{1,2,4}: the same traffic on engines of that many shards;
@@ -42,6 +46,21 @@ func BenchmarkRecover(b *testing.B) {
 		for _, w := range []int{0, 1, 2, 4} {
 			recoverCase(b, fmt.Sprintf("w%d", w), cs, om, Log2, Options{RedoWorkers: w})
 		}
+	})
+	b.Run("window", func(b *testing.B) {
+		wcs, wom := buildCrash(b, cfg, 2000, 80000, 2, 1<<30, 7, true)
+		if n := wcs.Log.Segments(); n < 3 {
+			b.Fatalf("the crash's window spans %d log segments (%d bytes), want at least 3", n, wcs.Log.FlushedLSN())
+		}
+		b.Run("3seg", func(b *testing.B) {
+			for _, m := range []Method{Log2, SQL2} {
+				b.Run(m.String(), func(b *testing.B) {
+					for _, w := range []int{0, 2} {
+						recoverCase(b, fmt.Sprintf("w%d", w), wcs, wom, m, Options{RedoWorkers: w})
+					}
+				})
+			}
+		})
 	})
 	b.Run("undo", func(b *testing.B) {
 		ucs, uom := buildCrashWithLosers(b, testConfig(16), 2000, 400, 8, 8, loserSpec{updates: 25}, 7)

@@ -32,6 +32,7 @@ func requireChain(t *testing.T, log *wal.Log, end wal.LSN) []wal.Transactional {
 	var chain []wal.Transactional
 	prev := wal.NilLSN
 	sc := log.NewScanner(wal.LSN(name), nil, wal.ScanCost{})
+	defer sc.Close()
 	for {
 		rec, lsn, ok, err := sc.Next()
 		if err != nil {

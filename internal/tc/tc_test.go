@@ -526,6 +526,7 @@ func TestUpdateRecordCarriesActualPID(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := log.NewScanner(wal.FirstLSN(), nil, wal.ScanCost{})
+	defer sc.Close()
 	for {
 		rec, _, ok, serr := sc.Next()
 		if serr != nil {

@@ -115,7 +115,7 @@ func BenchmarkScanLog(b *testing.B) {
 			b.Run(fmt.Sprintf("%dMiB/%s", mib, w.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					sc := l.NewParallelScanner(FirstLSN(), nil, ScanCost{}, w.width)
+					sc := l.newScanner(FirstLSN(), nil, ScanCost{}, w.width)
 					n := 0
 					for {
 						_, _, ok, err := sc.Next()

@@ -194,14 +194,15 @@ func FuzzDecodeAt(f *testing.F) {
 		// of the buffer or with a decode error — never a panic or a
 		// stuck cursor.
 		sc := fz.NewScanner(FirstLSN(), nil, DefaultScanCost())
-		for {
+		for prev := NilLSN; ; {
 			_, lsn, ok, err := sc.Next()
 			if err != nil || !ok {
 				break
 			}
-			if sc.next <= lsn {
+			if lsn <= prev {
 				t.Fatalf("scanner stuck at %v", lsn)
 			}
+			prev = lsn
 		}
 	})
 }
@@ -271,7 +272,7 @@ func FuzzAppendStableSplit(f *testing.F) {
 func TestDecodeTornTail(t *testing.T) {
 	l := fullLog(t)
 	// Locate the last record's frame.
-	var lastLSN, endLSN LSN
+	var lastLSN LSN
 	sc := l.NewScanner(FirstLSN(), nil, DefaultScanCost())
 	for {
 		_, lsn, ok, err := sc.Next()
@@ -281,8 +282,9 @@ func TestDecodeTornTail(t *testing.T) {
 		if !ok {
 			break
 		}
-		lastLSN, endLSN = lsn, sc.next
+		lastLSN = lsn
 	}
+	endLSN := sc.b.end // where the scan stopped
 	if endLSN != l.FlushedLSN() {
 		t.Fatalf("scan ended at %v, flushed %v", endLSN, l.FlushedLSN())
 	}

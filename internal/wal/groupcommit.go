@@ -31,6 +31,9 @@ type GroupCommitStats struct {
 	// flight. A lone writer never yields: Yields stays 0 and Flushes
 	// equals Commits.
 	Yields int64
+	// Lingered is the total time batch leaders lingered: over Flushes,
+	// the device latency actually emulated.
+	Lingered time.Duration
 	// Writers is a gauge, not a counter: the announced writers in flight
 	// when the snapshot was taken (see AnnounceWriter). It is 0 whenever
 	// no transaction that has written is still open; a leaked
@@ -81,7 +84,8 @@ type GroupCommitter struct {
 	// first write whose end is not yet stable (see AnnounceWriter).
 	writers atomic.Int32
 	// yields backs GroupCommitStats.Yields (the leader counts outside mu).
-	yields atomic.Int64
+	yields   atomic.Int64
+	lingered atomic.Int64 // backs GroupCommitStats.Lingered, likewise
 	// stable is the highest end of stable log this committer has seen,
 	// a lower bound on Log.FlushedLSN readable without the log's mutex.
 	// Written under mu.
@@ -196,13 +200,24 @@ func (gc *GroupCommitter) Flush() LSN {
 func (gc *GroupCommitter) lead() LSN {
 	switch {
 	case gc.flushDelay > 0:
-		time.Sleep(gc.flushDelay)
+		// Linger to a deadline: a short sleep lasts the OS timer's
+		// granularity, so sleep only what lies above timerFloor, then yield.
+		start := time.Now()
+		time.Sleep(gc.flushDelay - timerFloor)
+		for time.Since(start) < gc.flushDelay {
+			runtime.Gosched()
+		}
+		gc.lingered.Add(int64(time.Since(start)))
 	case gc.writers.Load() > 1:
 		gc.yields.Add(1)
 		runtime.Gosched()
 	}
 	return gc.finishFlush()
 }
+
+// timerFloor is what a short time.Sleep may overshoot by: on a 2-core
+// VM a 50 µs sleep lasted ≈1.1 ms.
+const timerFloor = 2 * time.Millisecond
 
 // finishFlush moves the stable boundary, accounts the batch, wakes
 // every waiter and publishes EOSL. Caller must have set gc.flushing.
@@ -244,6 +259,7 @@ func (gc *GroupCommitter) Stats() GroupCommitStats {
 	st := gc.stats
 	st.Appends = total
 	st.Yields = gc.yields.Load()
+	st.Lingered = time.Duration(gc.lingered.Load())
 	st.Writers = int(gc.writers.Load())
 	return st
 }

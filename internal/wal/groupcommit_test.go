@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestGroupCommitLSNMonotonicity has 16 goroutines append concurrently
@@ -218,5 +219,36 @@ func TestGroupCommitLeaderYieldsOnlyForAnnouncedWriters(t *testing.T) {
 	}
 	if st := gc.Stats(); st.Flushes != 5 {
 		t.Fatalf("a record already stable cost a flush: %d, want 5", st.Flushes)
+	}
+}
+
+// TestGroupCommitLingersToTheDeadline: a leader with a 200 µs linger
+// never forces before 200 µs have passed — alone, where every commit
+// leads, and under eight committers — and Lingered counts what the
+// leaders waited.
+func TestGroupCommitLingersToTheDeadline(t *testing.T) {
+	const delay = 200 * time.Microsecond
+	gc := NewGroupCommitter(NewLog(), nil, delay)
+	for i := 0; i < 20; i++ {
+		lsn := gc.MustAppend(&UpdateRec{TxnID: OpensTxn})
+		start := time.Now()
+		gc.WaitStable(lsn)
+		if waited := time.Since(start); waited < delay {
+			t.Fatalf("commit %d stable after %v, linger %v", i, waited, delay)
+		}
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < 8; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				gc.WaitStable(gc.MustAppend(&UpdateRec{TxnID: OpensTxn}))
+			}
+		}()
+	}
+	wg.Wait()
+	if st := gc.Stats(); st.Flushes == 0 || st.Lingered < time.Duration(st.Flushes)*delay {
+		t.Fatalf("%d flushes lingered %v in all, want at least %v each", st.Flushes, st.Lingered, delay)
 	}
 }

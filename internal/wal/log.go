@@ -743,12 +743,3 @@ func decodeFrame(data []byte, base, lsn LSN) (Record, LSN, error) {
 	}
 	return rec, base + LSN(bodyEnd), nil
 }
-
-// stableChunks returns the stable log from `from` (clamped to the
-// retained range) as one chunk per segment, each starting on a frame
-// boundary if from is one.
-func (l *Log) stableChunks(from LSN) []chunk {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.chunks(max(from, l.segs[0].base), l.flushedLSN)
-}

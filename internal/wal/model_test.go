@@ -112,7 +112,7 @@ func (m *model) back(rng *rand.Rand) LSN {
 // check compares every read path of the log with the reference.
 func (m *model) check(t *testing.T, ctx string) { m.checkPaths(t, ctx, true) }
 
-// checkPaths is check with the parallel-width sweep (three scans, each
+// checkPaths is check with the parallel-width sweep (four scans, each
 // starting workers) optional, so the model test can afford the inline
 // paths after every single step.
 func (m *model) checkPaths(t *testing.T, ctx string, parallel bool) {
@@ -201,16 +201,19 @@ func (m *model) checkPaths(t *testing.T, ctx string, parallel bool) {
 			}
 		}
 	}
-	compare("Scanner", l.NewScanner(start, nil, ScanCost{}).Next)
-	compare("Scanner(FirstLSN)", l.NewScanner(FirstLSN(), nil, ScanCost{}).Next)
+	compare("Scanner", l.newScanner(start, nil, ScanCost{}, 0).Next)
+	compare("Scanner(FirstLSN)", l.newScanner(FirstLSN(), nil, ScanCost{}, 0).Next)
 	if !parallel {
 		return
 	}
 	for _, width := range []int{1, 2, 4} {
-		sc := l.NewParallelScanner(FirstLSN(), nil, ScanCost{}, width)
+		sc := l.newScanner(FirstLSN(), nil, ScanCost{}, width)
 		compare(fmt.Sprintf("Scanner(width %d)", width), sc.Next)
 		sc.Close()
 	}
+	sc := l.NewScanner(FirstLSN(), nil, ScanCost{})
+	compare("NewScanner", sc.Next)
+	sc.Close()
 }
 
 // randomRec draws an update whose frame is usually much smaller than a

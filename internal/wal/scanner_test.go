@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"sort"
 	"testing"
+	"time"
 
 	"logrec/internal/sim"
 	"logrec/internal/storage"
@@ -111,23 +114,26 @@ func compareDumps(t *testing.T, ctx string, want, got scanDump) {
 }
 
 // scanWidths are the decode widths every comparison sweeps against
-// the inline scan.
-var scanWidths = []int{1, 2, 3, 8}
+// the inline scan (width 0); -1 is NewScanner's own.
+var scanWidths = []int{1, 2, 3, 8, -1}
 
-// compareWidths scans l from `from` inline and at every width and
-// requires the same records at the same LSNs, the same pages read and
-// virtual time charged, and the same error at the same position. It
-// returns the inline scan.
+// compareWidths scans l from `from` inline, at every width and at
+// NewScanner's own, and requires the same records at the same LSNs, the
+// same pages read and virtual time charged, and the same error at the
+// same position. It returns the inline scan.
 func compareWidths(t *testing.T, ctx string, l *Log, from LSN) scanDump {
 	t.Helper()
 	cost := ScanCost{PageSize: 4096, PerPage: 250 * sim.Microsecond}
 	inlineClock := &sim.Clock{}
-	inlineSC := l.NewScanner(from, inlineClock, cost)
+	inlineSC := l.newScanner(from, inlineClock, cost, 0)
 	inline := drainScan(inlineSC.Next)
 	for _, width := range scanWidths {
 		ctx := fmt.Sprintf("%s width %d", ctx, width)
 		clock := &sim.Clock{}
-		sc := l.NewParallelScanner(from, clock, cost, width)
+		sc := l.NewScanner(from, clock, cost)
+		if width >= 0 {
+			sc = l.newScanner(from, clock, cost, width)
+		}
 		got := drainScan(sc.Next)
 		compareDumps(t, ctx, inline, got)
 		if sc.PagesRead() != inlineSC.PagesRead() {
@@ -230,7 +236,7 @@ func TestSegScannerTruncationInLastSegmentOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sc := l.NewParallelScanner(FirstLSN(), nil, ScanCost{}, 4)
+	sc := l.newScanner(FirstLSN(), nil, ScanCost{}, 4)
 	got := drainScan(sc.Next)
 	if len(got.lsns) != good {
 		t.Fatalf("emitted %d records before the tear, want %d", len(got.lsns), good)
@@ -245,14 +251,18 @@ func TestSegScannerTruncationInLastSegmentOnly(t *testing.T) {
 
 // TestSegScannerFastPathEngages checks which path a scan takes: a view
 // of one segment starts no worker whatever width was asked, a view of
-// four segments at width 2 decodes on two.
+// four segments at width 2 decodes on two, and NewScanner (width -1
+// below) decodes one segment inline and four on one worker per core.
 func TestSegScannerFastPathEngages(t *testing.T) {
 	for _, c := range []struct {
 		segments, width, workers int
-	}{{1, 4, 0}, {4, 2, 2}} {
+	}{{1, 4, 0}, {4, 2, 2}, {1, -1, 0}, {4, -1, min(runtime.GOMAXPROCS(0), maxScanWorkers)}} {
 		l := newLog(8 << 10)
 		recs := smallUpdates(l, func(n int) bool { return n >= 100 && l.Segments() == c.segments })
-		sc := l.NewParallelScanner(FirstLSN(), nil, ScanCost{}, c.width)
+		sc := l.NewScanner(FirstLSN(), nil, ScanCost{})
+		if c.width >= 0 {
+			sc = l.newScanner(FirstLSN(), nil, ScanCost{}, c.width)
+		}
 		got := drainScan(sc.Next)
 		if got.err != nil {
 			t.Fatal(got.err)
@@ -271,7 +281,7 @@ func TestSegScannerFastPathEngages(t *testing.T) {
 func TestSegScannerCloseEarly(t *testing.T) {
 	l := newLog(1 << 10)
 	smallUpdates(l, func(n int) bool { return n == 3000 })
-	sc := l.NewParallelScanner(FirstLSN(), nil, ScanCost{}, 1)
+	sc := l.newScanner(FirstLSN(), nil, ScanCost{}, 1)
 	for i := 0; i < 5; i++ {
 		if _, _, ok, err := sc.Next(); !ok || err != nil {
 			t.Fatalf("Next %d: ok=%v err=%v", i, ok, err)
@@ -279,4 +289,81 @@ func TestSegScannerCloseEarly(t *testing.T) {
 	}
 	sc.Close()
 	sc.Close() // idempotent
+}
+
+// TestScannerFirstRecordWaitsForOneBatch: on a view of several
+// segments the first Next waits for the first batch, not the first
+// segment. The workers keep filling their bounded queues meanwhile, so
+// when it returns at most width × (scanDepth + 1) + 1 batches are
+// decoded — each worker's queue and the batch it fills, and the one
+// Next holds: a part of the one segment a whole-segment decoder would
+// have finished first.
+func TestScannerFirstRecordWaitsForOneBatch(t *testing.T) {
+	l := NewLog()
+	smallUpdates(l, func(int) bool { return l.Segments() == 4 })
+	all := drainScan(l.newScanner(FirstLSN(), nil, ScanCost{}, 0).Next)
+	firstSeg := sort.Search(len(all.lsns), func(i int) bool { return all.lsns[i] >= l.segs[1].base })
+	for _, width := range []int{1, 2} {
+		sc := l.newScanner(FirstLSN(), nil, ScanCost{}, width)
+		if _, _, ok, err := sc.Next(); !ok || err != nil {
+			t.Fatalf("width %d: first Next: ok=%v err=%v", width, ok, err)
+		}
+		bound := int64((width*(scanDepth+1) + 1) * scanBatch)
+		if got := sc.decoded.Load(); got > bound {
+			t.Fatalf("width %d: %d frames decoded by the first record, bound %d", width, got, bound)
+		}
+		if int64(firstSeg) <= bound {
+			t.Fatalf("the first segment holds %d frames; the test needs more than %d", firstSeg, bound)
+		}
+		sc.Close()
+	}
+}
+
+// TestScannerWorkersAllocateLikeInline: batches are recycled, so a full
+// scan of an 8-segment log on two workers allocates what the inline
+// scan does — the records — plus under 1 MiB of batches, channels and
+// goroutines, not an item array per segment.
+func TestScannerWorkersAllocateLikeInline(t *testing.T) {
+	l := NewLog()
+	for i := 0; l.Segments() < 8 || l.EndLSN() < l.segs[7].base+LSN(len(l.segs[0].data)/2); i++ {
+		l.MustAppend(benchUpdateRec(i))
+	}
+	l.Flush()
+	allocated := func(width int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got := drainScan(l.newScanner(FirstLSN(), nil, ScanCost{}, width).Next)
+		runtime.ReadMemStats(&after)
+		if got.err != nil {
+			t.Fatal(got.err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	// drainScan keeps every record's bytes: measure both scans the same way.
+	inline, workers := allocated(0), allocated(2)
+	if workers > inline+1<<20 {
+		t.Fatalf("width 2 allocated %d bytes, inline %d: %d more", workers, inline, workers-inline)
+	}
+}
+
+// TestScannerCloseEndsWorkers abandons scans over segments too long
+// for a worker's queue, so every worker waits on a full one; Close must
+// end them all.
+func TestScannerCloseEndsWorkers(t *testing.T) {
+	l := NewLog()
+	smallUpdates(l, func(int) bool { return l.Segments() == 4 })
+	before := runtime.NumGoroutine()
+	for _, width := range []int{1, 4, 8} {
+		sc := l.newScanner(FirstLSN(), nil, ScanCost{}, width)
+		if _, _, ok, err := sc.Next(); !ok || err != nil {
+			t.Fatalf("width %d: first Next: ok=%v err=%v", width, ok, err)
+		}
+		sc.Close()
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 5 s after Close, %d before the scans", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
