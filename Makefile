@@ -25,8 +25,13 @@ test:
 test-1proc:
 	GOMAXPROCS=1 $(GO) test -count=1 ./internal/wal ./internal/core ./internal/harness
 
+# Every miss read and flush write in the buffer pool waits on one
+# condition variable, and a lost wakeup shows only as a hang: the pool's
+# stress test and its concurrent-miss and concurrent-flush tests run ten
+# times over.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run 'TestPoolStressRace|TestConcurrent' ./internal/buffer
 
 # Short fuzz pass over the WAL codec, the restart path, the shipping
 # path, the page format, the row codec and the boot records: adversarial

@@ -1,11 +1,13 @@
 package buffer
 
 import (
+	"path/filepath"
 	"runtime"
 	"testing"
 	"unsafe"
 
 	"logrec/internal/page"
+	"logrec/internal/sim"
 	"logrec/internal/storage"
 )
 
@@ -22,37 +24,77 @@ func heapGrowth(fn func()) int64 {
 }
 
 // TestFrameFitsOneSizeClass: a frame with its page view and ring links
-// inside is one 96-byte allocation.
+// inside is one 80-byte allocation.
 func TestFrameFitsOneSizeClass(t *testing.T) {
-	if n := unsafe.Sizeof(Frame{}); n > 96 {
-		t.Fatalf("Frame is %d bytes, want at most 96", n)
+	if n := unsafe.Sizeof(Frame{}); n > 80 {
+		t.Fatalf("Frame is %d bytes, want at most 80", n)
 	}
 }
 
-// TestAdmissionAllocatesOnlyTheFrame: once the page table's chunk
-// exists, a miss that evicts a clean page allocates the frame alone
-// (its page view is the device's image), and a new page allocates the
-// frame and its bytes.
-func TestAdmissionAllocatesOnlyTheFrame(t *testing.T) {
-	_, disk, pool := newPoolEnv(t, 4)
-	seed(t, disk, 8)
+// filePool returns a pool of capacity frames over a page file under the
+// test's temporary directory, with n formatted leaf pages written.
+func filePool(t *testing.T, capacity, n int) *Pool {
+	t.Helper()
+	cfg := storage.DefaultConfig()
+	cfg.PageSize = 256
+	disk, err := storage.NewFileDisk(&sim.Clock{}, cfg, filepath.Join(t.TempDir(), "pages.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { disk.Close() })
+	seed(t, disk, n)
+	pool, err := New(disk, capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pool
+}
+
+// cycleMisses returns a function that gets the next of pages 2 .. n+1
+// in turn and unpins it, first marking it dirty if dirty is set, after
+// running it over every page once so the page table's chunk exists.
+func cycleMisses(t *testing.T, pool *Pool, n int, dirty bool) func() {
 	pid := storage.PageID(2)
 	miss := func() {
 		f, err := pool.Get(pid)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if dirty {
+			pool.MarkDirty(f, 10)
+		}
 		pool.Unpin(f)
-		pid = 2 + (pid-1)%8
+		pid = 2 + (pid-1)%storage.PageID(n)
 	}
-	for i := 0; i < 8; i++ {
+	for i := 0; i < n; i++ {
 		miss()
 	}
-	if n := testing.AllocsPerRun(100, miss); n != 1 {
-		t.Fatalf("a miss allocates %v times, want 1 (the frame)", n)
-	}
-	if st := pool.Stats(); st.Hits != 0 || st.Evictions == 0 {
-		t.Fatalf("the test wants misses that evict: %+v", st)
+	return miss
+}
+
+// TestAdmissionAllocatesOnlyTheFrame: once the page table's chunk
+// exists, a miss that evicts a clean page allocates the frame alone
+// (its page view is the device's image) — on the file device besides
+// the buffer the device reads into — and a new page allocates the
+// frame and its bytes.
+func TestAdmissionAllocatesOnlyTheFrame(t *testing.T) {
+	_, disk, pool := newPoolEnv(t, 4)
+	seed(t, disk, 8)
+	for _, c := range []struct {
+		device string
+		pool   *Pool
+		want   float64
+	}{
+		{"sim", pool, 1},
+		{"file", filePool(t, 4, 8), 2},
+	} {
+		miss := cycleMisses(t, c.pool, 8, false)
+		if n := testing.AllocsPerRun(100, miss); n != c.want {
+			t.Fatalf("%s device: a miss allocates %v times, want %v", c.device, n, c.want)
+		}
+		if st := c.pool.Stats(); st.Hits != 0 || st.Evictions == 0 {
+			t.Fatalf("%s device: the test wants misses that evict: %+v", c.device, st)
+		}
 	}
 	next := storage.PageID(100)
 	if n := testing.AllocsPerRun(100, func() {
@@ -65,6 +107,23 @@ func TestAdmissionAllocatesOnlyTheFrame(t *testing.T) {
 		next++
 	}); n != 2 {
 		t.Fatalf("NewPage allocates %v times, want 2 (the frame and its bytes)", n)
+	}
+}
+
+// TestDirtyEvictionCopiesNoPage: on the file device, a miss that
+// evicts a dirty page writes the victim's own bytes, allocating no
+// snapshot of them: it costs the frame and the buffer the device reads
+// into, as a clean eviction does.
+func TestDirtyEvictionCopiesNoPage(t *testing.T) {
+	pool := filePool(t, 4, 8)
+	pool.SetELSN(1 << 40)
+	miss := cycleMisses(t, pool, 8, true)
+	before := pool.Stats()
+	if n := testing.AllocsPerRun(100, miss); n != 2 {
+		t.Fatalf("a dirty eviction allocates %v times, want 2 (the frame and the read buffer)", n)
+	}
+	if st := pool.Stats(); st.DirtyEvict-before.DirtyEvict < 100 {
+		t.Fatalf("the test wants misses that evict dirty pages: %+v", st)
 	}
 }
 

@@ -6,20 +6,20 @@
 // flushed only when every update it carries is on the stable TC log,
 // enforced via the EOSL-provided eLSN), and asynchronous prefetch.
 //
-// One mutex guards the pool's bookkeeping. On a real-time device (the
-// file device: storage.Device.RealTime), miss reads and flush writes
-// release it for the duration of the IO — a miss inserts a pinned
-// `loading` placeholder first, a flush snapshots the page under the
-// latch and marks the frame `flushing` — so a read or write of one page
-// does not stall traffic to the others. Every path that retakes the
-// latch revalidates what it looked at before letting go.
+// One mutex guards the pool's bookkeeping. Miss reads and flush writes
+// release it for the duration of the IO, on every device — a miss
+// admits a pinned `loading` placeholder first, a flush marks the frame
+// `flushing` — so a read or write of one page does not stall traffic to
+// the others. Whoever meets a frame mid-IO waits on the pool's one
+// condition variable, which every finished IO broadcasts. Every path
+// that retakes the latch revalidates what it looked at before letting
+// go.
 //
 // A clean frame holds no bytes of its own. Every device read is wrapped
-// as a shared page (page.WrapShared), and a flush on the simulated
-// device hands the frame's bytes to the device and marks the page
-// shared again, so the frame and the device hold one image until the
-// page's next mutation copies it. On the real-time path the flush
-// writes a snapshot instead, which the frame never shares.
+// as a shared page (page.WrapShared), and a flush hands the frame's own
+// bytes to the device and marks the page shared again, so the frame and
+// the device hold one image until the page's next mutation copies it —
+// also a mutation made while the write is in flight.
 //
 // Rebuilding this cache after a crash is the dominant cost of redo
 // recovery (§1.3, Appendix B); the pool therefore exposes detailed fetch
@@ -39,7 +39,7 @@ import (
 
 // Frame is a cached page. The page view lives inside the frame, and
 // the frame is its own clock-ring element, so a resident page costs one
-// 96-byte allocation besides its image; the fields are ordered so the
+// 80-byte allocation besides its image; the fields are ordered so the
 // small ones pack into the last word.
 type Frame struct {
 	// Page is the cached page. Callers take its address (&f.Page): a
@@ -56,21 +56,15 @@ type Frame struct {
 	// admission order; the ring's ends hold nil.
 	prev, next *Frame
 
-	// loading is non-nil while the frame's disk read is in flight with
-	// the latch released (real-time device); it is closed when the read
-	// completes. Concurrent getters of the same page wait on it instead
-	// of issuing a duplicate read.
-	loading chan struct{}
-
-	// flushing is non-nil while the frame's flush write is in flight
-	// with the latch released (real-time device); it is closed when the
-	// write completes. Concurrent flushers of the same frame wait on it
-	// instead of issuing a duplicate write.
-	flushing chan struct{}
-
 	// PID is the cached page's ID; pins counts its holders.
 	PID  storage.PageID
 	pins int32
+
+	// loading is set while the frame's disk read is in flight with the
+	// latch released, and flushing while its flush write is. Concurrent
+	// getters or flushers of the frame wait on Pool.ioDone instead of
+	// issuing a duplicate IO.
+	loading, flushing bool
 
 	// Dirty reports whether the frame holds updates not yet on disk.
 	Dirty bool
@@ -86,7 +80,7 @@ type Frame struct {
 // evictable reports whether f may be evicted or cold-flushed right now:
 // unpinned, fully loaded and not mid-flush.
 func evictable(f *Frame) bool {
-	return f.pins == 0 && f.loading == nil && f.flushing == nil
+	return f.pins == 0 && !f.loading && !f.flushing
 }
 
 // Stats counts pool activity.
@@ -124,9 +118,13 @@ type Pool struct {
 	eLSN atomic.Uint64
 
 	// mu guards every field below. Internal helpers (ensureRoom,
-	// maybeClean, flushFrame, pinCached) assume it is held; flushFrame,
-	// pinCached and miss reads release it across real-time IO waits.
+	// maybeClean, flushFrame, pinCached) assume it is held; miss reads
+	// and flushFrame release it across the IO, and pinCached and
+	// flushFrame release it while they wait for another's IO.
 	mu sync.Mutex
+	// ioDone, over mu, is broadcast whenever a frame's read or write
+	// finishes: a waiter rechecks the frame's loading or flushing flag.
+	ioDone sync.Cond
 
 	// frames maps a PID to its cached frame.
 	frames storage.Table[*Frame]
@@ -186,7 +184,9 @@ func New(disk storage.Device, capacity int) (*Pool, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("buffer: capacity must be at least 1, got %d", capacity)
 	}
-	return &Pool{disk: disk, capacity: capacity}, nil
+	p := &Pool{disk: disk, capacity: capacity}
+	p.ioDone.L = &p.mu
+	return p, nil
 }
 
 // Disk returns the underlying storage device (for prefetch pacing and
@@ -237,13 +237,6 @@ func (p *Pool) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.stats
-}
-
-// ResetStats zeroes the statistics.
-func (p *Pool) ResetStats() {
-	p.mu.Lock()
-	p.stats = Stats{}
-	p.mu.Unlock()
 }
 
 // SetCleanerTarget sets the lazywriter's dirty-fraction ceiling
@@ -318,12 +311,11 @@ func (p *Pool) PinnedCount() int {
 // advances the virtual clock per the disk model) and evicting as
 // needed. The frame is pinned; callers must Unpin.
 //
-// On a real-time device the latch is released for the duration of the
-// miss read: the frame is inserted first as a pinned
-// "loading" placeholder so concurrent getters of the same page wait for
-// the one IO instead of duplicating it, and getters of other pages
-// proceed — which is what lets parallel redo workers overlap their page
-// fetches in wall-clock time.
+// The latch is released for the duration of the miss read: the frame is
+// admitted first as a pinned "loading" placeholder so concurrent getters
+// of the same page wait for the one IO instead of duplicating it, and
+// getters of other pages proceed — which is what lets parallel redo
+// workers overlap their page fetches on a real device.
 func (p *Pool) Get(pid storage.PageID) (*Frame, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -336,10 +328,10 @@ func (p *Pool) Get(pid storage.PageID) (*Frame, error) {
 		if err := p.ensureRoom(); err != nil {
 			return nil, err
 		}
-		// ensureRoom releases the latch while it flushes a dirty victim
-		// on a real-time device: another getter may have cached pid
-		// meanwhile (share its frame; a second one would orphan the
-		// first) or taken the room just made.
+		// ensureRoom releases the latch while it flushes a dirty victim:
+		// another getter may have cached pid meanwhile (share its frame;
+		// a second one would orphan the first) or taken the room just
+		// made.
 		if f := p.pinCached(pid); f != nil {
 			return f, nil
 		}
@@ -347,27 +339,18 @@ func (p *Pool) Get(pid storage.PageID) (*Frame, error) {
 			break
 		}
 	}
-	if p.disk.RealTime() {
-		f := &Frame{PID: pid, pins: 1, loading: make(chan struct{})}
-		p.admit(f)
-		p.mu.Unlock()
-		data, err := p.disk.Read(pid)
-		p.mu.Lock()
-		close(f.loading)
-		f.loading = nil
-		if err != nil {
-			p.removeFrame(f)
-			return nil, err
-		}
-		f.Page = *page.WrapShared(data)
-		return f, nil
-	}
+	f := &Frame{PID: pid, pins: 1, loading: true}
+	p.admit(f)
+	p.mu.Unlock()
 	data, err := p.disk.Read(pid)
+	p.mu.Lock()
+	f.loading = false
+	p.ioDone.Broadcast()
 	if err != nil {
+		p.removeFrame(f)
 		return nil, err
 	}
-	f := &Frame{PID: pid, Page: *page.WrapShared(data), pins: 1}
-	p.admit(f)
+	f.Page = *page.WrapShared(data)
 	return f, nil
 }
 
@@ -380,11 +363,8 @@ func (p *Pool) pinCached(pid storage.PageID) *Frame {
 		if !ok {
 			return nil
 		}
-		if f.loading != nil {
-			ch := f.loading
-			p.mu.Unlock()
-			<-ch
-			p.mu.Lock()
+		if f.loading {
+			p.ioDone.Wait()
 			// Re-lookup: the load may have failed and removed the frame.
 			continue
 		}
@@ -447,7 +427,7 @@ func (p *Pool) GetIfCached(pid storage.PageID) *Frame {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	f, ok := p.frames.Get(pid)
-	if !ok || f.loading != nil {
+	if !ok || f.loading {
 		return nil
 	}
 	p.stats.Hits++
@@ -464,7 +444,7 @@ func (p *Pool) ResidentLSN(pid storage.PageID) (lsn uint64, ok bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	f, ok := p.frames.Get(pid)
-	if !ok || f.loading != nil {
+	if !ok || f.loading {
 		return 0, false
 	}
 	return f.Page.LSN(), true
@@ -610,8 +590,8 @@ func (p *Pool) victim() *Frame {
 
 // ensureRoom evicts one unpinned, unreferenced frame if the pool is
 // full, flushing it first when dirty. Caller holds p.mu; a dirty
-// eviction on a real-time device releases it across the write, so the
-// loop revalidates the victim after each flush.
+// eviction releases it across the write, so the loop revalidates the
+// victim after each flush.
 func (p *Pool) ensureRoom() error {
 	for attempt := 0; attempt < 2*p.capacity+2; attempt++ {
 		if p.frames.Len() < p.capacity {
@@ -652,20 +632,15 @@ func (p *Pool) FlushFrame(f *Frame) error {
 // flushFrame is FlushFrame with p.mu held. The log-force and flush-hook
 // callbacks are invoked while the latch is held; they append to the
 // (internally locked) WAL and feed the tracker, neither of which calls
-// back into the pool. On a real-time device the latch is released
-// across the page write itself — the page bytes are snapshotted under
-// the latch
-// and the frame carries a `flushing` marker so concurrent flushers wait
-// and the eviction sweep skips it; a frame re-dirtied while its old
-// image is in flight simply stays dirty. On the simulated device the
-// write keeps the frame's own bytes, and the page is marked shared so
-// its next mutation copies them.
+// back into the pool. The latch is released across the page write
+// itself: the device gets the frame's own bytes, the page is marked
+// shared first so a mutation meanwhile copies them, and the frame
+// carries a `flushing` marker so concurrent flushers wait and the
+// eviction sweep skips it. A frame re-dirtied while its old image is in
+// flight stays dirty.
 func (p *Pool) flushFrame(f *Frame) error {
-	for f.flushing != nil {
-		ch := f.flushing
-		p.mu.Unlock()
-		<-ch
-		p.mu.Lock()
+	for f.flushing {
+		p.ioDone.Wait()
 	}
 	if !f.Dirty || !p.mapped(f) {
 		return nil
@@ -685,38 +660,22 @@ func (p *Pool) flushFrame(f *Frame) error {
 		}
 	}
 	onFlush := p.onFlush
-	if p.disk.RealTime() {
-		ch := make(chan struct{})
-		f.flushing = ch
-		snap := append([]byte(nil), f.Page.Bytes()...)
-		lsnAtCopy := f.LastLSN
-		p.mu.Unlock()
-		done, err := p.disk.Write(f.PID, snap)
-		p.mu.Lock()
-		f.flushing = nil
-		close(ch)
-		if err != nil {
-			return err
-		}
-		if f.Dirty && f.LastLSN == lsnAtCopy {
-			f.Dirty = false
-			f.RecLSN = wal.NilLSN
-			p.dirty--
-		}
-		p.stats.Flushes++
-		if onFlush != nil {
-			onFlush(f.PID, done)
-		}
-		return nil
-	}
-	done, err := p.disk.Write(f.PID, f.Page.Bytes())
+	f.flushing = true
+	data, lsn := f.Page.Bytes(), f.LastLSN
+	f.Page.MarkShared()
+	p.mu.Unlock()
+	done, err := p.disk.Write(f.PID, data)
+	p.mu.Lock()
+	f.flushing = false
+	p.ioDone.Broadcast()
 	if err != nil {
 		return err
 	}
-	f.Page.MarkShared()
-	f.Dirty = false
-	f.RecLSN = wal.NilLSN
-	p.dirty--
+	if f.Dirty && f.LastLSN == lsn {
+		f.Dirty = false
+		f.RecLSN = wal.NilLSN
+		p.dirty--
+	}
 	p.stats.Flushes++
 	if onFlush != nil {
 		onFlush(f.PID, done)
@@ -747,9 +706,9 @@ func (p *Pool) FlushAll() error {
 
 // flushWhere flushes every dirty frame matching keep (which runs under
 // the latch). Candidates are collected first, then flushed with
-// revalidation — flushFrame can release the latch on a real-time
-// device, so a candidate may have been flushed or evicted by someone
-// else meanwhile. They are flushed in page order (the table's walk
+// revalidation — flushFrame releases the latch across each write, so a
+// candidate may have been flushed or evicted by someone else
+// meanwhile. They are flushed in page order (the table's walk
 // order): the flush batches the tracker logs, and so the log's bytes (a
 // batch's written pages are gaps), are then the same on every run.
 func (p *Pool) flushWhere(keep func(f *Frame) bool) error {
@@ -786,14 +745,17 @@ func (p *Pool) flushWhere(keep func(f *Frame) bool) error {
 func (p *Pool) Prefetch(pids []storage.PageID) (consumed, issued int) {
 	p.mu.Lock()
 	free := max(p.capacity-p.frames.Len()-p.disk.InflightCount(), 0)
-	want := make([]storage.PageID, 0, len(pids))
-	for _, pid := range pids {
+	var want []storage.PageID
+	for i, pid := range pids {
 		if _, ok := p.frames.Get(pid); ok {
 			consumed++
 			continue
 		}
 		if len(want) >= free {
 			break
+		}
+		if want == nil {
+			want = make([]storage.PageID, 0, min(len(pids)-i, free))
 		}
 		want = append(want, pid)
 		consumed++

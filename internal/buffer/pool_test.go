@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -36,7 +37,7 @@ func newPoolEnv(t *testing.T, capacity int) (*sim.Clock, *storage.Disk, *Pool) {
 }
 
 // seed writes n formatted leaf pages directly to disk.
-func seed(t *testing.T, disk *storage.Disk, n int) {
+func seed(t *testing.T, disk storage.Device, n int) {
 	t.Helper()
 	for pid := storage.PageID(2); pid < storage.PageID(2+n); pid++ {
 		data := make([]byte, disk.Config().PageSize)
@@ -397,25 +398,84 @@ func TestFlushAllCleansEveryDirtyFrame(t *testing.T) {
 	}
 }
 
-// gatedDevice holds the first page write open until release is closed,
-// after closing entered. It reports itself real-time, so a dirty
-// eviction then sits with the pool latch released for as long as the
-// test needs.
+// gatedDevice holds the first page write — or with holdRead the first
+// page read — open until release is closed, after closing entered, so
+// a dirty eviction or a miss then sits with the pool latch released
+// for as long as the test needs. It counts the reads it serves.
 type gatedDevice struct {
 	*storage.Disk
-	once    sync.Once
-	entered chan struct{}
-	release chan struct{}
+	holdRead bool
+	once     sync.Once
+	entered  chan struct{}
+	release  chan struct{}
+	reads    atomic.Int32
 }
 
-func (g *gatedDevice) RealTime() bool { return true }
+func newGatedDevice(disk *storage.Disk, holdRead bool) *gatedDevice {
+	return &gatedDevice{Disk: disk, holdRead: holdRead, entered: make(chan struct{}), release: make(chan struct{})}
+}
 
-func (g *gatedDevice) Write(pid storage.PageID, data []byte) (sim.Time, error) {
+func (g *gatedDevice) hold() {
 	g.once.Do(func() {
 		close(g.entered)
 		<-g.release
 	})
+}
+
+func (g *gatedDevice) Read(pid storage.PageID) ([]byte, error) {
+	g.reads.Add(1)
+	if g.holdRead {
+		g.hold()
+	}
+	return g.Disk.Read(pid)
+}
+
+func (g *gatedDevice) Write(pid storage.PageID, data []byte) (sim.Time, error) {
+	if !g.holdRead {
+		g.hold()
+	}
 	return g.Disk.Write(pid, data)
+}
+
+// waitEntered waits for g to hold its IO open.
+func (g *gatedDevice) waitEntered(t *testing.T, what string) {
+	t.Helper()
+	select {
+	case <-g.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s never reached the device", what)
+	}
+}
+
+type got struct {
+	f   *Frame
+	err error
+}
+
+// getAsync runs pool.Get(pid) on its own goroutine.
+func getAsync(pool *Pool, pid storage.PageID) <-chan got {
+	ch := make(chan got, 1)
+	go func() {
+		f, err := pool.Get(pid)
+		ch <- got{f, err}
+	}()
+	return ch
+}
+
+// waitGet returns the frame a getAsync got, failing if it failed or
+// hung.
+func waitGet(t *testing.T, ch <-chan got, who string) *Frame {
+	t.Helper()
+	select {
+	case g := <-ch:
+		if g.err != nil {
+			t.Fatalf("%s Get: %v", who, g.err)
+		}
+		return g.f
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s Get hung", who)
+		return nil
+	}
 }
 
 // TestConcurrentMissDuringDirtyEvictionSharesFrame: two getters miss on
@@ -427,7 +487,7 @@ func (g *gatedDevice) Write(pid storage.PageID, data []byte) (sim.Time, error) {
 func TestConcurrentMissDuringDirtyEvictionSharesFrame(t *testing.T) {
 	_, raw, _ := newPoolEnv(t, 1)
 	seed(t, raw, 10)
-	dev := &gatedDevice{Disk: raw, entered: make(chan struct{}), release: make(chan struct{})}
+	dev := newGatedDevice(raw, false)
 	pool, err := New(dev, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -445,43 +505,13 @@ func TestConcurrentMissDuringDirtyEvictionSharesFrame(t *testing.T) {
 	}
 	pool.Unpin(f3)
 
-	type got struct {
-		f   *Frame
-		err error
-	}
-	get := func() <-chan got {
-		ch := make(chan got, 1)
-		go func() {
-			f, err := pool.Get(10)
-			ch <- got{f, err}
-		}()
-		return ch
-	}
-	wait := func(ch <-chan got, who string) *Frame {
-		t.Helper()
-		select {
-		case g := <-ch:
-			if g.err != nil {
-				t.Fatalf("%s Get(10): %v", who, g.err)
-			}
-			return g.f
-		case <-time.After(10 * time.Second):
-			t.Fatalf("%s Get(10) hung", who)
-			return nil
-		}
-	}
-
 	// The first getter evicts dirty page 2 and blocks in its write.
-	first := get()
-	select {
-	case <-dev.entered:
-	case <-time.After(10 * time.Second):
-		t.Fatal("the first getter never flushed its dirty victim")
-	}
+	first := getAsync(pool, 10)
+	dev.waitEntered(t, "the first getter's flush of its dirty victim")
 	// The second evicts clean page 3 and loads page 10 meanwhile.
-	b := wait(get(), "second")
+	b := waitGet(t, getAsync(pool, 10), "second")
 	close(dev.release)
-	a := wait(first, "first")
+	a := waitGet(t, first, "first")
 
 	if a != b {
 		t.Fatal("two concurrent misses on page 10 returned different frames")
@@ -494,6 +524,88 @@ func TestConcurrentMissDuringDirtyEvictionSharesFrame(t *testing.T) {
 	}
 	pool.Unpin(a)
 	pool.Unpin(b)
+}
+
+// TestConcurrentMissesShareOneRead: a getter that finds its page's
+// read in flight waits for that read and gets the frame it loads. The
+// pool does no other IO meanwhile, so only the finished read's wakeup
+// can release the waiter: a lost wakeup hangs here.
+func TestConcurrentMissesShareOneRead(t *testing.T) {
+	_, raw, _ := newPoolEnv(t, 1)
+	seed(t, raw, 4)
+	dev := newGatedDevice(raw, true)
+	pool, err := New(dev, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := getAsync(pool, 5)
+	dev.waitEntered(t, "the first getter's read")
+	second := getAsync(pool, 5)
+	select {
+	case <-second:
+		t.Fatal("a second getter of page 5 returned while its read was in flight")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(dev.release)
+	a, b := waitGet(t, first, "first"), waitGet(t, second, "second")
+	if a != b {
+		t.Fatal("two concurrent misses on page 5 returned different frames")
+	}
+	if n := dev.reads.Load(); n != 1 {
+		t.Fatalf("page 5 was read %d times, want once", n)
+	}
+	if st := pool.Stats(); st.Misses != 1 || st.Hits != 1 {
+		t.Fatalf("stats = %+v, want one miss and one hit", st)
+	}
+	pool.Unpin(a)
+	pool.Unpin(b)
+}
+
+// TestConcurrentFlushesShareOneWrite: a flusher that finds the frame's
+// write in flight waits for it and finds the frame clean. Only the
+// finished write's wakeup can release it: a lost wakeup hangs here.
+func TestConcurrentFlushesShareOneWrite(t *testing.T) {
+	_, raw, _ := newPoolEnv(t, 1)
+	seed(t, raw, 1)
+	dev := newGatedDevice(raw, false)
+	pool, err := New(dev, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.SetELSN(1 << 40)
+	f, err := pool.Get(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.MarkDirty(f, 10)
+	flushAsync := func() <-chan error {
+		ch := make(chan error, 1)
+		go func() { ch <- pool.FlushFrame(f) }()
+		return ch
+	}
+	first := flushAsync()
+	dev.waitEntered(t, "the first flush")
+	second := flushAsync()
+	select {
+	case <-second:
+		t.Fatal("a second flush of page 2 returned while its write was in flight")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(dev.release)
+	for _, ch := range []<-chan error{first, second} {
+		select {
+		case err := <-ch:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("a flush of page 2 hung")
+		}
+	}
+	if st := pool.Stats(); st.Flushes != 1 || pool.DirtyCount() != 0 {
+		t.Fatalf("stats = %+v, dirty %d: want one write and a clean page", st, pool.DirtyCount())
+	}
+	pool.Unpin(f)
 }
 
 // TestCleanFramesShareTheDeviceImage: a frame shares its page image

@@ -2,11 +2,13 @@ package buffer
 
 // Concurrency stress for the pool, designed to run under -race.
 // Mutator, reader, prefetch and checkpoint goroutines hammer a pool
-// over a real-time device (so miss reads and flush writes release the
-// latch) while a wrapper device enforces the WAL protocol as
-// an oracle: no page may ever reach the disk carrying an LSN at or
+// (whose miss reads and flush writes release the latch) while a wrapper
+// device enforces the WAL protocol as an oracle: no page may ever reach the disk carrying an LSN at or
 // beyond the published end of stable log (exclusive, like the real
-// log's: forcing returns the LSN the next record will get).
+// log's: forcing returns the LSN the next record will get). The device
+// also checks the hand-off of page images: a flush writes the frame's
+// own bytes, so a frame mutated while or after its write must copy
+// them first.
 //
 // Locking mirrors the engine's discipline. Pages are mutated only
 // while pinned and only under a per-page test mutex (the engine's
@@ -41,15 +43,15 @@ func storeMax(a *atomic.Uint64, v uint64) {
 // oracleDevice wraps the simulated disk and checks every page write
 // against the stable LSN at the moment of the write. Sound because
 // stable only grows: a violation observed here is a real protocol
-// break, never a stale read. It reports itself real-time, so the pool
-// takes its latch-released read and flush paths while every IO still
-// costs only virtual time: the race detector gets maximal interleaving
-// instead of a disk-latency-paced crawl.
+// break, never a stale read. Every IO costs only virtual time, so the
+// race detector gets maximal interleaving of the pool's latch-released
+// reads and writes instead of a disk-latency-paced crawl.
 //
-// It also checks that stored images are immutable: the disk keeps the
-// written slice and hands it to every reader, so a frame that mutated
-// a page without copying it first would write the image in place. Each
-// image is hashed at Write and re-hashed by changedImages.
+// It also checks that stored images are immutable: the pool writes a
+// frame's own bytes, and the disk keeps the written slice and hands it
+// to every reader, so a frame that mutated a page without copying it
+// first would write the image in place. Each image is hashed at Write
+// and re-hashed by changedImages.
 type oracleDevice struct {
 	*storage.Disk
 	stable     *atomic.Uint64
@@ -65,8 +67,6 @@ type storedImage struct {
 	data []byte
 	sum  uint32
 }
-
-func (o *oracleDevice) RealTime() bool { return true }
 
 func (o *oracleDevice) Write(pid storage.PageID, data []byte) (sim.Time, error) {
 	lsn := uint64(page.Wrap(data).LSN())
@@ -275,6 +275,12 @@ func runPoolStress(t *testing.T) {
 	if n, pids := disk.changedImages(); n != 0 {
 		t.Fatalf("%d stored images written in place; the first on pages %v", n, pids)
 	}
+	// The hand-off really happened: every frame, clean now, holds the
+	// very image the device stores — read from it or flushed to it —
+	// not a copy of it.
+	if pid, ok := ownImage(pool, disk.Disk); ok {
+		t.Fatalf("the frame of page %d holds a copy of the device's image", pid)
+	}
 	st := pool.Stats()
 	if st.Hits+st.Misses == 0 {
 		t.Fatal("stress ran no pool operations")
@@ -282,6 +288,20 @@ func runPoolStress(t *testing.T) {
 	if st.Flushes == 0 {
 		t.Fatal("stress never flushed a page")
 	}
+}
+
+// ownImage returns the first cached page whose frame does not share
+// its bytes with disk's stored image, and whether there is one.
+func ownImage(p *Pool, disk *storage.Disk) (storage.PageID, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for f := p.head; f != nil; f = f.next {
+		img, ok := disk.Image(f.PID)
+		if !ok || &img[0] != &f.Page.Bytes()[0] {
+			return f.PID, true
+		}
+	}
+	return 0, false
 }
 
 // ringMismatch reports how the clock ring and the page table disagree,

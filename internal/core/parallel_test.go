@@ -174,9 +174,10 @@ func TestBarrierShardScope(t *testing.T) {
 	}
 }
 
-// TestParallelRedoRealIO exercises the wall-clock IO path: on the file
-// device the pool releases its latch across miss reads, workers overlap
-// them, and the recovered state must still match the oracle.
+// TestParallelRedoRealIO exercises the wall-clock IO path: the pool
+// releases its latch across miss reads, on the file device workers
+// overlap them in wall-clock time, and the recovered state must still
+// match the oracle.
 func TestParallelRedoRealIO(t *testing.T) {
 	cfg := testConfig(300)
 	cfg.Device, cfg.Dir = engine.DeviceFile, t.TempDir()

@@ -89,9 +89,9 @@ type lookahead struct {
 	pool  *buffer.Pool
 	table *dpt.Table
 
-	buf []laEntry
+	buf queue[laEntry]
 	// pending holds DPT-screened candidate PIDs awaiting issue.
-	pending []storage.PageID
+	pending queue[storage.PageID]
 	eof     bool
 }
 
@@ -100,23 +100,47 @@ type laEntry struct {
 	lsn wal.LSN
 }
 
+// queue is a FIFO over one reused array: a pop advances head, and a
+// push that finds the array full moves the live entries to its front
+// once at least half of it has been popped, growing it otherwise, so
+// each entry is copied a bounded number of times on average.
+type queue[T any] struct {
+	s    []T
+	head int
+}
+
+// live returns the entries not yet popped, oldest first.
+func (q *queue[T]) live() []T { return q.s[q.head:] }
+
+// drop pops the n oldest entries.
+func (q *queue[T]) drop(n int) { q.head += n }
+
+func (q *queue[T]) push(v T) {
+	if len(q.s) == cap(q.s) && q.head > 0 && q.head >= len(q.s)/2 {
+		n := copy(q.s, q.s[q.head:])
+		clear(q.s[n:])
+		q.s, q.head = q.s[:n], 0
+	}
+	q.s = append(q.s, v)
+}
+
 // next returns the next record, keeping the read-ahead window full and
 // the prefetch queue topped up.
 func (la *lookahead) next() (wal.Record, wal.LSN, bool, error) {
 	if err := la.fill(); err != nil {
 		return nil, wal.NilLSN, false, err
 	}
-	if len(la.buf) == 0 {
+	if len(la.buf.live()) == 0 {
 		return nil, wal.NilLSN, false, nil
 	}
-	e := la.buf[0]
-	la.buf = la.buf[1:]
+	e := la.buf.live()[0]
+	la.buf.drop(1)
 	la.issue()
 	return e.rec, e.lsn, true, nil
 }
 
 func (la *lookahead) fill() error {
-	for !la.eof && len(la.buf) < lookaheadRecords {
+	for !la.eof && len(la.buf.live()) < lookaheadRecords {
 		rec, lsn, ok, err := la.src()
 		if err != nil {
 			return err
@@ -125,12 +149,12 @@ func (la *lookahead) fill() error {
 			la.eof = true
 			break
 		}
-		la.buf = append(la.buf, laEntry{rec, lsn})
+		la.buf.push(laEntry{rec, lsn})
 		// Screen candidates exactly as the redo test will (log-driven
 		// prefetch, Appendix A.2): in the DPT and not below its rLSN.
 		if op, isOp := rec.(wal.DataOp); isOp {
 			if e := la.table.Find(op.PID()); e != nil && lsn >= e.RLSN {
-				la.pending = append(la.pending, op.PID())
+				la.pending.push(op.PID())
 			}
 		}
 	}
@@ -139,17 +163,14 @@ func (la *lookahead) fill() error {
 }
 
 func (la *lookahead) issue() {
-	for len(la.pending) > 0 {
+	for len(la.pending.live()) > 0 {
 		inFlight := la.pool.Disk().InflightCount()
 		if inFlight >= maxOutstanding {
 			return
 		}
-		chunk := maxOutstanding - inFlight
-		if chunk > len(la.pending) {
-			chunk = len(la.pending)
-		}
-		consumed, _ := la.pool.Prefetch(la.pending[:chunk])
-		la.pending = la.pending[consumed:]
+		chunk := min(maxOutstanding-inFlight, len(la.pending.live()))
+		consumed, _ := la.pool.Prefetch(la.pending.live()[:chunk])
+		la.pending.drop(consumed)
 		if consumed < chunk {
 			return
 		}

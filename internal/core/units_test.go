@@ -191,6 +191,27 @@ func TestEveryPrefetcherPrefetches(t *testing.T) {
 	}
 }
 
+// TestInlineSQL2AllocatesLikeLog2: over BenchmarkRecover's crash, an
+// inline SQL2 recovery allocates within 1 % of an inline Log2 one — its
+// log-driven read-ahead reuses its window and its prefetch queue
+// instead of reallocating them as they slide, and a prefetch of pages
+// already cached allocates nothing.
+func TestInlineSQL2AllocatesLikeLog2(t *testing.T) {
+	cs, _ := buildCrash(t, testConfig(3000), 2000, 4000, 2, 1<<30, 7, true)
+	allocs := func(m Method) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if _, _, err := Recover(cs, m, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	log2, sql2 := allocs(Log2), allocs(SQL2)
+	if sql2 > log2*1.01 {
+		t.Fatalf("inline SQL2 allocates %.0f times per recovery, Log2 %.0f (+%.1f %%); want within 1 %%",
+			sql2, log2, 100*(sql2/log2-1))
+	}
+}
+
 // TestRecoverOptionsDefaulting: the zero Options is DefaultOptions —
 // every method recovers from it to the oracle's state with the same
 // virtual redo time, log pages and index fetches, because the run takes

@@ -37,13 +37,9 @@ type Config struct {
 	// TailTargetUpdates is how many updates must follow the last
 	// ∆/BW record pair at the crash (the paper uses ~100).
 	TailTargetUpdates int
-	// LeaveOpenTxn leaves one uncommitted transaction in flight at the
-	// crash so undo has work to do.
-	LeaveOpenTxn bool
 	// OpenTxns leaves this many uncommitted transactions in flight at
-	// the crash (0 falls back to LeaveOpenTxn's single loser). Each
-	// loser updates keys strided across the table so their pages
-	// spread.
+	// the crash so undo has work to do. Each loser updates keys strided
+	// across the table so their pages spread.
 	OpenTxns int
 	// OpenTxnUpdates is how many updates each loser makes (0 uses
 	// Workload.UpdatesPerTxn).
@@ -87,7 +83,7 @@ func DefaultConfig() Config {
 		CrashAfterCheckpoints:  10,
 		UpdatesAfterLastCkpt:   1000,
 		TailTargetUpdates:      25,
-		LeaveOpenTxn:           true,
+		OpenTxns:               1,
 	}
 }
 
@@ -192,9 +188,6 @@ func BuildCrash(cfg Config) (*CrashResult, error) {
 	mgr := eng.NewSessionManager(0)
 
 	openTxns := cfg.OpenTxns
-	if openTxns == 0 && cfg.LeaveOpenTxn {
-		openTxns = 1
-	}
 	perLoser := cfg.OpenTxnUpdates
 	if perLoser == 0 {
 		perLoser = cfg.Workload.UpdatesPerTxn

@@ -34,10 +34,11 @@ import "logrec/internal/sim"
 //     the simulated device it only counts (virtual writes are stable at
 //     their completion time by construction). Checkpoints call it after
 //     their page flushes and boot-page write.
-//   - RealTime reports whether IO waits happen in wall-clock time: true
-//     for FileDisk, false for the simulated Disk, whose waits are
-//     virtual. The buffer pool releases its lock across miss reads and
-//     flush writes when it is true, so concurrent IOs overlap.
+//
+// The buffer pool calls Read and Write with its latch released on every
+// device, so concurrent IOs overlap wherever the device lets them: in
+// wall-clock time on FileDisk, and in the simulated disk's virtual
+// channels on Disk.
 type Device interface {
 	// Read synchronously fetches pid's stable content, which the caller
 	// must not modify.
@@ -64,15 +65,9 @@ type Device interface {
 	// may be called with internal locks held: it must be fast and must
 	// not call back into the device. nil unsubscribes.
 	SetIOHook(fn IOHook)
-	// QueueDepth reports how far in the future the device's most-loaded
-	// channel is booked (virtual-time pacing; wall-clock devices report
-	// 0 and pacing uses InflightCount).
-	QueueDepth() sim.Duration
 	// InflightCount reports prefetched pages whose IOs have not
 	// completed.
 	InflightCount() int
-	// RealTime reports whether IO waits happen in wall-clock time.
-	RealTime() bool
 	// Freeze marks the device immutable; subsequent writes fail.
 	Freeze()
 }

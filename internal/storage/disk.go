@@ -171,9 +171,6 @@ func New(clock *sim.Clock, cfg Config) (*Disk, error) {
 	return d, nil
 }
 
-// RealTime reports false: the simulated disk's IO waits are virtual.
-func (d *Disk) RealTime() bool { return false }
-
 // Fork returns a copy-on-write child of d sharing d's current contents.
 // The child gets its own clock so forks replay independently. The parent
 // must not be written after forking; Freeze enforces this in tests.
@@ -404,25 +401,6 @@ func (d *Disk) Prefetch(pids []PageID) {
 		d.duePages += len(own)
 		runStart = i
 	}
-}
-
-// QueueDepth reports how far in the future the device's most-loaded
-// channel is booked, in virtual time from now. Prefetchers use it to
-// pace issue rates.
-func (d *Disk) QueueDepth() sim.Duration {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	now := d.clock.Now()
-	var worst sim.Time
-	for _, c := range d.channels {
-		if c > worst {
-			worst = c
-		}
-	}
-	if worst <= now {
-		return 0
-	}
-	return worst.Sub(now)
 }
 
 // InflightCount reports the number of prefetched pages whose read IOs

@@ -228,20 +228,6 @@ func TestForkCopyOnWrite(t *testing.T) {
 	}
 }
 
-func TestQueueDepth(t *testing.T) {
-	clock, d := newDisk(t)
-	if _, err := d.Write(1, pageData(1, 128)); err != nil {
-		t.Fatal(err)
-	}
-	if d.QueueDepth() <= 0 {
-		t.Fatal("queue depth zero right after a write IO")
-	}
-	clock.Advance(sim.Second)
-	if d.QueueDepth() != 0 {
-		t.Fatal("queue depth nonzero after the device drained")
-	}
-}
-
 func TestResetStats(t *testing.T) {
 	_, d := newDisk(t)
 	if _, err := d.Write(1, pageData(1, 128)); err != nil {

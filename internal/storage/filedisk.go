@@ -22,9 +22,9 @@ import (
 // rebuilds the written-page map after a crash: zero-filled slots belong
 // to pages that were allocated but never flushed.
 //
-// FileDisk always reports RealTime() == true: IO waits are wall-clock,
-// so the buffer pool releases its lock across miss reads and parallel
-// recovery workers genuinely overlap their IO.
+// IO waits are wall-clock: the buffer pool reads and writes with its
+// latch released, so parallel recovery workers genuinely overlap their
+// IO.
 type FileDisk struct {
 	clock *sim.Clock
 	cfg   Config
@@ -237,12 +237,6 @@ func (d *FileDisk) NumPages() int {
 	defer d.mu.Unlock()
 	return len(d.written)
 }
-
-// RealTime reports true: FileDisk waits are always wall-clock.
-func (d *FileDisk) RealTime() bool { return true }
-
-// QueueDepth reports 0; wall-clock prefetch pacing uses InflightCount.
-func (d *FileDisk) QueueDepth() sim.Duration { return 0 }
 
 // InflightCount reports prefetched pages whose IOs are not yet complete.
 func (d *FileDisk) InflightCount() int {

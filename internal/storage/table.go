@@ -6,12 +6,12 @@ import "math/bits"
 // (a tree allocates them by counting up), so the table is a radix tree
 // over the ID's bits: a directory of directory blocks, each pointing at
 // fixed chunks of chunkLen slots, every block and chunk allocated on
-// first use. A lookup is three indexed loads and allocates nothing; a
+// first use and every chunk freed when its last ID is deleted. A lookup is three indexed loads and allocates nothing; a
 // table of n dense pages costs about n·sizeof(T) bytes plus one
 // directory block. The directory is itself split in two so that one
 // stray ID — a corrupt PID read from the log — costs at most one
 // directory block and one chunk, never memory in proportion to its
-// value.
+// value, and the chunk goes again once the ID is deleted.
 //
 // The zero Table is empty and ready to use. It is not safe for
 // concurrent use; its owner's lock guards it.
@@ -30,10 +30,11 @@ const (
 // tableBlock is one directory block: blockLen chunks' worth of IDs.
 type tableBlock[T any] [blockLen]*tableChunk[T]
 
-// tableChunk holds chunkLen consecutive IDs' slots and a bitmap of
-// which of them are set.
+// tableChunk holds chunkLen consecutive IDs' slots, a bitmap of which
+// of them are set and how many are.
 type tableChunk[T any] struct {
 	used [chunkLen / 64]uint64
+	n    int
 	v    [chunkLen]T
 }
 
@@ -43,23 +44,25 @@ func tableIndex(pid PageID) (blk, chk, slot uint32) {
 	return uint32(pid) >> (chunkBits + blockBits), uint32(pid) >> chunkBits & (blockLen - 1), uint32(pid) & (chunkLen - 1)
 }
 
-// chunk returns pid's chunk, or nil if none was allocated.
-func (t *Table[T]) chunk(pid PageID) (*tableChunk[T], uint32) {
+// block returns pid's directory block, or nil if none was allocated,
+// and pid's chunk and slot within it.
+func (t *Table[T]) block(pid PageID) (b *tableBlock[T], chk, slot uint32) {
 	blk, chk, slot := tableIndex(pid)
-	if int(blk) >= len(t.dir) || t.dir[blk] == nil {
-		return nil, slot
+	if int(blk) < len(t.dir) {
+		b = t.dir[blk]
 	}
-	return t.dir[blk][chk], slot
+	return b, chk, slot
 }
 
 // Get returns pid's value and whether it is set.
 func (t *Table[T]) Get(pid PageID) (T, bool) {
-	c, slot := t.chunk(pid)
-	if c == nil || c.used[slot/64]&(1<<(slot%64)) == 0 {
-		var zero T
-		return zero, false
+	if b, chk, slot := t.block(pid); b != nil {
+		if c := b[chk]; c != nil && c.used[slot/64]&(1<<(slot%64)) != 0 {
+			return c.v[slot], true
+		}
 	}
-	return c.v[slot], true
+	var zero T
+	return zero, false
 }
 
 // Set stores v as pid's value, allocating its chunk on first use.
@@ -80,23 +83,28 @@ func (t *Table[T]) Set(pid PageID, v T) {
 	}
 	if bit := uint64(1) << (slot % 64); c.used[slot/64]&bit == 0 {
 		c.used[slot/64] |= bit
+		c.n++
 		t.n++
 	}
 	c.v[slot] = v
 }
 
-// Delete unsets pid, dropping the table's reference to its value. The
-// chunk stays allocated.
+// Delete unsets pid, dropping the table's reference to its value, and
+// frees pid's chunk if no other ID in it is set.
 func (t *Table[T]) Delete(pid PageID) {
-	c, slot := t.chunk(pid)
-	if c == nil {
+	b, chk, slot := t.block(pid)
+	if b == nil || b[chk] == nil {
 		return
 	}
+	c := b[chk]
 	if bit := uint64(1) << (slot % 64); c.used[slot/64]&bit != 0 {
 		c.used[slot/64] &^= bit
 		var zero T
 		c.v[slot] = zero
 		t.n--
+		if c.n--; c.n == 0 {
+			b[chk] = nil
+		}
 	}
 }
 

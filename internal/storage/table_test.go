@@ -108,6 +108,33 @@ func TestTableFarPIDCostsOneChunk(t *testing.T) {
 	runtime.KeepAlive(&tab)
 }
 
+// TestTableDeleteFreesAnEmptyChunk: deleting the last set ID of a chunk
+// frees the chunk, while a chunk that still holds an ID keeps it.
+func TestTableDeleteFreesAnEmptyChunk(t *testing.T) {
+	var tab Table[int]
+	tab.Set(1<<31, 1)
+	tab.Set(1<<31+1, 2)
+	tab.Set(5, 3)
+	if tab.chunks() != 2 {
+		t.Fatalf("three sets in two chunks allocated %d chunks", tab.chunks())
+	}
+	tab.Delete(1 << 31)
+	if tab.chunks() != 2 {
+		t.Fatalf("deleting one of a chunk's two IDs left %d chunks, want 2", tab.chunks())
+	}
+	tab.Delete(1<<31 + 1)
+	if tab.chunks() != 1 {
+		t.Fatalf("deleting a chunk's last ID left %d chunks, want 1", tab.chunks())
+	}
+	if v, ok := tab.Get(5); !ok || v != 3 || tab.Len() != 1 {
+		t.Fatalf("the other chunk's ID: Get(5) = %d, %v; Len %d", v, ok, tab.Len())
+	}
+	tab.Set(1<<31+1, 4)
+	if v, ok := tab.Get(1<<31 + 1); !ok || v != 4 || tab.chunks() != 2 {
+		t.Fatalf("re-setting an ID of a freed chunk: Get = %d, %v; %d chunks", v, ok, tab.chunks())
+	}
+}
+
 // TestDiskFarPIDCostsBoundedMemory: writing, reading and probing page
 // 1<<31 — on a disk and through a fork's fall-through to it — grows the
 // heap by less than 1 MiB beyond the image, and a read or probe of a
