@@ -110,6 +110,39 @@ func TestAdmissionAllocatesOnlyTheFrame(t *testing.T) {
 	}
 }
 
+// TestChunkChurnAllocatesOnlyTheFrame: in a one-frame pool over two
+// pages a page-table chunk apart, every miss evicts the other page and
+// empties its chunk. The emptied chunk is the table's spare, which the
+// admission reuses: the miss allocates the frame alone, not a chunk.
+func TestChunkChurnAllocatesOnlyTheFrame(t *testing.T) {
+	_, disk, pool := newPoolEnv(t, 1)
+	pids := []storage.PageID{2, 2 + 1<<12}
+	for _, pid := range pids {
+		data := make([]byte, disk.Config().PageSize)
+		page.Format(data, page.TypeLeaf)
+		if _, err := disk.Write(pid, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	miss := func() {
+		f, err := pool.Get(pids[i%2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool.Unpin(f)
+		i++
+	}
+	miss()
+	miss()
+	if n := testing.AllocsPerRun(100, miss); n != 1 {
+		t.Fatalf("a miss that empties one chunk and fills another allocates %v times, want 1 (the frame)", n)
+	}
+	if st := pool.Stats(); st.Hits != 0 || st.Evictions < 100 {
+		t.Fatalf("the test wants misses that evict: %+v", st)
+	}
+}
+
 // TestDirtyEvictionCopiesNoPage: on the file device, a miss that
 // evicts a dirty page writes the victim's own bytes, allocating no
 // snapshot of them: it costs the frame and the buffer the device reads

@@ -18,8 +18,9 @@
 // A clean frame holds no bytes of its own. Every device read is wrapped
 // as a shared page (page.WrapShared), and a flush hands the frame's own
 // bytes to the device and marks the page shared again, so the frame and
-// the device hold one image until the page's next mutation copies it —
-// also a mutation made while the write is in flight.
+// the device hold one image until the page's next mutation copies it.
+// No one pins a frame mid-flush, so only a holder of an earlier pin can
+// mutate it while the write is in flight; that mutation copies too.
 //
 // Rebuilding this cache after a crash is the dominant cost of redo
 // recovery (§1.3, Appendix B); the pool therefore exposes detailed fetch
@@ -61,9 +62,9 @@ type Frame struct {
 	pins int32
 
 	// loading is set while the frame's disk read is in flight with the
-	// latch released, and flushing while its flush write is. Concurrent
-	// getters or flushers of the frame wait on Pool.ioDone instead of
-	// issuing a duplicate IO.
+	// latch released, and flushing while its flush write is. Getters and
+	// flushers of the frame wait on Pool.ioDone meanwhile: they issue no
+	// duplicate IO, and no one pins a frame mid-flush.
 	loading, flushing bool
 
 	// Dirty reports whether the frame holds updates not yet on disk.
@@ -355,17 +356,24 @@ func (p *Pool) Get(pid storage.PageID) (*Frame, error) {
 }
 
 // pinCached pins and touches pid's frame if it is cached, waiting out a
-// read in flight, and returns nil if it is not. Caller holds p.mu; the
-// wait releases it.
+// read or write in flight, and returns nil if it is not. Caller holds
+// p.mu; the wait releases it.
+//
+// A frame mid-flush is not pinned until its write is done and the flush
+// hook has run: an update applied meanwhile would be missing from the
+// written image, yet the trackers would record the write under an end
+// of stable log the update's record may already lie below, and recovery
+// would prune the page's DPT entry and skip the update's redo.
 func (p *Pool) pinCached(pid storage.PageID) *Frame {
 	for {
 		f, ok := p.frames.Get(pid)
 		if !ok {
 			return nil
 		}
-		if f.loading {
+		if f.loading || f.flushing {
 			p.ioDone.Wait()
-			// Re-lookup: the load may have failed and removed the frame.
+			// Re-lookup: the load may have failed and removed the frame,
+			// or the flush may have ended in its eviction.
 			continue
 		}
 		f.pins++
@@ -422,18 +430,25 @@ func (p *Pool) mapped(f *Frame) bool {
 }
 
 // GetIfCached returns the pinned frame if present, else nil. A frame
-// whose read is still in flight counts as absent.
+// whose read is still in flight counts as absent; one whose write is in
+// flight is pinned once the write is done (see pinCached).
 func (p *Pool) GetIfCached(pid storage.PageID) *Frame {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	f, ok := p.frames.Get(pid)
-	if !ok || f.loading {
-		return nil
+	for {
+		f, ok := p.frames.Get(pid)
+		if !ok || f.loading {
+			return nil
+		}
+		if f.flushing {
+			p.ioDone.Wait()
+			continue
+		}
+		p.stats.Hits++
+		f.pins++
+		f.ref = true
+		return f
 	}
-	p.stats.Hits++
-	f.pins++
-	f.ref = true
-	return f
 }
 
 // ResidentLSN reports the pLSN of pid's cached frame without pinning
@@ -635,9 +650,11 @@ func (p *Pool) FlushFrame(f *Frame) error {
 // back into the pool. The latch is released across the page write
 // itself: the device gets the frame's own bytes, the page is marked
 // shared first so a mutation meanwhile copies them, and the frame
-// carries a `flushing` marker so concurrent flushers wait and the
-// eviction sweep skips it. A frame re-dirtied while its old image is in
-// flight stays dirty.
+// carries a `flushing` marker so getters and concurrent flushers wait
+// and the eviction sweep skips it. Only a holder of an earlier pin can
+// mutate the frame mid-write — a checkpoint's flush of a pinned page,
+// which the engine runs with every session quiesced; a frame so
+// re-dirtied stays dirty.
 func (p *Pool) flushFrame(f *Frame) error {
 	for f.flushing {
 		p.ioDone.Wait()

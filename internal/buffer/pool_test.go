@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"logrec/internal/dpt"
 	"logrec/internal/page"
 	"logrec/internal/sim"
 	"logrec/internal/storage"
@@ -606,6 +607,110 @@ func TestConcurrentFlushesShareOneWrite(t *testing.T) {
 		t.Fatalf("stats = %+v, dirty %d: want one write and a clean page", st, pool.DirtyCount())
 	}
 	pool.Unpin(f)
+}
+
+// TestConcurrentPinWaitsOutAFlushWrite: a getter of a page whose dirty eviction
+// is writing waits for the write and its flush hook, as a
+// GetIfCached does. Were it pinned meanwhile, an update it applied
+// would be missing from the written image, yet the hook — the trackers'
+// NoteFlush — would run under an end of stable log already past the
+// update's record: analysis (SQL1's BW records and Log1's ∆ records
+// alike, through dpt.PruneFlushed) would drop the page from the DPT and
+// redo would skip the committed update.
+func TestConcurrentPinWaitsOutAFlushWrite(t *testing.T) {
+	_, raw, _ := newPoolEnv(t, 1)
+	seed(t, raw, 10)
+	dev := newGatedDevice(raw, false)
+	pool, err := New(dev, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// eosl and publish mirror DC.EOSL, which feeds the pool's eLSN and
+	// the tracker's; the hook records the flush's FW-LSN as NoteFlush
+	// takes it. The hook runs under the pool latch.
+	var eosl atomic.Uint64
+	publish := func(e wal.LSN) {
+		pool.SetELSN(e)
+		eosl.Store(uint64(e))
+	}
+	var fws []wal.LSN
+	pool.SetFlushHook(func(pid storage.PageID, _ sim.Time) {
+		if pid == 2 {
+			fws = append(fws, wal.LSN(eosl.Load()))
+		}
+	})
+	publish(11)
+	f2, err := pool.Get(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f2.Page.SetLSN(10)
+	pool.MarkDirty(f2, 10)
+	pool.Unpin(f2)
+	f3, err := pool.Get(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.Unpin(f3)
+
+	// A getter of page 10 evicts dirty page 2 and blocks in its write.
+	first := getAsync(pool, 10)
+	dev.waitEntered(t, "the dirty eviction's write")
+	// Meanwhile a session updates page 2 at LSN 50, and a log force
+	// makes the update's record stable.
+	const update = wal.LSN(50)
+	updated := make(chan error, 1)
+	go func() {
+		f, err := pool.Get(2)
+		if err == nil {
+			f.Page.SetLSN(uint64(update))
+			pool.MarkDirty(f, update)
+			publish(60)
+			pool.Unpin(f)
+		}
+		updated <- err
+	}()
+	cached := make(chan *Frame, 1)
+	go func() { cached <- pool.GetIfCached(2) }()
+	select {
+	case err := <-updated:
+		t.Error("a session pinned and updated page 2 while its flush write was in flight")
+		updated <- err
+	case <-time.After(20 * time.Millisecond):
+	}
+	select {
+	case f := <-cached:
+		t.Error("GetIfCached pinned page 2 while its flush write was in flight")
+		cached <- f
+	case <-time.After(time.Millisecond):
+	}
+	close(dev.release)
+	pool.Unpin(waitGet(t, first, "the evicting"))
+	select {
+	case err := <-updated:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the update of page 2 hung")
+	}
+	if f := <-cached; f != nil {
+		pool.Unpin(f)
+	}
+
+	// Analysis meets the update's record, then the flush report(s).
+	table := dpt.New()
+	table.Add(2, update)
+	for _, fw := range fws {
+		table.PruneFlushed([]storage.PageID{2}, fw)
+	}
+	img, ok := raw.Image(2)
+	if !ok {
+		t.Fatal("page 2 has no stored image")
+	}
+	if lsn := wal.LSN(page.Wrap(img).LSN()); lsn < update && table.Find(2) == nil {
+		t.Fatalf("page 2 is stored at LSN %v without its update at %v, yet the flush reports (FW-LSNs %v) prune it from the DPT", lsn, update, fws)
+	}
 }
 
 // TestCleanFramesShareTheDeviceImage: a frame shares its page image

@@ -6,18 +6,22 @@ import "math/bits"
 // (a tree allocates them by counting up), so the table is a radix tree
 // over the ID's bits: a directory of directory blocks, each pointing at
 // fixed chunks of chunkLen slots, every block and chunk allocated on
-// first use and every chunk freed when its last ID is deleted. A lookup is three indexed loads and allocates nothing; a
-// table of n dense pages costs about n·sizeof(T) bytes plus one
-// directory block. The directory is itself split in two so that one
-// stray ID — a corrupt PID read from the log — costs at most one
-// directory block and one chunk, never memory in proportion to its
-// value, and the chunk goes again once the ID is deleted.
+// first use. A chunk whose last ID is deleted is unlinked and kept as
+// the table's one spare, which the next new chunk reuses: a cache
+// whose residents leave a chunk and come back to it allocates nothing.
+// A lookup is three indexed loads and allocates nothing; a table of n
+// dense pages costs about n·sizeof(T) bytes plus one directory block.
+// The directory is itself split in two so that one stray ID — a
+// corrupt PID read from the log — costs at most one directory block
+// and one chunk, never memory in proportion to its value, and once the
+// ID is deleted its chunk becomes the spare.
 //
 // The zero Table is empty and ready to use. It is not safe for
 // concurrent use; its owner's lock guards it.
 type Table[T any] struct {
-	dir []*tableBlock[T]
-	n   int
+	dir   []*tableBlock[T]
+	spare *tableChunk[T] // an emptied chunk, reused by the next Set that needs one
+	n     int
 }
 
 const (
@@ -78,7 +82,11 @@ func (t *Table[T]) Set(pid PageID, v T) {
 	}
 	c := b[chk]
 	if c == nil {
-		c = new(tableChunk[T])
+		if c = t.spare; c != nil {
+			t.spare = nil
+		} else {
+			c = new(tableChunk[T])
+		}
 		b[chk] = c
 	}
 	if bit := uint64(1) << (slot % 64); c.used[slot/64]&bit == 0 {
@@ -89,8 +97,10 @@ func (t *Table[T]) Set(pid PageID, v T) {
 	c.v[slot] = v
 }
 
-// Delete unsets pid, dropping the table's reference to its value, and
-// frees pid's chunk if no other ID in it is set.
+// Delete unsets pid, dropping the table's reference to its value. If
+// no other ID in pid's chunk is set, the chunk is unlinked: it becomes
+// the spare, or is freed if there is one already. An unlinked chunk is
+// empty — every slot zero, no bit set.
 func (t *Table[T]) Delete(pid PageID) {
 	b, chk, slot := t.block(pid)
 	if b == nil || b[chk] == nil {
@@ -104,6 +114,9 @@ func (t *Table[T]) Delete(pid PageID) {
 		t.n--
 		if c.n--; c.n == 0 {
 			b[chk] = nil
+			if t.spare == nil {
+				t.spare = c
+			}
 		}
 	}
 }

@@ -108,30 +108,47 @@ func TestTableFarPIDCostsOneChunk(t *testing.T) {
 	runtime.KeepAlive(&tab)
 }
 
-// TestTableDeleteFreesAnEmptyChunk: deleting the last set ID of a chunk
-// frees the chunk, while a chunk that still holds an ID keeps it.
-func TestTableDeleteFreesAnEmptyChunk(t *testing.T) {
+// TestTableDeleteUnlinksAnEmptyChunk: deleting the last set ID of a
+// chunk unlinks the chunk, while a chunk that still holds an ID keeps
+// it. The first emptied chunk is kept as the spare, a second one is
+// freed, and the next chunk Set needs is the spare, not a new one.
+func TestTableDeleteUnlinksAnEmptyChunk(t *testing.T) {
 	var tab Table[int]
 	tab.Set(1<<31, 1)
 	tab.Set(1<<31+1, 2)
 	tab.Set(5, 3)
-	if tab.chunks() != 2 {
-		t.Fatalf("three sets in two chunks allocated %d chunks", tab.chunks())
+	tab.Set(1<<20, 4)
+	if tab.chunks() != 3 {
+		t.Fatalf("four sets in three chunks allocated %d chunks", tab.chunks())
 	}
 	tab.Delete(1 << 31)
-	if tab.chunks() != 2 {
-		t.Fatalf("deleting one of a chunk's two IDs left %d chunks, want 2", tab.chunks())
+	if tab.chunks() != 3 || tab.spare != nil {
+		t.Fatalf("deleting one of a chunk's two IDs left %d chunks and spare %p, want 3 and none", tab.chunks(), tab.spare)
 	}
 	tab.Delete(1<<31 + 1)
-	if tab.chunks() != 1 {
-		t.Fatalf("deleting a chunk's last ID left %d chunks, want 1", tab.chunks())
+	spare := tab.spare
+	if tab.chunks() != 2 || spare == nil {
+		t.Fatalf("deleting a chunk's last ID left %d chunks and spare %p, want 2 and a spare", tab.chunks(), spare)
+	}
+	tab.Delete(1 << 20)
+	if tab.chunks() != 1 || tab.spare != spare {
+		t.Fatalf("emptying a second chunk left %d chunks and spare %p, want 1 and the first spare %p", tab.chunks(), tab.spare, spare)
 	}
 	if v, ok := tab.Get(5); !ok || v != 3 || tab.Len() != 1 {
 		t.Fatalf("the other chunk's ID: Get(5) = %d, %v; Len %d", v, ok, tab.Len())
 	}
+	if n := testing.AllocsPerRun(100, func() {
+		tab.Set(1<<31+1, 4)
+		tab.Delete(1<<31 + 1)
+	}); n != 0 {
+		t.Fatalf("setting and deleting the only ID of a chunk allocates %v times, want 0 (the spare)", n)
+	}
 	tab.Set(1<<31+1, 4)
-	if v, ok := tab.Get(1<<31 + 1); !ok || v != 4 || tab.chunks() != 2 {
-		t.Fatalf("re-setting an ID of a freed chunk: Get = %d, %v; %d chunks", v, ok, tab.chunks())
+	if v, ok := tab.Get(1<<31 + 1); !ok || v != 4 || tab.chunks() != 2 || tab.spare != nil {
+		t.Fatalf("re-setting an ID of an unlinked chunk: Get = %d, %v; %d chunks, spare %p", v, ok, tab.chunks(), tab.spare)
+	}
+	if _, ok := tab.Get(1 << 31); ok {
+		t.Fatal("the reused spare still holds a deleted ID")
 	}
 }
 
