@@ -28,10 +28,12 @@ test-1proc:
 # Every miss read and flush write in the buffer pool waits on one
 # condition variable, and a lost wakeup shows only as a hang: the pool's
 # stress test and its concurrent-miss and concurrent-flush tests run ten
-# times over.
+# times over. Routed redo's and undo's worker and barrier interleavings
+# vary from run to run: their tests run five times over.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestPoolStressRace|TestConcurrent' ./internal/buffer
+	$(GO) test -race -count=5 -run 'TestParallelRedo|TestParallelUndo|TestBarrierShardScope' ./internal/core
 
 # Short fuzz pass over the WAL codec, the restart path, the shipping
 # path, the page format, the row codec and the boot records: adversarial

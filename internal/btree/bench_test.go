@@ -23,7 +23,7 @@ func benchTree(b *testing.B, rows int) *Tree {
 	}
 	log := wal.NewLog()
 	pool.SetLogForce(func() wal.LSN { return log.Flush() })
-	tree, err := Create(pool, clock, 1, storage.MetaPageID+1, DefaultCPUCosts())
+	tree, err := Create(pool, clock, 1, storage.MetaPageID+1)
 	if err != nil {
 		b.Fatal(err)
 	}

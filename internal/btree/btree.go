@@ -59,25 +59,18 @@ type SMOLogger interface {
 	AppendSMO(rec *wal.SMORec, at wal.LSN) bool
 }
 
-// CPUCosts charges the virtual clock for tree computation. Both are
-// per-page-visited / per-cell-applied and are small next to IO, as the
-// paper's Appendix B assumes.
-type CPUCosts struct {
-	PerPageVisit sim.Duration
-	PerApply     sim.Duration
-}
-
-// DefaultCPUCosts matches the experiment defaults.
-func DefaultCPUCosts() CPUCosts {
-	return CPUCosts{PerPageVisit: 2 * sim.Microsecond, PerApply: 3 * sim.Microsecond}
-}
+// The virtual clock's charges for tree computation, per page visited and
+// per cell applied: small next to IO, as the paper's Appendix B assumes.
+const (
+	perPageVisit = 2 * sim.Microsecond
+	perApply     = 3 * sim.Microsecond
+)
 
 // Tree is a B+tree over a buffer pool.
 type Tree struct {
 	pool  *buffer.Pool
 	meta  Meta
 	clock *sim.Clock
-	costs CPUCosts
 
 	// smo logs structure modifications; nil during unlogged bulk load.
 	smo SMOLogger
@@ -89,11 +82,10 @@ type Tree struct {
 
 // Create initialises a new empty tree whose root leaf is allocated at
 // meta.NextPID.
-func Create(pool *buffer.Pool, clock *sim.Clock, tableID wal.TableID, firstPID storage.PageID, costs CPUCosts) (*Tree, error) {
+func Create(pool *buffer.Pool, clock *sim.Clock, tableID wal.TableID, firstPID storage.PageID) (*Tree, error) {
 	t := &Tree{
 		pool:  pool,
 		clock: clock,
-		costs: costs,
 		meta: Meta{
 			TableID: tableID,
 			Root:    firstPID,
@@ -114,8 +106,8 @@ func Create(pool *buffer.Pool, clock *sim.Clock, tableID wal.TableID, firstPID s
 
 // Open attaches to an existing tree described by meta (read from the
 // metadata page during DC recovery or restart).
-func Open(pool *buffer.Pool, clock *sim.Clock, meta Meta, costs CPUCosts) *Tree {
-	return &Tree{pool: pool, clock: clock, costs: costs, meta: meta}
+func Open(pool *buffer.Pool, clock *sim.Clock, meta Meta) *Tree {
+	return &Tree{pool: pool, clock: clock, meta: meta}
 }
 
 // Meta returns the current tree metadata.
@@ -137,13 +129,13 @@ func (t *Tree) Pool() *buffer.Pool { return t.pool }
 
 func (t *Tree) visit() {
 	if t.clock != nil {
-		t.clock.Advance(t.costs.PerPageVisit)
+		t.clock.Advance(perPageVisit)
 	}
 }
 
 func (t *Tree) applyCost() {
 	if t.clock != nil {
-		t.clock.Advance(t.costs.PerApply)
+		t.clock.Advance(perApply)
 	}
 }
 

@@ -47,7 +47,7 @@ func newEnv(t *testing.T, poolPages int) *testEnv {
 	log := wal.NewLog()
 	// Keep WAL protocol satisfied in unit tests: force-flush on demand.
 	pool.SetLogForce(func() wal.LSN { return log.Flush() })
-	tree, err := Create(pool, clock, 1, storage.MetaPageID+1, DefaultCPUCosts())
+	tree, err := Create(pool, clock, 1, storage.MetaPageID+1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestFindLeafDoesNotFetchLeaf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree2 := Open(pool2, clock, meta, DefaultCPUCosts())
+	tree2 := Open(pool2, clock, meta)
 	pid, err := tree2.FindLeaf(1234)
 	if err != nil {
 		t.Fatal(err)

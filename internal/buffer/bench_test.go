@@ -91,7 +91,7 @@ func BenchmarkRedirtyAfterFlush(b *testing.B) {
 		lsn := wal.LSN(i + 1)
 		f.Page.SetLSN(uint64(lsn))
 		pool.MarkDirty(f, lsn)
-		if err := pool.FlushFrame(f); err != nil {
+		if err := flush(pool, f); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -173,7 +173,7 @@ func TestDirtyCountTracksFlushAndDrop(t *testing.T) {
 	if pool.DirtyCount() != 2 {
 		t.Fatalf("dirty = %d", pool.DirtyCount())
 	}
-	if err := pool.FlushFrame(f2); err != nil {
+	if err := flush(pool, f2); err != nil {
 		t.Fatal(err)
 	}
 	if pool.DirtyCount() != 1 {

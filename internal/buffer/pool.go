@@ -106,8 +106,7 @@ func (s Stats) HitRatio() float64 {
 // Pool is the buffer pool. Frame *contents* are owned by whoever holds
 // the page pinned (the DC serializes data operations behind its shard's
 // session plane); the pool's own bookkeeping is guarded by one latch,
-// so Get / GetIfCached are safe under concurrent sessions and recovery
-// workers.
+// so Get is safe under concurrent sessions and recovery workers.
 type Pool struct {
 	disk     storage.Device
 	capacity int
@@ -429,28 +428,6 @@ func (p *Pool) mapped(f *Frame) bool {
 	return g == f
 }
 
-// GetIfCached returns the pinned frame if present, else nil. A frame
-// whose read is still in flight counts as absent; one whose write is in
-// flight is pinned once the write is done (see pinCached).
-func (p *Pool) GetIfCached(pid storage.PageID) *Frame {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for {
-		f, ok := p.frames.Get(pid)
-		if !ok || f.loading {
-			return nil
-		}
-		if f.flushing {
-			p.ioDone.Wait()
-			continue
-		}
-		p.stats.Hits++
-		f.pins++
-		f.ref = true
-		return f
-	}
-}
-
 // ResidentLSN reports the pLSN of pid's cached frame without pinning
 // it, counting a hit or touching replacement state (a test oracle); ok
 // is false when pid is not cached or its read is still in flight. The
@@ -635,26 +612,19 @@ func (p *Pool) ensureRoom() error {
 	return fmt.Errorf("buffer: all %d frames pinned, cannot evict", p.capacity)
 }
 
-// FlushFrame writes f to disk, honouring the WAL protocol: if f carries
+// flushFrame writes f to disk, honouring the WAL protocol: if f carries
 // updates beyond the stable log, the log is forced first. The flush
-// hook fires with the write's completion time.
-func (p *Pool) FlushFrame(f *Frame) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.flushFrame(f)
-}
-
-// flushFrame is FlushFrame with p.mu held. The log-force and flush-hook
-// callbacks are invoked while the latch is held; they append to the
-// (internally locked) WAL and feed the tracker, neither of which calls
-// back into the pool. The latch is released across the page write
-// itself: the device gets the frame's own bytes, the page is marked
-// shared first so a mutation meanwhile copies them, and the frame
-// carries a `flushing` marker so getters and concurrent flushers wait
-// and the eviction sweep skips it. Only a holder of an earlier pin can
-// mutate the frame mid-write — a checkpoint's flush of a pinned page,
-// which the engine runs with every session quiesced; a frame so
-// re-dirtied stays dirty.
+// hook fires with the write's completion time. The caller holds p.mu.
+// The log-force and flush-hook callbacks are invoked while the latch is
+// held; they append to the (internally locked) WAL and feed the
+// tracker, neither of which calls back into the pool. The latch is
+// released across the page write itself: the device gets the frame's
+// own bytes, the page is marked shared first so a mutation meanwhile
+// copies them, and the frame carries a `flushing` marker so getters and
+// concurrent flushers wait and the eviction sweep skips it. Only a
+// holder of an earlier pin can mutate the frame mid-write — a
+// checkpoint's flush of a pinned page, which the engine runs with every
+// session quiesced; a frame so re-dirtied stays dirty.
 func (p *Pool) flushFrame(f *Frame) error {
 	for f.flushing {
 		p.ioDone.Wait()

@@ -188,14 +188,10 @@ func runPoolStress(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < readOps; i++ {
 				pid := storage.PageID(2 + rng.Intn(keyspace))
-				f := pool.GetIfCached(pid)
-				if f == nil {
-					var err error
-					f, err = pool.Get(pid)
-					if err != nil {
-						t.Errorf("Get(%d): %v", pid, err)
-						return
-					}
+				f, err := pool.Get(pid)
+				if err != nil {
+					t.Errorf("Get(%d): %v", pid, err)
+					return
 				}
 				perPid[pid].RLock()
 				_ = f.Page.LSN()

@@ -85,20 +85,23 @@ func (m Method) IsLogical() bool { return m == Log0 || m == Log1 || m == Log2 }
 // UsesDPT reports whether m optimises its redo test with a DPT.
 func (m Method) UsesDPT() bool { return m != Log0 }
 
-// UsesPrefetch reports whether m prefetches data pages.
+// UsesPrefetch reports whether m prefetches data pages (inline only).
 func (m Method) UsesPrefetch() bool { return m == Log2 || m == SQL2 }
 
 // Options sets a recovery run's widths. Everything else a run needs —
 // the log-read model, the DC config and the buffer budget — comes from
-// the crashed (or standby) engine's Config, and Log2 always preloads the
-// index and walks the PF-list, the paper's choices (Appendix A.1/A.2).
+// the crashed (or standby) engine's Config, and inline Log2 always
+// preloads the index and walks the PF-list, the paper's choices
+// (Appendix A.1/A.2).
 // The zero value is the paper's deterministic inline run.
 type Options struct {
 	// RedoWorkers ≥ 1 routes each shard's redo pass to that many
 	// page-partitioned worker goroutines (the routed sink, parallel.go);
 	// 1 runs that machinery with one worker, the apples-to-apples
-	// baseline for worker sweeps. 0 applies inline, in log order, on
-	// the shard's pass goroutine: the paper's deterministic serial pass.
+	// baseline for worker sweeps. The routed width prefetches nothing:
+	// its workers overlap their own page reads. 0 applies inline, in
+	// log order, on the shard's pass goroutine, wrapped in the method's
+	// prefetcher: the paper's deterministic serial pass.
 	//
 	// Recovered *state* is correct in any mode, but virtual-time
 	// durations are only meaningful serial: parallel workers interleave
@@ -137,8 +140,8 @@ const perRecordCPU = 2 * sim.Microsecond
 const scanAhead = 512
 
 // maxOutstanding bounds pages with issued-but-unclaimed prefetch IOs,
-// pacing the prefetchers (Log2's pacer, SQL2's lookahead) against the
-// device queue.
+// pacing the inline prefetchers (Log2's pacer, SQL2's lookahead)
+// against the device queue.
 const maxOutstanding = 32
 
 // lookaheadRecords is SQL2's log read-ahead window, in records.

@@ -20,6 +20,15 @@ import (
 //     requires — pages are independent between structure modifications);
 //   - different pages replay concurrently, overlapping their IO.
 //
+// The workers' own fetches are the overlap the paper's prefetchers buy
+// a serial pass (§4.4, Appendix A), so the routed width prefetches
+// nothing: no index preload, no PF-list, no read-ahead. The prefetchers
+// are the inline pass's. A per-worker pacer over its slice of the list
+// showed no benefit: on the file device routed recovery ran as fast or
+// faster without it (its reads hit the OS page cache; a cold disk is
+// unmeasured), and on the sim device the routed width's virtual time
+// means nothing (Options.RedoWorkers). ARCHITECTURE.md has the numbers.
+//
 // The log is decoded upstream, by the demultiplexer's workers (fanOut),
 // so the scan loop (redo.go) is the dispatcher: it routes as it
 // screens, on the shard's pass goroutine:
@@ -46,8 +55,8 @@ import (
 //     see ARCHITECTURE.md); it stays sound because an operation whose
 //     key later moved pages is subsumed by that SMO's after-image, and
 //     the pLSN test on the hinted page (stamped at or past the SMO's
-//     LSN) screens it out. Index preloading is skipped for the same
-//     reason: the index pages are not on the routed critical path.
+//     LSN) screens it out. The index pages are therefore not on the
+//     routed critical path.
 //   - SQL family: SMOs replay inline at their log position (SQL
 //     Server's system-transaction redo), under a barrier scoped to the
 //     workers owning the SMO's pages (SMORec.AffectedPIDs): those
@@ -61,7 +70,8 @@ import (
 // shard at once: CLRs are planned and appended serially, and their page
 // applications are sharded by (data shard, page), with
 // structure-changing undo operations latching only the affected leaf's
-// worker (the page-latch protocol described there).
+// worker (the page-latch protocol described there). For redo and undo
+// alike a worker does one thing: redoOp.
 
 // redoTask is one unit routed to a worker: a page operation on one data
 // shard, or a barrier token. FIFO channel order is the fence: a task
@@ -87,7 +97,6 @@ type poolBarrier struct {
 // shardedPool.finish after the workers exit.
 type shardWorker struct {
 	tasks chan redoTask
-	pf    *pacer
 	met   Metrics
 	err   error
 }
@@ -102,9 +111,6 @@ func (w *shardWorker) loop(wg *sync.WaitGroup) {
 		}
 		if w.err != nil {
 			continue // drain remaining tasks so the dispatcher never blocks
-		}
-		if w.pf != nil {
-			w.pf.topUp()
 		}
 		w.err = t.sr.redoOp(&w.met, t.op.PID(), t.op, t.lsn)
 	}
@@ -201,52 +207,4 @@ func (p *shardedPool) finish() (Metrics, error) {
 		met.add(&w.met)
 	}
 	return met, err
-}
-
-// shardPIDs splits a prefetch list so that list i holds exactly the
-// pages worker i will replay (same routing as the dispatcher).
-func shardPIDs(id wal.ShardID, src []storage.PageID, n int) [][]storage.PageID {
-	out := make([][]storage.PageID, n)
-	for _, pid := range src {
-		i := workerIndex(id, pid, n)
-		out[i] = append(out[i], pid)
-	}
-	return out
-}
-
-// routedRedo is one shard's page-partitioned redo pass, for both
-// families: the scan loop classifies and screens, its sink routes
-// survivors and raises SMO barriers, the workers fetch, test and apply.
-// Each worker paces its own slice of the prefetch list.
-func (sr *shardRun) routedRedo(next nextFunc) error {
-	r := sr.r
-	pool := newShardedPool(r.opt.RedoWorkers)
-	if r.m.UsesPrefetch() {
-		lists := shardPIDs(sr.id, sr.prefetchList(), len(pool.workers))
-		for i, w := range pool.workers {
-			w.pf = newPacer(sr.d.Pool(), sr.table, lists[i])
-			w.pf.topUp()
-		}
-	}
-
-	// Route survivors to their partition workers; barrier only the
-	// workers an SMO touches.
-	err := sr.scan(next, nil, false, func(it redoItem) error {
-		if it.smo == nil {
-			pool.route(sr, it.op, it.lsn)
-			return nil
-		}
-		release, paused := pool.pause(sr, it.smo.AffectedPIDs())
-		err := sr.installSMO(it.smo, it.lsn, sr.table)
-		release()
-		sr.met.SMOBarriers++
-		sr.met.BarrierWorkersPaused += int64(paused)
-		return err
-	})
-	wmet, werr := pool.finish()
-	sr.met.add(&wmet)
-	if err != nil {
-		return err
-	}
-	return werr
 }

@@ -8,13 +8,13 @@ import (
 	"logrec/internal/wal"
 )
 
-// pacer drives Log2's data-page prefetch (§4.4, Appendix A.2): it walks
-// a precomputed PID list (the PF-list, or the DPT in rLSN order for
-// routed SQL2) and keeps a bounded number of read IOs outstanding, issuing
-// more as redo consumes pages. Pacing against both the pool's free
-// frames (inside Pool.Prefetch) and the device's in-flight count avoids
-// the paper's two failure modes: prefetching too fast flushes pages
-// before redo reaches them; too slow leaves redo stalling.
+// pacer drives inline Log2's data-page prefetch (§4.4, Appendix A.2):
+// it walks the PF-list and keeps a bounded number of read IOs
+// outstanding, issuing more as redo consumes pages. Pacing against both
+// the pool's free frames (inside Pool.Prefetch) and the device's
+// in-flight count avoids the paper's two failure modes: prefetching too
+// fast flushes pages before redo reaches them; too slow leaves redo
+// stalling.
 type pacer struct {
 	pool   *buffer.Pool
 	table  *dpt.Table
@@ -59,23 +59,6 @@ func (p *pacer) topUp() {
 		p.issued[pid] = struct{}{}
 		p.idx++
 	}
-}
-
-// prefetchList is the page list a routed pass's pacers walk: Log2's
-// PF-list, or for SQL2 the DPT in ascending-rLSN order — Appendix A.2's
-// alternative strategy, which routed SQL2 uses in place of its
-// log-driven lookahead, approximating first-use order without a second
-// log scan.
-func (sr *shardRun) prefetchList() []storage.PageID {
-	if sr.r.m.IsLogical() {
-		return sr.pfList
-	}
-	entries := sr.table.EntriesByRLSN()
-	out := make([]storage.PageID, len(entries))
-	for i, e := range entries {
-		out[i] = e.PID
-	}
-	return out
 }
 
 // lookahead implements SQL2's log-driven read-ahead (Appendix A.2): it

@@ -24,8 +24,9 @@ import (
 // (an index traversal for the logical family, the record's PID for the
 // SQL family) and screened (no DPT for Log0, the ∆-built DPT with a
 // basic-mode tail for Log1/Log2, the analysis DPT for SQL1/SQL2), and in
-// which prefetcher wraps the loop. The width (Options.RedoWorkers) only
-// picks the sink; both sinks end in redoOp. Note builds the transaction
+// which prefetcher wraps the inline loop. The width
+// (Options.RedoWorkers) only picks the sink; both sinks end in redoOp,
+// and only the inline sink prefetches. Note builds the transaction
 // table and runs in crash recovery's pass 1 only; the redo pass reuses
 // what it built. A standby's continuous catch-up (replay.go) shares note
 // and demux and applies by key.
@@ -78,15 +79,36 @@ type redoItem struct {
 	smo *wal.SMORec
 }
 
-// redo is one shard's redo pass. With RedoWorkers ≥ 1 it routes to the
-// page-partitioned pool (routedRedo); otherwise it applies inline, on
-// the pass's goroutine, wrapped in the method's prefetcher: index
-// preload plus the paced PF-list for Log2 (§4.4, Appendix A), log-driven
-// read-ahead for SQL2 (Appendix A.2).
+// redo is one shard's redo pass; RedoWorkers picks only its sink.
+// Inline (0), survivors are applied on the pass's goroutine, and the
+// loop is wrapped in the method's prefetcher: index preload plus the
+// paced PF-list for Log2 (§4.4, Appendix A), log-driven read-ahead for
+// SQL2 (Appendix A.2). Routed (≥ 1), the sink sends each survivor to
+// the worker owning its page and raises SMO barriers, scoped to the
+// workers an SMO touches; nothing prefetches, because the workers
+// overlap their own page reads (parallel.go).
 func (sr *shardRun) redo(next nextFunc) error {
 	r := sr.r
 	if r.opt.RedoWorkers >= 1 {
-		return sr.routedRedo(next)
+		pool := newShardedPool(r.opt.RedoWorkers)
+		err := sr.scan(next, nil, false, func(it redoItem) error {
+			if it.smo == nil {
+				pool.route(sr, it.op, it.lsn)
+				return nil
+			}
+			release, paused := pool.pause(sr, it.smo.AffectedPIDs())
+			err := sr.installSMO(it.smo, it.lsn, sr.table)
+			release()
+			sr.met.SMOBarriers++
+			sr.met.BarrierWorkersPaused += int64(paused)
+			return err
+		})
+		wmet, werr := pool.finish()
+		sr.met.add(&wmet)
+		if err != nil {
+			return err
+		}
+		return werr
 	}
 	pool := sr.d.Pool()
 	var pf *pacer

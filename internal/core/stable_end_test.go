@@ -45,19 +45,11 @@ func commitUpdate(t *testing.T, eng *engine.Engine, mgr *tc.SessionManager, key 
 	}
 }
 
-// flushLeafOf writes the leaf owning key through the pool's WAL check.
-func flushLeafOf(t *testing.T, eng *engine.Engine, key uint64) {
+// flushCache writes every dirty page through the pool's WAL check, the
+// leaf owning the test's key among them.
+func flushCache(t *testing.T, eng *engine.Engine) {
 	t.Helper()
-	pid, err := eng.DC.Tree().FindLeaf(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := eng.DC.Pool().Get(pid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.DC.Pool().Unpin(f)
-	if err := eng.DC.Pool().FlushFrame(f); err != nil {
+	if err := eng.DC.Pool().FlushAll(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -96,7 +88,7 @@ func TestNoFlushAheadOfStableEnd(t *testing.T) {
 		if loser.Txn().FirstLSN() != stable {
 			t.Fatalf("loser's record at %v, want it exactly at eLSN %v", loser.Txn().FirstLSN(), stable)
 		}
-		flushLeafOf(t, eng, 300)
+		flushCache(t, eng)
 		if eng.Log.FlushedLSN() <= stable {
 			t.Errorf("%v: page carrying the record at eLSN %v was written with no log force", v, stable)
 		}
@@ -123,7 +115,7 @@ func TestUpdateAtFWLSNAfterFlush(t *testing.T) {
 
 		commitUpdate(t, eng, mgr, 301, val(301, 2)) // same leaf as 300
 		fw := eng.TC.SendEOSL()
-		flushLeafOf(t, eng, 300)
+		flushCache(t, eng)
 
 		txn := begin(t, mgr)
 		want := val(300, 3)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"logrec/internal/dc"
@@ -159,12 +160,12 @@ func TestPassOneTableHoldsOnlyLosers(t *testing.T) {
 	}
 }
 
-// TestEveryPrefetcherPrefetches: each way recovery prefetches issues
-// reads and recovers the committed state — inline Log2's paced PF-list
-// after the index preload, inline SQL2's log-driven lookahead, and a
-// routed pass's per-worker lists (Log2's PF-list, SQL2's DPT in rLSN
-// order).
-func TestEveryPrefetcherPrefetches(t *testing.T) {
+// TestOnlyTheInlinePassPrefetches: each inline prefetcher issues reads
+// and recovers the committed state — Log2's paced PF-list after the
+// index preload, SQL2's log-driven lookahead — while a routed pass,
+// whose workers overlap their own page reads, recovers it without a
+// prefetch or an index page fetch.
+func TestOnlyTheInlinePassPrefetches(t *testing.T) {
 	cfg := testConfig(300)
 	cs, om := buildCrash(t, cfg, 2000, 100, 10, 30, 13, false)
 	for _, c := range []struct {
@@ -174,18 +175,25 @@ func TestEveryPrefetcherPrefetches(t *testing.T) {
 	}{
 		{"inline PF-list", Log2, 0},
 		{"inline lookahead", SQL2, 0},
-		{"routed PF-list", Log2, 2},
-		{"routed DPT-rLSN", SQL2, 2},
+		{"routed Log2", Log2, 2},
+		{"routed SQL2", SQL2, 2},
 	} {
 		eng, met, err := Recover(cs, c.m, Options{RedoWorkers: c.redo})
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		verifyRecovered(t, c.m, eng, om)
+		if c.redo > 0 {
+			if met.PrefetchPages != 0 || met.IndexPageFetches != 0 {
+				t.Errorf("%s prefetched %d pages and fetched %d index pages, want none",
+					c.name, met.PrefetchPages, met.IndexPageFetches)
+			}
+			continue
+		}
 		if met.PrefetchPages == 0 {
 			t.Errorf("%s issued no prefetch", c.name)
 		}
-		if c.m == Log2 && c.redo == 0 && met.IndexPageFetches == 0 {
+		if c.m == Log2 && met.IndexPageFetches == 0 {
 			t.Errorf("%s: the index preload fetched no page", c.name)
 		}
 	}
@@ -210,6 +218,47 @@ func TestInlineSQL2AllocatesLikeLog2(t *testing.T) {
 		t.Fatalf("inline SQL2 allocates %.0f times per recovery, Log2 %.0f (+%.1f %%); want within 1 %%",
 			sql2, log2, 100*(sql2/log2-1))
 	}
+}
+
+// TestRecoveryAllocsPerRecord: over BenchmarkRecover's crash, a Log2
+// recovery allocates at most a pinned number of times per decoded
+// record, inline and at two redo workers. Each bound is the largest of
+// 20 measurements plus 2 %: 2.6796 per record in a plain build, 3.0130
+// under the race detector, whose instrumentation allocates as well.
+func TestRecoveryAllocsPerRecord(t *testing.T) {
+	bound := 2.6796 * 1.02
+	if raceBuild() {
+		bound = 3.0130 * 1.02
+	}
+	cs, _ := buildCrash(t, testConfig(3000), 2000, 4000, 2, 1<<30, 7, true)
+	for _, w := range []int{0, 2} {
+		var records int64
+		allocs := testing.AllocsPerRun(3, func() {
+			_, met, err := Recover(cs, Log2, Options{RedoWorkers: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			records = met.DecodeRecords
+		})
+		if per := allocs / float64(records); per > bound {
+			t.Errorf("RedoWorkers %d: %.0f allocations over %d decoded records, %.4f per record; want at most %.4f",
+				w, allocs, records, per, bound)
+		}
+	}
+}
+
+// raceBuild reports whether the test binary was built with -race.
+func raceBuild() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }
 
 // TestRecoverOptionsDefaulting: the zero Options is DefaultOptions —

@@ -18,8 +18,6 @@ import (
 
 // Config parameterises a DC.
 type Config struct {
-	// CPUCosts charges tree computation to the virtual clock.
-	CPUCosts btree.CPUCosts
 	// Tracker configures ∆/BW recording.
 	Tracker tracker.Config
 	// CleanerTarget is the lazywriter's dirty-fraction ceiling for the
@@ -36,7 +34,6 @@ const cleanerEvery = 3
 // Figure 2(b).
 func DefaultConfig() Config {
 	return Config{
-		CPUCosts:      btree.DefaultCPUCosts(),
 		Tracker:       tracker.DefaultConfig(),
 		CleanerTarget: 0.30,
 	}
@@ -93,7 +90,7 @@ func New(clock *sim.Clock, disk storage.Device, log *wal.Log, cacheCapacity int,
 	if err != nil {
 		return nil, err
 	}
-	tree, err := btree.Create(pool, clock, tableID, storage.MetaPageID+1, cfg.CPUCosts)
+	tree, err := btree.Create(pool, clock, tableID, storage.MetaPageID+1)
 	if err != nil {
 		return nil, err
 	}
@@ -124,7 +121,7 @@ func Open(clock *sim.Clock, disk storage.Device, log *wal.Log, cacheCapacity int
 	if err != nil {
 		return nil, err
 	}
-	tree := btree.Open(pool, clock, st.tree, cfg.CPUCosts)
+	tree := btree.Open(pool, clock, st.tree)
 	d := &DC{clock: clock, disk: disk, pool: pool, log: log, tree: tree, rec: rec, shard: sh, rsspLSN: st.rsspLSN}
 	d.wire()
 	d.rec.SetEnabled(false) // recovery enables tracking when done

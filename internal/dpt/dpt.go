@@ -15,8 +15,6 @@
 package dpt
 
 import (
-	"sort"
-
 	"logrec/internal/storage"
 	"logrec/internal/wal"
 )
@@ -56,41 +54,9 @@ func (t *Table) Find(pid storage.PageID) *Entry {
 	return t.entries[pid]
 }
 
-// Remove deletes pid's entry if present.
-func (t *Table) Remove(pid storage.PageID) {
-	delete(t.entries, pid)
-}
-
 // Len returns the number of entries — the "DPT size" the paper's cost
 // model (Appendix B) uses.
 func (t *Table) Len() int { return len(t.entries) }
-
-// PIDs returns all entries' PIDs in ascending order (prefetchers group
-// contiguous runs).
-func (t *Table) PIDs() []storage.PageID {
-	out := make([]storage.PageID, 0, len(t.entries))
-	for pid := range t.entries {
-		out = append(out, pid)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// EntriesByRLSN returns the entries sorted by ascending rLSN — the
-// order DPT-driven prefetching would issue them (Appendix A.2).
-func (t *Table) EntriesByRLSN() []*Entry {
-	out := make([]*Entry, 0, len(t.entries))
-	for _, e := range t.entries {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].RLSN != out[j].RLSN {
-			return out[i].RLSN < out[j].RLSN
-		}
-		return out[i].PID < out[j].PID
-	})
-	return out
-}
 
 // PruneFlushed applies a flush report to the table under construction:
 // for each flushed PID present in the table, the entry is removed when

@@ -46,41 +46,6 @@ func TestFindMissing(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
-	tab := New()
-	tab.Add(1, 10)
-	tab.Remove(1)
-	if tab.Find(1) != nil || tab.Len() != 0 {
-		t.Fatal("entry survived Remove")
-	}
-	tab.Remove(1) // idempotent
-}
-
-func TestPIDsSorted(t *testing.T) {
-	tab := New()
-	for _, pid := range []storage.PageID{9, 3, 7, 1} {
-		tab.Add(pid, 5)
-	}
-	pids := tab.PIDs()
-	want := []storage.PageID{1, 3, 7, 9}
-	for i, pid := range pids {
-		if pid != want[i] {
-			t.Fatalf("PIDs = %v, want %v", pids, want)
-		}
-	}
-}
-
-func TestEntriesByRLSN(t *testing.T) {
-	tab := New()
-	tab.Add(1, 300)
-	tab.Add(2, 100)
-	tab.Add(3, 200)
-	es := tab.EntriesByRLSN()
-	if es[0].PID != 2 || es[1].PID != 3 || es[2].PID != 1 {
-		t.Fatalf("order = %d,%d,%d", es[0].PID, es[1].PID, es[2].PID)
-	}
-}
-
 // TestPruneKeepsEntryAtFWLSN: FW-LSN is an exclusive end of stable log,
 // so an entry whose lastLSN equals it names an update the flush may not
 // have captured. It stays, with its rLSN raised.
@@ -142,7 +107,7 @@ func TestQuickRLSNNeverExceedsFirstMention(t *testing.T) {
 			// Invariant: rLSN ≤ first-dirtying LSN is the DPT safety
 			// direction rLSN must respect *downward*; here we verify
 			// the table never pushes rLSN above lastLSN.
-			for _, e := range tab.EntriesByRLSN() {
+			for _, e := range tab.entries {
 				if e.RLSN > e.LastLSN {
 					t.Logf("seed %d: rLSN %v > lastLSN %v", seed, e.RLSN, e.LastLSN)
 					return false

@@ -27,7 +27,7 @@ func TestKnobCount(t *testing.T) {
 		{core.Options{}, 2},
 		{storage.Config{}, 6},
 		{replica.Config{}, 4},
-		{dc.Config{}, 3},
+		{dc.Config{}, 2},
 		{tracker.Config{}, 3},
 	} {
 		typ := reflect.TypeOf(c.config)
