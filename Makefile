@@ -20,20 +20,24 @@ test:
 
 # The log's decode width follows GOMAXPROCS for every scan of two or
 # more segments (one worker per core); this runs the packages that scan
-# at one worker, which a multi-core runner never does otherwise.
-# -count=1: the test cache does not key on GOMAXPROCS.
+# at one worker, which a multi-core runner never does otherwise. It runs
+# the engine too: at one core the bulk load's two stages (the caller's
+# rows, the loader goroutine's tree build) interleave instead of
+# overlapping. -count=1: the test cache does not key on GOMAXPROCS.
 test-1proc:
-	GOMAXPROCS=1 $(GO) test -count=1 ./internal/wal ./internal/core ./internal/harness
+	GOMAXPROCS=1 $(GO) test -count=1 ./internal/wal ./internal/core ./internal/harness ./internal/engine
 
 # Every miss read and flush write in the buffer pool waits on one
 # condition variable, and a lost wakeup shows only as a hang: the pool's
 # stress test and its concurrent-miss and concurrent-flush tests run ten
 # times over. Routed redo's and undo's worker and barrier interleavings
-# vary from run to run: their tests run five times over.
+# vary from run to run: their tests run five times over, and so do the
+# bulk load's, whose rows pass from the caller to a loader goroutine.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestPoolStressRace|TestConcurrent' ./internal/buffer
 	$(GO) test -race -count=5 -run 'TestParallelRedo|TestParallelUndo|TestBarrierShardScope' ./internal/core
+	$(GO) test -race -count=5 -run 'Load' ./internal/engine ./internal/dc
 
 # Short fuzz pass over the WAL codec, the restart path, the shipping
 # path, the page format, the row codec and the boot records: adversarial

@@ -457,7 +457,8 @@ type shardRun struct {
 	// table is the shard's DPT (nil for Log0 and on a standby).
 	table *dpt.Table
 	// pfList is Log2's prefetch list: DPT-candidate PIDs in
-	// first-update order (Appendix A.2).
+	// first-update order (Appendix A.2), built only when the redo pass
+	// paces it (run.pacesPFList).
 	pfList []storage.PageID
 	// lastDeltaTCLSN is the TC-LSN of the shard's last ∆ record; redo
 	// records at or beyond it are the "tail of the log" handled in

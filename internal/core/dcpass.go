@@ -10,10 +10,11 @@ import (
 // SMO records so the B-tree is well-formed before any logical redo
 // re-traverses it (§1.2), and — for the DPT-optimised methods —
 // constructs the logical DPT from ∆-log records per Algorithm 4, plus
-// the PF-list for Log2's prefetch (Appendix A.2). It takes the place
-// of the SQL analysis pass (§5.1). The demultiplexer delivers exactly
-// this shard's SMO/∆/BW records, plus — on shard 0 — the records no
-// shard owns, which the type switch ignores.
+// — for inline Log2, the one pass that reads it — the PF-list for its
+// prefetch (Appendix A.2). It takes the place of the SQL analysis pass
+// (§5.1). The demultiplexer delivers exactly this shard's SMO/∆/BW
+// records, plus — on shard 0 — the records no shard owns, which the
+// type switch ignores.
 func (sr *shardRun) dcPass(next nextFunc) error {
 	if sr.r.m.UsesDPT() {
 		sr.table = dpt.New()
@@ -53,7 +54,8 @@ func (sr *shardRun) dcPass(next nextFunc) error {
 }
 
 // applyDelta folds one ∆-log record into the DPT under construction
-// (Algorithm 4's DC-DPT-UPDATE) and extends the PF-list.
+// (Algorithm 4's DC-DPT-UPDATE) and, when redo paces one, extends the
+// PF-list.
 //
 // DirtySet entries before FirstDirty were dirtied before the interval's
 // first page flush, so the previous ∆ record's TC-LSN bounds their
@@ -69,6 +71,7 @@ func (sr *shardRun) dcPass(next nextFunc) error {
 // TC-LSN, and pruning can only trust flushes to cover updates before
 // the previous record.
 func (sr *shardRun) applyDelta(t *wal.DeltaRec, prevDelta wal.LSN) {
+	pf := sr.r.pacesPFList()
 	perfect := len(t.DirtyLSNs) == len(t.DirtySet) && len(t.DirtySet) > 0
 	for i, pid := range t.DirtySet {
 		var rlsn wal.LSN
@@ -80,7 +83,7 @@ func (sr *shardRun) applyDelta(t *wal.DeltaRec, prevDelta wal.LSN) {
 		default:
 			rlsn = t.FWLSN
 		}
-		if sr.table.Find(pid) == nil {
+		if pf && sr.table.Find(pid) == nil {
 			sr.pfList = append(sr.pfList, pid)
 		}
 		sr.table.Add(pid, rlsn)

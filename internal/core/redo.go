@@ -79,6 +79,12 @@ type redoItem struct {
 	smo *wal.SMORec
 }
 
+// pacesPFList reports whether redo paces a PF-list, which dcPass then
+// builds: inline Log2 only.
+func (r *run) pacesPFList() bool {
+	return r.m.UsesPrefetch() && r.m.IsLogical() && r.opt.RedoWorkers < 1
+}
+
 // redo is one shard's redo pass; RedoWorkers picks only its sink.
 // Inline (0), survivors are applied on the pass's goroutine, and the
 // loop is wrapped in the method's prefetcher: index preload plus the
@@ -112,7 +118,7 @@ func (sr *shardRun) redo(next nextFunc) error {
 	}
 	pool := sr.d.Pool()
 	var pf *pacer
-	if r.m.UsesPrefetch() && r.m.IsLogical() {
+	if r.pacesPFList() {
 		if err := sr.preloadIndex(); err != nil {
 			return fmt.Errorf("index preload: %w", err)
 		}

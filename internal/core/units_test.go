@@ -6,6 +6,7 @@ import (
 
 	"logrec/internal/dc"
 	"logrec/internal/engine"
+	"logrec/internal/storage"
 	"logrec/internal/tracker"
 	"logrec/internal/wal"
 )
@@ -195,6 +196,61 @@ func TestOnlyTheInlinePassPrefetches(t *testing.T) {
 		}
 		if c.m == Log2 && met.IndexPageFetches == 0 {
 			t.Errorf("%s: the index preload fetched no page", c.name)
+		}
+	}
+}
+
+// TestOnlyInlineLog2BuildsThePFList runs the DC pass alone over one
+// crash: Log1, and Log2 at two redo workers, build a DPT but no PF-list,
+// since no redo pass of theirs reads one; inline Log2's list names every
+// page its DPT holds.
+func TestOnlyInlineLog2BuildsThePFList(t *testing.T) {
+	cfg := testConfig(300)
+	cs, _ := buildCrash(t, cfg, 2000, 100, 10, 30, 13, false)
+	for _, c := range []struct {
+		name string
+		m    Method
+		redo int
+		list bool
+	}{
+		{"Log1", Log1, 0, false},
+		{"routed Log2", Log2, 2, false},
+		{"inline Log2", Log2, 0, true},
+	} {
+		clock, disks, log, err := cs.Fork(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := dc.Open(clock, disks[0], log, cfg.CachePages, 0, cfg.DC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := newRun(clock, log, cfg.ScanCost, Options{RedoWorkers: c.redo}, []*dc.DC{d})
+		r.cs, r.m = cs, c.m
+		if err := r.findScanStart(); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.fanOut(r.scanStart, r.noteGlobal, shardOf, (*shardRun).dcPass); err != nil {
+			t.Fatal(err)
+		}
+		sr := r.shards[0]
+		if sr.table.Len() == 0 {
+			t.Fatalf("%s: the DC pass built an empty DPT; the test lost its point", c.name)
+		}
+		if !c.list {
+			if len(sr.pfList) != 0 {
+				t.Errorf("%s built a PF-list of %d pages that no pass reads", c.name, len(sr.pfList))
+			}
+			continue
+		}
+		listed := make(map[storage.PageID]bool, len(sr.pfList))
+		for _, pid := range sr.pfList {
+			if sr.table.Find(pid) != nil {
+				listed[pid] = true
+			}
+		}
+		if len(listed) != sr.table.Len() {
+			t.Errorf("%s: the PF-list names %d of the DPT's %d pages", c.name, len(listed), sr.table.Len())
 		}
 	}
 }

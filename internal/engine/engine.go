@@ -321,33 +321,6 @@ func decodeMaster(buf []byte) (wal.LSN, error) {
 	return wal.LSN(binary.BigEndian.Uint64(buf)), nil
 }
 
-// Load bulk-loads n sequential rows (keys 0..n-1, routed to their
-// shards), flushes them, enables logging and takes the initial
-// checkpoint so the engine is in steady operation. It runs once, on an
-// empty engine, before any logged operation: each shard's table is
-// built bottom-up from its ascending keys (btree.Loader), not inserted
-// into. valFn is called from the calling goroutine in key order, and
-// the slice it returns is copied into its page before the next call,
-// so it may reuse one buffer. A standby engine (Config.Standby) stops
-// after the flush: logging stays off and no checkpoint is taken, so
-// its log holds nothing but the header and shipped bytes land at
-// exactly the primary's offsets.
-func (e *Engine) Load(n int, valFn func(key uint64) []byte) error {
-	for k := uint64(0); k < uint64(n); k++ {
-		if err := e.Set.LoadRow(k, valFn(k)); err != nil {
-			return err
-		}
-	}
-	if err := e.Set.FinishLoad(); err != nil {
-		return err
-	}
-	if e.Cfg.Standby {
-		return nil
-	}
-	e.Set.StartLogging()
-	return e.TC.Checkpoint()
-}
-
 // BecomePrimary installs the routing table and TC a promotion built
 // (core.Replayer.Promote), rewiring the file-mode master hook so the
 // promoted engine's checkpoints land in its own boot file. The standby

@@ -2,9 +2,13 @@ package engine
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
+	"logrec/internal/btree"
 	"logrec/internal/dc"
 	"logrec/internal/sim"
 	"logrec/internal/storage"
@@ -97,5 +101,123 @@ func TestShardedLoadEqualsPerShardInserts(t *testing.T) {
 				eng.Crash() // closes the page files and the WAL
 			}
 		})
+	}
+}
+
+// loadedPages bulk-loads rows rows from valFn into a new one-shard
+// engine with a pool small enough that the load evicts, and returns
+// every tree page on its device.
+func loadedPages(t *testing.T, rows int, valFn func(uint64) []byte) [][]byte {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.CachePages = 32
+	eng, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Load(rows, valFn); err != nil {
+		t.Fatal(err)
+	}
+	var pages [][]byte
+	for pid := storage.MetaPageID + 1; pid < eng.DC.Tree().Meta().NextPID; pid++ {
+		img, err := eng.Disk.Read(pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages = append(pages, bytes.Clone(img))
+	}
+	return pages
+}
+
+// TestLoadCopiesReusedBuffer: a valFn that returns one buffer,
+// overwritten on every call, loads the same pages as one that returns a
+// fresh slice per row. Rows of 13 to 300 bytes fill batches by their
+// row count and by their bytes alike, and the pool is small enough that
+// the loader evicts while the caller refills the buffer.
+func TestLoadCopiesReusedBuffer(t *testing.T) {
+	const rows = 20000
+	row := func(dst []byte, k uint64) []byte {
+		return fmt.Appendf(dst, "row-%08d-%s", k, bytes.Repeat([]byte{byte('a' + k%26)}, int(k*7919%288)))
+	}
+	fresh := loadedPages(t, rows, func(k uint64) []byte { return row(nil, k) })
+	buf := make([]byte, 0, 512)
+	reused := loadedPages(t, rows, func(k uint64) []byte { return row(buf[:0], k) })
+	if len(reused) != len(fresh) {
+		t.Fatalf("reused buffer loads %d pages, fresh slices %d", len(reused), len(fresh))
+	}
+	for i := range fresh {
+		if !bytes.Equal(reused[i], fresh[i]) {
+			t.Fatalf("page %d differs between a reused buffer and fresh slices", storage.MetaPageID+1+storage.PageID(i))
+		}
+	}
+}
+
+// settledGoroutines waits up to a second for the goroutine count to
+// fall back to base or below (a goroutine that has signalled its end
+// may not have exited yet, nor may one an earlier test left) and
+// returns the last count.
+func settledGoroutines(base int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	return n
+}
+
+// TestLoadStopsAfterARowFails: a value too large for a page at key k
+// (larger than a whole batch, too) fails Load with
+// btree.ErrValueTooLarge, valFn is called for at most a ring of batches
+// beyond k, and the loader goroutine ends.
+func TestLoadStopsAfterARowFails(t *testing.T) {
+	const rows, bad = 50000, 3000
+	eng, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	calls := 0
+	huge := make([]byte, 2*loadBatchBytes)
+	err = eng.Load(rows, func(k uint64) []byte {
+		calls++
+		if k == bad {
+			return huge
+		}
+		return []byte(fmt.Sprintf("row-%08d", k))
+	})
+	if !errors.Is(err, btree.ErrValueTooLarge) {
+		t.Fatalf("Load = %v, want ErrValueTooLarge", err)
+	}
+	if limit := bad + 1 + loadRing*loadBatchRows; calls <= bad || calls > limit {
+		t.Fatalf("valFn called %d times; want more than %d and at most %d", calls, bad, limit)
+	}
+	if n := settledGoroutines(base); n > base {
+		t.Fatalf("%d goroutines after Load returned, %d before", n, base)
+	}
+}
+
+// TestLoadPanicEndsTheLoader: a panic of valFn reaches Load's caller,
+// and the loader goroutine ends with it.
+func TestLoadPanicEndsTheLoader(t *testing.T) {
+	const rows, bad = 50000, 3000
+	eng, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	got := func() (p any) {
+		defer func() { p = recover() }()
+		_ = eng.Load(rows, func(k uint64) []byte {
+			if k == bad {
+				panic("valFn failed")
+			}
+			return []byte(fmt.Sprintf("row-%08d", k))
+		})
+		return nil
+	}()
+	if got != "valFn failed" {
+		t.Fatalf("recovered %v, want valFn's panic", got)
+	}
+	if n := settledGoroutines(base); n > base {
+		t.Fatalf("%d goroutines after Load panicked, %d before", n, base)
 	}
 }
