@@ -32,12 +32,14 @@ test-1proc:
 # stress test and its concurrent-miss and concurrent-flush tests run ten
 # times over. Routed redo's and undo's worker and barrier interleavings
 # vary from run to run: their tests run five times over, and so do the
-# bulk load's, whose rows pass from the caller to a loader goroutine.
+# engine's bulk-load tests, whose rows pass from the caller to a loader
+# goroutine (the DC's loader runs on one goroutine: its tests run under
+# -race once, in the first line).
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestPoolStressRace|TestConcurrent' ./internal/buffer
 	$(GO) test -race -count=5 -run 'TestParallelRedo|TestParallelUndo|TestBarrierShardScope' ./internal/core
-	$(GO) test -race -count=5 -run 'Load' ./internal/engine ./internal/dc
+	$(GO) test -race -count=5 -run 'Load' ./internal/engine
 
 # Short fuzz pass over the WAL codec, the restart path, the shipping
 # path, the page format, the row codec and the boot records: adversarial

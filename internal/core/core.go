@@ -254,10 +254,6 @@ type Metrics struct {
 	SMOBarriers          int64
 	UndoBarriers         int64
 	BarrierWorkersPaused int64
-
-	// RouteChanges counts committed range reassignments replayed into
-	// the recovered routing table.
-	RouteChanges int
 }
 
 // Recover replays the crash state under method m and returns a fully
@@ -265,8 +261,8 @@ type Metrics struct {
 // crash state copy-on-write, so multiple methods can recover the same
 // crash independently — the paper's controlled side-by-side comparison.
 // All of the crashed engine's shards recover concurrently from the one
-// log; the recovered routing table is rebuilt from the checkpoint's
-// route snapshot plus any committed in-window reassignments. The run
+// log; the recovered routing table is the checkpoint's route snapshot
+// (the engine's default routes before the first checkpoint). The run
 // takes its log-read model, DC config and buffer budget from the
 // crashed engine's Config; opt sets only the widths.
 func Recover(cs *engine.CrashState, m Method, opt Options) (*engine.Engine, *Metrics, error) {
@@ -314,15 +310,15 @@ func Recover(cs *engine.CrashState, m Method, opt Options) (*engine.Engine, *Met
 	}
 
 	// Phase 1: prep — DC recovery (logical) or analysis (SQL), per
-	// shard. The transaction table and the route changes are built here,
-	// once; redo notes nothing.
+	// shard. The transaction table is built here, once; redo notes
+	// nothing.
 	w0 := time.Now()
 	t0 := clock.Now()
 	prep := (*shardRun).sqlAnalysis
 	if m.IsLogical() {
 		prep = (*shardRun).dcPass
 	}
-	if err = r.fanOut(r.scanStart, r.noteGlobal, shardOf, prep); err != nil {
+	if err = r.fanOut(r.scanStart, r.txns.note, shardOf, prep); err != nil {
 		return nil, nil, fmt.Errorf("core: %v prep: %w", m, err)
 	}
 	met.PrepTime = clock.Now().Sub(t0)
@@ -365,14 +361,8 @@ func Recover(cs *engine.CrashState, m Method, opt Options) (*engine.Engine, *Met
 	}
 	r.captureIOStats()
 
-	routes, err := r.finalRoutes()
-	if err != nil {
-		return nil, nil, err
-	}
-	met.RouteChanges = r.appliedRouteChanges
-
 	// Reopen for normal operation: tracking on, SMOs logged, TC wired.
-	set, err := shard.NewSet(routes, dcs)
+	set, err := shard.NewSet(r.routes, dcs)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: rebuilding routing table: %w", err)
 	}
@@ -417,13 +407,9 @@ type run struct {
 	// primary's stamps.
 	routeByKey func(key uint64) (*shardRun, error)
 
-	// routes is the routing table at the penultimate checkpoint;
-	// routeChanges are the in-window ShardMapRecs, collected by
-	// noteGlobal in crash recovery's pass 1 and applied at the end for
-	// committed migrations only.
-	routes              []wal.RouteEntry
-	routeChanges        []*wal.ShardMapRec
-	appliedRouteChanges int
+	// routes is the routing table at the penultimate checkpoint: the
+	// table the crashed engine ran with, since routes never change.
+	routes []wal.RouteEntry
 }
 
 // newRun wires a run over the reopened (or standby) data components.
@@ -542,9 +528,9 @@ func (r *run) newQueues() []demuxQueue {
 // phases and by a standby's Replayer.CatchUp, at every shard count. It
 // scans the stable log from `from` (wal.NewScanner: a window of two or
 // more segments is decoded ahead, one worker per core); shows every record
-// to note, if not nil (stream-order bookkeeping — transaction table,
-// route changes — on the calling goroutine, before any pass sees the
-// record); and sends it, batched, down a bounded queue to the pass of
+// to note, if not nil (stream-order bookkeeping — the transaction
+// table — on the calling goroutine, before any pass sees the record);
+// and sends it, batched, down a bounded queue to the pass of
 // the shard route names, each pass on its own goroutine. Route names
 // shard 0 for a record no shard owns — on one shard, every record goes
 // there — and every pass ignores such records. The scan charges no
@@ -633,17 +619,6 @@ func shardOf(rec wal.Record) wal.ShardID {
 	return 0
 }
 
-// noteGlobal performs the per-record bookkeeping that belongs to the
-// whole recovery, not one shard: transaction-table maintenance and
-// route-change collection. Only pass 1 calls it, from exactly one
-// goroutine: the demultiplexer's.
-func (r *run) noteGlobal(rec wal.Record, lsn wal.LSN) {
-	r.txns.note(rec, lsn)
-	if sm, ok := rec.(*wal.ShardMapRec); ok {
-		r.routeChanges = append(r.routeChanges, sm)
-	}
-}
-
 // findScanStart resolves the master record to the redo scan start and
 // seeds the transaction table and routing snapshot from the
 // end-checkpoint record.
@@ -667,51 +642,6 @@ func (r *run) findScanStart() error {
 	if len(end.Routes) > 0 {
 		r.routes = end.Routes
 	}
-	return nil
-}
-
-// finalRoutes rebuilds the routing table the crash had: the checkpoint
-// snapshot plus every in-window reassignment whose migration
-// transaction committed (a loser migration's rows were undone back, so
-// its routing change must not survive).
-func (r *run) finalRoutes() ([]wal.RouteEntry, error) {
-	router, err := shard.NewRouter(r.routes)
-	if err != nil {
-		return nil, fmt.Errorf("core: checkpointed routing table: %w", err)
-	}
-	for _, sm := range r.routeChanges {
-		if !r.txns.won[sm.TxnID] {
-			continue
-		}
-		if err := r.replayRoute(router, sm); err != nil {
-			return nil, err
-		}
-	}
-	return router.Routes(), nil
-}
-
-// replayRoute applies one committed migration's routing change to
-// router at the end of a crash recovery.
-func (r *run) replayRoute(router *shard.Router, sm *wal.ShardMapRec) error {
-	// A change already reflected in the checkpoint's route snapshot
-	// (migration committed before the end-checkpoint record) is a
-	// no-op here and is not counted as replayed.
-	start, _, owner := router.RangeOf(sm.SplitAt)
-	if start == sm.SplitAt && owner == sm.NewShard {
-		return nil
-	}
-	// Reassign exactly [SplitAt, End] — the rows the migration moved.
-	// The live range's end boundary may have come from an unlogged
-	// boundary-only split, so it is cut here rather than inferred
-	// from the boundaries recovery happens to know about.
-	router.Split(sm.SplitAt)
-	if sm.End != ^uint64(0) {
-		router.Split(sm.End + 1)
-	}
-	if err := router.Reassign(sm.SplitAt, sm.NewShard); err != nil {
-		return fmt.Errorf("core: replaying route change at %d: %w", sm.SplitAt, err)
-	}
-	r.appliedRouteChanges++
 	return nil
 }
 

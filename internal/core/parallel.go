@@ -63,8 +63,7 @@ import (
 //     workers drain and pause, the SMO replays, and they resume.
 //     Workers owning none of the SMO's pages run ahead — their queued
 //     tasks touch disjoint pages, so no ordering is lost (FIFO
-//     channels are the fence; the pool's barrier-epoch counter tracks
-//     how many fences have been raised).
+//     channels are the fence).
 //
 // Routed undo (undo.go) reuses the same worker pool across every data
 // shard at once: CLRs are planned and appended serially, and their page
@@ -124,8 +123,6 @@ func (w *shardWorker) loop(wg *sync.WaitGroup) {
 type shardedPool struct {
 	workers []*shardWorker
 	wg      sync.WaitGroup
-	// epoch counts barriers begun (dispatcher-owned observability).
-	epoch uint64
 }
 
 // newShardedPool starts n workers.
@@ -159,27 +156,18 @@ func (p *shardedPool) route(sr *shardRun, op wal.DataOp, lsn wal.LSN) {
 	p.workers[p.widx(sr, op.PID())].tasks <- redoTask{sr: sr, op: op, lsn: lsn}
 }
 
-// pause drains and parks the workers owning pids on data shard sr — or
-// every worker when pids is nil (a global barrier; sr is then ignored)
-// — and returns a release function plus the number of workers paused.
+// pause drains and parks the workers owning pids on data shard sr and
+// returns a release function plus the number of workers paused.
 // The dispatcher may touch the paused partitions' pages until it calls
 // release; unaffected workers keep running.
 func (p *shardedPool) pause(sr *shardRun, pids []storage.PageID) (release func(), paused int) {
-	p.epoch++
 	var affected []int
-	if pids == nil {
-		affected = make([]int, len(p.workers))
-		for i := range affected {
-			affected[i] = i
-		}
-	} else {
-		seen := make(map[int]bool, len(pids))
-		for _, pid := range pids {
-			i := p.widx(sr, pid)
-			if !seen[i] {
-				seen[i] = true
-				affected = append(affected, i)
-			}
+	seen := make(map[int]bool, len(pids))
+	for _, pid := range pids {
+		i := p.widx(sr, pid)
+		if !seen[i] {
+			seen[i] = true
+			affected = append(affected, i)
 		}
 	}
 	b := &poolBarrier{arrived: new(sync.WaitGroup), resume: make(chan struct{})}

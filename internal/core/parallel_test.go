@@ -136,9 +136,7 @@ func TestParallelRedoMatchesOracle(t *testing.T) {
 }
 
 // TestBarrierShardScope drives the worker pool's pause primitive
-// directly: a barrier names only the shards that own its pages, an
-// epoch increments per barrier, and a nil page set means a global
-// pause.
+// directly: a barrier parks only the workers that own its pages.
 func TestBarrierShardScope(t *testing.T) {
 	eng, err := engine.New(testConfig(64))
 	if err != nil {
@@ -160,14 +158,6 @@ func TestBarrierShardScope(t *testing.T) {
 	release()
 	if paused != 2 {
 		t.Errorf("pause({8,5}): paused %d workers, want 2", paused)
-	}
-	release, paused = pool.pause(nil, nil)
-	release()
-	if paused != 4 {
-		t.Errorf("pause(nil): paused %d workers, want 4 (global)", paused)
-	}
-	if pool.epoch != 3 {
-		t.Errorf("epoch = %d after 3 barriers, want 3", pool.epoch)
 	}
 	if _, err := pool.finish(); err != nil {
 		t.Fatal(err)

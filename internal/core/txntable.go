@@ -15,10 +15,6 @@ import (
 // start is still found.
 type txnTable struct {
 	live map[wal.TxnID]txnSpan
-	// won holds the committed transactions that logged a ShardMapRec:
-	// route-change replay (finalRoutes) applies only committed
-	// migrations, and it is the set's one reader.
-	won map[wal.TxnID]bool
 }
 
 // txnSpan is one in-flight transaction's scanned records. first is
@@ -26,14 +22,10 @@ type txnTable struct {
 // below the scan.
 type txnSpan struct {
 	first, last wal.LSN
-	migrates    bool // logged a ShardMapRec
 }
 
 func newTxnTable() *txnTable {
-	return &txnTable{
-		live: make(map[wal.TxnID]txnSpan),
-		won:  make(map[wal.TxnID]bool),
-	}
+	return &txnTable{live: make(map[wal.TxnID]txnSpan)}
 }
 
 // seed installs the active-transaction table from an end-checkpoint
@@ -63,18 +55,9 @@ func (t *txnTable) note(rec wal.Record, lsn wal.LSN) {
 		return // system records
 	}
 	e, seen := t.live[id]
-	switch rec.Type() {
-	case wal.TypeCommit:
-		if e.migrates {
-			t.won[id] = true
-		}
+	if typ := rec.Type(); typ == wal.TypeCommit || typ == wal.TypeAbort {
 		delete(t.live, id)
 		return
-	case wal.TypeAbort:
-		delete(t.live, id)
-		return
-	case wal.TypeShardMap:
-		e.migrates = true
 	}
 	if !seen {
 		e.first = lsn

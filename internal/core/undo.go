@@ -88,10 +88,8 @@ func nextLoser(losers map[wal.TxnID]*undoState) wal.TxnID {
 }
 
 // resolveShard routes one undo compensation: by the record's shard
-// stamp for recovery — not the routing table, which mid-migration may
-// already (or no longer) point elsewhere — or by key when routeByKey is
-// set (a standby, whose partitioning need not match the primary's
-// stamps).
+// stamp for recovery, or by key when routeByKey is set (a standby,
+// whose partitioning need not match the primary's stamps).
 func (r *run) resolveShard(sh wal.ShardID, key uint64) (*shardRun, error) {
 	if r.routeByKey != nil {
 		return r.routeByKey(key)

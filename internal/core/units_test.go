@@ -70,17 +70,14 @@ func TestTxnTableLosers(t *testing.T) {
 		t.Fatal("system txn tracked as loser")
 	}
 
-	// A stream of committed, aborted and migrating transactions: only
-	// the in-flight one stays, and won holds only committed migrations.
+	// A stream of committed and aborted transactions: only the in-flight
+	// one stays.
 	tt = newTxnTable()
 	lsn := wal.LSN(1000)
 	for i := 0; i < 1000; i++ {
 		id := wal.TxnID(lsn)
 		tt.note(&wal.UpdateRec{TxnID: id}, lsn)
 		tt.note(&wal.UpdateRec{TxnID: id}, lsn+1)
-		if i%50 == 0 {
-			tt.note(&wal.ShardMapRec{TxnID: id}, lsn+2)
-		}
 		switch {
 		case i == 999:
 			// the last one stays in flight
@@ -101,19 +98,6 @@ func TestTxnTableLosers(t *testing.T) {
 	}
 	if first := tt.oldestFirst(); first != wal.LSN(last) {
 		t.Fatalf("oldestFirst = %v, want %v", first, last)
-	}
-	// Migrations are every 50th transaction; those with i%3 == 0 abort.
-	want := 0
-	for i := 0; i < 999; i += 50 {
-		if i%3 != 0 {
-			want++
-			if !tt.won[wal.TxnID(1000+10*i)] {
-				t.Errorf("committed migration %d missing from won", i)
-			}
-		}
-	}
-	if len(tt.won) != want {
-		t.Fatalf("won holds %d transactions, want the %d committed migrations", len(tt.won), want)
 	}
 }
 
@@ -142,7 +126,7 @@ func TestPassOneTableHoldsOnlyLosers(t *testing.T) {
 		if err := r.findScanStart(); err != nil {
 			t.Fatal(err)
 		}
-		if err := r.fanOut(r.scanStart, r.noteGlobal, shardOf, (*shardRun).dcPass); err != nil {
+		if err := r.fanOut(r.scanStart, r.txns.note, shardOf, (*shardRun).dcPass); err != nil {
 			t.Fatal(err)
 		}
 		if len(r.txns.live) != met.LosersUndone {
@@ -154,9 +138,6 @@ func TestPassOneTableHoldsOnlyLosers(t *testing.T) {
 		}
 		if met.LosersUndone != want {
 			t.Errorf("leaveOpen=%v: LosersUndone = %d, want %d", leaveOpen, met.LosersUndone, want)
-		}
-		if len(r.txns.won) != 0 {
-			t.Errorf("leaveOpen=%v: won holds %d transactions in a window without migrations", leaveOpen, len(r.txns.won))
 		}
 	}
 }
@@ -230,7 +211,7 @@ func TestOnlyInlineLog2BuildsThePFList(t *testing.T) {
 		if err := r.findScanStart(); err != nil {
 			t.Fatal(err)
 		}
-		if err := r.fanOut(r.scanStart, r.noteGlobal, shardOf, (*shardRun).dcPass); err != nil {
+		if err := r.fanOut(r.scanStart, r.txns.note, shardOf, (*shardRun).dcPass); err != nil {
 			t.Fatal(err)
 		}
 		sr := r.shards[0]

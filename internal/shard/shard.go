@@ -9,15 +9,16 @@
 // Routing is by contiguous key range (LogBase-style range partitioning):
 // the table is a sorted list of wal.RouteEntry boundaries, each naming
 // the shard owning keys from its Start up to the next entry's Start.
-// Ranges can be split at a key and reassigned to another shard; the
-// table is checkpointed in EndCkptRec and reassignments are logged as
-// ShardMapRec, so recovery always rebuilds the routing the crash had.
+// The table is fixed when the engine is built (DefaultRoutes over the
+// configured shard count and key span) and never changes afterwards,
+// so it is read without a lock. Every checkpoint writes it into its
+// EndCkptRec, and recovery reopens the DCs under the table it finds
+// there.
 package shard
 
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"logrec/internal/dc"
 	"logrec/internal/wal"
@@ -55,10 +56,8 @@ func DefaultRoutes(n int, keySpan uint64) []wal.RouteEntry {
 }
 
 // Router is the key→shard routing table: a sorted list of range starts.
-// It is safe for concurrent use (readers on the session fast path,
-// writers only during range splits).
+// It is immutable once built, so any number of goroutines may read it.
 type Router struct {
-	mu     sync.RWMutex
 	routes []wal.RouteEntry
 }
 
@@ -83,12 +82,10 @@ func NewRouter(routes []wal.RouteEntry) (*Router, error) {
 
 // Locate returns the shard owning key.
 func (r *Router) Locate(key uint64) wal.ShardID {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	return r.routes[r.find(key)].Shard
 }
 
-// find returns the index of the range containing key. Callers hold mu.
+// find returns the index of the range containing key.
 func (r *Router) find(key uint64) int {
 	// First entry with Start > key, minus one.
 	i := sort.Search(len(r.routes), func(i int) bool { return r.routes[i].Start > key })
@@ -98,8 +95,6 @@ func (r *Router) find(key uint64) int {
 // RangeOf returns the bounds of the range containing key: its start,
 // its inclusive end (MaxUint64 for the last range) and its owner.
 func (r *Router) RangeOf(key uint64) (start, end uint64, owner wal.ShardID) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	i := r.find(key)
 	start, owner = r.routes[i].Start, r.routes[i].Shard
 	end = ^uint64(0)
@@ -111,45 +106,14 @@ func (r *Router) RangeOf(key uint64) (start, end uint64, owner wal.ShardID) {
 
 // Routes returns a copy of the routing table in key order.
 func (r *Router) Routes() []wal.RouteEntry {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	return append([]wal.RouteEntry(nil), r.routes...)
-}
-
-// Split introduces a boundary at key `at`: the range containing it is
-// cut in two, both halves keeping their owner. Splitting on an existing
-// boundary is a no-op. Routing is unchanged until Reassign moves the
-// new upper range elsewhere.
-func (r *Router) Split(at uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	i := r.find(at)
-	if r.routes[i].Start == at {
-		return
-	}
-	entry := wal.RouteEntry{Start: at, Shard: r.routes[i].Shard}
-	r.routes = append(r.routes, wal.RouteEntry{})
-	copy(r.routes[i+2:], r.routes[i+1:])
-	r.routes[i+1] = entry
-}
-
-// Reassign hands the range starting exactly at `at` to a new owner.
-func (r *Router) Reassign(at uint64, to wal.ShardID) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	i := r.find(at)
-	if r.routes[i].Start != at {
-		return fmt.Errorf("shard: no range starts at %d (use Split first)", at)
-	}
-	r.routes[i].Shard = to
-	return nil
 }
 
 // Set is the routing plane the TC drives: a router plus the DCs it
 // routes to, indexed by shard ID. It routes reads and scans by key and
 // broadcasts the EOSL/RSSP control operations; a write always knows its
-// shard already (the session's plane, the record's stamp, the migration's
-// source and target) and goes to that shard's DC through At.
+// shard already (the session's plane, the record's stamp) and goes to
+// that shard's DC through At.
 type Set struct {
 	router *Router
 	dcs    []*dc.DC
@@ -171,7 +135,7 @@ func NewSet(routes []wal.RouteEntry, dcs []*dc.DC) (*Set, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, rt := range router.Routes() {
+	for _, rt := range router.routes {
 		if int(rt.Shard) >= len(dcs) {
 			return nil, fmt.Errorf("shard: route at %d names shard %d, have %d DCs", rt.Start, rt.Shard, len(dcs))
 		}
@@ -188,9 +152,6 @@ func Single(d *dc.DC) *Set {
 	return s
 }
 
-// Router returns the routing table.
-func (s *Set) Router() *Router { return s.router }
-
 // NumShards returns the number of DCs behind the set.
 func (s *Set) NumShards() int { return len(s.dcs) }
 
@@ -205,23 +166,6 @@ func (s *Set) Locate(key uint64) wal.ShardID { return s.router.Locate(key) }
 
 // Routes returns a copy of the routing table (checkpointing).
 func (s *Set) Routes() []wal.RouteEntry { return s.router.Routes() }
-
-// RangeOf returns the bounds and owner of the range containing key.
-func (s *Set) RangeOf(key uint64) (start, end uint64, owner wal.ShardID) {
-	return s.router.RangeOf(key)
-}
-
-// Split introduces a routing boundary at `at` (same owner both sides).
-func (s *Set) Split(at uint64) { s.router.Split(at) }
-
-// Reassign moves the range starting at `at` to shard `to`. The caller
-// (the TC's range migration) is responsible for having moved the rows.
-func (s *Set) Reassign(at uint64, to wal.ShardID) error {
-	if int(to) >= len(s.dcs) {
-		return fmt.Errorf("shard: reassign to unknown shard %d (have %d)", to, len(s.dcs))
-	}
-	return s.router.Reassign(at, to)
-}
 
 // Read returns the value stored under key.
 func (s *Set) Read(key uint64) ([]byte, bool, error) {
@@ -247,8 +191,7 @@ func (s *Set) ReadRangeFiltered(lo, hi uint64, pred func(key uint64, val []byte)
 }
 
 // OwnersIn returns the distinct shards owning any key in [lo, hi], in
-// ascending shard-ID order — the plane set a cross-shard scan must hold
-// to be atomic against range migrations.
+// ascending shard-ID order — the plane set a cross-shard scan holds.
 func (s *Set) OwnersIn(lo, hi uint64) []wal.ShardID {
 	var out []wal.ShardID
 	for _, pr := range s.rangesIn(lo, hi) {
@@ -271,12 +214,9 @@ type partRange struct {
 	owner  wal.ShardID
 }
 
-// rangesIn clips [lo, hi] against one consistent snapshot of the
-// routing table, in key order (each range's end comes from the next
-// snapshot entry, never from a re-query that could see a concurrent
-// split).
+// rangesIn clips [lo, hi] against the routing table, in key order.
 func (s *Set) rangesIn(lo, hi uint64) []partRange {
-	routes := s.router.Routes()
+	routes := s.router.routes
 	var out []partRange
 	for i, rt := range routes {
 		end := ^uint64(0)

@@ -70,47 +70,6 @@ func TestRouterBoundaries(t *testing.T) {
 	}
 }
 
-// TestRouterSplitReassign splits a range and re-routes its upper half:
-// keys below the split stay put, keys at and above it re-route, and
-// boundary keys land exactly.
-func TestRouterSplitReassign(t *testing.T) {
-	r, err := NewRouter(DefaultRoutes(2, 1000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := r.Locate(300); got != 0 {
-		t.Fatalf("pre-split Locate(300) = %d, want 0", got)
-	}
-	r.Split(300)
-	// Split alone must not re-route anything.
-	for _, k := range []uint64{0, 299, 300, 499} {
-		if got := r.Locate(k); got != 0 {
-			t.Fatalf("post-split Locate(%d) = %d, want 0 (split must not re-route)", k, got)
-		}
-	}
-	if err := r.Reassign(300, 1); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		key  uint64
-		want wal.ShardID
-	}{{299, 0}, {300, 1}, {499, 1}, {500, 1}, {0, 0}} {
-		if got := r.Locate(c.key); got != c.want {
-			t.Errorf("post-reassign Locate(%d) = %d, want %d", c.key, got, c.want)
-		}
-	}
-	// Reassign without a boundary is an error; on a boundary it works.
-	if err := r.Reassign(123, 1); err == nil {
-		t.Error("Reassign on a non-boundary succeeded")
-	}
-	// Splitting on an existing boundary is a no-op.
-	before := len(r.Routes())
-	r.Split(300)
-	if len(r.Routes()) != before {
-		t.Error("re-splitting an existing boundary grew the table")
-	}
-}
-
 // newTestSet builds a 2-shard set over simulated devices with rows
 // loaded through the router.
 func newTestSet(t *testing.T, rows int) *Set {
@@ -199,8 +158,8 @@ func TestSetCrossShardScan(t *testing.T) {
 }
 
 // TestSetShardTargetedOps drives writes on a named shard's DC, as undo
-// and migration make them: an insert on a shard is visible there (and
-// via routed reads only if the router agrees).
+// makes them: an insert on a shard is visible there, and routed reads
+// still follow the router.
 func TestSetShardTargetedOps(t *testing.T) {
 	set := newTestSet(t, 100)
 	logged := 0
@@ -225,16 +184,9 @@ func TestSetShardTargetedOps(t *testing.T) {
 	if err != nil || !found || string(v) != "moved" {
 		t.Fatalf("key 10 on shard 1: found=%v v=%q err=%v", found, v, err)
 	}
-	// The routed read misses (router still points at shard 0) until the
-	// route is reassigned — records, not the router, own placement.
+	// The routed read misses: the router still points at shard 0, and
+	// records, not the router, own placement.
 	if _, found, _ := set.Read(10); found {
-		t.Fatal("routed read found key 10 before reassign")
-	}
-	set.Split(10)
-	if err := set.Reassign(10, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, found, _ := set.Read(10); !found {
-		t.Fatal("routed read missed key 10 after reassign")
+		t.Fatal("routed read found key 10 on shard 1")
 	}
 }

@@ -1,7 +1,6 @@
 package tc
 
 import (
-	"fmt"
 	"testing"
 
 	"logrec/internal/wal"
@@ -152,58 +151,5 @@ func TestRolledBackTxnNamedByFirstRecord(t *testing.T) {
 		if chain := requireChain(t, m.tc.log, txn.LastLSN()); len(chain) < 3 {
 			t.Fatalf("session chain of %d records", len(chain))
 		}
-	}
-}
-
-// TestSplitRangeTxnNamedByFirstRecord: a range migration is one
-// transaction, and its ShardMapRec and commit name it by its first row
-// move. Every move logs the loaded row as the delete's OldVal and the
-// insert's Val, stamped with the source and target shard, and leaves
-// the session counters alone.
-func TestSplitRangeTxnNamedByFirstRecord(t *testing.T) {
-	m := newShardedMgr(t, 2, 64)
-	if err := m.SplitRange(1, 16, 1); err != nil {
-		t.Fatal(err)
-	}
-	var commit wal.LSN
-	sc := m.tc.log.NewScanner(wal.FirstLSN(), nil, wal.ScanCost{})
-	for {
-		rec, lsn, ok, err := sc.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		if rec.Type() == wal.TypeCommit {
-			commit = lsn
-		}
-	}
-	chain := requireChain(t, m.tc.log, commit)
-	if got := countTypes(chain); got[wal.TypeShardMap] != 1 || got[wal.TypeDelete] != 16 || got[wal.TypeInsert] != 16 {
-		t.Fatalf("migration chain holds %v, want 16 row moves and a ShardMapRec", got)
-	}
-	deleted, inserted := map[uint64]bool{}, map[uint64]bool{}
-	for _, tr := range chain {
-		switch r := tr.(type) {
-		case *wal.DeleteRec:
-			if want := fmt.Sprintf("init-%06d", r.KeyVal); string(r.OldVal) != want || r.ShardID != 0 {
-				t.Errorf("delete of key %d logs %q on shard %d, want %q on shard 0", r.KeyVal, r.OldVal, r.ShardID, want)
-			}
-			deleted[r.KeyVal] = true
-		case *wal.InsertRec:
-			if want := fmt.Sprintf("init-%06d", r.KeyVal); string(r.Val) != want || r.ShardID != 1 {
-				t.Errorf("insert of key %d logs %q on shard %d, want %q on shard 1", r.KeyVal, r.Val, r.ShardID, want)
-			}
-			inserted[r.KeyVal] = true
-		}
-	}
-	for k := uint64(16); k < 32; k++ {
-		if !deleted[k] || !inserted[k] {
-			t.Errorf("key %d: deleted %v, inserted %v; every key of [16, 31] moves once", k, deleted[k], inserted[k])
-		}
-	}
-	if st := m.tc.Stats(); st.Updates+st.Inserts+st.Deletes != 0 || st.RangeSplits != 1 {
-		t.Errorf("stats after one migration: %+v, want only RangeSplits 1", st)
 	}
 }

@@ -1,12 +1,11 @@
-// Range scans racing range migrations. Session.ScanRange holds the
-// planes of every shard its range overlaps, so a scan straddling a
-// shard boundary must observe either the committed pre-image or the
-// committed post-image of any concurrent migration or transaction —
-// never a torn mixture: no missing keys, no duplicates, no mix of two
-// writers' transactions. These tests hammer exactly that under -race
-// with explicit SplitRange calls: one flipping a boundary inside the
-// scanned range, one moving a hot slice back and forth under
-// full-table scans.
+// Range scans racing writers. Session.ScanRange holds the planes of
+// every shard its range overlaps, so a scan straddling a shard boundary
+// must observe either the committed pre-image or the committed
+// post-image of any concurrent transaction — never a torn mixture: no
+// missing keys, no duplicates, no mix of two writers' transactions.
+// These tests hammer exactly that under -race: one rewriting a range
+// across a shard boundary, one writing a hot slice under full-table
+// scans.
 package tc_test
 
 import (
@@ -19,15 +18,13 @@ import (
 
 	"logrec/internal/engine"
 	"logrec/internal/tc"
-	"logrec/internal/wal"
 )
 
-// TestScanRangeAtomicAcrossSplitRange scans [900,1200] — straddling
-// the 1024 boundary of a 4×1024 key space — while a splitter flips the
-// ownership of [1100,...] between shards and writers rewrite the whole
-// range transactionally. Every successful scan must see the full key
-// sequence with one writer's tag throughout.
-func TestScanRangeAtomicAcrossSplitRange(t *testing.T) {
+// TestScanRangeAtomicAcrossShards scans [900,1200] — straddling the
+// 1024 boundary of a 4×1024 key space — while a writer rewrites the
+// whole range transactionally. Every successful scan must see the full
+// key sequence with one writer's tag throughout.
+func TestScanRangeAtomicAcrossShards(t *testing.T) {
 	const (
 		rows     = 4096
 		lo, hi   = uint64(900), uint64(1200)
@@ -52,7 +49,6 @@ func TestScanRangeAtomicAcrossSplitRange(t *testing.T) {
 		stop     atomic.Bool
 		wg       sync.WaitGroup
 		scans    atomic.Int64
-		splits   atomic.Int64
 		rewrites atomic.Int64
 	)
 
@@ -92,29 +88,6 @@ func TestScanRangeAtomicAcrossSplitRange(t *testing.T) {
 				return
 			}
 			rewrites.Add(1)
-		}
-	}()
-
-	// Splitter: flip ownership of the range's tail between shards so
-	// the scanned range keeps changing owner mid-run.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		targets := []wal.ShardID{1, 2, 3, 0}
-		for i := 0; !stop.Load(); i++ {
-			to := targets[i%len(targets)]
-			if err := mgr.SplitRange(cfg.TableID, 1100, to); err != nil {
-				// The migration's system transaction row-locks the range
-				// it moves; a writer holding any of those rows wins
-				// (no-wait locking) and the split retries next round.
-				if !errors.Is(err, tc.ErrLockConflict) {
-					t.Error(err)
-					return
-				}
-			} else {
-				splits.Add(1)
-			}
-			time.Sleep(200 * time.Microsecond)
 		}
 	}()
 
@@ -174,7 +147,7 @@ func TestScanRangeAtomicAcrossSplitRange(t *testing.T) {
 	// not got a turn yet (-race next to six other packages), until each
 	// has: the writer no longer yields before its commit force, so
 	// nothing in the engine hands the scanners a turn.
-	exercised := func() bool { return scans.Load() > 0 && splits.Load() > 0 && rewrites.Load() > 0 }
+	exercised := func() bool { return scans.Load() > 0 && rewrites.Load() > 0 }
 	time.Sleep(duration)
 	for deadline := time.Now().Add(10 * time.Second); !exercised() && time.Now().Before(deadline); {
 		time.Sleep(10 * time.Millisecond)
@@ -182,73 +155,21 @@ func TestScanRangeAtomicAcrossSplitRange(t *testing.T) {
 	stop.Store(true)
 	wg.Wait()
 	if !exercised() {
-		t.Fatalf("race unexercised: %d scans, %d splits, %d rewrites",
-			scans.Load(), splits.Load(), rewrites.Load())
+		t.Fatalf("race unexercised: %d scans, %d rewrites", scans.Load(), rewrites.Load())
 	}
-	t.Logf("%d complete scans raced %d splits and %d range rewrites",
-		scans.Load(), splits.Load(), rewrites.Load())
+	t.Logf("%d complete scans raced %d range rewrites", scans.Load(), rewrites.Load())
 }
 
-// migrator moves the key slice [lo, hi] back and forth between two
-// shards with explicit SplitRange calls while the test's sessions run.
-// A migration refused on a lock conflict (a session holds a row in the
-// slice) is retried; any other error fails the test.
-type migrator struct {
-	stop    atomic.Bool
-	done    chan struct{}
-	moved   atomic.Int64
-	refused atomic.Int64
-}
-
-// startMigrator cuts a routing boundary after hi, so each move relocates
-// exactly [lo, hi], and starts moving the slice between its owner and
-// shard to. Stop it with halt before the engine crashes or the test ends.
-func startMigrator(t *testing.T, mgr *tc.SessionManager, table wal.TableID, lo, hi uint64, to wal.ShardID) *migrator {
-	t.Helper()
-	set := mgr.TC().Shards()
-	_, _, home := set.RangeOf(lo)
-	_, _, above := set.RangeOf(hi + 1)
-	if err := mgr.SplitRange(table, hi+1, above); err != nil { // a boundary, no rows moved
-		t.Fatal(err)
-	}
-	m := &migrator{done: make(chan struct{})}
-	go func() {
-		defer close(m.done)
-		for !m.stop.Load() {
-			err := mgr.SplitRange(table, lo, to)
-			switch {
-			case err == nil:
-				m.moved.Add(1)
-				to, home = home, to
-			case errors.Is(err, tc.ErrLockConflict):
-				m.refused.Add(1)
-			default:
-				t.Errorf("migrating [%d, %d] to shard %d: %v", lo, hi, to, err)
-				return
-			}
-			time.Sleep(200 * time.Microsecond)
-		}
-	}()
-	return m
-}
-
-// halt stops the migrator and waits for its last move to finish.
-func (m *migrator) halt() {
-	m.stop.Store(true)
-	<-m.done
-}
-
-// TestScanAllAtomicAcrossSplitRange runs full-table scans while writers
-// hammer a hot slice of the first shard and a migrator moves part of
-// that slice back and forth between shards 0 and 3. Every scan must see
-// every key exactly once, and the run must complete minScans scans and
-// commit minMoves migrations, or it tested nothing.
-func TestScanAllAtomicAcrossSplitRange(t *testing.T) {
+// TestScanAllSeesEveryKeyOnce runs full-table scans while writers
+// hammer a hot slice of the first shard. Every scan must see every key
+// exactly once, and the run must complete minScans scans and minCommits
+// writer commits, or it tested nothing.
+func TestScanAllSeesEveryKeyOnce(t *testing.T) {
 	const (
-		rows     = 8192
-		duration = 800 * time.Millisecond
-		minScans = 2
-		minMoves = 4
+		rows       = 8192
+		duration   = 800 * time.Millisecond
+		minScans   = 2
+		minCommits = 4
 	)
 	cfg := engine.DefaultConfig()
 	cfg.Shards = 4
@@ -266,12 +187,12 @@ func TestScanAllAtomicAcrossSplitRange(t *testing.T) {
 	mgr := eng.NewSessionManager(0)
 
 	var (
-		stop  atomic.Bool
-		wg    sync.WaitGroup
-		scans atomic.Int64
+		stop    atomic.Bool
+		wg      sync.WaitGroup
+		scans   atomic.Int64
+		commits atomic.Int64
 	)
-	// Writers: hammer a narrow hot slice, part of which the migrator
-	// keeps moving.
+	// Writers: hammer a narrow hot slice.
 	for c := 0; c < 4; c++ {
 		wg.Add(1)
 		go func(c int) {
@@ -298,6 +219,7 @@ func TestScanAllAtomicAcrossSplitRange(t *testing.T) {
 					t.Error(err)
 					return
 				}
+				commits.Add(1)
 			}
 		}(c)
 	}
@@ -340,26 +262,24 @@ func TestScanAllAtomicAcrossSplitRange(t *testing.T) {
 			}
 			scans.Add(1)
 			// Breathe between scans: a full-table scan holds every
-			// plane, and back-to-back scans would lock writers and the
-			// migrator out of the run entirely.
+			// plane, and back-to-back scans would lock writers out of
+			// the run entirely.
 			time.Sleep(5 * time.Millisecond)
 		}
 	}()
 
-	mig := startMigrator(t, mgr, cfg.TableID, 256, 319, 3)
 	// At least duration, and on a slow machine until both sides have
-	// done their share, so the scans really raced migrations.
-	exercised := func() bool { return scans.Load() >= minScans && mig.moved.Load() >= minMoves }
+	// done their share, so the scans really raced writers.
+	exercised := func() bool { return scans.Load() >= minScans && commits.Load() >= minCommits }
 	time.Sleep(duration)
 	for deadline := time.Now().Add(10 * time.Second); !exercised() && time.Now().Before(deadline); {
 		time.Sleep(10 * time.Millisecond)
 	}
-	mig.halt()
 	stop.Store(true)
 	wg.Wait()
 	if !exercised() {
-		t.Fatalf("race unexercised: %d scans (want %d), %d migrations committed (want %d, %d refused)",
-			scans.Load(), minScans, mig.moved.Load(), minMoves, mig.refused.Load())
+		t.Fatalf("race unexercised: %d scans (want %d), %d writer commits (want %d)",
+			scans.Load(), minScans, commits.Load(), minCommits)
 	}
-	t.Logf("%d complete scans raced %d migrations (%d refused)", scans.Load(), mig.moved.Load(), mig.refused.Load())
+	t.Logf("%d complete scans raced %d writer commits", scans.Load(), commits.Load())
 }

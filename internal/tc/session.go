@@ -9,19 +9,20 @@
 // never contend, and the transaction table is hash-sharded so
 // Begin/Commit never serialize behind data operations.
 //
-// Concurrency discipline (lock order: router → shard planes in
-// ascending shard-ID order → transaction-table shard):
+// Concurrency discipline (lock order: shard planes in ascending
+// shard-ID order → transaction-table shard):
 //
 //   - logical locks are acquired in the sharded LockTable before any
 //     plane; the table is no-wait (conflicts fail immediately), so it
 //     can never participate in a deadlock cycle;
-//   - a data operation routes its key, locks exactly the owning shard's
-//     plane, and revalidates the route under the plane (a concurrent
-//     migration may have moved the range; see lockPlane);
+//   - the routing table is fixed when the engine is built, so a data
+//     operation routes its key once and locks exactly the owning
+//     shard's plane; no lock guards the route;
 //   - multi-plane operations — Abort over the transaction's touched
-//     shards, SplitRange over {from, to}, Checkpoint over all shards —
-//     acquire planes in ascending shard-ID order, which with the
-//     no-wait lock table is the whole deadlock-freedom argument;
+//     shards, a cross-shard ScanRange over the shards its range
+//     overlaps, Checkpoint over all shards — acquire planes in
+//     ascending shard-ID order, which with the no-wait lock table is
+//     the whole deadlock-freedom argument;
 //   - commit durability waits happen outside every plane through the
 //     wal.GroupCommitter, which is what lets many sessions overlap
 //     their commit waits and share one log force (group commit);
@@ -98,9 +99,6 @@ func NewSessionManager(t *TC, gc *wal.GroupCommitter) *SessionManager {
 	return &SessionManager{tc: t, gc: gc, planes: planes}
 }
 
-// TC returns the underlying transactional component.
-func (m *SessionManager) TC() *TC { return m.tc }
-
 // CommitStats returns the group committer's batching counters
 // (engine.Stats aggregation path).
 func (m *SessionManager) CommitStats() wal.GroupCommitStats { return m.gc.Stats() }
@@ -116,25 +114,12 @@ func (m *SessionManager) PlaneStats() []PlaneStats {
 
 // lockPlane locks the plane owning key and returns it with the
 // acquisition time (for busy accounting; pass it to plane.release).
-//
-// Routing and locking cannot be atomic, so the route is revalidated
-// under the plane: if a concurrent migration moved the key's range
-// between the lookup and the lock, drop the plane and retry. This
-// converges because a migration flips routing only while holding both
-// the old and the new owner's planes — once we hold the plane the
-// lookup named, the route either still agrees (we won) or has settled
-// on another shard (we retry against the new owner).
 func (m *SessionManager) lockPlane(key uint64) (wal.ShardID, *plane, time.Time) {
-	for {
-		sh := m.tc.dc.Locate(key)
-		p := m.planes[sh]
-		p.mu.Lock()
-		if m.tc.dc.Locate(key) == sh {
-			p.ops.Add(1)
-			return sh, p, time.Now()
-		}
-		p.mu.Unlock()
-	}
+	sh := m.tc.dc.Locate(key)
+	p := m.planes[sh]
+	p.mu.Lock()
+	p.ops.Add(1)
+	return sh, p, time.Now()
 }
 
 // lockPlanes acquires the planes of ids (deduplicated) in ascending
@@ -193,102 +178,6 @@ func (m *SessionManager) Checkpoint() error {
 	return m.tc.Checkpoint()
 }
 
-// SplitRange splits the routing range containing key `at` at that key
-// and migrates the rows of the upper half to shard `to` — the scale-out
-// operation behind range re-balancing. If `to` already owns the range
-// the call only adds the routing boundary.
-//
-// The migration runs holding the planes of the shard being split and
-// the target shard, so no session operation can slip between its range
-// scan and its per-row locks (a row inserted in that window would be
-// stranded on the old shard after the re-route). Only those two shards
-// stall; the rest of the engine keeps running. Concurrent SplitRange
-// calls may move the range between the owner lookup and the plane
-// locks, so the owner is revalidated under the planes, like lockPlane
-// does for a single key. A table other than the engine's is refused
-// before anything is locked.
-func (m *SessionManager) SplitRange(table wal.TableID, at uint64, to wal.ShardID) error {
-	if err := m.tc.checkTable(table); err != nil {
-		return err
-	}
-	if int(to) >= len(m.planes) {
-		return fmt.Errorf("tc: split target shard %d out of range (have %d)", to, len(m.planes))
-	}
-	for {
-		_, _, from := m.tc.dc.RangeOf(at)
-		release := m.lockPlanes([]wal.ShardID{from, to})
-		if _, _, cur := m.tc.dc.RangeOf(at); cur == from {
-			err := m.migrate(at, to)
-			release()
-			return err
-		}
-		release()
-	}
-}
-
-// migrate is SplitRange under the planes of the range's owner and `to`.
-// The migration is one system transaction: every moved row is deleted
-// from the old shard and inserted on the new one through the same
-// applyDeleteAt and applyInsertAt a session writes with, then a
-// ShardMapRec records the routing change. It ends
-// through commit or abort like any session's transaction, and the
-// in-memory routing table flips only once the commit record is stable,
-// so a crash at any point leaves a consistent engine: an incomplete
-// migration is a loser whose undo puts every row back, and recovery
-// applies the ShardMapRec exactly when the migration committed.
-func (m *SessionManager) migrate(at uint64, to wal.ShardID) error {
-	tc := m.tc
-	_, end, from := tc.dc.RangeOf(at)
-	tc.dc.Split(at)
-	if from == to {
-		return nil
-	}
-
-	type row struct {
-		k uint64
-		v []byte
-	}
-	var rows []row
-	err := tc.dc.ReadRange(at, end, func(k uint64, v []byte) error {
-		rows = append(rows, row{k: k, v: append([]byte(nil), v...)})
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("tc: split scan [%d, %d]: %w", at, end, err)
-	}
-
-	t := tc.begin()
-	fail := func(cause error) error {
-		// The caller holds both planes already.
-		if err := m.abort(t, nil); err != nil {
-			return fmt.Errorf("tc: aborting failed range split: %v (split failed: %w)", err, cause)
-		}
-		return fmt.Errorf("tc: range split at %d: %w", at, cause)
-	}
-	for _, r := range rows {
-		if err := tc.locks.lock(t.ID, r.k, LockExclusive); err != nil {
-			return fail(err)
-		}
-	}
-	for _, r := range rows {
-		if err := tc.applyDeleteAt(from, t, r.k); err != nil {
-			return fail(err)
-		}
-		if err := tc.applyInsertAt(to, t, r.k, r.v); err != nil {
-			return fail(err)
-		}
-	}
-	t.setLastLSN(tc.app.MustAppend(&wal.ShardMapRec{
-		TxnID: t.logName(), SplitAt: at, End: end, NewShard: to, PrevLSN: t.LastLSN(),
-	}))
-	m.gc.WaitStable(m.commit(t))
-	if err := tc.dc.Reassign(at, to); err != nil {
-		return fmt.Errorf("tc: re-routing after split at %d: %w", at, err)
-	}
-	tc.stats.rangeSplits.Add(1)
-	return nil
-}
-
 // Session is one client's handle: a single goroutine drives a session,
 // one transaction at a time. Different sessions are independent.
 type Session struct {
@@ -300,7 +189,7 @@ type Session struct {
 	// Abort must hold exactly those planes to undo. CLRs target the
 	// shard recorded in each log record, and every such record was
 	// written under one of these planes, so the set covers the whole
-	// backchain even across migrations.
+	// backchain.
 	touched []bool
 	shards  []wal.ShardID
 
@@ -412,16 +301,8 @@ func (s *Session) Read(table wal.TableID, key uint64) ([]byte, bool, error) {
 // order, pushing pred down into each shard's B-tree iterator (nil pred
 // accepts everything). It holds the planes of every shard the range
 // overlaps for the duration of the scan, acquired in ascending
-// shard-ID order like every multi-plane path. Because a range
-// migration must hold the current owner's plane to move rows, a scan
-// holding those planes observes either the whole pre-migration range
-// or the whole post-migration range — never a torn mixture.
-//
-// The owner set is computed before the planes are taken and
-// revalidated under them: if a concurrent SplitRange re-routed part of
-// the range in the window, the planes are dropped and the scan retries
-// against the new owners. This converges for the same reason lockPlane
-// does — migrations only flip routes while holding the affected planes.
+// shard-ID order like every multi-plane path, so no write lands on any
+// of those shards mid-scan.
 //
 // Every row fn sees is member-locked shared (phantom protection via
 // key-range lock modes is the subject of the companion Deuteronomy
@@ -434,36 +315,14 @@ func (s *Session) ScanRange(table wal.TableID, lo, hi uint64, pred func(key uint
 		return err
 	}
 	m := s.mgr
-	for {
-		owners := m.tc.dc.OwnersIn(lo, hi)
-		release := m.lockPlanes(owners)
-		if !sameShardIDs(owners, m.tc.dc.OwnersIn(lo, hi)) {
-			release()
-			continue
+	release := m.lockPlanes(m.tc.dc.OwnersIn(lo, hi))
+	defer release()
+	return m.tc.dc.ReadRangeFiltered(lo, hi, pred, func(key uint64, val []byte) error {
+		if err := m.tc.locks.lock(s.txn.ID, key, LockShared); err != nil {
+			return err
 		}
-		err := m.tc.dc.ReadRangeFiltered(lo, hi, pred, func(key uint64, val []byte) error {
-			if err := m.tc.locks.lock(s.txn.ID, key, LockShared); err != nil {
-				return err
-			}
-			return fn(key, val)
-		})
-		release()
-		return err
-	}
-}
-
-// sameShardIDs reports whether two sorted, deduplicated shard-ID
-// slices (as returned by Set.OwnersIn) are equal.
-func sameShardIDs(a, b []wal.ShardID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+		return fn(key, val)
+	})
 }
 
 // write runs one row change, op on the key's owning shard, within the
@@ -601,8 +460,7 @@ func (s *Session) Abort() error {
 }
 
 // abort rolls t back, taking the planes of shards first in ascending
-// shard-ID order (nil when the caller holds them already), and ends it
-// with an abort record. The release is deferred so every return —
+// shard-ID order, and ends it with an abort record. The release is deferred so every return —
 // including a failed rollback — frees all planes. The abort record
 // needs no force: it becomes stable with the next batch, and recovery
 // rolls back an unfinished transaction regardless. A transaction that

@@ -241,117 +241,3 @@ func TestSessionLockConflictIsImmediate(t *testing.T) {
 		t.Fatalf("key 7 = %q, want %q", v, "b2")
 	}
 }
-
-// TestSessionSplitRangeUnderTraffic races the range migration (which
-// holds only the two affected shards' planes) against committing
-// sessions on a 2-shard engine: every committed write must survive the
-// crash, including writes to the migrated range, and the re-route must
-// be in force afterwards. Both sides retry on ErrLockConflict — the
-// no-wait lock table refuses whichever of migration and session asks
-// second, which is exactly how the migration stays atomic without
-// stalling the whole engine.
-func TestSessionSplitRangeUnderTraffic(t *testing.T) {
-	const rows = 2048
-	cfg := engine.DefaultConfig()
-	cfg.CachePages = 256
-	cfg.Shards = 2
-	cfg.KeySpan = rows
-	eng, err := engine.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Load(rows, func(k uint64) []byte {
-		return []byte(fmt.Sprintf("init-%06d", k))
-	}); err != nil {
-		t.Fatal(err)
-	}
-	mgr := eng.NewSessionManager(0)
-
-	// Shard 0 owns [0, 1024); migrate [700, 1024) to shard 1 while
-	// clients keep updating keys on both sides of the moving boundary.
-	const splitAt = 700
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		oracle   = map[uint64][]byte{}
-		firstErr error
-		errOnce  sync.Once
-	)
-	for c := 0; c < 8; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			sess := mgr.NewSession()
-			for i := 0; i < 20; i++ {
-				// Keys straddle the split point, disjoint per client.
-				k := uint64(splitAt - 80 + c*20 + i%20)
-				v := []byte(fmt.Sprintf("c%d-i%d", c, i))
-				for attempt := 0; ; attempt++ {
-					if attempt == 50 {
-						errOnce.Do(func() { firstErr = fmt.Errorf("client %d key %d: starved after %d attempts", c, k, attempt) })
-						return
-					}
-					if err := sess.Begin(); err != nil {
-						errOnce.Do(func() { firstErr = err })
-						return
-					}
-					if err := sess.Update(cfg.TableID, k, v); err != nil {
-						// Conflict with the in-flight migration: roll
-						// back and retry.
-						if abErr := sess.Abort(); abErr != nil {
-							errOnce.Do(func() { firstErr = abErr })
-							return
-						}
-						time.Sleep(time.Duration(attempt+1) * 50 * time.Microsecond)
-						continue
-					}
-					if err := sess.Commit(); err != nil {
-						errOnce.Do(func() { firstErr = err })
-						return
-					}
-					break
-				}
-				mu.Lock()
-				oracle[k] = v
-				mu.Unlock()
-			}
-		}(c)
-	}
-	// The migration contends with session row locks; like any no-wait
-	// caller it retries until it wins the range.
-	for attempt := 0; ; attempt++ {
-		err := mgr.SplitRange(cfg.TableID, splitAt, 1)
-		if err == nil {
-			break
-		}
-		if attempt == 200 {
-			t.Fatalf("migration starved: %v", err)
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		t.Fatal(firstErr)
-	}
-	if got := eng.Set.Locate(splitAt); got != 1 {
-		t.Fatalf("post-split owner of %d = %d, want 1", splitAt, got)
-	}
-
-	cs := eng.Crash()
-	rec, _, err := core.Recover(cs, core.Log1, core.DefaultOptions(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rec.Set.Locate(splitAt); got != 1 {
-		t.Fatalf("recovered owner of %d = %d, want 1", splitAt, got)
-	}
-	for k, want := range oracle {
-		v, found, err := rec.Set.Read(k)
-		if err != nil || !found {
-			t.Fatalf("committed key %d lost (found=%v err=%v)", k, found, err)
-		}
-		if string(v) != string(want) {
-			t.Fatalf("key %d: got %q, want %q", k, v, want)
-		}
-	}
-}

@@ -1,6 +1,6 @@
 // Shard-parallel stress: mixed single- and cross-shard transactions
-// race a migrator moving their hot slice between shards and a one-off
-// migration on a 4-shard engine under -race, then the engine crashes.
+// race each other on a 4-shard engine under -race, then the engine
+// crashes.
 // The recovered state must equal a serial replay of the stable log's
 // committed transactions — an oracle that is independent of the
 // recovery implementation and of every interleaving the planes allowed.
@@ -9,6 +9,7 @@ package tc_test
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -100,8 +101,8 @@ func TestShardParallelStressCrashRecoverMatchesSerialReplay(t *testing.T) {
 	}
 	mgr := eng.NewSessionManager(0)
 
-	// runTxn drives one transaction's ops, retrying conflicts (with the
-	// migrations and other clients) until commit or a deliberate abort.
+	// runTxn drives one transaction's ops, retrying conflicts with other
+	// clients until commit or a deliberate abort.
 	runTxn := func(sess *tc.Session, keys []uint64, tag string, abort bool) error {
 		for attempt := 0; ; attempt++ {
 			if attempt == 100 {
@@ -144,8 +145,7 @@ func TestShardParallelStressCrashRecoverMatchesSerialReplay(t *testing.T) {
 			sess := mgr.NewSession()
 			for i := 0; i < txns; i++ {
 				tag := fmt.Sprintf("c%02d-t%03d", c, i)
-				// Skewed base key on shard 0's initial range, part of
-				// which the migrator keeps moving.
+				// Skewed base key on shard 0's range.
 				hot := uint64((c*7 + i*13) % 256)
 				var keys []uint64
 				if i%3 == 0 {
@@ -163,45 +163,10 @@ func TestShardParallelStressCrashRecoverMatchesSerialReplay(t *testing.T) {
 		}(c)
 	}
 
-	// The hot slice moves back and forth between shards 0 and 1, and a
-	// one-off migration of shard 3's tail races it.
-	mig := startMigrator(t, mgr, cfg.TableID, 64, 127, 1)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for attempt := 0; ; attempt++ {
-			err := mgr.SplitRange(cfg.TableID, 3500, 0)
-			if err == nil {
-				return
-			}
-			if attempt == 200 {
-				fail(fmt.Errorf("explicit migration starved: %v", err))
-				return
-			}
-			time.Sleep(200 * time.Microsecond)
-		}
-	}()
 	wg.Wait()
 	if firstErr != nil {
 		t.Fatal(firstErr)
 	}
-
-	// Keep hot traffic on the moving slice flowing until a migration has
-	// committed (bounded), then stop the migrator: the crash must find
-	// at least one committed route change to recover.
-	sess := mgr.NewSession()
-	deadline := time.Now().Add(10 * time.Second)
-	for i := 0; mig.moved.Load() == 0 && time.Now().Before(deadline); i++ {
-		k := uint64(64 + i%64)
-		if err := runTxn(sess, []uint64{k}, fmt.Sprintf("mig-%06d", i), false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mig.halt()
-	if mig.moved.Load() == 0 {
-		t.Fatalf("no migration committed before the crash (%d refused)", mig.refused.Load())
-	}
-	t.Logf("%d migrations committed, %d refused", mig.moved.Load(), mig.refused.Load())
 
 	// A transaction left in flight at the crash: a loser the replay
 	// must exclude and recovery must undo.
@@ -213,7 +178,6 @@ func TestShardParallelStressCrashRecoverMatchesSerialReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.TC.SendEOSL()
-	_, _, sliceOwner := eng.Set.RangeOf(64)
 
 	crash := eng.Crash()
 	want := replayCommitted(t, crash.Log, base)
@@ -222,8 +186,8 @@ func TestShardParallelStressCrashRecoverMatchesSerialReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, owner := rec.Set.RangeOf(64); owner != sliceOwner {
-		t.Errorf("the migrated slice recovered on shard %d, the crash had it on %d", owner, sliceOwner)
+	if got, want := rec.Set.Routes(), eng.Set.Routes(); !reflect.DeepEqual(got, want) {
+		t.Errorf("recovered routes %v, the crash had %v", got, want)
 	}
 	got := map[uint64]string{}
 	if err := rec.Set.ScanAll(func(k uint64, v []byte) error {
@@ -252,7 +216,7 @@ func TestShardParallelStressCrashRecoverMatchesSerialReplay(t *testing.T) {
 	}
 
 	// Point reads through the recovered routing agree with the scan
-	// (each key is owned by exactly one shard after all the splits).
+	// (each key is owned by exactly one shard).
 	for _, k := range []uint64{0, 64, 127, 255, 1500, 2048, 3500, rows - 1} {
 		v, found, err := rec.Set.Read(k)
 		if err != nil || !found {

@@ -89,8 +89,7 @@ func (t *Txn) setLastLSN(lsn wal.LSN) {
 }
 
 // Stats counts TC activity. Updates, Inserts and Deletes count the rows
-// sessions changed; a range migration's moved rows count only in its
-// RangeSplits.
+// sessions changed.
 type Stats struct {
 	Begun       int64
 	Committed   int64
@@ -99,7 +98,6 @@ type Stats struct {
 	Inserts     int64
 	Deletes     int64
 	Checkpoints int64
-	RangeSplits int64
 }
 
 // Appender abstracts log appends and forces so the concurrent session
@@ -158,9 +156,6 @@ func New(log *wal.Log, set *shard.Set) *TC {
 		txns:  newTxnTable(),
 	}
 }
-
-// Shards returns the data-component plane the TC drives.
-func (tc *TC) Shards() *shard.Set { return tc.dc }
 
 // SetAppender reroutes the TC's log appends (see Appender). The session
 // layer installs the group committer here.
@@ -346,10 +341,9 @@ func (tc *TC) rollback(t *Txn) error {
 }
 
 // undoOne compensates a single record, returning the next LSN to undo.
-// Compensations target the record's shard directly — the record, not
-// the routing table, says where the operation ran, which keeps undo
-// correct even mid-range-migration. t still holds its X locks, so the
-// row is the one the record left.
+// Compensations target the record's shard directly: the record's
+// stamp, not the routing table, says where the operation ran. t still
+// holds its X locks, so the row is the one the record left.
 func (tc *TC) undoOne(t *Txn, rec wal.Record) (wal.LSN, error) {
 	clr, next, _, err := wal.Undo(rec)
 	if err != nil || clr == nil {

@@ -297,7 +297,6 @@ func TestUnknownTableRefusedBeforeLock(t *testing.T) {
 		"patch":  func() error { return s.Patch(7, 1, func(cur []byte) ([]byte, error) { return cur, nil }) },
 		"insert": func() error { return s.Insert(7, 100, []byte("x")) },
 		"delete": func() error { return s.Delete(7, 1) },
-		"split":  func() error { return m.SplitRange(7, 5, 0) },
 	}
 	for name, op := range ops {
 		err := op()

@@ -119,7 +119,6 @@ type counters struct {
 	inserts     atomic.Int64
 	deletes     atomic.Int64
 	checkpoints atomic.Int64
-	rangeSplits atomic.Int64
 }
 
 func (c *counters) snapshot() Stats {
@@ -131,6 +130,5 @@ func (c *counters) snapshot() Stats {
 		Inserts:     c.inserts.Load(),
 		Deletes:     c.deletes.Load(),
 		Checkpoints: c.checkpoints.Load(),
-		RangeSplits: c.rangeSplits.Load(),
 	}
 }

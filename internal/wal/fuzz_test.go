@@ -66,7 +66,6 @@ func fullLog(t testing.TB) *Log {
 	// A whole row of 150 bytes: a per-operation record with a 3-byte header.
 	add(&DeleteRec{TxnID: txn, KeyVal: 9, OldVal: bytes.Repeat([]byte("gone "), 30), PageID: 5, PrevLSN: prev})
 	add(&CLRRec{TxnID: txn, KeyVal: 7, Kind: CLRUndoUpdate, RestoreVal: []byte("old"), PageID: 4, UndoNextLSN: NilLSN, PrevLSN: prev})
-	add(&ShardMapRec{TxnID: txn, SplitAt: 1 << 20, End: 1<<21 - 1, NewShard: 3, PrevLSN: prev})
 	// The commit names its transaction from two bytes back, and the
 	// shard-2 transaction's abort names it from one.
 	add(&CommitRec{TxnID: txn})
@@ -107,7 +106,7 @@ func fullLog(t testing.TB) *Log {
 	add(&EndCkptRec{BeginLSN: begin, Active: []ActiveTxn{{TxnID: txn, LastLSN: prev}, {TxnID: TxnID(other), LastLSN: other}},
 		Routes: []RouteEntry{{Start: 0, Shard: 0}, {Start: 1 << 20, Shard: 3}}})
 	l.Flush()
-	for typ := TypeUpdate; typ <= TypeShardMap; typ++ {
+	for typ := TypeUpdate; typ <= TypeRSSP; typ++ {
 		if l.AppendCount(typ) == 0 {
 			t.Fatalf("fullLog holds no %v record", typ)
 		}
@@ -152,7 +151,8 @@ func FuzzDecodeAt(f *testing.F) {
 	// record over no written page, which means nothing. Then records that
 	// are their byte string: a length-changing update at the row's start
 	// (skip 0, before "ab", after "x", tail 3), an in-place CLR (kind
-	// 1<<1|1) and a ∆ listing page 5 twice.
+	// 1<<1|1) and a ∆ listing page 5 twice. Last, a whole frame of the
+	// retired type 13, which no decoder may accept.
 	for _, frame := range [][]byte{
 		{byte(TypeUpdate), 12, 1, 1, 7, 4, 2<<1 | 1, 'a', 'b', 2, 'x', 'y', 0, 4},
 		{byte(TypeUpdate), 12, 1, 1, 7, 4, 2 << 1, 'a', 'b', 'x', 'y', 4, 0, 0},
@@ -161,6 +161,7 @@ func FuzzDecodeAt(f *testing.F) {
 		{byte(TypeUpdate), 11, 1, 1, 7, 0, 2<<1 | 1, 'a', 'b', 1, 'x', 3, 4},
 		{byte(TypeCLR), 9, 1, 1, 7, byte(CLRUndoUpdate)<<1 | 1, 4, 2, 'a', 'b', 4},
 		{byte(TypeDelta), 7, 0, 2 << 1, 5, 0, 0, 0, 0},
+		{13, 5, 1, 0, 0, 0, 0},
 	} {
 		f.Add(frame, uint64(FirstLSN()))
 	}

@@ -119,7 +119,7 @@ type Log struct {
 	stableRecs int64
 
 	// appendCount tracks records appended, by type, for statistics.
-	appendCount [TypeShardMap + 1]int64
+	appendCount [TypeRSSP + 1]int64
 
 	// torn marks a snapshot whose tail TearTail corrupted; CloneTrimmed
 	// only pays its frame walk when set.

@@ -259,9 +259,8 @@ func (r *CLRRec) After(cur []byte) ([]byte, error) {
 // logs it — to the next LSN of the chain to undo, and to whether
 // applying the CLR can split a leaf: restoring a deleted row or a
 // longer middle can, deleting an inserted row cannot (leaves never
-// merge). A CLR is redo-only and a shard-map record's routing change
-// never took effect: both return a nil CLR and skip on. Any other
-// record has no place in a backchain.
+// merge). A CLR is redo-only: it returns a nil CLR and skips on to its
+// UndoNextLSN. Any other record has no place in a backchain.
 func Undo(rec Record) (clr *CLRRec, next LSN, structural bool, err error) {
 	switch r := rec.(type) {
 	case *UpdateRec:
@@ -279,8 +278,6 @@ func Undo(rec Record) (clr *CLRRec, next LSN, structural bool, err error) {
 		}, r.PrevLSN, true, nil
 	case *CLRRec:
 		return nil, r.UndoNextLSN, false, nil
-	case *ShardMapRec:
-		return nil, r.PrevLSN, false, nil
 	}
 	return nil, NilLSN, false, fmt.Errorf("%w: %v record in a backchain", ErrBadRecord, rec.Type())
 }
@@ -416,10 +413,10 @@ type EndCkptRec struct {
 	BeginLSN LSN
 	// Active is the transaction table at checkpoint begin.
 	Active []ActiveTxn
-	// Routes is the key→shard routing table at checkpoint end, so
-	// recovery rebuilds routing even when range splits predate the redo
-	// scan start (splits inside the scan window replay from their
-	// ShardMapRec instead).
+	// Routes is the key→shard routing table the engine runs with.
+	// Routes are fixed when the engine is built, so recovery reopens
+	// the DCs under this table (or under the default routes when no
+	// checkpoint was taken); no later record changes it.
 	Routes []RouteEntry
 }
 
@@ -704,51 +701,6 @@ func (r *RSSPRec) decodeBody(src []byte, at LSN) error {
 	return d.finish(TypeRSSP)
 }
 
-// ShardMapRec logs a routing-table change inside a range-migration
-// transaction: once the transaction that moved the rows commits, keys
-// at or above SplitAt route to NewShard. Recovery applies the change
-// only for committed migrations — a loser migration's rows are undone
-// back to their old shard, so its routing change must not take effect.
-type ShardMapRec struct {
-	TxnID   TxnID
-	SplitAt uint64
-	// End is the inclusive end of the migrated range. Recovery must not
-	// infer the extent from boundaries it can see: load-driven
-	// boundary-only splits are unlogged, so the live range the migration
-	// actually moved may be narrower than the recovered routing table
-	// suggests.
-	End      uint64
-	NewShard ShardID
-	PrevLSN  LSN
-}
-
-func (r *ShardMapRec) Type() Type { return TypeShardMap }
-func (r *ShardMapRec) Txn() TxnID { return r.TxnID }
-func (r *ShardMapRec) Prev() LSN  { return r.PrevLSN }
-
-func (r *ShardMapRec) encodeBody(dst []byte, at LSN) ([]byte, error) {
-	txn, prev, err := chainDists(r.TxnID, r.PrevLSN, at)
-	if err != nil {
-		return dst, err
-	}
-	dst = putUvarint(dst, txn)
-	dst = putUvarint(dst, r.SplitAt)
-	dst = putUvarint(dst, r.End)
-	dst = putUvarint(dst, uint64(r.NewShard))
-	return putUvarint(dst, prev), nil
-}
-
-func (r *ShardMapRec) decodeBody(src []byte, at LSN) error {
-	d := newDecoder(src, at)
-	r.TxnID = d.txn()
-	r.SplitAt = d.uvarint("splitAt")
-	r.End = d.uvarint("end")
-	r.NewShard = ShardID(d.uvarint32("newShard"))
-	r.PrevLSN = d.back("prev")
-	d.chain(r.TxnID, r.PrevLSN)
-	return d.finish(TypeShardMap)
-}
-
 // newRecord allocates the record struct for a type tag.
 func newRecord(t Type) (Record, error) {
 	switch t {
@@ -776,8 +728,6 @@ func newRecord(t Type) (Record, error) {
 		return &SMORec{}, nil
 	case TypeRSSP:
 		return &RSSPRec{}, nil
-	case TypeShardMap:
-		return &ShardMapRec{}, nil
 	default:
 		return nil, fmt.Errorf("%w: unknown record type %d", ErrBadRecord, uint8(t))
 	}
@@ -791,7 +741,6 @@ var (
 	_ DataOp        = (*CLRRec)(nil)
 	_ Transactional = (*CommitRec)(nil)
 	_ Transactional = (*AbortRec)(nil)
-	_ Transactional = (*ShardMapRec)(nil)
 	_ Sharded       = (*SMORec)(nil)
 	_ Sharded       = (*DeltaRec)(nil)
 	_ Sharded       = (*BWRec)(nil)

@@ -55,8 +55,8 @@ type ShardID uint32
 
 // RouteEntry is one range of the TC's key→shard routing table: keys at
 // or above Start (and below the next entry's Start) belong to Shard.
-// The table is persisted in end-checkpoint records so recovery can
-// rebuild routing even after ranges have been split and reassigned.
+// The table is persisted in end-checkpoint records, and recovery
+// reopens the shards under the table it finds there.
 type RouteEntry struct {
 	Start uint64
 	Shard ShardID
@@ -104,12 +104,11 @@ const (
 	// the RSSP control operation, so the DC knows where its own
 	// recovery scan begins (§4.2).
 	TypeRSSP
-	// TypeShardMap records a routing-table change: the range starting at
-	// SplitAt now belongs to another shard. It is transactional — the
-	// reassignment takes effect only if the migration transaction that
-	// moved the rows committed — so recovery applies it exactly when the
-	// moved rows are on the new shard.
-	TypeShardMap
+
+	// 13 was the shard-map record of online range migration, which is
+	// gone: routes are fixed when the engine is built. It must not be
+	// reused, so a log that holds one fails to decode ("unknown record
+	// type") instead of replaying as something else.
 )
 
 func (t Type) String() string {
@@ -138,8 +137,6 @@ func (t Type) String() string {
 		return "smo"
 	case TypeRSSP:
 		return "rssp"
-	case TypeShardMap:
-		return "shard-map"
 	default:
 		return fmt.Sprintf("type(%d)", uint8(t))
 	}
@@ -160,7 +157,7 @@ type Record interface {
 }
 
 // Transactional is implemented by records that belong to a transaction
-// (updates, inserts, deletes, CLRs, shard-map changes, commit, abort).
+// (updates, inserts, deletes, CLRs, commit, abort).
 type Transactional interface {
 	Record
 	// Txn returns the owning transaction.

@@ -46,7 +46,6 @@ func sampleRecords() []Record {
 			Images: []PageImage{{PageID: 50, Data: []byte{1, 2, 3}}, {PageID: 51, Data: []byte{4}}},
 		},
 		&RSSPRec{RsspLSN: 500},
-		&ShardMapRec{TxnID: 9, SplitAt: 1000, End: 1999, NewShard: 1, PrevLSN: first},
 	}
 }
 
@@ -367,7 +366,7 @@ func TestBackPointerPointsBack(t *testing.T) {
 	add(&DeleteRec{TxnID: 3, KeyVal: 4, PageID: 9, PrevLSN: seam - 1})
 	add(&CLRRec{TxnID: 3, KeyVal: 5, Kind: CLRUndoInsert, PageID: 9, UndoNextLSN: near, PrevLSN: prev})
 	add(&InsertRec{TxnID: 3, KeyVal: 6, PageID: 9, PrevLSN: first})
-	add(&ShardMapRec{TxnID: 4, SplitAt: 10, End: 19, NewShard: 1, PrevLSN: near})
+	add(&DeleteRec{TxnID: 4, KeyVal: 10, PageID: 9, ShardID: 1, PrevLSN: near})
 	add(&DeltaRec{DirtySet: []storage.PageID{9, 8, 7, 6}, FirstDirty: 4, TCLSN: seam,
 		DirtyLSNs: []LSN{first, NilLSN, seam - 1, prev}})
 	end := l.Flush()
@@ -412,7 +411,6 @@ func TestBackPointerPointsBack(t *testing.T) {
 	for name, p := range map[string]LSN{"at itself": end, "ahead": end + 100, "below the log": FirstLSN() - 1} {
 		for _, r := range []Record{
 			&UpdateRec{TxnID: 9, PrevLSN: p}, &InsertRec{TxnID: 9, PrevLSN: p}, &DeleteRec{TxnID: 9, PrevLSN: p},
-			&ShardMapRec{TxnID: 9, PrevLSN: p},
 			&CLRRec{TxnID: 9, Kind: CLRUndoInsert, PrevLSN: p}, &CLRRec{TxnID: 9, Kind: CLRUndoInsert, UndoNextLSN: p},
 			&DeltaRec{DirtySet: []storage.PageID{1}, FirstDirty: 1, DirtyLSNs: []LSN{p}},
 		} {
@@ -435,13 +433,13 @@ func TestBackPointerPointsBack(t *testing.T) {
 	defer re.CloseBackend()
 	check("reopened", re)
 
-	// A forged distance that reaches below FirstLSN: a shard-map change of
-	// txn 39 at LSN 40, pointing 25 bytes back.
-	_, _, err = decodeFrame([]byte{byte(TypeShardMap), 5, 1, 0, 0, 0, 25}, 40, 40)
+	// A forged distance that reaches below FirstLSN: an insert of txn 39
+	// at LSN 40 (key 0, empty row, page 0), pointing 25 bytes back.
+	_, _, err = decodeFrame([]byte{byte(TypeInsert), 5, 1, 0, 0, 0, 25}, 40, 40)
 	if !errors.Is(err, ErrBadRecord) || !strings.Contains(err.Error(), LSN(40).String()) {
 		t.Fatalf("forged pointer below the log: %v, want ErrBadRecord naming %v", err, LSN(40))
 	}
-	if rec, _, err := decodeFrame([]byte{byte(TypeShardMap), 5, 1, 0, 0, 0, 24}, 40, 40); err != nil || rec.(*ShardMapRec).PrevLSN != FirstLSN() {
+	if rec, _, err := decodeFrame([]byte{byte(TypeInsert), 5, 1, 0, 0, 0, 24}, 40, 40); err != nil || rec.(*InsertRec).PrevLSN != FirstLSN() {
 		t.Fatalf("pointer at the first record: %+v, %v", rec, err)
 	}
 }
@@ -472,8 +470,7 @@ func undoRow(u *UpdateRec, cur []byte) ([]byte, error) {
 // TestUndoDraftsEveryCLR checks the one rollback step on each record a
 // backchain can hold: an insert is undone by a delete that cannot split
 // a leaf, a delete by re-inserting the whole row, which can; a CLR skips
-// to its UndoNextLSN and a shard-map record to its PrevLSN with no CLR;
-// any other record is ErrBadRecord.
+// to its UndoNextLSN with no CLR; any other record is ErrBadRecord.
 func TestUndoDraftsEveryCLR(t *testing.T) {
 	const prev, undoNext = LSN(40), LSN(30)
 	for _, c := range []struct {
@@ -491,7 +488,6 @@ func TestUndoDraftsEveryCLR(t *testing.T) {
 		{&UpdateRec{TxnID: 9, KeyVal: 5, Skip: 1, OldVal: []byte("a"), NewVal: []byte("b"), PrevLSN: prev},
 			&CLRRec{TxnID: 9, KeyVal: 5, Kind: CLRUndoUpdate, Skip: 1, InPlace: true, RestoreVal: []byte("a"), UndoNextLSN: prev}, prev, false},
 		{&CLRRec{TxnID: 9, KeyVal: 5, Kind: CLRUndoInsert, UndoNextLSN: undoNext, PrevLSN: prev}, nil, undoNext, false},
-		{&ShardMapRec{TxnID: 9, SplitAt: 5, End: 9, NewShard: 1, PrevLSN: prev}, nil, prev, false},
 	} {
 		clr, next, structural, err := Undo(c.rec)
 		if err != nil || !reflect.DeepEqual(clr, c.want) || next != c.next || structural != c.structural {
@@ -777,18 +773,20 @@ func TestVarintBodiesAreCanonical(t *testing.T) {
 		t.Fatalf("canonical body: %+v, %v", c, err)
 	}
 	// A transaction's name is the distance back to its first record: 0
-	// for the record that opens it, the record's own LSN for TxnID 0.
+	// for the record that opens it, the record's own LSN for TxnID 0. An
+	// insert of key 0, an empty row and page 0 is that distance and three
+	// zeros; its nil prev and shard 0 are left out.
 	for _, tc := range []struct {
 		in, out TxnID
 		body    []byte
 	}{
-		{OpensTxn, TxnID(at), []byte{0, 0, 0, 0, 0}},
-		{TxnID(at), TxnID(at), []byte{0, 0, 0, 0, 0}},
-		{0, 0, []byte{0xD8, 0x04, 0, 0, 0, 0}},
-		{TxnID(FirstLSN()), TxnID(FirstLSN()), []byte{0xC8, 0x04, 0, 0, 0, 0}},
+		{OpensTxn, TxnID(at), []byte{0, 0, 0, 0}},
+		{TxnID(at), TxnID(at), []byte{0, 0, 0, 0}},
+		{0, 0, []byte{0xD8, 0x04, 0, 0, 0}},
+		{TxnID(FirstLSN()), TxnID(FirstLSN()), []byte{0xC8, 0x04, 0, 0, 0}},
 	} {
-		body, err := (&ShardMapRec{TxnID: tc.in}).encodeBody(nil, at)
-		var m ShardMapRec
+		body, err := (&InsertRec{TxnID: tc.in}).encodeBody(nil, at)
+		var m InsertRec
 		if err != nil || !bytes.Equal(body, tc.body) || m.decodeBody(body, at) != nil || m.TxnID != tc.out {
 			t.Errorf("txn %d: encoded %x (%v), want %x; decoded %d, want %d", tc.in, body, err, tc.body, m.TxnID, tc.out)
 		}
@@ -809,9 +807,11 @@ func TestVarintBodiesAreCanonical(t *testing.T) {
 			t.Errorf("%s encoded: %v", name, err)
 		}
 	}
-	var sm ShardMapRec
-	if err := sm.decodeBody([]byte{0, 0, 0, 0, 0xAC, 0x02}, at); !errors.Is(err, ErrBadRecord) || !strings.Contains(err.Error(), "opens its transaction but points back to lsn:300") {
-		t.Errorf("an opener pointing back decoded: %+v, %v", sm, err)
+	// An insert that opens its transaction (distance 0), key 0, an empty
+	// row, page 0, and a prev 300 bytes back.
+	var ins InsertRec
+	if err := ins.decodeBody([]byte{0, 0, 0, 0, 0xAC, 0x02}, at); !errors.Is(err, ErrBadRecord) || !strings.Contains(err.Error(), "opens its transaction but points back to lsn:300") {
+		t.Errorf("an opener pointing back decoded: %+v, %v", ins, err)
 	}
 	for _, rec := range []Record{&CommitRec{}, &AbortRec{}} {
 		if err := rec.decodeBody([]byte{0}, at); !errors.Is(err, ErrBadRecord) || !strings.Contains(err.Error(), "ends a transaction with no records") {
@@ -826,7 +826,7 @@ func TestVarintBodiesAreCanonical(t *testing.T) {
 		"txn distance 5 spelt in two bytes": {&c, []byte{0x85, 0x00}},
 		"txn 601 bytes back from 600":       {&c, []byte{0xD9, 0x04}},
 		"commit with a prev":                {&c, []byte{5, 1}},
-		"nil pointer spelt in two bytes":    {&sm, []byte{5, 0, 0, 0, 0x80, 0x00}},
+		"nil pointer spelt in two bytes":    {&ins, []byte{5, 0, 0, 0, 0x80, 0x00}},
 		"skip beyond 32 bits":               {&u, putUvarint(putUvarint(putUvarint(nil, 1), 1), 1<<32)},
 		// txn 1, key 1, skip 0, 2<<1 (two equal lengths), old "ab", new
 		// "ac", pid; prev and shard left out.
@@ -845,7 +845,7 @@ func TestVarintBodiesAreCanonical(t *testing.T) {
 		"∆ written gap past 32 bits":   {&DeltaRec{}, []byte{0, 2 << 1, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 1, 0, 0, 0}},
 		"end-ckpt route shard 33 bits": {&EndCkptRec{}, append([]byte{16, 0, 1, 0}, putUvarint(nil, 1<<32)...)},
 		"SMO image length over-long":   {&SMORec{}, []byte{2, 2, 11, 1, 10, 0x81, 0x00, 'x'}},
-		"shard-map split over-long":    {&ShardMapRec{}, []byte{1, 0x80, 0x00, 9, 1, 0}},
+		"insert key over-long":         {&ins, []byte{1, 0x80, 0x00, 0, 9}},
 	} {
 		if err := tc.rec.decodeBody(tc.body, at); !errors.Is(err, ErrBadRecord) {
 			t.Errorf("%s decoded: %+v, %v", name, tc.rec, err)
@@ -899,8 +899,15 @@ func TestVarintBodiesAreCanonical(t *testing.T) {
 		t.Fatalf("canonical frame: %+v, %v, %v", rec, end, err)
 	}
 	wideLen := append([]byte{byte(TypeCommit), 0x80 | byte(len(good)), 0x00}, good...)
-	if _, _, err := decodeFrame(wideLen, at, at); !errors.Is(err, ErrBadRecord) {
-		t.Fatalf("frame with an over-long length decoded: %v", err)
+	for name, frame := range map[string][]byte{
+		"over-long length": wideLen,
+		// Type 13, the retired shard-map record: txn 1 byte back, split
+		// at 0, end 0, shard 0, nil prev.
+		"retired type 13": {13, 5, 1, 0, 0, 0, 0},
+	} {
+		if _, _, err := decodeFrame(frame, at, at); !errors.Is(err, ErrBadRecord) {
+			t.Fatalf("%s: frame decoded: %v", name, err)
+		}
 	}
 	if saneFrameClaim(wideLen) {
 		t.Fatal("a shipped frame with an over-long length would be held back, not rejected")
@@ -1032,9 +1039,6 @@ func TestFrameBytes(t *testing.T) {
 		{"end checkpoint", &EndCkptRec{BeginLSN: at - 50, Active: []ActiveTxn{{TxnID: txn, LastLSN: at - 10}}, Routes: []RouteEntry{{Start: 0, Shard: 0}, {Start: 500, Shard: 1}}},
 			[]byte{8, 12, 182, 7, 1, 40, 222, 7, 2, 0, 0, 244, 3, 1}},
 		{"RSSP", &RSSPRec{RsspLSN: at - 50, ShardID: 2}, []byte{12, 3, 182, 7, 2}},
-		// txn, split at 500, end 999, new shard, prev.
-		{"shard map", &ShardMapRec{TxnID: txn, SplitAt: 500, End: 999, NewShard: 1, PrevLSN: prev},
-			[]byte{13, 7, 40, 244, 3, 231, 7, 1, 10}},
 	} {
 		got := encodeFrame(tc.rec, at)
 		if !bytes.Equal(got, tc.want) {
@@ -1104,7 +1108,7 @@ func TestQuickDeltaRoundTrip(t *testing.T) {
 // they must return errors, never panic.
 func TestQuickCorruptBodiesDontPanic(t *testing.T) {
 	types := []Type{TypeUpdate, TypeInsert, TypeDelete, TypeCommit, TypeAbort, TypeCLR,
-		TypeBeginCkpt, TypeEndCkpt, TypeBW, TypeDelta, TypeSMO, TypeRSSP, TypeShardMap}
+		TypeBeginCkpt, TypeEndCkpt, TypeBW, TypeDelta, TypeSMO, TypeRSSP}
 	f := func(raw []byte, pick uint8, at uint32) (ok bool) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -1127,7 +1131,7 @@ func TestQuickCorruptBodiesDontPanic(t *testing.T) {
 
 func TestRecordTypeStrings(t *testing.T) {
 	for _, typ := range []Type{TypeUpdate, TypeInsert, TypeDelete, TypeCommit, TypeAbort,
-		TypeCLR, TypeBeginCkpt, TypeEndCkpt, TypeBW, TypeDelta, TypeSMO, TypeRSSP, TypeShardMap} {
+		TypeCLR, TypeBeginCkpt, TypeEndCkpt, TypeBW, TypeDelta, TypeSMO, TypeRSSP} {
 		if s := typ.String(); s == "" || s == fmt.Sprintf("type(%d)", uint8(typ)) {
 			t.Fatalf("missing String for type %d", typ)
 		}
