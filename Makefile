@@ -76,7 +76,10 @@ examples:
 	$(GO) run ./examples/sidebyside
 
 # Documentation lint: every package needs a godoc comment and every
-# Config/Options knob field needs a doc comment (see cmd/doclint).
+# Config/Options knob field needs a doc comment; and every exported
+# function, method, interface method and constant under internal/ needs
+# a non-test caller in this module or benchmark/, or a line with its
+# reason in cmd/doclint/allowlist.txt (see cmd/doclint).
 doclint:
 	$(GO) run ./cmd/doclint internal cmd examples
 

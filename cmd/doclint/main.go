@@ -7,10 +7,22 @@
 // storage.Config) must have a doc comment — those fields are the
 // operator surface README.md and ARCHITECTURE.md point at.
 //
+// It also enforces that internal/ carries no API without a production
+// caller: every exported function, method, interface method and
+// package-level constant under internal/ must be used by a non-test
+// file of this module or of benchmark/ (type-checked with go/types, so
+// a used method never hides an unused one of the same name), or be
+// listed with a reason in cmd/doclint/allowlist.txt. A listed name that
+// gains a caller or is deleted fails too. Methods of a type the root
+// package re-exports by alias are public API and exempt; see lintUnused.
+//
 // Usage:
 //
 //	go run ./cmd/doclint            # lints ./internal
 //	go run ./cmd/doclint dir ...    # lints the given roots
+//
+// Run it from the repository root: the caller rule always reads this
+// module and benchmark/, and cmd/doclint/allowlist.txt.
 //
 // Exits non-zero listing every violation.
 package main
@@ -31,7 +43,11 @@ func main() {
 	if len(roots) == 0 {
 		roots = []string{"internal"}
 	}
-	var violations []string
+	violations, err := lintUnused([]string{".", "benchmark"}, "cmd/doclint/allowlist.txt")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "doclint: %v\n", err)
+		os.Exit(2)
+	}
 	for _, root := range roots {
 		dirs, err := packageDirs(root)
 		if err != nil {
@@ -54,7 +70,7 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Println("doclint: all packages, exported types and knob structs documented")
+	fmt.Println("doclint: all packages, exported types and knob structs documented; no exported internal API without a caller")
 }
 
 // packageDirs returns every directory under root containing .go files.

@@ -30,7 +30,7 @@ func benchTree(b *testing.B, rows int) *Tree {
 	tree.SetSMOLogger(walSMOLogger{log})
 	v := make([]byte, 92)
 	for k := uint64(0); k < uint64(rows); k++ {
-		if err := tree.Insert(k, v, wal.LSN(k+100)); err != nil {
+		if err := insertAt(tree, k, v, wal.LSN(k+100)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -42,7 +42,7 @@ func BenchmarkInsertSequential(b *testing.B) {
 	v := make([]byte, 92)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := tree.Insert(uint64(i), v, wal.LSN(i+100)); err != nil {
+		if err := insertAt(tree, uint64(i), v, wal.LSN(i+100)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -55,7 +55,7 @@ func BenchmarkInsertRandom(b *testing.B) {
 	keys := rng.Perm(b.N)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := tree.Insert(uint64(keys[i]), v, wal.LSN(i+100)); err != nil {
+		if err := insertAt(tree, uint64(keys[i]), v, wal.LSN(i+100)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -124,9 +124,6 @@ func (t *Tree) SetSMOLogger(l SMOLogger) { t.smo = l }
 // SetDirtyHook installs the per-page dirty callback.
 func (t *Tree) SetDirtyHook(fn func(pid storage.PageID, lsn wal.LSN)) { t.onDirty = fn }
 
-// Pool returns the tree's buffer pool.
-func (t *Tree) Pool() *buffer.Pool { return t.pool }
-
 func (t *Tree) visit() {
 	if t.clock != nil {
 		t.clock.Advance(perPageVisit)
@@ -250,15 +247,10 @@ func (t *Tree) findLeafPath(key uint64) (storage.PageID, []pathEntry, error) {
 // redo passes a function returning the replayed record's LSN.
 type LogFunc func(pid storage.PageID) wal.LSN
 
-// Insert adds (key, val) at lsn. The leaf's pLSN becomes lsn and the
-// leaf is marked dirty. Splits triggered by the insert are logged as
-// SMO records before the insert itself is applied.
-func (t *Tree) Insert(key uint64, val []byte, lsn wal.LSN) error {
-	return t.InsertLogged(key, val, func(storage.PageID) wal.LSN { return lsn })
-}
-
 // InsertLogged adds (key, val), calling logFn with the owning leaf's
-// PID to obtain the operation's LSN.
+// PID to obtain the operation's LSN. The leaf's pLSN becomes that LSN
+// and the leaf is marked dirty; splits triggered by the insert are
+// logged as SMO records before the insert itself is applied.
 func (t *Tree) InsertLogged(key uint64, val []byte, logFn LogFunc) error {
 	return t.modify(key, logFn, func(p *page.Page) error {
 		return p.Insert(key, val)
@@ -277,15 +269,11 @@ func (t *Tree) PatchLogged(key uint64, patch func(cur []byte) ([]byte, error), l
 	})
 }
 
-// Delete removes key at lsn. Leaves are never merged; like many
-// production engines, space from deletes is reused by later inserts.
-func (t *Tree) Delete(key uint64, lsn wal.LSN) error {
-	return t.DeleteLogged(key, func(storage.PageID, []byte) wal.LSN { return lsn })
-}
-
 // DeleteLogged removes key in one descent, calling logFn with the owning
 // leaf's PID and the row it removed to obtain the operation's LSN. old
-// aliases page memory and is valid only during the call.
+// aliases page memory and is valid only during the call. Leaves are
+// never merged; like many production engines, space from deletes is
+// reused by later inserts.
 func (t *Tree) DeleteLogged(key uint64, logFn func(pid storage.PageID, old []byte) wal.LSN) error {
 	var old []byte
 	return t.modify(key, func(pid storage.PageID) wal.LSN { return logFn(pid, old) }, func(p *page.Page) error {

@@ -61,6 +61,48 @@ func (e *testEnv) lsn() wal.LSN {
 	return e.log.MustAppend(&wal.BeginCkptRec{})
 }
 
+// insertAt and deleteAt stamp the change with a given LSN.
+func insertAt(t *Tree, key uint64, v []byte, lsn wal.LSN) error {
+	return t.InsertLogged(key, v, func(storage.PageID) wal.LSN { return lsn })
+}
+
+func deleteAt(t *Tree, key uint64, lsn wal.LSN) error {
+	return t.DeleteLogged(key, func(storage.PageID, []byte) wal.LSN { return lsn })
+}
+
+// countRows returns the number of rows in the tree.
+func countRows(t *Tree) (int, error) {
+	n := 0
+	err := t.Scan(func(uint64, []byte) error { n++; return nil })
+	return n, err
+}
+
+// indexPIDs returns the PIDs of every internal (index) page, root
+// included, in breadth-first order.
+func indexPIDs(t *Tree) ([]storage.PageID, error) {
+	if t.meta.Height <= 1 {
+		return nil, nil
+	}
+	var out []storage.PageID
+	frontier := []storage.PageID{t.meta.Root}
+	for level := t.meta.Height; level > 1; level-- {
+		var next []storage.PageID
+		for _, pid := range frontier {
+			out = append(out, pid)
+			f, err := t.pool.Get(pid)
+			if err != nil {
+				return nil, err
+			}
+			if level > 2 {
+				next = AppendChildren(next, &f.Page)
+			}
+			t.pool.Unpin(f)
+		}
+		frontier = next
+	}
+	return out, nil
+}
+
 func val(k uint64) []byte { return []byte(fmt.Sprintf("value-%06d", k)) }
 
 // update rewrites key's row to v under a fresh LSN: the whole-row patch
@@ -72,7 +114,7 @@ func (e *testEnv) update(key uint64, v []byte) error {
 
 func TestInsertSearchSingle(t *testing.T) {
 	e := newEnv(t, 64)
-	if err := e.tree.Insert(42, val(42), e.lsn()); err != nil {
+	if err := insertAt(e.tree, 42, val(42), e.lsn()); err != nil {
 		t.Fatal(err)
 	}
 	got, found, err := e.tree.Search(42)
@@ -90,10 +132,10 @@ func TestInsertSearchSingle(t *testing.T) {
 
 func TestInsertDuplicateKey(t *testing.T) {
 	e := newEnv(t, 64)
-	if err := e.tree.Insert(1, val(1), e.lsn()); err != nil {
+	if err := insertAt(e.tree, 1, val(1), e.lsn()); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.tree.Insert(1, val(1), e.lsn()); !errors.Is(err, ErrKeyExists) {
+	if err := insertAt(e.tree, 1, val(1), e.lsn()); !errors.Is(err, ErrKeyExists) {
 		t.Fatalf("err = %v, want ErrKeyExists", err)
 	}
 }
@@ -109,7 +151,7 @@ func TestManyInsertsSplit(t *testing.T) {
 	e := newEnv(t, 256)
 	const n = 2000
 	for k := uint64(0); k < n; k++ {
-		if err := e.tree.Insert(k, val(k), e.lsn()); err != nil {
+		if err := insertAt(e.tree, k, val(k), e.lsn()); err != nil {
 			t.Fatalf("Insert(%d): %v", k, err)
 		}
 	}
@@ -119,7 +161,7 @@ func TestManyInsertsSplit(t *testing.T) {
 	if err := e.tree.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	cnt, err := e.tree.Count()
+	cnt, err := countRows(e.tree)
 	if err != nil || cnt != n {
 		t.Fatalf("Count = %d (%v), want %d", cnt, err, n)
 	}
@@ -140,7 +182,7 @@ func TestRandomOrderInserts(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	keys := rng.Perm(1500)
 	for _, k := range keys {
-		if err := e.tree.Insert(uint64(k), val(uint64(k)), e.lsn()); err != nil {
+		if err := insertAt(e.tree, uint64(k), val(uint64(k)), e.lsn()); err != nil {
 			t.Fatalf("Insert(%d): %v", k, err)
 		}
 	}
@@ -171,7 +213,7 @@ func TestUpdateAfterSplits(t *testing.T) {
 	e := newEnv(t, 256)
 	const n = 1000
 	for k := uint64(0); k < n; k++ {
-		if err := e.tree.Insert(k, val(k), e.lsn()); err != nil {
+		if err := insertAt(e.tree, k, val(k), e.lsn()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -200,23 +242,23 @@ func TestDeleteKeys(t *testing.T) {
 	e := newEnv(t, 256)
 	const n = 800
 	for k := uint64(0); k < n; k++ {
-		if err := e.tree.Insert(k, val(k), e.lsn()); err != nil {
+		if err := insertAt(e.tree, k, val(k), e.lsn()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for k := uint64(0); k < n; k += 2 {
-		if err := e.tree.Delete(k, e.lsn()); err != nil {
+		if err := deleteAt(e.tree, k, e.lsn()); err != nil {
 			t.Fatalf("Delete(%d): %v", k, err)
 		}
 	}
-	cnt, err := e.tree.Count()
+	cnt, err := countRows(e.tree)
 	if err != nil || cnt != n/2 {
 		t.Fatalf("Count = %d (%v), want %d", cnt, err, n/2)
 	}
 	if err := e.tree.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.tree.Delete(0, e.lsn()); !errors.Is(err, ErrKeyNotFound) {
+	if err := deleteAt(e.tree, 0, e.lsn()); !errors.Is(err, ErrKeyNotFound) {
 		t.Fatalf("re-delete err = %v, want ErrKeyNotFound", err)
 	}
 }
@@ -225,7 +267,7 @@ func TestFindLeafDoesNotFetchLeaf(t *testing.T) {
 	e := newEnv(t, 512)
 	const n = 2000
 	for k := uint64(0); k < n; k++ {
-		if err := e.tree.Insert(k, val(k), e.lsn()); err != nil {
+		if err := insertAt(e.tree, k, val(k), e.lsn()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -259,7 +301,7 @@ func TestTraversalChargesClock(t *testing.T) {
 	e := newEnv(t, 512)
 	const n = 2000
 	for k := uint64(0); k < n; k++ {
-		if err := e.tree.Insert(k, val(k), e.lsn()); err != nil {
+		if err := insertAt(e.tree, k, val(k), e.lsn()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -269,32 +311,6 @@ func TestTraversalChargesClock(t *testing.T) {
 	}
 	if e.clock.Now() == before {
 		t.Fatal("search did not charge the clock")
-	}
-}
-
-func TestIndexPIDs(t *testing.T) {
-	e := newEnv(t, 512)
-	const n = 3000
-	for k := uint64(0); k < n; k++ {
-		if err := e.tree.Insert(k, val(k), e.lsn()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pids, err := e.tree.IndexPIDs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pids) == 0 {
-		t.Fatal("no index pages for a multi-level tree")
-	}
-	if pids[0] != e.tree.Meta().Root {
-		t.Fatalf("first index PID %d != root %d", pids[0], e.tree.Meta().Root)
-	}
-	// Index pages must be a small fraction of total pages, as in the
-	// paper (fanout makes the index <1-2% of the data).
-	total := int(e.tree.Meta().NextPID - storage.MetaPageID - 1)
-	if len(pids)*5 > total {
-		t.Fatalf("index unexpectedly large: %d of %d pages", len(pids), total)
 	}
 }
 
@@ -311,7 +327,7 @@ func TestQuickTreeMatchesModel(t *testing.T) {
 			case 0, 1: // insert
 				v := make([]byte, rng.Intn(40)+1)
 				rng.Read(v)
-				err := e.tree.Insert(k, v, e.lsn())
+				err := insertAt(e.tree, k, v, e.lsn())
 				if _, exists := model[k]; exists {
 					if !errors.Is(err, ErrKeyExists) {
 						t.Logf("seed %d: insert dup %d: %v", seed, k, err)
@@ -338,7 +354,7 @@ func TestQuickTreeMatchesModel(t *testing.T) {
 					return false
 				}
 			case 3: // delete
-				err := e.tree.Delete(k, e.lsn())
+				err := deleteAt(e.tree, k, e.lsn())
 				if _, exists := model[k]; exists {
 					if err != nil {
 						t.Logf("seed %d: delete %d: %v", seed, k, err)
@@ -386,7 +402,7 @@ func TestQuickTreeMatchesModel(t *testing.T) {
 func TestSplitSMORecordImagesMatchCache(t *testing.T) {
 	e := newEnv(t, 256)
 	for k := uint64(0); k < 600; k++ {
-		if err := e.tree.Insert(k, val(k), e.lsn()); err != nil {
+		if err := insertAt(e.tree, k, val(k), e.lsn()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -444,7 +460,7 @@ func TestSMOReservationLostToConcurrentAppend(t *testing.T) {
 	steals := 5
 	e.tree.SetSMOLogger(contendedSMOLogger{walSMOLogger{e.log}, &steals})
 	for k := uint64(0); k < 600; k++ {
-		if err := e.tree.Insert(k, val(k), e.lsn()); err != nil {
+		if err := insertAt(e.tree, k, val(k), e.lsn()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -471,7 +487,7 @@ func TestSMOReservationLostToConcurrentAppend(t *testing.T) {
 		}
 		smoSeen++
 		for _, img := range smo.Images {
-			if got := page.Wrap(img.Data).LSN(); got != uint64(lsn) {
+			if got := page.WrapShared(img.Data).LSN(); got != uint64(lsn) {
 				t.Errorf("SMO record at %v carries an image of page %d stamped %d", lsn, img.PageID, got)
 			}
 		}

@@ -20,17 +20,12 @@ func (t *Tree) Scan(fn func(key uint64, val []byte) error) error {
 	return t.scanFrom(pid, 0, ^uint64(0), nil, fn)
 }
 
-// ScanRange walks rows with lo ≤ key ≤ hi in key order. It locates the
-// leaf owning lo through the index and follows sibling links, the
-// access path Deuteronomy's key-range operations use [13].
-func (t *Tree) ScanRange(lo, hi uint64, fn func(key uint64, val []byte) error) error {
-	return t.ScanRangeFiltered(lo, hi, nil, fn)
-}
-
-// ScanRangeFiltered is ScanRange with a predicate evaluated against the
-// page-resident row before fn sees it: rows failing pred are dropped
-// inside the iterator, so a pushed-down filter costs no row copy and no
-// decode above this layer. A nil pred accepts every row. Like fn's, the
+// ScanRangeFiltered walks rows with lo ≤ key ≤ hi in key order. It
+// locates the leaf owning lo through the index and follows sibling
+// links, the access path Deuteronomy's key-range operations use [13].
+// pred is evaluated against the page-resident row before fn sees it:
+// rows failing pred are dropped inside the iterator, so a pushed-down
+// filter costs no row copy and no decode above this layer. A nil pred accepts every row. Like fn's, the
 // value slice pred receives is only valid during the call.
 func (t *Tree) ScanRangeFiltered(lo, hi uint64, pred func(key uint64, val []byte) bool, fn func(key uint64, val []byte) error) error {
 	if hi < lo {
@@ -95,40 +90,6 @@ func (t *Tree) leftmostLeaf() (storage.PageID, error) {
 		pid = next
 	}
 	return pid, nil
-}
-
-// Count returns the number of rows in the tree.
-func (t *Tree) Count() (int, error) {
-	n := 0
-	err := t.Scan(func(uint64, []byte) error { n++; return nil })
-	return n, err
-}
-
-// IndexPIDs returns the PIDs of every internal (index) page, root
-// included, in breadth-first order. The DC's index-preload prefetch
-// (Appendix A.1) loads exactly these pages at the start of recovery.
-func (t *Tree) IndexPIDs() ([]storage.PageID, error) {
-	if t.meta.Height <= 1 {
-		return nil, nil
-	}
-	var out []storage.PageID
-	frontier := []storage.PageID{t.meta.Root}
-	for level := t.meta.Height; level > 1; level-- {
-		var next []storage.PageID
-		for _, pid := range frontier {
-			out = append(out, pid)
-			f, err := t.pool.Get(pid)
-			if err != nil {
-				return nil, err
-			}
-			if level > 2 {
-				next = AppendChildren(next, &f.Page)
-			}
-			t.pool.Unpin(f)
-		}
-		frontier = next
-	}
-	return out, nil
 }
 
 // CheckInvariants validates the whole tree: page-level structure, key

@@ -62,7 +62,7 @@ func TestLoaderSpinePins(t *testing.T) {
 	if err := e.tree.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := e.tree.Count(); err != nil || n != rows {
+	if n, err := countRows(e.tree); err != nil || n != rows {
 		t.Fatalf("Count = %d, %v; want %d", n, err, rows)
 	}
 }
@@ -117,7 +117,7 @@ func TestLoaderRejectsNonAscendingKeys(t *testing.T) {
 	if err := e.tree.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := e.tree.Count(); n != 2*perLeaf+1 {
+	if n, _ := countRows(e.tree); n != 2*perLeaf+1 {
 		t.Fatalf("Count = %d, want %d", n, 2*perLeaf+1)
 	}
 }
@@ -142,7 +142,7 @@ func TestLoaderValueTooLarge(t *testing.T) {
 	if err := e.tree.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := e.tree.Count(); n != 3 {
+	if n, _ := countRows(e.tree); n != 3 {
 		t.Fatalf("Count = %d, want 3", n)
 	}
 }
@@ -153,7 +153,7 @@ func TestNewLoaderNeedsEmptyUnloggedTree(t *testing.T) {
 		t.Fatal("NewLoader with an SMO logger installed succeeded")
 	}
 	e.tree.SetSMOLogger(nil)
-	if err := e.tree.Insert(1, val(1), 0); err != nil {
+	if err := insertAt(e.tree, 1, val(1), 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.tree.NewLoader(); err == nil {
@@ -163,7 +163,7 @@ func TestNewLoaderNeedsEmptyUnloggedTree(t *testing.T) {
 		t.Fatalf("refused NewLoader left %d frames pinned", pins)
 	}
 	for k := uint64(2); e.tree.Meta().Height == 1; k++ {
-		if err := e.tree.Insert(k, make([]byte, 500), 0); err != nil {
+		if err := insertAt(e.tree, k, make([]byte, 500), 0); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -24,7 +24,7 @@ func patchEnv(t *testing.T, n uint64) (e *testEnv, logFn LogFunc, rec *patchLog)
 	t.Helper()
 	e = newEnv(t, 256)
 	for k := uint64(0); k < n; k++ {
-		if err := e.tree.Insert(k, val(k), e.lsn()); err != nil {
+		if err := insertAt(e.tree, k, val(k), e.lsn()); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -8,12 +8,12 @@ import (
 func TestScanRange(t *testing.T) {
 	e := newEnv(t, 512)
 	for k := uint64(0); k < 3000; k += 3 {
-		if err := e.tree.Insert(k, val(k), e.lsn()); err != nil {
+		if err := insertAt(e.tree, k, val(k), e.lsn()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var got []uint64
-	err := e.tree.ScanRange(100, 200, func(k uint64, v []byte) error {
+	err := e.tree.ScanRangeFiltered(100, 200, nil, func(k uint64, v []byte) error {
 		got = append(got, k)
 		if string(v) != string(val(k)) {
 			return fmt.Errorf("value mismatch at %d", k)
@@ -40,13 +40,13 @@ func TestScanRange(t *testing.T) {
 func TestScanRangeEdges(t *testing.T) {
 	e := newEnv(t, 256)
 	for k := uint64(10); k <= 20; k++ {
-		if err := e.tree.Insert(k, val(k), e.lsn()); err != nil {
+		if err := insertAt(e.tree, k, val(k), e.lsn()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	count := func(lo, hi uint64) int {
 		n := 0
-		if err := e.tree.ScanRange(lo, hi, func(uint64, []byte) error { n++; return nil }); err != nil {
+		if err := e.tree.ScanRangeFiltered(lo, hi, nil, func(uint64, []byte) error { n++; return nil }); err != nil {
 			t.Fatal(err)
 		}
 		return n
@@ -73,7 +73,7 @@ func TestScanRangeCrossesLeaves(t *testing.T) {
 	const n = 5000
 	v := make([]byte, 92)
 	for k := uint64(0); k < n; k++ {
-		if err := e.tree.Insert(k, v, e.lsn()); err != nil {
+		if err := insertAt(e.tree, k, v, e.lsn()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -81,7 +81,7 @@ func TestScanRangeCrossesLeaves(t *testing.T) {
 		t.Fatal("tree too small to cross leaves")
 	}
 	got := 0
-	if err := e.tree.ScanRange(1000, 3999, func(uint64, []byte) error { got++; return nil }); err != nil {
+	if err := e.tree.ScanRangeFiltered(1000, 3999, nil, func(uint64, []byte) error { got++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if got != 3000 {

@@ -12,14 +12,14 @@ func TestSequentialLoadFillFactor(t *testing.T) {
 	const n = 20000
 	v := make([]byte, 92)
 	for k := uint64(0); k < n; k++ {
-		if err := e.tree.Insert(k, v, e.lsn()); err != nil {
+		if err := insertAt(e.tree, k, v, e.lsn()); err != nil {
 			t.Fatalf("Insert(%d): %v", k, err)
 		}
 	}
 	if err := e.tree.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	cnt, err := e.tree.Count()
+	cnt, err := countRows(e.tree)
 	if err != nil || cnt != n {
 		t.Fatalf("Count = %d (%v)", cnt, err)
 	}
@@ -32,7 +32,7 @@ func TestSequentialLoadFillFactor(t *testing.T) {
 		t.Fatalf("sequential load used %d pages; near-full packing needs ~%d", totalPages, perfect)
 	}
 	// Index must be a small fraction of all pages.
-	idx, err := e.tree.IndexPIDs()
+	idx, err := indexPIDs(e.tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,20 +48,20 @@ func TestAppendSplitThenRandomInserts(t *testing.T) {
 	v := make([]byte, 92)
 	const n = 5000
 	for k := uint64(0); k < n; k += 2 {
-		if err := e.tree.Insert(k, v, e.lsn()); err != nil {
+		if err := insertAt(e.tree, k, v, e.lsn()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Now fill odd keys in descending order (mid splits).
 	for k := uint64(4001); k >= 1 && k <= 4001; k -= 2 {
-		if err := e.tree.Insert(k, v, e.lsn()); err != nil {
+		if err := insertAt(e.tree, k, v, e.lsn()); err != nil {
 			t.Fatalf("Insert(%d): %v", k, err)
 		}
 	}
 	if err := e.tree.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	cnt, err := e.tree.Count()
+	cnt, err := countRows(e.tree)
 	if err != nil || cnt != n/2+2001 {
 		t.Fatalf("Count = %d (%v), want %d", cnt, err, n/2+2001)
 	}

@@ -39,8 +39,8 @@ func TestSecondChanceProtectsReferencedFrames(t *testing.T) {
 	if !pool.Contains(5) {
 		t.Fatal("page 5 not cached after eviction")
 	}
-	if pool.Len() != 3 {
-		t.Fatalf("pool holds %d pages, want 3", pool.Len())
+	if pool.resident() != 3 {
+		t.Fatalf("pool holds %d pages, want 3", pool.resident())
 	}
 }
 
@@ -181,7 +181,7 @@ func TestDirtyCountTracksFlushAndDrop(t *testing.T) {
 	}
 	pool.Unpin(f2)
 	pool.Unpin(f3)
-	pool.Drop(3)
+	pool.drop(3)
 	if pool.DirtyCount() != 0 {
 		t.Fatalf("dirty after drop = %d", pool.DirtyCount())
 	}

@@ -225,13 +225,6 @@ func (p *Pool) ELSN() wal.LSN { return wal.LSN(p.eLSN.Load()) }
 // Capacity returns the pool capacity in pages.
 func (p *Pool) Capacity() int { return p.capacity }
 
-// Len returns the number of cached pages.
-func (p *Pool) Len() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.frames.Len()
-}
-
 // Stats returns the pool statistics.
 func (p *Pool) Stats() Stats {
 	p.mu.Lock()
@@ -276,21 +269,6 @@ func (p *Pool) DirtyCount() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.dirty
-}
-
-// DirtyPIDs returns the PIDs of all dirty frames in ascending order
-// (test oracle for DPT safety).
-func (p *Pool) DirtyPIDs() []storage.PageID {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]storage.PageID, 0, p.dirty)
-	p.frames.Range(func(pid storage.PageID, f *Frame) bool {
-		if f.Dirty {
-			out = append(out, pid)
-		}
-		return true
-	})
-	return out
 }
 
 // PinnedCount returns the number of frames currently pinned (test
@@ -750,14 +728,4 @@ func (p *Pool) Prefetch(pids []storage.PageID) (consumed, issued int) {
 	p.mu.Unlock()
 	p.disk.Prefetch(want)
 	return consumed, len(want)
-}
-
-// Drop removes pid from the pool without flushing (crash simulation and
-// tests only).
-func (p *Pool) Drop(pid storage.PageID) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if f, ok := p.frames.Get(pid); ok {
-		p.removeFrame(f)
-	}
 }

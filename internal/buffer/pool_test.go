@@ -41,8 +41,7 @@ func newPoolEnv(t *testing.T, capacity int) (*sim.Clock, *storage.Disk, *Pool) {
 func seed(t *testing.T, disk storage.Device, n int) {
 	t.Helper()
 	for pid := storage.PageID(2); pid < storage.PageID(2+n); pid++ {
-		data := make([]byte, disk.Config().PageSize)
-		page.Format(data, page.TypeLeaf)
+		data := page.New(disk.Config().PageSize, page.TypeLeaf).Bytes()
 		if _, err := disk.Write(pid, data); err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +114,7 @@ func TestEvictionLRUAndDirtyWriteback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := page.Wrap(data)
+	p := page.WrapShared(data)
 	if _, found := p.Search(7); !found {
 		t.Fatal("flushed page lost the insert")
 	}
@@ -341,19 +340,6 @@ func TestPrefetchBoundedByFreeFrames(t *testing.T) {
 	}
 }
 
-func TestDirtyPIDs(t *testing.T) {
-	_, disk, pool := newPoolEnv(t, 4)
-	seed(t, disk, 3)
-	for _, pid := range []storage.PageID{4, 2} {
-		f, _ := pool.Get(pid)
-		pool.MarkDirty(f, 9)
-		pool.Unpin(f)
-	}
-	if got := pool.DirtyPIDs(); !slices.Equal(got, []storage.PageID{2, 4}) {
-		t.Fatalf("DirtyPIDs = %v, want [2 4] in ascending order", got)
-	}
-}
-
 func TestUnpinUnderflowPanics(t *testing.T) {
 	_, disk, pool := newPoolEnv(t, 4)
 	seed(t, disk, 1)
@@ -384,26 +370,26 @@ func TestFlushAllCleansEveryDirtyFrame(t *testing.T) {
 		}
 		pool.Unpin(f)
 	}
-	if pool.Len() != 40 {
-		t.Fatalf("Len = %d, want 40", pool.Len())
+	if pool.resident() != 40 {
+		t.Fatalf("Len = %d, want 40", pool.resident())
 	}
 	if got := pool.DirtyCount(); got != 20 {
 		t.Fatalf("DirtyCount = %d, want 20", got)
 	}
-	if got := len(pool.DirtyPIDs()); got != 20 {
-		t.Fatalf("DirtyPIDs = %d entries, want 20", got)
+	if got := len(pool.dirtyPIDs()); got != 20 {
+		t.Fatalf("dirtyPIDs = %d entries, want 20", got)
 	}
 	if err := pool.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	if pool.DirtyCount() != 0 || len(pool.DirtyPIDs()) != 0 {
-		t.Fatalf("dirty after FlushAll: count %d, PIDs %v", pool.DirtyCount(), pool.DirtyPIDs())
+	if pool.DirtyCount() != 0 || len(pool.dirtyPIDs()) != 0 {
+		t.Fatalf("dirty after FlushAll: count %d, PIDs %v", pool.DirtyCount(), pool.dirtyPIDs())
 	}
 	if st := pool.Stats(); st.Misses != 40 || st.Flushes != 20 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if pool.Len() != 40 {
-		t.Fatalf("FlushAll changed residency: Len = %d", pool.Len())
+	if pool.resident() != 40 {
+		t.Fatalf("FlushAll changed residency: Len = %d", pool.resident())
 	}
 }
 
@@ -525,7 +511,7 @@ func TestConcurrentMissDuringDirtyEvictionSharesFrame(t *testing.T) {
 	if a != b {
 		t.Fatal("two concurrent misses on page 10 returned different frames")
 	}
-	if n := pool.Len(); n != 1 {
+	if n := pool.resident(); n != 1 {
 		t.Fatalf("Len = %d, want 1 (page 10 only)", n)
 	}
 	if n := pool.PinnedCount(); n != 1 {
@@ -705,7 +691,7 @@ func TestConcurrentPinWaitsOutAFlushWrite(t *testing.T) {
 	if !ok {
 		t.Fatal("page 2 has no stored image")
 	}
-	if lsn := wal.LSN(page.Wrap(img).LSN()); lsn < update && table.Find(2) == nil {
+	if lsn := wal.LSN(page.WrapShared(img).LSN()); lsn < update && table.Find(2) == nil {
 		t.Fatalf("page 2 is stored at LSN %v without its update at %v, yet the flush reports (FW-LSNs %v) prune it from the DPT", lsn, update, fws)
 	}
 }
@@ -791,7 +777,7 @@ func TestForkedPoolsMutateOneImageApart(t *testing.T) {
 	}
 	for i, d := range forks {
 		img, _ := d.Read(2)
-		p := page.Wrap(img)
+		p := page.WrapShared(img)
 		idx, found := p.Search(100)
 		if !found || p.ValueAt(idx)[0] != byte('a'+i) {
 			t.Fatalf("fork %d lost its own change to page 2", i)
@@ -810,11 +796,11 @@ func TestDropDiscardsWithoutFlush(t *testing.T) {
 	pool.MarkDirty(f, 5)
 	pool.Unpin(f)
 	before := pool.Stats().Flushes
-	pool.Drop(2)
+	pool.drop(2)
 	if pool.Contains(2) {
-		t.Fatal("Drop left the page cached")
+		t.Fatal("drop left the page cached")
 	}
 	if pool.Stats().Flushes != before {
-		t.Fatal("Drop flushed")
+		t.Fatal("drop flushed")
 	}
 }

@@ -69,7 +69,7 @@ type storedImage struct {
 }
 
 func (o *oracleDevice) Write(pid storage.PageID, data []byte) (sim.Time, error) {
-	lsn := uint64(page.Wrap(data).LSN())
+	lsn := uint64(page.WrapShared(data).LSN())
 	if stable := o.stable.Load(); lsn != 0 && lsn >= stable {
 		o.violations.Add(1)
 		msg := fmt.Sprintf("page %d flushed with LSN %d >= stable end %d", pid, lsn, stable)
@@ -128,8 +128,7 @@ func runPoolStress(t *testing.T) {
 	nextLSN.Store(100)
 	disk := &oracleDevice{Disk: raw, stable: &stable}
 	for pid := storage.PageID(2); pid < 2+keyspace; pid++ {
-		data := make([]byte, cfg.PageSize)
-		page.Format(data, page.TypeLeaf)
+		data := page.New(cfg.PageSize, page.TypeLeaf).Bytes()
 		if _, err := disk.Write(pid, data); err != nil {
 			t.Fatal(err)
 		}
@@ -257,8 +256,8 @@ func runPoolStress(t *testing.T) {
 	if got := pool.DirtyCount(); got != 0 {
 		t.Fatalf("DirtyCount after FlushAll = %d", got)
 	}
-	if pool.Len() > capacity {
-		t.Fatalf("Len %d exceeds capacity %d", pool.Len(), capacity)
+	if pool.resident() > capacity {
+		t.Fatalf("Len %d exceeds capacity %d", pool.resident(), capacity)
 	}
 	// One frame per cached page: the clock ring holds exactly the
 	// mapped frames, so no orphan can later unmap a live one.

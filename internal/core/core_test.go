@@ -8,6 +8,7 @@ import (
 
 	"logrec/internal/dc"
 	"logrec/internal/engine"
+	"logrec/internal/page"
 	"logrec/internal/sim"
 	"logrec/internal/storage"
 	"logrec/internal/tc"
@@ -529,7 +530,10 @@ func TestDPTSafety(t *testing.T) {
 		}
 	}
 	// Dirty pages at the crash, from the live pool (the oracle).
-	dirty := eng.DC.Pool().DirtyPIDs()
+	dirty := dirtyPIDs(eng)
+	if len(dirty) == 0 {
+		t.Fatal("no page dirty at the crash: the test lost its point")
+	}
 	cs := eng.Crash()
 
 	// Build the logical DPT exactly as Log1 recovery would.
@@ -661,4 +665,23 @@ func TestLog1MatchesSQL1DataFetchesWithPerfectDelta(t *testing.T) {
 		t.Fatalf("data fetches differ: Log1 %d, SQL1 %d (DPT %d vs %d)",
 			metLog.DataPageFetches, metSQL.DataPageFetches, metLog.DPTSize, metSQL.DPTSize)
 	}
+}
+
+// dirtyPIDs returns, in ascending order, the pages of eng's (one-shard,
+// simulated-disk) pool that are dirty: resident at a pLSN past their
+// device image's, or never written. Every page change stamps a new pLSN
+// and a flush writes the frame's image, so this is the pool's dirty set.
+func dirtyPIDs(eng *engine.Engine) []storage.PageID {
+	disk := eng.DC.Disk().(*storage.Disk)
+	var out []storage.PageID
+	for pid := storage.MetaPageID + 1; pid < eng.DC.Tree().Meta().NextPID; pid++ {
+		plsn, ok := eng.DC.Pool().ResidentLSN(pid)
+		if !ok {
+			continue
+		}
+		if img, stored := disk.Image(pid); !stored || page.WrapShared(img).LSN() < plsn {
+			out = append(out, pid)
+		}
+	}
+	return out
 }

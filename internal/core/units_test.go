@@ -470,11 +470,13 @@ func TestRecoverUncheckpointedEngine(t *testing.T) {
 	om := make(oracle)
 	// Load takes the initial checkpoint; to simulate "no checkpoint",
 	// use the raw DC path: load, enable logging, no Checkpoint call.
-	if err := eng.DC.BulkLoad(500, func(k uint64) []byte {
-		v := val(k, 0)
-		om[k] = v
-		return v
-	}); err != nil {
+	for k := uint64(0); k < 500; k++ {
+		om[k] = val(k, 0)
+		if err := eng.DC.LoadRow(k, om[k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.DC.FinishLoad(); err != nil {
 		t.Fatal(err)
 	}
 	eng.DC.StartLogging()

@@ -41,12 +41,11 @@ func DefaultConfig() Config {
 
 // DC is the data component.
 type DC struct {
-	clock *sim.Clock
-	disk  storage.Device
-	pool  *buffer.Pool
-	log   *wal.Log
-	tree  *btree.Tree
-	rec   *tracker.Recorder
+	disk storage.Device
+	pool *buffer.Pool
+	log  *wal.Log
+	tree *btree.Tree
+	rec  *tracker.Recorder
 
 	// shard is this DC's identity on the shared log: every record it
 	// originates (SMO, ∆, BW, RSSP) carries it, so recovery can
@@ -94,7 +93,7 @@ func New(clock *sim.Clock, disk storage.Device, log *wal.Log, cacheCapacity int,
 	if err != nil {
 		return nil, err
 	}
-	d := &DC{clock: clock, disk: disk, pool: pool, log: log, tree: tree, rec: rec, shard: sh}
+	d := &DC{disk: disk, pool: pool, log: log, tree: tree, rec: rec, shard: sh}
 	d.wire()
 	d.rec.SetEnabled(false) // bulk-load mode: no tracking yet
 	return d, nil
@@ -122,7 +121,7 @@ func Open(clock *sim.Clock, disk storage.Device, log *wal.Log, cacheCapacity int
 		return nil, err
 	}
 	tree := btree.Open(pool, clock, st.tree)
-	d := &DC{clock: clock, disk: disk, pool: pool, log: log, tree: tree, rec: rec, shard: sh, rsspLSN: st.rsspLSN}
+	d := &DC{disk: disk, pool: pool, log: log, tree: tree, rec: rec, shard: sh, rsspLSN: st.rsspLSN}
 	d.wire()
 	d.rec.SetEnabled(false) // recovery enables tracking when done
 	return d, nil
@@ -145,9 +144,6 @@ func (d *DC) StartLogging() {
 	d.rec.SetEnabled(true)
 }
 
-// ShardID returns this DC's identity on the shared log.
-func (d *DC) ShardID() wal.ShardID { return d.shard }
-
 // Pool returns the buffer pool (recovery and harness access).
 func (d *DC) Pool() *buffer.Pool { return d.pool }
 
@@ -157,14 +153,8 @@ func (d *DC) Tree() *btree.Tree { return d.tree }
 // Disk returns the stable store.
 func (d *DC) Disk() storage.Device { return d.disk }
 
-// Clock returns the virtual clock.
-func (d *DC) Clock() *sim.Clock { return d.clock }
-
 // Recorder returns the ∆/BW recorder.
 func (d *DC) Recorder() *tracker.Recorder { return d.rec }
-
-// RsspLSN returns the last redo-scan-start-point persisted by RSSP.
-func (d *DC) RsspLSN() wal.LSN { return d.rsspLSN }
 
 // Read returns a copy of the value under key. A DC holds one table,
 // which the session checks; the table argument is ignored and goes
@@ -173,15 +163,10 @@ func (d *DC) Read(_ wal.TableID, key uint64) ([]byte, bool, error) {
 	return d.tree.Search(key)
 }
 
-// ReadRange invokes fn for every row with lo ≤ key ≤ hi, in key order.
-// The value slice is only valid during the call.
-func (d *DC) ReadRange(lo, hi uint64, fn func(key uint64, val []byte) error) error {
-	return d.ReadRangeFiltered(lo, hi, nil, fn)
-}
-
-// ReadRangeFiltered is ReadRange with a predicate pushed down into the
-// B-tree iterator: rows failing pred never leave the data component.
-// A nil pred accepts every row.
+// ReadRangeFiltered invokes fn for every row with lo ≤ key ≤ hi that
+// pred accepts, in key order. pred is pushed down into the B-tree
+// iterator: rows failing it never leave the data component. A nil pred
+// accepts every row. The value slice is only valid during the call.
 func (d *DC) ReadRangeFiltered(lo, hi uint64, pred func(key uint64, val []byte) bool, fn func(key uint64, val []byte) error) error {
 	return d.tree.ScanRangeFiltered(lo, hi, pred, fn)
 }
@@ -300,19 +285,6 @@ func (d *DC) WriteBootPage() error {
 		return fmt.Errorf("dc: writing boot page: %w", err)
 	}
 	return nil
-}
-
-// BulkLoad loads n sequential rows (keys 0..n-1) with values produced
-// by valFn, unlogged, then flushes everything and persists the boot
-// page. It must run before StartLogging, on an empty table; valFn's
-// slice is copied before the next call, so it may reuse a buffer.
-func (d *DC) BulkLoad(n int, valFn func(key uint64) []byte) error {
-	for k := uint64(0); k < uint64(n); k++ {
-		if err := d.LoadRow(k, valFn(k)); err != nil {
-			return err
-		}
-	}
-	return d.FinishLoad()
 }
 
 // LoadRow appends one row to the unlogged bulk load (btree.Loader: the

@@ -25,14 +25,30 @@ func newDC(t *testing.T, rows, cache int) (*DC, *wal.Log, *storage.Disk, *sim.Cl
 		t.Fatal(err)
 	}
 	if rows > 0 {
-		if err := d.BulkLoad(rows, func(k uint64) []byte {
-			return []byte(fmt.Sprintf("row-%08d", k))
-		}); err != nil {
-			t.Fatal(err)
-		}
+		bulkLoad(t, d, rows)
 	}
 	d.StartLogging()
 	return d, log, disk, clock
+}
+
+// bulkLoad loads rows sequential rows (keys 0..rows-1) unlogged.
+func bulkLoad(t *testing.T, d *DC, rows int) {
+	t.Helper()
+	for k := uint64(0); k < uint64(rows); k++ {
+		if err := d.LoadRow(k, []byte(fmt.Sprintf("row-%08d", k))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.FinishLoad(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// countRows returns the number of rows in the table.
+func countRows(d *DC) (int, error) {
+	n := 0
+	err := d.Tree().Scan(func(uint64, []byte) error { n++; return nil })
+	return n, err
 }
 
 func fixedLSN(log *wal.Log) func(storage.PageID) wal.LSN {
@@ -63,7 +79,7 @@ func TestBulkLoadPersistsEverything(t *testing.T) {
 	if st.tree.Root != d.Tree().Meta().Root || st.tree.NextPID != d.Tree().Meta().NextPID {
 		t.Fatalf("boot meta %+v != tree meta %+v", st.tree, d.Tree().Meta())
 	}
-	cnt, err := d.Tree().Count()
+	cnt, err := countRows(d)
 	if err != nil || cnt != 1000 {
 		t.Fatalf("Count = %d (%v)", cnt, err)
 	}
@@ -181,8 +197,8 @@ func TestRSSPFlushesAndPersistsBootPage(t *testing.T) {
 	if got := d.Pool().DirtyCount(); got != 0 {
 		t.Fatalf("%d dirty pages survive RSSP", got)
 	}
-	if d.RsspLSN() != rssp {
-		t.Fatalf("rssp = %v, want %v", d.RsspLSN(), rssp)
+	if d.rsspLSN != rssp {
+		t.Fatalf("rssp = %v, want %v", d.rsspLSN, rssp)
 	}
 	raw, err := disk.Read(storage.MetaPageID)
 	if err != nil {
@@ -279,11 +295,7 @@ func TestBulkLoadLogsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.BulkLoad(2000, func(k uint64) []byte {
-		return []byte(fmt.Sprintf("row-%08d", k))
-	}); err != nil {
-		t.Fatal(err)
-	}
+	bulkLoad(t, d, 2000)
 	if got := log.EndLSN(); got != wal.FirstLSN() {
 		t.Fatalf("bulk load appended %d log bytes", got-wal.FirstLSN())
 	}

@@ -51,7 +51,7 @@ func emptyDC(t *testing.T, cache int) (*DC, *storage.Disk) {
 // TestLoaderBuildsSameImages is the bulk loader's oracle: for every pool
 // size × row count, the table LoadRow builds equals — same Meta, every
 // page on the device byte for byte — the one the same rows produce
-// through row-at-a-time tree.Insert on an unlogged tree.
+// through row-at-a-time Tree.InsertLogged on an unlogged tree.
 func TestLoaderBuildsSameImages(t *testing.T) {
 	full := rowsFillingOneLeaf(storage.DefaultConfig().PageSize)
 	buf := make([]byte, 128)
@@ -60,7 +60,7 @@ func TestLoaderBuildsSameImages(t *testing.T) {
 			t.Run(fmt.Sprintf("pool%d/rows%d", cache, rows), func(t *testing.T) {
 				ref, refDisk := emptyDC(t, cache)
 				for k := uint64(0); k < uint64(rows); k++ {
-					if err := ref.Tree().Insert(k, loadVal(buf, k), wal.NilLSN); err != nil {
+					if err := ref.Tree().InsertLogged(k, loadVal(buf, k), func(storage.PageID) wal.LSN { return wal.NilLSN }); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -169,7 +169,7 @@ func TestLoadRowContract(t *testing.T) {
 	if err := d.FinishLoad(); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := d.Tree().Count(); n != 1 {
+	if n, _ := countRows(d); n != 1 {
 		t.Fatalf("Count = %d, want 1", n)
 	}
 	// A second load into the now non-empty table is refused.

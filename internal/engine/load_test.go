@@ -17,9 +17,9 @@ import (
 
 // TestShardedLoadEqualsPerShardInserts: a 4-shard Engine.Load leaves on
 // every shard's device exactly the tree pages a stand-alone DC gets from
-// row-at-a-time tree.Insert of that shard's rows — on the simulated and
-// the file device, and on a standby (whose Load stops after the flush,
-// so its boot page is comparable too).
+// row-at-a-time Tree.InsertLogged of that shard's rows — on the
+// simulated and the file device, and on a standby (whose Load stops
+// after the flush, so its boot page is comparable too).
 func TestShardedLoadEqualsPerShardInserts(t *testing.T) {
 	const rows, shards = 20000, 4
 	valFn := func(k uint64) []byte { return []byte(fmt.Sprintf("row-%08d-%0*d", k, int(k%23), 0)) }
@@ -64,7 +64,7 @@ func TestShardedLoadEqualsPerShardInserts(t *testing.T) {
 					if eng.Set.Locate(k) != wal.ShardID(i) {
 						continue
 					}
-					if err := ref.Tree().Insert(k, valFn(k), wal.NilLSN); err != nil {
+					if err := ref.Tree().InsertLogged(k, valFn(k), func(storage.PageID) wal.LSN { return wal.NilLSN }); err != nil {
 						t.Fatal(err)
 					}
 					n++

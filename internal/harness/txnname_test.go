@@ -53,14 +53,14 @@ func TestEveryChainNamedByItsBottom(t *testing.T) {
 			continue
 		}
 		b := lsn
-		if c, chained := rec.(interface{ Prev() wal.LSN }); !chained {
+		if prev, chained := prevOf(rec); !chained {
 			// A commit or abort points nowhere: its transaction's last
 			// record, the chain it ends, is the one to check it against.
 			var retained bool
 			if b, retained = bottom[last[tr.Txn()]]; !retained {
 				continue
 			}
-		} else if prev := c.Prev(); prev != wal.NilLSN {
+		} else if prev != wal.NilLSN {
 			var retained bool
 			if b, retained = bottom[prev]; !retained {
 				continue
@@ -84,4 +84,20 @@ func TestEveryChainNamedByItsBottom(t *testing.T) {
 	if checked < 1000 || clrs != 12 || ends < 100 || far == 0 {
 		t.Fatalf("checked %d records, %d CLRs, %d commits and aborts, %d named from 16 KB or more back: the log lost its point", checked, clrs, ends, far)
 	}
+}
+
+// prevOf returns the back-pointer of a record on a transaction's
+// backward chain: every transactional record but a commit or abort.
+func prevOf(rec wal.Record) (prev wal.LSN, onChain bool) {
+	switch r := rec.(type) {
+	case *wal.UpdateRec:
+		return r.PrevLSN, true
+	case *wal.InsertRec:
+		return r.PrevLSN, true
+	case *wal.DeleteRec:
+		return r.PrevLSN, true
+	case *wal.CLRRec:
+		return r.PrevLSN, true
+	}
+	return wal.NilLSN, false
 }

@@ -7,12 +7,12 @@ import (
 
 func BenchmarkInsert(b *testing.B) {
 	data := make([]byte, 4096)
-	p := Format(data, TypeLeaf)
+	p := formatData(data, TypeLeaf)
 	val := make([]byte, 92)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if p.FreeSpace() < CellSize(len(val)) {
-			p = Format(data, TypeLeaf)
+			p = formatData(data, TypeLeaf)
 		}
 		if err := p.Insert(uint64(i), val); err != nil {
 			b.Fatal(err)
@@ -72,7 +72,7 @@ func BenchmarkCompact(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(scratch, template.Bytes())
-		Wrap(scratch).Compact()
+		wrap(scratch).Compact()
 	}
 }
 
@@ -89,7 +89,7 @@ func BenchmarkSplitInto(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(src, template.Bytes())
-		if _, err := Wrap(src).SplitInto(Format(dst, TypeLeaf)); err != nil {
+		if _, err := wrap(src).SplitInto(formatData(dst, TypeLeaf)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -85,20 +85,10 @@ type Page struct {
 	shared bool
 }
 
-// Format initialises data in place as an empty page of type t and
-// returns the view.
-func Format(data []byte, t Type) *Page {
-	clear(data)
-	p := &Page{data: data}
-	p.format(t)
-	return p
-}
-
 // New returns an empty page of type t over size fresh bytes. They are
-// zero already, so it writes only the header, where Format clears every
-// byte first. New is small enough to inline, so a caller that copies
-// the view into a struct of its own (*page.New(...)) allocates only the
-// bytes.
+// zero already, so it writes only the header. New is small enough to
+// inline, so a caller that copies the view into a struct of its own
+// (*page.New(...)) allocates only the bytes.
 func New(size int, t Type) *Page {
 	p := &Page{data: make([]byte, size)}
 	p.format(t)
@@ -114,13 +104,9 @@ func (p *Page) format(t Type) {
 	p.setFreeBytes(0)
 }
 
-// Wrap views existing bytes as a page without validation. Use Check for
-// structural validation. The page owns data: its mutators write it in
-// place.
-func Wrap(data []byte) *Page { return &Page{data: data} }
-
-// WrapShared is Wrap for bytes the caller does not own: the page's
-// first mutation copies data, which is never written.
+// WrapShared views bytes the caller does not own as a page, without
+// validation (Check validates): the page's first mutation copies data,
+// which is never written.
 func WrapShared(data []byte) *Page { return &Page{data: data, shared: true} }
 
 // MarkShared records that the page's current bytes are now held

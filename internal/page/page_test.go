@@ -18,12 +18,12 @@ func newLeaf(t *testing.T) *Page {
 }
 
 // TestNewIsFormat: a page made over fresh bytes is byte for byte the
-// page Format makes of bytes that held anything before.
+// page formatData makes of bytes that held anything before.
 func TestNewIsFormat(t *testing.T) {
 	for _, typ := range []Type{TypeLeaf, TypeInternal, TypeMeta} {
 		used := bytes.Repeat([]byte{0xA5}, testPageSize)
-		if got, want := New(testPageSize, typ).Bytes(), Format(used, typ).Bytes(); !bytes.Equal(got, want) {
-			t.Fatalf("%v: New differs from Format", typ)
+		if got, want := New(testPageSize, typ).Bytes(), formatData(used, typ).Bytes(); !bytes.Equal(got, want) {
+			t.Fatalf("%v: New differs from formatData", typ)
 		}
 	}
 }
@@ -320,7 +320,7 @@ func TestLSNRoundTrip(t *testing.T) {
 		t.Fatalf("LSN = %#x", got)
 	}
 	// LSN must survive re-wrapping (persistence round trip).
-	q := Wrap(p.Bytes())
+	q := wrap(p.Bytes())
 	if got := q.LSN(); got != 0xDEADBEEF12345678 {
 		t.Fatalf("wrapped LSN = %#x", got)
 	}

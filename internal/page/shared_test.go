@@ -28,7 +28,7 @@ func filledLeaf(t testing.TB, size, vlen int, fragment bool) *Page {
 // the shared page's source bytes, which no mutation may touch.
 func sharedAndOwned(img []byte) (shared, owned *Page, src []byte) {
 	src = append([]byte(nil), img...)
-	return WrapShared(src), Wrap(append([]byte(nil), img...)), src
+	return WrapShared(src), wrap(append([]byte(nil), img...)), src
 }
 
 // replaceWith is the patch of a whole-row update: it returns val
@@ -122,14 +122,14 @@ func TestSharedPageCopiesOnFirstWrite(t *testing.T) {
 	// MarkShared hands the current bytes out again: the next mutation
 	// copies, and later ones write that copy in place.
 	t.Run("MarkShared", func(t *testing.T) {
-		p := Wrap(append([]byte(nil), roomy.Bytes()...))
+		p := wrap(append([]byte(nil), roomy.Bytes()...))
 		p.SetLSN(1)
 		flushed := p.Bytes()
 		p.MarkShared()
 		p.SetLSN(2)
 		copied := p.Bytes()
 		p.SetLSN(3)
-		if Wrap(flushed).LSN() != 1 {
+		if wrap(flushed).LSN() != 1 {
 			t.Fatal("a mutation after MarkShared wrote the handed-out bytes")
 		}
 		if &copied[0] != &p.Bytes()[0] {
@@ -153,7 +153,7 @@ func FuzzPageOps(f *testing.F) {
 	f.Add(filledLeaf(f, 512, 12, true).Bytes(), []byte{2, 2, 12, 2, 4, 30, 3, 6, 0, 4, 0, 0, 1, 9, 40, 6, 0, 0, 0, 1, 200})
 	f.Add(filledLeaf(f, 256, 3, false).Bytes(), []byte{0, 1, 255, 1, 0, 1, 2, 0, 0})
 	f.Fuzz(func(t *testing.T, img, ops []byte) {
-		if len(img) > 4096 || Wrap(img).Check() != nil {
+		if len(img) > 4096 || wrap(img).Check() != nil {
 			return
 		}
 		shared, owned, src := sharedAndOwned(img)

@@ -38,10 +38,6 @@ import (
 type Config struct {
 	// SegmentBytes is the shipping batch size (default 64 KiB).
 	SegmentBytes int
-	// MaxLagBytes is the replay-lag bound (default 1 MiB): WaitLagBelow
-	// and the harness backpressure loop hold traffic to it, and Lag
-	// reports it for gating.
-	MaxLagBytes int64
 	// CheckpointEveryRecords takes a standby checkpoint every time this
 	// many records have been applied since the last one (default 4096;
 	// < 0 disables standby checkpoints).
@@ -62,9 +58,6 @@ const pollEvery = 200 * time.Microsecond
 func (c Config) withDefaults() Config {
 	if c.SegmentBytes <= 0 {
 		c.SegmentBytes = 64 << 10
-	}
-	if c.MaxLagBytes <= 0 {
-		c.MaxLagBytes = 1 << 20
 	}
 	if c.CheckpointEveryRecords == 0 {
 		c.CheckpointEveryRecords = 4096
@@ -295,13 +288,8 @@ func (s *Standby) WaitCaughtUp(timeout time.Duration) error {
 	return s.waitLag(0, timeout)
 }
 
-// WaitLagBelow blocks until the lag is at most bytes, or the timeout
-// expires. The harness backpressure loop calls it so sustained traffic
-// cannot outrun the configured bound.
-func (s *Standby) WaitLagBelow(bytes int64, timeout time.Duration) error {
-	return s.waitLag(bytes, timeout)
-}
-
+// waitLag blocks until the lag is at most bytes, or the timeout
+// expires.
 func (s *Standby) waitLag(bytes int64, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
@@ -316,14 +304,6 @@ func (s *Standby) waitLag(bytes int64, timeout time.Duration) error {
 		}
 		time.Sleep(50 * time.Microsecond)
 	}
-}
-
-// Stop halts the pump without promoting and gives up the standby's
-// hold on the primary's log, which is then free to release what was
-// never shipped. Idempotent.
-func (s *Standby) Stop() {
-	s.halt()
-	s.reader.Close()
 }
 
 // halt stops the pump goroutine; the hold on the primary's log stays.

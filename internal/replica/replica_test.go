@@ -159,7 +159,7 @@ func checkPromotedServes(t *testing.T, promoted *engine.Engine) {
 	if err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	got, found, err := promoted.Set.Read(1)
+	got, found, err := promoted.Set.At(promoted.Set.Locate(1)).Tree().Search(1)
 	if err != nil || !found {
 		t.Fatalf("reading post-promote row: found=%v err=%v", found, err)
 	}
@@ -413,7 +413,7 @@ func TestPromoteUndoesInFlightLosers(t *testing.T) {
 		t.Fatal("promotion rolled back a loser without CLRs")
 	}
 	for _, key := range []uint64{5, 105, 1105} {
-		got, found, err := promoted.Set.Read(key)
+		got, found, err := promoted.Set.At(promoted.Set.Locate(key)).Tree().Search(key)
 		if err != nil || !found {
 			t.Fatalf("key %d after promote: found=%v err=%v", key, found, err)
 		}
@@ -472,10 +472,7 @@ func TestReplayLagStaysBounded(t *testing.T) {
 	const lagBound = 64 << 10
 	primary := newPrimary(t, 2)
 	standby := newStandby(t, primary, nil)
-	s := attach(t, primary, standby, Config{
-		SegmentBytes: 4 << 10,
-		MaxLagBytes:  lagBound,
-	})
+	s := attach(t, primary, standby, Config{SegmentBytes: 4 << 10})
 	s.Start()
 
 	wcfg := workload.DefaultConfig()
@@ -489,7 +486,7 @@ func TestReplayLagStaysBounded(t *testing.T) {
 	var maxLag int64
 	for i := 0; i < 300; i++ {
 		if s.Lag().Bytes > lagBound/2 {
-			if err := s.WaitLagBelow(lagBound/2, 10*time.Second); err != nil {
+			if err := s.waitLag(lagBound/2, 10*time.Second); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -671,7 +668,7 @@ func TestFailedPumpReleasesItsHold(t *testing.T) {
 	}
 	s := attach(t, primary, standby, Config{SegmentBytes: 32 << 10})
 	s.Start()
-	defer s.Stop()
+	defer s.halt()
 
 	txn := begin(t, primary)
 	if err := txn.Update(primary.Cfg.TableID, testRows-1, []byte("not on the standby")); err != nil {

@@ -143,15 +143,6 @@ func NewSet(routes []wal.RouteEntry, dcs []*dc.DC) (*Set, error) {
 	return &Set{router: router, dcs: dcs}, nil
 }
 
-// Single wraps one DC as a one-shard set — the N=1 engine.
-func Single(d *dc.DC) *Set {
-	s, err := NewSet(DefaultRoutes(1, 0), []*dc.DC{d})
-	if err != nil {
-		panic(err) // one DC and the trivial route cannot fail validation
-	}
-	return s
-}
-
 // NumShards returns the number of DCs behind the set.
 func (s *Set) NumShards() int { return len(s.dcs) }
 
@@ -166,11 +157,6 @@ func (s *Set) Locate(key uint64) wal.ShardID { return s.router.Locate(key) }
 
 // Routes returns a copy of the routing table (checkpointing).
 func (s *Set) Routes() []wal.RouteEntry { return s.router.Routes() }
-
-// Read returns the value stored under key.
-func (s *Set) Read(key uint64) ([]byte, bool, error) {
-	return s.dcs[s.router.Locate(key)].Tree().Search(key)
-}
 
 // ReadRange invokes fn for every row with lo ≤ key ≤ hi in key order,
 // crossing shard boundaries as the scan range does.
@@ -190,22 +176,15 @@ func (s *Set) ReadRangeFiltered(lo, hi uint64, pred func(key uint64, val []byte)
 	return nil
 }
 
-// OwnersIn returns the distinct shards owning any key in [lo, hi], in
-// ascending shard-ID order — the plane set a cross-shard scan holds.
+// OwnersIn returns the owner of each route piece of [lo, hi], in key
+// order — the plane set a cross-shard scan holds. A shard owning two
+// pieces is listed twice; lockPlanes orders and deduplicates.
 func (s *Set) OwnersIn(lo, hi uint64) []wal.ShardID {
 	var out []wal.ShardID
 	for _, pr := range s.rangesIn(lo, hi) {
 		out = append(out, pr.owner)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	n := 0
-	for i, id := range out {
-		if i == 0 || id != out[n-1] {
-			out[n] = id
-			n++
-		}
-	}
-	return out[:n]
+	return out
 }
 
 // partRange is one per-shard piece of a cross-shard scan.

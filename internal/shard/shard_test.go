@@ -186,7 +186,7 @@ func TestSetShardTargetedOps(t *testing.T) {
 	}
 	// The routed read misses: the router still points at shard 0, and
 	// records, not the router, own placement.
-	if _, found, _ := set.Read(10); found {
+	if _, found, _ := set.At(set.Locate(10)).Tree().Search(10); found {
 		t.Fatal("routed read found key 10 on shard 1")
 	}
 }

@@ -59,8 +59,6 @@ type Device interface {
 	Config() Config
 	// Stats returns a copy of the accumulated IO statistics.
 	Stats() Stats
-	// ResetStats zeroes the IO statistics.
-	ResetStats()
 	// SetIOHook subscribes fn to every IO the device performs. The hook
 	// may be called with internal locks held: it must be fast and must
 	// not call back into the device. nil unsubscribes.

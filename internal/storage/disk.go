@@ -193,22 +193,11 @@ func (d *Disk) Config() Config {
 	return d.cfg
 }
 
-// Clock returns the virtual clock governing this disk.
-func (d *Disk) Clock() *sim.Clock { return d.clock }
-
 // Stats returns a copy of the accumulated IO statistics.
 func (d *Disk) Stats() Stats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.stats
-}
-
-// ResetStats zeroes the IO statistics (used between workload and
-// recovery phases so recovery IO is measured in isolation).
-func (d *Disk) ResetStats() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.stats = Stats{}
 }
 
 // SetIOHook subscribes fn to every IO (see Device.SetIOHook). The hook

@@ -228,20 +228,6 @@ func TestForkCopyOnWrite(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	_, d := newDisk(t)
-	if _, err := d.Write(1, pageData(1, 128)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Read(1); err != nil {
-		t.Fatal(err)
-	}
-	d.ResetStats()
-	if st := d.Stats(); st != (Stats{}) {
-		t.Fatalf("stats not reset: %+v", st)
-	}
-}
-
 func TestChannelsParallelizePrefetch(t *testing.T) {
 	clock := &sim.Clock{}
 	cfg := testConfig()

@@ -168,9 +168,6 @@ func (d *FileDisk) rebuildWritten() error {
 	return nil
 }
 
-// Path returns the backing file's name.
-func (d *FileDisk) Path() string { return d.f.Name() }
-
 // Close waits for in-flight prefetch IOs and closes the file. A crash
 // closes without any flush or sync: whatever the file holds is what
 // recovery gets, which is the point.
@@ -190,9 +187,6 @@ func (d *FileDisk) Config() Config {
 	return d.cfg
 }
 
-// Clock returns the clock used to stamp write completions.
-func (d *FileDisk) Clock() *sim.Clock { return d.clock }
-
 // Stats returns a copy of the accumulated IO statistics. StallTime is
 // wall-clock nanoseconds here (the virtual and wall domains coincide on
 // a real device).
@@ -200,13 +194,6 @@ func (d *FileDisk) Stats() Stats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.stats
-}
-
-// ResetStats zeroes the IO statistics.
-func (d *FileDisk) ResetStats() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.stats = Stats{}
 }
 
 // SetIOHook subscribes fn to every IO (see Device.SetIOHook).

@@ -109,7 +109,11 @@ func TestFileDiskPrefetchAndStats(t *testing.T) {
 		}
 		pids = append(pids, pid)
 	}
-	d.ResetStats()
+	// The writes move only the write counters, so every other count
+	// below is the prefetch's and the reads'.
+	if st := d.Stats(); st != (Stats{Writes: 16, PagesWritten: 16}) {
+		t.Fatalf("stats after 16 writes: %+v", st)
+	}
 
 	var mu sync.Mutex
 	ops := map[IOOp]int{}

@@ -93,10 +93,10 @@ func TestReadOnlyCommitAppendsNothing(t *testing.T) {
 	if got := after.Aborted - stats.Aborted; got != 1 {
 		t.Errorf("Aborted rose by %d, want 1", got)
 	}
-	if n := m.tc.ActiveCount(); n != 0 {
+	if n := m.tc.txns.count(); n != 0 {
 		t.Errorf("%d transactions still in the table", n)
 	}
-	if n := m.tc.locks.Count(); n != 0 {
+	if n := m.tc.locks.count(); n != 0 {
 		t.Errorf("%d locks still held", n)
 	}
 	requireNoWriters(t, m, "after read-only transactions")
@@ -346,7 +346,7 @@ func TestLoneLeaderDoesNotYield(t *testing.T) {
 			}
 		}
 	}
-	if n := m.tc.locks.Count(); n != 0 {
+	if n := m.tc.locks.count(); n != 0 {
 		t.Errorf("%d locks still held", n)
 	}
 }

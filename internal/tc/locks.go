@@ -37,7 +37,7 @@ const lockShards = 64
 
 // lockShard is one hash shard: an independently locked slice of the
 // lock space with its own per-transaction held lists. heldTxns counts
-// transactions with entries in held; ReleaseAll and HeldBy read it to
+// transactions with entries in held; ReleaseAll reads it to
 // skip (without locking) shards where no transaction holds anything.
 type lockShard struct {
 	mu       sync.Mutex
@@ -146,31 +146,4 @@ func (lt *LockTable) ReleaseAll(txn wal.TxnID) {
 		}
 		sh.mu.Unlock()
 	}
-}
-
-// Count returns the number of locked resources (tests and stats).
-func (lt *LockTable) Count() int {
-	n := 0
-	for i := range lt.shards {
-		sh := &lt.shards[i]
-		sh.mu.Lock()
-		n += len(sh.locks)
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// HeldBy returns how many locks txn currently holds.
-func (lt *LockTable) HeldBy(txn wal.TxnID) int {
-	n := 0
-	for i := range lt.shards {
-		sh := &lt.shards[i]
-		if sh.heldTxns.Load() == 0 {
-			continue
-		}
-		sh.mu.Lock()
-		n += len(sh.held[txn])
-		sh.mu.Unlock()
-	}
-	return n
 }

@@ -6,9 +6,22 @@ import (
 	"logrec/internal/wal"
 )
 
-// chained is a record on a transaction's backward chain: every
-// transactional record but the commit or abort that ends it.
-type chained interface{ Prev() wal.LSN }
+// prevOf returns the back-pointer of a record on a transaction's
+// backward chain: every transactional record but the commit or abort
+// that ends it.
+func prevOf(rec wal.Record) (prev wal.LSN, onChain bool) {
+	switch r := rec.(type) {
+	case *wal.UpdateRec:
+		return r.PrevLSN, true
+	case *wal.InsertRec:
+		return r.PrevLSN, true
+	case *wal.DeleteRec:
+		return r.PrevLSN, true
+	case *wal.CLRRec:
+		return r.PrevLSN, true
+	}
+	return wal.NilLSN, false
+}
 
 // requireChain checks the transaction that the commit or abort record at
 // end closes. Walking the log from the transaction's name — its first
@@ -23,7 +36,7 @@ func requireChain(t *testing.T, log *wal.Log, end wal.LSN) []wal.Transactional {
 		t.Fatal(err)
 	}
 	closing, ok := rec.(wal.Transactional)
-	if _, onChain := rec.(chained); !ok || onChain {
+	if _, onChain := prevOf(rec); !ok || onChain {
 		t.Fatalf("%v record at %v ends no transaction", rec.Type(), end)
 	}
 	name := closing.Txn()
@@ -47,8 +60,8 @@ func requireChain(t *testing.T, log *wal.Log, end wal.LSN) []wal.Transactional {
 		if prev == wal.NilLSN && lsn != wal.LSN(name) {
 			t.Fatalf("txn %d's first record is at %v, not at its name", name, lsn)
 		}
-		if c, ok := rec.(chained); ok && c.Prev() != prev {
-			t.Errorf("%v record at %v points back to %v, its transaction's record before it is at %v", rec.Type(), lsn, c.Prev(), prev)
+		if back, ok := prevOf(rec); ok && back != prev {
+			t.Errorf("%v record at %v points back to %v, its transaction's record before it is at %v", rec.Type(), lsn, back, prev)
 		}
 		chain = append([]wal.Transactional{tr}, chain...)
 		prev = lsn

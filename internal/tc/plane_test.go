@@ -60,7 +60,7 @@ func newShardedMgrDelay(t *testing.T, nShards, rows int, flushDelay time.Duratio
 	gc := wal.NewGroupCommitter(log, set.EOSL, flushDelay)
 	m := NewSessionManager(tcx, gc)
 	t.Cleanup(func() {
-		if n := gc.Stats().Writers; n != 0 && tcx.ActiveCount() == 0 {
+		if n := gc.Stats().Writers; n != 0 && tcx.txns.count() == 0 {
 			t.Errorf("%d announced writers left with no transaction active", n)
 		}
 	})

@@ -218,7 +218,7 @@ func TestShardParallelStressCrashRecoverMatchesSerialReplay(t *testing.T) {
 	// Point reads through the recovered routing agree with the scan
 	// (each key is owned by exactly one shard).
 	for _, k := range []uint64{0, 64, 127, 255, 1500, 2048, 3500, rows - 1} {
-		v, found, err := rec.Set.Read(k)
+		v, found, err := rec.Set.At(rec.Set.Locate(k)).Tree().Search(k)
 		if err != nil || !found {
 			t.Fatalf("recovered read of %d: found=%v err=%v", k, found, err)
 		}

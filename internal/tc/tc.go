@@ -59,9 +59,6 @@ type Txn struct {
 	first atomic.Uint64
 }
 
-// Status returns the transaction's lifecycle state.
-func (t *Txn) Status() Status { return t.status }
-
 // LastLSN returns the transaction's most recent log record.
 func (t *Txn) LastLSN() wal.LSN { return wal.LSN(t.last.Load()) }
 
@@ -161,9 +158,6 @@ func New(log *wal.Log, set *shard.Set) *TC {
 // layer installs the group committer here.
 func (tc *TC) SetAppender(a Appender) { tc.app = a }
 
-// Log returns the shared log (harness and recovery access).
-func (tc *TC) Log() *wal.Log { return tc.log }
-
 // Locks returns the lock table.
 func (tc *TC) Locks() *LockTable { return tc.locks }
 
@@ -181,9 +175,6 @@ func (tc *TC) checkTable(table wal.TableID) error {
 	}
 	return nil
 }
-
-// ActiveCount returns the number of in-flight transactions.
-func (tc *TC) ActiveCount() int { return tc.txns.count() }
 
 // begin starts a transaction (Session.Begin).
 func (tc *TC) begin() *Txn {

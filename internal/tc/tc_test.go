@@ -28,13 +28,19 @@ func newPair(t *testing.T, rows int) (*SessionManager, *dc.DC, *wal.Log) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.BulkLoad(rows, func(k uint64) []byte {
-		return []byte(fmt.Sprintf("init-%06d", k))
-	}); err != nil {
+	for k := uint64(0); k < uint64(rows); k++ {
+		if err := d.LoadRow(k, []byte(fmt.Sprintf("init-%06d", k))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.FinishLoad(); err != nil {
 		t.Fatal(err)
 	}
 	d.StartLogging()
-	set := shard.Single(d)
+	set, err := shard.NewSet(shard.DefaultRoutes(1, 0), []*dc.DC{d})
+	if err != nil {
+		t.Fatal(err)
+	}
 	return NewSessionManager(New(log, set), wal.NewGroupCommitter(log, set.EOSL, 0)), d, log
 }
 
@@ -62,8 +68,8 @@ func TestUpdateCommitVisible(t *testing.T) {
 	if err != nil || !found || !bytes.Equal(v, []byte("new-value")) {
 		t.Fatalf("read after commit: %q %v %v", v, found, err)
 	}
-	if txn.Status() != StatusCommitted {
-		t.Fatalf("status = %v", txn.Status())
+	if txn.status != StatusCommitted {
+		t.Fatalf("status = %v", txn.status)
 	}
 }
 
@@ -304,7 +310,7 @@ func TestUnknownTableRefusedBeforeLock(t *testing.T) {
 			t.Fatalf("%s on table 7: %v, want an error naming tables 7 and 1", name, err)
 		}
 	}
-	if got := m.tc.Locks().HeldBy(s.Txn().ID); got != 0 {
+	if got := m.tc.Locks().heldBy(s.Txn().ID); got != 0 {
 		t.Fatalf("refused operations hold %d locks", got)
 	}
 	if s.announced {
@@ -383,13 +389,13 @@ func TestLocksReleasedOnCommitAndAbort(t *testing.T) {
 	if err := s.Update(1, 1, []byte("a")); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.tc.Locks().HeldBy(s.Txn().ID); got != 1 {
+	if got := m.tc.Locks().heldBy(s.Txn().ID); got != 1 {
 		t.Fatalf("held = %d", got)
 	}
 	if err := s.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.tc.Locks().Count(); got != 0 {
+	if got := m.tc.Locks().count(); got != 0 {
 		t.Fatalf("locks remain after commit: %d", got)
 	}
 	if err := s.Begin(); err != nil {
@@ -401,7 +407,7 @@ func TestLocksReleasedOnCommitAndAbort(t *testing.T) {
 	if err := s.Abort(); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.tc.Locks().Count(); got != 0 {
+	if got := m.tc.Locks().count(); got != 0 {
 		t.Fatalf("locks remain after abort: %d", got)
 	}
 }
@@ -564,7 +570,7 @@ func TestReadRangeLocksMembers(t *testing.T) {
 	if fmt.Sprint(keys) != "[11 13 15 17 19]" {
 		t.Fatalf("scan emitted %v", keys)
 	}
-	if got := m.tc.Locks().HeldBy(t1.Txn().ID); got != 5 {
+	if got := m.tc.Locks().heldBy(t1.Txn().ID); got != 5 {
 		t.Fatalf("held %d locks, want 5", got)
 	}
 	t2 := begin(t, m)

@@ -77,17 +77,6 @@ func (tt *txnTable) has(id wal.TxnID) bool {
 	return ok
 }
 
-func (tt *txnTable) count() int {
-	n := 0
-	for i := range tt.shards {
-		sh := &tt.shards[i]
-		sh.mu.Lock()
-		n += len(sh.active)
-		sh.mu.Unlock()
-	}
-	return n
-}
-
 // snapshot returns the active transactions at some point during the
 // call. The checkpoint holds every shard plane while calling it, so no
 // data record can land in the window where a shard has been visited but

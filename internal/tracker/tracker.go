@@ -161,9 +161,6 @@ func (r *Recorder) Stats() Stats {
 	return r.stats
 }
 
-// Config returns the recorder configuration.
-func (r *Recorder) Config() Config { return r.cfg }
-
 // NoteEOSL records a new TC end-of-stable-log (the EOSL control
 // operation, §4.1).
 func (r *Recorder) NoteEOSL(eLSN wal.LSN) {

@@ -44,24 +44,10 @@ type Backend interface {
 	Sync() error
 	// Remove drops the segment based at base (Log.Release).
 	Remove(base LSN) error
-	// Stats returns a copy of the accumulated counters.
-	Stats() BackendStats
 	// SetIOHook subscribes fn to writes and syncs (nil unsubscribes).
 	SetIOHook(fn storage.IOHook)
 	// Close releases the backend. A crash Closes without a final Sync.
 	Close() error
-}
-
-// BackendStats counts log-device activity. Syncs is the number of real
-// log forces — the denominator of the group-commit amortization story —
-// plus one per segment sealed (the fsync that orders it before its
-// successor's file).
-type BackendStats struct {
-	Writes       int64
-	BytesWritten int64
-	Syncs        int64
-	Reads        int64
-	BytesRead    int64
 }
 
 // A segment file is a segHeaderSize-byte header followed by the
@@ -162,7 +148,6 @@ type FileBackend struct {
 	// dirDirty records a file created or removed since the directory
 	// was last synced.
 	dirDirty bool
-	stats    BackendStats
 	hook     storage.IOHook
 }
 
@@ -194,7 +179,6 @@ func (b *FileBackend) path(base LSN) string { return filepath.Join(b.dir, segFil
 // syncLocked fsyncs the write file and, when an entry changed, the
 // directory. Callers hold b.mu.
 func (b *FileBackend) syncLocked() error {
-	b.stats.Syncs++
 	if b.hook != nil {
 		b.hook(storage.OpSync, 0)
 	}
@@ -255,8 +239,6 @@ func (b *FileBackend) writeFile(base LSN) (*os.File, error) {
 // WriteAt persists p at lsn in the segment based at base.
 func (b *FileBackend) WriteAt(base, lsn LSN, p []byte) error {
 	b.mu.Lock()
-	b.stats.Writes++
-	b.stats.BytesWritten += int64(len(p))
 	if b.hook != nil {
 		b.hook(storage.OpWrite, len(p))
 	}
@@ -276,8 +258,6 @@ func (b *FileBackend) WriteAt(base, lsn LSN, p []byte) error {
 func (b *FileBackend) ReadAt(base, lsn LSN, p []byte) (int, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.stats.Reads++
-	b.stats.BytesRead += int64(len(p))
 	f := b.w
 	if f == nil || b.wBase != base {
 		if b.r == nil || b.rBase != base {
@@ -319,13 +299,6 @@ func (b *FileBackend) Remove(base LSN) error {
 	}
 	b.dirDirty = true
 	return os.Remove(b.path(base))
-}
-
-// Stats returns a copy of the counters.
-func (b *FileBackend) Stats() BackendStats {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.stats
 }
 
 // SetIOHook subscribes fn to writes and syncs.

@@ -58,7 +58,6 @@ func TestGroupCommitOneSyncPerBatch(t *testing.T) {
 		perClient = 25
 	)
 	log, be, _ := fileLog(t)
-	attachSyncs := be.Stats().Syncs // SetBackend persists the header with one sync
 
 	var hookSyncs, hookWrites atomic.Int64
 	be.SetIOHook(func(op storage.IOOp, n int) {
@@ -87,15 +86,12 @@ func TestGroupCommitOneSyncPerBatch(t *testing.T) {
 	wg.Wait()
 
 	st := gc.Stats()
-	syncs := be.Stats().Syncs - attachSyncs
+	syncs := hookSyncs.Load()
 	if syncs != st.Flushes {
 		t.Fatalf("got %d fsyncs for %d batch flushes; every flush must force exactly once", syncs, st.Flushes)
 	}
 	if syncs >= st.Commits {
 		t.Fatalf("no amortization: %d fsyncs for %d commits", syncs, st.Commits)
-	}
-	if got := hookSyncs.Load(); got != syncs {
-		t.Fatalf("stats hook counted %d syncs, backend counted %d", got, syncs)
 	}
 	if hookWrites.Load() == 0 {
 		t.Fatal("stats hook never saw a log write")

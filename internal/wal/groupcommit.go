@@ -112,9 +112,6 @@ func NewGroupCommitter(log *Log, onStable func(LSN), flushDelay time.Duration) *
 	return gc
 }
 
-// Log returns the wrapped log.
-func (gc *GroupCommitter) Log() *Log { return gc.log }
-
 // Append appends rec to the shared log tail. Safe from any goroutine;
 // the record is volatile until a batch flush covers it.
 func (gc *GroupCommitter) Append(rec Record) (LSN, error) {

@@ -45,7 +45,6 @@ type UpdateRec struct {
 
 func (r *UpdateRec) Type() Type          { return TypeUpdate }
 func (r *UpdateRec) Txn() TxnID          { return r.TxnID }
-func (r *UpdateRec) Prev() LSN           { return r.PrevLSN }
 func (r *UpdateRec) Key() uint64         { return r.KeyVal }
 func (r *UpdateRec) PID() storage.PageID { return r.PageID }
 func (r *UpdateRec) Shard() ShardID      { return r.ShardID }
@@ -133,7 +132,6 @@ type InsertRec struct {
 
 func (r *InsertRec) Type() Type          { return TypeInsert }
 func (r *InsertRec) Txn() TxnID          { return r.TxnID }
-func (r *InsertRec) Prev() LSN           { return r.PrevLSN }
 func (r *InsertRec) Key() uint64         { return r.KeyVal }
 func (r *InsertRec) PID() storage.PageID { return r.PageID }
 func (r *InsertRec) Shard() ShardID      { return r.ShardID }
@@ -174,7 +172,6 @@ type DeleteRec struct {
 
 func (r *DeleteRec) Type() Type          { return TypeDelete }
 func (r *DeleteRec) Txn() TxnID          { return r.TxnID }
-func (r *DeleteRec) Prev() LSN           { return r.PrevLSN }
 func (r *DeleteRec) Key() uint64         { return r.KeyVal }
 func (r *DeleteRec) PID() storage.PageID { return r.PageID }
 func (r *DeleteRec) Shard() ShardID      { return r.ShardID }
@@ -242,7 +239,6 @@ type CLRRec struct {
 
 func (r *CLRRec) Type() Type          { return TypeCLR }
 func (r *CLRRec) Txn() TxnID          { return r.TxnID }
-func (r *CLRRec) Prev() LSN           { return r.PrevLSN }
 func (r *CLRRec) Key() uint64         { return r.KeyVal }
 func (r *CLRRec) PID() storage.PageID { return r.PageID }
 func (r *CLRRec) Shard() ShardID      { return r.ShardID }

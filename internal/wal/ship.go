@@ -234,9 +234,6 @@ func (r *ShipReader) Next(maxBytes int) (Segment, bool, error) {
 	return seg, true, nil
 }
 
-// Watermark returns the LSN the next segment will start at.
-func (r *ShipReader) Watermark() LSN { return r.next }
-
 // Resume repositions the reader — after the applier held back a torn
 // tail or reported a gap, the shipper resumes from the applier's
 // watermark so the channel self-heals.

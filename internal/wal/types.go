@@ -67,12 +67,11 @@ type Type uint8
 
 // Log record types.
 const (
-	TypeInvalid Type = iota
 	// TypeUpdate is a transactional update of an existing record,
 	// identified logically by (Table, Key). The PID field exists so the
 	// same log can drive physiological recovery (§5.1); logical
-	// recovery ignores it.
-	TypeUpdate
+	// recovery ignores it. Type 0 is no record's: types start at 1.
+	TypeUpdate Type = iota + 1
 	// TypeInsert is a transactional insert of a new record.
 	TypeInsert
 	// TypeDelete is a transactional delete of an existing record.

@@ -86,21 +86,6 @@ type MixConfig struct {
 	Seed int64
 }
 
-// DefaultMixConfig returns a four-way mix (all op shapes but RMW) over
-// a modest key space; callers scale Keys up.
-func DefaultMixConfig() MixConfig {
-	return MixConfig{
-		Keys:         100_000,
-		Mix:          Mix{Read: 0.40, Update: 0.30, Insert: 0.10, Scan: 0.20},
-		Dist:         Zipf,
-		ZipfS:        1.1,
-		MaxScanLen:   100,
-		InsertBase:   100_000,
-		InsertStride: 1,
-		Seed:         1,
-	}
-}
-
 func (c MixConfig) validate() error {
 	if c.Keys == 0 {
 		return fmt.Errorf("workload: Keys must be positive")
@@ -154,9 +139,6 @@ func NewMixGenerator(cfg MixConfig) (*MixGenerator, error) {
 	}
 	return g, nil
 }
-
-// Config returns the generator's configuration.
-func (g *MixGenerator) Config() MixConfig { return g.cfg }
 
 // NextKey draws a key in [0, Keys) from the configured distribution.
 func (g *MixGenerator) NextKey() uint64 {

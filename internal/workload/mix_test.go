@@ -5,8 +5,23 @@ import (
 	"testing"
 )
 
+// testMixConfig returns a four-way mix (all op shapes but RMW) over a
+// modest key space.
+func testMixConfig() MixConfig {
+	return MixConfig{
+		Keys:         100_000,
+		Mix:          Mix{Read: 0.40, Update: 0.30, Insert: 0.10, Scan: 0.20},
+		Dist:         Zipf,
+		ZipfS:        1.1,
+		MaxScanLen:   100,
+		InsertBase:   100_000,
+		InsertStride: 1,
+		Seed:         1,
+	}
+}
+
 func TestMixGeneratorFrequencies(t *testing.T) {
-	cfg := DefaultMixConfig()
+	cfg := testMixConfig()
 	cfg.Seed = 7
 	g, err := NewMixGenerator(cfg)
 	if err != nil {
@@ -42,7 +57,7 @@ func TestMixInsertStriding(t *testing.T) {
 	seen := map[uint64]int{}
 	const clients = 4
 	for c := 0; c < clients; c++ {
-		cfg := DefaultMixConfig()
+		cfg := testMixConfig()
 		cfg.Mix = Mix{Insert: 1}
 		cfg.InsertBase = cfg.Keys + uint64(c)
 		cfg.InsertStride = clients
@@ -70,7 +85,7 @@ func TestMixInsertStriding(t *testing.T) {
 }
 
 func TestMixGeneratorDeterminism(t *testing.T) {
-	cfg := DefaultMixConfig()
+	cfg := testMixConfig()
 	a, _ := NewMixGenerator(cfg)
 	b, _ := NewMixGenerator(cfg)
 	for i := 0; i < 1000; i++ {
@@ -89,7 +104,7 @@ func TestMixConfigValidation(t *testing.T) {
 		func(c *MixConfig) { c.ZipfS = 0.9 },
 	}
 	for i, mutate := range bad {
-		cfg := DefaultMixConfig()
+		cfg := testMixConfig()
 		mutate(&cfg)
 		if _, err := NewMixGenerator(cfg); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)

@@ -118,9 +118,6 @@ func NewGenerator(cfg Config) (*Generator, error) {
 	return g, nil
 }
 
-// Config returns the generator's configuration.
-func (g *Generator) Config() Config { return g.cfg }
-
 // NextKey draws a key from the configured distribution.
 func (g *Generator) NextKey() uint64 {
 	if g.zipf != nil {

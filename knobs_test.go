@@ -26,7 +26,7 @@ func TestKnobCount(t *testing.T) {
 		{engine.Config{}, 11},
 		{core.Options{}, 2},
 		{storage.Config{}, 6},
-		{replica.Config{}, 4},
+		{replica.Config{}, 3},
 		{dc.Config{}, 2},
 		{tracker.Config{}, 3},
 	} {
