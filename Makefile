@@ -34,12 +34,14 @@ test-1proc:
 # vary from run to run: their tests run five times over, and so do the
 # engine's bulk-load tests, whose rows pass from the caller to a loader
 # goroutine (the DC's loader runs on one goroutine: its tests run under
-# -race once, in the first line).
+# -race once, in the first line), and the checkpoint protocol's tests,
+# which checkpoint every 500 µs while sessions commit.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestPoolStressRace|TestConcurrent' ./internal/buffer
 	$(GO) test -race -count=5 -run 'TestParallelRedo|TestParallelUndo|TestBarrierShardScope' ./internal/core
 	$(GO) test -race -count=5 -run 'Load' ./internal/engine
+	$(GO) test -race -count=5 -run 'TestCheckpointsUnderConcurrentSessions|TestRecoverFromLiveCheckpointedWAL' ./internal/engine ./internal/core
 
 # Short fuzz pass over the WAL codec, the restart path, the shipping
 # path, the page format, the row codec and the boot records: adversarial
@@ -116,8 +118,8 @@ $(BENCH_DIR):
 # The diagnostic sweeps, ungated: each prints its table through
 # `go test -bench`. Client count × device on the write path
 # (WALGroupCommit; file/ runs on real files under the test's temp
-# directory); redo width, undo width, shard count, device and the
-# recovery budget on the recovery path (internal/core's Recover).
+# directory); redo width, undo width, shard count and device on the
+# recovery path (internal/core's Recover).
 # Numbers are gated by `make benchmark` (-compare), invariants by go test.
 bench:
 	$(GO) test -run '^$$' -bench WALGroupCommit -benchtime 300x .

@@ -39,7 +39,7 @@ import (
 // comment); each listed name is exempt, and an entry whose name is now
 // used or no longer declared is itself a violation, so the list cannot
 // go stale. Names are written relative to internal/: "harness.RunFailover",
-// "engine.Engine.StartCheckpointer", "storage.Device.SetIOHook".
+// "engine.Engine.Crash", "storage.Device.SetIOHook".
 func lintUnused(modules []string, allowFile string) ([]string, error) {
 	l, err := loadModules(modules)
 	if err != nil {

@@ -91,7 +91,7 @@ func TestAdmissionAllocatesOnlyTheFrame(t *testing.T) {
 		{"file", filePool(t, 4, 8), 2},
 	} {
 		miss := cycleMisses(t, c.pool, 8, false)
-		if n := testing.AllocsPerRun(100, miss); n != c.want {
+		if n, _ := allocsPerRun(100, miss); n != c.want {
 			t.Fatalf("%s device: a miss allocates %v times, want %v", c.device, n, c.want)
 		}
 		if st := c.pool.Stats(); st.Hits != 0 || st.Evictions == 0 {
@@ -99,7 +99,7 @@ func TestAdmissionAllocatesOnlyTheFrame(t *testing.T) {
 		}
 	}
 	next := storage.PageID(100)
-	if n := testing.AllocsPerRun(100, func() {
+	if n, _ := allocsPerRun(100, func() {
 		f, err := pool.NewPage(next, page.TypeLeaf)
 		if err != nil {
 			t.Fatal(err)
@@ -136,7 +136,7 @@ func TestChunkChurnAllocatesOnlyTheFrame(t *testing.T) {
 	}
 	miss()
 	miss()
-	if n := testing.AllocsPerRun(100, miss); n != 1 {
+	if n, _ := allocsPerRun(100, miss); n != 1 {
 		t.Fatalf("a miss that empties one chunk and fills another allocates %v times, want 1 (the frame)", n)
 	}
 	if st := pool.Stats(); st.Hits != 0 || st.Evictions < 100 {
@@ -153,7 +153,7 @@ func TestDirtyEvictionCopiesNoPage(t *testing.T) {
 	pool.SetELSN(1 << 40)
 	miss := cycleMisses(t, pool, 8, true)
 	before := pool.Stats()
-	if n := testing.AllocsPerRun(100, miss); n != 2 {
+	if n, _ := allocsPerRun(100, miss); n != 2 {
 		t.Fatalf("a dirty eviction allocates %v times, want 2 (the frame and the read buffer)", n)
 	}
 	if st := pool.Stats(); st.DirtyEvict-before.DirtyEvict < 100 {

@@ -224,7 +224,7 @@ func runPoolStress(t *testing.T) {
 		}
 	}()
 
-	// Checkpointer: the engine quiesces every session plane across the
+	// Checkpoint loop: the engine quiesces every session plane across the
 	// flip and the flush; the gate's write lock plays that role here.
 	loopers.Add(1)
 	go func() {

@@ -7,11 +7,43 @@ import (
 	"time"
 
 	"logrec/internal/engine"
+	"logrec/internal/tc"
 	"logrec/internal/wal"
 )
 
+// checkpointLoop calls mgr.Checkpoint every 500 µs on its own
+// goroutine, the way a caller checkpoints a live engine, until the
+// returned stop is called. stop waits for the loop and returns how many
+// checkpoints it took and its first error, where it stopped.
+func checkpointLoop(mgr *tc.SessionManager) (stop func() (taken int64, err error)) {
+	quit, done := make(chan struct{}), make(chan struct{})
+	var taken int64
+	var err error
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(500 * time.Microsecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-quit:
+				return
+			case <-tick.C:
+				if err = mgr.Checkpoint(); err != nil {
+					return
+				}
+				taken++
+			}
+		}
+	}()
+	return func() (int64, error) {
+		close(quit)
+		<-done
+		return taken, err
+	}
+}
+
 // TestRecoverFromLiveCheckpointedWAL is the checkpointing round-trip:
-// concurrent sessions commit while the background checkpointer emits
+// concurrent sessions commit while a checkpoint loop emits
 // BeginCkpt/EndCkpt/RSSP records into the live WAL, the engine crashes
 // with pages partially flushed (some dirtied after the last checkpoint
 // flip, some flushed by it and re-dirtied), and every recovery method
@@ -22,7 +54,6 @@ func TestRecoverFromLiveCheckpointedWAL(t *testing.T) {
 	cfg.CachePages = 400
 	cfg.DC.Tracker.FlushBatch = 16
 	cfg.DC.Tracker.MaxDirty = 64
-	cfg.RecoveryBudget = time.Nanosecond
 	eng, err := engine.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -37,10 +68,7 @@ func TestRecoverFromLiveCheckpointedWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr := eng.NewSessionManager(0)
-	ckpt, err := eng.StartCheckpointer(mgr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stopCheckpoints := checkpointLoop(mgr)
 
 	// Concurrent committed traffic on disjoint key ranges, so the
 	// combined per-client write sets form an exact oracle.
@@ -87,10 +115,12 @@ func TestRecoverFromLiveCheckpointedWAL(t *testing.T) {
 	// One more checkpoint, then a burst of updates *after* it so the
 	// crash finds pages dirtied past the checkpoint (partially flushed
 	// state) and the redo scan has real work from the scan start.
-	if err := ckpt.CheckpointNow(); err != nil {
+	if taken, err := stopCheckpoints(); err != nil || taken == 0 {
+		t.Fatalf("checkpoint loop: %d taken, error %v", taken, err)
+	}
+	if err := mgr.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	ckpt.Stop()
 	sess := mgr.NewSession()
 	for i := 0; i < 40; i++ {
 		if err := sess.Begin(); err != nil {

@@ -32,8 +32,6 @@ package core
 
 import (
 	"fmt"
-	"math"
-	"runtime"
 	"sync"
 	"time"
 
@@ -147,32 +145,6 @@ const maxOutstanding = 32
 // lookaheadRecords is SQL2's log read-ahead window, in records.
 const lookaheadRecords = 256
 
-// AutoSizeWorkers picks the parallelism that fits a redo window into a
-// recovery budget: the estimated serial replay time is windowBytes ÷
-// bytesPerSec (the rate the previous recovery measured), and the
-// worker count is that estimate divided by the budget, rounded up —
-// assuming replay parallelizes roughly linearly at these widths. The
-// result is clamped to [1, maxWorkers]; any non-positive input yields 1
-// (no basis to parallelize).
-func AutoSizeWorkers(windowBytes int64, bytesPerSec float64, budget time.Duration, maxWorkers int) int {
-	if windowBytes <= 0 || bytesPerSec <= 0 || budget <= 0 || maxWorkers < 1 {
-		return 1
-	}
-	estSec := float64(windowBytes) / bytesPerSec
-	n := int(math.Ceil(estSec / budget.Seconds()))
-	if n < 1 {
-		n = 1
-	}
-	if n > maxWorkers {
-		n = maxWorkers
-	}
-	return n
-}
-
-// maxAutoWorkers bounds auto-sized redo parallelism: one per core,
-// capped at 8.
-func maxAutoWorkers() int { return min(runtime.GOMAXPROCS(0), 8) }
-
 // Metrics reports what a recovery run did and how long (in virtual
 // time) each phase took. RedoTotal (prep + redo) is the quantity the
 // paper's Figures 2(a) and 3 plot as "redo time"; analysis/DC-pass time
@@ -218,8 +190,7 @@ type Metrics struct {
 
 	// RedoWindowBytes is the stable-log span replayed: log end minus
 	// the redo scan start. With the Wall* timings it yields the replay
-	// rate (bytes of log per second) that seeds replay-rate-driven
-	// checkpointing (engine.Checkpointer).
+	// rate (bytes of log per second).
 	RedoWindowBytes int64
 
 	// Decode-stage telemetry for the demultiplexer's front-end.
@@ -295,20 +266,6 @@ func Recover(cs *engine.CrashState, m Method, opt Options) (*engine.Engine, *Met
 	}
 	met.RedoWindowBytes = int64(log.FlushedLSN() - r.scanStart)
 
-	// Worker auto-sizing (the recovery-budget tail of the budgeted
-	// checkpointer): when the caller left the redo width unset and the
-	// crashed engine carries both a recovery budget and a replay rate
-	// measured by its previous recovery, widen redo just enough that
-	// the estimated serial replay of this window fits the budget.
-	// Engines without a budget keep the deterministic serial default
-	// untouched. Decode keeps its own width (wal.NewScanner) either way.
-	if opt.RedoWorkers == 0 && cs.Cfg.RecoveryBudget > 0 && cs.ReplayRate > 0 {
-		if n := AutoSizeWorkers(met.RedoWindowBytes, cs.ReplayRate, cs.Cfg.RecoveryBudget, maxAutoWorkers()); n > 1 {
-			r.opt.RedoWorkers = n
-			met.RedoWorkers = n
-		}
-	}
-
 	// Phase 1: prep — DC recovery (logical) or analysis (SQL), per
 	// shard. The transaction table is built here, once; redo notes
 	// nothing.
@@ -339,10 +296,6 @@ func Recover(cs *engine.CrashState, m Method, opt Options) (*engine.Engine, *Met
 	met.RedoTime = clock.Now().Sub(t1)
 	met.RedoTotal = met.PrepTime + met.RedoTime
 	met.WallRedoTime = time.Since(w1)
-	// Replay wall time — prep plus redo, the phases that rescan the
-	// window a checkpoint would have trimmed — fixes the replay rate
-	// that seeds the Checkpointer on the recovered engine.
-	replayWall := time.Since(w0)
 
 	// Phase 3: undo of losers (logical in every method, §2.1). One
 	// merged backward sweep over all shards; compensations route by each
@@ -371,17 +324,7 @@ func Recover(cs *engine.CrashState, m Method, opt Options) (*engine.Engine, *Met
 	newTC.RestoreMaster(cs.LastEndCkpt)
 	newTC.SendEOSL()
 
-	eng := cs.Recovered(clock, disks, log, set, newTC)
-	lr := &engine.RecoveryStats{
-		Method:      m.String(),
-		WallTotal:   met.WallTotalTime,
-		ReplayBytes: met.RedoWindowBytes,
-	}
-	if s := replayWall.Seconds(); s > 0 {
-		lr.ReplayBytesPerSec = float64(met.RedoWindowBytes) / s
-	}
-	eng.LastRecovery = lr
-	return eng, met, nil
+	return cs.Recovered(clock, disks, log, set, newTC), met, nil
 }
 
 // run carries one replay's cross-shard state: a crash recovery

@@ -165,38 +165,6 @@ func TestRecoverAllMethodsMatchOracle(t *testing.T) {
 	}
 }
 
-// TestRecoverFillsLastRecovery pins the recovery→engine handoff the
-// budgeted checkpointer depends on: Recover must leave a recovery
-// summary on the engine with the replayed window and a measured replay
-// rate, so StartCheckpointer can seed its estimates without any manual
-// plumbing.
-func TestRecoverFillsLastRecovery(t *testing.T) {
-	cfg := testConfig(300)
-	cs, om := buildCrash(t, cfg, 2000, 120, 10, 30, 42, true)
-	opt := DefaultOptions(cfg)
-	eng, met, err := Recover(cs, Log1, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	verifyRecovered(t, Log1, eng, om)
-	lr := eng.LastRecovery
-	if lr == nil {
-		t.Fatal("Recover left LastRecovery nil")
-	}
-	if lr.Method != "Log1" {
-		t.Errorf("Method = %q, want Log1", lr.Method)
-	}
-	if lr.ReplayBytes != met.RedoWindowBytes || lr.ReplayBytes <= 0 {
-		t.Errorf("ReplayBytes = %d, want the positive redo window %d", lr.ReplayBytes, met.RedoWindowBytes)
-	}
-	if lr.ReplayBytesPerSec <= 0 {
-		t.Errorf("ReplayBytesPerSec = %v, want > 0 (wall-clock prep+redo always takes real time)", lr.ReplayBytesPerSec)
-	}
-	if lr.WallTotal != met.WallTotalTime {
-		t.Errorf("WallTotal = %v, metrics say %v", lr.WallTotal, met.WallTotalTime)
-	}
-}
-
 // TestFileRecoveredEngineKeepsItsCommits crashes a file-device engine
 // that recovery produced: what it committed after the first crash, with
 // and without a checkpoint between the two crashes, must survive the

@@ -8,7 +8,6 @@ package engine
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestValidateFillsDefaults(t *testing.T) {
@@ -39,7 +38,6 @@ func TestValidateRejections(t *testing.T) {
 		{"unknown device", func(c *Config) { c.Device = "tape" }, "unknown device"},
 		{"keyspan below shards", func(c *Config) { c.Shards = 8; c.KeySpan = 5 }, "KeySpan"},
 		{"cache too small for shards", func(c *Config) { c.Shards = 8; c.CachePages = 32 }, "8 per shard"},
-		{"negative recovery budget", func(c *Config) { c.RecoveryBudget = -time.Second }, "RecoveryBudget"},
 	}
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {

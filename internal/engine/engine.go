@@ -27,7 +27,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"logrec/internal/dc"
 	"logrec/internal/shard"
@@ -88,17 +87,6 @@ type Config struct {
 	// shards (0 = the full uint64 domain). Set it to the expected row
 	// count so the initial ranges balance the bulk-loaded table.
 	KeySpan uint64
-	// RecoveryBudget is the recovery SLO: the target upper bound on
-	// replay time after a crash, and the one setting behind it. The
-	// background Checkpointer (StartCheckpointer, which refuses an
-	// engine without one) estimates how long replaying the current redo
-	// window would take (window bytes ÷ measured replay rate, seeded
-	// from LastRecovery and refined from the live append rate) and
-	// checkpoints whenever the estimate exceeds the budget; it derives
-	// its polling cadence from the budget too. A recovery of a crashed
-	// engine with a budget and a measured replay rate sizes its redo
-	// width to fit it (core.AutoSizeWorkers). Zero: no SLO.
-	RecoveryBudget time.Duration
 	// Standby builds the engine as a warm standby (replica mode): Load
 	// bulk-loads rows but leaves logging off and takes no checkpoint,
 	// so the engine's log stays header-only and can ingest the
@@ -140,9 +128,6 @@ func (c *Config) Validate() error {
 		}
 	default:
 		return fmt.Errorf("engine: unknown device kind %q", c.Device)
-	}
-	if c.RecoveryBudget < 0 {
-		return fmt.Errorf("engine: RecoveryBudget must be >= 0, got %v", c.RecoveryBudget)
 	}
 	if c.KeySpan != 0 && c.KeySpan < uint64(c.Shards) {
 		return fmt.Errorf("engine: KeySpan %d cannot be partitioned across %d shards (want KeySpan >= Shards, or 0 for the full domain)", c.KeySpan, c.Shards)
@@ -192,13 +177,6 @@ type Engine struct {
 	Set   *shard.Set
 	TC    *tc.TC
 	Cfg   Config
-
-	// LastRecovery summarises the recovery run that produced this
-	// engine (set by core.Recover; nil for a freshly created one). Its
-	// measured replay rate seeds the Checkpointer's estimate, so a
-	// recovered engine sizes its redo windows from how fast replay
-	// actually ran on this hardware.
-	LastRecovery *RecoveryStats
 
 	// AppliedLSN is, on a standby, the stable-log position a
 	// core.Replayer has applied through; the applier goroutine owns it.
@@ -366,13 +344,6 @@ type CrashState struct {
 	// simulated device).
 	Dir string
 
-	// ReplayRate is the crashed engine's last measured recovery replay
-	// rate in bytes/sec (Engine.LastRecovery.ReplayBytesPerSec; 0 when
-	// the engine was never recovered or the run was too fast to time).
-	// core.Recover's worker auto-sizing consumes it together with
-	// Cfg.RecoveryBudget.
-	ReplayRate float64
-
 	// mu guards forks; concurrent Forks of one crash state are allowed
 	// (side-by-side recovery), matching the mutex-guarded sim path.
 	mu    sync.Mutex
@@ -386,10 +357,6 @@ type CrashState struct {
 // as-is, with no flush, no final log force and no checkpoint; a failure
 // to close is a harness-environment error and panics.
 func (e *Engine) Crash() *CrashState {
-	var replayRate float64
-	if e.LastRecovery != nil {
-		replayRate = e.LastRecovery.ReplayBytesPerSec
-	}
 	if e.Cfg.Device == DeviceFile {
 		for i, disk := range e.Disks {
 			if err := disk.(*storage.FileDisk).Close(); err != nil {
@@ -407,7 +374,6 @@ func (e *Engine) Crash() *CrashState {
 			LastEndCkpt: master,
 			Cfg:         e.Cfg,
 			Dir:         e.Cfg.Dir,
-			ReplayRate:  replayRate,
 		}
 	}
 	for _, disk := range e.Disks {
@@ -418,7 +384,6 @@ func (e *Engine) Crash() *CrashState {
 		Log:         e.Log.Snapshot(),
 		LastEndCkpt: e.TC.LastEndCkptLSN(),
 		Cfg:         e.Cfg,
-		ReplayRate:  replayRate,
 	}
 }
 

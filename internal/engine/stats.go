@@ -1,37 +1,16 @@
 package engine
 
 import (
-	"time"
-
 	"logrec/internal/buffer"
 	"logrec/internal/tc"
 	"logrec/internal/wal"
 )
 
-// RecoveryStats summarises the recovery run that produced an engine.
-// core.Recover fills it (the engine package cannot import core, so the
-// struct lives here); the Checkpointer consumes
-// ReplayBytesPerSec as its seed rate.
-type RecoveryStats struct {
-	// Method names the recovery method that ran (e.g. "Log1").
-	Method string
-	// WallTotal is the wall-clock duration of the whole run.
-	WallTotal time.Duration
-	// ReplayBytes is the stable-log span replayed: log end minus the
-	// redo scan start.
-	ReplayBytes int64
-	// ReplayBytesPerSec is the measured replay rate — ReplayBytes over
-	// the wall-clock prep+redo time. Zero when the run was too fast to
-	// time (pure-sim recoveries replay in virtual time).
-	ReplayBytesPerSec float64
-}
-
 // Stats is the engine-wide counter snapshot: one call collects the
 // TC's transaction counters, the commit path's group-commit batching,
 // the log's record counts, the routing table and every shard's pool
 // and session-plane counters. Benches and tests should read this
-// instead of reaching into components (the old per-component accessors
-// still work but are the deprecated path).
+// instead of reaching into components.
 type Stats struct {
 	// TC is the transaction counters (begun/committed/aborted/...).
 	TC tc.Stats
@@ -55,10 +34,6 @@ type Stats struct {
 	Routes []wal.RouteEntry
 	// Shards holds one entry per data component, indexed by shard ID.
 	Shards []ShardStats
-	// Recovery is the summary of the recovery run that produced this
-	// engine; nil for an engine that was created fresh rather than
-	// recovered.
-	Recovery *RecoveryStats
 }
 
 // ShardStats is one shard's slice of the engine snapshot.
@@ -95,7 +70,6 @@ func (e *Engine) Stats() Stats {
 		LogStartLSN:      e.Log.StartLSN(),
 		LogSegments:      e.Log.Segments(),
 		Routes:           e.Set.Routes(),
-		Recovery:         e.LastRecovery,
 	}
 	st.LogRetainedBytes = int64(e.Log.EndLSN() - st.LogStartLSN)
 	st.LogReleasedBytes = int64(st.LogStartLSN - wal.FirstLSN())

@@ -1,7 +1,7 @@
-// Writers, readers and the checkpoint daemon together under -race: two
-// writers commit pairs of updates (one in five aborts on purpose), two
-// read-only sessions read and scan the same keys and never log, and the
-// daemon checkpoints every 500 µs. Then the engine crashes with a
+// Writers, readers and checkpoints together under -race: two writers
+// commit pairs of updates (one in five aborts on purpose), two
+// read-only sessions read and scan the same keys and never log, and a
+// checkpoint loop checkpoints every 500 µs. Then the engine crashes with a
 // writer and a reader left open, and every recovery method must rebuild
 // exactly what the writers were told was committed.
 package tc_test
@@ -30,8 +30,6 @@ func TestReadersWritersAndCheckpointsCrashRecover(t *testing.T) {
 	)
 	cfg := engine.DefaultConfig()
 	cfg.CachePages = 256
-	// A 1 ns budget checkpoints on every tick that saw new traffic.
-	cfg.RecoveryBudget = time.Nanosecond
 	eng, err := engine.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -42,10 +40,6 @@ func TestReadersWritersAndCheckpointsCrashRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr := eng.NewSessionManager(0)
-	ckpt, err := eng.StartCheckpointer(mgr)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	var (
 		wg                      sync.WaitGroup
@@ -54,6 +48,8 @@ func TestReadersWritersAndCheckpointsCrashRecover(t *testing.T) {
 		firstErr                error
 		commits, loggedAborts   atomic.Int64
 		readCommits, readAborts atomic.Int64
+		ckptTaken               int64
+		ckptErr                 error
 	)
 	fail := func(err error) { errOnce.Do(func() { firstErr = err }) }
 	stopped := func() bool {
@@ -112,6 +108,21 @@ func TestReadersWritersAndCheckpointsCrashRecover(t *testing.T) {
 			}
 		}(w)
 	}
+	// The checkpoint loop: every 500 µs until stopped, ending at its
+	// first error.
+	ckptDone := make(chan struct{})
+	go func() {
+		defer close(ckptDone)
+		tick := time.NewTicker(500 * time.Microsecond)
+		defer tick.Stop()
+		for !stopped() {
+			<-tick.C
+			if ckptErr = mgr.Checkpoint(); ckptErr != nil {
+				return
+			}
+			ckptTaken++
+		}
+	}()
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
 		go func(r int) {
@@ -167,15 +178,15 @@ func TestReadersWritersAndCheckpointsCrashRecover(t *testing.T) {
 	time.Sleep(runFor)
 	close(stop)
 	wg.Wait()
-	ckpt.Stop()
+	<-ckptDone
 	if firstErr != nil {
 		t.Fatal(firstErr)
 	}
-	if st := ckpt.Stats(); st.LastErr != nil || st.Taken == 0 {
-		t.Fatalf("checkpoint daemon: %d taken, last error %v", st.Taken, st.LastErr)
+	if ckptErr != nil || ckptTaken == 0 {
+		t.Fatalf("checkpoint loop: %d taken, error %v", ckptTaken, ckptErr)
 	}
 	t.Logf("%d commits, %d logged aborts, %d read-only commits, %d read-only aborts, %d checkpoints",
-		commits.Load(), loggedAborts.Load(), readCommits.Load(), readAborts.Load(), ckpt.Stats().Taken)
+		commits.Load(), loggedAborts.Load(), readCommits.Load(), readAborts.Load(), ckptTaken)
 
 	// The log heard from the writers only, and nobody is left announced.
 	if got := eng.Log.AppendCount(wal.TypeCommit); got != commits.Load() {

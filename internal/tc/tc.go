@@ -126,8 +126,8 @@ type TC struct {
 	// end-checkpoint record on the stable log. Recovery starts from the
 	// begin-checkpoint it names (§3.2's penultimate checkpoint). It is
 	// part of the crash-surviving state, like a boot block. Atomic so a
-	// crash snapshot can read it while a background checkpointer
-	// advances it.
+	// crash snapshot can read it while a checkpoint on another
+	// goroutine advances it.
 	lastEndCkpt atomic.Uint64
 	// masterHook, when set, persists each master-record advance (the
 	// file-backed engine writes it to a well-known file, the real

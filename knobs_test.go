@@ -23,7 +23,7 @@ func TestKnobCount(t *testing.T) {
 		config any
 		fields int
 	}{
-		{engine.Config{}, 11},
+		{engine.Config{}, 10},
 		{core.Options{}, 2},
 		{storage.Config{}, 6},
 		{replica.Config{}, 3},
